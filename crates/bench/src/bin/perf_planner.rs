@@ -22,8 +22,10 @@
 //! `PoolOracle::Exact` plans bit-identical to the `CachedLatency` plans.
 //! Non-smoke runs finish with a **matrix-free N=131072 amcast cell**
 //! built from `RouterNet`/`HostSet` directly — `Network::generate` (and
-//! its O(N²) `LatencyMatrix`) is never called — asserting the tiered
-//! oracle stays under 5% of the dense-matrix footprint.
+//! its exact `LatencyMatrix` kernel) is never called — asserting the
+//! tiered oracle stays under 5% of a dense `N² × 4` pair table (the
+//! exact kernel's storage until it was factored; see EXPERIMENTS.md for
+//! what that comparison still means).
 //!
 //! Results land in `results/BENCH_planner.json`. When a committed
 //! `results/BENCH_planner_baseline.json` exists, each cell's wall-clock is
@@ -73,9 +75,9 @@ const SMOKE_CAP: usize = 1024;
 const REF_CAP: usize = 4096;
 const SEED: u64 = 2024;
 
-/// The matrix-free scale cell: the dense matrix would need `N² × 4` =
-/// 68.7 GB here, so the cell is built from `RouterNet` + `HostSet`
-/// directly and `Network::generate` is never called.
+/// The matrix-free scale cell: a dense pair table would need `N² × 4` =
+/// 68.7 GB here. The cell is built from `RouterNet` + `HostSet` directly
+/// and `Network::generate` is never called.
 const SCALE_N: usize = 131_072;
 /// Member count of the scale-cell session (matches the N=16384 sweep
 /// row's session size; the wall is memory, not planner CPU).
@@ -213,7 +215,7 @@ fn main() {
     for &n in &sizes {
         // A transit–stub underlay scaled to N end hosts. The router core
         // stays at the paper's 600 routers; only host attachment grows, so
-        // the restricted-Dijkstra matrix build stays cheap.
+        // the restricted-Dijkstra kernel build stays cheap.
         let net = Network::generate(
             &NetworkConfig {
                 num_hosts: n,
@@ -610,8 +612,8 @@ fn main() {
     }
 
     // ---- Matrix-free scale cell: N=131072. Built from RouterNet +
-    // HostSet directly; `Network::generate` (and with it the O(N²)
-    // LatencyMatrix) is never called on this path, so the only latency
+    // HostSet directly; `Network::generate` (and with it the exact
+    // kernel) is never called on this path, so the only latency
     // state that exists is the tiered oracle's own — the reported
     // resident bytes account for *everything* the oracle holds.
     let scale_cell = if smoke {

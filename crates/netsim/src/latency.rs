@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use crate::hosts::{HostId, HostSet};
-use crate::topology::RouterNet;
+use crate::topology::{RouterId, RouterNet};
 
 /// Anything that can estimate the latency between two end hosts.
 ///
@@ -25,16 +25,15 @@ use crate::topology::RouterNet;
 ///
 /// Implementations may carry either `f32`- or `f64`-precision values:
 ///
-/// * [`LatencyMatrix`] quantizes once, at build time, to `f32`. Its
-///   `latency_ms` widens `f32 → f64`, which is exact (every `f32` is
-///   representable as an `f64`), so snapshotting a matrix-backed model into
-///   another `f32` store ([`CachedLatency::from_matrix`]) is value-identical
-///   and zero-copy — there is no repeated `f64 → f32 → f64` round-trip per
-///   call site.
-/// * Genuine `f64` models (e.g. coordinate stores) keep full precision.
-///   Snapshotting one with [`CachedLatency::snapshot`] rounds each pair to
-///   `f32` exactly once; callers that require bit-identical outputs against
-///   the original model must keep using the original model.
+/// * [`LatencyMatrix`] answers at `f32` precision: each lookup rounds the
+///   `f64` sum `last_hop(a) + router_path + last_hop(b)` to `f32` once and
+///   widens it back (`f32 → f64` is exact). Every handle on one kernel
+///   ([`Clone`], [`CachedLatency::from_matrix`]) evaluates the same
+///   expression over the same shared rows, so all of them are
+///   bit-identical.
+/// * Genuine `f64` models (e.g. coordinate stores) keep full precision;
+///   callers that require bit-identical outputs against such a model must
+///   keep using the model itself.
 pub trait LatencyModel {
     /// Latency estimate between hosts `a` and `b`, in milliseconds.
     fn latency_ms(&self, a: HostId, b: HostId) -> f64;
@@ -52,182 +51,152 @@ impl<T: LatencyModel + ?Sized> LatencyModel for &T {
     }
 }
 
+/// Per-host half of the factored kernel (16 bytes).
+#[derive(Clone, Copy)]
+struct HostEntry {
+    /// Offset in `rows` of the Dijkstra row sourced at this host's router.
+    row_off: u32,
+    /// This host's router: the column other hosts' rows are read at.
+    router: u32,
+    last_hop_ms: f64,
+}
+
 /// Exact all-pairs host latencies: last-hop + shortest router path +
-/// last-hop. Stored as a dense `n × n` matrix of `f32` ms (1200 hosts → 5.8
-/// MB), built from one Dijkstra per *host-attached* router. The storage is
-/// shared (`Arc`), so cloning a matrix — or a whole network/pool that embeds
-/// one — is O(1).
+/// last-hop, kept in the factored form the underlay has — one Dijkstra row
+/// per *host-attached* router plus a 16-byte entry per host — and summed
+/// per lookup: `rows·R·4 + N·16` bytes, ≤ 1.4 MB of rows on the paper's
+/// 600-router underlay at any N. Every answer is bit-identical to the
+/// entry of an `N × N` `f32` table filled with the same expression (the
+/// form the committed anchors were produced with; the tests keep one as
+/// the reference), so the operand order in `latency_ms` is part of the
+/// contract. The storage is shared (`Arc`), so cloning the kernel — or a
+/// whole network/pool that embeds one — is O(1).
 #[derive(Clone)]
 pub struct LatencyMatrix {
-    n: usize,
-    /// Row-major `n*n` distances in ms.
-    dist: Arc<[f32]>,
+    /// Routers in the underlay: the length of one row.
+    routers: usize,
+    /// Concatenated Dijkstra rows, one per host-attached router.
+    rows: Arc<[f32]>,
+    hosts: Arc<[HostEntry]>,
+}
+
+/// The name planners know the exact kernel by; one type with
+/// [`LatencyMatrix`].
+pub type CachedLatency = LatencyMatrix;
+
+/// [`LatencyMatrix::try_build`] found a router no path reaches from a
+/// host-attached router: latencies across that cut would be infinite.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DisconnectedUnderlay {
+    /// The host-attached router the search started from.
+    pub from: RouterId,
+    /// A router it cannot reach.
+    pub to: RouterId,
+}
+
+impl std::fmt::Display for DisconnectedUnderlay {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "disconnected underlay: no path from router {} to router {}",
+            self.from.0, self.to.0
+        )
+    }
+}
+
+impl std::error::Error for DisconnectedUnderlay {}
+
+impl std::fmt::Debug for LatencyMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Print the kernel's shape, not its rows.
+        f.debug_struct("LatencyMatrix")
+            .field("n", &self.hosts.len())
+            .field("resident_bytes", &self.resident_bytes())
+            .finish()
+    }
 }
 
 impl LatencyMatrix {
+    /// Build the oracle for all hosts of a network; panics on a
+    /// [`DisconnectedUnderlay`] (see [`Self::try_build`]).
+    pub fn build(net: &RouterNet, hosts: &HostSet) -> LatencyMatrix {
+        Self::try_build(net, hosts).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Build the oracle for all hosts of a network.
     ///
     /// Only routers that actually host endpoints are Dijkstra sources:
     /// hosts attach to stub routers, so transit routers (and any stub router
-    /// without endpoints) never need a distance row of their own.
-    pub fn build(net: &RouterNet, hosts: &HostSet) -> LatencyMatrix {
-        let n = hosts.len();
+    /// without endpoints) never need a distance row of their own. Every row
+    /// is checked for unreachable routers as it is computed.
+    pub fn try_build(
+        net: &RouterNet,
+        hosts: &HostSet,
+    ) -> Result<LatencyMatrix, DisconnectedUnderlay> {
+        let routers = net.graph.len();
         let mut srcs: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
         srcs.sort_unstable();
         srcs.dedup();
-        let mut row_of = vec![usize::MAX; net.graph.len()];
-        for (i, &r) in srcs.iter().enumerate() {
-            row_of[r as usize] = i;
-        }
-        let rd: Vec<Vec<f32>> = srcs.iter().map(|&r| net.graph.dijkstra(r)).collect();
-        let mut dist = vec![0f32; n * n];
-        for (a, ha) in hosts.iter() {
-            for (b, hb) in hosts.iter() {
-                if a == b {
-                    continue;
-                }
-                let router_d = rd[row_of[ha.router.0 as usize]][hb.router.0 as usize];
-                debug_assert!(router_d.is_finite(), "disconnected routers");
-                dist[a.idx() * n + b.idx()] =
-                    (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
+        let mut row_off = vec![0u32; routers];
+        let mut rows = Vec::with_capacity(srcs.len() * routers);
+        for &r in &srcs {
+            let row = net.graph.dijkstra(r);
+            if let Some(to) = row.iter().position(|d| !d.is_finite()) {
+                return Err(DisconnectedUnderlay {
+                    from: RouterId(r),
+                    to: RouterId(to as u32),
+                });
             }
+            row_off[r as usize] = u32::try_from(rows.len()).expect("row offsets fit u32");
+            rows.extend_from_slice(&row);
         }
-        LatencyMatrix {
-            n,
-            dist: dist.into(),
-        }
+        let entries = hosts
+            .iter()
+            .map(|(_, h)| HostEntry {
+                row_off: row_off[h.router.0 as usize],
+                router: h.router.0,
+                last_hop_ms: h.last_hop_ms,
+            })
+            .collect();
+        Ok(LatencyMatrix {
+            routers,
+            rows: rows.into(),
+            hosts: entries,
+        })
     }
 
-    /// The largest pairwise latency in the matrix (diameter), ms.
-    pub fn diameter_ms(&self) -> f64 {
-        self.dist.iter().copied().fold(0f32, f32::max) as f64
+    /// Another handle on `m`'s storage: O(1), bit-identical answers.
+    pub fn from_matrix(m: &LatencyMatrix) -> CachedLatency {
+        m.clone()
+    }
+
+    /// The Dijkstra row sourced at `h`'s router: shortest-path distance to
+    /// every router, indexed by router id.
+    pub fn router_row(&self, h: HostId) -> &[f32] {
+        let off = self.hosts[h.idx()].row_off as usize;
+        &self.rows[off..off + self.routers]
+    }
+
+    /// Bytes resident in the kernel: `rows·R·4 + N·16`.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.rows) + std::mem::size_of_val(&*self.hosts)
     }
 }
 
 impl LatencyModel for LatencyMatrix {
     #[inline]
     fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-        let i = a.idx() * self.n + b.idx();
-        debug_assert!(i < self.dist.len(), "host id out of matrix range");
-        // SAFETY: ids come from the host set the matrix was built over
-        // (`idx() < n`); debug builds assert the bound.
-        f64::from(unsafe { *self.dist.get_unchecked(i) })
+        if a == b {
+            return 0.0;
+        }
+        let (ha, hb) = (self.hosts[a.idx()], self.hosts[b.idx()]);
+        let router_d = self.rows[ha.row_off as usize + hb.router as usize];
+        f64::from((ha.last_hop_ms + f64::from(router_d) + hb.last_hop_ms) as f32)
     }
 
     #[inline]
     fn num_hosts(&self) -> usize {
-        self.n
-    }
-}
-
-/// A dense, monomorphized latency kernel: any [`LatencyModel`] snapshotted
-/// into a row-major `f32` matrix so planner inner loops pay one array load
-/// per pair instead of whatever the source model computes.
-///
-/// Two constructions with different precision guarantees (see the
-/// [`LatencyModel`] precision contract):
-///
-/// * [`CachedLatency::from_matrix`] shares a [`LatencyMatrix`]'s storage —
-///   zero-copy, value-identical, safe wherever bit-reproducibility matters.
-/// * [`CachedLatency::snapshot`] evaluates an arbitrary model once per pair
-///   and rounds to `f32` — a fast approximation of `f64` models, *not*
-///   value-identical to them.
-#[derive(Clone)]
-pub struct CachedLatency {
-    n: usize,
-    dist: Arc<[f32]>,
-}
-
-impl std::fmt::Debug for CachedLatency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The matrix itself is n² entries — print its shape, not its body.
-        f.debug_struct("CachedLatency").field("n", &self.n).finish()
-    }
-}
-
-impl CachedLatency {
-    /// Share a matrix's storage without copying. Value-identical to the
-    /// source: the matrix already stores `f32`, and widening is exact.
-    pub fn from_matrix(m: &LatencyMatrix) -> CachedLatency {
-        CachedLatency {
-            n: m.n,
-            dist: Arc::clone(&m.dist),
-        }
-    }
-
-    /// Evaluate `model` for every ordered pair and store the results as
-    /// `f32`. O(n²) calls, done once; quantizes genuine `f64` models.
-    ///
-    /// A NaN from `model` (a corrupted coordinate store, an uninitialized
-    /// estimate) is rejected here with [`NanLatency`] — the quantization
-    /// boundary is the one place every estimated pair flows through, so
-    /// catching it here means the planners downstream never see a NaN.
-    pub fn snapshot<L: LatencyModel + ?Sized>(model: &L) -> Result<CachedLatency, NanLatency> {
-        let n = model.num_hosts();
-        let mut dist = vec![0f32; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    let d = model.latency_ms(HostId(a as u32), HostId(b as u32));
-                    if d.is_nan() {
-                        return Err(NanLatency {
-                            a: HostId(a as u32),
-                            b: HostId(b as u32),
-                        });
-                    }
-                    dist[a * n + b] = d as f32;
-                }
-            }
-        }
-        Ok(CachedLatency {
-            n,
-            dist: dist.into(),
-        })
-    }
-}
-
-/// A latency model produced NaN for the given host pair — returned by
-/// [`CachedLatency::snapshot`] instead of letting the poisoned value leak
-/// into planner orderings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NanLatency {
-    /// First host of the offending pair.
-    pub a: HostId,
-    /// Second host of the offending pair.
-    pub b: HostId,
-}
-
-impl std::fmt::Display for NanLatency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "latency model returned NaN for hosts {} and {}",
-            self.a.0, self.b.0
-        )
-    }
-}
-
-impl std::error::Error for NanLatency {}
-
-impl From<&LatencyMatrix> for CachedLatency {
-    fn from(m: &LatencyMatrix) -> CachedLatency {
-        CachedLatency::from_matrix(m)
-    }
-}
-
-impl LatencyModel for CachedLatency {
-    #[inline]
-    fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-        let i = a.idx() * self.n + b.idx();
-        debug_assert!(i < self.dist.len(), "host id out of matrix range");
-        // SAFETY: ids are below `num_hosts` by the model contract; debug
-        // builds assert the bound.
-        f64::from(unsafe { *self.dist.get_unchecked(i) })
-    }
-
-    #[inline]
-    fn num_hosts(&self) -> usize {
-        self.n
+        self.hosts.len()
     }
 }
 
@@ -333,6 +302,42 @@ mod tests {
         (net, hosts)
     }
 
+    /// The pair table this kernel replaced, filled with the historical
+    /// expression from an every-router Dijkstra: the reference the
+    /// factored lookups must match bit for bit.
+    fn dense_reference(net: &RouterNet, hosts: &HostSet) -> Vec<f32> {
+        let rd = net.graph.all_pairs();
+        let n = hosts.len();
+        let mut dist = vec![0f32; n * n];
+        for (a, ha) in hosts.iter() {
+            for (b, hb) in hosts.iter() {
+                if a == b {
+                    continue;
+                }
+                let router_d = rd[ha.router.0 as usize][hb.router.0 as usize];
+                dist[a.idx() * n + b.idx()] =
+                    (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
+            }
+        }
+        dist
+    }
+
+    fn assert_matches_dense(m: &LatencyMatrix, net: &RouterNet, hosts: &HostSet) {
+        let n = hosts.len();
+        let dense = dense_reference(net, hosts);
+        for a in hosts.ids() {
+            for b in hosts.ids() {
+                assert_eq!(
+                    m.latency_ms(a, b).to_bits(),
+                    f64::from(dense[a.idx() * n + b.idx()]).to_bits(),
+                    "factored kernel diverges from the dense table at ({}, {})",
+                    a.0,
+                    b.0
+                );
+            }
+        }
+    }
+
     #[test]
     fn symmetric_and_zero_diagonal() {
         let (net, hosts) = small();
@@ -424,28 +429,10 @@ mod tests {
 
     #[test]
     fn restricted_dijkstra_matches_full_all_pairs_build() {
-        // Satellite check: sourcing Dijkstra only from host-attached routers
-        // must produce exactly the matrix the old every-router build did.
+        // Sourcing Dijkstra only from host-attached routers, and summing per
+        // lookup, must answer exactly what the every-router pair table did.
         let (net, hosts) = small();
-        let m = LatencyMatrix::build(&net, &hosts);
-        let rd = net.graph.all_pairs();
-        let n = hosts.len();
-        let mut full = vec![0f32; n * n];
-        for (a, ha) in hosts.iter() {
-            for (b, hb) in hosts.iter() {
-                if a == b {
-                    continue;
-                }
-                let router_d = rd[ha.router.0 as usize][hb.router.0 as usize];
-                full[a.idx() * n + b.idx()] =
-                    (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
-            }
-        }
-        for a in hosts.ids() {
-            for b in hosts.ids() {
-                assert_eq!(m.latency_ms(a, b), f64::from(full[a.idx() * n + b.idx()]));
-            }
-        }
+        assert_matches_dense(&LatencyMatrix::build(&net, &hosts), &net, &hosts);
     }
 
     #[test]
@@ -456,58 +443,71 @@ mod tests {
         assert_eq!(c.num_hosts(), m.num_hosts());
         for a in hosts.ids() {
             for b in hosts.ids() {
-                // Bit-identical, not merely close: the storage is shared.
                 assert_eq!(c.latency_ms(a, b).to_bits(), m.latency_ms(a, b).to_bits());
             }
         }
-        assert!(Arc::ptr_eq(&c.dist, &m.dist));
+        // Not merely equal: both handles read the same rows and entries.
+        assert!(Arc::ptr_eq(&c.rows, &m.rows));
+        assert!(Arc::ptr_eq(&c.hosts, &m.hosts));
     }
 
     #[test]
-    fn snapshot_quantizes_f64_models_once() {
-        struct Pi;
-        impl LatencyModel for Pi {
-            fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-                if a == b {
-                    0.0
-                } else {
-                    std::f64::consts::PI
-                }
-            }
-            fn num_hosts(&self) -> usize {
-                4
-            }
-        }
-        let c = CachedLatency::snapshot(&Pi).unwrap();
-        let want = f64::from(std::f64::consts::PI as f32);
-        assert_eq!(c.latency_ms(HostId(0), HostId(3)), want);
-        assert_eq!(c.latency_ms(HostId(2), HostId(2)), 0.0);
-    }
-
-    #[test]
-    fn snapshot_rejects_nan_model_with_typed_error() {
-        struct Poisoned;
-        impl LatencyModel for Poisoned {
-            fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-                if a == HostId(1) && b == HostId(2) {
-                    f64::NAN
-                } else {
-                    1.0
-                }
-            }
-            fn num_hosts(&self) -> usize {
-                4
-            }
-        }
-        let err = CachedLatency::snapshot(&Poisoned).unwrap_err();
+    fn resident_bytes_counts_rows_and_host_entries() {
+        let (net, hosts) = small();
+        let m = LatencyMatrix::build(&net, &hosts);
+        let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
+        attached.sort_unstable();
+        attached.dedup();
         assert_eq!(
-            err,
-            NanLatency {
-                a: HostId(1),
-                b: HostId(2)
-            }
+            m.resident_bytes(),
+            attached.len() * net.len() * 4 + hosts.len() * 16
         );
-        assert!(err.to_string().contains("NaN"));
+        for (id, h) in hosts.iter() {
+            assert_eq!(m.router_row(id), &net.graph.dijkstra(h.router.0)[..]);
+        }
+    }
+
+    #[test]
+    fn disconnected_underlay_is_a_typed_error() {
+        // Two transit domains of one router each are joined by the single
+        // transit-transit link 0-1; dropping it leaves two components.
+        let cfg = TransitStubConfig {
+            transit_domains: 2,
+            transit_per_domain: 1,
+            stub_domains_per_transit: 1,
+            routers_per_stub: 2,
+            ..Default::default()
+        };
+        let mut net = RouterNet::generate(&cfg, 5);
+        let hosts = HostSet::attach(&net, 12, (3.0, 8.0), 6);
+        assert!(LatencyMatrix::try_build(&net, &hosts).is_ok());
+        let mut cut = crate::graph::Graph::with_nodes(net.len());
+        for a in 0..net.len() as u32 {
+            for &(b, w) in net.graph.neighbors(a) {
+                if a < b && (a, b) != (0, 1) {
+                    cut.add_edge(a, b, w);
+                }
+            }
+        }
+        net.graph = cut;
+        assert!(!net.graph.is_connected());
+        let err = LatencyMatrix::try_build(&net, &hosts).unwrap_err();
+        // The first source is the lowest host-attached router; the first
+        // router it cannot reach is the other domain's transit router.
+        let from = hosts.iter().map(|(_, h)| h.router).min().unwrap();
+        assert_eq!(from, err.from);
+        assert!(net.graph.dijkstra(err.from.0)[err.to.0 as usize].is_infinite());
+        assert!(err.to_string().contains("disconnected underlay"));
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected underlay")]
+    fn build_panics_on_a_disconnected_underlay() {
+        let net = RouterNet::generate(&TransitStubConfig::default(), 3);
+        let hosts = HostSet::attach(&net, 20, (3.0, 8.0), 4);
+        let mut islands = net.clone();
+        islands.graph = crate::graph::Graph::with_nodes(net.len());
+        LatencyMatrix::build(&islands, &hosts);
     }
 
     #[test]
@@ -522,13 +522,36 @@ mod tests {
         assert_eq!(latency_calls(), 0);
     }
 
-    #[test]
-    fn diameter_is_positive_and_bounded() {
-        let (net, hosts) = small();
-        let m = LatencyMatrix::build(&net, &hosts);
-        let d = m.diameter_ms();
-        assert!(d > 0.0);
-        // Upper bound: every path is at most (#routers * max link) + 2 last hops.
-        assert!(d < net.len() as f64 * 100.0 + 16.0);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        // Factored ≡ historical dense, bit for bit: random topologies with
+        // non-integral link weights, host counts from below the stub-router
+        // count (most rows absent) to far above it (many hosts per router),
+        // both argument orders and the diagonal.
+        #[test]
+        fn prop_factored_matches_historical_dense(
+            td in 1usize..3,
+            tpd in 1usize..4,
+            sdt in 1usize..3,
+            rps in 1usize..4,
+            n in 1usize..160,
+            transit_ms in 20.0f64..120.0,
+            stub_ms in 1.0f64..30.0,
+            seed: u64,
+        ) {
+            let cfg = TransitStubConfig {
+                transit_domains: td,
+                transit_per_domain: tpd,
+                stub_domains_per_transit: sdt,
+                routers_per_stub: rps,
+                intra_transit_ms: transit_ms,
+                stub_transit_ms: stub_ms * 2.5,
+                intra_stub_ms: stub_ms,
+            };
+            let net = RouterNet::generate(&cfg, seed);
+            let hosts = HostSet::attach(&net, n, (3.0, 8.0), seed ^ 0x5eed);
+            assert_matches_dense(&LatencyMatrix::build(&net, &hosts), &net, &hosts);
+        }
     }
 }

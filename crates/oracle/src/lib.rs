@@ -1,12 +1,15 @@
-//! # oracle — tiered latency estimation without O(N²) storage
+//! # oracle — tiered latency estimation from bounded knowledge
 //!
-//! The dense [`netsim::LatencyMatrix`] is exact but needs `N² × 4`
-//! bytes — ~64 GB at N=131072 — which (not planner CPU) is the binding
-//! constraint on pool size. This crate unifies the exact models and a
-//! **tiered oracle** behind one [`LatencyOracle`] trait:
+//! The exact [`netsim::LatencyMatrix`] needs the whole router graph
+//! solved: one Dijkstra row per host-attached router. No deployed pool
+//! has that — the paper's hosts estimate latency from coordinates and a
+//! few measurements. This crate puts the exact kernel and a **tiered
+//! oracle** built from that bounded knowledge behind one
+//! [`LatencyOracle`] trait:
 //!
 //! * **hot tier** — a bounded, deterministic LRU of exact Dijkstra rows
-//!   computed on demand from the router graph; rows are promoted
+//!   fetched on demand (from the pool's exact kernel when it has one,
+//!   from the router graph otherwise); rows are promoted
 //!   explicitly when the planner touches hosts (session members,
 //!   candidate helpers), never as a lookup side effect.
 //! * **sketch tier** — per-landmark distance vectors
@@ -16,7 +19,7 @@
 //!   (the paper's §4.1 machinery), clamped into the sketch bounds.
 //!
 //! [`PoolOracle`] is the enum the pool plans through; its `Exact` arm
-//! wraps [`netsim::CachedLatency`] and returns bit-identical values, so
+//! is a handle on the exact kernel ([`netsim::CachedLatency`]), so
 //! `LatencySource::Exact` plans are bit-identical to the historical
 //! dense-matrix planner.
 
@@ -57,7 +60,7 @@ pub trait LatencyOracle: LatencyModel {
 
 impl LatencyOracle for CachedLatency {
     fn resident_bytes(&self) -> usize {
-        self.num_hosts() * self.num_hosts() * 4
+        CachedLatency::resident_bytes(self)
     }
 }
 
@@ -74,13 +77,13 @@ impl LatencyOracle for TieredOracle {
 /// Which latency oracle the pool builds and plans through.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum LatencySource {
-    /// The dense exact matrix (`CachedLatency`), today's behavior and
-    /// the default: plans are bit-identical to the historical planner.
+    /// The exact kernel (`CachedLatency`), the default: plans are
+    /// bit-identical to the historical dense-matrix planner.
     #[default]
     Exact,
-    /// The tiered oracle; the dense matrix is still *built* by
-    /// `Network::generate` for evaluation, but planning reads go
-    /// through the tiers.
+    /// The tiered oracle; the exact kernel is still *built* by
+    /// `Network::generate` for evaluation (and feeds the hot tier its
+    /// rows), but planning reads go through the tiers.
     Tiered(TieredConfig),
 }
 
@@ -409,11 +412,18 @@ mod tests {
     }
 
     #[test]
-    fn exact_arm_is_zero_copy_and_reports_dense_bytes() {
+    fn exact_arm_shares_the_kernel_and_reports_factored_bytes() {
         let (net, hosts) = small_world(64, 1);
         let matrix = LatencyMatrix::build(&net, &hosts);
         let po = PoolOracle::Exact(CachedLatency::from_matrix(&matrix));
-        assert_eq!(LatencyOracle::resident_bytes(&po), 64 * 64 * 4);
+        // rows·R·4 + N·16: one 600-router row per host-attached router.
+        let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
+        attached.sort_unstable();
+        attached.dedup();
+        assert_eq!(
+            LatencyOracle::resident_bytes(&po),
+            attached.len() * net.len() * 4 + 64 * 16
+        );
         assert_eq!(po.tier_stats_opt(), None);
         for a in 0..64u32 {
             for b in 0..64u32 {

@@ -3,11 +3,11 @@
 //! imply for arbitrary pairs.
 //!
 //! A sketch costs `L × N × 4` bytes (L landmarks, N hosts) — 8 MB at
-//! N=131072 with the default L=16 — against `N² × 4` for the dense
-//! matrix. Each stored entry is computed with the *same* arithmetic as
-//! [`netsim::LatencyMatrix`] (`(last_hop_a + router_d as f64 +
-//! last_hop_b) as f32`), so landmark rows are bit-identical to the
-//! corresponding matrix rows.
+//! N=131072 with the default L=16 — and needs only L hosts' measurements,
+//! not the router graph. Each stored entry is computed with the *same*
+//! arithmetic as [`netsim::LatencyMatrix`] (`(last_hop_a + router_d as
+//! f64 + last_hop_b) as f32`), so landmark rows are bit-identical to the
+//! kernel's answers for those rows.
 
 use std::sync::Arc;
 
@@ -65,8 +65,8 @@ impl LandmarkSketch {
                 } else {
                     row[h.router.0 as usize]
                 };
-                // Exact same expression as LatencyMatrix::build, so the
-                // stored f32 is bit-identical to the matrix entry.
+                // Exact same expression as LatencyMatrix::latency_ms, so
+                // the stored f32 is bit-identical to the kernel's answer.
                 let v = (lh.last_hop_ms + f64::from(router_d) + h.last_hop_ms) as f32;
                 assert!(
                     v.is_finite(),

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use coords::CoordStore;
 use netsim::graph::Graph;
 use netsim::hosts::HostSet;
-use netsim::{HostId, LatencyModel, RouterNet};
+use netsim::{HostId, LatencyMatrix, LatencyModel, RouterNet};
 
 use crate::sketch::LandmarkSketch;
 
@@ -103,7 +103,8 @@ impl HotRows {
         }
     }
 
-    fn touch_or_insert(&mut self, router: u32, graph: &Graph) {
+    /// `fetch` yields `router`'s exact Dijkstra row; called only on a miss.
+    fn touch_or_insert(&mut self, router: u32, fetch: impl FnOnce() -> Box<[f32]>) {
         if self.cap == 0 {
             return;
         }
@@ -113,7 +114,7 @@ impl HotRows {
             self.slots[s as usize].last_used = self.tick;
             return;
         }
-        let row = graph.dijkstra(router).into_boxed_slice();
+        let row = fetch();
         self.promotions += 1;
         if self.slots.len() < self.cap {
             self.resident[router as usize] = self.slots.len() as u32;
@@ -193,8 +194,8 @@ impl Counters {
 ///
 /// # Precision contract per tier
 ///
-/// * **hot** — bit-identical to the dense [`netsim::LatencyMatrix`]
-///   entry on the default integral-millisecond topology (same build
+/// * **hot** — bit-identical to the exact [`netsim::LatencyMatrix`]
+///   answer on the default integral-millisecond topology (same
 ///   expression, and router Dijkstra distances there are exact in f32
 ///   from either endpoint). On exotic float link weights a row computed
 ///   from the *other* endpoint's router may differ by final-rounding
@@ -222,6 +223,11 @@ pub struct TieredOracle {
     coords: Arc<CoordStore>,
     sketch: LandmarkSketch,
     hot: Arc<RwLock<HotRows>>,
+    /// Where promoted rows come from: the exact kernel's resident rows
+    /// when the pool that owns one built this oracle
+    /// ([`TieredOracle::with_row_source`]), Dijkstra on `graph` otherwise.
+    /// The rows are the same either way; only the cost of a miss differs.
+    row_source: Option<LatencyMatrix>,
     counters: Arc<Counters>,
     /// Promote-call recorder for speculative forks
     /// ([`TieredOracle::fork_speculative`]): every [`TieredOracle::promote`]
@@ -259,9 +265,20 @@ impl TieredOracle {
             coords: Arc::new(coords),
             sketch,
             hot: Arc::new(RwLock::new(HotRows::new(net.graph.len(), cfg.hot_rows))),
+            row_source: None,
             counters: Arc::new(Counters::default()),
             promote_log: None,
         }
+    }
+
+    /// Copy promoted rows out of `kernel` — built over the same network
+    /// and host set — instead of re-running Dijkstra for them. Residents,
+    /// LRU order, counters and answers are unchanged; the kernel stays the
+    /// caller's and is not counted in [`TieredOracle::resident_bytes`].
+    pub fn with_row_source(mut self, kernel: &LatencyMatrix) -> TieredOracle {
+        assert_eq!(kernel.num_hosts(), self.n, "kernel/host-set size mismatch");
+        self.row_source = Some(kernel.clone());
+        self
     }
 
     /// A handle over the same mutable state: promotions and counters
@@ -276,6 +293,7 @@ impl TieredOracle {
             coords: Arc::clone(&self.coords),
             sketch: self.sketch.clone(),
             hot: Arc::clone(&self.hot),
+            row_source: self.row_source.clone(),
             counters: Arc::clone(&self.counters),
             promote_log: self.promote_log.clone(),
         }
@@ -292,7 +310,11 @@ impl TieredOracle {
         }
         let mut hot = self.hot.write().expect("hot tier lock poisoned");
         for &h in hosts {
-            hot.touch_or_insert(self.host_router[h.idx()], &self.graph);
+            let router = self.host_router[h.idx()];
+            hot.touch_or_insert(router, || match &self.row_source {
+                Some(kernel) => kernel.router_row(h).into(),
+                None => self.graph.dijkstra(router).into_boxed_slice(),
+            });
         }
     }
 
@@ -326,6 +348,7 @@ impl TieredOracle {
             coords: Arc::clone(&self.coords),
             sketch: self.sketch.clone(),
             hot: Arc::new(RwLock::new(hot)),
+            row_source: self.row_source.clone(),
             counters: Arc::new(Counters::default()),
             promote_log: Some(Arc::new(Mutex::new(Vec::new()))),
         }
@@ -403,6 +426,14 @@ impl TieredOracle {
         self.hot.read().expect("hot tier lock poisoned").slots.len()
     }
 
+    /// The routers whose rows are resident in the hot tier, ascending.
+    pub fn resident_routers(&self) -> Vec<u32> {
+        let hot = self.hot.read().expect("hot tier lock poisoned");
+        let mut routers: Vec<u32> = hot.slots.iter().map(|s| s.router).collect();
+        routers.sort_unstable();
+        routers
+    }
+
     /// Total bytes resident across every tier-backing structure: hot
     /// rows + residency map, landmark sketch, host→router / last-hop
     /// tables, coordinates, and the shared router graph.
@@ -423,7 +454,7 @@ impl TieredOracle {
 
     #[inline]
     fn exact(&self, p: usize, q: usize, router_d: f32) -> f64 {
-        // Same expression as LatencyMatrix::build — bit-identical entry.
+        // Same expression as LatencyMatrix::latency_ms — bit-identical answer.
         f64::from((self.last_hop[p] + f64::from(router_d) + self.last_hop[q]) as f32)
     }
 }
@@ -447,6 +478,7 @@ impl Clone for TieredOracle {
                     .expect("hot tier lock poisoned")
                     .deep_clone(),
             )),
+            row_source: self.row_source.clone(),
             counters: Arc::new(Counters {
                 hot: AtomicU64::new(self.counters.hot.load(Ordering::Relaxed)),
                 sketch: AtomicU64::new(self.counters.sketch.load(Ordering::Relaxed)),

@@ -192,11 +192,11 @@ pub struct PoolConfig {
     /// SOMO tree fanout.
     pub somo_fanout: usize,
     /// Which latency oracle planning reads go through. `Exact` (the
-    /// default) plans against the dense matrix exactly as before —
-    /// bit-identical results; `Tiered` plans against the bounded-memory
-    /// tiered oracle (`crates/oracle`). Evaluation metrics (oracle tree
-    /// heights, members-only baselines) always use the exact matrix so
-    /// quality numbers stay comparable across sources.
+    /// default) plans against the exact kernel — bit-identical to the
+    /// historical dense-matrix planner; `Tiered` plans against the
+    /// tiered oracle's estimates (`crates/oracle`). Evaluation metrics
+    /// (oracle tree heights, members-only baselines) always use the exact
+    /// kernel so quality numbers stay comparable across sources.
     pub latency_source: LatencySource,
 }
 
@@ -283,13 +283,11 @@ impl ResourcePool {
                 let sketch = LandmarkSketch::build(&net.routers, &net.hosts, &landmarks);
                 // Base tier = the pool's own leafset coordinates — the
                 // paper's practical latency estimator, already solved.
-                PoolOracle::Tiered(TieredOracle::new(
-                    &net.routers,
-                    &net.hosts,
-                    coords.clone(),
-                    sketch,
-                    tcfg,
-                ))
+                // Hot-tier promotions copy the kernel's resident rows.
+                PoolOracle::Tiered(
+                    TieredOracle::new(&net.routers, &net.hosts, coords.clone(), sketch, tcfg)
+                        .with_row_source(&net.latency),
+                )
             }
         };
         ResourcePool {
@@ -311,9 +309,9 @@ impl ResourcePool {
     /// copies of the degree tables, holdings and liveness (identical to
     /// the live pool right now), a speculative oracle fork
     /// ([`PoolOracle::fork_speculative`]), and an op log recording every
-    /// mutating call. The expensive shared state (latency matrix, router
+    /// mutating call. The expensive shared state (latency kernel, router
     /// graph, coordinates' backing data) is Arc-shared, so a fork costs
-    /// O(hosts), not O(hosts²).
+    /// only the per-host tables.
     pub fn fork_for_speculation(&self) -> ResourcePool {
         ResourcePool {
             net: self.net.clone(),
@@ -498,12 +496,11 @@ impl ResourcePool {
         self.net.num_hosts()
     }
 
-    /// The oracle latency kernel as a dense [`netsim::CachedLatency`]
-    /// snapshot. Built with [`netsim::CachedLatency::from_matrix`], it
-    /// shares the pool's [`netsim::LatencyMatrix`] storage — the call is
-    /// O(1) and the returned model is **value-identical** to
-    /// `self.net.latency` (bit-for-bit, see the `netsim::latency`
-    /// precision contract), so planners may use either interchangeably.
+    /// A handle on the exact latency kernel. It shares the pool's
+    /// [`netsim::LatencyMatrix`] storage — the call is O(1) and the
+    /// returned model is **value-identical** to `self.net.latency`
+    /// (bit-for-bit, see the `netsim::latency` precision contract), so
+    /// planners may use either interchangeably.
     /// The task manager and the market's crash repair plan against this
     /// handle to stay on the inlined fast path without borrowing the pool.
     pub fn cached_latency(&self) -> netsim::CachedLatency {
@@ -512,7 +509,7 @@ impl ResourcePool {
 
     /// The oracle *planning* reads go through, per
     /// [`PoolConfig::latency_source`]. Under `Exact` this is a zero-copy
-    /// handle on the dense matrix — value-identical to
+    /// handle on the exact kernel — value-identical to
     /// [`Self::cached_latency`], so plans are bit-identical to the
     /// historical planner. Under `Tiered` the handle **shares** the
     /// pool's hot tier and hit counters (promotions made through it
@@ -535,7 +532,7 @@ impl ResourcePool {
     }
 
     /// Bytes resident in the planning oracle's backing storage (the
-    /// dense `n² × 4` under `Exact`).
+    /// factored kernel's `rows·R·4 + N·16` under `Exact`).
     pub fn oracle_resident_bytes(&self) -> usize {
         oracle::LatencyOracle::resident_bytes(&self.oracle)
     }

@@ -441,10 +441,10 @@ pub struct MarketOutcome {
     pub trace: Vec<TraceRecord>,
     /// Per-tier hit counters of the tiered latency oracle, when the pool
     /// planned through [`oracle::LatencySource::Tiered`] (`None` under
-    /// `Exact` — the dense matrix has no tiers to count).
+    /// `Exact` — the exact kernel has no tiers to count).
     pub oracle_tiers: Option<oracle::TierStats>,
     /// Bytes resident in the planning oracle at the end of the run (the
-    /// dense `n² × 4` under `Exact`).
+    /// factored kernel's `rows·R·4 + N·16` under `Exact`).
     pub oracle_resident_bytes: u64,
     /// Degree relaxations performed by session planning (primary and
     /// standby trees), summed across worker threads. Thread-exact: each

@@ -450,8 +450,8 @@ fn plan_shaped(
     let mut helper_failures = 0u32;
     // Owned handle on the configured planning oracle, so the planning
     // calls below don't hold a borrow across the mutable reservation
-    // loop. Under `LatencySource::Exact` it is a zero-copy snapshot of
-    // the dense kernel — value-identical to `pool.net.latency`; under
+    // loop. Under `LatencySource::Exact` it is a zero-copy handle on
+    // the exact kernel — value-identical to `pool.net.latency`; under
     // `Tiered` the session's members and candidate helpers are promoted
     // into the hot tier first, so member↔member and member↔helper pairs
     // answer exactly.

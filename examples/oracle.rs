@@ -1,9 +1,10 @@
-//! Tiered latency oracle: plan the same session with and without the
-//! dense latency matrix.
+//! Tiered latency oracle: plan the same session on exact latencies and
+//! on estimates.
 //!
-//! Builds the quickstart pool twice from the same seed — once under
-//! [`LatencySource::Exact`] (the historical dense `CachedLatency` kernel)
-//! and once under [`LatencySource::Tiered`] (hot Dijkstra-row LRU over
+//! Builds the quickstart pool from the same seed under
+//! [`LatencySource::Exact`] (the factored exact `CachedLatency` kernel:
+//! one Dijkstra row per host-attached router, summed per lookup)
+//! and under [`LatencySource::Tiered`] (hot Dijkstra-row LRU over
 //! landmark triangle bounds over GNP coordinates) — plans an identical
 //! 12-member session through each, and prints the resulting tree heights
 //! next to the tiered oracle's per-tier hit rates and resident footprint.
@@ -22,7 +23,7 @@ fn main() {
         ..PoolConfig::default()
     };
 
-    // Three sources: the dense kernel, the tiered default (whose hot tier
+    // Three sources: the exact kernel, the tiered default (whose hot tier
     // comfortably covers a 300-host pool's router spread, so plans match
     // exactly), and a hot-less tiered oracle that must answer every pair
     // from landmark bounds or coordinates — the estimate-quality floor.
@@ -59,7 +60,7 @@ fn main() {
                 ..PlanConfig::default()
             },
         );
-        // `oracle_height` is always evaluated under the exact matrix, so
+        // `oracle_height` is always evaluated under the exact kernel, so
         // the two numbers below are directly comparable: any gap is pure
         // tree-quality loss from planning through estimates.
         println!(
@@ -82,11 +83,12 @@ fn main() {
                 stats.evictions,
             );
         }
-        let n = pool.num_hosts() as u64;
+        // The exact kernel is the large one at this size (its rows cost
+        // up to 1.4 MB at any N); the tiered oracle is not here to save
+        // memory but to plan from what a deployed host can know.
         println!(
-            "  oracle resident: {:.1} KB (dense matrix would be {:.1} KB)\n",
+            "  oracle resident: {:.1} KB\n",
             pool.oracle_resident_bytes() as f64 / 1e3,
-            (n * n * 4) as f64 / 1e3,
         );
     }
 
