@@ -2,7 +2,32 @@
 //! master seed — the property that makes the figure binaries regenerable
 //! and failures debuggable.
 
+mod common;
+
+use common::fnv1a64;
 use p2p_resource_pool::prelude::*;
+
+/// The run-vs-run checks below cannot see a change that moves both runs
+/// together; this compares one market trajectory's `Debug` rendering —
+/// stats, counters and the final degree table of every host — against
+/// `(length, FNV-1a-64)` recorded at commit 21d0a1b. `tests/common/mod.rs`
+/// says how to re-pin after an intended behaviour change.
+fn assert_pinned(what: &str, trajectory: &impl std::fmt::Debug, pin: (usize, u64)) {
+    let rendered = format!("{trajectory:?}");
+    assert_eq!(
+        (rendered.len(), fnv1a64(&rendered)),
+        pin,
+        "{what} trajectory moved off its pinned (length, digest)"
+    );
+}
+
+/// `(Debug length, FNV-1a-64)` of each market trajectory below, recorded
+/// at commit 21d0a1b.
+const PIN_MARKET_K1: (usize, u64) = (10230, 11209060999262227419);
+const PIN_MARKET_K2: (usize, u64) = (11073, 12784749161043698556);
+const PIN_PARALLEL_K1: (usize, u64) = (12766, 3853192810951731182);
+const PIN_PARALLEL_K2: (usize, u64) = (14152, 678227881537743628);
+const PIN_ADMISSION: (usize, u64) = (5982, 9244087032938961521);
 
 fn build(seed: u64) -> ResourcePool {
     ResourcePool::build(
@@ -256,6 +281,7 @@ fn faulted_market_trajectory_k(seed: u64, k_trees: usize) -> MarketTrace {
 #[test]
 fn faulted_market_trajectory_is_bit_identical_across_runs() {
     let a = faulted_market_trajectory(29);
+    assert_pinned("faulted market", &a, PIN_MARKET_K1);
     let b = faulted_market_trajectory(29);
     // Aggregate stats AND the final books must match field for field.
     assert_eq!(a, b);
@@ -270,6 +296,7 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     // standby tree: failovers, lazy rebuilds, delivery sampling and the
     // final books must all replay bit-for-bit.
     let a = faulted_market_trajectory_k(29, 2);
+    assert_pinned("faulted multipath market", &a, PIN_MARKET_K2);
     let b = faulted_market_trajectory_k(29, 2);
     assert_eq!(a, b);
     assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
@@ -371,6 +398,13 @@ fn parallel_planning_is_bit_identical_across_thread_counts() {
     // IS the sequential engine (no batching, no forks), so equality at 2
     // and 8 is equality with the sequential path.
     let t1 = parallel_market_trajectory(29, 1, 1);
+    // Everything but the speculation tally, which depends on the thread
+    // count by design.
+    assert_pinned(
+        "sequential tiered snapshot-view market",
+        &(&t1.0, t1.1, t1.2, &t1.3),
+        PIN_PARALLEL_K1,
+    );
     let t2 = parallel_market_trajectory(29, 2, 1);
     let t8 = parallel_market_trajectory(29, 8, 1);
     assert_eq!(t1.0, t2.0, "outcome diverged at plan_threads = 2");
@@ -400,6 +434,11 @@ fn parallel_multipath_planning_is_bit_identical_across_thread_counts() {
     // a batch after the first conflicts and replans inline — the fallback
     // path itself must preserve bit-identity (and the books).
     let t1 = parallel_market_trajectory(29, 1, 2);
+    assert_pinned(
+        "sequential tiered snapshot-view multipath market",
+        &(&t1.0, t1.1, t1.2, &t1.3),
+        PIN_PARALLEL_K2,
+    );
     let t8 = parallel_market_trajectory(29, 8, 2);
     assert_eq!(t1.0, t8.0, "multipath outcome diverged at plan_threads = 8");
     assert_eq!(
@@ -496,6 +535,7 @@ fn faulted_admission_trajectory(
 #[test]
 fn faulted_admission_trajectory_is_bit_identical_across_runs() {
     let a = faulted_admission_trajectory(31);
+    assert_pinned("faulted admission market", &a, PIN_ADMISSION);
     let b = faulted_admission_trajectory(31);
     assert_eq!(a, b);
     // The controller actually engaged: sessions were degraded AND turned

@@ -3,8 +3,30 @@
 //! JSON-lines traces — simulated time and typed payloads only, no
 //! wall-clock, no addresses, no iteration-order leaks.
 
+mod common;
+
+use common::fnv1a64;
 use p2p_resource_pool::prelude::*;
 use p2p_resource_pool::simcore::trace::to_json_lines;
+
+/// The run-vs-run checks below cannot see a change that moves both runs
+/// together; this compares one run against `(record count, FNV-1a-64 of
+/// the JSON lines)` recorded at commit 21d0a1b. `tests/common/mod.rs`
+/// says how to re-pin after an intended behaviour change.
+fn assert_pinned(what: &str, (trace, records): &(String, u64), pin: (u64, u64)) {
+    assert_eq!(
+        (*records, fnv1a64(trace)),
+        pin,
+        "{what} trace moved off its pinned (records, digest)"
+    );
+}
+
+/// `(record count, FNV-1a-64)` of each traced market below, recorded at
+/// commit 21d0a1b.
+const PIN_MARKET_K1: (u64, u64) = (601, 12810628481288405967);
+const PIN_MARKET_K2: (u64, u64) = (758, 44761309776641770);
+const PIN_ADMISSION: (u64, u64) = (950, 5193438548936708349);
+const PIN_QUERY_TIERED: (u64, u64) = (777, 11118931471538173744);
 
 /// A faulted market run with the tracer attached: helper and root crashes,
 /// leases, failover, crash repair — every market event family fires.
@@ -15,6 +37,30 @@ fn traced_market(seed: u64) -> (String, u64) {
 /// [`traced_market`] with `k_trees` degree-disjoint trees per session —
 /// at k > 1 the multipath failover/rebuild event families fire too.
 fn traced_market_k(seed: u64, k_trees: usize) -> (String, u64) {
+    traced_market_with(seed, LatencySource::Exact, |cfg| cfg.plan.k_trees = k_trees)
+}
+
+/// The remaining planning surfaces in one faulted market: top-k query
+/// discovery over a periodically refreshed aggregate index, planned
+/// through the tiered latency oracle.
+fn traced_query_market(seed: u64) -> (String, u64) {
+    traced_market_with(
+        seed,
+        LatencySource::Tiered(TieredConfig::default()),
+        |cfg| {
+            cfg.view_refresh = Some(SimTime::from_secs(120));
+            cfg.discovery = DiscoveryMode::Query;
+        },
+    )
+}
+
+/// The faulted 9-session market behind the helpers above, on a pool with
+/// the given latency source and with `shape` applied to its config.
+fn traced_market_with(
+    seed: u64,
+    latency_source: LatencySource,
+    shape: impl FnOnce(&mut MarketConfig),
+) -> (String, u64) {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -22,6 +68,7 @@ fn traced_market_k(seed: u64, k_trees: usize) -> (String, u64) {
                 ..NetworkConfig::default()
             },
             coord_rounds: 4,
+            latency_source,
             ..PoolConfig::default()
         },
         seed,
@@ -30,18 +77,15 @@ fn traced_market_k(seed: u64, k_trees: usize) -> (String, u64) {
     for h in (0..300u64).step_by(7) {
         faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
     }
-    let cfg = MarketConfig {
+    let mut cfg = MarketConfig {
         sessions: 9,
         member_size: 12,
         horizon: SimTime::from_secs(1800),
         warmup: SimTime::from_secs(300),
         faults,
-        plan: PlanConfig {
-            k_trees,
-            ..PlanConfig::default()
-        },
         ..MarketConfig::default()
     };
+    shape(&mut cfg);
     let mut sim = MarketSim::new(pool, cfg, seed);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (out, _) = sim.run_full();
@@ -50,7 +94,9 @@ fn traced_market_k(seed: u64, k_trees: usize) -> (String, u64) {
 
 #[test]
 fn faulted_market_traces_are_bit_identical_across_runs() {
-    let (a, n) = traced_market(29);
+    let run = traced_market(29);
+    assert_pinned("faulted market", &run, PIN_MARKET_K1);
+    let (a, n) = run;
     let (b, _) = traced_market(29);
     assert!(n > 0, "a faulted market run must emit trace records");
     assert_eq!(a, b, "same-seed market traces diverged");
@@ -65,7 +111,9 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
     // Same workload at k = 2: the standby-tree machinery (failover
     // promotion, lazy rebuild) must replay bit-for-bit and actually
     // surface in the trace.
-    let (a, n) = traced_market_k(29, 2);
+    let run = traced_market_k(29, 2);
+    assert_pinned("faulted multipath market", &run, PIN_MARKET_K2);
+    let (a, n) = run;
     let (b, _) = traced_market_k(29, 2);
     assert!(n > 0, "a faulted multipath run must emit trace records");
     assert_eq!(a, b, "same-seed multipath market traces diverged");
@@ -187,7 +235,9 @@ fn traced_admission_market(seed: u64) -> (String, u64) {
 
 #[test]
 fn faulted_admission_market_traces_are_bit_identical_across_runs() {
-    let (a, n) = traced_admission_market(31);
+    let run = traced_admission_market(31);
+    assert_pinned("faulted admission market", &run, PIN_ADMISSION);
+    let (a, n) = run;
     let (b, _) = traced_admission_market(31);
     assert!(n > 0, "a faulted admission run must emit trace records");
     assert_eq!(a, b, "same-seed admission traces diverged");
@@ -197,6 +247,22 @@ fn faulted_admission_market_traces_are_bit_identical_across_runs() {
         "MarketAdmissionDegraded",
         "MarketAdmissionRejected",
     ] {
+        assert!(a.contains(needle), "no {needle} event in the trace");
+    }
+}
+
+#[test]
+fn faulted_query_market_traces_are_bit_identical_across_runs() {
+    let run = traced_query_market(29);
+    assert_pinned("faulted query market", &run, PIN_QUERY_TIERED);
+    let (a, n) = run;
+    let (b, _) = traced_query_market(29);
+    assert!(
+        n > 0,
+        "a faulted query-discovery run must emit trace records"
+    );
+    assert_eq!(a, b, "same-seed query-discovery traces diverged");
+    for needle in ["MarketCrashDetect", "OracleTiers"] {
         assert!(a.contains(needle), "no {needle} event in the trace");
     }
 }
