@@ -9,7 +9,7 @@
 //!
 //! Two engines implement that loop:
 //!
-//! * [`greedy_engine`] — the incremental engine used by [`amcast`] and
+//! * [`try_greedy_engine`] — the incremental engine used by [`amcast`] and
 //!   [`critical`](crate::critical::critical): a lazy-invalidation priority
 //!   queue selects the next member in O(log N), dense arrays replace hash
 //!   maps on the hot path, and the recompute step walks a height-ordered
@@ -71,7 +71,7 @@ impl<L: LatencyModel> HelperFinder<L> for NoHelper {
 /// only when every member has bound 1; the paper's distribution starts
 /// at 2).
 pub fn amcast<L: LatencyModel, D: Fn(HostId) -> u32>(p: &Problem<L, D>) -> MulticastTree {
-    greedy_engine(p, &mut NoHelper)
+    try_amcast(p).expect("tree out of capacity for remaining members")
 }
 
 /// [`amcast`], but returns `None` instead of panicking when the members'
@@ -182,17 +182,8 @@ impl EngineState {
 /// * the full recompute walks capacity nodes in ascending `(height, id)`
 ///   and stops once `height(w)` exceeds the best score found — every later
 ///   candidate scores strictly worse.
-pub(crate) fn greedy_engine<L: LatencyModel, D: Fn(HostId) -> u32>(
-    p: &Problem<L, D>,
-    finder: &mut impl HelperFinder<L>,
-) -> MulticastTree {
-    try_greedy_engine(p, finder).expect("tree out of capacity for remaining members")
-}
-
-/// Fallible core of [`greedy_engine`]: `None` when the tree runs out of
-/// child slots with members still pending. The success path is bit-identical
-/// to the historical panicking engine — same floats, same attachment order,
-/// same helper calls.
+///
+/// `None` when the tree runs out of child slots with members still pending.
 pub(crate) fn try_greedy_engine<L: LatencyModel, D: Fn(HostId) -> u32>(
     p: &Problem<L, D>,
     finder: &mut impl HelperFinder<L>,

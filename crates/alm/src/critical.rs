@@ -26,7 +26,7 @@ use std::collections::HashSet;
 
 use netsim::{HostId, LatencyModel};
 
-use crate::amcast::{greedy_engine, greedy_engine_reference, try_greedy_engine, HelperFinder};
+use crate::amcast::{greedy_engine_reference, try_greedy_engine, HelperFinder};
 use crate::problem::Problem;
 use crate::tree::MulticastTree;
 
@@ -131,17 +131,15 @@ impl<'a, L: LatencyModel, D: Fn(HostId) -> u32> HelperFinder<L> for PoolFinder<'
 /// Run the critical-node algorithm: AMCast's greedy loop with helper
 /// recruitment from `pool`. The returned tree spans all members plus any
 /// recruited helpers.
+///
+/// # Panics
+/// If the degree bounds cannot host a spanning tree; [`try_critical`]
+/// returns `None` instead.
 pub fn critical<L: LatencyModel, D: Fn(HostId) -> u32>(
     p: &Problem<L, D>,
     pool: &HelperPool,
 ) -> MulticastTree {
-    let mut finder = PoolFinder {
-        pool,
-        dbound: &p.dbound,
-        members: p.members.iter().copied().collect(),
-        taken: HashSet::new(),
-    };
-    greedy_engine(p, &mut finder)
+    try_critical(p, pool).expect("tree out of capacity for remaining members")
 }
 
 /// [`critical`], but returns `None` instead of panicking when the residual

@@ -28,7 +28,7 @@ use netsim::latency::MeasuredSetLatency;
 use netsim::{HostId, LatencyModel};
 
 use crate::adjust::adjust;
-use crate::critical::{critical, helpers_used, try_critical, HelperPool};
+use crate::critical::{helpers_used, try_critical, HelperPool};
 use crate::problem::Problem;
 use crate::tree::MulticastTree;
 
@@ -43,6 +43,10 @@ const SHORTLIST_RADIUS_FACTOR: f64 = 1.5;
 /// * `estimate` is the coordinate store used for everyone else;
 /// * `pool` carries the candidate list and the helper constraints
 ///   (degree ≥ 4, radius R).
+///
+/// # Panics
+/// If the degree bounds cannot host a spanning tree in either stage;
+/// [`try_staged_plan`] returns `None` instead.
 pub fn staged_plan<M, E, D>(
     root: HostId,
     members: &[HostId],
@@ -57,30 +61,8 @@ where
     E: LatencyModel,
     D: Fn(HostId) -> u32,
 {
-    // Stage 1: draft plan on estimates, wider radius.
-    let hybrid1 = MeasuredSetLatency::new(members.iter().copied(), measure, estimate);
-    let p1 = Problem::new(root, members.to_vec(), &hybrid1, &dbound);
-    let mut pool1 = pool.clone();
-    pool1.radius_ms = pool.radius_ms * SHORTLIST_RADIUS_FACTOR;
-    let draft = critical(&p1, &pool1);
-    let shortlist = helpers_used(&draft, members);
-
-    // Stage 2: contact the shortlisted helpers — their latencies become
-    // measured — and replan against the shortlist only.
-    let measured: Vec<HostId> = members
-        .iter()
-        .copied()
-        .chain(shortlist.iter().copied())
-        .collect();
-    let hybrid2 = MeasuredSetLatency::new(measured, measure, estimate);
-    let p2 = Problem::new(root, members.to_vec(), &hybrid2, &dbound);
-    let mut pool2 = pool.clone();
-    pool2.set_candidates(shortlist);
-    let mut tree = critical(&p2, &pool2);
-    if use_adjust {
-        adjust(&p2, &mut tree);
-    }
-    tree
+    try_staged_plan(root, members, measure, estimate, dbound, pool, use_adjust)
+        .expect("tree out of capacity for remaining members")
 }
 
 /// [`staged_plan`], but `None` instead of a panic when the degree bounds
@@ -102,6 +84,7 @@ where
     E: LatencyModel,
     D: Fn(HostId) -> u32,
 {
+    // Stage 1: draft plan on estimates, wider radius.
     let hybrid1 = MeasuredSetLatency::new(members.iter().copied(), measure, estimate);
     let p1 = Problem::new(root, members.to_vec(), &hybrid1, &dbound);
     let mut pool1 = pool.clone();
@@ -109,6 +92,8 @@ where
     let draft = try_critical(&p1, &pool1)?;
     let shortlist = helpers_used(&draft, members);
 
+    // Stage 2: contact the shortlisted helpers — their latencies become
+    // measured — and replan against the shortlist only.
     let measured: Vec<HostId> = members
         .iter()
         .copied()

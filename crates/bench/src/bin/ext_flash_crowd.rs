@@ -41,7 +41,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ext_flash_crowd`
 
-use bench::{dump_json, parallel_runs, results_dir};
+use bench::{anchor_against_fig10, dump_json, parallel_runs};
 use netsim::NetworkConfig;
 use pool::{
     AdmissionConfig, AllocationMode, MarketConfig, MarketOutcome, MarketSim, PlanConfig,
@@ -84,7 +84,7 @@ fn main() {
         ..MarketConfig::default()
     };
     let anchor = MarketSim::new(pristine.clone(), anchor_cfg, seed + ANCHOR_SESSIONS as u64).run();
-    anchor_against_fig10(&anchor);
+    anchor_against_fig10("Priority mode", ANCHOR_SESSIONS, &anchor);
 
     let mut rows = Vec::new();
     if !smoke {
@@ -340,52 +340,4 @@ fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> FaultPlan {
         plan = plan.crash_forever(h as u64, SimTime::from_secs(at));
     }
     plan
-}
-
-/// Compare the Priority-mode low-load anchor against the committed
-/// Figure 10 results: the allocation machinery must not move a single
-/// bit of the default-mode trajectory.
-fn anchor_against_fig10(out: &MarketOutcome) {
-    let path = results_dir().join("fig10_multi_session.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "anchor requires {} (run fig10_multi_session first): {e}",
-            path.display()
-        )
-    });
-    let fig10: serde_json::Value = serde_json::from_str(&text).expect("fig10 results parse");
-    let row = fig10
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("rows")
-        .iter()
-        .find(|r| r.get("sessions").and_then(|s| s.as_u64()) == Some(ANCHOR_SESSIONS as u64))
-        .expect("fig10 sessions=20 row");
-    let field = |outer: &str, p: &str| -> f64 {
-        row.get(outer)
-            .and_then(|o| o.get(p))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("fig10 row missing {outer}.{p}"))
-    };
-    for (i, p) in ["p1", "p2", "p3"].iter().enumerate() {
-        let want_imp = field("improvement", p);
-        let want_help = field("helpers", p);
-        let (imp, help) = (
-            out.class(i as u8 + 1).improvement.mean(),
-            out.class(i as u8 + 1).helpers.mean(),
-        );
-        assert!(
-            imp == want_imp && help == want_help,
-            "anchor diverged from fig10 at {p}: improvement {imp} vs {want_imp}, \
-             helpers {help} vs {want_help}",
-        );
-    }
-    assert_eq!(
-        row.get("plans").and_then(|v| v.as_u64()),
-        Some(out.plans),
-        "plan count diverged"
-    );
-    println!(
-        "  [anchor] Priority mode reproduces fig10 sessions={ANCHOR_SESSIONS} bit-identically"
-    );
 }

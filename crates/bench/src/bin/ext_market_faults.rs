@@ -7,36 +7,27 @@
 //! subtree reattachment, task-manager failover — has to keep the market's
 //! books balanced.
 //!
-//! Every crash rate is swept in **both** replan modes — the default
-//! incremental holdings re-sync and the legacy forced full replan
-//! (`MarketConfig::full_crash_replan`) — as the A/B pair for the planner
-//! hot-path work. Two properties are asserted, not just measured:
+//! Two properties are asserted at every crash rate, not just measured:
 //!
 //! * **Zero-fault anchor** — at crash rate 0 the fault path must be a true
-//!   no-op in *either* mode: the sessions=20 row reproduces
-//!   `fig10_multi_session.json` bit-identically (same seed, same
-//!   trajectory, same floats).
-//! * **No leaks** — at every crash rate, in both modes, every crashed
-//!   session either failed over or had its leases lapse by the horizon:
-//!   the final audit reports zero degree-conservation violations and the
-//!   leak census finds zero helper degrees still booked to inactive
-//!   sessions.
+//!   no-op: the sessions=20 row reproduces `fig10_multi_session.json`
+//!   bit-identically (same seed, same trajectory, same floats).
+//! * **No leaks** — every crashed session either failed over or had its
+//!   leases lapse by the horizon: the final audit reports zero
+//!   degree-conservation violations and the leak census finds zero helper
+//!   degrees still booked to inactive sessions.
 //!
-//! The two modes' trajectories legitimately diverge after the first crash
-//! (the incremental path schedules fewer replans, so subsequent plans see
-//! different pool states); the recorded rows keep both so the divergence
-//! is measured rather than assumed away. The controlled equivalence claim
-//! — a lone session's final degree tables converge across modes — is a
-//! unit test in `pool::market`.
+//! Every crash repair must also resolve one of the two ways the market has:
+//! an incremental holdings re-sync, or its full-replan fallback.
 //!
-//! With `--trace-out`, the rate-0.10 incremental run carries a ring tracer
+//! With `--trace-out`, the rate-0.10 run carries a ring tracer
 //! and its structured event trace lands in
 //! `results/ext_market_faults_trace.jsonl` (observation only — all the
 //! asserted gates above are unchanged).
 //!
 //! Run with: `cargo run --release -p bench --bin ext_market_faults`
 
-use bench::{dump_json, dump_jsonl, results_dir, trace_out_requested};
+use bench::{anchor_against_fig10, dump_json, dump_jsonl, trace_out_requested};
 use pool::{MarketConfig, MarketSim, PlanConfig, PoolConfig, ResourcePool};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -55,129 +46,104 @@ fn main() {
 
     let mut rows = Vec::new();
     println!(
-        "\nmarket under host crashes — {SESSIONS} sessions, crash rate × replan mode swept:\n{:>6} {:>12} | {:>8} {:>8} {:>8} | {:>7} {:>9} {:>9} {:>5} | {:>7} {:>7}",
-        "rate", "mode", "imp p1", "imp p2", "imp p3", "crashes", "failovers", "lost", "lapse", "leaked", "incsync"
+        "\nmarket under host crashes — {SESSIONS} sessions, crash rate swept:\n{:>6} | {:>8} {:>8} {:>8} | {:>7} {:>9} {:>9} {:>5} | {:>7} {:>7}",
+        "rate", "imp p1", "imp p2", "imp p3", "crashes", "failovers", "lost", "lapse", "leaked", "incsync"
     );
     for (k, &rate) in CRASH_RATES.iter().enumerate() {
-        let faults = crash_plan(rate, num_hosts, seed + k as u64);
-        for full_crash_replan in [false, true] {
-            let mode = if full_crash_replan {
-                "full_replan"
-            } else {
-                "incremental"
-            };
-            let pool = pristine.clone();
-            let cfg = MarketConfig {
-                sessions: SESSIONS,
-                member_size: MEMBER_SIZE,
-                horizon: SimTime::from_secs(3600),
-                warmup: SimTime::from_secs(600),
-                plan: PlanConfig::default(),
-                faults: faults.clone(),
-                full_crash_replan,
-                ..MarketConfig::default()
-            };
-            // Same sim seed as the fig10 sessions=20 sweep point, so the
-            // rate-0 trajectory is the committed one.
-            let traced = trace_out_requested() && rate == 0.10 && !full_crash_replan;
-            let mut sim = MarketSim::new(pool, cfg, seed + SESSIONS as u64);
-            if traced {
-                sim.set_tracer(simcore::Tracer::ring(1 << 16));
-            }
-            let out = sim.run();
-            if traced {
-                dump_jsonl(
-                    "ext_market_faults_trace",
-                    &simcore::trace::to_json_lines(&out.trace),
-                );
-            }
-
-            let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
-            let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
-            let crashes: Vec<u64> = (1..=3).map(|p| out.class(p).helper_crashes).collect();
-            let conservation = out.audit.count_of("degree-conservation");
-            println!(
-                "{:>5.0}% {:>12} | {:>7.1}% {:>7.1}% {:>7.1}% | {:>7} {:>9} {:>9} {:>5} | {:>7} {:>7}",
-                rate * 100.0,
-                mode,
-                imp[0] * 100.0,
-                imp[1] * 100.0,
-                imp[2] * 100.0,
-                crashes.iter().sum::<u64>(),
-                out.failovers(),
-                out.sessions_lost(),
-                out.lapsed_lease_degrees,
-                out.leaked_degrees,
-                out.incremental_replans,
-            );
-
-            // The hard acceptance gates, at every rate, in both modes.
-            assert_eq!(
-                out.leaked_degrees, 0,
-                "rate {rate} ({mode}): helper degrees leaked past the horizon"
-            );
-            assert_eq!(
-                conservation, 0,
-                "rate {rate} ({mode}): degree conservation violated: {:?}",
-                out.audit.violations
-            );
-            assert!(
-                out.audit.is_clean(),
-                "rate {rate} ({mode}): audit violations: {:?}",
-                out.audit.violations
-            );
-            if full_crash_replan {
-                assert_eq!(
-                    out.incremental_replans, 0,
-                    "rate {rate}: forced full replan still ran a re-sync"
-                );
-            } else {
-                assert_eq!(
-                    out.incremental_replans + out.resync_fallbacks,
-                    out.crash_repairs,
-                    "rate {rate}: a repair neither re-synced nor fell back"
-                );
-            }
-            if rate == 0.0 {
-                anchor_against_fig10(&imp, &help, out.plans);
-                assert_eq!(
-                    out.crash_repairs, 0,
-                    "({mode}) phantom repairs at zero faults"
-                );
-                assert_eq!(
-                    out.lapsed_lease_degrees, 0,
-                    "({mode}) phantom lapses at zero faults"
-                );
-            }
-
-            rows.push(json!({
-                "crash_rate": rate,
-                "mode": mode,
-                "improvement": {"p1": imp[0], "p2": imp[1], "p3": imp[2]},
-                "helpers": {"p1": help[0], "p2": help[1], "p3": help[2]},
-                "helper_crashes": {"p1": crashes[0], "p2": crashes[1], "p3": crashes[2]},
-                "preemptions": {
-                    "p1": out.class(1).preemptions,
-                    "p2": out.class(2).preemptions,
-                    "p3": out.class(3).preemptions,
-                },
-                "failovers": out.failovers(),
-                "sessions_lost": out.sessions_lost(),
-                "crash_repairs": out.crash_repairs,
-                "crash_repair_retries": out.crash_repair_retries,
-                "crash_repair_gave_up": out.crash_repair_gave_up,
-                "incremental_replans": out.incremental_replans,
-                "resync_fallbacks": out.resync_fallbacks,
-                "lapsed_lease_degrees": out.lapsed_lease_degrees,
-                "leaked_degrees": out.leaked_degrees,
-                "plans": out.plans,
-                "audit": {
-                    "samples": out.audit.samples,
-                    "checks": out.audit.checks,
-                    "violations": out.audit.violations.len(),
-                },
-            }));
+        let cfg = MarketConfig {
+            sessions: SESSIONS,
+            member_size: MEMBER_SIZE,
+            horizon: SimTime::from_secs(3600),
+            warmup: SimTime::from_secs(600),
+            plan: PlanConfig::default(),
+            faults: crash_plan(rate, num_hosts, seed + k as u64),
+            ..MarketConfig::default()
+        };
+        // Same sim seed as the fig10 sessions=20 sweep point, so the
+        // rate-0 trajectory is the committed one.
+        let traced = trace_out_requested() && rate == 0.10;
+        let mut sim = MarketSim::new(pristine.clone(), cfg, seed + SESSIONS as u64);
+        if traced {
+            sim.set_tracer(simcore::Tracer::ring(1 << 16));
         }
+        let out = sim.run();
+        if traced {
+            dump_jsonl(
+                "ext_market_faults_trace",
+                &simcore::trace::to_json_lines(&out.trace),
+            );
+        }
+
+        let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
+        let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
+        let crashes: Vec<u64> = (1..=3).map(|p| out.class(p).helper_crashes).collect();
+        let conservation = out.audit.count_of("degree-conservation");
+        println!(
+            "{:>5.0}% | {:>7.1}% {:>7.1}% {:>7.1}% | {:>7} {:>9} {:>9} {:>5} | {:>7} {:>7}",
+            rate * 100.0,
+            imp[0] * 100.0,
+            imp[1] * 100.0,
+            imp[2] * 100.0,
+            crashes.iter().sum::<u64>(),
+            out.failovers(),
+            out.sessions_lost(),
+            out.lapsed_lease_degrees,
+            out.leaked_degrees,
+            out.incremental_replans,
+        );
+
+        // The hard acceptance gates, at every rate.
+        assert_eq!(
+            out.leaked_degrees, 0,
+            "rate {rate}: helper degrees leaked past the horizon"
+        );
+        assert_eq!(
+            conservation, 0,
+            "rate {rate}: degree conservation violated: {:?}",
+            out.audit.violations
+        );
+        assert!(
+            out.audit.is_clean(),
+            "rate {rate}: audit violations: {:?}",
+            out.audit.violations
+        );
+        assert_eq!(
+            out.incremental_replans + out.resync_fallbacks,
+            out.crash_repairs,
+            "rate {rate}: a repair neither re-synced nor fell back"
+        );
+        if rate == 0.0 {
+            anchor_against_fig10("rate 0", SESSIONS, &out);
+            assert_eq!(out.crash_repairs, 0, "phantom repairs at zero faults");
+            assert_eq!(out.lapsed_lease_degrees, 0, "phantom lapses at zero faults");
+        }
+
+        rows.push(json!({
+            "crash_rate": rate,
+            "improvement": {"p1": imp[0], "p2": imp[1], "p3": imp[2]},
+            "helpers": {"p1": help[0], "p2": help[1], "p3": help[2]},
+            "helper_crashes": {"p1": crashes[0], "p2": crashes[1], "p3": crashes[2]},
+            "preemptions": {
+                "p1": out.class(1).preemptions,
+                "p2": out.class(2).preemptions,
+                "p3": out.class(3).preemptions,
+            },
+            "failovers": out.failovers(),
+            "sessions_lost": out.sessions_lost(),
+            "crash_repairs": out.crash_repairs,
+            "crash_repair_retries": out.crash_repair_retries,
+            "crash_repair_gave_up": out.crash_repair_gave_up,
+            "incremental_replans": out.incremental_replans,
+            "resync_fallbacks": out.resync_fallbacks,
+            "lapsed_lease_degrees": out.lapsed_lease_degrees,
+            "leaked_degrees": out.leaked_degrees,
+            "plans": out.plans,
+            "audit": {
+                "samples": out.audit.samples,
+                "checks": out.audit.checks,
+                "violations": out.audit.violations.len(),
+            },
+        }));
     }
 
     dump_json(
@@ -187,8 +153,7 @@ fn main() {
             "sessions": SESSIONS,
             "member_size": MEMBER_SIZE,
             "crash_rates": CRASH_RATES,
-            "modes": ["incremental", "full_replan"],
-            "anchor": "fig10_multi_session sessions=20 row, bit-identical at rate 0 in both modes",
+            "anchor": "fig10_multi_session sessions=20 row, bit-identical at rate 0",
             "rows": rows,
         }),
     );
@@ -211,47 +176,4 @@ fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> FaultPlan {
         plan = plan.crash_forever(h as u64, SimTime::from_secs(at));
     }
     plan
-}
-
-/// Compare the rate-0 row against the committed Figure 10 results: the
-/// no-op fault path must not move a single bit of the trajectory.
-fn anchor_against_fig10(imp: &[f64], help: &[f64], plans: u64) {
-    let path = results_dir().join("fig10_multi_session.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "anchor requires {} (run fig10_multi_session first): {e}",
-            path.display()
-        )
-    });
-    let fig10: serde_json::Value = serde_json::from_str(&text).expect("fig10 results parse");
-    let row = fig10
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("rows")
-        .iter()
-        .find(|r| r.get("sessions").and_then(|s| s.as_u64()) == Some(SESSIONS as u64))
-        .expect("fig10 sessions=20 row");
-    let field = |outer: &str, p: &str| -> f64 {
-        row.get(outer)
-            .and_then(|o| o.get(p))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("fig10 row missing {outer}.{p}"))
-    };
-    for (i, p) in ["p1", "p2", "p3"].iter().enumerate() {
-        let want_imp = field("improvement", p);
-        let want_help = field("helpers", p);
-        assert!(
-            imp[i] == want_imp && help[i] == want_help,
-            "zero-fault run diverged from fig10 at {p}: \
-             improvement {} vs {want_imp}, helpers {} vs {want_help}",
-            imp[i],
-            help[i],
-        );
-    }
-    assert_eq!(
-        row.get("plans").and_then(|v| v.as_u64()),
-        Some(plans),
-        "plan count diverged"
-    );
-    println!("  [anchor] rate 0 reproduces fig10 sessions={SESSIONS} bit-identically");
 }

@@ -39,7 +39,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ext_multipath`
 
-use bench::{dump_json, dump_jsonl, parallel_runs, results_dir, trace_out_requested};
+use bench::{anchor_against_fig10, dump_json, dump_jsonl, parallel_runs, trace_out_requested};
 use netsim::NetworkConfig;
 use pool::{MarketConfig, MarketOutcome, MarketSim, PlanConfig, PoolConfig, ResourcePool};
 use rand::seq::SliceRandom;
@@ -125,7 +125,7 @@ fn main() {
         );
         assert_cell_clean(out, rate, k);
         if rate == 0.0 && k == 1 {
-            anchor_against_fig10(&imp, &help, out.plans);
+            anchor_against_fig10("k=1 / rate 0", SESSIONS, out);
             assert_eq!(out.tree_failovers + out.trees_rebuilt, 0);
         }
         if rate == 0.10 {
@@ -331,47 +331,4 @@ fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> FaultPlan {
         plan = plan.crash_forever(h as u64, SimTime::from_secs(at));
     }
     plan
-}
-
-/// Compare the k=1 / rate-0 cell against the committed Figure 10 results:
-/// the multipath machinery must not move a single bit of the trajectory.
-fn anchor_against_fig10(imp: &[f64], help: &[f64], plans: u64) {
-    let path = results_dir().join("fig10_multi_session.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "anchor requires {} (run fig10_multi_session first): {e}",
-            path.display()
-        )
-    });
-    let fig10: serde_json::Value = serde_json::from_str(&text).expect("fig10 results parse");
-    let row = fig10
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("rows")
-        .iter()
-        .find(|r| r.get("sessions").and_then(|s| s.as_u64()) == Some(SESSIONS as u64))
-        .expect("fig10 sessions=20 row");
-    let field = |outer: &str, p: &str| -> f64 {
-        row.get(outer)
-            .and_then(|o| o.get(p))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("fig10 row missing {outer}.{p}"))
-    };
-    for (i, p) in ["p1", "p2", "p3"].iter().enumerate() {
-        let want_imp = field("improvement", p);
-        let want_help = field("helpers", p);
-        assert!(
-            imp[i] == want_imp && help[i] == want_help,
-            "k=1 / rate-0 run diverged from fig10 at {p}: \
-             improvement {} vs {want_imp}, helpers {} vs {want_help}",
-            imp[i],
-            help[i],
-        );
-    }
-    assert_eq!(
-        row.get("plans").and_then(|v| v.as_u64()),
-        Some(plans),
-        "plan count diverged"
-    );
-    println!("  [anchor] k=1 / rate 0 reproduces fig10 sessions={SESSIONS} bit-identically");
 }

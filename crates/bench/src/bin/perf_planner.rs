@@ -4,8 +4,8 @@
 //! engines — the incremental best-parent engine behind [`alm::amcast`] /
 //! [`alm::critical`] and the O(N³)-ish reference loop they replaced
 //! ([`alm::amcast_reference`] / [`alm::critical_reference`]) — plus the
-//! adjustment pass, the coordinate-kernel fast path and the market's
-//! crash-replan A/B. For every cell it records wall-clock, oracle
+//! adjustment pass and a crash-heavy market run timed end to end. For
+//! every cell it records wall-clock, oracle
 //! `latency_ms` evaluations (via [`netsim::latency::Counted`]) and
 //! candidate-parent relaxations (via [`alm::metrics`]), and asserts the
 //! two engines return **bit-identical** trees wherever both run.
@@ -40,8 +40,8 @@
 //!   committed baseline.
 //!
 //! Flags:
-//! * `--trace-out` — attach a ring tracer to the incremental market A/B
-//!   run and dump its JSON-lines trace to
+//! * `--trace-out` — attach a ring tracer to the crash-heavy market run
+//!   and dump its JSON-lines trace to
 //!   `results/BENCH_planner_trace.jsonl` (observation only: the asserted
 //!   results are unchanged).
 //!
@@ -55,7 +55,7 @@ use alm::{
     Problem,
 };
 use bench::{dump_json, dump_jsonl, results_dir, trace_out_requested};
-use coords::{Coord, CoordStore, DenseCoords, GnpConfig, GnpSolver};
+use coords::{GnpConfig, GnpSolver};
 use netsim::hosts::HostSet;
 use netsim::latency::{latency_calls, reset_latency_calls, Counted};
 use netsim::topology::TransitStubConfig;
@@ -324,40 +324,6 @@ fn main() {
             "latency_calls": latency_calls(),
         });
 
-        // The coordinate kernel: the same amcast plan driven by the
-        // AoS CoordStore vs its SoA snapshot (DenseCoords). Not
-        // bit-compared — DenseCoords rounds to f32 by design.
-        let mut coords_cell = serde_json::Value::Null;
-        if n <= REF_CAP {
-            let dim = coords::space::DEFAULT_DIM;
-            let store = CoordStore::from_coords(
-                (0..n)
-                    .map(|i| {
-                        let mut r = rand::rngs::StdRng::seed_from_u64(SEED ^ (i as u64) << 17);
-                        Coord::from_slice(
-                            &(0..dim)
-                                .map(|_| r.random_range(-150.0..150.0))
-                                .collect::<Vec<f64>>(),
-                        )
-                    })
-                    .collect(),
-            );
-            let dense = DenseCoords::from_store(&store);
-            let pc = Problem::new(root, members.clone(), &store, dbound);
-            let t0 = Instant::now();
-            let th_aos = amcast(&pc).max_height();
-            let aos_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let pd = Problem::new(root, members.clone(), &dense, dbound);
-            let t0 = Instant::now();
-            let th_soa = amcast(&pd).max_height();
-            let soa_ms = t0.elapsed().as_secs_f64() * 1e3;
-            coords_cell = json!({
-                "aos_ms": aos_ms,
-                "soa_ms": soa_ms,
-                "aos_height_ms": th_aos,
-                "soa_height_ms": th_soa,
-            });
-        }
         // ---- Tiered-oracle quality cell: the same sessions planned
         // through the bounded-memory tiered oracle, trees re-evaluated
         // under the exact matrix. The tiered path never touches
@@ -428,7 +394,6 @@ fn main() {
             "amcast": engine_cells[0],
             "critical": engine_cells[1],
             "adjust": adjust_cell,
-            "coords_kernel": coords_cell,
             "tiered": {
                 "amcast": tiered_engines[0],
                 "critical": tiered_engines[1],
@@ -465,46 +430,40 @@ fn main() {
         );
     }
 
-    // Market crash-replan A/B: the fig-10 pool under a 10% crash plan,
-    // timed end-to-end in both replan modes.
-    println!("\nmarket crash-replan A/B (1200-host pool, 10% crashes):");
+    // Crash-heavy market: the fig-10 pool under a 10% crash plan, timed
+    // end to end (detection, repair, incremental re-sync, replans).
+    println!("\nmarket under crashes (1200-host pool, 10% crashes):");
     let pristine = ResourcePool::build(&PoolConfig::default(), 2010);
-    let faults = crash_plan(0.10, pristine.net.num_hosts(), 2010);
-    let mut market_cells = Vec::new();
-    for full in [false, true] {
-        let mode = if full { "full_replan" } else { "incremental" };
-        let cfg = MarketConfig {
-            faults: faults.clone(),
-            full_crash_replan: full,
-            ..MarketConfig::default()
-        };
-        let mut sim = MarketSim::new(pristine.clone(), cfg, 2010 + 20);
-        if trace_out && !full {
-            sim.set_tracer(simcore::Tracer::ring(1 << 16));
-        }
-        let t0 = Instant::now();
-        let out = sim.run();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if trace_out && !full {
-            dump_jsonl(
-                "BENCH_planner_trace",
-                &simcore::trace::to_json_lines(&out.trace),
-            );
-        }
-        assert_eq!(out.leaked_degrees, 0, "{mode}: leaked degrees");
-        assert!(out.audit.is_clean(), "{mode}: {:?}", out.audit.violations);
-        println!(
-            "  {mode:>12}: {wall_ms:>8.1} ms, {} plans, {} repairs, {} re-syncs",
-            out.plans, out.crash_repairs, out.incremental_replans
-        );
-        market_cells.push(json!({
-            "wall_ms": wall_ms,
-            "plans": out.plans,
-            "crash_repairs": out.crash_repairs,
-            "incremental_replans": out.incremental_replans,
-            "resync_fallbacks": out.resync_fallbacks,
-        }));
+    let cfg = MarketConfig {
+        faults: crash_plan(0.10, pristine.net.num_hosts(), 2010),
+        ..MarketConfig::default()
+    };
+    let mut sim = MarketSim::new(pristine, cfg, 2010 + 20);
+    if trace_out {
+        sim.set_tracer(simcore::Tracer::ring(1 << 16));
     }
+    let t0 = Instant::now();
+    let out = sim.run();
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    if trace_out {
+        dump_jsonl(
+            "BENCH_planner_trace",
+            &simcore::trace::to_json_lines(&out.trace),
+        );
+    }
+    assert_eq!(out.leaked_degrees, 0, "crash-heavy market leaked degrees");
+    assert!(out.audit.is_clean(), "{:?}", out.audit.violations);
+    println!(
+        "  {wall_ms:>8.1} ms, {} plans, {} repairs, {} re-syncs",
+        out.plans, out.crash_repairs, out.incremental_replans
+    );
+    let market_cell = json!({
+        "wall_ms": wall_ms,
+        "plans": out.plans,
+        "crash_repairs": out.crash_repairs,
+        "incremental_replans": out.incremental_replans,
+        "resync_fallbacks": out.resync_fallbacks,
+    });
 
     // ---- Parallel market planning: the same Priority-mode workload run
     // at plan_threads 1 / 4 / 8. Thread count 1 is the sequential engine;
@@ -707,8 +666,7 @@ fn main() {
         "worst_stretch": worst_stretch,
         "rows": rows,
         "market_replan": {
-            "incremental": market_cells[0],
-            "full_replan": market_cells[1],
+            "incremental": market_cell,
         },
         "par_market": {
             "cores": cores,

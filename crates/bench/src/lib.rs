@@ -47,6 +47,57 @@ pub fn store_out_requested() -> bool {
     std::env::args().any(|a| a == "--store-out")
 }
 
+/// Compare a market run that must be a no-op against the default market —
+/// `what` names it in the messages — with the committed Figure 10 row for
+/// the same `sessions` count (and seed): per-class improvement and helper
+/// means and the plan count must match bit for bit.
+///
+/// # Panics
+/// On any divergence, or if `results/fig10_multi_session.json` is missing
+/// (run `fig10_multi_session` first).
+pub fn anchor_against_fig10(what: &str, sessions: usize, out: &pool::MarketOutcome) {
+    let path = results_dir().join("fig10_multi_session.json");
+    let text = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "anchor requires {} (run fig10_multi_session first): {e}",
+            path.display()
+        )
+    });
+    let fig10: serde_json::Value = serde_json::from_str(&text).expect("fig10 results parse");
+    let row = fig10
+        .get("rows")
+        .and_then(|r| r.as_array())
+        .expect("rows")
+        .iter()
+        .find(|r| r.get("sessions").and_then(|s| s.as_u64()) == Some(sessions as u64))
+        .unwrap_or_else(|| panic!("fig10 sessions={sessions} row"));
+    let field = |outer: &str, p: &str| -> f64 {
+        row.get(outer)
+            .and_then(|o| o.get(p))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("fig10 row missing {outer}.{p}"))
+    };
+    for class in 1..=3u8 {
+        let p = format!("p{class}");
+        let (want_imp, want_help) = (field("improvement", &p), field("helpers", &p));
+        let (imp, help) = (
+            out.class(class).improvement.mean(),
+            out.class(class).helpers.mean(),
+        );
+        assert!(
+            imp == want_imp && help == want_help,
+            "{what} diverged from fig10 at {p}: improvement {imp} vs {want_imp}, \
+             helpers {help} vs {want_help}",
+        );
+    }
+    assert_eq!(
+        row.get("plans").and_then(|v| v.as_u64()),
+        Some(out.plans),
+        "{what}: plan count diverged from fig10"
+    );
+    println!("  [anchor] {what} reproduces fig10 sessions={sessions} bit-identically");
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -26,14 +26,12 @@
 //! * [`leafset`] — the decentralized leafset variant;
 //! * [`eval`] — relative-error CDFs (Figure 4's metric).
 
-pub mod dense;
 pub mod eval;
 pub mod gnp;
 pub mod leafset;
 pub mod simplex;
 pub mod space;
 
-pub use dense::DenseCoords;
 pub use eval::relative_error_cdf;
 pub use gnp::{GnpConfig, GnpSolver};
 pub use leafset::LeafsetCoords;

@@ -61,9 +61,9 @@ pub use recovery::{
 };
 pub use report::{CandidateEntry, ResourceReport};
 pub use task_manager::{
-    plan_and_reserve, plan_and_reserve_fair_leased, plan_and_reserve_from_query,
-    plan_and_reserve_from_query_leased, plan_and_reserve_leased, FairShareCaps, PlanConfig,
-    PlanModel, PlanOutcome, SessionSpec, FAIR_HELPER_RANK,
+    plan_and_reserve, plan_and_reserve_fair_leased, plan_and_reserve_from_query_leased,
+    plan_and_reserve_leased, FairShareCaps, PlanConfig, PlanModel, PlanOutcome, SessionSpec,
+    FAIR_HELPER_RANK,
 };
 
 use std::collections::{HashMap, HashSet};

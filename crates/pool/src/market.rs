@@ -34,16 +34,13 @@
 //!   missed renewal ack, modeled as [`MarketConfig::detect_delay`]), which
 //!   releases the stranded claim and patches the tree with the
 //!   bounded-retry capped-backoff repair from
-//!   [`alm::dynamic::reattach_orphans`]. By default the repair is the
-//!   whole response: the manager re-syncs its reservations to the repaired
-//!   tree **incrementally** (only the orphaned subtrees moved, so only
-//!   their attachment degrees change) and keeps running. Setting
-//!   [`MarketConfig::full_crash_replan`] restores the legacy behaviour —
-//!   schedule a *full* replan once the repair's backoff-dominated duration
-//!   has elapsed — as the A/B baseline the incremental path is measured
-//!   against. If the incremental re-sync cannot reserve the repaired tree
-//!   (capacity moved while the repair ran), it falls back to exactly that
-//!   full replan;
+//!   [`alm::dynamic::reattach_orphans`]. The repair is the whole response:
+//!   the manager re-syncs its reservations to the repaired tree
+//!   **incrementally** (only the orphaned subtrees moved, so only their
+//!   attachment degrees change) and keeps running. If the repair abandoned
+//!   a subtree, or the re-sync cannot reserve the repaired tree (capacity
+//!   moved while the repair ran), it falls back to a *full* replan once the
+//!   repair's backoff-dominated duration has elapsed;
 //! * a crashed **root** triggers deterministic task-manager failover: the
 //!   lowest-ID surviving member becomes the deputy, reconstructs the
 //!   session's holdings from the SOMO-published degree tables (the pool's
@@ -214,11 +211,6 @@ pub struct MarketConfig {
     /// Bounded-retry/capped-backoff tuning for the mid-session crash
     /// repair.
     pub reattach: ReattachConfig,
-    /// Force the legacy full replan after every crash repair instead of
-    /// the incremental holdings re-sync. The zero-fault trajectory is
-    /// identical either way (no crash ever fires the repair); under
-    /// faults this is the A/B switch `ext_market_faults` sweeps.
-    pub full_crash_replan: bool,
     /// Sampling period of the invariant auditor; `None` disables auditing.
     pub audit_period: Option<SimTime>,
     /// How pool degrees are divided among competing sessions. The default
@@ -255,7 +247,6 @@ impl Default for MarketConfig {
             failover_delay: SimTime::from_secs(30),
             failover: true,
             reattach: ReattachConfig::default(),
-            full_crash_replan: false,
             audit_period: Some(SimTime::from_secs(60)),
             allocation: AllocationMode::default(),
             admission: AdmissionConfig::default(),
@@ -400,11 +391,10 @@ pub struct MarketOutcome {
     /// Orphan subtrees abandoned after the retry budget.
     pub crash_repair_gave_up: u64,
     /// Crash repairs resolved by the incremental holdings re-sync — no
-    /// full replan ran (always 0 with
-    /// [`MarketConfig::full_crash_replan`]).
+    /// full replan ran.
     pub incremental_replans: u64,
-    /// Incremental re-syncs that could not reserve the repaired tree and
-    /// fell back to the legacy full replan.
+    /// Crash repairs that abandoned a subtree, or whose re-sync could not
+    /// reserve the repaired tree, and fell back to a full replan.
     pub resync_fallbacks: u64,
     /// Degrees returned to the pool by lease expiry — the leakage a dead
     /// task manager would otherwise have caused.
@@ -654,13 +644,20 @@ pub struct MarketSim {
     liveops: Option<LiveOps>,
 }
 
-/// Everything a worker thread needs to plan one session speculatively:
-/// the session spec exactly as the sequential handler would have shaped
-/// it (deputy root promoted, dead members dropped) plus the lease the
-/// reservations would carry.
+/// What the planner is handed for one session, sequentially or on a worker
+/// thread: the session spec as shaped for the moment (deputy root promoted,
+/// dead members dropped) plus the lease the reservations carry.
 struct SpecInput {
     spec: SessionSpec,
     lease: Option<SimTime>,
+}
+
+/// Why a session cannot plan right now (fault runs only).
+enum NoPlan {
+    /// Its root is down: the pending failover owns the session.
+    RootDead,
+    /// Fewer than two live members: nobody to multicast to.
+    Dormant,
 }
 
 /// A speculative plan produced against a forked pool: the op log to
@@ -679,7 +676,33 @@ struct SpecResult {
 impl MarketSim {
     /// Set up a market over `pool`: disjoint member sets, priorities
     /// assigned round-robin (1, 2, 3, 1, ...), staggered first starts.
+    ///
+    /// # Panics
+    /// If `member_size` is 0 (a session needs a root), or if a periodic
+    /// event's period is zero — `replan_period`, `audit_period`,
+    /// `view_refresh`, or `detect_delay` under a fault plan: each would
+    /// re-arm at the same instant forever and the run would never leave
+    /// it. Also if the pool is too small for the member sets
+    /// ([`ResourcePool::partition_members`]).
     pub fn new(pool: ResourcePool, cfg: MarketConfig, seed: u64) -> MarketSim {
+        assert!(cfg.member_size > 0, "member_size must be at least 1");
+        assert!(
+            cfg.replan_period > SimTime::ZERO,
+            "replan_period must be positive"
+        );
+        assert!(
+            cfg.audit_period != Some(SimTime::ZERO),
+            "audit_period must be positive (None disables auditing)"
+        );
+        assert!(
+            cfg.view_refresh != Some(SimTime::ZERO),
+            "view_refresh must be positive (None plans from live tables)"
+        );
+        assert!(
+            cfg.detect_delay > SimTime::ZERO
+                || (cfg.faults.crashes.is_empty() && cfg.faults.loss <= 0.0),
+            "detect_delay must be positive under a fault plan"
+        );
         let sets = pool.partition_members(cfg.sessions, cfg.member_size, seed);
         let mut queue = EventQueue::new();
         let slots: Vec<Slot> = sets
@@ -794,7 +817,15 @@ impl MarketSim {
     /// The attachment is trajectory-neutral: the run's events, RNG draws
     /// and final state are byte-identical to the same seed without a
     /// surface (the trace-equivalence gate in `tests/liveops.rs`).
+    ///
+    /// # Panics
+    /// If the surface's `snapshot_period` is zero: the snapshot round
+    /// would re-arm at the same instant forever.
     pub fn attach_liveops(&mut self, lo: LiveOps) -> MarketStoreHandle {
+        assert!(
+            lo.snapshot_period() > SimTime::ZERO,
+            "LiveOpsConfig::snapshot_period must be positive"
+        );
         let handle = lo.handle();
         self.tracer = Tracer::with_sink(Box::new(runstore::StoreSink::new(handle.clone())));
         self.pool.enable_op_log();
@@ -927,22 +958,16 @@ impl MarketSim {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Start(i) => {
-                if self.has_faults && !self.pool.is_alive(self.slots[i].spec.root) {
-                    // The designated root is down: the lowest-ID surviving
-                    // member hosts the task manager instead; with no
-                    // survivor at all the start is deferred by one gap.
-                    match self.lowest_live_member(i) {
-                        Some(d) => self.slots[i].spec.root = d,
-                        None => {
-                            self.slots[i].defers += 1;
-                            let mut rng =
-                                derive_rng2(self.seed, 0x0F00 + i as u64, self.slots[i].defers);
-                            let gap = jittered(self.cfg.mean_gap, &mut rng);
-                            self.queue.schedule(now + gap, Ev::Start(i));
-                            return;
-                        }
-                    }
-                }
+                let Some(root) = self.start_root(i) else {
+                    // Nobody survived to host the task manager: the start
+                    // is deferred by one gap.
+                    self.slots[i].defers += 1;
+                    let mut rng = derive_rng2(self.seed, 0x0F00 + i as u64, self.slots[i].defers);
+                    let gap = jittered(self.cfg.mean_gap, &mut rng);
+                    self.queue.schedule(now + gap, Ev::Start(i));
+                    return;
+                };
+                self.slots[i].spec.root = root;
                 if self.cfg.allocation == AllocationMode::Admission {
                     self.outcome.admission.arrivals =
                         self.outcome.admission.arrivals.saturating_add(1);
@@ -959,9 +984,7 @@ impl MarketSim {
                     return;
                 }
                 self.slots[i].active = false;
-                self.slots[i].tree = None;
-                self.slots[i].standby.clear();
-                self.slots[i].broken_since = None;
+                self.reset_trees(i);
                 self.pool.release_session(self.slots[i].spec.id);
                 let session = self.slots[i].spec.id.0;
                 self.tracer
@@ -1036,17 +1059,13 @@ impl MarketSim {
                 if self.slots[i].queued_since.is_none() || self.slots[i].active {
                     return;
                 }
-                if self.has_faults && !self.pool.is_alive(self.slots[i].spec.root) {
-                    // The queued root died: a surviving member takes over
-                    // the waiting spot, or the arrival is bounced.
-                    match self.lowest_live_member(i) {
-                        Some(d) => self.slots[i].spec.root = d,
-                        None => {
-                            self.admission_reject(i, now, false);
-                            return;
-                        }
-                    }
-                }
+                // A queued root that died hands the waiting spot to a
+                // surviving member, or the arrival is bounced.
+                let Some(root) = self.start_root(i) else {
+                    self.admission_reject(i, now, false);
+                    return;
+                };
+                self.slots[i].spec.root = root;
                 self.admission_decide(i, attempt, now);
             }
             Ev::ExpireLeases => {
@@ -1093,6 +1112,47 @@ impl MarketSim {
             .copied()
             .filter(|&m| self.pool.is_alive(m))
             .min()
+    }
+
+    /// Who hosts slot `i`'s task manager when its session starts (or
+    /// leaves the admission queue): the designated root, or — if a crash
+    /// took it — the deputy. `None` when no member survived.
+    fn start_root(&self, i: usize) -> Option<HostId> {
+        let root = self.slots[i].spec.root;
+        if !self.has_faults || self.pool.is_alive(root) {
+            Some(root)
+        } else {
+            self.lowest_live_member(i)
+        }
+    }
+
+    /// Forget slot `i`'s trees and any open outage window. What happens to
+    /// the degrees they booked — released, or left to lapse with a dead
+    /// manager's leases — is the caller's decision.
+    fn reset_trees(&mut self, i: usize) {
+        self.slots[i].tree = None;
+        self.slots[i].standby.clear();
+        self.slots[i].broken_since = None;
+    }
+
+    /// Shape `spec` — a slot's own, or a batched start's deputy-promoted
+    /// copy — for the planner at `now`. Under a fault plan dead members are
+    /// dropped (survivors carry on) and the reservations are leased one TTL
+    /// out: reserving IS renewing, so each replan is the session's
+    /// heartbeat.
+    fn shape_spec(&self, mut spec: SessionSpec, now: SimTime) -> Result<SpecInput, NoPlan> {
+        let mut lease = None;
+        if self.has_faults {
+            if !self.pool.is_alive(spec.root) {
+                return Err(NoPlan::RootDead);
+            }
+            spec.members.retain(|&m| self.pool.is_alive(m));
+            if spec.members.len() < 2 {
+                return Err(NoPlan::Dormant);
+            }
+            lease = Some(now + self.cfg.lease_ttl);
+        }
+        Ok(SpecInput { spec, lease })
     }
 
     /// Open one activity cycle for a slot: the legacy `Ev::Start` tail,
@@ -1405,7 +1465,8 @@ impl MarketSim {
 
     /// The owning task manager notices dead hosts in its session: release
     /// the stranded claims, patch the tree with the bounded-retry repair,
-    /// and schedule a full replan for when the repair has settled.
+    /// and re-sync the reservations to the repaired tree (a full replan,
+    /// once the repair has settled, only when that fails).
     fn detect_crash(&mut self, i: usize, cycle: u64, now: SimTime) {
         if !self.slots[i].active || self.slots[i].cycle != cycle {
             return;
@@ -1470,9 +1531,7 @@ impl MarketSim {
             .count();
         if live_members < 2 {
             self.pool.release_session(spec.id);
-            self.slots[i].tree = None;
-            self.slots[i].standby.clear();
-            self.slots[i].broken_since = None;
+            self.reset_trees(i);
             let session = spec.id.0;
             self.tracer
                 .emit(now, || TraceEvent::MarketRelease { session });
@@ -1507,25 +1566,23 @@ impl MarketSim {
         // The repaired tree serves again (best-effort when subtrees were
         // abandoned): the outage window closes here.
         self.close_outage(i, now);
-        // Incremental mode: the repaired tree *is* the new plan — only the
-        // orphaned subtrees moved, so re-syncing the reservations to it is
-        // the whole response; no full replan runs. A repair that abandoned
-        // a subtree, or a re-sync refused because capacity moved while the
-        // repair ran, falls back to the legacy full-replan schedule.
+        // The repaired tree *is* the new plan — only the orphaned subtrees
+        // moved, so re-syncing the reservations to it is the whole
+        // response; no full replan runs. A repair that abandoned a subtree,
+        // or a re-sync refused because capacity moved while the repair ran,
+        // falls back to a full replan once the repair has settled.
         let repair_ev = |incremental: bool| TraceEvent::MarketCrashRepair {
             session: spec.id.0,
             incremental,
             retries: report.retries,
             gave_up: report.gave_up as u64,
         };
-        if !self.cfg.full_crash_replan {
-            if report.gave_up == 0 && self.resync_holdings(i, &repaired, now) {
-                self.outcome.incremental_replans += 1;
-                self.tracer.emit(now, || repair_ev(true));
-                return;
-            }
-            self.outcome.resync_fallbacks += 1;
+        if report.gave_up == 0 && self.resync_holdings(i, &repaired, now) {
+            self.outcome.incremental_replans += 1;
+            self.tracer.emit(now, || repair_ev(true));
+            return;
         }
+        self.outcome.resync_fallbacks += 1;
         self.tracer.emit(now, || repair_ev(false));
         if !self.slots[i].replan_pending {
             self.slots[i].replan_pending = true;
@@ -1547,11 +1604,7 @@ impl MarketSim {
         self.pool.release_session(spec.id);
         let mut preempted: Vec<SessionId> = Vec::new();
         for &h in tree.hosts() {
-            let rank = if spec.members.contains(&h) {
-                crate::Rank::MEMBER
-            } else {
-                helper_rank
-            };
+            let rank = spec.booking_rank(h, helper_rank);
             match self
                 .pool
                 .reserve_leased(h, spec.id, rank, tree.degree(h), lease)
@@ -1689,19 +1742,14 @@ impl MarketSim {
     /// [`ResourcePool::release_degrees`] is count-exact, never a full
     /// release.
     fn release_tree_degrees(&mut self, i: usize, tree: &MulticastTree) {
-        let id = self.slots[i].spec.id;
-        let helper_rank = self.helper_booking_rank(self.slots[i].spec.priority);
-        let members = self.slots[i].spec.members.clone();
+        let spec = &self.slots[i].spec;
+        let helper_rank = self.helper_booking_rank(spec.priority);
         for &h in tree.hosts() {
             if !self.pool.is_alive(h) {
                 continue;
             }
-            let rank = if members.contains(&h) {
-                crate::Rank::MEMBER
-            } else {
-                helper_rank
-            };
-            self.pool.release_degrees(h, id, rank, tree.degree(h));
+            let rank = spec.booking_rank(h, helper_rank);
+            self.pool.release_degrees(h, spec.id, rank, tree.degree(h));
         }
     }
 
@@ -1828,9 +1876,7 @@ impl MarketSim {
                 self.tracer
                     .emit(now, || TraceEvent::MarketSessionLost { session: spec.id.0 });
                 self.slots[i].active = false;
-                self.slots[i].tree = None;
-                self.slots[i].standby.clear();
-                self.slots[i].broken_since = None;
+                self.reset_trees(i);
                 self.slots[i].defers += 1;
                 let mut rng = derive_rng2(self.seed, 0x0F00 + i as u64, self.slots[i].defers);
                 let gap = jittered(self.cfg.mean_gap, &mut rng);
@@ -1907,21 +1953,10 @@ impl MarketSim {
             _ => return None,
         };
         let mut spec = self.slots[i].spec.clone();
-        if matches!(ev, Ev::Start(_)) && self.has_faults && !self.pool.is_alive(spec.root) {
-            spec.root = self.lowest_live_member(i)?;
+        if matches!(ev, Ev::Start(_)) {
+            spec.root = self.start_root(i)?;
         }
-        let mut lease = None;
-        if self.has_faults {
-            if !self.pool.is_alive(spec.root) {
-                return None;
-            }
-            spec.members.retain(|&m| self.pool.is_alive(m));
-            if spec.members.len() < 2 {
-                return None;
-            }
-            lease = Some(now + self.cfg.lease_ttl);
-        }
-        Some(SpecInput { spec, lease })
+        self.shape_spec(spec, now).ok()
     }
 
     /// Plan a same-timestamp batch of session events in parallel against
@@ -1987,31 +2022,21 @@ impl MarketSim {
     }
 
     fn plan(&mut self, i: usize, now: SimTime) {
-        let mut spec = self.slots[i].spec.clone();
-        let mut lease = None;
-        if self.has_faults {
-            if !self.pool.is_alive(spec.root) {
-                // Root crashed between the trigger and this plan; the
-                // failover path owns the session now.
-                return;
-            }
-            // Dead members cannot be planned for; survivors carry on.
-            spec.members.retain(|&m| self.pool.is_alive(m));
-            if spec.members.len() < 2 {
-                // Nobody to multicast to: hold no degrees while dormant.
-                self.pool.release_session(spec.id);
-                self.slots[i].tree = None;
-                self.slots[i].standby.clear();
-                self.slots[i].broken_since = None;
-                let session = spec.id.0;
+        let SpecInput { spec, lease } = match self.shape_spec(self.slots[i].spec.clone(), now) {
+            Ok(input) => input,
+            // Root crashed between the trigger and this plan; the failover
+            // path owns the session now.
+            Err(NoPlan::RootDead) => return,
+            Err(NoPlan::Dormant) => {
+                // Hold no degrees while dormant.
+                let id = self.slots[i].spec.id;
+                self.pool.release_session(id);
+                self.reset_trees(i);
                 self.tracer
-                    .emit(now, || TraceEvent::MarketRelease { session });
+                    .emit(now, || TraceEvent::MarketRelease { session: id.0 });
                 return;
             }
-            // Reserving IS renewing: each replan re-reserves the whole
-            // session under a fresh lease one TTL out.
-            lease = Some(now + self.cfg.lease_ttl);
-        }
+        };
         // A committed speculative plan (parallel batches only) is consumed
         // here: replay its op log against the live tables and absorb its
         // oracle promotions and counter work — byte-identical to having
@@ -2898,9 +2923,9 @@ mod tests {
 
     #[test]
     fn incremental_resync_handles_crashes_without_full_replans() {
-        // Same workload as the test above, explicitly in the (default)
-        // incremental mode: the repairs must be absorbed by holdings
-        // re-syncs, and the books must still balance at the horizon.
+        // Same workload as the helper-crash test above: the repairs must
+        // be absorbed by holdings re-syncs, and the books must still
+        // balance at the horizon.
         let pool = small_pool(21);
         let seed = 21;
         let sessions = 9;
@@ -2917,7 +2942,6 @@ mod tests {
         }
         let cfg = MarketConfig {
             faults,
-            full_crash_replan: false,
             ..faulty_cfg(sessions)
         };
         let (out, _) = MarketSim::new(pool, cfg, seed).run_full();
@@ -2933,96 +2957,6 @@ mod tests {
         );
         assert_eq!(out.leaked_degrees, 0);
         assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
-    }
-
-    #[test]
-    fn full_crash_replan_flag_disables_the_incremental_path() {
-        let pool = small_pool(21);
-        let seed = 21;
-        let sessions = 9;
-        let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-            .partition_members(sessions, 12, seed)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut faults = simcore::FaultPlan::none();
-        for h in pool.net.hosts.ids() {
-            if !member_hosts.contains(&h) && h.0 % 4 == 0 {
-                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-            }
-        }
-        let cfg = MarketConfig {
-            faults,
-            full_crash_replan: true,
-            ..faulty_cfg(sessions)
-        };
-        let (out, _) = MarketSim::new(pool, cfg, seed).run_full();
-        assert!(out.crash_repairs > 0);
-        assert_eq!(out.incremental_replans, 0, "legacy mode ran a re-sync");
-        assert_eq!(out.resync_fallbacks, 0);
-        assert_eq!(out.leaked_degrees, 0);
-        assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
-    }
-
-    #[test]
-    fn incremental_and_full_replan_converge_for_a_lone_session() {
-        // With a single session there is no contention, and every periodic
-        // replan starts by releasing the session's own holdings — so the
-        // plan depends only on pool liveness, which both modes share. After
-        // the last periodic replan the two trajectories must therefore land
-        // on identical final degree tables, even though the incremental
-        // mode skipped every post-crash full replan in between.
-        let seed = 25;
-        let run = |full: bool| {
-            let pool = small_pool(25);
-            let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-                .partition_members(1, 12, seed)
-                .into_iter()
-                .flatten()
-                .collect();
-            let mut faults = simcore::FaultPlan::none();
-            for h in pool.net.hosts.ids() {
-                if !member_hosts.contains(&h) && h.0 % 3 == 0 {
-                    faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-                }
-            }
-            let cfg = MarketConfig {
-                faults,
-                full_crash_replan: full,
-                // Keep the lone session active across the whole crash
-                // window, so detections land while it still holds a tree.
-                mean_active: SimTime::from_secs(3600),
-                ..faulty_cfg(1)
-            };
-            MarketSim::new(pool, cfg, seed).run_full()
-        };
-        let (out_inc, pool_inc) = run(false);
-        let (out_full, pool_full) = run(true);
-        assert!(
-            out_inc.incremental_replans > 0,
-            "incremental path never exercised"
-        );
-        assert_eq!(out_full.incremental_replans, 0);
-        for h in pool_inc.net.hosts.ids() {
-            assert_eq!(
-                pool_inc.table(h).held_by(SessionId(0)),
-                pool_full.table(h).held_by(SessionId(0)),
-                "final degree tables diverge on {h:?}"
-            );
-        }
-        assert_eq!(pool_inc.total_used(), pool_full.total_used());
-        assert_eq!(out_inc.leaked_degrees, 0);
-        assert_eq!(out_full.leaked_degrees, 0);
-        assert!(
-            out_inc.audit.is_clean(),
-            "audit: {:?}",
-            out_inc.audit.violations
-        );
-        assert!(
-            out_full.audit.is_clean(),
-            "audit: {:?}",
-            out_full.audit.violations
-        );
     }
 
     #[test]
@@ -3129,6 +3063,64 @@ mod tests {
         assert_eq!(b.crash_repairs, 0);
         assert_eq!(b.lapsed_lease_degrees, 0);
         assert!(b.audit.is_clean());
+    }
+
+    /// A 3-session market over a small pool with `shape` applied to its
+    /// config — the degenerate-config rejections below.
+    fn degenerate(shape: impl FnOnce(&mut MarketConfig)) -> MarketSim {
+        let mut cfg = faulty_cfg(3);
+        shape(&mut cfg);
+        MarketSim::new(small_pool(51), cfg, 51)
+    }
+
+    #[test]
+    #[should_panic(expected = "member_size must be at least 1")]
+    fn zero_member_size_is_rejected() {
+        degenerate(|c| c.member_size = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replan_period must be positive")]
+    fn zero_replan_period_is_rejected() {
+        degenerate(|c| c.replan_period = SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "audit_period must be positive")]
+    fn zero_audit_period_is_rejected() {
+        degenerate(|c| c.audit_period = Some(SimTime::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "view_refresh must be positive")]
+    fn zero_view_refresh_is_rejected() {
+        degenerate(|c| c.view_refresh = Some(SimTime::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "detect_delay must be positive under a fault plan")]
+    fn zero_detect_delay_under_faults_is_rejected() {
+        degenerate(|c| {
+            c.faults = simcore::FaultPlan::none().crash_forever(0, SimTime::from_secs(700));
+            c.detect_delay = SimTime::ZERO;
+        });
+    }
+
+    #[test]
+    fn zero_detect_delay_without_faults_is_harmless() {
+        // No fault plan, no detection rounds: the delay is never used.
+        let out = degenerate(|c| c.detect_delay = SimTime::ZERO).run();
+        assert!(out.plans > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot_period must be positive")]
+    fn zero_liveops_snapshot_period_is_rejected() {
+        let lo = LiveOps::new(crate::liveops::LiveOpsConfig {
+            snapshot_period: SimTime::ZERO,
+            ..Default::default()
+        });
+        degenerate(|_| {}).attach_liveops(lo);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! (what users would actually experience) and the improvement over the
 //! members-only AMCast baseline, the paper's headline metric.
 
+use std::collections::{HashMap, HashSet};
+
 use alm::critical::helpers_used;
 use alm::{
-    adjust, amcast, critical, try_amcast, try_critical, HelperPool, HelperStrategy, MulticastTree,
-    Problem,
+    adjust, amcast, try_amcast, try_critical, HelperPool, HelperStrategy, MulticastTree, Problem,
 };
 use netsim::{HostId, LatencyModel};
 use serde::{Deserialize, Serialize};
@@ -58,7 +59,7 @@ pub struct PlanConfig {
     /// Helper scoring strategy.
     pub strategy: HelperStrategy,
     /// Candidate budget of a query-based discovery
-    /// ([`plan_and_reserve_from_query`]): the `k` of the top-k idle-helper
+    /// ([`plan_and_reserve_from_query_leased`]): the `k` of the top-k idle-helper
     /// query. Matches [`crate::ResourceReport::DEFAULT_CAP`] by default, so
     /// the query path sees the same truncation budget as the snapshot view.
     pub query_k: usize,
@@ -111,6 +112,18 @@ pub struct SessionSpec {
     pub root: HostId,
     /// The member set M(s), including the root.
     pub members: Vec<HostId>,
+}
+
+impl SessionSpec {
+    /// The rank this session books host `h` at: its members claim at
+    /// member rank, every other tree node at `helper_rank`.
+    pub(crate) fn booking_rank(&self, h: HostId, helper_rank: Rank) -> Rank {
+        if self.members.contains(&h) {
+            Rank::MEMBER
+        } else {
+            helper_rank
+        }
+    }
 }
 
 /// Result of one planning + reservation round.
@@ -208,7 +221,7 @@ pub struct FairShareCaps {
     /// market member host here: member-rank reservations then can never
     /// land on another session's helper claim, which (with the equal-rank
     /// booking) makes zero preemption a structural guarantee.
-    pub exclude: std::collections::HashSet<HostId>,
+    pub exclude: HashSet<HostId>,
 }
 
 /// [`plan_and_reserve_leased`] under fair-allocation caps: helper claims
@@ -306,22 +319,11 @@ struct PlanShape {
 
 /// Plan from an explicit (possibly **stale**) SOMO view instead of the live
 /// degree tables — what a deployed task manager actually does. Helpers the
-/// view promised but that are no longer available fail at reservation time;
-/// the task manager then drops them from the candidate set and replans
-/// (bounded retries), exactly like contacting a peer and being refused.
-pub fn plan_and_reserve_from_view(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    view: &crate::ResourceReport,
-) -> PlanOutcome {
-    plan_and_reserve_from_view_leased(pool, spec, cfg, view, None)
-}
-
-/// [`plan_and_reserve_from_view`] with leased reservations (see
-/// [`plan_and_reserve_leased`]). A crashed candidate promised by the stale
-/// view refuses its reservation like any over-committed host; the retry
-/// loop absorbs it.
+/// view promised but that are no longer available (over-committed since, or
+/// crashed) fail at reservation time; the task manager then drops them from
+/// the candidate set and replans (bounded retries), exactly like contacting
+/// a peer and being refused. Reservations are leased as in
+/// [`plan_and_reserve_leased`].
 pub fn plan_and_reserve_from_view_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
@@ -356,18 +358,8 @@ pub fn plan_and_reserve_from_view_leased(
 /// `cfg.query_local`, from its nearest covering ancestor. The answer's
 /// samples become the candidate set and the believed availability; like any
 /// cached view they can be stale, so refused reservations are absorbed by
-/// the same bounded-retry loop as the snapshot path.
-pub fn plan_and_reserve_from_query(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    index: &mut query::QueryIndex,
-) -> PlanOutcome {
-    plan_and_reserve_from_query_leased(pool, spec, cfg, index, None)
-}
-
-/// [`plan_and_reserve_from_query`] with leased reservations (see
-/// [`plan_and_reserve_leased`]).
+/// the same bounded-retry loop as the snapshot path. Reservations are
+/// leased as in [`plan_and_reserve_leased`].
 pub fn plan_and_reserve_from_query_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
@@ -441,7 +433,7 @@ fn plan_shaped(
     shape: PlanShape,
 ) -> PlanOutcome {
     let helper_rank = shape.helper_rank;
-    let stale: std::collections::HashMap<HostId, u32> = stale_avail.iter().copied().collect();
+    let stale: HashMap<HostId, u32> = stale_avail.iter().copied().collect();
     // Per-plan counter window: everything from the baseline evaluation to
     // the final retry is this plan's work, charged to the executing thread.
     let rel0 = alm::metrics::relaxations();
@@ -472,7 +464,7 @@ fn plan_shaped(
     const MAX_RETRIES: usize = 5;
     for attempt in 0.. {
         // Members always report their live state (a node knows itself).
-        let mut avail_map: std::collections::HashMap<HostId, u32> = spec
+        let mut avail_map: HashMap<HostId, u32> = spec
             .members
             .iter()
             .map(|&m| (m, pool.available(m, Rank::MEMBER)))
@@ -481,93 +473,49 @@ fn plan_shaped(
             avail_map.insert(h, stale.get(&h).copied().unwrap_or(0));
         }
 
-        let budgeted_tree = if standby_budget > 0 {
-            let mut bmap = avail_map.clone();
-            for &m in &spec.members {
-                bmap.entry(m).and_modify(|a| *a = budgeted(*a));
-            }
-            let avail_b = |h: HostId| -> u32 { bmap.get(&h).copied().unwrap_or(0) };
+        // The one planner call, against a believed-availability map. The
+        // practical (`Coords`) loop shortlists helpers through coordinates,
+        // measures the contacted ones and replans on measurements.
+        let try_plan = |view: &HashMap<HostId, u32>| -> Option<MulticastTree> {
+            let avail = |h: HostId| -> u32 { view.get(&h).copied().unwrap_or(0) };
             match cfg.model {
-                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail_b, &candidates, cfg),
-                PlanModel::Coords => {
-                    let mut hp = HelperPool::new(candidates.clone());
-                    hp.min_degree = cfg.helper_min_degree;
-                    hp.radius_ms = cfg.radius_ms;
-                    hp.strategy = cfg.strategy;
-                    alm::try_staged_plan(
-                        spec.root,
-                        &spec.members,
-                        &oracle,
-                        &pool.coords,
-                        avail_b,
-                        &hp,
-                        cfg.use_adjust,
-                    )
-                }
+                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg),
+                PlanModel::Coords => alm::try_staged_plan(
+                    spec.root,
+                    &spec.members,
+                    &oracle,
+                    &pool.coords,
+                    avail,
+                    &helper_pool(&candidates, cfg),
+                    cfg.use_adjust,
+                ),
             }
-        } else {
-            None
         };
-
-        // A degraded admission clamps every member's degree (never below 2,
-        // so a chain stays feasible). The clamped plan is fallible: if the
-        // trimmed bounds cannot host a tree, the full-availability path
-        // below takes over — degradation must not kill the session.
-        let clamped_tree = if budgeted_tree.is_none() {
-            shape.member_degree.and_then(|cap| {
-                let mut cmap = avail_map.clone();
-                for &m in &spec.members {
-                    cmap.entry(m).and_modify(|a| *a = (*a).min(cap.max(2)));
-                }
-                let avail_c = |h: HostId| -> u32 { cmap.get(&h).copied().unwrap_or(0) };
-                match cfg.model {
-                    PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail_c, &candidates, cfg),
-                    PlanModel::Coords => {
-                        let mut hp = HelperPool::new(candidates.clone());
-                        hp.min_degree = cfg.helper_min_degree;
-                        hp.radius_ms = cfg.radius_ms;
-                        hp.strategy = cfg.strategy;
-                        alm::try_staged_plan(
-                            spec.root,
-                            &spec.members,
-                            &oracle,
-                            &pool.coords,
-                            avail_c,
-                            &hp,
-                            cfg.use_adjust,
-                        )
-                    }
-                }
+        // `avail_map` with every member's entry tightened by `f`.
+        let members_under = |f: &dyn Fn(u32) -> u32| {
+            let mut m = avail_map.clone();
+            for x in &spec.members {
+                m.entry(*x).and_modify(|a| *a = f(*a));
+            }
+            m
+        };
+        // Three views of the members, first feasible plan wins: budgeted
+        // for the standby trees (multipath only), clamped by a degraded
+        // admission (never below 2, so a chain stays feasible), and live.
+        // The tightened views are fallible — robustness and degradation
+        // must never cost the session its tree; the live view is the
+        // session's real capacity, infeasible only as documented under
+        // `# Panics` on the entry points.
+        let tree = (standby_budget > 0)
+            .then(|| try_plan(&members_under(&budgeted)))
+            .flatten()
+            .or_else(|| {
+                let cap = shape.member_degree?;
+                try_plan(&members_under(&|a| a.min(cap.max(2))))
             })
-        } else {
-            None
-        };
-
-        let avail = |h: HostId| -> u32 { avail_map.get(&h).copied().unwrap_or(0) };
-        let tree = match budgeted_tree.or(clamped_tree) {
-            Some(t) => t,
-            None => match cfg.model {
-                PlanModel::Oracle => plan_tree(spec, &oracle, &avail, &candidates, cfg),
-                PlanModel::Coords => {
-                    // The practical loop: shortlist helpers through
-                    // coordinates, measure the contacted ones, replan on
-                    // measurements.
-                    let mut hp = HelperPool::new(candidates.clone());
-                    hp.min_degree = cfg.helper_min_degree;
-                    hp.radius_ms = cfg.radius_ms;
-                    hp.strategy = cfg.strategy;
-                    alm::staged_plan(
-                        spec.root,
-                        &spec.members,
-                        &oracle,
-                        &pool.coords,
-                        avail,
-                        &hp,
-                        cfg.use_adjust,
-                    )
-                }
-            },
-        };
+            .unwrap_or_else(|| {
+                try_plan(&avail_map).expect("tree out of capacity for remaining members")
+            });
 
         // Reserve the tree: members at member rank, helpers at priority
         // rank. Helper reservations may fail against a stale view, or be
@@ -578,11 +526,7 @@ fn plan_shaped(
         let mut helper_spend = 0u64;
         for &h in tree.hosts() {
             let degree = tree.degree(h);
-            let rank = if spec.members.contains(&h) {
-                Rank::MEMBER
-            } else {
-                helper_rank
-            };
+            let rank = spec.booking_rank(h, helper_rank);
             if rank != Rank::MEMBER && helper_spend + degree as u64 > shape.helper_budget {
                 failed.push(h);
                 continue;
@@ -748,8 +692,7 @@ pub fn plan_standby_trees(
         // Members must each afford at least a parent link in the new tree;
         // one exhausted member ends the whole standby plan (Problem::new
         // rejects zero-degree members), as does a root with no child slot.
-        let mut avail_map: std::collections::HashMap<HostId, u32> =
-            std::collections::HashMap::new();
+        let mut avail_map: HashMap<HostId, u32> = HashMap::new();
         let mut starved = false;
         for &m in &spec.members {
             let slack = if m == spec.root {
@@ -809,11 +752,7 @@ pub fn plan_standby_trees(
         let mut refused = false;
         for &h in tree.hosts() {
             let degree = tree.degree(h);
-            let rank = if spec.members.contains(&h) {
-                Rank::MEMBER
-            } else {
-                helper_rank
-            };
+            let rank = spec.booking_rank(h, helper_rank);
             match pool.reserve_leased(h, spec.id, rank, degree, lease_until) {
                 Ok(victims) => {
                     this_preempted.extend(victims.into_iter().map(|(s, _)| s));
@@ -861,32 +800,19 @@ pub fn members_only_baseline(pool: &ResourcePool, spec: &SessionSpec) -> f64 {
     amcast(&p).max_height()
 }
 
-fn plan_tree<L: LatencyModel>(
-    spec: &SessionSpec,
-    model: &L,
-    avail: &impl Fn(HostId) -> u32,
-    candidates: &[HostId],
-    cfg: &PlanConfig,
-) -> MulticastTree {
-    let p = Problem::new(spec.root, spec.members.clone(), model, avail);
-    let mut tree = if cfg.use_helpers && !candidates.is_empty() {
-        let mut hp = HelperPool::new(candidates.to_vec());
-        hp.min_degree = cfg.helper_min_degree;
-        hp.radius_ms = cfg.radius_ms;
-        hp.strategy = cfg.strategy;
-        critical(&p, &hp)
-    } else {
-        amcast(&p)
-    };
-    if cfg.use_adjust {
-        adjust(&p, &mut tree);
-    }
-    tree
+/// `candidates` as a helper pool under `cfg`'s helper constraints.
+fn helper_pool(candidates: &[HostId], cfg: &PlanConfig) -> HelperPool {
+    let mut hp = HelperPool::new(candidates.to_vec());
+    hp.min_degree = cfg.helper_min_degree;
+    hp.radius_ms = cfg.radius_ms;
+    hp.strategy = cfg.strategy;
+    hp
 }
 
-/// [`plan_tree`], but `None` instead of a panic when the availability view
-/// cannot host a spanning tree — the standby planner runs against residual
-/// capacity, where running dry is an expected outcome.
+/// One tree over `spec`'s members under `avail`: critical-node with the
+/// candidate helpers (plain AMCast without), then the adjustment pass.
+/// `None` when the availability view cannot host a spanning tree — an
+/// expected outcome against residual or tightened capacity.
 fn try_plan_tree<L: LatencyModel>(
     spec: &SessionSpec,
     model: &L,
@@ -896,11 +822,7 @@ fn try_plan_tree<L: LatencyModel>(
 ) -> Option<MulticastTree> {
     let p = Problem::new(spec.root, spec.members.clone(), model, avail);
     let mut tree = if cfg.use_helpers && !candidates.is_empty() {
-        let mut hp = HelperPool::new(candidates.to_vec());
-        hp.min_degree = cfg.helper_min_degree;
-        hp.radius_ms = cfg.radius_ms;
-        hp.strategy = cfg.strategy;
-        try_critical(&p, &hp)?
+        try_critical(&p, &helper_pool(candidates, cfg))?
     } else {
         try_amcast(&p)?
     };
@@ -1090,7 +1012,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let view = pool.snapshot_report(usize::MAX);
-        let from_view = plan_and_reserve_from_view(&mut pool, &s, &cfg, &view);
+        let from_view = plan_and_reserve_from_view_leased(&mut pool, &s, &cfg, &view, None);
         assert_eq!(from_view.helper_failures, 0, "fresh view caused failures");
         pool.release_session(s.id);
         let live = plan_and_reserve(&mut pool, &s, &cfg);
@@ -1127,7 +1049,7 @@ mod tests {
             root: sets[3][0],
             members: sets[3].clone(),
         };
-        let out = plan_and_reserve_from_view(&mut pool, &probe, &cfg, &stale_view);
+        let out = plan_and_reserve_from_view_leased(&mut pool, &probe, &cfg, &stale_view, None);
         out.tree
             .validate(&pool.net.latency, |h| pool.net.hosts.degree_bound(h))
             .unwrap();
@@ -1191,7 +1113,7 @@ mod tests {
         for &h in &reference.helpers {
             pool.kill_host(h);
         }
-        let out = plan_and_reserve_from_view(&mut pool, &s, &cfg, &view);
+        let out = plan_and_reserve_from_view_leased(&mut pool, &s, &cfg, &view, None);
         if !reference.helpers.is_empty() {
             assert!(
                 out.helper_failures > 0,
@@ -1311,11 +1233,7 @@ mod tests {
         let t2 = &standby.trees[0];
         // Tear down just the standby tree, degree for degree.
         for &h in t2.hosts() {
-            let rank = if s.members.contains(&h) {
-                Rank::MEMBER
-            } else {
-                Rank::helper(s.priority)
-            };
+            let rank = s.booking_rank(h, Rank::helper(s.priority));
             let freed = pool.release_degrees(h, s.id, rank, t2.degree(h));
             assert_eq!(freed, t2.degree(h));
         }

@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release --example query`
 
+use p2p_resource_pool::pool::plan_and_reserve_from_query_leased;
 use p2p_resource_pool::prelude::*;
 
 fn main() {
@@ -71,7 +72,13 @@ fn main() {
         root,
         members,
     };
-    let out = plan_and_reserve_from_query(&mut pool, &spec, &PlanConfig::default(), &mut index);
+    let out = plan_and_reserve_from_query_leased(
+        &mut pool,
+        &spec,
+        &PlanConfig::default(),
+        &mut index,
+        None,
+    );
     println!(
         "planned session: {} helpers recruited, {:.1}% height improvement over members-only\n",
         out.helpers.len(),

@@ -44,10 +44,9 @@ pub mod prelude {
     pub use netsim::{HostId, LatencyModel, Network, NetworkConfig};
     pub use oracle::{LatencyOracle, LatencySource, TierStats, TieredConfig};
     pub use pool::{
-        plan_and_reserve, plan_and_reserve_from_query, plan_and_reserve_leased, AdmissionConfig,
-        AllocationMode, DiscoveryMode, LiveOps, LiveOpsConfig, MarketConfig, MarketSim,
-        MarketSnapshot, PlanConfig, PlanModel, PoolConfig, Rank, ResourcePool, SessionId,
-        SessionSpec,
+        plan_and_reserve, plan_and_reserve_leased, AdmissionConfig, AllocationMode, DiscoveryMode,
+        LiveOps, LiveOpsConfig, MarketConfig, MarketSim, MarketSnapshot, PlanConfig, PlanModel,
+        PoolConfig, Rank, ResourcePool, SessionId, SessionSpec,
     };
     pub use query::{
         Aggregate, HostSample, PressureReport, PressureWatch, QueryAnswer, QueryIndex,

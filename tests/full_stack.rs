@@ -145,7 +145,7 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
         root,
         members,
     };
-    let out = pool::task_manager::plan_and_reserve_from_view(
+    let out = pool::task_manager::plan_and_reserve_from_view_leased(
         &mut pool,
         &spec,
         &PlanConfig {
@@ -153,6 +153,7 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
             ..PlanConfig::default()
         },
         &view,
+        None,
     );
     assert_eq!(out.helper_failures, 0, "view was fresh; nothing may fail");
     out.tree

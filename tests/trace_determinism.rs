@@ -196,41 +196,18 @@ fn parallel_multipath_market_traces_are_bit_identical_across_thread_counts() {
 /// the controller's whole surface — queue, degraded admission, retry,
 /// rejection, pressure shifts — lands in the trace.
 fn traced_admission_market(seed: u64) -> (String, u64) {
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            ..PoolConfig::default()
-        },
-        seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(7) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 24,
-        member_size: 4,
-        horizon: SimTime::from_secs(1800),
-        warmup: SimTime::from_secs(300),
-        faults,
-        allocation: AllocationMode::Admission,
-        admission: AdmissionConfig {
+    traced_market_with(seed, LatencySource::Exact, |cfg| {
+        cfg.sessions = 24;
+        cfg.member_size = 4;
+        cfg.allocation = AllocationMode::Admission;
+        cfg.admission = AdmissionConfig {
             scarce_free_frac: 0.995,
             degrade_free_frac: 0.9,
             backoff: SimTime::from_secs(20),
             max_attempts: 4,
             ..AdmissionConfig::default()
-        },
-        ..MarketConfig::default()
-    };
-    let mut sim = MarketSim::new(pool, cfg, seed);
-    sim.set_tracer(Tracer::ring(1 << 16));
-    let (out, _) = sim.run_full();
-    (to_json_lines(&out.trace), out.trace.len() as u64)
+        };
+    })
 }
 
 #[test]
