@@ -9,13 +9,13 @@
 //!
 //! Two engines implement that loop:
 //!
-//! * [`try_greedy_engine`] — the incremental engine used by [`amcast`] and
+//! * `try_greedy_engine` — the incremental engine used by [`amcast`] and
 //!   [`critical`](crate::critical::critical): a lazy-invalidation priority
 //!   queue selects the next member in O(log N), dense arrays replace hash
 //!   maps on the hot path, and the recompute step walks a height-ordered
 //!   capacity index that terminates as soon as no later node can win.
 //!   Bit-identical to the reference (see DESIGN.md §11 for the argument).
-//! * [`greedy_engine_reference`] — the paper's naive O(N³) formulation,
+//! * `greedy_engine_reference` — the paper's naive O(N³) formulation,
 //!   retained verbatim as the A/B baseline for the equivalence proptests
 //!   and the `perf_planner` sweep.
 //!

@@ -1,8 +1,8 @@
 //! Perf-regression harness for the planner hot paths.
 //!
 //! Sweeps session size N (hosts = N, members = N/2) over the two greedy
-//! engines — the incremental best-parent engine behind [`alm::amcast`] /
-//! [`alm::critical`] and the O(N³)-ish reference loop they replaced
+//! engines — the incremental best-parent engine behind [`alm::amcast()`] /
+//! [`alm::critical()`] and the O(N³)-ish reference loop they replaced
 //! ([`alm::amcast_reference`] / [`alm::critical_reference`]) — plus the
 //! adjustment pass and a crash-heavy market run timed end to end. For
 //! every cell it records wall-clock, oracle

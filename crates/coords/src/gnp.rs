@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::simplex::{minimize, SimplexOptions};
-use crate::space::{Coord, CoordStore, DEFAULT_DIM};
+use crate::space::{abs_error, Coord, CoordStore, DEFAULT_DIM, MAX_DIM};
 
 /// Configuration of a GNP run.
 #[derive(Clone, Debug)]
@@ -28,8 +28,6 @@ pub struct GnpConfig {
     pub landmarks: usize,
     /// Coordinate-descent sweeps over the landmark set.
     pub sweeps: usize,
-    /// Bounded multiplicative measurement noise (0.0 = exact probes).
-    pub noise: f64,
     /// Simplex budget for each per-host minimization.
     pub simplex: SimplexOptions,
 }
@@ -40,7 +38,6 @@ impl Default for GnpConfig {
             dim: DEFAULT_DIM,
             landmarks: 16,
             sweeps: 8,
-            noise: 0.0,
             simplex: SimplexOptions {
                 initial_step: 50.0,
                 tolerance: 0.1,
@@ -63,9 +60,10 @@ impl GnpSolver {
 
     /// Solve coordinates for every host covered by `oracle`.
     ///
-    /// `oracle` provides "measured" latencies (perturbed by `cfg.noise`);
-    /// landmark selection and all randomness derive from `seed`.
-    pub fn solve(&self, oracle: &impl LatencyModel, seed: u64) -> CoordStore {
+    /// `oracle` provides the measured latencies; landmark selection and
+    /// all randomness derive from `seed`. The per-host fits run on every
+    /// available core; the coordinates do not depend on how many.
+    pub fn solve(&self, oracle: &(impl LatencyModel + Sync), seed: u64) -> CoordStore {
         let n = oracle.num_hosts();
         let lm_count = self.cfg.landmarks.min(n);
         assert!(lm_count >= 2, "GNP needs at least two landmarks");
@@ -87,7 +85,7 @@ impl GnpSolver {
     /// solved at any N without a dense matrix.
     pub fn solve_with_landmarks(
         &self,
-        oracle: &impl LatencyModel,
+        oracle: &(impl LatencyModel + Sync),
         landmarks: &[HostId],
         seed: u64,
     ) -> CoordStore {
@@ -98,117 +96,144 @@ impl GnpSolver {
 
     fn solve_landmarked(
         &self,
-        oracle: &impl LatencyModel,
+        oracle: &(impl LatencyModel + Sync),
         landmarks: &[HostId],
         rng: &mut StdRng,
     ) -> CoordStore {
-        let n = oracle.num_hosts();
+        let lm_coords = self.fit_landmarks(oracle, landmarks, rng);
+        self.fit_hosts(oracle, landmarks, &lm_coords, available_workers())
+    }
+
+    /// Landmark phase: the landmarks' coordinates, `landmarks.len() × dim`
+    /// landmark-major, from their measured pairwise latencies.
+    fn fit_landmarks(
+        &self,
+        oracle: &impl LatencyModel,
+        landmarks: &[HostId],
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let dim = self.cfg.dim;
         let lm_count = landmarks.len();
 
         // Measured landmark-to-landmark latencies.
         let mut lm_meas = vec![vec![0.0f64; lm_count]; lm_count];
         for i in 0..lm_count {
             for j in (i + 1)..lm_count {
-                let m = measure(
-                    oracle,
-                    landmarks[i],
-                    landmarks[j],
-                    self.cfg.noise,
-                    &mut *rng,
-                );
+                let m = oracle.latency_ms(landmarks[i], landmarks[j]);
                 lm_meas[i][j] = m;
                 lm_meas[j][i] = m;
             }
         }
 
         // Landmark phase: random init scaled to the measured diameter, then
-        // block coordinate descent.
+        // block coordinate descent. Each update reads the coordinates its
+        // predecessors just wrote, so the phase is inherently sequential.
         let scale = lm_meas
             .iter()
             .flat_map(|r| r.iter().copied())
             .fold(0.0f64, f64::max)
             .max(1.0);
-        let mut lm_coords: Vec<Coord> = (0..lm_count)
-            .map(|_| random_coord(self.cfg.dim, scale / 2.0, &mut *rng))
-            .collect();
+        // `lm_count × dim`, landmark-major.
+        let mut lm_coords = Vec::with_capacity(lm_count * dim);
+        for _ in 0..lm_count {
+            lm_coords.extend_from_slice(random_coord(dim, scale / 2.0, &mut *rng).as_slice());
+        }
+        let mut others = Vec::with_capacity((lm_count - 1) * dim);
+        let mut meas = Vec::with_capacity(lm_count - 1);
         for _ in 0..self.cfg.sweeps {
             for i in 0..lm_count {
-                let objective = |p: &[f64]| {
-                    let c = Coord::from_slice(p);
-                    let mut e = 0.0;
-                    for j in 0..lm_count {
-                        if j != i {
-                            e += (c.distance(&lm_coords[j]) - lm_meas[i][j]).abs();
-                        }
-                    }
-                    e
-                };
-                let r = minimize(objective, lm_coords[i].as_slice(), self.cfg.simplex);
-                lm_coords[i] = Coord::from_slice(&r.point);
-            }
-        }
-
-        // Host phase: every host (landmarks keep their solved coordinates)
-        // minimizes against the landmarks.
-        let mut store = CoordStore::zeros(n, self.cfg.dim);
-        for (i, &lm) in landmarks.iter().enumerate() {
-            store.set(lm, lm_coords[i]);
-        }
-        for h in (0..n as u32).map(HostId) {
-            if landmarks.contains(&h) {
-                continue;
-            }
-            let meas: Vec<f64> = landmarks
-                .iter()
-                .map(|&lm| measure(oracle, h, lm, self.cfg.noise, &mut *rng))
-                .collect();
-            let objective = |p: &[f64]| {
-                let c = Coord::from_slice(p);
-                meas.iter()
-                    .zip(&lm_coords)
-                    .map(|(&m, lc)| (c.distance(lc) - m).abs())
-                    .sum()
-            };
-            // Start from the centroid of the landmarks — a sane initial
-            // guess that keeps the simplex in the populated region.
-            let mut start = vec![0.0; self.cfg.dim];
-            for lc in &lm_coords {
-                for (s, &x) in start.iter_mut().zip(lc.as_slice()) {
-                    *s += x;
+                others.clear();
+                meas.clear();
+                for j in (0..lm_count).filter(|&j| j != i) {
+                    others.extend_from_slice(&lm_coords[j * dim..][..dim]);
+                    meas.push(lm_meas[i][j]);
                 }
+                let mine = &mut lm_coords[i * dim..][..dim];
+                let r = minimize(|p| abs_error(p, &others, &meas), mine, self.cfg.simplex);
+                mine.copy_from_slice(r.point());
             }
-            for s in start.iter_mut() {
-                *s /= lm_count as f64;
-            }
-            let r = minimize(objective, &start, self.cfg.simplex);
-            store.set(h, Coord::from_slice(&r.point));
         }
+        lm_coords
+    }
+
+    /// Host phase: every host (landmarks keep their solved coordinates)
+    /// minimizes against the landmarks. One host's fit reads only the
+    /// landmark coordinates and its own probes, so the hosts split across
+    /// `workers` threads, each writing its own slice of the store; the
+    /// result does not depend on `workers`.
+    fn fit_hosts(
+        &self,
+        oracle: &(impl LatencyModel + Sync),
+        landmarks: &[HostId],
+        lm_coords: &[f64],
+        workers: usize,
+    ) -> CoordStore {
+        let n = oracle.num_hosts();
+        let dim = self.cfg.dim;
+        let lm_count = landmarks.len();
+        let mut store = CoordStore::zeros(n, dim);
+        for (&lm, c) in landmarks.iter().zip(lm_coords.chunks_exact(dim)) {
+            store.point_mut(lm).copy_from_slice(c);
+        }
+        // Start from the centroid of the landmarks — a sane initial guess
+        // that keeps the simplex in the populated region.
+        let mut start = [0.0f64; MAX_DIM];
+        for lc in lm_coords.chunks_exact(dim) {
+            for (s, &x) in start.iter_mut().zip(lc) {
+                *s += x;
+            }
+        }
+        for s in &mut start[..dim] {
+            *s /= lm_count as f64;
+        }
+        let fit_chunk = |base: usize, slots: &mut [f64]| {
+            let mut meas = vec![0.0f64; lm_count];
+            for (i, slot) in slots.chunks_exact_mut(dim).enumerate() {
+                let h = HostId((base + i) as u32);
+                if landmarks.contains(&h) {
+                    continue;
+                }
+                for (m, &lm) in meas.iter_mut().zip(landmarks) {
+                    *m = oracle.latency_ms(h, lm);
+                }
+                let r = minimize(
+                    |p| abs_error(p, lm_coords, &meas),
+                    &start[..dim],
+                    self.cfg.simplex,
+                );
+                slot.copy_from_slice(r.point());
+            }
+        };
+        let per_worker = n.div_ceil(workers.max(1)).max(1);
+        std::thread::scope(|s| {
+            // The calling thread takes the first chunk itself, so a single
+            // worker spawns nothing.
+            let mut chunks = store.host_chunks_mut(per_worker).enumerate();
+            let first = chunks.next();
+            for (t, slots) in chunks {
+                let fit_chunk = &fit_chunk;
+                s.spawn(move || fit_chunk(t * per_worker, slots));
+            }
+            if let Some((_, slots)) = first {
+                fit_chunk(0, slots);
+            }
+        });
         store
     }
 }
 
-/// One latency "measurement": the oracle value perturbed by bounded
-/// multiplicative noise.
-pub(crate) fn measure(
-    oracle: &impl LatencyModel,
-    a: HostId,
-    b: HostId,
-    noise: f64,
-    rng: &mut StdRng,
-) -> f64 {
-    let truth = oracle.latency_ms(a, b);
-    if noise == 0.0 {
-        truth
-    } else {
-        truth * (1.0 + noise * (2.0 * rng.random::<f64>() - 1.0))
-    }
+/// How many workers the host phase splits across: the machine's cores.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
+/// A uniformly random point of the cube `[-scale, scale]^dim`.
 pub(crate) fn random_coord(dim: usize, scale: f64, rng: &mut StdRng) -> Coord {
-    let v: Vec<f64> = (0..dim)
-        .map(|_| scale * (2.0 * rng.random::<f64>() - 1.0))
-        .collect();
-    Coord::from_slice(&v)
+    let mut c = Coord::zero(dim);
+    for x in c.as_mut_slice() {
+        *x = scale * (2.0 * rng.random::<f64>() - 1.0);
+    }
+    c
 }
 
 #[cfg(test)]
@@ -282,6 +307,47 @@ mod tests {
         let b = GnpSolver::new(cfg).solve(&net.latency, 7);
         for h in (0..net.num_hosts() as u32).map(HostId) {
             assert_eq!(a.get(h), b.get(h));
+        }
+    }
+
+    #[test]
+    fn host_phase_is_independent_of_the_worker_count() {
+        let net = small_net();
+        let n = net.num_hosts();
+        // 120 hosts split 60/60, 40/40/40, 7 × 18 and one per worker:
+        // landmarks sit on both sides of every one of those cuts.
+        let landmarks = [0, 17, 18, 39, 40, 59, 60, 79, 80, 107, 108, 119].map(HostId);
+        let solver = GnpSolver::new(GnpConfig {
+            sweeps: 3,
+            ..Default::default()
+        });
+        let lm_coords =
+            solver.fit_landmarks(&net.latency, &landmarks, &mut StdRng::seed_from_u64(5));
+        let fit = |workers: usize| {
+            let store = solver.fit_hosts(&net.latency, &landmarks, &lm_coords, workers);
+            (0..n as u32)
+                .flat_map(|h| store.point(HostId(h)).to_vec())
+                .map(f64::to_bits)
+                .collect::<Vec<u64>>()
+        };
+        let one = fit(1);
+        for workers in [2, 3, 7, n + 1] {
+            assert_eq!(fit(workers), one, "{workers} workers moved a coordinate");
+        }
+        // Landmarks keep what the landmark phase gave them; everyone else
+        // was fitted.
+        let dim = solver.cfg.dim;
+        for (h, point) in one.chunks_exact(dim).enumerate() {
+            match landmarks.iter().position(|lm| lm.idx() == h) {
+                Some(l) => {
+                    let lm: Vec<u64> = lm_coords[l * dim..][..dim]
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    assert_eq!(point, lm, "landmark {h} lost its coordinate");
+                }
+                None => assert!(point.iter().any(|&b| b != 0), "host {h} was never fitted"),
+            }
         }
     }
 

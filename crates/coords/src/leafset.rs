@@ -17,11 +17,11 @@
 use dht::Ring;
 use netsim::{HostId, LatencyModel};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use crate::gnp::{measure, random_coord};
+use crate::gnp::random_coord;
 use crate::simplex::{minimize, SimplexOptions};
-use crate::space::{Coord, CoordStore, DEFAULT_DIM};
+use crate::space::{abs_error, CoordStore, DEFAULT_DIM};
 
 /// Configuration of the leafset coordinate protocol.
 #[derive(Clone, Debug)]
@@ -89,7 +89,16 @@ impl LeafsetCoords {
                 .collect();
             let meas = hosts
                 .iter()
-                .map(|&nb| measure(oracle, me, nb, self.cfg.noise, &mut rng))
+                .map(|&nb| {
+                    // One heartbeat RTT: the true delay under bounded
+                    // multiplicative noise.
+                    let truth = oracle.latency_ms(me, nb);
+                    if self.cfg.noise == 0.0 {
+                        truth
+                    } else {
+                        truth * (1.0 + self.cfg.noise * (2.0 * rng.random::<f64>() - 1.0))
+                    }
+                })
                 .collect();
             neighbors.push(hosts);
             measured.push(meas);
@@ -102,7 +111,10 @@ impl LeafsetCoords {
             store.set(ring.member(i).host, c);
         }
 
-        // Gauss–Seidel refinement rounds.
+        // Gauss–Seidel refinement rounds: every update reads the coordinates
+        // its ring predecessors wrote earlier in the same round (and, across
+        // the wrap, in the previous one), so they run strictly in order.
+        let mut nb_coords = Vec::with_capacity(2 * r_side * self.cfg.dim);
         for round in 0..self.cfg.rounds {
             // Later rounds take smaller simplex steps: coordinates are
             // nearly settled and large probes just inject noise.
@@ -117,18 +129,16 @@ impl LeafsetCoords {
             };
             for i in 0..n {
                 let me = ring.member(i).host;
-                let nb_coords: Vec<Coord> = neighbors[i].iter().map(|&h| *store.get(h)).collect();
-                let meas = &measured[i];
-                let objective = |p: &[f64]| {
-                    let c = Coord::from_slice(p);
-                    nb_coords
-                        .iter()
-                        .zip(meas)
-                        .map(|(nc, &m)| (c.distance(nc) - m).abs())
-                        .sum()
-                };
-                let res = minimize(objective, store.get(me).as_slice(), opts);
-                store.set(me, Coord::from_slice(&res.point));
+                nb_coords.clear();
+                for &h in &neighbors[i] {
+                    nb_coords.extend_from_slice(store.point(h));
+                }
+                let res = minimize(
+                    |p| abs_error(p, &nb_coords, &measured[i]),
+                    store.point(me),
+                    opts,
+                );
+                store.point_mut(me).copy_from_slice(res.point());
             }
         }
         store
@@ -139,6 +149,7 @@ impl LeafsetCoords {
 mod tests {
     use super::*;
     use crate::eval::{random_pairs, relative_error_cdf};
+    use crate::space::Coord;
     use netsim::{Network, NetworkConfig};
 
     fn small_net() -> Network {
@@ -247,6 +258,6 @@ mod tests {
             ..Default::default()
         })
         .run(&net.latency, &ring, 6);
-        assert_eq!(store.get(HostId(100)), &Coord::zero(DEFAULT_DIM));
+        assert_eq!(store.get(HostId(100)), Coord::zero(DEFAULT_DIM));
     }
 }

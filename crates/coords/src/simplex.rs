@@ -5,6 +5,8 @@
 //! (reflection / expansion / contraction / shrink) implemented from scratch
 //! on flat `&[f64]` points; no external optimizer crates are used.
 
+use crate::space::MAX_DIM;
+
 /// Options controlling a minimization run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimplexOptions {
@@ -26,26 +28,52 @@ impl Default for SimplexOptions {
     }
 }
 
-/// Result of a minimization.
-#[derive(Clone, Debug)]
+/// Result of a minimization. The point lives inline (no allocation).
+#[derive(Clone, Copy, Debug)]
 pub struct SimplexResult {
-    /// The best point found.
-    pub point: Vec<f64>,
-    /// Objective value at `point`.
+    point: [f64; MAX_DIM],
+    dim: usize,
+    /// Objective value at the best point.
     pub value: f64,
     /// Number of objective evaluations used.
     pub evals: usize,
 }
 
+impl SimplexResult {
+    /// The best point found.
+    pub fn point(&self) -> &[f64] {
+        &self.point[..self.dim]
+    }
+}
+
+/// `a + t·(b − a)` per component; lanes past `a.len()` stay `0.0`.
+#[inline]
+fn lerp(a: &[f64], b: &[f64], t: f64) -> [f64; MAX_DIM] {
+    let mut out = [0.0; MAX_DIM];
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x + t * (y - x);
+    }
+    out
+}
+
 /// Minimize `f` starting from `x0` with Nelder–Mead. Standard coefficients:
 /// reflection α=1, expansion γ=2, contraction ρ=½, shrink σ=½.
+///
+/// The simplex lives in fixed stack arrays, so a call allocates nothing;
+/// `f` only ever sees `x0.len()` components.
+///
+/// # Panics
+/// If `x0` is empty or longer than [`MAX_DIM`].
 pub fn minimize(
     mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     opts: SimplexOptions,
 ) -> SimplexResult {
     let n = x0.len();
-    assert!(n >= 1, "cannot minimize over zero dimensions");
+    assert!(
+        (1..=MAX_DIM).contains(&n),
+        "cannot minimize over {n} dimensions (supported: 1..={MAX_DIM})"
+    );
     let mut evals = 0usize;
     let mut eval = |p: &[f64], evals: &mut usize| {
         *evals += 1;
@@ -53,19 +81,30 @@ pub fn minimize(
     };
 
     // Initial simplex: x0 plus one vertex per axis offset.
-    let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    pts.push(x0.to_vec());
-    for i in 0..n {
-        let mut p = x0.to_vec();
-        p[i] += opts.initial_step;
-        pts.push(p);
+    let mut pts = [[0.0f64; MAX_DIM]; MAX_DIM + 1];
+    let mut vals = [0.0f64; MAX_DIM + 1];
+    for (i, p) in pts[..=n].iter_mut().enumerate() {
+        p[..n].copy_from_slice(x0);
+        if i > 0 {
+            p[i - 1] += opts.initial_step;
+        }
     }
-    let mut vals: Vec<f64> = pts.iter().map(|p| eval(p, &mut evals)).collect();
+    for (p, v) in pts[..=n].iter().zip(&mut vals) {
+        *v = eval(&p[..n], &mut evals);
+    }
 
     while evals < opts.max_evals {
-        // Order vertices best → worst.
-        let mut order: Vec<usize> = (0..=n).collect();
-        order.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
+        // Order vertices best → worst: a stable insertion sort from the
+        // identity, so equal values keep vertex order.
+        let mut order = [0usize; MAX_DIM + 1];
+        for k in 0..=n {
+            let mut j = k;
+            while j > 0 && vals[order[j - 1]].total_cmp(&vals[k]).is_gt() {
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = k;
+        }
         let best = order[0];
         let worst = order[n];
         let second_worst = order[n - 1];
@@ -74,29 +113,26 @@ pub fn minimize(
             break;
         }
 
-        // Centroid of all but the worst.
-        let mut centroid = vec![0.0; n];
+        // Centroid of all but the worst, summed best → second-worst.
+        let mut centroid = [0.0f64; MAX_DIM];
         for &i in &order[..n] {
-            for d in 0..n {
-                centroid[d] += pts[i][d];
+            for (c, &x) in centroid[..n].iter_mut().zip(&pts[i]) {
+                *c += x;
             }
         }
-        for c in centroid.iter_mut() {
+        for c in &mut centroid[..n] {
             *c /= n as f64;
         }
-
-        let lerp = |a: &[f64], b: &[f64], t: f64| -> Vec<f64> {
-            a.iter().zip(b).map(|(&x, &y)| x + t * (y - x)).collect()
-        };
+        let centroid = &centroid[..n];
 
         // Reflection: centroid + 1·(centroid − worst).
-        let reflected = lerp(&centroid, &pts[worst], -1.0);
-        let fr = eval(&reflected, &mut evals);
+        let reflected = lerp(centroid, &pts[worst], -1.0);
+        let fr = eval(&reflected[..n], &mut evals);
 
         if fr < vals[best] {
             // Expansion: centroid + 2·(centroid − worst).
-            let expanded = lerp(&centroid, &pts[worst], -2.0);
-            let fe = eval(&expanded, &mut evals);
+            let expanded = lerp(centroid, &pts[worst], -2.0);
+            let fe = eval(&expanded[..n], &mut evals);
             if fe < fr {
                 pts[worst] = expanded;
                 vals[worst] = fe;
@@ -111,29 +147,32 @@ pub fn minimize(
             // Contraction (outside if the reflection helped at all, inside
             // otherwise).
             let t = if fr < vals[worst] { -0.5 } else { 0.5 };
-            let contracted = lerp(&centroid, &pts[worst], t);
-            let fc = eval(&contracted, &mut evals);
+            let contracted = lerp(centroid, &pts[worst], t);
+            let fc = eval(&contracted[..n], &mut evals);
             if fc < vals[worst].min(fr) {
                 pts[worst] = contracted;
                 vals[worst] = fc;
             } else {
                 // Shrink everything toward the best vertex.
-                let best_pt = pts[best].clone();
-                for &i in order.iter().skip(1) {
-                    pts[i] = lerp(&best_pt, &pts[i], 0.5);
-                    vals[i] = eval(&pts[i], &mut evals);
+                let best_pt = pts[best];
+                for &i in &order[1..=n] {
+                    pts[i] = lerp(&best_pt[..n], &pts[i], 0.5);
+                    vals[i] = eval(&pts[i][..n], &mut evals);
                 }
             }
         }
     }
 
-    let (bi, _) = vals
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .unwrap();
+    // First minimum in vertex order.
+    let mut bi = 0;
+    for (i, v) in vals[..=n].iter().enumerate().skip(1) {
+        if v.total_cmp(&vals[bi]).is_lt() {
+            bi = i;
+        }
+    }
     SimplexResult {
-        point: pts[bi].clone(),
+        point: pts[bi],
+        dim: n,
         value: vals[bi],
         evals,
     }
@@ -150,8 +189,8 @@ mod tests {
             &[0.0, 0.0, 0.0],
             SimplexOptions::default(),
         );
-        for &x in &r.point {
-            assert!((x - 3.0).abs() < 0.05, "point {:?}", r.point);
+        for &x in r.point() {
+            assert!((x - 3.0).abs() < 0.05, "point {:?}", r.point());
         }
         assert!(r.value < 1e-2);
     }
@@ -172,8 +211,8 @@ mod tests {
                 max_evals: 5000,
             },
         );
-        assert!((r.point[0] - 1.0).abs() < 0.05, "{:?}", r.point);
-        assert!((r.point[1] - 1.0).abs() < 0.05, "{:?}", r.point);
+        assert!((r.point()[0] - 1.0).abs() < 0.05, "{:?}", r.point());
+        assert!((r.point()[1] - 1.0).abs() < 0.05, "{:?}", r.point());
     }
 
     #[test]
@@ -182,8 +221,8 @@ mod tests {
         let target = [5.0, -2.0];
         let f = |p: &[f64]| (p[0] - target[0]).abs() + (p[1] - target[1]).abs();
         let r = minimize(f, &[0.0, 0.0], SimplexOptions::default());
-        assert!((r.point[0] - 5.0).abs() < 0.1);
-        assert!((r.point[1] + 2.0).abs() < 0.1);
+        assert!((r.point()[0] - 5.0).abs() < 0.1);
+        assert!((r.point()[1] + 2.0).abs() < 0.1);
     }
 
     #[test]
@@ -208,7 +247,7 @@ mod tests {
     #[test]
     fn one_dimension_works() {
         let r = minimize(|p| (p[0] + 7.0).powi(2), &[0.0], SimplexOptions::default());
-        assert!((r.point[0] + 7.0).abs() < 0.05);
+        assert!((r.point()[0] + 7.0).abs() < 0.05);
     }
 
     #[test]
@@ -222,5 +261,168 @@ mod tests {
             },
         );
         assert!(r.value < 1e-2);
+    }
+
+    /// The heap-allocating minimiser this module shipped until the
+    /// fixed-array rewrite, kept verbatim as the reference the proptest
+    /// below holds [`minimize`] to, bit for bit.
+    fn reference_minimize(
+        mut f: impl FnMut(&[f64]) -> f64,
+        x0: &[f64],
+        opts: SimplexOptions,
+    ) -> (Vec<f64>, f64, usize) {
+        let n = x0.len();
+        assert!(n >= 1, "cannot minimize over zero dimensions");
+        let mut evals = 0usize;
+        let mut eval = |p: &[f64], evals: &mut usize| {
+            *evals += 1;
+            f(p)
+        };
+
+        // Initial simplex: x0 plus one vertex per axis offset.
+        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
+        pts.push(x0.to_vec());
+        for i in 0..n {
+            let mut p = x0.to_vec();
+            p[i] += opts.initial_step;
+            pts.push(p);
+        }
+        let mut vals: Vec<f64> = pts.iter().map(|p| eval(p, &mut evals)).collect();
+
+        while evals < opts.max_evals {
+            // Order vertices best → worst.
+            let mut order: Vec<usize> = (0..=n).collect();
+            order.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
+            let best = order[0];
+            let worst = order[n];
+            let second_worst = order[n - 1];
+
+            if (vals[worst] - vals[best]).abs() < opts.tolerance {
+                break;
+            }
+
+            // Centroid of all but the worst.
+            let mut centroid = vec![0.0; n];
+            for &i in &order[..n] {
+                for d in 0..n {
+                    centroid[d] += pts[i][d];
+                }
+            }
+            for c in centroid.iter_mut() {
+                *c /= n as f64;
+            }
+
+            let lerp = |a: &[f64], b: &[f64], t: f64| -> Vec<f64> {
+                a.iter().zip(b).map(|(&x, &y)| x + t * (y - x)).collect()
+            };
+
+            // Reflection: centroid + 1·(centroid − worst).
+            let reflected = lerp(&centroid, &pts[worst], -1.0);
+            let fr = eval(&reflected, &mut evals);
+
+            if fr < vals[best] {
+                // Expansion: centroid + 2·(centroid − worst).
+                let expanded = lerp(&centroid, &pts[worst], -2.0);
+                let fe = eval(&expanded, &mut evals);
+                if fe < fr {
+                    pts[worst] = expanded;
+                    vals[worst] = fe;
+                } else {
+                    pts[worst] = reflected;
+                    vals[worst] = fr;
+                }
+            } else if fr < vals[second_worst] {
+                pts[worst] = reflected;
+                vals[worst] = fr;
+            } else {
+                // Contraction (outside if the reflection helped at all, inside
+                // otherwise).
+                let t = if fr < vals[worst] { -0.5 } else { 0.5 };
+                let contracted = lerp(&centroid, &pts[worst], t);
+                let fc = eval(&contracted, &mut evals);
+                if fc < vals[worst].min(fr) {
+                    pts[worst] = contracted;
+                    vals[worst] = fc;
+                } else {
+                    // Shrink everything toward the best vertex.
+                    let best_pt = pts[best].clone();
+                    for &i in order.iter().skip(1) {
+                        pts[i] = lerp(&best_pt, &pts[i], 0.5);
+                        vals[i] = eval(&pts[i], &mut evals);
+                    }
+                }
+            }
+        }
+
+        let (bi, _) = vals
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
+        (pts[bi].clone(), vals[bi], evals)
+    }
+
+    /// The three objective families the fit meets: the paper's Σ|·| over
+    /// `k` targets, a smooth bowl, and a non-smooth max-norm with plateaus
+    /// (ties in the vertex order). All seeded, so both minimisers see the
+    /// same function.
+    fn objective(kind: u8, dim: usize, seed: u64) -> impl Fn(&[f64]) -> f64 {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = 1 + (seed % 12) as usize;
+        let targets: Vec<f64> = (0..k * dim)
+            .map(|_| rng.random_range(-200.0..200.0))
+            .collect();
+        let measured: Vec<f64> = (0..k).map(|_| rng.random_range(0.0..300.0)).collect();
+        move |p: &[f64]| match kind % 3 {
+            0 => crate::space::abs_error(p, &targets, &measured),
+            1 => p
+                .iter()
+                .zip(&targets)
+                .map(|(x, t)| (x - t) * (x - t) * (1.0 + measured[0]))
+                .sum(),
+            _ => p
+                .iter()
+                .zip(&targets)
+                .map(|(x, t)| (x - t).abs().floor())
+                .fold(0.0, f64::max),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_fixed_array_minimizer_is_the_reference_bit_for_bit(
+            dim in 1usize..9,
+            kind in 0u8..3,
+            seed in 0u64..1_000_000,
+            start in -300.0f64..300.0,
+            step in 0.01f64..120.0,
+            tol_exp in -12i32..2,
+            max_evals in 0usize..900,
+        ) {
+            let f = objective(kind, dim, seed);
+            let x0: Vec<f64> = (0..dim).map(|d| start + 7.5 * d as f64).collect();
+            let opts = SimplexOptions {
+                initial_step: step,
+                // Zero tolerance included: the loop then ends on the budget.
+                tolerance: if tol_exp == -12 { 0.0 } else { 10f64.powi(tol_exp) },
+                max_evals,
+            };
+            let got = minimize(&f, &x0, opts);
+            let (point, value, evals) = reference_minimize(&f, &x0, opts);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(got.point()), bits(&point));
+            proptest::prop_assert_eq!(got.value.to_bits(), value.to_bits());
+            proptest::prop_assert_eq!(got.evals, evals);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensions")]
+    fn more_than_max_dim_is_rejected() {
+        minimize(|p| p[0], &[0.0; MAX_DIM + 1], SimplexOptions::default());
     }
 }

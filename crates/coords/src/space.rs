@@ -46,10 +46,7 @@ impl Coord {
     /// The coordinate components.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        let d = (self.dim as usize).min(MAX_DIM);
-        debug_assert_eq!(d, self.dim as usize, "dim exceeds MAX_DIM");
-        // SAFETY: `d <= MAX_DIM`, the fixed length of `v`.
-        unsafe { self.v.get_unchecked(..d) }
+        &self.v[..self.dim as usize]
     }
 
     /// Mutable components.
@@ -62,52 +59,100 @@ impl Coord {
     #[inline]
     pub fn distance(&self, other: &Coord) -> f64 {
         debug_assert_eq!(self.dim, other.dim);
-        let d = (self.dim as usize).min(MAX_DIM);
-        debug_assert_eq!(d, self.dim as usize, "dim exceeds MAX_DIM");
-        let mut s = 0.0;
-        for i in 0..d {
-            // SAFETY: `i < d <= MAX_DIM`, the fixed length of `v`.
-            let diff = unsafe { self.v.get_unchecked(i) - other.v.get_unchecked(i) };
-            s += diff * diff;
-        }
-        s.sqrt()
+        distance(self.as_slice(), other.as_slice())
     }
+}
+
+/// Euclidean distance between two points of one dimension: the squared
+/// differences accumulate in dimension order from `0.0`. Every distance in
+/// the crate — [`Coord::distance`], the store's latencies and the fit's
+/// objective — is this one expression, so they agree to the bit.
+#[inline]
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        let diff = x - y;
+        s += diff * diff;
+    }
+    s.sqrt()
+}
+
+/// The paper's fit objective `E(p) = Σ_i |dist(p, target_i) − measured_i|`.
+/// `targets` holds one point of `p`'s dimension per measurement, packed
+/// back to back; the error accumulates in pair order from `0.0`.
+#[inline]
+pub(crate) fn abs_error(p: &[f64], targets: &[f64], measured: &[f64]) -> f64 {
+    debug_assert_eq!(targets.len(), p.len() * measured.len());
+    let mut e = 0.0;
+    for (t, &m) in targets.chunks_exact(p.len()).zip(measured) {
+        e += (distance(p, t) - m).abs();
+    }
+    e
 }
 
 /// Coordinates for every host, usable directly as a [`LatencyModel`] — this
 /// is what turns the paper's *Critical* algorithms into the practical
-/// *Leafset* ones.
+/// *Leafset* ones. Packed host-major: `dim` components per host and
+/// nothing else.
 #[derive(Clone, Debug)]
 pub struct CoordStore {
-    coords: Vec<Coord>,
+    /// `n × dim`, host-major.
+    data: Vec<f64>,
+    dim: usize,
 }
 
 impl CoordStore {
     /// A store with all hosts at the origin.
     pub fn zeros(n: usize, dim: usize) -> CoordStore {
+        assert!((1..=MAX_DIM).contains(&dim));
         CoordStore {
-            coords: vec![Coord::zero(dim); n],
+            data: vec![0.0; n * dim],
+            dim,
         }
     }
 
-    /// Build from explicit coordinates.
+    /// Build from explicit coordinates, all of one dimension.
     pub fn from_coords(coords: Vec<Coord>) -> CoordStore {
-        CoordStore { coords }
+        let dim = coords.first().map_or(1, Coord::dim);
+        let mut store = CoordStore::zeros(coords.len(), dim);
+        for (slot, c) in store.data.chunks_exact_mut(dim).zip(&coords) {
+            slot.copy_from_slice(c.as_slice());
+        }
+        store
     }
 
     /// The coordinate of a host.
-    pub fn get(&self, h: HostId) -> &Coord {
-        &self.coords[h.idx()]
+    pub fn get(&self, h: HostId) -> Coord {
+        Coord::from_slice(self.point(h))
     }
 
     /// Set the coordinate of a host.
     pub fn set(&mut self, h: HostId, c: Coord) {
-        self.coords[h.idx()] = c;
+        self.point_mut(h).copy_from_slice(c.as_slice());
     }
 
-    /// All coordinates, indexed by host.
-    pub fn coords(&self) -> &[Coord] {
-        &self.coords
+    /// The components of a host's coordinate.
+    #[inline]
+    pub fn point(&self, h: HostId) -> &[f64] {
+        &self.data[h.idx() * self.dim..][..self.dim]
+    }
+
+    /// The components of a host's coordinate, writable in place.
+    #[inline]
+    pub(crate) fn point_mut(&mut self, h: HostId) -> &mut [f64] {
+        &mut self.data[h.idx() * self.dim..][..self.dim]
+    }
+
+    /// The store cut into runs of `hosts` consecutive hosts' components
+    /// (the last may be shorter): disjoint, so each can go to its own
+    /// thread.
+    pub(crate) fn host_chunks_mut(&mut self, hosts: usize) -> std::slice::ChunksMut<'_, f64> {
+        self.data.chunks_mut(hosts * self.dim)
+    }
+
+    /// Bytes resident in the store.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(self.data.as_slice())
     }
 }
 
@@ -117,13 +162,13 @@ impl LatencyModel for CoordStore {
         if a == b {
             0.0
         } else {
-            self.coords[a.idx()].distance(&self.coords[b.idx()])
+            distance(self.point(a), self.point(b))
         }
     }
 
     #[inline]
     fn num_hosts(&self) -> usize {
-        self.coords.len()
+        self.data.len() / self.dim
     }
 }
 
@@ -153,6 +198,23 @@ mod tests {
         assert_eq!(s.latency_ms(HostId(0), HostId(1)), 5.0);
         assert_eq!(s.latency_ms(HostId(2), HostId(2)), 0.0);
         assert_eq!(s.num_hosts(), 3);
+    }
+
+    #[test]
+    fn store_is_packed_and_round_trips() {
+        let pts = [[1.0, 2.0, 3.0], [-4.0, 5.5, 0.0]].map(|p| Coord::from_slice(&p));
+        let mut s = CoordStore::from_coords(pts.to_vec());
+        assert_eq!(s.resident_bytes(), 2 * 3 * 8);
+        assert_eq!((s.get(HostId(0)), s.get(HostId(1))), (pts[0], pts[1]));
+        s.set(HostId(0), pts[1]);
+        assert_eq!(s.point(HostId(0)), pts[1].as_slice());
+        assert_eq!(CoordStore::zeros(7, 5).resident_bytes(), 7 * 5 * 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn store_rejects_a_coordinate_of_another_dimension() {
+        CoordStore::zeros(2, 3).set(HostId(0), Coord::from_slice(&[1.0, 2.0]));
     }
 
     #[test]

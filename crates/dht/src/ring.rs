@@ -149,25 +149,20 @@ impl Ring {
         if n <= 1 {
             return vec![];
         }
-        let mut out = Vec::with_capacity(2 * r.min(n));
-        let mut seen = vec![false; n];
-        seen[idx] = true;
+        // The walks meet only in a ring too small for 2r distinct others:
+        // the predecessor side takes what it can, the successor side what
+        // is left, so no member is listed twice and nobody tracks "seen".
+        let pred = r.min(n - 1);
+        let succ = r.min(n - 1 - pred);
+        let mut out = Vec::with_capacity(pred + succ);
         let mut p = idx;
-        for _ in 0..r {
+        for _ in 0..pred {
             p = self.predecessor(p);
-            if seen[p] {
-                break;
-            }
-            seen[p] = true;
             out.push(p);
         }
         let mut s = idx;
-        for _ in 0..r {
+        for _ in 0..succ {
             s = self.successor(s);
-            if seen[s] {
-                break;
-            }
-            seen[s] = true;
             out.push(s);
         }
         out
@@ -322,6 +317,54 @@ mod tests {
                         ring.leafset(y, r_size).contains(&x),
                         "asymmetric leafset x={} y={}", x, y
                     );
+                }
+            }
+        }
+    }
+
+    /// The walk `leafset` used until it was bounded: mark every visited
+    /// member in an n-long table and stop at the first repeat.
+    fn seen_marking_leafset(ring: &Ring, idx: usize, r: usize) -> Vec<usize> {
+        let n = ring.len();
+        if n <= 1 {
+            return vec![];
+        }
+        let mut out = Vec::new();
+        let mut seen = vec![false; n];
+        seen[idx] = true;
+        let mut p = idx;
+        for _ in 0..r {
+            p = ring.predecessor(p);
+            if seen[p] {
+                break;
+            }
+            seen[p] = true;
+            out.push(p);
+        }
+        let mut s = idx;
+        for _ in 0..r {
+            s = ring.successor(s);
+            if seen[s] {
+                break;
+            }
+            seen[s] = true;
+            out.push(s);
+        }
+        out
+    }
+
+    #[test]
+    fn bounded_leafset_walk_equals_the_seen_marking_walk() {
+        // Exhaustive over every ring size and radius where the two walks
+        // can meet (2r ≥ n − 1) and well past it.
+        for n in 1..=70usize {
+            let ids: Vec<u64> = (0..n as u64).map(|i| i * 1000 + 7).collect();
+            let ring = ring_of(&ids);
+            for r in 0..=40 {
+                for idx in 0..n {
+                    let got = ring.leafset(idx, r);
+                    assert_eq!(got, seen_marking_leafset(&ring, idx, r), "n={n} r={r}");
+                    assert!(got.capacity() <= 2 * r, "n={n} r={r}: beyond O(r)");
                 }
             }
         }

@@ -440,7 +440,6 @@ impl TieredOracle {
     pub fn resident_bytes(&self) -> usize {
         let graph_bytes = self.graph.len() * std::mem::size_of::<Vec<(u32, f32)>>()
             + self.graph.num_edges() * 2 * std::mem::size_of::<(u32, f32)>();
-        let coord_bytes = self.n * std::mem::size_of::<coords::Coord>();
         self.hot
             .read()
             .expect("hot tier lock poisoned")
@@ -448,7 +447,7 @@ impl TieredOracle {
             + self.sketch.resident_bytes()
             + self.host_router.len() * 4
             + self.last_hop.len() * 8
-            + coord_bytes
+            + self.coords.resident_bytes()
             + graph_bytes
     }
 
@@ -538,10 +537,7 @@ impl LatencyModel for TieredOracle {
             return 0.5 * (lo + up);
         }
         Counters::bump(&self.counters.base);
-        let est = self
-            .coords
-            .get(HostId(p as u32))
-            .distance(self.coords.get(HostId(q as u32)));
+        let est = self.coords.latency_ms(HostId(p as u32), HostId(q as u32));
         if est.is_nan() {
             // Deterministic degradation: a poisoned coordinate falls
             // back to the sketch lower bound (always finite, >= 0).

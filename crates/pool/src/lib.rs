@@ -626,7 +626,7 @@ impl ResourcePool {
             return None;
         }
         let t = &self.tables[h.idx()];
-        let c = self.coords.get(h).as_slice();
+        let c = self.coords.point(h);
         Some(query::HostSample {
             host: h,
             free: [

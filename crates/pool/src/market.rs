@@ -28,7 +28,7 @@
 //!
 //! * every reservation is a **lease** renewed by the task manager's own
 //!   replan period, so a crashed manager's degrees lapse back to the pool
-//!   (the periodic [`Ev::ExpireLeases`] sweep) instead of leaking until the
+//!   (the periodic `Ev::ExpireLeases` sweep) instead of leaking until the
 //!   horizon;
 //! * a crashed **helper** is detected by its owning task manager (the
 //!   missed renewal ack, modeled as [`MarketConfig::detect_delay`]), which

@@ -9,7 +9,7 @@
 //! to below it, or back), so steady state costs zero extra wire bytes: the
 //! deltas that do fire piggyback on the newscast dissemination already
 //! flowing root→leaf each period (see [`somo::newscast`]), and
-//! [`SubscriptionSet::account_dissemination`] charges exactly that
+//! `SubscriptionSet::account_dissemination` charges exactly that
 //! incremental cost.
 //!
 //! This is the query-layer rendering of the paper's "news broadcast"
