@@ -101,7 +101,8 @@ impl GnpSolver {
         rng: &mut StdRng,
     ) -> CoordStore {
         let lm_coords = self.fit_landmarks(oracle, landmarks, rng);
-        self.fit_hosts(oracle, landmarks, &lm_coords, available_workers())
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.fit_hosts(oracle, landmarks, &lm_coords, cores)
     }
 
     /// Landmark phase: the landmarks' coordinates, `landmarks.len() × dim`
@@ -222,11 +223,6 @@ impl GnpSolver {
     }
 }
 
-/// How many workers the host phase splits across: the machine's cores.
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-
 /// A uniformly random point of the cube `[-scale, scale]^dim`.
 pub(crate) fn random_coord(dim: usize, scale: f64, rng: &mut StdRng) -> Coord {
     let mut c = Coord::zero(dim);
@@ -326,8 +322,8 @@ mod tests {
         let fit = |workers: usize| {
             let store = solver.fit_hosts(&net.latency, &landmarks, &lm_coords, workers);
             (0..n as u32)
-                .flat_map(|h| store.point(HostId(h)).to_vec())
-                .map(f64::to_bits)
+                .flat_map(|h| store.point(HostId(h)))
+                .map(|x| x.to_bits())
                 .collect::<Vec<u64>>()
         };
         let one = fit(1);

@@ -151,7 +151,7 @@ impl Ring {
         }
         // The walks meet only in a ring too small for 2r distinct others:
         // the predecessor side takes what it can, the successor side what
-        // is left, so no member is listed twice and nobody tracks "seen".
+        // is left, so no member is listed twice.
         let pred = r.min(n - 1);
         let succ = r.min(n - 1 - pred);
         let mut out = Vec::with_capacity(pred + succ);

@@ -203,8 +203,8 @@ fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
             evictions: 7625,
         })
     );
-    // 300 hosts × 5 packed f64 coordinates; 9600 below the 72-byte padded
-    // `Coord` per host the store held when the tier counters were recorded.
+    // Coordinates are packed (300 hosts × 5 × 8 B), not the 72 B per host
+    // they took at 88a5e60: 9600 B below that commit's 112 816.
     assert_eq!(resident_bytes, 103_216);
 }
 
