@@ -1,0 +1,251 @@
+//! The heartbeat fabric, pinned against recorded constants.
+//!
+//! Every other `DhtSim` determinism check in the repository is run-vs-run
+//! (`tests/determinism.rs`, `tests/trace_determinism.rs`): it cannot see a
+//! change that moves both runs together. Each cell below runs one ring-traced
+//! simulation and compares `(bytes digested, FNV-1a-64)` — over the
+//! JSON-lines trace, the message and drop counts, every node's believed
+//! leafset *in order* (the order is the heartbeat send order, and therefore
+//! the order of the fault layer's draws), protocol-level lookups and the
+//! coherence audit, at three instants — against a constant recorded at
+//! 291cf64, before the message fabric was rebuilt.
+//!
+//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves the
+//! protocol *on purpose* runs the failing test, pastes the printed left-hand
+//! pair over the constant and says so in CHANGES.md. A refactor or an
+//! optimisation never re-pins.
+
+use dht::proto::{DhtSim, ProtoConfig};
+use dht::ring::Member;
+use dht::{NodeId, Ring};
+use netsim::HostId;
+use simcore::audit::Auditor;
+use simcore::trace::to_json_lines;
+use simcore::{FaultPlan, SimTime, Tracer};
+
+/// A running `(bytes, FNV-1a-64)` over everything fed to it.
+struct Pin {
+    len: usize,
+    hash: u64,
+}
+
+impl Pin {
+    fn new() -> Pin {
+        Pin {
+            len: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn feed(&mut self, s: &str) {
+        self.len += s.len();
+        for b in s.bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Faults {
+    /// Perfect delivery.
+    None,
+    /// 4 % loss, 25 ms jitter and one leafset link down for 30 s.
+    Lossy,
+    /// Two far-apart members cut off from everyone for 70 s — longer than
+    /// the detection timeout, so their views empty out and they probe
+    /// their `fallback` contacts until the window lifts.
+    Partition,
+}
+
+#[derive(Clone, Copy)]
+enum Churn {
+    Kill,
+    /// Kill, revive after the ring expelled the victim, then two
+    /// kill + revive flaps inside one heartbeat period.
+    Flap,
+    Join,
+    JoinViaLookup,
+}
+
+fn plan(faults: Faults, ring: &Ring) -> FaultPlan {
+    let host = |i: usize| ring.member(i).host.0 as u64;
+    match faults {
+        Faults::None => FaultPlan::none(),
+        Faults::Lossy => FaultPlan::with_loss(0xFA17, 0.04)
+            .jitter(SimTime::from_millis(25))
+            .outage(
+                host(3),
+                host(4),
+                SimTime::from_secs(10),
+                SimTime::from_secs(40),
+            ),
+        Faults::Partition => FaultPlan::with_loss(5, 0.0).partition(
+            vec![host(4), host(ring.len() / 2)],
+            SimTime::from_secs(20),
+            SimTime::from_secs(90),
+        ),
+    }
+}
+
+fn joiner(k: u64, n: u32) -> Member {
+    Member {
+        id: NodeId::hash_of(0xFEED + k),
+        host: HostId(n + k as u32),
+    }
+}
+
+/// The member every cell's observations single out (killed by the `Kill`
+/// and `Flap` cells).
+const VICTIM: usize = 7;
+
+/// Run to `at` seconds and digest everything observable.
+fn observe<D: Fn(HostId, HostId) -> SimTime>(
+    sim: &mut DhtSim<D>,
+    auditor: &mut Auditor,
+    pin: &mut Pin,
+    at: u64,
+) {
+    sim.run_until(SimTime::from_secs(at));
+    sim.audit_sample(auditor);
+    pin.feed(&to_json_lines(
+        &sim.take_trace().expect("ring tracer owns its records"),
+    ));
+    pin.feed(&format!(
+        "t={at} sent={} dropped={} converged={}\n",
+        sim.messages_sent(),
+        sim.messages_dropped(),
+        sim.converged()
+    ));
+    let victim_id = sim.member_of(VICTIM).id;
+    for i in 0..sim.len() {
+        pin.feed(&format!(
+            "{i} {} {} {} {:?}\n",
+            sim.is_alive(i),
+            sim.view_contains(i, victim_id),
+            sim.tombstoned(i, victim_id),
+            sim.believed_leafset(i)
+        ));
+    }
+    for from in [0, sim.len() / 3, sim.len() - 1] {
+        for key in (0..8).map(|k| NodeId::hash_of(0xC0FFEE + k)) {
+            pin.feed(&format!("{:?}\n", sim.lookup(from, key)));
+        }
+    }
+}
+
+/// One cell: run, churn at 30 s (and later, per `churn`), observe at 45 s,
+/// 100 s and 160 s.
+fn cell(n: u32, faults: Faults, churn: Churn) -> (usize, u64) {
+    let ring = Ring::with_random_ids((0..n).map(HostId), 21);
+    let cfg = ProtoConfig {
+        // Two radii: the small ring runs a narrower leafset than the default.
+        leafset_r: if n < 100 { 2 } else { 4 },
+        ..ProtoConfig::default()
+    };
+    let mut sim = DhtSim::with_faults(
+        &ring,
+        cfg,
+        // Host-dependent latencies, so deliveries interleave.
+        |a, b| {
+            if a == b {
+                SimTime::ZERO
+            } else {
+                SimTime::from_millis(20 + u64::from(a.0 * 7 + b.0 * 13) % 50)
+            }
+        },
+        plan(faults, &ring),
+    );
+    sim.set_tracer(Tracer::ring(1 << 20));
+    let mut auditor = Auditor::every(SimTime::from_secs(1));
+    let mut pin = Pin::new();
+    sim.run_until(SimTime::from_secs(30));
+    match churn {
+        Churn::Kill | Churn::Flap => {
+            sim.kill(VICTIM);
+            sim.kill(n as usize / 3);
+        }
+        Churn::Join => {
+            sim.join(joiner(0, n), 0);
+        }
+        Churn::JoinViaLookup => {
+            sim.join_via_lookup(joiner(0, n), 0)
+                .expect("the bootstrapped overlay routes");
+        }
+    }
+    observe(&mut sim, &mut auditor, &mut pin, 45);
+    if matches!(faults, Faults::Partition) {
+        assert!(
+            sim.believed_leafset(4).is_empty(),
+            "the island member's view should have emptied by now"
+        );
+    }
+
+    sim.run_until(SimTime::from_secs(60));
+    match churn {
+        Churn::Kill => {}
+        Churn::Flap => {
+            sim.revive(VICTIM, 0);
+            sim.run_until(SimTime::from_secs(72));
+            for _ in 0..2 {
+                sim.kill(9);
+                sim.revive(9, 1);
+            }
+        }
+        Churn::Join => {
+            sim.join(joiner(1, n), n as usize / 2);
+        }
+        Churn::JoinViaLookup => {
+            // `None` (the contact cannot route yet) is pinned like any
+            // other answer.
+            let joined = sim.join_via_lookup(joiner(1, n), n as usize / 2);
+            pin.feed(&format!("{joined:?}\n"));
+        }
+    }
+    observe(&mut sim, &mut auditor, &mut pin, 100);
+    observe(&mut sim, &mut auditor, &mut pin, 160);
+
+    let report = auditor.into_report();
+    pin.feed(&format!(
+        "audit samples={} checks={} violations={}\n",
+        report.samples,
+        report.checks,
+        report.violations.len()
+    ));
+    (pin.len, pin.hash)
+}
+
+macro_rules! pins {
+    ($($name:ident: $n:expr, $faults:ident, $churn:ident => $pin:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            assert_eq!(cell($n, Faults::$faults, Churn::$churn), $pin);
+        }
+    )*};
+}
+
+pins! {
+    n64_clean_kill: 64, None, Kill => (289585, 7868809209614043913);
+    n64_clean_flap: 64, None, Flap => (297460, 349514538662098083);
+    n64_clean_join: 64, None, Join => (326633, 12850383571552929226);
+    n64_clean_join_via_lookup: 64, None, JoinViaLookup => (304052, 6072040906260694610);
+    n64_lossy_kill: 64, Lossy, Kill => (296856, 10575670270218257524);
+    n64_lossy_flap: 64, Lossy, Flap => (302221, 7675934011403098394);
+    n64_lossy_join: 64, Lossy, Join => (330166, 2523467801319128081);
+    n64_lossy_join_via_lookup: 64, Lossy, JoinViaLookup => (304402, 11703910262474395451);
+    n64_partition_kill: 64, Partition, Kill => (295075, 217231023765300550);
+    n64_partition_flap: 64, Partition, Flap => (300443, 11614963518357587171);
+    n64_partition_join: 64, Partition, Join => (326740, 8692714847941213776);
+    n64_partition_join_via_lookup: 64, Partition, JoinViaLookup => (301040, 7932175843634254363);
+    n512_clean_kill: 512, None, Kill => (3492410, 14342323937170225895);
+    n512_clean_flap: 512, None, Flap => (3500977, 6211882814484241542);
+    n512_clean_join: 512, None, Join => (3673367, 710084224304566635);
+    n512_clean_join_via_lookup: 512, None, JoinViaLookup => (3512411, 7816733490331175582);
+    n512_lossy_kill: 512, Lossy, Kill => (3503937, 13059321974465093345);
+    n512_lossy_flap: 512, Lossy, Flap => (3511099, 17486403254501825785);
+    n512_lossy_join: 512, Lossy, Join => (3667698, 7908488301037527300);
+    n512_lossy_join_via_lookup: 512, Lossy, JoinViaLookup => (3512769, 3574699711324703567);
+    n512_partition_kill: 512, Partition, Kill => (3502984, 8493469615208705642);
+    n512_partition_flap: 512, Partition, Flap => (3508099, 14221537819246597511);
+    n512_partition_join: 512, Partition, Join => (3643723, 10113129360257960994);
+    n512_partition_join_via_lookup: 512, Partition, JoinViaLookup => (3507493, 17465088784686282592);
+}

@@ -192,6 +192,33 @@ fn recovery_pipeline_is_bit_identical_across_runs() {
     assert!(a.timeline.reattached_at.is_some());
 }
 
+/// `(Debug length, FNV-1a-64)` of the whole `RecoveryOutcome` — timeline,
+/// remap statistics, census and delivery fractions, ALM report, message
+/// and drop counts, audit — of the two pipelines below, recorded at commit
+/// 291cf64, before the pipeline's phases and the simulators under them
+/// were rebuilt.
+const PIN_RECOVERY_CLEAN: (usize, u64) = (650, 9692808420647947783);
+const PIN_RECOVERY_LOSSY: (usize, u64) = (633, 14245325224024450806);
+
+#[test]
+fn recovery_pipeline_outcomes_match_their_pins() {
+    use p2p_resource_pool::pool::recovery::{run_pipeline, RecoveryConfig};
+    let clean = run_pipeline(&RecoveryConfig {
+        n: 512,
+        crashes: 4,
+        ..RecoveryConfig::default()
+    });
+    assert_pinned("fault-free recovery", &clean, PIN_RECOVERY_CLEAN);
+    let lossy = run_pipeline(&RecoveryConfig {
+        n: 512,
+        crashes: 8,
+        plan: simcore::FaultPlan::with_loss(17, 0.05).jitter(SimTime::from_millis(20)),
+        ..RecoveryConfig::default()
+    });
+    assert!(lossy.dht_dropped > 0 && lossy.gather_dropped > 0);
+    assert_pinned("5 % loss recovery", &lossy, PIN_RECOVERY_LOSSY);
+}
+
 /// One faulted market trajectory: a crash plan killing helpers and session
 /// roots mid-run, with leases, failover, and the invariant auditor live.
 /// Captures the aggregate outcome AND the final degree table of every
