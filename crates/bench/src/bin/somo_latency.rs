@@ -116,7 +116,22 @@ fn measure(ring: &Ring, tree: &SomoTree, mode: FlowMode, horizon: SimTime) -> Si
         |_m, now| FreshnessReport::of_member(now),
         |a, b| if a == b { SimTime::ZERO } else { HOP },
     );
+    // A synchronized round is a request descending and partials ascending
+    // `depth` levels, plus the leaf's fetch: a k = 2 tree is deep enough
+    // (16-26 levels) for that round trip to outlast the default child
+    // timeout of one period, and the root would then close every round on
+    // its timeout with a partial census.
+    let round_trip = SimTime::from_micros(2 * (u64::from(tree.depth()) + 1) * HOP.as_micros());
+    sim.set_child_timeout(PERIOD.max(round_trip));
     sim.run_until(horizon);
+    assert_eq!(
+        sim.metrics().counter("gather.rounds_timeout"),
+        0,
+        "a fault-free gather closed a round on its child timeout (N = {}, k = {}, depth {})",
+        ring.len(),
+        tree.fanout(),
+        tree.depth()
+    );
     sim.views()
         .iter()
         .filter(|v| v.view.members == ring.len() as u64) // warm-up done
