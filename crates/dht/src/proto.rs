@@ -15,7 +15,8 @@
 //! Message latency comes from any function of the two endpoint hosts, so the
 //! protocol can run over the `netsim` oracle or a constant-delay fabric.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use netsim::HostId;
 use simcore::audit::{AuditCtx, Auditor, InvariantSet};
@@ -51,15 +52,60 @@ enum Event {
     /// Periodic heartbeat timer for a node. The epoch guards against
     /// duplicate timer chains across kill/revive cycles: a timer scheduled
     /// before a crash is stale once the node restarts.
-    Timer { node: usize, epoch: u32 },
-    /// A heartbeat or its acknowledgment arriving at `to`.
+    Timer { node: u32, epoch: u32 },
+    /// A heartbeat or its acknowledgment arriving at `to`, sent by `from`.
     Deliver {
-        to: usize,
-        from_id: NodeId,
-        view: Vec<NodeId>,
+        to: u32,
+        from: u32,
+        /// The sender's leafset and its own ID at send time. One payload
+        /// is shared by every target of a heartbeat fan-out.
+        view: Rc<Vec<NodeId>>,
         /// Acks do not trigger further replies (no ping-pong).
         ack: bool,
     },
+}
+
+/// `(peer, time)` pairs in ID order: a view (peer → last evidence it was
+/// alive) or a set of death certificates (peer → when the certificate
+/// lapses). Either holds a leafset's worth of entries plus what gossip
+/// adds — a dozen or so — so a sorted vector serves as the ordered map.
+#[derive(Default)]
+struct PeerTimes(Vec<(NodeId, SimTime)>);
+
+impl PeerTimes {
+    fn find(&self, id: NodeId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |&(peer, _)| peer)
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.find(id).is_ok()
+    }
+
+    /// Insert `id`, or overwrite its time.
+    fn set(&mut self, id: NodeId, t: SimTime) {
+        match self.find(id) {
+            Ok(i) => self.0[i].1 = t,
+            Err(i) => self.0.insert(i, (id, t)),
+        }
+    }
+
+    /// Insert `id` unless it is already present (its time is then kept).
+    fn set_if_absent(&mut self, id: NodeId, t: SimTime) {
+        if let Err(i) = self.find(id) {
+            self.0.insert(i, (id, t));
+        }
+    }
+
+    fn remove(&mut self, id: NodeId) {
+        if let Ok(i) = self.find(id) {
+            self.0.remove(i);
+        }
+    }
+
+    /// The peers, in ID order.
+    fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().map(|&(peer, _)| peer)
+    }
 }
 
 struct ProtoNode {
@@ -68,7 +114,7 @@ struct ProtoNode {
     /// Incremented on every kill and revive; stale timers are dropped.
     epoch: u32,
     /// Known peers → last time we heard evidence they were alive.
-    view: BTreeMap<NodeId, SimTime>,
+    view: PeerTimes,
     /// Last-resort probe targets for when the view empties out (e.g. a
     /// partition long enough to expire every peer): the node's configured
     /// contacts. Without this a fully-isolated node maroons itself forever
@@ -79,47 +125,48 @@ struct ProtoNode {
     /// evidence (a message from the peer itself) clears it. Without this,
     /// neighbors re-inserting each other's stale gossip keeps a dead node
     /// flapping in and out of leafsets indefinitely.
-    tombstones: BTreeMap<NodeId, SimTime>,
+    tombstones: PeerTimes,
 }
 
 impl ProtoNode {
-    /// The node's current *believed* leafset: the r nearest live view
-    /// entries on each side of its own ID.
-    fn leafset(&self, r: usize) -> Vec<NodeId> {
-        let ids: Vec<NodeId> = self.view.keys().copied().collect();
-        if ids.is_empty() {
-            return vec![];
-        }
-        // ids are sorted (BTreeMap); find our position.
-        let pos = ids.partition_point(|&x| x < self.member.id);
-        let n = ids.len();
+    /// Write the node's current *believed* leafset into `out` (cleared
+    /// first): the r nearest view entries on the successor side, nearest
+    /// first, then those on the predecessor side that the first walk did
+    /// not already reach. The order is the heartbeat send order.
+    fn leafset_into(&self, r: usize, out: &mut Vec<NodeId>) {
+        out.clear();
+        let peers = &self.view.0;
+        let n = peers.len();
+        // Our own position among the peers (we are not in our own view).
+        let pos = peers.partition_point(|&(peer, _)| peer < self.member.id);
         let take = r.min(n);
-        let mut out = Vec::with_capacity(2 * take);
-        // Successor side: pos, pos+1, ... (skipping self, which is not in view)
         for k in 0..take {
-            out.push(ids[(pos + k) % n]);
+            out.push(peers[(pos + k) % n].0);
         }
-        // Predecessor side.
         for k in 1..=take {
-            let idx = (pos + n - k) % n;
-            let id = ids[idx];
+            let id = peers[(pos + n - k) % n].0;
             if !out.contains(&id) {
                 out.push(id);
             }
         }
-        out
     }
 }
 
 /// The simulated ring-maintenance protocol.
 pub struct DhtSim<D: Fn(HostId, HostId) -> SimTime> {
     nodes: Vec<ProtoNode>,
+    /// Node ID → position in `nodes`. IDs are unique: a [`Ring`] rejects
+    /// duplicates and so do [`DhtSim::join`] / [`DhtSim::join_via_lookup`].
+    index: HashMap<NodeId, u32>,
     queue: EventQueue<Event>,
     cfg: ProtoConfig,
     delay: D,
     faults: FaultyLink,
     messages: u64,
     tracer: Tracer,
+    /// Gossip payloads no in-flight message refers to any more, kept for
+    /// the next send so that steady-state heartbeats allocate nothing.
+    spare_payloads: Vec<Rc<Vec<NodeId>>>,
 }
 
 impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
@@ -135,37 +182,55 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// fault plan (endpoints are labeled by `HostId`). A no-op plan behaves
     /// exactly like the fault-free constructor.
     pub fn with_faults(ring: &Ring, cfg: ProtoConfig, delay: D, plan: FaultPlan) -> Self {
-        let mut nodes = Vec::with_capacity(ring.len());
-        for i in 0..ring.len() {
-            let mut view = BTreeMap::new();
-            for j in ring.leafset(i, cfg.leafset_r) {
-                view.insert(ring.member(j).id, SimTime::ZERO);
-            }
-            let fallback = view.keys().copied().collect();
-            nodes.push(ProtoNode {
-                member: ring.member(i),
-                alive: true,
-                epoch: 0,
-                view,
-                fallback,
-                tombstones: BTreeMap::new(),
-            });
-        }
-        let mut queue = EventQueue::new();
-        let period = cfg.heartbeat.as_micros().max(1);
-        for (i, _) in nodes.iter().enumerate() {
-            let jitter = SimTime::from_micros(simcore::rng::derive_seed(0xBEA7, i as u64) % period);
-            queue.schedule(jitter, Event::Timer { node: i, epoch: 0 });
-        }
-        DhtSim {
-            nodes,
-            queue,
+        let mut sim = DhtSim {
+            nodes: Vec::with_capacity(ring.len()),
+            index: HashMap::with_capacity(ring.len()),
+            queue: EventQueue::new(),
             cfg,
             delay,
             faults: FaultyLink::new(plan),
             messages: 0,
             tracer: Tracer::disabled(),
+            spare_payloads: Vec::new(),
+        };
+        let period = cfg.heartbeat.as_micros().max(1);
+        for i in 0..ring.len() {
+            let mut view: Vec<(NodeId, SimTime)> = ring
+                .leafset(i, cfg.leafset_r)
+                .into_iter()
+                .map(|j| (ring.member(j).id, SimTime::ZERO))
+                .collect();
+            view.sort_unstable_by_key(|&(peer, _)| peer);
+            let view = PeerTimes(view);
+            let jitter = SimTime::from_micros(simcore::rng::derive_seed(0xBEA7, i as u64) % period);
+            sim.add_node(ring.member(i), view, jitter);
         }
+        sim
+    }
+
+    /// Append a live node whose `fallback` contacts are its initial view,
+    /// and start its heartbeat timer at absolute time `first_timer`
+    /// (clamped to now). Returns its index.
+    fn add_node(&mut self, member: Member, view: PeerTimes, first_timer: SimTime) -> usize {
+        let idx = self.nodes.len();
+        let prev = self.index.insert(member.id, idx as u32);
+        debug_assert!(prev.is_none(), "callers check the ID is new");
+        self.nodes.push(ProtoNode {
+            member,
+            alive: true,
+            epoch: 0,
+            fallback: view.ids().collect(),
+            view,
+            tombstones: PeerTimes::default(),
+        });
+        self.queue.schedule(
+            first_timer,
+            Event::Timer {
+                node: idx as u32,
+                epoch: 0,
+            },
+        );
+        idx
     }
 
     /// Attach a tracer: heartbeat fan-outs ([`TraceEvent::DhtHeartbeat`])
@@ -202,13 +267,18 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         let n = &mut self.nodes[node];
         n.alive = true;
         n.epoch += 1;
-        n.view.clear();
-        n.tombstones.clear();
-        n.view.insert(contact_id, now);
+        n.view.0.clear();
+        n.tombstones.0.clear();
+        n.view.set(contact_id, now);
         n.fallback = vec![contact_id];
         let epoch = n.epoch;
-        self.queue
-            .schedule_after(SimTime::ZERO, Event::Timer { node, epoch });
+        self.queue.schedule_after(
+            SimTime::ZERO,
+            Event::Timer {
+                node: node as u32,
+                epoch,
+            },
+        );
     }
 
     /// Add a fresh node that initially knows only `contact`. Returns its
@@ -216,27 +286,17 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     ///
     /// Gossip alone integrates the joiner over a few heartbeat rounds; see
     /// [`DhtSim::join_via_lookup`] for the full join protocol.
+    ///
+    /// # Panics
+    /// If a node with `member.id` is already simulated (alive or dead):
+    /// messages are addressed by ID, so none could ever reach the second
+    /// holder.
     pub fn join(&mut self, member: Member, contact: usize) -> usize {
-        let contact_id = self.nodes[contact].member.id;
-        let mut view = BTreeMap::new();
-        view.insert(contact_id, self.queue.now());
-        self.nodes.push(ProtoNode {
-            member,
-            alive: true,
-            epoch: 0,
-            view,
-            fallback: vec![contact_id],
-            tombstones: BTreeMap::new(),
-        });
-        let idx = self.nodes.len() - 1;
-        self.queue.schedule_after(
-            SimTime::ZERO,
-            Event::Timer {
-                node: idx,
-                epoch: 0,
-            },
-        );
-        idx
+        self.assert_not_simulated(member.id);
+        let now = self.queue.now();
+        let mut view = PeerTimes::default();
+        view.set(self.nodes[contact].member.id, now);
+        self.add_node(member, view, now)
     }
 
     /// The standard join protocol: route a lookup for the joiner's own ID
@@ -245,39 +305,36 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// leafset. Converges in one heartbeat round instead of several
     /// gossip rounds. Returns the new node's index, or `None` while the
     /// overlay is too broken to route.
+    ///
+    /// # Panics
+    /// If a node with `member.id` is already simulated, like
+    /// [`DhtSim::join`].
     pub fn join_via_lookup(&mut self, member: Member, contact: usize) -> Option<usize> {
+        self.assert_not_simulated(member.id);
         let (owner_id, _) = self.lookup(contact, member.id)?;
         let owner = self.index_of(owner_id)?;
         let now = self.queue.now();
-        let mut view = BTreeMap::new();
-        view.insert(owner_id, now);
         // Adopt the successor's view as half-stale candidates: they must
         // confirm themselves, exactly like gossip-learned entries.
-        let half = SimTime::from_micros(self.cfg.timeout.as_micros() / 2);
-        let stale = now.saturating_sub(half);
-        for id in self.nodes[owner].view.keys().copied() {
-            if id != member.id {
-                view.entry(id).or_insert(stale);
-            }
-        }
-        let fallback = view.keys().copied().collect();
-        self.nodes.push(ProtoNode {
-            member,
-            alive: true,
-            epoch: 0,
-            view,
-            fallback,
-            tombstones: BTreeMap::new(),
-        });
-        let idx = self.nodes.len() - 1;
-        self.queue.schedule_after(
-            SimTime::ZERO,
-            Event::Timer {
-                node: idx,
-                epoch: 0,
-            },
+        let stale = now.saturating_sub(self.half_timeout());
+        let mut view = PeerTimes(
+            self.nodes[owner]
+                .view
+                .ids()
+                .filter(|&id| id != member.id)
+                .map(|id| (id, stale))
+                .collect(),
         );
-        Some(idx)
+        view.set(owner_id, now);
+        Some(self.add_node(member, view, now))
+    }
+
+    /// A joiner's ID must be new: a [`Ring`] holds no duplicates either.
+    fn assert_not_simulated(&self, id: NodeId) {
+        assert!(
+            !self.index.contains_key(&id),
+            "node ID {id:?} is already simulated"
+        );
     }
 
     /// Run the simulation until simulated time `until`.
@@ -291,148 +348,159 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         }
     }
 
+    /// Half the detection timeout: how stale a gossip-learned entry starts
+    /// out, so that it must confirm itself within the other half.
+    fn half_timeout(&self) -> SimTime {
+        SimTime::from_micros(self.cfg.timeout.as_micros() / 2)
+    }
+
+    /// An empty payload that nothing else refers to.
+    fn fresh_payload(&mut self) -> Rc<Vec<NodeId>> {
+        let mut payload = self.spare_payloads.pop().unwrap_or_default();
+        Rc::get_mut(&mut payload)
+            .expect("spare payloads are unshared")
+            .clear();
+        payload
+    }
+
+    /// Give up one handle on a payload; the last handle parks it for reuse.
+    fn release_payload(&mut self, payload: Rc<Vec<NodeId>>) {
+        if Rc::strong_count(&payload) == 1 {
+            self.spare_payloads.push(payload);
+        }
+    }
+
     /// Send a message through the fault layer: counts it as sent, schedules
     /// delivery unless the plan drops it.
-    fn send(&mut self, from_host: HostId, to_host: HostId, ev: Event) {
+    fn send(&mut self, from: u32, to: u32, view: &Rc<Vec<NodeId>>, ack: bool) {
         self.messages += 1;
+        let from_host = self.nodes[from as usize].member.host;
+        let to_host = self.nodes[to as usize].member.host;
         let base = (self.delay)(from_host, to_host);
         let now = self.queue.now();
         if let Some(d) = self
             .faults
             .transmit(from_host.0 as u64, to_host.0 as u64, now, base)
         {
-            self.queue.schedule_after(d, ev);
+            self.queue.schedule_after(
+                d,
+                Event::Deliver {
+                    to,
+                    from,
+                    view: Rc::clone(view),
+                    ack,
+                },
+            );
         }
     }
 
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Timer { node, epoch } => {
-                if !self.nodes[node].alive || self.nodes[node].epoch != epoch {
+                let n = &self.nodes[node as usize];
+                if !n.alive || n.epoch != epoch {
                     return; // dead nodes stop ticking; stale chains die out
                 }
-                self.expire(node, now);
+                self.expire(node as usize, now);
                 // Heartbeat every current leafset member, carrying our view.
                 // If the view has emptied out entirely (e.g. a partition long
                 // enough to expire every peer), fall back to probing the
                 // configured contacts so the node can rejoin once the network
                 // heals instead of marooning itself.
-                let mut targets = self.nodes[node].leafset(self.cfg.leafset_r);
-                if targets.is_empty() {
-                    let my_id = self.nodes[node].member.id;
-                    targets = self.nodes[node]
-                        .fallback
-                        .iter()
-                        .copied()
-                        .filter(|&id| id != my_id)
-                        .collect();
+                let mut gossip = self.fresh_payload();
+                let ids = Rc::get_mut(&mut gossip).expect("fresh payloads are unshared");
+                let n = &self.nodes[node as usize];
+                let my_id = n.member.id;
+                n.leafset_into(self.cfg.leafset_r, ids);
+                if ids.is_empty() {
+                    ids.extend(n.fallback.iter().copied().filter(|&id| id != my_id));
                 }
-                let my_id = self.nodes[node].member.id;
-                let my_host = self.nodes[node].member.host;
-                let fanout = targets.len() as u32;
+                let fanout = ids.len();
+                ids.push(my_id);
                 self.tracer.emit(now, || TraceEvent::DhtHeartbeat {
-                    node: node as u32,
-                    targets: fanout,
+                    node,
+                    targets: fanout as u32,
                 });
-                let mut gossip: Vec<NodeId> = targets.clone();
-                gossip.push(my_id);
-                for target_id in targets {
-                    if let Some(to) = self.index_of(target_id) {
-                        let to_host = self.nodes[to].member.host;
-                        self.send(
-                            my_host,
-                            to_host,
-                            Event::Deliver {
-                                to,
-                                from_id: my_id,
-                                view: gossip.clone(),
-                                ack: false,
-                            },
-                        );
+                for k in 0..fanout {
+                    if let Some(to) = self.index_of(gossip[k]) {
+                        self.send(node, to as u32, &gossip, false);
                     }
                 }
+                self.release_payload(gossip);
                 self.queue
                     .schedule_after(self.cfg.heartbeat, Event::Timer { node, epoch });
             }
             Event::Deliver {
                 to,
-                from_id,
+                from,
                 view,
                 ack,
             } => {
-                if !self.nodes[to].alive {
-                    return;
+                if self.nodes[to as usize].alive {
+                    self.receive(now, to, from, &view, ack);
                 }
-                let my_id = self.nodes[to].member.id;
-                // Direct evidence: the sender is alive now (and any death
-                // certificate for it is void).
-                self.nodes[to].tombstones.remove(&from_id);
-                self.nodes[to].view.insert(from_id, now);
-                // Gossip: adopt unknown IDs with "half-stale" evidence so
-                // they must confirm themselves within timeout/2 — this stops
-                // dead nodes from being resurrected by stale gossip forever.
-                let half = SimTime::from_micros(self.cfg.timeout.as_micros() / 2);
-                let stale = now.saturating_sub(half);
-                for id in view {
-                    if id != my_id && !self.nodes[to].tombstones.contains_key(&id) {
-                        self.nodes[to].view.entry(id).or_insert(stale);
-                    }
-                }
-                // Acknowledge heartbeats (§4.1's heartbeat/ack exchange):
-                // the reply keeps the *sender's* entry for us fresh even
-                // when the sender is not in our own leafset — without this a
-                // joiner heartbeating a distant contact would never hear
-                // back and maroon itself.
-                if !ack {
-                    if let Some(sender) = self.index_of(from_id) {
-                        let mut reply: Vec<NodeId> = self.nodes[to].leafset(self.cfg.leafset_r);
-                        reply.push(my_id);
-                        let from_host = self.nodes[to].member.host;
-                        let to_host = self.nodes[sender].member.host;
-                        self.send(
-                            from_host,
-                            to_host,
-                            Event::Deliver {
-                                to: sender,
-                                from_id: my_id,
-                                view: reply,
-                                ack: true,
-                            },
-                        );
-                    }
-                }
+                self.release_payload(view);
             }
+        }
+    }
+
+    /// A live node `to` takes in a heartbeat (or its ack) from `from`.
+    fn receive(&mut self, now: SimTime, to: u32, from: u32, gossip: &[NodeId], ack: bool) {
+        let from_id = self.nodes[from as usize].member.id;
+        let stale = now.saturating_sub(self.half_timeout());
+        let n = &mut self.nodes[to as usize];
+        let my_id = n.member.id;
+        // Direct evidence: the sender is alive now (and any death
+        // certificate for it is void).
+        n.tombstones.remove(from_id);
+        n.view.set(from_id, now);
+        // Gossip: adopt unknown IDs with "half-stale" evidence so
+        // they must confirm themselves within timeout/2 — this stops
+        // dead nodes from being resurrected by stale gossip forever.
+        for &id in gossip {
+            if id != my_id && !n.tombstones.contains(id) {
+                n.view.set_if_absent(id, stale);
+            }
+        }
+        // Acknowledge heartbeats (§4.1's heartbeat/ack exchange):
+        // the reply keeps the *sender's* entry for us fresh even
+        // when the sender is not in our own leafset — without this a
+        // joiner heartbeating a distant contact would never hear
+        // back and maroon itself.
+        if !ack {
+            let mut reply = self.fresh_payload();
+            let ids = Rc::get_mut(&mut reply).expect("fresh payloads are unshared");
+            self.nodes[to as usize].leafset_into(self.cfg.leafset_r, ids);
+            ids.push(my_id);
+            self.send(to, from, &reply, true);
+            self.release_payload(reply);
         }
     }
 
     fn expire(&mut self, node: usize, now: SimTime) {
         let timeout = self.cfg.timeout;
-        let n = &mut self.nodes[node];
-        let mut dead: Vec<NodeId> = Vec::new();
-        n.view.retain(|&id, &mut last| {
+        let tracer = &mut self.tracer;
+        let ProtoNode {
+            view, tombstones, ..
+        } = &mut self.nodes[node];
+        view.0.retain(|&(id, last)| {
             let alive = now.saturating_sub(last) < timeout;
             if !alive {
-                dead.push(id);
+                tombstones.set(id, now + timeout);
+                tracer.emit(now, || TraceEvent::DhtExpel {
+                    node: node as u32,
+                    peer: id.0,
+                });
             }
             alive
         });
-        for id in &dead {
-            n.tombstones.insert(*id, now + timeout);
-        }
-        n.tombstones.retain(|_, &mut until| until > now);
-        for id in dead {
-            self.tracer.emit(now, || TraceEvent::DhtExpel {
-                node: node as u32,
-                peer: id.0,
-            });
-        }
+        tombstones.0.retain(|&(_, until)| until > now);
     }
 
     fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|n| n.member.id == id)
+        self.index.get(&id).map(|&i| i as usize)
     }
 
-    /// The believed leafset of a node (IDs, both sides).
     /// Resolve the owner of `key` by greedy clockwise routing over the
     /// nodes' **believed** views — the protocol-level lookup, as opposed to
     /// [`crate::routing`]'s structural one. Returns `(owner_id, hops)`, or
@@ -448,20 +516,12 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             let my = node.member.id;
             // Believed predecessor: the view member closest counter-
             // clockwise of me. I believe I own (pred, me].
-            let pred = node
-                .view
-                .keys()
-                .copied()
-                .min_by_key(|v| v.distance_cw(my))?;
+            let pred = node.view.ids().min_by_key(|v| v.distance_cw(my))?;
             if crate::id::in_arc(pred, my, key) {
                 return Some((my, hops));
             }
             // Believed successor owns (me, succ].
-            let succ = node
-                .view
-                .keys()
-                .copied()
-                .min_by_key(|v| my.distance_cw(*v))?;
+            let succ = node.view.ids().min_by_key(|v| my.distance_cw(*v))?;
             if crate::id::in_arc(my, succ, key) {
                 return Some((succ, hops + 1));
             }
@@ -470,8 +530,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             let target = my.distance_cw(key);
             let next_id = node
                 .view
-                .keys()
-                .copied()
+                .ids()
                 .filter(|v| {
                     let d = my.distance_cw(*v);
                     d > 0 && d <= target
@@ -492,18 +551,25 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// The believed leafset of a node (IDs, both sides) as derived from
     /// its current view.
     pub fn believed_leafset(&self, node: usize) -> Vec<NodeId> {
-        self.nodes[node].leafset(self.cfg.leafset_r)
+        let n = &self.nodes[node];
+        let r = self.cfg.leafset_r;
+        let mut out = Vec::with_capacity(r.saturating_mul(2).min(n.view.0.len()));
+        n.leafset_into(r, &mut out);
+        out
     }
 
-    /// The true leafset of a node given who is actually alive.
-    pub fn true_leafset(&self, node: usize) -> Vec<NodeId> {
+    /// The ring of the nodes that are actually alive.
+    fn live_ring(&self) -> Ring {
         let mut ring = Ring::new();
-        for n in &self.nodes {
-            if n.alive {
-                ring.insert(n.member);
-            }
+        for n in self.nodes.iter().filter(|n| n.alive) {
+            ring.insert(n.member);
         }
-        let idx = ring.index_of(self.nodes[node].member.id).expect("alive");
+        ring
+    }
+
+    /// The leafset `id` has in `ring`, as sorted IDs.
+    fn leafset_in(&self, ring: &Ring, id: NodeId) -> Vec<NodeId> {
+        let idx = ring.index_of(id).expect("alive");
         let mut ids: Vec<NodeId> = ring
             .leafset(idx, self.cfg.leafset_r)
             .into_iter()
@@ -513,15 +579,19 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         ids
     }
 
+    /// The true leafset of a node given who is actually alive.
+    pub fn true_leafset(&self, node: usize) -> Vec<NodeId> {
+        self.leafset_in(&self.live_ring(), self.nodes[node].member.id)
+    }
+
     /// Whether every live node's believed leafset matches the truth.
     pub fn converged(&self) -> bool {
-        (0..self.nodes.len()).all(|i| {
-            if !self.nodes[i].alive {
-                return true;
-            }
-            let mut believed = self.believed_leafset(i);
+        let ring = self.live_ring();
+        let mut believed = Vec::new();
+        self.nodes.iter().filter(|n| n.alive).all(|n| {
+            n.leafset_into(self.cfg.leafset_r, &mut believed);
             believed.sort_unstable();
-            believed == self.true_leafset(i)
+            believed == self.leafset_in(&ring, n.member.id)
         })
     }
 
@@ -564,12 +634,17 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Whether node `i`'s current view still contains `id` — the signal the
     /// recovery pipeline polls to time failure detection and expulsion.
     pub fn view_contains(&self, i: usize, id: NodeId) -> bool {
-        self.nodes[i].view.contains_key(&id)
+        self.nodes[i].view.contains(id)
+    }
+
+    /// The peers in node `i`'s current view, in ID order.
+    pub fn view_ids(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes[i].view.ids()
     }
 
     /// Whether node `i` currently holds a death certificate for `id`.
     pub fn tombstoned(&self, i: usize, id: NodeId) -> bool {
-        self.nodes[i].tombstones.contains_key(&id)
+        self.nodes[i].tombstones.contains(id)
     }
 
     /// Sample the ring/tombstone coherence invariants if the auditor is
@@ -604,8 +679,8 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
     ctx: &mut AuditCtx<'_>,
 ) {
     for (i, n) in s.nodes.iter().enumerate() {
-        for id in n.view.keys() {
-            ctx.check(!n.tombstones.contains_key(id), || {
+        for id in n.view.ids() {
+            ctx.check(!n.tombstones.contains(id), || {
                 format!("node {i} holds {id:?} in both view and tombstones")
             });
         }
@@ -614,7 +689,7 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
 
 fn inv_self_absent<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     for (i, n) in s.nodes.iter().enumerate() {
-        ctx.check(!n.view.contains_key(&n.member.id), || {
+        ctx.check(!n.view.contains(n.member.id), || {
             format!("node {i} gossiped itself into its own view")
         });
     }
@@ -624,9 +699,11 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
     s: &DhtSim<D>,
     ctx: &mut AuditCtx<'_>,
 ) {
+    let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
-        for id in n.leafset(s.cfg.leafset_r) {
-            ctx.check(n.view.contains_key(&id), || {
+        n.leafset_into(s.cfg.leafset_r, &mut leafset);
+        for &id in &leafset {
+            ctx.check(n.view.contains(id), || {
                 format!("node {i}'s believed leafset lists {id:?} outside its view")
             });
         }
@@ -636,7 +713,7 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     let horizon = ctx.now() + s.cfg.timeout;
     for (i, n) in s.nodes.iter().enumerate() {
-        for (id, &until) in &n.tombstones {
+        for &(id, until) in &n.tombstones.0 {
             ctx.check(until <= horizon, || {
                 format!("node {i}'s certificate for {id:?} outlives a detection timeout ({until})")
             });
@@ -780,6 +857,57 @@ mod tests {
         );
         s.run_until(SimTime::from_secs(120));
         assert!(s.converged(), "joiner did not integrate");
+    }
+
+    #[test]
+    #[should_panic(expected = "is already simulated")]
+    fn join_with_a_simulated_id_panics() {
+        let mut s = sim(16);
+        let taken = s.member_of(3).id;
+        s.join(
+            Member {
+                id: taken,
+                host: HostId(999),
+            },
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is already simulated")]
+    fn join_via_lookup_with_a_dead_nodes_id_panics() {
+        // A crashed node still holds its ID: `revive` is how it comes back.
+        let mut s = sim(16);
+        let taken = s.member_of(3).id;
+        s.kill(3);
+        s.join_via_lookup(
+            Member {
+                id: taken,
+                host: HostId(999),
+            },
+            0,
+        );
+    }
+
+    #[test]
+    fn converged_agrees_with_the_per_node_truth() {
+        // `converged` derives every node's true leafset from one live ring;
+        // `true_leafset` builds its own. Both must tell the same story
+        // before, during and after a repair.
+        let mut s = sim(40);
+        for (t, kill) in [(10, Some(5)), (20, Some(6)), (30, None), (120, None)] {
+            s.run_until(SimTime::from_secs(t));
+            if let Some(k) = kill {
+                s.kill(k);
+            }
+            let per_node = (0..s.len()).filter(|&i| s.is_alive(i)).all(|i| {
+                let mut believed = s.believed_leafset(i);
+                believed.sort_unstable();
+                believed == s.true_leafset(i)
+            });
+            assert_eq!(s.converged(), per_node, "at t = {t} s");
+        }
+        assert!(s.converged(), "the ring healed by 120 s");
     }
 
     #[test]

@@ -221,46 +221,104 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
     );
     let ring = Ring::with_random_ids((0..cfg.n).map(HostId), cfg.seed);
     let victims = pick_victims(&ring, cfg.seed, cfg.crashes);
-    let victim_ids: Vec<NodeId> = victims.iter().map(|&v| ring.member(v).id).collect();
-    let alive = cfg.n as usize - cfg.crashes;
+    let dead_hosts: Vec<HostId> = victims.iter().map(|&v| ring.member(v).host).collect();
+    // Ring coherence is audited on the same poll clock that times the
+    // repair: every live view/tombstone pair must stay disjoint while the
+    // death certificates propagate. The repaired session tree is checked
+    // by the same auditor at the end.
+    let mut auditor = Auditor::every(scale(POLL_STEP, 4));
 
-    // ── Phase 1+2: detection and expulsion on the heartbeat fabric. ──
+    // Each phase owns the simulator (and the network) it runs on and hands
+    // back numbers only, so one phase's state is gone before the next one
+    // builds its own. The one thing handed on is the old SOMO tree: the
+    // rebuild measures the healed tree against it, then drops it.
+    let heartbeats = heartbeat_phase(cfg, &ring, &victims, &mut auditor);
+    let tree = SomoTree::build(&ring, cfg.fanout);
+    let exposure = exposure_phase(cfg, &ring, &tree, &victims);
+    let rebuild = rebuild_phase(cfg, ring, tree, &victims);
+    let rebuilt_at = match (heartbeats.expelled_at, rebuild.full_at) {
+        (Some(e), Some(f)) => Some(e + f),
+        _ => None,
+    };
+    let repair = alm_phase(
+        cfg,
+        &dead_hosts,
+        rebuilt_at,
+        heartbeats.ended_at,
+        &mut auditor,
+    );
+
+    RecoveryOutcome {
+        timeline: RecoveryTimeline {
+            crash_at: cfg.crash_at,
+            detected_at: heartbeats.detected_at,
+            expelled_at: heartbeats.expelled_at,
+            rebuilt_at,
+            reattached_at: repair.reattached_at,
+            reattach_retries: repair.report.retries,
+            remap: rebuild.remap,
+        },
+        stale_completeness: exposure.completeness,
+        post_completeness: rebuild.census.completeness,
+        delivery_disruption: repair.delivery_disruption,
+        post_delivery: repair.post_delivery,
+        alm: repair.report,
+        dht_messages: heartbeats.messages,
+        dht_dropped: heartbeats.dropped,
+        gather_messages: exposure.messages + rebuild.census.messages,
+        gather_dropped: exposure.dropped + rebuild.census.dropped,
+        audit: auditor.into_report(),
+    }
+}
+
+/// What phases 1 + 2 leave behind.
+struct Heartbeats {
+    detected_at: Option<SimTime>,
+    expelled_at: Option<SimTime>,
+    /// The heartbeat fabric's clock when the phase stopped polling.
+    ended_at: SimTime,
+    messages: u64,
+    dropped: u64,
+}
+
+/// Phases 1 + 2: detection and expulsion on the heartbeat fabric.
+fn heartbeat_phase(
+    cfg: &RecoveryConfig,
+    ring: &Ring,
+    victims: &[usize],
+    auditor: &mut Auditor,
+) -> Heartbeats {
     let hop = cfg.hop;
     let mut dht = DhtSim::with_faults(
-        &ring,
+        ring,
         cfg.proto,
         move |a, b| if a == b { SimTime::ZERO } else { hop },
         cfg.plan.clone(),
     );
     dht.run_until(cfg.crash_at);
-    for &v in &victims {
+    for &v in victims {
         dht.kill(v);
     }
+    let mut victim_ids: Vec<NodeId> = victims.iter().map(|&v| ring.member(v).id).collect();
+    victim_ids.sort_unstable();
+    let is_victim = |id: NodeId| victim_ids.binary_search(&id).is_ok();
     // Which live nodes believed in which victim at crash time — detection
     // is the first of these beliefs to be retracted.
-    let mut watch: Vec<(usize, NodeId)> = Vec::new();
-    for i in 0..dht.len() {
-        if !dht.is_alive(i) {
-            continue;
-        }
-        for &id in &victim_ids {
-            if dht.view_contains(i, id) {
-                watch.push((i, id));
-            }
-        }
-    }
+    let watch: Vec<(usize, NodeId)> = live_nodes(&dht)
+        .flat_map(|i| {
+            dht.view_ids(i)
+                .filter(|&id| is_victim(id))
+                .map(move |id| (i, id))
+        })
+        .collect();
     let mut detected_at = None;
     let mut expelled_at = None;
-    // Ring coherence is audited on the same poll clock that times the
-    // repair: every live view/tombstone pair must stay disjoint while the
-    // death certificates propagate.
-    let mut auditor = Auditor::every(scale(POLL_STEP, 4));
     let deadline = cfg.crash_at + scale(cfg.proto.timeout, POLL_PATIENCE);
     let mut t = cfg.crash_at;
     while t < deadline && expelled_at.is_none() {
         t += POLL_STEP;
         dht.run_until(t);
-        dht.audit_sample(&mut auditor);
+        dht.audit_sample(auditor);
         if detected_at.is_none()
             && watch
                 .iter()
@@ -268,45 +326,92 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
         {
             detected_at = Some(dht.now());
         }
-        let all_gone = (0..dht.len())
-            .filter(|&i| dht.is_alive(i))
-            .all(|i| victim_ids.iter().all(|&id| !dht.view_contains(i, id)));
-        if all_gone {
+        // A view is a dozen peers: scan each one for a victim.
+        if live_nodes(&dht).all(|i| !dht.view_ids(i).any(is_victim)) {
             expelled_at = Some(dht.now());
         }
     }
+    Heartbeats {
+        detected_at,
+        expelled_at,
+        ended_at: dht.now(),
+        messages: dht.messages_sent(),
+        dropped: dht.messages_dropped(),
+    }
+}
 
-    // ── Exposure window: synchronized gathers over the broken tree. ──
-    let tree = SomoTree::build(&ring, cfg.fanout);
+/// Indices of the nodes currently alive.
+fn live_nodes<D: Fn(HostId, HostId) -> SimTime>(
+    dht: &DhtSim<D>,
+) -> impl Iterator<Item = usize> + '_ {
+    (0..dht.len()).filter(|&i| dht.is_alive(i))
+}
+
+/// What one gather leaves behind.
+struct Census {
+    /// Members in the root's last view ÷ survivors.
+    completeness: f64,
+    messages: u64,
+    dropped: u64,
+}
+
+impl Census {
+    fn of<L, D>(sim: &GatherSim<'_, FreshnessReport, L, D>, alive: usize) -> Census
+    where
+        L: FnMut(usize, SimTime) -> FreshnessReport,
+        D: Fn(usize, usize) -> SimTime,
+    {
+        let reported = sim.views().last().map_or(0, |v| v.view.members);
+        Census {
+            completeness: reported as f64 / alive as f64,
+            messages: sim.messages_sent(),
+            dropped: sim.messages_dropped(),
+        }
+    }
+}
+
+/// Exposure window: synchronized gathers over the broken tree.
+fn exposure_phase(cfg: &RecoveryConfig, ring: &Ring, tree: &SomoTree, victims: &[usize]) -> Census {
+    let hop = cfg.hop;
     let mut exposure = GatherSim::with_faults(
-        &tree,
-        &ring,
+        tree,
+        ring,
         FlowMode::Synchronized,
         cfg.gather_period,
         |_m, now| FreshnessReport::of_member(now),
         move |a, b| if a == b { SimTime::ZERO } else { hop },
         cfg.plan.clone(),
     );
-    for &v in &victims {
+    for &v in victims {
         exposure.kill_member(v);
     }
     exposure.run_until(cfg.exposure);
-    let stale_completeness = exposure
-        .views()
-        .last()
-        .map(|v| v.view.members as f64)
-        .unwrap_or(0.0)
-        / alive as f64;
-    let mut gather_messages = exposure.messages_sent();
-    let mut gather_dropped = exposure.messages_dropped();
+    Census::of(&exposure, ring.len() - victims.len())
+}
 
-    // ── Phase 3: the ring expelled the victims; rebuild and regather. ──
+/// What phase 3 leaves behind.
+struct Rebuild {
+    remap: RemapStats,
+    /// How long the regather took to hold a full survivor census.
+    full_at: Option<SimTime>,
+    census: Census,
+}
+
+/// Phase 3: the ring expelled the victims; rebuild the tree and regather.
+/// Takes the old ring and tree by value: they are measured against their
+/// healed successors and dropped before the regather starts.
+fn rebuild_phase(cfg: &RecoveryConfig, ring: Ring, tree: SomoTree, victims: &[usize]) -> Rebuild {
     let mut healed = ring.clone();
-    for id in &victim_ids {
-        healed.remove_id(*id).expect("victim was a member");
+    for &v in victims {
+        healed
+            .remove_id(ring.member(v).id)
+            .expect("victim was a member");
     }
     let tree2 = SomoTree::build(&healed, cfg.fanout);
     let remap = remap_stats(&tree, &ring, &tree2, &healed);
+    drop((tree, ring));
+    let alive = healed.len();
+    let hop = cfg.hop;
     // Unsynchronized mode: per-hop cached partials survive per-message
     // loss, so the census converges to 100% where a lockstep cascade would
     // keep losing some leaf's contribution.
@@ -330,20 +435,31 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
             .find(|v| v.view.members == alive as u64)
             .map(|v| v.at);
     }
-    let post_completeness = regather
-        .views()
-        .last()
-        .map(|v| v.view.members as f64)
-        .unwrap_or(0.0)
-        / alive as f64;
-    gather_messages += regather.messages_sent();
-    gather_dropped += regather.messages_dropped();
-    let rebuilt_at = match (expelled_at, full_at) {
-        (Some(e), Some(f)) => Some(e + f),
-        _ => None,
-    };
+    Rebuild {
+        remap,
+        full_at,
+        census: Census::of(&regather, alive),
+    }
+}
 
-    // ── Phase 4: ALM session repair with stale-view retries. ──
+/// What phase 4 leaves behind.
+struct AlmRepair {
+    delivery_disruption: f64,
+    post_delivery: f64,
+    reattached_at: Option<SimTime>,
+    report: ReattachReport,
+}
+
+/// Phase 4: ALM session repair with stale-view retries, and the final
+/// audit of the repaired tree (stamped `reattached_at`, or `fallback_at`
+/// when the timeline has a hole before it).
+fn alm_phase(
+    cfg: &RecoveryConfig,
+    dead_hosts: &[HostId],
+    rebuilt_at: Option<SimTime>,
+    fallback_at: SimTime,
+    auditor: &mut Auditor,
+) -> AlmRepair {
     let net = Network::generate(
         &NetworkConfig {
             num_hosts: cfg.n as usize,
@@ -351,8 +467,7 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
         },
         simcore::rng::derive_seed(cfg.seed, 7),
     );
-    let dead_hosts: Vec<HostId> = victims.iter().map(|&v| ring.member(v).host).collect();
-    let members = pick_session(cfg, &dead_hosts);
+    let members = pick_session(cfg, dead_hosts);
     let dbound = |h: HostId| net.hosts.degree_bound(h);
     let p = Problem::new(members[0], members.clone(), &net.latency, dbound);
     let session_tree = amcast(&p);
@@ -368,13 +483,13 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
         1.0 - reachable_avoiding(&session_tree, &dead_in_tree) as f64 / survivors as f64
     };
     let orphans = orphaned_subtree_roots(&session_tree, &dead_in_tree);
-    let (repaired, alm_report) = reattach_orphans(&p, &session_tree, &dead_in_tree, &cfg.reattach);
+    let (repaired, report) = reattach_orphans(&p, &session_tree, &dead_in_tree, &cfg.reattach);
     let post_delivery = if survivors == 0 {
         1.0
     } else {
         reachable_avoiding(&repaired, &[]) as f64 / survivors as f64
     };
-    let reattached_at = rebuilt_at.map(|r| r + alm_report.duration);
+    let reattached_at = rebuilt_at.map(|r| r + report.duration);
 
     // Final audit: the repaired tree must be dead-free, within physical
     // degree bounds, and account for every orphaned subtree.
@@ -383,34 +498,18 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
         dead: &dead_in_tree,
         bounds: repaired.hosts().iter().map(|&h| (h, dbound(h))).collect(),
         orphans: orphans.len(),
-        report: alm_report,
+        report,
     };
     auditor.sample(
         &repair_invariants(),
         &view,
-        reattached_at.unwrap_or_else(|| dht.now()),
+        reattached_at.unwrap_or(fallback_at),
     );
-
-    RecoveryOutcome {
-        timeline: RecoveryTimeline {
-            crash_at: cfg.crash_at,
-            detected_at,
-            expelled_at,
-            rebuilt_at,
-            reattached_at,
-            reattach_retries: alm_report.retries,
-            remap,
-        },
-        stale_completeness,
-        post_completeness,
+    AlmRepair {
         delivery_disruption,
         post_delivery,
-        alm: alm_report,
-        dht_messages: dht.messages_sent(),
-        dht_dropped: dht.messages_dropped(),
-        gather_messages,
-        gather_dropped,
-        audit: auditor.into_report(),
+        reattached_at,
+        report,
     }
 }
 

@@ -27,8 +27,6 @@
 //! exactly one canonical leaf: the leaf whose region contains the member's
 //! own ID — that region is provably inside the member's own zone.
 
-use std::collections::HashMap;
-
 use simcore::trace::{CloseReason, TraceEvent, TraceRecord, Tracer};
 use simcore::{EventQueue, FaultPlan, FaultyLink, MetricsRegistry, SimTime};
 
@@ -102,10 +100,10 @@ enum Ev<R> {
     Timeout { node: u32, round: u64 },
 }
 
-/// Per-round aggregation buffer (sync mode): the running partial plus which
-/// children have already been folded in (dedup per sender).
-#[derive(Clone)]
+/// One open round at a logical node (sync mode): the running partial plus
+/// which children have already been folded in (dedup per sender).
 struct RoundBuf<R> {
+    round: u64,
     acc: Option<R>,
     seen: Vec<u32>,
 }
@@ -124,20 +122,27 @@ where
     leaf_sample: L,
     delay: D,
     queue: EventQueue<Ev<R>>,
-    /// Latest partial received from each logical child (unsync mode),
+    /// Unsync mode: the latest partial each logical node sent up, indexed
+    /// by the *sender* (a node has one parent, so the slot is unambiguous),
     /// stamped with its arrival time so stale entries (a crashed child)
-    /// age out after a few periods.
-    latest: Vec<HashMap<u32, (SimTime, R)>>,
-    /// Per-round aggregation buffers (sync mode).
-    rounds: Vec<HashMap<u64, RoundBuf<R>>>,
-    /// Which leaf reports each member's data (leaf logical idx → member).
-    reporting: HashMap<u32, usize>,
+    /// age out after a few periods. A parent folds its `children`'s slots
+    /// in tree order. Empty in sync mode.
+    latest: Vec<Option<(SimTime, R)>>,
+    /// Sync mode: the rounds currently open at each logical node — one,
+    /// or a few when the child timeout spans several periods. Empty in
+    /// unsync mode.
+    rounds: Vec<Vec<RoundBuf<R>>>,
+    /// `seen` lists of closed rounds, kept for the next round to open.
+    spare_seen: Vec<Vec<u32>>,
+    /// The member reporting through each logical node: set for a member's
+    /// canonical leaf, `None` everywhere else.
+    reporting: Vec<Option<u32>>,
     views: Vec<RootView<R>>,
     messages: u64,
     round_ctr: u64,
-    /// Ring members whose hosts have crashed (they neither send nor
-    /// receive; their logical nodes go silent).
-    dead: std::collections::HashSet<usize>,
+    /// Per ring member: whether its host has crashed (it neither sends
+    /// nor receives; its logical nodes go silent).
+    dead: Vec<bool>,
     /// Sync mode: how long an internal node waits for its children before
     /// forwarding a partial aggregate.
     child_timeout: SimTime,
@@ -196,17 +201,19 @@ where
         // contains the member's own ID. The leaf's host is the member
         // itself or its ring successor; in the latter case the member's
         // report costs one extra (cheap, ring-neighbor) fetch hop.
-        let mut reporting = HashMap::new();
+        let n = tree.len();
+        let mut reporting = vec![None; n];
         for m in 0..ring.len() {
-            let leaf = tree.canonical_leaf_of(ring.member(m).id);
-            let prev = reporting.insert(leaf, m);
+            let leaf = tree.canonical_leaf_of(ring.member(m).id) as usize;
+            let prev = reporting[leaf].replace(m as u32);
             debug_assert!(prev.is_none(), "two members share a canonical leaf");
         }
 
-        let n = tree.len();
         let mut queue = EventQueue::new();
+        let (mut latest, mut rounds) = (Vec::new(), Vec::new());
         match mode {
             FlowMode::Unsynchronized => {
+                latest.resize_with(n, || None);
                 // Stagger timers deterministically across the first period.
                 let p = period.as_micros().max(1);
                 for i in 0..n as u32 {
@@ -216,6 +223,7 @@ where
                 }
             }
             FlowMode::Synchronized => {
+                rounds.resize_with(n, Vec::new);
                 queue.schedule(SimTime::ZERO, Ev::RootTimer);
             }
         }
@@ -227,13 +235,14 @@ where
             leaf_sample,
             delay,
             queue,
-            latest: vec![HashMap::new(); n],
-            rounds: vec![HashMap::new(); n],
+            latest,
+            rounds,
+            spare_seen: Vec::new(),
             reporting,
             views: Vec::new(),
             messages: 0,
             round_ctr: 0,
-            dead: std::collections::HashSet::new(),
+            dead: vec![false; ring.len()],
             child_timeout: period,
             faults: FaultyLink::new(plan),
             tracer: Tracer::disabled(),
@@ -272,7 +281,7 @@ where
         self.tree.nodes()[node as usize]
             .children
             .iter()
-            .filter(|&&c| !self.dead.contains(&self.tree.nodes()[c as usize].host))
+            .filter(|&&c| !self.dead[self.tree.nodes()[c as usize].host])
             .count()
     }
 
@@ -282,7 +291,9 @@ where
     /// root's view simply shrinks until the ring (and with it the tree) is
     /// rebuilt — SOMO's "regenerated after a short jitter" behaviour.
     pub fn kill_member(&mut self, m: usize) {
-        self.dead.insert(m);
+        if let Some(dead) = self.dead.get_mut(m) {
+            *dead = true;
+        }
     }
 
     /// Restart a crashed member: its logical nodes resume sending and
@@ -290,15 +301,26 @@ where
     /// were parked while dead, so the node picks up on its next tick with
     /// no extra scheduling.
     pub fn revive_member(&mut self, m: usize) {
-        self.dead.remove(&m);
+        if let Some(dead) = self.dead.get_mut(m) {
+            *dead = false;
+        }
     }
 
     /// Whether ring member `m` is currently crashed.
     pub fn is_dead(&self, m: usize) -> bool {
-        self.dead.contains(&m)
+        self.dead.get(m).copied().unwrap_or(false)
     }
 
     /// Override the sync-round child timeout (defaults to one period).
+    ///
+    /// Every level waits the same `t`, so a node that closes a round *on*
+    /// its timeout answers after its parent's own timeout has fired, and
+    /// the partial is dropped there. A fault-free gather therefore counts
+    /// every member only if a full round trip fits inside the timeout:
+    /// `2 · depth · t_hop < t` (plus the leaf's fetch, one more `2 · t_hop`).
+    /// A deep tree (k = 2 is 16–26 levels at N = 256–4096) at 200 ms per
+    /// hop needs more than the default; `gather.rounds_timeout` counts the
+    /// rounds that closed short.
     pub fn set_child_timeout(&mut self, t: SimTime) {
         self.child_timeout = t;
     }
@@ -340,7 +362,7 @@ where
             Ev::RootTimer => None,
         };
         if let Some(i) = at_node {
-            if self.dead.contains(&self.tree.nodes()[i as usize].host) {
+            if self.dead[self.tree.nodes()[i as usize].host] {
                 // Keep unsync timers parked so a later revive would be easy.
                 if let Ev::NodeTimer(i) = ev {
                     self.queue.schedule_after(self.period, Ev::NodeTimer(i));
@@ -368,8 +390,8 @@ where
                     // host fetches the report from it first: one
                     // request/response round-trip between ring neighbors.
                     let leaf_host = n.host;
-                    let member = self.reporting.get(&node).copied();
-                    let member_dead = member.is_some_and(|m| self.dead.contains(&m));
+                    let member = self.member_reporting_at(node);
+                    let member_dead = member.is_some_and(|m| self.dead[m]);
                     // If either leg of the fetch round-trip is dropped, the
                     // member's report is lost for this round; the leaf still
                     // answers its parent (with nothing) so the round closes.
@@ -418,24 +440,22 @@ where
                     // Forward to every child; remember who has answered so
                     // far this round. Children hosted by the same member
                     // get the message instantly (delay 0).
-                    self.rounds[node as usize].insert(
+                    let seen = self.spare_seen.pop().unwrap_or_default();
+                    self.rounds[node as usize].push(RoundBuf {
                         round,
-                        RoundBuf {
-                            acc: None,
-                            seen: Vec::new(),
-                        },
-                    );
+                        acc: None,
+                        seen,
+                    });
                     let expected = self.live_children(node) as u32;
                     self.tracer.emit(now, || TraceEvent::GatherOpen {
                         node,
                         round,
                         expected,
                     });
-                    let n = &self.tree.nodes()[node as usize];
-                    let children = n.children.clone();
-                    let my_host = n.host;
-                    for c in children {
-                        let ch = self.tree.nodes()[c as usize].host;
+                    let tree = self.tree;
+                    let my_host = tree.nodes()[node as usize].host;
+                    for &c in &tree.nodes()[node as usize].children {
+                        let ch = tree.nodes()[c as usize].host;
                         let d = if ch == my_host {
                             Some(SimTime::ZERO)
                         } else {
@@ -460,7 +480,7 @@ where
             Ev::Timeout { node, round } => {
                 // Fast path: the round usually closed on its last partial
                 // and the entry is gone — the stale timeout is a no-op.
-                let Some(buf) = self.rounds[node as usize].remove(&round) else {
+                let Some(open) = self.open_round(node, round) else {
                     self.metrics.inc("gather.timeouts_suppressed");
                     self.tracer
                         .emit(now, || TraceEvent::GatherTimeoutSuppressed { node, round });
@@ -469,7 +489,7 @@ where
                 // Children that never answered are presumed crashed; send
                 // what we have so the round still completes.
                 self.metrics.inc("gather.rounds_timeout");
-                let received = buf.seen.len() as u32;
+                let received = self.rounds[node as usize][open].seen.len() as u32;
                 let expected = self.live_children(node) as u32;
                 self.tracer.emit(now, || TraceEvent::GatherClose {
                     node,
@@ -478,7 +498,8 @@ where
                     expected,
                     reason: CloseReason::Timeout,
                 });
-                self.emit_to_parent_after(node, round, buf.acc, SimTime::ZERO);
+                let acc = self.close_round(node, open);
+                self.emit_to_parent_after(node, round, acc, SimTime::ZERO);
             }
             Ev::Partial {
                 node,
@@ -487,10 +508,10 @@ where
                 r,
             } => match self.mode {
                 FlowMode::Unsynchronized => {
-                    // Keyed by the sending child so a parent keeps one
+                    // One slot per sending child, so a parent keeps one
                     // latest partial per subtree.
                     if let Some(r) = r {
-                        self.latest[node as usize].insert(from, (now, r));
+                        self.latest[from as usize] = Some((now, r));
                     }
                 }
                 FlowMode::Synchronized => {
@@ -500,9 +521,10 @@ where
                     let expected = self.live_children(node);
                     // The round may already be closed by a timeout; late
                     // partials are then dropped.
-                    let Some(entry) = self.rounds[node as usize].get_mut(&round) else {
+                    let Some(open) = self.open_round(node, round) else {
                         return;
                     };
+                    let entry = &mut self.rounds[node as usize][open];
                     if entry.seen.contains(&from) {
                         self.metrics.inc("gather.partials_deduped");
                         self.tracer
@@ -523,7 +545,6 @@ where
                     // past the target — the round must still close rather
                     // than limp to its timeout.
                     if received >= expected {
-                        let buf = self.rounds[node as usize].remove(&round).unwrap();
                         self.metrics.inc("gather.rounds_completed");
                         self.tracer.emit(now, || TraceEvent::GatherClose {
                             node,
@@ -532,7 +553,8 @@ where
                             expected: expected as u32,
                             reason: CloseReason::Completed,
                         });
-                        self.emit_to_parent_after(node, round, buf.acc, SimTime::ZERO);
+                        let acc = self.close_round(node, open);
+                        self.emit_to_parent_after(node, round, acc, SimTime::ZERO);
                     }
                 }
             },
@@ -546,22 +568,50 @@ where
         // Age out partials from children we have not heard from for three
         // periods — a crashed subtree must not be reported forever.
         let expiry = SimTime::from_micros(self.period.as_micros().saturating_mul(3));
-        self.latest[i as usize].retain(|_, (at, _)| now.saturating_sub(*at) < expiry);
         let mut acc: Option<R> = self.leaf_report(i, now);
-        for (_, (_, r)) in self.latest[i as usize].iter() {
+        // Children are folded in tree order, so the result is a function
+        // of the partials alone (a `Report` may sum floats).
+        for &c in &self.tree.nodes()[i as usize].children {
+            let slot = &mut self.latest[c as usize];
+            let Some((at, r)) = slot else { continue };
+            if now.saturating_sub(*at) >= expiry {
+                *slot = None;
+                continue;
+            }
             match &mut acc {
                 Some(a) => a.merge(r),
-                slot @ None => *slot = Some(r.clone()),
+                None => acc = Some(r.clone()),
             }
         }
         acc
+    }
+
+    /// Position of `round` among the rounds open at `node`, if it still is.
+    fn open_round(&self, node: u32, round: u64) -> Option<usize> {
+        self.rounds[node as usize]
+            .iter()
+            .position(|buf| buf.round == round)
+    }
+
+    /// Close the open round at position `open` of `node`: its accumulated
+    /// partial.
+    fn close_round(&mut self, node: u32, open: usize) -> Option<R> {
+        let mut buf = self.rounds[node as usize].swap_remove(open);
+        buf.seen.clear();
+        self.spare_seen.push(buf.seen);
+        buf.acc
+    }
+
+    /// The member whose canonical leaf is `node`, if any.
+    fn member_reporting_at(&self, node: u32) -> Option<usize> {
+        self.reporting[node as usize].map(|m| m as usize)
     }
 
     /// A leaf's contribution: the hosting member's data if this is the
     /// member's canonical leaf, nothing otherwise (avoids double-counting
     /// members whose zone holds several leaves).
     fn leaf_report(&mut self, leaf: u32, now: SimTime) -> Option<R> {
-        let member = *self.reporting.get(&leaf)?;
+        let member = self.member_reporting_at(leaf)?;
         Some((self.leaf_sample)(member, now))
     }
 

@@ -50,38 +50,56 @@ impl RemapStats {
 /// Compare two tree snapshots (before/after a membership change); hosts are
 /// matched by *member identity* (`HostId`), not ring index, because indices
 /// shift on insert/remove.
+///
+/// Both trees subdivide the same circle by the same rule, so a region that
+/// exists in both sits at the same place in both: the two are walked in
+/// lockstep from their roots, pairing children by region, and whatever one
+/// side subdivides further than the other is `created` or `dropped`. Trees
+/// of different fanouts share no more than the regions their top-down
+/// subdivisions happen to have in common along that walk.
 pub fn remap_stats(
     before: &SomoTree,
     before_ring: &Ring,
     after: &SomoTree,
     after_ring: &Ring,
 ) -> RemapStats {
-    use std::collections::HashMap;
-    let mut old: HashMap<(u128, u128), HostId> = HashMap::new();
-    for n in before.nodes() {
-        old.insert(n.region, before_ring.member(n.host).host);
-    }
     let mut stats = RemapStats {
         total: after.len(),
         ..Default::default()
     };
     let mut survived = 0usize;
-    for n in after.nodes() {
-        match old.get(&n.region) {
-            None => stats.created += 1,
-            Some(&h) => {
-                survived += 1;
-                if h != after_ring.member(n.host).host {
-                    stats.remapped += 1;
+    // `(before, after)` positions of nodes covering the same region.
+    let mut paired: Vec<(u32, u32)> = Vec::new();
+    if before.root().region == after.root().region {
+        paired.push((0, 0));
+    }
+    while let Some((b, a)) = paired.pop() {
+        let (old, new) = (&before.nodes()[b as usize], &after.nodes()[a as usize]);
+        survived += 1;
+        if before_ring.member(old.host).host != after_ring.member(new.host).host {
+            stats.remapped += 1;
+        }
+        // Children tile their parent's region in ascending order on both
+        // sides: one merge pass finds the regions they share.
+        let (mut i, mut j) = (0, 0);
+        while i < old.children.len() && j < new.children.len() {
+            let (cb, ca) = (old.children[i], new.children[j]);
+            let rb = before.nodes()[cb as usize].region;
+            let ra = after.nodes()[ca as usize].region;
+            match rb.cmp(&ra) {
+                std::cmp::Ordering::Equal => {
+                    paired.push((cb, ca));
+                    i += 1;
+                    j += 1;
                 }
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
             }
         }
     }
-    // `survived` counts matches in `after`, and region keys need not be
-    // unique: if the new tree re-subdivides a region into duplicates that
-    // all match one old node, `survived` can exceed `before.len()`.
-    // Saturate instead of underflowing.
-    stats.dropped = before.len().saturating_sub(survived);
+    // Every node is paired at most once, so neither count can underflow.
+    stats.created = after.len() - survived;
+    stats.dropped = before.len() - survived;
     stats
 }
 
@@ -238,12 +256,74 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_region_resubdivision_does_not_underflow_dropped() {
-        // Regression: `dropped` was computed as `before.len() - survived`,
-        // but `survived` counts *after*-side matches — if the new tree holds
-        // duplicate region keys that all match one old node, survived can
-        // exceed before.len() and the subtraction underflowed (panic in
-        // debug, absurd counts in release).
+    fn lockstep_walk_matches_region_keyed_matching() {
+        // The reference: every region of the old tree in a map, every node
+        // of the new tree looked up in it — what `remap_stats` did before
+        // it walked the trees in lockstep.
+        fn by_region(b: &SomoTree, br: &Ring, a: &SomoTree, ar: &Ring) -> RemapStats {
+            let old: std::collections::BTreeMap<(u128, u128), HostId> = b
+                .nodes()
+                .iter()
+                .map(|n| (n.region, br.member(n.host).host))
+                .collect();
+            let mut stats = RemapStats {
+                total: a.len(),
+                ..Default::default()
+            };
+            let mut survived = 0;
+            for n in a.nodes() {
+                match old.get(&n.region) {
+                    None => stats.created += 1,
+                    Some(&h) => {
+                        survived += 1;
+                        if h != ar.member(n.host).host {
+                            stats.remapped += 1;
+                        }
+                    }
+                }
+            }
+            stats.dropped = b.len() - survived;
+            stats
+        }
+        for (n, seed, fanout) in [(64, 31, 2), (200, 32, 4), (512, 33, 8), (300, 34, 16)] {
+            let before_ring = ring(n, seed);
+            let before = SomoTree::build(&before_ring, fanout);
+            // Eight crashes, then five joins on top of them.
+            let mut crashed_ring = before_ring.clone();
+            for k in 0..8 {
+                let victim = crashed_ring.member((k * 37 + 5) % crashed_ring.len()).id;
+                crashed_ring.remove_id(victim).unwrap();
+            }
+            let mut churned_ring = crashed_ring.clone();
+            for k in 0..5u64 {
+                churned_ring.insert(Member {
+                    id: dht::NodeId::hash_of(0x7000 + seed * 16 + k),
+                    host: HostId(10_000 + k as u32),
+                });
+            }
+            for after_ring in [&crashed_ring, &churned_ring] {
+                let after = SomoTree::build(after_ring, fanout);
+                let got = remap_stats(&before, &before_ring, &after, after_ring);
+                let want = by_region(&before, &before_ring, &after, after_ring);
+                assert_eq!(got, want, "n = {n}, fanout = {fanout}");
+                assert!(got.remapped + got.created + got.dropped > 0);
+                // And in the other direction (a join seen as a leave).
+                assert_eq!(
+                    remap_stats(&after, after_ring, &before, &before_ring),
+                    by_region(&after, after_ring, &before, &before_ring),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_regions_are_paired_once_and_dropped_cannot_wrap() {
+        // Regression: `dropped` was once `before.len() - survived` with
+        // `survived` counting *after*-side matches against a region-keyed
+        // map, so new-tree nodes repeating one old region pushed survived
+        // past before.len() and the subtraction underflowed (panic in
+        // debug, absurd counts in release). The lockstep walk pairs each
+        // node at most once: a repeat is a node the old tree did not have.
         use crate::tree::LogicalNode;
         let r = ring(2, 29);
         let mk = |region: (u128, u128), host: usize, parent: Option<u32>| LogicalNode {
@@ -258,14 +338,15 @@ mod tests {
         // Before: a single root covering the whole space.
         let before = SomoTree::from_nodes(2, vec![mk(full, 0, None)]);
         // After: the root plus two children that (degenerately) repeat the
-        // root's region key — three matches against one old node.
+        // root's region.
         let mut root = mk(full, 0, None);
         root.children = vec![1, 2];
         let after = SomoTree::from_nodes(2, vec![root, mk(full, 0, Some(0)), mk(full, 1, Some(0))]);
         let stats = remap_stats(&before, &r, &after, &r);
         assert_eq!(stats.total, 3);
-        assert_eq!(stats.created, 0, "all after-nodes match the old region");
-        assert_eq!(stats.dropped, 0, "dropped must saturate, not wrap");
+        assert_eq!(stats.remapped, 0);
+        assert_eq!(stats.created, 2, "the repeats exist only in the new tree");
+        assert_eq!(stats.dropped, 0, "the old root is still there");
     }
 
     #[test]

@@ -34,6 +34,13 @@ struct Pin {
 }
 
 impl Pin {
+    fn new() -> Pin {
+        Pin {
+            len: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
     fn feed(&mut self, s: &str) {
         self.len += s.len();
         for b in s.bytes() {
@@ -115,10 +122,7 @@ fn cell(
         sim.set_child_timeout(t);
     }
     sim.set_tracer(Tracer::ring(1 << 20));
-    let mut pin = Pin {
-        len: 0,
-        hash: 0xcbf2_9ce4_8422_2325,
-    };
+    let mut pin = Pin::new();
     let mut views_seen = 0;
 
     // The host of a remote root child (an internal node high in the tree),
