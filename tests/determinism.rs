@@ -28,6 +28,9 @@ const PIN_MARKET_K2: (usize, u64) = (11073, 12784749161043698556);
 const PIN_PARALLEL_K1: (usize, u64) = (12766, 3853192810951731182);
 const PIN_PARALLEL_K2: (usize, u64) = (14152, 678227881537743628);
 const PIN_ADMISSION: (usize, u64) = (5982, 9244087032938961521);
+/// The faulted query trajectory (answers, stats and both ledgers), recorded
+/// at commit 6877b76, before the index's layout was rebuilt.
+const PIN_QUERY: (usize, u64) = (20961, 15631252681519849854);
 
 fn build(seed: u64) -> ResourcePool {
     ResourcePool::build(
@@ -618,6 +621,7 @@ fn faulted_query_trajectory_is_bit_identical_across_runs() {
     let a = faulted_query_trajectory(51);
     let b = faulted_query_trajectory(51);
     assert_eq!(a, b);
+    assert_pinned("faulted query", &a, PIN_QUERY);
     // The crash wave actually changed the answers: the post-kill global
     // top-k must not contain any dead host.
     let post_kill = &a.0[2];
