@@ -378,6 +378,9 @@ impl LiveOps {
 
     /// Register a standing threshold query (see
     /// [`query::SubscriptionSet::subscribe`]); returns its id.
+    ///
+    /// # Panics
+    /// If `rank` is not a claim rank (0..=3).
     pub fn subscribe(
         &mut self,
         member: u32,
@@ -389,6 +392,14 @@ impl LiveOps {
     ) -> u64 {
         self.subs
             .subscribe(member, center, radius, rank, min_free, threshold)
+    }
+
+    /// Check every standing query's subscriber against a ring of `members`
+    /// members (see [`query::SubscriptionSet::check_members`]) — the market
+    /// does at attach time, so a bad subscription never reaches a snapshot
+    /// round.
+    pub(crate) fn check_members(&self, members: usize) {
+        self.subs.check_members(members);
     }
 
     /// Absorb everything one handled market event changed: the drained
@@ -578,6 +589,12 @@ pub fn hosts_crossed_up(store: &MarketStore, since: SimTime, bound: SimTime) -> 
 mod tests {
     use super::*;
     use crate::degree_table::Rank;
+
+    #[test]
+    #[should_panic(expected = "subscription rank 4 out of range (0..=3)")]
+    fn a_standing_query_at_a_rank_that_does_not_exist_is_rejected_at_registration() {
+        LiveOps::new(LiveOpsConfig::default()).subscribe(0, [0.0, 0.0], 1e9, 4, 1, 5);
+    }
 
     fn snap_with(tables: Vec<DegreeTable>) -> MarketSnapshot {
         let hosts = tables

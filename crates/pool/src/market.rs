@@ -820,12 +820,16 @@ impl MarketSim {
     ///
     /// # Panics
     /// If the surface's `snapshot_period` is zero: the snapshot round
-    /// would re-arm at the same instant forever.
+    /// would re-arm at the same instant forever. If one of its standing
+    /// queries was registered by a member the pool's ring does not have
+    /// (the message names the subscription): its first evaluation would
+    /// otherwise fail inside the run.
     pub fn attach_liveops(&mut self, lo: LiveOps) -> MarketStoreHandle {
         assert!(
             lo.snapshot_period() > SimTime::ZERO,
             "LiveOpsConfig::snapshot_period must be positive"
         );
+        lo.check_members(self.pool.ring.len());
         let handle = lo.handle();
         self.tracer = Tracer::with_sink(Box::new(runstore::StoreSink::new(handle.clone())));
         self.pool.enable_op_log();
@@ -3120,6 +3124,15 @@ mod tests {
             snapshot_period: SimTime::ZERO,
             ..Default::default()
         });
+        degenerate(|_| {}).attach_liveops(lo);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscription 1: member 300 out of range for a ring of 300 members")]
+    fn liveops_subscription_from_a_stranger_is_rejected_at_attach() {
+        let mut lo = LiveOps::new(crate::liveops::LiveOpsConfig::default());
+        lo.subscribe(299, [0.0, 0.0], 1e9, 3, 1, 5);
+        lo.subscribe(300, [0.0, 0.0], 1e9, 3, 1, 5);
         degenerate(|_| {}).attach_liveops(lo);
     }
 

@@ -95,6 +95,15 @@ proptest! {
         // The answer's freshness promise holds: every returned sample was
         // taken within the index's a-priori staleness bound.
         prop_assert!(ans.freshness.staleness(now) <= ans.freshness.bound);
+
+        // `PlanConfig::query_k = 0` is a config someone can write: it asks
+        // for nothing, so it gets the scan's (empty) answer and no bill.
+        let billed = index.query_traffic();
+        let none = index.top_k(0, rank, min_free, exclude, query::Scope::Global);
+        let got: Vec<(HostId, u32)> = none.hosts.iter().map(|s| (s.host, s.free[rank])).collect();
+        prop_assert_eq!(got, brute_force(&pool, now, 0, rank, min_free, exclude));
+        prop_assert_eq!(none.stats, query::QueryStats::default());
+        prop_assert_eq!(index.query_traffic(), billed);
     }
 
     #[test]

@@ -227,18 +227,24 @@ impl Aggregate {
     /// The aggregate of a single host sample.
     pub fn of_sample(s: &HostSample, bounds: &RegionBounds) -> Aggregate {
         let mut a = Aggregate::empty();
-        a.hosts = 1;
-        for r in 0..4 {
-            a.free[r] = MetricAgg::of(s.free[r]);
-        }
-        a.degree_hist[degree_bucket(s.free[3])] = 1;
-        a.region_hist[bounds.bucket(s.pos)] = 1;
-        a.bw_hist[(s.bw_class as usize).min(BW_CLASSES - 1)] = 1;
-        a.oldest = s.sampled_at;
-        a.capacity = s.capacity as u64;
-        a.queued = s.queued as u64;
-        a.preempted = s.preempted as u64;
+        a.add_sample(s, bounds);
         a
+    }
+
+    /// Fold one host sample in: `merge(&of_sample(s, bounds))` without the
+    /// temporary (the index folds every reporting leaf this way).
+    pub fn add_sample(&mut self, s: &HostSample, bounds: &RegionBounds) {
+        self.hosts += 1;
+        for r in 0..4 {
+            self.free[r].merge(&MetricAgg::of(s.free[r]));
+        }
+        self.degree_hist[degree_bucket(s.free[3])] += 1;
+        self.region_hist[bounds.bucket(s.pos)] += 1;
+        self.bw_hist[(s.bw_class as usize).min(BW_CLASSES - 1)] += 1;
+        self.oldest = self.oldest.min(s.sampled_at);
+        self.capacity = self.capacity.saturating_add(s.capacity as u64);
+        self.queued = self.queued.saturating_add(s.queued as u64);
+        self.preempted = self.preempted.saturating_add(s.preempted as u64);
     }
 
     /// Whether this summarizes nothing.

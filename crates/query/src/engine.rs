@@ -35,7 +35,6 @@
 use netsim::HostId;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
-use somo::Report;
 
 use crate::aggregate::{Aggregate, HostSample};
 use crate::index::QueryIndex;
@@ -172,36 +171,24 @@ impl QueryIndex {
     /// root along the path to its canonical leaf.
     pub fn point(&mut self, host: HostId) -> QueryAnswer {
         let mut stats = QueryStats::default();
-        let request = QueryRequest::Point { host };
         let mut hosts = Vec::new();
         let mut oldest = SimTime::MAX;
-        if let Some(&m) = self.member_of_host.get(&host) {
-            // Walk root → leaf, charging each inter-host hop.
+        if let Some(m) = self.member_of(host) {
+            // Walk root → leaf, charging each inter-host hop: request
+            // down, answer up.
             let leaf = self.leaf_of[m];
-            let hops = self.path_to_root(leaf);
-            stats.nodes_visited = hops.len() as u64;
-            for _ in 0..self.inter_host_edges(leaf, 0) {
-                stats.messages += 2; // request down, answer up
-                stats.bytes += (REQUEST_WIRE_BYTES + HostSample::WIRE_BYTES) as u64;
-            }
+            let hops = self.edges_between(leaf, 0);
+            stats.nodes_visited = u64::from(self.level(leaf)) + 1;
+            stats.messages = 2 * hops;
+            stats.bytes = hops * (REQUEST_WIRE_BYTES + HostSample::WIRE_BYTES) as u64;
             stats.leaves_scanned = 1;
             if let Some(s) = &self.samples[m] {
                 oldest = s.sampled_at;
                 hosts.push(*s);
             }
         }
-        self.query_traffic.messages += stats.messages;
-        self.query_traffic.bytes += stats.bytes;
-        QueryAnswer {
-            request,
-            hosts,
-            summary: self.aggs[0].clone(),
-            freshness: Freshness {
-                oldest,
-                bound: self.freshness_bound(),
-            },
-            stats,
-        }
+        let summary = self.root_aggregate().clone();
+        self.answer(QueryRequest::Point { host }, hosts, summary, oldest, stats)
     }
 
     /// All hosts within `radius` ms of `center` with at least `min_free`
@@ -226,42 +213,39 @@ impl QueryIndex {
         let mut summary = Aggregate::empty();
         let mut stack = vec![0u32];
         while let Some(cur) = stack.pop() {
-            let agg = &self.aggs[cur as usize];
-            if agg.is_empty()
-                || agg.free[rank].max < min_free
-                || !self.region_hist_intersects(agg, center, radius)
-            {
+            // A leaf's aggregate is its one sample's: its maximum is the
+            // sample's free degree, its region histogram the sample's cell.
+            let may_match = match self.cached(cur) {
+                Some(agg) => {
+                    agg.free[rank].max >= min_free
+                        && agg.region_hist.iter().enumerate().any(|(cell, &count)| {
+                            count > 0 && self.cell_intersects(cell, center, radius)
+                        })
+                }
+                None => self.reported(cur).is_some_and(|s| {
+                    s.free[rank] >= min_free
+                        && self.cell_intersects(self.bounds.bucket(s.pos), center, radius)
+                }),
+            };
+            if !may_match {
                 stats.subtrees_pruned += 1;
                 continue;
             }
             stats.nodes_visited += 1;
             self.charge_expansion(cur, 0, &mut stats);
-            if let Some(m) = self.member_of_leaf.get(&cur).copied() {
-                if let Some(s) = self.samples[m] {
-                    stats.leaves_scanned += 1;
-                    if s.free[rank] >= min_free && dist(s.pos, center) <= radius {
-                        summary.merge(&Aggregate::of_sample(&s, &self.bounds));
-                        self.charge_sample_return(cur, 0, &mut stats);
-                        matches.push(s);
-                    }
+            if let Some(s) = self.reported(cur) {
+                stats.leaves_scanned += 1;
+                if s.free[rank] >= min_free && dist(s.pos, center) <= radius {
+                    summary.add_sample(s, &self.bounds);
+                    stats.bytes += self.edges_between(cur, 0) * HostSample::WIRE_BYTES as u64;
+                    matches.push(*s);
                 }
             }
-            stack.extend(self.tree.nodes()[cur as usize].children.iter().copied());
+            stack.extend(self.children(cur));
         }
         matches.sort_by(|a, b| b.free[rank].cmp(&a.free[rank]).then(a.host.cmp(&b.host)));
         let oldest = summary.oldest;
-        self.query_traffic.messages += stats.messages;
-        self.query_traffic.bytes += stats.bytes;
-        QueryAnswer {
-            request,
-            hosts: matches,
-            summary,
-            freshness: Freshness {
-                oldest,
-                bound: self.freshness_bound(),
-            },
-            stats,
-        }
+        self.answer(request, matches, summary, oldest, stats)
     }
 
     /// The `k` qualifying hosts with the most free degree at `rank`.
@@ -270,7 +254,8 @@ impl QueryIndex {
     /// whenever its cached `free[rank].max` is **at least** the current
     /// kth-best match (strictly-worse subtrees are pruned), which makes the
     /// final (free desc, host asc) order exactly equal to a brute-force
-    /// scan of the same samples.
+    /// scan of the same samples. `k = 0` asks for nothing and is answered
+    /// from the scope summary alone: no descent, nothing charged.
     pub fn top_k(
         &mut self,
         k: usize,
@@ -289,107 +274,107 @@ impl QueryIndex {
         };
         let mut stats = QueryStats::default();
         let scope_node = self.scope_node(k, min_free, scope, &mut stats);
-
-        // Best-first expansion ordered by cached subtree max (ties by node
-        // index for determinism).
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
-        heap.push((
-            self.aggs[scope_node as usize].free[rank].max,
-            Reverse(scope_node),
-        ));
-        let mut matches: Vec<HostSample> = Vec::new();
-        // Min-heap of the k best free degrees seen so far; its top is the
-        // pruning threshold once k matches exist.
-        let mut best: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        while let Some((max, Reverse(cur))) = heap.pop() {
-            let threshold = if best.len() >= k {
-                best.peek().map(|Reverse(v)| *v).unwrap_or(0)
-            } else {
-                0
-            };
-            if (max < threshold && best.len() >= k) || max < min_free {
-                stats.subtrees_pruned += 1 + heap.len() as u64;
-                break; // heap is max-ordered: nothing left can qualify
-            }
-            if self.aggs[cur as usize].is_empty() {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            self.charge_expansion(cur, scope_node, &mut stats);
-            if let Some(m) = self.member_of_leaf.get(&cur).copied() {
-                if let Some(s) = self.samples[m] {
-                    stats.leaves_scanned += 1;
-                    if s.free[rank] >= min_free && !exclude.contains(&s.host) {
-                        if best.len() >= k {
-                            best.pop();
-                        }
-                        best.push(Reverse(s.free[rank]));
-                        self.charge_sample_return(cur, scope_node, &mut stats);
-                        matches.push(s);
-                    }
-                }
-            }
-            for &c in &self.tree.nodes()[cur as usize].children {
-                let cmax = self.aggs[c as usize].free[rank].max;
-                heap.push((cmax, Reverse(c)));
-            }
-        }
-        matches.sort_by(|a, b| b.free[rank].cmp(&a.free[rank]).then(a.host.cmp(&b.host)));
-        matches.truncate(k);
-
-        let summary = self.aggs[scope_node as usize].clone();
+        let matches = if k == 0 {
+            Vec::new()
+        } else {
+            self.best_first(k, rank, min_free, exclude, scope_node, &mut stats)
+        };
         // Final hop: the scope node's host returns the answer to the
         // requester (charged only when they differ).
         if let Scope::Nearest { member } = scope {
-            let leaf = self.leaf_of[member as usize];
-            let leaf_host = self.tree.nodes()[leaf as usize].host;
-            if self.tree.nodes()[scope_node as usize].host != leaf_host {
+            if !self.same_host(scope_node, self.leaf_of[member as usize]) {
                 stats.messages += 1;
                 stats.bytes +=
                     (Aggregate::WIRE_BYTES + matches.len() * HostSample::WIRE_BYTES) as u64;
             }
         }
+        let summary = self.aggregate(scope_node);
         let oldest = summary.oldest;
-        self.query_traffic.messages += stats.messages;
-        self.query_traffic.bytes += stats.bytes;
-        QueryAnswer {
-            request,
-            hosts: matches,
-            summary,
-            freshness: Freshness {
-                oldest,
-                bound: self.freshness_bound(),
-            },
-            stats,
+        self.answer(request, matches, summary, oldest, stats)
+    }
+
+    /// The descent behind [`Self::top_k`]: best-first expansion from
+    /// `scope_node`, ordered by subtree maximum (ties by node index for
+    /// determinism). Returns the matches in answer order.
+    fn best_first(
+        &self,
+        k: usize,
+        rank: usize,
+        min_free: u32,
+        exclude: &[HostId],
+        scope_node: u32,
+        stats: &mut QueryStats,
+    ) -> Vec<HostSample> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut exclude = exclude.to_vec();
+        exclude.sort_unstable();
+        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
+        heap.push((self.max_free(scope_node, rank), Reverse(scope_node)));
+        let mut matches: Vec<HostSample> = Vec::new();
+        // Min-heap of the k best free degrees seen so far; its top is the
+        // pruning threshold once k matches exist.
+        let mut best: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+        while let Some((max, Reverse(cur))) = heap.pop() {
+            let threshold = match best.peek() {
+                Some(&Reverse(kth)) if best.len() >= k => kth,
+                _ => 0,
+            };
+            if max < threshold || max < min_free {
+                stats.subtrees_pruned += 1 + heap.len() as u64;
+                break; // heap is max-ordered: nothing left can qualify
+            }
+            if self.is_empty(cur) {
+                stats.subtrees_pruned += 1;
+                continue;
+            }
+            stats.nodes_visited += 1;
+            self.charge_expansion(cur, scope_node, stats);
+            if let Some(s) = self.reported(cur) {
+                stats.leaves_scanned += 1;
+                if s.free[rank] >= min_free && exclude.binary_search(&s.host).is_err() {
+                    if best.len() >= k {
+                        best.pop();
+                    }
+                    best.push(Reverse(s.free[rank]));
+                    // The sample rides the partial answers up to the scope
+                    // node: bytes only, no extra messages.
+                    stats.bytes +=
+                        self.edges_between(cur, scope_node) * HostSample::WIRE_BYTES as u64;
+                    matches.push(*s);
+                }
+            }
+            for c in self.children(cur) {
+                heap.push((self.max_free(c, rank), Reverse(c)));
+            }
         }
+        matches.sort_by(|a, b| b.free[rank].cmp(&a.free[rank]).then(a.host.cmp(&b.host)));
+        matches.truncate(k);
+        matches
     }
 
     /// Resolve a [`Scope`] to the node the descent starts at. `Nearest`
-    /// climbs from the member's canonical leaf until the cached aggregate
+    /// climbs from the member's canonical leaf until the aggregate there
     /// guarantees at least `k` hosts at `min_free.max(1)` free degree (each
     /// upward hop is a charged request).
     fn scope_node(&self, k: usize, min_free: u32, scope: Scope, stats: &mut QueryStats) -> u32 {
-        match scope {
-            Scope::Global => 0,
-            Scope::Nearest { member } => {
-                let need = min_free.max(1);
-                let mut cur = self.leaf_of[member as usize];
-                loop {
-                    if self.aggs[cur as usize].guaranteed_at_least(need) >= k as u64 {
-                        return cur;
-                    }
-                    let node = &self.tree.nodes()[cur as usize];
-                    let Some(p) = node.parent else { return cur };
-                    if self.tree.nodes()[p as usize].host != node.host {
-                        stats.messages += 1;
-                        stats.bytes += REQUEST_WIRE_BYTES as u64;
-                    }
-                    cur = p;
-                }
+        let Scope::Nearest { member } = scope else {
+            return 0;
+        };
+        let need = min_free.max(1);
+        let mut cur = self.leaf_of[member as usize];
+        loop {
+            if self.aggregate(cur).guaranteed_at_least(need) >= k as u64 {
+                return cur;
             }
+            let Some(p) = self.parent(cur) else {
+                return cur;
+            };
+            if self.crosses_hosts(cur) {
+                stats.messages += 1;
+                stats.bytes += REQUEST_WIRE_BYTES as u64;
+            }
+            cur = p;
         }
     }
 
@@ -399,63 +384,43 @@ impl QueryIndex {
     /// cached at the parent (the gather put them there), so deciding *not*
     /// to enter a child is free — only traversed edges cost bytes.
     fn charge_expansion(&self, node: u32, scope: u32, stats: &mut QueryStats) {
-        if node == scope {
-            return; // the descent starts here; no edge was crossed
-        }
-        let Some(p) = self.tree.nodes()[node as usize].parent else {
-            return;
-        };
-        if self.tree.nodes()[p as usize].host != self.tree.nodes()[node as usize].host {
+        // The descent starts at `scope`: no edge was crossed to reach it.
+        if node != scope && self.crosses_hosts(node) {
             stats.messages += 2;
             stats.bytes += (REQUEST_WIRE_BYTES + Aggregate::WIRE_BYTES) as u64;
         }
     }
 
-    /// Charge a matched sample's ride from its leaf up to the scope node
-    /// (it piggybacks on partial answers, so only bytes are charged).
-    fn charge_sample_return(&self, leaf: u32, scope: u32, stats: &mut QueryStats) {
-        stats.bytes += self.inter_host_edges(leaf, scope) * HostSample::WIRE_BYTES as u64;
+    /// Whether one cell of the region grid intersects the query disk — the
+    /// geometric pruning test for range queries.
+    fn cell_intersects(&self, cell: usize, center: [f64; 2], radius: f64) -> bool {
+        let (lo, hi) = self.bounds.bucket_box(cell);
+        let cx = center[0].clamp(lo[0], hi[0]);
+        let cy = center[1].clamp(lo[1], hi[1]);
+        dist([cx, cy], center) <= radius
     }
 
-    /// Nodes on the path from `node` to the root, inclusive.
-    fn path_to_root(&self, node: u32) -> Vec<u32> {
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.tree.nodes()[cur as usize].parent {
-            path.push(p);
-            cur = p;
+    /// Charge the evaluation to the query ledger and stamp the answer.
+    fn answer(
+        &mut self,
+        request: QueryRequest,
+        hosts: Vec<HostSample>,
+        summary: Aggregate,
+        oldest: SimTime,
+        stats: QueryStats,
+    ) -> QueryAnswer {
+        self.query_traffic.messages += stats.messages;
+        self.query_traffic.bytes += stats.bytes;
+        QueryAnswer {
+            request,
+            hosts,
+            summary,
+            freshness: Freshness {
+                oldest,
+                bound: self.freshness_bound(),
+            },
+            stats,
         }
-        path
-    }
-
-    /// Inter-host edges on the path from `node` up to `top` (or to the
-    /// root if `top` is not an ancestor).
-    fn inter_host_edges(&self, node: u32, top: u32) -> u64 {
-        let mut edges = 0;
-        let mut cur = node;
-        while cur != top {
-            let n = &self.tree.nodes()[cur as usize];
-            let Some(p) = n.parent else { break };
-            if self.tree.nodes()[p as usize].host != n.host {
-                edges += 1;
-            }
-            cur = p;
-        }
-        edges
-    }
-
-    /// Whether any occupied region-histogram cell of `agg` intersects the
-    /// query disk — the geometric pruning test for range queries.
-    fn region_hist_intersects(&self, agg: &Aggregate, center: [f64; 2], radius: f64) -> bool {
-        agg.region_hist.iter().enumerate().any(|(b, &count)| {
-            if count == 0 {
-                return false;
-            }
-            let (lo, hi) = self.bounds.bucket_box(b);
-            let cx = center[0].clamp(lo[0], hi[0]);
-            let cy = center[1].clamp(lo[1], hi[1]);
-            dist([cx, cy], center) <= radius
-        })
     }
 }
 
@@ -563,6 +528,30 @@ mod tests {
         for s in &ans.hosts {
             assert!(s.free[3] >= 1);
         }
+    }
+
+    #[test]
+    fn top_k_of_zero_hosts_descends_nowhere_and_charges_nothing() {
+        // `best.len() >= 0` holds from the start, so the descent used to
+        // run until its first match set a threshold: 4 nodes, 6 messages
+        // and 1395 bytes billed for an answer that cannot hold a host.
+        let mut idx = build(300, 21);
+        for scope in [Scope::Global, Scope::Nearest { member: 17 }] {
+            let ans = idx.top_k(0, 2, 1, &[], scope);
+            assert!(ans.hosts.is_empty());
+            assert_eq!(ans.stats, QueryStats::default(), "{scope:?}");
+            assert_eq!(ans.freshness.bound, idx.freshness_bound());
+            assert_eq!(ans.freshness.oldest, ans.summary.oldest);
+        }
+        assert_eq!(idx.query_traffic().messages, 0);
+        assert_eq!(idx.query_traffic().bytes, 0);
+        // The summary is still the scope's: the whole pool from the root,
+        // the requester's own leaf from `Nearest` (k = 0 is guaranteed
+        // anywhere, so the climb never starts).
+        let global = idx.top_k(0, 2, 1, &[], Scope::Global);
+        assert_eq!(&global.summary, idx.root_aggregate());
+        let near = idx.top_k(0, 2, 1, &[], Scope::Nearest { member: 17 });
+        assert_eq!(near.summary, idx.aggregate(idx.leaf_of(17)));
     }
 
     #[test]

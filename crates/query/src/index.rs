@@ -1,12 +1,22 @@
 //! The incrementally-maintained aggregate index over a SOMO tree.
 //!
-//! A [`QueryIndex`] caches one [`Aggregate`] per logical SOMO node: the
-//! summary of every member whose canonical leaf lies in that node's
-//! subtree. Maintenance is incremental — when a member republishes its
-//! [`HostSample`], only the leaf→root path is recomputed (`O(k·log_k N)`
-//! merges, `O(log_k N)` messages on the wire) — exactly the update
-//! discipline §3.2 prescribes for SOMO reports, just with a richer report
-//! type.
+//! A [`QueryIndex`] answers for every logical SOMO node with the
+//! [`Aggregate`] of its subtree: the summary of every member whose
+//! canonical leaf lies below it. Maintenance is incremental — when a member
+//! republishes its [`HostSample`], only the leaf→root path is recomputed
+//! (`O(k·log_k N)` merges, `O(log_k N)` messages on the wire) — exactly the
+//! update discipline §3.2 prescribes for SOMO reports, just with a richer
+//! report type.
+//!
+//! **Layout.** Most logical nodes are leaves and most leaves are empty (at
+//! 2048 members and k = 8: 7 785 nodes, 973 internal, 6 812 leaves of which
+//! 4 764 report nobody), and a leaf's aggregate is a pure function of the
+//! at most one sample it reports. So an [`Aggregate`] is *cached* only at
+//! the internal nodes (and always at the root, which at n = 1 is itself the
+//! reporting leaf); a leaf's is derived from its sample on demand. Of the
+//! [`SomoTree`] the index keeps five words per node — see `Node` — and
+//! drops the rest after [`QueryIndex::build`]. DESIGN.md §10.2 has the
+//! before / after and the arguments the layout rests on.
 //!
 //! The index also carries the metadata needed to turn a cached view into a
 //! *bounded-staleness* answer: the gather period it is refreshed at, from
@@ -14,32 +24,62 @@
 //! `ceil(log_k N)·T` staleness bound (see [`somo::flow`]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use dht::Ring;
+use netsim::HostId;
 use simcore::SimTime;
 use somo::traffic::TrafficLedger;
 use somo::{Report, SomoTree};
 
 use crate::aggregate::{Aggregate, HostSample, RegionBounds};
 
-/// Aggregates cached at every SOMO node, maintained incrementally.
+/// "No such node / member / slot" in the flat arrays. Out of range for
+/// every array it could index, so a `get` doubles as the check.
+const NONE: u32 = u32::MAX;
+
+/// What the index reads of one logical SOMO node, index-aligned with
+/// [`SomoTree::nodes`] (so a parent always precedes its children).
+#[derive(Clone, Copy)]
+struct Node {
+    /// Parent node (`NONE` for the root).
+    parent: u32,
+    /// First of the `fanout` consecutive children (`NONE` for a leaf).
+    first_child: u32,
+    /// Ring member hosting the node.
+    host: u32,
+    /// Ring member reporting through this leaf (`NONE` for an internal
+    /// node or a leaf no member's id falls in).
+    member: u32,
+    /// Slot of the cached aggregate in `QueryIndex::aggs` (`NONE` for a
+    /// leaf other than the root).
+    agg: u32,
+    /// Depth in the tree (root = 0).
+    level: u8,
+    /// Inter-host edges on the path to the root.
+    edges: u8,
+    /// Whether the edge to the parent joins two different hosts — the
+    /// edges that cost a message; same-host hops are free.
+    crosses_hosts: bool,
+}
+
+/// Subtree aggregates over a SOMO tree, maintained incrementally.
 pub struct QueryIndex {
-    pub(crate) tree: SomoTree,
+    fanout: usize,
     pub(crate) bounds: RegionBounds,
-    pub(crate) period: SimTime,
-    /// One cached aggregate per logical node (index-aligned with
-    /// `tree.nodes()`).
-    pub(crate) aggs: Vec<Aggregate>,
+    period: SimTime,
+    nodes: Vec<Node>,
+    /// Cached aggregates, one per internal node (plus the root), in node
+    /// order; `Node::agg` is the slot.
+    aggs: Vec<Aggregate>,
     /// Latest published sample per ring member (`None` = silent/dead).
     pub(crate) samples: Vec<Option<HostSample>>,
     /// Ring member → its canonical reporting leaf.
     pub(crate) leaf_of: Vec<u32>,
-    /// Canonical reporting leaf → ring member.
-    pub(crate) member_of_leaf: HashMap<u32, usize>,
     /// Host label → ring member index (for point lookups).
-    pub(crate) member_of_host: HashMap<netsim::HostId, usize>,
+    member_of_host: HashMap<HostId, u32>,
     /// Upward maintenance traffic (full builds + incremental updates).
-    pub(crate) maintenance: TrafficLedger,
+    maintenance: TrafficLedger,
     /// Downward query traffic (descents + answers).
     pub(crate) query_traffic: TrafficLedger,
 }
@@ -47,8 +87,9 @@ pub struct QueryIndex {
 impl QueryIndex {
     /// Build the index over the current ring membership. `sample(m)`
     /// produces member `m`'s current published sample (`None` for a member
-    /// that has not reported / is down). `period` is the reporting interval
-    /// the samples are refreshed at — the `T` of the staleness bound.
+    /// that has not reported / is down); a host label is published by at
+    /// most one member. `period` is the reporting interval the samples are
+    /// refreshed at — the `T` of the staleness bound.
     pub fn build(
         ring: &Ring,
         fanout: usize,
@@ -57,29 +98,65 @@ impl QueryIndex {
         mut sample: impl FnMut(usize) -> Option<HostSample>,
     ) -> QueryIndex {
         let tree = SomoTree::build(ring, fanout);
+        let mut nodes: Vec<Node> = Vec::with_capacity(tree.len());
+        let mut cached = 0u32;
+        for (i, n) in tree.nodes().iter().enumerate() {
+            let (parent, edges, crosses_hosts) = match n.parent {
+                None => (NONE, 0, false),
+                Some(p) => {
+                    let crosses = tree.nodes()[p as usize].host != n.host;
+                    (p, nodes[p as usize].edges + u8::from(crosses), crosses)
+                }
+            };
+            let first_child = n.children.first().copied().unwrap_or(NONE);
+            assert!(
+                n.is_leaf()
+                    || n.children
+                        .iter()
+                        .copied()
+                        .eq(first_child..first_child + fanout as u32),
+                "SomoTree::build pushes a node's {fanout} children consecutively"
+            );
+            let agg = if i == 0 || !n.is_leaf() {
+                cached += 1;
+                cached - 1
+            } else {
+                NONE
+            };
+            nodes.push(Node {
+                parent,
+                first_child,
+                host: n.host as u32,
+                member: NONE,
+                agg,
+                // 64-bit ids split at least in two per level: at most 64.
+                level: u8::try_from(n.level).expect("a SOMO tree is at most 64 levels deep"),
+                edges,
+                crosses_hosts,
+            });
+        }
         let mut leaf_of = Vec::with_capacity(ring.len());
-        let mut member_of_leaf = HashMap::new();
         for m in 0..ring.len() {
             let leaf = tree.canonical_leaf_of(ring.member(m).id);
             leaf_of.push(leaf);
-            let prev = member_of_leaf.insert(leaf, m);
-            debug_assert!(prev.is_none(), "two members share a canonical leaf");
+            let prev = std::mem::replace(&mut nodes[leaf as usize].member, m as u32);
+            debug_assert!(prev == NONE, "two members share a canonical leaf");
         }
         let samples: Vec<Option<HostSample>> = (0..ring.len()).map(&mut sample).collect();
         let mut member_of_host = HashMap::new();
         for (m, s) in samples.iter().enumerate() {
             if let Some(s) = s {
-                member_of_host.insert(s.host, m);
+                member_of_host.insert(s.host, m as u32);
             }
         }
         let mut idx = QueryIndex {
-            aggs: vec![Aggregate::empty(); tree.len()],
-            tree,
+            fanout,
             bounds,
             period,
+            nodes,
+            aggs: vec![Aggregate::empty(); cached as usize],
             samples,
             leaf_of,
-            member_of_leaf,
             member_of_host,
             maintenance: TrafficLedger::default(),
             query_traffic: TrafficLedger::default(),
@@ -92,20 +169,17 @@ impl QueryIndex {
     /// gather round of maintenance traffic (each inter-host tree edge ships
     /// one fixed-size aggregate).
     pub fn rebuild_all(&mut self) {
-        let n = self.tree.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.tree.nodes()[i as usize].level));
-        for &i in &order {
-            self.recompute_node(i);
-        }
-        // Traffic: every non-root node with a non-empty subtree pushes its
-        // aggregate to its parent; same-host hops are free (GatherSim's
-        // convention).
-        for (i, node) in self.tree.nodes().iter().enumerate() {
-            if let Some(p) = node.parent {
-                if !self.aggs[i].is_empty() && self.tree.nodes()[p as usize].host != node.host {
-                    self.maintenance.record(Aggregate::WIRE_BYTES);
-                }
+        // A parent precedes its children in node order, so in reverse order
+        // every child is final before its parent gathers it.
+        for i in (0..self.nodes.len() as u32).rev() {
+            if self.nodes[i as usize].agg != NONE {
+                self.recompute(i);
+            }
+            // Traffic: every non-root node with a non-empty subtree pushes
+            // its aggregate to its parent; same-host hops are free
+            // (GatherSim's convention).
+            if self.crosses_hosts(i) && !self.is_empty(i) {
+                self.maintenance.record(Aggregate::WIRE_BYTES);
             }
         }
     }
@@ -117,13 +191,7 @@ impl QueryIndex {
     /// [`Self::update_member`] instead).
     pub fn refresh(&mut self, mut sample: impl FnMut(usize) -> Option<HostSample>) {
         for m in 0..self.samples.len() {
-            let s = sample(m);
-            if let Some(s) = &s {
-                self.member_of_host.insert(s.host, m);
-            } else if let Some(old) = &self.samples[m] {
-                self.member_of_host.remove(&old.host);
-            }
-            self.samples[m] = s;
+            self.publish(m, sample(m));
         }
         self.rebuild_all();
     }
@@ -133,44 +201,106 @@ impl QueryIndex {
     /// on crash). `O(k·log_k N)` merges; one aggregate crosses each
     /// inter-host edge of the path.
     pub fn update_member(&mut self, m: usize, sample: Option<HostSample>) {
-        if let Some(s) = &sample {
-            self.member_of_host.insert(s.host, m);
-        } else if let Some(old) = &self.samples[m] {
-            self.member_of_host.remove(&old.host);
+        self.publish(m, sample);
+        let leaf = self.leaf_of[m];
+        let mut cur = leaf;
+        while cur != NONE {
+            if self.nodes[cur as usize].agg != NONE {
+                self.recompute(cur);
+            }
+            cur = self.nodes[cur as usize].parent;
+        }
+        let edges = self.edges_between(leaf, 0);
+        self.maintenance.messages += edges;
+        self.maintenance.bytes += edges * Aggregate::WIRE_BYTES as u64;
+    }
+
+    /// Store member `m`'s new sample, keeping the host-label map in step.
+    /// A member that republishes under the label it already holds — every
+    /// member, every round, in steady state — hashes nothing.
+    fn publish(&mut self, m: usize, sample: Option<HostSample>) {
+        let old = self.samples[m].map(|s| s.host);
+        let new = sample.map(|s| s.host);
+        if old != new {
+            if let Some(h) = new {
+                self.member_of_host.insert(h, m as u32);
+            } else if let Some(h) = old {
+                self.member_of_host.remove(&h);
+            }
         }
         self.samples[m] = sample;
-        let mut cur = self.leaf_of[m];
-        loop {
-            self.recompute_node(cur);
-            let node = &self.tree.nodes()[cur as usize];
-            let Some(p) = node.parent else { break };
-            if self.tree.nodes()[p as usize].host != node.host {
-                self.maintenance.record(Aggregate::WIRE_BYTES);
-            }
-            cur = p;
-        }
     }
 
-    /// Recompute one node's aggregate from its (already current) children
-    /// plus its own canonical member's sample if it is a reporting leaf.
-    fn recompute_node(&mut self, i: u32) {
+    /// Recompute one cached aggregate from the node's (already current)
+    /// children, plus its own member's sample where the root is itself the
+    /// reporting leaf. Leaf children fold their sample straight in.
+    fn recompute(&mut self, i: u32) {
         let mut acc = Aggregate::empty();
-        if let Some(&m) = self.member_of_leaf.get(&i) {
-            if let Some(s) = &self.samples[m] {
-                acc.merge(&Aggregate::of_sample(s, &self.bounds));
+        if let Some(s) = self.reported(i) {
+            acc.add_sample(s, &self.bounds);
+        }
+        for c in self.children(i) {
+            if let Some(child) = self.cached(c) {
+                acc.merge(child);
+            } else if let Some(s) = self.reported(c) {
+                acc.add_sample(s, &self.bounds);
             }
         }
-        let children = self.tree.nodes()[i as usize].children.clone();
-        for c in children {
-            let child = self.aggs[c as usize].clone();
-            acc.merge(&child);
-        }
-        self.aggs[i as usize] = acc;
+        let slot = self.nodes[i as usize].agg;
+        self.aggs[slot as usize] = acc;
     }
 
-    /// The underlying SOMO tree snapshot.
-    pub fn tree(&self) -> &SomoTree {
-        &self.tree
+    /// The sample published through `node`, if it is a reporting leaf whose
+    /// member is not silent.
+    pub(crate) fn reported(&self, node: u32) -> Option<&HostSample> {
+        let member = self.nodes[node as usize].member;
+        self.samples.get(member as usize)?.as_ref()
+    }
+
+    /// The cached aggregate of an internal node (or the root); `None` for
+    /// any other leaf.
+    pub(crate) fn cached(&self, node: u32) -> Option<&Aggregate> {
+        self.aggs.get(self.nodes[node as usize].agg as usize)
+    }
+
+    /// Whether no member reports below `node`.
+    pub(crate) fn is_empty(&self, node: u32) -> bool {
+        match self.cached(node) {
+            Some(agg) => agg.is_empty(),
+            None => self.reported(node).is_none(),
+        }
+    }
+
+    /// The largest free degree at `rank` below `node` (0 when empty).
+    pub(crate) fn max_free(&self, node: u32, rank: usize) -> u32 {
+        match self.cached(node) {
+            Some(agg) => agg.free[rank].max,
+            None => self.reported(node).map_or(0, |s| s.free[rank]),
+        }
+    }
+
+    /// Whether the edge from `node` to its parent joins two different hosts
+    /// (`false` for the root): the edges that cost a message.
+    pub(crate) fn crosses_hosts(&self, node: u32) -> bool {
+        self.nodes[node as usize].crosses_hosts
+    }
+
+    /// Whether two logical nodes are hosted by the same ring member.
+    pub(crate) fn same_host(&self, a: u32, b: u32) -> bool {
+        self.nodes[a as usize].host == self.nodes[b as usize].host
+    }
+
+    /// Depth of `node` in the tree (root = 0).
+    pub(crate) fn level(&self, node: u32) -> u32 {
+        u32::from(self.nodes[node as usize].level)
+    }
+
+    /// Inter-host edges on the path from `node` up to its ancestor `top` —
+    /// what a payload riding between the two is charged for. The one place
+    /// that knows: maintenance, sample returns, point lookups and
+    /// subscription deltas all charge through it.
+    pub(crate) fn edges_between(&self, node: u32, top: u32) -> u64 {
+        u64::from(self.nodes[node as usize].edges - self.nodes[top as usize].edges)
     }
 
     /// The region grid the histograms are drawn over.
@@ -178,9 +308,44 @@ impl QueryIndex {
         &self.bounds
     }
 
-    /// The cached aggregate of one logical node's subtree.
-    pub fn aggregate(&self, node: u32) -> &Aggregate {
-        &self.aggs[node as usize]
+    /// Number of logical nodes in the SOMO tree the index was built over.
+    // An index is built over a non-empty ring: there is no empty one to ask
+    // `is_empty` of.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Maximum depth of the tree (root = 0).
+    pub fn depth(&self) -> u32 {
+        (0..self.len() as u32)
+            .map(|i| self.level(i))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The parent of a logical node (`None` for the root, node 0).
+    pub fn parent(&self, node: u32) -> Option<u32> {
+        Some(self.nodes[node as usize].parent).filter(|&p| p != NONE)
+    }
+
+    /// The children of a logical node (empty for a leaf).
+    pub fn children(&self, node: u32) -> Range<u32> {
+        match self.nodes[node as usize].first_child {
+            NONE => 0..0,
+            first => first..first + self.fanout as u32,
+        }
+    }
+
+    /// The aggregate of one logical node's subtree: the cached one for an
+    /// internal node, derived from the reported sample for a leaf.
+    pub fn aggregate(&self, node: u32) -> Aggregate {
+        match self.cached(node) {
+            Some(agg) => agg.clone(),
+            None => self
+                .reported(node)
+                .map_or_else(Aggregate::empty, |s| Aggregate::of_sample(s, &self.bounds)),
+        }
     }
 
     /// The whole-pool aggregate (cached at the root).
@@ -205,14 +370,16 @@ impl QueryIndex {
 
     /// The reporting member behind a leaf, if any.
     pub fn member_of_leaf(&self, leaf: u32) -> Option<usize> {
-        self.member_of_leaf.get(&leaf).copied()
+        Some(self.nodes[leaf as usize].member)
+            .filter(|&m| m != NONE)
+            .map(|m| m as usize)
     }
 
     /// The ring member currently publishing as host `h`, if any — the hook
     /// a task manager uses to anchor a [`crate::Scope::Nearest`] descent at
     /// its own position in the tree.
-    pub fn member_of(&self, h: netsim::HostId) -> Option<usize> {
-        self.member_of_host.get(&h).copied()
+    pub fn member_of(&self, h: HostId) -> Option<usize> {
+        self.member_of_host.get(&h).map(|&m| m as usize)
     }
 
     /// The reporting period the index is refreshed at.
@@ -224,7 +391,7 @@ impl QueryIndex {
     /// the paper's unsynchronized gather bound `ceil(log_k N)·T` — cached
     /// data can lag a member's truth by at most one report per level.
     pub fn freshness_bound(&self) -> SimTime {
-        somo::flow::unsync_staleness_bound(self.samples.len(), self.tree.fanout(), self.period)
+        somo::flow::unsync_staleness_bound(self.samples.len(), self.fanout, self.period)
     }
 
     /// Upward maintenance traffic accounted so far.
@@ -241,12 +408,26 @@ impl QueryIndex {
     pub fn reset_query_traffic(&mut self) {
         self.query_traffic = TrafficLedger::default();
     }
+
+    /// Bytes resident in the index's backing storage: the per-node words,
+    /// the cached aggregates, the samples and the two member maps.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // hashbrown keeps `capacity · 8/7` buckets of one entry and one
+        // control byte each, plus one trailing control group.
+        let map_buckets = self.member_of_host.capacity() * 8 / 7;
+        self.nodes.capacity() * size_of::<Node>()
+            + self.aggs.capacity() * size_of::<Aggregate>()
+            + self.samples.capacity() * size_of::<Option<HostSample>>()
+            + self.leaf_of.capacity() * size_of::<u32>()
+            + map_buckets * (size_of::<(HostId, u32)>() + 1)
+            + 16
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::HostId;
 
     fn sample(m: usize, free3: u32) -> HostSample {
         HostSample {
@@ -285,10 +466,42 @@ mod tests {
     }
 
     #[test]
+    fn flat_arrays_mirror_the_somo_tree() {
+        let (ring, idx) = build(150, 16);
+        let tree = SomoTree::build(&ring, 4);
+        assert_eq!(idx.len(), tree.len());
+        assert_eq!(idx.depth(), tree.depth());
+        for (i, n) in tree.nodes().iter().enumerate() {
+            let i = i as u32;
+            assert_eq!(idx.parent(i), n.parent);
+            assert!(idx.children(i).eq(n.children.iter().copied()));
+            assert_eq!(idx.level(i), n.level);
+            // The edge count is the parent walk it replaces.
+            let (mut cur, mut edges) = (n, 0);
+            while let Some(p) = cur.parent {
+                let up = &tree.nodes()[p as usize];
+                edges += u64::from(up.host != cur.host);
+                cur = up;
+            }
+            assert_eq!(idx.edges_between(i, 0), edges, "node {i}");
+            // Cached exactly at the internal nodes and the root.
+            assert_eq!(idx.cached(i).is_some(), i == 0 || !n.is_leaf());
+        }
+        for m in 0..ring.len() {
+            assert_eq!(
+                idx.leaf_of(m),
+                tree.canonical_leaf_of(ring.member(m).id),
+                "member {m}"
+            );
+            assert_eq!(idx.member_of_leaf(idx.leaf_of(m)), Some(m));
+        }
+    }
+
+    #[test]
     fn every_node_aggregate_equals_subtree_brute_force() {
         let (_ring, idx) = build(64, 12);
         // For each node, fold the canonical samples of its subtree by hand.
-        for i in 0..idx.tree().len() as u32 {
+        for i in 0..idx.len() as u32 {
             let mut want = Aggregate::empty();
             let mut stack = vec![i];
             while let Some(cur) = stack.pop() {
@@ -297,9 +510,9 @@ mod tests {
                         want.merge(&Aggregate::of_sample(s, idx.bounds()));
                     }
                 }
-                stack.extend(idx.tree().nodes()[cur as usize].children.iter().copied());
+                stack.extend(idx.children(cur));
             }
-            assert_eq!(idx.aggregate(i), &want, "node {i} cache diverged");
+            assert_eq!(idx.aggregate(i), want, "node {i} diverged");
         }
     }
 
@@ -313,15 +526,35 @@ mod tests {
             idx.update_member(m, Some(s));
         }
         idx.update_member(5, None); // member 5 goes silent
-        let incremental: Vec<Aggregate> = (0..idx.tree().len() as u32)
-            .map(|i| idx.aggregate(i).clone())
-            .collect();
+        let incremental: Vec<Aggregate> = (0..idx.len() as u32).map(|i| idx.aggregate(i)).collect();
         // ...then recompute everything from scratch and compare.
         idx.rebuild_all();
         for (i, want) in incremental.iter().enumerate() {
-            assert_eq!(idx.aggregate(i as u32), want, "node {i}");
+            assert_eq!(&idx.aggregate(i as u32), want, "node {i}");
         }
         assert_eq!(idx.root_aggregate().hosts, 79);
+    }
+
+    #[test]
+    fn a_single_member_ring_caches_its_reporting_root() {
+        let ring = Ring::with_random_ids([HostId(7)], 3);
+        let mut idx = QueryIndex::build(
+            &ring,
+            8,
+            SimTime::from_secs(5),
+            RegionBounds::default(),
+            |m| Some(sample(m, 2)),
+        );
+        assert_eq!((idx.len(), idx.depth()), (1, 0));
+        assert_eq!(idx.member_of_leaf(0), Some(0));
+        assert_eq!(idx.root_aggregate().hosts, 1);
+        assert_eq!(idx.aggregate(0), *idx.root_aggregate());
+        idx.update_member(0, None);
+        assert!(idx.root_aggregate().is_empty());
+        idx.refresh(|m| Some(sample(m, 5)));
+        assert_eq!(idx.root_aggregate().free[3].max, 5);
+        // No edge anywhere: nothing was ever shipped.
+        assert_eq!(idx.maintenance_traffic(), TrafficLedger::default());
     }
 
     #[test]
@@ -331,11 +564,21 @@ mod tests {
         idx.update_member(100, Some(sample(100, 7)));
         let delta = idx.maintenance_traffic().messages - before.messages;
         // The path to the root is at most depth hops.
-        assert!(
-            delta <= idx.tree().depth() as u64 + 1,
-            "update cost {delta}"
-        );
+        assert!(delta <= idx.depth() as u64 + 1, "update cost {delta}");
         assert!(delta >= 1, "update shipped nothing");
+    }
+
+    #[test]
+    fn republishing_keeps_the_host_label_map_in_step() {
+        let (_ring, mut idx) = build(40, 17);
+        assert_eq!(idx.member_of(HostId(9)), Some(9));
+        idx.update_member(9, None);
+        assert_eq!(idx.member_of(HostId(9)), None);
+        idx.refresh(|m| (m % 2 == 1).then(|| sample(m, 3)));
+        assert_eq!(idx.member_of(HostId(9)), Some(9));
+        assert_eq!(idx.member_of(HostId(8)), None);
+        idx.refresh(|m| Some(sample(m, 1)));
+        assert!((0..40).all(|m| idx.member_of(HostId(m as u32)) == Some(m)));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   count/sum/min/max of free degree plus fixed-bucket histograms over
 //!   free degree, coordinate region and bandwidth class, constant-size
 //!   under merge (proptest-checked commutative/associative);
-//! * [`index`] — a [`QueryIndex`] caching one aggregate per SOMO node,
-//!   maintained incrementally in `O(log_k N)` messages per member update;
+//! * [`index`] — a [`QueryIndex`] caching one aggregate per internal SOMO
+//!   node (a leaf's derives from the one sample it reports), maintained
+//!   incrementally in `O(log_k N)` messages per member update;
 //! * [`engine`] — point, range and **top-k idle-helper** queries that
 //!   descend the tree pruning subtrees via the cached aggregates, each
 //!   answer carrying an explicit [`Freshness`] bound derived from

@@ -9,8 +9,7 @@
 //! to below it, or back), so steady state costs zero extra wire bytes: the
 //! deltas that do fire piggyback on the newscast dissemination already
 //! flowing root→leaf each period (see [`somo::newscast`]), and
-//! `SubscriptionSet::account_dissemination` charges exactly that
-//! incremental cost.
+//! [`SubscriptionSet::evaluate`] charges exactly that incremental cost.
 //!
 //! This is the query-layer rendering of the paper's "news broadcast"
 //! discipline: the tree already visits every member each cycle, so a delta
@@ -127,6 +126,10 @@ impl SubscriptionSet {
     }
 
     /// Register a standing query; returns its id.
+    ///
+    /// # Panics
+    /// If `rank` is not a claim rank (0..=3): the query would otherwise
+    /// fail at its first evaluation, inside whatever run drives the set.
     #[allow(clippy::too_many_arguments)]
     pub fn subscribe(
         &mut self,
@@ -137,6 +140,7 @@ impl SubscriptionSet {
         min_free: u32,
         threshold: u64,
     ) -> u64 {
+        assert!(rank < 4, "subscription rank {rank} out of range (0..=3)");
         let id = self.next_id;
         self.next_id += 1;
         self.subs.push(Subscription {
@@ -165,51 +169,59 @@ impl SubscriptionSet {
         &self.subs
     }
 
+    /// Check that every subscriber is a member of a ring of `members`
+    /// members — what [`Self::evaluate`] demands of the index it is given.
+    ///
+    /// # Panics
+    /// If a subscription's `member` is out of range, naming the
+    /// subscription.
+    pub fn check_members(&self, members: usize) {
+        for sub in &self.subs {
+            assert!(
+                (sub.member as usize) < members,
+                "subscription {}: member {} out of range for a ring of {members} members",
+                sub.id,
+                sub.member
+            );
+        }
+    }
+
     /// Evaluate every subscription against the index's current aggregates
     /// and emit deltas for the predicates that *crossed* their threshold
     /// since the last evaluation (first evaluation emits only alarms, so a
     /// healthy pool starts silent).
+    ///
+    /// # Panics
+    /// Per [`Self::check_members`], before any query runs.
     pub fn evaluate(&mut self, index: &mut QueryIndex, now: SimTime) -> Vec<ThresholdDelta> {
+        self.check_members(index.members());
         let mut deltas = Vec::new();
-        for i in 0..self.subs.len() {
-            let sub = self.subs[i].clone();
+        for (sub, state) in self.subs.iter().zip(&mut self.state) {
             let ans = index.range(sub.center, sub.radius, sub.rank as usize, sub.min_free);
             let count = ans.hosts.len() as u64;
             let below = count < sub.threshold;
-            let fire = match self.state[i] {
+            let fire = match *state {
                 None => below, // initial alarm only
                 Some(prev) => prev != below,
             };
-            self.state[i] = Some(below);
+            *state = Some(below);
             if fire {
-                let d = ThresholdDelta {
+                // The delta piggybacks on the newscast dissemination path:
+                // its marginal payload bytes across the inter-host edges
+                // from the root down to the subscriber's canonical leaf. No
+                // extra messages — the publication is flowing anyway.
+                let leaf = index.leaf_of(sub.member as usize);
+                self.traffic.bytes +=
+                    index.edges_between(leaf, 0) * ThresholdDelta::WIRE_BYTES as u64;
+                deltas.push(ThresholdDelta {
                     sub: sub.id,
                     at: now,
                     below,
                     count,
-                };
-                self.account_dissemination(index, sub.member, &d);
-                deltas.push(d);
+                });
             }
         }
         deltas
-    }
-
-    /// Charge a delta's piggyback ride on the newscast dissemination path:
-    /// the marginal payload bytes across the inter-host edges from the root
-    /// down to the subscriber's canonical leaf. No extra messages — the
-    /// publication is flowing anyway.
-    fn account_dissemination(&mut self, index: &QueryIndex, member: u32, _d: &ThresholdDelta) {
-        let leaf = index.leaf_of(member as usize);
-        let mut cur = leaf;
-        let mut edges = 0u64;
-        while let Some(p) = index.tree().nodes()[cur as usize].parent {
-            if index.tree().nodes()[p as usize].host != index.tree().nodes()[cur as usize].host {
-                edges += 1;
-            }
-            cur = p;
-        }
-        self.traffic.bytes += edges * ThresholdDelta::WIRE_BYTES as u64;
     }
 
     /// Incremental dissemination traffic charged so far.
@@ -331,6 +343,31 @@ mod tests {
         let t = subs.traffic().bytes;
         subs.evaluate(&mut idx, SimTime::from_secs(10));
         assert_eq!(subs.traffic().bytes, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscription rank 4 out of range (0..=3)")]
+    fn a_rank_that_does_not_exist_is_rejected_at_registration() {
+        SubscriptionSet::new().subscribe(0, [0.0, 0.0], 100.0, 4, 1, 50);
+    }
+
+    #[test]
+    fn a_subscriber_outside_the_ring_is_refused_before_any_query_runs() {
+        let mut idx = build(60);
+        let mut subs = SubscriptionSet::new();
+        subs.subscribe(3, [0.0, 0.0], 100.0, 3, 1, 200);
+        subs.subscribe(60, [0.0, 0.0], 100.0, 3, 1, 200);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            subs.evaluate(&mut idx, SimTime::from_secs(5))
+        }))
+        .expect_err("member 60 of 60 is out of range");
+        assert_eq!(
+            refused.downcast_ref::<String>().map(String::as_str),
+            Some("subscription 1: member 60 out of range for a ring of 60 members")
+        );
+        // The well-formed first subscription was not evaluated either.
+        assert_eq!(idx.query_traffic(), TrafficLedger::default());
+        assert_eq!(subs.traffic(), TrafficLedger::default());
     }
 
     #[test]

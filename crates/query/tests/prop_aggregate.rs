@@ -111,6 +111,13 @@ proptest! {
         prop_assert_eq!(&grouped, &flat);
         let rev: Vec<HostSample> = xs.iter().rev().copied().collect();
         prop_assert_eq!(&agg_of(&rev), &flat);
+        // Folding the samples straight in, with no per-sample aggregate in
+        // between (what the index does with its leaves), is the same fold.
+        let mut direct = Aggregate::empty();
+        for s in &xs {
+            direct.add_sample(s, &RegionBounds::default());
+        }
+        prop_assert_eq!(&direct, &flat);
     }
 
     #[test]
