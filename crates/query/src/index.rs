@@ -14,9 +14,9 @@
 //! at most one sample it reports. So an [`Aggregate`] is *cached* only at
 //! the internal nodes (and always at the root, which at n = 1 is itself the
 //! reporting leaf); a leaf's is derived from its sample on demand. Of the
-//! [`SomoTree`] the index keeps five words per node — see `Node` — and
-//! drops the rest after [`QueryIndex::build`]. DESIGN.md §10.2 has the
-//! before / after and the arguments the layout rests on.
+//! [`SomoTree`] the index keeps 24 bytes per node — see `Node` — and drops
+//! the rest after [`QueryIndex::build`]. DESIGN.md §10.2 has the before /
+//! after and the arguments the layout rests on.
 //!
 //! The index also carries the metadata needed to turn a cached view into a
 //! *bounded-staleness* answer: the gather period it is refreshed at, from
@@ -326,7 +326,8 @@ impl QueryIndex {
 
     /// The parent of a logical node (`None` for the root, node 0).
     pub fn parent(&self, node: u32) -> Option<u32> {
-        Some(self.nodes[node as usize].parent).filter(|&p| p != NONE)
+        let parent = self.nodes[node as usize].parent;
+        (parent != NONE).then_some(parent)
     }
 
     /// The children of a logical node (empty for a leaf).
@@ -370,9 +371,8 @@ impl QueryIndex {
 
     /// The reporting member behind a leaf, if any.
     pub fn member_of_leaf(&self, leaf: u32) -> Option<usize> {
-        Some(self.nodes[leaf as usize].member)
-            .filter(|&m| m != NONE)
-            .map(|m| m as usize)
+        let member = self.nodes[leaf as usize].member;
+        (member != NONE).then_some(member as usize)
     }
 
     /// The ring member currently publishing as host `h`, if any — the hook

@@ -211,7 +211,8 @@ fn cell(n: u32, fanout: usize) -> (usize, u64) {
     );
 
     // Five point updates, two of them withdrawals.
-    for (j, m) in (0..5).map(|j| (j, j * ring.len() / 5)) {
+    for j in 0..5 {
+        let m = j * ring.len() / 5;
         let update = (j % 2 == 0).then(|| {
             let mut s = sample(host_of(m), 1);
             s.free = [1003, 1002, 1001, 1000];
