@@ -8,10 +8,10 @@
 //! update discipline §3.2 prescribes for SOMO reports, just with a richer
 //! report type.
 //!
-//! **Layout.** Most logical nodes are leaves and most leaves are empty (at
-//! 2048 members and k = 8: 7 785 nodes, 973 internal, 6 812 leaves of which
-//! 4 764 report nobody), and a leaf's aggregate is a pure function of the
-//! at most one sample it reports. So an [`Aggregate`] is *cached* only at
+//! **Layout.** Most logical nodes are leaves and most leaves are empty (a
+//! ring of 2048 random ids at k = 8 has ≈ 7 700 nodes: ≈ 960 internal and
+//! ≈ 6 700 leaves, of which ≈ 4 700 report nobody), and a leaf's aggregate
+//! is a pure function of the at most one sample it reports. So an [`Aggregate`] is *cached* only at
 //! the internal nodes (and always at the root, which at n = 1 is itself the
 //! reporting leaf); a leaf's is derived from its sample on demand. Of the
 //! [`SomoTree`] the index keeps 24 bytes per node — see `Node` — and drops
