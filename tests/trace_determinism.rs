@@ -27,6 +27,10 @@ const PIN_MARKET_K1: (u64, u64) = (601, 12810628481288405967);
 const PIN_MARKET_K2: (u64, u64) = (758, 44761309776641770);
 const PIN_ADMISSION: (u64, u64) = (950, 5193438548936708349);
 const PIN_QUERY_TIERED: (u64, u64) = (777, 11118931471538173744);
+/// The phase-locked tiered snapshot-view market at `plan_threads = 1`
+/// (k = 1 and k = 2), recorded at commit 0482ff2.
+const PIN_PHASE_LOCKED_K1: (u64, u64) = (1242, 9421592194088227880);
+const PIN_PHASE_LOCKED_K2: (u64, u64) = (1584, 750378349310401424);
 
 /// A faulted market run with the tracer attached: helper and root crashes,
 /// leases, failover, crash repair — every market event family fires.
@@ -127,7 +131,7 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
 /// and replans stay phase-locked), snapshot view so speculative plans
 /// carry finite conflict scopes, tiered oracle so the per-plan
 /// `OracleTiers` snapshots are part of the contract too.
-fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> (String, u64) {
+fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> ((String, u64), u64) {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -162,7 +166,10 @@ fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> (St
     let mut sim = MarketSim::new(pool, cfg, seed);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (out, _) = sim.run_full();
-    (to_json_lines(&out.trace), out.speculative_commits)
+    (
+        (to_json_lines(&out.trace), out.trace.len() as u64),
+        out.speculative_commits,
+    )
 }
 
 #[test]
@@ -170,9 +177,11 @@ fn parallel_market_traces_are_bit_identical_across_thread_counts() {
     // The observability contract extends to the parallel planner: every
     // trace byte — per-plan relaxation and latency-call counts included —
     // must be independent of `plan_threads`.
-    let (t1, c1) = traced_parallel_market(29, 1, 1);
-    let (t2, _) = traced_parallel_market(29, 2, 1);
-    let (t8, c8) = traced_parallel_market(29, 8, 1);
+    let (run, c1) = traced_parallel_market(29, 1, 1);
+    assert_pinned("phase-locked tiered market", &run, PIN_PHASE_LOCKED_K1);
+    let (t1, _) = run;
+    let ((t2, _), _) = traced_parallel_market(29, 2, 1);
+    let ((t8, _), c8) = traced_parallel_market(29, 8, 1);
     assert_eq!(t1, t2, "traces diverged at plan_threads = 2");
     assert_eq!(t1, t8, "traces diverged at plan_threads = 8");
     assert_eq!(c1, 0, "plan_threads = 1 took the speculative path");
@@ -187,8 +196,14 @@ fn parallel_market_traces_are_bit_identical_across_thread_counts() {
 fn parallel_multipath_market_traces_are_bit_identical_across_thread_counts() {
     // k = 2: the conflict-fallback path (standby rounds scan the live
     // pool) must also leave the trace untouched.
-    let (t1, _) = traced_parallel_market(29, 1, 2);
-    let (t8, _) = traced_parallel_market(29, 8, 2);
+    let (run, _) = traced_parallel_market(29, 1, 2);
+    assert_pinned(
+        "phase-locked tiered multipath market",
+        &run,
+        PIN_PHASE_LOCKED_K2,
+    );
+    let (t1, _) = run;
+    let ((t8, _), _) = traced_parallel_market(29, 8, 2);
     assert_eq!(t1, t8, "multipath traces diverged at plan_threads = 8");
 }
 
