@@ -41,15 +41,6 @@ pub(crate) fn add_relaxations(n: u64) {
     RELAXATIONS.with(|c| c.set(c.get() + n));
 }
 
-/// Fold relaxations performed on *another* thread into this thread's
-/// counter. Parallel planners run the engines on worker threads whose
-/// thread-local tallies die with them; the coordinator absorbs each plan's
-/// reported count here so observers on the coordinating thread (the perf
-/// harness, trace consumers) see the same totals as a sequential run.
-pub fn absorb_relaxations(n: u64) {
-    RELAXATIONS.with(|c| c.set(c.get() + n));
-}
-
 /// Summary of member heights: the paper's height objective plus the
 /// variance criterion ("variance of latencies").
 #[derive(Clone, Copy, Debug)]

@@ -158,41 +158,6 @@ fn assert_identical(label: &str, inc: &MulticastTree, reference: &MulticastTree)
     }
 }
 
-/// Everything the parallel market legs must reproduce bit-for-bit from
-/// the sequential leg: the aggregate outcome, the exact planner-work
-/// counters, and the final degree books of every host (the committed
-/// trees themselves, seen through their reservations).
-#[derive(PartialEq)]
-struct ParMarketDigest {
-    plans: u64,
-    planner_work: (u64, u64),
-    improvement: Vec<(u64, u64)>,
-    leaked: u32,
-    tables: Vec<Vec<pool::degree_table::Allocation>>,
-}
-
-impl ParMarketDigest {
-    fn of(out: &pool::MarketOutcome, p: &ResourcePool) -> ParMarketDigest {
-        ParMarketDigest {
-            plans: out.plans,
-            planner_work: (out.planner_relaxations, out.planner_latency_calls),
-            improvement: (1..=3)
-                .map(|c| {
-                    let s = &out.class(c).improvement;
-                    (s.count(), s.mean().to_bits())
-                })
-                .collect(),
-            leaked: out.leaked_degrees,
-            tables: p
-                .net
-                .hosts
-                .ids()
-                .map(|h| p.table(h).allocations().to_vec())
-                .collect(),
-        }
-    }
-}
-
 fn main() {
     let smoke = std::env::var("PERF_PLANNER_SMOKE").is_ok();
     let enforce = std::env::var("PERF_PLANNER_ENFORCE").is_ok();
@@ -465,111 +430,6 @@ fn main() {
         "resync_fallbacks": out.resync_fallbacks,
     });
 
-    // ---- Parallel market planning: the same Priority-mode workload run
-    // at plan_threads 1 / 4 / 8. Thread count 1 is the sequential engine;
-    // every other leg must reproduce its outcome, planner-work counters
-    // and final degree tables exactly — the speedup may only change when
-    // the answer does not. The arrival gap is 1 µs so every first start
-    // lands in one batch and replan waves stay phase-locked: the
-    // batch-heavy shape the optimization targets.
-    println!("\nparallel market planning (speculative plan, deterministic commit):");
-    let par_sizes: &[usize] = if smoke { &[1024] } else { &[4096, 16384] };
-    let par_threads: &[usize] = if smoke { &[1, 8] } else { &[1, 4, 8] };
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut par_rows = Vec::new();
-    let mut par_speedup_4096_8t = None;
-    for &n in par_sizes {
-        let (sessions, member_size) = match n {
-            1024 => (12, 32),
-            4096 => (32, 64),
-            _ => (48, 64),
-        };
-        let pristine = ResourcePool::build(
-            &PoolConfig {
-                net: NetworkConfig {
-                    num_hosts: n,
-                    ..NetworkConfig::default()
-                },
-                ..PoolConfig::default()
-            },
-            SEED ^ n as u64,
-        );
-        let mut legs = Vec::new();
-        let mut digest0: Option<ParMarketDigest> = None;
-        let mut wall0 = 0.0f64;
-        for &threads in par_threads {
-            let cfg = MarketConfig {
-                sessions,
-                member_size,
-                mean_gap: SimTime::from_micros(1),
-                horizon: SimTime::from_secs(600),
-                warmup: SimTime::from_secs(120),
-                view_refresh: Some(SimTime::from_secs(60)),
-                plan_threads: threads,
-                ..MarketConfig::default()
-            };
-            let sim = MarketSim::new(pristine.clone(), cfg, SEED ^ 0xA12);
-            let t0 = Instant::now();
-            let (out, pool) = sim.run_full();
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let digest = ParMarketDigest::of(&out, &pool);
-            let speedup = if threads == 1 {
-                wall0 = wall_ms;
-                digest0 = Some(digest);
-                None
-            } else {
-                let d0 = digest0.as_ref().expect("threads=1 leg runs first");
-                assert!(
-                    *d0 == digest,
-                    "N={n} plan_threads={threads}: outcome diverged from the sequential engine"
-                );
-                assert!(
-                    out.speculative_commits > 0,
-                    "N={n} plan_threads={threads}: parallel leg never speculated"
-                );
-                let s = wall0 / wall_ms.max(1e-9);
-                if n == 4096 && threads == 8 {
-                    par_speedup_4096_8t = Some(s);
-                }
-                Some(s)
-            };
-            println!(
-                "  N={n:>5} threads={threads}: {wall_ms:>8.1} ms{}  ({} plans, {} committed, {} conflicted)",
-                speedup.map_or(String::new(), |s| format!(", {s:.2}x")),
-                out.plans,
-                out.speculative_commits,
-                out.speculative_conflicts,
-            );
-            legs.push(json!({
-                "threads": threads,
-                "wall_ms": wall_ms,
-                "plans": out.plans,
-                "speculative_commits": out.speculative_commits,
-                "speculative_conflicts": out.speculative_conflicts,
-                "speedup": speedup,
-                "identical": threads == 1 || speedup.is_some(),
-            }));
-        }
-        par_rows.push(json!({
-            "n": n,
-            "sessions": sessions,
-            "member_size": member_size,
-            "legs": legs,
-        }));
-    }
-    // The wall-clock acceptance gate needs real cores: bit-identity is
-    // asserted unconditionally above, but a speedup demand on a 1-core
-    // container measures the scheduler, not the planner.
-    if let Some(s) = par_speedup_4096_8t {
-        println!("\nparallel market speedup at N=4096, 8 threads: {s:.2}x ({cores} cores)");
-        if enforce && cores >= 8 {
-            assert!(
-                s >= 2.0,
-                "acceptance: parallel market at N=4096 must be ≥2x at 8 threads (got {s:.2}x)"
-            );
-        }
-    }
-
     // ---- Matrix-free scale cell: N=131072. Built from RouterNet +
     // HostSet directly; `Network::generate` (and with it the exact
     // kernel) is never called on this path, so the only latency
@@ -668,10 +528,6 @@ fn main() {
         "market_replan": {
             "incremental": market_cell,
         },
-        "par_market": {
-            "cores": cores,
-            "rows": par_rows,
-        },
         "scale": scale_cell,
     });
     dump_json("BENCH_planner", &result);
@@ -758,41 +614,6 @@ fn compare_to_baseline(current: &serde_json::Value, enforce: bool) {
                     cur / 1e3,
                     base / 1e3
                 ));
-            }
-        }
-    }
-    // Parallel-market legs: the sequential (threads = 1) wall-clock is
-    // gated like every other cell. Multi-thread wall-clock is machine-
-    // dependent — only the bit-identity and speedup asserts in main gate
-    // those legs.
-    let par_wall = |v: &serde_json::Value, n: u64| -> Option<f64> {
-        v.get("par_market")?
-            .get("rows")?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("n").and_then(|x| x.as_u64()) == Some(n))?
-            .get("legs")?
-            .as_array()?
-            .iter()
-            .find(|l| l.get("threads").and_then(|x| x.as_u64()) == Some(1))?
-            .get("wall_ms")?
-            .as_f64()
-    };
-    if let Some(rows) = current
-        .get("par_market")
-        .and_then(|p| p.get("rows"))
-        .and_then(|r| r.as_array())
-    {
-        for row in rows {
-            let n = row.get("n").and_then(|x| x.as_u64()).unwrap();
-            if let (Some(cur), Some(base)) = (par_wall(current, n), par_wall(&baseline, n)) {
-                compared += 1;
-                let ratio = cur / base.max(1e-9);
-                if ratio > 2.0 {
-                    regressions.push(format!(
-                        "N={n} par_market[threads=1]: {cur:.2} ms vs baseline {base:.2} ms ({ratio:.2}x)"
-                    ));
-                }
             }
         }
     }

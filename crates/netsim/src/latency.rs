@@ -215,14 +215,6 @@ pub fn latency_calls() -> u64 {
     LATENCY_CALLS.with(|c| c.get())
 }
 
-/// Fold [`Counted`] evaluations made on *another* thread into this
-/// thread's tally. Parallel planners lose worker-thread counts when the
-/// workers exit; the coordinator absorbs each plan's reported count here
-/// so the harness's thread-local view matches a sequential run.
-pub fn absorb_latency_calls(n: u64) {
-    LATENCY_CALLS.with(|c| c.set(c.get() + n));
-}
-
 /// Instrumentation wrapper: forwards to the inner model and counts every
 /// `latency_ms` evaluation in a thread-local tally (the perf harness's
 /// "latency calls" column). Not meant for production paths — the counter

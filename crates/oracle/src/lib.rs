@@ -130,71 +130,6 @@ impl PoolOracle {
             PoolOracle::Tiered(t) => t.resident_rows(),
         }
     }
-
-    /// A speculative fork for one worker's planning pass: Exact is a
-    /// zero-copy snapshot of the immutable matrix (always valid to
-    /// commit); Tiered gets a private hot-tier copy with a promote-call
-    /// log (see [`TieredOracle::fork_speculative`]).
-    pub fn fork_speculative(&self) -> PoolOracle {
-        match self {
-            PoolOracle::Exact(m) => PoolOracle::Exact(m.clone()),
-            PoolOracle::Tiered(t) => PoolOracle::Tiered(t.fork_speculative()),
-        }
-    }
-
-    /// What a fork's planning pass did to its oracle: the recorded
-    /// promote calls, the per-tier hit counts, and how many rows the fork
-    /// evicted. `None` for Exact forks — nothing to validate or replay.
-    pub fn speculation(&self) -> Option<OracleSpeculation> {
-        match self {
-            PoolOracle::Exact(_) => None,
-            PoolOracle::Tiered(t) => Some(OracleSpeculation {
-                promotes: t.take_promote_log().unwrap_or_default(),
-                hits: t.stats(),
-                evictions: t.speculation_evictions(),
-            }),
-        }
-    }
-
-    /// Can this (live) oracle replay a speculation eviction-free? Exact
-    /// always can; Tiered checks hot-tier headroom for the promote
-    /// union's non-resident routers.
-    pub fn can_absorb_without_eviction(&self, spec: &OracleSpeculation) -> bool {
-        match self {
-            PoolOracle::Exact(_) => true,
-            PoolOracle::Tiered(t) => {
-                spec.evictions == 0 && {
-                    let union: Vec<HostId> = spec.promotes.iter().flatten().copied().collect();
-                    t.can_absorb_without_eviction(&union)
-                }
-            }
-        }
-    }
-
-    /// Commit a validated speculation: replay its promote calls in order
-    /// (reproducing the sequential tick/LRU trajectory and churn
-    /// counters on the live tier) and fold its hit counts in. No-op for
-    /// Exact.
-    pub fn absorb_speculation(&self, spec: &OracleSpeculation) {
-        if let PoolOracle::Tiered(t) = self {
-            for call in &spec.promotes {
-                t.promote(call);
-            }
-            t.absorb_hits(&spec.hits);
-        }
-    }
-}
-
-/// The oracle side of one speculative planning pass (see
-/// [`PoolOracle::speculation`]).
-#[derive(Clone, Debug, Default)]
-pub struct OracleSpeculation {
-    /// Promote calls the fork made, in call order.
-    pub promotes: Vec<Vec<HostId>>,
-    /// Per-tier hit counts the fork accumulated.
-    pub hits: TierStats,
-    /// Rows the fork evicted (non-zero invalidates the speculation).
-    pub evictions: u64,
 }
 
 impl LatencyModel for PoolOracle {

@@ -3,7 +3,7 @@
 //! (base tier), with per-tier hit counters and full memory accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use coords::CoordStore;
 use netsim::graph::Graph;
@@ -229,12 +229,6 @@ pub struct TieredOracle {
     /// The rows are the same either way; only the cost of a miss differs.
     row_source: Option<LatencyMatrix>,
     counters: Arc<Counters>,
-    /// Promote-call recorder for speculative forks
-    /// ([`TieredOracle::fork_speculative`]): every [`TieredOracle::promote`]
-    /// call is appended verbatim so a validated speculation can be replayed
-    /// on the live oracle in commit order. `None` (all non-fork handles)
-    /// costs one branch per promote call.
-    promote_log: Option<Arc<Mutex<Vec<Vec<HostId>>>>>,
 }
 
 impl TieredOracle {
@@ -267,7 +261,6 @@ impl TieredOracle {
             hot: Arc::new(RwLock::new(HotRows::new(net.graph.len(), cfg.hot_rows))),
             row_source: None,
             counters: Arc::new(Counters::default()),
-            promote_log: None,
         }
     }
 
@@ -295,7 +288,6 @@ impl TieredOracle {
             hot: Arc::clone(&self.hot),
             row_source: self.row_source.clone(),
             counters: Arc::clone(&self.counters),
-            promote_log: self.promote_log.clone(),
         }
     }
 
@@ -303,11 +295,6 @@ impl TieredOracle {
     /// refresh recency). The only mutation path — plain latency lookups
     /// never change the cache, so lookup order cannot alter state.
     pub fn promote(&self, hosts: &[HostId]) {
-        if let Some(log) = &self.promote_log {
-            log.lock()
-                .expect("promote log poisoned")
-                .push(hosts.to_vec());
-        }
         let mut hot = self.hot.write().expect("hot tier lock poisoned");
         for &h in hosts {
             let router = self.host_router[h.idx()];
@@ -316,89 +303,6 @@ impl TieredOracle {
                 None => self.graph.dijkstra(router).into_boxed_slice(),
             });
         }
-    }
-
-    /// A **speculative fork**: private deep copy of the hot tier (same
-    /// residents and LRU ticks as the live oracle right now) with hit and
-    /// churn counters zeroed and a promote-call log attached. A worker
-    /// plans against the fork; at commit the coordinator checks the fork
-    /// ran eviction-free ([`TieredOracle::speculation_evictions`]) and the
-    /// live tier can absorb the same promotions eviction-free
-    /// ([`TieredOracle::can_absorb_without_eviction`]), then replays the
-    /// log on the live oracle — reproducing the exact tick/LRU trajectory
-    /// the sequential engine would have produced — and folds the fork's
-    /// hit counts in via [`TieredOracle::absorb_hits`].
-    pub fn fork_speculative(&self) -> TieredOracle {
-        let mut hot = self
-            .hot
-            .read()
-            .expect("hot tier lock poisoned")
-            .deep_clone();
-        // Churn counters restart at zero so the fork's totals *are* the
-        // speculation deltas; the LRU tick is kept (recency order must
-        // match the live tier's).
-        hot.promotions = 0;
-        hot.evictions = 0;
-        TieredOracle {
-            n: self.n,
-            tightness: self.tightness,
-            graph: Arc::clone(&self.graph),
-            host_router: Arc::clone(&self.host_router),
-            last_hop: Arc::clone(&self.last_hop),
-            coords: Arc::clone(&self.coords),
-            sketch: self.sketch.clone(),
-            hot: Arc::new(RwLock::new(hot)),
-            row_source: self.row_source.clone(),
-            counters: Arc::new(Counters::default()),
-            promote_log: Some(Arc::new(Mutex::new(Vec::new()))),
-        }
-    }
-
-    /// Rows this fork evicted since [`TieredOracle::fork_speculative`]
-    /// (0 on non-fork handles only if the live tier never churned).
-    pub fn speculation_evictions(&self) -> u64 {
-        self.hot.read().expect("hot tier lock poisoned").evictions
-    }
-
-    /// The promote calls recorded on this fork, in call order. `None` on
-    /// handles without a log (anything not created by
-    /// [`TieredOracle::fork_speculative`]).
-    pub fn take_promote_log(&self) -> Option<Vec<Vec<HostId>>> {
-        self.promote_log
-            .as_ref()
-            .map(|log| std::mem::take(&mut *log.lock().expect("promote log poisoned")))
-    }
-
-    /// Would promoting `hosts` (insert-or-refresh, exactly like
-    /// [`TieredOracle::promote`]) evict nothing from the hot tier? True
-    /// when every non-resident router among them still fits under the
-    /// capacity — and trivially true at capacity 0, where promotion is a
-    /// no-op.
-    pub fn can_absorb_without_eviction(&self, hosts: &[HostId]) -> bool {
-        let hot = self.hot.read().expect("hot tier lock poisoned");
-        if hot.cap == 0 {
-            return true;
-        }
-        let mut fresh = std::collections::HashSet::new();
-        for &h in hosts {
-            let r = self.host_router[h.idx()];
-            if hot.resident[r as usize] == u32::MAX {
-                fresh.insert(r);
-            }
-        }
-        hot.slots.len() + fresh.len() <= hot.cap
-    }
-
-    /// Fold a fork's per-tier hit counts into this handle's counters.
-    /// Promotion/eviction churn is *not* folded: a validated speculation
-    /// replays its promote log here, which recomputes churn on the live
-    /// tier itself.
-    pub fn absorb_hits(&self, stats: &TierStats) {
-        self.counters.hot.fetch_add(stats.hot, Ordering::Relaxed);
-        self.counters
-            .sketch
-            .fetch_add(stats.sketch, Ordering::Relaxed);
-        self.counters.base.fetch_add(stats.base, Ordering::Relaxed);
     }
 
     /// Cumulative per-tier counters across all shared handles.
@@ -483,7 +387,6 @@ impl Clone for TieredOracle {
                 sketch: AtomicU64::new(self.counters.sketch.load(Ordering::Relaxed)),
                 base: AtomicU64::new(self.counters.base.load(Ordering::Relaxed)),
             }),
-            promote_log: None,
         }
     }
 }

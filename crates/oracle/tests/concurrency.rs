@@ -1,9 +1,11 @@
-//! The tiered oracle under real threads: the speculative parallel planner
-//! hands `share()` handles of one oracle to concurrent workers, so plain
-//! lookups must be read-only on the hot tier (lookup order can never
-//! change state), batched pre-promotion of a member union must be
-//! order-independent, and the fork → validate → replay → absorb protocol
-//! must reproduce exactly the state a sequential run would have built.
+//! The tiered oracle under real threads. No planner plans on more than one
+//! thread today, but the oracle still crosses threads: `bench::parallel_runs`
+//! workers borrow one pristine `ResourcePool` and clone it — oracle
+//! included — concurrently, and every `LatencyModel` handed to
+//! `GnpSolver::solve*` is read by `fit_hosts`' scoped workers
+//! (`impl LatencyModel + Sync`). So plain lookups through `share()` handles
+//! must be read-only on the hot tier (lookup order can never change state),
+//! and batched pre-promotion of a member union must be order-independent.
 
 use coords::{GnpConfig, GnpSolver};
 use netsim::hosts::HostSet;
@@ -85,18 +87,14 @@ fn concurrent_lookups_never_mutate_hot_tier_state() {
 
 #[test]
 fn batched_pre_promotion_is_order_independent() {
-    // The parallel planner promotes each session's member union before
-    // planning; batches may promote the same union in any interleaving.
-    // As long as the union fits the hot tier eviction-free, the resident
+    // Every planner promotes its session's member union before planning,
+    // in whatever chunks its call sites happen to use. As long as the union
+    // fits the hot tier eviction-free (re-checked at the end), the resident
     // set — and therefore every answer — must not depend on the order.
     let cfg = TieredConfig::default();
     let a = build(200, 23, &cfg);
     let b = build(200, 23, &cfg);
     let union: Vec<HostId> = (0..48).map(HostId).collect();
-    assert!(
-        a.can_absorb_without_eviction(&union),
-        "test union must fit the hot tier"
-    );
     // Forward in one chunk vs. reversed in interleaved slices.
     a.promote(&union);
     let rev: Vec<HostId> = union.iter().rev().copied().collect();
@@ -116,63 +114,4 @@ fn batched_pre_promotion_is_order_independent() {
     let (sa, sb) = (a.stats(), b.stats());
     assert_eq!(sa.evictions, 0);
     assert_eq!(sb.evictions, 0);
-}
-
-#[test]
-fn fork_validate_replay_absorb_reproduces_sequential_state() {
-    let cfg = TieredConfig::default();
-    // `live` takes the speculative path; `reference` runs the identical
-    // work inline. Both start from the same promoted base.
-    let live = build(200, 31, &cfg);
-    let reference = build(200, 31, &cfg);
-    let base: Vec<HostId> = (0..16).map(HostId).collect();
-    live.promote(&base);
-    reference.promote(&base);
-
-    let members: Vec<HostId> = (40..60).map(HostId).collect();
-    let probe = pairs(200, 13);
-    // Speculative leg: plan-shaped work on a private fork.
-    let fork = live.fork_speculative();
-    fork.promote(&members);
-    for &(x, y) in &probe {
-        fork.latency_ms(x, y);
-    }
-    assert_eq!(
-        fork.speculation_evictions(),
-        0,
-        "speculation evicted — the commit gate must reject this case"
-    );
-    let log = fork.take_promote_log().expect("forks carry a promote log");
-    let union: Vec<HostId> = log.iter().flatten().copied().collect();
-    assert!(live.can_absorb_without_eviction(&union));
-    // Nothing on the live oracle moved while the fork worked.
-    assert_eq!(live.resident_rows(), reference.resident_rows());
-    // Commit: replay the log in call order, fold the hit counters in.
-    for call in &log {
-        live.promote(call);
-    }
-    live.absorb_hits(&fork.stats());
-
-    // Sequential leg.
-    reference.promote(&members);
-    for &(x, y) in &probe {
-        reference.latency_ms(x, y);
-    }
-
-    let (ls, rs) = (live.stats(), reference.stats());
-    assert_eq!(ls.hot, rs.hot);
-    assert_eq!(ls.sketch, rs.sketch);
-    assert_eq!(ls.base, rs.base);
-    assert_eq!(ls.promotions, rs.promotions);
-    assert_eq!(ls.evictions, rs.evictions);
-    assert_eq!(live.resident_rows(), reference.resident_rows());
-    for (x, y) in pairs(200, 13) {
-        assert_eq!(
-            live.latency_ms(x, y).to_bits(),
-            reference.latency_ms(x, y).to_bits(),
-            "speculative commit diverged from sequential at ({}, {})",
-            x.0,
-            y.0
-        );
-    }
 }

@@ -66,37 +66,29 @@ pub use task_manager::{
     FAIR_HELPER_RANK,
 };
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bwest::{BwEstConfig, BwEstimates};
 use coords::{CoordStore, LeafsetCoords};
 use dht::Ring;
 use netsim::{HostId, Network, NetworkConfig};
-use oracle::{
-    LandmarkSketch, LatencySource, OracleSpeculation, PoolOracle, TierStats, TieredOracle,
-};
+use oracle::{LandmarkSketch, LatencySource, PoolOracle, TierStats, TieredOracle};
 use serde::{Deserialize, Serialize};
 use somo::Report as _;
 
-/// One state-mutating pool call, recorded in two places:
-///
-/// * by a speculative fork ([`ResourcePool::fork_for_speculation`]) —
-///   replaying the sequence on the live pool, in the order the fork made
-///   the calls, reproduces the fork's table trajectory exactly, including
-///   mid-retry victim evictions that the planner's retry loop never rolls
-///   back;
-/// * by the live pool itself once [`ResourcePool::enable_op_log`] is on —
-///   there the sequence is the run's **delta log**, drained into a
-///   `runstore::RunStore` so snapshot-plus-replay reconstructs the pool
-///   state byte for byte (see [`liveops`]).
+/// One state-mutating pool call, recorded by the pool itself once
+/// [`ResourcePool::enable_op_log`] is on. The sequence is the run's
+/// **delta log**: drained into a `runstore::RunStore`, snapshot-plus-replay
+/// ([`MarketSnapshot::apply`]) reconstructs the pool state byte for byte,
+/// including mid-retry victim evictions that the planner's retry loop
+/// never rolls back (see [`liveops`]).
 ///
 /// Serializable so stores can export delta logs as JSON lines.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PoolOp {
     /// A [`ResourcePool::reserve_leased`] call and whether it succeeded.
-    /// Failed reserves mutate nothing but are still recorded: the host's
-    /// state was *read* (the refusal shaped the plan), so it belongs to
-    /// the speculation's conflict scope.
+    /// Failed reserves mutate nothing but are still recorded: the refusal
+    /// shaped the plan, and the delta log is every call, not every change.
     Reserve {
         /// Host the reservation was made on.
         host: HostId,
@@ -108,11 +100,11 @@ pub enum PoolOp {
         count: u32,
         /// Lease deadline (`None` = permanent).
         expires_at: Option<simcore::SimTime>,
-        /// Whether the fork's reservation succeeded.
+        /// Whether the reservation succeeded.
         ok: bool,
     },
     /// A [`ResourcePool::release_session`] call; `hosts` are the holdings
-    /// it drained on the fork.
+    /// it drained.
     ReleaseSession {
         /// Session released.
         session: SessionId,
@@ -131,7 +123,7 @@ pub enum PoolOp {
         count: u32,
     },
     /// A [`ResourcePool::release_on_host`] call (dropping one stranded
-    /// claim). Live-log only — forks never make this call.
+    /// claim).
     ReleaseOnHost {
         /// Releasing session.
         session: SessionId,
@@ -139,45 +131,26 @@ pub enum PoolOp {
         host: HostId,
     },
     /// A [`ResourcePool::renew_session`] call (the task manager's periodic
-    /// lease renewal). Live-log only.
+    /// lease renewal).
     Renew {
         /// Renewing session.
         session: SessionId,
         /// The new lease deadline.
         expires_at: simcore::SimTime,
     },
-    /// An [`ResourcePool::expire_leases`] sweep. Live-log only.
+    /// An [`ResourcePool::expire_leases`] sweep.
     ExpireLeases {
         /// The sweep instant every overdue lease lapsed at.
         now: simcore::SimTime,
     },
     /// A [`ResourcePool::kill_host`] / [`ResourcePool::revive_host`]
-    /// liveness flip. Live-log only.
+    /// liveness flip.
     SetAlive {
         /// The host whose liveness changed.
         host: HostId,
         /// Its new state.
         alive: bool,
     },
-}
-
-impl PoolOp {
-    /// Every host this op read or wrote — the unit of conflict detection.
-    /// [`PoolOp::Renew`] and [`PoolOp::ExpireLeases`] report none: they are
-    /// live-log-only ops that speculative forks never emit, so they never
-    /// enter a conflict scope.
-    pub fn hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        match self {
-            PoolOp::Reserve { host, .. }
-            | PoolOp::ReleaseDegrees { host, .. }
-            | PoolOp::ReleaseOnHost { host, .. }
-            | PoolOp::SetAlive { host, .. } => std::slice::from_ref(host).iter().copied(),
-            PoolOp::ReleaseSession { hosts, .. } => hosts.as_slice().iter().copied(),
-            PoolOp::Renew { .. } | PoolOp::ExpireLeases { .. } => {
-                (&[] as &[HostId]).iter().copied()
-            }
-        }
-    }
 }
 
 /// Configuration for assembling a resource pool.
@@ -233,13 +206,9 @@ pub struct ResourcePool {
     /// [`PoolConfig::latency_source`]). Cloning the pool deep-copies the
     /// tiered oracle's cache state, so what-if clones diverge.
     oracle: PoolOracle,
-    /// `Some` only on speculative forks: every mutating call is recorded
-    /// for commit-time replay (see [`PoolOp`]).
-    spec_log: Option<Vec<PoolOp>>,
-    /// `Some` only on the live pool while a speculative batch commits:
-    /// hosts whose tables changed so far, the set conflict detection
-    /// intersects read scopes against.
-    touched: Option<HashSet<HostId>>,
+    /// `Some` once [`Self::enable_op_log`] is on: every mutating call is
+    /// recorded here until drained (see [`PoolOp`]).
+    op_log: Option<Vec<PoolOp>>,
 }
 
 impl ResourcePool {
@@ -300,39 +269,8 @@ impl ResourcePool {
             holdings: HashMap::new(),
             alive,
             oracle,
-            spec_log: None,
-            touched: None,
+            op_log: None,
         }
-    }
-
-    /// A **speculative fork** for one worker's planning pass: private
-    /// copies of the degree tables, holdings and liveness (identical to
-    /// the live pool right now), a speculative oracle fork
-    /// ([`PoolOracle::fork_speculative`]), and an op log recording every
-    /// mutating call. The expensive shared state (latency kernel, router
-    /// graph, coordinates' backing data) is Arc-shared, so a fork costs
-    /// only the per-host tables.
-    pub fn fork_for_speculation(&self) -> ResourcePool {
-        ResourcePool {
-            net: self.net.clone(),
-            ring: self.ring.clone(),
-            coords: self.coords.clone(),
-            bw: self.bw.clone(),
-            somo_fanout: self.somo_fanout,
-            tables: self.tables.clone(),
-            holdings: self.holdings.clone(),
-            alive: self.alive.clone(),
-            oracle: self.oracle.fork_speculative(),
-            spec_log: Some(Vec::new()),
-            touched: None,
-        }
-    }
-
-    /// Drain the op log a speculative fork accumulated (empty on non-fork
-    /// pools). Unlike [`Self::drain_op_log`] this *disables* further
-    /// logging — a fork is drained exactly once, at commit.
-    pub fn take_speculation_ops(&mut self) -> Vec<PoolOp> {
-        self.spec_log.take().unwrap_or_default()
     }
 
     /// Turn on the **live op log**: from here on every state-mutating call
@@ -340,117 +278,17 @@ impl ResourcePool {
     /// with [`Self::drain_op_log`] into a run store. Idempotent; a
     /// re-enable keeps any undrained ops.
     pub fn enable_op_log(&mut self) {
-        if self.spec_log.is_none() {
-            self.spec_log = Some(Vec::new());
+        if self.op_log.is_none() {
+            self.op_log = Some(Vec::new());
         }
     }
 
-    /// Drain the live op log, keeping it enabled (contrast
-    /// [`Self::take_speculation_ops`]). Empty when logging is off.
+    /// Drain the live op log, keeping it enabled. Empty when logging is
+    /// off.
     pub fn drain_op_log(&mut self) -> Vec<PoolOp> {
-        match &mut self.spec_log {
+        match &mut self.op_log {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
-        }
-    }
-
-    /// What this fork's planning pass did to its oracle (see
-    /// [`PoolOracle::speculation`]); `None` under `Exact`, where there is
-    /// nothing to validate or replay.
-    pub fn oracle_speculation(&self) -> Option<OracleSpeculation> {
-        self.oracle.speculation()
-    }
-
-    /// Can the live oracle replay a fork's oracle speculation without
-    /// evicting a hot row? (Trivially true under `Exact` / `None`.)
-    pub fn oracle_can_absorb(&self, spec: Option<&OracleSpeculation>) -> bool {
-        spec.is_none_or(|s| self.oracle.can_absorb_without_eviction(s))
-    }
-
-    /// Commit a validated oracle speculation onto the live oracle: replay
-    /// its promote calls in order and fold its hit counts in.
-    pub fn oracle_absorb(&self, spec: &OracleSpeculation) {
-        self.oracle.absorb_speculation(spec);
-    }
-
-    /// Start tracking which hosts' tables mutate (the commit phase of a
-    /// speculative batch).
-    pub fn begin_touched(&mut self) {
-        self.touched = Some(HashSet::new());
-    }
-
-    /// Stop tracking mutated hosts.
-    pub fn end_touched(&mut self) {
-        self.touched = None;
-    }
-
-    /// Has any host's table mutated since [`Self::begin_touched`]?
-    pub fn touched_any(&self) -> bool {
-        self.touched.as_ref().is_some_and(|t| !t.is_empty())
-    }
-
-    /// Has any of `hosts` mutated since [`Self::begin_touched`]?
-    pub fn touched_intersects(&self, hosts: impl IntoIterator<Item = HostId>) -> bool {
-        match &self.touched {
-            Some(t) => hosts.into_iter().any(|h| t.contains(&h)),
-            None => false,
-        }
-    }
-
-    /// Replay a fork's op log on the live pool, in recorded order. Valid
-    /// only when conflict detection proved no op host mutated since the
-    /// fork was taken: then every call sees exactly the state the fork
-    /// saw and reproduces its trajectory bit for bit (debug builds assert
-    /// each reserve resolves the same way).
-    pub fn replay_ops(&mut self, ops: &[PoolOp]) {
-        for op in ops {
-            match op {
-                PoolOp::Reserve {
-                    host,
-                    session,
-                    rank,
-                    count,
-                    expires_at,
-                    ok,
-                } => {
-                    let r = self.reserve_leased(*host, *session, *rank, *count, *expires_at);
-                    debug_assert_eq!(
-                        r.is_ok(),
-                        *ok,
-                        "speculative reserve diverged on replay (host {host:?})"
-                    );
-                }
-                PoolOp::ReleaseSession { session, .. } => {
-                    self.release_session(*session);
-                }
-                PoolOp::ReleaseDegrees {
-                    host,
-                    session,
-                    rank,
-                    count,
-                } => {
-                    self.release_degrees(*host, *session, *rank, *count);
-                }
-                PoolOp::ReleaseOnHost { session, host } => {
-                    self.release_on_host(*session, *host);
-                }
-                PoolOp::Renew {
-                    session,
-                    expires_at,
-                } => {
-                    self.renew_session(*session, *expires_at);
-                }
-                PoolOp::ExpireLeases { now } => {
-                    self.expire_leases(*now);
-                }
-                PoolOp::SetAlive { host, alive } => {
-                    if *alive {
-                        self.revive_host(*host);
-                    } else {
-                        self.kill_host(*host);
-                    }
-                }
-            }
         }
     }
 
@@ -466,7 +304,7 @@ impl ResourcePool {
     /// but the host stops being a candidate and refuses new reservations.
     pub fn kill_host(&mut self, h: HostId) {
         self.alive[h.idx()] = false;
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::SetAlive {
                 host: h,
                 alive: false,
@@ -478,7 +316,7 @@ impl ResourcePool {
     /// the crash remain booked until released or expired.
     pub fn revive_host(&mut self, h: HostId) {
         self.alive[h.idx()] = true;
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::SetAlive {
                 host: h,
                 alive: true,
@@ -712,17 +550,13 @@ impl ResourcePool {
         let preempted = match self.tables[h.idx()].reserve_until(session, rank, count, expires_at) {
             Ok(p) => p,
             Err(e) => {
-                // A refusal mutates nothing, but it *read* the host's
-                // state (the refusal shapes the retry loop), so a
-                // speculating fork records it for conflict detection.
+                // A refusal mutates nothing, but it shapes the retry loop:
+                // the delta log records it like any other call.
                 self.log_reserve(h, session, rank, count, expires_at, false);
                 return Err(e);
             }
         };
         self.log_reserve(h, session, rank, count, expires_at, true);
-        if let Some(t) = &mut self.touched {
-            t.insert(h);
-        }
         let held = self.holdings.entry(session).or_default();
         if !held.contains(&h) {
             held.push(h);
@@ -752,7 +586,7 @@ impl ResourcePool {
         expires_at: Option<simcore::SimTime>,
         ok: bool,
     ) {
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::Reserve {
                 host,
                 session,
@@ -769,14 +603,11 @@ impl ResourcePool {
     pub fn release_session(&mut self, session: SessionId) -> u32 {
         let mut freed = 0;
         if let Some(hosts) = self.holdings.remove(&session) {
-            if let Some(log) = &mut self.spec_log {
+            if let Some(log) = &mut self.op_log {
                 log.push(PoolOp::ReleaseSession {
                     session,
                     hosts: hosts.clone(),
                 });
-            }
-            if let Some(t) = &mut self.touched {
-                t.extend(hosts.iter().copied());
             }
             for h in hosts {
                 freed += self.tables[h.idx()].release(session);
@@ -790,13 +621,8 @@ impl ResourcePool {
     /// keeps running). Returns the degrees freed.
     pub fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
         let freed = self.tables[h.idx()].release(session);
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::ReleaseOnHost { session, host: h });
-        }
-        if freed > 0 {
-            if let Some(t) = &mut self.touched {
-                t.insert(h);
-            }
         }
         if let Some(held) = self.holdings.get_mut(&session) {
             held.retain(|x| *x != h);
@@ -820,18 +646,13 @@ impl ResourcePool {
         count: u32,
     ) -> u32 {
         let freed = self.tables[h.idx()].release_count(session, rank, count);
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::ReleaseDegrees {
                 host: h,
                 session,
                 rank,
                 count,
             });
-        }
-        if freed > 0 {
-            if let Some(t) = &mut self.touched {
-                t.insert(h);
-            }
         }
         if freed > 0 && self.tables[h.idx()].held_by(session) == 0 {
             if let Some(held) = self.holdings.get_mut(&session) {
@@ -854,7 +675,7 @@ impl ResourcePool {
                 renewed += self.tables[h.idx()].renew(session, expires_at);
             }
         }
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::Renew {
                 session,
                 expires_at,
@@ -888,7 +709,7 @@ impl ResourcePool {
         }
         let mut out: Vec<(SessionId, u32)> = reclaimed.into_iter().collect();
         out.sort_unstable_by_key(|(s, _)| *s);
-        if let Some(log) = &mut self.spec_log {
+        if let Some(log) = &mut self.op_log {
             log.push(PoolOp::ExpireLeases { now });
         }
         out

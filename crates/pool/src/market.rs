@@ -84,9 +84,9 @@ use crate::liveops::{LiveOps, MarketStoreHandle, SlotSnap};
 use crate::task_manager::{
     fanout_cap, plan_and_reserve_fair_leased, plan_and_reserve_from_query_leased,
     plan_and_reserve_from_view_leased, plan_and_reserve_leased, plan_standby_trees, FairShareCaps,
-    PlanConfig, PlanOutcome, SessionSpec, StandbyOutcome, FAIR_HELPER_RANK,
+    PlanConfig, SessionSpec, FAIR_HELPER_RANK,
 };
-use crate::{PoolOp, ResourcePool};
+use crate::ResourcePool;
 use somo::traffic::TrafficLedger;
 use somo::Report as _;
 
@@ -219,12 +219,13 @@ pub struct MarketConfig {
     pub allocation: AllocationMode,
     /// Admission-controller tuning ([`AllocationMode::Admission`] only).
     pub admission: AdmissionConfig,
-    /// Worker threads for speculative parallel planning. When > 1,
-    /// same-timestamp runs of independent Priority-mode session events
-    /// (batch arrivals, replan waves) are planned concurrently against
-    /// forked pool state and committed sequentially in event order —
-    /// bit-identical to the sequential path (see DESIGN.md §16). 1 (the
-    /// default) *is* the sequential path: no batching, no forks.
+    /// Inert: read by nothing. It selected the speculative parallel
+    /// planner removed in PR 19 (DESIGN.md §16), whose contract was a
+    /// bit-identical run at any value, so ignoring it changes no caller's
+    /// result. It is still here only because the frozen benchmark package
+    /// writes `plan_threads: 1` in a struct literal
+    /// (`perf_e2e/src/market.rs`); the `benchmark` PR that drops that
+    /// literal deletes this field with it.
     pub plan_threads: usize,
 }
 
@@ -437,22 +438,11 @@ pub struct MarketOutcome {
     /// factored kernel's `rows·R·4 + N·16` under `Exact`).
     pub oracle_resident_bytes: u64,
     /// Degree relaxations performed by session planning (primary and
-    /// standby trees), summed across worker threads. Thread-exact: each
-    /// plan's count is measured on the thread that ran it and folded in
-    /// at commit, so the total matches the sequential path at any
-    /// `plan_threads`.
+    /// standby trees): the sum of every plan's own count.
     pub planner_relaxations: u64,
     /// Oracle latency estimates issued by session planning, accounted
     /// like [`MarketOutcome::planner_relaxations`].
     pub planner_latency_calls: u64,
-    /// Speculative plans committed by the parallel planner — always zero
-    /// at `plan_threads = 1`, and excluded from the bit-identity contract
-    /// (it measures how the work was scheduled, not what was computed).
-    pub speculative_commits: u64,
-    /// Speculative plans discarded at commit time — an earlier commit in
-    /// their batch touched the state they read, or the live oracle could
-    /// not absorb their promotions — and replanned inline instead.
-    pub speculative_conflicts: u64,
 }
 
 impl MarketOutcome {
@@ -504,6 +494,8 @@ impl MarketOutcome {
         reg.add("market.leaked_degrees", self.leaked_degrees as u64);
         reg.add("market.tree_failovers", self.tree_failovers);
         reg.add("market.trees_rebuilt", self.trees_rebuilt);
+        reg.add("market.planner_relaxations", self.planner_relaxations);
+        reg.add("market.planner_latency_calls", self.planner_latency_calls);
         reg.set_gauge("market.utilization_mean", self.utilization.mean());
         reg.set_gauge("market.delivery_mean", self.delivery.mean());
         reg.set_gauge("market.restore_rounds_mean", self.restore_rounds.mean());
@@ -636,17 +628,14 @@ pub struct MarketSim {
     /// Scarcity-crossing subscription; emits `MarketPressureShift` on
     /// threshold crossings of the fair-rank free fraction.
     pressure_watch: query::PressureWatch,
-    /// A committed speculative plan awaiting consumption by [`Self::plan`]
-    /// for the event currently being handled (parallel batches only).
-    spec: Option<SpecResult>,
     /// The attached live-operations surface (see [`crate::liveops`]);
     /// `None` unless [`Self::attach_liveops`] was called.
     liveops: Option<LiveOps>,
 }
 
-/// What the planner is handed for one session, sequentially or on a worker
-/// thread: the session spec as shaped for the moment (deputy root promoted,
-/// dead members dropped) plus the lease the reservations carry.
+/// What the planner is handed for one session: the session spec as shaped
+/// for the moment (deputy root promoted, dead members dropped) plus the
+/// lease the reservations carry.
 struct SpecInput {
     spec: SessionSpec,
     lease: Option<SimTime>,
@@ -658,19 +647,6 @@ enum NoPlan {
     RootDead,
     /// Fewer than two live members: nobody to multicast to.
     Dormant,
-}
-
-/// A speculative plan produced against a forked pool: the op log to
-/// replay on the live pool, the oracle promotions/hits to absorb, the
-/// planning outcome itself, and the conflict scope — the host set whose
-/// degree state the plan read. `scope: None` means the plan scanned the
-/// whole pool (live-candidate paths) and conflicts with any commit.
-struct SpecResult {
-    ops: Vec<PoolOp>,
-    oracle: Option<oracle::OracleSpeculation>,
-    out: PlanOutcome,
-    standby: StandbyOutcome,
-    scope: Option<Vec<HostId>>,
 }
 
 impl MarketSim {
@@ -796,7 +772,6 @@ impl MarketSim {
             member_hosts,
             pressure_cache: None,
             pressure_watch,
-            spec: None,
             liveops: None,
         }
     }
@@ -892,29 +867,7 @@ impl MarketSim {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
-            if self.batchable(ev) {
-                // Collect the maximal same-timestamp run of batchable
-                // session events and plan them in parallel. Stopping at the
-                // first non-batchable event preserves the sequential
-                // interleaving with view refreshes, faults and audits.
-                let mut batch = vec![ev];
-                loop {
-                    match self.queue.peek() {
-                        Some((t2, &ev2)) if t2 == now && self.batchable(ev2) => {
-                            self.queue.pop();
-                            batch.push(ev2);
-                        }
-                        _ => break,
-                    }
-                }
-                if batch.len() == 1 {
-                    self.handle(now, ev);
-                } else {
-                    self.run_batch(now, batch);
-                }
-            } else {
-                self.handle(now, ev);
-            }
+            self.handle(now, ev);
             if self.liveops.is_some() {
                 self.store_sync(now);
             }
@@ -1139,11 +1092,10 @@ impl MarketSim {
         self.slots[i].broken_since = None;
     }
 
-    /// Shape `spec` — a slot's own, or a batched start's deputy-promoted
-    /// copy — for the planner at `now`. Under a fault plan dead members are
-    /// dropped (survivors carry on) and the reservations are leased one TTL
-    /// out: reserving IS renewing, so each replan is the session's
-    /// heartbeat.
+    /// Shape a slot's `spec` for the planner at `now`. Under a fault plan
+    /// dead members are dropped (survivors carry on) and the reservations
+    /// are leased one TTL out: reserving IS renewing, so each replan is the
+    /// session's heartbeat.
     fn shape_spec(&self, mut spec: SessionSpec, now: SimTime) -> Result<SpecInput, NoPlan> {
         let mut lease = None;
         if self.has_faults {
@@ -1925,106 +1877,6 @@ impl MarketSim {
         self.auditor = Some(aud);
     }
 
-    /// Whether an event is eligible for speculative parallel planning: a
-    /// pure session-planning event in Priority mode, planning from live
-    /// tables or the frozen snapshot view. Query-index plans mutate the
-    /// index (traffic accounting, refresh bookkeeping) and the fair modes
-    /// reshape *other* sessions' holdings before planning, so both stay on
-    /// the sequential path, as does everything at `plan_threads = 1`.
-    fn batchable(&self, ev: Ev) -> bool {
-        self.cfg.plan_threads > 1
-            && self.cfg.allocation == AllocationMode::Priority
-            && self.qindex.is_none()
-            && matches!(ev, Ev::Start(_) | Ev::Replan(_) | Ev::PreemptReplan(_))
-    }
-
-    /// Shape one batched event's planning input exactly as the sequential
-    /// handler would: deputy-promote a dead root (`Ev::Start`), drop dead
-    /// members, attach the lease. `None` means the event will not reach
-    /// the planner (inactive slot, deferred start, dormant session) and
-    /// must run its literal sequential code instead. Eligibility is stable
-    /// across the batch: no batchable event changes host liveness or slot
-    /// activity before its own plan.
-    fn spec_input(&self, ev: Ev, now: SimTime) -> Option<SpecInput> {
-        let i = match ev {
-            Ev::Start(i) => i,
-            Ev::Replan(i) | Ev::PreemptReplan(i) => {
-                if !self.slots[i].active {
-                    return None;
-                }
-                i
-            }
-            _ => return None,
-        };
-        let mut spec = self.slots[i].spec.clone();
-        if matches!(ev, Ev::Start(_)) {
-            spec.root = self.start_root(i)?;
-        }
-        self.shape_spec(spec, now).ok()
-    }
-
-    /// Plan a same-timestamp batch of session events in parallel against
-    /// forks of the current pool, then commit the results sequentially in
-    /// event order — the order the sequential engine would have run them.
-    /// A result commits only while nothing before it touched the state it
-    /// read; conflicted or ineligible events fall back to the ordinary
-    /// handler, which replans them inline. See DESIGN.md §16 for why this
-    /// is bit-identical to `plan_threads = 1`.
-    fn run_batch(&mut self, now: SimTime, batch: Vec<Ev>) {
-        let inputs: Vec<Option<SpecInput>> =
-            batch.iter().map(|&ev| self.spec_input(ev, now)).collect();
-        let mut results: Vec<Option<SpecResult>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        // Contiguous chunks, one worker per chunk: the work partition (and
-        // so every plan's thread-local counter window) is a function of
-        // batch size alone, never of scheduling.
-        let threads = self.cfg.plan_threads.min(batch.len()).max(1);
-        let chunk = batch.len().div_ceil(threads);
-        let live = &self.pool;
-        let cfg = &self.cfg;
-        let view = self.view.as_ref();
-        crossbeam::thread::scope(|s| {
-            for (inps, outs) in inputs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    for (inp, out) in inps.iter().zip(outs.iter_mut()) {
-                        if let Some(inp) = inp {
-                            *out = Some(speculate(live, cfg, view, inp));
-                        }
-                    }
-                });
-            }
-        })
-        .expect("speculative planner worker panicked");
-        self.pool.begin_touched();
-        for (ev, spec) in batch.into_iter().zip(results) {
-            if let Some(spec) = spec {
-                if self.commit_valid(&spec) {
-                    self.spec = Some(spec);
-                } else {
-                    self.outcome.speculative_conflicts += 1;
-                }
-            }
-            self.handle(now, ev);
-            // A stash the handler did not consume must never leak into a
-            // later event.
-            self.spec = None;
-        }
-        self.pool.end_touched();
-    }
-
-    /// A speculative plan may commit only if (a) no commit earlier in the
-    /// batch touched any host whose degree state it read — `scope: None`
-    /// (whole-pool candidate scans) conflicts with *any* earlier commit —
-    /// and (b) the live oracle can replay its promotions without evicting
-    /// a row the fork still had.
-    fn commit_valid(&self, spec: &SpecResult) -> bool {
-        let scope_clear = match &spec.scope {
-            None => !self.pool.touched_any(),
-            Some(hosts) => !self.pool.touched_intersects(hosts.iter().copied()),
-        };
-        scope_clear && self.pool.oracle_can_absorb(spec.oracle.as_ref())
-    }
-
     fn plan(&mut self, i: usize, now: SimTime) {
         let SpecInput { spec, lease } = match self.shape_spec(self.slots[i].spec.clone(), now) {
             Ok(input) => input,
@@ -2041,94 +1893,62 @@ impl MarketSim {
                 return;
             }
         };
-        // A committed speculative plan (parallel batches only) is consumed
-        // here: replay its op log against the live tables and absorb its
-        // oracle promotions and counter work — byte-identical to having
-        // planned inline, because the fork it ran on started from this
-        // exact pool state and no earlier commit touched its scope.
-        let stashed = self.spec.take();
-        let (out, stashed_standby) = if let Some(sp) = stashed {
-            self.outcome.speculative_commits += 1;
-            self.pool.replay_ops(&sp.ops);
-            if let Some(o) = &sp.oracle {
-                self.pool.oracle_absorb(o);
+        let out = match self.cfg.allocation {
+            AllocationMode::Priority => {
+                if let Some(qindex) = &mut self.qindex {
+                    plan_and_reserve_from_query_leased(
+                        &mut self.pool,
+                        &spec,
+                        &self.cfg.plan,
+                        qindex,
+                        lease,
+                    )
+                } else if let Some(view) = &self.view {
+                    plan_and_reserve_from_view_leased(
+                        &mut self.pool,
+                        &spec,
+                        &self.cfg.plan,
+                        view,
+                        lease,
+                    )
+                } else {
+                    plan_and_reserve_leased(&mut self.pool, &spec, &self.cfg.plan, lease)
+                }
             }
-            // Fold the worker thread's planner effort into this thread's
-            // counters so pool-wide totals stay exact at any thread count.
-            alm::metrics::absorb_relaxations(sp.out.relaxations + sp.standby.relaxations);
-            netsim::latency::absorb_latency_calls(sp.out.latency_calls + sp.standby.latency_calls);
-            (sp.out, Some(sp.standby))
-        } else {
-            let out = match self.cfg.allocation {
-                AllocationMode::Priority => {
-                    if let Some(qindex) = &mut self.qindex {
-                        plan_and_reserve_from_query_leased(
-                            &mut self.pool,
-                            &spec,
-                            &self.cfg.plan,
-                            qindex,
-                            lease,
-                        )
-                    } else if let Some(view) = &self.view {
-                        plan_and_reserve_from_view_leased(
-                            &mut self.pool,
-                            &spec,
-                            &self.cfg.plan,
-                            view,
-                            lease,
-                        )
+            AllocationMode::Pareto => {
+                // Plan against the water-filled fair share, helpers
+                // booked at the shared fair rank, over-share incumbents
+                // trimmed back to theirs first. Fair modes plan from
+                // live tables regardless of the discovery surface.
+                let shares = self.pareto_shares(i);
+                self.reclaim_overshare(i, &shares, now);
+                let caps = FairShareCaps {
+                    helper_budget: shares[i],
+                    member_degree: None,
+                    exclude: HashSet::new(),
+                };
+                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
+            }
+            AllocationMode::Admission => {
+                // Admitted sessions draw only free degrees on
+                // non-member hosts — structurally incapable of
+                // preempting. Degraded admissions additionally run on a
+                // trimmed budget and fan-out.
+                let caps = FairShareCaps {
+                    helper_budget: if self.slots[i].degraded {
+                        self.cfg.admission.degraded_helper_budget
                     } else {
-                        plan_and_reserve_leased(&mut self.pool, &spec, &self.cfg.plan, lease)
-                    }
-                }
-                AllocationMode::Pareto => {
-                    // Plan against the water-filled fair share, helpers
-                    // booked at the shared fair rank, over-share incumbents
-                    // trimmed back to theirs first. Fair modes plan from
-                    // live tables regardless of the discovery surface.
-                    let shares = self.pareto_shares(i);
-                    self.reclaim_overshare(i, &shares, now);
-                    let caps = FairShareCaps {
-                        helper_budget: shares[i],
-                        member_degree: None,
-                        exclude: HashSet::new(),
-                    };
-                    plan_and_reserve_fair_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        &caps,
-                        lease,
-                    )
-                }
-                AllocationMode::Admission => {
-                    // Admitted sessions draw only free degrees on
-                    // non-member hosts — structurally incapable of
-                    // preempting. Degraded admissions additionally run on a
-                    // trimmed budget and fan-out.
-                    let caps = FairShareCaps {
-                        helper_budget: if self.slots[i].degraded {
-                            self.cfg.admission.degraded_helper_budget
-                        } else {
-                            u64::MAX
-                        },
-                        member_degree: if self.slots[i].degraded {
-                            Some(self.cfg.admission.degraded_member_degree)
-                        } else {
-                            None
-                        },
-                        exclude: self.member_hosts.clone(),
-                    };
-                    plan_and_reserve_fair_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        &caps,
-                        lease,
-                    )
-                }
-            };
-            (out, None)
+                        u64::MAX
+                    },
+                    member_degree: if self.slots[i].degraded {
+                        Some(self.cfg.admission.degraded_member_degree)
+                    } else {
+                        None
+                    },
+                    exclude: self.member_hosts.clone(),
+                };
+                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
+            }
         };
         self.slots[i].tree = Some(out.tree.clone());
         // A fresh plan is an intact serving tree: close any open outage
@@ -2141,12 +1961,8 @@ impl MarketSim {
         self.slots[i].standby.clear();
         let mut standby_work = (0u64, 0u64);
         if self.cfg.plan.k_trees > 1 && self.cfg.allocation == AllocationMode::Priority {
-            let standby = match stashed_standby {
-                Some(sb) => sb,
-                None => {
-                    plan_standby_trees(&mut self.pool, &spec, &self.cfg.plan, &out.tree, &[], lease)
-                }
-            };
+            let standby =
+                plan_standby_trees(&mut self.pool, &spec, &self.cfg.plan, &out.tree, &[], lease);
             standby_work = (standby.relaxations, standby.latency_calls);
             preempted.extend(standby.preempted);
             self.slots[i].standby = standby.trees;
@@ -2197,52 +2013,6 @@ impl MarketSim {
         // Victims replan shortly (they detect the loss via their reservation
         // being revoked; modeled as a 1 s notification delay).
         self.notify_preempted(&preempted, now);
-    }
-}
-
-/// Plan one session on a worker thread against a speculative fork of the
-/// live pool. Nothing shared is mutated: the fork records every reserve and
-/// release as a [`PoolOp`] for later replay, and the forked oracle keeps a
-/// promotion log instead of touching the live hot tier.
-fn speculate(
-    live: &ResourcePool,
-    cfg: &MarketConfig,
-    view: Option<&crate::ResourceReport>,
-    inp: &SpecInput,
-) -> SpecResult {
-    let mut fork = live.fork_for_speculation();
-    let out = match view {
-        Some(v) => plan_and_reserve_from_view_leased(&mut fork, &inp.spec, &cfg.plan, v, inp.lease),
-        None => plan_and_reserve_leased(&mut fork, &inp.spec, &cfg.plan, inp.lease),
-    };
-    let mut standby = StandbyOutcome::default();
-    if cfg.plan.k_trees > 1 {
-        standby = plan_standby_trees(&mut fork, &inp.spec, &cfg.plan, &out.tree, &[], inp.lease);
-    }
-    let ops = fork.take_speculation_ops();
-    let oracle = fork.oracle_speculation();
-    // The conflict scope is every host whose degree state the plan read. A
-    // frozen-view single-tree plan reads live availability only for its
-    // members and the hosts it tried to book (all in the op log); live-table
-    // plans and standby rounds scan the whole pool's candidates, so their
-    // scope is the pool itself (`None` — any earlier commit conflicts).
-    let scope = if view.is_some() && cfg.plan.k_trees == 1 {
-        let mut hosts: HashSet<HostId> = inp.spec.members.iter().copied().collect();
-        for op in &ops {
-            hosts.extend(op.hosts());
-        }
-        let mut hosts: Vec<HostId> = hosts.into_iter().collect();
-        hosts.sort_unstable();
-        Some(hosts)
-    } else {
-        None
-    };
-    SpecResult {
-        ops,
-        oracle,
-        out,
-        standby,
-        scope,
     }
 }
 

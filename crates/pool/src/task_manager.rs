@@ -144,13 +144,12 @@ pub struct PlanOutcome {
     /// Helpers a stale view promised but that refused the reservation
     /// (always 0 when planning from live degree tables).
     pub helper_failures: u32,
-    /// Relaxations ([`alm::metrics::relaxations`]) this plan performed,
-    /// measured on the thread that ran it. Thread-local counters die with
-    /// worker threads, so parallel coordinators read the count here
-    /// instead of from their own thread-local delta.
+    /// Relaxations ([`alm::metrics::relaxations`]) this plan performed:
+    /// the thread-local counter's delta across the plan, so a caller sums
+    /// per-plan counts instead of resetting a counter it does not own.
     pub relaxations: u64,
     /// [`netsim::latency::latency_calls`] this plan performed, measured
-    /// like `relaxations` on the executing thread.
+    /// like `relaxations`.
     pub latency_calls: u64,
 }
 

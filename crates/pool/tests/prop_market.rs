@@ -1,15 +1,20 @@
 //! Property tests for the pool's accounting under arbitrary plan/release
 //! interleavings: degree tables must never oversubscribe, holdings must
-//! match trees exactly, and a full release must drain the pool.
+//! match trees exactly, and a full release must drain the pool. And for
+//! whole markets over scarce degrees: auditor clean, nothing leaked, and
+//! two same-seed runs equal down to every host's allocations.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use alm::multipath::check_disjointness;
 use netsim::{HostId, NetworkConfig};
+use pool::degree_table::Allocation;
+use pool::market::{MarketConfig, MarketSim};
 use pool::task_manager::{fanout_cap, plan_and_reserve, plan_standby_trees};
 use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
 use proptest::prelude::*;
+use simcore::SimTime;
 
 /// One shared pristine pool (building coordinates is the expensive part);
 /// every case clones it.
@@ -192,5 +197,87 @@ proptest! {
                 .sum();
             prop_assert_eq!(e.avail[0], t.dbound() - member_held);
         }
+    }
+}
+
+/// Everything a market run exposes: plans, per-class stats, planner work,
+/// the leak and lapse censuses and the final books of every host.
+#[derive(Debug, PartialEq)]
+struct MarketDigest {
+    plans: u64,
+    preemptions: Vec<u64>,
+    improvement: Vec<(u64, f64)>,
+    planner_work: (u64, u64),
+    leaked: u32,
+    lapsed: u64,
+    tables: Vec<Vec<Allocation>>,
+}
+
+fn run_market(cfg: &MarketConfig, seed: u64) -> (MarketDigest, bool) {
+    let (out, pool) = MarketSim::new(pristine().clone(), cfg.clone(), seed).run_full();
+    let digest = MarketDigest {
+        plans: out.plans,
+        preemptions: (1..=3).map(|p| out.class(p).preemptions).collect(),
+        improvement: (1..=3)
+            .map(|p| {
+                let s = &out.class(p).improvement;
+                (s.count(), s.mean())
+            })
+            .collect(),
+        planner_work: (out.planner_relaxations, out.planner_latency_calls),
+        leaked: out.leaked_degrees,
+        lapsed: out.lapsed_lease_degrees,
+        tables: pool
+            .net
+            .hosts
+            .ids()
+            .map(|h| pool.table(h).allocations().to_vec())
+            .collect(),
+    };
+    (digest, out.audit.is_clean())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn scarce_markets_replay_bit_for_bit_with_clean_books(
+        seed in 0u64..1000,
+        sessions in 6usize..13,
+        member_size in 8usize..12,
+        gap_idx in 0usize..3,
+        view in any::<bool>(),
+        faulted in any::<bool>(),
+    ) {
+        // Disjoint member sets over 150 hosts cap the helper supply, so
+        // competing sessions genuinely fight over the same scarce degrees
+        // (preemptions fire). The gap draws the arrival shape: 1 µs
+        // phase-locks every start and replan wave onto shared instants,
+        // 1 ms mixes waves with stragglers, 60 s spreads them out.
+        prop_assume!(sessions * member_size <= 150);
+        let gap_us = [1u64, 1000, 60_000_000][gap_idx];
+        let mut faults = simcore::FaultPlan::none();
+        if faulted {
+            for h in (0..150u64).step_by(17) {
+                faults = faults.crash_forever(h, SimTime::from_secs(400 + h));
+            }
+        }
+        let cfg = MarketConfig {
+            sessions,
+            member_size,
+            mean_gap: SimTime::from_micros(gap_us),
+            horizon: SimTime::from_secs(900),
+            warmup: SimTime::from_secs(200),
+            view_refresh: view.then(|| SimTime::from_secs(60)),
+            audit_period: Some(SimTime::from_secs(120)),
+            faults,
+            plan: PlanConfig::default(),
+            ..MarketConfig::default()
+        };
+        let (a, a_clean) = run_market(&cfg, seed);
+        let (b, _) = run_market(&cfg, seed);
+        prop_assert!(a_clean, "auditor found violations");
+        prop_assert_eq!(&a, &b, "same-seed runs diverged");
+        prop_assert_eq!(a.leaked, 0, "degrees leaked");
     }
 }

@@ -121,13 +121,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 
-    /// Peek at the earliest pending event without popping it: the same
-    /// `(at, event)` the next [`EventQueue::pop`] would return. The clock
-    /// does not advance.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, &e.event))
-    }
-
     /// Drain and discard all pending events (the clock is left where it is).
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -190,16 +183,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_next_pop_without_advancing() {
+    fn peek_time_matches_next_pop_without_advancing() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(30), "b");
         q.schedule(SimTime::from_millis(10), "a");
-        assert_eq!(q.peek(), Some((SimTime::from_millis(10), &"a")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.pop(), Some((SimTime::from_millis(10), "a")));
-        assert_eq!(q.peek(), Some((SimTime::from_millis(30), &"b")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)));
         q.pop();
-        assert_eq!(q.peek(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn assert_pinned(what: &str, trajectory: &impl std::fmt::Debug, pin: (usize, u64
 /// at commit 21d0a1b.
 const PIN_MARKET_K1: (usize, u64) = (10230, 11209060999262227419);
 const PIN_MARKET_K2: (usize, u64) = (11073, 12784749161043698556);
-const PIN_PARALLEL_K1: (usize, u64) = (12766, 3853192810951731182);
-const PIN_PARALLEL_K2: (usize, u64) = (14152, 678227881537743628);
+const PIN_PHASE_LOCKED_K1: (usize, u64) = (12766, 3853192810951731182);
+const PIN_PHASE_LOCKED_K2: (usize, u64) = (14152, 678227881537743628);
 const PIN_ADMISSION: (usize, u64) = (5982, 9244087032938961521);
 /// The faulted query trajectory (answers, stats and both ledgers), recorded
 /// at commit 6877b76, before the index's layout was rebuilt.
@@ -333,19 +333,17 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     assert_eq!(a.leaked, 0, "multipath run leaked degrees");
 }
 
-/// One parallel-planning trajectory: a microsecond arrival gap collapses
-/// every first start onto `t = 0` and keeps the surviving sessions'
-/// replans phase-locked, so the scheduler sees same-timestamp batches all
-/// run long; the snapshot view plus the tiered oracle make speculative
-/// commits real (frozen-view plans carry a finite conflict scope), and the
-/// staggered crash plan keeps the fault paths interleaved with the
-/// batches. Captures everything [`MarketTrace`] pins plus the exact
-/// planner-work counters and the oracle's own per-tier hits.
-fn parallel_market_trajectory(
+/// One phase-locked trajectory: a microsecond arrival gap collapses every
+/// first start onto `t = 0` and keeps the surviving sessions' replans
+/// phase-locked, so the market handles same-timestamp waves all run long;
+/// sessions plan from the snapshot view through the tiered oracle, and the
+/// staggered crash plan keeps the fault paths interleaved with the waves.
+/// Captures everything [`MarketTrace`] pins plus the exact planner-work
+/// counters and the oracle's own per-tier hits.
+fn phase_locked_market_trajectory(
     seed: u64,
-    plan_threads: usize,
     k_trees: usize,
-) -> (MarketTrace, u64, u64, Option<TierStats>, u64) {
+) -> (MarketTrace, u64, u64, Option<TierStats>) {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -374,7 +372,6 @@ fn parallel_market_trajectory(
             k_trees,
             ..PlanConfig::default()
         },
-        plan_threads,
         ..MarketConfig::default()
     };
     let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
@@ -416,69 +413,34 @@ fn parallel_market_trajectory(
         out.planner_relaxations,
         out.planner_latency_calls,
         out.oracle_tiers,
-        out.speculative_commits,
     )
 }
 
 #[test]
-fn parallel_planning_is_bit_identical_across_thread_counts() {
-    // The tentpole contract: the outcome, the exact planner-work counters,
-    // the oracle's per-tier hits and the final books of every host are a
-    // function of the seed alone — never of `plan_threads`. Thread count 1
-    // IS the sequential engine (no batching, no forks), so equality at 2
-    // and 8 is equality with the sequential path.
-    let t1 = parallel_market_trajectory(29, 1, 1);
-    // Everything but the speculation tally, which depends on the thread
-    // count by design.
+fn phase_locked_market_trajectory_matches_its_pin() {
+    // The outcome, the exact planner-work counters, the oracle's per-tier
+    // hits and the final books of every host, on the one market input
+    // where every start and replan wave shares an instant.
+    let t = phase_locked_market_trajectory(29, 1);
     assert_pinned(
-        "sequential tiered snapshot-view market",
-        &(&t1.0, t1.1, t1.2, &t1.3),
-        PIN_PARALLEL_K1,
+        "phase-locked tiered snapshot-view market",
+        &(&t.0, t.1, t.2, &t.3),
+        PIN_PHASE_LOCKED_K1,
     );
-    let t2 = parallel_market_trajectory(29, 2, 1);
-    let t8 = parallel_market_trajectory(29, 8, 1);
-    assert_eq!(t1.0, t2.0, "outcome diverged at plan_threads = 2");
-    assert_eq!(t1.0, t8.0, "outcome diverged at plan_threads = 8");
-    assert_eq!(
-        (t1.1, t1.2),
-        (t2.1, t2.2),
-        "planner-work counters diverged at plan_threads = 2"
-    );
-    assert_eq!(
-        (t1.1, t1.2),
-        (t8.1, t8.2),
-        "planner-work counters diverged at plan_threads = 8"
-    );
-    assert_eq!(t1.3, t2.3, "oracle tier counters diverged");
-    assert_eq!(t1.3, t8.3, "oracle tier counters diverged");
-    assert!(t1.1 > 0, "run did no planner work at all");
-    // The sequential run never speculates; the parallel runs actually did
-    // (otherwise this test exercises nothing).
-    assert_eq!(t1.4, 0, "plan_threads = 1 took the speculative path");
-    assert!(t8.4 > 0, "plan_threads = 8 never committed a speculation");
+    assert!(t.1 > 0, "run did no planner work at all");
 }
 
 #[test]
-fn parallel_multipath_planning_is_bit_identical_across_thread_counts() {
-    // k = 2: standby rounds scan live candidates, so every speculation in
-    // a batch after the first conflicts and replans inline — the fallback
-    // path itself must preserve bit-identity (and the books).
-    let t1 = parallel_market_trajectory(29, 1, 2);
+fn phase_locked_multipath_market_trajectory_matches_its_pin() {
+    // k = 2: standby rounds scan live candidates behind every primary.
+    let t = phase_locked_market_trajectory(29, 2);
     assert_pinned(
-        "sequential tiered snapshot-view multipath market",
-        &(&t1.0, t1.1, t1.2, &t1.3),
-        PIN_PARALLEL_K2,
+        "phase-locked tiered snapshot-view multipath market",
+        &(&t.0, t.1, t.2, &t.3),
+        PIN_PHASE_LOCKED_K2,
     );
-    let t8 = parallel_market_trajectory(29, 8, 2);
-    assert_eq!(t1.0, t8.0, "multipath outcome diverged at plan_threads = 8");
-    assert_eq!(
-        (t1.1, t1.2),
-        (t8.1, t8.2),
-        "multipath planner-work counters diverged"
-    );
-    assert_eq!(t1.3, t8.3, "multipath oracle tier counters diverged");
-    assert!(t1.0.multipath.2 > 0, "delivery ratio was never sampled");
-    assert_eq!(t1.0.leaked, 0, "multipath run leaked degrees");
+    assert!(t.0.multipath.2 > 0, "delivery ratio was never sampled");
+    assert_eq!(t.0.leaked, 0, "multipath run leaked degrees");
 }
 
 /// One faulted Admission-mode trajectory: the same staggered crash plan

@@ -27,8 +27,8 @@ const PIN_MARKET_K1: (u64, u64) = (601, 12810628481288405967);
 const PIN_MARKET_K2: (u64, u64) = (758, 44761309776641770);
 const PIN_ADMISSION: (u64, u64) = (950, 5193438548936708349);
 const PIN_QUERY_TIERED: (u64, u64) = (777, 11118931471538173744);
-/// The phase-locked tiered snapshot-view market at `plan_threads = 1`
-/// (k = 1 and k = 2), recorded at commit 0482ff2.
+/// The phase-locked tiered snapshot-view market (k = 1 and k = 2),
+/// recorded at commit 0482ff2.
 const PIN_PHASE_LOCKED_K1: (u64, u64) = (1242, 9421592194088227880);
 const PIN_PHASE_LOCKED_K2: (u64, u64) = (1584, 750378349310401424);
 
@@ -126,12 +126,11 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
     }
 }
 
-/// A faulted, traced market tuned so the parallel planner actually forms
-/// batches: microsecond arrival gap (every first start lands at `t = 0`
-/// and replans stay phase-locked), snapshot view so speculative plans
-/// carry finite conflict scopes, tiered oracle so the per-plan
-/// `OracleTiers` snapshots are part of the contract too.
-fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> ((String, u64), u64) {
+/// The faulted, traced phase-locked market: microsecond arrival gap (every
+/// first start lands at `t = 0` and replans stay phase-locked), plans from
+/// the snapshot view, tiered oracle so the per-plan `OracleTiers`
+/// snapshots are part of the contract too.
+fn traced_phase_locked_market(seed: u64, k_trees: usize) -> (String, u64) {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -160,51 +159,35 @@ fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> ((S
             k_trees,
             ..PlanConfig::default()
         },
-        plan_threads,
         ..MarketConfig::default()
     };
     let mut sim = MarketSim::new(pool, cfg, seed);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (out, _) = sim.run_full();
-    (
-        (to_json_lines(&out.trace), out.trace.len() as u64),
-        out.speculative_commits,
-    )
+    (to_json_lines(&out.trace), out.trace.len() as u64)
 }
 
 #[test]
-fn parallel_market_traces_are_bit_identical_across_thread_counts() {
-    // The observability contract extends to the parallel planner: every
-    // trace byte — per-plan relaxation and latency-call counts included —
-    // must be independent of `plan_threads`.
-    let (run, c1) = traced_parallel_market(29, 1, 1);
+fn phase_locked_market_trace_matches_its_pin() {
+    // Every trace byte — per-plan relaxation and latency-call counts
+    // included — of the one traced input with same-instant waves.
+    let run = traced_phase_locked_market(29, 1);
     assert_pinned("phase-locked tiered market", &run, PIN_PHASE_LOCKED_K1);
-    let (t1, _) = run;
-    let ((t2, _), _) = traced_parallel_market(29, 2, 1);
-    let ((t8, _), c8) = traced_parallel_market(29, 8, 1);
-    assert_eq!(t1, t2, "traces diverged at plan_threads = 2");
-    assert_eq!(t1, t8, "traces diverged at plan_threads = 8");
-    assert_eq!(c1, 0, "plan_threads = 1 took the speculative path");
-    assert!(c8 > 0, "plan_threads = 8 never committed a speculation");
     assert!(
-        t1.contains("OracleTiers"),
+        run.0.contains("OracleTiers"),
         "no per-plan tier snapshots in a tiered trace"
     );
 }
 
 #[test]
-fn parallel_multipath_market_traces_are_bit_identical_across_thread_counts() {
-    // k = 2: the conflict-fallback path (standby rounds scan the live
-    // pool) must also leave the trace untouched.
-    let (run, _) = traced_parallel_market(29, 1, 2);
+fn phase_locked_multipath_market_trace_matches_its_pin() {
+    // k = 2: standby rounds scan the live pool behind every primary.
+    let run = traced_phase_locked_market(29, 2);
     assert_pinned(
         "phase-locked tiered multipath market",
         &run,
         PIN_PHASE_LOCKED_K2,
     );
-    let (t1, _) = run;
-    let ((t8, _), _) = traced_parallel_market(29, 8, 2);
-    assert_eq!(t1, t8, "multipath traces diverged at plan_threads = 8");
 }
 
 /// A faulted Admission-mode market with starvation-level thresholds, so
@@ -425,5 +408,15 @@ fn untraced_market_outcome_is_unaffected_by_the_instrumentation() {
     let mut mb = MetricsRegistry::new();
     plain.publish_metrics(&mut ma);
     traced.publish_metrics(&mut mb);
-    assert_eq!(ma.to_json_lines(), mb.to_json_lines());
+    let exported = ma.to_json_lines();
+    assert_eq!(exported, mb.to_json_lines());
+    // The two exact planner-work counters are part of the export.
+    for (name, want) in [
+        ("market.planner_relaxations", plain.planner_relaxations),
+        ("market.planner_latency_calls", plain.planner_latency_calls),
+    ] {
+        assert!(exported.contains(name), "{name} missing from the export");
+        assert_eq!(ma.counter(name), want, "{name} is not the outcome's field");
+    }
+    assert!(plain.planner_relaxations > 0, "the run did no planner work");
 }
