@@ -201,9 +201,11 @@ proptest! {
 }
 
 /// Everything a market run exposes: plans, per-class stats, planner work,
-/// the leak and lapse censuses and the final books of every host.
+/// the auditor's verdict, the leak and lapse censuses and the final books
+/// of every host.
 #[derive(Debug, PartialEq)]
 struct MarketDigest {
+    audit_clean: bool,
     plans: u64,
     preemptions: Vec<u64>,
     improvement: Vec<(u64, f64)>,
@@ -213,9 +215,10 @@ struct MarketDigest {
     tables: Vec<Vec<Allocation>>,
 }
 
-fn run_market(cfg: &MarketConfig, seed: u64) -> (MarketDigest, bool) {
+fn run_market(cfg: &MarketConfig, seed: u64) -> MarketDigest {
     let (out, pool) = MarketSim::new(pristine().clone(), cfg.clone(), seed).run_full();
-    let digest = MarketDigest {
+    MarketDigest {
+        audit_clean: out.audit.is_clean(),
         plans: out.plans,
         preemptions: (1..=3).map(|p| out.class(p).preemptions).collect(),
         improvement: (1..=3)
@@ -233,8 +236,7 @@ fn run_market(cfg: &MarketConfig, seed: u64) -> (MarketDigest, bool) {
             .ids()
             .map(|h| pool.table(h).allocations().to_vec())
             .collect(),
-    };
-    (digest, out.audit.is_clean())
+    }
 }
 
 proptest! {
@@ -271,13 +273,11 @@ proptest! {
             view_refresh: view.then(|| SimTime::from_secs(60)),
             audit_period: Some(SimTime::from_secs(120)),
             faults,
-            plan: PlanConfig::default(),
             ..MarketConfig::default()
         };
-        let (a, a_clean) = run_market(&cfg, seed);
-        let (b, _) = run_market(&cfg, seed);
-        prop_assert!(a_clean, "auditor found violations");
-        prop_assert_eq!(&a, &b, "same-seed runs diverged");
+        let a = run_market(&cfg, seed);
+        prop_assert!(a.audit_clean, "auditor found violations");
+        prop_assert_eq!(&a, &run_market(&cfg, seed), "same-seed runs diverged");
         prop_assert_eq!(a.leaked, 0, "degrees leaked");
     }
 }

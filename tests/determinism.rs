@@ -240,6 +240,42 @@ struct MarketTrace {
     tables: Vec<Vec<pool::degree_table::Allocation>>,
 }
 
+impl MarketTrace {
+    fn of(out: &pool::MarketOutcome, pool: &ResourcePool) -> MarketTrace {
+        MarketTrace {
+            plans: out.plans,
+            per_class: (1..=3)
+                .map(|p| {
+                    let c = out.class(p);
+                    (
+                        c.helper_crashes,
+                        c.failovers,
+                        c.sessions_lost,
+                        c.preemptions,
+                    )
+                })
+                .collect(),
+            crash_repairs: out.crash_repairs,
+            lapsed: out.lapsed_lease_degrees,
+            leaked: out.leaked_degrees,
+            multipath: (
+                out.tree_failovers,
+                out.trees_rebuilt,
+                out.delivery.count(),
+                out.delivery.mean(),
+                out.restore_rounds.count(),
+                out.restore_rounds.mean(),
+            ),
+            tables: pool
+                .net
+                .hosts
+                .ids()
+                .map(|h| pool.table(h).allocations().to_vec())
+                .collect(),
+        }
+    }
+}
+
 fn faulted_market_trajectory(seed: u64) -> MarketTrace {
     faulted_market_trajectory_k(seed, 1)
 }
@@ -273,39 +309,7 @@ fn faulted_market_trajectory_k(seed: u64, k_trees: usize) -> MarketTrace {
         ..MarketConfig::default()
     };
     let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
-    let per_class: Vec<(u64, u64, u64, u64)> = (1..=3)
-        .map(|p| {
-            let c = out.class(p);
-            (
-                c.helper_crashes,
-                c.failovers,
-                c.sessions_lost,
-                c.preemptions,
-            )
-        })
-        .collect();
-    let tables: Vec<Vec<pool::degree_table::Allocation>> = pool
-        .net
-        .hosts
-        .ids()
-        .map(|h| pool.table(h).allocations().to_vec())
-        .collect();
-    MarketTrace {
-        plans: out.plans,
-        per_class,
-        crash_repairs: out.crash_repairs,
-        lapsed: out.lapsed_lease_degrees,
-        leaked: out.leaked_degrees,
-        multipath: (
-            out.tree_failovers,
-            out.trees_rebuilt,
-            out.delivery.count(),
-            out.delivery.mean(),
-            out.restore_rounds.count(),
-            out.restore_rounds.mean(),
-        ),
-        tables,
-    }
+    MarketTrace::of(&out, &pool)
 }
 
 #[test]
@@ -375,41 +379,8 @@ fn phase_locked_market_trajectory(
         ..MarketConfig::default()
     };
     let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
-    let per_class: Vec<(u64, u64, u64, u64)> = (1..=3)
-        .map(|p| {
-            let c = out.class(p);
-            (
-                c.helper_crashes,
-                c.failovers,
-                c.sessions_lost,
-                c.preemptions,
-            )
-        })
-        .collect();
-    let tables: Vec<Vec<pool::degree_table::Allocation>> = pool
-        .net
-        .hosts
-        .ids()
-        .map(|h| pool.table(h).allocations().to_vec())
-        .collect();
-    let trace = MarketTrace {
-        plans: out.plans,
-        per_class,
-        crash_repairs: out.crash_repairs,
-        lapsed: out.lapsed_lease_degrees,
-        leaked: out.leaked_degrees,
-        multipath: (
-            out.tree_failovers,
-            out.trees_rebuilt,
-            out.delivery.count(),
-            out.delivery.mean(),
-            out.restore_rounds.count(),
-            out.restore_rounds.mean(),
-        ),
-        tables,
-    };
     (
-        trace,
+        MarketTrace::of(&out, &pool),
         out.planner_relaxations,
         out.planner_latency_calls,
         out.oracle_tiers,

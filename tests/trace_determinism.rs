@@ -131,40 +131,23 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
 /// the snapshot view, tiered oracle so the per-plan `OracleTiers`
 /// snapshots are part of the contract too.
 fn traced_phase_locked_market(seed: u64, k_trees: usize) -> (String, u64) {
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            latency_source: LatencySource::Tiered(TieredConfig::default()),
-            ..PoolConfig::default()
-        },
+    traced_market_with(
         seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(13) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 12,
-        member_size: 10,
-        mean_gap: SimTime::from_micros(1),
-        horizon: SimTime::from_secs(1500),
-        warmup: SimTime::from_secs(300),
-        view_refresh: Some(SimTime::from_secs(60)),
-        faults,
-        plan: PlanConfig {
-            k_trees,
-            ..PlanConfig::default()
+        LatencySource::Tiered(TieredConfig::default()),
+        |cfg| {
+            let mut faults = simcore::FaultPlan::none();
+            for h in (0..300u64).step_by(13) {
+                faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
+            }
+            cfg.faults = faults;
+            cfg.sessions = 12;
+            cfg.member_size = 10;
+            cfg.mean_gap = SimTime::from_micros(1);
+            cfg.horizon = SimTime::from_secs(1500);
+            cfg.view_refresh = Some(SimTime::from_secs(60));
+            cfg.plan.k_trees = k_trees;
         },
-        ..MarketConfig::default()
-    };
-    let mut sim = MarketSim::new(pool, cfg, seed);
-    sim.set_tracer(Tracer::ring(1 << 16));
-    let (out, _) = sim.run_full();
-    (to_json_lines(&out.trace), out.trace.len() as u64)
+    )
 }
 
 #[test]
