@@ -6,11 +6,11 @@
 //!
 //! * **naive** — plan every pair through coordinates (what a too-literal
 //!   reading produces): the greedy planner adversarially selects the most
-//!   under-estimated helpers and the plan is *worse* than no helpers;
+//!   under-estimated helpers and the plan is no better than no helpers;
 //! * **hybrid** — members measure each other, helpers stay estimated:
 //!   better, still poisoned by phantom-close helpers;
 //! * **staged** — shortlist on estimates, contact & measure, replan: the
-//!   paper-faithful loop, within a few points of the oracle;
+//!   paper-faithful loop, two thirds of the oracle's gain;
 //! * **oracle** — the *Critical* ceiling.
 //!
 //! Run with: `cargo run --release -p bench --bin ablate_staged`
