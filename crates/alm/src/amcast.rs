@@ -10,10 +10,12 @@
 //! Two engines implement that loop:
 //!
 //! * `try_greedy_engine` — the incremental engine used by [`amcast`] and
-//!   [`critical`](crate::critical::critical): a lazy-invalidation priority
-//!   queue selects the next member in O(log N), dense arrays replace hash
-//!   maps on the hot path, and the recompute step walks a height-ordered
-//!   capacity index that terminates as soon as no later node can win.
+//!   [`critical`](crate::critical::critical): one pass over the pending
+//!   members per iteration relaxes them, collects the ones whose parent
+//!   just filled and finds the next member to absorb; the recompute step
+//!   walks a height-ordered capacity index that terminates as soon as no
+//!   later node can win. Its whole state is sized by the session — the
+//!   pending members and the tree under construction — never by the pool.
 //!   Bit-identical to the reference (see DESIGN.md §11 for the argument).
 //! * `greedy_engine_reference` — the paper's naive O(N³) formulation,
 //!   retained verbatim as the A/B baseline for the equivalence proptests
@@ -23,8 +25,7 @@
 //! hook fires when a chosen parent's free degree drops to one, and may
 //! splice a pool helper in between (the dashed box).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use netsim::{HostId, LatencyModel};
 
@@ -109,65 +110,27 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Dense per-host engine state, grown on demand so helper ids are safe even
-/// when a finder hands back an id at the edge of the model's range.
-struct EngineState {
-    /// Height of in-tree nodes (mirrors `MulticastTree` exactly).
-    height: Vec<f64>,
-    /// Remaining child capacity of in-tree nodes.
-    free: Vec<u32>,
-    /// Tentative height of pending members.
-    best_h: Vec<f64>,
-    /// Tentative parent of pending members.
-    best_p: Vec<HostId>,
-    /// Index into the pending vec, `usize::MAX` when absorbed.
-    pos: Vec<usize>,
-    /// Pending members filed under their tentative parent. Entries go stale
-    /// when a member's parent changes (no eager removal) and may repeat;
-    /// readers filter against `best_p`/`pos` and dedup.
-    by_parent: Vec<Vec<HostId>>,
+/// A member still outside the tree, with its best attachment so far.
+struct Pending {
+    host: HostId,
+    /// Tentative height: `height(best_p) + latency(best_p, host)`.
+    best_h: f64,
+    /// Tentative parent, and its node index in the tree under construction
+    /// (nodes are numbered in attachment order, the root is 0).
+    best_p: HostId,
+    best_pi: u32,
 }
 
-impl EngineState {
-    fn new(n: usize) -> EngineState {
-        EngineState {
-            height: vec![0.0; n],
-            free: vec![0; n],
-            best_h: vec![f64::INFINITY; n],
-            best_p: vec![HostId(u32::MAX); n],
-            pos: vec![usize::MAX; n],
-            by_parent: vec![Vec::new(); n],
-        }
-    }
+/// Selection key of a pending member — `(tentative height, id)` — and its
+/// position in the pending vector (ids are unique, so the position never
+/// decides an order).
+type Key = (OrdF64, HostId, usize);
 
-    fn ensure(&mut self, i: usize) {
-        if i >= self.pos.len() {
-            let n = i + 1;
-            self.height.resize(n, 0.0);
-            self.free.resize(n, 0);
-            self.best_h.resize(n, f64::INFINITY);
-            self.best_p.resize(n, HostId(u32::MAX));
-            self.pos.resize(n, usize::MAX);
-            self.by_parent.resize(n, Vec::new());
-        }
-    }
-
-    /// Pending members currently filed under `parent`, in pending-vec order
-    /// (the order the reference engine's linear filter would produce).
-    fn members_of(&mut self, parent: HostId) -> Vec<HostId> {
-        let list = std::mem::take(&mut self.by_parent[parent.idx()]);
-        let mut keep: Vec<(usize, HostId)> = list
-            .into_iter()
-            .filter(|&v| self.pos[v.idx()] != usize::MAX && self.best_p[v.idx()] == parent)
-            .map(|v| (self.pos[v.idx()], v))
-            .collect();
-        keep.sort_unstable();
-        keep.dedup();
-        let out: Vec<HostId> = keep.into_iter().map(|(_, v)| v).collect();
-        // Readers that only peek (the sibling list) put the survivors back.
-        self.by_parent[parent.idx()] = out.clone();
-        out
-    }
+/// Fold `v`, at position `at`, into the running argmin over the pending
+/// vector: the member the next iteration absorbs.
+fn offer(next: &mut Option<Key>, v: &Pending, at: usize) {
+    let key = (OrdF64(v.best_h), v.host, at);
+    *next = Some(next.map_or(key, |best| best.min(key)));
 }
 
 /// The shared greedy engine — incremental formulation.
@@ -189,67 +152,64 @@ pub(crate) fn try_greedy_engine<L: LatencyModel, D: Fn(HostId) -> u32>(
     finder: &mut impl HelperFinder<L>,
 ) -> Option<MulticastTree> {
     let mut relaxed: u64 = 0;
-    let mut tree = MulticastTree::new(p.root);
-    let mut st = EngineState::new(p.latency.num_hosts());
-    st.ensure(p.root.idx());
-    for &m in &p.members {
-        st.ensure(m.idx());
+    let mut tree = MulticastTree::with_capacity(p.root, p.members.len());
+    // Remaining child capacity of every tree node, by node index.
+    let mut free: Vec<u32> = Vec::with_capacity(p.members.len());
+    free.push(p.free_child_slots(&tree, p.root));
+
+    // Height-ordered index of tree nodes with spare capacity (ids are
+    // unique, so the node index never decides the order).
+    let mut cap: BTreeSet<(OrdF64, HostId, u32)> = BTreeSet::new();
+    if free[0] >= 1 {
+        cap.insert((OrdF64(0.0), p.root, 0));
     }
 
-    // Height-ordered index of tree nodes with spare capacity.
-    let mut cap: BTreeSet<(OrdF64, HostId)> = BTreeSet::new();
-    st.free[p.root.idx()] = p.free_child_slots(&tree, p.root);
-    if st.free[p.root.idx()] >= 1 {
-        cap.insert((OrdF64(0.0), p.root));
-    }
-
-    let mut pending: Vec<HostId> = p.members.iter().copied().filter(|&m| m != p.root).collect();
-    // Lazy-invalidation selection queue: entries are (tentative height, id)
-    // snapshots; stale ones are discarded at pop time.
-    let mut heap: BinaryHeap<Reverse<(OrdF64, HostId)>> =
-        BinaryHeap::with_capacity(pending.len() + 1);
-    for (i, &v) in pending.iter().enumerate() {
-        st.pos[v.idx()] = i;
+    // In the reference's order: every `swap_remove` below is the
+    // reference's, so sibling lists and recomputes come out in its order.
+    let mut pending: Vec<Pending> = Vec::with_capacity(p.members.len());
+    let mut next: Option<Key> = None;
+    for &v in p.members.iter().filter(|&&m| m != p.root) {
         relaxed += 1;
-        let h0 = p.latency.latency_ms(p.root, v);
-        st.best_h[v.idx()] = h0;
-        st.best_p[v.idx()] = p.root;
-        st.by_parent[p.root.idx()].push(v);
-        heap.push(Reverse((OrdF64(h0), v)));
-    }
-
-    while !pending.is_empty() {
-        // The pending member with minimum (tentative height, id). A drained
-        // heap with members still pending means an orphan recompute already
-        // failed — out of capacity.
-        let u = loop {
-            let Reverse((OrdF64(h), v)) = heap.pop()?;
-            if st.pos[v.idx()] != usize::MAX && st.best_h[v.idx()] == h {
-                break v;
-            }
+        let v = Pending {
+            host: v,
+            best_h: p.latency.latency_ms(p.root, v),
+            best_p: p.root,
+            best_pi: 0,
         };
-        let pu = st.best_p[u.idx()];
+        offer(&mut next, &v, pending.len());
+        pending.push(v);
+    }
+    // Scratch, reused by every iteration.
+    let mut siblings: Vec<HostId> = Vec::new();
+    let mut orphans: Vec<usize> = Vec::new();
 
-        // Remove u from pending, replicating the reference's swap_remove.
-        let up = st.pos[u.idx()];
-        pending.swap_remove(up);
-        if up < pending.len() {
-            st.pos[pending[up].idx()] = up;
-        }
-        st.pos[u.idx()] = usize::MAX;
+    while let Some((_, _, at)) = next.take() {
+        let Pending {
+            host: u,
+            best_p: pu,
+            best_pi: pi,
+            ..
+        } = pending.swap_remove(at);
+        let pi = pi as usize;
 
         debug_assert!(
-            st.free[pu.idx()] >= 1,
+            free[pi] >= 1,
             "chosen parent has no capacity — best-parent bookkeeping broken"
         );
 
         // Critical moment: the chosen parent is about to fill up.
         let mut spliced: Option<HostId> = None;
-        if st.free[pu.idx()] == 1 {
-            let siblings: Vec<HostId> = std::iter::once(u).chain(st.members_of(pu)).collect();
+        if free[pi] == 1 {
+            siblings.clear();
+            siblings.push(u);
+            siblings.extend(
+                pending
+                    .iter()
+                    .filter(|v| v.best_pi as usize == pi)
+                    .map(|v| v.host),
+            );
             if let Some(h) = finder.find(&tree, pu, u, &siblings, p.latency) {
                 debug_assert!(!tree.contains(h), "helper already in tree");
-                st.ensure(h.idx());
                 tree.attach(h, pu, p.latency.latency_ms(pu, h));
                 tree.attach(u, h, p.latency.latency_ms(h, u));
                 spliced = Some(h);
@@ -259,97 +219,78 @@ pub(crate) fn try_greedy_engine<L: LatencyModel, D: Fn(HostId) -> u32>(
             tree.attach(u, pu, p.latency.latency_ms(pu, u));
         }
 
-        // Mirror the attachment into the dense state. Heights are read back
-        // from the tree so both engines share one source of arithmetic.
-        if let Some(h) = spliced {
-            st.height[h.idx()] = tree.height_of(h);
-            st.free[h.idx()] = p.free_child_slots(&tree, h);
-            if st.free[h.idx()] >= 1 {
-                cap.insert((OrdF64(st.height[h.idx()]), h));
-            }
-        }
-        st.height[u.idx()] = tree.height_of(u);
-        st.free[u.idx()] = p.free_child_slots(&tree, u);
-        if st.free[u.idx()] >= 1 {
-            cap.insert((OrdF64(st.height[u.idx()]), u));
-        }
-        st.free[pu.idx()] -= 1;
-        let pu_full = st.free[pu.idx()] == 0;
-        if pu_full {
-            cap.remove(&(OrdF64(st.height[pu.idx()]), pu));
-        }
-
-        // Relax survivors against the newly added node(s). Members whose
-        // chosen parent just filled (== pu) are recomputed below instead —
-        // only pu lost capacity this iteration, so nobody else's parent can
-        // have gone full.
-        let mut news: [(HostId, f64); 2] = [(HostId(0), 0.0); 2];
+        // File the new node(s). Heights are read back from the tree so both
+        // engines share one source of arithmetic. A new node that can take
+        // children is what the survivors are relaxed against.
+        let mut news: [(HostId, u32, f64); 2] = [(HostId(0), 0, 0.0); 2];
         let mut nn = 0;
-        if let Some(h) = spliced {
-            if st.free[h.idx()] >= 1 {
-                news[nn] = (h, st.height[h.idx()]);
+        for w in spliced.into_iter().chain([u]) {
+            let wi = free.len() as u32;
+            free.push(p.free_child_slots(&tree, w));
+            if free[wi as usize] >= 1 {
+                let hw = tree.height_of(w);
+                cap.insert((OrdF64(hw), w, wi));
+                news[nn] = (w, wi, hw);
                 nn += 1;
             }
         }
-        if st.free[u.idx()] >= 1 {
-            news[nn] = (u, st.height[u.idx()]);
-            nn += 1;
-        }
-        if nn > 0 {
-            for &v in &pending {
-                if pu_full && st.best_p[v.idx()] == pu {
-                    continue;
-                }
-                let mut hv = st.best_h[v.idx()];
-                let mut pv = st.best_p[v.idx()];
-                let mut touched = false;
-                for &(w, hw) in &news[..nn] {
-                    // latency >= 0: a node at or above the incumbent height
-                    // cannot strictly improve, so skip the evaluation.
-                    if hw < hv {
-                        relaxed += 1;
-                        let cand = hw + p.latency.latency_ms(w, v);
-                        if cand < hv {
-                            hv = cand;
-                            pv = w;
-                            touched = true;
-                        }
-                    }
-                }
-                if touched {
-                    st.best_h[v.idx()] = hv;
-                    st.best_p[v.idx()] = pv;
-                    st.by_parent[pv.idx()].push(v);
-                    heap.push(Reverse((OrdF64(hv), v)));
-                }
-            }
+        debug_assert_eq!(free.len(), tree.len());
+        free[pi] -= 1;
+        let pu_full = free[pi] == 0;
+        if pu_full {
+            cap.remove(&(OrdF64(tree.height_of(pu)), pu, pi as u32));
         }
 
-        // Recompute members orphaned by pu filling up: scan the capacity
-        // index in ascending (height, id) until no later node can win.
-        if pu_full {
-            let orphans = st.members_of(pu);
-            st.by_parent[pu.idx()].clear();
-            for v in orphans {
-                let mut bs = f64::INFINITY;
-                let mut bw: Option<HostId> = None;
-                for &(OrdF64(hw), w) in cap.iter() {
-                    if hw > bs {
-                        break;
-                    }
+        // One pass over the survivors: relax them against the new node(s),
+        // set aside the members whose chosen parent just filled — only pu
+        // lost capacity this iteration, so nobody else's parent can have
+        // gone full — and find the next member to absorb.
+        orphans.clear();
+        for (at, v) in pending.iter_mut().enumerate() {
+            if pu_full && v.best_pi as usize == pi {
+                orphans.push(at);
+                continue;
+            }
+            for &(w, wi, hw) in &news[..nn] {
+                // latency >= 0: a node at or above the incumbent height
+                // cannot strictly improve, so skip the evaluation.
+                if hw < v.best_h {
                     relaxed += 1;
-                    let cand = hw + p.latency.latency_ms(w, v);
-                    if cand < bs || (cand == bs && bw.is_some_and(|x| w < x)) {
-                        bs = cand;
-                        bw = Some(w);
+                    let cand = hw + p.latency.latency_ms(w, v.host);
+                    if cand < v.best_h {
+                        v.best_h = cand;
+                        v.best_p = w;
+                        v.best_pi = wi;
                     }
                 }
-                let np = bw?;
-                st.best_h[v.idx()] = bs;
-                st.best_p[v.idx()] = np;
-                st.by_parent[np.idx()].push(v);
-                heap.push(Reverse((OrdF64(bs), v)));
             }
+            offer(&mut next, v, at);
+        }
+
+        // Recompute the members orphaned by pu filling up: scan the
+        // capacity index in ascending (height, id) until no later node can
+        // win.
+        for &at in &orphans {
+            let v = &mut pending[at];
+            let mut bs = f64::INFINITY;
+            let mut bw: Option<(HostId, u32)> = None;
+            for &(OrdF64(hw), w, wi) in cap.iter() {
+                if hw > bs {
+                    break;
+                }
+                relaxed += 1;
+                let cand = hw + p.latency.latency_ms(w, v.host);
+                if cand < bs || (cand == bs && bw.is_some_and(|(x, _)| w < x)) {
+                    bs = cand;
+                    bw = Some((w, wi));
+                }
+            }
+            // Out of capacity.
+            let (np, npi) = bw?;
+            v.best_h = bs;
+            v.best_p = np;
+            v.best_pi = npi;
+            offer(&mut next, v, at);
         }
     }
     add_relaxations(relaxed);
