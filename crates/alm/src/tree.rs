@@ -50,6 +50,19 @@ fn home(h: HostId, slots: usize) -> usize {
     (u64::from(h.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
 }
 
+/// Node `i`'s children, in attachment order. Borrows the links alone, so a
+/// caller may write heights while it walks.
+fn children(links: &[Links], i: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut next = links[i].first_child;
+    std::iter::from_fn(move || {
+        (next != NONE).then(|| {
+            let c = next as usize;
+            next = links[c].next_sibling;
+            c
+        })
+    })
+}
+
 impl MulticastTree {
     /// A tree containing only the root.
     pub fn new(root: HostId) -> MulticastTree {
@@ -133,14 +146,7 @@ impl MulticastTree {
 
     /// Node `i`'s children, in attachment order.
     fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let mut next = self.links[i].first_child;
-        std::iter::from_fn(move || {
-            (next != NONE).then(|| {
-                let c = next as usize;
-                next = self.links[c].next_sibling;
-                c
-            })
-        })
+        children(&self.links, i)
     }
 
     /// Append node `c` to the end of node `p`'s child list.
@@ -366,12 +372,9 @@ impl MulticastTree {
         while let Some(i) = stack.pop() {
             let hi = self.height[i];
             let node = self.nodes[i];
-            let mut next = self.links[i].first_child;
-            while next != NONE {
-                let c = next as usize;
+            for c in children(&self.links, i) {
                 self.height[c] = hi + latency.latency_ms(node, self.nodes[c]);
                 stack.push(c);
-                next = self.links[c].next_sibling;
             }
         }
     }

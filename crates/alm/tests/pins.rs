@@ -221,20 +221,17 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
         self.begin();
         let tree = plan();
         self.cost(pin, label);
-        let Some(mut tree) = tree else {
+        let Some(tree) = tree else {
             pin.feed(&format!("{label}: infeasible\n"));
             return None;
         };
         pin.tree(label, &tree);
         if self.deep {
-            let planned = tree.clone();
+            let mut adjusted = tree.clone();
             self.begin();
-            let moves = adjust(p, &mut tree);
+            let moves = adjust(p, &mut adjusted);
             self.cost(pin, "adjust");
-            pin.tree(&format!("{label} + {moves} moves"), &tree);
-            // A clone is a tree of its own: adjusting one left the other be.
-            assert_eq!(planned.hosts(), tree.hosts());
-            return Some(planned);
+            pin.tree(&format!("{label} + {moves} moves"), &adjusted);
         }
         Some(tree)
     }
