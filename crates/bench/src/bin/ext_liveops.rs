@@ -163,7 +163,7 @@ fn main() {
         .latest_snapshot()
         .expect("final snapshot exists")
         .state
-        .clone();
+        .thaw();
     let final_json = serde_json::to_string(&final_state).expect("snapshot serializes");
     let mut replays = 0u64;
     for idx in 0..store.snapshots().len() {

@@ -86,6 +86,12 @@ impl DegreeTable {
         }
     }
 
+    /// A table rebuilt from a captured allocation list, in its captured
+    /// order (how a frozen live-ops snapshot thaws a host).
+    pub(crate) fn with_allocations(dbound: u32, alloc: Vec<Allocation>) -> DegreeTable {
+        DegreeTable { dbound, alloc }
+    }
+
     /// The host's physical degree bound.
     pub fn dbound(&self) -> u32 {
         self.dbound

@@ -49,8 +49,8 @@ pub mod task_manager;
 
 pub use degree_table::{DegreeTable, Rank, SessionId};
 pub use liveops::{
-    LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot, MarketStore, MarketStoreHandle, OpsNote,
-    SlotSnap,
+    FrozenSnapshot, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot, MarketStore,
+    MarketStoreHandle, OpsNote, SlotSnap,
 };
 pub use market::{
     water_fill, AdmissionConfig, AllocationMode, ClassStatsMap, DiscoveryMode, MarketConfig,
@@ -74,12 +74,11 @@ use dht::Ring;
 use netsim::{HostId, Network, NetworkConfig};
 use oracle::{LandmarkSketch, LatencySource, PoolOracle, TierStats, TieredOracle};
 use serde::{Deserialize, Serialize};
-use somo::Report as _;
 
 /// One state-mutating pool call, recorded by the pool itself once
 /// [`ResourcePool::enable_op_log`] is on. The sequence is the run's
 /// **delta log**: drained into a `runstore::RunStore`, snapshot-plus-replay
-/// ([`MarketSnapshot::apply`]) reconstructs the pool state byte for byte,
+/// ([`liveops::ReplayState::apply`]) reconstructs the pool state byte for byte,
 /// including mid-retry victim evictions that the planner's retry loop
 /// never rolls back (see [`liveops`]).
 ///
@@ -420,36 +419,48 @@ impl ResourcePool {
     }
 
     /// The pool-wide resource report — what the SOMO root holds after one
-    /// full gather (see `tests/` for the flow-simulated equivalent).
+    /// full gather (see `tests/` for the flow-simulated equivalent): every
+    /// live host's entry, best-first, truncated to the report's cap.
     ///
-    /// Deterministic: entries are merged in host-id order and
-    /// [`ResourceReport`]'s best-first sort is a strict total order
-    /// (availability per rank descending, weakest rank first, then host id
-    /// ascending), so the same tables always produce the same report —
-    /// including which entries survive the `cap` truncation.
+    /// The cap is the one a chain of merges would leave: every single-host
+    /// report carries [`ResourceReport::DEFAULT_CAP`] and a merge keeps the
+    /// smaller cap (at least 1), so as soon as one live host reports, the
+    /// result is capped at `min(cap, DEFAULT_CAP)` — `usize::MAX` has
+    /// always meant 512 entries, not "uncapped". With no live host nothing
+    /// is merged and the empty report carries `cap` as given.
+    ///
+    /// Deterministic: [`ResourceReport`]'s best-first sort is a strict
+    /// total order (availability per rank descending, weakest rank first,
+    /// then host id ascending), so the same tables always produce the same
+    /// report — including which entries survive the truncation.
     pub fn snapshot_report(&self, cap: usize) -> ResourceReport {
-        let mut r = ResourceReport {
-            entries: Vec::new(),
-            cap,
+        // A crashed host publishes nothing: its report simply stops
+        // arriving at the SOMO root.
+        let entries: Vec<CandidateEntry> = self
+            .net
+            .hosts
+            .ids()
+            .filter(|h| self.alive[h.idx()])
+            .map(|h| {
+                let t = &self.tables[h.idx()];
+                CandidateEntry {
+                    host: h,
+                    avail: [
+                        t.available_at(Rank::MEMBER),
+                        t.available_at(Rank::helper(1)),
+                        t.available_at(Rank::helper(2)),
+                        t.available_at(Rank::helper(3)),
+                    ],
+                }
+            })
+            .collect();
+        let cap = if entries.is_empty() {
+            cap
+        } else {
+            cap.clamp(1, ResourceReport::DEFAULT_CAP)
         };
-        for h in self.net.hosts.ids() {
-            // A crashed host publishes nothing: its report simply stops
-            // arriving at the SOMO root.
-            if !self.alive[h.idx()] {
-                continue;
-            }
-            let t = &self.tables[h.idx()];
-            let entry = CandidateEntry {
-                host: h,
-                avail: [
-                    t.available_at(Rank::MEMBER),
-                    t.available_at(Rank::helper(1)),
-                    t.available_at(Rank::helper(2)),
-                    t.available_at(Rank::helper(3)),
-                ],
-            };
-            r.merge(&ResourceReport::of_member(entry));
-        }
+        let mut r = ResourceReport { entries, cap };
+        r.sort_and_cap();
         r
     }
 
@@ -483,6 +494,24 @@ impl ResourcePool {
             queued: 0,
             preempted: 0,
         })
+    }
+
+    /// The whole-pool [`query::Aggregate`] at `now`, folded straight from
+    /// the live hosts' samples: what a freshly refreshed
+    /// [`query::QueryIndex`]'s root caches, for a reader that wants the
+    /// pool-wide signal (the pressure report) and has no tree to ask.
+    pub fn aggregate(&self, now: simcore::SimTime) -> query::Aggregate {
+        let bounds = query::RegionBounds::default();
+        let mut agg = query::Aggregate::empty();
+        for s in self
+            .net
+            .hosts
+            .ids()
+            .filter_map(|h| self.host_sample(h, now))
+        {
+            agg.add_sample(&s, &bounds);
+        }
+        agg
     }
 
     /// Build a [`query::QueryIndex`] over the pool's ring at the configured

@@ -10,17 +10,38 @@
 //! * every state-mutating pool call ([`PoolOp`]), slot transition
 //!   ([`SlotSnap`]) and admission-queue change lands in the store's delta
 //!   log as a [`MarketDelta`];
-//! * each snapshot round captures a full [`MarketSnapshot`] — degree
-//!   tables, liveness, slot states, admission queues, lease horizons —
-//!   and evaluates the operator's standing queries
+//! * each snapshot round captures the market's full state — degree
+//!   tables, liveness, slot states, admission queues, lease horizons — as
+//!   a [`FrozenSnapshot`] and evaluates the operator's standing queries
 //!   ([`query::SubscriptionSet`], [`query::PressureWatch`], utilization
 //!   crossings), appending what fired as [`OpsNote`] deltas.
 //!
-//! Reconstruction is [`reconstruct_at`]: clone a snapshot's state and fold
-//! the later deltas forward with [`MarketSnapshot::apply`]. The
-//! replay-determinism gate (`tests/liveops.rs`, `ext_liveops`) asserts the
-//! result byte-identical to the live run's final state from *every*
-//! snapshot of a faulted market run.
+//! Reconstruction is [`reconstruct_at`]: thaw a snapshot into a dense
+//! [`ReplayState`] and fold the later deltas forward with
+//! [`ReplayState::apply`]. The replay-determinism gate (`tests/liveops.rs`,
+//! `ext_liveops`) asserts the result byte-identical to the live run's
+//! final state from *every* snapshot of a faulted market run, and
+//! `tests/liveops_pins.rs` pins the exported bytes and every replay.
+//!
+//! ## What the store retains
+//!
+//! Monitoring is only left switched on if it is cheap, so what the surface
+//! keeps is proportional to what the market *holds*, not to the pool:
+//!
+//! * a stored snapshot is **frozen** — sparse and flat. A market books
+//!   degrees on a small share of its hosts (10–16 % of a 2048-host pool at
+//!   any instant of the reference faulted run), so a [`FrozenSnapshot`]
+//!   keeps the down hosts, the hosts that hold anything and one flat
+//!   allocation list; the degree bounds, which never change, are one
+//!   vector shared by every snapshot of the run. The dense
+//!   [`MarketSnapshot`] — a table per host — exists only while a replay
+//!   or an export materialises it, and the frozen form serialises as that
+//!   dense form, so every exported byte is what it always was;
+//! * the standing queries' **private** [`QueryIndex`] is built and
+//!   refreshed only while a standing query is registered; the pressure
+//!   watch needs no tree and reads [`ResourcePool::aggregate`];
+//! * a delta log entry is 56 B: `MarketDelta`'s rare wide arms (`Slot`,
+//!   `Queues`) are boxed, the common ones ([`PoolOp`]s, notes) ride inline.
 //!
 //! Attaching the surface must not change the run: the market's snapshot
 //! event is strictly read-only (it mutates only this module's private
@@ -36,6 +57,7 @@
 //! honest uncertainty, not false confidence.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use netsim::HostId;
 use query::{Freshness, PressureWatch, QueryIndex, SubscriptionSet, ThresholdDelta};
@@ -43,16 +65,16 @@ use runstore::{ReplayGap, RunStore, StoreConfig, StoreHandle};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
-use crate::degree_table::{DegreeTable, SessionId};
+use crate::degree_table::{Allocation, DegreeTable, SessionId};
 use crate::{PoolOp, ResourcePool};
 
-/// The market's run store: [`MarketDelta`] deltas, [`MarketSnapshot`]
+/// The market's run store: [`MarketDelta`] deltas, [`FrozenSnapshot`]
 /// snapshots.
-pub type MarketStore = RunStore<MarketDelta, MarketSnapshot>;
+pub type MarketStore = RunStore<MarketDelta, FrozenSnapshot>;
 
 /// Shared handle to a [`MarketStore`] (simulator, sink and operator each
 /// hold a clone).
-pub type MarketStoreHandle = StoreHandle<MarketDelta, MarketSnapshot>;
+pub type MarketStoreHandle = StoreHandle<MarketDelta, FrozenSnapshot>;
 
 /// One host's state inside a [`MarketSnapshot`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -98,7 +120,7 @@ pub struct LeaseHorizon {
 
 /// An operator-facing observation appended to the delta log when a
 /// standing query fires. Notes are pure annotations: replay ignores them
-/// ([`MarketSnapshot::apply`] treats them as no-ops).
+/// ([`ReplayState::apply`] treats them as no-ops).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum OpsNote {
     /// A registered threshold subscription crossed (see
@@ -119,7 +141,10 @@ pub enum OpsNote {
     },
 }
 
-/// One entry of the market's delta log.
+/// One entry of the market's delta log. Pool ops and notes are ≈ 97 % of
+/// a faulted run's log and at most 32 B; the two wider arms are boxed so
+/// they do not set the size of every entry (a box serialises as what it
+/// holds, so the exported JSON does not know).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum MarketDelta {
     /// A state-mutating pool call, in execution order.
@@ -129,20 +154,22 @@ pub enum MarketDelta {
         /// Slot index in the market.
         index: u32,
         /// Its new state.
-        state: SlotSnap,
+        state: Box<SlotSnap>,
     },
     /// The admission FIFOs changed (queued slot indices, class 1 first).
     Queues {
         /// The new queue contents.
-        queues: [Vec<u32>; 3],
+        queues: Box<[Vec<u32>; 3]>,
     },
     /// A standing-query observation (no state effect on replay).
     Note(OpsNote),
 }
 
-/// Full market state at one instant. Capture time lives on the store's
-/// [`runstore::SnapshotEntry`], not here, so a replayed-to-the-end state
-/// compares byte-for-byte against a later snapshot's `state`.
+/// Full market state at one instant, dense: one entry per host. This is
+/// the form a replay folds deltas into and the form every export renders;
+/// the store itself holds [`FrozenSnapshot`]s. Capture time lives on the
+/// store's [`runstore::SnapshotEntry`], not here, so a replayed-to-the-end
+/// state compares byte-for-byte against a later snapshot's state.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MarketSnapshot {
     /// Every host: liveness and full degree table.
@@ -162,7 +189,8 @@ pub struct MarketSnapshot {
 
 impl MarketSnapshot {
     /// Capture the current state of `pool` plus the market's slot and
-    /// queue mirrors.
+    /// queue mirrors, densely — the reference [`FrozenSnapshot::capture`]
+    /// must thaw to.
     pub fn capture(pool: &ResourcePool, slots: &[SlotSnap], queues: &[Vec<u32>; 3]) -> Self {
         let hosts = (0..pool.num_hosts() as u32)
             .map(|i| {
@@ -187,105 +215,13 @@ impl MarketSnapshot {
     }
 
     /// Recompute the derived fields (`lease_horizons`, `used`,
-    /// `capacity`) from the authoritative tables. Call after a replay.
+    /// `capacity`) from the authoritative tables.
     pub fn refresh_derived(&mut self) {
-        let mut horizons: BTreeMap<SessionId, u64> = BTreeMap::new();
-        let mut used = 0u32;
-        let mut capacity = 0u32;
-        for h in &self.hosts {
-            used += h.table.used();
-            capacity += h.table.dbound();
-            for a in h.table.allocations() {
-                if let Some(at) = a.expires_at {
-                    let e = horizons.entry(a.session).or_insert(u64::MAX);
-                    *e = (*e).min(at.as_micros());
-                }
-            }
-        }
-        self.lease_horizons = horizons
-            .into_iter()
-            .map(|(session, expires_at_us)| LeaseHorizon {
-                session,
-                expires_at_us,
-            })
-            .collect();
+        let (lease_horizons, used) =
+            holdings_summary(self.hosts.iter().flat_map(|h| h.table.allocations()));
+        self.lease_horizons = lease_horizons;
         self.used = used;
-        self.capacity = capacity;
-    }
-
-    /// Fold one delta forward. Pool ops re-execute against the snapshot's
-    /// tables exactly as the live pool executed them; slot and queue
-    /// deltas overwrite the mirrors; notes are annotations and do
-    /// nothing. Derived fields are **not** refreshed here — call
-    /// [`MarketSnapshot::refresh_derived`] once after the fold.
-    pub fn apply(&mut self, delta: &MarketDelta) {
-        match delta {
-            MarketDelta::Pool(op) => self.apply_pool_op(op),
-            MarketDelta::Slot { index, state } => {
-                self.slots[*index as usize] = *state;
-            }
-            MarketDelta::Queues { queues } => {
-                self.admission_queues = queues.clone();
-            }
-            MarketDelta::Note(_) => {}
-        }
-    }
-
-    fn apply_pool_op(&mut self, op: &PoolOp) {
-        match op {
-            PoolOp::Reserve {
-                host,
-                session,
-                rank,
-                count,
-                expires_at,
-                ok,
-            } => {
-                if *ok {
-                    let r = self.hosts[host.idx()].table.reserve_until(
-                        *session,
-                        *rank,
-                        *count,
-                        *expires_at,
-                    );
-                    debug_assert!(r.is_ok(), "logged-ok reserve must replay ok ({host:?})");
-                }
-            }
-            PoolOp::ReleaseSession { session, hosts } => {
-                for h in hosts {
-                    self.hosts[h.idx()].table.release(*session);
-                }
-            }
-            PoolOp::ReleaseDegrees {
-                host,
-                session,
-                rank,
-                count,
-            } => {
-                self.hosts[host.idx()]
-                    .table
-                    .release_count(*session, *rank, *count);
-            }
-            PoolOp::ReleaseOnHost { session, host } => {
-                self.hosts[host.idx()].table.release(*session);
-            }
-            PoolOp::Renew {
-                session,
-                expires_at,
-            } => {
-                for h in &mut self.hosts {
-                    h.table.renew(*session, *expires_at);
-                }
-            }
-            PoolOp::ExpireLeases { now } => {
-                for h in &mut self.hosts {
-                    h.table.expire(*now);
-                }
-            }
-            PoolOp::SetAlive { host, alive } => {
-                self.hosts[host.idx()].alive = *alive;
-            }
-        }
+        self.capacity = self.hosts.iter().map(|h| h.table.dbound()).sum();
     }
 
     /// Hosts whose degree utilization (`used / dbound`) is at or above
@@ -298,6 +234,291 @@ impl MarketSnapshot {
             })
             .map(|h| h.host)
             .collect()
+    }
+}
+
+/// What a set of allocations derives to: every leasing session's earliest
+/// deadline, session order, and the degrees allocated in total.
+fn holdings_summary<'a>(
+    allocations: impl Iterator<Item = &'a Allocation>,
+) -> (Vec<LeaseHorizon>, u32) {
+    let mut horizons: BTreeMap<SessionId, u64> = BTreeMap::new();
+    let mut used = 0u32;
+    for a in allocations {
+        used += a.count;
+        if let Some(at) = a.expires_at {
+            let e = horizons.entry(a.session).or_insert(u64::MAX);
+            *e = (*e).min(at.as_micros());
+        }
+    }
+    let horizons = horizons
+        .into_iter()
+        .map(|(session, expires_at_us)| LeaseHorizon {
+            session,
+            expires_at_us,
+        })
+        .collect();
+    (horizons, used)
+}
+
+/// A [`MarketSnapshot`] as the store holds it: sparse and flat, so that a
+/// snapshot's footprint follows the tables the market holds, not the pool.
+///
+/// Hosts that are up and hold nothing — most of any pool — are not
+/// represented at all; the rest are three sorted flat vectors. The degree
+/// bounds are the one per-host quantity every host has, and they never
+/// change, so every snapshot of a run shares one vector of them.
+/// Consecutive snapshots share nothing else: lease renewals rewrite
+/// `expires_at` on every held table between most rounds, which is why the
+/// layout is sparse-flat rather than copy-on-write tables.
+///
+/// [`FrozenSnapshot::thaw`] gives the dense form back exactly, and
+/// `Serialize` renders that dense form: exports do not know the store
+/// changed shape.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FrozenSnapshot {
+    /// Every host's degree bound, host order.
+    dbound: Arc<[u32]>,
+    /// The hosts that were down, ascending.
+    down: Vec<HostId>,
+    /// Each host whose table held anything, ascending, with the end of its
+    /// run in `allocations` (it starts where the previous host's ends).
+    held: Vec<(HostId, u32)>,
+    /// The held tables' allocations, host by host, each in table order.
+    allocations: Vec<Allocation>,
+    slots: Vec<SlotSnap>,
+    admission_queues: [Vec<u32>; 3],
+    lease_horizons: Vec<LeaseHorizon>,
+    used: u32,
+    capacity: u32,
+}
+
+impl FrozenSnapshot {
+    /// Capture the current state of `pool` plus the market's slot and
+    /// queue mirrors. `previous` is the run's last snapshot, if any: the
+    /// new one shares its degree-bound vector when the bounds are still
+    /// the same (always, within one run).
+    pub fn capture(
+        pool: &ResourcePool,
+        slots: &[SlotSnap],
+        queues: &[Vec<u32>; 3],
+        previous: Option<&FrozenSnapshot>,
+    ) -> FrozenSnapshot {
+        let rows = (0..pool.num_hosts() as u32).map(|i| {
+            let h = HostId(i);
+            (pool.is_alive(h), pool.table(h))
+        });
+        FrozenSnapshot::freeze(rows, slots, queues, previous)
+    }
+
+    /// Freeze a dense snapshot (whose derived fields are current);
+    /// `previous` as for [`FrozenSnapshot::capture`].
+    pub fn of(dense: &MarketSnapshot, previous: Option<&FrozenSnapshot>) -> FrozenSnapshot {
+        let rows = dense.hosts.iter().map(|h| (h.alive, &h.table));
+        FrozenSnapshot::freeze(rows, &dense.slots, &dense.admission_queues, previous)
+    }
+
+    /// `rows` is every host's `(alive, table)`, host order.
+    fn freeze<'a>(
+        rows: impl Iterator<Item = (bool, &'a DegreeTable)> + Clone,
+        slots: &[SlotSnap],
+        queues: &[Vec<u32>; 3],
+        previous: Option<&FrozenSnapshot>,
+    ) -> FrozenSnapshot {
+        let rows = || (0u32..).map(HostId).zip(rows.clone());
+        let bounds = || rows().map(|(_, (_, t))| t.dbound());
+        let dbound = match previous {
+            Some(p) if p.dbound.iter().copied().eq(bounds()) => Arc::clone(&p.dbound),
+            _ => bounds().collect(),
+        };
+        let held_tables = || {
+            rows()
+                .map(|(h, (_, t))| (h, t.allocations()))
+                .filter(|(_, run)| !run.is_empty())
+        };
+        let down_hosts = || rows().filter(|(_, (alive, _))| !alive).map(|(h, _)| h);
+        // Sized exactly: a stored snapshot carries no growth slack.
+        let mut down = Vec::with_capacity(down_hosts().count());
+        down.extend(down_hosts());
+        let mut held = Vec::with_capacity(held_tables().count());
+        let mut allocations = Vec::with_capacity(held_tables().map(|(_, run)| run.len()).sum());
+        for (h, run) in held_tables() {
+            allocations.extend_from_slice(run);
+            let end = u32::try_from(allocations.len()).expect("under 2^32 allocations pool-wide");
+            held.push((h, end));
+        }
+        let (lease_horizons, used) = holdings_summary(allocations.iter());
+        FrozenSnapshot {
+            capacity: dbound.iter().sum(),
+            dbound,
+            down,
+            held,
+            allocations,
+            slots: slots.to_vec(),
+            admission_queues: queues.clone(),
+            lease_horizons,
+            used,
+        }
+    }
+
+    /// The dense snapshot this one froze, field for field.
+    pub fn thaw(&self) -> MarketSnapshot {
+        let mut hosts: Vec<HostSnap> = self
+            .dbound
+            .iter()
+            .enumerate()
+            .map(|(i, &dbound)| HostSnap {
+                host: HostId(i as u32),
+                alive: true,
+                table: DegreeTable::new(dbound),
+            })
+            .collect();
+        for h in &self.down {
+            hosts[h.idx()].alive = false;
+        }
+        let mut start = 0;
+        for &(h, end) in &self.held {
+            let run = self.allocations[start..end as usize].to_vec();
+            hosts[h.idx()].table = DegreeTable::with_allocations(self.dbound[h.idx()], run);
+            start = end as usize;
+        }
+        MarketSnapshot {
+            hosts,
+            slots: self.slots.clone(),
+            admission_queues: self.admission_queues.clone(),
+            lease_horizons: self.lease_horizons.clone(),
+            used: self.used,
+            capacity: self.capacity,
+        }
+    }
+}
+
+impl Serialize for FrozenSnapshot {
+    /// The dense snapshot's JSON, byte for byte.
+    fn to_json_value(&self) -> serde::Value {
+        self.thaw().to_json_value()
+    }
+}
+
+/// The working state of a replay: a thawed [`MarketSnapshot`] that deltas
+/// fold into, plus the list of hosts whose tables can hold anything, so a
+/// pool-wide op (`Renew`, `ExpireLeases`) sweeps the held tables rather
+/// than every host of the pool.
+#[derive(Clone, Debug)]
+pub struct ReplayState {
+    snap: MarketSnapshot,
+    /// Hosts the snapshot held tables on plus every host a replayed
+    /// reserve booked on since. A superset of the non-empty tables — a
+    /// drained table stays listed, and sweeping it does nothing.
+    occupied: Vec<u32>,
+    /// `occupied` as a membership test, host-indexed.
+    listed: Vec<bool>,
+}
+
+impl From<MarketSnapshot> for ReplayState {
+    fn from(snap: MarketSnapshot) -> ReplayState {
+        let listed: Vec<bool> = snap
+            .hosts
+            .iter()
+            .map(|h| !h.table.allocations().is_empty())
+            .collect();
+        let occupied = (0..listed.len() as u32)
+            .filter(|&i| listed[i as usize])
+            .collect();
+        ReplayState {
+            snap,
+            occupied,
+            listed,
+        }
+    }
+}
+
+impl ReplayState {
+    /// Open a stored snapshot for replay.
+    pub fn open(frozen: &FrozenSnapshot) -> ReplayState {
+        frozen.thaw().into()
+    }
+
+    /// Fold one delta forward. Pool ops re-execute against the state's
+    /// tables exactly as the live pool executed them; slot and queue
+    /// deltas overwrite the mirrors; notes are annotations and do
+    /// nothing.
+    pub fn apply(&mut self, delta: &MarketDelta) {
+        match delta {
+            MarketDelta::Pool(op) => self.apply_pool_op(op),
+            MarketDelta::Slot { index, state } => {
+                self.snap.slots[*index as usize] = **state;
+            }
+            MarketDelta::Queues { queues } => {
+                self.snap.admission_queues = (**queues).clone();
+            }
+            MarketDelta::Note(_) => {}
+        }
+    }
+
+    fn apply_pool_op(&mut self, op: &PoolOp) {
+        let hosts = &mut self.snap.hosts;
+        match op {
+            PoolOp::Reserve {
+                host,
+                session,
+                rank,
+                count,
+                expires_at,
+                ok,
+            } => {
+                if *ok {
+                    let r =
+                        hosts[host.idx()]
+                            .table
+                            .reserve_until(*session, *rank, *count, *expires_at);
+                    debug_assert!(r.is_ok(), "logged-ok reserve must replay ok ({host:?})");
+                    if !std::mem::replace(&mut self.listed[host.idx()], true) {
+                        self.occupied.push(host.0);
+                    }
+                }
+            }
+            PoolOp::ReleaseSession { session, hosts: on } => {
+                for h in on {
+                    hosts[h.idx()].table.release(*session);
+                }
+            }
+            PoolOp::ReleaseDegrees {
+                host,
+                session,
+                rank,
+                count,
+            } => {
+                hosts[host.idx()]
+                    .table
+                    .release_count(*session, *rank, *count);
+            }
+            PoolOp::ReleaseOnHost { session, host } => {
+                hosts[host.idx()].table.release(*session);
+            }
+            PoolOp::Renew {
+                session,
+                expires_at,
+            } => {
+                for &h in &self.occupied {
+                    hosts[h as usize].table.renew(*session, *expires_at);
+                }
+            }
+            PoolOp::ExpireLeases { now } => {
+                for &h in &self.occupied {
+                    hosts[h as usize].table.expire(*now);
+                }
+            }
+            PoolOp::SetAlive { host, alive } => {
+                hosts[host.idx()].alive = *alive;
+            }
+        }
+    }
+
+    /// The reconstructed snapshot, derived fields refreshed.
+    pub fn finish(mut self) -> MarketSnapshot {
+        self.snap.refresh_derived();
+        self.snap
     }
 }
 
@@ -340,6 +561,8 @@ pub struct LiveOps {
     subs: SubscriptionSet,
     /// Private index the standing queries evaluate against — never the
     /// market's own, so operator traffic stays out of market accounting.
+    /// Built at the first snapshot round that finds a standing query
+    /// registered; a surface nobody queries never pays for one.
     qindex: Option<QueryIndex>,
     watch: PressureWatch,
     last_slots: Vec<Option<SlotSnap>>,
@@ -432,6 +655,7 @@ impl LiveOps {
         }
         for (index, state) in dirty_slots {
             self.last_slots[index as usize] = Some(state);
+            let state = Box::new(state);
             store.append_delta(at, MarketDelta::Slot { index, state });
         }
         if queues_dirty {
@@ -439,16 +663,16 @@ impl LiveOps {
             store.append_delta(
                 at,
                 MarketDelta::Queues {
-                    queues: queues.clone(),
+                    queues: Box::new(queues.clone()),
                 },
             );
         }
     }
 
-    /// One snapshot round: evaluate the standing queries against a
-    /// refreshed private index (threshold subscriptions, pressure watch,
-    /// utilization crossings), append what fired as notes, then capture
-    /// and store a full [`MarketSnapshot`]. Read-only on the market.
+    /// One snapshot round: evaluate the standing queries (threshold
+    /// subscriptions against the refreshed private index, the pressure
+    /// watch, utilization crossings), append what fired as notes, then
+    /// capture and store a [`FrozenSnapshot`]. Read-only on the market.
     pub fn snapshot_round(
         &mut self,
         now: SimTime,
@@ -456,19 +680,29 @@ impl LiveOps {
         slots: &[SlotSnap],
         queues: &[Vec<u32>; 3],
     ) {
-        let period = self.cfg.snapshot_period;
-        match &mut self.qindex {
-            Some(idx) => pool.refresh_query_index(idx, now),
-            None => self.qindex = Some(pool.build_query_index(period, now)),
+        // The pressure signal is `free[r].sum / capacity` — integer sums
+        // over the live hosts, which need no tree to fold.
+        let pool_wide = pool.aggregate(now);
+        let mut notes: Vec<OpsNote> = Vec::new();
+        if !self.subs.subscriptions().is_empty() {
+            let idx = match &mut self.qindex {
+                Some(idx) => {
+                    pool.refresh_query_index(idx, now);
+                    idx
+                }
+                None => self
+                    .qindex
+                    .insert(pool.build_query_index(self.cfg.snapshot_period, now)),
+            };
+            debug_assert_eq!(
+                idx.root_aggregate().pressure(),
+                pool_wide.pressure(),
+                "the folded pressure signal must be the index root's"
+            );
+            let fired = self.subs.evaluate(idx, now);
+            notes.extend(fired.into_iter().map(OpsNote::Threshold));
         }
-        let idx = self.qindex.as_mut().expect("just built");
-        let mut notes: Vec<OpsNote> = self
-            .subs
-            .evaluate(idx, now)
-            .into_iter()
-            .map(OpsNote::Threshold)
-            .collect();
-        if let Some(scarce) = self.watch.observe(idx.root_aggregate()) {
+        if let Some(scarce) = self.watch.observe(&pool_wide) {
             notes.push(OpsNote::Pressure { scarce });
         }
         self.last_over.resize(pool.num_hosts(), None);
@@ -488,8 +722,9 @@ impl LiveOps {
                 notes.push(OpsNote::UtilCrossing { host: h, up: over });
             }
         }
-        let snap = MarketSnapshot::capture(pool, slots, queues);
         let mut store = self.handle.lock().expect("run store lock poisoned");
+        let previous = store.latest_snapshot().map(|s| &s.state);
+        let snap = FrozenSnapshot::capture(pool, slots, queues, previous);
         for n in notes {
             store.append_delta(now, MarketDelta::Note(n));
         }
@@ -517,7 +752,7 @@ pub struct OpsAnswer {
 /// ([`Freshness::empty_scope`]), so `staleness` reports `bound`.
 pub fn store_freshness(store: &MarketStore, bound: SimTime) -> Freshness {
     let snap_at = store.latest_snapshot().map(|s| s.at_us);
-    let delta_at = store.deltas_stored().last().map(|d| d.at_us);
+    let delta_at = store.latest_delta().map(|d| d.at_us);
     let oldest = match snap_at.into_iter().chain(delta_at).max() {
         Some(us) => SimTime::from_micros(us),
         None => SimTime::MAX,
@@ -526,15 +761,14 @@ pub fn store_freshness(store: &MarketStore, bound: SimTime) -> Freshness {
 }
 
 /// Reconstruct the state at the end of the log from snapshot `idx`:
-/// clone its state, fold every later delta with
-/// [`MarketSnapshot::apply`], refresh the derived fields.
+/// thaw it into a [`ReplayState`], fold every later delta with
+/// [`ReplayState::apply`], refresh the derived fields.
 ///
 /// # Errors
 /// [`ReplayGap`] when delta eviction dropped part of the needed range.
 pub fn reconstruct_at(store: &MarketStore, idx: usize) -> Result<MarketSnapshot, ReplayGap> {
-    let mut snap = store.replay(idx, |s, d| s.apply(&d.delta))?;
-    snap.refresh_derived();
-    Ok(snap)
+    let replayed = store.replay(idx, ReplayState::open, |s, d| s.apply(&d.delta))?;
+    Ok(replayed.finish())
 }
 
 /// [`reconstruct_at`] from the latest snapshot; `None` when the store has
@@ -570,12 +804,11 @@ pub fn hosts_crossed_up(store: &MarketStore, since: SimTime, bound: SimTime) -> 
         }
         oldest_in_scope = oldest_in_scope.min(SimTime::from_micros(d.at_us));
         if let MarketDelta::Note(OpsNote::UtilCrossing { host, up: true }) = d.delta {
-            if !hosts.contains(&host) {
-                hosts.push(host);
-            }
+            hosts.push(host);
         }
     }
     hosts.sort_unstable();
+    hosts.dedup();
     OpsAnswer {
         hosts,
         freshness: Freshness {
@@ -621,7 +854,7 @@ mod tests {
     #[test]
     fn pool_ops_fold_identically_to_direct_table_calls() {
         let mut live = vec![DegreeTable::new(8), DegreeTable::new(8)];
-        let mut snap = snap_with(live.clone());
+        let mut replay = ReplayState::from(snap_with(live.clone()));
         let lease = Some(SimTime::from_secs(100));
         // Live trajectory.
         live[0]
@@ -658,9 +891,9 @@ mod tests {
                 now: SimTime::from_secs(150),
             },
         ] {
-            snap.apply(&MarketDelta::Pool(op));
+            replay.apply(&MarketDelta::Pool(op));
         }
-        snap.refresh_derived();
+        let snap = replay.finish();
         assert_eq!(snap.hosts[0].table, live[0]);
         assert_eq!(snap.hosts[1].table, live[1]);
         // Session 2's lease lapsed at 150 s; session 1 renewed to 200 s.
@@ -678,7 +911,21 @@ mod tests {
     #[test]
     fn store_replay_reconstructs_the_final_state_byte_for_byte() {
         let mut store: MarketStore = RunStore::new(StoreConfig::default());
-        let base = snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)]);
+        let base = FrozenSnapshot {
+            dbound: [4, 4].into(),
+            down: Vec::new(),
+            held: Vec::new(),
+            allocations: Vec::new(),
+            slots: Vec::new(),
+            admission_queues: [Vec::new(), Vec::new(), Vec::new()],
+            lease_horizons: Vec::new(),
+            used: 0,
+            capacity: 8,
+        };
+        assert_eq!(
+            base.thaw(),
+            snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)])
+        );
         store.snapshot(SimTime::ZERO, base);
         let lease = Some(SimTime::from_secs(50));
         store.append_delta(

@@ -64,7 +64,7 @@ impl ResourceReport {
             .map(|e| e.host)
     }
 
-    fn sort_and_cap(&mut self) {
+    pub(crate) fn sort_and_cap(&mut self) {
         // Best candidates first under a *strict total order*: availability
         // descending at the weakest rank (3), stronger ranks breaking ties
         // in turn, host id ascending last. No two distinct entries compare

@@ -1,0 +1,481 @@
+//! Property tests for the live-operations store's snapshot layout and
+//! replay (DESIGN.md §17.3): a frozen snapshot thaws to exactly the dense
+//! capture, and thawing any stored snapshot and folding the later deltas
+//! lands on the live pool's tables — over real pools driven through every
+//! mutating call, and over degenerate ones (no hosts, zero-degree hosts,
+//! down hosts holding stranded claims) a generated pool never contains.
+//! And for the surface's standing queries: the pressure signal it folds
+//! without an index is the index root's, and a query registered mid-run is
+//! served from the next round on.
+
+use std::sync::OnceLock;
+
+use netsim::{HostId, NetworkConfig};
+use pool::liveops::{reconstruct_at, HostSnap, ReplayState};
+use pool::market::{MarketConfig, MarketSim};
+use pool::{
+    DegreeTable, FrozenSnapshot, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot, OpsNote,
+    PoolConfig, PoolOp, Rank, ResourcePool, SessionId, SlotSnap,
+};
+use proptest::prelude::*;
+use runstore::Stamped;
+use simcore::{FaultPlan, SimTime};
+
+const HOSTS: usize = 150;
+const SEED: u64 = 29;
+
+/// One shared pristine pool (building coordinates is the expensive part);
+/// every case clones it. The pool of `tests/liveops.rs`.
+fn pristine() -> &'static ResourcePool {
+    static POOL: OnceLock<ResourcePool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        ResourcePool::build(
+            &PoolConfig {
+                net: NetworkConfig {
+                    num_hosts: HOSTS,
+                    ..NetworkConfig::default()
+                },
+                coord_rounds: 4,
+                ..PoolConfig::default()
+            },
+            SEED,
+        )
+    })
+}
+
+fn secs(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+fn idle_slot(session: u32) -> SlotSnap {
+    SlotSnap {
+        session,
+        active: false,
+        replan_pending: false,
+        cycle: 0,
+        degraded: false,
+        defers: 0,
+        queued_since_us: None,
+        broken_since_us: None,
+    }
+}
+
+/// A claim's lease, by kind: permanent, long, or short enough to lapse.
+fn lease(kind: u8, now: SimTime) -> Option<SimTime> {
+    match kind {
+        0 => None,
+        1 => Some(now + secs(40)),
+        _ => Some(now + secs(3)),
+    }
+}
+
+#[test]
+fn a_stamped_delta_is_at_most_56_bytes() {
+    assert!(std::mem::size_of::<Stamped<MarketDelta>>() <= 56);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A real pool driven through every mutating call, with the surface
+    // attached the way the market attaches it (`sync` after each step,
+    // `snapshot_round` now and then).
+    #[test]
+    fn frozen_snapshots_thaw_to_the_dense_capture_and_replay_to_the_live_pool(
+        steps in proptest::collection::vec(
+            // ((op, host, session), (rank, count, lease kind), snapshot after?)
+            ((0u8..12, 0u32..HOSTS as u32, 0u32..5), (0u8..4, 1u32..4, 0u8..3), 0u8..5),
+            1..70,
+        ),
+    ) {
+        let mut pool = pristine().clone();
+        pool.enable_op_log();
+        let mut lo = LiveOps::new(LiveOpsConfig::default());
+        let handle = lo.handle();
+        let mut slots: Vec<SlotSnap> = (0..3).map(idle_slot).collect();
+        let mut queues: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+
+        // Every run has a host that is down and still holds stranded
+        // claims, one permanent and one leased.
+        let stranded = HostId(7);
+        pool.reserve(stranded, SessionId(0), Rank::MEMBER, 1).unwrap();
+        pool.reserve_leased(stranded, SessionId(1), Rank::helper(2), 1, Some(secs(500)))
+            .unwrap();
+        pool.kill_host(stranded);
+        lo.sync(SimTime::ZERO, pool.drain_op_log(), &slots, &queues);
+        lo.snapshot_round(SimTime::ZERO, &pool, &slots, &queues);
+
+        for (i, step) in steps.into_iter().enumerate() {
+            let ((op, host, session), (rank, count, lease_kind), snap) = step;
+            let now = secs(1 + i as u64);
+            let (h, s, r) = (HostId(host), SessionId(session), Rank(rank));
+            match op {
+                0..=2 => {
+                    let _ = pool.reserve_leased(h, s, r, count, lease(lease_kind, now));
+                }
+                3 => {
+                    pool.release_session(s);
+                }
+                4 => {
+                    pool.release_on_host(s, h);
+                }
+                5 => {
+                    pool.release_degrees(h, s, r, count);
+                }
+                6 => {
+                    pool.renew_session(s, now + secs(40));
+                }
+                7 => {
+                    pool.expire_leases(now);
+                }
+                8 => pool.kill_host(h),
+                9 => pool.revive_host(h),
+                10 => {
+                    let slot = &mut slots[session as usize % 3];
+                    slot.active = !slot.active;
+                    slot.cycle += u64::from(count);
+                    slot.queued_since_us = lease(lease_kind, now).map(|t| t.as_micros());
+                }
+                _ => {
+                    let q = &mut queues[rank as usize % 3];
+                    if q.len() > 2 {
+                        q.remove(0);
+                    } else {
+                        q.push(session);
+                    }
+                }
+            }
+            lo.sync(now, pool.drain_op_log(), &slots, &queues);
+            if snap == 0 {
+                lo.snapshot_round(now, &pool, &slots, &queues);
+                let store = handle.lock().unwrap();
+                let frozen = &store.latest_snapshot().unwrap().state;
+                prop_assert_eq!(frozen.thaw(), MarketSnapshot::capture(&pool, &slots, &queues));
+            }
+        }
+
+        let live = MarketSnapshot::capture(&pool, &slots, &queues);
+        let store = handle.lock().unwrap();
+        for idx in 0..store.snapshots().len() {
+            let replayed = reconstruct_at(&store, idx).unwrap();
+            prop_assert_eq!(&replayed, &live, "from snapshot {}", idx);
+        }
+    }
+
+    // Pools no generator builds, as dense snapshots: freeze → thaw is the
+    // identity, and the replay's sweep of the occupied tables is a sweep
+    // of every table.
+    #[test]
+    fn degenerate_pools_freeze_thaw_and_fold_like_a_sweep_of_every_table(
+        hosts in proptest::collection::vec(
+            // (degree bound, alive, claims: (session, rank, count, lease kind))
+            (
+                0u32..5,
+                any::<bool>(),
+                proptest::collection::vec((0u32..4, 0u8..4, 1u32..3, 0u8..3), 0..3),
+            ),
+            0..10,
+        ),
+        ops in proptest::collection::vec(
+            // (op, host, session, rank, count, lease kind)
+            (0u8..8, 0usize..64, 0u32..4, 0u8..4, 1u32..3, 0u8..3),
+            0..40,
+        ),
+    ) {
+        let mut tables: Vec<DegreeTable> = Vec::new();
+        let mut alive: Vec<bool> = Vec::new();
+        for (dbound, up, claims) in hosts {
+            let mut t = DegreeTable::new(dbound);
+            for (session, rank, count, lease_kind) in claims {
+                let _ = t.reserve_until(
+                    SessionId(session),
+                    Rank(rank),
+                    count,
+                    lease(lease_kind, SimTime::ZERO),
+                );
+            }
+            tables.push(t);
+            alive.push(up);
+        }
+        let dense = |tables: &[DegreeTable], alive: &[bool]| {
+            let mut snap = MarketSnapshot {
+                hosts: tables
+                    .iter()
+                    .zip(alive)
+                    .enumerate()
+                    .map(|(i, (table, &alive))| HostSnap {
+                        host: HostId(i as u32),
+                        alive,
+                        table: table.clone(),
+                    })
+                    .collect(),
+                slots: vec![idle_slot(3)],
+                admission_queues: [vec![0], Vec::new(), vec![2, 1]],
+                lease_horizons: Vec::new(),
+                used: 0,
+                capacity: 0,
+            };
+            snap.refresh_derived();
+            snap
+        };
+
+        let start = dense(&tables, &alive);
+        let frozen = FrozenSnapshot::of(&start, None);
+        prop_assert_eq!(&frozen.thaw(), &start);
+        // A second snapshot of unchanged bounds shares them and is equal.
+        prop_assert_eq!(&FrozenSnapshot::of(&start, Some(&frozen)), &frozen);
+
+        // Fold the ops into the replay state and, as every-table sweeps,
+        // into the plain tables.
+        let mut replay = ReplayState::open(&frozen);
+        let n = tables.len();
+        for (i, (op, host, session, rank, count, lease_kind)) in ops.into_iter().enumerate() {
+            let now = secs(1 + i as u64);
+            let (s, r) = (SessionId(session), Rank(rank));
+            let pool_op = match op {
+                6 => {
+                    let expires_at = now + secs(40);
+                    for t in &mut tables {
+                        t.renew(s, expires_at);
+                    }
+                    PoolOp::Renew { session: s, expires_at }
+                }
+                7 => {
+                    for t in &mut tables {
+                        t.expire(now);
+                    }
+                    PoolOp::ExpireLeases { now }
+                }
+                _ if n == 0 => continue,
+                0..=2 => {
+                    let expires_at = lease(lease_kind, now);
+                    let ok = tables[host % n].reserve_until(s, r, count, expires_at).is_ok();
+                    PoolOp::Reserve {
+                        host: HostId((host % n) as u32),
+                        session: s,
+                        rank: r,
+                        count,
+                        expires_at,
+                        ok,
+                    }
+                }
+                3 => {
+                    let on: Vec<HostId> = (0..n)
+                        .filter(|&h| tables[h].held_by(s) > 0)
+                        .map(|h| HostId(h as u32))
+                        .collect();
+                    for h in &on {
+                        tables[h.idx()].release(s);
+                    }
+                    PoolOp::ReleaseSession { session: s, hosts: on }
+                }
+                4 => {
+                    tables[host % n].release_count(s, r, count);
+                    PoolOp::ReleaseDegrees {
+                        host: HostId((host % n) as u32),
+                        session: s,
+                        rank: r,
+                        count,
+                    }
+                }
+                _ => {
+                    alive[host % n] = !alive[host % n];
+                    PoolOp::SetAlive {
+                        host: HostId((host % n) as u32),
+                        alive: alive[host % n],
+                    }
+                }
+            };
+            replay.apply(&MarketDelta::Pool(pool_op));
+        }
+        prop_assert_eq!(replay.finish(), dense(&tables, &alive));
+    }
+}
+
+/// The faulted market of `tests/liveops.rs`, run once with a surface
+/// attached, as `(time, delta watermark)` of each snapshot round plus the
+/// pool ops the run logged: a trajectory the test below can drive a pool
+/// along again, round by round, with surfaces of its own.
+fn faulted_run() -> (Vec<(SimTime, u64)>, Vec<Stamped<MarketDelta>>) {
+    let mut faults = FaultPlan::none();
+    for h in (0..HOSTS as u64).step_by(7) {
+        faults = faults.crash_forever(h, secs(600 + h));
+    }
+    let cfg = MarketConfig {
+        sessions: 6,
+        member_size: 12,
+        horizon: secs(1200),
+        warmup: secs(300),
+        faults,
+        ..MarketConfig::default()
+    };
+    let mut sim = MarketSim::new(pristine().clone(), cfg, SEED);
+    let handle = sim.attach_liveops(LiveOps::new(LiveOpsConfig::default()));
+    let _ = sim.run_full();
+    let store = handle.lock().unwrap();
+    let rounds = store
+        .snapshots()
+        .iter()
+        .map(|s| (SimTime::from_micros(s.at_us), s.delta_seq))
+        .collect();
+    (rounds, store.deltas_stored().cloned().collect())
+}
+
+/// Re-execute one logged pool op through the pool's own calls.
+fn redo(pool: &mut ResourcePool, op: &PoolOp) {
+    match op {
+        PoolOp::Reserve {
+            host,
+            session,
+            rank,
+            count,
+            expires_at,
+            ok,
+        } => {
+            let got = pool.reserve_leased(*host, *session, *rank, *count, *expires_at);
+            assert_eq!(
+                got.is_ok(),
+                *ok,
+                "a logged reserve must replay to its verdict"
+            );
+        }
+        PoolOp::ReleaseSession { session, .. } => {
+            pool.release_session(*session);
+        }
+        PoolOp::ReleaseDegrees {
+            host,
+            session,
+            rank,
+            count,
+        } => {
+            pool.release_degrees(*host, *session, *rank, *count);
+        }
+        PoolOp::ReleaseOnHost { session, host } => {
+            pool.release_on_host(*session, *host);
+        }
+        PoolOp::Renew {
+            session,
+            expires_at,
+        } => {
+            pool.renew_session(*session, *expires_at);
+        }
+        PoolOp::ExpireLeases { now } => {
+            pool.expire_leases(*now);
+        }
+        PoolOp::SetAlive { host, alive: true } => pool.revive_host(*host),
+        PoolOp::SetAlive { host, alive: false } => pool.kill_host(*host),
+    }
+}
+
+/// The notes of one kind a surface logged, as `(time, note)`.
+fn notes(lo: &LiveOps, keep: impl Fn(&OpsNote) -> bool) -> Vec<(u64, OpsNote)> {
+    let handle = lo.handle();
+    let store = handle.lock().unwrap();
+    store
+        .deltas_stored()
+        .filter_map(|d| match &d.delta {
+            MarketDelta::Note(n) if keep(n) => Some((d.at_us, *n)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn folded_pressure_is_the_index_roots_and_a_late_query_is_served_from_the_next_round() {
+    let (rounds, deltas) = faulted_run();
+    assert!(rounds.len() >= 20, "a snapshot round a minute for 1200 s");
+    // Thresholds this run crosses (`tests/liveops_pins.rs` pins the notes).
+    let cfg = LiveOpsConfig {
+        pressure_threshold: 0.7,
+        ..LiveOpsConfig::default()
+    };
+    let subscribe = |lo: &mut LiveOps| {
+        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 116);
+        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 130);
+    };
+    let mut early = LiveOps::new(cfg);
+    subscribe(&mut early);
+    let mut late = LiveOps::new(cfg);
+    // `late` registers the same queries after this round.
+    let late_joins_after = 6;
+
+    let mut pool = pristine().clone();
+    let mut index = None;
+    let mut next = deltas.iter().peekable();
+    let no_queues = [Vec::new(), Vec::new(), Vec::new()];
+    for (round, &(now, watermark)) in rounds.iter().enumerate() {
+        while let Some(d) = next.next_if(|d| d.seq < watermark) {
+            if let MarketDelta::Pool(op) = &d.delta {
+                redo(&mut pool, op);
+            }
+        }
+        // An index kept refreshed from round 0, as a surface with a
+        // standing query keeps its own.
+        let index = match &mut index {
+            Some(idx) => {
+                pool.refresh_query_index(idx, now);
+                idx
+            }
+            None => index.insert(pool.build_query_index(cfg.snapshot_period, now)),
+        };
+        let folded = pool.aggregate(now);
+        assert_eq!(&folded, index.root_aggregate(), "round {round}");
+        assert_eq!(folded.pressure(), index.root_aggregate().pressure());
+
+        early.snapshot_round(now, &pool, &[], &no_queues);
+        late.snapshot_round(now, &pool, &[], &no_queues);
+        if round == late_joins_after {
+            subscribe(&mut late);
+        }
+    }
+    assert!(next.next().is_none(), "the last round is past every delta");
+
+    // The pressure watch never needed the index: the surface that had none
+    // for its first rounds logged the same crossings.
+    let pressure = |n: &OpsNote| matches!(n, OpsNote::Pressure { .. });
+    assert!(
+        notes(&early, pressure).len() >= 5,
+        "the run crosses 0.7 often"
+    );
+    assert_eq!(notes(&late, pressure), notes(&early, pressure));
+
+    // Standing queries: `late` first evaluates its queries at the round
+    // after it registered them. That first evaluation alarms exactly when
+    // the count is below the threshold (what `early` last reported); from
+    // the round after, both surfaces log the same crossings.
+    let threshold = |n: &OpsNote| matches!(n, OpsNote::Threshold(_));
+    let (early_notes, late_notes) = (notes(&early, threshold), notes(&late, threshold));
+    let first_eval = rounds[late_joins_after + 1].0.as_micros();
+    assert!(late_notes.iter().all(|(at, _)| *at >= first_eval));
+    let after = |ns: &[(u64, OpsNote)]| -> Vec<(u64, OpsNote)> {
+        ns.iter()
+            .filter(|(at, _)| *at > first_eval)
+            .copied()
+            .collect()
+    };
+    assert!(after(&early_notes).len() >= 4, "crossings after the join");
+    assert_eq!(after(&late_notes), after(&early_notes));
+    for sub in 0..2 {
+        let of_sub = |ns: &[(u64, OpsNote)], upto: u64| -> Option<(bool, u64)> {
+            ns.iter()
+                .filter_map(|(at, n)| match n {
+                    OpsNote::Threshold(d) if d.sub == sub && *at <= upto => {
+                        Some((d.below, d.count))
+                    }
+                    _ => None,
+                })
+                .next_back()
+        };
+        let below_at_join = of_sub(&early_notes, first_eval).is_some_and(|(below, _)| below);
+        let alarm = of_sub(&late_notes, first_eval);
+        assert_eq!(
+            alarm.is_some(),
+            below_at_join,
+            "query {sub}'s first evaluation"
+        );
+        assert!(
+            alarm.is_none_or(|(below, _)| below),
+            "a first evaluation only alarms"
+        );
+    }
+}

@@ -12,9 +12,13 @@ use netsim::{HostId, NetworkConfig};
 use pool::degree_table::Allocation;
 use pool::market::{MarketConfig, MarketSim};
 use pool::task_manager::{fanout_cap, plan_and_reserve, plan_standby_trees};
-use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
+use pool::{
+    CandidateEntry, PlanConfig, PlanModel, PoolConfig, Rank, ResourcePool, ResourceReport,
+    SessionId, SessionSpec,
+};
 use proptest::prelude::*;
 use simcore::SimTime;
+use somo::Report as _;
 
 /// One shared pristine pool (building coordinates is the expensive part);
 /// every case clones it.
@@ -33,6 +37,48 @@ fn pristine() -> &'static ResourcePool {
             1234,
         )
     })
+}
+
+/// A pool wider than a report's default cap of 512 entries (the metric
+/// protocols are not what its test looks at, so they barely run).
+fn wide() -> &'static ResourcePool {
+    static POOL: OnceLock<ResourcePool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        ResourcePool::build(
+            &PoolConfig {
+                net: NetworkConfig {
+                    num_hosts: 700,
+                    ..NetworkConfig::default()
+                },
+                coord_rounds: 0,
+                leafset_size: 4,
+                ..PoolConfig::default()
+            },
+            4321,
+        )
+    })
+}
+
+/// `snapshot_report` as it was until PR 21 — the definition of the report:
+/// every live host's single-entry report merged into one, in host order.
+fn merged_report(pool: &ResourcePool, cap: usize) -> ResourceReport {
+    let mut r = ResourceReport {
+        entries: Vec::new(),
+        cap,
+    };
+    for h in pool.net.hosts.ids().filter(|&h| pool.is_alive(h)) {
+        let t = pool.table(h);
+        r.merge(&ResourceReport::of_member(CandidateEntry {
+            host: h,
+            avail: [
+                t.available_at(Rank::MEMBER),
+                t.available_at(Rank::helper(1)),
+                t.available_at(Rank::helper(2)),
+                t.available_at(Rank::helper(3)),
+            ],
+        }));
+    }
+    r
 }
 
 proptest! {
@@ -197,6 +243,30 @@ proptest! {
                 .sum();
             prop_assert_eq!(e.avail[0], t.dbound() - member_held);
         }
+    }
+
+    #[test]
+    fn snapshot_report_is_the_merge_of_every_live_hosts_report(
+        claims in proptest::collection::vec((0u32..700, 0u8..4, 1u32..3), 0..300),
+        // 0 kills nobody, 1 everybody, k every k-th host.
+        kill_every in 0usize..5,
+        cap in 0usize..8,
+    ) {
+        let cap = [0, 1, 7, 511, 512, 513, 2000, usize::MAX][cap];
+        // A fresh pool ties in every rank (degree bounds take few values);
+        // claims at every rank break some of the ties, rank by rank.
+        let mut pool = wide().clone();
+        for (i, (host, rank, count)) in claims.into_iter().enumerate() {
+            let _ = pool.reserve(HostId(host), SessionId(i as u32 % 8), Rank(rank), count);
+        }
+        if kill_every > 0 {
+            for h in (0..700).step_by(kill_every) {
+                pool.kill_host(HostId(h));
+            }
+        }
+        let report = pool.snapshot_report(cap);
+        prop_assert_eq!(&report, &merged_report(&pool, cap));
+        prop_assert!(report.entries.len() <= 512, "usize::MAX has always meant 512");
     }
 }
 

@@ -17,9 +17,13 @@
 //!   sequence numbers it is consistent with.
 //!
 //! Reconstruction is `open_at(snapshot) + replay(deltas)`
-//! ([`RunStore::open_at`], [`RunStore::replay`]): clone the snapshot's
-//! state and fold the retained deltas forward with a caller-supplied apply
-//! function. When the segments still hold the needed range this is exact —
+//! ([`RunStore::open_at`], [`RunStore::replay`]): open a working state from
+//! the snapshot's stored one and fold the retained deltas forward with a
+//! caller-supplied apply function. The stored state `S` and the working
+//! state need not be one type — a store may keep snapshots in a compact
+//! frozen form and replay into whatever its deltas apply to; a state that
+//! replays in place passes `Clone::clone`. When the segments still hold the
+//! needed range this is exact —
 //! the determinism gates in `tests/liveops.rs` and the `ext_liveops` bench
 //! assert the reconstructed state byte-identical to the live run. When
 //! eviction has opened a gap, the store says so with a typed
@@ -211,6 +215,12 @@ impl<T> SegmentedLog<T> {
         self.segments.iter().flat_map(|s| s.items.iter())
     }
 
+    /// The newest retained record. A segment is only ever opened to take a
+    /// record, so the last segment's last item is it.
+    fn latest(&self) -> Option<&T> {
+        self.segments.back()?.items.last()
+    }
+
     /// Every retained record with sequence number in `[from, to)`.
     fn range(&self, from: u64, to: u64) -> Result<Vec<&T>, ReplayGap> {
         if from < self.earliest() {
@@ -333,17 +343,20 @@ impl<D, S> RunStore<D, S> {
     }
 
     /// Reconstruct the state at the end of the log from snapshot `idx`:
-    /// clone its state and fold every later delta forward with `apply`.
+    /// `open` a working state from the stored one (`Clone::clone` when the
+    /// stored state replays in place), then fold every later delta forward
+    /// with `apply`.
     ///
     /// # Errors
     /// [`ReplayGap`] as for [`RunStore::open_at`].
-    pub fn replay<F>(&self, idx: usize, mut apply: F) -> Result<S, ReplayGap>
-    where
-        S: Clone,
-        F: FnMut(&mut S, &Stamped<D>),
-    {
+    pub fn replay<W>(
+        &self,
+        idx: usize,
+        open: impl FnOnce(&S) -> W,
+        mut apply: impl FnMut(&mut W, &Stamped<D>),
+    ) -> Result<W, ReplayGap> {
         let view = self.open_at(idx)?;
-        let mut state = view.snapshot.state.clone();
+        let mut state = open(&view.snapshot.state);
         for d in view.deltas {
             apply(&mut state, d);
         }
@@ -373,6 +386,11 @@ impl<D, S> RunStore<D, S> {
     /// Every retained delta, oldest first (partial after eviction).
     pub fn deltas_stored(&self) -> impl Iterator<Item = &Stamped<D>> {
         self.deltas.stored()
+    }
+
+    /// The newest retained delta, in O(1); `None` before the first append.
+    pub fn latest_delta(&self) -> Option<&Stamped<D>> {
+        self.deltas.latest()
     }
 
     /// Cumulative append/evict/snapshot accounting.
@@ -485,11 +503,41 @@ mod tests {
         }
         st.snapshot(SimTime::from_secs(20), 15);
         // Replay from the first snapshot folds the ten +1 deltas forward.
-        let got = st.replay(0, |s, d| *s += d.delta).unwrap();
+        let got = st.replay(0, Clone::clone, |s, d| *s += d.delta).unwrap();
         assert_eq!(got, 15);
         assert_eq!(got, st.latest_snapshot().unwrap().state);
         // Replay from the final snapshot applies nothing.
-        assert_eq!(st.replay(1, |s, d| *s += d.delta).unwrap(), 15);
+        assert_eq!(
+            st.replay(1, Clone::clone, |s, d| *s += d.delta).unwrap(),
+            15
+        );
+    }
+
+    #[test]
+    fn replay_opens_a_working_state_of_another_type() {
+        // Stored as a string, replayed as the number it spells.
+        let mut st: RunStore<i64, String> = RunStore::new(StoreConfig::default());
+        st.snapshot(SimTime::ZERO, "40".to_owned());
+        st.append_delta(SimTime::from_secs(1), 2);
+        let got: i64 = st
+            .replay(0, |s| s.parse().unwrap(), |w, d| *w += d.delta)
+            .unwrap();
+        assert_eq!(got, 42);
+    }
+
+    #[test]
+    fn latest_delta_is_the_last_append_across_segments_and_eviction() {
+        let mut st: RunStore<i64, ()> = RunStore::new(StoreConfig::bounded(2, 2));
+        assert!(st.latest_delta().is_none(), "empty store");
+        for i in 0..7 {
+            // Appends 2 and 4 open a new segment, 4 and 6 evict the front
+            // one: the newest delta is the last append throughout.
+            let seq = st.append_delta(SimTime::from_secs(i), i as i64 * 10);
+            let last = st.latest_delta().expect("just appended");
+            assert_eq!((last.seq, last.delta), (seq, i as i64 * 10));
+            assert_eq!(Some(last), st.deltas_stored().last());
+        }
+        assert_eq!(st.stats().delta_evicted, 4);
     }
 
     #[test]
@@ -517,7 +565,10 @@ mod tests {
         st.snapshot(SimTime::from_secs(9), 9);
         st.append_delta(SimTime::from_secs(10), 1);
         st.append_delta(SimTime::from_secs(11), 1);
-        assert_eq!(st.replay(1, |s, d| *s += d.delta).unwrap(), 11);
+        assert_eq!(
+            st.replay(1, Clone::clone, |s, d| *s += d.delta).unwrap(),
+            11
+        );
     }
 
     #[test]

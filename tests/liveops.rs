@@ -106,8 +106,12 @@ fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
 
     // Replay determinism: every snapshot + delta fold reconstructs the
     // final state byte-identically, and that state is the live pool's.
-    let final_state = &store.latest_snapshot().expect("final snapshot").state;
-    let final_json = serde_json::to_string(final_state).expect("serializes");
+    let final_state = store
+        .latest_snapshot()
+        .expect("final snapshot")
+        .state
+        .thaw();
+    let final_json = serde_json::to_string(&final_state).expect("serializes");
     for idx in 0..store.snapshots().len() {
         let replayed = reconstruct_at(&store, idx).expect("nothing evicted");
         assert_eq!(
