@@ -121,6 +121,12 @@ impl DegreeTable {
                 .sum::<u32>()
     }
 
+    /// [`Self::available_at`] every claim rank, member rank first — the
+    /// availability a host publishes (index = rank 0..=3).
+    pub fn available_by_rank(&self) -> [u32; 4] {
+        [0, 1, 2, 3].map(|r| self.available_at(Rank(r)))
+    }
+
     /// Degrees pinned by member-rank claims. Member claims are mandatory
     /// overhead no allocation policy can move, so `dbound − member_held`
     /// is the capacity a fair-share water-filling distributes.

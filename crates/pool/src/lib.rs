@@ -441,17 +441,9 @@ impl ResourcePool {
             .hosts
             .ids()
             .filter(|h| self.alive[h.idx()])
-            .map(|h| {
-                let t = &self.tables[h.idx()];
-                CandidateEntry {
-                    host: h,
-                    avail: [
-                        t.available_at(Rank::MEMBER),
-                        t.available_at(Rank::helper(1)),
-                        t.available_at(Rank::helper(2)),
-                        t.available_at(Rank::helper(3)),
-                    ],
-                }
+            .map(|h| CandidateEntry {
+                host: h,
+                avail: self.tables[h.idx()].available_by_rank(),
             })
             .collect();
         let cap = if entries.is_empty() {
@@ -478,12 +470,7 @@ impl ResourcePool {
         let c = self.coords.point(h);
         Some(query::HostSample {
             host: h,
-            free: [
-                t.available_at(Rank::MEMBER),
-                t.available_at(Rank::helper(1)),
-                t.available_at(Rank::helper(2)),
-                t.available_at(Rank::helper(3)),
-            ],
+            free: t.available_by_rank(),
             pos: [
                 c.first().copied().unwrap_or(0.0),
                 c.get(1).copied().unwrap_or(0.0),

@@ -268,9 +268,11 @@ fn holdings_summary<'a>(
 /// represented at all; the rest are three sorted flat vectors. The degree
 /// bounds are the one per-host quantity every host has, and they never
 /// change, so every snapshot of a run shares one vector of them.
-/// Consecutive snapshots share nothing else: lease renewals rewrite
-/// `expires_at` on every held table between most rounds, which is why the
-/// layout is sparse-flat rather than copy-on-write tables.
+/// Consecutive snapshots share nothing else: renewing a lease rewrites
+/// `expires_at` on every table its session holds, so only about a third
+/// of the held tables survive a round unchanged — too few for
+/// copy-on-write tables to pay for their reference counts (DESIGN.md
+/// §17.3 has the measurement).
 ///
 /// [`FrozenSnapshot::thaw`] gives the dense form back exactly, and
 /// `Serialize` renders that dense form: exports do not know the store
@@ -911,22 +913,8 @@ mod tests {
     #[test]
     fn store_replay_reconstructs_the_final_state_byte_for_byte() {
         let mut store: MarketStore = RunStore::new(StoreConfig::default());
-        let base = FrozenSnapshot {
-            dbound: [4, 4].into(),
-            down: Vec::new(),
-            held: Vec::new(),
-            allocations: Vec::new(),
-            slots: Vec::new(),
-            admission_queues: [Vec::new(), Vec::new(), Vec::new()],
-            lease_horizons: Vec::new(),
-            used: 0,
-            capacity: 8,
-        };
-        assert_eq!(
-            base.thaw(),
-            snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)])
-        );
-        store.snapshot(SimTime::ZERO, base);
+        let base = snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)]);
+        store.snapshot(SimTime::ZERO, FrozenSnapshot::of(&base, None));
         let lease = Some(SimTime::from_secs(50));
         store.append_delta(
             SimTime::from_secs(1),

@@ -67,15 +67,9 @@ fn merged_report(pool: &ResourcePool, cap: usize) -> ResourceReport {
         cap,
     };
     for h in pool.net.hosts.ids().filter(|&h| pool.is_alive(h)) {
-        let t = pool.table(h);
         r.merge(&ResourceReport::of_member(CandidateEntry {
             host: h,
-            avail: [
-                t.available_at(Rank::MEMBER),
-                t.available_at(Rank::helper(1)),
-                t.available_at(Rank::helper(2)),
-                t.available_at(Rank::helper(3)),
-            ],
+            avail: pool.table(h).available_by_rank(),
         }));
     }
     r
