@@ -8,7 +8,9 @@
 //! leafset *in order* (the order is the heartbeat send order, and therefore
 //! the order of the fault layer's draws), protocol-level lookups and the
 //! coherence audit, at three instants — against a constant recorded at
-//! 291cf64, before the message fabric was rebuilt.
+//! 291cf64, before the message fabric was rebuilt (the mass-kill cell at
+//! 557b295, before every node's peers moved into one slab: it is the cell
+//! that revives a node whose view had emptied).
 //!
 //! **Re-pinning** follows `tests/common/mod.rs`: a change that moves the
 //! protocol *on purpose* runs the failing test, pastes the printed left-hand
@@ -55,6 +57,8 @@ enum Faults {
     /// the detection timeout, so their views empty out and they probe
     /// their `fallback` contacts until the window lifts.
     Partition,
+    /// 5 % loss with member 4 cut off from everyone for 70 s.
+    LossyIsland,
 }
 
 #[derive(Clone, Copy)]
@@ -65,6 +69,10 @@ enum Churn {
     Flap,
     Join,
     JoinViaLookup,
+    /// Kill a tenth of the ring at once (views and certificate lists grow
+    /// several times over), then kill and revive the island member while
+    /// its view is empty.
+    MassKill,
 }
 
 fn plan(faults: Faults, ring: &Ring) -> FaultPlan {
@@ -81,6 +89,11 @@ fn plan(faults: Faults, ring: &Ring) -> FaultPlan {
             ),
         Faults::Partition => FaultPlan::with_loss(5, 0.0).partition(
             vec![host(4), host(ring.len() / 2)],
+            SimTime::from_secs(20),
+            SimTime::from_secs(90),
+        ),
+        Faults::LossyIsland => FaultPlan::with_loss(0x151A, 0.05).partition(
+            vec![host(4)],
             SimTime::from_secs(20),
             SimTime::from_secs(90),
         ),
@@ -171,9 +184,14 @@ fn cell(n: u32, faults: Faults, churn: Churn) -> (usize, u64) {
             sim.join_via_lookup(joiner(0, n), 0)
                 .expect("the bootstrapped overlay routes");
         }
+        Churn::MassKill => {
+            for v in (VICTIM..n as usize).step_by(10) {
+                sim.kill(v);
+            }
+        }
     }
     observe(&mut sim, &mut auditor, &mut pin, 45);
-    if matches!(faults, Faults::Partition) {
+    if matches!(faults, Faults::Partition | Faults::LossyIsland) {
         assert!(
             sim.believed_leafset(4).is_empty(),
             "the island member's view should have emptied by now"
@@ -199,6 +217,14 @@ fn cell(n: u32, faults: Faults, churn: Churn) -> (usize, u64) {
             // other answer.
             let joined = sim.join_via_lookup(joiner(1, n), n as usize / 2);
             pin.feed(&format!("{joined:?}\n"));
+        }
+        Churn::MassKill => {
+            assert!(
+                sim.view_ids(4).next().is_none(),
+                "the island member is revived with an emptied view"
+            );
+            sim.kill(4);
+            sim.revive(4, 0);
         }
     }
     observe(&mut sim, &mut auditor, &mut pin, 100);
@@ -248,4 +274,5 @@ pins! {
     n512_partition_flap: 512, Partition, Flap => (3508099, 14221537819246597511);
     n512_partition_join: 512, Partition, Join => (3643723, 10113129360257960994);
     n512_partition_join_via_lookup: 512, Partition, JoinViaLookup => (3507493, 17465088784686282592);
+    n512_lossy_island_mass_kill: 512, LossyIsland, MassKill => (3912210, 11575930499772370163);
 }

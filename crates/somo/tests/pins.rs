@@ -1,4 +1,5 @@
-//! The gather flow, pinned against recorded constants.
+//! The gather flow and the tree's geometry, pinned against recorded
+//! constants (the geometry cells are at the end of the file).
 //!
 //! The other `GatherSim` determinism checks (`tests/determinism.rs`,
 //! `tests/trace_determinism.rs`) are run-vs-run: they cannot see a change
@@ -193,4 +194,74 @@ pins! {
     unsync_lossy_kill_k8: Unsynchronized, true, false, 8, None => (2272, 8257441774934170991);
     unsync_lossy_revive_k2: Unsynchronized, true, true, 2, None => (2170, 9559170126997343715);
     unsync_lossy_revive_k8: Unsynchronized, true, true, 8, None => (2272, 17405053055054505278);
+}
+
+/// Tree geometry: every node's level, region, point, host, parent and
+/// children *in index order*, then `depth()`, `leaves()`, `hosts()`,
+/// `rep_of` of every member and `canonical_leaf_of` of every member ID.
+/// The gather cells above only see what flows through a tree; these see
+/// the tree itself. Recorded at 557b295, before `LogicalNode` was packed.
+fn geometry(n: u32, fanout: usize) -> (usize, u64) {
+    let ring = Ring::with_random_ids((0..n).map(HostId), 13);
+    let tree = SomoTree::build(&ring, fanout);
+    let mut pin = Pin::new();
+    pin.feed(&format!("fanout={} len={}\n", tree.fanout(), tree.len()));
+    for (i, node) in tree.nodes().iter().enumerate() {
+        pin.feed(&format!(
+            "{i} {} {} {} {} {} {:?} {:?}\n",
+            node.level,
+            node.region.0,
+            node.region.1,
+            node.point.0,
+            node.host,
+            node.parent,
+            node.children
+        ));
+    }
+    pin.feed(&format!(
+        "depth={} leaves={:?} hosts={:?}\n",
+        tree.depth(),
+        tree.leaves().collect::<Vec<u32>>(),
+        tree.hosts()
+    ));
+    for (m, member) in ring.members().iter().enumerate() {
+        pin.feed(&format!(
+            "{m} {:?} {}\n",
+            tree.rep_of(m),
+            tree.canonical_leaf_of(member.id)
+        ));
+    }
+    (pin.len, pin.hash)
+}
+
+macro_rules! geometry_pins {
+    ($($name:ident: $n:expr, $k:expr => $pin:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            assert_eq!(geometry($n, $k), $pin);
+        }
+    )*};
+}
+
+geometry_pins! {
+    geometry_n1_k2: 1, 2 => (113, 9965471572894279967);
+    geometry_n1_k3: 1, 3 => (113, 7704916457203239062);
+    geometry_n1_k8: 1, 8 => (113, 13396613219874704145);
+    geometry_n1_k16: 1, 16 => (114, 2092282315567615458);
+    geometry_n2_k2: 2, 2 => (559, 5282478646044275390);
+    geometry_n2_k3: 2, 3 => (584, 5992940302825650195);
+    geometry_n2_k8: 2, 8 => (780, 1194528036556571088);
+    geometry_n2_k16: 2, 16 => (1477, 7115027388732666569);
+    geometry_n64_k2: 64, 2 => (16644, 353379934948768998);
+    geometry_n64_k3: 64, 3 => (17424, 16262999011579773226);
+    geometry_n64_k8: 64, 8 => (22141, 1509995509675836701);
+    geometry_n64_k16: 64, 16 => (33262, 14389893101370149889);
+    geometry_n700_k2: 700, 2 => (198677, 12071151666439188187);
+    geometry_n700_k3: 700, 3 => (191443, 9642052035279451898);
+    geometry_n700_k8: 700, 8 => (266778, 12365453405692625481);
+    geometry_n700_k16: 700, 16 => (423390, 9265389980349504328);
+    geometry_n4096_k2: 4096, 2 => (1246196, 11632955852452325766);
+    geometry_n4096_k3: 4096, 3 => (1200283, 7205201570593993776);
+    geometry_n4096_k8: 4096, 8 => (1639547, 13337034687005678991);
+    geometry_n4096_k16: 4096, 16 => (2511377, 2322268278561026059);
 }
