@@ -107,13 +107,13 @@ fn snapshot_gather_cost(tree: &SomoTree, ring: &Ring) -> (u64, u64) {
     // Children precede parents nowhere in particular, so accumulate by
     // walking nodes deepest-level first.
     let mut order: Vec<usize> = (0..tree.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(tree.nodes()[i].level));
+    order.sort_by_key(|&i| std::cmp::Reverse(tree.nodes()[i].level()));
     let (mut messages, mut bytes) = (0u64, 0u64);
     for i in order {
         let node = &tree.nodes()[i];
-        let Some(p) = node.parent else { continue };
+        let Some(p) = node.parent() else { continue };
         members[p as usize] += members[i];
-        if tree.nodes()[p as usize].host != node.host {
+        if tree.nodes()[p as usize].host() != node.host() {
             messages += 1;
             bytes += members[i].min(SNAPSHOT_CAP as u64) * ENTRY_BYTES;
         }

@@ -65,47 +65,169 @@ enum Event {
     },
 }
 
-/// `(peer, time)` pairs in ID order: a view (peer → last evidence it was
-/// alive) or a set of death certificates (peer → when the certificate
-/// lapses). Either holds a leafset's worth of entries plus what gossip
-/// adds — a dozen or so — so a sorted vector serves as the ordered map.
-#[derive(Default)]
-struct PeerTimes(Vec<(NodeId, SimTime)>);
+/// A peer and a time: in a view, the last evidence the peer was alive; in
+/// a set of death certificates, when the certificate lapses.
+type PeerTime = (NodeId, SimTime);
 
-impl PeerTimes {
-    fn find(&self, id: NodeId) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&id, |&(peer, _)| peer)
+/// Smallest row the slab hands out: four entries, one cache line.
+const MIN_ROW: u16 = 4;
+
+/// Handle on one row of a [`PeerSlab`]: where it starts, how many entries
+/// it holds and how many it has room for (zero, or a power of two).
+#[derive(Clone, Copy, Default)]
+struct Row {
+    start: u32,
+    len: u16,
+    cap: u16,
+}
+
+/// Every node's views and death certificates, in one vector of
+/// power-of-two rows. A row is `(peer, time)` pairs in ID order — a
+/// leafset's worth of entries plus what gossip adds, a dozen or so, so a
+/// sorted run serves as the ordered map. A full row moves to a row of
+/// twice the capacity and leaves its old one on that capacity's free list
+/// for the next row that grows into it; the simulator holds one allocation
+/// for all of them and gives it back whole when it is dropped.
+#[derive(Default)]
+struct PeerSlab {
+    entries: Vec<PeerTime>,
+    /// `free[c]`: starts of the unused rows of capacity `1 << c`.
+    free: Vec<Vec<u32>>,
+}
+
+impl PeerSlab {
+    fn entries(&self, row: Row) -> &[PeerTime] {
+        &self.entries[row.start as usize..][..row.len as usize]
     }
 
-    fn contains(&self, id: NodeId) -> bool {
-        self.find(id).is_ok()
+    fn find(&self, row: Row, id: NodeId) -> Result<usize, usize> {
+        self.entries(row)
+            .binary_search_by_key(&id, |&(peer, _)| peer)
+    }
+
+    fn contains(&self, row: Row, id: NodeId) -> bool {
+        self.find(row, id).is_ok()
+    }
+
+    /// The peers of a row, in ID order.
+    fn ids(&self, row: Row) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries(row).iter().map(|&(peer, _)| peer)
+    }
+
+    /// A new row holding `sorted` (which is in ID order).
+    fn row_of(&mut self, sorted: &[PeerTime]) -> Row {
+        let mut row = Row::default();
+        if !sorted.is_empty() {
+            row.cap = row_cap(sorted.len());
+            row.start = self.take(row.cap);
+            row.len = sorted.len() as u16;
+            self.entries[row.start as usize..][..sorted.len()].copy_from_slice(sorted);
+        }
+        row
+    }
+
+    /// An unused row of capacity `cap`: one off the free list, or new
+    /// entries at the end of the slab.
+    fn take(&mut self, cap: u16) -> u32 {
+        if let Some(start) = self
+            .free
+            .get_mut(cap.trailing_zeros() as usize)
+            .and_then(Vec::pop)
+        {
+            return start;
+        }
+        let start = u32::try_from(self.entries.len()).expect("the slab holds under 2^32 entries");
+        self.entries.resize(
+            self.entries.len() + usize::from(cap),
+            (NodeId(0), SimTime::ZERO),
+        );
+        start
+    }
+
+    /// Move a full row to one of twice its capacity.
+    fn grow(&mut self, row: &mut Row) {
+        let cap = match row.cap {
+            0 => MIN_ROW,
+            cap => row_cap(usize::from(cap) * 2),
+        };
+        let start = self.take(cap);
+        let old = row.start as usize;
+        self.entries
+            .copy_within(old..old + usize::from(row.len), start as usize);
+        self.release(*row);
+        row.start = start;
+        row.cap = cap;
+    }
+
+    /// Put a row nobody refers to any more on its capacity's free list.
+    fn release(&mut self, row: Row) {
+        if row.cap > 0 {
+            let class = row.cap.trailing_zeros() as usize;
+            if self.free.len() <= class {
+                self.free.resize_with(class + 1, Vec::new);
+            }
+            self.free[class].push(row.start);
+        }
+    }
+
+    /// Insert `entry` at position `i` of the row.
+    fn insert(&mut self, row: &mut Row, i: usize, entry: PeerTime) {
+        if row.len == row.cap {
+            self.grow(row);
+        }
+        let start = row.start as usize;
+        self.entries
+            .copy_within(start + i..start + usize::from(row.len), start + i + 1);
+        self.entries[start + i] = entry;
+        row.len += 1;
     }
 
     /// Insert `id`, or overwrite its time.
-    fn set(&mut self, id: NodeId, t: SimTime) {
-        match self.find(id) {
-            Ok(i) => self.0[i].1 = t,
-            Err(i) => self.0.insert(i, (id, t)),
+    fn set(&mut self, row: &mut Row, id: NodeId, t: SimTime) {
+        match self.find(*row, id) {
+            Ok(i) => self.entries[row.start as usize + i].1 = t,
+            Err(i) => self.insert(row, i, (id, t)),
         }
     }
 
     /// Insert `id` unless it is already present (its time is then kept).
-    fn set_if_absent(&mut self, id: NodeId, t: SimTime) {
-        if let Err(i) = self.find(id) {
-            self.0.insert(i, (id, t));
+    fn set_if_absent(&mut self, row: &mut Row, id: NodeId, t: SimTime) {
+        if let Err(i) = self.find(*row, id) {
+            self.insert(row, i, (id, t));
         }
     }
 
-    fn remove(&mut self, id: NodeId) {
-        if let Ok(i) = self.find(id) {
-            self.0.remove(i);
+    fn remove(&mut self, row: &mut Row, id: NodeId) {
+        if let Ok(i) = self.find(*row, id) {
+            let start = row.start as usize;
+            self.entries
+                .copy_within(start + i + 1..start + usize::from(row.len), start + i);
+            row.len -= 1;
         }
     }
 
-    /// The peers, in ID order.
-    fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.0.iter().map(|&(peer, _)| peer)
+    /// Keep the entries `keep` accepts, in order.
+    fn retain(&mut self, row: &mut Row, mut keep: impl FnMut(PeerTime) -> bool) {
+        let entries = &mut self.entries[row.start as usize..][..usize::from(row.len)];
+        let mut kept = 0;
+        for i in 0..entries.len() {
+            if keep(entries[i]) {
+                entries[kept] = entries[i];
+                kept += 1;
+            }
+        }
+        row.len = kept as u16;
     }
+}
+
+/// The capacity of a row that holds `len` entries.
+///
+/// # Panics
+/// Past 32 768 entries: a row's length and capacity are 16-bit.
+fn row_cap(len: usize) -> u16 {
+    u16::try_from(len.next_power_of_two())
+        .expect("a view or a certificate list holds at most 32 768 peers")
+        .max(MIN_ROW)
 }
 
 struct ProtoNode {
@@ -113,41 +235,42 @@ struct ProtoNode {
     alive: bool,
     /// Incremented on every kill and revive; stale timers are dropped.
     epoch: u32,
-    /// Known peers → last time we heard evidence they were alive.
-    view: PeerTimes,
+    /// Known peers → last time we heard evidence they were alive: a row of
+    /// [`DhtSim::peers`].
+    view: Row,
     /// Last-resort probe targets for when the view empties out (e.g. a
     /// partition long enough to expire every peer): the node's configured
-    /// contacts. Without this a fully-isolated node maroons itself forever
-    /// even after the network heals.
-    fallback: Vec<NodeId>,
+    /// contacts, `fallback_len` IDs at `fallback_at` in
+    /// [`DhtSim::fallback`]. Without this a fully-isolated node maroons
+    /// itself forever even after the network heals.
+    fallback_at: u32,
+    fallback_len: u32,
     /// Death certificates: peers we expired, with the time the tombstone
-    /// lapses. Gossip cannot resurrect a tombstoned peer — only direct
-    /// evidence (a message from the peer itself) clears it. Without this,
-    /// neighbors re-inserting each other's stale gossip keeps a dead node
-    /// flapping in and out of leafsets indefinitely.
-    tombstones: PeerTimes,
+    /// lapses; a row of [`DhtSim::peers`]. Gossip cannot resurrect a
+    /// tombstoned peer — only direct evidence (a message from the peer
+    /// itself) clears it. Without this, neighbors re-inserting each other's
+    /// stale gossip keeps a dead node flapping in and out of leafsets
+    /// indefinitely.
+    tombstones: Row,
 }
 
-impl ProtoNode {
-    /// Write the node's current *believed* leafset into `out` (cleared
-    /// first): the r nearest view entries on the successor side, nearest
-    /// first, then those on the predecessor side that the first walk did
-    /// not already reach. The order is the heartbeat send order.
-    fn leafset_into(&self, r: usize, out: &mut Vec<NodeId>) {
-        out.clear();
-        let peers = &self.view.0;
-        let n = peers.len();
-        // Our own position among the peers (we are not in our own view).
-        let pos = peers.partition_point(|&(peer, _)| peer < self.member.id);
-        let take = r.min(n);
-        for k in 0..take {
-            out.push(peers[(pos + k) % n].0);
-        }
-        for k in 1..=take {
-            let id = peers[(pos + n - k) % n].0;
-            if !out.contains(&id) {
-                out.push(id);
-            }
+/// Write the *believed* leafset of the node `my_id`, whose view is `peers`,
+/// into `out` (cleared first): the r nearest view entries on the successor
+/// side, nearest first, then those on the predecessor side that the first
+/// walk did not already reach. The order is the heartbeat send order.
+fn leafset_into(my_id: NodeId, peers: &[PeerTime], r: usize, out: &mut Vec<NodeId>) {
+    out.clear();
+    let n = peers.len();
+    // Our own position among the peers (we are not in our own view).
+    let pos = peers.partition_point(|&(peer, _)| peer < my_id);
+    let take = r.min(n);
+    for k in 0..take {
+        out.push(peers[(pos + k) % n].0);
+    }
+    for k in 1..=take {
+        let id = peers[(pos + n - k) % n].0;
+        if !out.contains(&id) {
+            out.push(id);
         }
     }
 }
@@ -155,6 +278,14 @@ impl ProtoNode {
 /// The simulated ring-maintenance protocol.
 pub struct DhtSim<D: Fn(HostId, HostId) -> SimTime> {
     nodes: Vec<ProtoNode>,
+    /// Every node's view and death certificates.
+    peers: PeerSlab,
+    /// Every node's fallback contacts, back to back. A node's run never
+    /// grows: it starts as the initial view (one slot at least) and a
+    /// restart overwrites it with the one contact it re-bootstraps from.
+    fallback: Vec<NodeId>,
+    /// IDs the running `expire` found timed out, in view order.
+    expired: Vec<NodeId>,
     /// Node ID → position in `nodes`. IDs are unique: a [`Ring`] rejects
     /// duplicates and so do [`DhtSim::join`] / [`DhtSim::join_via_lookup`].
     index: HashMap<NodeId, u32>,
@@ -184,6 +315,9 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn with_faults(ring: &Ring, cfg: ProtoConfig, delay: D, plan: FaultPlan) -> Self {
         let mut sim = DhtSim {
             nodes: Vec::with_capacity(ring.len()),
+            peers: PeerSlab::default(),
+            fallback: Vec::new(),
+            expired: Vec::new(),
             index: HashMap::with_capacity(ring.len()),
             queue: EventQueue::new(),
             cfg,
@@ -194,34 +328,43 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             spare_payloads: Vec::new(),
         };
         let period = cfg.heartbeat.as_micros().max(1);
+        let mut view: Vec<PeerTime> = Vec::new();
         for i in 0..ring.len() {
-            let mut view: Vec<(NodeId, SimTime)> = ring
-                .leafset(i, cfg.leafset_r)
-                .into_iter()
-                .map(|j| (ring.member(j).id, SimTime::ZERO))
-                .collect();
+            view.clear();
+            view.extend(
+                ring.leafset(i, cfg.leafset_r)
+                    .into_iter()
+                    .map(|j| (ring.member(j).id, SimTime::ZERO)),
+            );
             view.sort_unstable_by_key(|&(peer, _)| peer);
-            let view = PeerTimes(view);
             let jitter = SimTime::from_micros(simcore::rng::derive_seed(0xBEA7, i as u64) % period);
-            sim.add_node(ring.member(i), view, jitter);
+            sim.add_node(ring.member(i), &view, jitter);
         }
         sim
     }
 
-    /// Append a live node whose `fallback` contacts are its initial view,
-    /// and start its heartbeat timer at absolute time `first_timer`
-    /// (clamped to now). Returns its index.
-    fn add_node(&mut self, member: Member, view: PeerTimes, first_timer: SimTime) -> usize {
+    /// Append a live node with the initial `view` (in ID order), which is
+    /// also its `fallback` contacts, and start its heartbeat timer at
+    /// absolute time `first_timer` (clamped to now). Returns its index.
+    fn add_node(&mut self, member: Member, view: &[PeerTime], first_timer: SimTime) -> usize {
         let idx = self.nodes.len();
         let prev = self.index.insert(member.id, idx as u32);
         debug_assert!(prev.is_none(), "callers check the ID is new");
+        let fallback_at =
+            u32::try_from(self.fallback.len()).expect("fallback contacts number under 2^32");
+        self.fallback.extend(view.iter().map(|&(peer, _)| peer));
+        if view.is_empty() {
+            // The slot a restart writes its contact into.
+            self.fallback.push(member.id);
+        }
         self.nodes.push(ProtoNode {
             member,
             alive: true,
             epoch: 0,
-            fallback: view.ids().collect(),
-            view,
-            tombstones: PeerTimes::default(),
+            view: self.peers.row_of(view),
+            fallback_at,
+            fallback_len: view.len() as u32,
+            tombstones: Row::default(),
         });
         self.queue.schedule(
             first_timer,
@@ -259,18 +402,22 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// the tombstones its neighbors hold for it.
     ///
     /// # Panics
-    /// If the node is still alive.
+    /// If the node is still alive, or if it is its own `contact`: a node
+    /// holding its own ID in its view heartbeats itself and never
+    /// converges.
     pub fn revive(&mut self, node: usize, contact: usize) {
         assert!(!self.nodes[node].alive, "revive() on a live node");
+        assert!(node != contact, "revive() through the node itself");
         let now = self.queue.now();
         let contact_id = self.nodes[contact].member.id;
         let n = &mut self.nodes[node];
         n.alive = true;
         n.epoch += 1;
-        n.view.0.clear();
-        n.tombstones.0.clear();
-        n.view.set(contact_id, now);
-        n.fallback = vec![contact_id];
+        n.view.len = 0;
+        n.tombstones.len = 0;
+        self.peers.set(&mut n.view, contact_id, now);
+        self.fallback[n.fallback_at as usize] = contact_id;
+        n.fallback_len = 1;
         let epoch = n.epoch;
         self.queue.schedule_after(
             SimTime::ZERO,
@@ -294,9 +441,8 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn join(&mut self, member: Member, contact: usize) -> usize {
         self.assert_not_simulated(member.id);
         let now = self.queue.now();
-        let mut view = PeerTimes::default();
-        view.set(self.nodes[contact].member.id, now);
-        self.add_node(member, view, now)
+        let view = [(self.nodes[contact].member.id, now)];
+        self.add_node(member, &view, now)
     }
 
     /// The standard join protocol: route a lookup for the joiner's own ID
@@ -317,16 +463,16 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         // Adopt the successor's view as half-stale candidates: they must
         // confirm themselves, exactly like gossip-learned entries.
         let stale = now.saturating_sub(self.half_timeout());
-        let mut view = PeerTimes(
-            self.nodes[owner]
-                .view
-                .ids()
-                .filter(|&id| id != member.id)
-                .map(|id| (id, stale))
-                .collect(),
-        );
-        view.set(owner_id, now);
-        Some(self.add_node(member, view, now))
+        let mut view: Vec<PeerTime> = self
+            .peers
+            .ids(self.nodes[owner].view)
+            .filter(|&id| id != member.id)
+            .map(|id| (id, stale))
+            .collect();
+        // The owner is not in its own view: the joiner's direct evidence.
+        let at = view.partition_point(|&(peer, _)| peer < owner_id);
+        view.insert(at, (owner_id, now));
+        Some(self.add_node(member, &view, now))
     }
 
     /// A joiner's ID must be new: a [`Ring`] holds no duplicates either.
@@ -411,9 +557,11 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                 let ids = Rc::get_mut(&mut gossip).expect("fresh payloads are unshared");
                 let n = &self.nodes[node as usize];
                 let my_id = n.member.id;
-                n.leafset_into(self.cfg.leafset_r, ids);
+                leafset_into(my_id, self.peers.entries(n.view), self.cfg.leafset_r, ids);
                 if ids.is_empty() {
-                    ids.extend(n.fallback.iter().copied().filter(|&id| id != my_id));
+                    let contacts =
+                        &self.fallback[n.fallback_at as usize..][..n.fallback_len as usize];
+                    ids.extend(contacts.iter().copied().filter(|&id| id != my_id));
                 }
                 let fanout = ids.len();
                 ids.push(my_id);
@@ -448,20 +596,22 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     fn receive(&mut self, now: SimTime, to: u32, from: u32, gossip: &[NodeId], ack: bool) {
         let from_id = self.nodes[from as usize].member.id;
         let stale = now.saturating_sub(self.half_timeout());
+        let peers = &mut self.peers;
         let n = &mut self.nodes[to as usize];
         let my_id = n.member.id;
         // Direct evidence: the sender is alive now (and any death
         // certificate for it is void).
-        n.tombstones.remove(from_id);
-        n.view.set(from_id, now);
+        peers.remove(&mut n.tombstones, from_id);
+        peers.set(&mut n.view, from_id, now);
         // Gossip: adopt unknown IDs with "half-stale" evidence so
         // they must confirm themselves within timeout/2 — this stops
         // dead nodes from being resurrected by stale gossip forever.
         for &id in gossip {
-            if id != my_id && !n.tombstones.contains(id) {
-                n.view.set_if_absent(id, stale);
+            if id != my_id && !peers.contains(n.tombstones, id) {
+                peers.set_if_absent(&mut n.view, id, stale);
             }
         }
+        let view = n.view;
         // Acknowledge heartbeats (§4.1's heartbeat/ack exchange):
         // the reply keeps the *sender's* entry for us fresh even
         // when the sender is not in our own leafset — without this a
@@ -470,7 +620,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         if !ack {
             let mut reply = self.fresh_payload();
             let ids = Rc::get_mut(&mut reply).expect("fresh payloads are unshared");
-            self.nodes[to as usize].leafset_into(self.cfg.leafset_r, ids);
+            leafset_into(my_id, self.peers.entries(view), self.cfg.leafset_r, ids);
             ids.push(my_id);
             self.send(to, from, &reply, true);
             self.release_payload(reply);
@@ -479,22 +629,28 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     fn expire(&mut self, node: usize, now: SimTime) {
         let timeout = self.cfg.timeout;
-        let tracer = &mut self.tracer;
         let ProtoNode {
             view, tombstones, ..
         } = &mut self.nodes[node];
-        view.0.retain(|&(id, last)| {
+        // Certificates live in the slab the view is being filtered in, so
+        // the expired peers are certified once the view's row is settled.
+        let expired = &mut self.expired;
+        expired.clear();
+        self.peers.retain(view, |(id, last)| {
             let alive = now.saturating_sub(last) < timeout;
             if !alive {
-                tombstones.set(id, now + timeout);
-                tracer.emit(now, || TraceEvent::DhtExpel {
-                    node: node as u32,
-                    peer: id.0,
-                });
+                expired.push(id);
             }
             alive
         });
-        tombstones.0.retain(|&(_, until)| until > now);
+        for &id in expired.iter() {
+            self.peers.set(tombstones, id, now + timeout);
+            self.tracer.emit(now, || TraceEvent::DhtExpel {
+                node: node as u32,
+                peer: id.0,
+            });
+        }
+        self.peers.retain(tombstones, |(_, until)| until > now);
     }
 
     fn index_of(&self, id: NodeId) -> Option<usize> {
@@ -516,21 +672,27 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             let my = node.member.id;
             // Believed predecessor: the view member closest counter-
             // clockwise of me. I believe I own (pred, me].
-            let pred = node.view.ids().min_by_key(|v| v.distance_cw(my))?;
+            let pred = self
+                .peers
+                .ids(node.view)
+                .min_by_key(|v| v.distance_cw(my))?;
             if crate::id::in_arc(pred, my, key) {
                 return Some((my, hops));
             }
             // Believed successor owns (me, succ].
-            let succ = node.view.ids().min_by_key(|v| my.distance_cw(*v))?;
+            let succ = self
+                .peers
+                .ids(node.view)
+                .min_by_key(|v| my.distance_cw(*v))?;
             if crate::id::in_arc(my, succ, key) {
                 return Some((succ, hops + 1));
             }
             // Otherwise forward to the view member making the most
             // clockwise progress without passing the key.
             let target = my.distance_cw(key);
-            let next_id = node
-                .view
-                .ids()
+            let next_id = self
+                .peers
+                .ids(node.view)
                 .filter(|v| {
                     let d = my.distance_cw(*v);
                     d > 0 && d <= target
@@ -553,18 +715,14 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn believed_leafset(&self, node: usize) -> Vec<NodeId> {
         let n = &self.nodes[node];
         let r = self.cfg.leafset_r;
-        let mut out = Vec::with_capacity(r.saturating_mul(2).min(n.view.0.len()));
-        n.leafset_into(r, &mut out);
+        let mut out = Vec::with_capacity(r.saturating_mul(2).min(usize::from(n.view.len)));
+        leafset_into(n.member.id, self.peers.entries(n.view), r, &mut out);
         out
     }
 
     /// The ring of the nodes that are actually alive.
     fn live_ring(&self) -> Ring {
-        let mut ring = Ring::new();
-        for n in self.nodes.iter().filter(|n| n.alive) {
-            ring.insert(n.member);
-        }
-        ring
+        Ring::from_members(self.nodes.iter().filter(|n| n.alive).map(|n| n.member))
     }
 
     /// The leafset `id` has in `ring`, as sorted IDs.
@@ -589,7 +747,8 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         let ring = self.live_ring();
         let mut believed = Vec::new();
         self.nodes.iter().filter(|n| n.alive).all(|n| {
-            n.leafset_into(self.cfg.leafset_r, &mut believed);
+            let view = self.peers.entries(n.view);
+            leafset_into(n.member.id, view, self.cfg.leafset_r, &mut believed);
             believed.sort_unstable();
             believed == self.leafset_in(&ring, n.member.id)
         })
@@ -634,17 +793,17 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Whether node `i`'s current view still contains `id` — the signal the
     /// recovery pipeline polls to time failure detection and expulsion.
     pub fn view_contains(&self, i: usize, id: NodeId) -> bool {
-        self.nodes[i].view.contains(id)
+        self.peers.contains(self.nodes[i].view, id)
     }
 
     /// The peers in node `i`'s current view, in ID order.
     pub fn view_ids(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes[i].view.ids()
+        self.peers.ids(self.nodes[i].view)
     }
 
     /// Whether node `i` currently holds a death certificate for `id`.
     pub fn tombstoned(&self, i: usize, id: NodeId) -> bool {
-        self.nodes[i].tombstones.contains(id)
+        self.peers.contains(self.nodes[i].tombstones, id)
     }
 
     /// Sample the ring/tombstone coherence invariants if the auditor is
@@ -679,8 +838,8 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
     ctx: &mut AuditCtx<'_>,
 ) {
     for (i, n) in s.nodes.iter().enumerate() {
-        for id in n.view.ids() {
-            ctx.check(!n.tombstones.contains(id), || {
+        for id in s.peers.ids(n.view) {
+            ctx.check(!s.peers.contains(n.tombstones, id), || {
                 format!("node {i} holds {id:?} in both view and tombstones")
             });
         }
@@ -689,7 +848,7 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
 
 fn inv_self_absent<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     for (i, n) in s.nodes.iter().enumerate() {
-        ctx.check(!n.view.contains(n.member.id), || {
+        ctx.check(!s.peers.contains(n.view, n.member.id), || {
             format!("node {i} gossiped itself into its own view")
         });
     }
@@ -701,9 +860,10 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 ) {
     let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
-        n.leafset_into(s.cfg.leafset_r, &mut leafset);
+        let view = s.peers.entries(n.view);
+        leafset_into(n.member.id, view, s.cfg.leafset_r, &mut leafset);
         for &id in &leafset {
-            ctx.check(n.view.contains(id), || {
+            ctx.check(s.peers.contains(n.view, id), || {
                 format!("node {i}'s believed leafset lists {id:?} outside its view")
             });
         }
@@ -713,7 +873,7 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     let horizon = ctx.now() + s.cfg.timeout;
     for (i, n) in s.nodes.iter().enumerate() {
-        for &(id, until) in &n.tombstones.0 {
+        for &(id, until) in s.peers.entries(n.tombstones) {
             ctx.check(until <= horizon, || {
                 format!("node {i}'s certificate for {id:?} outlives a detection timeout ({until})")
             });
@@ -724,6 +884,96 @@ fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every row of the slab and every free row lies inside the slab, and
+    /// no two of them share an entry.
+    fn assert_rows_disjoint(slab: &PeerSlab, rows: &[Row]) {
+        let mut spans: Vec<(usize, usize)> = rows
+            .iter()
+            .filter(|row| row.cap > 0)
+            .map(|row| (row.start as usize, usize::from(row.cap)))
+            .collect();
+        for (class, starts) in slab.free.iter().enumerate() {
+            spans.extend(
+                starts
+                    .iter()
+                    .map(|&start| (start as usize, 1usize << class)),
+            );
+        }
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            assert!(pair[0].0 + pair[0].1 <= pair[1].0, "rows overlap: {pair:?}");
+        }
+        if let Some(&(start, cap)) = spans.last() {
+            assert!(start + cap <= slab.entries.len());
+        }
+        // Nothing else was ever handed out: the rows tile the slab.
+        assert_eq!(
+            spans.iter().map(|&(_, cap)| cap).sum::<usize>(),
+            slab.entries.len()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Six rows driven through every slab call next to a `BTreeMap`
+        // each: a row that changes class (4 → 8 → … → 128 here) keeps its
+        // entries, nobody else's, and the row it left is reused, not lost.
+        #[test]
+        fn prop_slab_rows_equal_their_map_models(
+            ops in proptest::collection::vec((0u8..10, 0usize..6, 0u64..96, 1u64..1000), 0..600),
+        ) {
+            use std::collections::BTreeMap;
+            let mut slab = PeerSlab::default();
+            let mut rows = [Row::default(); 6];
+            let mut models: Vec<BTreeMap<NodeId, SimTime>> = vec![BTreeMap::new(); 6];
+            for (op, r, id, t) in ops {
+                let (id, t) = (NodeId(id), SimTime::from_micros(t));
+                let (row, model) = (&mut rows[r], &mut models[r]);
+                match op {
+                    // Inserts outnumber the rest, so rows do grow.
+                    0..=3 => {
+                        slab.set(row, id, t);
+                        model.insert(id, t);
+                    }
+                    4 | 5 => {
+                        slab.set_if_absent(row, id, t);
+                        model.entry(id).or_insert(t);
+                    }
+                    6 => {
+                        slab.remove(row, id);
+                        model.remove(&id);
+                    }
+                    7 => {
+                        slab.retain(row, |(_, at)| at > t);
+                        model.retain(|_, at| *at > t);
+                    }
+                    8 => {
+                        // What a restart does to a node's rows.
+                        row.len = 0;
+                        model.clear();
+                    }
+                    _ => {
+                        // A node joining with a ready-made view.
+                        let view: Vec<PeerTime> = (0..id.0 % 20).map(|k| (NodeId(k * 3), t)).collect();
+                        let fresh = slab.row_of(&view);
+                        slab.release(std::mem::replace(row, fresh));
+                        *model = view.into_iter().collect();
+                    }
+                }
+                prop_assert_eq!(slab.contains(*row, id), model.contains_key(&id));
+            }
+            for (row, model) in rows.iter().zip(&models) {
+                let want: Vec<PeerTime> = model.iter().map(|(&id, &t)| (id, t)).collect();
+                prop_assert_eq!(slab.entries(*row), &want[..]);
+                prop_assert!(row.len <= row.cap);
+                prop_assert!(row.cap == 0 || (row.cap.is_power_of_two() && row.cap >= MIN_ROW));
+            }
+            assert_rows_disjoint(&slab, &rows);
+        }
+    }
 
     fn sim(n: u32) -> DhtSim<impl Fn(HostId, HostId) -> SimTime> {
         let ring = Ring::with_random_ids((0..n).map(HostId), 17);
@@ -970,6 +1220,36 @@ mod tests {
         s.run_until(SimTime::from_secs(400));
         assert!(s.is_alive(5));
         assert!(s.converged(), "revived node did not reintegrate");
+    }
+
+    #[test]
+    #[should_panic(expected = "revive() through the node itself")]
+    fn revive_through_the_node_itself_panics() {
+        // The node's own ID would be seeded into its view: the coherence
+        // audit reports `self-absent-from-view` at once, and the node
+        // heartbeats itself instead of converging.
+        let mut s = sim(16);
+        s.run_until(SimTime::from_secs(10));
+        s.kill(3);
+        s.revive(3, 3);
+    }
+
+    #[test]
+    fn revive_through_a_dead_contact_recovers_through_gossip() {
+        // The contact never answers, but the neighbours have not expelled
+        // the restarted node yet: their heartbeats reach it and their
+        // gossip refills its view.
+        let mut s = sim(24);
+        s.run_until(SimTime::from_secs(10));
+        s.kill(5);
+        s.kill(6);
+        s.run_until(SimTime::from_secs(12));
+        s.revive(5, 6);
+        let dead_contact = s.member_of(6).id;
+        assert_eq!(s.view_ids(5).collect::<Vec<_>>(), [dead_contact]);
+        s.run_until(SimTime::from_secs(400));
+        assert!(s.converged(), "the restarted node did not reintegrate");
+        assert!(!s.view_contains(5, dead_contact));
     }
 
     #[test]

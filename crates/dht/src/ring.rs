@@ -41,13 +41,28 @@ impl Ring {
 
     /// Build a ring giving each host a pseudo-random ID derived from
     /// `(seed, host)` — the simulation analogue of "ID = MD5(IP address)".
+    ///
+    /// # Panics
+    /// If two hosts hash to the same ID (in practice: a host listed twice).
     pub fn with_random_ids(hosts: impl IntoIterator<Item = HostId>, seed: u64) -> Ring {
-        let mut ring = Ring::new();
-        for h in hosts {
-            let id = NodeId::hash_of(simcore::rng::derive_seed(seed, h.0 as u64));
-            ring.insert(Member { id, host: h });
+        Ring::from_members(hosts.into_iter().map(|h| Member {
+            id: NodeId::hash_of(simcore::rng::derive_seed(seed, h.0 as u64)),
+            host: h,
+        }))
+    }
+
+    /// The ring of `members`, given in any order: one sort, where inserting
+    /// them one by one shifts half the ring per member.
+    ///
+    /// # Panics
+    /// If two members share an ID.
+    pub fn from_members(members: impl IntoIterator<Item = Member>) -> Ring {
+        let mut members: Vec<Member> = members.into_iter().collect();
+        members.sort_unstable_by_key(|m| m.id);
+        if let Some(pair) = members.windows(2).find(|pair| pair[0].id == pair[1].id) {
+            panic!("duplicate node ID {:?}", pair[0].id);
         }
-        ring
+        Ring { members }
     }
 
     /// Number of members.
@@ -284,6 +299,41 @@ mod tests {
                 if i != owner {
                     prop_assert!(!r.zone_contains(i, key) || r.len() == 1);
                 }
+            }
+        }
+
+        #[test]
+        fn prop_sorted_build_equals_insert_by_insert(
+            // A small ID space, so that about half the cases repeat an ID.
+            ids in proptest::collection::vec(0u64..200, 0..24),
+        ) {
+            let members = ids.iter().enumerate().map(|(i, &id)| Member {
+                id: NodeId(id),
+                host: HostId(i as u32),
+            });
+            let sorted = std::panic::catch_unwind(|| Ring::from_members(members));
+            let inserted = std::panic::catch_unwind(|| ring_of(&ids));
+            let mut distinct = ids.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            match (sorted, inserted) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(distinct.len(), ids.len());
+                    prop_assert_eq!(a.members(), b.members());
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert!(distinct.len() < ids.len());
+                    // Both name a repeated ID in the same words; which one,
+                    // when several repeat, follows the order each met them in.
+                    for panic in [a, b] {
+                        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+                        prop_assert!(msg.starts_with("duplicate node ID NodeId("), "{}", msg);
+                        let named = ids.iter().find(|&&id| *msg == format!("duplicate node ID {:?}", NodeId(id)));
+                        let named = *named.expect("the message names a member's ID");
+                        prop_assert!(ids.iter().filter(|&&id| id == named).count() >= 2);
+                    }
+                }
+                _ => prop_assert!(false, "one build rejected what the other accepted"),
             }
         }
 

@@ -134,12 +134,19 @@ impl LatencyMatrix {
         hosts: &HostSet,
     ) -> Result<LatencyMatrix, DisconnectedUnderlay> {
         let routers = net.graph.len();
-        let mut srcs: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
-        srcs.sort_unstable();
-        srcs.dedup();
+        let mut attached = vec![false; routers];
+        for (_, h) in hosts.iter() {
+            attached[h.router.0 as usize] = true;
+        }
+        let srcs: Vec<u32> = (0..routers as u32)
+            .filter(|&r| attached[r as usize])
+            .collect();
+        // The rows are filled where they stay: one exactly-sized shared
+        // slice, written through the only handle on it.
+        let mut rows: Arc<[f32]> = std::iter::repeat_n(0f32, srcs.len() * routers).collect();
+        let filled = Arc::get_mut(&mut rows).expect("no other handle exists yet");
         let mut row_off = vec![0u32; routers];
-        let mut rows = Vec::with_capacity(srcs.len() * routers);
-        for &r in &srcs {
+        for (k, &r) in srcs.iter().enumerate() {
             let row = net.graph.dijkstra(r);
             if let Some(to) = row.iter().position(|d| !d.is_finite()) {
                 return Err(DisconnectedUnderlay {
@@ -147,8 +154,8 @@ impl LatencyMatrix {
                     to: RouterId(to as u32),
                 });
             }
-            row_off[r as usize] = u32::try_from(rows.len()).expect("row offsets fit u32");
-            rows.extend_from_slice(&row);
+            row_off[r as usize] = u32::try_from(k * routers).expect("row offsets fit u32");
+            filled[k * routers..][..routers].copy_from_slice(&row);
         }
         let entries = hosts
             .iter()
@@ -160,7 +167,7 @@ impl LatencyMatrix {
             .collect();
         Ok(LatencyMatrix {
             routers,
-            rows: rows.into(),
+            rows,
             hosts: entries,
         })
     }

@@ -101,22 +101,23 @@ impl QueryIndex {
         let mut nodes: Vec<Node> = Vec::with_capacity(tree.len());
         let mut cached = 0u32;
         for (i, n) in tree.nodes().iter().enumerate() {
-            let (parent, edges, crosses_hosts) = match n.parent {
+            let (parent, edges, crosses_hosts) = match n.parent() {
                 None => (NONE, 0, false),
                 Some(p) => {
-                    let crosses = tree.nodes()[p as usize].host != n.host;
+                    let crosses = tree.nodes()[p as usize].host() != n.host();
                     (p, nodes[p as usize].edges + u8::from(crosses), crosses)
                 }
             };
-            let first_child = n.children.first().copied().unwrap_or(NONE);
+            let children = n.children();
             assert!(
-                n.is_leaf()
-                    || n.children
-                        .iter()
-                        .copied()
-                        .eq(first_child..first_child + fanout as u32),
-                "SomoTree::build pushes a node's {fanout} children consecutively"
+                children.is_empty() || children.len() == fanout,
+                "SomoTree::build splits a region into {fanout} children"
             );
+            let first_child = if children.is_empty() {
+                NONE
+            } else {
+                children.start
+            };
             let agg = if i == 0 || !n.is_leaf() {
                 cached += 1;
                 cached - 1
@@ -126,11 +127,11 @@ impl QueryIndex {
             nodes.push(Node {
                 parent,
                 first_child,
-                host: n.host as u32,
+                host: n.host() as u32,
                 member: NONE,
                 agg,
                 // 64-bit ids split at least in two per level: at most 64.
-                level: u8::try_from(n.level).expect("a SOMO tree is at most 64 levels deep"),
+                level: u8::try_from(n.level()).expect("a SOMO tree is at most 64 levels deep"),
                 edges,
                 crosses_hosts,
             });
@@ -473,14 +474,14 @@ mod tests {
         assert_eq!(idx.depth(), tree.depth());
         for (i, n) in tree.nodes().iter().enumerate() {
             let i = i as u32;
-            assert_eq!(idx.parent(i), n.parent);
-            assert!(idx.children(i).eq(n.children.iter().copied()));
-            assert_eq!(idx.level(i), n.level);
+            assert_eq!(idx.parent(i), n.parent());
+            assert_eq!(idx.children(i), n.children());
+            assert_eq!(idx.level(i), n.level());
             // The edge count is the parent walk it replaces.
             let (mut cur, mut edges) = (n, 0);
-            while let Some(p) = cur.parent {
+            while let Some(p) = cur.parent() {
                 let up = &tree.nodes()[p as usize];
-                edges += u64::from(up.host != cur.host);
+                edges += u64::from(up.host() != cur.host());
                 cur = up;
             }
             assert_eq!(idx.edges_between(i, 0), edges, "node {i}");

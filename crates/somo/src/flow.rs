@@ -279,9 +279,8 @@ where
     /// number of partials a sync round can still expect.
     fn live_children(&self, node: u32) -> usize {
         self.tree.nodes()[node as usize]
-            .children
-            .iter()
-            .filter(|&&c| !self.dead[self.tree.nodes()[c as usize].host])
+            .children()
+            .filter(|&c| !self.dead[self.tree.nodes()[c as usize].host()])
             .count()
     }
 
@@ -362,7 +361,7 @@ where
             Ev::RootTimer => None,
         };
         if let Some(i) = at_node {
-            if self.dead[self.tree.nodes()[i as usize].host] {
+            if self.dead[self.tree.nodes()[i as usize].host()] {
                 // Keep unsync timers parked so a later revive would be easy.
                 if let Ev::NodeTimer(i) = ev {
                     self.queue.schedule_after(self.period, Ev::NodeTimer(i));
@@ -389,7 +388,7 @@ where
                     // If the reporting member is not the leaf's host, the
                     // host fetches the report from it first: one
                     // request/response round-trip between ring neighbors.
-                    let leaf_host = n.host;
+                    let leaf_host = n.host();
                     let member = self.member_reporting_at(node);
                     let member_dead = member.is_some_and(|m| self.dead[m]);
                     // If either leg of the fetch round-trip is dropped, the
@@ -453,9 +452,9 @@ where
                         expected,
                     });
                     let tree = self.tree;
-                    let my_host = tree.nodes()[node as usize].host;
-                    for &c in &tree.nodes()[node as usize].children {
-                        let ch = tree.nodes()[c as usize].host;
+                    let my_host = tree.nodes()[node as usize].host();
+                    for c in tree.nodes()[node as usize].children() {
+                        let ch = tree.nodes()[c as usize].host();
                         let d = if ch == my_host {
                             Some(SimTime::ZERO)
                         } else {
@@ -571,7 +570,7 @@ where
         let mut acc: Option<R> = self.leaf_report(i, now);
         // Children are folded in tree order, so the result is a function
         // of the partials alone (a `Report` may sum floats).
-        for &c in &self.tree.nodes()[i as usize].children {
+        for c in self.tree.nodes()[i as usize].children() {
             let slot = &mut self.latest[c as usize];
             let Some((at, r)) = slot else { continue };
             if now.saturating_sub(*at) >= expiry {
@@ -617,7 +616,8 @@ where
 
     fn emit_to_parent_after(&mut self, i: u32, round: u64, r: Option<R>, extra: SimTime) {
         let n = &self.tree.nodes()[i as usize];
-        match n.parent {
+        let my_host = n.host();
+        match n.parent() {
             None => {
                 // Root: record the fresh global view.
                 if let Some(view) = r {
@@ -628,16 +628,16 @@ where
                 }
             }
             Some(p) => {
-                let ph = self.tree.nodes()[p as usize].host;
-                let hop = if ph == n.host {
+                let ph = self.tree.nodes()[p as usize].host();
+                let hop = if ph == my_host {
                     Some(SimTime::ZERO)
                 } else {
                     self.messages += 1;
                     self.faults.transmit(
-                        n.host as u64,
+                        my_host as u64,
                         ph as u64,
                         self.queue.now() + extra,
-                        (self.delay)(n.host, ph),
+                        (self.delay)(my_host, ph),
                     )
                 };
                 // A dropped partial never reaches the parent: in sync mode
@@ -855,9 +855,9 @@ mod tests {
 
         // Crash a member that hosts an internal tree node if possible.
         let victim = tree.nodes()[0]
-            .children
-            .first()
-            .map(|&c| tree.nodes()[c as usize].host)
+            .children()
+            .next()
+            .map(|c| tree.nodes()[c as usize].host())
             .unwrap_or(1);
         sim.kill_member(victim);
         sim.run_until(SimTime::from_secs(120));
@@ -1014,11 +1014,10 @@ mod tests {
         sim.set_tracer(simcore::Tracer::ring(4096));
         // Process everything at t=0: round 1 opens and requests go out.
         sim.run_until(SimTime::ZERO);
-        let root_host = tree.nodes()[0].host;
+        let root_host = tree.nodes()[0].host();
         let victim = tree.nodes()[0]
-            .children
-            .iter()
-            .map(|&c| tree.nodes()[c as usize].host)
+            .children()
+            .map(|c| tree.nodes()[c as usize].host())
             .find(|&h| h != root_host)
             .expect("no remote root child to kill");
         sim.kill_member(victim);

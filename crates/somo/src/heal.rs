@@ -70,30 +70,30 @@ pub fn remap_stats(
     let mut survived = 0usize;
     // `(before, after)` positions of nodes covering the same region.
     let mut paired: Vec<(u32, u32)> = Vec::new();
-    if before.root().region == after.root().region {
+    if before.root().region() == after.root().region() {
         paired.push((0, 0));
     }
     while let Some((b, a)) = paired.pop() {
         let (old, new) = (&before.nodes()[b as usize], &after.nodes()[a as usize]);
         survived += 1;
-        if before_ring.member(old.host).host != after_ring.member(new.host).host {
+        if before_ring.member(old.host()).host != after_ring.member(new.host()).host {
             stats.remapped += 1;
         }
         // Children tile their parent's region in ascending order on both
         // sides: one merge pass finds the regions they share.
-        let (mut i, mut j) = (0, 0);
-        while i < old.children.len() && j < new.children.len() {
-            let (cb, ca) = (old.children[i], new.children[j]);
-            let rb = before.nodes()[cb as usize].region;
-            let ra = after.nodes()[ca as usize].region;
+        let (mut olds, mut news) = (old.children(), new.children());
+        while !olds.is_empty() && !news.is_empty() {
+            let (cb, ca) = (olds.start, news.start);
+            let rb = before.nodes()[cb as usize].region();
+            let ra = after.nodes()[ca as usize].region();
             match rb.cmp(&ra) {
                 std::cmp::Ordering::Equal => {
                     paired.push((cb, ca));
-                    i += 1;
-                    j += 1;
+                    olds.start += 1;
+                    news.start += 1;
                 }
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Less => olds.start += 1,
+                std::cmp::Ordering::Greater => news.start += 1,
             }
         }
     }
@@ -264,7 +264,7 @@ mod tests {
             let old: std::collections::BTreeMap<(u128, u128), HostId> = b
                 .nodes()
                 .iter()
-                .map(|n| (n.region, br.member(n.host).host))
+                .map(|n| (n.region(), br.member(n.host()).host))
                 .collect();
             let mut stats = RemapStats {
                 total: a.len(),
@@ -272,11 +272,11 @@ mod tests {
             };
             let mut survived = 0;
             for n in a.nodes() {
-                match old.get(&n.region) {
+                match old.get(&n.region()) {
                     None => stats.created += 1,
                     Some(&h) => {
                         survived += 1;
-                        if h != ar.member(n.host).host {
+                        if h != ar.member(n.host()).host {
                             stats.remapped += 1;
                         }
                     }
@@ -324,24 +324,20 @@ mod tests {
         // past before.len() and the subtraction underflowed (panic in
         // debug, absurd counts in release). The lockstep walk pairs each
         // node at most once: a repeat is a node the old tree did not have.
-        use crate::tree::LogicalNode;
         let r = ring(2, 29);
-        let mk = |region: (u128, u128), host: usize, parent: Option<u32>| LogicalNode {
-            level: if parent.is_some() { 1 } else { 0 },
-            region,
-            point: dht::NodeId((((region.0 + region.1) / 2) & u64::MAX as u128) as u64),
-            host,
-            parent,
-            children: vec![],
-        };
         let full = (0u128, 1u128 << 64);
         // Before: a single root covering the whole space.
-        let before = SomoTree::from_nodes(2, vec![mk(full, 0, None)]);
+        let before = SomoTree::from_nodes(2, [(0, full, 0, None, 0..0)]);
         // After: the root plus two children that (degenerately) repeat the
         // root's region.
-        let mut root = mk(full, 0, None);
-        root.children = vec![1, 2];
-        let after = SomoTree::from_nodes(2, vec![root, mk(full, 0, Some(0)), mk(full, 1, Some(0))]);
+        let after = SomoTree::from_nodes(
+            2,
+            [
+                (0, full, 0, None, 1..3),
+                (1, full, 0, Some(0), 0..0),
+                (1, full, 1, Some(0), 0..0),
+            ],
+        );
         let stats = remap_stats(&before, &r, &after, &r);
         assert_eq!(stats.total, 3);
         assert_eq!(stats.remapped, 0);
@@ -357,7 +353,7 @@ mod tests {
         let new_root = optimize_root(&mut r, cap).unwrap();
         assert_eq!(new_root, HostId(42));
         let tree = SomoTree::build(&r, 8);
-        assert_eq!(r.member(tree.root().host).host, HostId(42));
+        assert_eq!(r.member(tree.root().host()).host, HostId(42));
     }
 
     #[test]

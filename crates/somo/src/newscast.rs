@@ -171,9 +171,9 @@ where
                             seen: Vec::new(),
                         },
                     );
-                    let my = n.host;
-                    for c in n.children.clone() {
-                        let ch = self.tree.nodes()[c as usize].host;
+                    let my = n.host();
+                    for c in n.children() {
+                        let ch = self.tree.nodes()[c as usize].host();
                         let d = self.hop(my, ch);
                         self.queue.schedule_after(d, Ev::Request { node: c, round });
                     }
@@ -187,7 +187,7 @@ where
                 from,
                 r,
             } => {
-                let expected = self.tree.nodes()[node as usize].children.len();
+                let expected = self.tree.nodes()[node as usize].children().len();
                 let Some(entry) = self.rounds[node as usize].get_mut(&round) else {
                     return;
                 };
@@ -219,7 +219,7 @@ where
                     if let Some(&m) = self.reporting.get(&node) {
                         // Hand the view to the member (one ring-neighbor hop
                         // if the leaf host is the successor).
-                        let d = self.hop(n.host, m);
+                        let d = self.hop(n.host(), m);
                         self.deliveries.push(Delivery {
                             member: m,
                             at: self.queue.now() + d,
@@ -227,9 +227,9 @@ where
                         });
                     }
                 } else {
-                    let my = n.host;
-                    for c in n.children.clone() {
-                        let ch = self.tree.nodes()[c as usize].host;
+                    let my = n.host();
+                    for c in n.children() {
+                        let ch = self.tree.nodes()[c as usize].host();
                         let d = self.hop(my, ch);
                         self.queue.schedule_after(
                             d,
@@ -248,7 +248,7 @@ where
     /// around and publish it down the tree.
     fn up(&mut self, node: u32, round: u64, r: Option<R>) {
         let n = &self.tree.nodes()[node as usize];
-        match n.parent {
+        match n.parent() {
             None => {
                 if let Some(view) = r {
                     self.queue
@@ -256,8 +256,8 @@ where
                 }
             }
             Some(p) => {
-                let ph = self.tree.nodes()[p as usize].host;
-                let d = self.hop(n.host, ph);
+                let ph = self.tree.nodes()[p as usize].host();
+                let d = self.hop(n.host(), ph);
                 self.queue.schedule_after(
                     d,
                     Ev::Partial {

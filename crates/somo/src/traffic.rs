@@ -115,7 +115,7 @@ pub fn traffic_by_level<R: Encodable>(
     let mut agg: Vec<Option<R>> = vec![None; n];
     // Process nodes deepest-first.
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(tree.nodes()[i as usize].level));
+    order.sort_by_key(|&i| std::cmp::Reverse(tree.nodes()[i as usize].level()));
     // Canonical members per leaf.
     let mut canon: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for m in 0..ring.len() {
@@ -124,7 +124,7 @@ pub fn traffic_by_level<R: Encodable>(
     for &i in &order {
         let node = &tree.nodes()[i as usize];
         let mut acc: Option<R> = canon.get(&i).map(|&m| member_report(m));
-        for &c in &node.children {
+        for c in node.children() {
             if let Some(child_agg) = agg[c as usize].clone() {
                 match &mut acc {
                     Some(a) => a.merge(&child_agg),
@@ -138,9 +138,9 @@ pub fn traffic_by_level<R: Encodable>(
     let depth = tree.depth() as usize;
     let mut bytes = vec![0usize; depth + 1];
     for (i, node) in tree.nodes().iter().enumerate() {
-        if node.parent.is_some() {
+        if node.parent().is_some() {
             if let Some(a) = &agg[i] {
-                bytes[node.level as usize] += a.encoded_len();
+                bytes[node.level() as usize] += a.encoded_len();
             }
         }
     }

@@ -13,31 +13,84 @@
 //! produces the identical tree (`rep_of` and the property tests verify
 //! this); top-down is simply more convenient for a snapshot data structure.
 
+use std::ops::Range;
+
 use dht::id::NodeId;
 use dht::Ring;
 
-/// One logical tree node.
+/// `parent` of the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One logical tree node, in 32 bytes: a tree is one flat vector of them.
 #[derive(Clone, Debug)]
 pub struct LogicalNode {
-    /// Depth in the tree (root = 0).
-    pub level: u32,
-    /// Region `[lo, hi)` of the ID circle this node is responsible for
-    /// (u128 so `hi = 2⁶⁴` is representable).
-    pub region: (u128, u128),
-    /// The logical point (region center); the node is hosted by its owner.
-    pub point: NodeId,
-    /// Sorted ring index of the hosting DHT node.
-    pub host: usize,
-    /// Parent position in [`SomoTree::nodes`] (`None` for the root).
-    pub parent: Option<u32>,
-    /// Child positions in [`SomoTree::nodes`].
-    pub children: Vec<u32>,
+    /// Region `[lo, last]` of the ID circle this node is responsible for.
+    /// Closed, so that the root's `hi = 2⁶⁴` needs no 65th bit.
+    lo: u64,
+    last: u64,
+    host: u32,
+    parent: u32,
+    /// The node's children are the `children` nodes from here on.
+    first_child: u32,
+    children: u16,
+    level: u8,
 }
 
 impl LogicalNode {
+    fn new(
+        level: u8,
+        (lo, hi): (u128, u128),
+        host: usize,
+        parent: Option<u32>,
+        children: Range<u32>,
+    ) -> LogicalNode {
+        debug_assert!(lo < hi && hi <= 1 << 64, "a region is a non-empty arc");
+        LogicalNode {
+            lo: lo as u64,
+            last: (hi - 1) as u64,
+            host: u32::try_from(host).expect("ring indices fit u32"),
+            parent: parent.unwrap_or(NO_PARENT),
+            first_child: children.start,
+            children: u16::try_from(children.len()).expect("build bounds the fanout"),
+            level,
+        }
+    }
+
+    /// Depth in the tree (root = 0).
+    pub fn level(&self) -> u32 {
+        u32::from(self.level)
+    }
+
+    /// Region `[lo, hi)` of the ID circle this node is responsible for
+    /// (u128 so `hi = 2⁶⁴` is representable).
+    pub fn region(&self) -> (u128, u128) {
+        (u128::from(self.lo), u128::from(self.last) + 1)
+    }
+
+    /// The logical point (region center); the node is hosted by its owner.
+    pub fn point(&self) -> NodeId {
+        center(self.region())
+    }
+
+    /// Sorted ring index of the hosting DHT node.
+    pub fn host(&self) -> usize {
+        self.host as usize
+    }
+
+    /// Parent position in [`SomoTree::nodes`] (`None` for the root).
+    pub fn parent(&self) -> Option<u32> {
+        (self.parent != NO_PARENT).then_some(self.parent)
+    }
+
+    /// Child positions in [`SomoTree::nodes`]: consecutive, in ascending
+    /// region order.
+    pub fn children(&self) -> Range<u32> {
+        self.first_child..self.first_child + u32::from(self.children)
+    }
+
     /// Whether this is a leaf of the active tree.
     pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+        self.children == 0
     }
 }
 
@@ -51,26 +104,34 @@ impl SomoTree {
     /// Build the tree for the current membership of `ring` with the given
     /// fanout (the paper's example uses k = 8).
     ///
+    /// Nodes are numbered in the order they are created, and that order is
+    /// a contract (`query::QueryIndex` and [`LogicalNode::children`] rely
+    /// on it): a parent comes before its children, and the children of one
+    /// node are consecutive, in ascending region order.
+    ///
     /// # Panics
-    /// If `fanout < 2` or the ring is empty.
+    /// If `fanout < 2` or `fanout > 65 535`, or the ring is empty.
     pub fn build(ring: &Ring, fanout: usize) -> SomoTree {
         assert!(fanout >= 2, "SOMO fanout must be at least 2");
+        assert!(
+            fanout <= usize::from(u16::MAX),
+            "SOMO fanout must be at most 65 535"
+        );
         assert!(!ring.is_empty(), "cannot build SOMO over an empty ring");
-        let mut nodes = Vec::new();
         let full: (u128, u128) = (0, 1u128 << 64);
-        let root_point = center(full);
-        nodes.push(LogicalNode {
-            level: 0,
-            region: full,
-            point: root_point,
-            host: ring.owner(root_point),
-            parent: None,
-            children: Vec::new(),
-        });
-        // Breadth-first subdivision.
+        let mut nodes = vec![LogicalNode::new(
+            0,
+            full,
+            ring.owner(center(full)),
+            None,
+            0..0,
+        )];
+        // Depth-first subdivision: the frontier is a stack, so the node
+        // subdivided next is the last child created. All of a node's
+        // children are created in one go, whichever node is taken next.
         let mut frontier = vec![0u32];
         while let Some(idx) = frontier.pop() {
-            let (lo, hi) = nodes[idx as usize].region;
+            let (lo, hi) = nodes[idx as usize].region();
             let level = nodes[idx as usize].level;
             // Leaf condition: at most one member ID inside the region —
             // deeper subdivision could not separate members any further.
@@ -80,32 +141,42 @@ impl SomoTree {
                 continue;
             }
             let width = hi - lo;
+            let first = u32::try_from(nodes.len()).expect("logical nodes number under 2^32");
+            nodes[idx as usize].first_child = first;
+            nodes[idx as usize].children = fanout as u16;
             for c in 0..fanout as u128 {
                 let clo = lo + width * c / fanout as u128;
                 let chi = lo + width * (c + 1) / fanout as u128;
-                let point = center((clo, chi));
-                let child = LogicalNode {
-                    level: level + 1,
-                    region: (clo, chi),
-                    point,
-                    host: ring.owner(point),
-                    parent: Some(idx),
-                    children: Vec::new(),
-                };
-                let ci = nodes.len() as u32;
-                nodes.push(child);
-                nodes[idx as usize].children.push(ci);
-                frontier.push(ci);
+                let host = ring.owner(center((clo, chi)));
+                frontier.push(nodes.len() as u32);
+                nodes.push(LogicalNode::new(
+                    level + 1,
+                    (clo, chi),
+                    host,
+                    Some(idx),
+                    0..0,
+                ));
             }
         }
+        nodes.shrink_to_fit();
         SomoTree { fanout, nodes }
     }
 
-    /// Assemble a tree from explicit nodes — used by in-crate tests to
-    /// exercise accounting code on degenerate shapes (e.g. duplicate region
-    /// keys) that `build` never produces.
+    /// Assemble a tree from explicit `(level, region, host, parent,
+    /// children)` nodes — used by in-crate tests to exercise accounting
+    /// code on degenerate shapes (e.g. duplicate region keys) that `build`
+    /// never produces.
     #[cfg(test)]
-    pub(crate) fn from_nodes(fanout: usize, nodes: Vec<LogicalNode>) -> SomoTree {
+    pub(crate) fn from_nodes(
+        fanout: usize,
+        nodes: impl IntoIterator<Item = (u8, (u128, u128), usize, Option<u32>, Range<u32>)>,
+    ) -> SomoTree {
+        let nodes: Vec<LogicalNode> = nodes
+            .into_iter()
+            .map(|(level, region, host, parent, children)| {
+                LogicalNode::new(level, region, host, parent, children)
+            })
+            .collect();
         assert!(!nodes.is_empty(), "a tree needs at least a root");
         SomoTree { fanout, nodes }
     }
@@ -137,7 +208,7 @@ impl SomoTree {
 
     /// Maximum depth (root = 0).
     pub fn depth(&self) -> u32 {
-        self.nodes.iter().map(|n| n.level).max().unwrap_or(0)
+        self.nodes.iter().map(|n| n.level()).max().unwrap_or(0)
     }
 
     /// Indices of all leaves.
@@ -152,7 +223,7 @@ impl SomoTree {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.host == ring_idx)
+            .filter(|(_, n)| n.host() == ring_idx)
             .min_by_key(|(_, n)| n.level)
             .map(|(i, _)| i as u32)
     }
@@ -168,11 +239,10 @@ impl SomoTree {
             if n.is_leaf() {
                 return cur;
             }
-            cur = *n
-                .children
-                .iter()
-                .find(|&&c| {
-                    let (lo, hi) = self.nodes[c as usize].region;
+            cur = n
+                .children()
+                .find(|&c| {
+                    let (lo, hi) = self.nodes[c as usize].region();
                     lo <= p && p < hi
                 })
                 .expect("children partition the parent region");
@@ -181,7 +251,7 @@ impl SomoTree {
 
     /// Ring indices hosting at least one logical node.
     pub fn hosts(&self) -> Vec<usize> {
-        let mut h: Vec<usize> = self.nodes.iter().map(|n| n.host).collect();
+        let mut h: Vec<usize> = self.nodes.iter().map(|n| n.host()).collect();
         h.sort_unstable();
         h.dedup();
         h
@@ -220,8 +290,8 @@ mod tests {
     fn root_sits_at_space_midpoint() {
         let r = ring(64, 1);
         let t = SomoTree::build(&r, 8);
-        assert_eq!(t.root().point, NodeId::MID);
-        assert_eq!(t.root().host, r.owner(NodeId::MID));
+        assert_eq!(t.root().point(), NodeId::MID);
+        assert_eq!(t.root().host(), r.owner(NodeId::MID));
     }
 
     #[test]
@@ -246,13 +316,13 @@ mod tests {
             assert!(seen.insert(leaf), "two members share a canonical leaf");
             let n = &t.nodes()[leaf as usize];
             assert!(n.is_leaf());
-            let (lo, hi) = n.region;
+            let (lo, hi) = n.region();
             assert!(lo <= m.id.0 as u128 && (m.id.0 as u128) < hi);
             // Hosted by the member itself or its ring successor (the
             // region holds no other member ID, so its center's owner is
             // one of the two).
             assert!(
-                n.host == idx || n.host == r.successor(idx),
+                n.host() == idx || n.host() == r.successor(idx),
                 "canonical leaf hosted by a stranger"
             );
         }
@@ -263,7 +333,7 @@ mod tests {
         let r = ring(100, 4);
         let t = SomoTree::build(&r, 8);
         let mut regions: Vec<(u128, u128)> =
-            t.leaves().map(|i| t.nodes()[i as usize].region).collect();
+            t.leaves().map(|i| t.nodes()[i as usize].region()).collect();
         regions.sort();
         assert_eq!(regions[0].0, 0);
         assert_eq!(regions.last().unwrap().1, 1u128 << 64);
@@ -280,18 +350,17 @@ mod tests {
             if n.is_leaf() {
                 continue;
             }
-            let mut regions: Vec<(u128, u128)> = n
-                .children
-                .iter()
-                .map(|&c| t.nodes()[c as usize].region)
+            // Children are in ascending region order as they stand.
+            let regions: Vec<(u128, u128)> = n
+                .children()
+                .map(|c| t.nodes()[c as usize].region())
                 .collect();
-            regions.sort();
-            assert_eq!(regions[0].0, n.region.0);
-            assert_eq!(regions.last().unwrap().1, n.region.1);
+            assert_eq!(regions[0].0, n.region().0);
+            assert_eq!(regions.last().unwrap().1, n.region().1);
             for w in regions.windows(2) {
                 assert_eq!(w[0].1, w[1].0);
             }
-            assert_eq!(n.children.len(), 3);
+            assert_eq!(n.children().len(), 3);
         }
     }
 
@@ -300,8 +369,8 @@ mod tests {
         let r = ring(64, 6);
         let t = SomoTree::build(&r, 8);
         for n in t.nodes() {
-            assert_eq!(n.host, r.owner(n.point));
-            assert!(r.zone_contains(n.host, n.point));
+            assert_eq!(n.host(), r.owner(n.point()));
+            assert!(r.zone_contains(n.host(), n.point()));
         }
     }
 
@@ -318,7 +387,7 @@ mod tests {
             hosting += 1;
             let mut cur = rep;
             let mut steps = 0;
-            while let Some(p) = t.nodes()[cur as usize].parent {
+            while let Some(p) = t.nodes()[cur as usize].parent() {
                 cur = p;
                 steps += 1;
                 assert!(steps <= t.depth());
@@ -341,7 +410,7 @@ mod tests {
         let r = ring(32, 9);
         let t = SomoTree::build(&r, 2);
         for n in t.nodes() {
-            assert!(n.children.len() == 2 || n.is_leaf());
+            assert!(n.children().len() == 2 || n.is_leaf());
         }
     }
 
@@ -361,13 +430,16 @@ mod tests {
             let t = SomoTree::build(&r, fanout);
             // Every non-root has a parent whose children contain it.
             for (i, node) in t.nodes().iter().enumerate() {
-                match node.parent {
+                match node.parent() {
                     None => prop_assert_eq!(i, 0),
                     Some(p) => {
-                        prop_assert!(t.nodes()[p as usize].children.contains(&(i as u32)));
-                        prop_assert_eq!(t.nodes()[p as usize].level + 1, node.level);
+                        prop_assert!((p as usize) < i, "a parent precedes its children");
+                        prop_assert!(t.nodes()[p as usize].children().contains(&(i as u32)));
+                        prop_assert_eq!(t.nodes()[p as usize].level() + 1, node.level());
                     }
                 }
+                prop_assert_eq!(node.point(), center(node.region()));
+                prop_assert_eq!(node.host(), r.owner(node.point()));
             }
             // Every member has a unique canonical leaf hosted by itself or
             // its ring successor.
@@ -375,7 +447,7 @@ mod tests {
             for (idx, m) in r.members().iter().enumerate() {
                 let leaf = t.canonical_leaf_of(m.id);
                 prop_assert!(seen.insert(leaf));
-                let host = t.nodes()[leaf as usize].host;
+                let host = t.nodes()[leaf as usize].host();
                 prop_assert!(host == idx || host == r.successor(idx));
             }
         }

@@ -1,0 +1,126 @@
+//! The SOMO tree's footprint, as numbers a test holds: a logical node is 32
+//! bytes, a tree is one flat vector of them, and comparing two trees
+//! allocates a pairing stack and nothing else (DESIGN.md §8.3).
+//!
+//! The counting allocator below keeps its tallies per thread, so the tests
+//! of this binary can run side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dht::Ring;
+use netsim::HostId;
+use somo::heal::remap_stats;
+use somo::tree::LogicalNode;
+use somo::SomoTree;
+
+#[derive(Clone, Copy)]
+struct Tally {
+    /// Bytes asked for since the thread started (growth only).
+    allocated: usize,
+    /// Allocations not freed yet, and their bytes.
+    live_calls: usize,
+    live_bytes: usize,
+}
+
+thread_local! {
+    // No destructor and a constant initialiser: reading it allocates
+    // nothing and is valid for as long as the thread runs.
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { allocated: 0, live_calls: 0, live_bytes: 0 })
+    };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
+// the trait's default, i.e. through `alloc` and `dealloc` below); the
+// tallies are thread-local statistics that publish no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        TALLY.with(|t| {
+            let mut v = t.get();
+            v.allocated += layout.size();
+            v.live_calls += 1;
+            v.live_bytes += layout.size();
+            t.set(v);
+        });
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        TALLY.with(|t| {
+            let mut v = t.get();
+            v.live_calls = v.live_calls.saturating_sub(1);
+            v.live_bytes = v.live_bytes.saturating_sub(layout.size());
+            t.set(v);
+        });
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn tally() -> Tally {
+    TALLY.with(Cell::get)
+}
+
+fn ring(n: u32) -> Ring {
+    Ring::with_random_ids((0..n).map(HostId), 13)
+}
+
+/// At 557b295 a node was 96 bytes plus its own vector of children.
+#[test]
+fn a_logical_node_is_32_bytes() {
+    assert!(std::mem::size_of::<LogicalNode>() <= 32);
+}
+
+/// Every shape `pins.rs` pins. At 557b295 a tree held one allocation per
+/// internal node and one more: 1 936 at 4 096 members and fanout 8, for
+/// 1 634 784 B where this holds 495 392 B.
+#[test]
+fn a_tree_is_one_flat_vector() {
+    for n in [1, 2, 64, 700, 4096] {
+        let ring = ring(n);
+        for fanout in [2, 3, 8, 16] {
+            let before = tally();
+            let tree = SomoTree::build(&ring, fanout);
+            let after = tally();
+            let calls = after.live_calls - before.live_calls;
+            assert!(
+                calls <= 2,
+                "n = {n}, fanout = {fanout}: {calls} allocations"
+            );
+            assert_eq!(
+                after.live_bytes - before.live_bytes,
+                tree.len() * std::mem::size_of::<LogicalNode>(),
+                "n = {n}, fanout = {fanout}"
+            );
+        }
+    }
+}
+
+/// The lockstep walk holds `(before, after)` pairs for the siblings it has
+/// yet to visit: a few dozen entries, whatever the trees' size.
+#[test]
+fn comparing_two_trees_allocates_a_pairing_stack_only() {
+    let before_ring = ring(4096);
+    let mut after_ring = before_ring.clone();
+    for k in 0..64 {
+        after_ring.remove((k * 61 + 7) % after_ring.len());
+    }
+    let (before, after) = (
+        SomoTree::build(&before_ring, 8),
+        SomoTree::build(&after_ring, 8),
+    );
+    let t0 = tally();
+    let stats = remap_stats(&before, &before_ring, &after, &after_ring);
+    let t1 = tally();
+    assert!(stats.remapped + stats.created + stats.dropped > 0);
+    assert_eq!(t1.live_bytes, t0.live_bytes);
+    let bytes = t1.allocated - t0.allocated;
+    assert!(bytes <= 4096, "remap_stats allocated {bytes} B");
+}

@@ -128,15 +128,14 @@ fn cell(
 
     // The host of a remote root child (an internal node high in the tree),
     // the host of a node from the middle of the tree, and member 5.
-    let root_host = tree.root().host;
+    let root_host = tree.root().host();
     let high = tree
         .root()
-        .children
-        .iter()
-        .map(|&c| tree.nodes()[c as usize].host)
+        .children()
+        .map(|c| tree.nodes()[c as usize].host())
         .find(|&h| h != root_host)
         .expect("a remote root child");
-    let victims = [high, tree.nodes()[tree.len() / 2].host, 5];
+    let victims = [high, tree.nodes()[tree.len() / 2].host(), 5];
 
     // 12.3 s: the round that opened at 10 s is in flight.
     observe(
@@ -209,13 +208,13 @@ fn geometry(n: u32, fanout: usize) -> (usize, u64) {
     for (i, node) in tree.nodes().iter().enumerate() {
         pin.feed(&format!(
             "{i} {} {} {} {} {} {:?} {:?}\n",
-            node.level,
-            node.region.0,
-            node.region.1,
-            node.point.0,
-            node.host,
-            node.parent,
-            node.children
+            node.level(),
+            node.region().0,
+            node.region().1,
+            node.point().0,
+            node.host(),
+            node.parent(),
+            node.children().collect::<Vec<u32>>()
         ));
     }
     pin.feed(&format!(

@@ -53,7 +53,7 @@ fn fold_in_tree_order(
     node: u32,
 ) -> Option<CensusReport> {
     let mut acc = leaf_member[node as usize].map(|m| CensusReport::of_member(capacity(m)));
-    for &c in &tree.nodes()[node as usize].children {
+    for c in tree.nodes()[node as usize].children() {
         if let Some(r) = fold_in_tree_order(tree, leaf_member, c) {
             match &mut acc {
                 Some(a) => a.merge(&r),

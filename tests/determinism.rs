@@ -580,8 +580,8 @@ fn somo_tree_is_a_pure_function_of_the_ring() {
     let t2 = SomoTree::build(&a.ring, 8);
     assert_eq!(t1.len(), t2.len());
     for (x, y) in t1.nodes().iter().zip(t2.nodes()) {
-        assert_eq!(x.region, y.region);
-        assert_eq!(x.host, y.host);
-        assert_eq!(x.parent, y.parent);
+        assert_eq!(x.region(), y.region());
+        assert_eq!(x.host(), y.host());
+        assert_eq!(x.parent(), y.parent());
     }
 }
