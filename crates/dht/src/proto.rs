@@ -96,13 +96,13 @@ struct PeerSlab {
 }
 
 impl PeerSlab {
-    fn entries(&self, row: Row) -> &[PeerTime] {
+    /// The entries of a row, in ID order.
+    fn row(&self, row: Row) -> &[PeerTime] {
         &self.entries[row.start as usize..][..row.len as usize]
     }
 
     fn find(&self, row: Row, id: NodeId) -> Result<usize, usize> {
-        self.entries(row)
-            .binary_search_by_key(&id, |&(peer, _)| peer)
+        self.row(row).binary_search_by_key(&id, |&(peer, _)| peer)
     }
 
     fn contains(&self, row: Row, id: NodeId) -> bool {
@@ -111,7 +111,7 @@ impl PeerSlab {
 
     /// The peers of a row, in ID order.
     fn ids(&self, row: Row) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries(row).iter().map(|&(peer, _)| peer)
+        self.row(row).iter().map(|&(peer, _)| peer)
     }
 
     /// A new row holding `sorted` (which is in ID order).
@@ -557,7 +557,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                 let ids = Rc::get_mut(&mut gossip).expect("fresh payloads are unshared");
                 let n = &self.nodes[node as usize];
                 let my_id = n.member.id;
-                leafset_into(my_id, self.peers.entries(n.view), self.cfg.leafset_r, ids);
+                leafset_into(my_id, self.peers.row(n.view), self.cfg.leafset_r, ids);
                 if ids.is_empty() {
                     let contacts =
                         &self.fallback[n.fallback_at as usize..][..n.fallback_len as usize];
@@ -620,7 +620,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         if !ack {
             let mut reply = self.fresh_payload();
             let ids = Rc::get_mut(&mut reply).expect("fresh payloads are unshared");
-            leafset_into(my_id, self.peers.entries(view), self.cfg.leafset_r, ids);
+            leafset_into(my_id, self.peers.row(view), self.cfg.leafset_r, ids);
             ids.push(my_id);
             self.send(to, from, &reply, true);
             self.release_payload(reply);
@@ -716,7 +716,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         let n = &self.nodes[node];
         let r = self.cfg.leafset_r;
         let mut out = Vec::with_capacity(r.saturating_mul(2).min(usize::from(n.view.len)));
-        leafset_into(n.member.id, self.peers.entries(n.view), r, &mut out);
+        leafset_into(n.member.id, self.peers.row(n.view), r, &mut out);
         out
     }
 
@@ -747,7 +747,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         let ring = self.live_ring();
         let mut believed = Vec::new();
         self.nodes.iter().filter(|n| n.alive).all(|n| {
-            let view = self.peers.entries(n.view);
+            let view = self.peers.row(n.view);
             leafset_into(n.member.id, view, self.cfg.leafset_r, &mut believed);
             believed.sort_unstable();
             believed == self.leafset_in(&ring, n.member.id)
@@ -860,7 +860,7 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 ) {
     let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
-        let view = s.peers.entries(n.view);
+        let view = s.peers.row(n.view);
         leafset_into(n.member.id, view, s.cfg.leafset_r, &mut leafset);
         for &id in &leafset {
             ctx.check(s.peers.contains(n.view, id), || {
@@ -873,7 +873,7 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     let horizon = ctx.now() + s.cfg.timeout;
     for (i, n) in s.nodes.iter().enumerate() {
-        for &(id, until) in s.peers.entries(n.tombstones) {
+        for &(id, until) in s.peers.row(n.tombstones) {
             ctx.check(until <= horizon, || {
                 format!("node {i}'s certificate for {id:?} outlives a detection timeout ({until})")
             });
@@ -967,7 +967,7 @@ mod tests {
             }
             for (row, model) in rows.iter().zip(&models) {
                 let want: Vec<PeerTime> = model.iter().map(|(&id, &t)| (id, t)).collect();
-                prop_assert_eq!(slab.entries(*row), &want[..]);
+                prop_assert_eq!(slab.row(*row), &want[..]);
                 prop_assert!(row.len <= row.cap);
                 prop_assert!(row.cap == 0 || (row.cap.is_power_of_two() && row.cap >= MIN_ROW));
             }

@@ -37,21 +37,16 @@ pub struct LogicalNode {
 }
 
 impl LogicalNode {
-    fn new(
-        level: u8,
-        (lo, hi): (u128, u128),
-        host: usize,
-        parent: Option<u32>,
-        children: Range<u32>,
-    ) -> LogicalNode {
+    /// A node with no children (yet).
+    fn new(level: u8, (lo, hi): (u128, u128), host: usize, parent: Option<u32>) -> LogicalNode {
         debug_assert!(lo < hi && hi <= 1 << 64, "a region is a non-empty arc");
         LogicalNode {
             lo: lo as u64,
             last: (hi - 1) as u64,
             host: u32::try_from(host).expect("ring indices fit u32"),
             parent: parent.unwrap_or(NO_PARENT),
-            first_child: children.start,
-            children: u16::try_from(children.len()).expect("build bounds the fanout"),
+            first_child: 0,
+            children: 0,
             level,
         }
     }
@@ -119,13 +114,7 @@ impl SomoTree {
         );
         assert!(!ring.is_empty(), "cannot build SOMO over an empty ring");
         let full: (u128, u128) = (0, 1u128 << 64);
-        let mut nodes = vec![LogicalNode::new(
-            0,
-            full,
-            ring.owner(center(full)),
-            None,
-            0..0,
-        )];
+        let mut nodes = vec![LogicalNode::new(0, full, ring.owner(center(full)), None)];
         // Depth-first subdivision: the frontier is a stack, so the node
         // subdivided next is the last child created. All of a node's
         // children are created in one go, whichever node is taken next.
@@ -149,13 +138,7 @@ impl SomoTree {
                 let chi = lo + width * (c + 1) / fanout as u128;
                 let host = ring.owner(center((clo, chi)));
                 frontier.push(nodes.len() as u32);
-                nodes.push(LogicalNode::new(
-                    level + 1,
-                    (clo, chi),
-                    host,
-                    Some(idx),
-                    0..0,
-                ));
+                nodes.push(LogicalNode::new(level + 1, (clo, chi), host, Some(idx)));
             }
         }
         nodes.shrink_to_fit();
@@ -173,8 +156,10 @@ impl SomoTree {
     ) -> SomoTree {
         let nodes: Vec<LogicalNode> = nodes
             .into_iter()
-            .map(|(level, region, host, parent, children)| {
-                LogicalNode::new(level, region, host, parent, children)
+            .map(|(level, region, host, parent, children)| LogicalNode {
+                first_child: children.start,
+                children: children.len() as u16,
+                ..LogicalNode::new(level, region, host, parent)
             })
             .collect();
         assert!(!nodes.is_empty(), "a tree needs at least a root");
