@@ -2,102 +2,15 @@
 //! allocates depends on the session, not on the pool it is drawn from, and
 //! the tree it returns is a few flat vectors (DESIGN.md §11.6).
 //!
-//! The counting allocator below keeps its tallies per thread, so the tests
-//! of this binary can run side by side.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `testkit`'s counting allocator keeps its tallies per thread, so the
+//! tests of this binary can run side by side.
 
 use alm::{amcast, critical, HelperPool, MulticastTree, Problem};
 use netsim::{HostId, LatencyModel};
-
-#[derive(Clone, Copy)]
-struct Tally {
-    /// Bytes asked for since the thread started (growth only).
-    allocated: usize,
-    /// Calls that asked for memory.
-    calls: usize,
-    live: usize,
-    peak: usize,
-}
-
-thread_local! {
-    // No destructor and a constant initialiser: reading it allocates
-    // nothing and is valid for as long as the thread runs.
-    static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { allocated: 0, calls: 0, live: 0, peak: 0 })
-    };
-}
-
-fn grew(bytes: usize) {
-    TALLY.with(|t| {
-        let mut v = t.get();
-        v.allocated += bytes;
-        v.calls += 1;
-        v.live += bytes;
-        v.peak = v.peak.max(v.live);
-        t.set(v);
-    });
-}
-
-fn shrank(bytes: usize) {
-    TALLY.with(|t| {
-        let mut v = t.get();
-        v.live = v.live.saturating_sub(bytes);
-        t.set(v);
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
-// the trait's default, i.e. through `alloc` and `dealloc` below); the
-// tallies are thread-local statistics that publish no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use testkit::measured;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// What a closure cost the thread that ran it.
-struct Cost {
-    /// Bytes asked for, and the calls that asked.
-    bytes: usize,
-    calls: usize,
-    /// Highest live heap reached, above the level before the call.
-    peak: usize,
-    /// Live heap the result keeps, above the level before the call.
-    held: usize,
-}
-
-fn measured<T>(f: impl FnOnce() -> T) -> (T, Cost) {
-    let before = TALLY.with(|t| {
-        let mut v = t.get();
-        v.peak = v.live;
-        t.set(v);
-        v
-    });
-    let out = f();
-    let after = TALLY.with(Cell::get);
-    let cost = Cost {
-        bytes: after.allocated - before.allocated,
-        calls: after.calls - before.calls,
-        peak: after.peak - before.live,
-        held: after.live - before.live,
-    };
-    (out, cost)
-}
+static ALLOC: testkit::Counting = testkit::Counting;
 
 /// The adversarial model of `incremental_equivalence.rs`, reporting
 /// whatever pool size it is told to.

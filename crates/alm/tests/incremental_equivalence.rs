@@ -9,8 +9,11 @@ use alm::{
     amcast, amcast_reference, critical, critical_reference, HelperPool, HelperStrategy,
     MulticastTree, Problem,
 };
-use netsim::{HostId, LatencyModel};
+use netsim::{CachedLatency, HostId, LatencyModel, Network, NetworkConfig};
+use oracle::PoolOracle;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// Unstructured pseudo-random symmetric latencies in 1..201 ms: no metric
 /// structure at all, so ties and adversarial orderings are common.
@@ -143,4 +146,63 @@ fn strictly_fewer_relaxations_at_n512() {
         inc_relax < ref_relax,
         "critical: incremental did {inc_relax} relaxations, reference {ref_relax}"
     );
+}
+
+/// The planner anchor's N = 1 024 cell (`perf_planner`: generated
+/// transit–stub network, the paper's degree distribution, half the hosts
+/// members, the rest helper candidates): both engines equal their
+/// references tree for tree with no more relaxations — under the paper's
+/// degrees most nodes are leaves, so the counts may tie — and the same
+/// plans come out of `PoolOracle::Exact` as out of `CachedLatency`: the
+/// enum dispatch may not perturb anything.
+#[test]
+fn generated_network_at_n1024_matches_reference_and_exact_source() {
+    const N: usize = 1024;
+    const SEED: u64 = 2024;
+    let net = Network::generate(
+        &NetworkConfig {
+            num_hosts: N,
+            ..NetworkConfig::default()
+        },
+        SEED,
+    );
+    let mut all: Vec<u32> = (0..N as u32).collect();
+    all.shuffle(&mut rand::rngs::StdRng::seed_from_u64(SEED ^ N as u64));
+    let members: Vec<HostId> = all[..N / 2].iter().copied().map(HostId).collect();
+    let mut pool = HelperPool::new(all[N / 2..].iter().copied().map(HostId).collect());
+    pool.min_degree = 4;
+    pool.radius_ms = 100.0;
+    let dbound = |h: HostId| net.hosts.degree_bound(h);
+
+    let cached = CachedLatency::from_matrix(&net.latency);
+    let p = Problem::new(members[0], members.clone(), &cached, dbound);
+    let exact = PoolOracle::Exact(CachedLatency::from_matrix(&net.latency));
+    let pe = Problem::new(members[0], members.clone(), &exact, dbound);
+
+    let counted = |run: &dyn Fn() -> MulticastTree| {
+        reset_relaxations();
+        let tree = run();
+        (tree, relaxations())
+    };
+    for (engine, (inc, inc_relax), (reference, ref_relax), through_exact) in [
+        (
+            "amcast",
+            counted(&|| amcast(&p)),
+            counted(&|| amcast_reference(&p)),
+            amcast(&pe),
+        ),
+        (
+            "critical",
+            counted(&|| critical(&p, &pool)),
+            counted(&|| critical_reference(&p, &pool)),
+            critical(&pe, &pool),
+        ),
+    ] {
+        assert_identical(&inc, &reference);
+        assert!(
+            inc_relax <= ref_relax,
+            "{engine}: incremental did {inc_relax} relaxations, reference {ref_relax}"
+        );
+        assert_identical(&through_exact, &inc);
+    }
 }

@@ -20,7 +20,7 @@
 //! was made**, and the oracle's tier counters where there is an oracle. An
 //! infeasible instance pins the `None`s and what was spent finding them.
 //!
-//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves a
+//! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves a
 //! plan or its cost *on purpose* runs the failing test, pastes the printed
 //! left-hand pair over the constant and says so in CHANGES.md. A refactor
 //! or an optimisation never re-pins.
@@ -45,77 +45,52 @@ use netsim::{HostId, LatencyModel, Network, NetworkConfig, RouterNet, TransitStu
 use oracle::{LandmarkSketch, TieredConfig, TieredOracle};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use testkit::Pin;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A running `(bytes, FNV-1a-64)` over everything fed to it.
-struct Pin {
-    len: usize,
-    hash: u64,
-}
-
-impl Pin {
-    fn new() -> Pin {
-        Pin {
-            len: 0,
-            hash: FNV_OFFSET,
-        }
-    }
-
-    fn feed(&mut self, s: &str) {
-        self.len += s.len();
-        for b in s.bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Everything observable about a tree.
-    fn tree(&mut self, label: &str, t: &MulticastTree) {
-        self.feed(&format!(
-            "{label}: {} nodes, root {:?}, highest {:?}, max {:016x}\n",
-            t.len(),
-            t.root(),
-            t.highest(),
-            t.max_height().to_bits()
+/// Everything observable about a tree.
+fn feed_tree(pin: &mut Pin, label: &str, t: &MulticastTree) {
+    pin.feed(&format!(
+        "{label}: {} nodes, root {:?}, highest {:?}, max {:016x}\n",
+        t.len(),
+        t.root(),
+        t.highest(),
+        t.max_height().to_bits()
+    ));
+    for &h in t.hosts() {
+        pin.feed(&format!(
+            "{h:?} parent {:?} height {:016x} degree {} children {:?}\n",
+            t.parent_of(h),
+            t.height_of(h).to_bits(),
+            t.degree(h),
+            t.children_of(h)
         ));
-        for &h in t.hosts() {
-            self.feed(&format!(
-                "{h:?} parent {:?} height {:016x} degree {} children {:?}\n",
-                t.parent_of(h),
-                t.height_of(h).to_bits(),
-                t.degree(h),
-                t.children_of(h)
-            ));
-            assert_eq!(t.child_count(h), t.children_of(h).len());
-        }
-        self.feed(&format!("bfs {:?}\n", t.bfs_order()));
+        assert_eq!(t.child_count(h), t.children_of(h).len());
     }
+    pin.feed(&format!("bfs {:?}\n", t.bfs_order()));
 }
 
 /// Counts every call (through [`Counted`]) and folds its arguments, in call
 /// order, into a running FNV-1a-64.
 struct Seq<L> {
     inner: Counted<L>,
-    order: Cell<u64>,
+    order: Cell<Pin>,
 }
 
 impl<L: LatencyModel> Seq<L> {
     fn new(inner: L) -> Seq<L> {
         Seq {
             inner: Counted(inner),
-            order: Cell::new(FNV_OFFSET),
+            order: Cell::new(Pin::new()),
         }
     }
 }
 
 impl<L: LatencyModel> LatencyModel for Seq<L> {
     fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-        let mut h = self.order.get();
-        for w in [a.0, b.0] {
-            h = (h ^ u64::from(w)).wrapping_mul(FNV_PRIME);
-        }
-        self.order.set(h);
+        let mut order = self.order.get();
+        order.step(u64::from(a.0));
+        order.step(u64::from(b.0));
+        self.order.set(order);
         self.inner.latency_ms(a, b)
     }
 
@@ -204,8 +179,8 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
             "{label}: relaxations {} latency calls {} order {:016x} / {:016x} {}\n",
             relaxations(),
             latency_calls(),
-            self.measure.order.get(),
-            self.estimate.order.get(),
+            self.measure.order.get().hash,
+            self.estimate.order.get().hash,
             (self.extra)()
         ));
     }
@@ -225,13 +200,13 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
             pin.feed(&format!("{label}: infeasible\n"));
             return None;
         };
-        pin.tree(label, &tree);
+        feed_tree(pin, label, &tree);
         if self.deep {
             let mut adjusted = tree.clone();
             self.begin();
             let moves = adjust(p, &mut adjusted);
             self.cost(pin, "adjust");
-            pin.tree(&format!("{label} + {moves} moves"), &adjusted);
+            feed_tree(pin, &format!("{label} + {moves} moves"), &adjusted);
         }
         Some(tree)
     }
@@ -263,13 +238,13 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
             );
             self.cost(&mut pin, "staged");
             match staged {
-                Some(t) => pin.tree(&format!("staged, adjust {use_adjust}"), &t),
+                Some(t) => feed_tree(&mut pin, &format!("staged, adjust {use_adjust}"), &t),
                 None => pin.feed("staged: infeasible\n"),
             }
         }
 
         let Some(tree) = critical else {
-            return (pin.len, pin.hash);
+            return pin.pair();
         };
 
         // A late joiner: the first host outside the tree.
@@ -281,7 +256,7 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
             self.begin();
             let r = add_member(&p, &mut joined, v);
             self.cost(&mut pin, "add_member");
-            pin.tree(&format!("joined {v:?}: {r:?}"), &joined);
+            feed_tree(&mut pin, &format!("joined {v:?}: {r:?}"), &joined);
         }
 
         // Graceful leaves: the first interior node, then the last leaf.
@@ -301,13 +276,13 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
             self.cost(&mut pin, "remove_member");
             match left {
                 Ok(mut t) => {
-                    pin.tree(&format!("left {v:?}"), &t);
+                    feed_tree(&mut pin, &format!("left {v:?}"), &t);
                     let survivors: Vec<HostId> =
                         self.members.iter().copied().filter(|&m| m != v).collect();
                     self.begin();
                     let pruned = prune_idle_helpers(&p, &mut t, &survivors);
                     self.cost(&mut pin, "prune_idle_helpers");
-                    pin.tree(&format!("pruned {pruned:?}"), &t);
+                    feed_tree(&mut pin, &format!("pruned {pruned:?}"), &t);
                 }
                 Err(e) => pin.feed(&format!("left {v:?}: {e:?}\n")),
             }
@@ -322,9 +297,9 @@ impl<M: LatencyModel, E: LatencyModel, D: Fn(HostId) -> u32> Session<'_, M, E, D
         self.begin();
         let (repaired, report) = reattach_orphans(&p, &tree, &dead, &ReattachConfig::default());
         self.cost(&mut pin, "reattach_orphans");
-        pin.tree(&format!("repaired {report:?}"), &repaired);
+        feed_tree(&mut pin, &format!("repaired {report:?}"), &repaired);
 
-        (pin.len, pin.hash)
+        pin.pair()
     }
 }
 

@@ -35,14 +35,9 @@
 //! * **Clean audits** — every cell, including the two admission
 //!   invariants (queue conservation, zero preemption).
 //!
-//! Set `EXT_FLASH_CROWD_SMOKE=1` for the CI slice: the anchor cell plus
-//! one small-pool Admission cell with thresholds forcing the queue,
-//! degrade and reject paths.
-//!
 //! Run with: `cargo run --release -p bench --bin ext_flash_crowd`
 
 use bench::{anchor_against_fig10, dump_json, parallel_runs};
-use netsim::NetworkConfig;
 use pool::{
     AdmissionConfig, AllocationMode, MarketConfig, MarketOutcome, MarketSim, PlanConfig,
     PoolConfig, ResourcePool, DEGRADED_CLASS,
@@ -68,7 +63,6 @@ const CRASH_RATE: f64 = 0.05;
 
 fn main() {
     let seed = 2010;
-    let smoke = std::env::var("EXT_FLASH_CROWD_SMOKE").is_ok();
     println!("building the 1200-host resource pool (coordinates + bandwidth)...");
     let pristine = ResourcePool::build(&PoolConfig::default(), seed);
     let num_hosts = pristine.net.num_hosts();
@@ -87,82 +81,42 @@ fn main() {
     anchor_against_fig10("Priority mode", ANCHOR_SESSIONS, &anchor);
 
     let mut rows = Vec::new();
-    if !smoke {
-        let cells: Vec<(usize, usize)> = (0..BURSTS.len())
-            .flat_map(|b| (0..MODES.len()).map(move |m| (b, m)))
-            .collect();
-        println!(
-            "\nflash crowd — burst × mode, 5% crashes, member size {MEMBER_SIZE}:\n{:>6} {:>9} | {:>6} {:>7} | {:>8} {:>9} | {:>26} | {:>8}",
-            "burst", "mode", "jain", "preempt", "delivery", "arrivals", "adm/deg/rej/queued", "wait(s)"
-        );
-        let outs: Vec<MarketOutcome> = parallel_runs(cells.len(), |i| {
-            let (b, m) = cells[i];
-            run_cell(&pristine, BURSTS[b], MODES[m], num_hosts, seed)
-        });
-        let mut jain = [[f64::NAN; 3]; 3]; // [burst][mode]
-        for (&(b, m), out) in cells.iter().zip(&outs) {
-            let (burst, mode) = (BURSTS[b], MODES[m]);
-            jain[b][m] = out.jain_fairness();
-            print_cell(burst, mode, out);
-            assert_cell(burst, mode, out);
-            rows.push(cell_json(burst, mode, out));
-        }
-        // The fairness payoff, asserted at the largest burst: water-filled
-        // shares beat priority eviction on the Jain index.
-        let last = BURSTS.len() - 1;
-        assert!(
-            jain[last][1] > jain[last][0],
-            "Pareto Jain ({}) not above Priority ({}) at burst {}",
-            jain[last][1],
-            jain[last][0],
-            BURSTS[last]
-        );
-        // The admission controller must actually have engaged under the
-        // largest burst — otherwise the cell measured nothing.
-        let adm = &outs[last * MODES.len() + 2].admission;
-        assert!(
-            adm.degraded + adm.rejected + adm.queued_final + adm.max_queue_depth > 0,
-            "largest burst never pressured the admission controller"
-        );
-    } else {
-        // The CI slice: one small-pool Admission cell with thresholds high
-        // enough that the queue, degrade and reject paths all run.
-        let small = ResourcePool::build(
-            &PoolConfig {
-                net: NetworkConfig {
-                    num_hosts: 300,
-                    ..NetworkConfig::default()
-                },
-                coord_rounds: 5,
-                ..PoolConfig::default()
-            },
-            seed,
-        );
-        let cfg = MarketConfig {
-            sessions: 24,
-            member_size: 4,
-            horizon: SimTime::from_secs(1800),
-            warmup: SimTime::from_secs(300),
-            allocation: AllocationMode::Admission,
-            admission: AdmissionConfig {
-                scarce_free_frac: 0.995,
-                degrade_free_frac: 0.9,
-                backoff: SimTime::from_secs(20),
-                max_attempts: 4,
-                ..AdmissionConfig::default()
-            },
-            faults: crash_plan(CRASH_RATE, 300, seed + 5),
-            ..MarketConfig::default()
-        };
-        let out = MarketSim::new(small, cfg, seed).run();
-        print_cell(24, AllocationMode::Admission, &out);
-        assert_cell(24, AllocationMode::Admission, &out);
-        assert!(
-            out.admission.degraded > 0,
-            "smoke cell never admitted degraded"
-        );
-        rows.push(cell_json(24, AllocationMode::Admission, &out));
+    let cells: Vec<(usize, usize)> = (0..BURSTS.len())
+        .flat_map(|b| (0..MODES.len()).map(move |m| (b, m)))
+        .collect();
+    println!(
+        "\nflash crowd — burst × mode, 5% crashes, member size {MEMBER_SIZE}:\n{:>6} {:>9} | {:>6} {:>7} | {:>8} {:>9} | {:>26} | {:>8}",
+        "burst", "mode", "jain", "preempt", "delivery", "arrivals", "adm/deg/rej/queued", "wait(s)"
+    );
+    let outs: Vec<MarketOutcome> = parallel_runs(cells.len(), |i| {
+        let (b, m) = cells[i];
+        run_cell(&pristine, BURSTS[b], MODES[m], num_hosts, seed)
+    });
+    let mut jain = [[f64::NAN; 3]; 3]; // [burst][mode]
+    for (&(b, m), out) in cells.iter().zip(&outs) {
+        let (burst, mode) = (BURSTS[b], MODES[m]);
+        jain[b][m] = out.jain_fairness();
+        print_cell(burst, mode, out);
+        assert_cell(burst, mode, out);
+        rows.push(cell_json(burst, mode, out));
     }
+    // The fairness payoff, asserted at the largest burst: water-filled
+    // shares beat priority eviction on the Jain index.
+    let last = BURSTS.len() - 1;
+    assert!(
+        jain[last][1] > jain[last][0],
+        "Pareto Jain ({}) not above Priority ({}) at burst {}",
+        jain[last][1],
+        jain[last][0],
+        BURSTS[last]
+    );
+    // The admission controller must actually have engaged under the
+    // largest burst — otherwise the cell measured nothing.
+    let adm = &outs[last * MODES.len() + 2].admission;
+    assert!(
+        adm.degraded + adm.rejected + adm.queued_final + adm.max_queue_depth > 0,
+        "largest burst never pressured the admission controller"
+    );
 
     println!(
         "\n(jain is the weighted fairness index over per-session mean helper shares,\n normalized by priority weight — 1.0 means every session got exactly its\n weighted fair share; adm/deg/rej/queued is the admission ledger; wait is the\n mean queue delay of admitted sessions; Admission mode is asserted to preempt\n nobody at any burst)"
@@ -171,7 +125,6 @@ fn main() {
         "ext_flash_crowd",
         &json!({
             "extension": "flash_crowd",
-            "smoke": smoke,
             "member_size": MEMBER_SIZE,
             "bursts": BURSTS,
             "modes": ["priority", "pareto", "admission"],
@@ -238,18 +191,6 @@ fn print_cell(burst: usize, mode: AllocationMode, out: &MarketOutcome) {
         a.queued_final,
         a.wait.mean(),
     );
-    // Per-session share table for fairness forensics (not part of the
-    // committed JSON): weight, plan samples, mean helper share.
-    if std::env::var("EXT_FLASH_CROWD_DEBUG").is_ok() {
-        for (i, s) in out.session_shares.iter().enumerate() {
-            println!(
-                "    s{i:<3} w{:.0} plans {:>4} share {:>7.2}",
-                out.session_weights.get(i).copied().unwrap_or(1.0),
-                s.count(),
-                s.mean()
-            );
-        }
-    }
 }
 
 /// The hard acceptance gates, at every cell.

@@ -26,10 +26,8 @@
 //! answers carry the [`query`] crate's `Freshness` contract (an empty
 //! window reports the a-priori bound, not false freshness).
 //!
-//! Set `EXT_LIVEOPS_SMOKE=1` for the CI slice (smaller pool, shorter
-//! horizon — every gate still runs). Pass `--store-out` to dump the live
-//! and store traces plus the delta/snapshot logs as JSON lines for the
-//! byte-comparison step in CI.
+//! Pass `--store-out` to dump the live and store traces plus the
+//! delta/snapshot logs as JSON lines for the byte-comparison step in CI.
 //!
 //! Run with: `cargo run --release -p bench --bin ext_liveops`
 
@@ -46,44 +44,21 @@ const UTIL_THRESHOLD: f64 = 0.9;
 /// Undersized stream capacity for the drop-accounting gate.
 const TINY_CAP: usize = 256;
 
-struct Workload {
-    hosts: usize,
-    sessions: usize,
-    member_size: usize,
-    horizon: SimTime,
-    warmup: SimTime,
-    crash_step: usize,
-}
+/// The one workload: a 300-host pool, nine 12-member sessions over
+/// 1800 s, every seventh host crashing from 600 s on.
+const HOSTS: usize = 300;
+const SESSIONS: usize = 9;
+const MEMBER_SIZE: usize = 12;
+const HORIZON: SimTime = SimTime::from_secs(1800);
+const WARMUP: SimTime = SimTime::from_secs(300);
+const CRASH_STEP: usize = 7;
 
 fn main() {
-    let smoke = std::env::var("EXT_LIVEOPS_SMOKE").is_ok();
-    let w = if smoke {
-        Workload {
-            hosts: 200,
-            sessions: 6,
-            member_size: 10,
-            horizon: SimTime::from_secs(1200),
-            warmup: SimTime::from_secs(300),
-            crash_step: 9,
-        }
-    } else {
-        Workload {
-            hosts: 300,
-            sessions: 9,
-            member_size: 12,
-            horizon: SimTime::from_secs(1800),
-            warmup: SimTime::from_secs(300),
-            crash_step: 7,
-        }
-    };
-    println!(
-        "building the {}-host pool (faulted fig10-style market, {} sessions)...",
-        w.hosts, w.sessions
-    );
+    println!("building the {HOSTS}-host pool (faulted fig10-style market, {SESSIONS} sessions)...");
     let pristine = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
-                num_hosts: w.hosts,
+                num_hosts: HOSTS,
                 ..NetworkConfig::default()
             },
             coord_rounds: 4,
@@ -94,7 +69,7 @@ fn main() {
 
     // --- run 1: the reference ring trace -------------------------------
     println!("run 1/4: ring tracer (reference trace + final tables)...");
-    let mut sim = market(&pristine, &w);
+    let mut sim = market(&pristine);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (ring_out, ring_pool) = sim.run_full();
     let ring_trace = to_json_lines(&ring_out.trace);
@@ -107,7 +82,7 @@ fn main() {
 
     // --- run 2: the live-operations store ------------------------------
     println!("run 2/4: live-operations store (trace + deltas + snapshots)...");
-    let mut sim = market(&pristine, &w);
+    let mut sim = market(&pristine);
     let mut lo = LiveOps::new(LiveOpsConfig {
         snapshot_period: SimTime::from_secs(60),
         util_threshold: UTIL_THRESHOLD,
@@ -139,7 +114,7 @@ fn main() {
         "leak census diverged"
     );
     let mut tables_checked = 0u64;
-    for h in (0..w.hosts as u32).map(netsim::HostId) {
+    for h in (0..HOSTS as u32).map(netsim::HostId) {
         assert_eq!(
             ring_pool.table(h),
             store_pool.table(h),
@@ -187,17 +162,17 @@ fn main() {
     let over = hosts_over_threshold(&store, UTIL_THRESHOLD, bound);
     assert!(!over.freshness.empty_scope(), "populated store has a scope");
     let crossed = hosts_crossed_up(&store, SimTime::ZERO, bound);
-    let empty = hosts_crossed_up(&store, w.horizon + SimTime::from_secs(1), bound);
+    let empty = hosts_crossed_up(&store, HORIZON + SimTime::from_secs(1), bound);
     assert!(empty.hosts.is_empty());
     assert!(
-        empty.freshness.empty_scope() && empty.freshness.staleness(w.horizon) == bound,
+        empty.freshness.empty_scope() && empty.freshness.staleness(HORIZON) == bound,
         "an empty window must report the a-priori bound"
     );
 
     // --- run 3: bounded stream sink at capacity ------------------------
     println!("run 3/4: stream sink at capacity (byte-identity, zero drops)...");
     let (sink, stream) = StreamSink::bounded(1 << 16);
-    let mut sim = market(&pristine, &w);
+    let mut sim = market(&pristine);
     sim.set_tracer(Tracer::with_sink(Box::new(sink)));
     let _ = sim.run_full();
     assert_eq!(stream.dropped(), 0, "at-capacity stream dropped records");
@@ -208,7 +183,7 @@ fn main() {
     // --- run 4: undersized stream sink ---------------------------------
     println!("run 4/4: undersized stream sink (exact counted drops)...");
     let (sink, tiny) = StreamSink::bounded(TINY_CAP);
-    let mut sim = market(&pristine, &w);
+    let mut sim = market(&pristine);
     sim.set_tracer(Tracer::with_sink(Box::new(sink)));
     let _ = sim.run_full();
     let expect_dropped = emitted.saturating_sub(TINY_CAP as u64);
@@ -243,13 +218,12 @@ fn main() {
         "ext_liveops",
         &json!({
             "extension": "liveops",
-            "smoke": smoke,
             "workload": {
-                "hosts": w.hosts,
-                "sessions": w.sessions,
-                "member_size": w.member_size,
-                "horizon_s": w.horizon.as_secs_f64(),
-                "crash_step": w.crash_step,
+                "hosts": HOSTS,
+                "sessions": SESSIONS,
+                "member_size": MEMBER_SIZE,
+                "horizon_s": HORIZON.as_secs_f64(),
+                "crash_step": CRASH_STEP,
             },
             "trace": {
                 "emitted": emitted,
@@ -282,16 +256,16 @@ fn main() {
     );
 }
 
-fn market(pristine: &ResourcePool, w: &Workload) -> MarketSim {
+fn market(pristine: &ResourcePool) -> MarketSim {
     let mut faults = FaultPlan::none();
-    for h in (0..w.hosts as u64).step_by(w.crash_step) {
+    for h in (0..HOSTS as u64).step_by(CRASH_STEP) {
         faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
     }
     let cfg = MarketConfig {
-        sessions: w.sessions,
-        member_size: w.member_size,
-        horizon: w.horizon,
-        warmup: w.warmup,
+        sessions: SESSIONS,
+        member_size: MEMBER_SIZE,
+        horizon: HORIZON,
+        warmup: WARMUP,
         faults,
         plan: PlanConfig::default(),
         ..MarketConfig::default()

@@ -34,13 +34,9 @@
 //! its structured event trace (failovers, rebuilds included) lands in
 //! `results/ext_multipath_trace.jsonl` (observation only).
 //!
-//! Set `EXT_MULTIPATH_SMOKE=1` for the CI slice: the full-size anchor
-//! cell plus one small-pool k=2 crash cell.
-//!
 //! Run with: `cargo run --release -p bench --bin ext_multipath`
 
 use bench::{anchor_against_fig10, dump_json, dump_jsonl, parallel_runs, trace_out_requested};
-use netsim::NetworkConfig;
 use pool::{MarketConfig, MarketOutcome, MarketSim, PlanConfig, PoolConfig, ResourcePool};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -54,20 +50,15 @@ const KS: [usize; 3] = [1, 2, 3];
 
 fn main() {
     let seed = 2010;
-    let smoke = std::env::var("EXT_MULTIPATH_SMOKE").is_ok();
     println!("building the 1200-host resource pool (coordinates + bandwidth)...");
     let pristine = ResourcePool::build(&PoolConfig::default(), seed);
     let num_hosts = pristine.net.num_hosts();
 
     // Every k at a given rate shares one crash plan (seeded per rate, same
     // derivation as ext_market_faults) so the k columns are comparable.
-    let cells: Vec<(usize, usize)> = if smoke {
-        vec![(0, 0)] // rate 0, k=1: the anchor cell, full size.
-    } else {
-        (0..CRASH_RATES.len())
-            .flat_map(|r| (0..KS.len()).map(move |k| (r, k)))
-            .collect()
-    };
+    let cells: Vec<(usize, usize)> = (0..CRASH_RATES.len())
+        .flat_map(|r| (0..KS.len()).map(move |k| (r, k)))
+        .collect();
 
     println!(
         "\nmultipath market — {SESSIONS} sessions, crash rate × k swept:\n{:>6} {:>3} | {:>9} {:>9} | {:>9} {:>8} {:>8} | {:>6} {:>8}",
@@ -134,118 +125,64 @@ fn main() {
         rows.push(cell_json(rate, k, out, &imp, &help));
     }
 
-    if !smoke {
-        // The redundancy payoff, asserted: at 10% crashes a second
-        // degree-disjoint tree must strictly raise the delivery ratio.
-        assert!(
-            delivery_10[1] > delivery_10[0],
-            "k=2 delivery ({}) not above k=1 ({}) at 10% crashes",
-            delivery_10[1],
-            delivery_10[0]
-        );
+    // The redundancy payoff, asserted: at 10% crashes a second
+    // degree-disjoint tree must strictly raise the delivery ratio.
+    assert!(
+        delivery_10[1] > delivery_10[0],
+        "k=2 delivery ({}) not above k=1 ({}) at 10% crashes",
+        delivery_10[1],
+        delivery_10[0]
+    );
 
-        // Message-loss cells: no crashes at all, 5% per-edge loss per
-        // delivery round. Redundancy must pay here too — a member
-        // survives a dropped edge in one tree if another still reaches
-        // it — and with zero crashes the trajectory itself is the
-        // fault-oblivious one (delivery sampling is pure observation).
-        let loss = 0.05;
-        let loss_outs: Vec<MarketOutcome> = parallel_runs(2, |ki| {
-            let cfg = MarketConfig {
-                sessions: SESSIONS,
-                member_size: MEMBER_SIZE,
-                horizon: SimTime::from_secs(3600),
-                warmup: SimTime::from_secs(600),
-                plan: PlanConfig {
-                    k_trees: KS[ki],
-                    ..PlanConfig::default()
-                },
-                faults: FaultPlan::with_loss(seed + 7, loss),
-                ..MarketConfig::default()
-            };
-            MarketSim::new(pristine.clone(), cfg, seed + SESSIONS as u64).run()
-        });
-        println!("\n5% per-edge message loss (no crashes):");
-        for (k, out) in KS.iter().take(2).zip(&loss_outs) {
-            println!(
-                "{:>5}% {:>3} | {:>8.2}% ({} samples)",
-                loss * 100.0,
-                k,
-                out.delivery.mean() * 100.0,
-                out.delivery.count()
-            );
-            assert_cell_clean(out, 0.0, *k);
-            let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
-            let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
-            let mut row = cell_json(0.0, *k, out, &imp, &help);
-            if let serde_json::Value::Object(m) = &mut row {
-                m.push(("loss".to_string(), json!(loss)));
-            }
-            rows.push(row);
-        }
-        assert!(
-            loss_outs[1].delivery.mean() > loss_outs[0].delivery.mean(),
-            "k=2 delivery ({}) not above k=1 ({}) under {loss} loss",
-            loss_outs[1].delivery.mean(),
-            loss_outs[0].delivery.mean()
-        );
-        assert!(
-            loss_outs[0].delivery.mean() < 1.0,
-            "5% loss never cost a delivery at k=1"
-        );
-    }
-
-    if smoke {
-        // One small-pool crash cell so CI exercises the failover/rebuild
-        // machinery end to end without the full-size sweep.
-        let small = ResourcePool::build(
-            &PoolConfig {
-                net: NetworkConfig {
-                    num_hosts: 300,
-                    ..NetworkConfig::default()
-                },
-                coord_rounds: 5,
-                ..PoolConfig::default()
-            },
-            seed,
-        );
-        let rate = 0.10;
+    // Message-loss cells: no crashes at all, 5% per-edge loss per
+    // delivery round. Redundancy must pay here too — a member
+    // survives a dropped edge in one tree if another still reaches
+    // it — and with zero crashes the trajectory itself is the
+    // fault-oblivious one (delivery sampling is pure observation).
+    let loss = 0.05;
+    let loss_outs: Vec<MarketOutcome> = parallel_runs(2, |ki| {
         let cfg = MarketConfig {
-            sessions: 9,
-            member_size: 12,
-            horizon: SimTime::from_secs(1800),
-            warmup: SimTime::from_secs(300),
+            sessions: SESSIONS,
+            member_size: MEMBER_SIZE,
+            horizon: SimTime::from_secs(3600),
+            warmup: SimTime::from_secs(600),
             plan: PlanConfig {
-                k_trees: 2,
+                k_trees: KS[ki],
                 ..PlanConfig::default()
             },
-            faults: crash_plan(rate, 300, seed + 2),
+            faults: FaultPlan::with_loss(seed + 7, loss),
             ..MarketConfig::default()
         };
-        let out = MarketSim::new(small, cfg, seed).run();
+        MarketSim::new(pristine.clone(), cfg, seed + SESSIONS as u64).run()
+    });
+    println!("\n5% per-edge message loss (no crashes):");
+    for (k, out) in KS.iter().take(2).zip(&loss_outs) {
         println!(
-            "\n[smoke] 300-host k=2 cell at 10% crashes: delivery {:.2}%, {} failovers, {} rebuilds",
+            "{:>5}% {:>3} | {:>8.2}% ({} samples)",
+            loss * 100.0,
+            k,
             out.delivery.mean() * 100.0,
-            out.tree_failovers,
-            out.trees_rebuilt
+            out.delivery.count()
         );
-        assert_cell_clean(&out, rate, 2);
-        assert!(
-            out.delivery.count() > 0,
-            "smoke cell never sampled delivery"
-        );
-        rows.push(cell_json(
-            rate,
-            2,
-            &out,
-            &(1..=3)
-                .map(|p| out.class(p).improvement.mean())
-                .collect::<Vec<_>>(),
-            &(1..=3)
-                .map(|p| out.class(p).helpers.mean())
-                .collect::<Vec<_>>(),
-        ));
+        assert_cell_clean(out, 0.0, *k);
+        let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
+        let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
+        let mut row = cell_json(0.0, *k, out, &imp, &help);
+        if let serde_json::Value::Object(m) = &mut row {
+            m.push(("loss".to_string(), json!(loss)));
+        }
+        rows.push(row);
     }
+    assert!(
+        loss_outs[1].delivery.mean() > loss_outs[0].delivery.mean(),
+        "k=2 delivery ({}) not above k=1 ({}) under {loss} loss",
+        loss_outs[1].delivery.mean(),
+        loss_outs[0].delivery.mean()
+    );
+    assert!(
+        loss_outs[0].delivery.mean() < 1.0,
+        "5% loss never cost a delivery at k=1"
+    );
 
     println!(
         "\n(delivery is the per-round fraction of live members with an intact root path\n in ≥1 tree; restore is detection rounds from a primary break to a serving\n tree — standby promotion closes it in about one round, a re-plan takes more;\n utilization and helpers are the degree cost of the redundancy)"
@@ -254,7 +191,6 @@ fn main() {
         "ext_multipath",
         &json!({
             "extension": "multipath",
-            "smoke": smoke,
             "sessions": SESSIONS,
             "member_size": MEMBER_SIZE,
             "crash_rates": CRASH_RATES,

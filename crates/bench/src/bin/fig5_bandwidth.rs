@@ -33,10 +33,7 @@ fn main() {
         let est = estimate(
             &net.hosts,
             &ring,
-            &BwEstConfig {
-                leafset_size: l,
-                ..Default::default()
-            },
+            &BwEstConfig { leafset_size: l },
             seed + 10 + l as u64,
         );
         let acc = evaluate(&net.hosts, &ring, &est);

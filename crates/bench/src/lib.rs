@@ -110,24 +110,27 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// Run `runs` independent jobs across threads, preserving output order.
 /// Each job gets its run index; determinism comes from per-run seeds.
 pub fn parallel_runs<T: Send>(runs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if runs == 0 {
+        return Vec::new();
+    }
     let mut out: Vec<Option<T>> = (0..runs).map(|_| None).collect();
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-        .min(runs.max(1));
+        .min(runs);
     let chunk = runs.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|s| {
         for (t, slot) in out.chunks_mut(chunk).enumerate() {
             let job = &job;
             let base = t * chunk;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (i, o) in slot.iter_mut().enumerate() {
                     *o = Some(job(base + i));
                 }
             });
         }
-    })
-    .expect("parallel_runs worker panicked");
+    });
     out.into_iter().map(|o| o.expect("job filled")).collect()
 }
 
@@ -139,6 +142,11 @@ mod tests {
     fn parallel_runs_preserves_order() {
         let xs = parallel_runs(37, |i| i * 2);
         assert_eq!(xs, (0..37).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_runs_of_nothing_is_empty() {
+        assert!(parallel_runs(0, |i| i).is_empty());
     }
 
     #[test]

@@ -7,27 +7,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of an estimation run.
+/// Packet-pair probes sent to each neighbor; the estimator keeps the
+/// maximum measurement per neighbor (dispersion noise from cross traffic
+/// only ever under-estimates, so the largest probe is the most truthful
+/// one).
+const PROBES_PER_NEIGHBOR: usize = 3;
+
+/// Configuration of an estimation run. The probe model is
+/// [`PacketPair::default()`] (1.5 KB packets, 10 % dispersion noise).
 #[derive(Clone, Debug)]
 pub struct BwEstConfig {
     /// Total leafset size L (L/2 neighbors per side).
     pub leafset_size: usize,
-    /// Packet-pair probes sent to each neighbor; the estimator keeps the
-    /// maximum measurement per neighbor (dispersion noise from cross
-    /// traffic only ever under-estimates, so the largest probe is the most
-    /// truthful one).
-    pub probes_per_neighbor: usize,
-    /// The probe model (packet size, dispersion noise).
-    pub packet_pair: PacketPair,
 }
 
 impl Default for BwEstConfig {
     fn default() -> Self {
-        BwEstConfig {
-            leafset_size: 32,
-            probes_per_neighbor: 3,
-            packet_pair: PacketPair::default(),
-        }
+        BwEstConfig { leafset_size: 32 }
     }
 }
 
@@ -62,6 +58,7 @@ pub fn estimate(hosts: &HostSet, ring: &Ring, cfg: &BwEstConfig, seed: u64) -> B
     let mut down = vec![0.0f64; n];
     let mut rng = StdRng::seed_from_u64(seed);
     let r_side = (cfg.leafset_size / 2).max(1);
+    let pp = PacketPair::default();
 
     for i in 0..ring.len() {
         let me = ring.member(i).host;
@@ -71,22 +68,10 @@ pub fn estimate(hosts: &HostSet, ring: &Ring, cfg: &BwEstConfig, seed: u64) -> B
             let nb_bw = &hosts.get(nb).bandwidth;
             // me → nb probes: nb measures, reports back; bounded by
             // min(up(me), down(nb)).
-            let m_out = max_probe(
-                &cfg.packet_pair,
-                my_bw,
-                nb_bw,
-                cfg.probes_per_neighbor,
-                &mut rng,
-            );
+            let m_out = max_probe(&pp, my_bw, nb_bw, &mut rng);
             up[me.idx()] = up[me.idx()].max(m_out);
             // nb → me probes: me measures directly.
-            let m_in = max_probe(
-                &cfg.packet_pair,
-                nb_bw,
-                my_bw,
-                cfg.probes_per_neighbor,
-                &mut rng,
-            );
+            let m_in = max_probe(&pp, nb_bw, my_bw, &mut rng);
             down[me.idx()] = down[me.idx()].max(m_in);
         }
     }
@@ -96,16 +81,16 @@ pub fn estimate(hosts: &HostSet, ring: &Ring, cfg: &BwEstConfig, seed: u64) -> B
     }
 }
 
-/// Maximum of `k` packet-pair measurements on one directed path (noise is
-/// one-sided, so the largest probe is closest to the truth).
+/// Maximum of [`PROBES_PER_NEIGHBOR`] packet-pair measurements on one
+/// directed path (noise is one-sided, so the largest probe is closest to
+/// the truth).
 fn max_probe(
     pp: &PacketPair,
     src: &netsim::AccessBandwidth,
     dst: &netsim::AccessBandwidth,
-    k: usize,
     rng: &mut StdRng,
 ) -> f64 {
-    (0..k.max(1))
+    (0..PROBES_PER_NEIGHBOR)
         .map(|_| pp.measure_kbps(src, dst, rng))
         .fold(0.0, f64::max)
 }
@@ -154,10 +139,7 @@ mod tests {
         // upstream bandwidth estimation is almost 0".
         let net = net();
         let ring = Ring::with_random_ids((0..200u32).map(HostId), 1);
-        let cfg = BwEstConfig {
-            leafset_size: 32,
-            ..Default::default()
-        };
+        let cfg = BwEstConfig { leafset_size: 32 };
         let est = estimate(&net.hosts, &ring, &cfg, 2);
         let mut total_err = 0.0;
         let mut count = 0;

@@ -87,15 +87,7 @@ mod tests {
         let net = net();
         let ring = Ring::with_random_ids((0..300u32).map(HostId), 3);
         let err_at = |l: usize| {
-            let est = estimate(
-                &net.hosts,
-                &ring,
-                &BwEstConfig {
-                    leafset_size: l,
-                    ..Default::default()
-                },
-                7,
-            );
+            let est = estimate(&net.hosts, &ring, &BwEstConfig { leafset_size: l }, 7);
             evaluate(&net.hosts, &ring, &est).up_avg_rel_err
         };
         let e4 = err_at(4);
@@ -109,15 +101,7 @@ mod tests {
         // most downlinks exceed most uplinks in the population.
         let net = net();
         let ring = Ring::with_random_ids((0..300u32).map(HostId), 3);
-        let est = estimate(
-            &net.hosts,
-            &ring,
-            &BwEstConfig {
-                leafset_size: 32,
-                ..Default::default()
-            },
-            7,
-        );
+        let est = estimate(&net.hosts, &ring, &BwEstConfig { leafset_size: 32 }, 7);
         let acc = evaluate(&net.hosts, &ring, &est);
         assert!(
             acc.up_avg_rel_err < acc.down_avg_rel_err,
@@ -131,15 +115,7 @@ mod tests {
     fn ranking_is_strong_at_l32() {
         let net = net();
         let ring = Ring::with_random_ids((0..300u32).map(HostId), 3);
-        let est = estimate(
-            &net.hosts,
-            &ring,
-            &BwEstConfig {
-                leafset_size: 32,
-                ..Default::default()
-            },
-            7,
-        );
+        let est = estimate(&net.hosts, &ring, &BwEstConfig { leafset_size: 32 }, 7);
         let acc = evaluate(&net.hosts, &ring, &est);
         assert!(
             acc.up_ranking_accuracy > 0.9,

@@ -7,7 +7,7 @@
 //! FNV-1a-64 over every coordinate's f64 bits)` constant recorded at
 //! a311c28, before the kernel was rebuilt.
 //!
-//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves
+//! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves
 //! coordinates *on purpose* runs the failing test, pastes the printed
 //! left-hand pair over the constant and says so in CHANGES.md. A refactor
 //! or an optimisation never re-pins.
@@ -20,20 +20,19 @@ use netsim::topology::TransitStubConfig;
 use netsim::{HostId, LatencyModel, Network, NetworkConfig, RouterNet};
 use oracle::LandmarkSketch;
 use pool::{PoolConfig, ResourcePool};
+use testkit::Pin;
 
 /// `(hosts, FNV-1a-64)` over the little-endian bytes of every coordinate
 /// component, hosts ascending, dimensions ascending.
 fn digest(store: &CoordStore) -> (usize, u64) {
     let n = store.num_hosts();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut pin = Pin::new();
     for host in (0..n as u32).map(HostId) {
         for x in store.get(host).as_slice() {
-            for b in x.to_bits().to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            pin.bytes(&x.to_bits().to_le_bytes());
         }
     }
-    (n, h)
+    (n, pin.hash)
 }
 
 fn small_net(seed: u64) -> Network {

@@ -26,11 +26,12 @@ use simcore::{EventQueue, FaultPlan, FaultyLink, SimTime};
 use crate::id::NodeId;
 use crate::ring::{Member, Ring};
 
+/// Heartbeat period: how often every live node's timer fires.
+const HEARTBEAT: SimTime = SimTime::from_secs(5);
+
 /// Protocol timing parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ProtoConfig {
-    /// Heartbeat period.
-    pub heartbeat: SimTime,
     /// A member not heard from for this long is declared dead.
     pub timeout: SimTime,
     /// Leafset radius (r neighbors per side).
@@ -40,7 +41,6 @@ pub struct ProtoConfig {
 impl Default for ProtoConfig {
     fn default() -> Self {
         ProtoConfig {
-            heartbeat: SimTime::from_secs(5),
             timeout: SimTime::from_secs(16),
             leafset_r: 4,
         }
@@ -327,7 +327,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             tracer: Tracer::disabled(),
             spare_payloads: Vec::new(),
         };
-        let period = cfg.heartbeat.as_micros().max(1);
+        let period = HEARTBEAT.as_micros();
         let mut view: Vec<PeerTime> = Vec::new();
         for i in 0..ring.len() {
             view.clear();
@@ -576,7 +576,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                 }
                 self.release_payload(gossip);
                 self.queue
-                    .schedule_after(self.cfg.heartbeat, Event::Timer { node, epoch });
+                    .schedule_after(HEARTBEAT, Event::Timer { node, epoch });
             }
             Event::Deliver {
                 to,

@@ -3,67 +3,17 @@
 //! it holds do not grow with the ring, and dropping it gives everything
 //! back (DESIGN.md §8.3).
 //!
-//! The counting allocator below keeps its tallies per thread, so the tests
-//! of this binary can run side by side.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `testkit`'s counting allocator keeps its tallies per thread, so the
+//! tests of this binary can run side by side.
 
 use dht::proto::{DhtSim, ProtoConfig};
 use dht::Ring;
 use netsim::HostId;
 use simcore::{FaultPlan, SimTime};
-
-#[derive(Clone, Copy)]
-struct Tally {
-    /// Allocations not freed yet, and their bytes.
-    live_calls: usize,
-    live_bytes: usize,
-}
-
-thread_local! {
-    // No destructor and a constant initialiser: reading it allocates
-    // nothing and is valid for as long as the thread runs.
-    static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { live_calls: 0, live_bytes: 0 })
-    };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
-// the trait's default, i.e. through `alloc` and `dealloc` below); the
-// tallies are thread-local statistics that publish no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TALLY.with(|t| {
-            let mut v = t.get();
-            v.live_calls += 1;
-            v.live_bytes += layout.size();
-            t.set(v);
-        });
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        TALLY.with(|t| {
-            let mut v = t.get();
-            v.live_calls = v.live_calls.saturating_sub(1);
-            v.live_bytes = v.live_bytes.saturating_sub(layout.size());
-            t.set(v);
-        });
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use testkit::tally;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-fn tally() -> Tally {
-    TALLY.with(Cell::get)
-}
+static ALLOC: testkit::Counting = testkit::Counting;
 
 /// A simulated minute under 5 % loss at 20 ms a hop, one node in 64 killed
 /// at 10 s.

@@ -12,7 +12,7 @@
 //! 557b295, before every node's peers moved into one slab: it is the cell
 //! that revives a node whose view had emptied).
 //!
-//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves the
+//! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves the
 //! protocol *on purpose* runs the failing test, pastes the printed left-hand
 //! pair over the constant and says so in CHANGES.md. A refactor or an
 //! optimisation never re-pins.
@@ -24,28 +24,7 @@ use netsim::HostId;
 use simcore::audit::Auditor;
 use simcore::trace::to_json_lines;
 use simcore::{FaultPlan, SimTime, Tracer};
-
-/// A running `(bytes, FNV-1a-64)` over everything fed to it.
-struct Pin {
-    len: usize,
-    hash: u64,
-}
-
-impl Pin {
-    fn new() -> Pin {
-        Pin {
-            len: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn feed(&mut self, s: &str) {
-        self.len += s.len();
-        for b in s.bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use testkit::Pin;
 
 #[derive(Clone, Copy)]
 enum Faults {
@@ -237,7 +216,7 @@ fn cell(n: u32, faults: Faults, churn: Churn) -> (usize, u64) {
         report.checks,
         report.violations.len()
     ));
-    (pin.len, pin.hash)
+    pin.pair()
 }
 
 macro_rules! pins {

@@ -49,11 +49,6 @@ impl Graph {
         self.adj[b as usize].push((a, w));
     }
 
-    /// Whether an edge `a <-> b` exists.
-    pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.adj[a as usize].iter().any(|&(n, _)| n == b)
-    }
-
     /// Neighbors of `v` with edge weights.
     pub fn neighbors(&self, v: u32) -> &[(u32, f32)] {
         &self.adj[v as usize]

@@ -317,14 +317,6 @@ impl TieredOracle {
         }
     }
 
-    /// Reset the per-tier hit counters (promotion/eviction counts and
-    /// cache contents are kept).
-    pub fn reset_stats(&self) {
-        self.counters.hot.store(0, Ordering::Relaxed);
-        self.counters.sketch.store(0, Ordering::Relaxed);
-        self.counters.base.store(0, Ordering::Relaxed);
-    }
-
     /// Rows currently resident in the hot tier.
     pub fn resident_rows(&self) -> usize {
         self.hot.read().expect("hot tier lock poisoned").slots.len()

@@ -228,7 +228,6 @@ impl ResourcePool {
             &ring,
             &BwEstConfig {
                 leafset_size: cfg.leafset_size,
-                ..Default::default()
             },
             simcore::rng::derive_seed(seed, 4),
         );
@@ -321,11 +320,6 @@ impl ResourcePool {
                 alive: true,
             });
         }
-    }
-
-    /// Number of hosts currently down.
-    pub fn num_dead(&self) -> usize {
-        self.alive.iter().filter(|a| !**a).count()
     }
 
     /// Number of hosts in the pool.

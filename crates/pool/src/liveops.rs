@@ -524,6 +524,10 @@ impl ReplayState {
     }
 }
 
+/// Claim rank the pressure watch reads free degrees at: what the
+/// highest-priority claimant could still take.
+const PRESSURE_RANK: u8 = 3;
+
 /// Configuration of the live operations surface.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LiveOpsConfig {
@@ -535,8 +539,6 @@ pub struct LiveOpsConfig {
     /// Per-host degree-utilization threshold whose crossings are noted
     /// ([`OpsNote::UtilCrossing`]).
     pub util_threshold: f64,
-    /// Claim rank of the pressure watch.
-    pub pressure_rank: u8,
     /// Scarcity threshold of the pressure watch.
     pub pressure_threshold: f64,
 }
@@ -547,7 +549,6 @@ impl Default for LiveOpsConfig {
             store: StoreConfig::default(),
             snapshot_period: SimTime::from_secs(60),
             util_threshold: 0.9,
-            pressure_rank: 3,
             pressure_threshold: 0.15,
         }
     }
@@ -578,7 +579,7 @@ impl LiveOps {
     /// A fresh surface with an empty store. Register standing queries via
     /// [`LiveOps::subscribe`] before (or during) the run.
     pub fn new(cfg: LiveOpsConfig) -> LiveOps {
-        let watch = PressureWatch::new(cfg.pressure_rank, cfg.pressure_threshold);
+        let watch = PressureWatch::new(PRESSURE_RANK, cfg.pressure_threshold);
         LiveOps {
             handle: runstore::shared(RunStore::new(cfg.store)),
             cfg,

@@ -88,7 +88,6 @@ use crate::task_manager::{
 };
 use crate::ResourcePool;
 use somo::traffic::TrafficLedger;
-use somo::Report as _;
 
 /// How task managers discover helper candidates when planning from a
 /// periodically refreshed view (`view_refresh` set).
@@ -140,11 +139,12 @@ pub struct AdmissionConfig {
     /// Free-degree fraction above which (but below `scarce_free_frac`)
     /// arrivals are admitted degraded instead of queued.
     pub degrade_free_frac: f64,
-    /// Helper-degree budget of a degraded admission.
-    pub degraded_helper_budget: u64,
-    /// Member fan-out cap of a degraded admission's tree.
-    pub degraded_member_degree: u32,
 }
+
+/// Helper-degree budget of a degraded admission.
+const DEGRADED_HELPER_BUDGET: u64 = 4;
+/// Member fan-out cap of a degraded admission's tree.
+const DEGRADED_MEMBER_DEGREE: u32 = 2;
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
@@ -154,11 +154,16 @@ impl Default for AdmissionConfig {
             max_attempts: 8,
             scarce_free_frac: 0.15,
             degrade_free_frac: 0.05,
-            degraded_helper_budget: 4,
-            degraded_member_degree: 2,
         }
     }
 }
+
+/// Mean active duration of a session: each one draws its length
+/// uniformly from half to one and a half times this mean.
+const MEAN_ACTIVE: SimTime = SimTime::from_secs(600);
+/// How long after a root's crash the deputy concludes the task manager is
+/// gone and takes over.
+const FAILOVER_DELAY: SimTime = SimTime::from_secs(30);
 
 /// Market workload configuration.
 #[derive(Clone, Debug)]
@@ -167,9 +172,6 @@ pub struct MarketConfig {
     pub sessions: usize,
     /// Members per session (20 in the paper).
     pub member_size: usize,
-    /// Mean active duration of a session (exponential-ish uniform draw
-    /// around this mean).
-    pub mean_active: SimTime,
     /// Mean idle gap between a slot's sessions.
     pub mean_gap: SimTime,
     /// Period of the voluntary rescheduling pass.
@@ -201,9 +203,6 @@ pub struct MarketConfig {
     /// How long after a helper's crash its owning task manager notices
     /// (the missed renewal ack).
     pub detect_delay: SimTime,
-    /// How long after a root's crash the deputy concludes the task manager
-    /// is gone and takes over.
-    pub failover_delay: SimTime,
     /// Enable deputy takeover on root crash. When disabled a root crash
     /// leaves the session to die and its leases to lapse — the degraded
     /// baseline the failover protocol is measured against.
@@ -234,7 +233,6 @@ impl Default for MarketConfig {
         MarketConfig {
             sessions: 20,
             member_size: 20,
-            mean_active: SimTime::from_secs(600),
             mean_gap: SimTime::from_secs(60),
             replan_period: SimTime::from_secs(120),
             horizon: SimTime::from_secs(3600),
@@ -245,7 +243,6 @@ impl Default for MarketConfig {
             faults: FaultPlan::none(),
             lease_ttl: SimTime::from_secs(300),
             detect_delay: SimTime::from_secs(5),
-            failover_delay: SimTime::from_secs(30),
             failover: true,
             reattach: ReattachConfig::default(),
             audit_period: Some(SimTime::from_secs(60)),
@@ -1121,7 +1118,7 @@ impl MarketSim {
         self.plan(i, now);
         let cycle = self.slots[i].cycle;
         let mut rng = derive_rng2(self.seed, 0x0D00 + i as u64, cycle);
-        let dur = jittered(self.cfg.mean_active, &mut rng);
+        let dur = jittered(MEAN_ACTIVE, &mut rng);
         self.queue.schedule(now + dur, Ev::End(i, cycle));
         self.queue
             .schedule(now + self.cfg.replan_period, Ev::Replan(i));
@@ -1146,17 +1143,9 @@ impl MarketSim {
                 return pr;
             }
         }
-        let mut agg = if let Some(idx) = &self.qindex {
-            idx.root_aggregate().clone()
-        } else {
-            let bounds = query::RegionBounds::default();
-            let mut a = query::Aggregate::empty();
-            for h in (0..self.pool.num_hosts()).map(|x| HostId(x as u32)) {
-                if let Some(s) = self.pool.host_sample(h, now) {
-                    a.merge(&query::Aggregate::of_sample(&s, &bounds));
-                }
-            }
-            a
+        let mut agg = match &self.qindex {
+            Some(idx) => idx.root_aggregate().clone(),
+            None => self.pool.aggregate(now),
         };
         agg.queued = agg.queued.saturating_add(self.queued_now());
         agg.preempted = agg.preempted.saturating_add(self.admission_preemptions);
@@ -1402,7 +1391,7 @@ impl MarketSim {
                     // The deputy notices the silent task manager after the
                     // failover delay (a missed renewal round).
                     self.queue
-                        .schedule(now + self.cfg.failover_delay, Ev::Failover(i, cycle));
+                        .schedule(now + FAILOVER_DELAY, Ev::Failover(i, cycle));
                 }
                 // Without failover the session dies in place; its leases
                 // lapse through the expiry sweep.
@@ -1936,12 +1925,12 @@ impl MarketSim {
                 // trimmed budget and fan-out.
                 let caps = FairShareCaps {
                     helper_budget: if self.slots[i].degraded {
-                        self.cfg.admission.degraded_helper_budget
+                        DEGRADED_HELPER_BUDGET
                     } else {
                         u64::MAX
                     },
                     member_degree: if self.slots[i].degraded {
-                        Some(self.cfg.admission.degraded_member_degree)
+                        Some(DEGRADED_MEMBER_DEGREE)
                     } else {
                         None
                     },
@@ -2977,7 +2966,6 @@ mod tests {
                 queue_cap: 1,
                 backoff: SimTime::from_secs(10),
                 max_attempts: 3,
-                ..AdmissionConfig::default()
             },
             ..faulty_cfg(9)
         };

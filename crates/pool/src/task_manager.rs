@@ -63,10 +63,6 @@ pub struct PlanConfig {
     /// query. Matches [`crate::ResourceReport::DEFAULT_CAP`] by default, so
     /// the query path sees the same truncation budget as the snapshot view.
     pub query_k: usize,
-    /// Query-based discovery scope: `true` descends from the task manager's
-    /// nearest SOMO ancestor that provably covers the demand (the paper's
-    /// locality discipline), `false` from the root (pool-wide exact top-k).
-    pub query_local: bool,
     /// Trees planned per session: the primary plus `k_trees - 1`
     /// degree-disjoint standby trees ([`plan_standby_trees`]). 1 (the
     /// default) reproduces the single-tree planner bit for bit.
@@ -89,7 +85,6 @@ impl Default for PlanConfig {
             radius_ms: 100.0,
             strategy: HelperStrategy::MinMaxSibling,
             query_k: crate::ResourceReport::DEFAULT_CAP,
-            query_local: false,
             k_trees: 1,
             stream_kbps: 128.0,
         }
@@ -350,15 +345,19 @@ pub fn plan_and_reserve_from_view_leased(
     plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
 }
 
+/// Scope of a query-based discovery: the descent starts at the SOMO root,
+/// so the answer is the exact top-k over the whole pool.
+const QUERY_SCOPE: query::Scope = query::Scope::Global;
+
 /// Plan from a scoped **top-k query answer** instead of a full snapshot —
 /// the `O(log N)` discovery path. The task manager asks the aggregation
 /// tree for the `cfg.query_k` best idle helpers at its priority rank
-/// (excluding its own members), descending from the SOMO root or, with
-/// `cfg.query_local`, from its nearest covering ancestor. The answer's
-/// samples become the candidate set and the believed availability; like any
-/// cached view they can be stale, so refused reservations are absorbed by
-/// the same bounded-retry loop as the snapshot path. Reservations are
-/// leased as in [`plan_and_reserve_leased`].
+/// (excluding its own members), descending from the SOMO root
+/// (`QUERY_SCOPE`). The answer's samples become the candidate set and the
+/// believed availability; like any cached view they can be stale, so
+/// refused reservations are absorbed by the same bounded-retry loop as the
+/// snapshot path. Reservations are leased as in
+/// [`plan_and_reserve_leased`].
 pub fn plan_and_reserve_from_query_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
@@ -371,20 +370,12 @@ pub fn plan_and_reserve_from_query_leased(
 
     let rank_idx = spec.priority as usize; // free[] index for helper rank
     let (candidates, stale_avail): (Vec<HostId>, Vec<(HostId, u32)>) = if cfg.use_helpers {
-        let scope = if cfg.query_local {
-            index
-                .member_of(spec.root)
-                .map(|m| query::Scope::Nearest { member: m as u32 })
-                .unwrap_or(query::Scope::Global)
-        } else {
-            query::Scope::Global
-        };
         let ans = index.top_k(
             cfg.query_k,
             rank_idx,
             cfg.helper_min_degree,
             &spec.members,
-            scope,
+            QUERY_SCOPE,
         );
         (
             ans.hosts.iter().map(|s| s.host).collect(),

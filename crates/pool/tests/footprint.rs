@@ -3,50 +3,16 @@
 //! 4 096-host and a 32 768-host pool — and a surface with no standing
 //! query keeps no query index (DESIGN.md §17.3, "the snapshot layout").
 //!
-//! The counting allocator below keeps its tallies per thread, so the tests
-//! of this binary can run side by side.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `testkit`'s counting allocator keeps its tallies per thread, so the
+//! tests of this binary can run side by side.
 
 use netsim::{HostId, NetworkConfig};
 use pool::{FrozenSnapshot, LiveOps, LiveOpsConfig, PoolConfig, Rank, ResourcePool, SessionId};
 use simcore::SimTime;
-
-thread_local! {
-    // No destructor and a constant initialiser: reading it allocates
-    // nothing and is valid for as long as the thread runs.
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
-// the trait's default, i.e. through `alloc` and `dealloc` below); the
-// tally is a thread-local statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.with(|l| l.set(l.get() + layout.size()));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.with(|l| l.set(l.get().saturating_sub(layout.size())));
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use testkit::measured;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// The live heap `f`'s result keeps, above the level before the call.
-fn retained<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.with(Cell::get);
-    let out = f();
-    (out, LIVE.with(Cell::get) - before)
-}
+static ALLOC: testkit::Counting = testkit::Counting;
 
 const HELD_TABLES: u32 = 64;
 const NO_QUEUES: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
@@ -95,14 +61,15 @@ fn a_frozen_snapshot_costs_what_the_market_holds_not_the_pool() {
     let mut costs = Vec::new();
     for n in [4096usize, 32_768] {
         let pool = pool_holding_64_tables(n);
-        let (first, first_held) =
-            retained(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, None));
+        let (first, first_cost) =
+            measured(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, None));
         assert!(
-            first_held >= 4 * n,
+            first_cost.held >= 4 * n,
             "a run's first snapshot allocates the shared degree-bound vector"
         );
-        let (second, held) =
-            retained(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, Some(&first)));
+        let (second, cost) =
+            measured(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, Some(&first)));
+        let held = cost.held;
         assert!(
             held < 16 * 1024,
             "{n} hosts: a further snapshot retained {held} B for {HELD_TABLES} held tables"
@@ -127,7 +94,8 @@ fn a_surface_with_no_standing_query_retains_no_index() {
     // The first round allocates what is per-run: the shared degree bounds
     // and the per-host side of the utilization threshold.
     lo.snapshot_round(SimTime::ZERO, &pool, &[], &NO_QUEUES);
-    let ((), held) = retained(|| lo.snapshot_round(SimTime::from_secs(60), &pool, &[], &NO_QUEUES));
+    let ((), cost) = measured(|| lo.snapshot_round(SimTime::from_secs(60), &pool, &[], &NO_QUEUES));
+    let held = cost.held;
     // A query index is ≈ 350 B per host (11 MB here); the round's snapshot
     // and notes are all that may stay.
     assert!(

@@ -1,39 +1,16 @@
 //! The index's footprint, as a number a test holds.
 //!
-//! One test, alone in its binary: the counting allocator below sees every
-//! allocation of the process, so nothing else may run beside it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The build runs on the calling thread, which is where `testkit`'s
+//! counting allocator tallies it.
 
 use dht::Ring;
 use netsim::HostId;
 use query::{HostSample, QueryIndex, RegionBounds};
 use simcore::SimTime;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
-// the trait's default, i.e. through `alloc` and `dealloc` below); the
-// counter is a statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use testkit::tally;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: testkit::Counting = testkit::Counting;
 
 /// The layout this one replaced cost 1 923 B per host at this size (an
 /// aggregate for every logical node, a retained `SomoTree`, a hash map from
@@ -42,7 +19,7 @@ static ALLOC: Counting = Counting;
 fn resident_bytes_per_host_is_bounded() {
     const N: usize = 2048;
     let ring = Ring::with_random_ids((0..N as u32).map(HostId), 2020);
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = tally().live_bytes;
     let idx = QueryIndex::build(
         &ring,
         8,
@@ -61,7 +38,7 @@ fn resident_bytes_per_host_is_bounded() {
             })
         },
     );
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let held = tally().live_bytes - before;
     let claimed = idx.resident_bytes();
     assert_eq!(idx.root_aggregate().hosts, N as u64);
     assert!(

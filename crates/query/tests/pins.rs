@@ -22,7 +22,7 @@
 //! host. Two standing queries are evaluated after each of the three
 //! mutations; between them they alarm, clear and alarm again.
 //!
-//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves an
+//! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves an
 //! answer or a charge *on purpose* runs the failing test, pastes the
 //! printed left-hand pair over the constant and says so in CHANGES.md. A
 //! refactor or an optimisation never re-pins.
@@ -32,28 +32,7 @@ use netsim::HostId;
 use query::{HostSample, QueryIndex, RegionBounds, Scope, SubscriptionSet, ThresholdDelta};
 use simcore::SimTime;
 use somo::SomoTree;
-
-/// A running `(bytes, FNV-1a-64)` over everything fed to it.
-struct Pin {
-    len: usize,
-    hash: u64,
-}
-
-impl Pin {
-    fn new() -> Pin {
-        Pin {
-            len: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn feed(&mut self, s: &str) {
-        self.len += s.len();
-        for b in s.bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use testkit::Pin;
 
 const PERIOD: SimTime = SimTime::from_secs(5);
 
@@ -259,7 +238,7 @@ fn cell(n: u32, fanout: usize) -> (usize, u64) {
             "n={n} k={fanout}"
         );
     }
-    (pin.len, pin.hash)
+    pin.pair()
 }
 
 macro_rules! pins {

@@ -16,7 +16,7 @@
 //! unsynchronised node folds its children in. That order and floating-point
 //! reports are `unsync_merge_order.rs`'s subject.
 //!
-//! **Re-pinning** follows `tests/common/mod.rs`: a change that moves the
+//! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves the
 //! gather *on purpose* runs the failing test, pastes the printed left-hand
 //! pair over the constant and says so in CHANGES.md. A refactor or an
 //! optimisation never re-pins.
@@ -27,28 +27,7 @@ use simcore::trace::to_json_lines;
 use simcore::{FaultPlan, SimTime, Tracer};
 use somo::flow::{FlowMode, FreshnessReport, GatherSim};
 use somo::SomoTree;
-
-/// A running `(bytes, FNV-1a-64)` over everything fed to it.
-struct Pin {
-    len: usize,
-    hash: u64,
-}
-
-impl Pin {
-    fn new() -> Pin {
-        Pin {
-            len: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn feed(&mut self, s: &str) {
-        self.len += s.len();
-        for b in s.bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use testkit::Pin;
 
 const N: u32 = 160;
 const PERIOD: SimTime = SimTime::from_secs(5);
@@ -158,7 +137,7 @@ fn cell(
         sim.revive_member(victims[2]);
     }
     observe(&mut sim, &mut pin, &mut views_seen, SimTime::from_secs(130));
-    (pin.len, pin.hash)
+    pin.pair()
 }
 
 macro_rules! pins {
@@ -230,7 +209,7 @@ fn geometry(n: u32, fanout: usize) -> (usize, u64) {
             tree.canonical_leaf_of(member.id)
         ));
     }
-    (pin.len, pin.hash)
+    pin.pair()
 }
 
 macro_rules! geometry_pins {

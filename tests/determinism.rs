@@ -2,15 +2,13 @@
 //! master seed — the property that makes the figure binaries regenerable
 //! and failures debuggable.
 
-mod common;
-
-use common::fnv1a64;
 use p2p_resource_pool::prelude::*;
+use testkit::fnv1a64;
 
 /// The run-vs-run checks below cannot see a change that moves both runs
 /// together; this compares one market trajectory's `Debug` rendering —
 /// stats, counters and the final degree table of every host — against
-/// `(length, FNV-1a-64)` recorded at commit 21d0a1b. `tests/common/mod.rs`
+/// `(length, FNV-1a-64)` recorded at commit 21d0a1b. `crates/testkit/src/lib.rs`
 /// says how to re-pin after an intended behaviour change.
 fn assert_pinned(what: &str, trajectory: &impl std::fmt::Debug, pin: (usize, u64)) {
     let rendered = format!("{trajectory:?}");

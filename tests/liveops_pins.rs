@@ -7,16 +7,14 @@
 //! `reconstruct_at(store, i)` for every snapshot `i`, one per line — and
 //! compares `(bytes, FNV-1a-64)` of each against constants recorded at
 //! commit 4b33679, before the store's snapshot and delta layouts were
-//! rebuilt. `tests/common/mod.rs` says how to re-pin after an intended
+//! rebuilt. `crates/testkit/src/lib.rs` says how to re-pin after an intended
 //! behaviour change; a change to how the store *holds* a run never re-pins.
-
-mod common;
 
 use std::sync::OnceLock;
 
-use common::fnv1a64;
 use p2p_resource_pool::pool::liveops::reconstruct_at;
 use p2p_resource_pool::prelude::*;
+use testkit::fnv1a64;
 
 /// `(bytes, FNV-1a-64)` of the snapshot export, the delta export and the
 /// replays of one cell.
@@ -39,7 +37,8 @@ const GATE: Workload = Workload {
     crash_step: 7,
 };
 
-/// `ext_liveops`' smoke workload.
+/// The 200-host slice `ext_liveops` ran in CI until it kept one size: the
+/// pins below are what still covers that workload.
 const SMOKE: Workload = Workload {
     seed: 3001,
     hosts: 200,
@@ -210,7 +209,7 @@ fn gate_admission_market_matches_its_pins() {
     );
 }
 
-/// `ext_liveops`' smoke workload with the one standing query that binary
+/// The 200-host workload with the one standing query `ext_liveops`
 /// registers.
 #[test]
 fn smoke_market_with_its_standing_query_matches_its_pins() {
@@ -230,7 +229,7 @@ fn smoke_market_with_its_standing_query_matches_its_pins() {
     );
 }
 
-/// The smoke workload with no standing query, under a pressure threshold
+/// The 200-host workload with no standing query, under a pressure threshold
 /// the run crosses seven times: the pressure watch with no query to serve.
 #[test]
 fn smoke_market_without_a_standing_query_matches_its_pins() {

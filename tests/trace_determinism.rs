@@ -3,15 +3,13 @@
 //! JSON-lines traces — simulated time and typed payloads only, no
 //! wall-clock, no addresses, no iteration-order leaks.
 
-mod common;
-
-use common::fnv1a64;
 use p2p_resource_pool::prelude::*;
 use p2p_resource_pool::simcore::trace::to_json_lines;
+use testkit::fnv1a64;
 
 /// The run-vs-run checks below cannot see a change that moves both runs
 /// together; this compares one run against `(record count, FNV-1a-64 of
-/// the JSON lines)` recorded at commit 21d0a1b. `tests/common/mod.rs`
+/// the JSON lines)` recorded at commit 21d0a1b. `crates/testkit/src/lib.rs`
 /// says how to re-pin after an intended behaviour change.
 fn assert_pinned(what: &str, (trace, records): &(String, u64), pin: (u64, u64)) {
     assert_eq!(
