@@ -26,6 +26,9 @@ const PIN_MARKET_K2: (usize, u64) = (11073, 12784749161043698556);
 const PIN_PHASE_LOCKED_K1: (usize, u64) = (12766, 3853192810951731182);
 const PIN_PHASE_LOCKED_K2: (usize, u64) = (14152, 678227881537743628);
 const PIN_ADMISSION: (usize, u64) = (5982, 9244087032938961521);
+/// The faulted Pareto market, recorded at commit 6c05027, before the
+/// market's slot state became one `Phase`.
+const PIN_PARETO: (usize, u64) = (10230, 6216587220097139693);
 /// The faulted query trajectory (answers, stats and both ledgers), recorded
 /// at commit 6877b76, before the index's layout was rebuilt.
 const PIN_QUERY: (usize, u64) = (20961, 15631252681519849854);
@@ -279,6 +282,16 @@ fn faulted_market_trajectory(seed: u64) -> MarketTrace {
 }
 
 fn faulted_market_trajectory_k(seed: u64, k_trees: usize) -> MarketTrace {
+    faulted_market_trajectory_in(seed, k_trees, AllocationMode::Priority)
+}
+
+/// The faulted 9-session market behind the helpers above, with `k_trees`
+/// trees per session and the given allocation mode.
+fn faulted_market_trajectory_in(
+    seed: u64,
+    k_trees: usize,
+    allocation: AllocationMode,
+) -> MarketTrace {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -304,6 +317,7 @@ fn faulted_market_trajectory_k(seed: u64, k_trees: usize) -> MarketTrace {
             k_trees,
             ..PlanConfig::default()
         },
+        allocation,
         ..MarketConfig::default()
     };
     let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
@@ -333,6 +347,20 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     assert_eq!(a, b);
     assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
     assert_eq!(a.leaked, 0, "multipath run leaked degrees");
+}
+
+#[test]
+fn faulted_pareto_market_trajectory_is_bit_identical_across_runs() {
+    // Same crash plan, Pareto allocation: water-filled shares, one fair
+    // rank, and the over-share trim (`reclaim_overshare`) that reads the
+    // active set and every slot's pending-replan flag.
+    let a = faulted_market_trajectory_in(29, 1, AllocationMode::Pareto);
+    assert_pinned("faulted pareto market", &a, PIN_PARETO);
+    let b = faulted_market_trajectory_in(29, 1, AllocationMode::Pareto);
+    assert_eq!(a, b);
+    let activity: u64 = a.per_class.iter().map(|c| c.0 + c.1 + c.2).sum();
+    assert!(activity > 0, "fault plan never touched a session");
+    assert_eq!(a.leaked, 0, "pareto run leaked degrees");
 }
 
 /// One phase-locked trajectory: a microsecond arrival gap collapses every

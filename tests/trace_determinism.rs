@@ -24,6 +24,9 @@ fn assert_pinned(what: &str, (trace, records): &(String, u64), pin: (u64, u64)) 
 const PIN_MARKET_K1: (u64, u64) = (601, 12810628481288405967);
 const PIN_MARKET_K2: (u64, u64) = (758, 44761309776641770);
 const PIN_ADMISSION: (u64, u64) = (950, 5193438548936708349);
+/// The faulted Pareto market, recorded at commit 6c05027, before the
+/// market's slot state became one `Phase`.
+const PIN_PARETO: (u64, u64) = (583, 2974428711364132437);
 const PIN_QUERY_TIERED: (u64, u64) = (777, 11118931471538173744);
 /// The phase-locked tiered snapshot-view market (k = 1 and k = 2),
 /// recorded at commit 0482ff2.
@@ -121,6 +124,22 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
     assert_eq!(a, b, "same-seed multipath market traces diverged");
     for needle in ["MarketTreeFailover", "MarketTreeRebuilt"] {
         assert!(a.contains(needle), "no {needle} event in the trace");
+    }
+}
+
+#[test]
+fn faulted_pareto_market_traces_are_bit_identical_across_runs() {
+    // Same workload under Pareto allocation: the over-share trims land in
+    // the trace as preempt replans.
+    let pareto = |cfg: &mut MarketConfig| cfg.allocation = AllocationMode::Pareto;
+    let run = traced_market_with(29, LatencySource::Exact, pareto);
+    assert_pinned("faulted pareto market", &run, PIN_PARETO);
+    let (a, n) = run;
+    let (b, _) = traced_market_with(29, LatencySource::Exact, pareto);
+    assert!(n > 0, "a faulted pareto run must emit trace records");
+    assert_eq!(a, b, "same-seed pareto market traces diverged");
+    for needle in ["MarketReserve", "MarketCrashDetect", "\"preempt\":true"] {
+        assert!(a.contains(needle), "no {needle} in the trace");
     }
 }
 
