@@ -67,10 +67,6 @@ pub struct PlanConfig {
     /// degree-disjoint standby trees ([`plan_standby_trees`]). 1 (the
     /// default) reproduces the single-tree planner bit for bit.
     pub k_trees: usize,
-    /// Per-member stream rate, kbit/s — with the access-bandwidth estimates
-    /// it bounds a host's total fan-out across a session's trees
-    /// ([`fanout_cap`]).
-    pub stream_kbps: f64,
 }
 
 impl Default for PlanConfig {
@@ -86,7 +82,6 @@ impl Default for PlanConfig {
             strategy: HelperStrategy::MinMaxSibling,
             query_k: crate::ResourceReport::DEFAULT_CAP,
             k_trees: 1,
-            stream_kbps: 128.0,
         }
     }
 }
@@ -597,26 +592,25 @@ pub struct StandbyOutcome {
     pub latency_calls: u64,
 }
 
+/// Per-member stream rate, kbit/s — with the access-bandwidth estimates it
+/// bounds a host's total fan-out across a session's trees ([`fanout_cap`]).
+const STREAM_KBPS: f64 = 128.0;
+
 /// The per-host fan-out cap of a multipath session: how many **children**
 /// (outgoing stream copies, summed across the session's trees) host `h`
-/// may carry before its access uplink can no longer sustain
-/// `cfg.stream_kbps` per copy. Parent links are downlink and don't count.
+/// may carry before its access uplink can no longer sustain the
+/// 128 kbit/s stream (`STREAM_KBPS`) per copy. Parent links are downlink and don't count.
 /// [`bwest::degree_for_stream`] returns a degree-style bound (it includes
 /// the parent-link unit), so one unit is stripped; the cap is then relaxed
 /// to the primary tree's own fan-out so it never constrains single-tree
 /// planning — `k_trees = 1` stays bit-identical to the historical planner.
-pub fn fanout_cap(
-    pool: &ResourcePool,
-    primary: &MulticastTree,
-    cfg: &PlanConfig,
-    h: HostId,
-) -> u32 {
+pub fn fanout_cap(pool: &ResourcePool, primary: &MulticastTree, h: HostId) -> u32 {
     let primary_fanout = if primary.contains(h) {
         primary.child_count(h) as u32
     } else {
         0
     };
-    bwest::degree_for_stream(pool.bw.up(h), cfg.stream_kbps)
+    bwest::degree_for_stream(pool.bw.up(h), STREAM_KBPS)
         .saturating_sub(1)
         .max(primary_fanout)
 }
@@ -673,7 +667,7 @@ pub fn plan_standby_trees(
         // children + 1 parent link (root: children only), so a non-root
         // host may claim one more degree unit than its child headroom.
         let child_headroom = |h: HostId| -> u32 {
-            fanout_cap(pool, primary, cfg, h).saturating_sub(fanout.get(&h).copied().unwrap_or(0))
+            fanout_cap(pool, primary, h).saturating_sub(fanout.get(&h).copied().unwrap_or(0))
         };
         // Leave a degree unit per member for each tree still to come (the
         // same budget the primary applied), without starving this one.
@@ -1178,7 +1172,7 @@ mod tests {
         let v = alm::multipath::check_disjointness(
             &all,
             |h| pool.table(h).held_by(s.id),
-            |h| fanout_cap(&pool, &primary.tree, &cfg, h),
+            |h| fanout_cap(&pool, &primary.tree, h),
         );
         assert!(v.is_empty(), "disjointness violations: {v:?}");
         // Holdings mirror the summed tree degrees exactly — reservation

@@ -173,7 +173,7 @@ proptest! {
             let violations = check_disjointness(
                 &trees,
                 |h| pool.table(h).held_by(spec.id),
-                |h| fanout_cap(&pool, &out.tree, &cfg, h),
+                |h| fanout_cap(&pool, &out.tree, h),
             );
             prop_assert!(violations.is_empty(), "disjointness: {violations:?}");
 
