@@ -68,11 +68,6 @@ impl HelperPool {
         }
     }
 
-    /// Candidates currently in the pool.
-    pub fn candidates(&self) -> &[HostId] {
-        &self.candidates
-    }
-
     /// Replace the candidate list (constraints are kept).
     pub fn set_candidates(&mut self, candidates: Vec<HostId>) {
         self.candidates = candidates;

@@ -22,7 +22,9 @@
 //!   node / swap it with another leaf / swap subtrees);
 //! * [`bound`] — the theoretical improvement ceiling (a root of infinite
 //!   degree reaching every member directly);
-//! * [`tree`] — the multicast-tree data structure and its invariants.
+//! * [`tree`] — the multicast-tree data structure and its invariants;
+//! * [`metrics`] — the per-thread relaxation counter a plan's work is
+//!   measured in.
 //!
 //! Every algorithm is generic over [`netsim::LatencyModel`], so each runs
 //! both with oracle latencies (the paper's *Critical* rows) and with

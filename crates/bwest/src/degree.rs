@@ -7,17 +7,8 @@
 //! `uplink / stream` downstream children (plus the one parent link its
 //! downlink easily covers), so the degree bound *is* a bandwidth statement.
 //!
-//! The pool uses this in two ways:
-//!
-//! * self-reported degree bounds can be **derived** from a node's own
-//!   (estimated) uplink rather than configured by hand;
-//! * a task manager can **audit** a candidate helper: if the advertised
-//!   degree is above what the estimated uplink supports, the node is
-//!   over-promising and gets clamped.
-
-use netsim::HostId;
-
-use crate::estimator::BwEstimates;
+//! The pool uses it to cap a host's fan-out across a multipath session's
+//! trees (`pool::task_manager::fanout_cap`).
 
 /// The degree a node can sustain for a given per-link stream rate: one
 /// parent link plus `floor(uplink / stream)` children, never below 1 (a
@@ -28,25 +19,9 @@ pub fn degree_for_stream(up_kbps: f64, stream_kbps: f64) -> u32 {
     (children + 1).max(1)
 }
 
-/// Derive degree bounds for every host from estimated uplinks.
-pub fn degrees_from_estimates(est: &BwEstimates, stream_kbps: f64) -> Vec<u32> {
-    est.up_kbps
-        .iter()
-        .map(|&up| degree_for_stream(up, stream_kbps))
-        .collect()
-}
-
-/// Clamp an advertised degree bound to what the estimated uplink supports.
-/// Returns the audited bound.
-pub fn audit_degree(est: &BwEstimates, h: HostId, advertised: u32, stream_kbps: f64) -> u32 {
-    advertised.min(degree_for_stream(est.up(h), stream_kbps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht::Ring;
-    use netsim::{Network, NetworkConfig};
 
     #[test]
     fn degree_scales_with_uplink() {
@@ -62,69 +37,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_stream_rejected() {
         degree_for_stream(100.0, 0.0);
-    }
-
-    #[test]
-    fn derived_degrees_track_population_capacity() {
-        let net = Network::generate(
-            &NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            5,
-        );
-        let ring = Ring::with_random_ids(net.hosts.ids(), 6);
-        let est = crate::estimator::estimate(
-            &net.hosts,
-            &ring,
-            &crate::estimator::BwEstConfig::default(),
-            7,
-        );
-        let degrees = degrees_from_estimates(&est, 128.0);
-        assert_eq!(degrees.len(), 300);
-        // High-uplink hosts (T1/T3) must earn higher degrees than modems.
-        for (h, host) in net.hosts.iter() {
-            if host.bandwidth.up_kbps > 1000.0 {
-                assert!(degrees[h.idx()] >= 4, "capable host under-rated");
-            }
-            if host.bandwidth.up_kbps < 100.0 {
-                assert!(degrees[h.idx()] <= 2, "modem over-rated");
-            }
-        }
-    }
-
-    #[test]
-    fn audit_clamps_overpromising_hosts() {
-        let net = Network::generate(
-            &NetworkConfig {
-                num_hosts: 100,
-                ..NetworkConfig::default()
-            },
-            8,
-        );
-        let ring = Ring::with_random_ids(net.hosts.ids(), 9);
-        let est = crate::estimator::estimate(
-            &net.hosts,
-            &ring,
-            &crate::estimator::BwEstConfig::default(),
-            10,
-        );
-        // Find a genuinely weak host and have it advertise degree 9.
-        let weak = net
-            .hosts
-            .iter()
-            .find(|(_, h)| h.bandwidth.up_kbps < 100.0)
-            .map(|(id, _)| id)
-            .expect("mixture always includes modems");
-        let audited = audit_degree(&est, weak, 9, 128.0);
-        assert!(audited <= 2, "audit failed to clamp a modem at degree 9");
-        // A strong host keeps its advertised bound.
-        let strong = net
-            .hosts
-            .iter()
-            .find(|(_, h)| h.bandwidth.up_kbps > 10_000.0)
-            .map(|(id, _)| id)
-            .expect("mixture always includes T3s");
-        assert_eq!(audit_degree(&est, strong, 9, 128.0), 9);
     }
 }

@@ -17,12 +17,13 @@
 //! the receiver divides packet size by the observed dispersion and reports
 //! the value back in its next heartbeat. Larger leafsets include
 //! higher-capacity neighbors with higher probability — that is exactly the
-//! Figure 5 effect this crate's [`eval`] module measures.
+//! Figure 5 effect this crate's [`eval`] module measures. [`degree`] turns
+//! an uplink estimate into the degree bound a given stream rate allows.
 
 pub mod degree;
 pub mod estimator;
 pub mod eval;
 
-pub use degree::{audit_degree, degree_for_stream, degrees_from_estimates};
+pub use degree::degree_for_stream;
 pub use estimator::{BwEstConfig, BwEstimates};
 pub use eval::{evaluate, BwAccuracy};

@@ -38,11 +38,6 @@ impl Coord {
         }
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim as usize
-    }
-
     /// The coordinate components.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -53,20 +48,12 @@ impl Coord {
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.v[..self.dim as usize]
     }
-
-    /// Euclidean distance to another coordinate (this *is* the latency
-    /// prediction, in ms).
-    #[inline]
-    pub fn distance(&self, other: &Coord) -> f64 {
-        debug_assert_eq!(self.dim, other.dim);
-        distance(self.as_slice(), other.as_slice())
-    }
 }
 
 /// Euclidean distance between two points of one dimension: the squared
 /// differences accumulate in dimension order from `0.0`. Every distance in
-/// the crate — [`Coord::distance`], the store's latencies and the fit's
-/// objective — is this one expression, so they agree to the bit.
+/// the crate — the store's latencies and the fit's objective — is this one
+/// expression, so they agree to the bit.
 #[inline]
 fn distance(a: &[f64], b: &[f64]) -> f64 {
     let mut s = 0.0;
@@ -109,16 +96,6 @@ impl CoordStore {
             data: vec![0.0; n * dim],
             dim,
         }
-    }
-
-    /// Build from explicit coordinates, all of one dimension.
-    pub fn from_coords(coords: Vec<Coord>) -> CoordStore {
-        let dim = coords.first().map_or(1, Coord::dim);
-        let mut store = CoordStore::zeros(coords.len(), dim);
-        for (slot, c) in store.data.chunks_exact_mut(dim).zip(&coords) {
-            slot.copy_from_slice(c.as_slice());
-        }
-        store
     }
 
     /// The coordinate of a host.
@@ -180,15 +157,18 @@ mod tests {
     fn distance_is_euclidean() {
         let a = Coord::from_slice(&[0.0, 0.0, 0.0]);
         let b = Coord::from_slice(&[3.0, 4.0, 0.0]);
-        assert!((a.distance(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.distance(&a), 0.0);
+        assert!((distance(a.as_slice(), b.as_slice()) - 5.0).abs() < 1e-12);
+        assert_eq!(distance(a.as_slice(), a.as_slice()), 0.0);
     }
 
     #[test]
     fn distance_symmetric() {
         let a = Coord::from_slice(&[1.0, -2.0, 0.5, 7.0, 3.3]);
         let b = Coord::from_slice(&[-4.0, 2.0, 9.5, 0.0, 1.0]);
-        assert_eq!(a.distance(&b), b.distance(&a));
+        assert_eq!(
+            distance(a.as_slice(), b.as_slice()),
+            distance(b.as_slice(), a.as_slice())
+        );
     }
 
     #[test]
@@ -203,7 +183,9 @@ mod tests {
     #[test]
     fn store_is_packed_and_round_trips() {
         let pts = [[1.0, 2.0, 3.0], [-4.0, 5.5, 0.0]].map(|p| Coord::from_slice(&p));
-        let mut s = CoordStore::from_coords(pts.to_vec());
+        let mut s = CoordStore::zeros(2, 3);
+        s.set(HostId(0), pts[0]);
+        s.set(HostId(1), pts[1]);
         assert_eq!(s.resident_bytes(), 2 * 3 * 8);
         assert_eq!((s.get(HostId(0)), s.get(HostId(1))), (pts[0], pts[1]));
         s.set(HostId(0), pts[1]);
@@ -226,7 +208,6 @@ mod tests {
     #[test]
     fn from_slice_round_trips() {
         let c = Coord::from_slice(&[1.0, 2.0]);
-        assert_eq!(c.dim(), 2);
         assert_eq!(c.as_slice(), &[1.0, 2.0]);
     }
 }

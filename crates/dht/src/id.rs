@@ -15,9 +15,6 @@ use simcore::rng::mix64;
 pub struct NodeId(pub u64);
 
 impl NodeId {
-    /// The zero point of the space.
-    pub const ZERO: NodeId = NodeId(0);
-
     /// The midpoint of the whole space (0.5 of `[0, 1)`) — the logical
     /// position of the SOMO root.
     pub const MID: NodeId = NodeId(1 << 63);
@@ -33,16 +30,6 @@ impl NodeId {
     pub fn distance_cw(self, other: NodeId) -> u64 {
         other.0.wrapping_sub(self.0)
     }
-
-    /// The point `delta` further clockwise.
-    pub fn offset(self, delta: u64) -> NodeId {
-        NodeId(self.0.wrapping_add(delta))
-    }
-
-    /// The point in the space as a fraction of the full circle, in `[0, 1)`.
-    pub fn as_fraction(self) -> f64 {
-        self.0 as f64 / 2f64.powi(64)
-    }
 }
 
 /// Whether `x` lies in the half-open arc `(a, b]` travelling clockwise from
@@ -56,17 +43,6 @@ pub fn in_arc(a: NodeId, b: NodeId, x: NodeId) -> bool {
     let dx = a.distance_cw(x);
     let db = a.distance_cw(b);
     dx != 0 && dx <= db
-}
-
-/// The midpoint of the clockwise arc from `a` to `b` (half the clockwise
-/// distance past `a`). For `a == b` (full circle) it is the antipode of `a`.
-pub fn arc_midpoint(a: NodeId, b: NodeId) -> NodeId {
-    let d = a.distance_cw(b);
-    if d == 0 {
-        a.offset(1 << 63)
-    } else {
-        a.offset(d / 2)
-    }
 }
 
 #[cfg(test)]
@@ -113,29 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_plain_and_wrapping() {
-        assert_eq!(arc_midpoint(NodeId(10), NodeId(20)), NodeId(15));
-        let m = arc_midpoint(NodeId(u64::MAX - 9), NodeId(10));
-        assert_eq!(m, NodeId(0)); // 20 across the wrap, half is 10 past a.
-        assert_eq!(
-            arc_midpoint(NodeId(7), NodeId(7)),
-            NodeId(7).offset(1 << 63)
-        );
-    }
-
-    #[test]
     fn hash_is_stable_and_spread() {
         assert_eq!(NodeId::hash_of(1), NodeId::hash_of(1));
         let mut ids: Vec<u64> = (0..1000).map(|i| NodeId::hash_of(i).0).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 1000, "hash collision in small domain");
-    }
-
-    #[test]
-    fn fraction_maps_mid() {
-        assert!((NodeId::MID.as_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(NodeId::ZERO.as_fraction(), 0.0);
     }
 
     proptest! {
@@ -148,16 +107,6 @@ mod tests {
             let in_ab = in_arc(a, b, x);
             let in_ba = in_arc(b, a, x);
             prop_assert!(in_ab ^ in_ba, "x must be in exactly one arc");
-        }
-
-        #[test]
-        fn prop_midpoint_is_inside(a: u64, b: u64) {
-            let (a, b) = (NodeId(a), NodeId(b));
-            prop_assume!(a != b);
-            let d = a.distance_cw(b);
-            prop_assume!(d >= 2); // midpoint of a 1-step arc equals a, which is excluded
-            let m = arc_midpoint(a, b);
-            prop_assert!(in_arc(a, b, m));
         }
 
         #[test]

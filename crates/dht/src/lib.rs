@@ -6,8 +6,7 @@
 //! a consistent-hashing **ring**. Nodes join a very large logical space with
 //! random IDs; an ordered set of nodes partitions the space into *zones*
 //! `zone(x) = (ID(pred(x)), ID(x)]`; each node maintains a *leafset* of `r`
-//! neighbors to each side, kept fresh by heartbeats. Elaborations (finger
-//! tables) bring lookups from O(N) to O(log N).
+//! neighbors to each side, kept fresh by heartbeats.
 //!
 //! This crate provides both views of that system:
 //!
@@ -17,9 +16,8 @@
 //!   join/leave for churn experiments.
 //! * [`proto::DhtSim`] — the **protocol** view: heartbeats, acks, failure
 //!   detection and leafset repair simulated message-by-message on
-//!   [`simcore::EventQueue`], with message latencies taken from the underlay.
-//! * [`routing`] — finger tables and greedy clockwise routing with hop
-//!   counting, for the O(log N) lookup bound.
+//!   [`simcore::EventQueue`], with message latencies taken from the underlay;
+//!   its [`proto::DhtSim::lookup`] routes greedily over the believed views.
 //!
 //! ## Example
 //!
@@ -31,15 +29,14 @@
 //! let ring = Ring::with_random_ids((0..64u32).map(netsim::HostId), 42);
 //! let key = NodeId(0xDEAD_BEEF_DEAD_BEEF);
 //! let owner = ring.owner(key);
-//! // The owner's zone contains the key.
-//! let (lo, hi) = ring.zone(owner);
-//! assert!(dht::id::in_arc(lo, hi, key));
+//! // The owner's zone, (predecessor's ID, own ID], contains the key.
+//! let pred = ring.member(ring.predecessor(owner)).id;
+//! assert!(dht::id::in_arc(pred, ring.member(owner).id, key));
 //! ```
 
 pub mod id;
 pub mod proto;
 pub mod ring;
-pub mod routing;
 
 pub use id::NodeId;
 pub use ring::Ring;

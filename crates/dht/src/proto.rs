@@ -304,14 +304,9 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Create a simulation where every node starts knowing its true leafset
     /// (as it would after a correct join protocol). Heartbeat timers are
     /// staggered across the first period so the network does not fire in
-    /// lockstep.
-    pub fn new(ring: &Ring, cfg: ProtoConfig, delay: D) -> Self {
-        Self::with_faults(ring, cfg, delay, FaultPlan::none())
-    }
-
-    /// Like [`DhtSim::new`], but every message is threaded through the
-    /// fault plan (endpoints are labeled by `HostId`). A no-op plan behaves
-    /// exactly like the fault-free constructor.
+    /// lockstep. Every message is threaded through the fault plan
+    /// (endpoints are labeled by `HostId`); [`FaultPlan::none`] gives a
+    /// perfect fabric.
     pub fn with_faults(ring: &Ring, cfg: ProtoConfig, delay: D, plan: FaultPlan) -> Self {
         let mut sim = DhtSim {
             nodes: Vec::with_capacity(ring.len()),
@@ -659,7 +654,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     /// Resolve the owner of `key` by greedy clockwise routing over the
     /// nodes' **believed** views — the protocol-level lookup, as opposed to
-    /// [`crate::routing`]'s structural one. Returns `(owner_id, hops)`, or
+    /// [`Ring::owner`]'s structural one. Returns `(owner_id, hops)`, or
     /// `None` if routing gets stuck (possible while views are healing).
     pub fn lookup(&self, from: usize, key: NodeId) -> Option<(NodeId, usize)> {
         let mut cur = from;
@@ -977,9 +972,12 @@ mod tests {
 
     fn sim(n: u32) -> DhtSim<impl Fn(HostId, HostId) -> SimTime> {
         let ring = Ring::with_random_ids((0..n).map(HostId), 17);
-        DhtSim::new(&ring, ProtoConfig::default(), |_a, _b| {
-            SimTime::from_millis(50)
-        })
+        DhtSim::with_faults(
+            &ring,
+            ProtoConfig::default(),
+            |_a, _b| SimTime::from_millis(50),
+            FaultPlan::none(),
+        )
     }
 
     #[test]
@@ -1019,9 +1017,12 @@ mod tests {
     fn join_via_lookup_integrates_faster_than_gossip() {
         let ring = Ring::with_random_ids((0..24u32).map(HostId), 19);
         let mk = || {
-            DhtSim::new(&ring, ProtoConfig::default(), |_a, _b| {
-                SimTime::from_millis(50)
-            })
+            DhtSim::with_faults(
+                &ring,
+                ProtoConfig::default(),
+                |_a, _b| SimTime::from_millis(50),
+                FaultPlan::none(),
+            )
         };
         let member = Member {
             id: NodeId::hash_of(0xABCD),
@@ -1164,9 +1165,12 @@ mod tests {
     fn lookups_resolve_to_true_owner_on_converged_ring() {
         use rand::{Rng, SeedableRng};
         let ring = Ring::with_random_ids((0..48u32).map(HostId), 17);
-        let mut s = DhtSim::new(&ring, ProtoConfig::default(), |_a, _b| {
-            SimTime::from_millis(50)
-        });
+        let mut s = DhtSim::with_faults(
+            &ring,
+            ProtoConfig::default(),
+            |_a, _b| SimTime::from_millis(50),
+            FaultPlan::none(),
+        );
         s.run_until(SimTime::from_secs(30));
         assert!(s.converged());
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -1184,15 +1188,18 @@ mod tests {
     fn lookups_recover_after_failure_heals() {
         use rand::{Rng, SeedableRng};
         let ring = Ring::with_random_ids((0..32u32).map(HostId), 18);
-        let mut s = DhtSim::new(&ring, ProtoConfig::default(), |_a, _b| {
-            SimTime::from_millis(50)
-        });
+        let mut s = DhtSim::with_faults(
+            &ring,
+            ProtoConfig::default(),
+            |_a, _b| SimTime::from_millis(50),
+            FaultPlan::none(),
+        );
         s.run_until(SimTime::from_secs(10));
         s.kill(7);
         s.run_until(SimTime::from_secs(90));
         assert!(s.converged());
         // The truth now excludes the victim.
-        let mut truth = Ring::new();
+        let mut truth = Ring::default();
         for i in (0..32).filter(|&i| i != 7) {
             truth.insert(ring.member(i));
         }
@@ -1332,35 +1339,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn no_fault_plan_is_bit_identical_to_plain_sim() {
-        let ring = Ring::with_random_ids((0..24u32).map(HostId), 9);
-        let mk_plain = || {
-            DhtSim::new(&ring, ProtoConfig::default(), |_a, _b| {
-                SimTime::from_millis(50)
-            })
-        };
-        let mk_faulty = || {
-            DhtSim::with_faults(
-                &ring,
-                ProtoConfig::default(),
-                |_a, _b| SimTime::from_millis(50),
-                FaultPlan::none(),
-            )
-        };
-        let mut a = mk_plain();
-        let mut b = mk_faulty();
-        for &t in &[10u64, 40, 90] {
-            a.run_until(SimTime::from_secs(t));
-            b.run_until(SimTime::from_secs(t));
-            assert_eq!(a.messages_sent(), b.messages_sent());
-            for i in 0..a.len() {
-                assert_eq!(a.believed_leafset(i), b.believed_leafset(i));
-            }
-        }
-        assert_eq!(b.messages_dropped(), 0);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! This is consistent hashing exactly as §3.1 describes it: an ordered set of
 //! node IDs partitions the 64-bit circle, node `x` owning
 //! `zone(x) = (ID(pred(x)), ID(x)]`. The ring supports O(log N) owner lookup
-//! (binary search — this is the *data structure*; the *protocol* lookup cost
-//! is measured by [`crate::routing`]), leafset extraction, and instant
+//! (binary search — this is the *data structure*; the *protocol* lookup is
+//! [`crate::proto::DhtSim::lookup`]), leafset extraction, and instant
 //! join/leave for churn experiments.
 
 use netsim::HostId;
 use serde::{Deserialize, Serialize};
 
-use crate::id::{in_arc, NodeId};
+use crate::id::NodeId;
 
 /// A member of the ring: a logical ID bound to the end host that owns it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,13 +32,6 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// An empty ring.
-    pub fn new() -> Ring {
-        Ring {
-            members: Vec::new(),
-        }
-    }
-
     /// Build a ring giving each host a pseudo-random ID derived from
     /// `(seed, host)` — the simulation analogue of "ID = MD5(IP address)".
     ///
@@ -143,18 +136,6 @@ impl Ring {
         (idx + self.members.len() - 1) % self.members.len()
     }
 
-    /// The zone of the member at `idx`: `(pred_id, own_id]`.
-    pub fn zone(&self, idx: usize) -> (NodeId, NodeId) {
-        let pred = self.predecessor(idx);
-        (self.members[pred].id, self.members[idx].id)
-    }
-
-    /// Whether `key` falls in the zone of member `idx`.
-    pub fn zone_contains(&self, idx: usize, key: NodeId) -> bool {
-        let (lo, hi) = self.zone(idx);
-        in_arc(lo, hi, key)
-    }
-
     /// The leafset of member `idx`: up to `r` members to each side (fewer in
     /// tiny rings — a node is never its own leafset member). Returned as
     /// sorted indices, predecessor side first, then successor side, each
@@ -187,10 +168,22 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::in_arc;
     use proptest::prelude::*;
 
+    /// The zone of the member at `idx`: `(pred_id, own_id]`.
+    fn zone(r: &Ring, idx: usize) -> (NodeId, NodeId) {
+        (r.member(r.predecessor(idx)).id, r.member(idx).id)
+    }
+
+    /// Whether `key` falls in the zone of member `idx`.
+    fn zone_contains(r: &Ring, idx: usize, key: NodeId) -> bool {
+        let (lo, hi) = zone(r, idx);
+        in_arc(lo, hi, key)
+    }
+
     fn ring_of(ids: &[u64]) -> Ring {
-        let mut r = Ring::new();
+        let mut r = Ring::default();
         for (i, &id) in ids.iter().enumerate() {
             r.insert(Member {
                 id: NodeId(id),
@@ -228,10 +221,10 @@ mod tests {
     fn zones_partition_the_circle() {
         let r = ring_of(&[10, 30, 50]);
         // zone(0) = (50, 10], zone(1) = (10, 30], zone(2) = (30, 50]
-        assert_eq!(r.zone(0), (NodeId(50), NodeId(10)));
-        assert!(r.zone_contains(0, NodeId(60)));
-        assert!(r.zone_contains(0, NodeId(5)));
-        assert!(!r.zone_contains(0, NodeId(11)));
+        assert_eq!(zone(&r, 0), (NodeId(50), NodeId(10)));
+        assert!(zone_contains(&r, 0, NodeId(60)));
+        assert!(zone_contains(&r, 0, NodeId(5)));
+        assert!(!zone_contains(&r, 0, NodeId(11)));
     }
 
     #[test]
@@ -239,7 +232,7 @@ mod tests {
         let r = ring_of(&[42]);
         assert_eq!(r.owner(NodeId(0)), 0);
         assert_eq!(r.owner(NodeId(u64::MAX)), 0);
-        assert!(r.zone_contains(0, NodeId(7)));
+        assert!(zone_contains(&r, 0, NodeId(7)));
         assert!(r.leafset(0, 4).is_empty());
     }
 
@@ -293,11 +286,11 @@ mod tests {
             let r = ring_of(&ids);
             let key = NodeId(key);
             let owner = r.owner(key);
-            prop_assert!(r.zone_contains(owner, key));
+            prop_assert!(zone_contains(&r, owner, key));
             // No other node's zone contains it.
             for i in 0..r.len() {
                 if i != owner {
-                    prop_assert!(!r.zone_contains(i, key) || r.len() == 1);
+                    prop_assert!(!zone_contains(&r, i, key) || r.len() == 1);
                 }
             }
         }
@@ -345,7 +338,7 @@ mod tests {
             // Sum of clockwise zone widths must be the whole circle.
             let mut total: u128 = 0;
             for i in 0..r.len() {
-                let (lo, hi) = r.zone(i);
+                let (lo, hi) = zone(&r, i);
                 let w = lo.distance_cw(hi);
                 total += if w == 0 { 1u128 << 64 } else { w as u128 };
             }

@@ -141,13 +141,6 @@ impl PacketPair {
         let measured_dispersion = dispersion_ms * (1.0 + self.noise * rng.random::<f64>());
         self.packet_bytes * 8.0 / measured_dispersion
     }
-
-    /// The dispersion (ms) the receiver observes for a bottleneck of
-    /// `bw_kbps` — exposed so protocol simulations can schedule the second
-    /// packet's arrival.
-    pub fn dispersion_ms(&self, bw_kbps: f64) -> f64 {
-        self.packet_bytes * 8.0 / bw_kbps
-    }
 }
 
 #[cfg(test)]
@@ -225,13 +218,5 @@ mod tests {
         let truth = PacketPair::true_bottleneck_kbps(&a, &b);
         let m = pp.measure_kbps(&a, &b, &mut rng);
         assert!((m - truth).abs() / truth < 1e-12);
-    }
-
-    #[test]
-    fn dispersion_inverts_bandwidth() {
-        let pp = PacketPair::default();
-        let t = pp.dispersion_ms(1000.0);
-        // 1500 bytes at 1 Mbps = 12 ms.
-        assert!((t - 12.0).abs() < 1e-9);
     }
 }

@@ -92,7 +92,6 @@ pub struct RouterNet {
     pub kinds: Vec<RouterKind>,
     /// Number of transit routers (they occupy ids `0..num_transit`).
     pub num_transit: usize,
-    cfg: TransitStubConfig,
 }
 
 impl RouterNet {
@@ -183,7 +182,6 @@ impl RouterNet {
             graph,
             kinds,
             num_transit: t_total,
-            cfg: cfg.clone(),
         };
         debug_assert!(net.graph.is_connected(), "generated topology disconnected");
         net
@@ -202,11 +200,6 @@ impl RouterNet {
     /// Ids of all stub routers (the ones end hosts attach to).
     pub fn stub_routers(&self) -> impl Iterator<Item = RouterId> + '_ {
         (self.num_transit as u32..self.len() as u32).map(RouterId)
-    }
-
-    /// The generator configuration.
-    pub fn config(&self) -> &TransitStubConfig {
-        &self.cfg
     }
 }
 
@@ -301,8 +294,8 @@ mod tests {
 
     #[test]
     fn intra_stub_links_use_stub_latency() {
-        let net = RouterNet::generate(&TransitStubConfig::default(), 3);
-        let cfg = net.config().clone();
+        let cfg = TransitStubConfig::default();
+        let net = RouterNet::generate(&cfg, 3);
         // Every edge between two stub routers of the same stub domain must be
         // the intra-stub latency.
         for v in net.num_transit as u32..net.len() as u32 {

@@ -326,8 +326,10 @@ mod tests {
         let (net, hosts) = small_world(100, 13);
         let lms = LandmarkSketch::default_landmarks(hosts.len(), 4, 13);
         let sketch = LandmarkSketch::build(&net, &hosts, &lms);
-        let coords =
-            CoordStore::from_coords(vec![coords::Coord::from_slice(&[f64::NAN; 2]); hosts.len()]);
+        let mut coords = CoordStore::zeros(hosts.len(), 2);
+        for h in hosts.ids() {
+            coords.set(h, coords::Coord::from_slice(&[f64::NAN; 2]));
+        }
         let cfg = TieredConfig {
             tightness: 1.0, // force base-tier traffic
             hot_rows: 0,

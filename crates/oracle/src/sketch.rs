@@ -92,11 +92,6 @@ impl LandmarkSketch {
         self.lm_hosts.len()
     }
 
-    /// The landmark host ids, in sketch row order.
-    pub fn landmarks(&self) -> Vec<HostId> {
-        self.lm_hosts.iter().map(|&h| HostId(h)).collect()
-    }
-
     /// Triangle bounds for the pair `(a, b)`, widened to f64:
     /// `lo = max_l |d(a,l) - d(b,l)|`, `up = min_l (d(a,l) + d(b,l))`,
     /// with `up` clamped to at least `lo` so f32 rounding can never

@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 use simcore::audit::{AuditCtx, AuditReport, Auditor, InvariantSet};
 use simcore::trace::{TraceEvent, Tracer};
-use simcore::{FaultPlan, MetricsRegistry, SimTime};
+use simcore::{FaultPlan, SimTime};
 use somo::flow::{FlowMode, FreshnessReport, GatherSim};
 use somo::heal::{remap_stats, RemapStats};
 use somo::SomoTree;
@@ -156,36 +156,6 @@ const POLL_STEP: SimTime = SimTime::from_millis(500);
 /// Cap on the post-repair regather (unsynchronized mode converges in a few
 /// tree-depth periods even under loss).
 const REGATHER_CAP: SimTime = SimTime::from_secs(600);
-
-impl RecoveryOutcome {
-    /// Publish the pipeline's health accounting into a
-    /// [`MetricsRegistry`] under the `recovery.` prefix.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.add("recovery.dht_messages", self.dht_messages);
-        reg.add("recovery.dht_dropped", self.dht_dropped);
-        reg.add("recovery.gather_messages", self.gather_messages);
-        reg.add("recovery.gather_dropped", self.gather_dropped);
-        reg.add("recovery.reattach_retries", self.timeline.reattach_retries);
-        reg.add("recovery.reattach_gave_up", self.alm.gave_up as u64);
-        reg.set_gauge("recovery.stale_completeness", self.stale_completeness);
-        reg.set_gauge("recovery.post_completeness", self.post_completeness);
-        reg.set_gauge("recovery.delivery_disruption", self.delivery_disruption);
-        reg.set_gauge("recovery.post_delivery", self.post_delivery);
-        for (phase, at) in [
-            ("detected", self.timeline.detected_at),
-            ("expelled", self.timeline.expelled_at),
-            ("rebuilt", self.timeline.rebuilt_at),
-            ("reattached", self.timeline.reattached_at),
-        ] {
-            if let Some(t) = at {
-                reg.set_gauge(
-                    &format!("recovery.{phase}_ms"),
-                    t.as_micros() as f64 / 1000.0,
-                );
-            }
-        }
-    }
-}
 
 /// Run the full crash-recovery pipeline for one scenario.
 ///

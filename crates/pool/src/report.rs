@@ -39,14 +39,6 @@ impl ResourceReport {
     /// Default entry cap (keeps root reports ~10 KB at 20 B/entry).
     pub const DEFAULT_CAP: usize = 512;
 
-    /// An empty report with the default cap.
-    pub fn empty() -> ResourceReport {
-        ResourceReport {
-            entries: Vec::new(),
-            cap: Self::DEFAULT_CAP,
-        }
-    }
-
     /// A single-host report.
     pub fn of_member(entry: CandidateEntry) -> ResourceReport {
         ResourceReport {
@@ -97,6 +89,13 @@ impl Report for ResourceReport {
 mod tests {
     use super::*;
 
+    fn empty() -> ResourceReport {
+        ResourceReport {
+            entries: Vec::new(),
+            cap: ResourceReport::DEFAULT_CAP,
+        }
+    }
+
     fn entry(h: u32, a3: u32) -> CandidateEntry {
         CandidateEntry {
             host: HostId(h),
@@ -115,7 +114,7 @@ mod tests {
 
     #[test]
     fn cap_keeps_best() {
-        let mut r = ResourceReport::empty();
+        let mut r = empty();
         r.cap = 2;
         for h in 0..10 {
             r.merge(&ResourceReport::of_member(entry(h, h)));
@@ -141,11 +140,11 @@ mod tests {
         let parts: Vec<ResourceReport> = (0..6)
             .map(|h| ResourceReport::of_member(entry(h, h)))
             .collect();
-        let mut fwd = ResourceReport::empty();
+        let mut fwd = empty();
         for p in &parts {
             fwd.merge(p);
         }
-        let mut rev = ResourceReport::empty();
+        let mut rev = empty();
         for p in parts.iter().rev() {
             rev.merge(p);
         }

@@ -137,15 +137,6 @@ impl MetricAgg {
         self.min = self.min.min(o.min);
         self.max = self.max.max(o.max);
     }
-
-    /// Mean of the metric (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// One host's published metadata — the leaf-level input to the aggregate

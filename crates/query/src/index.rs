@@ -304,27 +304,6 @@ impl QueryIndex {
         u64::from(self.nodes[node as usize].edges - self.nodes[top as usize].edges)
     }
 
-    /// The region grid the histograms are drawn over.
-    pub fn bounds(&self) -> &RegionBounds {
-        &self.bounds
-    }
-
-    /// Number of logical nodes in the SOMO tree the index was built over.
-    // An index is built over a non-empty ring: there is no empty one to ask
-    // `is_empty` of.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Maximum depth of the tree (root = 0).
-    pub fn depth(&self) -> u32 {
-        (0..self.len() as u32)
-            .map(|i| self.level(i))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The parent of a logical node (`None` for the root, node 0).
     pub fn parent(&self, node: u32) -> Option<u32> {
         let parent = self.nodes[node as usize].parent;
@@ -381,11 +360,6 @@ impl QueryIndex {
     /// its own position in the tree.
     pub fn member_of(&self, h: HostId) -> Option<usize> {
         self.member_of_host.get(&h).map(|&m| m as usize)
-    }
-
-    /// The reporting period the index is refreshed at.
-    pub fn period(&self) -> SimTime {
-        self.period
     }
 
     /// The staleness bound attached to every answer served from this index:
@@ -470,8 +444,7 @@ mod tests {
     fn flat_arrays_mirror_the_somo_tree() {
         let (ring, idx) = build(150, 16);
         let tree = SomoTree::build(&ring, 4);
-        assert_eq!(idx.len(), tree.len());
-        assert_eq!(idx.depth(), tree.depth());
+        assert_eq!(idx.nodes.len(), tree.len());
         for (i, n) in tree.nodes().iter().enumerate() {
             let i = i as u32;
             assert_eq!(idx.parent(i), n.parent());
@@ -502,13 +475,13 @@ mod tests {
     fn every_node_aggregate_equals_subtree_brute_force() {
         let (_ring, idx) = build(64, 12);
         // For each node, fold the canonical samples of its subtree by hand.
-        for i in 0..idx.len() as u32 {
+        for i in 0..idx.nodes.len() as u32 {
             let mut want = Aggregate::empty();
             let mut stack = vec![i];
             while let Some(cur) = stack.pop() {
                 if let Some(m) = idx.member_of_leaf(cur) {
                     if let Some(s) = idx.sample(m) {
-                        want.merge(&Aggregate::of_sample(s, idx.bounds()));
+                        want.merge(&Aggregate::of_sample(s, &idx.bounds));
                     }
                 }
                 stack.extend(idx.children(cur));
@@ -527,7 +500,9 @@ mod tests {
             idx.update_member(m, Some(s));
         }
         idx.update_member(5, None); // member 5 goes silent
-        let incremental: Vec<Aggregate> = (0..idx.len() as u32).map(|i| idx.aggregate(i)).collect();
+        let incremental: Vec<Aggregate> = (0..idx.nodes.len() as u32)
+            .map(|i| idx.aggregate(i))
+            .collect();
         // ...then recompute everything from scratch and compare.
         idx.rebuild_all();
         for (i, want) in incremental.iter().enumerate() {
@@ -546,7 +521,7 @@ mod tests {
             RegionBounds::default(),
             |m| Some(sample(m, 2)),
         );
-        assert_eq!((idx.len(), idx.depth()), (1, 0));
+        assert_eq!((idx.nodes.len(), idx.level(0)), (1, 0));
         assert_eq!(idx.member_of_leaf(0), Some(0));
         assert_eq!(idx.root_aggregate().hosts, 1);
         assert_eq!(idx.aggregate(0), *idx.root_aggregate());
@@ -565,7 +540,11 @@ mod tests {
         idx.update_member(100, Some(sample(100, 7)));
         let delta = idx.maintenance_traffic().messages - before.messages;
         // The path to the root is at most depth hops.
-        assert!(delta <= idx.depth() as u64 + 1, "update cost {delta}");
+        let depth = (0..idx.nodes.len() as u32)
+            .map(|i| idx.level(i))
+            .max()
+            .unwrap();
+        assert!(delta <= depth as u64 + 1, "update cost {delta}");
         assert!(delta >= 1, "update shipped nothing");
     }
 

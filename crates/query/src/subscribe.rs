@@ -60,11 +60,6 @@ impl PressureWatch {
         self.last_scarce = Some(scarce);
         fired.then_some(scarce)
     }
-
-    /// The side of the threshold seen last (`None` before any observation).
-    pub fn is_scarce(&self) -> Option<bool> {
-        self.last_scarce
-    }
 }
 
 /// A standing threshold query over the pool.
@@ -154,14 +149,6 @@ impl SubscriptionSet {
         });
         self.state.push(None);
         id
-    }
-
-    /// Drop a subscription by id.
-    pub fn unsubscribe(&mut self, id: u64) {
-        if let Some(i) = self.subs.iter().position(|s| s.id == id) {
-            self.subs.remove(i);
-            self.state.remove(i);
-        }
     }
 
     /// Registered subscriptions.
@@ -264,11 +251,9 @@ mod tests {
         // sample() publishes capacity free3 + 4, so free_frac[3] for a
         // uniform pool is free3 / (free3 + 4).
         let mut w = PressureWatch::new(3, 0.5);
-        assert_eq!(w.is_scarce(), None);
         // free 8 of capacity 12 → frac 2/3, abundant: first observation on
         // the calm side fires nothing.
         assert_eq!(w.observe(&agg(8)), None);
-        assert_eq!(w.is_scarce(), Some(false));
         // free 2 of capacity 6 → frac 1/3: scarcity crossing fires.
         assert_eq!(w.observe(&agg(2)), Some(true));
         // Staying scarce is silent.
@@ -368,15 +353,5 @@ mod tests {
         // The well-formed first subscription was not evaluated either.
         assert_eq!(idx.query_traffic(), TrafficLedger::default());
         assert_eq!(subs.traffic(), TrafficLedger::default());
-    }
-
-    #[test]
-    fn unsubscribe_stops_evaluation() {
-        let mut idx = build(10);
-        let mut subs = SubscriptionSet::new();
-        let id = subs.subscribe(0, [0.0, 0.0], 100.0, 3, 1, 50);
-        subs.unsubscribe(id);
-        assert!(subs.subscriptions().is_empty());
-        assert!(subs.evaluate(&mut idx, SimTime::from_secs(1)).is_empty());
     }
 }

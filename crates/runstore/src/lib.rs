@@ -38,7 +38,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
-use simcore::metrics::MetricsRegistry;
 use simcore::trace::{to_json_lines, TraceRecord, TraceSink};
 use simcore::SimTime;
 
@@ -244,8 +243,7 @@ impl<T> SegmentedLog<T> {
 }
 
 /// Cumulative accounting for one [`RunStore`]. Every count is explicit —
-/// eviction is visible here and through
-/// [`RunStore::publish_metrics`], never silent.
+/// eviction is visible here, never silent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct StoreStats {
     /// Trace records ever appended.
@@ -378,11 +376,6 @@ impl<D, S> RunStore<D, S> {
         Ok(self.trace.stored().cloned().collect())
     }
 
-    /// Every retained trace record, oldest first (partial after eviction).
-    pub fn trace_stored(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.trace.stored()
-    }
-
     /// Every retained delta, oldest first (partial after eviction).
     pub fn deltas_stored(&self) -> impl Iterator<Item = &Stamped<D>> {
         self.deltas.stored()
@@ -402,17 +395,6 @@ impl<D, S> RunStore<D, S> {
             delta_evicted: self.deltas.evicted,
             snapshots: self.snapshots.len() as u64,
         }
-    }
-
-    /// Surface the store accounting as counters (`runstore.*`), eviction
-    /// included. Call once at the end of a run.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        let s = self.stats();
-        reg.add("runstore.trace_appended", s.trace_appended);
-        reg.add("runstore.trace_evicted", s.trace_evicted);
-        reg.add("runstore.delta_appended", s.delta_appended);
-        reg.add("runstore.delta_evicted", s.delta_evicted);
-        reg.add("runstore.snapshots", s.snapshots);
     }
 
     /// The full-run trace rendered as JSON lines (byte-identical to
@@ -590,7 +572,6 @@ mod tests {
             tiny.trace_records().is_err(),
             "partial must not pass as full"
         );
-        assert!(tiny.trace_stored().count() > 0, "partial is still readable");
     }
 
     #[test]
@@ -607,10 +588,7 @@ mod tests {
         let st = handle.lock().unwrap();
         assert_eq!(st.stats().trace_appended, 4);
         assert_eq!(st.trace_records().unwrap().len(), 4);
-        let mut reg = MetricsRegistry::new();
-        st.publish_metrics(&mut reg);
-        assert_eq!(reg.counter("runstore.trace_appended"), 4);
-        assert_eq!(reg.counter("runstore.trace_evicted"), 0);
+        assert_eq!(st.stats().trace_evicted, 0);
     }
 
     #[test]

@@ -132,21 +132,6 @@ impl<S> InvariantSet<S> {
         self.checks.push((name, check));
         self
     }
-
-    /// The registered invariant names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.checks.iter().map(|(n, _)| *n)
-    }
-
-    /// Number of registered invariants.
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// True when no invariant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
 }
 
 /// Periodic invariant sampler.
@@ -180,11 +165,6 @@ impl Auditor {
         self
     }
 
-    /// The sampling period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
     /// True when the next periodic sample is due at `now`.
     pub fn due(&self, now: SimTime) -> bool {
         now >= self.next_at
@@ -215,11 +195,6 @@ impl Auditor {
         self.next_at = now + self.period;
         self.sample(set, state, now);
         true
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> &AuditReport {
-        &self.report
     }
 
     /// Consume the auditor, yielding its report.
@@ -272,7 +247,7 @@ mod tests {
         let toy = Toy { used: 9, cap: 4 };
         let set = toy_set();
         aud.sample(&set, &toy, SimTime::from_secs(7));
-        let rep = aud.report();
+        let rep = aud.into_report();
         assert!(!rep.is_clean());
         assert_eq!(rep.count_of("within-capacity"), 1);
         assert_eq!(rep.count_of("capacity-positive"), 0);
@@ -300,14 +275,6 @@ mod tests {
         // multiples: a late sample does not cause a burst of catch-ups.
         assert!(!aud.sample_due(&set, &toy, SimTime::from_secs(19)));
         assert!(aud.sample_due(&set, &toy, SimTime::from_secs(25)));
-        assert_eq!(aud.report().samples, 3);
-    }
-
-    #[test]
-    fn set_reports_names_in_registration_order() {
-        let names: Vec<_> = toy_set().names().collect();
-        assert_eq!(names, vec!["within-capacity", "capacity-positive"]);
-        assert_eq!(toy_set().len(), 2);
-        assert!(!toy_set().is_empty());
+        assert_eq!(aud.into_report().samples, 3);
     }
 }

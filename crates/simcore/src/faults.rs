@@ -145,16 +145,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule a crash with recovery (builder style).
-    pub fn crash(mut self, node: u64, down_at: SimTime, up_at: SimTime) -> FaultPlan {
-        self.crashes.push(CrashSchedule {
-            node,
-            down_at,
-            up_at: Some(up_at),
-        });
-        self
-    }
-
     /// Schedule a permanent crash (builder style).
     pub fn crash_forever(mut self, node: u64, down_at: SimTime) -> FaultPlan {
         self.crashes.push(CrashSchedule {
@@ -219,16 +209,6 @@ impl FaultyLink {
             calls: Cell::new(0),
             dropped: Cell::new(0),
         }
-    }
-
-    /// A no-fault layer (the zero-cost default).
-    pub fn none() -> FaultyLink {
-        FaultyLink::new(FaultPlan::none())
-    }
-
-    /// The plan this layer executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Messages dropped so far.
@@ -297,7 +277,7 @@ mod tests {
 
     #[test]
     fn noop_plan_is_transparent() {
-        let l = FaultyLink::none();
+        let l = FaultyLink::new(FaultPlan::none());
         let base = SimTime::from_millis(50);
         for i in 0..100 {
             assert_eq!(
@@ -385,10 +365,19 @@ mod tests {
 
     #[test]
     fn crash_edges_are_time_sorted() {
-        let plan = FaultPlan::none()
-            .crash(4, SimTime::from_secs(30), SimTime::from_secs(90))
-            .crash_forever(2, SimTime::from_secs(10))
-            .crash(9, SimTime::from_secs(30), SimTime::from_secs(40));
+        let crash = |node, down, up: Option<u64>| CrashSchedule {
+            node,
+            down_at: SimTime::from_secs(down),
+            up_at: up.map(SimTime::from_secs),
+        };
+        let plan = FaultPlan {
+            crashes: vec![
+                crash(4, 30, Some(90)),
+                crash(2, 10, None),
+                crash(9, 30, Some(40)),
+            ],
+            ..FaultPlan::none()
+        };
         let edges = plan.crash_edges();
         assert_eq!(
             edges,

@@ -14,8 +14,8 @@
 //!   deterministic FIFO tie-break for simultaneous events.
 //! * [`rng`] — seed-derivation helpers so each simulated entity gets an
 //!   independent, reproducible random stream.
-//! * [`stats`] — online statistics, percentiles, CDFs and histograms used by
-//!   the figure-regeneration harnesses.
+//! * [`stats`] — online statistics, percentiles, CDFs and a fairness index
+//!   used by the figure-regeneration harnesses.
 //! * [`faults`] — seed-deterministic fault injection: message loss, delay
 //!   jitter, link outages/partitions and crash schedules ([`FaultPlan`]),
 //!   executed per message by a [`FaultyLink`].
@@ -28,7 +28,7 @@
 //!   sink, zero-cost no-op sink by default, JSON-lines export, and a
 //!   bounded [`StreamSink`] with counted (never silent) overflow drops for
 //!   live consumption through its [`StreamHandle`].
-//! * [`metrics`] — a counters/gauges/histograms registry
+//! * [`metrics`] — a counters/gauges registry
 //!   ([`MetricsRegistry`]) unifying per-subsystem accounting behind one
 //!   name-keyed interface with deterministic JSON-lines export.
 //!

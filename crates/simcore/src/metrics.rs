@@ -1,4 +1,4 @@
-//! A counters / gauges / histograms registry with deterministic export.
+//! A counters / gauges registry with deterministic export.
 //!
 //! The workspace grew several disjoint accounting mechanisms — the ALM
 //! relaxation counters, the SOMO `TrafficLedger`, the market's leak census,
@@ -13,14 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::stats::Histogram;
-
-/// Name-keyed counters, gauges, and histograms. See the module docs.
+/// Name-keyed counters and gauges. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -37,8 +34,7 @@ impl MetricsRegistry {
     /// Add `delta` to counter `name` (creating it at 0 first if absent).
     /// Accumulation saturates at `u64::MAX`: a hot counter on a long-lived
     /// live market pins at the ceiling instead of wrapping (or panicking
-    /// under debug assertions). [`MetricsRegistry::absorb`] inherits the
-    /// same behavior.
+    /// under debug assertions).
     pub fn add(&mut self, name: &str, delta: u64) {
         if let Some(c) = self.counters.get_mut(name) {
             *c = c.saturating_add(delta);
@@ -62,46 +58,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Create (or replace) histogram `name` with `n` buckets over
-    /// `[lo, hi)`.
-    pub fn register_histogram(&mut self, name: &str, lo: f64, hi: f64, n: usize) {
-        self.histograms
-            .insert(name.to_owned(), Histogram::new(lo, hi, n));
-    }
-
-    /// Record `value` into histogram `name`.
-    ///
-    /// # Panics
-    /// If the histogram was never registered — observation sites and
-    /// registration sites must agree, and a silent drop would corrupt the
-    /// export.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("histogram `{name}` not registered"))
-            .push(value);
-    }
-
-    /// The histogram registered under `name`, if any.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Fold every entry of `other` into `self`: counters add, gauges
-    /// overwrite, histograms merge bucket-wise when shapes match (and are
-    /// otherwise replaced).
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.add(k, *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.insert(k.clone(), h.clone());
-        }
-    }
-
     /// Export every metric as JSON lines, one object per line, sorted by
     /// kind then name. Byte-identical across same-seed runs.
     pub fn to_json_lines(&self) -> String {
@@ -118,15 +74,6 @@ impl MetricsRegistry {
                 "{{\"kind\":\"gauge\",\"name\":{},\"value\":{}}}\n",
                 json_str(name),
                 fmt_f64(*v)
-            ));
-        }
-        for (name, h) in &self.histograms {
-            let buckets: Vec<String> = h.buckets().iter().map(|c| c.to_string()).collect();
-            out.push_str(&format!(
-                "{{\"kind\":\"histogram\",\"name\":{},\"total\":{},\"buckets\":[{}]}}\n",
-                json_str(name),
-                h.total(),
-                buckets.join(",")
             ));
         }
         out
@@ -186,24 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_register_observe_and_export() {
-        let mut m = MetricsRegistry::new();
-        m.register_histogram("lat", 0.0, 10.0, 5);
-        m.observe("lat", 1.0);
-        m.observe("lat", 9.0);
-        let h = m.histogram("lat").unwrap();
-        assert_eq!(h.total(), 2);
-        assert!(m.to_json_lines().contains("\"histogram\""));
-    }
-
-    #[test]
-    #[should_panic(expected = "not registered")]
-    fn observing_an_unregistered_histogram_panics() {
-        let mut m = MetricsRegistry::new();
-        m.observe("missing", 1.0);
-    }
-
-    #[test]
     fn counters_saturate_instead_of_overflowing() {
         let mut m = MetricsRegistry::new();
         m.add("hot", u64::MAX - 1);
@@ -212,25 +141,5 @@ mod tests {
         assert_eq!(m.counter("hot"), u64::MAX);
         m.inc("hot");
         assert_eq!(m.counter("hot"), u64::MAX);
-        // Absorb goes through the same saturating path.
-        let mut other = MetricsRegistry::new();
-        other.add("hot", u64::MAX);
-        let mut a = MetricsRegistry::new();
-        a.add("hot", 7);
-        a.absorb(&other);
-        assert_eq!(a.counter("hot"), u64::MAX);
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_overwrites_gauges() {
-        let mut a = MetricsRegistry::new();
-        a.add("n", 2);
-        a.set_gauge("g", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.add("n", 3);
-        b.set_gauge("g", 7.0);
-        a.absorb(&b);
-        assert_eq!(a.counter("n"), 5);
-        assert_eq!(a.gauge("g"), Some(7.0));
     }
 }

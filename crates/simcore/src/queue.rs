@@ -52,7 +52,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -68,7 +67,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -76,11 +74,6 @@ impl<E> EventQueue<E> {
     /// event (zero before the first pop).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
     }
 
     /// Number of events still pending.
@@ -112,18 +105,12 @@ impl<E> EventQueue<E> {
         let Reverse(e) = self.heap.pop()?;
         debug_assert!(e.at >= self.now, "event queue time went backwards");
         self.now = e.at;
-        self.popped += 1;
         Some((e.at, e.event))
     }
 
     /// Peek at the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Drain and discard all pending events (the clock is left where it is).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -196,14 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_clear() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, ());
         q.schedule(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
         q.pop();
-        assert_eq!(q.delivered(), 1);
-        q.clear();
+        assert_eq!(q.len(), 1);
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }

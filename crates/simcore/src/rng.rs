@@ -24,11 +24,6 @@ pub fn derive_seed(master: u64, label: u64) -> u64 {
     mix64(master ^ mix64(label))
 }
 
-/// Derive an independent [`StdRng`] for the stream `(master, label)`.
-pub fn derive_rng(master: u64, label: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(master, label))
-}
-
 /// Derive an [`StdRng`] for a two-level stream, e.g. `(run, node)`.
 pub fn derive_rng2(master: u64, a: u64, b: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed(derive_seed(master, a), b))
@@ -41,8 +36,8 @@ mod tests {
 
     #[test]
     fn derivation_is_deterministic() {
-        let mut a = derive_rng(42, 7);
-        let mut b = derive_rng(42, 7);
+        let mut a = derive_rng2(42, 7, 1);
+        let mut b = derive_rng2(42, 7, 1);
         for _ in 0..16 {
             assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
@@ -50,8 +45,8 @@ mod tests {
 
     #[test]
     fn different_labels_give_different_streams() {
-        let mut a = derive_rng(42, 7);
-        let mut b = derive_rng(42, 8);
+        let mut a = derive_rng2(42, 7, 1);
+        let mut b = derive_rng2(42, 8, 1);
         let xs: Vec<u64> = (0..8).map(|_| a.random()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b.random()).collect();
         assert_ne!(xs, ys);

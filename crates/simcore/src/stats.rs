@@ -1,17 +1,20 @@
 //! Statistics helpers for experiment harnesses.
 //!
-//! Everything the figure-regeneration binaries need: online mean/variance
+//! Everything the figure-regeneration binaries need: online mean and extremes
 //! (Welford), exact percentiles over collected samples, empirical CDFs
-//! (Figure 4 of the paper is a relative-error CDF), and fixed-width
-//! histograms.
+//! (Figure 4 of the paper is a relative-error CDF) and Jain's fairness
+//! index.
 
 use serde::{Deserialize, Serialize};
 
-/// Online mean/variance accumulator (Welford's algorithm).
+/// Online mean accumulator (Welford's algorithm).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
+    /// Sum of squared deviations from the mean: the sample variance is
+    /// `m2 / (n − 1)`. Nothing reads it back; it stays in the `Debug` form
+    /// the market pins digest.
     m2: f64,
     min: f64,
     max: f64,
@@ -53,20 +56,6 @@ impl OnlineStats {
         }
     }
 
-    /// Unbiased sample variance (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (+inf if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -75,26 +64,6 @@ impl OnlineStats {
     /// Largest sample (-inf if empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -185,16 +154,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the CDF is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of samples ≤ `x`.
     pub fn fraction_at(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -212,76 +171,6 @@ impl Cdf {
             Some(percentile_sorted(&self.sorted, q))
         }
     }
-
-    /// Sample the CDF at `points` evenly spaced x-values spanning the data
-    /// range, returning `(x, F(x))` pairs — convenient for printing a curve.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return vec![];
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().unwrap();
-        (0..points)
-            .map(|i| {
-                let x = if points == 1 {
-                    hi
-                } else {
-                    lo + (hi - lo) * i as f64 / (points - 1) as f64
-                };
-                (x, self.fraction_at(x))
-            })
-            .collect()
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with values outside clamped to the
-/// edge buckets.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram with `n` buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0);
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-        }
-    }
-
-    /// Insert a sample.
-    pub fn push(&mut self, x: f64) {
-        let n = self.buckets.len();
-        let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64).floor();
-        let idx = (idx.max(0.0) as usize).min(n - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total count.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// `(bucket_midpoint, count)` pairs.
-    pub fn midpoints(&self) -> Vec<(f64, u64)> {
-        let n = self.buckets.len();
-        let w = (self.hi - self.lo) / n as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * (i as f64 + 0.5), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -297,45 +186,9 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Naive unbiased variance of this classic data set is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
+        assert!((s.m2 / 7.0 - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.mean(), a.variance(), a.count());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.mean(), a.variance(), a.count()));
-
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -354,12 +207,6 @@ mod tests {
         assert_eq!(cdf.fraction_at(2.0), 0.75);
         assert_eq!(cdf.fraction_at(100.0), 1.0);
         assert_eq!(cdf.quantile(1.0), Some(10.0));
-        let curve = cdf.curve(10);
-        assert_eq!(curve.len(), 10);
-        assert!(
-            curve.windows(2).all(|w| w[0].1 <= w[1].1),
-            "CDF must be monotone"
-        );
     }
 
     proptest::proptest! {
@@ -407,19 +254,5 @@ mod tests {
         // k of n parties splitting evenly scores k/n.
         let j = jain_index(&[5.0, 5.0, 0.0, 0.0]);
         assert!((j - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_clamps_and_counts() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-1.0); // clamps to bucket 0
-        h.push(0.5);
-        h.push(9.9);
-        h.push(11.0); // clamps to last bucket
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[4], 2);
-        let mids = h.midpoints();
-        assert!((mids[0].0 - 1.0).abs() < 1e-12);
     }
 }

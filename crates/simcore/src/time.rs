@@ -38,12 +38,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Construct from fractional milliseconds (rounded to the nearest
-    /// microsecond). Negative inputs saturate to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimTime((ms * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// The instant as whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -68,11 +62,6 @@ impl SimTime {
     /// result would be negative.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_add(other.0).map(SimTime)
     }
 }
 
@@ -121,12 +110,7 @@ mod tests {
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
         assert_eq!(SimTime::from_micros(1_500).as_millis(), 1);
-        assert!((SimTime::from_millis_f64(1.5).as_millis_f64() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_millis_f64_clamps_negatives() {
-        assert_eq!(SimTime::from_millis_f64(-3.0), SimTime::ZERO);
+        assert_eq!(SimTime::from_micros(1_500).as_millis_f64(), 1.5);
     }
 
     #[test]
@@ -136,7 +120,6 @@ mod tests {
         assert_eq!(a + b, SimTime::from_millis(14));
         assert_eq!(a - b, SimTime::from_millis(6));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_micros(1)), None);
     }
 
     #[test]

@@ -297,13 +297,6 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-impl TraceRecord {
-    /// The simulated instant as a [`SimTime`].
-    pub fn at(&self) -> SimTime {
-        SimTime::from_micros(self.at_us)
-    }
-}
-
 /// A pluggable destination for trace records.
 ///
 /// The built-in ring buffer covers most uses; a custom sink (streaming to a
@@ -526,15 +519,6 @@ impl StreamHandle {
         s.buf.drain(..).collect()
     }
 
-    /// Records currently buffered (accepted but not yet drained).
-    pub fn buffered(&self) -> usize {
-        self.shared
-            .lock()
-            .expect("stream sink lock poisoned")
-            .buf
-            .len()
-    }
-
     /// Records delivered to the consumer side: drained plus still buffered.
     /// Always `accepted - dropped`.
     pub fn delivered(&self) -> u64 {
@@ -608,7 +592,7 @@ mod tests {
         // Oldest two evicted; sequence numbers stay monotonic.
         assert_eq!(recs[0].seq, 2);
         assert_eq!(recs[2].seq, 4);
-        assert_eq!(recs[2].at(), SimTime::from_millis(4));
+        assert_eq!(recs[2].at_us, 4_000);
     }
 
     #[test]

@@ -305,11 +305,6 @@ where
         }
     }
 
-    /// Whether ring member `m` is currently crashed.
-    pub fn is_dead(&self, m: usize) -> bool {
-        self.dead.get(m).copied().unwrap_or(false)
-    }
-
     /// Override the sync-round child timeout (defaults to one period).
     ///
     /// Every level waits the same `t`, so a node that closes a round *on*
@@ -910,7 +905,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(30));
         assert_eq!(sim.views().last().unwrap().view.members, 80);
         sim.kill_member(7);
-        assert!(sim.is_dead(7));
         sim.run_until(SimTime::from_secs(90));
         assert!(sim.views().last().unwrap().view.members < 80);
         sim.revive_member(7);

@@ -113,9 +113,9 @@ pub fn optimize_root(ring: &mut Ring, capability: impl Fn(HostId) -> f64) -> Opt
     if ring.is_empty() {
         return None;
     }
-    // The upward merge-sort: fold every member's capability report — this
-    // is what the CapabilityReport gather computes at the SOMO root (see
-    // `optimize_root_via_gather` for the message-level version).
+    // The upward merge-sort: fold every member's capability report — what
+    // a synchronized `GatherSim` of `CapabilityReport`s computes at the
+    // SOMO root, message by message.
     let mut best = CapabilityReport::default();
     for m in ring.members() {
         best.merge(&CapabilityReport::of_member(m.host, capability(m.host)));
@@ -136,64 +136,6 @@ pub fn optimize_root(ring: &mut Ring, capability: impl Fn(HostId) -> f64) -> Opt
     let best_member = ring.member(best_idx);
 
     // Exchange IDs: remove both, reinsert with swapped IDs.
-    ring.remove_id(root_member.id);
-    ring.remove_id(best_member.id);
-    ring.insert(Member {
-        id: root_member.id,
-        host: best_member.host,
-    });
-    ring.insert(Member {
-        id: best_member.id,
-        host: root_member.host,
-    });
-    Some(best_host)
-}
-
-/// The message-level root swap: run a synchronized [`CapabilityReport`]
-/// gather over the live SOMO tree (the literal "upward merge-sort through
-/// SOMO"), then exchange IDs with the winner. Returns the host now owning
-/// the root, or `None` if the ring is empty or the gather produced no view
-/// within `horizon`.
-pub fn optimize_root_via_gather(
-    ring: &mut Ring,
-    fanout: usize,
-    capability: impl Fn(HostId) -> f64,
-    delay: impl Fn(usize, usize) -> simcore::SimTime,
-    period: simcore::SimTime,
-    horizon: simcore::SimTime,
-) -> Option<HostId> {
-    use crate::flow::{FlowMode, GatherSim};
-
-    if ring.is_empty() {
-        return None;
-    }
-    let tree = SomoTree::build(ring, fanout);
-    let mut sim = GatherSim::new(
-        &tree,
-        &*ring,
-        FlowMode::Synchronized,
-        period,
-        |member, _now| {
-            let h = ring.member(member).host;
-            CapabilityReport::of_member(h, capability(h))
-        },
-        delay,
-    );
-    sim.run_until(horizon);
-    let (best_host, _) = sim.views().last()?.view.best?;
-
-    // Same ID exchange as the direct path.
-    let root_idx = ring.owner(crate::tree::root_point());
-    let root_member = ring.member(root_idx);
-    if root_member.host == best_host {
-        return Some(best_host);
-    }
-    let best_idx = ring
-        .members()
-        .iter()
-        .position(|m| m.host == best_host)
-        .expect("winner is a member");
-    let best_member = ring.member(best_idx);
     ring.remove_id(root_member.id);
     ring.remove_id(best_member.id);
     ring.insert(Member {
@@ -392,40 +334,7 @@ mod tests {
 
     #[test]
     fn empty_ring_root_swap_is_none() {
-        let mut r = Ring::new();
+        let mut r = Ring::default();
         assert_eq!(optimize_root(&mut r, |_| 1.0), None);
-    }
-
-    #[test]
-    fn gather_based_swap_matches_direct_swap() {
-        use simcore::SimTime;
-        let cap = |h: HostId| {
-            if h == HostId(13) {
-                50.0
-            } else {
-                h.0 as f64 / 100.0
-            }
-        };
-        let mut direct = ring(48, 26);
-        let mut gathered = direct.clone();
-        let a = optimize_root(&mut direct, cap).unwrap();
-        let b = optimize_root_via_gather(
-            &mut gathered,
-            8,
-            cap,
-            |x, y| {
-                if x == y {
-                    SimTime::ZERO
-                } else {
-                    SimTime::from_millis(50)
-                }
-            },
-            SimTime::from_secs(5),
-            SimTime::from_secs(60),
-        )
-        .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, HostId(13));
-        assert_eq!(direct.members(), gathered.members());
     }
 }

@@ -27,8 +27,12 @@
 //!   **unsynchronized** (free-running timers; staleness ≤ `log_k N · T`)
 //!   and **synchronized** (root-triggered cascade; staleness ≈
 //!   `T + t_hop · log_k N`) regimes;
+//! * [`newscast`] — the disseminate half: a synchronized gather's root
+//!   views published down the tree to every member;
 //! * [`heal`] — failure remapping measurements and the capability-driven
-//!   **root swap** self-optimization.
+//!   **root swap** self-optimization;
+//! * [`traffic`] — per-source message/byte ledgers and report wire
+//!   encodings.
 
 pub mod flow;
 pub mod heal;

@@ -3,23 +3,25 @@
 //! SOMO is described as "a self-organizing 'news broadcast' hierarchy": the
 //! aggregated system status is not only collected at the root — it flows
 //! back down the same tree so that *any* peer can consult the global view
-//! locally. This module simulates one complete cycle per period:
+//! locally. A cycle is two halves over one tree:
 //!
-//! 1. the root cascades a gather request; partials aggregate upward exactly
-//!    as in [`crate::flow`] (timeout-protected);
-//! 2. the instant the root's view for the round completes, it is published
-//!    down the tree; every leaf hands the view to its canonical member.
+//! 1. the gather: a [`GatherSim`] in [`FlowMode::Synchronized`] — the root
+//!    cascades a request, partials aggregate upward, and each completed
+//!    round leaves a root view;
+//! 2. [`disseminate`]: the instant a root view completes it is published
+//!    down the tree, and every leaf hands it to its canonical member.
 //!
 //! The metric is the **member-level view lag**: how stale is the global view
 //! in the hands of an ordinary peer (root lag + descent). This is the number
 //! that matters to the paper's task managers — they run at session roots,
 //! not at the SOMO root.
+//!
+//! [`GatherSim`]: crate::flow::GatherSim
+//! [`FlowMode::Synchronized`]: crate::flow::FlowMode::Synchronized
 
-use std::collections::HashMap;
+use simcore::SimTime;
 
-use simcore::{EventQueue, SimTime};
-
-use crate::report::Report;
+use crate::flow::RootView;
 use crate::tree::SomoTree;
 
 /// A member's receipt of one published global view.
@@ -33,249 +35,57 @@ pub struct Delivery<R> {
     pub view: R,
 }
 
-enum Ev<R> {
-    RootTimer,
-    Request {
-        node: u32,
-        round: u64,
-    },
-    Partial {
-        node: u32,
-        round: u64,
-        from: u32,
-        r: Option<R>,
-    },
-    Timeout {
-        node: u32,
-        round: u64,
-    },
-    Publish {
-        node: u32,
-        r: R,
-    },
-}
-
-/// Per-round aggregation buffer: running partial + children already folded
-/// in (dedup per sender, mirroring [`crate::flow`]).
-#[derive(Clone)]
-struct RoundBuf<R> {
-    acc: Option<R>,
-    seen: Vec<u32>,
-}
-
-/// Simulator of the complete gather+disseminate newscast.
-pub struct NewscastSim<'a, R, L, D>
-where
-    R: Report,
-    L: FnMut(usize, SimTime) -> R,
-    D: Fn(usize, usize) -> SimTime,
-{
-    tree: &'a SomoTree,
-    period: SimTime,
-    leaf_sample: L,
-    delay: D,
-    queue: EventQueue<Ev<R>>,
-    rounds: Vec<HashMap<u64, RoundBuf<R>>>,
-    reporting: HashMap<u32, usize>,
-    deliveries: Vec<Delivery<R>>,
-    messages: u64,
-    round_ctr: u64,
-}
-
-impl<'a, R, L, D> NewscastSim<'a, R, L, D>
-where
-    R: Report,
-    L: FnMut(usize, SimTime) -> R,
-    D: Fn(usize, usize) -> SimTime,
-{
-    /// Create a newscast simulator (synchronized flow, timeout = period).
-    pub fn new(
-        tree: &'a SomoTree,
-        ring: &dht::Ring,
-        period: SimTime,
-        leaf_sample: L,
-        delay: D,
-    ) -> Self {
-        let mut reporting = HashMap::new();
-        for m in 0..ring.len() {
-            reporting.insert(tree.canonical_leaf_of(ring.member(m).id), m);
-        }
-        let mut queue = EventQueue::new();
-        queue.schedule(SimTime::ZERO, Ev::RootTimer);
-        NewscastSim {
-            tree,
-            period,
-            leaf_sample,
-            delay,
-            queue,
-            rounds: vec![HashMap::new(); tree.len()],
-            reporting,
-            deliveries: Vec::new(),
-            messages: 0,
-            round_ctr: 0,
-        }
+/// Publish each of a synchronized gather's root `views` down `tree` to every
+/// member of `ring`.
+///
+/// A view the root produced at `t` reaches member `m` at `t` plus the hop
+/// delays on the path from the root to `m`'s canonical leaf, plus the
+/// leaf → member hand-off. `delay(host_a, host_b)` is the one-way latency
+/// between two hosting ring members; a hop between logical nodes on the same
+/// member is free, as in [`crate::flow::GatherSim`].
+///
+/// Returns one [`Delivery`] per (view, member), sorted by `(at, member)`.
+/// The descent is not cut at the gather's horizon: deliveries of the last
+/// view may fall after it.
+pub fn disseminate<R: Clone>(
+    tree: &SomoTree,
+    ring: &dht::Ring,
+    views: &[RootView<R>],
+    delay: impl Fn(usize, usize) -> SimTime,
+) -> Vec<Delivery<R>> {
+    let hop = |a: usize, b: usize| if a == b { SimTime::ZERO } else { delay(a, b) };
+    let nodes = tree.nodes();
+    // Descent time from the root to every logical node: a parent comes
+    // before its children, so one pass in node order fills it.
+    let mut descent = vec![SimTime::ZERO; nodes.len()];
+    for (i, n) in nodes.iter().enumerate().skip(1) {
+        let p = n.parent().expect("only the root has no parent") as usize;
+        descent[i] = descent[p] + hop(nodes[p].host(), n.host());
     }
-
-    /// Run until simulated time `until`.
-    pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
-            self.handle(now, ev);
-        }
-    }
-
-    /// All member deliveries so far, in time order.
-    pub fn deliveries(&self) -> &[Delivery<R>] {
-        &self.deliveries
-    }
-
-    /// Total inter-host messages.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages
-    }
-
-    fn hop(&mut self, from: usize, to: usize) -> SimTime {
-        if from == to {
-            SimTime::ZERO
-        } else {
-            self.messages += 1;
-            (self.delay)(from, to)
-        }
-    }
-
-    fn handle(&mut self, now: SimTime, ev: Ev<R>) {
-        match ev {
-            Ev::RootTimer => {
-                self.round_ctr += 1;
-                let round = self.round_ctr;
-                self.queue.schedule(now, Ev::Request { node: 0, round });
-                self.queue.schedule_after(self.period, Ev::RootTimer);
-            }
-            Ev::Request { node, round } => {
-                let n = &self.tree.nodes()[node as usize];
-                if n.is_leaf() {
-                    let r = self
-                        .reporting
-                        .get(&node)
-                        .copied()
-                        .map(|m| (self.leaf_sample)(m, now));
-                    self.up(node, round, r);
-                } else {
-                    self.rounds[node as usize].insert(
-                        round,
-                        RoundBuf {
-                            acc: None,
-                            seen: Vec::new(),
-                        },
-                    );
-                    let my = n.host();
-                    for c in n.children() {
-                        let ch = self.tree.nodes()[c as usize].host();
-                        let d = self.hop(my, ch);
-                        self.queue.schedule_after(d, Ev::Request { node: c, round });
-                    }
-                    self.queue
-                        .schedule_after(self.period, Ev::Timeout { node, round });
-                }
-            }
-            Ev::Partial {
-                node,
-                round,
-                from,
-                r,
-            } => {
-                let expected = self.tree.nodes()[node as usize].children().len();
-                let Some(entry) = self.rounds[node as usize].get_mut(&round) else {
-                    return;
-                };
-                // A repeated partial from the same child must not advance
-                // the count past `expected` and strand the round.
-                if entry.seen.contains(&from) {
-                    return;
-                }
-                entry.seen.push(from);
-                match (&mut entry.acc, r) {
-                    (Some(acc), Some(r)) => acc.merge(&r),
-                    (slot @ None, Some(r)) => *slot = Some(r),
-                    (_, None) => {}
-                }
-                // `>=`: close even if the count stepped past the target.
-                if entry.seen.len() >= expected {
-                    let buf = self.rounds[node as usize].remove(&round).unwrap();
-                    self.up(node, round, buf.acc);
-                }
-            }
-            Ev::Timeout { node, round } => {
-                if let Some(buf) = self.rounds[node as usize].remove(&round) {
-                    self.up(node, round, buf.acc);
-                }
-            }
-            Ev::Publish { node, r } => {
-                let n = &self.tree.nodes()[node as usize];
-                if n.is_leaf() {
-                    if let Some(&m) = self.reporting.get(&node) {
-                        // Hand the view to the member (one ring-neighbor hop
-                        // if the leaf host is the successor).
-                        let d = self.hop(n.host(), m);
-                        self.deliveries.push(Delivery {
-                            member: m,
-                            at: self.queue.now() + d,
-                            view: r,
-                        });
-                    }
-                } else {
-                    let my = n.host();
-                    for c in n.children() {
-                        let ch = self.tree.nodes()[c as usize].host();
-                        let d = self.hop(my, ch);
-                        self.queue.schedule_after(
-                            d,
-                            Ev::Publish {
-                                node: c,
-                                r: r.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move a completed aggregate one level up — or, at the root, flip it
-    /// around and publish it down the tree.
-    fn up(&mut self, node: u32, round: u64, r: Option<R>) {
-        let n = &self.tree.nodes()[node as usize];
-        match n.parent() {
-            None => {
-                if let Some(view) = r {
-                    self.queue
-                        .schedule_after(SimTime::ZERO, Ev::Publish { node: 0, r: view });
-                }
-            }
-            Some(p) => {
-                let ph = self.tree.nodes()[p as usize].host();
-                let d = self.hop(n.host(), ph);
-                self.queue.schedule_after(
-                    d,
-                    Ev::Partial {
-                        node: p,
-                        round,
-                        from: node,
-                        r,
-                    },
-                );
-            }
-        }
-    }
+    let lag: Vec<SimTime> = (0..ring.len())
+        .map(|m| {
+            let leaf = tree.canonical_leaf_of(ring.member(m).id) as usize;
+            descent[leaf] + hop(nodes[leaf].host(), m)
+        })
+        .collect();
+    let mut out: Vec<Delivery<R>> = views
+        .iter()
+        .flat_map(|v| {
+            lag.iter().enumerate().map(|(member, &d)| Delivery {
+                member,
+                at: v.at + d,
+                view: v.view.clone(),
+            })
+        })
+        .collect();
+    out.sort_by_key(|d| (d.at, d.member));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FreshnessReport;
+    use crate::flow::{FlowMode, FreshnessReport, GatherSim};
     use dht::Ring;
     use netsim::HostId;
 
@@ -286,15 +96,27 @@ mod tests {
         let ring = Ring::with_random_ids((0..n).map(HostId), 21);
         let tree = SomoTree::build(&ring, 8);
         let depth = tree.depth();
-        let mut sim = NewscastSim::new(
+        let delay = |a: usize, b: usize| if a == b { SimTime::ZERO } else { HOP };
+        let mut sim = GatherSim::new(
             &tree,
             &ring,
+            FlowMode::Synchronized,
             T,
             |_m, now| FreshnessReport::of_member(now),
-            |a, b| if a == b { SimTime::ZERO } else { HOP },
+            delay,
         );
         sim.run_until(SimTime::from_secs(horizon));
-        (sim.deliveries().to_vec(), depth, n)
+        let views = sim.views();
+        let deliveries = disseminate(&tree, &ring, views, delay);
+        // Sorted, and exactly one delivery per (view, member): every member
+        // receives every view, in order.
+        assert!(deliveries.is_sorted_by_key(|d| (d.at, d.member)));
+        assert_eq!(deliveries.len(), views.len() * n as usize);
+        for m in 0..n as usize {
+            let mine = deliveries.iter().filter(|d| d.member == m);
+            assert!(mine.map(|d| &d.view).eq(views.iter().map(|v| &v.view)));
+        }
+        (deliveries, depth, n)
     }
 
     #[test]

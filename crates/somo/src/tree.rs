@@ -355,7 +355,8 @@ mod tests {
         let t = SomoTree::build(&r, 8);
         for n in t.nodes() {
             assert_eq!(n.host(), r.owner(n.point()));
-            assert!(r.zone_contains(n.host(), n.point()));
+            let pred = r.member(r.predecessor(n.host())).id;
+            assert!(dht::id::in_arc(pred, r.member(n.host()).id, n.point()));
         }
     }
 

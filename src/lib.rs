@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`simcore`] | deterministic discrete-event simulation engine |
 //! | [`netsim`] | transit–stub underlay, latency oracle, bandwidth model |
-//! | [`dht`] | consistent-hashing ring: zones, leafsets, routing, heartbeats |
+//! | [`dht`] | consistent-hashing ring: zones, leafsets, heartbeats, lookup |
 //! | [`coords`] | GNP + leafset network coordinates (downhill simplex) |
 //! | [`bwest`] | packet-pair bottleneck-bandwidth estimation |
 //! | [`somo`] | self-organized metadata overlay (gather/disseminate) |

@@ -89,13 +89,21 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
     // through SOMO; the full newscast cycle (gather + disseminate) delivers
     // the aggregated view to every member; a session root plans from *its
     // own delivered copy* of the view — never touching global state.
-    use somo::newscast::NewscastSim;
+    use somo::newscast::disseminate;
 
     let mut pool = small_pool(7);
     let tree = SomoTree::build(&pool.ring, pool.somo_fanout);
-    let mut sim = NewscastSim::new(
+    let delay = |a: usize, b: usize| {
+        if a == b {
+            SimTime::ZERO
+        } else {
+            SimTime::from_millis(40)
+        }
+    };
+    let mut sim = GatherSim::new(
         &tree,
         &pool.ring,
+        FlowMode::Synchronized,
         SimTime::from_secs(5),
         |member, _now| {
             let h = pool.ring.member(member).host;
@@ -110,15 +118,10 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
                 ],
             })
         },
-        |a, b| {
-            if a == b {
-                SimTime::ZERO
-            } else {
-                SimTime::from_millis(40)
-            }
-        },
+        delay,
     );
     sim.run_until(SimTime::from_secs(20));
+    let deliveries = disseminate(&tree, &pool.ring, sim.views(), delay);
 
     // Pick a session whose root actually received a delivery.
     let members = pool.sample_members(15, 3);
@@ -129,8 +132,7 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
         .iter()
         .position(|m| m.host == root)
         .expect("root is in the ring");
-    let view = sim
-        .deliveries()
+    let view = deliveries
         .iter()
         .rev()
         .find(|d| d.member == root_member_idx)
