@@ -142,79 +142,24 @@ pub fn best_surviving(trees: &[MulticastTree], alive: impl Fn(HostId) -> bool) -
         .map(|(i, _)| i)
 }
 
-/// The members `tree` currently delivers to: every member (root excluded —
-/// the source doesn't deliver to itself) whose entire root path is alive.
-/// Hosts outside `members` (helpers) relay but don't count.
+/// The members `tree` delivers to this round: every member (root excluded
+/// — the source doesn't deliver to itself) whose entire root path is up,
+/// every host alive and every edge passing `edge_ok(parent, child)`.
+/// Hosts outside `members` (helpers) relay but don't count. Under per-edge
+/// message loss `edge_ok` samples one edge's fate and must be
+/// deterministic within a round, so every tree sees the same losses;
+/// without loss it is `|_, _| true`.
 pub fn delivered_members(
     tree: &MulticastTree,
     members: &[HostId],
     alive: &impl Fn(HostId) -> bool,
+    edge_ok: &impl Fn(HostId, HostId) -> bool,
 ) -> Vec<HostId> {
     let root = tree.root();
     if !alive(root) {
         return Vec::new();
     }
-    // Walk down from the root, pruning at the first dead host.
-    let mut reachable: Vec<HostId> = Vec::with_capacity(tree.len());
-    let mut stack = vec![root];
-    while let Some(h) = stack.pop() {
-        reachable.push(h);
-        for c in tree.children_of(h) {
-            if alive(c) {
-                stack.push(c);
-            }
-        }
-    }
-    let set: std::collections::HashSet<HostId> = reachable.into_iter().collect();
-    members
-        .iter()
-        .copied()
-        .filter(|&m| m != root && set.contains(&m))
-        .collect()
-}
-
-/// Per-round delivery ratio of a session running `trees` redundantly: the
-/// fraction of live non-root members receiving through **at least one**
-/// tree. A session with no live non-root members (nothing left to deliver
-/// to) counts as fully delivering; a dead root delivers to nobody.
-pub fn delivery_ratio(
-    trees: &[MulticastTree],
-    members: &[HostId],
-    alive: impl Fn(HostId) -> bool,
-) -> f64 {
-    let root = match trees.first() {
-        Some(t) => t.root(),
-        None => return 1.0,
-    };
-    let live: Vec<HostId> = members
-        .iter()
-        .copied()
-        .filter(|&m| m != root && alive(m))
-        .collect();
-    if live.is_empty() {
-        return 1.0;
-    }
-    let mut covered: std::collections::HashSet<HostId> = std::collections::HashSet::new();
-    for t in trees {
-        covered.extend(delivered_members(t, &live, &alive));
-    }
-    covered.len() as f64 / live.len() as f64
-}
-
-/// The members `tree` delivers to under per-edge message loss: a member
-/// receives only if every host *and every edge* on its root path is up
-/// this round. `edge_ok(parent, child)` samples one edge's fate; it must
-/// be deterministic within a round so every tree sees the same losses.
-pub fn delivered_members_lossy(
-    tree: &MulticastTree,
-    members: &[HostId],
-    alive: &impl Fn(HostId) -> bool,
-    edge_ok: &mut impl FnMut(HostId, HostId) -> bool,
-) -> Vec<HostId> {
-    let root = tree.root();
-    if !alive(root) {
-        return Vec::new();
-    }
+    // Walk down from the root, pruning at the first dead host or lost edge.
     let mut reachable: Vec<HostId> = Vec::with_capacity(tree.len());
     let mut stack = vec![root];
     while let Some(h) = stack.pop() {
@@ -233,16 +178,18 @@ pub fn delivered_members_lossy(
         .collect()
 }
 
-/// [`delivery_ratio`] under per-edge message loss: the fraction of live
-/// non-root members receiving through at least one tree when each tree
-/// edge independently drops per `edge_ok`. Redundant trees shine here —
-/// a member survives a lost edge in one tree if another tree still
-/// reaches it.
-pub fn delivery_ratio_lossy(
+/// Per-round delivery ratio of a session running `trees` redundantly: the
+/// fraction of live non-root members receiving through **at least one**
+/// tree, each tree walked as in [`delivered_members`]. Redundant trees
+/// shine under loss — a member survives a lost edge in one tree if another
+/// tree still reaches it. A session with no live non-root members (nothing
+/// left to deliver to) counts as fully delivering; a dead root delivers to
+/// nobody.
+pub fn delivery_ratio(
     trees: &[MulticastTree],
     members: &[HostId],
     alive: impl Fn(HostId) -> bool,
-    mut edge_ok: impl FnMut(HostId, HostId) -> bool,
+    edge_ok: impl Fn(HostId, HostId) -> bool,
 ) -> f64 {
     let root = match trees.first() {
         Some(t) => t.root(),
@@ -258,7 +205,7 @@ pub fn delivery_ratio_lossy(
     }
     let mut covered: std::collections::HashSet<HostId> = std::collections::HashSet::new();
     for t in trees {
-        covered.extend(delivered_members_lossy(t, &live, &alive, &mut edge_ok));
+        covered.extend(delivered_members(t, &live, &alive, &edge_ok));
     }
     covered.len() as f64 / live.len() as f64
 }
@@ -346,19 +293,23 @@ mod tests {
     #[test]
     fn delivery_prunes_dead_subtrees_and_unions_trees() {
         let m = members();
+        let lossless = |_: HostId, _: HostId| true;
         // Chain alone, host 2 dead: member 3 is cut off along with 2.
         let dead2 = |h: HostId| h != HostId(2);
-        assert_eq!(delivery_ratio(&[chain()], &m, dead2), 0.5); // only 1 of {1, 3}
-                                                                // Adding the helper tree restores 3 (and 1): full delivery among
-                                                                // the live members (2 itself is dead, so it leaves the denominator).
-        assert_eq!(delivery_ratio(&[chain(), via_helper()], &m, dead2), 1.0);
+        // Only 1 of {1, 3} receives.
+        assert_eq!(delivery_ratio(&[chain()], &m, dead2, lossless), 0.5);
+        // Adding the helper tree restores 3 (and 1): full delivery among
+        // the live members (2 itself is dead, so it leaves the denominator).
+        let both = [chain(), via_helper()];
+        assert_eq!(delivery_ratio(&both, &m, dead2, lossless), 1.0);
         // Dead helper kills the second tree entirely.
         let dead4 = |h: HostId| h != HostId(4);
-        assert_eq!(delivery_ratio(&[via_helper()], &m, dead4), 0.0);
+        assert_eq!(delivery_ratio(&[via_helper()], &m, dead4, lossless), 0.0);
         // Dead root delivers nothing.
-        assert_eq!(delivery_ratio(&[chain()], &m, |h| h != HostId(0)), 0.0);
+        let dead0 = |h: HostId| h != HostId(0);
+        assert_eq!(delivery_ratio(&[chain()], &m, dead0, lossless), 0.0);
         // All members intact: 1.0.
-        assert_eq!(delivery_ratio(&[chain()], &m, |_| true), 1.0);
+        assert_eq!(delivery_ratio(&[chain()], &m, |_| true, lossless), 1.0);
     }
 
     #[test]
@@ -366,14 +317,11 @@ mod tests {
         let m = members();
         // Losing the chain's 0→2 edge cuts members 2 and 3 off.
         let drop02 = |a: HostId, b: HostId| (a, b) != (HostId(0), HostId(2));
-        let r = delivery_ratio_lossy(&[chain()], &m, |_| true, drop02);
+        let r = delivery_ratio(&[chain()], &m, |_| true, drop02);
         assert!((r - 1.0 / 3.0).abs() < 1e-12); // only 1 of {1, 2, 3}
                                                 // The helper tree routes around the lost edge: full delivery.
-        let r2 = delivery_ratio_lossy(&[chain(), via_helper()], &m, |_| true, drop02);
+        let r2 = delivery_ratio(&[chain(), via_helper()], &m, |_| true, drop02);
         assert_eq!(r2, 1.0);
-        // No loss at all degenerates to the host-only ratio.
-        let r3 = delivery_ratio_lossy(&[chain()], &m, |_| true, |_, _| true);
-        assert_eq!(r3, delivery_ratio(&[chain()], &m, |_| true));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! low classes. This binary sweeps burst size × allocation mode and
 //! measures the two graceful-degradation alternatives:
 //!
-//! * **Priority** — the anchor baseline (bit-identical to fig10 at low
-//!   load);
+//! * **Priority** — the paper's strict-priority market, the baseline (its
+//!   fault-free default config is Figure 10's, anchored by
+//!   `fig10_multi_session` itself and `ext_multipath`'s k=1 / rate-0 cell);
 //! * **Pareto** — weighted max-min water-filling: every session plans
 //!   against its fair share of the pool's free degrees, booked at one
 //!   shared rank (equal ranks never preempt each other);
@@ -26,8 +27,6 @@
 //!
 //! Asserted, not just measured:
 //!
-//! * **Anchor** — the Priority-mode low-load cell reproduces
-//!   `fig10_multi_session.json`'s sessions=20 row bit-identically;
 //! * **Zero preemption, zero leaks** — Admission mode preempts nobody at
 //!   any burst size, and no cell leaks a degree past the horizon;
 //! * **Fairness pays** — Jain(Pareto) > Jain(Priority) at the largest
@@ -37,17 +36,14 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ext_flash_crowd`
 
-use bench::{anchor_against_fig10, dump_json, parallel_runs};
+use bench::{crash_plan, dump_json, parallel_runs};
 use pool::{
     AdmissionConfig, AllocationMode, MarketConfig, MarketOutcome, MarketSim, PlanConfig,
     PoolConfig, ResourcePool, DEGRADED_CLASS,
 };
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use serde_json::json;
-use simcore::{FaultPlan, SimTime};
+use simcore::SimTime;
 
-const ANCHOR_SESSIONS: usize = 20;
 /// Burst sizes at fig10's member size (20): members are partitioned
 /// disjointly, so demand scales with helper appetite — the top burst
 /// exceeds fig10's largest sweep point (50 sessions) and pushes the
@@ -66,19 +62,6 @@ fn main() {
     println!("building the 1200-host resource pool (coordinates + bandwidth)...");
     let pristine = ResourcePool::build(&PoolConfig::default(), seed);
     let num_hosts = pristine.net.num_hosts();
-
-    // The anchor cell: the fig10 sessions=20 sweep point, Priority mode,
-    // no faults. The new allocation machinery must not move a bit of it.
-    let anchor_cfg = MarketConfig {
-        sessions: ANCHOR_SESSIONS,
-        member_size: 20,
-        horizon: SimTime::from_secs(3600),
-        warmup: SimTime::from_secs(600),
-        plan: PlanConfig::default(),
-        ..MarketConfig::default()
-    };
-    let anchor = MarketSim::new(pristine.clone(), anchor_cfg, seed + ANCHOR_SESSIONS as u64).run();
-    anchor_against_fig10("Priority mode", ANCHOR_SESSIONS, &anchor);
 
     let mut rows = Vec::new();
     let cells: Vec<(usize, usize)> = (0..BURSTS.len())
@@ -129,7 +112,6 @@ fn main() {
             "bursts": BURSTS,
             "modes": ["priority", "pareto", "admission"],
             "crash_rate": CRASH_RATE,
-            "anchor": "fig10_multi_session sessions=20 row, bit-identical in Priority mode",
             "rows": rows,
         }),
     );
@@ -157,6 +139,7 @@ fn run_cell(
             degrade_free_frac: 0.35,
             ..AdmissionConfig::default()
         },
+        // Seeded per burst: every mode at a burst shares one plan.
         faults: crash_plan(CRASH_RATE, num_hosts, seed + burst as u64),
         ..MarketConfig::default()
     };
@@ -262,23 +245,4 @@ fn cell_json(burst: usize, mode: AllocationMode, out: &MarketOutcome) -> serde_j
             "violations": out.audit.violations.len(),
         },
     })
-}
-
-/// Crash `rate` of the pool's hosts permanently, at deterministic times
-/// staggered across the middle of the run — the `ext_multipath`
-/// derivation, so every mode at a given burst shares one plan.
-fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> FaultPlan {
-    let n = (num_hosts as f64 * rate).round() as usize;
-    if n == 0 {
-        return FaultPlan::none();
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut hosts: Vec<usize> = (0..num_hosts).collect();
-    hosts.shuffle(&mut rng);
-    let mut plan = FaultPlan::none();
-    for &h in hosts.iter().take(n) {
-        let at = rng.random_range(600..2700u64);
-        plan = plan.crash_forever(h as u64, SimTime::from_secs(at));
-    }
-    plan
 }

@@ -1,15 +1,23 @@
-//! Extension: multipath redundancy — k degree-disjoint trees per session.
+//! Extension: the Figure 10 market under host crashes, with k
+//! degree-disjoint trees per session.
 //!
-//! The pool's robustness payoff for cheap capacity is redundancy: each
-//! session plans k degree-disjoint delivery trees (a standby tree may not
-//! consume the same reserved degree units as the primary on any shared
+//! The paper's market model (§5.3) assumes every task manager and helper
+//! outlives its session. This sweep drops that assumption: a fraction of
+//! the 1200 hosts crash permanently at staggered times mid-run, and the
+//! crash-tolerance machinery — helper leases, missed-renewal detection,
+//! subtree reattachment, task-manager failover — has to keep the market's
+//! books balanced. k=1 is that single-tree baseline.
+//!
+//! The pool's robustness payoff for cheap capacity is redundancy: at k > 1
+//! each session plans k degree-disjoint delivery trees (a standby tree may
+//! not consume the same reserved degree units as the primary on any shared
 //! host, and per-host fan-out across trees is capped by the `bwest`
 //! estimate). When a crash breaks the primary, the market promotes the
 //! best surviving standby within one detection round and lazily re-plans
 //! the lost tree in the background.
 //!
 //! This binary sweeps crash rate × k and reports the three costs/benefits
-//! of that redundancy:
+//! of that redundancy next to the crash-repair ledger:
 //!
 //! * **delivery ratio** — per-round fraction of live members whose root
 //!   path is intact in at least one tree;
@@ -19,14 +27,18 @@
 //! * **degree cost** — pool utilization and helpers recruited, which grow
 //!   with k.
 //!
-//! Three properties are asserted, not just measured:
+//! Four properties are asserted, not just measured:
 //!
 //! * **Zero-fault anchor** — the k=1 / rate-0 cell reproduces
 //!   `fig10_multi_session.json`'s sessions=20 row bit-identically (the
-//!   multipath machinery is a strict no-op at k=1);
-//! * **No leaks, no double-counting** — at every swept cell the audit is
-//!   clean (including the `tree-disjointness` invariant) and the leak
-//!   census finds zero degrees still booked past the horizon;
+//!   fault path and the multipath machinery are strict no-ops there);
+//! * **No leaks, no double-counting** — at every cell the audit is clean
+//!   (including the `degree-conservation` and `tree-disjointness`
+//!   invariants) and the leak census finds zero degrees still booked past
+//!   the horizon;
+//! * **Every repair resolves** — each crash repair is an incremental
+//!   holdings re-sync or its full-replan fallback, and a crash-free cell
+//!   repairs nothing and lapses no lease;
 //! * **Redundancy pays** — at crash rate 10%, k=2 delivers strictly more
 //!   than k=1.
 //!
@@ -36,10 +48,11 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ext_multipath`
 
-use bench::{anchor_against_fig10, dump_json, dump_jsonl, parallel_runs, trace_out_requested};
+use bench::{
+    anchor_against_fig10, crash_plan, dump_json, dump_jsonl, parallel_runs, trace_out_requested,
+};
+use pool::market::PriorityStats;
 use pool::{MarketConfig, MarketOutcome, MarketSim, PlanConfig, PoolConfig, ResourcePool};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use serde_json::json;
 use simcore::{FaultPlan, SimTime};
 
@@ -54,8 +67,8 @@ fn main() {
     let pristine = ResourcePool::build(&PoolConfig::default(), seed);
     let num_hosts = pristine.net.num_hosts();
 
-    // Every k at a given rate shares one crash plan (seeded per rate, same
-    // derivation as ext_market_faults) so the k columns are comparable.
+    // Every k at a given rate shares one crash plan (seeded per rate) so
+    // the k columns are comparable.
     let cells: Vec<(usize, usize)> = (0..CRASH_RATES.len())
         .flat_map(|r| (0..KS.len()).map(move |k| (r, k)))
         .collect();
@@ -99,9 +112,7 @@ fn main() {
                 &simcore::trace::to_json_lines(&out.trace),
             );
         }
-        let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
-        let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
-        let helpers_mean = help.iter().sum::<f64>() / 3.0;
+        let helpers_mean = (1..=3).map(|p| out.class(p).helpers.mean()).sum::<f64>() / 3.0;
         println!(
             "{:>5.0}% {:>3} | {:>8.2}% {:>9.2} | {:>9} {:>8} {:>8} | {:>5.1}% {:>8.2}",
             rate * 100.0,
@@ -122,7 +133,7 @@ fn main() {
         if rate == 0.10 {
             delivery_10[ki] = out.delivery.mean();
         }
-        rows.push(cell_json(rate, k, out, &imp, &help));
+        rows.push(cell_json(rate, k, out));
     }
 
     // The redundancy payoff, asserted: at 10% crashes a second
@@ -165,9 +176,7 @@ fn main() {
             out.delivery.count()
         );
         assert_cell_clean(out, 0.0, *k);
-        let imp: Vec<f64> = (1..=3).map(|p| out.class(p).improvement.mean()).collect();
-        let help: Vec<f64> = (1..=3).map(|p| out.class(p).helpers.mean()).collect();
-        let mut row = cell_json(0.0, *k, out, &imp, &help);
+        let mut row = cell_json(0.0, *k, out);
         if let serde_json::Value::Object(m) = &mut row {
             m.push(("loss".to_string(), json!(loss)));
         }
@@ -201,32 +210,52 @@ fn main() {
     );
 }
 
-/// The hard acceptance gates, at every swept cell.
+/// The hard acceptance gates, at every cell. `rate` is the cell's crash
+/// rate (0 for the message-loss cells).
 fn assert_cell_clean(out: &MarketOutcome, rate: f64, k: usize) {
     assert_eq!(
         out.leaked_degrees, 0,
         "rate {rate} k={k}: degrees leaked past the horizon"
     );
-    assert_eq!(
-        out.audit.count_of("tree-disjointness"),
-        0,
-        "rate {rate} k={k}: cross-tree disjointness violated: {:?}",
-        out.audit.violations
-    );
+    for invariant in ["degree-conservation", "tree-disjointness"] {
+        assert_eq!(
+            out.audit.count_of(invariant),
+            0,
+            "rate {rate} k={k}: {invariant} violated: {:?}",
+            out.audit.violations
+        );
+    }
     assert!(
         out.audit.is_clean(),
         "rate {rate} k={k}: audit violations: {:?}",
         out.audit.violations
     );
+    assert_eq!(
+        out.incremental_replans + out.resync_fallbacks,
+        out.crash_repairs,
+        "rate {rate} k={k}: a repair neither re-synced nor fell back"
+    );
+    if rate == 0.0 {
+        assert_eq!(
+            out.crash_repairs, 0,
+            "k={k}: phantom repairs at zero crashes"
+        );
+        assert_eq!(
+            out.lapsed_lease_degrees, 0,
+            "k={k}: phantom lapses at zero crashes"
+        );
+    }
 }
 
-fn cell_json(
-    rate: f64,
-    k: usize,
+/// `{p1, p2, p3}` of one per-class statistic.
+fn per_class<T: serde::Serialize>(
     out: &MarketOutcome,
-    imp: &[f64],
-    help: &[f64],
+    stat: impl Fn(&PriorityStats) -> T,
 ) -> serde_json::Value {
+    json!({"p1": stat(out.class(1)), "p2": stat(out.class(2)), "p3": stat(out.class(3))})
+}
+
+fn cell_json(rate: f64, k: usize, out: &MarketOutcome) -> serde_json::Value {
     json!({
         "crash_rate": rate,
         "k": k,
@@ -237,9 +266,16 @@ fn cell_json(
         "failovers": out.failovers(),
         "sessions_lost": out.sessions_lost(),
         "crash_repairs": out.crash_repairs,
+        "crash_repair_retries": out.crash_repair_retries,
+        "crash_repair_gave_up": out.crash_repair_gave_up,
+        "incremental_replans": out.incremental_replans,
+        "resync_fallbacks": out.resync_fallbacks,
+        "lapsed_lease_degrees": out.lapsed_lease_degrees,
         "utilization_mean": out.utilization.mean(),
-        "improvement": {"p1": imp[0], "p2": imp[1], "p3": imp[2]},
-        "helpers": {"p1": help[0], "p2": help[1], "p3": help[2]},
+        "improvement": per_class(out, |c| c.improvement.mean()),
+        "helpers": per_class(out, |c| c.helpers.mean()),
+        "helper_crashes": per_class(out, |c| c.helper_crashes),
+        "preemptions": per_class(out, |c| c.preemptions),
         "plans": out.plans,
         "leaked_degrees": out.leaked_degrees,
         "audit": {
@@ -248,23 +284,4 @@ fn cell_json(
             "violations": out.audit.violations.len(),
         },
     })
-}
-
-/// Crash `rate` of the pool's hosts permanently, at deterministic times
-/// staggered across the middle of the run — the same derivation as
-/// `ext_market_faults`, so cells at equal rates share a plan.
-fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> FaultPlan {
-    let n = (num_hosts as f64 * rate).round() as usize;
-    if n == 0 {
-        return FaultPlan::none();
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut hosts: Vec<usize> = (0..num_hosts).collect();
-    hosts.shuffle(&mut rng);
-    let mut plan = FaultPlan::none();
-    for &h in hosts.iter().take(n) {
-        let at = rng.random_range(600..2700u64);
-        plan = plan.crash_forever(h as u64, SimTime::from_secs(at));
-    }
-    plan
 }

@@ -98,6 +98,29 @@ pub fn anchor_against_fig10(what: &str, sessions: usize, out: &pool::MarketOutco
     println!("  [anchor] {what} reproduces fig10 sessions={sessions} bit-identically");
 }
 
+/// Crash `rate` of `num_hosts` hosts permanently, at deterministic times
+/// staggered across the middle of a 3600 s run (after the 600 s warm-up,
+/// before the last quarter — crashes too close to the horizon exercise
+/// nothing). One derivation for every crash-swept anchor, so cells seeded
+/// alike share a plan.
+pub fn crash_plan(rate: f64, num_hosts: usize, seed: u64) -> simcore::FaultPlan {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let n = (num_hosts as f64 * rate).round() as usize;
+    if n == 0 {
+        return simcore::FaultPlan::none();
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut hosts: Vec<usize> = (0..num_hosts).collect();
+    hosts.shuffle(&mut rng);
+    let mut plan = simcore::FaultPlan::none();
+    for &h in hosts.iter().take(n) {
+        let at = rng.random_range(600..2700u64);
+        plan = plan.crash_forever(h as u64, simcore::SimTime::from_secs(at));
+    }
+    plan
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -147,6 +170,30 @@ mod tests {
     #[test]
     fn parallel_runs_of_nothing_is_empty() {
         assert!(parallel_runs(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn crashes_round_rate_n_distinct_hosts_once_mid_run() {
+        use simcore::{FaultPlan, SimTime};
+        let none = crash_plan(0.0, 1200, 7);
+        assert_eq!(none, FaultPlan::none());
+        assert!(none.crash_edges().is_empty());
+        for (rate, n) in [(0.05, 1200), (0.10, 1200), (0.20, 1200), (0.125, 37)] {
+            let plan = crash_plan(rate, n, 2011);
+            let want = (n as f64 * rate).round() as usize;
+            let edges = plan.crash_edges();
+            assert_eq!(edges.len(), want, "rate {rate} of {n}");
+            let mut hosts: Vec<u64> = edges.iter().map(|&(_, h, _)| h).collect();
+            hosts.sort_unstable();
+            hosts.dedup();
+            assert_eq!(hosts.len(), want, "a host crashes twice");
+            for &(at, h, down) in &edges {
+                assert!(down, "a permanent crash recovers");
+                assert!((h as usize) < n);
+                assert!((SimTime::from_secs(600)..SimTime::from_secs(2700)).contains(&at));
+            }
+            assert_eq!(plan, crash_plan(rate, n, 2011));
+        }
     }
 
     #[test]

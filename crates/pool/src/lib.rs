@@ -152,6 +152,10 @@ pub enum PoolOp {
     },
 }
 
+/// Fanout of the SOMO tree the pool aggregates over (its status index and
+/// the gather experiments).
+pub const SOMO_FANOUT: usize = 8;
+
 /// Configuration for assembling a resource pool.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
@@ -161,8 +165,6 @@ pub struct PoolConfig {
     pub leafset_size: usize,
     /// Refinement rounds of the leafset coordinate protocol.
     pub coord_rounds: usize,
-    /// SOMO tree fanout.
-    pub somo_fanout: usize,
     /// Which latency oracle planning reads go through. `Exact` (the
     /// default) plans against the exact kernel — bit-identical to the
     /// historical dense-matrix planner; `Tiered` plans against the
@@ -178,7 +180,6 @@ impl Default for PoolConfig {
             net: NetworkConfig::default(),
             leafset_size: 32,
             coord_rounds: 12,
-            somo_fanout: 8,
             latency_source: LatencySource::Exact,
         }
     }
@@ -196,8 +197,6 @@ pub struct ResourcePool {
     pub coords: CoordStore,
     /// Leafset-generated bottleneck-bandwidth estimates.
     pub bw: BwEstimates,
-    /// SOMO fanout used for gather experiments.
-    pub somo_fanout: usize,
     tables: Vec<DegreeTable>,
     holdings: HashMap<SessionId, Vec<HostId>>,
     alive: Vec<bool>,
@@ -262,7 +261,6 @@ impl ResourcePool {
             ring,
             coords,
             bw,
-            somo_fanout: cfg.somo_fanout,
             tables,
             holdings: HashMap::new(),
             alive,
@@ -495,8 +493,8 @@ impl ResourcePool {
         agg
     }
 
-    /// Build a [`query::QueryIndex`] over the pool's ring at the configured
-    /// SOMO fanout, seeded with every live host's current sample. `period`
+    /// Build a [`query::QueryIndex`] over the pool's ring at
+    /// [`SOMO_FANOUT`], seeded with every live host's current sample. `period`
     /// is the gather interval the index will be refreshed at — the `T` in
     /// its staleness bound.
     pub fn build_query_index(
@@ -506,7 +504,7 @@ impl ResourcePool {
     ) -> query::QueryIndex {
         query::QueryIndex::build(
             &self.ring,
-            self.somo_fanout,
+            SOMO_FANOUT,
             period,
             query::RegionBounds::default(),
             |m| self.host_sample(self.ring.member(m).host, now),

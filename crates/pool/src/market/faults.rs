@@ -2,7 +2,7 @@
 //! deputy takeover, and the delivery rounds that measure them.
 
 use alm::dynamic::reattach_orphans;
-use alm::multipath::{best_surviving, delivery_ratio, delivery_ratio_lossy, tree_intact};
+use alm::multipath::{best_surviving, delivery_ratio, tree_intact};
 use alm::{MulticastTree, Problem};
 use netsim::HostId;
 use rand::Rng;
@@ -366,14 +366,19 @@ impl MarketSim {
             let ratio = if loss > 0.0 {
                 let round = now.as_micros() / DETECT_DELAY.as_micros();
                 let (sim_seed, fault_seed) = (self.seed, self.cfg.faults.seed);
-                delivery_ratio_lossy(
+                delivery_ratio(
                     trees,
                     &slot.spec.members,
                     |x| self.pool.is_alive(x),
                     |a, b| edge_delivers(sim_seed, fault_seed, round, a, b, loss),
                 )
             } else {
-                delivery_ratio(trees, &slot.spec.members, |x| self.pool.is_alive(x))
+                delivery_ratio(
+                    trees,
+                    &slot.spec.members,
+                    |x| self.pool.is_alive(x),
+                    |_, _| true,
+                )
             };
             self.outcome.delivery.push(ratio);
         }

@@ -190,8 +190,9 @@ pub struct MarketOutcome {
     /// Degree relaxations performed by session planning (primary and
     /// standby trees): the sum of every plan's own count.
     pub planner_relaxations: u64,
-    /// Oracle latency estimates issued by session planning, accounted
-    /// like [`MarketOutcome::planner_relaxations`].
+    /// Always 0: only a `netsim::latency::Counted` model counts latency
+    /// calls, and the pool plans through its uncounted oracle. Kept
+    /// because the benchmark digests it.
     pub planner_latency_calls: u64,
 }
 

@@ -347,29 +347,27 @@ impl MarketSim {
         // primary, against the residual capacity the primary left; the
         // planner-work sums below deliberately include this work.
         let mut preempted = out.preempted;
-        let mut standby_work = (0u64, 0u64);
+        let mut standby_relaxations = 0;
         if self.cfg.plan.k_trees > 1 && self.cfg.allocation == AllocationMode::Priority {
             let standby =
                 plan_standby_trees(&mut self.pool, &spec, &self.cfg.plan, &trees[0], &[], lease);
-            standby_work = (standby.relaxations, standby.latency_calls);
+            standby_relaxations = standby.relaxations;
             preempted.extend(standby.preempted);
             trees.extend(standby.trees);
         }
         *self.slots[i].session_mut().0 = trees;
         self.outcome.plans += 1;
-        self.outcome.planner_relaxations += out.relaxations + standby_work.0;
-        self.outcome.planner_latency_calls += out.latency_calls + standby_work.1;
+        let relaxations = out.relaxations + standby_relaxations;
+        self.outcome.planner_relaxations += relaxations;
         if self.tracer.is_enabled() {
             let session = spec.id.0;
             let degrees = self.pool.held_total(spec.id);
-            let relaxations = out.relaxations + standby_work.0;
-            let latency_calls = out.latency_calls + standby_work.1;
             self.tracer.emit(now, || TraceEvent::MarketReserve {
                 session,
                 hosts,
                 degrees,
                 relaxations,
-                latency_calls,
+                latency_calls: 0,
             });
             if lease.is_some() {
                 self.tracer

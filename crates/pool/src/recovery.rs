@@ -574,7 +574,7 @@ fn reachable_avoiding(tree: &MulticastTree, dead: &[HostId]) -> usize {
     }
     // `delivered_members` excludes the root (a source doesn't deliver to
     // itself), which counts here as a reachable session member.
-    alm::multipath::delivered_members(tree, tree.hosts(), &alive).len() + 1
+    alm::multipath::delivered_members(tree, tree.hosts(), &alive, &|_, _| true).len() + 1
 }
 
 /// Multiply a [`SimTime`] by an integer factor.

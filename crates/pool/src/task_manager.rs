@@ -48,8 +48,6 @@ pub enum PlanModel {
 pub struct PlanConfig {
     /// Latency model used for planning decisions.
     pub model: PlanModel,
-    /// Recruit helpers from the pool (the critical-node algorithm).
-    pub use_helpers: bool,
     /// Run the adjustment pass after building the tree.
     pub use_adjust: bool,
     /// Condition 2: minimum available degree for a helper.
@@ -75,7 +73,6 @@ impl Default for PlanConfig {
     fn default() -> Self {
         PlanConfig {
             model: PlanModel::Coords,
-            use_helpers: true,
             use_adjust: true,
             helper_min_degree: 4,
             radius_ms: 100.0,
@@ -138,9 +135,6 @@ pub struct PlanOutcome {
     /// the thread-local counter's delta across the plan, so a caller sums
     /// per-plan counts instead of resetting a counter it does not own.
     pub relaxations: u64,
-    /// [`netsim::latency::latency_calls`] this plan performed, measured
-    /// like `relaxations`.
-    pub latency_calls: u64,
 }
 
 /// Plan a session's tree against current pool availability and reserve it.
@@ -172,11 +166,7 @@ pub fn plan_and_reserve_leased(
     pool.release_session(spec.id);
 
     let helper_rank = Rank::helper(spec.priority);
-    let candidates = if cfg.use_helpers {
-        pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree)
-    } else {
-        Vec::new()
-    };
+    let candidates = pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree);
     // Fresh availability straight from the degree tables: reservations
     // cannot fail, so the retry loop exits on its first pass.
     let stale_avail: Vec<(HostId, u32)> = candidates
@@ -230,7 +220,7 @@ pub fn plan_and_reserve_fair_leased(
     assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
     pool.release_session(spec.id);
 
-    let mut candidates = if cfg.use_helpers && caps.helper_budget > 0 {
+    let mut candidates = if caps.helper_budget > 0 {
         pool.candidates(FAIR_HELPER_RANK, &spec.members, cfg.helper_min_degree)
     } else {
         Vec::new()
@@ -324,13 +314,10 @@ pub fn plan_and_reserve_from_view_leased(
     pool.release_session(spec.id);
 
     let rank_idx = spec.priority as usize; // avail[] index for helper rank
-    let candidates: Vec<HostId> = if cfg.use_helpers {
-        view.candidates_at(rank_idx, cfg.helper_min_degree)
-            .filter(|h| !spec.members.contains(h))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let candidates: Vec<HostId> = view
+        .candidates_at(rank_idx, cfg.helper_min_degree)
+        .filter(|h| !spec.members.contains(h))
+        .collect();
     let stale_avail: Vec<(HostId, u32)> = view
         .entries
         .iter()
@@ -364,24 +351,19 @@ pub fn plan_and_reserve_from_query_leased(
     pool.release_session(spec.id);
 
     let rank_idx = spec.priority as usize; // free[] index for helper rank
-    let (candidates, stale_avail): (Vec<HostId>, Vec<(HostId, u32)>) = if cfg.use_helpers {
-        let ans = index.top_k(
-            cfg.query_k,
-            rank_idx,
-            cfg.helper_min_degree,
-            &spec.members,
-            QUERY_SCOPE,
-        );
-        (
-            ans.hosts.iter().map(|s| s.host).collect(),
-            ans.hosts
-                .iter()
-                .map(|s| (s.host, s.free[rank_idx]))
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
+    let ans = index.top_k(
+        cfg.query_k,
+        rank_idx,
+        cfg.helper_min_degree,
+        &spec.members,
+        QUERY_SCOPE,
+    );
+    let candidates: Vec<HostId> = ans.hosts.iter().map(|s| s.host).collect();
+    let stale_avail: Vec<(HostId, u32)> = ans
+        .hosts
+        .iter()
+        .map(|s| (s.host, s.free[rank_idx]))
+        .collect();
     plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
 }
 
@@ -422,7 +404,6 @@ fn plan_shaped(
     // Per-plan counter window: everything from the baseline evaluation to
     // the final retry is this plan's work, charged to the executing thread.
     let rel0 = alm::metrics::relaxations();
-    let lat0 = netsim::latency::latency_calls();
     let baseline_height = members_only_baseline(pool, spec);
     let mut helper_failures = 0u32;
     // Owned handle on the configured planning oracle, so the planning
@@ -568,7 +549,6 @@ fn plan_shaped(
             preempted,
             helper_failures,
             relaxations: alm::metrics::relaxations().saturating_sub(rel0),
-            latency_calls: netsim::latency::latency_calls().saturating_sub(lat0),
         };
     }
     unreachable!("the members-only fallback always succeeds")
@@ -587,9 +567,6 @@ pub struct StandbyOutcome {
     /// Relaxations the standby pass performed on its executing thread
     /// (see [`PlanOutcome::relaxations`]).
     pub relaxations: u64,
-    /// Latency-model calls the standby pass performed on its executing
-    /// thread (see [`PlanOutcome::latency_calls`]).
-    pub latency_calls: u64,
 }
 
 /// Per-member stream rate, kbit/s — with the access-bandwidth estimates it
@@ -642,7 +619,6 @@ pub fn plan_standby_trees(
 ) -> StandbyOutcome {
     let helper_rank = Rank::helper(spec.priority);
     let rel0 = alm::metrics::relaxations();
-    let lat0 = netsim::latency::latency_calls();
     // Standby planning is a planning decision: it reads the configured
     // latency source. Member rows are promoted once; each round's
     // surviving candidates are promoted below (the shared handle sees
@@ -694,11 +670,7 @@ pub fn plan_standby_trees(
         if starved {
             break;
         }
-        let mut candidates: Vec<HostId> = if cfg.use_helpers {
-            pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree)
-        } else {
-            Vec::new()
-        };
+        let mut candidates = pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree);
         candidates.retain(|&h| {
             let a = pool.available(h, helper_rank).min(child_headroom(h) + 1);
             if a > 0 {
@@ -768,7 +740,6 @@ pub fn plan_standby_trees(
         trees,
         preempted,
         relaxations: alm::metrics::relaxations().saturating_sub(rel0),
-        latency_calls: netsim::latency::latency_calls().saturating_sub(lat0),
     }
 }
 
@@ -805,7 +776,7 @@ fn try_plan_tree<L: LatencyModel>(
     cfg: &PlanConfig,
 ) -> Option<MulticastTree> {
     let p = Problem::new(spec.root, spec.members.clone(), model, avail);
-    let mut tree = if cfg.use_helpers && !candidates.is_empty() {
+    let mut tree = if !candidates.is_empty() {
         try_critical(&p, &helper_pool(candidates, cfg))?
     } else {
         try_amcast(&p)?
@@ -1115,8 +1086,10 @@ mod tests {
     fn members_only_fallback_when_no_helpers() {
         let mut pool = small_pool(7);
         let s = spec(&pool, 9, 2, 60);
+        // No host offers u32::MAX free degrees: no helper candidates, so
+        // the planner takes the plain-AMCast path.
         let cfg = PlanConfig {
-            use_helpers: false,
+            helper_min_degree: u32::MAX,
             use_adjust: false,
             model: PlanModel::Oracle,
             ..PlanConfig::default()

@@ -133,8 +133,10 @@ pub enum TraceEvent {
         degrees: u32,
         /// Candidate-parent relaxations the plan performed.
         relaxations: u64,
-        /// Latency-oracle calls the plan performed (0 unless the model is
-        /// wrapped in a counting adapter).
+        /// Always 0 from the market: only a counting adapter
+        /// (`netsim::latency::Counted`) counts latency calls, and the pool
+        /// plans through an uncounted oracle. Kept because pinned traces
+        /// serialize it.
         latency_calls: u64,
     },
     /// Market: a session released all of its holdings.

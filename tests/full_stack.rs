@@ -42,7 +42,7 @@ fn somo_gathers_the_same_candidates_the_pool_reports() {
     // The facade's snapshot_report must equal what actually flows through
     // a full SOMO gather over the ring.
     let pool = small_pool(2);
-    let tree = SomoTree::build(&pool.ring, pool.somo_fanout);
+    let tree = SomoTree::build(&pool.ring, pool::SOMO_FANOUT);
     let snapshot = pool.snapshot_report(usize::MAX);
 
     let mut sim = GatherSim::new(
@@ -92,7 +92,7 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
     use somo::newscast::disseminate;
 
     let mut pool = small_pool(7);
-    let tree = SomoTree::build(&pool.ring, pool.somo_fanout);
+    let tree = SomoTree::build(&pool.ring, pool::SOMO_FANOUT);
     let delay = |a: usize, b: usize| {
         if a == b {
             SimTime::ZERO
