@@ -17,8 +17,9 @@
 //! bits, `bfs_order`, `children_of` every node — and the step's cost:
 //! `alm::metrics::relaxations()`, `netsim::latency::latency_calls()`, a
 //! running hash over the `(a, b)` of **every latency call in the order it
-//! was made**, and the oracle's tier counters where there is an oracle. An
-//! infeasible instance pins the `None`s and what was spent finding them.
+//! was made**. The one cell with an oracle pins its tier counters after
+//! every step as a second, separate pair. An infeasible instance pins the
+//! `None`s and what was spent finding them.
 //!
 //! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves a
 //! plan or its cost *on purpose* runs the failing test, pastes the printed
@@ -153,8 +154,8 @@ fn draw(n: usize, count: usize, seed: u64) -> Vec<HostId> {
 }
 
 /// One session's inputs. `measure` answers the planner; `estimate` is what
-/// the staged plan shortlists helpers with; `extra` prints whatever else
-/// the latency model counts (the oracle's tiers).
+/// the staged plan shortlists helpers with; `extra` runs after every step
+/// and its output joins the step's cost line.
 struct Session<'a, M, E, D> {
     measure: &'a Seq<M>,
     estimate: &'a Seq<E>,
@@ -337,9 +338,13 @@ fn exact_kernel() -> (usize, u64) {
 }
 
 /// A matrix-free pool behind the tiered oracle, its hot tier smaller than
-/// the session (promoting 64 members evicts): answers come from all three
-/// tiers, and the tier counters are part of every step's cost.
-fn tiered_oracle() -> (usize, u64) {
+/// the session (the 64 members span more routers than its 24 rows): answers
+/// come from all three tiers. Pinned in two halves: the trees and what each
+/// step cost, and the oracle's [`TierStats`](oracle::TierStats) after every
+/// step. A change to how the hot tier fills its rows, and so to what
+/// `promotions` / `evictions` count, re-pins the second half alone; the
+/// first half staying green shows that no plan and no answer moved.
+fn tiered_oracle() -> ((usize, u64), (usize, u64)) {
     const N: usize = 1024;
     let routers = RouterNet::generate(&TransitStubConfig::default(), 0xB1);
     let hosts = HostSet::attach(&routers, N, (3.0, 8.0), 0xB2);
@@ -357,16 +362,32 @@ fn tiered_oracle() -> (usize, u64) {
     let oracle = TieredOracle::new(&routers, &hosts, gnp.clone(), sketch, &cfg);
     let members = draw(N, 64, 0xB5);
     oracle.promote(&members);
-    Session {
+    let tiers = Cell::new(Pin::new());
+    let record_tiers = || {
+        let mut pin = tiers.get();
+        pin.feed(&format!("{:?}\n", oracle.stats()));
+        tiers.set(pin);
+        String::new()
+    };
+    let trees = Session {
         measure: &Seq::new(oracle.share()),
         estimate: &Seq::new(&gnp),
         members,
         dbound: |h| hosts.degree_bound(h),
         pool: HelperPool::new(hosts.ids().collect()),
         deep: true,
-        extra: &|| format!("{:?}", oracle.stats()),
+        extra: &record_tiers,
     }
-    .run()
+    .run();
+    (trees, tiers.get().pair())
+}
+
+fn tiered_oracle_trees() -> (usize, u64) {
+    tiered_oracle().0
+}
+
+fn tiered_oracle_tier_stats() -> (usize, u64) {
+    tiered_oracle().1
 }
 
 /// The adversarial model, a second one as the (useless) estimate.
@@ -492,7 +513,8 @@ macro_rules! pins {
 
 pins! {
     exact_kernel_paper_degrees: exact_kernel => (86775, 12117682980964101359);
-    tiered_oracle_evicting_hot_tier: tiered_oracle => (126567, 10469700701012015951);
+    tiered_oracle_evicting_hot_tier_trees: tiered_oracle_trees => (125380, 5142042568604321688);
+    tiered_oracle_evicting_hot_tier_tier_stats: tiered_oracle_tier_stats => (1187, 10237238468774853950);
     adversarial_paper_degrees: hash_paper_degrees => (198142, 2485912790521313126);
     adversarial_degree_two_everywhere: hash_degree_two => (175347, 15523982641516839402);
     adversarial_descending_member_order: hash_descending_members => (126867, 11828273902125941466);

@@ -152,8 +152,7 @@ fn main() {
             SEED,
         );
         let tiered = TieredOracle::new(&net.routers, &net.hosts, gnp, sketch, &tcfg);
-        tiered.promote(&members);
-        tiered.promote(&candidates);
+        tiered.promote_plan(&candidates, &members);
         let tor = Counted(tiered.share());
         let tp = Problem::new(root, members.clone(), &tor, dbound);
         let mut tiered_engines = Vec::new();

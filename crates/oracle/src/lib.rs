@@ -10,8 +10,9 @@
 //! * **hot tier** — a bounded, deterministic LRU of exact Dijkstra rows
 //!   fetched on demand (from the pool's exact kernel when it has one,
 //!   from the router graph otherwise); rows are promoted
-//!   explicitly when the planner touches hosts (session members,
-//!   candidate helpers), never as a lookup side effect.
+//!   explicitly, one batch per plan — candidate helpers first, session
+//!   members last, so the members' rows are the ones kept — never as a
+//!   lookup side effect.
 //! * **sketch tier** — per-landmark distance vectors
 //!   ([`LandmarkSketch`]) whose triangle bounds answer mid-tier pairs
 //!   when the interval pinches tightly enough.
@@ -112,6 +113,14 @@ impl PoolOracle {
     pub fn promote(&self, hosts: &[HostId]) {
         if let PoolOracle::Tiered(t) = self {
             t.promote(hosts);
+        }
+    }
+
+    /// One plan's promotion, candidates first and members last
+    /// ([`TieredOracle::promote_plan`]; no-op for Exact).
+    pub fn promote_plan(&self, candidates: &[HostId], members: &[HostId]) {
+        if let PoolOracle::Tiered(t) = self {
+            t.promote_plan(candidates, members);
         }
     }
 
@@ -285,10 +294,19 @@ mod tests {
         };
         let run = || {
             let (oracle, _) = tiered(&net, &hosts, &cfg, 7);
-            // Promote far more distinct routers than capacity.
+            // Promote far more distinct routers than capacity: one batch
+            // into an empty tier copies in only the 8 rows it keeps.
             let all: Vec<HostId> = hosts.ids().collect();
             oracle.promote(&all);
-            assert!(oracle.resident_rows() <= 8);
+            assert_eq!(oracle.resident_rows(), 8);
+            assert_eq!(
+                (oracle.stats().promotions, oracle.stats().evictions),
+                (8, 0)
+            );
+            // A second batch evicts the first one's rows.
+            let odd: Vec<HostId> = all.iter().copied().filter(|h| h.0 % 2 == 1).collect();
+            oracle.promote(&odd);
+            assert_eq!(oracle.resident_rows(), 8);
             let mut sample = Vec::new();
             for a in (0..400u32).step_by(13) {
                 for b in (1..400u32).step_by(17) {

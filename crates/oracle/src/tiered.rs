@@ -48,9 +48,11 @@ pub struct TierStats {
     pub sketch: u64,
     /// Pairs answered from coordinate distance (clamped into bounds).
     pub base: u64,
-    /// Rows inserted into the hot tier.
+    /// Rows copied into the hot tier. A promotion batch copies only the
+    /// rows it leaves resident, so this counts rows that stay, not hosts
+    /// promoted.
     pub promotions: u64,
-    /// Rows evicted to make room.
+    /// Resident rows a later batch displaced.
     pub evictions: u64,
 }
 
@@ -68,13 +70,19 @@ struct HotSlot {
 }
 
 /// Bounded LRU of exact Dijkstra rows, keyed by router id. Mutated only
-/// through [`TieredOracle::promote`] — lookups never touch recency, so
+/// through [`TieredOracle::promote`] and [`TieredOracle::promote_plan`] —
+/// lookups never touch recency, so
 /// reads are side-effect free and plan results cannot depend on the
 /// *order* in which the planner happened to probe pairs.
 struct HotRows {
     cap: usize,
     /// router id -> slot index, `u32::MAX` when not resident.
     resident: Vec<u32>,
+    /// router id -> position of its last occurrence in the batch
+    /// [`HotRows::promote`] is working through. Written for every router of
+    /// a batch before it is read, so values left by earlier batches never
+    /// matter.
+    last_seen: Vec<u32>,
     slots: Vec<HotSlot>,
     tick: u64,
     promotions: u64,
@@ -86,6 +94,7 @@ impl HotRows {
         HotRows {
             cap,
             resident: vec![u32::MAX; num_routers],
+            last_seen: vec![0; num_routers],
             slots: Vec::new(),
             tick: 0,
             promotions: 0,
@@ -103,32 +112,70 @@ impl HotRows {
         }
     }
 
-    /// `fetch` yields `router`'s exact Dijkstra row; called only on a miss.
-    fn touch_or_insert(&mut self, router: u32, fetch: impl FnOnce() -> Box<[f32]>) {
+    /// Promote a batch of `(router, host)` pairs with the outcome of
+    /// touching each in turn — refresh a resident row's recency, insert a
+    /// missing one, evict the least recently used when full — but insert
+    /// only the rows that outcome leaves resident: each router at its last
+    /// occurrence, the newest `cap` of them, in batch order. Residents,
+    /// recency ticks and so every answer equal the one-at-a-time loop's;
+    /// `promotions` and `evictions` count only rows that really enter and
+    /// leave, so a batch never evicts a row it inserted itself. `fetch`
+    /// yields the row of a router entering the tier.
+    fn promote<I>(&mut self, batch: I, fetch: impl Fn(u32, HostId) -> Box<[f32]>)
+    where
+        I: DoubleEndedIterator<Item = (u32, HostId)> + Clone,
+    {
         if self.cap == 0 {
             return;
         }
-        self.tick += 1;
-        let s = self.resident[router as usize];
-        if s != u32::MAX {
-            self.slots[s as usize].last_used = self.tick;
-            return;
+        let mut len = 0u32;
+        for (router, _) in batch.clone() {
+            self.last_seen[router as usize] = len;
+            len += 1;
         }
-        let row = fetch();
+        let base = self.tick;
+        self.tick += u64::from(len);
+        let stamp = |pos: u32| base + u64::from(pos) + 1;
+        // Newest first: find the routers that stay and refresh those already
+        // resident, so that no insertion below can evict one of them.
+        let (mut kept, mut first_kept) = (0, len);
+        for (pos, (router, _)) in (0..len).rev().zip(batch.clone().rev()) {
+            if kept == self.cap {
+                break;
+            }
+            if self.last_seen[router as usize] != pos {
+                continue;
+            }
+            kept += 1;
+            first_kept = pos;
+            let s = self.resident[router as usize];
+            if s != u32::MAX {
+                self.slots[s as usize].last_used = stamp(pos);
+            }
+        }
+        for (pos, (router, host)) in (0..len).zip(batch).skip(first_kept as usize) {
+            if self.last_seen[router as usize] == pos && self.resident[router as usize] == u32::MAX
+            {
+                self.insert(router, stamp(pos), fetch(router, host));
+            }
+        }
+    }
+
+    fn insert(&mut self, router: u32, last_used: u64, row: Box<[f32]>) {
         self.promotions += 1;
+        let slot = HotSlot {
+            router,
+            last_used,
+            row,
+        };
         if self.slots.len() < self.cap {
             self.resident[router as usize] = self.slots.len() as u32;
-            self.slots.push(HotSlot {
-                router,
-                last_used: self.tick,
-                row,
-            });
+            self.slots.push(slot);
             return;
         }
-        // Evict the least-recently promoted/touched row; ties (only
-        // possible for never-retouched rows from one promote batch are
-        // impossible — ticks are unique — but keep the rule total) go to
-        // the smallest router id.
+        // Evict the least recently promoted or refreshed row. Ticks are
+        // unique, so the router tiebreak only keeps the rule total; rows
+        // this batch keeps all carry newer ticks than any it may evict.
         let victim = self
             .slots
             .iter()
@@ -139,17 +186,14 @@ impl HotRows {
         self.evictions += 1;
         self.resident[self.slots[victim].router as usize] = u32::MAX;
         self.resident[router as usize] = victim as u32;
-        self.slots[victim] = HotSlot {
-            router,
-            last_used: self.tick,
-            row,
-        };
+        self.slots[victim] = slot;
     }
 
     fn deep_clone(&self) -> HotRows {
         HotRows {
             cap: self.cap,
             resident: self.resident.clone(),
+            last_seen: self.last_seen.clone(),
             slots: self
                 .slots
                 .iter()
@@ -166,7 +210,7 @@ impl HotRows {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.resident.len() * 4
+        (self.resident.len() + self.last_seen.len()) * 4
             + self.slots.len() * std::mem::size_of::<HotSlot>()
             + self.slots.iter().map(|s| s.row.len() * 4).sum::<usize>()
     }
@@ -291,18 +335,50 @@ impl TieredOracle {
         }
     }
 
-    /// Promote each host's router row into the hot tier (insert or
-    /// refresh recency). The only mutation path — plain latency lookups
-    /// never change the cache, so lookup order cannot alter state.
+    /// Promote the hosts' router rows into the hot tier as one batch: the
+    /// tier ends as if each host were touched in turn (insert or refresh
+    /// recency, evicting the least recently used), but only the rows it
+    /// ends holding are copied in — the last `hot_rows` distinct routers,
+    /// so a batch never evicts what it inserted itself. The only mutation
+    /// path — plain latency lookups never change the cache, so lookup
+    /// order cannot alter state.
     pub fn promote(&self, hosts: &[HostId]) {
+        self.promote_batch(hosts.iter());
+    }
+
+    /// One plan's promotion: `candidates`, then `members`, as one batch
+    /// ([`TieredOracle::promote`]). Members go last so that they are the
+    /// newest rows: whenever they span at most `hot_rows` routers, every
+    /// member↔member and member↔candidate pair answers exactly, however
+    /// many candidates there are.
+    pub fn promote_plan(&self, candidates: &[HostId], members: &[HostId]) {
+        self.promote_batch(candidates.iter().chain(members));
+        debug_assert!(
+            self.keeps_rows_of(members),
+            "a plan's promotion left one of its member rows out of the hot tier"
+        );
+    }
+
+    fn promote_batch<'a>(&self, hosts: impl DoubleEndedIterator<Item = &'a HostId> + Clone) {
         let mut hot = self.hot.write().expect("hot tier lock poisoned");
-        for &h in hosts {
-            let router = self.host_router[h.idx()];
-            hot.touch_or_insert(router, || match &self.row_source {
+        hot.promote(
+            hosts.map(|&h| (self.host_router[h.idx()], h)),
+            |router, h| match &self.row_source {
                 Some(kernel) => kernel.router_row(h).into(),
                 None => self.graph.dijkstra(router).into_boxed_slice(),
-            });
-        }
+            },
+        );
+    }
+
+    /// Whether the hot tier holds the router row of every host in `hosts`,
+    /// or they span more routers than it has rows: what a batch that ends
+    /// with `hosts` guarantees.
+    fn keeps_rows_of(&self, hosts: &[HostId]) -> bool {
+        let mut routers: Vec<u32> = hosts.iter().map(|h| self.host_router[h.idx()]).collect();
+        routers.sort_unstable();
+        routers.dedup();
+        let hot = self.hot.read().expect("hot tier lock poisoned");
+        routers.len() > hot.cap || routers.iter().all(|&r| hot.row(r).is_some())
     }
 
     /// Cumulative per-tier counters across all shared handles.
@@ -439,5 +515,136 @@ impl LatencyModel for TieredOracle {
             return lo;
         }
         est.max(lo).min(up)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::topology::TransitStubConfig;
+    use proptest::prelude::*;
+
+    /// The one-host-at-a-time loop [`HotRows::promote`] replaced, kept as
+    /// the reference a batch must agree with.
+    fn reference_promote(oracle: &TieredOracle, hosts: &[HostId]) {
+        let mut hot = oracle.hot.write().expect("hot tier lock poisoned");
+        for &h in hosts {
+            let router = oracle.host_router[h.idx()];
+            touch_or_insert(&mut hot, router, || match &oracle.row_source {
+                Some(kernel) => kernel.router_row(h).into(),
+                None => oracle.graph.dijkstra(router).into_boxed_slice(),
+            });
+        }
+    }
+
+    fn touch_or_insert(hot: &mut HotRows, router: u32, fetch: impl FnOnce() -> Box<[f32]>) {
+        if hot.cap == 0 {
+            return;
+        }
+        hot.tick += 1;
+        let s = hot.resident[router as usize];
+        if s != u32::MAX {
+            hot.slots[s as usize].last_used = hot.tick;
+            return;
+        }
+        let row = fetch();
+        hot.promotions += 1;
+        if hot.slots.len() < hot.cap {
+            hot.resident[router as usize] = hot.slots.len() as u32;
+            hot.slots.push(HotSlot {
+                router,
+                last_used: hot.tick,
+                row,
+            });
+            return;
+        }
+        let victim = hot
+            .slots
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| (s.last_used, s.router))
+            .map(|(i, _)| i)
+            .expect("cap > 0 implies at least one slot");
+        hot.evictions += 1;
+        hot.resident[hot.slots[victim].router as usize] = u32::MAX;
+        hot.resident[router as usize] = victim as u32;
+        hot.slots[victim] = HotSlot {
+            router,
+            last_used: hot.tick,
+            row,
+        };
+    }
+
+    /// The tier's clock and every resident router with its recency tick, by
+    /// router: equal recency means every later eviction picks the same row.
+    fn recency(oracle: &TieredOracle) -> (u64, Vec<(u32, u64)>) {
+        let hot = oracle.hot.read().expect("hot tier lock poisoned");
+        let mut rows: Vec<(u32, u64)> = hot.slots.iter().map(|s| (s.router, s.last_used)).collect();
+        rows.sort_unstable();
+        (hot.tick, rows)
+    }
+
+    /// Batch and reference agree on residents, recency and every answer
+    /// counter; the batch copies and evicts no more rows than the loop.
+    fn assert_agree(batch: &TieredOracle, reference: &TieredOracle) {
+        assert_eq!(recency(batch), recency(reference));
+        let (b, r) = (batch.stats(), reference.stats());
+        assert_eq!((b.hot, b.sketch, b.base), (r.hot, r.sketch, r.base));
+        assert!(b.promotions <= r.promotions, "{b:?} vs {r:?}");
+        assert!(b.evictions <= r.evictions, "{b:?} vs {r:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Random batches — repeated hosts, hosts sharing a router, tiers of
+        // 0, 1 and a few rows — each followed by random lookups, promoted
+        // once as a batch and once host by host.
+        #[test]
+        fn prop_batch_promotion_equals_one_host_at_a_time(
+            seed in 0u64..1000,
+            hot_rows in 0usize..8,
+            batches in (
+                proptest::collection::vec(0usize..48, 0..40),
+                proptest::collection::vec(0usize..48, 0..40),
+            ),
+            lookups in proptest::collection::vec((0usize..48, 0u32..600), 0..40),
+        ) {
+            const N: usize = 600;
+            let net = RouterNet::generate(&TransitStubConfig::default(), seed);
+            let hosts = HostSet::attach(&net, N, (3.0, 8.0), seed.wrapping_add(1));
+            let landmarks = LandmarkSketch::default_landmarks(N, 8, seed);
+            let sketch = LandmarkSketch::build(&net, &hosts, &landmarks);
+            let cfg = TieredConfig { hot_rows, landmarks: 8, tightness: 1.25 };
+            let batch = TieredOracle::new(&net, &hosts, CoordStore::zeros(N, 2), sketch, &cfg);
+            let reference = batch.clone();
+            // 48 hosts in router order: neighbours often share a router.
+            let mut universe: Vec<HostId> = hosts.ids().collect();
+            universe.sort_by_key(|h| (hosts.get(*h).router.0, h.0));
+            universe.truncate(48);
+            for picks in [&batches.0, &batches.1] {
+                let hs: Vec<HostId> = picks.iter().map(|&i| universe[i]).collect();
+                let (before, counted) = (batch.resident_routers(), batch.stats());
+                batch.promote(&hs);
+                reference_promote(&reference, &hs);
+                assert_agree(&batch, &reference);
+                // The batch copies exactly the rows that entered and
+                // evicts exactly the rows that left.
+                let after = batch.resident_routers();
+                let entered = after.iter().filter(|r| !before.contains(r)).count() as u64;
+                let left = before.iter().filter(|r| !after.contains(r)).count() as u64;
+                let now = batch.stats();
+                prop_assert_eq!(now.promotions - counted.promotions, entered);
+                prop_assert_eq!(now.evictions - counted.evictions, left);
+                for &(i, b) in &lookups {
+                    let (a, b) = (universe[i], HostId(b));
+                    prop_assert_eq!(
+                        batch.latency_ms(a, b).to_bits(),
+                        reference.latency_ms(a, b).to_bits()
+                    );
+                }
+                assert_agree(&batch, &reference);
+            }
+        }
     }
 }

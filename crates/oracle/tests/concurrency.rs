@@ -87,7 +87,7 @@ fn concurrent_lookups_never_mutate_hot_tier_state() {
 
 #[test]
 fn batched_pre_promotion_is_order_independent() {
-    // Every planner promotes its session's member union before planning,
+    // Every planner promotes the rows it is about to read before planning,
     // in whatever chunks its call sites happen to use. As long as the union
     // fits the hot tier eviction-free (re-checked at the end), the resident
     // set — and therefore every answer — must not depend on the order.

@@ -347,10 +347,12 @@ impl ResourcePool {
         self.oracle.share()
     }
 
-    /// Promote hosts' Dijkstra rows into the tiered oracle's hot tier
-    /// (no-op under `Exact`). Task managers call this for session
-    /// members and candidate helpers before planning, which is the
-    /// *only* mutation path — lookups never change cache state.
+    /// Promote hosts' Dijkstra rows into the tiered oracle's hot tier as
+    /// one batch (no-op under `Exact`). Together with the task managers'
+    /// one promotion per plan ([`oracle::PoolOracle::promote_plan`]:
+    /// candidate helpers, then members) this is the *only* mutation path —
+    /// lookups never change cache state. The market's crash repair
+    /// promotes the members this way.
     pub fn promote_hot(&self, hosts: &[HostId]) {
         self.oracle.promote(hosts);
     }

@@ -230,11 +230,10 @@ pub fn plan_and_reserve_fair_leased(
     // member set first — so the budget trim below keeps the helpers the
     // planner can actually use, not an arbitrary prefix of the pool. The
     // sort is fully deterministic: latency is a pure function of the
-    // configured oracle's state (promotions happen before any lookup,
-    // and lookups never mutate), ties break by host id.
-    pool.promote_hot(&spec.members);
-    pool.promote_hot(&candidates);
+    // configured oracle's state (this plan's one promotion happens before
+    // any lookup, and lookups never mutate), ties break by host id.
     let oracle = pool.planning_oracle();
+    oracle.promote_plan(&candidates, &spec.members);
     let mut keyed: Vec<(f64, HostId)> = candidates
         .iter()
         .map(|&h| {
@@ -384,12 +383,15 @@ fn plan_with_candidates(
         member_degree: None,
         helper_budget: u64::MAX,
     };
+    pool.planning_oracle()
+        .promote_plan(&candidates, &spec.members);
     plan_shaped(pool, spec, cfg, candidates, stale_avail, lease_until, shape)
 }
 
 /// [`plan_with_candidates`] with the reservation shape explicit — the
 /// common engine behind the historical priority planner and the fair-mode
-/// capped planner.
+/// capped planner. The caller has promoted this plan's rows, `candidates`
+/// then the members, in one batch ([`oracle::PoolOracle::promote_plan`]).
 fn plan_shaped(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
@@ -410,11 +412,10 @@ fn plan_shaped(
     // calls below don't hold a borrow across the mutable reservation
     // loop. Under `LatencySource::Exact` it is a zero-copy handle on
     // the exact kernel — value-identical to `pool.net.latency`; under
-    // `Tiered` the session's members and candidate helpers are promoted
-    // into the hot tier first, so member↔member and member↔helper pairs
-    // answer exactly.
-    pool.promote_hot(&spec.members);
-    pool.promote_hot(&candidates);
+    // `Tiered` it reads the hot tier the caller's one promotion filled:
+    // the members' rows are its newest, so member↔member and
+    // member↔helper pairs answer exactly whenever the members span at
+    // most `hot_rows` routers, and candidates fill the rows left over.
     let oracle = pool.planning_oracle();
 
     // A multipath session budgets its members: each future standby tree
@@ -620,10 +621,9 @@ pub fn plan_standby_trees(
     let helper_rank = Rank::helper(spec.priority);
     let rel0 = alm::metrics::relaxations();
     // Standby planning is a planning decision: it reads the configured
-    // latency source. Member rows are promoted once; each round's
-    // surviving candidates are promoted below (the shared handle sees
-    // later promotions).
-    pool.promote_hot(&spec.members);
+    // latency source. Each round promotes its surviving candidates and
+    // then the members in one batch below (the shared handle sees later
+    // promotions).
     let oracle = pool.planning_oracle();
     let mut trees: Vec<MulticastTree> = Vec::new();
     let mut preempted: Vec<SessionId> = Vec::new();
@@ -678,7 +678,7 @@ pub fn plan_standby_trees(
             }
             a > 0
         });
-        pool.promote_hot(&candidates);
+        oracle.promote_plan(&candidates, &spec.members);
         let avail = |h: HostId| -> u32 { avail_map.get(&h).copied().unwrap_or(0) };
 
         // Budgeted members are mostly leaf-only, so helpers must form the

@@ -23,8 +23,12 @@ fn assert_pinned(what: &str, trajectory: &impl std::fmt::Debug, pin: (usize, u64
 /// at commit 21d0a1b.
 const PIN_MARKET_K1: (usize, u64) = (10230, 11209060999262227419);
 const PIN_MARKET_K2: (usize, u64) = (11073, 12784749161043698556);
-const PIN_PHASE_LOCKED_K1: (usize, u64) = (12766, 3853192810951731182);
-const PIN_PHASE_LOCKED_K2: (usize, u64) = (14152, 678227881537743628);
+/// The two phase-locked tiered markets, re-recorded when the hot tier began
+/// taking one batch per plan: every plan and answer stayed, only the
+/// oracle's `promotions` / `evictions` moved (k = 1: 1079 / 951 → 918 / 790;
+/// k = 2: 980 / 852 → 824 / 696).
+const PIN_PHASE_LOCKED_K1: (usize, u64) = (12765, 14341148051035017026);
+const PIN_PHASE_LOCKED_K2: (usize, u64) = (14152, 11112515578880771551);
 const PIN_ADMISSION: (usize, u64) = (5982, 9244087032938961521);
 /// The faulted Pareto market, recorded at commit 6c05027, before the
 /// market's slot state became one `Phase`.

@@ -126,6 +126,62 @@ fn tiered_plan_is_bit_identical_to_exact_plan_when_hot_tier_covers() {
     );
 }
 
+/// A plan promotes its candidates first and its members last, in one
+/// batch, so the members' rows are the newest the hot tier holds: even
+/// when the candidates span more routers than the tier has rows, every
+/// pair with a member at one end answers exactly from what the plan's own
+/// promotion left resident — no answer falls through to an estimate.
+#[test]
+fn plan_promotion_keeps_every_member_row_hot() {
+    const HOT_ROWS: usize = 16;
+    let mut pool = build(
+        LatencySource::Tiered(TieredConfig {
+            hot_rows: HOT_ROWS,
+            ..TieredConfig::default()
+        }),
+        42,
+    );
+    let members = pool.sample_members(14, 9);
+    let candidates = pool.candidates(
+        Rank::helper(2),
+        &members,
+        PlanConfig::default().helper_min_degree,
+    );
+    let routers_of = |hosts: &[HostId]| {
+        let mut rs: Vec<u32> = hosts
+            .iter()
+            .map(|&h| pool.net.hosts.get(h).router.0)
+            .collect();
+        rs.sort_unstable();
+        rs.dedup();
+        rs.len()
+    };
+    assert!(routers_of(&members) <= HOT_ROWS);
+    assert!(
+        routers_of(&candidates) > HOT_ROWS,
+        "the candidates must overflow the hot tier"
+    );
+    plan(&mut pool);
+    let before = pool.oracle_stats().unwrap();
+    let oracle = pool.planning_oracle();
+    let mut lookups = 0;
+    for &m in &members {
+        for &x in members.iter().chain(&candidates) {
+            if m != x {
+                oracle.latency_ms(m, x);
+                lookups += 1;
+            }
+        }
+    }
+    let after = pool.oracle_stats().unwrap();
+    assert_eq!(after.hot - before.hot, lookups);
+    assert_eq!(
+        (after.sketch - before.sketch, after.base - before.base),
+        (0, 0),
+        "a member pair fell through to an estimate tier"
+    );
+}
+
 /// One faulted market trajectory: staggered crashes, leases,
 /// repairs — everything observable, including the oracle's own counters.
 fn market_trajectory(
@@ -183,8 +239,11 @@ fn tiered_market_replays_bit_for_bit_and_traces_tier_activity() {
 /// re-running Dijkstra. Same rows, so the whole trajectory — which pairs
 /// answer from which tier, every promotion, every eviction — must be the
 /// one the Dijkstra-on-demand hot tier produced. A 16-row hot tier makes
-/// the market churn it; the numbers are the parent commit's (88a5e60) for
-/// this config.
+/// the market churn it. The numbers were first recorded at 88a5e60 and
+/// re-recorded when plans began promoting their members last, in one batch
+/// per plan: (plans, repairs) went from (123, 7) to (124, 8) and
+/// hot / sketch / base / promotions / evictions from
+/// 7565 / 14162 / 33351 / 7641 / 7625 to 62223 / 56 / 44 / 1253 / 1237.
 #[test]
 fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
     let small_hot = LatencySource::Tiered(TieredConfig {
@@ -192,20 +251,21 @@ fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
         ..TieredConfig::default()
     });
     let (plans, repairs, tiers, resident_bytes, _) = market_trajectory(small_hot, 29);
-    assert_eq!((plans, repairs), (123, 7));
+    assert_eq!((plans, repairs), (124, 8));
     assert_eq!(
         tiers,
         Some(TierStats {
-            hot: 7565,
-            sketch: 14162,
-            base: 33351,
-            promotions: 7641,
-            evictions: 7625,
+            hot: 62223,
+            sketch: 56,
+            base: 44,
+            promotions: 1253,
+            evictions: 1237,
         })
     );
     // Coordinates are packed (300 hosts × 5 × 8 B), not the 72 B per host
-    // they took at 88a5e60: 9600 B below that commit's 112 816.
-    assert_eq!(resident_bytes, 103_216);
+    // they took at 88a5e60: 9600 B below that commit's 112 816. The batched
+    // promotion's per-router stamp adds 4 B for each of the 600 routers.
+    assert_eq!(resident_bytes, 105_616);
 }
 
 #[test]
