@@ -13,11 +13,18 @@
 //!   explicitly, one batch per plan — candidate helpers first, session
 //!   members last, so the members' rows are the ones kept — never as a
 //!   lookup side effect.
-//! * **sketch tier** — per-landmark distance vectors
+//! * **sketch tier** — exact host↔landmark latencies
 //!   ([`LandmarkSketch`]) whose triangle bounds answer mid-tier pairs
-//!   when the interval pinches tightly enough.
+//!   when the interval pinches tightly enough. Stored factored like the
+//!   exact kernel: one L-entry row per router plus per-host router and
+//!   last-hop tables (`R·L·8 + L·4 + N·12` bytes), which the oracle
+//!   shares instead of keeping its own; every entry is bit-identical to
+//!   the kernel's answer for that pair.
 //! * **base tier** — GNP coordinate distances from `crates/coords`
 //!   (the paper's §4.1 machinery), clamped into the sketch bounds.
+//!
+//! What the tiered oracle holds is `O(L·R + N + hot_rows·R + N·dim)`:
+//! 12 B per host plus its coordinates, and per-router tables.
 //!
 //! [`PoolOracle`] is the enum the pool plans through; its `Exact` arm
 //! is a handle on the exact kernel ([`netsim::CachedLatency`]), so

@@ -1,30 +1,51 @@
-//! Landmark distance sketches: per-host vectors of exact latencies to a
-//! small set of landmark hosts, plus the triangle-inequality bounds they
-//! imply for arbitrary pairs.
+//! Landmark distance sketches: exact latencies from every host to a small
+//! set of landmark hosts, plus the triangle-inequality bounds they imply
+//! for arbitrary pairs.
 //!
-//! A sketch costs `L × N × 4` bytes (L landmarks, N hosts) — 8 MB at
-//! N=131072 with the default L=16 — and needs only L hosts' measurements,
-//! not the router graph. Each stored entry is computed with the *same*
-//! arithmetic as [`netsim::LatencyMatrix`] (`(last_hop_a + router_d as
-//! f64 + last_hop_b) as f32`), so landmark rows are bit-identical to the
-//! kernel's answers for those rows.
+//! Every sketch entry has the factored form of the exact kernel
+//! ([`netsim::LatencyMatrix`]):
+//! `(last_hop[l] + D[router(l)][router(i)] + last_hop[i]) as f32` for
+//! landmark `l` and host `i`. So the sketch stores it factored, the way
+//! the kernel does — a router-major table
+//! `g[r·L + l] = last_hop[l] + f64::from(D[router(l)][r])` (L landmarks,
+//! R routers), one per-host table of routers and one of last hops — and
+//! sums per lookup. That costs `R·L·8 + L·4 + N·12` bytes: 1.65 MB at
+//! N = 131 072 with the default L = 16 on the 600-router underlay, where
+//! an `L × N` f32 table cost 8.4 MB. It needs only L hosts' measurements,
+//! not all-pairs router distances. The host tables are shared (`Arc`)
+//! with the [`crate::TieredOracle`] built over the sketch, which keeps no
+//! copy of its own.
+//!
+//! **Why the pre-sum is bit-identical.** Floating-point addition is not
+//! associative, so the operand order is part of the contract: the kernel
+//! evaluates `(last_hop[l] + d) + last_hop[i]` left to right in f64 and
+//! rounds to f32 once. `g` holds exactly the inner f64 sum, so
+//! `(g[router(i)·L + l] + last_hop[i]) as f32` performs the same two
+//! additions on the same operands in the same order — every entry equals
+//! the kernel's answer for that pair bit for bit (a landmark's own entry
+//! is 0 by contract). Storing `g` as f32, or summing `last_hop[l] +
+//! last_hop[i]` first, would round differently.
 
 use std::sync::Arc;
 
 use netsim::hosts::HostSet;
-use netsim::{HostId, LatencyModel, RouterNet};
+use netsim::topology::RouterId;
+use netsim::{DisconnectedUnderlay, HostId, LatencyModel, RouterNet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Per-landmark exact distance vectors for every host, stored SoA:
-/// `dist[l * n + i]` is the exact host-to-host latency between landmark
-/// `l` and host `i`.
+/// Exact landmark-to-host latencies for every host, kept factored: entry
+/// `(l, i)` is `(g[router(i)·L + l] + last_hop[i]) as f32`, or 0 when host
+/// `i` is landmark `l`.
 #[derive(Clone, Debug)]
 pub struct LandmarkSketch {
-    n: usize,
+    /// Router-major: `g[r·L + l]` is landmark `l`'s last hop plus the
+    /// router distance from its router to router `r`, summed in f64.
+    g: Arc<[f64]>,
     lm_hosts: Arc<[u32]>,
-    dist: Arc<[f32]>,
+    host_router: Arc<[u32]>,
+    last_hop: Arc<[f64]>,
 }
 
 impl LandmarkSketch {
@@ -40,56 +61,92 @@ impl LandmarkSketch {
         all.into_iter().map(HostId).collect()
     }
 
-    /// Build the sketch from the router topology: one Dijkstra per
-    /// distinct landmark router, then one matrix-arithmetic fill per
-    /// (landmark, host) pair. Never materializes anything O(N²).
+    /// Build the sketch; panics on a [`DisconnectedUnderlay`] (see
+    /// [`Self::try_build`]).
     ///
     /// # Panics
-    /// If a landmark id is out of range or the underlay is disconnected
-    /// (a stored distance would be non-finite).
+    /// Also if a landmark id is out of range.
     pub fn build(net: &RouterNet, hosts: &HostSet, landmarks: &[HostId]) -> LandmarkSketch {
-        let n = hosts.len();
-        let lm_hosts: Vec<u32> = landmarks.iter().map(|h| h.0).collect();
-        let mut dist = vec![0.0f32; lm_hosts.len() * n];
-        for (l, &lm) in lm_hosts.iter().enumerate() {
-            let lh = hosts.get(HostId(lm));
+        Self::try_build(net, hosts, landmarks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build the sketch from the router topology: one Dijkstra per
+    /// landmark, each filling one column of the router-major table, and
+    /// one pass over the hosts for the host tables. Never materializes
+    /// anything O(N²) or O(N·L). Errs if a host-attached router is
+    /// unreachable from a landmark's router (a stored distance would be
+    /// infinite).
+    ///
+    /// # Panics
+    /// If a landmark id is out of range.
+    pub fn try_build(
+        net: &RouterNet,
+        hosts: &HostSet,
+        landmarks: &[HostId],
+    ) -> Result<LandmarkSketch, DisconnectedUnderlay> {
+        let (routers, l_count) = (net.graph.len(), landmarks.len());
+        let host_router: Arc<[u32]> = hosts.iter().map(|(_, h)| h.router.0).collect();
+        let last_hop: Arc<[f64]> = hosts.iter().map(|(_, h)| h.last_hop_ms).collect();
+        let mut attached = vec![false; routers];
+        for &r in host_router.iter() {
+            attached[r as usize] = true;
+        }
+        // Filled where it stays, like the kernel's rows.
+        let mut g: Arc<[f64]> = std::iter::repeat_n(0f64, routers * l_count).collect();
+        let filled = Arc::get_mut(&mut g).expect("no other handle exists yet");
+        for (l, &lm) in landmarks.iter().enumerate() {
+            let lh = hosts.get(lm);
             let row = net.graph.dijkstra(lh.router.0);
-            let out = &mut dist[l * n..(l + 1) * n];
-            for (i, slot) in out.iter_mut().enumerate() {
-                let h = hosts.get(HostId(i as u32));
-                let router_d = if i as u32 == lm {
-                    // Zero diagonal by contract, even though the
-                    // Dijkstra row would also give 0 here.
-                    *slot = 0.0;
-                    continue;
-                } else {
-                    row[h.router.0 as usize]
-                };
-                // Exact same expression as LatencyMatrix::latency_ms, so
-                // the stored f32 is bit-identical to the kernel's answer.
-                let v = (lh.last_hop_ms + f64::from(router_d) + h.last_hop_ms) as f32;
-                assert!(
-                    v.is_finite(),
-                    "disconnected underlay: landmark {lm} -> host {i}"
-                );
-                *slot = v;
+            for (r, &d) in row.iter().enumerate() {
+                if attached[r] && !d.is_finite() {
+                    return Err(DisconnectedUnderlay {
+                        from: lh.router,
+                        to: RouterId(r as u32),
+                    });
+                }
+                // The inner sum of the kernel's `(last_hop_a + d) + last_hop_b`.
+                filled[r * l_count + l] = lh.last_hop_ms + f64::from(d);
             }
         }
-        LandmarkSketch {
-            n,
-            lm_hosts: lm_hosts.into(),
-            dist: dist.into(),
-        }
+        Ok(LandmarkSketch {
+            g,
+            lm_hosts: landmarks.iter().map(|h| h.0).collect(),
+            host_router,
+            last_hop,
+        })
     }
 
     /// Number of hosts covered by the sketch.
     pub fn num_hosts(&self) -> usize {
-        self.n
+        self.host_router.len()
     }
 
     /// Number of landmarks.
     pub fn num_landmarks(&self) -> usize {
         self.lm_hosts.len()
+    }
+
+    /// Every host's router, indexed by host id.
+    pub(crate) fn host_router(&self) -> &[u32] {
+        &self.host_router
+    }
+
+    /// Every host's last-hop latency, indexed by host id.
+    pub(crate) fn last_hop(&self) -> &[f64] {
+        &self.last_hop
+    }
+
+    /// The L entries of router `r`'s row of `g`.
+    #[inline]
+    fn row(&self, r: u32) -> &[f64] {
+        let l_count = self.lm_hosts.len();
+        &self.g[r as usize * l_count..][..l_count]
+    }
+
+    /// Landmark `l`'s exact latency to host `i`.
+    fn entry_at(&self, l: usize, i: usize) -> f64 {
+        let g = self.row(self.host_router[i])[l];
+        entry(self.lm_hosts[l], i, g, self.last_hop[i])
     }
 
     /// Triangle bounds for the pair `(a, b)`, widened to f64:
@@ -102,20 +159,34 @@ impl LandmarkSketch {
     }
 
     pub(crate) fn bounds_idx(&self, a: usize, b: usize) -> (f64, f64) {
+        let (ga, gb) = (self.row(self.host_router[a]), self.row(self.host_router[b]));
+        let (ha, hb) = (self.last_hop[a], self.last_hop[b]);
         let mut lo = 0.0f64;
         let mut up = f64::INFINITY;
-        for l in 0..self.lm_hosts.len() {
-            let da = f64::from(self.dist[l * self.n + a]);
-            let db = f64::from(self.dist[l * self.n + b]);
-            lo = lo.max((da - db).abs());
-            up = up.min(da + db);
+        // Compare-and-keep rather than `f64::max` / `min`: one instruction
+        // each on the loop's dependency chain instead of a NaN-handling
+        // sequence. Both skip a NaN operand and no entry is -0.0, so the
+        // answers are the same.
+        for ((&lm, &xa), &xb) in self.lm_hosts.iter().zip(ga).zip(gb) {
+            let da = entry(lm, a, xa, ha);
+            let db = entry(lm, b, xb, hb);
+            let (d, s) = ((da - db).abs(), da + db);
+            if d > lo {
+                lo = d;
+            }
+            if s < up {
+                up = s;
+            }
         }
         (lo, up.max(lo))
     }
 
-    /// Bytes resident in the sketch's owned storage.
+    /// Bytes resident in the sketch's owned storage: `R·L·8 + L·4 + N·12`.
     pub fn resident_bytes(&self) -> usize {
-        self.dist.len() * 4 + self.lm_hosts.len() * 4
+        std::mem::size_of_val(&*self.g)
+            + std::mem::size_of_val(&*self.lm_hosts)
+            + std::mem::size_of_val(&*self.host_router)
+            + std::mem::size_of_val(&*self.last_hop)
     }
 
     /// A [`LatencyModel`] view exposing exactly the measured pairs —
@@ -124,15 +195,18 @@ impl LandmarkSketch {
     /// which only probes landmark↔landmark and host↔landmark pairs, so
     /// GNP coordinates can be fit at any N without a dense matrix.
     pub fn probes(&self) -> LandmarkProbes {
-        let mut lm_of = vec![u32::MAX; self.n];
-        for (l, &h) in self.lm_hosts.iter().enumerate() {
-            lm_of[h as usize] = l as u32;
-        }
-        LandmarkProbes {
-            n: self.n,
-            lm_of: lm_of.into(),
-            dist: Arc::clone(&self.dist),
-        }
+        LandmarkProbes(self.clone())
+    }
+}
+
+/// Landmark `lm`'s latency to host `i`, from `g`'s entry at `i`'s router
+/// and `i`'s last hop: the kernel's rounding, and 0 for the landmark itself.
+#[inline]
+fn entry(lm: u32, i: usize, g: f64, last_hop: f64) -> f64 {
+    if lm as usize == i {
+        0.0
+    } else {
+        f64::from((g + last_hop) as f32)
     }
 }
 
@@ -140,33 +214,251 @@ impl LandmarkSketch {
 /// for pairs touching a landmark, panic for anything else (no silent
 /// approximation — callers that probe a non-landmark pair have a bug).
 #[derive(Clone, Debug)]
-pub struct LandmarkProbes {
-    n: usize,
-    /// host -> landmark row index, `u32::MAX` for non-landmarks.
-    lm_of: Arc<[u32]>,
-    dist: Arc<[f32]>,
+pub struct LandmarkProbes(LandmarkSketch);
+
+impl LandmarkProbes {
+    /// The landmark index of host `h`, if it is one: a scan of the L ids.
+    fn landmark(&self, h: HostId) -> Option<usize> {
+        self.0.lm_hosts.iter().position(|&lm| lm == h.0)
+    }
 }
 
 impl LatencyModel for LandmarkProbes {
     fn num_hosts(&self) -> usize {
-        self.n
+        self.0.num_hosts()
     }
 
     fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
         if a == b {
             return 0.0;
         }
-        let la = self.lm_of[a.idx()];
-        if la != u32::MAX {
-            return f64::from(self.dist[la as usize * self.n + b.idx()]);
+        if let Some(la) = self.landmark(a) {
+            return self.0.entry_at(la, b.idx());
         }
-        let lb = self.lm_of[b.idx()];
-        assert!(
-            lb != u32::MAX,
-            "LandmarkProbes: pair ({}, {}) touches no landmark",
-            a.0,
-            b.0
+        let lb = self.landmark(b).unwrap_or_else(|| {
+            panic!(
+                "LandmarkProbes: pair ({}, {}) touches no landmark",
+                a.0, b.0
+            )
+        });
+        self.0.entry_at(lb, a.idx())
+    }
+}
+
+/// The `L × N` sketch the factored one replaced, kept as the reference it
+/// must match bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use netsim::topology::TransitStubConfig;
+
+    /// `dist[l·n + i]`: landmark `l`'s latency to host `i`, filled with
+    /// the historical per-entry expression.
+    pub(crate) struct ReferenceSketch {
+        n: usize,
+        lm_hosts: Vec<u32>,
+        dist: Vec<f32>,
+    }
+
+    pub(crate) fn reference_sketch(
+        net: &RouterNet,
+        hosts: &HostSet,
+        landmarks: &[HostId],
+    ) -> ReferenceSketch {
+        let n = hosts.len();
+        let lm_hosts: Vec<u32> = landmarks.iter().map(|h| h.0).collect();
+        let mut dist = vec![0.0f32; lm_hosts.len() * n];
+        for (l, &lm) in lm_hosts.iter().enumerate() {
+            let lh = hosts.get(HostId(lm));
+            let row = net.graph.dijkstra(lh.router.0);
+            for (i, slot) in dist[l * n..(l + 1) * n].iter_mut().enumerate() {
+                if i as u32 != lm {
+                    let h = hosts.get(HostId(i as u32));
+                    let router_d = row[h.router.0 as usize];
+                    *slot = (lh.last_hop_ms + f64::from(router_d) + h.last_hop_ms) as f32;
+                }
+            }
+        }
+        ReferenceSketch { n, lm_hosts, dist }
+    }
+
+    impl ReferenceSketch {
+        pub(crate) fn bounds(&self, a: HostId, b: HostId) -> (f64, f64) {
+            let mut lo = 0.0f64;
+            let mut up = f64::INFINITY;
+            for l in 0..self.lm_hosts.len() {
+                let da = f64::from(self.dist[l * self.n + a.idx()]);
+                let db = f64::from(self.dist[l * self.n + b.idx()]);
+                lo = lo.max((da - db).abs());
+                up = up.min(da + db);
+            }
+            (lo, up.max(lo))
+        }
+
+        /// What `LandmarkProbes::latency_ms` answered: the row of `a` if it
+        /// is a landmark (the last listed, for a landmark listed twice),
+        /// else the row of `b`.
+        pub(crate) fn probe(&self, a: HostId, b: HostId) -> f64 {
+            if a == b {
+                return 0.0;
+            }
+            let row = |h: HostId| self.lm_hosts.iter().rposition(|&lm| lm == h.0);
+            match (row(a), row(b)) {
+                (Some(la), _) => f64::from(self.dist[la * self.n + b.idx()]),
+                (None, Some(lb)) => f64::from(self.dist[lb * self.n + a.idx()]),
+                (None, None) => panic!("pair ({}, {}) touches no landmark", a.0, b.0),
+            }
+        }
+    }
+
+    /// A small world whose landmark set and pair list hold every case the
+    /// factored arithmetic could get wrong: non-integral link weights,
+    /// landmark endpoints, two landmarks on one router (when any router
+    /// holds two hosts), hosts on a landmark's router and same-router
+    /// pairs, besides `random` pairs. Hosts outnumber stub routers for
+    /// some configurations, so routers holding many hosts are common.
+    pub(crate) fn world(
+        seed: u64,
+        n: usize,
+        landmarks: usize,
+        random: &[(u32, u32)],
+    ) -> (RouterNet, HostSet, Vec<HostId>, Vec<(HostId, HostId)>) {
+        let cfg = TransitStubConfig {
+            transit_domains: 1 + (seed % 2) as usize,
+            transit_per_domain: 1 + (seed / 2 % 3) as usize,
+            stub_domains_per_transit: 1 + (seed / 6 % 2) as usize,
+            routers_per_stub: 1 + (seed / 12 % 3) as usize,
+            intra_transit_ms: 20.0 + (seed % 97) as f64 * 1.037,
+            stub_transit_ms: 7.0 + (seed % 13) as f64 * 0.731,
+            intra_stub_ms: 1.0 + (seed % 29) as f64 * 0.417,
+        };
+        let net = RouterNet::generate(&cfg, seed);
+        let hosts = HostSet::attach(&net, n, (3.0, 8.0), seed ^ 0x5eed);
+        let mut lms = LandmarkSketch::default_landmarks(n, landmarks, seed);
+        let router = |h: HostId| hosts.get(h).router;
+        // Make the last landmark share the first one's router.
+        if lms.len() >= 2 {
+            if let Some(mate) = hosts
+                .ids()
+                .find(|&h| router(h) == router(lms[0]) && !lms.contains(&h))
+            {
+                *lms.last_mut().expect("two landmarks") = mate;
+            }
+        }
+        let mut pairs: Vec<(HostId, HostId)> = random
+            .iter()
+            .map(|&(a, b)| (HostId(a % n as u32), HostId(b % n as u32)))
+            .collect();
+        for &lm in &lms {
+            for h in hosts.ids() {
+                if h == lm || router(h) == router(lm) {
+                    pairs.push((lm, h));
+                }
+            }
+        }
+        for a in hosts.ids() {
+            for b in hosts.ids().filter(|&b| b > a && router(b) == router(a)) {
+                pairs.push((a, b));
+            }
+        }
+        (net, hosts, lms, pairs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{reference_sketch, world};
+    use super::*;
+    use netsim::graph::Graph;
+    use netsim::topology::TransitStubConfig;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Factored ≡ L × N, bit for bit: the bounds of every special and
+        // random pair and every host↔landmark probe, in both argument
+        // orders, for L ∈ {1, 2, 5, 16}.
+        #[test]
+        fn prop_factored_sketch_matches_the_l_by_n_reference(
+            seed in 0u64..10_000,
+            n in 2usize..160,
+            l_pick in 0usize..4,
+            random in proptest::collection::vec((0u32..1000, 0u32..1000), 0..64),
+        ) {
+            let landmarks = [1, 2, 5, 16][l_pick];
+            let (net, hosts, lms, pairs) = world(seed, n, landmarks, &random);
+            let sketch = LandmarkSketch::build(&net, &hosts, &lms);
+            let reference = reference_sketch(&net, &hosts, &lms);
+            prop_assert_eq!(sketch.num_hosts(), n);
+            prop_assert_eq!(sketch.num_landmarks(), lms.len());
+            for &(a, b) in &pairs {
+                for (p, q) in [(a, b), (b, a)] {
+                    let (lo, up) = sketch.bounds(p, q);
+                    let (rlo, rup) = reference.bounds(p, q);
+                    prop_assert_eq!((lo.to_bits(), up.to_bits()), (rlo.to_bits(), rup.to_bits()));
+                }
+            }
+            let probes = sketch.probes();
+            for &lm in &lms {
+                for h in hosts.ids() {
+                    for (p, q) in [(lm, h), (h, lm)] {
+                        prop_assert_eq!(
+                            probes.latency_ms(p, q).to_bits(),
+                            reference.probe(p, q).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_is_the_factored_formula() {
+        let net = RouterNet::generate(&TransitStubConfig::default(), 4);
+        let hosts = HostSet::attach(&net, 300, (3.0, 8.0), 5);
+        let lms = LandmarkSketch::default_landmarks(300, 16, 6);
+        let sketch = LandmarkSketch::build(&net, &hosts, &lms);
+        assert_eq!(
+            sketch.resident_bytes(),
+            net.len() * 16 * 8 + 16 * 4 + 300 * 12
         );
-        f64::from(self.dist[lb as usize * self.n + a.idx()])
+        // No landmarks: the host tables alone, every pair unbounded.
+        let empty = LandmarkSketch::build(&net, &hosts, &[]);
+        assert_eq!(empty.resident_bytes(), 300 * 12);
+        assert_eq!(empty.bounds(HostId(0), HostId(1)), (0.0, f64::INFINITY));
+    }
+
+    /// Every router an island: no landmark reaches another host's router.
+    fn islands() -> (RouterNet, HostSet) {
+        let mut net = RouterNet::generate(&TransitStubConfig::default(), 3);
+        let hosts = HostSet::attach(&net, 20, (3.0, 8.0), 4);
+        net.graph = Graph::with_nodes(net.len());
+        (net, hosts)
+    }
+
+    #[test]
+    fn disconnected_underlay_is_a_typed_error() {
+        let (net, hosts) = islands();
+        let lms = LandmarkSketch::default_landmarks(20, 4, 5);
+        let err = LandmarkSketch::try_build(&net, &hosts, &lms).unwrap_err();
+        // The first landmark's router is the search that fails, at the
+        // lowest host-attached router other than its own.
+        let from = hosts.get(lms[0]).router;
+        let to = hosts
+            .iter()
+            .map(|(_, h)| h.router)
+            .filter(|&r| r != from)
+            .min()
+            .expect("hosts sit on more than one router");
+        assert_eq!((err.from, err.to), (from, to));
+        assert!(err.to_string().contains("disconnected underlay"));
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected underlay")]
+    fn build_panics_on_a_disconnected_underlay() {
+        let (net, hosts) = islands();
+        LandmarkSketch::build(&net, &hosts, &[HostId(0)]);
     }
 }

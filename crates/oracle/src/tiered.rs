@@ -233,8 +233,9 @@ impl Counters {
 /// The tiered oracle. Answers exactly when it can (hot tier), from
 /// landmark triangle bounds when they pinch tightly enough (sketch
 /// tier), and from GNP coordinate distance clamped into those bounds
-/// otherwise (base tier). Total storage is O(N·L + R·hot_rows + N·dim)
-/// — never O(N²).
+/// otherwise (base tier). Total storage is O(L·R + N + hot_rows·R +
+/// N·dim) — never O(N²), and nothing per host but 12 B of host tables
+/// (shared with the sketch) and the coordinates.
 ///
 /// # Precision contract per tier
 ///
@@ -259,12 +260,10 @@ impl Counters {
 /// matching `ResourcePool`'s clone-for-what-if semantics (e.g. the
 /// market A/B harness).
 pub struct TieredOracle {
-    n: usize,
     tightness: f64,
     graph: Arc<Graph>,
-    host_router: Arc<[u32]>,
-    last_hop: Arc<[f64]>,
     coords: Arc<CoordStore>,
+    /// Also the oracle's host → router and last-hop tables.
     sketch: LandmarkSketch,
     hot: Arc<RwLock<HotRows>>,
     /// Where promoted rows come from: the exact kernel's resident rows
@@ -278,7 +277,12 @@ pub struct TieredOracle {
 impl TieredOracle {
     /// Build the oracle. `coords` are the base-tier coordinates (GNP or
     /// leafset — anything whose distance estimates latency in ms);
-    /// `sketch` must cover the same host set.
+    /// `sketch` must have been built over the same host set, whose router
+    /// and last-hop tables the oracle then reads through the sketch.
+    ///
+    /// # Panics
+    /// If `sketch` covers another host set: another size, or any host on
+    /// another router or with another last hop (one O(N) pass).
     pub fn new(
         net: &RouterNet,
         hosts: &HostSet,
@@ -288,18 +292,22 @@ impl TieredOracle {
     ) -> TieredOracle {
         let n = hosts.len();
         assert_eq!(sketch.num_hosts(), n, "sketch/host-set size mismatch");
-        let host_router: Vec<u32> = (0..n)
-            .map(|i| hosts.get(HostId(i as u32)).router.0)
-            .collect();
-        let last_hop: Vec<f64> = (0..n)
-            .map(|i| hosts.get(HostId(i as u32)).last_hop_ms)
-            .collect();
+        let (router, last_hop) = (sketch.host_router(), sketch.last_hop());
+        for (id, h) in hosts.iter() {
+            let i = id.idx();
+            assert!(
+                router[i] == h.router.0 && last_hop[i].to_bits() == h.last_hop_ms.to_bits(),
+                "sketch built over another host set: host {i} sits on router {} with last hop \
+                 {} ms there, on router {} with {} ms here",
+                router[i],
+                last_hop[i],
+                h.router.0,
+                h.last_hop_ms
+            );
+        }
         TieredOracle {
-            n,
             tightness: cfg.tightness,
             graph: Arc::new(net.graph.clone()),
-            host_router: host_router.into(),
-            last_hop: last_hop.into(),
             coords: Arc::new(coords),
             sketch,
             hot: Arc::new(RwLock::new(HotRows::new(net.graph.len(), cfg.hot_rows))),
@@ -313,7 +321,11 @@ impl TieredOracle {
     /// LRU order, counters and answers are unchanged; the kernel stays the
     /// caller's and is not counted in [`TieredOracle::resident_bytes`].
     pub fn with_row_source(mut self, kernel: &LatencyMatrix) -> TieredOracle {
-        assert_eq!(kernel.num_hosts(), self.n, "kernel/host-set size mismatch");
+        assert_eq!(
+            kernel.num_hosts(),
+            self.num_hosts(),
+            "kernel/host-set size mismatch"
+        );
         self.row_source = Some(kernel.clone());
         self
     }
@@ -322,11 +334,8 @@ impl TieredOracle {
     /// made through either handle are visible through both.
     pub fn share(&self) -> TieredOracle {
         TieredOracle {
-            n: self.n,
             tightness: self.tightness,
             graph: Arc::clone(&self.graph),
-            host_router: Arc::clone(&self.host_router),
-            last_hop: Arc::clone(&self.last_hop),
             coords: Arc::clone(&self.coords),
             sketch: self.sketch.clone(),
             hot: Arc::clone(&self.hot),
@@ -362,7 +371,7 @@ impl TieredOracle {
     fn promote_batch<'a>(&self, hosts: impl DoubleEndedIterator<Item = &'a HostId> + Clone) {
         let mut hot = self.hot.write().expect("hot tier lock poisoned");
         hot.promote(
-            hosts.map(|&h| (self.host_router[h.idx()], h)),
+            hosts.map(|&h| (self.sketch.host_router()[h.idx()], h)),
             |router, h| match &self.row_source {
                 Some(kernel) => kernel.router_row(h).into(),
                 None => self.graph.dijkstra(router).into_boxed_slice(),
@@ -374,7 +383,8 @@ impl TieredOracle {
     /// or they span more routers than it has rows: what a batch that ends
     /// with `hosts` guarantees.
     fn keeps_rows_of(&self, hosts: &[HostId]) -> bool {
-        let mut routers: Vec<u32> = hosts.iter().map(|h| self.host_router[h.idx()]).collect();
+        let host_router = self.sketch.host_router();
+        let mut routers: Vec<u32> = hosts.iter().map(|h| host_router[h.idx()]).collect();
         routers.sort_unstable();
         routers.dedup();
         let hot = self.hot.read().expect("hot tier lock poisoned");
@@ -407,8 +417,8 @@ impl TieredOracle {
     }
 
     /// Total bytes resident across every tier-backing structure: hot
-    /// rows + residency map, landmark sketch, host→router / last-hop
-    /// tables, coordinates, and the shared router graph.
+    /// rows + residency map, landmark sketch (with the host→router /
+    /// last-hop tables), coordinates, and the shared router graph.
     pub fn resident_bytes(&self) -> usize {
         let graph_bytes = self.graph.len() * std::mem::size_of::<Vec<(u32, f32)>>()
             + self.graph.num_edges() * 2 * std::mem::size_of::<(u32, f32)>();
@@ -417,8 +427,6 @@ impl TieredOracle {
             .expect("hot tier lock poisoned")
             .resident_bytes()
             + self.sketch.resident_bytes()
-            + self.host_router.len() * 4
-            + self.last_hop.len() * 8
             + self.coords.resident_bytes()
             + graph_bytes
     }
@@ -426,7 +434,8 @@ impl TieredOracle {
     #[inline]
     fn exact(&self, p: usize, q: usize, router_d: f32) -> f64 {
         // Same expression as LatencyMatrix::latency_ms — bit-identical answer.
-        f64::from((self.last_hop[p] + f64::from(router_d) + self.last_hop[q]) as f32)
+        let last_hop = self.sketch.last_hop();
+        f64::from((last_hop[p] + f64::from(router_d) + last_hop[q]) as f32)
     }
 }
 
@@ -436,11 +445,8 @@ impl Clone for TieredOracle {
     /// of polluting each other's cache state.
     fn clone(&self) -> TieredOracle {
         TieredOracle {
-            n: self.n,
             tightness: self.tightness,
             graph: Arc::clone(&self.graph),
-            host_router: Arc::clone(&self.host_router),
-            last_hop: Arc::clone(&self.last_hop),
             coords: Arc::clone(&self.coords),
             sketch: self.sketch.clone(),
             hot: Arc::new(RwLock::new(
@@ -462,7 +468,7 @@ impl Clone for TieredOracle {
 impl std::fmt::Debug for TieredOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredOracle")
-            .field("n", &self.n)
+            .field("n", &self.num_hosts())
             .field("landmarks", &self.sketch.num_landmarks())
             .field("resident_rows", &self.resident_rows())
             .field("stats", &self.stats())
@@ -472,7 +478,7 @@ impl std::fmt::Debug for TieredOracle {
 
 impl LatencyModel for TieredOracle {
     fn num_hosts(&self) -> usize {
-        self.n
+        self.sketch.num_hosts()
     }
 
     fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
@@ -486,7 +492,8 @@ impl LatencyModel for TieredOracle {
         } else {
             (b.idx(), a.idx())
         };
-        let (rp, rq) = (self.host_router[p], self.host_router[q]);
+        let host_router = self.sketch.host_router();
+        let (rp, rq) = (host_router[p], host_router[q]);
         if rp == rq {
             Counters::bump(&self.counters.hot);
             return self.exact(p, q, 0.0);
@@ -521,6 +528,7 @@ impl LatencyModel for TieredOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::reference::{reference_sketch, world, ReferenceSketch};
     use netsim::topology::TransitStubConfig;
     use proptest::prelude::*;
 
@@ -529,7 +537,7 @@ mod tests {
     fn reference_promote(oracle: &TieredOracle, hosts: &[HostId]) {
         let mut hot = oracle.hot.write().expect("hot tier lock poisoned");
         for &h in hosts {
-            let router = oracle.host_router[h.idx()];
+            let router = oracle.sketch.host_router()[h.idx()];
             touch_or_insert(&mut hot, router, || match &oracle.row_source {
                 Some(kernel) => kernel.router_row(h).into(),
                 None => oracle.graph.dijkstra(router).into_boxed_slice(),
@@ -594,6 +602,60 @@ mod tests {
         assert!(b.evictions <= r.evictions, "{b:?} vs {r:?}");
     }
 
+    /// `latency_ms` as it read over the `L × N` sketch, with the host
+    /// tables read from the `HostSet` itself: the answer, and the tier that
+    /// gave it as a `TierStats` holding a single 1.
+    fn reference_latency(
+        oracle: &TieredOracle,
+        hosts: &HostSet,
+        sketch: &ReferenceSketch,
+        a: HostId,
+        b: HostId,
+    ) -> (f64, TierStats) {
+        let (p, q) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let (hp, hq) = (hosts.get(p), hosts.get(q));
+        let (rp, rq) = (hp.router.0, hq.router.0);
+        let exact = |d: f32| f64::from((hp.last_hop_ms + f64::from(d) + hq.last_hop_ms) as f32);
+        let tier = |hot, sketch, base| TierStats {
+            hot,
+            sketch,
+            base,
+            ..TierStats::default()
+        };
+        let hot = oracle.hot.read().expect("hot tier lock poisoned");
+        if rp == rq {
+            return (exact(0.0), tier(1, 0, 0));
+        }
+        if let Some(row) = hot.row(rp) {
+            return (exact(row[rq as usize]), tier(1, 0, 0));
+        }
+        if let Some(row) = hot.row(rq) {
+            return (exact(row[rp as usize]), tier(1, 0, 0));
+        }
+        let (lo, up) = sketch.bounds(p, q);
+        if up <= oracle.tightness * lo {
+            return (0.5 * (lo + up), tier(0, 1, 0));
+        }
+        let est = oracle.coords.latency_ms(p, q);
+        let v = if est.is_nan() {
+            lo
+        } else {
+            est.max(lo).min(up)
+        };
+        (v, tier(0, 0, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch built over another host set: host")]
+    fn a_sketch_over_another_host_set_of_the_same_size_is_rejected() {
+        let net = RouterNet::generate(&TransitStubConfig::default(), 8);
+        let hosts = HostSet::attach(&net, 50, (3.0, 8.0), 1);
+        let others = HostSet::attach(&net, 50, (3.0, 8.0), 2);
+        let sketch = LandmarkSketch::build(&net, &others, &[HostId(0)]);
+        let cfg = TieredConfig::default();
+        TieredOracle::new(&net, &hosts, CoordStore::zeros(50, 2), sketch, &cfg);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -645,6 +707,52 @@ mod tests {
                 }
                 assert_agree(&batch, &reference);
             }
+        }
+
+        // Every tier answers what it answered over the `L × N` sketch, bit
+        // for bit and from the same tier: landmark endpoints, co-router
+        // landmarks, hosts on a landmark's router, same-router and random
+        // pairs, both argument orders, L ∈ {1, 2, 5, 16}, with a few rows
+        // promoted and tightness anywhere from exact pinches to loose.
+        #[test]
+        fn prop_tiers_answer_as_over_the_l_by_n_sketch(
+            seed in 0u64..10_000,
+            n in 2usize..160,
+            l_pick in 0usize..4,
+            hot_rows in 0usize..6,
+            tightness in 1.0f64..2.0,
+            picks in (
+                proptest::collection::vec((0u32..1000, 0u32..1000), 0..64),
+                proptest::collection::vec(0u32..1000, 0..8),
+            ),
+        ) {
+            let landmarks = [1, 2, 5, 16][l_pick];
+            let (random, promoted) = picks;
+            let (net, hosts, lms, pairs) = world(seed, n, landmarks, &random);
+            let reference = reference_sketch(&net, &hosts, &lms);
+            // Coordinates spread over 0–200 ms, so the base tier clamps
+            // from both sides.
+            let mut coords = CoordStore::zeros(n, 2);
+            for h in hosts.ids() {
+                let x = f64::from(h.0.wrapping_mul(2_654_435_761) % 200);
+                let y = f64::from(h.0.wrapping_mul(40_503) % 200);
+                coords.set(h, coords::Coord::from_slice(&[x, y]));
+            }
+            let cfg = TieredConfig { hot_rows, landmarks, tightness };
+            let sketch = LandmarkSketch::build(&net, &hosts, &lms);
+            let oracle = TieredOracle::new(&net, &hosts, coords, sketch, &cfg);
+            oracle.promote(&promoted.iter().map(|&h| HostId(h % n as u32)).collect::<Vec<_>>());
+            let mut want = TierStats { promotions: oracle.stats().promotions, ..TierStats::default() };
+            for &(a, b) in pairs.iter().filter(|(a, b)| a != b) {
+                for (p, q) in [(a, b), (b, a)] {
+                    let (v, tier) = reference_latency(&oracle, &hosts, &reference, p, q);
+                    prop_assert_eq!(oracle.latency_ms(p, q).to_bits(), v.to_bits());
+                    want.hot += tier.hot;
+                    want.sketch += tier.sketch;
+                    want.base += tier.base;
+                }
+            }
+            prop_assert_eq!(oracle.stats(), want);
         }
     }
 }

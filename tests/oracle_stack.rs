@@ -265,7 +265,12 @@ fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
     // Coordinates are packed (300 hosts × 5 × 8 B), not the 72 B per host
     // they took at 88a5e60: 9600 B below that commit's 112 816. The batched
     // promotion's per-router stamp adds 4 B for each of the 600 routers.
-    assert_eq!(resident_bytes, 105_616);
+    // The factored sketch then replaced 16 × 300 × 4 B of landmark columns
+    // and the oracle's own 300 × 12 B host tables with a fixed
+    // 600 × 16 × 8 B landmark table and the sketch's shared host tables:
+    // +57 600 B from 105 616 at this N, break-even at N = 1 200, and
+    // 64 B per host less above it.
+    assert_eq!(resident_bytes, 163_216);
 }
 
 #[test]
