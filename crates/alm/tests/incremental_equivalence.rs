@@ -9,7 +9,7 @@ use alm::{
     amcast, amcast_reference, critical, critical_reference, HelperPool, HelperStrategy,
     MulticastTree, Problem,
 };
-use netsim::{CachedLatency, HostId, LatencyModel, Network, NetworkConfig};
+use netsim::{HostId, LatencyModel, Network, NetworkConfig};
 use oracle::PoolOracle;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -153,7 +153,7 @@ fn strictly_fewer_relaxations_at_n512() {
 /// members, the rest helper candidates): both engines equal their
 /// references tree for tree with no more relaxations — under the paper's
 /// degrees most nodes are leaves, so the counts may tie — and the same
-/// plans come out of `PoolOracle::Exact` as out of `CachedLatency`: the
+/// plans come out of `PoolOracle::Exact` as out of the bare kernel: the
 /// enum dispatch may not perturb anything.
 #[test]
 fn generated_network_at_n1024_matches_reference_and_exact_source() {
@@ -174,9 +174,8 @@ fn generated_network_at_n1024_matches_reference_and_exact_source() {
     pool.radius_ms = 100.0;
     let dbound = |h: HostId| net.hosts.degree_bound(h);
 
-    let cached = CachedLatency::from_matrix(&net.latency);
-    let p = Problem::new(members[0], members.clone(), &cached, dbound);
-    let exact = PoolOracle::Exact(CachedLatency::from_matrix(&net.latency));
+    let p = Problem::new(members[0], members.clone(), &net.latency, dbound);
+    let exact = PoolOracle::Exact(net.latency.clone());
     let pe = Problem::new(members[0], members.clone(), &exact, dbound);
 
     let counted = |run: &dyn Fn() -> MulticastTree| {

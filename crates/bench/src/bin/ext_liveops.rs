@@ -1,9 +1,9 @@
-//! Extension: the live operations surface — streaming sink + queryable
-//! run store, audited for correctness on a faulted fig10-style market.
+//! Extension: the live operations surface — the queryable run store,
+//! audited for correctness on a faulted fig10-style market.
 //!
-//! Four same-seed runs of one crash-laden market workload, each observed
-//! through a different surface, with every pair of observations held to a
-//! byte-identity or exact-count gate:
+//! Two same-seed runs of one crash-laden market workload, each observed
+//! through a different surface, held to byte-identity and exact-count
+//! gates:
 //!
 //! * **ring** — the legacy post-hoc ring tracer: the reference trace and
 //!   final degree tables;
@@ -13,13 +13,7 @@
 //!   store's trace is byte-identical to the ring run's; the final degree
 //!   tables match host for host; **replaying from every snapshot**
 //!   reconstructs the final state byte-identically (JSON of the replayed
-//!   state vs the final snapshot's); nothing was evicted;
-//! * **stream** — a bounded [`simcore::StreamSink`] at sufficient
-//!   capacity: drained records byte-identical to the ring trace, zero
-//!   drops;
-//! * **tiny** — the same stream sink deliberately undersized: drops are
-//!   counted exactly (`emitted == delivered + dropped`), oldest-first,
-//!   and surfaced through the metrics registry — never silent.
+//!   state vs the final snapshot's); nothing was evicted.
 //!
 //! The operator queries ride the same store: "which hosts are over 90%
 //! degree utilization", "which hosts crossed up in the last N rounds" —
@@ -37,12 +31,10 @@ use pool::liveops::{hosts_crossed_up, hosts_over_threshold, reconstruct_at};
 use pool::{LiveOps, LiveOpsConfig, MarketConfig, MarketSim, PlanConfig, PoolConfig, ResourcePool};
 use serde_json::json;
 use simcore::trace::to_json_lines;
-use simcore::{FaultPlan, MetricsRegistry, SimTime, StreamSink, Tracer};
+use simcore::{FaultPlan, SimTime, Tracer};
 
 const SEED: u64 = 3001;
 const UTIL_THRESHOLD: f64 = 0.9;
-/// Undersized stream capacity for the drop-accounting gate.
-const TINY_CAP: usize = 256;
 
 /// The one workload: a 300-host pool, nine 12-member sessions over
 /// 1800 s, every seventh host crashing from 600 s on.
@@ -68,7 +60,7 @@ fn main() {
     );
 
     // --- run 1: the reference ring trace -------------------------------
-    println!("run 1/4: ring tracer (reference trace + final tables)...");
+    println!("run 1/2: ring tracer (reference trace + final tables)...");
     let mut sim = market(&pristine);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (ring_out, ring_pool) = sim.run_full();
@@ -81,7 +73,7 @@ fn main() {
     );
 
     // --- run 2: the live-operations store ------------------------------
-    println!("run 2/4: live-operations store (trace + deltas + snapshots)...");
+    println!("run 2/2: live-operations store (trace + deltas + snapshots)...");
     let mut sim = market(&pristine);
     let mut lo = LiveOps::new(LiveOpsConfig {
         snapshot_period: SimTime::from_secs(60),
@@ -159,52 +151,21 @@ fn main() {
 
     // Operator queries against the store, with the Freshness contract.
     let bound = SimTime::from_secs(60);
-    let over = hosts_over_threshold(&store, UTIL_THRESHOLD, bound);
+    let over = hosts_over_threshold(&store, UTIL_THRESHOLD, bound).expect("nothing evicted");
     assert!(!over.freshness.empty_scope(), "populated store has a scope");
-    let crossed = hosts_crossed_up(&store, SimTime::ZERO, bound);
-    let empty = hosts_crossed_up(&store, HORIZON + SimTime::from_secs(1), bound);
+    let crossed = hosts_crossed_up(&store, SimTime::ZERO, bound).expect("nothing evicted");
+    let empty =
+        hosts_crossed_up(&store, HORIZON + SimTime::from_secs(1), bound).expect("nothing evicted");
     assert!(empty.hosts.is_empty());
     assert!(
         empty.freshness.empty_scope() && empty.freshness.staleness(HORIZON) == bound,
         "an empty window must report the a-priori bound"
     );
 
-    // --- run 3: bounded stream sink at capacity ------------------------
-    println!("run 3/4: stream sink at capacity (byte-identity, zero drops)...");
-    let (sink, stream) = StreamSink::bounded(1 << 16);
-    let mut sim = market(&pristine);
-    sim.set_tracer(Tracer::with_sink(Box::new(sink)));
-    let _ = sim.run_full();
-    assert_eq!(stream.dropped(), 0, "at-capacity stream dropped records");
-    assert_eq!(stream.delivered(), emitted);
-    let streamed = to_json_lines(&stream.drain());
-    assert_eq!(ring_trace, streamed, "streamed trace diverged from ring");
-
-    // --- run 4: undersized stream sink ---------------------------------
-    println!("run 4/4: undersized stream sink (exact counted drops)...");
-    let (sink, tiny) = StreamSink::bounded(TINY_CAP);
-    let mut sim = market(&pristine);
-    sim.set_tracer(Tracer::with_sink(Box::new(sink)));
-    let _ = sim.run_full();
-    let expect_dropped = emitted.saturating_sub(TINY_CAP as u64);
-    assert_eq!(tiny.dropped(), expect_dropped, "drop count not exact");
-    assert_eq!(tiny.delivered() + tiny.dropped(), emitted);
-    let survivors = tiny.drain();
-    assert_eq!(survivors.len() as u64, emitted.min(TINY_CAP as u64));
-    assert_eq!(
-        survivors.first().map(|r| r.seq),
-        Some(expect_dropped),
-        "overflow must drop oldest-first"
-    );
-    let mut reg = MetricsRegistry::new();
-    tiny.publish_metrics(&mut reg);
-    assert_eq!(reg.counter("trace.dropped_records"), expect_dropped);
-
     println!(
-        "\nall gates passed: trace byte-identity (ring == store == stream), \
+        "\nall gates passed: trace byte-identity (ring == store), \
          {replays} snapshot replays byte-identical to the final state, \
-         {tables_checked} final tables matched, {expect_dropped} undersized-stream \
-         drops counted exactly"
+         {tables_checked} final tables matched"
     );
 
     if store_out_requested() {
@@ -228,7 +189,6 @@ fn main() {
             "trace": {
                 "emitted": emitted,
                 "ring_equals_store": true,
-                "ring_equals_stream": true,
             },
             "store": {
                 "trace_appended": stats.trace_appended,
@@ -245,12 +205,6 @@ fn main() {
                 "hosts_crossed_up_total": crossed.hosts.len(),
                 "freshness_bound_s": bound.as_secs_f64(),
                 "empty_window_reports_bound": true,
-            },
-            "undersized_stream": {
-                "cap": TINY_CAP,
-                "dropped": expect_dropped,
-                "delivered": emitted.min(TINY_CAP as u64),
-                "oldest_first": true,
             },
         }),
     );

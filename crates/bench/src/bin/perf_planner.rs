@@ -28,7 +28,7 @@ use alm::{adjust, amcast, critical, HelperPool, MulticastTree, Problem};
 use bench::dump_json;
 use coords::{GnpConfig, GnpSolver};
 use netsim::latency::{latency_calls, reset_latency_calls, Counted};
-use netsim::{CachedLatency, HostId, Network, NetworkConfig};
+use netsim::{HostId, Network, NetworkConfig};
 use oracle::{LandmarkSketch, TieredConfig, TieredOracle};
 use pool::task_manager::oracle_height;
 use rand::seq::SliceRandom;
@@ -85,7 +85,7 @@ fn main() {
             },
             SEED,
         );
-        let oracle = Counted(CachedLatency::from_matrix(&net.latency));
+        let oracle = Counted(net.latency.clone());
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ n as u64);
         let mut all: Vec<u32> = (0..n as u32).collect();

@@ -28,9 +28,8 @@ use crate::topology::{RouterId, RouterNet};
 /// * [`LatencyMatrix`] answers at `f32` precision: each lookup rounds the
 ///   `f64` sum `last_hop(a) + router_path + last_hop(b)` to `f32` once and
 ///   widens it back (`f32 → f64` is exact). Every handle on one kernel
-///   ([`Clone`], [`CachedLatency::from_matrix`]) evaluates the same
-///   expression over the same shared rows, so all of them are
-///   bit-identical.
+///   (each [`Clone`] of it) evaluates the same expression over the same
+///   shared rows, so all of them are bit-identical.
 /// * Genuine `f64` models (e.g. coordinate stores) keep full precision;
 ///   callers that require bit-identical outputs against such a model must
 ///   keep using the model itself.
@@ -79,10 +78,6 @@ pub struct LatencyMatrix {
     rows: Arc<[f32]>,
     hosts: Arc<[HostEntry]>,
 }
-
-/// The name planners know the exact kernel by; one type with
-/// [`LatencyMatrix`].
-pub type CachedLatency = LatencyMatrix;
 
 /// [`LatencyMatrix::try_build`] found a router no path reaches from a
 /// host-attached router: latencies across that cut would be infinite.
@@ -170,11 +165,6 @@ impl LatencyMatrix {
             rows,
             hosts: entries,
         })
-    }
-
-    /// Another handle on `m`'s storage: O(1), bit-identical answers.
-    pub fn from_matrix(m: &LatencyMatrix) -> CachedLatency {
-        m.clone()
     }
 
     /// The Dijkstra row sourced at `h`'s router: shortest-path distance to
@@ -435,10 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_from_matrix_is_value_identical_and_zero_copy() {
+    fn clone_is_value_identical_and_zero_copy() {
         let (net, hosts) = small();
         let m = LatencyMatrix::build(&net, &hosts);
-        let c = CachedLatency::from_matrix(&m);
+        let c = m.clone();
         assert_eq!(c.num_hosts(), m.num_hosts());
         for a in hosts.ids() {
             for b in hosts.ids() {

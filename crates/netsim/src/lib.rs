@@ -49,7 +49,7 @@ pub mod topology;
 
 pub use bandwidth::{AccessBandwidth, BandwidthClass, PacketPair};
 pub use hosts::{DegreeDistribution, HostId};
-pub use latency::{CachedLatency, DisconnectedUnderlay, LatencyMatrix, LatencyModel};
+pub use latency::{DisconnectedUnderlay, LatencyMatrix, LatencyModel};
 pub use topology::{RouterId, RouterNet, TransitStubConfig};
 
 use serde::{Deserialize, Serialize};

@@ -3,9 +3,8 @@
 //! The exact [`netsim::LatencyMatrix`] needs the whole router graph
 //! solved: one Dijkstra row per host-attached router. No deployed pool
 //! has that — the paper's hosts estimate latency from coordinates and a
-//! few measurements. This crate puts the exact kernel and a **tiered
-//! oracle** built from that bounded knowledge behind one
-//! [`LatencyOracle`] trait:
+//! few measurements. This crate builds a **tiered oracle** from that
+//! bounded knowledge:
 //!
 //! * **hot tier** — a bounded, deterministic LRU of exact Dijkstra rows
 //!   fetched on demand (from the pool's exact kernel when it has one,
@@ -27,65 +26,22 @@
 //! 12 B per host plus its coordinates, and per-router tables.
 //!
 //! [`PoolOracle`] is the enum the pool plans through; its `Exact` arm
-//! is a handle on the exact kernel ([`netsim::CachedLatency`]), so
+//! is a handle on the exact kernel ([`netsim::LatencyMatrix`]), so
 //! `LatencySource::Exact` plans are bit-identical to the historical
 //! dense-matrix planner.
 
 pub mod sketch;
 pub mod tiered;
 
-use netsim::{CachedLatency, HostId, LatencyModel};
-use simcore::MetricsRegistry;
+use netsim::{HostId, LatencyMatrix, LatencyModel};
 
 pub use sketch::{LandmarkProbes, LandmarkSketch};
 pub use tiered::{TierStats, TieredConfig, TieredOracle};
 
-/// A latency model that also knows its own memory footprint and per-tier
-/// hit accounting. Exact models are a single all-pairs tier.
-pub trait LatencyOracle: LatencyModel {
-    /// Bytes resident in the oracle's backing storage.
-    fn resident_bytes(&self) -> usize;
-
-    /// Cumulative per-tier counters. Exact models report all zeros
-    /// (every answer is trivially "hot" and counting them would cost a
-    /// branch on the hottest path in the workspace).
-    fn tier_stats(&self) -> TierStats {
-        TierStats::default()
-    }
-
-    /// Publish the oracle's counters and footprint under the `oracle.`
-    /// metric prefix.
-    fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        let s = self.tier_stats();
-        reg.add("oracle.hits.hot", s.hot);
-        reg.add("oracle.hits.sketch", s.sketch);
-        reg.add("oracle.hits.base", s.base);
-        reg.add("oracle.promotions", s.promotions);
-        reg.add("oracle.evictions", s.evictions);
-        reg.set_gauge("oracle.resident_bytes", self.resident_bytes() as f64);
-    }
-}
-
-impl LatencyOracle for CachedLatency {
-    fn resident_bytes(&self) -> usize {
-        CachedLatency::resident_bytes(self)
-    }
-}
-
-impl LatencyOracle for TieredOracle {
-    fn resident_bytes(&self) -> usize {
-        TieredOracle::resident_bytes(self)
-    }
-
-    fn tier_stats(&self) -> TierStats {
-        self.stats()
-    }
-}
-
 /// Which latency oracle the pool builds and plans through.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum LatencySource {
-    /// The exact kernel (`CachedLatency`), the default: plans are
+    /// The exact kernel ([`LatencyMatrix`]), the default: plans are
     /// bit-identical to the historical dense-matrix planner.
     #[default]
     Exact,
@@ -97,10 +53,10 @@ pub enum LatencySource {
 
 /// The oracle a `ResourcePool` plans through: a closed enum (rather than
 /// a trait object) so the Exact arm keeps static dispatch on the
-/// planner's hottest loop and stays bit-identical to `CachedLatency`.
+/// planner's hottest loop and stays bit-identical to the exact kernel.
 #[derive(Clone, Debug)]
 pub enum PoolOracle {
-    Exact(CachedLatency),
+    Exact(LatencyMatrix),
     Tiered(TieredOracle),
 }
 
@@ -146,6 +102,15 @@ impl PoolOracle {
             PoolOracle::Tiered(t) => t.resident_rows(),
         }
     }
+
+    /// Bytes resident in the oracle's backing storage: the factored
+    /// kernel's `rows·R·4 + N·16` for Exact, every tier for Tiered.
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            PoolOracle::Exact(m) => m.resident_bytes(),
+            PoolOracle::Tiered(t) => t.resident_bytes(),
+        }
+    }
 }
 
 impl LatencyModel for PoolOracle {
@@ -166,25 +131,11 @@ impl LatencyModel for PoolOracle {
     }
 }
 
-impl LatencyOracle for PoolOracle {
-    fn resident_bytes(&self) -> usize {
-        match self {
-            PoolOracle::Exact(m) => m.resident_bytes(),
-            PoolOracle::Tiered(t) => TieredOracle::resident_bytes(t),
-        }
-    }
-
-    fn tier_stats(&self) -> TierStats {
-        self.tier_stats_opt().unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use coords::{CoordStore, GnpConfig, GnpSolver};
     use netsim::hosts::HostSet;
-    use netsim::latency::LatencyMatrix;
     use netsim::topology::TransitStubConfig;
     use netsim::RouterNet;
     use proptest::prelude::*;
@@ -377,13 +328,13 @@ mod tests {
     fn exact_arm_shares_the_kernel_and_reports_factored_bytes() {
         let (net, hosts) = small_world(64, 1);
         let matrix = LatencyMatrix::build(&net, &hosts);
-        let po = PoolOracle::Exact(CachedLatency::from_matrix(&matrix));
+        let po = PoolOracle::Exact(matrix.clone());
         // rows·R·4 + N·16: one 600-router row per host-attached router.
         let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
         attached.sort_unstable();
         attached.dedup();
         assert_eq!(
-            LatencyOracle::resident_bytes(&po),
+            po.resident_bytes(),
             attached.len() * net.len() * 4 + 64 * 16
         );
         assert_eq!(po.tier_stats_opt(), None);
@@ -408,25 +359,6 @@ mod tests {
             ours * 20 < dense,
             "tiered footprint {ours} not under 5% of dense {dense}"
         );
-    }
-
-    #[test]
-    fn publish_metrics_exports_counters() {
-        let (net, hosts) = small_world(80, 19);
-        let (oracle, _) = tiered(&net, &hosts, &TieredConfig::default(), 19);
-        oracle.promote(&[HostId(0)]);
-        oracle.latency_ms(HostId(1), HostId(2));
-        let mut reg = MetricsRegistry::new();
-        LatencyOracle::publish_metrics(&oracle, &mut reg);
-        let s = oracle.stats();
-        assert_eq!(
-            reg.counter("oracle.hits.hot")
-                + reg.counter("oracle.hits.sketch")
-                + reg.counter("oracle.hits.base"),
-            s.total()
-        );
-        assert_eq!(reg.counter("oracle.promotions"), s.promotions);
-        assert!(reg.gauge("oracle.resident_bytes").unwrap() > 0.0);
     }
 
     proptest! {

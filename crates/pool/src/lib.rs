@@ -71,7 +71,7 @@ use std::collections::HashMap;
 use bwest::{BwEstConfig, BwEstimates};
 use coords::{CoordStore, LeafsetCoords};
 use dht::Ring;
-use netsim::{HostId, Network, NetworkConfig};
+use netsim::{HostId, LatencyMatrix, Network, NetworkConfig};
 use oracle::{LandmarkSketch, LatencySource, PoolOracle, TierStats, TieredOracle};
 use serde::{Deserialize, Serialize};
 
@@ -237,9 +237,7 @@ impl ResourcePool {
             .collect();
         let alive = vec![true; net.num_hosts()];
         let oracle = match &cfg.latency_source {
-            LatencySource::Exact => {
-                PoolOracle::Exact(netsim::CachedLatency::from_matrix(&net.latency))
-            }
+            LatencySource::Exact => PoolOracle::Exact(net.latency.clone()),
             LatencySource::Tiered(tcfg) => {
                 let landmarks = LandmarkSketch::default_landmarks(
                     net.num_hosts(),
@@ -300,24 +298,20 @@ impl ResourcePool {
     /// but the host stops being a candidate and refuses new reservations.
     pub fn kill_host(&mut self, h: HostId) {
         self.alive[h.idx()] = false;
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::SetAlive {
-                host: h,
-                alive: false,
-            });
-        }
+        self.log(|| PoolOp::SetAlive {
+            host: h,
+            alive: false,
+        });
     }
 
     /// Mark a crashed host up again. Degrees still booked on it from before
     /// the crash remain booked until released or expired.
     pub fn revive_host(&mut self, h: HostId) {
         self.alive[h.idx()] = true;
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::SetAlive {
-                host: h,
-                alive: true,
-            });
-        }
+        self.log(|| PoolOp::SetAlive {
+            host: h,
+            alive: true,
+        });
     }
 
     /// Number of hosts in the pool.
@@ -332,8 +326,8 @@ impl ResourcePool {
     /// planners may use either interchangeably.
     /// The task manager and the market's crash repair plan against this
     /// handle to stay on the inlined fast path without borrowing the pool.
-    pub fn cached_latency(&self) -> netsim::CachedLatency {
-        netsim::CachedLatency::from_matrix(&self.net.latency)
+    pub fn cached_latency(&self) -> LatencyMatrix {
+        self.net.latency.clone()
     }
 
     /// The oracle *planning* reads go through, per
@@ -365,7 +359,7 @@ impl ResourcePool {
     /// Bytes resident in the planning oracle's backing storage (the
     /// factored kernel's `rows·R·4 + N·16` under `Exact`).
     pub fn oracle_resident_bytes(&self) -> usize {
-        oracle::LatencyOracle::resident_bytes(&self.oracle)
+        self.oracle.resident_bytes()
     }
 
     /// Exact Dijkstra rows resident in the hot tier (0 under `Exact`).
@@ -544,8 +538,16 @@ impl ResourcePool {
         count: u32,
         expires_at: Option<simcore::SimTime>,
     ) -> Result<Vec<(SessionId, u32)>, degree_table::InsufficientDegree> {
+        let reserve = |ok| PoolOp::Reserve {
+            host: h,
+            session,
+            rank,
+            count,
+            expires_at,
+            ok,
+        };
         if !self.alive[h.idx()] {
-            self.log_reserve(h, session, rank, count, expires_at, false);
+            self.log(|| reserve(false));
             return Err(degree_table::InsufficientDegree {
                 requested: count,
                 available: 0,
@@ -562,11 +564,11 @@ impl ResourcePool {
             Err(e) => {
                 // A refusal mutates nothing, but it shapes the retry loop:
                 // the delta log records it like any other call.
-                self.log_reserve(h, session, rank, count, expires_at, false);
+                self.log(|| reserve(false));
                 return Err(e);
             }
         };
-        self.log_reserve(h, session, rank, count, expires_at, true);
+        self.log(|| reserve(true));
         let held = self.holdings.entry(session).or_default();
         if !held.contains(&h) {
             held.push(h);
@@ -586,25 +588,11 @@ impl ResourcePool {
         Ok(preempted)
     }
 
+    /// Record one op when the op log is on; `op` is built only then.
     #[inline]
-    fn log_reserve(
-        &mut self,
-        host: HostId,
-        session: SessionId,
-        rank: Rank,
-        count: u32,
-        expires_at: Option<simcore::SimTime>,
-        ok: bool,
-    ) {
+    fn log(&mut self, op: impl FnOnce() -> PoolOp) {
         if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::Reserve {
-                host,
-                session,
-                rank,
-                count,
-                expires_at,
-                ok,
-            });
+            log.push(op());
         }
     }
 
@@ -613,12 +601,10 @@ impl ResourcePool {
     pub fn release_session(&mut self, session: SessionId) -> u32 {
         let mut freed = 0;
         if let Some(hosts) = self.holdings.remove(&session) {
-            if let Some(log) = &mut self.op_log {
-                log.push(PoolOp::ReleaseSession {
-                    session,
-                    hosts: hosts.clone(),
-                });
-            }
+            self.log(|| PoolOp::ReleaseSession {
+                session,
+                hosts: hosts.clone(),
+            });
             for h in hosts {
                 freed += self.tables[h.idx()].release(session);
             }
@@ -631,9 +617,7 @@ impl ResourcePool {
     /// keeps running). Returns the degrees freed.
     pub fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
         let freed = self.tables[h.idx()].release(session);
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::ReleaseOnHost { session, host: h });
-        }
+        self.log(|| PoolOp::ReleaseOnHost { session, host: h });
         if let Some(held) = self.holdings.get_mut(&session) {
             held.retain(|x| *x != h);
             if held.is_empty() {
@@ -656,14 +640,12 @@ impl ResourcePool {
         count: u32,
     ) -> u32 {
         let freed = self.tables[h.idx()].release_count(session, rank, count);
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::ReleaseDegrees {
-                host: h,
-                session,
-                rank,
-                count,
-            });
-        }
+        self.log(|| PoolOp::ReleaseDegrees {
+            host: h,
+            session,
+            rank,
+            count,
+        });
         if freed > 0 && self.tables[h.idx()].held_by(session) == 0 {
             if let Some(held) = self.holdings.get_mut(&session) {
                 held.retain(|x| *x != h);
@@ -685,12 +667,10 @@ impl ResourcePool {
                 renewed += self.tables[h.idx()].renew(session, expires_at);
             }
         }
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::Renew {
-                session,
-                expires_at,
-            });
-        }
+        self.log(|| PoolOp::Renew {
+            session,
+            expires_at,
+        });
         renewed
     }
 
@@ -719,9 +699,7 @@ impl ResourcePool {
         }
         let mut out: Vec<(SessionId, u32)> = reclaimed.into_iter().collect();
         out.sort_unstable_by_key(|(s, _)| *s);
-        if let Some(log) = &mut self.op_log {
-            log.push(PoolOp::ExpireLeases { now });
-        }
+        self.log(|| PoolOp::ExpireLeases { now });
         out
     }
 

@@ -774,31 +774,54 @@ pub fn reconstruct_at(store: &MarketStore, idx: usize) -> Result<MarketSnapshot,
     Ok(replayed.finish())
 }
 
-/// [`reconstruct_at`] from the latest snapshot; `None` when the store has
-/// no snapshot yet or the replay range was evicted.
-pub fn reconstruct_latest(store: &MarketStore) -> Option<MarketSnapshot> {
-    let idx = store.snapshots().len().checked_sub(1)?;
-    reconstruct_at(store, idx).ok()
-}
-
 /// "Which hosts are at or above `threshold` degree utilization right
-/// now?" — answered from the store alone: latest snapshot plus retained
-/// deltas. An empty store answers no hosts with `staleness == bound`.
-pub fn hosts_over_threshold(store: &MarketStore, threshold: f64, bound: SimTime) -> OpsAnswer {
-    let hosts = reconstruct_latest(store)
-        .map(|s| s.hosts_over_utilization(threshold))
-        .unwrap_or_default();
-    OpsAnswer {
+/// now?" — answered from the store alone: the latest snapshot plus the
+/// deltas since. A store with no snapshot yet answers no hosts; with no
+/// delta either, its scope is empty and `staleness == bound`.
+///
+/// # Errors
+/// [`ReplayGap`] when delta eviction dropped part of the replay from the
+/// latest snapshot: the answer would come from the wrong base.
+pub fn hosts_over_threshold(
+    store: &MarketStore,
+    threshold: f64,
+    bound: SimTime,
+) -> Result<OpsAnswer, ReplayGap> {
+    let hosts = match store.snapshots().len().checked_sub(1) {
+        Some(idx) => reconstruct_at(store, idx)?.hosts_over_utilization(threshold),
+        None => Vec::new(),
+    };
+    Ok(OpsAnswer {
         hosts,
         freshness: store_freshness(store, bound),
-    }
+    })
 }
 
 /// "Which hosts crossed **up** through the utilization threshold since
 /// `since`?" — scans the retained [`OpsNote::UtilCrossing`] notes. The
 /// answer's scope is the retained deltas in the window: none at all (or
 /// an empty store) is an empty scope, so `staleness` reports `bound`.
-pub fn hosts_crossed_up(store: &MarketStore, since: SimTime, bound: SimTime) -> OpsAnswer {
+///
+/// # Errors
+/// [`ReplayGap`] when the log has evicted deltas and the window starts at
+/// or before the earliest retained one: an evicted delta may lie inside
+/// it. `requested` is the newest evicted sequence number.
+pub fn hosts_crossed_up(
+    store: &MarketStore,
+    since: SimTime,
+    bound: SimTime,
+) -> Result<OpsAnswer, ReplayGap> {
+    // Seqs start at 0 and eviction is oldest first, so a retained log that
+    // starts later has lost its head; deltas are appended in time order,
+    // so everything it lost is at or before its first retained instant.
+    if let Some(first) = store.deltas_stored().next() {
+        if first.seq > 0 && since.as_micros() <= first.at_us {
+            return Err(ReplayGap {
+                requested: first.seq - 1,
+                earliest: first.seq,
+            });
+        }
+    }
     let mut hosts: Vec<HostId> = Vec::new();
     let mut oldest_in_scope = SimTime::MAX;
     for d in store.deltas_stored() {
@@ -812,13 +835,13 @@ pub fn hosts_crossed_up(store: &MarketStore, since: SimTime, bound: SimTime) -> 
     }
     hosts.sort_unstable();
     hosts.dedup();
-    OpsAnswer {
+    Ok(OpsAnswer {
         hosts,
         freshness: Freshness {
             oldest: oldest_in_scope,
             bound,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -939,14 +962,15 @@ mod tests {
         assert_eq!(got.used, 4);
         assert_eq!(got.hosts_over_utilization(0.9), vec![HostId(1)]);
         // Queries against the reconstructed store.
-        let ans = hosts_over_threshold(&store, 0.9, SimTime::from_secs(60));
+        let bound = SimTime::from_secs(60);
+        let ans = hosts_over_threshold(&store, 0.9, bound).unwrap();
         assert_eq!(ans.hosts, vec![HostId(1)]);
         assert!(!ans.freshness.empty_scope());
-        let crossed = hosts_crossed_up(&store, SimTime::ZERO, SimTime::from_secs(60));
+        let crossed = hosts_crossed_up(&store, SimTime::ZERO, bound).unwrap();
         assert_eq!(crossed.hosts, vec![HostId(1)]);
         // A window past every delta is an empty scope: staleness reports
         // the bound, never a false "perfectly fresh".
-        let empty = hosts_crossed_up(&store, SimTime::from_secs(999), SimTime::from_secs(60));
+        let empty = hosts_crossed_up(&store, SimTime::from_secs(999), bound).unwrap();
         assert!(empty.hosts.is_empty());
         assert!(empty.freshness.empty_scope());
         assert_eq!(
@@ -959,9 +983,53 @@ mod tests {
     fn empty_store_answers_with_the_a_priori_bound() {
         let store: MarketStore = RunStore::new(StoreConfig::default());
         let bound = SimTime::from_secs(60);
-        let ans = hosts_over_threshold(&store, 0.9, bound);
+        let ans = hosts_over_threshold(&store, 0.9, bound).unwrap();
         assert!(ans.hosts.is_empty());
         assert!(ans.freshness.empty_scope());
         assert_eq!(ans.freshness.staleness(SimTime::from_secs(5)), bound);
+        let crossed = hosts_crossed_up(&store, SimTime::ZERO, bound).unwrap();
+        assert!(crossed.hosts.is_empty());
+        assert!(crossed.freshness.empty_scope());
+    }
+
+    #[test]
+    fn answers_over_an_evicted_range_are_refused() {
+        // Two-delta segments, two retained: the fifth delta evicts the
+        // first two (seq 0 at 1 s, seq 1 at 2 s).
+        let mut store: MarketStore = RunStore::new(StoreConfig::bounded(2, 2));
+        let base = snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)]);
+        store.snapshot(SimTime::ZERO, FrozenSnapshot::of(&base, None));
+        for (s, host) in (1..=5).zip([0, 1, 0, 1, 0]) {
+            let note = OpsNote::UtilCrossing {
+                host: HostId(host),
+                up: true,
+            };
+            store.append_delta(SimTime::from_secs(s), MarketDelta::Note(note));
+        }
+        assert_eq!(store.stats().delta_evicted, 2);
+        let bound = SimTime::from_secs(60);
+        assert_eq!(
+            hosts_over_threshold(&store, 0.9, bound),
+            Err(ReplayGap {
+                requested: 0,
+                earliest: 2
+            })
+        );
+        // Any window reaching the first retained instant may hold an
+        // evicted delta.
+        let gap = Err(ReplayGap {
+            requested: 1,
+            earliest: 2,
+        });
+        assert_eq!(hosts_crossed_up(&store, SimTime::ZERO, bound), gap);
+        assert_eq!(hosts_crossed_up(&store, SimTime::from_secs(3), bound), gap);
+        // Past it, the retained deltas are the whole window.
+        let since = SimTime::from_secs(3) + SimTime::from_micros(1);
+        let ans = hosts_crossed_up(&store, since, bound).unwrap();
+        assert_eq!(ans.hosts, vec![HostId(0), HostId(1)]);
+        assert_eq!(ans.freshness.oldest, SimTime::from_secs(4));
+        // A snapshot above the gap answers again.
+        store.snapshot(SimTime::from_secs(6), FrozenSnapshot::of(&base, None));
+        assert!(hosts_over_threshold(&store, 0.9, bound).is_ok());
     }
 }

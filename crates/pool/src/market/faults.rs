@@ -357,29 +357,20 @@ impl MarketSim {
         if now < self.cfg.warmup {
             return;
         }
+        let loss = self.cfg.faults.loss;
+        let round = now.as_micros() / DETECT_DELAY.as_micros();
+        let (sim_seed, fault_seed) = (self.seed, self.cfg.faults.seed);
         for slot in &self.slots {
             let trees = slot.phase.trees();
             if trees.is_empty() {
                 continue;
             }
-            let loss = self.cfg.faults.loss;
-            let ratio = if loss > 0.0 {
-                let round = now.as_micros() / DETECT_DELAY.as_micros();
-                let (sim_seed, fault_seed) = (self.seed, self.cfg.faults.seed);
-                delivery_ratio(
-                    trees,
-                    &slot.spec.members,
-                    |x| self.pool.is_alive(x),
-                    |a, b| edge_delivers(sim_seed, fault_seed, round, a, b, loss),
-                )
-            } else {
-                delivery_ratio(
-                    trees,
-                    &slot.spec.members,
-                    |x| self.pool.is_alive(x),
-                    |_, _| true,
-                )
-            };
+            let ratio = delivery_ratio(
+                trees,
+                &slot.spec.members,
+                |x| self.pool.is_alive(x),
+                |a, b| loss == 0.0 || edge_delivers(sim_seed, fault_seed, round, a, b, loss),
+            );
             self.outcome.delivery.push(ratio);
         }
     }

@@ -25,9 +25,8 @@
 //!   violations ([`audit::AuditReport`]) in release sweeps.
 //! * [`trace`] — deterministic structured event tracing: typed
 //!   [`TraceEvent`]s stamped on the simulated clock, bounded ring-buffer
-//!   sink, zero-cost no-op sink by default, JSON-lines export, and a
-//!   bounded [`StreamSink`] with counted (never silent) overflow drops for
-//!   live consumption through its [`StreamHandle`].
+//!   sink, zero-cost no-op sink by default, JSON-lines export, and the
+//!   [`TraceSink`] hook the run store's live sink plugs into.
 //! * [`metrics`] — a counters/gauges registry
 //!   ([`MetricsRegistry`]) unifying per-subsystem accounting behind one
 //!   name-keyed interface with deterministic JSON-lines export.
@@ -68,6 +67,4 @@ pub use faults::{FaultPlan, FaultyLink};
 pub use metrics::MetricsRegistry;
 pub use queue::EventQueue;
 pub use time::SimTime;
-pub use trace::{
-    CloseReason, StreamHandle, StreamSink, TraceEvent, TraceRecord, TraceSink, Tracer,
-};
+pub use trace::{CloseReason, TraceEvent, TraceRecord, TraceSink, Tracer};

@@ -21,20 +21,15 @@
 //!   ([`Tracer::ring`]): once full, the oldest records are evicted, so a
 //!   long simulation can stay traced without unbounded growth.
 //!
-//! For live consumption there is [`StreamSink`]: a bounded buffer a
-//! consumer drains *while the run is going* through its paired
-//! [`StreamHandle`]. Overflow is never silent — records evicted before the
-//! consumer drained them are counted (`dropped`), the invariant
-//! `emitted == delivered + dropped` holds at every instant, and the counts
-//! surface through [`MetricsRegistry`](crate::metrics::MetricsRegistry) via
-//! [`StreamHandle::publish_metrics`].
+//! For live consumption a sink plugs in through [`Tracer::with_sink`]; the
+//! one the workspace ships is the run store's (`runstore::StoreSink`),
+//! whose bounded retention counts every evicted record.
 //!
 //! Records export as JSON lines ([`to_json_lines`]) — one object per line,
 //! deterministic field order — for diffing, artifact upload, or offline
 //! analysis.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
@@ -426,11 +421,12 @@ impl Tracer {
     ///   evicted) or a disabled tracer (trivially empty — nothing was ever
     ///   emitted).
     /// * `None` — a custom sink ([`Tracer::with_sink`]) owns the records;
-    ///   the tracer *cannot* produce them. Drain the sink through its own
-    ///   handle (for [`StreamSink`], the paired [`StreamHandle`]) instead.
+    ///   the tracer *cannot* produce them. Read them where the sink put
+    ///   them (for `runstore::StoreSink`, the run store's trace log)
+    ///   instead.
     ///
     /// Callers that blindly dump `take_records()` output used to write an
-    /// empty file when a streaming sink was attached; the `Option` forces
+    /// empty file when a custom sink was attached; the `Option` forces
     /// the decision at the call site.
     pub fn take_records(&mut self) -> Option<Vec<TraceRecord>> {
         match &mut self.sink {
@@ -438,116 +434,6 @@ impl Tracer {
             Sink::Ring { buf, .. } => Some(buf.drain(..).collect()),
             Sink::Custom(_) => None,
         }
-    }
-}
-
-/// Shared state behind a [`StreamSink`] / [`StreamHandle`] pair.
-struct StreamShared {
-    buf: VecDeque<TraceRecord>,
-    cap: usize,
-    /// Records ever accepted by the sink (== the tracer's emitted count
-    /// once attached from the start).
-    accepted: u64,
-    /// Records evicted oldest-first before any drain saw them.
-    dropped: u64,
-}
-
-/// A bounded streaming [`TraceSink`] with explicit backpressure accounting.
-///
-/// The sink holds at most `cap` records. When a record arrives at a full
-/// buffer the *oldest* buffered record is evicted and counted in
-/// [`StreamHandle::dropped`] — never silently. Records the consumer drains
-/// in time (plus those still buffered) are *delivered*; at every instant
-/// `emitted == delivered + dropped` (with the tracer attached from the
-/// first event). Order is preserved end to end: a drain yields records in
-/// emission order, and drops take the oldest undrained records first.
-///
-/// Create a pair with [`StreamSink::bounded`], attach the sink via
-/// [`Tracer::with_sink`], and consume through the handle from anywhere
-/// (the shared state is behind an `Arc<Mutex>`, so the consumer may live
-/// on another thread).
-pub struct StreamSink {
-    shared: Arc<Mutex<StreamShared>>,
-}
-
-impl StreamSink {
-    /// A sink buffering at most `cap` records, and the consumer handle it
-    /// reports to.
-    ///
-    /// # Panics
-    /// If `cap` is 0.
-    pub fn bounded(cap: usize) -> (StreamSink, StreamHandle) {
-        assert!(cap > 0, "stream capacity must be positive");
-        let shared = Arc::new(Mutex::new(StreamShared {
-            buf: VecDeque::with_capacity(cap.min(4096)),
-            cap,
-            accepted: 0,
-            dropped: 0,
-        }));
-        (
-            StreamSink {
-                shared: shared.clone(),
-            },
-            StreamHandle { shared },
-        )
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn record(&mut self, rec: TraceRecord) {
-        let mut s = self.shared.lock().expect("stream sink lock poisoned");
-        if s.buf.len() == s.cap {
-            s.buf.pop_front();
-            s.dropped += 1;
-        }
-        s.buf.push_back(rec);
-        s.accepted += 1;
-    }
-}
-
-/// Consumer side of a [`StreamSink`]: drain records mid-run and read the
-/// exact delivery/drop accounting.
-#[derive(Clone)]
-pub struct StreamHandle {
-    shared: Arc<Mutex<StreamShared>>,
-}
-
-impl StreamHandle {
-    /// Take every currently buffered record, oldest first. Records drained
-    /// here can no longer be dropped — draining fast enough keeps
-    /// [`StreamHandle::dropped`] at zero.
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut s = self.shared.lock().expect("stream sink lock poisoned");
-        s.buf.drain(..).collect()
-    }
-
-    /// Records delivered to the consumer side: drained plus still buffered.
-    /// Always `accepted - dropped`.
-    pub fn delivered(&self) -> u64 {
-        let s = self.shared.lock().expect("stream sink lock poisoned");
-        s.accepted - s.dropped
-    }
-
-    /// Records lost to overflow (evicted oldest-first before a drain saw
-    /// them). Zero whenever the buffer was always large enough or drained
-    /// often enough.
-    pub fn dropped(&self) -> u64 {
-        self.shared
-            .lock()
-            .expect("stream sink lock poisoned")
-            .dropped
-    }
-
-    /// Surface the delivery/drop accounting as counters:
-    /// `trace.stream_delivered` and `trace.dropped_records`. Call once at
-    /// the end of a run (the values are cumulative).
-    pub fn publish_metrics(&self, reg: &mut crate::metrics::MetricsRegistry) {
-        let (delivered, dropped) = {
-            let s = self.shared.lock().expect("stream sink lock poisoned");
-            (s.accepted - s.dropped, s.dropped)
-        };
-        reg.add("trace.stream_delivered", delivered);
-        reg.add("trace.dropped_records", dropped);
     }
 }
 
@@ -617,64 +503,6 @@ mod tests {
         // would dump as an empty trace file.
         assert_eq!(t.take_records(), None);
         assert_eq!(t.emitted(), 7, "emitted still counts custom-sink events");
-    }
-
-    #[test]
-    fn stream_sink_at_capacity_matches_ring_with_zero_drops() {
-        let events = |t: &mut Tracer| {
-            for i in 0..10u32 {
-                t.emit(SimTime::from_millis(i as u64), || {
-                    TraceEvent::RecoveryPhase { phase: i }
-                });
-            }
-        };
-        let mut ring = Tracer::ring(64);
-        events(&mut ring);
-        let expect = ring.take_records().unwrap();
-
-        let (sink, handle) = StreamSink::bounded(64);
-        let mut t = Tracer::with_sink(Box::new(sink));
-        events(&mut t);
-        assert_eq!(handle.dropped(), 0);
-        assert_eq!(handle.delivered(), 10);
-        assert_eq!(t.emitted(), handle.delivered() + handle.dropped());
-        let got = handle.drain();
-        assert_eq!(got, expect, "streaming output must equal ring output");
-        assert_eq!(to_json_lines(&got), to_json_lines(&expect));
-    }
-
-    #[test]
-    fn undersized_stream_drops_oldest_first_with_exact_counts() {
-        let (sink, handle) = StreamSink::bounded(3);
-        let mut t = Tracer::with_sink(Box::new(sink));
-        for i in 0..8u32 {
-            t.emit(SimTime::from_millis(i as u64), || {
-                TraceEvent::RecoveryPhase { phase: i }
-            });
-        }
-        assert_eq!(handle.dropped(), 5, "exactly emitted - cap drops");
-        assert_eq!(handle.delivered(), 3);
-        assert_eq!(t.emitted(), handle.delivered() + handle.dropped());
-        let got = handle.drain();
-        // The survivors are the newest records, still in emission order.
-        let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7]);
-        // Draining mid-run prevents drops entirely.
-        let (sink, handle) = StreamSink::bounded(3);
-        let mut t = Tracer::with_sink(Box::new(sink));
-        let mut all = Vec::new();
-        for i in 0..8u32 {
-            t.emit(SimTime::from_millis(i as u64), || {
-                TraceEvent::RecoveryPhase { phase: i }
-            });
-            all.extend(handle.drain());
-        }
-        assert_eq!(handle.dropped(), 0);
-        assert_eq!(all.len(), 8);
-        let mut reg = crate::metrics::MetricsRegistry::new();
-        handle.publish_metrics(&mut reg);
-        assert_eq!(reg.counter("trace.dropped_records"), 0);
-        assert_eq!(reg.counter("trace.stream_delivered"), 8);
     }
 
     #[test]

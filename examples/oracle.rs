@@ -2,7 +2,7 @@
 //! on estimates.
 //!
 //! Builds the quickstart pool from the same seed under
-//! [`LatencySource::Exact`] (the factored exact `CachedLatency` kernel:
+//! [`LatencySource::Exact`] (the factored exact `LatencyMatrix` kernel:
 //! one Dijkstra row per host-attached router, summed per lookup)
 //! and under [`LatencySource::Tiered`] (hot Dijkstra-row LRU over
 //! landmark triangle bounds over GNP coordinates) — plans an identical

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use coords::{Coord, CoordStore, GnpSolver, LeafsetCoords};
     pub use dht::{NodeId, Ring};
     pub use netsim::{HostId, LatencyModel, Network, NetworkConfig};
-    pub use oracle::{LatencyOracle, LatencySource, TierStats, TieredConfig};
+    pub use oracle::{LatencySource, TierStats, TieredConfig};
     pub use pool::{
         plan_and_reserve, plan_and_reserve_leased, AdmissionConfig, AllocationMode, DiscoveryMode,
         LiveOps, LiveOpsConfig, MarketConfig, MarketSim, MarketSnapshot, PlanConfig, PlanModel,

@@ -7,9 +7,9 @@
 //! * **replay determinism** — reconstructing from *every* retained
 //!   snapshot (snapshot + delta fold) lands on the same final state,
 //!   byte for byte, as the snapshot the run took at the horizon;
-//! * the bounded **stream sink** delivers the exact same records as the
-//!   ring when sized, and counts its drops exactly (oldest-first,
-//!   surfaced as metrics, never silent) when undersized;
+//! * a **bounded** store keeps the newest records, counts exactly what it
+//!   evicted, and refuses (typed [`ReplayGap`]) every answer the evicted
+//!   range would have fed — never a silent partial one;
 //! * store-served operator queries carry the honest [`Freshness`]
 //!   contract: an empty window reports the a-priori bound, not zero.
 
@@ -18,7 +18,6 @@ use std::sync::OnceLock;
 use p2p_resource_pool::pool::liveops::{hosts_crossed_up, hosts_over_threshold, reconstruct_at};
 use p2p_resource_pool::prelude::*;
 use p2p_resource_pool::simcore::trace::to_json_lines;
-use p2p_resource_pool::simcore::StreamSink;
 
 const SEED: u64 = 29;
 const HOSTS: usize = 150;
@@ -126,10 +125,11 @@ fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
 
     // Store-served operator queries carry the Freshness contract.
     let bound = SimTime::from_secs(60);
-    let over = hosts_over_threshold(&store, 0.9, bound);
+    let over = hosts_over_threshold(&store, 0.9, bound).expect("nothing evicted");
     assert!(!over.freshness.empty_scope());
     let horizon = SimTime::from_secs(1200);
-    let empty = hosts_crossed_up(&store, horizon + SimTime::from_secs(1), bound);
+    let empty =
+        hosts_crossed_up(&store, horizon + SimTime::from_secs(1), bound).expect("nothing evicted");
     assert!(empty.hosts.is_empty());
     assert!(empty.freshness.empty_scope());
     assert_eq!(
@@ -139,43 +139,84 @@ fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
     );
 }
 
+/// A bounded store keeps the newest records and counts the rest: the run
+/// is the ring run's, the evicted head is counted exactly, the full trace
+/// is refused rather than handed back partial, and an operator window
+/// that reaches into the evicted range is refused, not answered.
 #[test]
-fn stream_sink_matches_ring_when_sized_and_counts_drops_exactly_when_not() {
+fn bounded_store_counts_its_evictions_and_refuses_what_they_cover() {
     let mut sim = market();
     sim.set_tracer(Tracer::ring(1 << 16));
-    let (ring_out, _) = sim.run_full();
+    let (ring_out, ring_pool) = sim.run_full();
     let emitted = ring_out.trace.len() as u64;
-    let ring_trace = to_json_lines(&ring_out.trace);
 
-    // Sized stream: byte-identical delivery, zero drops.
-    let (sink, stream) = StreamSink::bounded(1 << 16);
+    const SEGMENT: usize = 16;
+    const SEGMENTS: usize = 4;
     let mut sim = market();
-    sim.set_tracer(Tracer::with_sink(Box::new(sink)));
-    let _ = sim.run_full();
-    assert_eq!(stream.dropped(), 0);
-    assert_eq!(stream.delivered(), emitted);
-    assert_eq!(to_json_lines(&stream.drain()), ring_trace);
+    let handle = sim.attach_liveops(LiveOps::new(LiveOpsConfig {
+        store: StoreConfig::bounded(SEGMENT, SEGMENTS),
+        ..LiveOpsConfig::default()
+    }));
+    let (store_out, store_pool) = sim.run_full();
+    let store = handle.lock().expect("store lock");
 
-    // Undersized stream: exact counted drops, oldest evicted first, and
-    // the loss surfaced through the metrics registry — never silent.
-    const TINY: usize = 96;
+    // Retention never moves the run.
+    assert_eq!(ring_out.plans, store_out.plans);
+    for h in (0..HOSTS as u32).map(HostId) {
+        assert_eq!(ring_pool.table(h), store_pool.table(h));
+        assert_eq!(ring_pool.is_alive(h), store_pool.is_alive(h));
+    }
+
+    // What a full last-but-one segment chain plus the open one holds.
+    let retained = |appended: u64| {
+        let cap = SEGMENT as u64;
+        (SEGMENTS as u64 - 1) * cap + (appended - 1) % cap + 1
+    };
+    let stats = store.stats();
+    let held = (SEGMENT * SEGMENTS) as u64;
     assert!(
-        emitted > TINY as u64,
-        "workload must overflow the tiny sink"
+        emitted > held && stats.delta_appended > held,
+        "workload must overflow both logs"
     );
-    let (sink, tiny) = StreamSink::bounded(TINY);
-    let mut sim = market();
-    sim.set_tracer(Tracer::with_sink(Box::new(sink)));
-    let _ = sim.run_full();
-    let expect_dropped = emitted - TINY as u64;
-    assert_eq!(tiny.dropped(), expect_dropped);
-    assert_eq!(tiny.delivered() + tiny.dropped(), emitted);
-    let survivors = tiny.drain();
-    assert_eq!(survivors.len(), TINY);
-    assert_eq!(survivors[0].seq, expect_dropped, "oldest must go first");
-    assert_eq!(survivors.last().expect("non-empty").seq, emitted - 1);
-    let mut reg = MetricsRegistry::new();
-    tiny.publish_metrics(&mut reg);
-    assert_eq!(reg.counter("trace.dropped_records"), expect_dropped);
-    assert_eq!(reg.counter("trace.stream_delivered"), TINY as u64);
+    assert_eq!(stats.trace_appended, emitted);
+    assert_eq!(stats.trace_evicted, emitted - retained(emitted));
+    // The full trace no longer exists; the retained tail starts at the
+    // first unevicted seq, so it is the newest records.
+    assert_eq!(
+        store.trace_json_lines(),
+        Err(ReplayGap {
+            requested: 0,
+            earliest: stats.trace_evicted,
+        })
+    );
+    let seqs: Vec<u64> = store.deltas_stored().map(|d| d.seq).collect();
+    assert_eq!(
+        seqs,
+        (stats.delta_evicted..stats.delta_appended).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        stats.delta_evicted,
+        stats.delta_appended - retained(stats.delta_appended)
+    );
+
+    // Replaying the first snapshot would cross the evicted head: refused.
+    let gap = ReplayGap {
+        requested: store.snapshots()[0].delta_seq,
+        earliest: stats.delta_evicted,
+    };
+    assert_eq!(reconstruct_at(&store, 0), Err(gap));
+    // So is any crossing window that reaches into it.
+    let bound = SimTime::from_secs(60);
+    let refused = ReplayGap {
+        requested: stats.delta_evicted - 1,
+        earliest: stats.delta_evicted,
+    };
+    assert_eq!(hosts_crossed_up(&store, SimTime::ZERO, bound), Err(refused));
+    // The closing snapshot needs no delta, so "over threshold now" is
+    // still answered, and it is the live pool's answer.
+    let queues = [Vec::new(), Vec::new(), Vec::new()];
+    let live = MarketSnapshot::capture(&ring_pool, &[], &queues).hosts_over_utilization(0.9);
+    let over = hosts_over_threshold(&store, 0.9, bound).expect("closing snapshot is consistent");
+    assert!(!live.is_empty(), "the workload must load some host");
+    assert_eq!(over.hosts, live);
 }
