@@ -18,8 +18,7 @@
 //!   pending members and the tree under construction — never by the pool.
 //!   Bit-identical to the reference (see DESIGN.md §11 for the argument).
 //! * `greedy_engine_reference` — the paper's naive O(N³) formulation,
-//!   retained verbatim as the A/B baseline for the equivalence proptests
-//!   and the `perf_planner` sweep.
+//!   retained verbatim as the baseline of the equivalence proptests.
 //!
 //! The same engine drives the critical-node variant: a `HelperFinder`
 //! hook fires when a chosen parent's free degree drops to one, and may
@@ -87,8 +86,8 @@ pub fn try_amcast<L: LatencyModel, D: Fn(HostId) -> u32>(
 }
 
 /// Plain AMCast via the retained reference engine. Produces trees
-/// bit-identical to [`amcast`]; exists so the proptest equivalence suite and
-/// the `perf_planner` A/B sweep can exercise the naive path.
+/// bit-identical to [`amcast`]; exists so the equivalence proptests can
+/// exercise the naive path.
 pub fn amcast_reference<L: LatencyModel, D: Fn(HostId) -> u32>(p: &Problem<L, D>) -> MulticastTree {
     greedy_engine_reference(p, &mut NoHelper)
 }

@@ -155,8 +155,7 @@ pub fn try_critical<L: LatencyModel, D: Fn(HostId) -> u32>(
 
 /// [`critical`] driven by the retained reference engine: same helper
 /// recruitment, naive O(N³) greedy loop. Produces trees bit-identical to
-/// [`critical`]; exists for the equivalence proptests and the
-/// `perf_planner` A/B sweep.
+/// [`critical`]; exists for the equivalence proptests.
 pub fn critical_reference<L: LatencyModel, D: Fn(HostId) -> u32>(
     p: &Problem<L, D>,
     pool: &HelperPool,

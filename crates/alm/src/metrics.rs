@@ -18,8 +18,7 @@ pub fn reset_relaxations() {
 /// either greedy engine (including the initial root scoring and the
 /// full-recompute scans). The incremental engine's result-neutral prunes
 /// skip evaluations outright, so its count is strictly below the
-/// reference's on any non-trivial problem; the `perf_planner` harness
-/// reports both.
+/// reference's on any non-trivial problem.
 pub fn relaxations() -> u64 {
     RELAXATIONS.with(|c| c.get())
 }

@@ -2,7 +2,10 @@
 //! sets, degree configurations and latency structures, every algorithm must
 //! produce a valid spanning tree — and the algebra between them must hold.
 
-use alm::{adjust, amcast, critical, improvement_upper_bound, HelperPool, Problem};
+use alm::{
+    adjust, amcast, critical, improvement_upper_bound, try_critical, try_staged_plan, HelperPool,
+    HelperStrategy, Problem,
+};
 use netsim::{HostId, LatencyModel};
 use proptest::prelude::*;
 
@@ -110,6 +113,51 @@ proptest! {
             // A helper with no children would be pointless: the algorithm
             // always gives it at least the node it displaced.
             prop_assert!(t.child_count(h) >= 1);
+        }
+    }
+
+    // Candidate order never reaches a tree: the finder scores every
+    // candidate and breaks score ties by host id, and the staged loop
+    // shortlists from its draft tree. So a shuffled candidate list must
+    // plan the same tree under both scoring strategies — which is why a
+    // task manager may hand the planner its candidates in any order. A
+    // tree's `Debug` renders every field, heights as round-trip floats, so
+    // equal renderings are bit-identical trees.
+    #[test]
+    fn candidate_order_never_reaches_a_tree(
+        n_hosts in 20usize..80,
+        member_count in 3usize..20,
+        clusters in 2usize..6,
+        dseed: u64,
+        radius in 20.0f64..200.0,
+        order_seed: u64,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let member_count = member_count.min(n_hosts / 2);
+        let lat = ClusterLatency { n: n_hosts, clusters, near_ms: 5.0, far_ms: 40.0 };
+        // The staged loop's estimates: the same hosts on another geometry.
+        let est = ClusterLatency { n: n_hosts, clusters: clusters + 1, near_ms: 3.0, far_ms: 25.0 };
+        let members: Vec<HostId> = (0..member_count as u32).map(HostId).collect();
+        let dbound = |h: HostId| degree_of(dseed, h);
+        let p = Problem::new(members[0], members.clone(), &lat, dbound);
+        let sorted: Vec<HostId> = (0..n_hosts as u32).map(HostId).collect();
+        let mut shuffled = sorted.clone();
+        shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(order_seed));
+        for strategy in [HelperStrategy::MinMaxSibling, HelperStrategy::Closest] {
+            let pools = [sorted.clone(), shuffled.clone()].map(|c| {
+                let mut pool = HelperPool::new(c);
+                pool.radius_ms = radius;
+                pool.strategy = strategy;
+                pool
+            });
+            let [a, b] = pools.each_ref().map(|pool| format!("{:?}", try_critical(&p, pool)));
+            prop_assert_eq!(a, b, "critical, {:?}", strategy);
+            let [a, b] = pools.each_ref().map(|pool| {
+                let t = try_staged_plan(members[0], &members, &lat, &est, dbound, pool, true);
+                format!("{t:?}")
+            });
+            prop_assert_eq!(a, b, "staged, {:?}", strategy);
         }
     }
 

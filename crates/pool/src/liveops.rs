@@ -11,8 +11,8 @@
 //!   ([`SlotSnap`]) and admission-queue change lands in the store's delta
 //!   log as a [`MarketDelta`];
 //! * each snapshot round captures the market's full state — degree
-//!   tables, liveness, slot states, admission queues, lease horizons — as
-//!   a [`FrozenSnapshot`] and evaluates the operator's standing queries
+//!   tables, liveness, slot states, admission queues — as a
+//!   [`FrozenSnapshot`] and evaluates the operator's standing queries
 //!   ([`query::SubscriptionSet`], [`query::PressureWatch`], utilization
 //!   crossings), appending what fired as [`OpsNote`] deltas.
 //!
@@ -66,6 +66,7 @@ use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
 use crate::degree_table::{Allocation, DegreeTable, SessionId};
+use crate::task_manager::FAIR_HELPER_RANK;
 use crate::{PoolOp, ResourcePool};
 
 /// The market's run store: [`MarketDelta`] deltas, [`FrozenSnapshot`]
@@ -202,10 +203,15 @@ impl MarketSnapshot {
                 }
             })
             .collect();
+        MarketSnapshot::derive(hosts, slots.to_vec(), queues.clone())
+    }
+
+    /// The snapshot of these authoritative fields, derived fields computed.
+    fn derive(hosts: Vec<HostSnap>, slots: Vec<SlotSnap>, queues: [Vec<u32>; 3]) -> Self {
         let mut snap = MarketSnapshot {
             hosts,
-            slots: slots.to_vec(),
-            admission_queues: queues.clone(),
+            slots,
+            admission_queues: queues,
             lease_horizons: Vec::new(),
             used: 0,
             capacity: 0,
@@ -214,12 +220,27 @@ impl MarketSnapshot {
         snap
     }
 
-    /// Recompute the derived fields (`lease_horizons`, `used`,
-    /// `capacity`) from the authoritative tables.
+    /// Recompute the derived fields from the authoritative tables: every
+    /// leasing session's earliest deadline (`lease_horizons`, session
+    /// order), and the degrees allocated (`used`) and bounded (`capacity`)
+    /// in total.
     pub fn refresh_derived(&mut self) {
-        let (lease_horizons, used) =
-            holdings_summary(self.hosts.iter().flat_map(|h| h.table.allocations()));
-        self.lease_horizons = lease_horizons;
+        let mut horizons: BTreeMap<SessionId, u64> = BTreeMap::new();
+        let mut used = 0u32;
+        for a in self.hosts.iter().flat_map(|h| h.table.allocations()) {
+            used += a.count;
+            if let Some(at) = a.expires_at {
+                let e = horizons.entry(a.session).or_insert(u64::MAX);
+                *e = (*e).min(at.as_micros());
+            }
+        }
+        self.lease_horizons = horizons
+            .into_iter()
+            .map(|(session, expires_at_us)| LeaseHorizon {
+                session,
+                expires_at_us,
+            })
+            .collect();
         self.used = used;
         self.capacity = self.hosts.iter().map(|h| h.table.dbound()).sum();
     }
@@ -237,35 +258,12 @@ impl MarketSnapshot {
     }
 }
 
-/// What a set of allocations derives to: every leasing session's earliest
-/// deadline, session order, and the degrees allocated in total.
-fn holdings_summary<'a>(
-    allocations: impl Iterator<Item = &'a Allocation>,
-) -> (Vec<LeaseHorizon>, u32) {
-    let mut horizons: BTreeMap<SessionId, u64> = BTreeMap::new();
-    let mut used = 0u32;
-    for a in allocations {
-        used += a.count;
-        if let Some(at) = a.expires_at {
-            let e = horizons.entry(a.session).or_insert(u64::MAX);
-            *e = (*e).min(at.as_micros());
-        }
-    }
-    let horizons = horizons
-        .into_iter()
-        .map(|(session, expires_at_us)| LeaseHorizon {
-            session,
-            expires_at_us,
-        })
-        .collect();
-    (horizons, used)
-}
-
 /// A [`MarketSnapshot`] as the store holds it: sparse and flat, so that a
 /// snapshot's footprint follows the tables the market holds, not the pool.
 ///
 /// Hosts that are up and hold nothing — most of any pool — are not
-/// represented at all; the rest are three sorted flat vectors. The degree
+/// represented at all; the rest are three sorted flat vectors. It stores
+/// no derived field: [`FrozenSnapshot::thaw`] recomputes them. The degree
 /// bounds are the one per-host quantity every host has, and they never
 /// change, so every snapshot of a run shares one vector of them.
 /// Consecutive snapshots share nothing else: renewing a lease rewrites
@@ -290,9 +288,6 @@ pub struct FrozenSnapshot {
     allocations: Vec<Allocation>,
     slots: Vec<SlotSnap>,
     admission_queues: [Vec<u32>; 3],
-    lease_horizons: Vec<LeaseHorizon>,
-    used: u32,
-    capacity: u32,
 }
 
 impl FrozenSnapshot {
@@ -313,8 +308,8 @@ impl FrozenSnapshot {
         FrozenSnapshot::freeze(rows, slots, queues, previous)
     }
 
-    /// Freeze a dense snapshot (whose derived fields are current);
-    /// `previous` as for [`FrozenSnapshot::capture`].
+    /// Freeze a dense snapshot; `previous` as for
+    /// [`FrozenSnapshot::capture`].
     pub fn of(dense: &MarketSnapshot, previous: Option<&FrozenSnapshot>) -> FrozenSnapshot {
         let rows = dense.hosts.iter().map(|h| (h.alive, &h.table));
         FrozenSnapshot::freeze(rows, &dense.slots, &dense.admission_queues, previous)
@@ -349,21 +344,18 @@ impl FrozenSnapshot {
             let end = u32::try_from(allocations.len()).expect("under 2^32 allocations pool-wide");
             held.push((h, end));
         }
-        let (lease_horizons, used) = holdings_summary(allocations.iter());
         FrozenSnapshot {
-            capacity: dbound.iter().sum(),
             dbound,
             down,
             held,
             allocations,
             slots: slots.to_vec(),
             admission_queues: queues.clone(),
-            lease_horizons,
-            used,
         }
     }
 
-    /// The dense snapshot this one froze, field for field.
+    /// The dense snapshot this one froze, field for field, its derived
+    /// fields recomputed.
     pub fn thaw(&self) -> MarketSnapshot {
         let mut hosts: Vec<HostSnap> = self
             .dbound
@@ -384,14 +376,7 @@ impl FrozenSnapshot {
             hosts[h.idx()].table = DegreeTable::with_allocations(self.dbound[h.idx()], run);
             start = end as usize;
         }
-        MarketSnapshot {
-            hosts,
-            slots: self.slots.clone(),
-            admission_queues: self.admission_queues.clone(),
-            lease_horizons: self.lease_horizons.clone(),
-            used: self.used,
-            capacity: self.capacity,
-        }
+        MarketSnapshot::derive(hosts, self.slots.clone(), self.admission_queues.clone())
     }
 }
 
@@ -524,10 +509,6 @@ impl ReplayState {
     }
 }
 
-/// Claim rank the pressure watch reads free degrees at: what the
-/// highest-priority claimant could still take.
-const PRESSURE_RANK: u8 = 3;
-
 /// Configuration of the live operations surface.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LiveOpsConfig {
@@ -579,7 +560,9 @@ impl LiveOps {
     /// A fresh surface with an empty store. Register standing queries via
     /// [`LiveOps::subscribe`] before (or during) the run.
     pub fn new(cfg: LiveOpsConfig) -> LiveOps {
-        let watch = PressureWatch::new(PRESSURE_RANK, cfg.pressure_threshold);
+        // Free degrees at the fair rank, as the admission controller's
+        // own watch reads them.
+        let watch = PressureWatch::new(FAIR_HELPER_RANK.0, cfg.pressure_threshold);
         LiveOps {
             handle: runstore::shared(RunStore::new(cfg.store)),
             cfg,
@@ -865,16 +848,7 @@ mod tests {
                 table,
             })
             .collect();
-        let mut s = MarketSnapshot {
-            hosts,
-            slots: Vec::new(),
-            admission_queues: [Vec::new(), Vec::new(), Vec::new()],
-            lease_horizons: Vec::new(),
-            used: 0,
-            capacity: 0,
-        };
-        s.refresh_derived();
-        s
+        MarketSnapshot::derive(hosts, Vec::new(), Default::default())
     }
 
     #[test]

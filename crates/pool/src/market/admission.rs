@@ -3,9 +3,8 @@
 
 use simcore::trace::TraceEvent;
 use simcore::SimTime;
-use std::collections::VecDeque;
 
-use super::{AdmissionCtl, Ev, MarketSim, Phase};
+use super::{Discovery, Ev, MarketSim, Phase};
 use crate::task_manager::FAIR_HELPER_RANK;
 
 /// Tuning of the [`AllocationMode::Admission`](super::AllocationMode::Admission) controller.
@@ -40,24 +39,15 @@ impl Default for AdmissionConfig {
     }
 }
 
-const ADMISSION_ONLY: &str = "the admission controller exists only in Admission mode";
+pub(super) const ADMISSION_ONLY: &str = "the admission controller exists only in Admission mode";
 
 impl MarketSim {
     /// Sessions currently sitting in an admission queue.
     pub(super) fn queued_now(&self) -> u64 {
-        let Some(adm) = &self.admission else {
-            return 0;
-        };
-        let queued = adm.queues.iter().map(VecDeque::len).sum::<usize>() as u64;
-        debug_assert_eq!(
-            queued,
-            self.slots
-                .iter()
-                .filter(|s| matches!(s.phase, Phase::Queued { .. }))
-                .count() as u64,
-            "the admission FIFOs and the queued slots disagree"
-        );
-        queued
+        self.slots
+            .iter()
+            .filter(|s| matches!(s.phase, Phase::Queued { .. }))
+            .count() as u64
     }
 
     /// Pool-wide pressure signal: the SOMO root aggregate when the query
@@ -73,9 +63,9 @@ impl MarketSim {
                 return pr;
             }
         }
-        let mut agg = match &self.qindex {
-            Some(idx) => idx.root_aggregate().clone(),
-            None => self.pool.aggregate(now),
+        let mut agg = match &self.discovery {
+            Discovery::Query { index: Some(idx) } => idx.root_aggregate().clone(),
+            _ => self.pool.aggregate(now),
         };
         agg.queued = agg.queued.saturating_add(queued);
         agg.preempted = agg.preempted.saturating_add(adm.preemptions);
@@ -86,14 +76,6 @@ impl MarketSim {
         }
         adm.pressure_cache = Some((now, pr));
         pr
-    }
-
-    /// The admission controller.
-    ///
-    /// # Panics
-    /// Outside Admission mode, whose paths never call it.
-    pub(super) fn admission_ctl(&mut self) -> &mut AdmissionCtl {
-        self.admission.as_mut().expect(ADMISSION_ONLY)
     }
 
     /// Retry delay for a queued arrival: `backoff * 2^(attempt-1)` with
@@ -112,11 +94,9 @@ impl MarketSim {
     /// Take a slot out of its admission queue (if queued) back to idle and
     /// return how long it waited, in microseconds.
     fn admission_dequeue(&mut self, i: usize, now: SimTime) -> u64 {
-        let Phase::Queued { since } = self.slots[i].phase else {
+        let Phase::Queued { since, .. } = self.slots[i].phase else {
             return 0;
         };
-        let class = (self.slots[i].spec.priority - 1) as usize;
-        self.admission_ctl().queues[class].retain(|&j| j != i as u32);
         self.enter(i, Phase::Idle);
         now.as_micros().saturating_sub(since.as_micros())
     }
@@ -153,14 +133,15 @@ impl MarketSim {
             // A fresh arrival under severe scarcity: queue it, or bounce
             // it when its class FIFO is full.
             let class = self.slots[i].spec.priority;
-            let cap = self.cfg.admission.queue_cap;
-            let q = &mut self.admission_ctl().queues[(class - 1) as usize];
-            if q.len() >= cap {
+            let ahead = self.queue_snaps()[(class - 1) as usize].len();
+            if ahead >= self.cfg.admission.queue_cap {
                 self.admission_reject(i, now, false);
             } else {
-                q.push_back(i as u32);
-                let depth = q.len() as u32;
-                self.enter(i, Phase::Queued { since: now });
+                let adm = self.admission.as_mut().expect(ADMISSION_ONLY);
+                let ticket = adm.next_ticket;
+                adm.next_ticket += 1;
+                let depth = ahead as u32 + 1;
+                self.enter(i, Phase::Queued { since: now, ticket });
                 self.outcome.admission.max_queue_depth = self
                     .outcome
                     .admission

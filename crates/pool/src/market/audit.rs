@@ -6,7 +6,7 @@ use netsim::HostId;
 use simcore::audit::{AuditCtx, InvariantSet};
 use simcore::SimTime;
 
-use super::MarketSim;
+use super::{AdmissionStats, MarketSim};
 use crate::degree_table::SessionId;
 use crate::task_manager::fanout_cap;
 use crate::ResourcePool;
@@ -29,10 +29,7 @@ impl MarketSim {
             })
             .collect();
         let admission = self.admission.as_ref().map(|adm| AdmissionAudit {
-            arrivals: self.outcome.admission.arrivals,
-            admitted: self.outcome.admission.admitted,
-            degraded: self.outcome.admission.degraded,
-            rejected: self.outcome.admission.rejected,
+            ledger: &self.outcome.admission,
             queued_now: self.queued_now(),
             preemptions: adm.preemptions,
         });
@@ -47,47 +44,41 @@ impl MarketSim {
 }
 
 /// One session's state as the auditor sees it.
-pub struct SessionAuditEntry<'a> {
+struct SessionAuditEntry<'a> {
     /// Session identity.
-    pub id: SessionId,
+    id: SessionId,
     /// Whether the session is currently active.
-    pub active: bool,
+    active: bool,
     /// Whether a preemption replan is scheduled but not yet run — the
     /// session's trees are stale until it fires.
-    pub replan_pending: bool,
+    replan_pending: bool,
     /// Current root (post-failover if one happened).
-    pub root: HostId,
+    root: HostId,
     /// The reserved trees: `[0]` serves, `[1..]` are the standbys of a
     /// multipath session. Empty while inactive or dormant.
-    pub trees: &'a [MulticastTree],
+    trees: &'a [MulticastTree],
 }
 
 /// Read-only bundle of market state handed to the registered invariants.
-pub struct MarketAuditView<'a> {
+struct MarketAuditView<'a> {
     /// The pool (degree tables, holdings, liveness).
-    pub pool: &'a ResourcePool,
+    pool: &'a ResourcePool,
     /// Every session slot.
-    pub sessions: Vec<SessionAuditEntry<'a>>,
+    sessions: Vec<SessionAuditEntry<'a>>,
     /// Admission-controller snapshot ([`AllocationMode::Admission`](super::AllocationMode::Admission) runs
     /// only; `None` elsewhere, where the admission invariants are no-ops).
-    pub admission: Option<AdmissionAudit>,
+    admission: Option<AdmissionAudit<'a>>,
 }
 
-/// Admission-controller counters as the auditor sees them at one sample.
-#[derive(Clone, Copy, Debug)]
-pub struct AdmissionAudit {
-    /// Arrivals that reached an admission decision so far.
-    pub arrivals: u64,
-    /// Arrivals admitted at full service so far.
-    pub admitted: u64,
-    /// Arrivals admitted degraded so far.
-    pub degraded: u64,
-    /// Arrivals rejected so far.
-    pub rejected: u64,
+/// The admission controller as the auditor sees it at one sample.
+#[derive(Clone, Copy)]
+struct AdmissionAudit<'a> {
+    /// The run's admission ledger so far.
+    ledger: &'a AdmissionStats,
     /// Sessions sitting in an admission queue right now.
-    pub queued_now: u64,
+    queued_now: u64,
     /// Preemption victims observed so far (must stay 0).
-    pub preemptions: u64,
+    preemptions: u64,
 }
 
 fn inv_degree_conservation(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>) {
@@ -253,12 +244,13 @@ fn inv_tree_disjointness(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>) {
 /// still-queued. A no-op outside Admission mode.
 fn inv_admission_conservation(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>) {
     let Some(a) = v.admission else { return };
-    let resolved = a.admitted + a.degraded + a.rejected + a.queued_now;
-    ctx.check(a.arrivals == resolved, || {
+    let l = a.ledger;
+    let resolved = l.admitted + l.degraded + l.rejected + a.queued_now;
+    ctx.check(l.arrivals == resolved, || {
         format!(
             "admission books don't balance: {} arrivals vs {} admitted + {} degraded + \
              {} rejected + {} queued",
-            a.arrivals, a.admitted, a.degraded, a.rejected, a.queued_now
+            l.arrivals, l.admitted, l.degraded, l.rejected, a.queued_now
         )
     });
 }
@@ -278,7 +270,7 @@ fn inv_admission_no_preemption(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>) 
 /// bounds, cross-tree disjointness of multipath sessions, and the two
 /// admission-controller invariants (queue conservation, zero preemption).
 /// Rebuilt per sample — the set is a handful of `fn` pointers.
-pub fn market_invariants<'a>() -> InvariantSet<MarketAuditView<'a>> {
+fn market_invariants<'a>() -> InvariantSet<MarketAuditView<'a>> {
     InvariantSet::new()
         .register("degree-conservation", inv_degree_conservation)
         .register("lease-holder-consistency", inv_lease_holder_consistency)

@@ -12,7 +12,7 @@ use simcore::SimTime;
 
 use super::{Ev, MarketSim, Phase, SpecInput, DETECT_DELAY, FAILOVER_DELAY};
 use crate::degree_table::SessionId;
-use crate::task_manager::plan_standby_trees;
+use crate::task_manager::{plan_standby_trees, victims};
 
 impl MarketSim {
     /// A host went down: route the event to every session it touches.
@@ -193,10 +193,7 @@ impl MarketSim {
                 }
             }
         }
-        preempted.sort_unstable();
-        preempted.dedup();
-        preempted.retain(|&s| s != spec.id);
-        self.notify_preempted(&preempted, now);
+        self.notify_preempted(&victims(preempted, spec.id), now);
         true
     }
 

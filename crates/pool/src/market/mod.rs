@@ -57,10 +57,10 @@
 //!   ([`simcore::trace::TraceEvent::MarketTreeRebuilt`]); per-round
 //!   delivery ratios and rounds-to-restore land in
 //!   [`MarketOutcome::delivery`] / [`MarketOutcome::restore_rounds`];
-//! * a registerable invariant set ([`market_invariants`]) is sampled on the
-//!   event clock by a [`simcore::Auditor`] — degree conservation,
-//!   lease/holder consistency, tree degree bounds and cross-tree
-//!   disjointness — hard-failing under `debug-assertions`.
+//! * the market's invariant set is sampled on the event clock by a
+//!   [`simcore::Auditor`] — degree conservation, lease/holder
+//!   consistency, tree degree bounds and cross-tree disjointness —
+//!   hard-failing under `debug-assertions`.
 //!
 //! With an empty fault plan none of the extra events are scheduled and the
 //! trajectory is bit-identical to the fault-oblivious market.
@@ -74,12 +74,12 @@ use simcore::rng::derive_rng2;
 use simcore::stats::OnlineStats;
 use simcore::trace::{TraceEvent, Tracer};
 use simcore::{EventQueue, FaultPlan, SimTime};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 use crate::degree_table::SessionId;
 use crate::liveops::{LiveOps, MarketStoreHandle, SlotSnap};
-use crate::task_manager::{PlanConfig, SessionSpec};
-use crate::ResourcePool;
+use crate::task_manager::{PlanConfig, SessionSpec, FAIR_HELPER_RANK};
+use crate::{ResourcePool, ResourceReport};
 
 mod admission;
 mod audit;
@@ -90,7 +90,6 @@ mod session;
 mod tests;
 
 pub use admission::AdmissionConfig;
-pub use audit::{market_invariants, AdmissionAudit, MarketAuditView, SessionAuditEntry};
 pub use outcome::{AdmissionStats, ClassStatsMap, MarketOutcome, PriorityStats, DEGRADED_CLASS};
 pub use session::water_fill;
 
@@ -262,8 +261,9 @@ enum Ev {
 enum Phase {
     /// Between sessions: the next `Ev::Start` is scheduled.
     Idle,
-    /// In its class's admission FIFO (Admission mode only).
-    Queued { since: SimTime },
+    /// In its class's admission FIFO (Admission mode only), which is the
+    /// class's queued slots in `ticket` order.
+    Queued { since: SimTime, ticket: u64 },
     /// A session is running. `trees[0]` serves and `trees[1..]` are the
     /// standbys of a multipath plan; an empty list means dormant (fewer
     /// than two live members: nothing booked). `broken_since` is open
@@ -288,7 +288,7 @@ struct Slot {
     /// Outside `phase` because idle slots still export it.
     degraded: bool,
     /// An `Ev::PreemptReplan` is queued — it outlives `Ev::End` (ROADMAP
-    /// 1a), so it is no part of `phase`.
+    /// item 1), so it is no part of `phase`.
     replan_pending: bool,
     phase: Phase,
 }
@@ -326,9 +326,8 @@ impl Slot {
 /// The admission controller's state, built only in
 /// [`AllocationMode::Admission`].
 struct AdmissionCtl {
-    /// Per-priority-class FIFOs holding queued slot indices (index 0 =
-    /// class 1).
-    queues: [VecDeque<u32>; 3],
+    /// The next [`Phase::Queued`] ticket: arrivals queue in ticket order.
+    next_ticket: u64,
     /// Preemption victims observed — the counter behind the
     /// zero-preemption invariant, bumped regardless of warm-up.
     preemptions: u64,
@@ -342,6 +341,19 @@ struct AdmissionCtl {
     pressure_watch: query::PressureWatch,
 }
 
+/// Where Priority-mode task managers discover helpers: the live degree
+/// tables, or the surface `cfg.view_refresh` refreshes. A surface is
+/// `None` until its first refresh, and plans fall back to the live
+/// tables meanwhile.
+enum Discovery {
+    /// No `view_refresh`: plan from live degree tables.
+    Live,
+    /// The shared SOMO snapshot report.
+    Snapshot { view: Option<ResourceReport> },
+    /// The hierarchical aggregate index.
+    Query { index: Option<query::QueryIndex> },
+}
+
 /// The market simulator.
 pub struct MarketSim {
     pool: ResourcePool,
@@ -350,14 +362,7 @@ pub struct MarketSim {
     queue: EventQueue<Ev>,
     outcome: MarketOutcome,
     seed: u64,
-    /// The shared SOMO snapshot task managers plan from (when
-    /// `cfg.view_refresh` is set and discovery is `Snapshot`).
-    view: Option<crate::ResourceReport>,
-    /// The hierarchical aggregate index task managers query (when
-    /// `cfg.view_refresh` is set and discovery is `Query`).
-    qindex: Option<query::QueryIndex>,
-    /// Crash schedules present — the fault-aware paths are live.
-    has_faults: bool,
+    discovery: Discovery,
     auditor: Option<Auditor>,
     tracer: Tracer,
     /// `Some` exactly in [`AllocationMode::Admission`].
@@ -431,13 +436,17 @@ impl MarketSim {
             let at = SimTime::from_micros(rng.random_range(0..cfg.mean_gap.as_micros().max(1)));
             queue.schedule(at, Ev::Start(i));
         }
+        let discovery = match (cfg.view_refresh, cfg.discovery) {
+            (None, _) => Discovery::Live,
+            (Some(_), DiscoveryMode::Snapshot) => Discovery::Snapshot { view: None },
+            (Some(_), DiscoveryMode::Query) => Discovery::Query { index: None },
+        };
         if cfg.view_refresh.is_some() {
             queue.schedule(SimTime::ZERO, Ev::RefreshView);
         }
         // Fault-aware events are scheduled only when crashes exist, keeping
         // the no-op fault path's event stream identical to the legacy one.
-        let has_faults = !cfg.faults.crashes.is_empty();
-        if has_faults {
+        if !cfg.faults.crashes.is_empty() {
             let n = pool.num_hosts() as u64;
             for (at, node, down) in cfg.faults.crash_edges() {
                 if node < n {
@@ -463,14 +472,17 @@ impl MarketSim {
         }
         let admission = match cfg.allocation {
             AllocationMode::Admission => Some(AdmissionCtl {
-                queues: Default::default(),
+                next_ticket: 0,
                 preemptions: 0,
                 member_hosts: slots
                     .iter()
                     .flat_map(|s| s.spec.members.iter().copied())
                     .collect(),
                 pressure_cache: None,
-                pressure_watch: query::PressureWatch::new(3, cfg.admission.scarce_free_frac),
+                pressure_watch: query::PressureWatch::new(
+                    FAIR_HELPER_RANK.0,
+                    cfg.admission.scarce_free_frac,
+                ),
             }),
             AllocationMode::Priority | AllocationMode::Pareto => None,
         };
@@ -486,14 +498,17 @@ impl MarketSim {
             queue,
             outcome,
             seed,
-            view: None,
-            qindex: None,
-            has_faults,
+            discovery,
             auditor,
             tracer: Tracer::disabled(),
             admission,
             liveops: None,
         }
+    }
+
+    /// Crash schedules present — the fault-aware paths are live.
+    fn has_faults(&self) -> bool {
+        !self.cfg.faults.crashes.is_empty()
     }
 
     /// Attach a tracer; its records land in [`MarketOutcome::trace`]. The
@@ -540,7 +555,7 @@ impl MarketSim {
             .map(|s| {
                 let (queued_since, broken_since) = match s.phase {
                     Phase::Idle => (None, None),
-                    Phase::Queued { since } => (Some(since), None),
+                    Phase::Queued { since, .. } => (Some(since), None),
                     Phase::Active { broken_since, .. } => (None, broken_since),
                 };
                 SlotSnap {
@@ -557,13 +572,21 @@ impl MarketSim {
             .collect()
     }
 
-    /// The admission FIFOs as store-ready mirrors (three empty queues
-    /// outside Admission mode).
+    /// The admission FIFOs as store-ready mirrors: each class's queued
+    /// slots in ticket order (three empty queues outside Admission mode).
     fn queue_snaps(&self) -> [Vec<u32>; 3] {
-        match &self.admission {
-            Some(adm) => adm.queues.each_ref().map(|q| q.iter().copied().collect()),
-            None => Default::default(),
+        let mut queued: Vec<(u64, usize)> = (0..self.slots.len())
+            .filter_map(|i| match self.slots[i].phase {
+                Phase::Queued { ticket, .. } => Some((ticket, i)),
+                _ => None,
+            })
+            .collect();
+        queued.sort_unstable();
+        let mut fifos: [Vec<u32>; 3] = Default::default();
+        for (_, i) in queued {
+            fifos[self.slots[i].spec.priority as usize - 1].push(i as u32);
         }
+        fifos
     }
 
     /// Absorb one handled event's changes into the attached store: the
@@ -625,7 +648,7 @@ impl MarketSim {
         if let Some(aud) = self.auditor.take() {
             self.outcome.audit = aud.into_report();
         }
-        if let Some(idx) = &self.qindex {
+        if let Discovery::Query { index: Some(idx) } = &self.discovery {
             self.outcome.query_traffic.absorb(&idx.query_traffic());
             self.outcome
                 .query_maintenance
@@ -674,7 +697,7 @@ impl MarketSim {
             }
             // Neither replan is stamped with the cycle, so both outlive
             // `Ev::End` and the periodic chain survives into the slot's
-            // next session beside the one it opens (ROADMAP 1a).
+            // next session beside the one it opens (ROADMAP item 1).
             Ev::Replan(i) | Ev::PreemptReplan(i) => {
                 let preempt = matches!(ev, Ev::PreemptReplan(_));
                 if preempt {
@@ -691,25 +714,19 @@ impl MarketSim {
                 }
             }
             Ev::RefreshView => {
-                match self.cfg.discovery {
-                    DiscoveryMode::Snapshot => {
-                        self.view = Some(
-                            self.pool
-                                .snapshot_report(crate::ResourceReport::DEFAULT_CAP),
-                        );
+                let period = self.cfg.view_refresh.expect("RefreshView scheduled");
+                let pool = &self.pool;
+                match &mut self.discovery {
+                    Discovery::Live => unreachable!("RefreshView scheduled without a surface"),
+                    Discovery::Snapshot { view } => {
+                        *view = Some(pool.snapshot_report(ResourceReport::DEFAULT_CAP));
                     }
-                    DiscoveryMode::Query => {
-                        let period = self.cfg.view_refresh.expect("RefreshView scheduled");
-                        let pool = &self.pool;
-                        match &mut self.qindex {
-                            Some(idx) => pool.refresh_query_index(idx, now),
-                            None => self.qindex = Some(pool.build_query_index(period, now)),
-                        }
+                    Discovery::Query { index: Some(idx) } => pool.refresh_query_index(idx, now),
+                    Discovery::Query { index } => {
+                        *index = Some(pool.build_query_index(period, now));
                     }
                 }
-                if let Some(period) = self.cfg.view_refresh {
-                    self.queue.schedule(now + period, Ev::RefreshView);
-                }
+                self.queue.schedule(now + period, Ev::RefreshView);
             }
             Ev::HostFault(h, down) => {
                 self.tracer

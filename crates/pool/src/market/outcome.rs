@@ -31,58 +31,34 @@ pub struct PriorityStats {
 /// visible in the results.
 pub const DEGRADED_CLASS: u8 = 4;
 
-/// Per-class statistics keyed by class id — the three priority classes
-/// plus [`DEGRADED_CLASS`]. Replaces the old hardcoded
-/// `[PriorityStats; 3]` so adding a class is a map entry, not index
-/// arithmetic scattered across the simulator.
-#[derive(Clone, Debug)]
-pub struct ClassStatsMap {
-    /// Sorted by class id; the four standard classes are always present.
-    classes: Vec<(u8, PriorityStats)>,
-}
-
-impl Default for ClassStatsMap {
-    fn default() -> Self {
-        ClassStatsMap {
-            classes: [1, 2, 3, DEGRADED_CLASS]
-                .iter()
-                .map(|&c| (c, PriorityStats::default()))
-                .collect(),
-        }
-    }
-}
+/// Per-class statistics, one entry per class id: the three priority
+/// classes, then [`DEGRADED_CLASS`]. `get` and `get_mut` panic on any
+/// other class id.
+#[derive(Clone, Debug, Default)]
+pub struct ClassStatsMap([PriorityStats; DEGRADED_CLASS as usize]);
 
 impl ClassStatsMap {
-    /// Stats of a class; panics on a class id that was never materialized
-    /// (mirrors the out-of-bounds panic of the old fixed array).
-    pub fn get(&self, class: u8) -> &PriorityStats {
-        self.classes
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, p)| p)
-            .unwrap_or_else(|| panic!("unknown stats class {class}"))
+    fn index(class: u8) -> usize {
+        assert!(
+            (1..=DEGRADED_CLASS).contains(&class),
+            "unknown stats class {class}"
+        );
+        class as usize - 1
     }
 
-    /// Mutable stats of a class, materializing it (sorted) if unseen.
+    /// Stats of a class.
+    pub fn get(&self, class: u8) -> &PriorityStats {
+        &self.0[Self::index(class)]
+    }
+
+    /// Mutable stats of a class.
     pub fn get_mut(&mut self, class: u8) -> &mut PriorityStats {
-        let pos = match self.classes.iter().position(|(c, _)| *c == class) {
-            Some(p) => p,
-            None => {
-                let p = self
-                    .classes
-                    .iter()
-                    .position(|(c, _)| *c > class)
-                    .unwrap_or(self.classes.len());
-                self.classes.insert(p, (class, PriorityStats::default()));
-                p
-            }
-        };
-        &mut self.classes[pos].1
+        &mut self.0[Self::index(class)]
     }
 
     /// All `(class, stats)` entries in ascending class order.
     pub fn iter(&self) -> impl Iterator<Item = (u8, &PriorityStats)> {
-        self.classes.iter().map(|(c, p)| (*c, p))
+        (1..).zip(&self.0)
     }
 }
 

@@ -8,8 +8,9 @@ use simcore::trace::TraceEvent;
 use simcore::SimTime;
 use std::collections::HashSet;
 
+use super::admission::ADMISSION_ONLY;
 use super::{
-    AllocationMode, Ev, MarketSim, NoPlan, Phase, SpecInput, DEGRADED_CLASS,
+    AllocationMode, Discovery, Ev, MarketSim, NoPlan, Phase, SpecInput, DEGRADED_CLASS,
     DEGRADED_HELPER_BUDGET, DEGRADED_MEMBER_DEGREE, MEAN_ACTIVE, REPLAN_PERIOD,
 };
 use crate::degree_table::SessionId;
@@ -37,7 +38,7 @@ impl MarketSim {
     /// took it — the deputy. `None` when no member survived.
     pub(super) fn start_root(&self, i: usize) -> Option<HostId> {
         let root = self.slots[i].spec.root;
-        if !self.has_faults || self.pool.is_alive(root) {
+        if !self.has_faults() || self.pool.is_alive(root) {
             Some(root)
         } else {
             self.lowest_live_member(i)
@@ -109,7 +110,7 @@ impl MarketSim {
         now: SimTime,
     ) -> Result<SpecInput, NoPlan> {
         let mut lease = None;
-        if self.has_faults {
+        if self.has_faults() {
             if !self.pool.is_alive(spec.root) {
                 return Err(NoPlan::RootDead);
             }
@@ -283,24 +284,15 @@ impl MarketSim {
         };
         let out = match self.cfg.allocation {
             AllocationMode::Priority => {
-                if let Some(qindex) = &mut self.qindex {
-                    plan_and_reserve_from_query_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        qindex,
-                        lease,
-                    )
-                } else if let Some(view) = &self.view {
-                    plan_and_reserve_from_view_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        view,
-                        lease,
-                    )
-                } else {
-                    plan_and_reserve_leased(&mut self.pool, &spec, &self.cfg.plan, lease)
+                let (pool, plan) = (&mut self.pool, &self.cfg.plan);
+                match &mut self.discovery {
+                    Discovery::Query { index: Some(idx) } => {
+                        plan_and_reserve_from_query_leased(pool, &spec, plan, idx, lease)
+                    }
+                    Discovery::Snapshot { view: Some(view) } => {
+                        plan_and_reserve_from_view_leased(pool, &spec, plan, view, lease)
+                    }
+                    _ => plan_and_reserve_leased(pool, &spec, plan, lease),
                 }
             }
             AllocationMode::Pareto => {
@@ -313,7 +305,7 @@ impl MarketSim {
                 let caps = FairShareCaps {
                     helper_budget: shares[i],
                     member_degree: None,
-                    exclude: HashSet::new(),
+                    exclude: &HashSet::new(),
                 };
                 plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
             }
@@ -322,18 +314,15 @@ impl MarketSim {
                 // non-member hosts — structurally incapable of
                 // preempting. Degraded admissions additionally run on a
                 // trimmed budget and fan-out.
+                let degraded = self.slots[i].degraded;
                 let caps = FairShareCaps {
-                    helper_budget: if self.slots[i].degraded {
+                    helper_budget: if degraded {
                         DEGRADED_HELPER_BUDGET
                     } else {
                         u64::MAX
                     },
-                    member_degree: if self.slots[i].degraded {
-                        Some(DEGRADED_MEMBER_DEGREE)
-                    } else {
-                        None
-                    },
-                    exclude: self.admission_ctl().member_hosts.clone(),
+                    member_degree: degraded.then_some(DEGRADED_MEMBER_DEGREE),
+                    exclude: &self.admission.as_ref().expect(ADMISSION_ONLY).member_hosts,
                 };
                 plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
             }

@@ -47,13 +47,13 @@ impl ResourceReport {
         }
     }
 
-    /// Candidates with at least `min` degrees available at `rank`
-    /// (rank index 0..=3).
-    pub fn candidates_at(&self, rank: usize, min: u32) -> impl Iterator<Item = HostId> + '_ {
+    /// Candidates with at least `min` degrees available at `rank` (rank
+    /// index 0..=3), each with that availability, best first.
+    pub fn candidates_at(&self, rank: usize, min: u32) -> impl Iterator<Item = (HostId, u32)> + '_ {
         self.entries
             .iter()
-            .filter(move |e| e.avail[rank] >= min)
-            .map(|e| e.host)
+            .map(move |e| (e.host, e.avail[rank]))
+            .filter(move |&(_, avail)| avail >= min)
     }
 
     pub(crate) fn sort_and_cap(&mut self) {
@@ -128,11 +128,11 @@ mod tests {
     fn candidates_filter_by_rank_availability() {
         let mut r = ResourceReport::of_member(entry(1, 0));
         r.merge(&ResourceReport::of_member(entry(2, 4)));
-        let c: Vec<HostId> = r.candidates_at(3, 4).collect();
-        assert_eq!(c, vec![HostId(2)]);
+        let c: Vec<(HostId, u32)> = r.candidates_at(3, 4).collect();
+        assert_eq!(c, vec![(HostId(2), 4)]);
         // Rank 0 availability differs from rank 3.
-        let c0: Vec<HostId> = r.candidates_at(0, 1).collect();
-        assert_eq!(c0.len(), 2);
+        let c0: Vec<(HostId, u32)> = r.candidates_at(0, 1).collect();
+        assert_eq!(c0, vec![(HostId(2), 5), (HostId(1), 1)]);
     }
 
     #[test]

@@ -161,19 +161,8 @@ pub fn plan_and_reserve_leased(
     cfg: &PlanConfig,
     lease_until: Option<SimTime>,
 ) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    // Replanning is all-or-nothing: drop current holdings first.
-    pool.release_session(spec.id);
-
-    let helper_rank = Rank::helper(spec.priority);
-    let candidates = pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree);
-    // Fresh availability straight from the degree tables: reservations
-    // cannot fail, so the retry loop exits on its first pass.
-    let stale_avail: Vec<(HostId, u32)> = candidates
-        .iter()
-        .map(|&h| (h, pool.available(h, helper_rank)))
-        .collect();
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
+    let shape = PlanShape::priority(spec.priority);
+    plan_from_tables(pool, spec, cfg, lease_until, shape, &HashSet::new())
 }
 
 /// The rank every session's helper claims are booked at under the fair
@@ -186,7 +175,7 @@ pub const FAIR_HELPER_RANK: Rank = Rank(3);
 /// Reservation caps a fair-allocation planner runs under — the knobs the
 /// market's Pareto water-filling and degraded admissions turn.
 #[derive(Clone, Debug)]
-pub struct FairShareCaps {
+pub struct FairShareCaps<'a> {
     /// Total helper degrees the session may claim across all helpers (its
     /// water-filled fair share, or a degraded admission's trimmed budget).
     pub helper_budget: u64,
@@ -200,7 +189,7 @@ pub struct FairShareCaps {
     /// market member host here: member-rank reservations then can never
     /// land on another session's helper claim, which (with the equal-rank
     /// booking) makes zero preemption a structural guarantee.
-    pub exclude: HashSet<HostId>,
+    pub exclude: &'a HashSet<HostId>,
 }
 
 /// [`plan_and_reserve_leased`] under fair-allocation caps: helper claims
@@ -210,6 +199,12 @@ pub struct FairShareCaps {
 /// (standby redundancy is a priority-mode feature). The capped plan is
 /// attempted via the fallible planners; if the caps cannot host a tree the
 /// session falls back to members-only rather than failing.
+///
+/// The share budget is enforced at reservation time, not by trimming the
+/// candidate list: the planner sees the pool's full breadth — helper
+/// *quality* is a planning concern — while the degrees it may actually
+/// claim stay capped. With open caps (`u64::MAX`, no clamp, nothing
+/// excluded) this is the priority-3 plan.
 pub fn plan_and_reserve_fair_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
@@ -217,48 +212,6 @@ pub fn plan_and_reserve_fair_leased(
     caps: &FairShareCaps,
     lease_until: Option<SimTime>,
 ) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    pool.release_session(spec.id);
-
-    let mut candidates = if caps.helper_budget > 0 {
-        pool.candidates(FAIR_HELPER_RANK, &spec.members, cfg.helper_min_degree)
-    } else {
-        Vec::new()
-    };
-    candidates.retain(|h| !caps.exclude.contains(h));
-    // Order the survivors by their value to THIS session — nearest to the
-    // member set first — so the budget trim below keeps the helpers the
-    // planner can actually use, not an arbitrary prefix of the pool. The
-    // sort is fully deterministic: latency is a pure function of the
-    // configured oracle's state (this plan's one promotion happens before
-    // any lookup, and lookups never mutate), ties break by host id.
-    let oracle = pool.planning_oracle();
-    oracle.promote_plan(&candidates, &spec.members);
-    let mut keyed: Vec<(f64, HostId)> = candidates
-        .iter()
-        .map(|&h| {
-            let near = spec
-                .members
-                .iter()
-                .map(|&m| oracle.latency_ms(h, m))
-                .fold(f64::INFINITY, f64::min);
-            (near, h)
-        })
-        .collect();
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let candidates: Vec<HostId> = keyed.into_iter().map(|(_, h)| h).collect();
-    // The share budget is enforced at reservation time (`PlanShape::
-    // helper_budget`), not by trimming the candidate list: the planner
-    // sees the pool's full breadth — helper *quality* is a planning
-    // concern — while the degrees it may actually claim stay capped. A
-    // mass-based candidate trim would starve the planner of good hosts
-    // long before the budget binds.
-    let stale_avail: Vec<(HostId, u32)> = candidates
-        .iter()
-        .map(|&h| (h, pool.available(h, FAIR_HELPER_RANK)))
-        .filter(|&(_, free)| free > 0)
-        .collect();
-    let candidates: Vec<HostId> = stale_avail.iter().map(|&(h, _)| h).collect();
     let single = PlanConfig {
         k_trees: 1,
         ..cfg.clone()
@@ -268,20 +221,44 @@ pub fn plan_and_reserve_fair_leased(
         member_degree: caps.member_degree,
         helper_budget: caps.helper_budget,
     };
-    plan_shaped(
-        pool,
-        spec,
-        &single,
-        candidates,
-        &stale_avail,
-        lease_until,
-        shape,
-    )
+    plan_from_tables(pool, spec, &single, lease_until, shape, caps.exclude)
 }
 
-/// How [`plan_with_candidates`] books and bounds its reservations. The
-/// default shape (priority-rank helpers, unclamped members) reproduces the
-/// historical planner bit for bit; the fair modes override it.
+/// The one planning set-up from the live degree tables, shared by every
+/// allocation mode: release the session, take the candidates the tables
+/// offer at `shape.helper_rank` (none under a zero helper budget) minus
+/// `exclude` and any host with no free degree, believe their live
+/// availability, and plan. Fresh availability means no reservation is
+/// refused for a stale view: only a helper budget can send the retry loop
+/// round again.
+fn plan_from_tables(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    lease_until: Option<SimTime>,
+    shape: PlanShape,
+    exclude: &HashSet<HostId>,
+) -> PlanOutcome {
+    // Replanning is all-or-nothing: drop current holdings first.
+    pool.release_session(spec.id);
+
+    let mut candidates = if shape.helper_budget > 0 {
+        pool.candidates(shape.helper_rank, &spec.members, cfg.helper_min_degree)
+    } else {
+        Vec::new()
+    };
+    candidates.retain(|h| !exclude.contains(h));
+    let believed: Vec<(HostId, u32)> = candidates
+        .into_iter()
+        .map(|h| (h, pool.available(h, shape.helper_rank)))
+        .filter(|&(_, free)| free > 0)
+        .collect();
+    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
+}
+
+/// How [`plan_shaped`] books and bounds its reservations. The priority
+/// shape (priority-rank helpers, unclamped members, no budget) reproduces
+/// the historical planner bit for bit; the fair modes override it.
 #[derive(Clone, Copy, Debug)]
 struct PlanShape {
     /// Rank helper claims are booked at.
@@ -293,6 +270,18 @@ struct PlanShape {
     /// refused like a stale-view lie: the retry loop replans without it.
     /// `u64::MAX` (the historical shape) never refuses.
     helper_budget: u64,
+}
+
+impl PlanShape {
+    /// The preempting priority market's shape for a class-`priority`
+    /// session.
+    fn priority(priority: u8) -> PlanShape {
+        PlanShape {
+            helper_rank: Rank::helper(priority),
+            member_degree: None,
+            helper_budget: u64::MAX,
+        }
+    }
 }
 
 /// Plan from an explicit (possibly **stale**) SOMO view instead of the live
@@ -309,21 +298,15 @@ pub fn plan_and_reserve_from_view_leased(
     view: &crate::ResourceReport,
     lease_until: Option<SimTime>,
 ) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
+    let shape = PlanShape::priority(spec.priority);
     pool.release_session(spec.id);
 
     let rank_idx = spec.priority as usize; // avail[] index for helper rank
-    let candidates: Vec<HostId> = view
+    let believed: Vec<(HostId, u32)> = view
         .candidates_at(rank_idx, cfg.helper_min_degree)
-        .filter(|h| !spec.members.contains(h))
+        .filter(|(h, _)| !spec.members.contains(h))
         .collect();
-    let stale_avail: Vec<(HostId, u32)> = view
-        .entries
-        .iter()
-        .filter(|e| candidates.contains(&e.host))
-        .map(|e| (e.host, e.avail[rank_idx]))
-        .collect();
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
+    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
 }
 
 /// Scope of a query-based discovery: the descent starts at the SOMO root,
@@ -346,7 +329,7 @@ pub fn plan_and_reserve_from_query_leased(
     index: &mut query::QueryIndex,
     lease_until: Option<SimTime>,
 ) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
+    let shape = PlanShape::priority(spec.priority);
     pool.release_session(spec.id);
 
     let rank_idx = spec.priority as usize; // free[] index for helper rank
@@ -357,52 +340,35 @@ pub fn plan_and_reserve_from_query_leased(
         &spec.members,
         QUERY_SCOPE,
     );
-    let candidates: Vec<HostId> = ans.hosts.iter().map(|s| s.host).collect();
-    let stale_avail: Vec<(HostId, u32)> = ans
+    let believed: Vec<(HostId, u32)> = ans
         .hosts
         .iter()
         .map(|s| (s.host, s.free[rank_idx]))
         .collect();
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
+    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
 }
 
-/// Shared planning + reservation loop. `stale_avail` is the availability
-/// the planner believes (fresh or from a view); the reservation step runs
-/// against the live tables, and helpers that fail are dropped and the plan
-/// retried.
-fn plan_with_candidates(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    candidates: Vec<HostId>,
-    stale_avail: &[(HostId, u32)],
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    let shape = PlanShape {
-        helper_rank: Rank::helper(spec.priority),
-        member_degree: None,
-        helper_budget: u64::MAX,
-    };
-    pool.planning_oracle()
-        .promote_plan(&candidates, &spec.members);
-    plan_shaped(pool, spec, cfg, candidates, stale_avail, lease_until, shape)
-}
-
-/// [`plan_with_candidates`] with the reservation shape explicit — the
-/// common engine behind the historical priority planner and the fair-mode
-/// capped planner. The caller has promoted this plan's rows, `candidates`
-/// then the members, in one batch ([`oracle::PoolOracle::promote_plan`]).
+/// The planning + reservation loop every entry point ends in. `believed`
+/// lists the helper candidates with the availability the planner believes
+/// (fresh or from a view). The loop promotes this plan's rows once, the
+/// candidates then the members, in one batch
+/// ([`oracle::PoolOracle::promote_plan`]); the reservation step runs
+/// against the live tables, and helpers that fail — or that `shape`'s
+/// helper budget refuses — are dropped and the plan retried.
 fn plan_shaped(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
     cfg: &PlanConfig,
-    mut candidates: Vec<HostId>,
-    stale_avail: &[(HostId, u32)],
+    believed: Vec<(HostId, u32)>,
     lease_until: Option<SimTime>,
     shape: PlanShape,
 ) -> PlanOutcome {
+    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
+    let mut candidates: Vec<HostId> = believed.iter().map(|&(h, _)| h).collect();
+    pool.planning_oracle()
+        .promote_plan(&candidates, &spec.members);
     let helper_rank = shape.helper_rank;
-    let stale: HashMap<HostId, u32> = stale_avail.iter().copied().collect();
+    let stale: HashMap<HostId, u32> = believed.into_iter().collect();
     // Per-plan counter window: everything from the baseline evaluation to
     // the final retry is this plan's work, charged to the executing thread.
     let rel0 = alm::metrics::relaxations();
@@ -412,7 +378,7 @@ fn plan_shaped(
     // calls below don't hold a borrow across the mutable reservation
     // loop. Under `LatencySource::Exact` it is a zero-copy handle on
     // the exact kernel — value-identical to `pool.net.latency`; under
-    // `Tiered` it reads the hot tier the caller's one promotion filled:
+    // `Tiered` it reads the hot tier the one promotion above filled:
     // the members' rows are its newest, so member↔member and
     // member↔helper pairs answer exactly whenever the members span at
     // most `hot_rows` routers, and candidates fill the rows left over.
@@ -530,10 +496,6 @@ fn plan_shaped(
             continue; // next pass plans without helpers and cannot fail
         }
 
-        preempted.sort_unstable();
-        preempted.dedup();
-        preempted.retain(|&s| s != spec.id);
-
         // The reported quality metric is always evaluated under the
         // exact matrix — even when planning went through the tiered
         // oracle — so heights and improvements stay comparable across
@@ -547,7 +509,7 @@ fn plan_shaped(
             oracle_height,
             baseline_height,
             helpers,
-            preempted,
+            preempted: victims(preempted, spec.id),
             helper_failures,
             relaxations: alm::metrics::relaxations().saturating_sub(rel0),
         };
@@ -733,12 +695,9 @@ pub fn plan_standby_trees(
         trees.push(tree);
     }
 
-    preempted.sort_unstable();
-    preempted.dedup();
-    preempted.retain(|&s| s != spec.id);
     StandbyOutcome {
         trees,
-        preempted,
+        preempted: victims(preempted, spec.id),
         relaxations: alm::metrics::relaxations().saturating_sub(rel0),
     }
 }
@@ -753,6 +712,15 @@ pub fn members_only_baseline(pool: &ResourcePool, spec: &SessionSpec) -> f64 {
     let dbound = |h: HostId| pool.net.hosts.degree_bound(h);
     let p = Problem::new(spec.root, spec.members.clone(), &oracle, dbound);
     amcast(&p).max_height()
+}
+
+/// The sessions a booking by `own` preempted, from the victims its
+/// reservations reported: each once, ascending, never `own` itself.
+pub(crate) fn victims(mut preempted: Vec<SessionId>, own: SessionId) -> Vec<SessionId> {
+    preempted.sort_unstable();
+    preempted.dedup();
+    preempted.retain(|&s| s != own);
+    preempted
 }
 
 /// `candidates` as a helper pool under `cfg`'s helper constraints.

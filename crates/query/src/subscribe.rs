@@ -40,9 +40,14 @@ pub struct PressureWatch {
 
 impl PressureWatch {
     /// A watch that has observed nothing yet.
+    ///
+    /// # Panics
+    /// If `rank` is not a claim rank (0..=3), as
+    /// [`SubscriptionSet::subscribe`] refuses one.
     pub fn new(rank: u8, threshold: f64) -> PressureWatch {
+        assert!(rank < 4, "pressure watch rank {rank} out of range (0..=3)");
         PressureWatch {
-            rank: rank.min(3),
+            rank,
             threshold,
             last_scarce: None,
         }
@@ -250,7 +255,9 @@ mod tests {
         };
         // sample() publishes capacity free3 + 4, so free_frac[3] for a
         // uniform pool is free3 / (free3 + 4).
-        let mut w = PressureWatch::new(3, 0.5);
+        let rank = 3;
+        let fresh = PressureWatch::new(rank, 0.5);
+        let mut w = fresh;
         // free 8 of capacity 12 → frac 2/3, abundant: first observation on
         // the calm side fires nothing.
         assert_eq!(w.observe(&agg(8)), None);
@@ -261,7 +268,7 @@ mod tests {
         // Recovery fires the all-clear.
         assert_eq!(w.observe(&agg(9)), Some(false));
         // A watch whose very first observation is scarce alarms at once.
-        let mut cold = PressureWatch::new(3, 0.5);
+        let mut cold = fresh;
         assert_eq!(cold.observe(&agg(1)), Some(true));
     }
 
@@ -334,6 +341,12 @@ mod tests {
     #[should_panic(expected = "subscription rank 4 out of range (0..=3)")]
     fn a_rank_that_does_not_exist_is_rejected_at_registration() {
         SubscriptionSet::new().subscribe(0, [0.0, 0.0], 100.0, 4, 1, 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "pressure watch rank 7 out of range (0..=3)")]
+    fn a_pressure_watch_at_a_rank_that_does_not_exist_is_rejected() {
+        PressureWatch::new(7, 0.5);
     }
 
     #[test]
