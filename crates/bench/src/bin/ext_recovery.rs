@@ -14,8 +14,9 @@
 //! * **ALM delivery disruption** during exposure, and reattach retries.
 //!
 //! Two sanity anchors are asserted:
-//! * at 0% loss the exposure-window completeness reproduces `ext_churn`'s
-//!   numbers bit-for-bit (same seeds, same gather), and
+//! * at 0% loss the mean exposure-window completeness reproduces the
+//!   committed `results/ext_churn.json` bit-for-bit (same seeds, same
+//!   gather), and
 //! * at 5% loss with 8 crashes the pipeline still reaches a 100%
 //!   post-repair census.
 //!
@@ -26,16 +27,10 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ext_recovery`
 
-use bench::{dump_json, dump_jsonl, mean, parallel_runs, trace_out_requested};
-use dht::Ring;
-use netsim::HostId;
+use bench::{committed_row, dump_json, dump_jsonl, mean, parallel_runs, trace_out_requested};
 use pool::recovery::{run_pipeline, run_pipeline_traced, RecoveryConfig, RecoveryOutcome};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde_json::json;
 use simcore::{FaultPlan, SimTime};
-use somo::flow::{FlowMode, FreshnessReport, GatherSim};
-use somo::SomoTree;
 
 const N: u32 = 512;
 const TRIALS: usize = 5;
@@ -43,37 +38,6 @@ const HOP: SimTime = SimTime::from_millis(200);
 const T: SimTime = SimTime::from_secs(5);
 const LOSSES: [f64; 3] = [0.0, 0.01, 0.05];
 const CRASHES: [usize; 3] = [1, 4, 8];
-
-/// `ext_churn`'s phase-1 measurement, recomputed verbatim (same seeds, same
-/// victim shuffle, same synchronized gather): the fraction of surviving
-/// members the un-repaired tree's root still reports at t = 60 s.
-fn churn_stale_completeness(f: usize, trial: usize) -> f64 {
-    let seed = 40 + trial as u64;
-    let ring = Ring::with_random_ids((0..N).map(HostId), seed);
-    let tree = SomoTree::build(&ring, 8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 100);
-    let mut victims: Vec<usize> = (0..ring.len()).collect();
-    victims.shuffle(&mut rng);
-    let victims = &victims[..f];
-    let mut sim = GatherSim::new(
-        &tree,
-        &ring,
-        FlowMode::Synchronized,
-        T,
-        |_m, now| FreshnessReport::of_member(now),
-        |a, b| if a == b { SimTime::ZERO } else { HOP },
-    );
-    for &v in victims {
-        sim.kill_member(v);
-    }
-    sim.run_until(SimTime::from_secs(60));
-    let alive = (N as usize - f) as f64;
-    sim.views()
-        .last()
-        .map(|v| v.view.members as f64)
-        .unwrap_or(0.0)
-        / alive
-}
 
 fn cfg_for(loss: f64, crashes: usize, trial: usize) -> RecoveryConfig {
     let seed = 40 + trial as u64;
@@ -117,12 +81,6 @@ fn main() {
 
         for (trial, out) in outs.iter().enumerate() {
             if loss == 0.0 {
-                // Anchor 1: fault-free exposure must reproduce ext_churn.
-                let anchor = churn_stale_completeness(f, trial);
-                assert_eq!(
-                    out.stale_completeness, anchor,
-                    "0-loss exposure diverged from ext_churn (f={f}, trial={trial})"
-                );
                 assert_eq!(out.dht_dropped + out.gather_dropped, 0);
             }
             if loss == 0.05 && f == 8 {
@@ -156,6 +114,19 @@ fn main() {
             .map(|o| secs(o.timeline.reattached_at, crash))
             .collect();
         let stale: Vec<f64> = outs.iter().map(|o| o.stale_completeness).collect();
+        if loss == 0.0 {
+            // Anchor 1: fault-free exposure must reproduce ext_churn.
+            let want = committed_row("ext_churn", "failures", f as u64)
+                .get("stale_completeness")
+                .and_then(|v| v.as_f64())
+                .expect("ext_churn stale_completeness");
+            assert_eq!(
+                mean(&stale).to_bits(),
+                want.to_bits(),
+                "0-loss exposure diverged from ext_churn (f={f}): {} vs {want}",
+                mean(&stale)
+            );
+        }
         let post: Vec<f64> = outs.iter().map(|o| o.post_completeness).collect();
         let disrupt: Vec<f64> = outs.iter().map(|o| o.delivery_disruption).collect();
         let retries: u64 = outs.iter().map(|o| o.timeline.reattach_retries).sum();

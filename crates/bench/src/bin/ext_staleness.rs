@@ -17,7 +17,7 @@
 
 use bench::{dump_json, mean};
 use netsim::NetworkConfig;
-use pool::task_manager::{plan_and_reserve, plan_and_reserve_from_view_leased};
+use pool::task_manager::{plan_and_reserve, plan_and_reserve_with, Candidates, PlanShape};
 use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
 use serde_json::json;
 
@@ -70,7 +70,9 @@ fn main() {
                 root: members[0],
                 members: members.clone(),
             };
-            let out = plan_and_reserve_from_view_leased(&mut pool, &s, &cfg, &stale_view, None);
+            let shape = PlanShape::priority(s.priority, cfg.k_trees);
+            let source = Candidates::View(&stale_view);
+            let out = plan_and_reserve_with(&mut pool, &s, &cfg, source, shape, None);
             improvements.push(out.improvement);
             failures.push(out.helper_failures as f64);
             helpers.push(out.helpers.len() as f64);

@@ -47,6 +47,29 @@ pub fn store_out_requested() -> bool {
     std::env::args().any(|a| a == "--store-out")
 }
 
+/// The row whose `key` equals `value` in the committed anchor
+/// `results/<name>.json`, for a binary that must reproduce another's
+/// numbers.
+///
+/// # Panics
+/// If the file is missing (run `name` first), does not parse, or has no
+/// such row.
+pub fn committed_row(name: &str, key: &str, value: u64) -> serde_json::Value {
+    let path = results_dir().join(format!("{name}.json"));
+    let text = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("anchor requires {} (run {name} first): {e}", path.display()));
+    let anchor: serde_json::Value =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name} results parse: {e}"));
+    anchor
+        .get("rows")
+        .and_then(|r| r.as_array())
+        .unwrap_or_else(|| panic!("{name} has no rows"))
+        .iter()
+        .find(|r| r.get(key).and_then(|v| v.as_u64()) == Some(value))
+        .cloned()
+        .unwrap_or_else(|| panic!("{name} {key}={value} row"))
+}
+
 /// Compare a market run that must be a no-op against the default market —
 /// `what` names it in the messages — with the committed Figure 10 row for
 /// the same `sessions` count (and seed): per-class improvement and helper
@@ -56,21 +79,7 @@ pub fn store_out_requested() -> bool {
 /// On any divergence, or if `results/fig10_multi_session.json` is missing
 /// (run `fig10_multi_session` first).
 pub fn anchor_against_fig10(what: &str, sessions: usize, out: &pool::MarketOutcome) {
-    let path = results_dir().join("fig10_multi_session.json");
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "anchor requires {} (run fig10_multi_session first): {e}",
-            path.display()
-        )
-    });
-    let fig10: serde_json::Value = serde_json::from_str(&text).expect("fig10 results parse");
-    let row = fig10
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("rows")
-        .iter()
-        .find(|r| r.get("sessions").and_then(|s| s.as_u64()) == Some(sessions as u64))
-        .unwrap_or_else(|| panic!("fig10 sessions={sessions} row"));
+    let row = committed_row("fig10_multi_session", "sessions", sessions as u64);
     let field = |outer: &str, p: &str| -> f64 {
         row.get(outer)
             .and_then(|o| o.get(p))

@@ -2,7 +2,7 @@
 //!
 //! Small and purpose-built: the router graph is a few hundred nodes, and we
 //! run one Dijkstra per router to build the all-pairs latency matrix. Sources
-//! are fanned out across threads (crossbeam scoped threads) with each thread
+//! are fanned out across threads (`std::thread::scope`) with each thread
 //! writing a disjoint slice of rows, so the result is deterministic.
 
 use std::cmp::Reverse;
@@ -87,17 +87,17 @@ impl Graph {
             .unwrap_or(4)
             .min(n.max(1));
         let chunk = n.div_ceil(threads.max(1));
-        crossbeam::thread::scope(|s| {
+        // The scope joins every worker and re-raises a worker's panic.
+        std::thread::scope(|s| {
             for (t, slot) in rows.chunks_mut(chunk).enumerate() {
                 let base = t * chunk;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (i, row) in slot.iter_mut().enumerate() {
                         *row = self.dijkstra((base + i) as u32);
                     }
                 });
             }
-        })
-        .expect("all_pairs worker panicked");
+        });
         rows
     }
 

@@ -61,8 +61,8 @@ pub use recovery::{
 };
 pub use report::{CandidateEntry, ResourceReport};
 pub use task_manager::{
-    plan_and_reserve, plan_and_reserve_fair_leased, plan_and_reserve_from_query_leased,
-    plan_and_reserve_leased, FairShareCaps, PlanConfig, PlanModel, PlanOutcome, SessionSpec,
+    plan_and_reserve, plan_and_reserve_from_query_leased, plan_and_reserve_leased,
+    plan_and_reserve_with, Candidates, PlanConfig, PlanModel, PlanOutcome, PlanShape, SessionSpec,
     FAIR_HELPER_RANK,
 };
 
@@ -573,19 +573,26 @@ impl ResourcePool {
         if !held.contains(&h) {
             held.push(h);
         }
-        // Keep the holdings index an exact mirror of the tables: a victim
-        // whose claim on `h` was fully evicted no longer holds here.
+        // A victim whose claim on `h` was fully evicted no longer holds here.
         for (victim, _) in &preempted {
-            if self.tables[h.idx()].held_by(*victim) == 0 {
-                if let Some(v) = self.holdings.get_mut(victim) {
-                    v.retain(|x| *x != h);
-                    if v.is_empty() {
-                        self.holdings.remove(victim);
-                    }
-                }
-            }
+            self.unlist_if_empty(*victim, h);
         }
         Ok(preempted)
+    }
+
+    /// Keep the holdings index an exact mirror of the tables: drop `h` from
+    /// `session`'s holdings once its table holds nothing there for it, and
+    /// the session once its list empties.
+    fn unlist_if_empty(&mut self, session: SessionId, h: HostId) {
+        if self.tables[h.idx()].held_by(session) > 0 {
+            return;
+        }
+        if let Some(held) = self.holdings.get_mut(&session) {
+            held.retain(|x| *x != h);
+            if held.is_empty() {
+                self.holdings.remove(&session);
+            }
+        }
     }
 
     /// Record one op when the op log is on; `op` is built only then.
@@ -618,12 +625,7 @@ impl ResourcePool {
     pub fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
         let freed = self.tables[h.idx()].release(session);
         self.log(|| PoolOp::ReleaseOnHost { session, host: h });
-        if let Some(held) = self.holdings.get_mut(&session) {
-            held.retain(|x| *x != h);
-            if held.is_empty() {
-                self.holdings.remove(&session);
-            }
-        }
+        self.unlist_if_empty(session, h);
         freed
     }
 
@@ -646,13 +648,8 @@ impl ResourcePool {
             rank,
             count,
         });
-        if freed > 0 && self.tables[h.idx()].held_by(session) == 0 {
-            if let Some(held) = self.holdings.get_mut(&session) {
-                held.retain(|x| *x != h);
-                if held.is_empty() {
-                    self.holdings.remove(&session);
-                }
-            }
+        if freed > 0 {
+            self.unlist_if_empty(session, h);
         }
         freed
     }
@@ -689,12 +686,9 @@ impl ResourcePool {
             }
         }
         // Drop holdings entries whose host-side claim is now entirely gone.
-        for s in reclaimed.keys() {
-            if let Some(held) = self.holdings.get_mut(s) {
-                held.retain(|h| self.tables[h.idx()].held_by(*s) > 0);
-                if held.is_empty() {
-                    self.holdings.remove(s);
-                }
+        for &s in reclaimed.keys() {
+            for h in self.holdings_of(s).to_vec() {
+                self.unlist_if_empty(s, h);
             }
         }
         let mut out: Vec<(SessionId, u32)> = reclaimed.into_iter().collect();
@@ -747,9 +741,17 @@ impl ResourcePool {
 
     /// Deterministically sample `n` distinct member hosts (used by examples
     /// and tests to form sessions).
+    ///
+    /// # Panics
+    /// If `n` exceeds the number of hosts.
     pub fn sample_members(&self, n: usize, seed: u64) -> Vec<HostId> {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
+        assert!(
+            n <= self.num_hosts(),
+            "cannot sample {n} members from {} hosts",
+            self.num_hosts()
+        );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut all: Vec<u32> = (0..self.num_hosts() as u32).collect();
         all.shuffle(&mut rng);

@@ -1,11 +1,12 @@
 //! The Admission-mode controller: the pressure signal, then admit, degrade,
 //! queue with capped backoff, or reject.
 
-use simcore::trace::TraceEvent;
+use simcore::trace::{TraceEvent, Tracer};
 use simcore::SimTime;
 
-use super::{Discovery, Ev, MarketSim, Phase};
+use super::{AdmissionCtl, Discovery, Ev, MarketSim, Phase, Slot};
 use crate::task_manager::FAIR_HELPER_RANK;
+use crate::ResourcePool;
 
 /// Tuning of the [`AllocationMode::Admission`](super::AllocationMode::Admission) controller.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -39,45 +40,51 @@ impl Default for AdmissionConfig {
     }
 }
 
-pub(super) const ADMISSION_ONLY: &str = "the admission controller exists only in Admission mode";
+/// Sessions currently sitting in an admission queue.
+pub(super) fn queued(slots: &[Slot]) -> u64 {
+    slots
+        .iter()
+        .filter(|s| matches!(s.phase, Phase::Queued { .. }))
+        .count() as u64
+}
 
-impl MarketSim {
-    /// Sessions currently sitting in an admission queue.
-    pub(super) fn queued_now(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s.phase, Phase::Queued { .. }))
-            .count() as u64
-    }
-
-    /// Pool-wide pressure signal: the SOMO root aggregate when the query
-    /// index is live, otherwise a direct fold of every live host's sample
-    /// (the controller's local stand-in for the published aggregate),
-    /// with the controller's own queue depth and preemption count folded
-    /// in. Cached per event time.
-    fn cluster_pressure(&mut self, now: SimTime) -> query::PressureReport {
-        let queued = self.queued_now();
-        let adm = self.admission.as_mut().expect(ADMISSION_ONLY);
-        if let Some((at, pr)) = adm.pressure_cache {
+impl AdmissionCtl {
+    /// The pool-wide free-degree fraction at the fair helper rank, read
+    /// from the pressure signal at `now`: the SOMO root aggregate when the
+    /// query index is live, otherwise a direct fold of every live host's
+    /// sample (the controller's local stand-in for the published
+    /// aggregate), with the `queued` sessions and the controller's own
+    /// preemption count folded in. Cached per event time.
+    pub(super) fn free_frac(
+        &mut self,
+        now: SimTime,
+        queued: u64,
+        discovery: &Discovery,
+        pool: &ResourcePool,
+        tracer: &mut Tracer,
+    ) -> f64 {
+        let fair = FAIR_HELPER_RANK.0 as usize;
+        if let Some((at, pr)) = self.pressure_cache {
             if at == now {
-                return pr;
+                return pr.free_frac[fair];
             }
         }
-        let mut agg = match &self.discovery {
+        let mut agg = match discovery {
             Discovery::Query { index: Some(idx) } => idx.root_aggregate().clone(),
-            _ => self.pool.aggregate(now),
+            _ => pool.aggregate(now),
         };
         agg.queued = agg.queued.saturating_add(queued);
-        agg.preempted = agg.preempted.saturating_add(adm.preemptions);
+        agg.preempted = agg.preempted.saturating_add(self.preemptions);
         let pr = agg.pressure();
-        if let Some(scarce) = adm.pressure_watch.observe(&agg) {
-            self.tracer
-                .emit(now, || TraceEvent::MarketPressureShift { scarce });
+        if let Some(scarce) = self.pressure_watch.observe(&agg) {
+            tracer.emit(now, || TraceEvent::MarketPressureShift { scarce });
         }
-        adm.pressure_cache = Some((now, pr));
-        pr
+        self.pressure_cache = Some((now, pr));
+        pr.free_frac[fair]
     }
+}
 
+impl MarketSim {
     /// Retry delay for a queued arrival: `backoff * 2^(attempt-1)` with
     /// the exponent capped at 6 — the [`ReattachConfig`](alm::dynamic::ReattachConfig) backoff shape.
     fn admission_retry_delay(&self, attempt: u32) -> SimTime {
@@ -102,13 +109,11 @@ impl MarketSim {
     }
 
     /// The admission decision for an arrival (attempt 0) or a queued
-    /// retry: admit at full service, admit degraded, queue with capped
-    /// backoff, or reject. Every arrival resolves to exactly one of
-    /// admitted/degraded/rejected/still-queued — the conservation
-    /// invariant the auditor checks.
-    pub(super) fn admission_decide(&mut self, i: usize, attempt: u32, now: SimTime) {
-        let pr = self.cluster_pressure(now);
-        let free = pr.free_frac[FAIR_HELPER_RANK.0 as usize];
+    /// retry, at the controller's `free` fraction: admit at full service,
+    /// admit degraded, queue with capped backoff, or reject. Every arrival
+    /// resolves to exactly one of admitted/degraded/rejected/still-queued —
+    /// the conservation invariant the auditor checks.
+    pub(super) fn admission_decide(&mut self, i: usize, attempt: u32, free: f64, now: SimTime) {
         let session = self.slots[i].spec.id.0;
         let full = free >= self.cfg.admission.scarce_free_frac;
         if full || free >= self.cfg.admission.degrade_free_frac {
@@ -137,16 +142,14 @@ impl MarketSim {
             if ahead >= self.cfg.admission.queue_cap {
                 self.admission_reject(i, now, false);
             } else {
-                let adm = self.admission.as_mut().expect(ADMISSION_ONLY);
-                let ticket = adm.next_ticket;
-                adm.next_ticket += 1;
+                let ticket = self.outcome.admission.arrivals;
                 let depth = ahead as u32 + 1;
                 self.enter(i, Phase::Queued { since: now, ticket });
                 self.outcome.admission.max_queue_depth = self
                     .outcome
                     .admission
                     .max_queue_depth
-                    .max(self.queued_now());
+                    .max(queued(&self.slots));
                 self.tracer.emit(now, || TraceEvent::MarketAdmissionQueued {
                     session,
                     class,

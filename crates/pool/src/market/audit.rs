@@ -6,7 +6,8 @@ use netsim::HostId;
 use simcore::audit::{AuditCtx, InvariantSet};
 use simcore::SimTime;
 
-use super::{AdmissionStats, MarketSim};
+use super::admission::queued;
+use super::{AdmissionStats, MarketSim, Mode};
 use crate::degree_table::SessionId;
 use crate::task_manager::fanout_cap;
 use crate::ResourcePool;
@@ -28,11 +29,14 @@ impl MarketSim {
                 trees: s.phase.trees(),
             })
             .collect();
-        let admission = self.admission.as_ref().map(|adm| AdmissionAudit {
-            ledger: &self.outcome.admission,
-            queued_now: self.queued_now(),
-            preemptions: adm.preemptions,
-        });
+        let admission = match &self.mode {
+            Mode::Admission(adm) => Some(AdmissionAudit {
+                ledger: &self.outcome.admission,
+                queued_now: queued(&self.slots),
+                preemptions: adm.preemptions,
+            }),
+            Mode::Priority | Mode::Pareto => None,
+        };
         let view = MarketAuditView {
             pool: &self.pool,
             sessions,

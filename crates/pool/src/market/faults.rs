@@ -169,14 +169,14 @@ impl MarketSim {
     }
 
     /// Re-reserve a session's holdings to mirror `tree` exactly: members
-    /// at member rank, everything else at the session's priority rank,
+    /// at member rank, everything else at its shape's helper rank,
     /// leased one TTL out (re-syncing IS renewing, like [`Self::plan`]).
     /// Returns `false` — with the session's claims released, so the
     /// fallback full replan starts clean — if any host refuses. Preemption
     /// victims are notified exactly as [`Self::plan`] notifies them.
     fn resync_holdings(&mut self, i: usize, tree: &MulticastTree, now: SimTime) -> bool {
         let spec = self.slots[i].spec.clone();
-        let helper_rank = self.helper_booking_rank(spec.priority);
+        let helper_rank = self.shape(i, u64::MAX).helper_rank;
         let lease = Some(now + self.cfg.lease_ttl);
         self.pool.release_session(spec.id);
         let mut preempted: Vec<SessionId> = Vec::new();
@@ -289,8 +289,8 @@ impl MarketSim {
     /// [`ResourcePool::release_degrees`](crate::ResourcePool::release_degrees) is count-exact, never a full
     /// release.
     fn release_tree_degrees(&mut self, i: usize, tree: &MulticastTree) {
+        let helper_rank = self.shape(i, u64::MAX).helper_rank;
         let spec = &self.slots[i].spec;
-        let helper_rank = self.helper_booking_rank(spec.priority);
         for &h in tree.hosts() {
             if !self.pool.is_alive(h) {
                 continue;

@@ -89,6 +89,7 @@ mod session;
 #[cfg(test)]
 mod tests;
 
+use admission::queued;
 pub use admission::AdmissionConfig;
 pub use outcome::{AdmissionStats, ClassStatsMap, MarketOutcome, PriorityStats, DEGRADED_CLASS};
 pub use session::water_fill;
@@ -262,7 +263,8 @@ enum Phase {
     /// Between sessions: the next `Ev::Start` is scheduled.
     Idle,
     /// In its class's admission FIFO (Admission mode only), which is the
-    /// class's queued slots in `ticket` order.
+    /// class's queued slots in `ticket` order. The ticket is the arrival's
+    /// number in the run, so later arrivals queue behind earlier ones.
     Queued { since: SimTime, ticket: u64 },
     /// A session is running. `trees[0]` serves and `trees[1..]` are the
     /// standbys of a multipath plan; an empty list means dormant (fewer
@@ -323,11 +325,17 @@ impl Slot {
     }
 }
 
-/// The admission controller's state, built only in
-/// [`AllocationMode::Admission`].
+/// The [`AllocationMode`] with the state only that mode owns, built once
+/// from [`MarketConfig::allocation`] in [`MarketSim::new`]: nothing reads
+/// the config field after that.
+enum Mode {
+    Priority,
+    Pareto,
+    Admission(AdmissionCtl),
+}
+
+/// The admission controller's state ([`Mode::Admission`]).
 struct AdmissionCtl {
-    /// The next [`Phase::Queued`] ticket: arrivals queue in ticket order.
-    next_ticket: u64,
     /// Preemption victims observed — the counter behind the
     /// zero-preemption invariant, bumped regardless of warm-up.
     preemptions: u64,
@@ -365,8 +373,7 @@ pub struct MarketSim {
     discovery: Discovery,
     auditor: Option<Auditor>,
     tracer: Tracer,
-    /// `Some` exactly in [`AllocationMode::Admission`].
-    admission: Option<AdmissionCtl>,
+    mode: Mode,
     /// The attached live-operations surface (see [`crate::liveops`]);
     /// `None` unless [`Self::attach_liveops`] was called.
     liveops: Option<LiveOps>,
@@ -470,9 +477,10 @@ impl MarketSim {
         if auditor.is_some() {
             queue.schedule(SimTime::ZERO, Ev::Audit);
         }
-        let admission = match cfg.allocation {
-            AllocationMode::Admission => Some(AdmissionCtl {
-                next_ticket: 0,
+        let mode = match cfg.allocation {
+            AllocationMode::Priority => Mode::Priority,
+            AllocationMode::Pareto => Mode::Pareto,
+            AllocationMode::Admission => Mode::Admission(AdmissionCtl {
                 preemptions: 0,
                 member_hosts: slots
                     .iter()
@@ -484,7 +492,6 @@ impl MarketSim {
                     cfg.admission.scarce_free_frac,
                 ),
             }),
-            AllocationMode::Priority | AllocationMode::Pareto => None,
         };
         let outcome = MarketOutcome {
             session_shares: vec![OnlineStats::default(); slots.len()],
@@ -501,7 +508,7 @@ impl MarketSim {
             discovery,
             auditor,
             tracer: Tracer::disabled(),
-            admission,
+            mode,
             liveops: None,
         }
     }
@@ -635,7 +642,7 @@ impl MarketSim {
             self.store_sync(self.cfg.horizon);
             self.snapshot_round(self.cfg.horizon);
         }
-        self.outcome.admission.queued_final = self.queued_now();
+        self.outcome.admission.queued_final = queued(&self.slots);
         // Closing audit sample at the horizon, then the leak census: any
         // degrees still booked to a session that is no longer active were
         // neither released nor lapsed — exactly what leases must prevent.
@@ -673,12 +680,20 @@ impl MarketSim {
                     return;
                 };
                 self.slots[i].spec.root = root;
-                if self.admission.is_some() {
-                    self.outcome.admission.arrivals =
-                        self.outcome.admission.arrivals.saturating_add(1);
-                    self.admission_decide(i, 0, now);
-                } else {
-                    self.begin_session(i, now, false);
+                match &mut self.mode {
+                    Mode::Admission(adm) => {
+                        let arrivals = &mut self.outcome.admission.arrivals;
+                        *arrivals = arrivals.saturating_add(1);
+                        let free = adm.free_frac(
+                            now,
+                            queued(&self.slots),
+                            &self.discovery,
+                            &self.pool,
+                            &mut self.tracer,
+                        );
+                        self.admission_decide(i, 0, free, now);
+                    }
+                    Mode::Priority | Mode::Pareto => self.begin_session(i, now, false),
                 }
             }
             Ev::End(i, cycle) => {
@@ -756,7 +771,17 @@ impl MarketSim {
                     return;
                 };
                 self.slots[i].spec.root = root;
-                self.admission_decide(i, attempt, now);
+                // Only Admission mode queues a slot.
+                if let Mode::Admission(adm) = &mut self.mode {
+                    let free = adm.free_frac(
+                        now,
+                        queued(&self.slots),
+                        &self.discovery,
+                        &self.pool,
+                        &mut self.tracer,
+                    );
+                    self.admission_decide(i, attempt, free, now);
+                }
             }
             Ev::ExpireLeases => {
                 let mut lapsed = 0u64;

@@ -6,18 +6,14 @@ use rand::Rng;
 use simcore::rng::derive_rng2;
 use simcore::trace::TraceEvent;
 use simcore::SimTime;
-use std::collections::HashSet;
 
-use super::admission::ADMISSION_ONLY;
 use super::{
-    AllocationMode, Discovery, Ev, MarketSim, NoPlan, Phase, SpecInput, DEGRADED_CLASS,
+    Discovery, Ev, MarketSim, Mode, NoPlan, Phase, SpecInput, DEGRADED_CLASS,
     DEGRADED_HELPER_BUDGET, DEGRADED_MEMBER_DEGREE, MEAN_ACTIVE, REPLAN_PERIOD,
 };
 use crate::degree_table::SessionId;
 use crate::task_manager::{
-    plan_and_reserve_fair_leased, plan_and_reserve_from_query_leased,
-    plan_and_reserve_from_view_leased, plan_and_reserve_leased, plan_standby_trees, FairShareCaps,
-    SessionSpec, FAIR_HELPER_RANK,
+    plan_and_reserve_with, plan_standby_trees, Candidates, PlanShape, SessionSpec, FAIR_HELPER_RANK,
 };
 
 impl MarketSim {
@@ -154,13 +150,18 @@ impl MarketSim {
         }
     }
 
-    /// The rank helpers are booked at: per-priority in the preempting
-    /// Priority market, the single fair rank in Pareto/Admission modes
-    /// (equal ranks never preempt).
-    pub(super) fn helper_booking_rank(&self, priority: u8) -> crate::Rank {
-        match self.cfg.allocation {
-            AllocationMode::Priority => crate::Rank::helper(priority),
-            AllocationMode::Pareto | AllocationMode::Admission => FAIR_HELPER_RANK,
+    /// The shape slot `i` plans and books under — the one place a mode
+    /// picks its booking rank. A fair shape's helper budget is
+    /// `fair_budget`, except that a degraded admission runs on a trimmed
+    /// budget and fan-out; callers that read only the rank pass `u64::MAX`.
+    pub(super) fn shape(&self, i: usize, fair_budget: u64) -> PlanShape {
+        let slot = &self.slots[i];
+        match self.mode {
+            Mode::Priority => PlanShape::priority(slot.spec.priority, self.cfg.plan.k_trees),
+            Mode::Admission(_) if slot.degraded => {
+                PlanShape::fair(DEGRADED_HELPER_BUDGET, Some(DEGRADED_MEMBER_DEGREE))
+            }
+            Mode::Pareto | Mode::Admission(_) => PlanShape::fair(fair_budget, None),
         }
     }
 
@@ -253,7 +254,7 @@ impl MarketSim {
     pub(super) fn notify_preempted(&mut self, victims: &[SessionId], now: SimTime) {
         // The zero-preemption invariant of Admission mode counts *every*
         // victim, warm-up or not — one slip anywhere fails the audit.
-        if let Some(adm) = &mut self.admission {
+        if let Mode::Admission(adm) = &mut self.mode {
             adm.preemptions = adm.preemptions.saturating_add(victims.len() as u64);
         }
         for &victim in victims {
@@ -282,51 +283,28 @@ impl MarketSim {
                 return;
             }
         };
-        let out = match self.cfg.allocation {
-            AllocationMode::Priority => {
-                let (pool, plan) = (&mut self.pool, &self.cfg.plan);
-                match &mut self.discovery {
-                    Discovery::Query { index: Some(idx) } => {
-                        plan_and_reserve_from_query_leased(pool, &spec, plan, idx, lease)
-                    }
-                    Discovery::Snapshot { view: Some(view) } => {
-                        plan_and_reserve_from_view_leased(pool, &spec, plan, view, lease)
-                    }
-                    _ => plan_and_reserve_leased(pool, &spec, plan, lease),
-                }
-            }
-            AllocationMode::Pareto => {
-                // Plan against the water-filled fair share, helpers
-                // booked at the shared fair rank, over-share incumbents
-                // trimmed back to theirs first. Fair modes plan from
-                // live tables regardless of the discovery surface.
+        // Pareto plans against its water-filled fair share, over-share
+        // incumbents trimmed back to theirs first.
+        let fair_budget = match self.mode {
+            Mode::Pareto => {
                 let shares = self.pareto_shares();
                 self.reclaim_overshare(i, &shares, now);
-                let caps = FairShareCaps {
-                    helper_budget: shares[i],
-                    member_degree: None,
-                    exclude: &HashSet::new(),
-                };
-                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
+                shares[i]
             }
-            AllocationMode::Admission => {
-                // Admitted sessions draw only free degrees on
-                // non-member hosts — structurally incapable of
-                // preempting. Degraded admissions additionally run on a
-                // trimmed budget and fan-out.
-                let degraded = self.slots[i].degraded;
-                let caps = FairShareCaps {
-                    helper_budget: if degraded {
-                        DEGRADED_HELPER_BUDGET
-                    } else {
-                        u64::MAX
-                    },
-                    member_degree: degraded.then_some(DEGRADED_MEMBER_DEGREE),
-                    exclude: &self.admission.as_ref().expect(ADMISSION_ONLY).member_hosts,
-                };
-                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
-            }
+            Mode::Priority | Mode::Admission(_) => u64::MAX,
         };
+        let shape = self.shape(i, fair_budget);
+        // Priority task managers read the refreshed surface once it exists.
+        // The fair modes plan from live tables regardless; admitted sessions
+        // also skip every market member host, so they cannot preempt.
+        let source = match (&self.mode, &mut self.discovery) {
+            (Mode::Priority, Discovery::Snapshot { view: Some(view) }) => Candidates::View(view),
+            (Mode::Priority, Discovery::Query { index: Some(index) }) => Candidates::Query(index),
+            (Mode::Admission(adm), _) => Candidates::Live(Some(&adm.member_hosts)),
+            _ => Candidates::Live(None),
+        };
+        let out =
+            plan_and_reserve_with(&mut self.pool, &spec, &self.cfg.plan, source, shape, lease);
         // A fresh plan is an intact serving tree: close any open outage
         // window (no-op on fault-free runs — the window never opens).
         self.close_outage(i, now);
@@ -337,7 +315,7 @@ impl MarketSim {
         // planner-work sums below deliberately include this work.
         let mut preempted = out.preempted;
         let mut standby_relaxations = 0;
-        if self.cfg.plan.k_trees > 1 && self.cfg.allocation == AllocationMode::Priority {
+        if shape.standby > 0 {
             let standby =
                 plan_standby_trees(&mut self.pool, &spec, &self.cfg.plan, &trees[0], &[], lease);
             standby_relaxations = standby.relaxations;
@@ -400,7 +378,7 @@ impl MarketSim {
 /// exactly and their leftover is re-filled to the rest. Terminates with
 /// either every demand met or (integer floors aside) the capacity
 /// exhausted — no entry can gain without another losing, the Pareto
-/// property [`AllocationMode::Pareto`] plans against.
+/// property [`AllocationMode::Pareto`](super::AllocationMode::Pareto) plans against.
 pub fn water_fill(capacity: u64, entries: &[(f64, u64)]) -> Vec<u64> {
     let n = entries.len();
     let mut share = vec![0u64; n];

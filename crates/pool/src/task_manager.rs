@@ -57,7 +57,7 @@ pub struct PlanConfig {
     /// Helper scoring strategy.
     pub strategy: HelperStrategy,
     /// Candidate budget of a query-based discovery
-    /// ([`plan_and_reserve_from_query_leased`]): the `k` of the top-k idle-helper
+    /// ([`Candidates::Query`]): the `k` of the top-k idle-helper
     /// query. Matches [`crate::ResourceReport::DEFAULT_CAP`] by default, so
     /// the query path sees the same truncation budget as the snapshot view.
     pub query_k: usize,
@@ -137,7 +137,8 @@ pub struct PlanOutcome {
     pub relaxations: u64,
 }
 
-/// Plan a session's tree against current pool availability and reserve it.
+/// Plan a session's tree against current pool availability and reserve it:
+/// live tables, the session's priority shape, permanent claims.
 ///
 /// # Panics
 /// If the session's member set is internally infeasible (a member with
@@ -147,208 +148,172 @@ pub fn plan_and_reserve(
     spec: &SessionSpec,
     cfg: &PlanConfig,
 ) -> PlanOutcome {
-    plan_and_reserve_leased(pool, spec, cfg, None)
+    let shape = PlanShape::priority(spec.priority, cfg.k_trees);
+    plan_and_reserve_with(pool, spec, cfg, Candidates::Live(None), shape, None)
 }
 
-/// [`plan_and_reserve`], but every reservation is a **lease** expiring at
-/// `lease_until` unless renewed (`None` reserves permanently). This is the
-/// crash-tolerant market's entry point: the task manager's replan period
-/// doubles as its renewal heartbeat, so a manager that dies simply stops
-/// renewing and its degrees flow back to the pool.
+/// [`plan_and_reserve`] with every reservation leased to `lease`.
+/// Kept only because the benchmark package (`perf_e2e/src/trace.rs`)
+/// names it; new callers use [`plan_and_reserve_with`].
 pub fn plan_and_reserve_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
     cfg: &PlanConfig,
-    lease_until: Option<SimTime>,
+    lease: Option<SimTime>,
 ) -> PlanOutcome {
-    let shape = PlanShape::priority(spec.priority);
-    plan_from_tables(pool, spec, cfg, lease_until, shape, &HashSet::new())
+    let shape = PlanShape::priority(spec.priority, cfg.k_trees);
+    plan_and_reserve_with(pool, spec, cfg, Candidates::Live(None), shape, lease)
 }
 
-/// The rank every session's helper claims are booked at under the fair
-/// allocation modes ([`plan_and_reserve_fair_leased`]): the weakest helper
-/// rank. Equal ranks never preempt each other, so fair-mode sessions can
-/// only take **free** degrees — scarcity is resolved by the share budget,
-/// not by evicting a neighbor's tree.
-pub const FAIR_HELPER_RANK: Rank = Rank(3);
-
-/// Reservation caps a fair-allocation planner runs under — the knobs the
-/// market's Pareto water-filling and degraded admissions turn.
-#[derive(Clone, Debug)]
-pub struct FairShareCaps<'a> {
-    /// Total helper degrees the session may claim across all helpers (its
-    /// water-filled fair share, or a degraded admission's trimmed budget).
-    pub helper_budget: u64,
-    /// Per-member degree clamp for the planning pass (`None` = full
-    /// availability). The clamp never goes below 2 so a chain topology
-    /// stays feasible; if even the clamped plan fails, the planner retries
-    /// against full member availability — degradation must not kill the
-    /// session.
-    pub member_degree: Option<u32>,
-    /// Hosts barred from helper candidacy. The admission mode passes every
-    /// market member host here: member-rank reservations then can never
-    /// land on another session's helper claim, which (with the equal-rank
-    /// booking) makes zero preemption a structural guarantee.
-    pub exclude: &'a HashSet<HostId>,
-}
-
-/// [`plan_and_reserve_leased`] under fair-allocation caps: helper claims
-/// are booked at [`FAIR_HELPER_RANK`] regardless of the session's priority
-/// (so they only take free degrees), total helper degrees reserved are
-/// capped at `caps.helper_budget`, and the session plans a single tree
-/// (standby redundancy is a priority-mode feature). The capped plan is
-/// attempted via the fallible planners; if the caps cannot host a tree the
-/// session falls back to members-only rather than failing.
-///
-/// The share budget is enforced at reservation time, not by trimming the
-/// candidate list: the planner sees the pool's full breadth — helper
-/// *quality* is a planning concern — while the degrees it may actually
-/// claim stay capped. With open caps (`u64::MAX`, no clamp, nothing
-/// excluded) this is the priority-3 plan.
-pub fn plan_and_reserve_fair_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    caps: &FairShareCaps,
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    let single = PlanConfig {
-        k_trees: 1,
-        ..cfg.clone()
-    };
-    let shape = PlanShape {
-        helper_rank: FAIR_HELPER_RANK,
-        member_degree: caps.member_degree,
-        helper_budget: caps.helper_budget,
-    };
-    plan_from_tables(pool, spec, &single, lease_until, shape, caps.exclude)
-}
-
-/// The one planning set-up from the live degree tables, shared by every
-/// allocation mode: release the session, take the candidates the tables
-/// offer at `shape.helper_rank` (none under a zero helper budget) minus
-/// `exclude` and any host with no free degree, believe their live
-/// availability, and plan. Fresh availability means no reservation is
-/// refused for a stale view: only a helper budget can send the retry loop
-/// round again.
-fn plan_from_tables(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    lease_until: Option<SimTime>,
-    shape: PlanShape,
-    exclude: &HashSet<HostId>,
-) -> PlanOutcome {
-    // Replanning is all-or-nothing: drop current holdings first.
-    pool.release_session(spec.id);
-
-    let mut candidates = if shape.helper_budget > 0 {
-        pool.candidates(shape.helper_rank, &spec.members, cfg.helper_min_degree)
-    } else {
-        Vec::new()
-    };
-    candidates.retain(|h| !exclude.contains(h));
-    let believed: Vec<(HostId, u32)> = candidates
-        .into_iter()
-        .map(|h| (h, pool.available(h, shape.helper_rank)))
-        .filter(|&(_, free)| free > 0)
-        .collect();
-    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
-}
-
-/// How [`plan_shaped`] books and bounds its reservations. The priority
-/// shape (priority-rank helpers, unclamped members, no budget) reproduces
-/// the historical planner bit for bit; the fair modes override it.
-#[derive(Clone, Copy, Debug)]
-struct PlanShape {
-    /// Rank helper claims are booked at.
-    helper_rank: Rank,
-    /// Optional per-member degree clamp for the planning pass.
-    member_degree: Option<u32>,
-    /// Total helper degrees the reservation pass may claim. A helper
-    /// whose tree degree would push the running total past the budget is
-    /// refused like a stale-view lie: the retry loop replans without it.
-    /// `u64::MAX` (the historical shape) never refuses.
-    helper_budget: u64,
-}
-
-impl PlanShape {
-    /// The preempting priority market's shape for a class-`priority`
-    /// session.
-    fn priority(priority: u8) -> PlanShape {
-        PlanShape {
-            helper_rank: Rank::helper(priority),
-            member_degree: None,
-            helper_budget: u64::MAX,
-        }
-    }
-}
-
-/// Plan from an explicit (possibly **stale**) SOMO view instead of the live
-/// degree tables — what a deployed task manager actually does. Helpers the
-/// view promised but that are no longer available (over-committed since, or
-/// crashed) fail at reservation time; the task manager then drops them from
-/// the candidate set and replans (bounded retries), exactly like contacting
-/// a peer and being refused. Reservations are leased as in
-/// [`plan_and_reserve_leased`].
-pub fn plan_and_reserve_from_view_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    view: &crate::ResourceReport,
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    let shape = PlanShape::priority(spec.priority);
-    pool.release_session(spec.id);
-
-    let rank_idx = spec.priority as usize; // avail[] index for helper rank
-    let believed: Vec<(HostId, u32)> = view
-        .candidates_at(rank_idx, cfg.helper_min_degree)
-        .filter(|(h, _)| !spec.members.contains(h))
-        .collect();
-    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
-}
-
-/// Scope of a query-based discovery: the descent starts at the SOMO root,
-/// so the answer is the exact top-k over the whole pool.
-const QUERY_SCOPE: query::Scope = query::Scope::Global;
-
-/// Plan from a scoped **top-k query answer** instead of a full snapshot —
-/// the `O(log N)` discovery path. The task manager asks the aggregation
-/// tree for the `cfg.query_k` best idle helpers at its priority rank
-/// (excluding its own members), descending from the SOMO root
-/// (`QUERY_SCOPE`). The answer's samples become the candidate set and the
-/// believed availability; like any cached view they can be stale, so
-/// refused reservations are absorbed by the same bounded-retry loop as the
-/// snapshot path. Reservations are leased as in
-/// [`plan_and_reserve_leased`].
+/// [`plan_and_reserve_leased`] from a top-k query answer
+/// ([`Candidates::Query`]). Kept only because the benchmark package
+/// (`perf_e2e/src/trace.rs`) names it; new callers use
+/// [`plan_and_reserve_with`].
 pub fn plan_and_reserve_from_query_leased(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
     cfg: &PlanConfig,
     index: &mut query::QueryIndex,
-    lease_until: Option<SimTime>,
+    lease: Option<SimTime>,
 ) -> PlanOutcome {
-    let shape = PlanShape::priority(spec.priority);
-    pool.release_session(spec.id);
-
-    let rank_idx = spec.priority as usize; // free[] index for helper rank
-    let ans = index.top_k(
-        cfg.query_k,
-        rank_idx,
-        cfg.helper_min_degree,
-        &spec.members,
-        QUERY_SCOPE,
-    );
-    let believed: Vec<(HostId, u32)> = ans
-        .hosts
-        .iter()
-        .map(|s| (s.host, s.free[rank_idx]))
-        .collect();
-    plan_shaped(pool, spec, cfg, believed, lease_until, shape)
+    let shape = PlanShape::priority(spec.priority, cfg.k_trees);
+    plan_and_reserve_with(pool, spec, cfg, Candidates::Query(index), shape, lease)
 }
 
-/// The planning + reservation loop every entry point ends in. `believed`
+/// The rank every session's helper claims are booked at under the fair
+/// allocation modes ([`PlanShape::fair`]): the weakest helper rank. Equal
+/// ranks never preempt each other, so fair-mode sessions can only take
+/// **free** degrees — scarcity is resolved by the share budget, not by
+/// evicting a neighbor's tree.
+pub const FAIR_HELPER_RANK: Rank = Rank(3);
+
+/// Where a task manager learns what the pool has available: the helper
+/// candidates it plans over and the availability it believes for each.
+pub enum Candidates<'a> {
+    /// The live degree tables — always fresh, so no reservation is refused
+    /// for a stale view: the hosts offering at least `helper_min_degree` at
+    /// the shape's helper rank (none under a zero helper budget), minus the
+    /// session's members, the hosts in the set (if any) and any host with
+    /// no free degree. The admission mode bars every market member host
+    /// this way, so member-rank reservations can never land on another
+    /// session's helper claim.
+    Live(Option<&'a HashSet<HostId>>),
+    /// An explicit, possibly **stale** SOMO view — what a deployed task
+    /// manager reads. Helpers it promised that are no longer available
+    /// (over-committed since, or crashed) refuse their reservation, and the
+    /// retry loop drops them and replans, like a peer refusing contact.
+    View(&'a crate::ResourceReport),
+    /// A **top-k query answer** — the `O(log N)` discovery path: the
+    /// `cfg.query_k` best idle helpers over the whole pool (the descent
+    /// starts at the SOMO root), minus the session's members. Its samples
+    /// are a cached view and can be stale like [`Candidates::View`].
+    Query(&'a mut query::QueryIndex),
+}
+
+/// How a plan books and bounds its reservations — the allocation policy as
+/// a value. The priority shape (priority-rank helpers, no budget, no clamp)
+/// is the paper's preempting market; [`PlanShape::fair`] is the shape both
+/// fair allocation modes plan under.
+#[derive(Clone, Copy, Debug)]
+pub struct PlanShape {
+    /// Rank helper claims are booked at.
+    pub(crate) helper_rank: Rank,
+    /// Total helper degrees the reservation pass may claim; `u64::MAX`
+    /// never refuses. A helper whose tree degree would push the running
+    /// total past it is refused like a stale-view lie and the plan retried
+    /// without it: the planner sees the pool's full breadth, only the
+    /// volume it may claim is capped.
+    pub(crate) helper_budget: u64,
+    /// Per-member degree clamp for the planning pass (`None` = full
+    /// availability), never below 2 so a chain stays feasible. If even the
+    /// clamped plan fails, the planner retries against full member
+    /// availability: degradation must not kill the session.
+    pub(crate) member_degree: Option<u32>,
+    /// Standby trees the session will plan behind this primary
+    /// ([`plan_standby_trees`]): the primary leaves one degree unit per
+    /// standby on every member when it can.
+    pub(crate) standby: u32,
+}
+
+impl PlanShape {
+    /// The preempting priority market's shape for a class-`priority`
+    /// session planning `k_trees` trees: helpers at the class's own rank,
+    /// no budget, no clamp, `k_trees − 1` standbys.
+    pub fn priority(priority: u8, k_trees: usize) -> PlanShape {
+        PlanShape {
+            helper_rank: Rank::helper(priority),
+            helper_budget: u64::MAX,
+            member_degree: None,
+            standby: k_trees.saturating_sub(1) as u32,
+        }
+    }
+
+    /// A fair allocation mode's shape: helpers at [`FAIR_HELPER_RANK`]
+    /// whatever the session's class (so they only take free degrees), at
+    /// most `helper_budget` helper degrees, members clamped to
+    /// `member_degree`, and a single tree — standby redundancy is a
+    /// priority-market feature. With an open budget and no clamp this is
+    /// the priority-3 shape of a one-tree session.
+    pub fn fair(helper_budget: u64, member_degree: Option<u32>) -> PlanShape {
+        PlanShape {
+            helper_rank: FAIR_HELPER_RANK,
+            helper_budget,
+            member_degree,
+            standby: 0,
+        }
+    }
+}
+
+/// Plan a session's tree and reserve it: release what the session holds
+/// (replanning is all-or-nothing), read the helper candidates and their
+/// believed availability from `source` at `shape.helper_rank`, plan, and
+/// book the tree under `shape`. Every reservation is a **lease** expiring
+/// at `lease` unless renewed (`None` reserves permanently): a task manager
+/// that dies stops renewing, and its degrees flow back to the pool.
+///
+/// # Panics
+/// As [`plan_and_reserve`].
+pub fn plan_and_reserve_with(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    source: Candidates,
+    shape: PlanShape,
+    lease: Option<SimTime>,
+) -> PlanOutcome {
+    pool.release_session(spec.id);
+    let rank = shape.helper_rank;
+    let at = rank.0 as usize; // the rank's index in every availability array
+    let believed: Vec<(HostId, u32)> = match source {
+        Candidates::Live(_) if shape.helper_budget == 0 => Vec::new(),
+        Candidates::Live(exclude) => pool
+            .candidates(rank, &spec.members, cfg.helper_min_degree)
+            .into_iter()
+            .filter(|h| exclude.is_none_or(|x| !x.contains(h)))
+            .map(|h| (h, pool.available(h, rank)))
+            .filter(|&(_, free)| free > 0)
+            .collect(),
+        Candidates::View(view) => view
+            .candidates_at(at, cfg.helper_min_degree)
+            .filter(|(h, _)| !spec.members.contains(h))
+            .collect(),
+        Candidates::Query(index) => index
+            .top_k(
+                cfg.query_k,
+                at,
+                cfg.helper_min_degree,
+                &spec.members,
+                query::Scope::Global,
+            )
+            .hosts
+            .iter()
+            .map(|s| (s.host, s.free[at]))
+            .collect(),
+    };
+    plan_shaped(pool, spec, cfg, believed, lease, shape)
+}
+
+/// The planning + reservation loop of [`plan_and_reserve_with`]. `believed`
 /// lists the helper candidates with the availability the planner believes
 /// (fresh or from a view). The loop promotes this plan's rows once, the
 /// candidates then the members, in one batch
@@ -389,10 +354,9 @@ fn plan_shaped(
     // member, so the primary leaves one degree unit per extra tree behind
     // when it can. The budgeted attempt is fallible — if the tightened
     // bounds cannot host a tree, the primary replans with full availability
-    // (robustness must never cost the primary). `k_trees = 1` skips the
-    // attempt entirely — bit-identical to the historical planner.
-    let standby_budget = cfg.k_trees.saturating_sub(1) as u32;
-    let budgeted = |avail: u32| avail.saturating_sub(standby_budget).max(avail.min(1));
+    // (robustness must never cost the primary). A shape with no standby
+    // skips the attempt entirely — bit-identical to the historical planner.
+    let budgeted = |avail: u32| avail.saturating_sub(shape.standby).max(avail.min(1));
 
     const MAX_RETRIES: usize = 5;
     for attempt in 0.. {
@@ -438,8 +402,8 @@ fn plan_shaped(
         // The tightened views are fallible — robustness and degradation
         // must never cost the session its tree; the live view is the
         // session's real capacity, infeasible only as documented under
-        // `# Panics` on the entry points.
-        let tree = (standby_budget > 0)
+        // `# Panics` on `plan_and_reserve`.
+        let tree = (shape.standby > 0)
             .then(|| try_plan(&members_under(&budgeted)))
             .flatten()
             .or_else(|| {
@@ -793,6 +757,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot sample 301 members from 300 hosts")]
+    fn sampling_more_members_than_hosts_names_both_counts() {
+        small_pool(1).sample_members(301, 1);
+    }
+
+    #[test]
     fn plan_reserves_exactly_the_tree_degrees() {
         let mut pool = small_pool(1);
         let s = spec(&pool, 1, 2, 10);
@@ -926,21 +896,52 @@ mod tests {
         }
     }
 
+    /// Plan `s` from a snapshot view under its priority shape.
+    fn plan_from_view(
+        pool: &mut ResourcePool,
+        s: &SessionSpec,
+        cfg: &PlanConfig,
+        view: &crate::ResourceReport,
+    ) -> PlanOutcome {
+        let shape = PlanShape::priority(s.priority, cfg.k_trees);
+        plan_and_reserve_with(pool, s, cfg, Candidates::View(view), shape, None)
+    }
+
+    /// One fresh pool, three sources, one tree: the live tables, a fresh
+    /// snapshot and a fresh query index whose `k` covers the pool offer the
+    /// same candidates at the same availability.
     #[test]
     fn fresh_view_matches_live_planning() {
         let mut pool = small_pool(8);
         let s = spec(&pool, 31, 2, 70);
         let cfg = PlanConfig {
             model: PlanModel::Oracle,
+            query_k: pool.num_hosts(),
             ..PlanConfig::default()
         };
         let view = pool.snapshot_report(usize::MAX);
-        let from_view = plan_and_reserve_from_view_leased(&mut pool, &s, &cfg, &view, None);
-        assert_eq!(from_view.helper_failures, 0, "fresh view caused failures");
-        pool.release_session(s.id);
-        let live = plan_and_reserve(&mut pool, &s, &cfg);
-        assert_eq!(from_view.oracle_height, live.oracle_height);
-        assert_eq!(from_view.helpers, live.helpers);
+        let mut index = pool.build_query_index(SimTime::from_secs(60), SimTime::ZERO);
+        let shape = PlanShape::priority(s.priority, cfg.k_trees);
+        let sources = [
+            ("live", Candidates::Live(None)),
+            ("view", Candidates::View(&view)),
+            ("query", Candidates::Query(&mut index)),
+        ];
+        let outs: Vec<(&str, PlanOutcome)> = sources
+            .into_iter()
+            .map(|(name, source)| {
+                let out = plan_and_reserve_with(&mut pool, &s, &cfg, source, shape, None);
+                pool.release_session(s.id);
+                (name, out)
+            })
+            .collect();
+        let live = &outs[0].1;
+        for (name, out) in &outs {
+            assert_eq!(out.helper_failures, 0, "fresh {name} caused failures");
+            let bits = |o: &PlanOutcome| o.oracle_height.to_bits();
+            assert_eq!(bits(out), bits(live), "{name}");
+            assert_eq!(out.helpers, live.helpers, "{name}");
+        }
     }
 
     #[test]
@@ -972,7 +973,7 @@ mod tests {
             root: sets[3][0],
             members: sets[3].clone(),
         };
-        let out = plan_and_reserve_from_view_leased(&mut pool, &probe, &cfg, &stale_view, None);
+        let out = plan_from_view(&mut pool, &probe, &cfg, &stale_view);
         out.tree
             .validate(&pool.net.latency, |h| pool.net.hosts.degree_bound(h))
             .unwrap();
@@ -993,7 +994,16 @@ mod tests {
         let mut pool = small_pool(12);
         let s = spec(&pool, 44, 2, 90);
         let lease = SimTime::from_secs(300);
-        let out = plan_and_reserve_leased(&mut pool, &s, &PlanConfig::default(), Some(lease));
+        let cfg = PlanConfig::default();
+        let shape = PlanShape::priority(s.priority, cfg.k_trees);
+        let out = plan_and_reserve_with(
+            &mut pool,
+            &s,
+            &cfg,
+            Candidates::Live(None),
+            shape,
+            Some(lease),
+        );
         let held = pool.held_total(SessionId(44));
         assert!(held > 0);
         assert_eq!(
@@ -1036,7 +1046,7 @@ mod tests {
         for &h in &reference.helpers {
             pool.kill_host(h);
         }
-        let out = plan_and_reserve_from_view_leased(&mut pool, &s, &cfg, &view, None);
+        let out = plan_from_view(&mut pool, &s, &cfg, &view);
         if !reference.helpers.is_empty() {
             assert!(
                 out.helper_failures > 0,

@@ -13,7 +13,6 @@
 //!
 //! Run with: `cargo run --release --example query`
 
-use p2p_resource_pool::pool::plan_and_reserve_from_query_leased;
 use p2p_resource_pool::prelude::*;
 
 fn main() {
@@ -72,13 +71,10 @@ fn main() {
         root,
         members,
     };
-    let out = plan_and_reserve_from_query_leased(
-        &mut pool,
-        &spec,
-        &PlanConfig::default(),
-        &mut index,
-        None,
-    );
+    let cfg = PlanConfig::default();
+    let shape = PlanShape::priority(spec.priority, cfg.k_trees);
+    let source = Candidates::Query(&mut index);
+    let out = plan_and_reserve_with(&mut pool, &spec, &cfg, source, shape, None);
     println!(
         "planned session: {} helpers recruited, {:.1}% height improvement over members-only\n",
         out.helpers.len(),

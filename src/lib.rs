@@ -44,9 +44,9 @@ pub mod prelude {
     pub use netsim::{HostId, LatencyModel, Network, NetworkConfig};
     pub use oracle::{LatencySource, TierStats, TieredConfig};
     pub use pool::{
-        plan_and_reserve, plan_and_reserve_leased, AdmissionConfig, AllocationMode, DiscoveryMode,
-        LiveOps, LiveOpsConfig, MarketConfig, MarketSim, MarketSnapshot, PlanConfig, PlanModel,
-        PoolConfig, Rank, ResourcePool, SessionId, SessionSpec,
+        plan_and_reserve, plan_and_reserve_with, AdmissionConfig, AllocationMode, Candidates,
+        DiscoveryMode, LiveOps, LiveOpsConfig, MarketConfig, MarketSim, MarketSnapshot, PlanConfig,
+        PlanModel, PlanShape, PoolConfig, Rank, ResourcePool, SessionId, SessionSpec,
     };
     pub use query::{
         Aggregate, HostSample, PressureReport, PressureWatch, QueryAnswer, QueryIndex,

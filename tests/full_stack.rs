@@ -147,16 +147,13 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
         root,
         members,
     };
-    let out = pool::task_manager::plan_and_reserve_from_view_leased(
-        &mut pool,
-        &spec,
-        &PlanConfig {
-            model: PlanModel::Oracle,
-            ..PlanConfig::default()
-        },
-        &view,
-        None,
-    );
+    let cfg = PlanConfig {
+        model: PlanModel::Oracle,
+        ..PlanConfig::default()
+    };
+    let shape = pool::PlanShape::priority(spec.priority, cfg.k_trees);
+    let source = pool::Candidates::View(&view);
+    let out = pool::plan_and_reserve_with(&mut pool, &spec, &cfg, source, shape, None);
     assert_eq!(out.helper_failures, 0, "view was fresh; nothing may fail");
     out.tree
         .validate(&pool.net.latency, |h| pool.net.hosts.degree_bound(h))

@@ -183,9 +183,9 @@ fn plan_promotion_keeps_every_member_row_hot() {
 }
 
 /// The fair-share planner is the priority planner with another shape: with
-/// open caps — no budget, no clamp, nothing excluded — a fair plan books
-/// at the fair rank, which is the priority-3 helper rank, so it must plan
-/// the priority-3 tree and do the same oracle work, lookup for lookup.
+/// an open fair shape — no budget, no clamp, nothing excluded — a fair plan
+/// books at the fair rank, which is the priority-3 helper rank, so it must
+/// plan the priority-3 tree and do the same oracle work, lookup for lookup.
 #[test]
 fn fair_plan_with_open_caps_is_the_rank_3_priority_plan() {
     let base = build(tiered(), 31);
@@ -196,19 +196,16 @@ fn fair_plan_with_open_caps_is_the_rank_3_priority_plan() {
         root: members[0],
         members,
     };
-    let open = pool::FairShareCaps {
-        helper_budget: u64::MAX,
-        member_degree: None,
-        exclude: &Default::default(),
-    };
     for model in [PlanModel::Oracle, PlanModel::Coords] {
         let cfg = PlanConfig {
             model,
             ..PlanConfig::default()
         };
         let (mut priority, mut fair) = (base.clone(), base.clone());
-        let a = plan_and_reserve_leased(&mut priority, &spec, &cfg, None);
-        let b = pool::plan_and_reserve_fair_leased(&mut fair, &spec, &cfg, &open, None);
+        let a = plan_and_reserve(&mut priority, &spec, &cfg);
+        let live = pool::Candidates::Live(None);
+        let open = pool::PlanShape::fair(u64::MAX, None);
+        let b = pool::plan_and_reserve_with(&mut fair, &spec, &cfg, live, open, None);
         let height = |p: &PlanOutcome| p.oracle_height.to_bits();
         assert_eq!(a.tree.hosts(), b.tree.hosts(), "{model:?}");
         assert_eq!(height(&a), height(&b), "{model:?}");
