@@ -66,7 +66,7 @@ pub use task_manager::{
     FAIR_HELPER_RANK,
 };
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bwest::{BwEstConfig, BwEstimates};
 use coords::{CoordStore, LeafsetCoords};
@@ -78,9 +78,10 @@ use serde::{Deserialize, Serialize};
 /// One state-mutating pool call, recorded by the pool itself once
 /// [`ResourcePool::enable_op_log`] is on. The sequence is the run's
 /// **delta log**: drained into a `runstore::RunStore`, snapshot-plus-replay
-/// ([`liveops::ReplayState::apply`]) reconstructs the pool state byte for byte,
+/// ([`MarketSnapshot::apply`]) reconstructs the pool state byte for byte,
 /// including mid-retry victim evictions that the planner's retry loop
-/// never rolls back (see [`liveops`]).
+/// never rolls back (see [`liveops`]). Every op is a function of the
+/// degree tables and the call's arguments, never of booking history.
 ///
 /// Serializable so stores can export delta logs as JSON lines.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -102,12 +103,11 @@ pub enum PoolOp {
         /// Whether the reservation succeeded.
         ok: bool,
     },
-    /// A [`ResourcePool::release_session`] call; `hosts` are the holdings
-    /// it drained.
+    /// A [`ResourcePool::release_session`] call that freed anything.
     ReleaseSession {
         /// Session released.
         session: SessionId,
-        /// Hosts the session held degrees on when released.
+        /// Hosts the session held degrees on when released, ascending.
         hosts: Vec<HostId>,
     },
     /// A [`ResourcePool::release_degrees`] call (standby-tree rollback).
@@ -187,6 +187,11 @@ impl Default for PoolConfig {
 
 /// The assembled resource pool: every host of the underlay joined into one
 /// DHT ring, with generated metrics and per-host degree tables.
+///
+/// The degree tables are the one record of who holds what, as in the
+/// paper's market: every holdings query ([`Self::holdings_of`],
+/// [`Self::held_total`], [`Self::sessions_holding`]) reads them, and no
+/// index mirrors them.
 #[derive(Clone)]
 pub struct ResourcePool {
     /// The physical underlay (latency oracle, degree bounds, bandwidths).
@@ -198,7 +203,6 @@ pub struct ResourcePool {
     /// Leafset-generated bottleneck-bandwidth estimates.
     pub bw: BwEstimates,
     tables: Vec<DegreeTable>,
-    holdings: HashMap<SessionId, Vec<HostId>>,
     alive: Vec<bool>,
     /// The latency oracle planning reads go through (see
     /// [`PoolConfig::latency_source`]). Cloning the pool deep-copies the
@@ -260,7 +264,6 @@ impl ResourcePool {
             coords,
             bw,
             tables,
-            holdings: HashMap::new(),
             alive,
             oracle,
             op_log: None,
@@ -553,9 +556,7 @@ impl ResourcePool {
                 available: 0,
             });
         }
-        // A zero-count claim books nothing, so it must not create a
-        // holdings entry either: an indexed host with no table degrees
-        // would violate lease-holder consistency.
+        // A zero-count claim books nothing and is not logged.
         if count == 0 {
             return Ok(vec![]);
         }
@@ -569,30 +570,7 @@ impl ResourcePool {
             }
         };
         self.log(|| reserve(true));
-        let held = self.holdings.entry(session).or_default();
-        if !held.contains(&h) {
-            held.push(h);
-        }
-        // A victim whose claim on `h` was fully evicted no longer holds here.
-        for (victim, _) in &preempted {
-            self.unlist_if_empty(*victim, h);
-        }
         Ok(preempted)
-    }
-
-    /// Keep the holdings index an exact mirror of the tables: drop `h` from
-    /// `session`'s holdings once its table holds nothing there for it, and
-    /// the session once its list empties.
-    fn unlist_if_empty(&mut self, session: SessionId, h: HostId) {
-        if self.tables[h.idx()].held_by(session) > 0 {
-            return;
-        }
-        if let Some(held) = self.holdings.get_mut(&session) {
-            held.retain(|x| *x != h);
-            if held.is_empty() {
-                self.holdings.remove(&session);
-            }
-        }
     }
 
     /// Record one op when the op log is on; `op` is built only then.
@@ -603,20 +581,23 @@ impl ResourcePool {
         }
     }
 
-    /// Release everything a session holds across the pool. Returns the
-    /// number of degrees freed. Idempotent, like [`DegreeTable::release`].
+    /// Release everything a session holds across the pool, host by host in
+    /// ascending order. Returns the number of degrees freed. Idempotent,
+    /// like [`DegreeTable::release`]; a call that frees nothing is not
+    /// logged.
     pub fn release_session(&mut self, session: SessionId) -> u32 {
-        let mut freed = 0;
-        if let Some(hosts) = self.holdings.remove(&session) {
-            self.log(|| PoolOp::ReleaseSession {
-                session,
-                hosts: hosts.clone(),
-            });
-            for h in hosts {
-                freed += self.tables[h.idx()].release(session);
-            }
+        let hosts = self.holdings_of(session);
+        if hosts.is_empty() {
+            return 0;
         }
-        freed
+        self.log(|| PoolOp::ReleaseSession {
+            session,
+            hosts: hosts.clone(),
+        });
+        hosts
+            .iter()
+            .map(|h| self.tables[h.idx()].release(session))
+            .sum()
     }
 
     /// Release only what a session holds on one host (used to drop the
@@ -625,15 +606,13 @@ impl ResourcePool {
     pub fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
         let freed = self.tables[h.idx()].release(session);
         self.log(|| PoolOp::ReleaseOnHost { session, host: h });
-        self.unlist_if_empty(session, h);
         freed
     }
 
     /// Release up to `count` degrees a session holds on `h` at `rank` — the
     /// per-tree teardown of the multipath planner: dropping one of a
     /// session's k trees returns exactly that tree's units while the other
-    /// trees keep theirs. The holdings mirror stays exact: the host entry
-    /// survives while any units remain. Returns the degrees freed.
+    /// trees keep theirs. Returns the degrees freed.
     pub fn release_degrees(
         &mut self,
         h: HostId,
@@ -648,22 +627,19 @@ impl ResourcePool {
             rank,
             count,
         });
-        if freed > 0 {
-            self.unlist_if_empty(session, h);
-        }
         freed
     }
 
     /// Extend every lease a session holds pool-wide to `expires_at` — the
-    /// task manager's periodic renewal. Returns the degrees renewed; a
-    /// session whose claims have already lapsed gets 0 back.
+    /// task manager's periodic renewal — sweeping every table. Returns the
+    /// degrees renewed; a session whose claims have already lapsed gets 0
+    /// back.
     pub fn renew_session(&mut self, session: SessionId, expires_at: simcore::SimTime) -> u32 {
-        let mut renewed = 0;
-        if let Some(hosts) = self.holdings.get(&session) {
-            for h in hosts {
-                renewed += self.tables[h.idx()].renew(session, expires_at);
-            }
-        }
+        let renewed = self
+            .tables
+            .iter_mut()
+            .map(|t| t.renew(session, expires_at))
+            .sum();
         self.log(|| PoolOp::Renew {
             session,
             expires_at,
@@ -671,55 +647,49 @@ impl ResourcePool {
         renewed
     }
 
-    /// Lapse every overdue lease in the pool and drop the corresponding
-    /// holdings entries. Returns `(session, degrees_reclaimed)` pairs in
-    /// session order — the degrees a dead task manager leaked back to the
-    /// market.
+    /// Lapse every overdue lease in the pool, sweeping every table.
+    /// Returns `(session, degrees_reclaimed)` pairs in session order — the
+    /// degrees a dead task manager leaked back to the market.
     pub fn expire_leases(&mut self, now: simcore::SimTime) -> Vec<(SessionId, u32)> {
-        let mut reclaimed: HashMap<SessionId, u32> = HashMap::new();
-        let mut touched: Vec<HostId> = self.holdings.values().flatten().copied().collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for h in touched {
-            for (s, c) in self.tables[h.idx()].expire(now) {
+        let mut reclaimed: BTreeMap<SessionId, u32> = BTreeMap::new();
+        for t in &mut self.tables {
+            for (s, c) in t.expire(now) {
                 *reclaimed.entry(s).or_default() += c;
             }
         }
-        // Drop holdings entries whose host-side claim is now entirely gone.
-        for &s in reclaimed.keys() {
-            for h in self.holdings_of(s).to_vec() {
-                self.unlist_if_empty(s, h);
-            }
-        }
-        let mut out: Vec<(SessionId, u32)> = reclaimed.into_iter().collect();
-        out.sort_unstable_by_key(|(s, _)| *s);
         self.log(|| PoolOp::ExpireLeases { now });
-        out
+        reclaimed.into_iter().collect()
     }
 
-    /// The hosts a session currently holds degrees on (empty if none).
-    pub fn holdings_of(&self, session: SessionId) -> &[HostId] {
-        self.holdings.get(&session).map_or(&[], |v| v.as_slice())
+    /// The hosts whose table books degrees for a session, ascending (empty
+    /// if none).
+    pub fn holdings_of(&self, session: SessionId) -> Vec<HostId> {
+        self.net
+            .hosts
+            .ids()
+            .filter(|&h| self.holds_on(session, h))
+            .collect()
     }
 
-    /// Whether a session holds degrees on host `h`.
+    /// Whether host `h`'s table books degrees for a session.
     pub fn holds_on(&self, session: SessionId, h: HostId) -> bool {
-        self.holdings_of(session).contains(&h)
+        self.tables[h.idx()].held_by(session) > 0
     }
 
-    /// Total degrees a session holds pool-wide, summed from the authoritative
-    /// per-host tables.
+    /// Total degrees a session holds pool-wide, summed over the tables.
     pub fn held_total(&self, session: SessionId) -> u32 {
-        self.holdings_of(session)
-            .iter()
-            .map(|h| self.tables[h.idx()].held_by(session))
-            .sum()
+        self.tables.iter().map(|t| t.held_by(session)).sum()
     }
 
-    /// Every session with at least one holdings entry, in session order.
+    /// Every session some table books degrees for, in session order.
     pub fn sessions_holding(&self) -> Vec<SessionId> {
-        let mut s: Vec<SessionId> = self.holdings.keys().copied().collect();
+        let mut s: Vec<SessionId> = self
+            .tables
+            .iter()
+            .flat_map(|t| t.allocations().iter().map(|a| a.session))
+            .collect();
         s.sort_unstable();
+        s.dedup();
         s
     }
 

@@ -17,8 +17,11 @@
 //!   crossings), appending what fired as [`OpsNote`] deltas.
 //!
 //! Reconstruction is [`reconstruct_at`]: thaw a snapshot into a dense
-//! [`ReplayState`] and fold the later deltas forward with
-//! [`ReplayState::apply`]. The replay-determinism gate (`tests/liveops.rs`,
+//! [`MarketSnapshot`] and fold the later deltas forward with
+//! [`MarketSnapshot::apply`]. A pool-wide op (`Renew`, `ExpireLeases`)
+//! sweeps every host of the thawed snapshot, as the live pool sweeps every
+//! table: the degree tables are the one record of who holds what, here as
+//! in [`ResourcePool`]. The replay-determinism gate (`tests/liveops.rs`,
 //! `ext_liveops`) asserts the result byte-identical to the live run's
 //! final state from *every* snapshot of a faulted market run, and
 //! `tests/liveops_pins.rs` pins the exported bytes and every replay.
@@ -121,7 +124,7 @@ pub struct LeaseHorizon {
 
 /// An operator-facing observation appended to the delta log when a
 /// standing query fires. Notes are pure annotations: replay ignores them
-/// ([`ReplayState::apply`] treats them as no-ops).
+/// ([`MarketSnapshot::apply`] treats them as no-ops).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum OpsNote {
     /// A registered threshold subscription crossed (see
@@ -256,6 +259,80 @@ impl MarketSnapshot {
             .map(|h| h.host)
             .collect()
     }
+
+    /// Fold one delta forward. Pool ops re-execute against the tables
+    /// exactly as the live pool executed them; slot and queue deltas
+    /// overwrite the mirrors; notes are annotations and do nothing. The
+    /// derived fields are left stale: call [`Self::refresh_derived`] after
+    /// the last delta.
+    pub fn apply(&mut self, delta: &MarketDelta) {
+        match delta {
+            MarketDelta::Pool(op) => self.apply_pool_op(op),
+            MarketDelta::Slot { index, state } => {
+                self.slots[*index as usize] = **state;
+            }
+            MarketDelta::Queues { queues } => {
+                self.admission_queues = (**queues).clone();
+            }
+            MarketDelta::Note(_) => {}
+        }
+    }
+
+    fn apply_pool_op(&mut self, op: &PoolOp) {
+        let hosts = &mut self.hosts;
+        match op {
+            PoolOp::Reserve {
+                host,
+                session,
+                rank,
+                count,
+                expires_at,
+                ok,
+            } => {
+                if *ok {
+                    let r =
+                        hosts[host.idx()]
+                            .table
+                            .reserve_until(*session, *rank, *count, *expires_at);
+                    debug_assert!(r.is_ok(), "logged-ok reserve must replay ok ({host:?})");
+                }
+            }
+            PoolOp::ReleaseSession { session, hosts: on } => {
+                for h in on {
+                    hosts[h.idx()].table.release(*session);
+                }
+            }
+            PoolOp::ReleaseDegrees {
+                host,
+                session,
+                rank,
+                count,
+            } => {
+                hosts[host.idx()]
+                    .table
+                    .release_count(*session, *rank, *count);
+            }
+            PoolOp::ReleaseOnHost { session, host } => {
+                hosts[host.idx()].table.release(*session);
+            }
+            PoolOp::Renew {
+                session,
+                expires_at,
+            } => {
+                for h in hosts {
+                    h.table.renew(*session, *expires_at);
+                }
+            }
+            PoolOp::ExpireLeases { now } => {
+                for h in hosts {
+                    h.table.expire(*now);
+                }
+            }
+            PoolOp::SetAlive { host, alive } => {
+                hosts[host.idx()].alive = *alive;
+            }
+        }
+    }
 }
 
 /// A [`MarketSnapshot`] as the store holds it: sparse and flat, so that a
@@ -384,128 +461,6 @@ impl Serialize for FrozenSnapshot {
     /// The dense snapshot's JSON, byte for byte.
     fn to_json_value(&self) -> serde::Value {
         self.thaw().to_json_value()
-    }
-}
-
-/// The working state of a replay: a thawed [`MarketSnapshot`] that deltas
-/// fold into, plus the list of hosts whose tables can hold anything, so a
-/// pool-wide op (`Renew`, `ExpireLeases`) sweeps the held tables rather
-/// than every host of the pool.
-#[derive(Clone, Debug)]
-pub struct ReplayState {
-    snap: MarketSnapshot,
-    /// Hosts the snapshot held tables on plus every host a replayed
-    /// reserve booked on since. A superset of the non-empty tables — a
-    /// drained table stays listed, and sweeping it does nothing.
-    occupied: Vec<u32>,
-    /// `occupied` as a membership test, host-indexed.
-    listed: Vec<bool>,
-}
-
-impl From<MarketSnapshot> for ReplayState {
-    fn from(snap: MarketSnapshot) -> ReplayState {
-        let listed: Vec<bool> = snap
-            .hosts
-            .iter()
-            .map(|h| !h.table.allocations().is_empty())
-            .collect();
-        let occupied = (0..listed.len() as u32)
-            .filter(|&i| listed[i as usize])
-            .collect();
-        ReplayState {
-            snap,
-            occupied,
-            listed,
-        }
-    }
-}
-
-impl ReplayState {
-    /// Open a stored snapshot for replay.
-    pub fn open(frozen: &FrozenSnapshot) -> ReplayState {
-        frozen.thaw().into()
-    }
-
-    /// Fold one delta forward. Pool ops re-execute against the state's
-    /// tables exactly as the live pool executed them; slot and queue
-    /// deltas overwrite the mirrors; notes are annotations and do
-    /// nothing.
-    pub fn apply(&mut self, delta: &MarketDelta) {
-        match delta {
-            MarketDelta::Pool(op) => self.apply_pool_op(op),
-            MarketDelta::Slot { index, state } => {
-                self.snap.slots[*index as usize] = **state;
-            }
-            MarketDelta::Queues { queues } => {
-                self.snap.admission_queues = (**queues).clone();
-            }
-            MarketDelta::Note(_) => {}
-        }
-    }
-
-    fn apply_pool_op(&mut self, op: &PoolOp) {
-        let hosts = &mut self.snap.hosts;
-        match op {
-            PoolOp::Reserve {
-                host,
-                session,
-                rank,
-                count,
-                expires_at,
-                ok,
-            } => {
-                if *ok {
-                    let r =
-                        hosts[host.idx()]
-                            .table
-                            .reserve_until(*session, *rank, *count, *expires_at);
-                    debug_assert!(r.is_ok(), "logged-ok reserve must replay ok ({host:?})");
-                    if !std::mem::replace(&mut self.listed[host.idx()], true) {
-                        self.occupied.push(host.0);
-                    }
-                }
-            }
-            PoolOp::ReleaseSession { session, hosts: on } => {
-                for h in on {
-                    hosts[h.idx()].table.release(*session);
-                }
-            }
-            PoolOp::ReleaseDegrees {
-                host,
-                session,
-                rank,
-                count,
-            } => {
-                hosts[host.idx()]
-                    .table
-                    .release_count(*session, *rank, *count);
-            }
-            PoolOp::ReleaseOnHost { session, host } => {
-                hosts[host.idx()].table.release(*session);
-            }
-            PoolOp::Renew {
-                session,
-                expires_at,
-            } => {
-                for &h in &self.occupied {
-                    hosts[h as usize].table.renew(*session, *expires_at);
-                }
-            }
-            PoolOp::ExpireLeases { now } => {
-                for &h in &self.occupied {
-                    hosts[h as usize].table.expire(*now);
-                }
-            }
-            PoolOp::SetAlive { host, alive } => {
-                hosts[host.idx()].alive = *alive;
-            }
-        }
-    }
-
-    /// The reconstructed snapshot, derived fields refreshed.
-    pub fn finish(mut self) -> MarketSnapshot {
-        self.snap.refresh_derived();
-        self.snap
     }
 }
 
@@ -747,14 +702,15 @@ pub fn store_freshness(store: &MarketStore, bound: SimTime) -> Freshness {
 }
 
 /// Reconstruct the state at the end of the log from snapshot `idx`:
-/// thaw it into a [`ReplayState`], fold every later delta with
-/// [`ReplayState::apply`], refresh the derived fields.
+/// thaw it, fold every later delta with [`MarketSnapshot::apply`], refresh
+/// the derived fields.
 ///
 /// # Errors
 /// [`ReplayGap`] when delta eviction dropped part of the needed range.
 pub fn reconstruct_at(store: &MarketStore, idx: usize) -> Result<MarketSnapshot, ReplayGap> {
-    let replayed = store.replay(idx, ReplayState::open, |s, d| s.apply(&d.delta))?;
-    Ok(replayed.finish())
+    let mut snap = store.replay(idx, FrozenSnapshot::thaw, |s, d| s.apply(&d.delta))?;
+    snap.refresh_derived();
+    Ok(snap)
 }
 
 /// "Which hosts are at or above `threshold` degree utilization right
@@ -854,7 +810,7 @@ mod tests {
     #[test]
     fn pool_ops_fold_identically_to_direct_table_calls() {
         let mut live = vec![DegreeTable::new(8), DegreeTable::new(8)];
-        let mut replay = ReplayState::from(snap_with(live.clone()));
+        let mut snap = snap_with(live.clone());
         let lease = Some(SimTime::from_secs(100));
         // Live trajectory.
         live[0]
@@ -891,9 +847,9 @@ mod tests {
                 now: SimTime::from_secs(150),
             },
         ] {
-            replay.apply(&MarketDelta::Pool(op));
+            snap.apply(&MarketDelta::Pool(op));
         }
-        let snap = replay.finish();
+        snap.refresh_derived();
         assert_eq!(snap.hosts[0].table, live[0]);
         assert_eq!(snap.hosts[1].table, live[1]);
         // Session 2's lease lapsed at 150 s; session 1 renewed to 200 s.
@@ -906,6 +862,51 @@ mod tests {
         );
         assert_eq!(snap.used, 3);
         assert_eq!(snap.capacity, 16);
+    }
+
+    #[test]
+    fn the_delta_log_is_a_function_of_the_tables_not_of_booking_order() {
+        let mut a = ResourcePool::build(
+            &crate::PoolConfig {
+                net: netsim::NetworkConfig {
+                    num_hosts: 8,
+                    ..netsim::NetworkConfig::default()
+                },
+                coord_rounds: 2,
+                ..crate::PoolConfig::default()
+            },
+            7,
+        );
+        a.enable_op_log();
+        let mut b = a.clone();
+        let (s, lease) = (SessionId(3), Some(SimTime::from_secs(300)));
+        let claims = [
+            (HostId(5), 2),
+            (HostId(1), 1),
+            (HostId(7), 3),
+            (HostId(2), 1),
+        ];
+        for &(h, count) in &claims {
+            a.reserve_leased(h, s, Rank::helper(2), count, lease)
+                .unwrap();
+        }
+        for &(h, count) in claims.iter().rev() {
+            b.reserve_leased(h, s, Rank::helper(2), count, lease)
+                .unwrap();
+        }
+        a.drain_op_log();
+        b.drain_op_log();
+        assert_eq!(a.release_session(s), 7);
+        assert_eq!(b.release_session(s), 7);
+        let released = vec![PoolOp::ReleaseSession {
+            session: s,
+            hosts: vec![HostId(1), HostId(2), HostId(5), HostId(7)],
+        }];
+        assert_eq!(a.drain_op_log(), released);
+        assert_eq!(b.drain_op_log(), released);
+        // Nothing left to free: the second release logs nothing.
+        assert_eq!(a.release_session(s), 0);
+        assert!(a.drain_op_log().is_empty());
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl AdmissionCtl {
     /// query index is live, otherwise a direct fold of every live host's
     /// sample (the controller's local stand-in for the published
     /// aggregate), with the `queued` sessions and the controller's own
-    /// preemption count folded in. Cached per event time.
+    /// preemption count folded in.
     pub(super) fn free_frac(
         &mut self,
         now: SimTime,
@@ -63,12 +63,6 @@ impl AdmissionCtl {
         pool: &ResourcePool,
         tracer: &mut Tracer,
     ) -> f64 {
-        let fair = FAIR_HELPER_RANK.0 as usize;
-        if let Some((at, pr)) = self.pressure_cache {
-            if at == now {
-                return pr.free_frac[fair];
-            }
-        }
         let mut agg = match discovery {
             Discovery::Query { index: Some(idx) } => idx.root_aggregate().clone(),
             _ => pool.aggregate(now),
@@ -79,8 +73,7 @@ impl AdmissionCtl {
         if let Some(scarce) = self.pressure_watch.observe(&agg) {
             tracer.emit(now, || TraceEvent::MarketPressureShift { scarce });
         }
-        self.pressure_cache = Some((now, pr));
-        pr.free_frac[fair]
+        pr.free_frac[FAIR_HELPER_RANK.0 as usize]
     }
 }
 

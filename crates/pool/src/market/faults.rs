@@ -63,13 +63,12 @@ impl MarketSim {
             return;
         }
         // Release every stranded claim (degrees booked on hosts that are
-        // now dead). `release_on_host` is idempotent, so overlapping
-        // detections are harmless.
+        // now dead), in host order. `release_on_host` is idempotent, so
+        // overlapping detections are harmless.
         let stranded: Vec<HostId> = self
             .pool
             .holdings_of(spec.id)
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|&x| !self.pool.is_alive(x))
             .collect();
         for x in &stranded {
@@ -373,8 +372,8 @@ impl MarketSim {
     }
 
     /// Deputy takeover: the lowest-ID surviving member reconstructs the
-    /// session from the SOMO-published degree tables (the pool's holdings
-    /// are exactly what the tables advertise) and replans as the new task
+    /// session from the SOMO-published degree tables (the only record of
+    /// what the session holds) and replans as the new task
     /// manager. With no survivors the session is lost and its leases are
     /// left to lapse — a dead manager cannot release anything.
     pub(super) fn failover(&mut self, i: usize, cycle: u64, now: SimTime) {
@@ -398,9 +397,9 @@ impl MarketSim {
                     deputy: deputy.0,
                 });
                 self.slots[i].spec.root = deputy;
-                // The deputy's first replan releases the dead root's
-                // holdings (reconstructed from the published tables) and
-                // re-reserves under fresh leases.
+                // The deputy's first replan releases what the published
+                // tables book for the session and re-reserves under fresh
+                // leases.
                 self.plan(i, now);
             }
             None => {

@@ -43,9 +43,9 @@
 //!   repair's backoff-dominated duration has elapsed;
 //! * a crashed **root** triggers deterministic task-manager failover: the
 //!   lowest-ID surviving member becomes the deputy, reconstructs the
-//!   session's holdings from the SOMO-published degree tables (the pool's
-//!   authoritative holdings) and replans; a session with no survivors is
-//!   lost and its leases lapse;
+//!   session's holdings from the SOMO-published degree tables (the one
+//!   record of who holds what) and replans; a session with no survivors
+//!   is lost and its leases lapse;
 //! * with [`PlanConfig::k_trees`] > 1 each session also reserves up to
 //!   `k_trees − 1` **degree-disjoint standby trees**
 //!   ([`crate::task_manager::plan_standby_trees`]); the source pushes the
@@ -165,8 +165,9 @@ pub struct MarketConfig {
     /// plans from live degree tables (an always-fresh newscast).
     pub view_refresh: Option<SimTime>,
     /// Which discovery surface backs the refreshed view: the snapshot
-    /// report (default, the fig-10 anchor path) or the hierarchical query
-    /// index. Ignored when `view_refresh` is `None` (live planning).
+    /// report (default) or the hierarchical query index. Ignored when
+    /// `view_refresh` is `None` (live planning, as fig 10 and every
+    /// `MarketConfig::default()` run plan).
     pub discovery: DiscoveryMode,
     /// Fault plan. Only the crash schedules are interpreted (node labels
     /// are host indices); with no crashes the market runs the zero-cost
@@ -342,8 +343,6 @@ struct AdmissionCtl {
     /// Every market member host; plans exclude them as helper candidates
     /// so member-rank reserves can never evict another session's helpers.
     member_hosts: HashSet<HostId>,
-    /// Pressure-signal cache: at most one pool fold per event time.
-    pressure_cache: Option<(SimTime, query::PressureReport)>,
     /// Scarcity-crossing subscription; emits `MarketPressureShift` on
     /// threshold crossings of the fair-rank free fraction.
     pressure_watch: query::PressureWatch,
@@ -486,7 +485,6 @@ impl MarketSim {
                     .iter()
                     .flat_map(|s| s.spec.members.iter().copied())
                     .collect(),
-                pressure_cache: None,
                 pressure_watch: query::PressureWatch::new(
                     FAIR_HELPER_RANK.0,
                     cfg.admission.scarce_free_frac,

@@ -200,8 +200,8 @@ impl MarketSim {
     fn fair_held(&self, session: SessionId) -> u64 {
         self.pool
             .holdings_of(session)
-            .iter()
-            .map(|&h| {
+            .into_iter()
+            .map(|h| {
                 self.pool
                     .table(h)
                     .allocations()
@@ -232,10 +232,10 @@ impl MarketSim {
             if excess == 0 {
                 continue;
             }
-            // Holdings order is insertion order — deterministic; the
-            // victim replans wholesale anyway, so which hosts lose the
-            // trimmed degrees does not matter beyond replayability.
-            for h in self.pool.holdings_of(sid).to_vec() {
+            // Host order — deterministic; the victim replans wholesale
+            // anyway, so which hosts lose the trimmed degrees does not
+            // matter beyond replayability.
+            for h in self.pool.holdings_of(sid) {
                 if excess == 0 {
                     break;
                 }

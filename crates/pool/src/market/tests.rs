@@ -33,10 +33,8 @@ fn small_market(sessions: usize, seed: u64) -> MarketSim {
 #[test]
 fn zero_count_reservation_leaves_no_holdings_entry() {
     // A session shrunk to its root alone re-syncs a degree-0 claim
-    // (the degenerate crash-repair tree). The pool must not index a
-    // host the session holds nothing on — that stale entry is exactly
-    // the lease-holder-consistency violation of the flash-crowd
-    // sweep's small-member sessions.
+    // (the degenerate crash-repair tree). It books nothing, so the
+    // session holds nothing on the host.
     let mut pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -56,10 +54,10 @@ fn zero_count_reservation_leaves_no_holdings_entry() {
         !pool.holds_on(s, h),
         "zero-count reservation created a holdings entry"
     );
-    assert_eq!(pool.holdings_of(s), &[] as &[HostId]);
-    // A real claim still indexes, and releasing it cleans up fully.
+    assert!(pool.holdings_of(s).is_empty());
+    // A real claim is held, and releasing it cleans up fully.
     assert!(pool.reserve_leased(h, s, Rank::MEMBER, 2, lease).is_ok());
-    assert!(pool.holds_on(s, h));
+    assert_eq!(pool.holdings_of(s), vec![h]);
     pool.release_on_host(s, h);
     assert!(pool.sessions_holding().is_empty());
 }
@@ -269,13 +267,8 @@ fn helper_crash_plan(pool: &ResourcePool, sessions: usize, seed: u64) -> FaultPl
 fn assert_no_ghost_claims(pool: &ResourcePool) {
     for h in pool.net.hosts.ids() {
         if !pool.is_alive(h) {
-            let t = pool.table(h);
-            for s in pool.sessions_holding() {
-                assert!(
-                    t.held_by(s) == 0 || pool.holds_on(s, h),
-                    "ghost claim on dead {h:?}"
-                );
-            }
+            let booked = pool.table(h).allocations();
+            assert!(booked.is_empty(), "ghost claims on dead {h:?}: {booked:?}");
         }
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use netsim::{HostId, NetworkConfig};
-use pool::liveops::{reconstruct_at, HostSnap, ReplayState};
+use pool::liveops::{reconstruct_at, HostSnap};
 use pool::market::{MarketConfig, MarketSim};
 use pool::{
     DegreeTable, FrozenSnapshot, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot, OpsNote,
@@ -163,8 +163,8 @@ proptest! {
     }
 
     // Pools no generator builds, as dense snapshots: freeze → thaw is the
-    // identity, and the replay's sweep of the occupied tables is a sweep
-    // of every table.
+    // identity, and folding ops into the thawed snapshot is the same calls
+    // on the plain tables.
     #[test]
     fn degenerate_pools_freeze_thaw_and_fold_like_a_sweep_of_every_table(
         hosts in proptest::collection::vec(
@@ -225,9 +225,9 @@ proptest! {
         // A second snapshot of unchanged bounds shares them and is equal.
         prop_assert_eq!(&FrozenSnapshot::of(&start, Some(&frozen)), &frozen);
 
-        // Fold the ops into the replay state and, as every-table sweeps,
-        // into the plain tables.
-        let mut replay = ReplayState::open(&frozen);
+        // Fold the ops into the thawed snapshot and, as every-table
+        // sweeps, into the plain tables.
+        let mut replay = frozen.thaw();
         let n = tables.len();
         for (i, (op, host, session, rank, count, lease_kind)) in ops.into_iter().enumerate() {
             let now = secs(1 + i as u64);
@@ -288,7 +288,8 @@ proptest! {
             };
             replay.apply(&MarketDelta::Pool(pool_op));
         }
-        prop_assert_eq!(replay.finish(), dense(&tables, &alive));
+        replay.refresh_derived();
+        prop_assert_eq!(replay, dense(&tables, &alive));
     }
 }
 

@@ -7,8 +7,11 @@
 //! `reconstruct_at(store, i)` for every snapshot `i`, one per line — and
 //! compares `(bytes, FNV-1a-64)` of each against constants recorded at
 //! commit 4b33679, before the store's snapshot and delta layouts were
-//! rebuilt. `crates/testkit/src/lib.rs` says how to re-pin after an intended
-//! behaviour change; a change to how the store *holds* a run never re-pins.
+//! rebuilt. The delta exports were re-pinned once since, when
+//! `ReleaseSession` began listing its hosts in ascending order rather than
+//! booking order (same bytes, same replays). `crates/testkit/src/lib.rs`
+//! says how to re-pin after an intended behaviour change; a change to how
+//! the store *holds* a run never re-pins.
 
 use std::sync::OnceLock;
 
@@ -161,7 +164,7 @@ fn gate_market_without_a_standing_query_matches_its_pins() {
         },
         [
             (294604, 6187311596818817858),
-            (164053, 3367698871959398058),
+            (164053, 7801535562262397236),
             (298650, 3724144832456006707),
         ],
     );
@@ -183,7 +186,7 @@ fn gate_market_with_firing_standing_queries_matches_its_pins() {
         },
         [
             (294606, 10459742157197572490),
-            (177131, 5149766254861709805),
+            (177131, 4631156042728506019),
             (298650, 3724144832456006707),
         ],
     );
@@ -203,7 +206,7 @@ fn gate_admission_market_matches_its_pins() {
         },
         [
             (249861, 9451446308213077921),
-            (113096, 412117029764964249),
+            (113096, 10916724823234261303),
             (240196, 14383605186438256709),
         ],
     );
@@ -223,7 +226,7 @@ fn smoke_market_with_its_standing_query_matches_its_pins() {
         },
         [
             (347378, 13774784677875290154),
-            (159479, 10979685466413919281),
+            (159479, 8398496198077657587),
             (348876, 8882974644916446117),
         ],
     );
@@ -243,7 +246,7 @@ fn smoke_market_without_a_standing_query_matches_its_pins() {
         },
         [
             (347378, 2693020685318820226),
-            (160021, 13294954446940739682),
+            (160021, 17184556239819342160),
             (348876, 8882974644916446117),
         ],
     );
