@@ -1,5 +1,7 @@
 //! The coordinate space and the coordinate store.
 
+use std::sync::Arc;
+
 use netsim::{HostId, LatencyModel};
 use serde::{Deserialize, Serialize};
 
@@ -80,11 +82,12 @@ pub(crate) fn abs_error(p: &[f64], targets: &[f64], measured: &[f64]) -> f64 {
 /// Coordinates for every host, usable directly as a [`LatencyModel`] — this
 /// is what turns the paper's *Critical* algorithms into the practical
 /// *Leafset* ones. Packed host-major: `dim` components per host and
-/// nothing else.
+/// nothing else, shared (`Arc`): a clone is O(1), and a write through a
+/// shared handle copies the components first.
 #[derive(Clone, Debug)]
 pub struct CoordStore {
     /// `n × dim`, host-major.
-    data: Vec<f64>,
+    data: Arc<[f64]>,
     dim: usize,
 }
 
@@ -93,7 +96,7 @@ impl CoordStore {
     pub fn zeros(n: usize, dim: usize) -> CoordStore {
         assert!((1..=MAX_DIM).contains(&dim));
         CoordStore {
-            data: vec![0.0; n * dim],
+            data: std::iter::repeat_n(0.0, n * dim).collect(),
             dim,
         }
     }
@@ -114,22 +117,22 @@ impl CoordStore {
         &self.data[h.idx() * self.dim..][..self.dim]
     }
 
-    /// The components of a host's coordinate, writable in place.
+    /// The components of a host's coordinate, writable (copied first if shared).
     #[inline]
     pub(crate) fn point_mut(&mut self, h: HostId) -> &mut [f64] {
-        &mut self.data[h.idx() * self.dim..][..self.dim]
+        &mut Arc::make_mut(&mut self.data)[h.idx() * self.dim..][..self.dim]
     }
 
     /// The store cut into runs of `hosts` consecutive hosts' components
     /// (the last may be shorter): disjoint, so each can go to its own
     /// thread.
     pub(crate) fn host_chunks_mut(&mut self, hosts: usize) -> std::slice::ChunksMut<'_, f64> {
-        self.data.chunks_mut(hosts * self.dim)
+        Arc::make_mut(&mut self.data).chunks_mut(hosts * self.dim)
     }
 
-    /// Bytes resident in the store.
+    /// Bytes resident in the store (once, however many handles share it).
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
+        std::mem::size_of_val(&*self.data)
     }
 }
 
@@ -188,8 +191,18 @@ mod tests {
         s.set(HostId(1), pts[1]);
         assert_eq!(s.resident_bytes(), 2 * 3 * 8);
         assert_eq!((s.get(HostId(0)), s.get(HostId(1))), (pts[0], pts[1]));
+        let shared = s.clone();
+        assert!(
+            Arc::ptr_eq(&s.data, &shared.data),
+            "a clone shares the components"
+        );
         s.set(HostId(0), pts[1]);
         assert_eq!(s.point(HostId(0)), pts[1].as_slice());
+        assert_eq!(
+            shared.point(HostId(0)),
+            pts[0].as_slice(),
+            "until one is written"
+        );
         assert_eq!(CoordStore::zeros(7, 5).resident_bytes(), 7 * 5 * 8);
     }
 

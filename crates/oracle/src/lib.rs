@@ -7,8 +7,8 @@
 //! bounded knowledge:
 //!
 //! * **hot tier** — a bounded, deterministic LRU of exact Dijkstra rows
-//!   fetched on demand (from the pool's exact kernel when it has one,
-//!   from the router graph otherwise); rows are promoted
+//!   fetched on demand (from the network's kernel in a pool, from the
+//!   router graph otherwise); rows are promoted
 //!   explicitly, one batch per plan — candidate helpers first, session
 //!   members last, so the members' rows are the ones kept — never as a
 //!   lookup side effect.
@@ -20,7 +20,7 @@
 //!   shares instead of keeping its own; every entry is bit-identical to
 //!   the kernel's answer for that pair.
 //! * **base tier** — GNP coordinate distances from `crates/coords`
-//!   (the paper's §4.1 machinery), clamped into the sketch bounds.
+//!   (§4.1; in a pool, the pool's own store), clamped into the sketch bounds.
 //!
 //! What the tiered oracle holds is `O(L·R + N + hot_rows·R + N·dim)`:
 //! 12 B per host plus its coordinates, and per-router tables.

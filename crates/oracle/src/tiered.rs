@@ -8,7 +8,7 @@ use std::sync::{Arc, RwLock};
 use coords::CoordStore;
 use netsim::graph::Graph;
 use netsim::hosts::HostSet;
-use netsim::{HostId, LatencyMatrix, LatencyModel, RouterNet};
+use netsim::{HostId, LatencyMatrix, LatencyModel, Network, RouterNet};
 
 use crate::sketch::LandmarkSketch;
 
@@ -63,6 +63,7 @@ impl TierStats {
     }
 }
 
+#[derive(Clone)]
 struct HotSlot {
     router: u32,
     last_used: u64,
@@ -74,6 +75,7 @@ struct HotSlot {
 /// lookups never touch recency, so
 /// reads are side-effect free and plan results cannot depend on the
 /// *order* in which the planner happened to probe pairs.
+#[derive(Clone)]
 struct HotRows {
     cap: usize,
     /// router id -> slot index, `u32::MAX` when not resident.
@@ -189,30 +191,29 @@ impl HotRows {
         self.slots[victim] = slot;
     }
 
-    fn deep_clone(&self) -> HotRows {
-        HotRows {
-            cap: self.cap,
-            resident: self.resident.clone(),
-            last_seen: self.last_seen.clone(),
-            slots: self
-                .slots
-                .iter()
-                .map(|s| HotSlot {
-                    router: s.router,
-                    last_used: s.last_used,
-                    row: s.row.clone(),
-                })
-                .collect(),
-            tick: self.tick,
-            promotions: self.promotions,
-            evictions: self.evictions,
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         (self.resident.len() + self.last_seen.len()) * 4
             + self.slots.len() * std::mem::size_of::<HotSlot>()
             + self.slots.iter().map(|s| s.row.len() * 4).sum::<usize>()
+    }
+}
+
+/// Where promoted rows come from: Dijkstra on the oracle's own copy of the
+/// router graph ([`TieredOracle::new`]), or the network's exact kernel
+/// ([`TieredOracle::over_network`]). The rows are the same either way.
+#[derive(Clone)]
+enum RowSource {
+    Graph(Arc<Graph>),
+    Kernel(LatencyMatrix),
+}
+
+impl RowSource {
+    /// The Dijkstra row of `router`, which `h` sits on.
+    fn row(&self, router: u32, h: HostId) -> Box<[f32]> {
+        match self {
+            RowSource::Graph(graph) => graph.dijkstra(router).into_boxed_slice(),
+            RowSource::Kernel(kernel) => kernel.router_row(h).into(),
+        }
     }
 }
 
@@ -256,26 +257,23 @@ impl Counters {
 ///
 /// [`TieredOracle::share`] returns a handle over the *same* hot tier and
 /// counters (promotions and hit counts accumulate across all shared
-/// handles); `Clone` deep-copies the mutable state so clones diverge —
+/// handles); `Clone` copies the mutable state so clones diverge —
 /// matching `ResourcePool`'s clone-for-what-if semantics (e.g. the
-/// market A/B harness).
+/// market A/B harness). Both share the immutable parts: coordinates,
+/// sketch and row source.
 pub struct TieredOracle {
     tightness: f64,
-    graph: Arc<Graph>,
-    coords: Arc<CoordStore>,
+    coords: CoordStore,
     /// Also the oracle's host → router and last-hop tables.
     sketch: LandmarkSketch,
     hot: Arc<RwLock<HotRows>>,
-    /// Where promoted rows come from: the exact kernel's resident rows
-    /// when the pool that owns one built this oracle
-    /// ([`TieredOracle::with_row_source`]), Dijkstra on `graph` otherwise.
-    /// The rows are the same either way; only the cost of a miss differs.
-    row_source: Option<LatencyMatrix>,
+    rows: RowSource,
     counters: Arc<Counters>,
 }
 
 impl TieredOracle {
-    /// Build the oracle. `coords` are the base-tier coordinates (GNP or
+    /// Build the oracle; promoted rows are Dijkstra runs on a copy of
+    /// `net`'s graph. `coords` are the base-tier coordinates (GNP or
     /// leafset — anything whose distance estimates latency in ms);
     /// `sketch` must have been built over the same host set, whose router
     /// and last-hop tables the oracle then reads through the sketch.
@@ -289,6 +287,34 @@ impl TieredOracle {
         coords: CoordStore,
         sketch: LandmarkSketch,
         cfg: &TieredConfig,
+    ) -> TieredOracle {
+        let rows = RowSource::Graph(Arc::new(net.graph.clone()));
+        Self::with_rows(net.graph.len(), hosts, coords, sketch, cfg, rows)
+    }
+
+    /// [`TieredOracle::new`] over `net.routers` and `net.hosts`, with
+    /// promoted rows copied out of `net.latency`, the exact kernel, so the
+    /// oracle holds no router graph. Every answer and counter is the same.
+    ///
+    /// # Panics
+    /// If `sketch` covers another host set than `net.hosts`.
+    pub fn over_network(
+        net: &Network,
+        coords: CoordStore,
+        sketch: LandmarkSketch,
+        cfg: &TieredConfig,
+    ) -> TieredOracle {
+        let rows = RowSource::Kernel(net.latency.clone());
+        Self::with_rows(net.routers.len(), &net.hosts, coords, sketch, cfg, rows)
+    }
+
+    fn with_rows(
+        routers: usize,
+        hosts: &HostSet,
+        coords: CoordStore,
+        sketch: LandmarkSketch,
+        cfg: &TieredConfig,
+        rows: RowSource,
     ) -> TieredOracle {
         let n = hosts.len();
         assert_eq!(sketch.num_hosts(), n, "sketch/host-set size mismatch");
@@ -307,27 +333,12 @@ impl TieredOracle {
         }
         TieredOracle {
             tightness: cfg.tightness,
-            graph: Arc::new(net.graph.clone()),
-            coords: Arc::new(coords),
+            coords,
             sketch,
-            hot: Arc::new(RwLock::new(HotRows::new(net.graph.len(), cfg.hot_rows))),
-            row_source: None,
+            hot: Arc::new(RwLock::new(HotRows::new(routers, cfg.hot_rows))),
+            rows,
             counters: Arc::new(Counters::default()),
         }
-    }
-
-    /// Copy promoted rows out of `kernel` — built over the same network
-    /// and host set — instead of re-running Dijkstra for them. Residents,
-    /// LRU order, counters and answers are unchanged; the kernel stays the
-    /// caller's and is not counted in [`TieredOracle::resident_bytes`].
-    pub fn with_row_source(mut self, kernel: &LatencyMatrix) -> TieredOracle {
-        assert_eq!(
-            kernel.num_hosts(),
-            self.num_hosts(),
-            "kernel/host-set size mismatch"
-        );
-        self.row_source = Some(kernel.clone());
-        self
     }
 
     /// A handle over the same mutable state: promotions and counters
@@ -335,11 +346,10 @@ impl TieredOracle {
     pub fn share(&self) -> TieredOracle {
         TieredOracle {
             tightness: self.tightness,
-            graph: Arc::clone(&self.graph),
-            coords: Arc::clone(&self.coords),
+            coords: self.coords.clone(),
             sketch: self.sketch.clone(),
             hot: Arc::clone(&self.hot),
-            row_source: self.row_source.clone(),
+            rows: self.rows.clone(),
             counters: Arc::clone(&self.counters),
         }
     }
@@ -372,10 +382,7 @@ impl TieredOracle {
         let mut hot = self.hot.write().expect("hot tier lock poisoned");
         hot.promote(
             hosts.map(|&h| (self.sketch.host_router()[h.idx()], h)),
-            |router, h| match &self.row_source {
-                Some(kernel) => kernel.router_row(h).into(),
-                None => self.graph.dijkstra(router).into_boxed_slice(),
-            },
+            |router, h| self.rows.row(router, h),
         );
     }
 
@@ -418,10 +425,15 @@ impl TieredOracle {
 
     /// Total bytes resident across every tier-backing structure: hot
     /// rows + residency map, landmark sketch (with the host→router /
-    /// last-hop tables), coordinates, and the shared router graph.
+    /// last-hop tables), coordinates, and the router graph of an oracle
+    /// built by [`TieredOracle::new`] (not the network's kernel).
     pub fn resident_bytes(&self) -> usize {
-        let graph_bytes = self.graph.len() * std::mem::size_of::<Vec<(u32, f32)>>()
-            + self.graph.num_edges() * 2 * std::mem::size_of::<(u32, f32)>();
+        let graph_bytes = match &self.rows {
+            RowSource::Graph(g) => {
+                g.len() * size_of::<Vec<(u32, f32)>>() + g.num_edges() * 2 * size_of::<(u32, f32)>()
+            }
+            RowSource::Kernel(_) => 0,
+        };
         self.hot
             .read()
             .expect("hot tier lock poisoned")
@@ -440,27 +452,20 @@ impl TieredOracle {
 }
 
 impl Clone for TieredOracle {
-    /// Deep copy: the clone gets its own hot tier and counters, so
+    /// The clone gets its own copy of the hot tier and counters, so
     /// what-if clones (market A/B legs, crash replays) diverge instead
     /// of polluting each other's cache state.
     fn clone(&self) -> TieredOracle {
         TieredOracle {
-            tightness: self.tightness,
-            graph: Arc::clone(&self.graph),
-            coords: Arc::clone(&self.coords),
-            sketch: self.sketch.clone(),
             hot: Arc::new(RwLock::new(
-                self.hot
-                    .read()
-                    .expect("hot tier lock poisoned")
-                    .deep_clone(),
+                self.hot.read().expect("hot tier lock poisoned").clone(),
             )),
-            row_source: self.row_source.clone(),
             counters: Arc::new(Counters {
                 hot: AtomicU64::new(self.counters.hot.load(Ordering::Relaxed)),
                 sketch: AtomicU64::new(self.counters.sketch.load(Ordering::Relaxed)),
                 base: AtomicU64::new(self.counters.base.load(Ordering::Relaxed)),
             }),
+            ..self.share()
         }
     }
 }
@@ -538,10 +543,7 @@ mod tests {
         let mut hot = oracle.hot.write().expect("hot tier lock poisoned");
         for &h in hosts {
             let router = oracle.sketch.host_router()[h.idx()];
-            touch_or_insert(&mut hot, router, || match &oracle.row_source {
-                Some(kernel) => kernel.router_row(h).into(),
-                None => oracle.graph.dijkstra(router).into_boxed_slice(),
-            });
+            touch_or_insert(&mut hot, router, || oracle.rows.row(router, h));
         }
     }
 

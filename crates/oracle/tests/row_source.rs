@@ -1,32 +1,42 @@
-//! The hot tier has two row sources — Dijkstra on the router graph (the
-//! matrix-free path) and the exact kernel's resident rows (the path
-//! `ResourcePool::build` wires) — and they must be indistinguishable from
+//! The hot tier has two row sources — Dijkstra on a copy of the router
+//! graph (`TieredOracle::new`, the matrix-free path) and the network
+//! kernel's resident rows (`TieredOracle::over_network`, the path
+//! `ResourcePool::build` takes) — and they must be indistinguishable from
 //! outside: one random promote/lookup sequence driven through both yields
 //! the same residents after every promote, the same counters, and the
-//! same answer bits on every pair.
+//! same answer bits on every pair. Only what they hold differs: the router
+//! graph.
 
 use coords::{GnpConfig, GnpSolver};
 use netsim::hosts::HostSet;
 use netsim::topology::TransitStubConfig;
-use netsim::{HostId, LatencyMatrix, LatencyModel, RouterNet};
+use netsim::{HostId, LatencyMatrix, LatencyModel, Network, RouterNet};
 use oracle::{LandmarkSketch, TieredConfig, TieredOracle};
 use proptest::prelude::*;
 
-/// (Dijkstra-on-demand oracle, kernel-fed oracle) over one world.
-fn twins(n: usize, seed: u64, cfg: &TieredConfig) -> (TieredOracle, TieredOracle) {
-    let net = RouterNet::generate(&TransitStubConfig::default(), seed);
-    let hosts = HostSet::attach(&net, n, (3.0, 8.0), seed.wrapping_add(1));
+/// (Dijkstra-on-demand oracle, network-fed oracle) over one world, and the
+/// bytes of its router graph's adjacency lists.
+fn twins(n: usize, seed: u64, cfg: &TieredConfig) -> (TieredOracle, TieredOracle, usize) {
+    let routers = RouterNet::generate(&TransitStubConfig::default(), seed);
+    let hosts = HostSet::attach(&routers, n, (3.0, 8.0), seed.wrapping_add(1));
     let lms = LandmarkSketch::default_landmarks(hosts.len(), cfg.landmarks, seed);
-    let sketch = LandmarkSketch::build(&net, &hosts, &lms);
+    let sketch = LandmarkSketch::build(&routers, &hosts, &lms);
     let coords = GnpSolver::new(GnpConfig::default()).solve_with_landmarks(
         &sketch.probes(),
         &lms,
         seed.wrapping_add(9),
     );
-    let on_demand = TieredOracle::new(&net, &hosts, coords.clone(), sketch.clone(), cfg);
-    let kernel = LatencyMatrix::build(&net, &hosts);
-    let fed = TieredOracle::new(&net, &hosts, coords, sketch, cfg).with_row_source(&kernel);
-    (on_demand, fed)
+    let on_demand = TieredOracle::new(&routers, &hosts, coords.clone(), sketch.clone(), cfg);
+    let graph = &routers.graph;
+    let graph_bytes = graph.len() * 24 + 2 * graph.num_edges() * 8;
+    let latency = LatencyMatrix::build(&routers, &hosts);
+    let net = Network {
+        routers,
+        hosts,
+        latency,
+    };
+    let fed = TieredOracle::over_network(&net, coords, sketch, cfg);
+    (on_demand, fed, graph_bytes)
 }
 
 proptest! {
@@ -47,7 +57,7 @@ proptest! {
     ) {
         const N: u32 = 150;
         let cfg = TieredConfig { hot_rows, landmarks: 8, tightness: 1.25 };
-        let (on_demand, fed) = twins(N as usize, seed, &cfg);
+        let (on_demand, fed, graph_bytes) = twins(N as usize, seed, &cfg);
         for (promote, lookups) in &steps {
             let batch: Vec<HostId> = promote.iter().copied().map(HostId).collect();
             on_demand.promote(&batch);
@@ -72,6 +82,8 @@ proptest! {
             }
         }
         prop_assert_eq!(on_demand.stats(), fed.stats());
-        prop_assert_eq!(on_demand.resident_bytes(), fed.resident_bytes());
+        // The network-fed oracle reads the network's kernel instead of
+        // holding a router graph: exactly the graph's bytes less.
+        prop_assert_eq!(fed.resident_bytes(), on_demand.resident_bytes() - graph_bytes);
     }
 }

@@ -198,7 +198,8 @@ pub struct ResourcePool {
     pub net: Network,
     /// The DHT ring over all hosts.
     pub ring: Ring,
-    /// Leafset-generated network coordinates (the practical latency model).
+    /// Leafset-generated network coordinates (the practical latency model),
+    /// one buffer shared with a tiered oracle's base tier and every clone.
     pub coords: CoordStore,
     /// Leafset-generated bottleneck-bandwidth estimates.
     pub bw: BwEstimates,
@@ -250,12 +251,10 @@ impl ResourcePool {
                 );
                 let sketch = LandmarkSketch::build(&net.routers, &net.hosts, &landmarks);
                 // Base tier = the pool's own leafset coordinates — the
-                // paper's practical latency estimator, already solved.
-                // Hot-tier promotions copy the kernel's resident rows.
-                PoolOracle::Tiered(
-                    TieredOracle::new(&net.routers, &net.hosts, coords.clone(), sketch, tcfg)
-                        .with_row_source(&net.latency),
-                )
+                // paper's practical latency estimator, already solved and
+                // shared. Hot-tier promotions copy the kernel's resident rows.
+                let tiered = TieredOracle::over_network(&net, coords.clone(), sketch, tcfg);
+                PoolOracle::Tiered(tiered)
             }
         };
         ResourcePool {

@@ -707,6 +707,9 @@ pub fn store_freshness(store: &MarketStore, bound: SimTime) -> Freshness {
 ///
 /// # Errors
 /// [`ReplayGap`] when delta eviction dropped part of the needed range.
+///
+/// # Panics
+/// If the store holds no snapshot `idx`, as [`runstore::RunStore::replay`].
 pub fn reconstruct_at(store: &MarketStore, idx: usize) -> Result<MarketSnapshot, ReplayGap> {
     let mut snap = store.replay(idx, FrozenSnapshot::thaw, |s, d| s.apply(&d.delta))?;
     snap.refresh_derived();

@@ -1,12 +1,15 @@
-//! What the live-operations store retains, as numbers a test holds: a
-//! stored snapshot costs what the market *holds* — the same bytes in a
-//! 4 096-host and a 32 768-host pool — and a surface with no standing
-//! query keeps no query index (DESIGN.md §17.3, "the snapshot layout").
+//! What the pool and the live-operations store retain, as numbers a test
+//! holds: a clone of a pool copies its mutable tables but not its
+//! coordinates (DESIGN.md §11.5); a stored snapshot costs what the market
+//! *holds* — the same bytes in a 4 096-host and a 32 768-host pool — and a
+//! surface with no standing query keeps no query index (DESIGN.md §17.3,
+//! "the snapshot layout").
 //!
 //! `testkit`'s counting allocator keeps its tallies per thread, so the
 //! tests of this binary can run side by side.
 
 use netsim::{HostId, NetworkConfig};
+use oracle::{LatencySource, TieredConfig};
 use pool::{FrozenSnapshot, LiveOps, LiveOpsConfig, PoolConfig, Rank, ResourcePool, SessionId};
 use simcore::SimTime;
 use testkit::measured;
@@ -54,6 +57,49 @@ fn pool_holding_64_tables(n: usize) -> ResourcePool {
         pool.kill_host(HostId(h));
     }
     pool
+}
+
+#[test]
+fn a_pool_clone_shares_its_coordinates() {
+    let n = 32_768;
+    let pool = ResourcePool::build(
+        &PoolConfig {
+            net: NetworkConfig {
+                num_hosts: n,
+                ..NetworkConfig::default()
+            },
+            coord_rounds: 0,
+            leafset_size: 4,
+            latency_source: LatencySource::Tiered(TieredConfig::default()),
+        },
+        7,
+    );
+    let coord_buffer = pool.coords.resident_bytes();
+    assert_eq!(coord_buffer, n * 5 * 8);
+    let (copy, cost) = measured(|| pool.clone());
+    // What a clone must copy: the network's host and router tables, the
+    // ring, the bandwidth estimates, the degree tables and the liveness
+    // flags (the kernel, the sketch and the coordinates are shared).
+    let (parts, parts_cost) = measured(|| {
+        let tables: Vec<_> = (0..n as u32)
+            .map(|h| pool.table(HostId(h)).clone())
+            .collect();
+        let alive = vec![true; n];
+        (
+            pool.net.clone(),
+            pool.ring.clone(),
+            pool.bw.clone(),
+            tables,
+            alive,
+        )
+    });
+    let beyond = cost.held.saturating_sub(parts_cost.held);
+    assert!(
+        beyond < coord_buffer,
+        "a {n}-host pool clone retained {beyond} B beyond its tables, \
+         a coordinate buffer is {coord_buffer} B"
+    );
+    drop((copy, parts));
 }
 
 #[test]

@@ -16,10 +16,9 @@
 //!   ([`SnapshotEntry`]`<S>`), each stamped with the trace and delta
 //!   sequence numbers it is consistent with.
 //!
-//! Reconstruction is `open_at(snapshot) + replay(deltas)`
-//! ([`RunStore::open_at`], [`RunStore::replay`]): open a working state from
-//! the snapshot's stored one and fold the retained deltas forward with a
-//! caller-supplied apply function. The stored state `S` and the working
+//! Reconstruction is [`RunStore::replay`]: open a working state from a
+//! snapshot's stored one and fold the retained deltas after it forward with
+//! a caller-supplied apply function. The stored state `S` and the working
 //! state need not be one type — a store may keep snapshots in a compact
 //! frozen form and replay into whatever its deltas apply to; a state that
 //! replays in place passes `Clone::clone`. When the segments still hold the
@@ -258,16 +257,6 @@ pub struct StoreStats {
     pub snapshots: u64,
 }
 
-/// A replay starting point: the snapshot plus every retained delta from
-/// its consistency point to the end of the log.
-#[derive(Debug)]
-pub struct ReplayView<'a, D, S> {
-    /// The snapshot to reconstruct from.
-    pub snapshot: &'a SnapshotEntry<S>,
-    /// The deltas to fold forward, in log order.
-    pub deltas: Vec<&'a Stamped<D>>,
-}
-
 /// The run store. See the module docs; `D` is the simulator's delta type,
 /// `S` its snapshot state.
 pub struct RunStore<D, S> {
@@ -325,37 +314,35 @@ impl<D, S> RunStore<D, S> {
         self.snapshots.last()
     }
 
-    /// Open snapshot `idx` for replay: the snapshot plus every retained
-    /// delta from its consistency point onward.
+    /// Reconstruct the state at the end of the log from snapshot `idx`:
+    /// `open` a working state from the stored one (`Clone::clone` when the
+    /// stored state replays in place), then fold every retained delta from
+    /// the snapshot's consistency point onward with `apply`.
     ///
     /// # Errors
     /// [`ReplayGap`] when delta eviction dropped part of the needed range
     /// — reconstruction from this snapshot would be wrong, so it is
     /// refused rather than silently partial.
-    pub fn open_at(&self, idx: usize) -> Result<ReplayView<'_, D, S>, ReplayGap> {
-        let snapshot = &self.snapshots[idx];
-        let deltas = self
-            .deltas
-            .range(snapshot.delta_seq, self.deltas.next_seq())?;
-        Ok(ReplayView { snapshot, deltas })
-    }
-
-    /// Reconstruct the state at the end of the log from snapshot `idx`:
-    /// `open` a working state from the stored one (`Clone::clone` when the
-    /// stored state replays in place), then fold every later delta forward
-    /// with `apply`.
     ///
-    /// # Errors
-    /// [`ReplayGap`] as for [`RunStore::open_at`].
+    /// # Panics
+    /// If the store holds no snapshot `idx` (`idx >= snapshots().len()`).
     pub fn replay<W>(
         &self,
         idx: usize,
         open: impl FnOnce(&S) -> W,
         mut apply: impl FnMut(&mut W, &Stamped<D>),
     ) -> Result<W, ReplayGap> {
-        let view = self.open_at(idx)?;
-        let mut state = open(&view.snapshot.state);
-        for d in view.deltas {
+        let held = self.snapshots.len();
+        assert!(
+            idx < held,
+            "no snapshot {idx}: the store holds {held} snapshots"
+        );
+        let snapshot = &self.snapshots[idx];
+        let deltas = self
+            .deltas
+            .range(snapshot.delta_seq, self.deltas.next_seq())?;
+        let mut state = open(&snapshot.state);
+        for d in deltas {
             apply(&mut state, d);
         }
         Ok(state)
@@ -535,7 +522,9 @@ mod tests {
         assert_eq!(s.delta_appended, 9);
         assert_eq!(s.delta_evicted, 6);
         assert_eq!(st.deltas_stored().count(), 3);
-        let gap = st.open_at(0).unwrap_err();
+        let gap = st
+            .replay(0, Clone::clone, |s, d| *s += d.delta)
+            .unwrap_err();
         assert_eq!(
             gap,
             ReplayGap {
@@ -551,6 +540,16 @@ mod tests {
             st.replay(1, Clone::clone, |s, d| *s += d.delta).unwrap(),
             11
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "no snapshot 2: the store holds 2 snapshots")]
+    fn replay_from_a_snapshot_the_store_does_not_hold_names_it() {
+        let mut st: RunStore<i64, i64> = RunStore::new(StoreConfig::default());
+        st.snapshot(SimTime::ZERO, 0);
+        st.append_delta(SimTime::from_secs(1), 1);
+        st.snapshot(SimTime::from_secs(1), 1);
+        let _ = st.replay(2, Clone::clone, |s, d| *s += d.delta);
     }
 
     #[test]

@@ -300,8 +300,15 @@ fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
     // and the oracle's own 300 × 12 B host tables with a fixed
     // 600 × 16 × 8 B landmark table and the sketch's shared host tables:
     // +57 600 B from 105 616 at this N, break-even at N = 1 200, and
-    // 64 B per host less above it.
-    assert_eq!(resident_bytes, 163_216);
+    // 64 B per host less above it. At 163 216 B the oracle also held a copy
+    // of the router graph it no longer reads: built over the pool's network,
+    // it copies promoted rows out of the network's kernel, so its bytes drop
+    // by exactly the graph's adjacency lists, 600 × 24 B of list headers and
+    // 2 × 790 × 8 B of edges.
+    let graph = &build(LatencySource::Exact, 29).net.routers.graph;
+    assert_eq!((graph.len(), graph.num_edges()), (600, 790));
+    assert_eq!(resident_bytes, 163_216 - (600 * 24 + 2 * 790 * 8));
+    assert_eq!(resident_bytes, 136_176);
 }
 
 #[test]

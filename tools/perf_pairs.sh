@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Alternating A/B pairs of one perf_e2e workload: a parent revision (A)
+# Alternating A/B pairs of perf_e2e workloads: a parent revision (A)
 # against the working tree (B), both at `--seed 1 --seconds 22 --trace 0`.
 # Pair i runs A first when i is odd and B first when it is even, so a slow
 # drift of the machine lands on both sides alike.
 #
-#   tools/perf_pairs.sh PARENT_REV WORKLOAD PAIRS
+#   tools/perf_pairs.sh PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS
+#
+# A comma-separated list runs the workloads one after another, PAIRS pairs
+# each, from one build of each side, e.g.
+# `tools/perf_pairs.sh HEAD~1 market_live_exact,market_faulted_full 10`.
 #
 # Both sides are exported under one directory, `$PERF_PAIRS_DIR` (default
 # `${TMPDIR:-/tmp}/perf_pairs`), as `a/` and `b/`: paths of equal length,
@@ -15,20 +19,22 @@
 # Each side is built from scratch with `--locked --offline`; nothing in the
 # repository is written.
 #
-# Prints, per side, the median and the interquartile range of `setup_s`,
+# Prints one table per workload: per side, the median and the
+# interquartile range of `setup_s`,
 # `peak_rss_mb`, `model_cost` and `run_s`, and in how many pairs B read
 # lower than A (all four are lower-is-better). A metric's move is
 # resolved when one side wins at least 9 of 10 pairs and the medians lie
 # further apart than A's interquartile range. Last, whether `sim_digest`,
 # `ops` and `failed_ops` agreed in every pair: they must, for one seed,
 # unless the change moves the simulation on purpose. The raw lines are
-# kept in `$PERF_PAIRS_DIR/<workload>.txt`.
+# kept in `$PERF_PAIRS_DIR/<workload>.txt`, one file per workload.
 set -euo pipefail
 if [ $# -ne 3 ]; then
-  echo "usage: $0 PARENT_REV WORKLOAD PAIRS" >&2
+  echo "usage: $0 PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS" >&2
   exit 2
 fi
-rev="$1" workload="$2" pairs="$3"
+rev="$1" pairs="$3"
+IFS=, read -ra workloads <<<"$2"
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 dir="${PERF_PAIRS_DIR:-${TMPDIR:-/tmp}/perf_pairs}"
 git -C "$root" rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
@@ -48,29 +54,27 @@ for side in a b; do
     --manifest-path "$dir/$side/perf_e2e/Cargo.toml"
 done
 
-raw="$dir/$workload.txt"
-: >"$raw"
-for i in $(seq 1 "$pairs"); do
-  if ((i % 2)); then order="a b"; else order="b a"; fi
-  for side in $order; do
-    echo "pair $i/$pairs  $side" >&2
-    out="$("$dir/$side/perf_e2e/target/release/perf_e2e" \
-      --workload "$workload" --seed 1 --seconds 22 --trace 0)"
-    field() { grep "^$1 " <<<"$out" | cut -d' ' -f2; }
-    echo "$i $side $(field ops) $(field failed_ops) $(field sim_digest)" \
-      "$(field setup_s) $(field peak_rss_mb) $(field model_cost) $(field run_s)" >>"$raw"
+for workload in "${workloads[@]}"; do
+  raw="$dir/$workload.txt"
+  : >"$raw"
+  for i in $(seq 1 "$pairs"); do
+    if ((i % 2)); then order="a b"; else order="b a"; fi
+    for side in $order; do
+      echo "$workload: pair $i/$pairs  $side" >&2
+      out="$("$dir/$side/perf_e2e/target/release/perf_e2e" \
+        --workload "$workload" --seed 1 --seconds 22 --trace 0)"
+      field() { grep "^$1 " <<<"$out" | cut -d' ' -f2; }
+      echo "$i $side $(field ops) $(field failed_ops) $(field sim_digest)" \
+        "$(field setup_s) $(field peak_rss_mb) $(field model_cost) $(field run_s)" >>"$raw"
+    done
   done
 done
 
-python3 - "$raw" "$rev" "$workload" <<'PY'
+python3 - "$dir" "$rev" "${workloads[@]}" <<'PY'
 import statistics, sys
 
-raw, rev, workload = sys.argv[1:]
-runs = {"a": {}, "b": {}}
-for line in open(raw):
-    i, side, ops, failed, digest, *values = line.split()
-    runs[side][int(i)] = ((ops, failed, digest), [float(v) for v in values])
-pairs = sorted(runs["a"])
+dir, rev, *workloads = sys.argv[1:]
+
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -78,32 +82,45 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4)
     return q1, q2, q3
 
-print(f"{workload}: A = {rev}, B = working tree, {len(pairs)} alternating pairs\n")
-print("| metric | median A | IQR A | median B | IQR B | B lower | A lower | resolved |")
-print("|---|---:|---:|---:|---:|---:|---:|---|")
-for k, name in enumerate(["setup_s", "peak_rss_mb", "model_cost", "run_s"]):
-    a = [runs["a"][i][1][k] for i in pairs]
-    b = [runs["b"][i][1][k] for i in pairs]
-    qa, qb = quartiles(a), quartiles(b)
-    b_wins = sum(y < x for x, y in zip(a, b))
-    a_wins = sum(x < y for x, y in zip(a, b))
-    need = -(-9 * len(pairs) // 10)
-    wide = abs(qb[1] - qa[1]) > qa[2] - qa[0]
-    if b_wins >= need and wide:
-        resolved = "B better"
-    elif a_wins >= need and wide:
-        resolved = "B worse"
+
+def table(workload):
+    runs = {"a": {}, "b": {}}
+    for line in open(f"{dir}/{workload}.txt"):
+        i, side, ops, failed, digest, *values = line.split()
+        runs[side][int(i)] = ((ops, failed, digest), [float(v) for v in values])
+    pairs = sorted(runs["a"])
+    print(f"{workload}: A = {rev}, B = working tree, {len(pairs)} alternating pairs\n")
+    print("| metric | median A | IQR A | median B | IQR B | B lower | A lower | resolved |")
+    print("|---|---:|---:|---:|---:|---:|---:|---|")
+    for k, name in enumerate(["setup_s", "peak_rss_mb", "model_cost", "run_s"]):
+        a = [runs["a"][i][1][k] for i in pairs]
+        b = [runs["b"][i][1][k] for i in pairs]
+        qa, qb = quartiles(a), quartiles(b)
+        b_wins = sum(y < x for x, y in zip(a, b))
+        a_wins = sum(x < y for x, y in zip(a, b))
+        need = -(-9 * len(pairs) // 10)
+        wide = abs(qb[1] - qa[1]) > qa[2] - qa[0]
+        if b_wins >= need and wide:
+            resolved = "B better"
+        elif a_wins >= need and wide:
+            resolved = "B worse"
+        else:
+            resolved = "no"
+        print(f"| {name} | {qa[1]:.6g} | {qa[2] - qa[0]:.3g} | {qb[1]:.6g} | {qb[2] - qb[0]:.3g}"
+              f" | {b_wins} | {a_wins} | {resolved} |")
+    same = all(runs["a"][i][0] == runs["b"][i][0] for i in pairs)
+    ops, failed, digest = runs["a"][pairs[0]][0]
+    print()
+    if same:
+        print(f"sim_digest, ops, failed_ops equal in every pair: {digest}, {ops}, {failed}")
     else:
-        resolved = "no"
-    print(f"| {name} | {qa[1]:.6g} | {qa[2] - qa[0]:.3g} | {qb[1]:.6g} | {qb[2] - qb[0]:.3g}"
-          f" | {b_wins} | {a_wins} | {resolved} |")
-same = all(runs["a"][i][0] == runs["b"][i][0] for i in pairs)
-ops, failed, digest = runs["a"][pairs[0]][0]
-print()
-if same:
-    print(f"sim_digest, ops, failed_ops equal in every pair: {digest}, {ops}, {failed}")
-else:
-    for i in pairs:
-        print(f"pair {i}: A {runs['a'][i][0]}  B {runs['b'][i][0]}")
-    print("sim_digest, ops, failed_ops DIFFER")
+        for i in pairs:
+            print(f"pair {i}: A {runs['a'][i][0]}  B {runs['b'][i][0]}")
+        print("sim_digest, ops, failed_ops DIFFER")
+
+
+for k, workload in enumerate(workloads):
+    if k:
+        print()
+    table(workload)
 PY
