@@ -42,7 +42,7 @@ pub fn adjust<L: LatencyModel, D: Fn(HostId) -> u32>(
 
 /// Evaluate all three move families; apply the best improving one. Returns
 /// whether a move was applied. One iteration of [`adjust`]'s loop.
-pub fn improve_once<L: LatencyModel, D: Fn(HostId) -> u32>(
+fn improve_once<L: LatencyModel, D: Fn(HostId) -> u32>(
     p: &Problem<L, D>,
     tree: &mut MulticastTree,
 ) -> bool {

@@ -125,7 +125,7 @@ fn measure(ring: &Ring, tree: &SomoTree, mode: FlowMode, horizon: SimTime) -> Si
     sim.set_child_timeout(PERIOD.max(round_trip));
     sim.run_until(horizon);
     assert_eq!(
-        sim.metrics().counter("gather.rounds_timeout"),
+        sim.stats().rounds_timeout,
         0,
         "a fault-free gather closed a round on its child timeout (N = {}, k = {}, depth {})",
         ring.len(),

@@ -3,7 +3,6 @@
 use simcore::audit::AuditReport;
 use simcore::stats::OnlineStats;
 use simcore::trace::TraceRecord;
-use simcore::MetricsRegistry;
 use somo::traffic::TrafficLedger;
 
 /// Aggregate results for one priority class.
@@ -206,60 +205,5 @@ impl MarketOutcome {
             })
             .collect();
         simcore::stats::jain_index(&shares)
-    }
-
-    /// Publish the run's accounting into a [`MetricsRegistry`] under the
-    /// `market.` prefix (per-class stats under `market.p<N>.`).
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.add("market.plans", self.plans);
-        reg.add("market.crash_repairs", self.crash_repairs);
-        reg.add("market.crash_repair_retries", self.crash_repair_retries);
-        reg.add("market.crash_repair_gave_up", self.crash_repair_gave_up);
-        reg.add("market.incremental_replans", self.incremental_replans);
-        reg.add("market.resync_fallbacks", self.resync_fallbacks);
-        reg.add("market.lapsed_lease_degrees", self.lapsed_lease_degrees);
-        reg.add("market.leaked_degrees", self.leaked_degrees as u64);
-        reg.add("market.tree_failovers", self.tree_failovers);
-        reg.add("market.trees_rebuilt", self.trees_rebuilt);
-        reg.add("market.planner_relaxations", self.planner_relaxations);
-        reg.add("market.planner_latency_calls", self.planner_latency_calls);
-        reg.set_gauge("market.utilization_mean", self.utilization.mean());
-        reg.set_gauge("market.delivery_mean", self.delivery.mean());
-        reg.set_gauge("market.restore_rounds_mean", self.restore_rounds.mean());
-        reg.add("market.admission.arrivals", self.admission.arrivals);
-        reg.add("market.admission.admitted", self.admission.admitted);
-        reg.add("market.admission.degraded", self.admission.degraded);
-        reg.add("market.admission.rejected", self.admission.rejected);
-        reg.add("market.admission.timeouts", self.admission.timeouts);
-        reg.add("market.admission.queued_final", self.admission.queued_final);
-        reg.add(
-            "market.admission.max_queue_depth",
-            self.admission.max_queue_depth,
-        );
-        reg.set_gauge("market.admission.wait_mean", self.admission.wait.mean());
-        reg.set_gauge("market.jain_fairness", self.jain_fairness());
-        for (n, p) in self.per_class.iter() {
-            reg.add(&format!("market.p{n}.preemptions"), p.preemptions);
-            reg.add(&format!("market.p{n}.helper_failures"), p.helper_failures);
-            reg.add(&format!("market.p{n}.helper_crashes"), p.helper_crashes);
-            reg.add(&format!("market.p{n}.failovers"), p.failovers);
-            reg.add(&format!("market.p{n}.sessions_lost"), p.sessions_lost);
-            reg.set_gauge(
-                &format!("market.p{n}.improvement_mean"),
-                p.improvement.mean(),
-            );
-            reg.set_gauge(&format!("market.p{n}.helpers_mean"), p.helpers.mean());
-        }
-        self.query_traffic.publish(reg, "market.query_traffic");
-        self.query_maintenance
-            .publish(reg, "market.query_maintenance");
-        if let Some(t) = &self.oracle_tiers {
-            reg.add("oracle.hits.hot", t.hot);
-            reg.add("oracle.hits.sketch", t.sketch);
-            reg.add("oracle.hits.base", t.base);
-            reg.add("oracle.promotions", t.promotions);
-            reg.add("oracle.evictions", t.evictions);
-        }
-        reg.set_gauge("oracle.resident_bytes", self.oracle_resident_bytes as f64);
     }
 }

@@ -2,7 +2,7 @@
 
 //! # runstore — a queryable store for one simulation run
 //!
-//! The trace/metrics layer (`simcore::trace`) stops at post-hoc JSON-lines
+//! The trace layer (`simcore::trace`) stops at post-hoc JSON-lines
 //! dumps: once a run ends, the ring buffer is drained and the history is a
 //! flat file. A [`RunStore`] is the live-operations upgrade — the
 //! event-log-plus-snapshots shape of an audit store:

@@ -138,7 +138,7 @@ impl<S> InvariantSet<S> {
 ///
 /// The auditor does not own a clock: the sim drives it from its own event
 /// loop, either unconditionally ([`Auditor::sample`]) or gated on the
-/// sampling period ([`Auditor::due`] / [`Auditor::sample_due`]).
+/// sampling period ([`Auditor::sample_due`]).
 #[derive(Debug)]
 pub struct Auditor {
     period: SimTime,
@@ -166,7 +166,7 @@ impl Auditor {
     }
 
     /// True when the next periodic sample is due at `now`.
-    pub fn due(&self, now: SimTime) -> bool {
+    fn due(&self, now: SimTime) -> bool {
         now >= self.next_at
     }
 

@@ -27,9 +27,10 @@
 //!   [`TraceEvent`]s stamped on the simulated clock, bounded ring-buffer
 //!   sink, zero-cost no-op sink by default, JSON-lines export, and the
 //!   [`TraceSink`] hook the run store's live sink plugs into.
-//! * [`metrics`] — a counters/gauges registry
-//!   ([`MetricsRegistry`]) unifying per-subsystem accounting behind one
-//!   name-keyed interface with deterministic JSON-lines export.
+//!
+//! Accounting is not kept here: each layer reports its own typed stats
+//! (`GatherStats`, `TierStats`, `StoreStats`, ...), and the one string
+//! namespace is the benchmark's `<layer>.<object>.<measure>` names.
 //!
 //! ## Example
 //!
@@ -55,7 +56,6 @@
 
 pub mod audit;
 pub mod faults;
-pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -64,7 +64,6 @@ pub mod trace;
 
 pub use audit::{AuditReport, Auditor, InvariantSet};
 pub use faults::{FaultPlan, FaultyLink};
-pub use metrics::MetricsRegistry;
 pub use queue::EventQueue;
 pub use time::SimTime;
 pub use trace::{CloseReason, TraceEvent, TraceRecord, TraceSink, Tracer};

@@ -88,6 +88,11 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at absolute time `at`. Times before the current clock
     /// are clamped to the current clock.
+    // `#[inline]` lets a caller in another crate inline the heap push
+    // whichever codegen unit the caller lands in. Without it, an edit to an
+    // unrelated part of `pool` left the recovery pipeline's DHT heartbeat
+    // loop calling this out of line, and that run took 5–10 % longer.
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;

@@ -112,7 +112,7 @@ fn percentile_by(
 }
 
 /// Percentile of an already-sorted slice (panics on empty input).
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;

@@ -28,7 +28,7 @@
 //! own ID — that region is provably inside the member's own zone.
 
 use simcore::trace::{CloseReason, TraceEvent, TraceRecord, Tracer};
-use simcore::{EventQueue, FaultPlan, FaultyLink, MetricsRegistry, SimTime};
+use simcore::{EventQueue, FaultPlan, FaultyLink, SimTime};
 
 use crate::report::Report;
 use crate::tree::SomoTree;
@@ -67,6 +67,25 @@ impl Report for FreshnessReport {
         self.members += other.members;
         self.oldest = self.oldest.min(other.oldest);
     }
+}
+
+/// Sync-round accounting of a [`GatherSim`], read through
+/// [`GatherSim::stats`]. Each counter equals the number of its trace
+/// events, so a traced run can be checked against it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GatherStats {
+    /// Rounds closed because every live child answered
+    /// (`GatherClose { reason: Completed }`).
+    pub rounds_completed: u64,
+    /// Rounds closed short on the child timeout
+    /// (`GatherClose { reason: Timeout }`).
+    pub rounds_timeout: u64,
+    /// Repeated partials from a child already folded into the round
+    /// (`GatherDuplicate`).
+    pub partials_deduped: u64,
+    /// Timeouts that found their round already closed: the stale-timeout
+    /// no-op (`GatherTimeoutSuppressed`).
+    pub timeouts_suppressed: u64,
 }
 
 /// One recorded root view.
@@ -152,7 +171,7 @@ where
     /// Structured event trace (disabled by default: zero cost).
     tracer: Tracer,
     /// Round/timeout accounting.
-    metrics: MetricsRegistry,
+    stats: GatherStats,
 }
 
 impl<'a, R, L, D> GatherSim<'a, R, L, D>
@@ -246,7 +265,7 @@ where
             child_timeout: period,
             faults: FaultyLink::new(plan),
             tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::new(),
+            stats: GatherStats::default(),
         }
     }
 
@@ -262,11 +281,9 @@ where
         self.tracer.take_records()
     }
 
-    /// Round/timeout accounting: `gather.rounds_completed`,
-    /// `gather.rounds_timeout`, `gather.partials_deduped`,
-    /// `gather.timeouts_suppressed`.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// Round/timeout accounting so far (all zero in unsync mode).
+    pub fn stats(&self) -> GatherStats {
+        self.stats
     }
 
     /// Events currently scheduled (timers, in-flight messages, pending
@@ -313,8 +330,8 @@ where
     /// every member only if a full round trip fits inside the timeout:
     /// `2 · depth · t_hop < t` (plus the leaf's fetch, one more `2 · t_hop`).
     /// A deep tree (k = 2 is 16–26 levels at N = 256–4096) at 200 ms per
-    /// hop needs more than the default; `gather.rounds_timeout` counts the
-    /// rounds that closed short.
+    /// hop needs more than the default; [`GatherStats::rounds_timeout`]
+    /// counts the rounds that closed short.
     pub fn set_child_timeout(&mut self, t: SimTime) {
         self.child_timeout = t;
     }
@@ -475,14 +492,14 @@ where
                 // Fast path: the round usually closed on its last partial
                 // and the entry is gone — the stale timeout is a no-op.
                 let Some(open) = self.open_round(node, round) else {
-                    self.metrics.inc("gather.timeouts_suppressed");
+                    self.stats.timeouts_suppressed += 1;
                     self.tracer
                         .emit(now, || TraceEvent::GatherTimeoutSuppressed { node, round });
                     return;
                 };
                 // Children that never answered are presumed crashed; send
                 // what we have so the round still completes.
-                self.metrics.inc("gather.rounds_timeout");
+                self.stats.rounds_timeout += 1;
                 let received = self.rounds[node as usize][open].seen.len() as u32;
                 let expected = self.live_children(node) as u32;
                 self.tracer.emit(now, || TraceEvent::GatherClose {
@@ -520,7 +537,7 @@ where
                     };
                     let entry = &mut self.rounds[node as usize][open];
                     if entry.seen.contains(&from) {
-                        self.metrics.inc("gather.partials_deduped");
+                        self.stats.partials_deduped += 1;
                         self.tracer
                             .emit(now, || TraceEvent::GatherDuplicate { node, round, from });
                         return;
@@ -539,7 +556,7 @@ where
                     // past the target — the round must still close rather
                     // than limp to its timeout.
                     if received >= expected {
-                        self.metrics.inc("gather.rounds_completed");
+                        self.stats.rounds_completed += 1;
                         self.tracer.emit(now, || TraceEvent::GatherClose {
                             node,
                             round,
@@ -1061,14 +1078,68 @@ mod tests {
             // started.
             sim.run_until(SimTime::from_micros(period.as_micros() * 3 / 2));
             assert!(
-                sim.metrics().counter("gather.timeouts_suppressed") > 0,
+                sim.stats().timeouts_suppressed > 0,
                 "successful rounds should leave suppressed timeouts"
             );
-            assert_eq!(sim.metrics().counter("gather.rounds_timeout"), 0);
+            assert_eq!(sim.stats().rounds_timeout, 0);
             pendings.push(sim.pending_events());
         }
         assert_eq!(pendings[0], pendings[1], "pending events depend on period");
         assert_eq!(pendings[1], pendings[2], "pending events depend on period");
+    }
+
+    #[test]
+    fn stats_count_their_trace_events() {
+        // A lossy synchronized gather through one crash and one restart.
+        // Every counter must equal the number of its trace events.
+        let (ring, tree) = setup(100, 8);
+        let mut sim = GatherSim::with_faults(
+            &tree,
+            &ring,
+            FlowMode::Synchronized,
+            T,
+            |_m, now| FreshnessReport::of_member(now),
+            |a, b| if a == b { SimTime::ZERO } else { HOP },
+            FaultPlan::with_loss(11, 0.05).jitter(SimTime::from_millis(20)),
+        );
+        sim.set_tracer(simcore::Tracer::ring(1 << 20));
+        let victim = tree.nodes()[0]
+            .children()
+            .map(|c| tree.nodes()[c as usize].host())
+            .find(|&h| h != tree.nodes()[0].host())
+            .expect("no remote root child to kill");
+        sim.run_until(SimTime::from_secs(32));
+        sim.kill_member(victim);
+        sim.run_until(SimTime::from_secs(90));
+        sim.revive_member(victim);
+        sim.run_until(SimTime::from_secs(150));
+        let trace = sim.take_trace().expect("ring tracer owns its records");
+        assert_eq!(
+            trace.last().map(|r| r.seq + 1),
+            Some(trace.len() as u64),
+            "the ring evicted records"
+        );
+        let mut counted = GatherStats::default();
+        for rec in &trace {
+            match rec.ev {
+                TraceEvent::GatherClose {
+                    reason: CloseReason::Completed,
+                    ..
+                } => counted.rounds_completed += 1,
+                TraceEvent::GatherClose {
+                    reason: CloseReason::Timeout,
+                    ..
+                } => counted.rounds_timeout += 1,
+                TraceEvent::GatherDuplicate { .. } => counted.partials_deduped += 1,
+                TraceEvent::GatherTimeoutSuppressed { .. } => counted.timeouts_suppressed += 1,
+                _ => {}
+            }
+        }
+        // The fault layer never duplicates a message, so `partials_deduped`
+        // is 0 on both sides here; the other three all fire.
+        assert_eq!(sim.stats(), counted);
+        assert!(counted.rounds_completed > 0 && counted.rounds_timeout > 0);
+        assert!(counted.timeouts_suppressed > 0);
     }
 
     #[test]

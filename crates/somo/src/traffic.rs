@@ -35,13 +35,6 @@ impl TrafficLedger {
         self.messages += other.messages;
         self.bytes += other.bytes;
     }
-
-    /// Publish this ledger into a [`simcore::MetricsRegistry`] as the
-    /// `<prefix>.messages` / `<prefix>.bytes` counter pair.
-    pub fn publish(&self, reg: &mut simcore::MetricsRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.messages"), self.messages);
-        reg.add(&format!("{prefix}.bytes"), self.bytes);
-    }
 }
 
 /// A report that knows its wire encoding.

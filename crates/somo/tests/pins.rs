@@ -7,7 +7,7 @@
 //! gather through a mid-round crash (and, in half the cells, a restart) and
 //! compares `(bytes digested, FNV-1a-64)` — over the JSON-lines trace,
 //! every root view (`at`, `members`, `oldest`), the message and drop
-//! counts, the pending-event count and the round accounting in `metrics()`
+//! counts, the pending-event count and the round accounting in `stats()`
 //! — against a constant recorded at 291cf64, before the gather's per-node
 //! state was rebuilt.
 //!
@@ -25,7 +25,7 @@ use dht::Ring;
 use netsim::HostId;
 use simcore::trace::to_json_lines;
 use simcore::{FaultPlan, SimTime, Tracer};
-use somo::flow::{FlowMode, FreshnessReport, GatherSim};
+use somo::flow::{FlowMode, FreshnessReport, GatherSim, GatherStats};
 use somo::SomoTree;
 use testkit::Pin;
 
@@ -61,8 +61,24 @@ fn observe<L, D>(
         sim.messages_sent(),
         sim.messages_dropped(),
         sim.pending_events(),
-        sim.metrics().to_json_lines()
+        stats_lines(sim.stats())
     ));
+}
+
+/// The round accounting in the text the constants were recorded over: one
+/// `{"kind":"counter","name":"gather.<field>","value":N}` line per counter,
+/// in name order, with zero counters left out.
+fn stats_lines(s: GatherStats) -> String {
+    [
+        ("partials_deduped", s.partials_deduped),
+        ("rounds_completed", s.rounds_completed),
+        ("rounds_timeout", s.rounds_timeout),
+        ("timeouts_suppressed", s.timeouts_suppressed),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n > 0)
+    .map(|(name, n)| format!("{{\"kind\":\"counter\",\"name\":\"gather.{name}\",\"value\":{n}}}\n"))
+    .collect()
 }
 
 /// One cell. `child_timeout` overrides the synchronized round timeout

@@ -54,8 +54,8 @@ pub mod prelude {
     };
     pub use runstore::{ReplayGap, RunStore, StoreConfig, StoreSink};
     pub use simcore::{
-        AuditReport, Auditor, CloseReason, EventQueue, FaultPlan, InvariantSet, MetricsRegistry,
-        SimTime, TraceEvent, TraceRecord, Tracer,
+        AuditReport, Auditor, CloseReason, EventQueue, FaultPlan, InvariantSet, SimTime,
+        TraceEvent, TraceRecord, Tracer,
     };
     pub use somo::{Report, SomoTree};
 }

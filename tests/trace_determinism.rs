@@ -244,7 +244,7 @@ fn faulted_query_market_traces_are_bit_identical_across_runs() {
 
 /// A faulted synchronized gather with a mid-run member kill: rounds open,
 /// close (both reasons), and suppress stale timeouts.
-fn traced_gather(seed: u64) -> (String, String) {
+fn traced_gather(seed: u64) -> (String, p2p_resource_pool::somo::flow::GatherStats) {
     use p2p_resource_pool::somo::flow::{FlowMode, FreshnessReport, GatherSim};
     let ring = Ring::with_random_ids((0..96).map(HostId), seed);
     let tree = SomoTree::build(&ring, 8);
@@ -269,8 +269,7 @@ fn traced_gather(seed: u64) -> (String, String) {
     sim.kill_member(7);
     sim.run_until(SimTime::from_secs(90));
     let trace = to_json_lines(&sim.take_trace().expect("ring tracer owns its records"));
-    let metrics = sim.metrics().to_json_lines();
-    (trace, metrics)
+    (trace, sim.stats())
 }
 
 #[test]
@@ -279,15 +278,11 @@ fn faulted_gather_traces_and_metrics_are_bit_identical_across_runs() {
     let b = traced_gather(33);
     assert!(!a.0.is_empty(), "a faulted gather must emit trace records");
     assert_eq!(a.0, b.0, "same-seed gather traces diverged");
-    assert_eq!(a.1, b.1, "same-seed gather metrics diverged");
+    assert_eq!(a.1, b.1, "same-seed gather stats diverged");
     for needle in ["GatherOpen", "GatherClose", "GatherRootView"] {
         assert!(a.0.contains(needle), "no {needle} event in the trace");
     }
-    assert!(
-        a.1.contains("gather.rounds_completed"),
-        "metrics export missing round counters: {}",
-        a.1
-    );
+    assert!(a.1.rounds_completed > 0, "no round completed: {:?}", a.1);
 }
 
 #[test]
@@ -389,34 +384,12 @@ fn untraced_market_outcome_is_unaffected_by_the_instrumentation() {
         sim.run_full().0
     };
     let plain = run(false);
-    let traced = run(true);
+    let mut traced = run(true);
     assert!(plain.trace.is_empty());
     assert!(!traced.trace.is_empty());
-    assert_eq!(plain.plans, traced.plans);
-    assert_eq!(plain.crash_repairs, traced.crash_repairs);
-    assert_eq!(plain.lapsed_lease_degrees, traced.lapsed_lease_degrees);
-    assert_eq!(plain.leaked_degrees, traced.leaked_degrees);
-    for p in 1..=3u8 {
-        assert_eq!(
-            plain.class(p).improvement.mean(),
-            traced.class(p).improvement.mean()
-        );
-        assert_eq!(plain.class(p).preemptions, traced.class(p).preemptions);
-    }
-    // And the metrics adapter sees the same numbers either way.
-    let mut ma = MetricsRegistry::new();
-    let mut mb = MetricsRegistry::new();
-    plain.publish_metrics(&mut ma);
-    traced.publish_metrics(&mut mb);
-    let exported = ma.to_json_lines();
-    assert_eq!(exported, mb.to_json_lines());
-    // The two exact planner-work counters are part of the export.
-    for (name, want) in [
-        ("market.planner_relaxations", plain.planner_relaxations),
-        ("market.planner_latency_calls", plain.planner_latency_calls),
-    ] {
-        assert!(exported.contains(name), "{name} missing from the export");
-        assert_eq!(ma.counter(name), want, "{name} is not the outcome's field");
-    }
+    // Every field but the trace itself: per-class stats, the admission
+    // ledger, delivery, the audit, the oracle tiers, the planner's work.
+    traced.trace.clear();
+    assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
     assert!(plain.planner_relaxations > 0, "the run did no planner work");
 }

@@ -26,8 +26,16 @@
 # resolved when one side wins at least 9 of 10 pairs and the medians lie
 # further apart than A's interquartile range. Last, whether `sim_digest`,
 # `ops` and `failed_ops` agreed in every pair: they must, for one seed,
-# unless the change moves the simulation on purpose. The raw lines are
-# kept in `$PERF_PAIRS_DIR/<workload>.txt`, one file per workload.
+# unless the change moves the simulation on purpose.
+#
+# Then the exact counts: every output line whose unit is `count`, from
+# each untraced pair and from one `--trace 1` run per side per workload
+# after its pairs, is compared run for run. The script prints "exact
+# counts equal" or, for each count that moved, its name with its A and B
+# values. The units come from perf_e2e's own output; no list of names is
+# kept here. The raw lines are kept in `$PERF_PAIRS_DIR/<workload>.txt`
+# and the counts in `$PERF_PAIRS_DIR/<workload>.counts`, one pair of files
+# per workload.
 set -euo pipefail
 if [ $# -ne 3 ]; then
   echo "usage: $0 PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS" >&2
@@ -54,9 +62,16 @@ for side in a b; do
     --manifest-path "$dir/$side/perf_e2e/Cargo.toml"
 done
 
+# Appends `RUN SIDE NAME VALUE` for every `NAME VALUE count` line of $out.
+keep_counts() {
+  awk -v run="$1" -v side="$2" 'NF == 3 && $3 == "count" { print run, side, $1, $2 }' \
+    <<<"$out" >>"$counts"
+}
+
 for workload in "${workloads[@]}"; do
-  raw="$dir/$workload.txt"
+  raw="$dir/$workload.txt" counts="$dir/$workload.counts"
   : >"$raw"
+  : >"$counts"
   for i in $(seq 1 "$pairs"); do
     if ((i % 2)); then order="a b"; else order="b a"; fi
     for side in $order; do
@@ -66,7 +81,14 @@ for workload in "${workloads[@]}"; do
       field() { grep "^$1 " <<<"$out" | cut -d' ' -f2; }
       echo "$i $side $(field ops) $(field failed_ops) $(field sim_digest)" \
         "$(field setup_s) $(field peak_rss_mb) $(field model_cost) $(field run_s)" >>"$raw"
+      keep_counts "$i" "$side"
     done
+  done
+  for side in a b; do
+    echo "$workload: traced  $side" >&2
+    out="$("$dir/$side/perf_e2e/target/release/perf_e2e" \
+      --workload "$workload" --seed 1 --seconds 22 --trace 1)"
+    keep_counts trace "$side"
   done
 done
 
@@ -117,6 +139,28 @@ def table(workload):
         for i in pairs:
             print(f"pair {i}: A {runs['a'][i][0]}  B {runs['b'][i][0]}")
         print("sim_digest, ops, failed_ops DIFFER")
+    print()
+    counts(workload)
+
+
+def counts(workload):
+    # (run, name) -> {side: value}; a count one side lacks reads "-".
+    seen = {}
+    for line in open(f"{dir}/{workload}.counts"):
+        run, side, name, value = line.split()
+        seen.setdefault((run, name), {})[side] = value
+    moved = {}
+    for (run, name), v in seen.items():
+        a, b = v.get("a", "-"), v.get("b", "-")
+        if a != b:
+            moved.setdefault(name, set()).add((a, b))
+    if not moved:
+        names = {name for _, name in seen}
+        runs = {run for run, _ in seen}
+        print(f"exact counts equal: {len(names)} names over {len(runs)} runs per side")
+    for name in sorted(moved):
+        pairs = ", ".join(f"A {a} B {b}" for a, b in sorted(moved[name]))
+        print(f"count moved: {name}: {pairs}")
 
 
 for k, workload in enumerate(workloads):
