@@ -91,6 +91,22 @@ fn leafset_run_on_120_hosts() {
 }
 
 #[test]
+fn leafset_run_on_a_ring_smaller_than_its_leafset() {
+    // 20 members, L = 32: every leafset is truncated to the 19 others,
+    // and each heartbeat delay carries noise.
+    let net = small_net(33);
+    let ring = Ring::with_random_ids((0..20u32).map(HostId), 8);
+    let store = LeafsetCoords::new(LeafsetConfig {
+        leafset_size: 32,
+        rounds: 12,
+        noise: 0.1,
+        ..Default::default()
+    })
+    .run(&net.latency, &ring, 11);
+    assert_eq!(digest(&store), (120, 0x5574bc20dbb55e1c));
+}
+
+#[test]
 fn pool_build_coordinates() {
     // The default 1200-host pool, and the 600-host pool the market
     // figures and their anchors run on.
