@@ -139,14 +139,18 @@ impl GnpSolver {
         for _ in 0..lm_count {
             lm_coords.extend_from_slice(random_coord(dim, scale / 2.0, &mut *rng).as_slice());
         }
-        let mut others = Vec::with_capacity((lm_count - 1) * dim);
-        let mut meas = Vec::with_capacity(lm_count - 1);
+        // The other landmarks' coordinates, dimension-major as `abs_error`
+        // takes them.
+        let k = lm_count - 1;
+        let mut others = vec![0.0; k * dim];
+        let mut meas = Vec::with_capacity(k);
         for _ in 0..self.cfg.sweeps {
             for i in 0..lm_count {
-                others.clear();
                 meas.clear();
-                for j in (0..lm_count).filter(|&j| j != i) {
-                    others.extend_from_slice(&lm_coords[j * dim..][..dim]);
+                for (slot, j) in (0..lm_count).filter(|&j| j != i).enumerate() {
+                    for (d, &x) in lm_coords[j * dim..][..dim].iter().enumerate() {
+                        others[d * k + slot] = x;
+                    }
                     meas.push(lm_meas[i][j]);
                 }
                 let mine = &mut lm_coords[i * dim..][..dim];
@@ -187,6 +191,14 @@ impl GnpSolver {
         for s in &mut start[..dim] {
             *s /= lm_count as f64;
         }
+        // The landmark coordinates once more, dimension-major as
+        // `abs_error` takes them.
+        let mut lm_cols = vec![0.0; lm_count * dim];
+        for (l, lc) in lm_coords.chunks_exact(dim).enumerate() {
+            for (d, &x) in lc.iter().enumerate() {
+                lm_cols[d * lm_count + l] = x;
+            }
+        }
         let fit_chunk = |base: usize, slots: &mut [f64]| {
             let mut meas = vec![0.0f64; lm_count];
             for (i, slot) in slots.chunks_exact_mut(dim).enumerate() {
@@ -198,7 +210,7 @@ impl GnpSolver {
                     *m = oracle.latency_ms(h, lm);
                 }
                 let r = minimize(
-                    |p| abs_error(p, lm_coords, &meas),
+                    |p| abs_error(p, &lm_cols, &meas),
                     &start[..dim],
                     self.cfg.simplex,
                 );

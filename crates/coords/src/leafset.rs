@@ -15,7 +15,7 @@
 //! scheme works.
 
 use dht::Ring;
-use netsim::{HostId, LatencyModel};
+use netsim::LatencyModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,49 +72,37 @@ impl LeafsetCoords {
     /// rings every host).
     pub fn run(&self, oracle: &impl LatencyModel, ring: &Ring, seed: u64) -> CoordStore {
         let n_hosts = oracle.num_hosts();
+        let dim = self.cfg.dim;
         let mut rng = StdRng::seed_from_u64(seed);
         let r_side = (self.cfg.leafset_size / 2).max(1);
-
-        // Precompute each member's leafset (host ids) and measured delays —
-        // the accumulated d_m vector from heartbeat history.
         let n = ring.len();
-        let mut neighbors: Vec<Vec<HostId>> = Vec::with_capacity(n);
-        let mut measured: Vec<Vec<f64>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let me = ring.member(i).host;
-            let hosts: Vec<HostId> = ring
-                .leafset(i, r_side)
-                .into_iter()
-                .map(|j| ring.member(j).host)
-                .collect();
-            let meas = hosts
-                .iter()
-                .map(|&nb| {
-                    // One heartbeat RTT: the true delay under bounded
-                    // multiplicative noise.
-                    let truth = oracle.latency_ms(me, nb);
-                    if self.cfg.noise == 0.0 {
-                        truth
-                    } else {
-                        truth * (1.0 + self.cfg.noise * (2.0 * rng.random::<f64>() - 1.0))
-                    }
-                })
-                .collect();
-            neighbors.push(hosts);
-            measured.push(meas);
+
+        // Heartbeat noise: one draw per member and leafset entry, members
+        // in ring order. A node's measured delays d_m stay what it heard,
+        // so every round replays the same draws from this clone, and the
+        // initial coordinates come after them (every leafset has the same
+        // length).
+        let noise_rng = rng.clone();
+        if self.cfg.noise != 0.0 {
+            for _ in 0..n * ring.leafset(0, r_side).len() {
+                rng.random::<f64>();
+            }
         }
 
         // Random small initial coordinates (every node starts ignorant).
-        let mut store = CoordStore::zeros(n_hosts, self.cfg.dim);
+        let mut store = CoordStore::zeros(n_hosts, dim);
         for i in 0..n {
-            let c = random_coord(self.cfg.dim, 10.0, &mut rng);
+            let c = random_coord(dim, 10.0, &mut rng);
             store.set(ring.member(i).host, c);
         }
 
         // Gauss–Seidel refinement rounds: every update reads the coordinates
         // its ring predecessors wrote earlier in the same round (and, across
         // the wrap, in the previous one), so they run strictly in order.
-        let mut nb_coords = Vec::with_capacity(2 * r_side * self.cfg.dim);
+        // One node's update reads its leafset's coordinates (dimension-major,
+        // as `abs_error` takes them) and delays into two reused buffers.
+        let mut nb_cols = Vec::with_capacity(2 * r_side * dim);
+        let mut measured = Vec::with_capacity(2 * r_side);
         for round in 0..self.cfg.rounds {
             // Later rounds take smaller simplex steps: coordinates are
             // nearly settled and large probes just inject noise.
@@ -127,17 +115,29 @@ impl LeafsetCoords {
                 initial_step: step,
                 ..self.cfg.simplex
             };
+            let mut noise = noise_rng.clone();
             for i in 0..n {
                 let me = ring.member(i).host;
-                nb_coords.clear();
-                for &h in &neighbors[i] {
-                    nb_coords.extend_from_slice(store.point(h));
+                let leafset = ring.leafset(i, r_side);
+                let k = leafset.len();
+                nb_cols.clear();
+                nb_cols.resize(k * dim, 0.0);
+                measured.clear();
+                for (j, &m) in leafset.iter().enumerate() {
+                    let nb = ring.member(m).host;
+                    for (d, &x) in store.point(nb).iter().enumerate() {
+                        nb_cols[d * k + j] = x;
+                    }
+                    // One heartbeat RTT: the true delay under bounded
+                    // multiplicative noise.
+                    let truth = oracle.latency_ms(me, nb);
+                    measured.push(if self.cfg.noise == 0.0 {
+                        truth
+                    } else {
+                        truth * (1.0 + self.cfg.noise * (2.0 * noise.random::<f64>() - 1.0))
+                    });
                 }
-                let res = minimize(
-                    |p| abs_error(p, &nb_coords, &measured[i]),
-                    store.point(me),
-                    opts,
-                );
+                let res = minimize(|p| abs_error(p, &nb_cols, &measured), store.point(me), opts);
                 store.point_mut(me).copy_from_slice(res.point());
             }
         }
@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use crate::eval::{random_pairs, relative_error_cdf};
     use crate::space::Coord;
-    use netsim::{Network, NetworkConfig};
+    use netsim::{HostId, Network, NetworkConfig};
 
     fn small_net() -> Network {
         Network::generate(

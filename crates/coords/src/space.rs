@@ -66,15 +66,50 @@ fn distance(a: &[f64], b: &[f64]) -> f64 {
     s.sqrt()
 }
 
+/// Pairs per block of [`abs_error`]: each pair's distance is its own lane,
+/// so a block's squares and square roots vectorise.
+const LANES: usize = 4;
+
 /// The paper's fit objective `E(p) = Σ_i |dist(p, target_i) − measured_i|`.
-/// `targets` holds one point of `p`'s dimension per measurement, packed
-/// back to back; the error accumulates in pair order from `0.0`.
+/// `cols` holds the `k = measured.len()` targets dimension-major: component
+/// `d` of target `i` is `cols[d·k + i]`. Each pair's distance is
+/// [`distance`]'s expression — squares summed in dimension order from
+/// `0.0`, then `sqrt` — carried in its own lane, so blocks of [`LANES`]
+/// pairs compute side by side with the scalar bits; the error then
+/// accumulates in pair order from `0.0`.
 #[inline]
-pub(crate) fn abs_error(p: &[f64], targets: &[f64], measured: &[f64]) -> f64 {
-    debug_assert_eq!(targets.len(), p.len() * measured.len());
+pub(crate) fn abs_error(p: &[f64], cols: &[f64], measured: &[f64]) -> f64 {
+    let k = measured.len();
+    debug_assert_eq!(cols.len(), p.len() * k);
     let mut e = 0.0;
-    for (t, &m) in targets.chunks_exact(p.len()).zip(measured) {
-        e += (distance(p, t) - m).abs();
+    let blocked = k - k % LANES;
+    for i in (0..blocked).step_by(LANES) {
+        let mut s = [0.0f64; LANES];
+        for (d, &x) in p.iter().enumerate() {
+            let col: &[f64; LANES] = cols[d * k + i..][..LANES].try_into().unwrap();
+            for (s, &y) in s.iter_mut().zip(col) {
+                let diff = x - y;
+                *s += diff * diff;
+            }
+        }
+        // Every lane's term first, so the square roots vectorise too; then
+        // the fold, in pair order.
+        let m: &[f64; LANES] = measured[i..][..LANES].try_into().unwrap();
+        let mut terms = [0.0f64; LANES];
+        for ((t, s), &m) in terms.iter_mut().zip(s).zip(m) {
+            *t = (s.sqrt() - m).abs();
+        }
+        for t in terms {
+            e += t;
+        }
+    }
+    for (i, &m) in measured.iter().enumerate().skip(blocked) {
+        let mut s = 0.0;
+        for (d, &x) in p.iter().enumerate() {
+            let diff = x - cols[d * k + i];
+            s += diff * diff;
+        }
+        e += (s.sqrt() - m).abs();
     }
     e
 }
@@ -155,6 +190,58 @@ impl LatencyModel for CoordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The objective over targets packed point by point, one [`distance`]
+    /// per pair: the layout [`abs_error`] had before it went
+    /// dimension-major, kept as its reference.
+    fn packed_abs_error(p: &[f64], targets: &[f64], measured: &[f64]) -> f64 {
+        let mut e = 0.0;
+        for (t, &m) in targets.chunks_exact(p.len()).zip(measured) {
+            e += (distance(p, t) - m).abs();
+        }
+        e
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        // Every block remainder and k = 0, with targets that coincide with
+        // the point (a zero distance) and zero measurements mixed in.
+        #[test]
+        fn prop_dimension_major_objective_is_the_packed_one_bit_for_bit(
+            dim in 1usize..MAX_DIM + 1,
+            k in 0usize..71,
+            seed in 0u64..1_000_000,
+            coincide in 0u32..4,
+            zeros in 0u32..4,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p: Vec<f64> = (0..dim).map(|_| rng.random_range(-300.0..300.0)).collect();
+            let mut packed = Vec::with_capacity(k * dim);
+            let mut measured = Vec::with_capacity(k);
+            for _ in 0..k {
+                if rng.random_range(0u32..4) < coincide {
+                    packed.extend_from_slice(&p);
+                } else {
+                    packed.extend((0..dim).map(|_| rng.random_range(-300.0..300.0)));
+                }
+                let m = rng.random_range(0.0..500.0);
+                measured.push(if rng.random_range(0u32..4) < zeros { 0.0 } else { m });
+            }
+            let mut cols = vec![0.0; k * dim];
+            for (i, t) in packed.chunks_exact(dim).enumerate() {
+                for (d, &x) in t.iter().enumerate() {
+                    cols[d * k + i] = x;
+                }
+            }
+            proptest::prop_assert_eq!(
+                abs_error(&p, &cols, &measured).to_bits(),
+                packed_abs_error(&p, &packed, &measured).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn distance_is_euclidean() {

@@ -67,6 +67,7 @@ pub use task_manager::{
 };
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bwest::{BwEstConfig, BwEstimates};
 use coords::{CoordStore, LeafsetCoords};
@@ -194,15 +195,17 @@ impl Default for PoolConfig {
 /// index mirrors them.
 #[derive(Clone)]
 pub struct ResourcePool {
-    /// The physical underlay (latency oracle, degree bounds, bandwidths).
-    pub net: Network,
-    /// The DHT ring over all hosts.
-    pub ring: Ring,
+    /// The physical underlay (latency oracle, degree bounds, bandwidths),
+    /// read-only and shared with every clone.
+    pub net: Arc<Network>,
+    /// The DHT ring over all hosts, read-only and shared with every clone.
+    pub ring: Arc<Ring>,
     /// Leafset-generated network coordinates (the practical latency model),
     /// one buffer shared with a tiered oracle's base tier and every clone.
     pub coords: CoordStore,
-    /// Leafset-generated bottleneck-bandwidth estimates.
-    pub bw: BwEstimates,
+    /// Leafset-generated bottleneck-bandwidth estimates, read-only and
+    /// shared with every clone.
+    pub bw: Arc<BwEstimates>,
     tables: Vec<DegreeTable>,
     alive: Vec<bool>,
     /// The latency oracle planning reads go through (see
@@ -258,10 +261,10 @@ impl ResourcePool {
             }
         };
         ResourcePool {
-            net,
-            ring,
+            net: Arc::new(net),
+            ring: Arc::new(ring),
             coords,
-            bw,
+            bw: Arc::new(bw),
             tables,
             alive,
             oracle,

@@ -1,12 +1,15 @@
 //! What the pool and the live-operations store retain, as numbers a test
-//! holds: a clone of a pool copies its mutable tables but not its
-//! coordinates (DESIGN.md §11.5); a stored snapshot costs what the market
+//! holds: a clone of a pool copies its mutable tables and shares its
+//! network, ring, bandwidth estimates and coordinates (DESIGN.md §11.5);
+//! a stored snapshot costs what the market
 //! *holds* — the same bytes in a 4 096-host and a 32 768-host pool — and a
 //! surface with no standing query keeps no query index (DESIGN.md §17.3,
 //! "the snapshot layout").
 //!
 //! `testkit`'s counting allocator keeps its tallies per thread, so the
 //! tests of this binary can run side by side.
+
+use std::sync::Arc;
 
 use netsim::{HostId, NetworkConfig};
 use oracle::{LatencySource, TieredConfig};
@@ -60,7 +63,7 @@ fn pool_holding_64_tables(n: usize) -> ResourcePool {
 }
 
 #[test]
-fn a_pool_clone_shares_its_coordinates() {
+fn a_pool_clone_copies_only_its_mutable_tables() {
     let n = 32_768;
     let pool = ResourcePool::build(
         &PoolConfig {
@@ -74,30 +77,31 @@ fn a_pool_clone_shares_its_coordinates() {
         },
         7,
     );
-    let coord_buffer = pool.coords.resident_bytes();
-    assert_eq!(coord_buffer, n * 5 * 8);
     let (copy, cost) = measured(|| pool.clone());
-    // What a clone must copy: the network's host and router tables, the
-    // ring, the bandwidth estimates, the degree tables and the liveness
-    // flags (the kernel, the sketch and the coordinates are shared).
+    // The network, the ring and the bandwidth estimates are read-only
+    // handles the clone shares, as are the coordinates, the kernel and
+    // the sketch.
+    assert!(Arc::ptr_eq(&copy.net, &pool.net), "the network was copied");
+    assert!(Arc::ptr_eq(&copy.ring, &pool.ring), "the ring was copied");
+    assert!(
+        Arc::ptr_eq(&copy.bw, &pool.bw),
+        "the bandwidths were copied"
+    );
+    // What a clone must copy: the degree tables, the liveness flags and
+    // the tiered oracle's hot-tier state (a slot index and a batch mark per
+    // router, and the tier's counters), which what-if clones must not share.
     let (parts, parts_cost) = measured(|| {
         let tables: Vec<_> = (0..n as u32)
             .map(|h| pool.table(HostId(h)).clone())
             .collect();
-        let alive = vec![true; n];
-        (
-            pool.net.clone(),
-            pool.ring.clone(),
-            pool.bw.clone(),
-            tables,
-            alive,
-        )
+        (tables, vec![true; n])
     });
+    let hot_tier = 8 * pool.net.routers.graph.len() + 256;
     let beyond = cost.held.saturating_sub(parts_cost.held);
     assert!(
-        beyond < coord_buffer,
-        "a {n}-host pool clone retained {beyond} B beyond its tables, \
-         a coordinate buffer is {coord_buffer} B"
+        beyond <= hot_tier,
+        "a {n}-host pool clone retained {beyond} B beyond its degree tables \
+         and liveness flags; the hot tier's state is at most {hot_tier} B"
     );
     drop((copy, parts));
 }
