@@ -93,18 +93,14 @@ pub fn minimize(
         *v = eval(&p[..n], &mut evals);
     }
 
+    // Vertices best → worst by (value under `total_cmp`, vertex index):
+    // the order a stable sort of `0..=n` by value gives. Sorted once here
+    // and kept: a step that replaces only the worst vertex moves it to its
+    // place, a shrink (every value but the best changes) sorts again.
+    let mut order = [0usize; MAX_DIM + 1];
+    sort_from_identity(&mut order[..=n], &vals);
+
     while evals < opts.max_evals {
-        // Order vertices best → worst: a stable insertion sort from the
-        // identity, so equal values keep vertex order.
-        let mut order = [0usize; MAX_DIM + 1];
-        for k in 0..=n {
-            let mut j = k;
-            while j > 0 && vals[order[j - 1]].total_cmp(&vals[k]).is_gt() {
-                order[j] = order[j - 1];
-                j -= 1;
-            }
-            order[j] = k;
-        }
         let best = order[0];
         let worst = order[n];
         let second_worst = order[n - 1];
@@ -159,23 +155,52 @@ pub fn minimize(
                     pts[i] = lerp(&best_pt[..n], &pts[i], 0.5);
                     vals[i] = eval(&pts[i][..n], &mut evals);
                 }
+                sort_from_identity(&mut order[..=n], &vals);
+                continue;
             }
         }
+        reinsert_last(&mut order[..=n], &vals);
     }
 
-    // First minimum in vertex order.
-    let mut bi = 0;
-    for (i, v) in vals[..=n].iter().enumerate().skip(1) {
-        if v.total_cmp(&vals[bi]).is_lt() {
-            bi = i;
-        }
-    }
+    // The first minimum in vertex order: `order` is kept sorted by
+    // (value, index), so that is its head.
+    let bi = order[0];
     SimplexResult {
         point: pts[bi],
         dim: n,
         value: vals[bi],
         evals,
     }
+}
+
+/// Fills `order` with `0..order.len()` sorted by (value under
+/// `total_cmp`, vertex index): the order a stable sort of the identity by
+/// value gives, equal values in vertex order.
+fn sort_from_identity(order: &mut [usize], vals: &[f64]) {
+    for k in 0..order.len() {
+        order[k] = k;
+        reinsert_last(&mut order[..=k], vals);
+    }
+}
+
+/// Moves the last entry of `order` — the vertex just replaced — down past
+/// every entry after it by (value, index). The rest of `order` is sorted
+/// by that key and the key is a total order, so the result is the one
+/// sort of the whole.
+#[inline]
+fn reinsert_last(order: &mut [usize], vals: &[f64]) {
+    let mut j = order.len() - 1;
+    let v = order[j];
+    while j > 0
+        && vals[order[j - 1]]
+            .total_cmp(&vals[v])
+            .then(order[j - 1].cmp(&v))
+            .is_gt()
+    {
+        order[j] = order[j - 1];
+        j -= 1;
+    }
+    order[j] = v;
 }
 
 #[cfg(test)]

@@ -1,0 +1,208 @@
+#!/usr/bin/env bash
+# Hand-rolled mutation testing: how much can the gates see?
+#
+#   tools/mutants.sh [REV]
+#
+# Exports a tree into `$MUTANTS_DIR/tree` (default
+# `${TMPDIR:-/tmp}/mutants`): `git archive REV` when a revision is given,
+# else every tracked or unignored file of the working tree as it is on
+# disk (uncommitted edits included), the way `perf_pairs.sh` exports its
+# two sides. No worktree is made and nothing in the repository is written;
+# builds go to `$MUTANTS_DIR/target` and are reused by the next run.
+#
+# The mutations are named (file, exact before-text, after-text) triples in
+# the table below; each before-text must occur exactly once in its file.
+# First the unmutated tree runs the gates and must pass them all. Then
+# each mutation in turn is applied, the gates run, and the file is
+# restored. The gates, in order:
+#
+#   1. tier-1:    `cargo build --release && cargo test -q`
+#   2. workspace: `cargo test --workspace --release -q`
+#
+# Prints one markdown row per mutation: the first gate that went red, with
+# the test target cargo names to re-run it and the first failing test, or
+# "survives". A mutation that no longer applies is an error, so the table
+# must be kept in step with the code. On 2 cores the first run's builds
+# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 30 min for the
+# table below). This is a measurement tool, like `perf_e2e`; no CI job
+# runs it.
+set -euo pipefail
+if [ $# -gt 1 ]; then
+  echo "usage: $0 [REV]" >&2
+  exit 2
+fi
+root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+dir="${MUTANTS_DIR:-${TMPDIR:-/tmp}/mutants}"
+
+rm -rf "$dir/tree"
+mkdir -p "$dir/tree" "$dir/target"
+if [ $# -eq 1 ]; then
+  git -C "$root" rev-parse --verify --quiet "$1^{commit}" >/dev/null || {
+    echo "not a revision: $1" >&2
+    exit 2
+  }
+  git -C "$root" archive "$1" | tar -xf - -C "$dir/tree"
+else
+  git -C "$root" ls-files -z --cached --others --exclude-standard |
+    (cd "$root" && tar --null --ignore-failed-read -T - -cf -) |
+    tar -xf - -C "$dir/tree"
+fi
+
+CARGO_TARGET_DIR="$dir/target" python3 - "$dir/tree" <<'PY'
+import re, subprocess, sys
+
+tree = sys.argv[1]
+
+# (name, file, exact before-text, after-text)
+MUTANTS = [
+    (
+        "simplex re-insertion breaks ties by reverse vertex index",
+        "crates/coords/src/simplex.rs",
+        ".then(order[j - 1].cmp(&v))",
+        ".then(v.cmp(&order[j - 1]))",
+    ),
+    (
+        "simplex keeps its pre-shrink order after a shrink",
+        "crates/coords/src/simplex.rs",
+        "                sort_from_identity(&mut order[..=n], &vals);\n                continue;\n",
+        "                continue;\n",
+    ),
+    (
+        "abs_error folds a block's four terms in reverse pair order",
+        "crates/coords/src/space.rs",
+        "        for t in terms {\n",
+        "        for t in terms.into_iter().rev() {\n",
+    ),
+    (
+        "Ev::End does not release the session's degrees",
+        "crates/pool/src/market/mod.rs",
+        "                self.pool.release_session(self.slots[i].spec.id);\n",
+        "",
+    ),
+    (
+        "available_at counts equal-rank holdings as preemptible (non-strict Rank)",
+        "crates/pool/src/degree_table.rs",
+        ".filter(|a| a.rank > rank)",
+        ".filter(|a| a.rank >= rank)",
+    ),
+    (
+        "Pareto skips reclaim_overshare",
+        "crates/pool/src/market/session.rs",
+        "                self.reclaim_overshare(i, &shares, now);\n",
+        "",
+    ),
+    (
+        "water_fill rounds its last proportional slices up",
+        "crates/pool/src/market/session.rs",
+        "let slice = (entries[i].0 * level).floor() as u64;",
+        "let slice = (entries[i].0 * level).ceil() as u64;",
+    ),
+    (
+        "Pareto weights every class alike",
+        "crates/pool/src/market/session.rs",
+        "(s.spec.priority as f64, 2 * s.spec.members.len() as u64)",
+        "(1.0, 2 * s.spec.members.len() as u64)",
+    ),
+    (
+        "a lease lapses one tick after its deadline",
+        "crates/pool/src/degree_table.rs",
+        "Some(e) if e <= now",
+        "Some(e) if e < now",
+    ),
+    (
+        "renew shortens a lease to the new deadline",
+        "crates/pool/src/degree_table.rs",
+        "Some(e.max(expires_at))",
+        "Some(e.min(expires_at))",
+    ),
+    (
+        "the live-ops log drops slot deltas",
+        "crates/pool/src/liveops.rs",
+        "            store.append_delta(at, MarketDelta::Slot { index, state });\n",
+        "",
+    ),
+    (
+        "the gather folds children in reverse tree order",
+        "crates/somo/src/flow.rs",
+        "for c in self.tree.nodes()[i as usize].children() {",
+        "for c in self.tree.nodes()[i as usize].children().rev() {",
+    ),
+    (
+        "the gather ages partials out after two periods, not three",
+        "crates/somo/src/flow.rs",
+        "self.period.as_micros().saturating_mul(3)",
+        "self.period.as_micros().saturating_mul(2)",
+    ),
+    (
+        "top-k prunes a subtree that ties the k-th best",
+        "crates/query/src/engine.rs",
+        "if max < threshold || max < min_free {",
+        "if max <= threshold || max < min_free {",
+    ),
+    (
+        "a heartbeat peer silent for exactly the timeout stays alive",
+        "crates/dht/src/proto.rs",
+        "let alive = now.saturating_sub(last) < timeout;",
+        "let alive = now.saturating_sub(last) <= timeout;",
+    ),
+    (
+        "claims test inverts the multipath comparison",
+        "tests/paper_claims.rs",
+        "delivery(rate, 2) > delivery(rate, 1)",
+        "delivery(rate, 2) < delivery(rate, 1)",
+    ),
+]
+
+GATES = [
+    ("tier-1", [["cargo", "build", "--release", "--offline", "-q"],
+                ["cargo", "test", "--offline", "-q"]]),
+    ("workspace", [["cargo", "test", "--workspace", "--release", "--offline", "-q"]]),
+]
+
+
+def first_red():
+    """The first gate that fails, as a table cell, or None."""
+    for gate, commands in GATES:
+        for cmd in commands:
+            try:
+                run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                                     timeout=1200)
+            except subprocess.TimeoutExpired:
+                return f"{gate}: timed out"
+            if run.returncode == 0:
+                continue
+            out = run.stdout + run.stderr
+            if "could not compile" in out:
+                return f"{gate}: does not compile"
+            target = re.search(r"to rerun pass `([^`]*)`", out)
+            test = re.search(r"^---- (\S+) stdout ----", out, re.M)
+            cell = f"{gate}: `{target.group(1)}`" if target else f"{gate}: `{' '.join(cmd[1:])}`"
+            return cell + (f" `{test.group(1)}`" if test else "")
+    return None
+
+
+def apply(path, before, after):
+    text = open(path).read()
+    if text.count(before) != 1:
+        sys.exit(f"mutation no longer applies: {before!r} occurs "
+                 f"{text.count(before)} times in {path}")
+    open(path, "w").write(text.replace(before, after))
+    return text
+
+
+print("baseline", file=sys.stderr)
+red = first_red()
+if red:
+    sys.exit(f"the unmutated tree fails {red}")
+print("| mutation | file | first gate red |")
+print("|---|---|---|")
+for name, file, before, after in MUTANTS:
+    print(f"mutant: {name}", file=sys.stderr)
+    path = f"{tree}/{file}"
+    original = apply(path, before, after)
+    try:
+        red = first_red()
+    finally:
+        open(path, "w").write(original)
+    print(f"| {name} | `{file}` | {red or 'survives'} |", flush=True)
+PY
