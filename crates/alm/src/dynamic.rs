@@ -10,9 +10,14 @@
 //! * [`prune_idle_helpers`] — reclaim helpers that no longer forward to
 //!   anyone (returning their degrees to the pool is the caller's job).
 //!
+//! Leave, crash repair ([`reattach_orphans`]) and pruning share one
+//! survivor walk and one residual-capacity rule.
+//!
 //! Incremental repair trades optimality for disruption: only the paths
 //! through the leaver change. A session can always fall back to a full
 //! replan (`critical` + `adjust`) on its periodic rescheduling tick.
+
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use netsim::{HostId, LatencyModel};
 
@@ -61,41 +66,14 @@ pub fn remove_member<L: LatencyModel, D: Fn(HostId) -> u32>(
     assert!(tree.contains(v), "leaver not in tree");
     assert!(v != tree.root(), "the session root cannot leave");
 
-    // Residual capacity each survivor will have once its *old* children are
-    // all copied over: dbound − old degree (+1 for v's old parent, whose
-    // edge to v disappears). Orphans may only take these residual slots —
-    // checking against the partially rebuilt tree alone would overcommit
-    // nodes whose old children simply haven't been copied yet.
-    let mut residual: std::collections::HashMap<HostId, i64> = tree
-        .hosts()
-        .iter()
-        .filter(|&&u| u != v)
-        .map(|&u| {
-            let mut r = (p.dbound)(u) as i64 - tree.degree(u) as i64;
-            if tree.parent_of(v) == Some(u) {
-                r += 1;
-            }
-            (u, r)
-        })
-        .collect();
-
-    // Two-phase rebuild. Phase 1 copies every survivor *outside* v's
-    // subtree first, so phase 2's orphans choose among ALL of them — the
-    // old single-pass rebuild only offered the BFS prefix, which hid free
-    // capacity later in the tree and produced spurious `NoCapacity`.
-    let in_subtree = subtree_of(tree, v);
-    let mut rebuilt = MulticastTree::new(tree.root());
-    for u in tree.bfs_order() {
-        if u == tree.root() || in_subtree.contains(&u) {
-            continue;
-        }
-        let old_parent = tree.parent_of(u).expect("non-root has a parent");
-        rebuilt.attach(u, old_parent, p.latency.latency_ms(old_parent, u));
-    }
-    // Phase 2: attach each orphan subtree. Attaching one at a time against
-    // the growing `rebuilt` is cycle-safe: an orphan can never pick a parent
-    // inside its own (not-yet-placed) subtree.
-    for orphan in tree.children_of(v) {
+    // Every survivor outside v's subtree is in place before the first
+    // orphan chooses, so each orphan sees all of them. Attaching one orphan
+    // at a time against the growing `rebuilt` is cycle-safe: an orphan can
+    // never pick a parent inside its own (not-yet-placed) subtree.
+    let gone = HashSet::from([v]);
+    let (mut rebuilt, orphans) = survivors(p, tree, &gone);
+    let mut residual = residual(p, tree, &gone);
+    for orphan in orphans {
         let (_, w) = rebuilt
             .hosts()
             .iter()
@@ -106,20 +84,65 @@ pub fn remove_member<L: LatencyModel, D: Fn(HostId) -> u32>(
             .ok_or(NoCapacity)?;
         *residual.get_mut(&w).expect("candidate accounted") -= 1;
         rebuilt.attach(orphan, w, p.latency.latency_ms(w, orphan));
-        copy_subtree(
-            p,
-            tree,
-            &mut rebuilt,
-            orphan,
-            &std::collections::HashSet::new(),
-        );
+        copy_subtree(p, tree, &mut rebuilt, orphan, &gone);
     }
     Ok(rebuilt)
 }
 
+/// The tree without the hosts in `gone`, and the orphans that leaves: one
+/// walk in BFS order, shared by leave, crash repair and pruning. A survivor
+/// whose parent is gone is an orphan; one whose parent is already in the
+/// rebuilt tree keeps its edge; one whose parent hangs under a gone
+/// ancestor is left out — it travels with its orphan ancestor's subtree.
+fn survivors<L: LatencyModel, D: Fn(HostId) -> u32>(
+    p: &Problem<L, D>,
+    tree: &MulticastTree,
+    gone: &HashSet<HostId>,
+) -> (MulticastTree, Vec<HostId>) {
+    let mut rebuilt = MulticastTree::new(tree.root());
+    let mut orphans = Vec::new();
+    for u in tree.bfs_order() {
+        if u == tree.root() || gone.contains(&u) {
+            continue;
+        }
+        let parent = tree.parent_of(u).expect("non-root has a parent");
+        if gone.contains(&parent) {
+            orphans.push(u);
+        } else if rebuilt.contains(parent) {
+            rebuilt.attach(u, parent, p.latency.latency_ms(parent, u));
+        }
+    }
+    (rebuilt, orphans)
+}
+
+/// Free child slots of every host outside `gone` once all its surviving
+/// edges are back: its degree bound minus its surviving children minus its
+/// parent link (an orphan keeps that unit for its new parent). Orphans may
+/// only take these slots — checking against the partially rebuilt tree
+/// alone would overcommit hosts whose children are not copied yet.
+fn residual<L: LatencyModel, D: Fn(HostId) -> u32>(
+    p: &Problem<L, D>,
+    tree: &MulticastTree,
+    gone: &HashSet<HostId>,
+) -> HashMap<HostId, i64> {
+    tree.hosts()
+        .iter()
+        .filter(|u| !gone.contains(u))
+        .map(|&u| {
+            let live_children = tree
+                .children_of(u)
+                .iter()
+                .filter(|c| !gone.contains(c))
+                .count() as i64;
+            let has_parent = i64::from(u != tree.root());
+            (u, (p.dbound)(u) as i64 - live_children - has_parent)
+        })
+        .collect()
+}
+
 /// All hosts in the subtree rooted at `v` (including `v` itself).
-fn subtree_of(tree: &MulticastTree, v: HostId) -> std::collections::HashSet<HostId> {
-    let mut set = std::collections::HashSet::new();
+fn subtree_of(tree: &MulticastTree, v: HostId) -> HashSet<HostId> {
+    let mut set = HashSet::new();
     let mut stack = vec![v];
     while let Some(u) = stack.pop() {
         if set.insert(u) {
@@ -138,9 +161,9 @@ fn copy_subtree<L: LatencyModel, D: Fn(HostId) -> u32>(
     tree: &MulticastTree,
     rebuilt: &mut MulticastTree,
     top: HostId,
-    skip: &std::collections::HashSet<HostId>,
+    skip: &HashSet<HostId>,
 ) {
-    let mut queue = std::collections::VecDeque::from(tree.children_of(top));
+    let mut queue = VecDeque::from(tree.children_of(top));
     while let Some(u) = queue.pop_front() {
         if skip.contains(&u) {
             continue;
@@ -190,7 +213,7 @@ pub struct ReattachReport {
 /// this to size a repair — or release the stranded helpers' reservations —
 /// before committing to [`reattach_orphans`].
 pub fn orphaned_subtree_roots(tree: &MulticastTree, dead: &[HostId]) -> Vec<HostId> {
-    let dead_set: std::collections::HashSet<HostId> = dead.iter().copied().collect();
+    let dead_set: HashSet<HostId> = dead.iter().copied().collect();
     tree.bfs_order()
         .into_iter()
         .filter(|&u| {
@@ -221,7 +244,6 @@ pub fn reattach_orphans<L: LatencyModel, D: Fn(HostId) -> u32>(
     dead: &[HostId],
     cfg: &ReattachConfig,
 ) -> (MulticastTree, ReattachReport) {
-    use std::collections::HashSet;
     let dead_set: HashSet<HostId> = dead.iter().copied().collect();
     assert!(
         !dead_set.contains(&tree.root()),
@@ -229,42 +251,10 @@ pub fn reattach_orphans<L: LatencyModel, D: Fn(HostId) -> u32>(
     );
 
     // Survivors outside every dead subtree keep their edges; the roots of
-    // the remaining fragments (live children of dead nodes whose own parent
-    // chain is otherwise intact) are the orphans.
-    let mut rebuilt = MulticastTree::new(tree.root());
-    let mut orphans: Vec<HostId> = Vec::new();
-    for u in tree.bfs_order() {
-        if u == tree.root() || dead_set.contains(&u) {
-            continue;
-        }
-        let parent = tree.parent_of(u).expect("non-root has a parent");
-        if dead_set.contains(&parent) {
-            orphans.push(u);
-        } else if rebuilt.contains(parent) {
-            rebuilt.attach(u, parent, p.latency.latency_ms(parent, u));
-        } else {
-            // The parent is alive but hangs under a dead ancestor: this
-            // node travels with its orphan ancestor's subtree.
-        }
-    }
-
-    // Residual capacity of every survivor, counting only edges that made it
-    // into the rebuilt fragment rooted at the tree root (orphan subtrees
-    // keep their internal edges, accounted when each subtree lands).
-    let mut residual: std::collections::HashMap<HostId, i64> = tree
-        .hosts()
-        .iter()
-        .filter(|u| !dead_set.contains(u))
-        .map(|&u| {
-            let live_children = tree
-                .children_of(u)
-                .iter()
-                .filter(|c| !dead_set.contains(c))
-                .count() as i64;
-            let has_parent = i64::from(u != tree.root());
-            ((u), (p.dbound)(u) as i64 - live_children - has_parent)
-        })
-        .collect();
+    // the remaining fragments are the orphans. Residual capacity counts
+    // the orphan subtrees' internal edges too: they land with them.
+    let (mut rebuilt, orphans) = survivors(p, tree, &dead_set);
+    let mut residual = residual(p, tree, &dead_set);
 
     // Per-orphan retry state. Exclusions are *learned refusals*: a dead
     // pick (no answer) or a saturated pick (explicit refusal) is never
@@ -377,16 +367,8 @@ pub fn prune_idle_helpers<L: LatencyModel, D: Fn(HostId) -> u32>(
         if idle.is_empty() {
             return pruned;
         }
-        // Rebuild without the idle helpers (they are leaves, so everyone
-        // else keeps their parent).
-        let mut rebuilt = MulticastTree::new(tree.root());
-        for u in tree.bfs_order() {
-            if u == tree.root() || idle.contains(&u) {
-                continue;
-            }
-            let parent = tree.parent_of(u).expect("non-root");
-            rebuilt.attach(u, parent, p.latency.latency_ms(parent, u));
-        }
+        // The idle helpers are leaves, so no survivor is orphaned.
+        let (rebuilt, _) = survivors(p, tree, &idle.iter().copied().collect());
         pruned.extend(idle);
         *tree = rebuilt;
     }

@@ -25,7 +25,9 @@ use crate::tree::MulticastTree;
 /// every disjointness and fan-out-cap argument. A host appearing in three
 /// trees contributes its per-tree degree (children + parent link) three
 /// times.
-pub fn degree_totals(trees: &[MulticastTree]) -> HashMap<HostId, u32> {
+pub fn degree_totals<'a>(
+    trees: impl IntoIterator<Item = &'a MulticastTree>,
+) -> HashMap<HostId, u32> {
     let mut used: HashMap<HostId, u32> = HashMap::new();
     for t in trees {
         for &h in t.hosts() {
@@ -39,7 +41,9 @@ pub fn degree_totals(trees: &[MulticastTree]) -> HashMap<HostId, u32> {
 /// links excluded. Fan-out is what a host's uplink pays for (each child is
 /// one outgoing stream copy; the parent link is downlink), so this is the
 /// quantity the access-bandwidth cap bounds.
-pub fn fanout_totals(trees: &[MulticastTree]) -> HashMap<HostId, u32> {
+pub fn fanout_totals<'a>(
+    trees: impl IntoIterator<Item = &'a MulticastTree>,
+) -> HashMap<HostId, u32> {
     let mut used: HashMap<HostId, u32> = HashMap::new();
     for t in trees {
         for &h in t.hosts() {

@@ -553,18 +553,15 @@ pub fn plan_standby_trees(
     let oracle = pool.planning_oracle();
     let mut trees: Vec<MulticastTree> = Vec::new();
     let mut preempted: Vec<SessionId> = Vec::new();
-    // Fan-out (children) this session's trees already consume per host —
-    // what the bandwidth cap bounds. Degree-unit disjointness needs no
-    // bookkeeping of its own: `pool.available` already excludes the
-    // session's earlier same-rank claims, so it *is* the residual.
-    let mut fanout = alm::multipath::fanout_totals(std::slice::from_ref(primary));
-    for t in existing {
-        for &h in t.hosts() {
-            *fanout.entry(h).or_default() += t.child_count(h) as u32;
-        }
-    }
 
     while existing.len() + trees.len() + 1 < cfg.k_trees {
+        // Fan-out (children) this session's trees already consume per
+        // host — what the bandwidth cap bounds. Degree-unit disjointness
+        // needs no bookkeeping of its own: `pool.available` already
+        // excludes the session's earlier same-rank claims, so it *is* the
+        // residual.
+        let fanout =
+            alm::multipath::fanout_totals(std::iter::once(primary).chain(existing).chain(&trees));
         // Children still affordable under the cap. A tree node's degree is
         // children + 1 parent link (root: children only), so a non-root
         // host may claim one more degree unit than its child headroom.
@@ -653,9 +650,6 @@ pub fn plan_standby_trees(
             break;
         }
         preempted.extend(this_preempted);
-        for &h in tree.hosts() {
-            *fanout.entry(h).or_default() += tree.child_count(h) as u32;
-        }
         trees.push(tree);
     }
 
@@ -1057,6 +1051,51 @@ mod tests {
         for &h in out.tree.hosts() {
             assert!(pool.is_alive(h), "dead host {h:?} in final tree");
             assert_eq!(pool.table(h).held_by(SessionId(55)), out.tree.degree(h));
+        }
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: a refused attempt's victims are not notified"]
+    fn every_session_a_stale_view_plan_took_degrees_from_is_notified() {
+        let mut pool = small_pool(13);
+        let s = spec(&pool, 55, 1, 95);
+        let cfg = PlanConfig {
+            model: PlanModel::Oracle,
+            ..PlanConfig::default()
+        };
+        // The first attempt from this view plans the reference tree. Fill
+        // its first helper with a priority-3 session and crash its last:
+        // the attempt preempts the filler, is refused, and the retry finds
+        // the filler's degrees free.
+        let view = pool.snapshot_report(usize::MAX);
+        let reference = plan_from_view(&mut pool.clone(), &s, &cfg, &view);
+        let (&first, &last) = (
+            reference.helpers.first().expect("a helper"),
+            reference.helpers.last().expect("a helper"),
+        );
+        assert_ne!(first, last);
+        let filler = SessionId(60);
+        let free = pool.available(first, Rank::helper(3));
+        pool.reserve(first, filler, Rank::helper(3), free).unwrap();
+        pool.kill_host(last);
+        let held: Vec<(SessionId, u32)> = pool
+            .sessions_holding()
+            .into_iter()
+            .map(|v| (v, pool.held_total(v)))
+            .collect();
+        let out = plan_from_view(&mut pool, &s, &cfg, &view);
+        assert!(out.helper_failures > 0, "the crashed helper refused");
+        assert!(
+            pool.held_total(filler) < free,
+            "the first attempt preempted the filler"
+        );
+        for (v, before) in held {
+            let lost = before - pool.held_total(v);
+            assert!(
+                lost == 0 || out.preempted.contains(&v),
+                "{v:?} lost {lost} degrees but is not in {:?}",
+                out.preempted
+            );
         }
     }
 

@@ -23,7 +23,7 @@
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
 # must be kept in step with the code. On 2 cores the first run's builds
-# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 30 min for the
+# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 35 min for the
 # table below). This is a measurement tool, like `perf_e2e`; no CI job
 # runs it.
 set -euo pipefail
@@ -144,6 +144,18 @@ MUTANTS = [
         "crates/dht/src/proto.rs",
         "let alive = now.saturating_sub(last) < timeout;",
         "let alive = now.saturating_sub(last) <= timeout;",
+    ),
+    (
+        "the residual capacity of a survivor drops its parent link",
+        "crates/alm/src/dynamic.rs",
+        "(p.dbound)(u) as i64 - live_children - has_parent",
+        "(p.dbound)(u) as i64 - live_children",
+    ),
+    (
+        "copy_subtree ignores skip and copies a dead host into a repaired tree",
+        "crates/alm/src/dynamic.rs",
+        "        if skip.contains(&u) {\n            continue;\n        }\n",
+        "",
     ),
     (
         "claims test inverts the multipath comparison",
