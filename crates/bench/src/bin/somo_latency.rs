@@ -86,7 +86,7 @@ fn main() {
     println!("   and the measured lag always respects the depth-exact bound in the last column)");
 
     // The 2M-node analytic row.
-    let levels = (2_000_000f64).log(8.0).ceil() as u64;
+    let levels = somo::flow::levels(2_000_000, 8);
     let one_way = SimTime::from_micros(HOP.as_micros() * levels);
     println!(
         "\nanalytic: 2M nodes, k=8, 200 ms/hop → {} levels, one-way propagation {} (paper: \"a lag of 1.6 s\")",

@@ -266,10 +266,12 @@ impl PlanShape {
 
 /// Plan a session's tree and reserve it: release what the session holds
 /// (replanning is all-or-nothing), read the helper candidates and their
-/// believed availability from `source` at `shape.helper_rank`, plan, and
-/// book the tree under `shape`. Every reservation is a **lease** expiring
-/// at `lease` unless renewed (`None` reserves permanently): a task manager
-/// that dies stops renewing, and its degrees flow back to the pool.
+/// believed availability from `source` at `shape.helper_rank`, then `plan`
+/// a tree and `book` it under `shape`. Helpers the booking refuses are
+/// dropped from the believed list and the plan retried. Every reservation
+/// is a **lease** expiring at `lease` unless renewed (`None` reserves
+/// permanently): a task manager that dies stops renewing, and its degrees
+/// flow back to the pool.
 ///
 /// # Panics
 /// As [`plan_and_reserve`].
@@ -284,7 +286,7 @@ pub fn plan_and_reserve_with(
     pool.release_session(spec.id);
     let rank = shape.helper_rank;
     let at = rank.0 as usize; // the rank's index in every availability array
-    let believed: Vec<(HostId, u32)> = match source {
+    let mut believed: Vec<(HostId, u32)> = match source {
         Candidates::Live(_) if shape.helper_budget == 0 => Vec::new(),
         Candidates::Live(exclude) => pool
             .candidates(rank, &spec.members, cfg.helper_min_degree)
@@ -310,154 +312,34 @@ pub fn plan_and_reserve_with(
             .map(|s| (s.host, s.free[at]))
             .collect(),
     };
-    plan_shaped(pool, spec, cfg, believed, lease, shape)
-}
-
-/// The planning + reservation loop of [`plan_and_reserve_with`]. `believed`
-/// lists the helper candidates with the availability the planner believes
-/// (fresh or from a view). The loop promotes this plan's rows once, the
-/// candidates then the members, in one batch
-/// ([`oracle::PoolOracle::promote_plan`]); the reservation step runs
-/// against the live tables, and helpers that fail — or that `shape`'s
-/// helper budget refuses — are dropped and the plan retried.
-fn plan_shaped(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    believed: Vec<(HostId, u32)>,
-    lease_until: Option<SimTime>,
-    shape: PlanShape,
-) -> PlanOutcome {
     assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    let mut candidates: Vec<HostId> = believed.iter().map(|&(h, _)| h).collect();
+    // One promotion of this plan's rows, the candidates then the members
+    // ([`oracle::PoolOracle::promote_plan`]); every retry plans over them.
+    let candidates: Vec<HostId> = believed.iter().map(|&(h, _)| h).collect();
     pool.planning_oracle()
         .promote_plan(&candidates, &spec.members);
-    let helper_rank = shape.helper_rank;
-    let stale: HashMap<HostId, u32> = believed.into_iter().collect();
     // Per-plan counter window: everything from the baseline evaluation to
     // the final retry is this plan's work, charged to the executing thread.
     let rel0 = alm::metrics::relaxations();
     let baseline_height = members_only_baseline(pool, spec);
     let mut helper_failures = 0u32;
-    // Owned handle on the configured planning oracle, so the planning
-    // calls below don't hold a borrow across the mutable reservation
-    // loop. Under `LatencySource::Exact` it is a zero-copy handle on
-    // the exact kernel — value-identical to `pool.net.latency`; under
-    // `Tiered` it reads the hot tier the one promotion above filled:
-    // the members' rows are its newest, so member↔member and
-    // member↔helper pairs answer exactly whenever the members span at
-    // most `hot_rows` routers, and candidates fill the rows left over.
-    let oracle = pool.planning_oracle();
-
-    // A multipath session budgets its members: each future standby tree
-    // needs at least a parent link (and the root a child slot) on every
-    // member, so the primary leaves one degree unit per extra tree behind
-    // when it can. The budgeted attempt is fallible — if the tightened
-    // bounds cannot host a tree, the primary replans with full availability
-    // (robustness must never cost the primary). A shape with no standby
-    // skips the attempt entirely — bit-identical to the historical planner.
-    let budgeted = |avail: u32| avail.saturating_sub(shape.standby).max(avail.min(1));
 
     const MAX_RETRIES: usize = 5;
     for attempt in 0.. {
-        // Members always report their live state (a node knows itself).
-        let mut avail_map: HashMap<HostId, u32> = spec
-            .members
-            .iter()
-            .map(|&m| (m, pool.available(m, Rank::MEMBER)))
-            .collect();
-        for &h in &candidates {
-            avail_map.insert(h, stale.get(&h).copied().unwrap_or(0));
-        }
-
-        // The one planner call, against a believed-availability map. The
-        // practical (`Coords`) loop shortlists helpers through coordinates,
-        // measures the contacted ones and replans on measurements.
-        let try_plan = |view: &HashMap<HostId, u32>| -> Option<MulticastTree> {
-            let avail = |h: HostId| -> u32 { view.get(&h).copied().unwrap_or(0) };
-            match cfg.model {
-                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg),
-                PlanModel::Coords => alm::try_staged_plan(
-                    spec.root,
-                    &spec.members,
-                    &oracle,
-                    &pool.coords,
-                    avail,
-                    &helper_pool(&candidates, cfg),
-                    cfg.use_adjust,
-                ),
-            }
-        };
-        // `avail_map` with every member's entry tightened by `f`.
-        let members_under = |f: &dyn Fn(u32) -> u32| {
-            let mut m = avail_map.clone();
-            for x in &spec.members {
-                m.entry(*x).and_modify(|a| *a = f(*a));
-            }
-            m
-        };
-        // Three views of the members, first feasible plan wins: budgeted
-        // for the standby trees (multipath only), clamped by a degraded
-        // admission (never below 2, so a chain stays feasible), and live.
-        // The tightened views are fallible — robustness and degradation
-        // must never cost the session its tree; the live view is the
-        // session's real capacity, infeasible only as documented under
-        // `# Panics` on `plan_and_reserve`.
-        let tree = (shape.standby > 0)
-            .then(|| try_plan(&members_under(&budgeted)))
-            .flatten()
-            .or_else(|| {
-                let cap = shape.member_degree?;
-                try_plan(&members_under(&|a| a.min(cap.max(2))))
-            })
-            .unwrap_or_else(|| {
-                try_plan(&avail_map).expect("tree out of capacity for remaining members")
-            });
-
-        // Reserve the tree: members at member rank, helpers at priority
-        // rank. Helper reservations may fail against a stale view, or be
-        // refused by the shape's helper budget (fair modes) — both land
-        // in the same retry loop.
-        let mut preempted = Vec::new();
-        let mut failed: Vec<HostId> = Vec::new();
-        let mut helper_spend = 0u64;
-        for &h in tree.hosts() {
-            let degree = tree.degree(h);
-            let rank = spec.booking_rank(h, helper_rank);
-            if rank != Rank::MEMBER && helper_spend + degree as u64 > shape.helper_budget {
-                failed.push(h);
-                continue;
-            }
-            match pool.reserve_leased(h, spec.id, rank, degree, lease_until) {
-                Ok(victims) => {
-                    if rank != Rank::MEMBER {
-                        helper_spend += degree as u64;
-                    }
-                    preempted.extend(victims.into_iter().map(|(s, _)| s));
-                }
-                Err(e) => {
-                    assert!(
-                        rank != Rank::MEMBER,
-                        "member reservation failed on {h:?}: {e} — member sets must be disjoint"
-                    );
-                    failed.push(h);
-                }
-            }
-        }
-
-        if !failed.is_empty() && attempt < MAX_RETRIES {
-            // The view lied about these hosts; drop them and replan.
-            helper_failures += failed.len() as u32;
+        let tree = plan(pool, spec, cfg, &believed, shape);
+        let (preempted, refused) = book(pool, spec, &tree, shape, lease);
+        if !refused.is_empty() {
+            // The view lied about these hosts, or the budget refused them:
+            // drop them and replan; out of retries, plan members only (that
+            // pass books no helper and cannot be refused).
+            helper_failures += refused.len() as u32;
             pool.release_session(spec.id);
-            candidates.retain(|c| !failed.contains(c));
+            if attempt < MAX_RETRIES {
+                believed.retain(|(h, _)| !refused.contains(h));
+            } else {
+                believed.clear();
+            }
             continue;
-        }
-        if !failed.is_empty() {
-            // Out of retries: fall back to a members-only plan.
-            helper_failures += failed.len() as u32;
-            pool.release_session(spec.id);
-            candidates.clear();
-            continue; // next pass plans without helpers and cannot fail
         }
 
         // The reported quality metric is always evaluated under the
@@ -479,6 +361,107 @@ fn plan_shaped(
         };
     }
     unreachable!("the members-only fallback always succeeds")
+}
+
+/// One tree for `spec` over the helpers in `believed`, each at the
+/// availability the task manager believes (fresh or from a view). Members
+/// report their live state (a node knows itself), read under three views,
+/// first feasible plan wins: budgeted for the standby trees (multipath
+/// only: each future standby needs a parent link on every member, so the
+/// primary leaves one degree unit per standby behind when it can), clamped
+/// by a degraded admission (never below 2, so a chain stays feasible), and
+/// live. The tightened views are fallible — robustness and degradation must
+/// never cost the session its tree; the live view is the session's real
+/// capacity, infeasible only as documented under `# Panics` on
+/// [`plan_and_reserve`]. Reads the pool, changes nothing in it.
+fn plan(
+    pool: &ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    believed: &[(HostId, u32)],
+    shape: PlanShape,
+) -> MulticastTree {
+    let candidates: Vec<HostId> = believed.iter().map(|&(h, _)| h).collect();
+    // Under `LatencySource::Exact` a zero-copy handle on the exact kernel;
+    // under `Tiered` it reads the hot tier this plan's promotion filled.
+    let oracle = pool.planning_oracle();
+    // The one planner call, against one view: every member's availability
+    // tightened by `rule`, then the candidates'. The practical (`Coords`)
+    // loop shortlists helpers through coordinates, measures the contacted
+    // ones and replans on measurements.
+    let try_plan = |rule: &dyn Fn(u32) -> u32| -> Option<MulticastTree> {
+        let view: HashMap<HostId, u32> = (spec.members.iter())
+            .map(|&m| (m, rule(pool.available(m, Rank::MEMBER))))
+            .chain(believed.iter().copied())
+            .collect();
+        let avail = |h: HostId| -> u32 { view.get(&h).copied().unwrap_or(0) };
+        match cfg.model {
+            PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg),
+            PlanModel::Coords => alm::try_staged_plan(
+                spec.root,
+                &spec.members,
+                &oracle,
+                &pool.coords,
+                avail,
+                &helper_pool(&candidates, cfg),
+                cfg.use_adjust,
+            ),
+        }
+    };
+    let budgeted = |avail: u32| avail.saturating_sub(shape.standby).max(avail.min(1));
+    (shape.standby > 0)
+        .then(|| try_plan(&budgeted))
+        .flatten()
+        .or_else(|| {
+            let cap = shape.member_degree?;
+            try_plan(&|a| a.min(cap.max(2)))
+        })
+        .unwrap_or_else(|| try_plan(&|a| a).expect("tree out of capacity for remaining members"))
+}
+
+/// Book `tree` for `spec` in tree order, every claim leased to `lease`:
+/// members at member rank, helpers at `shape.helper_rank`. Returns the
+/// sessions the claims preempted and the helpers refused: a helper whose
+/// degree would push the running helper total past `shape.helper_budget`
+/// (never asked), or one whose table refuses it (a stale view's lie, a
+/// crashed host). Every other host stays booked; undoing is the caller's.
+///
+/// # Panics
+/// If a member's claim is refused: member sets must be disjoint.
+fn book(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    tree: &MulticastTree,
+    shape: PlanShape,
+    lease: Option<SimTime>,
+) -> (Vec<SessionId>, Vec<HostId>) {
+    let (mut preempted, mut refused) = (Vec::new(), Vec::new());
+    let mut helper_spend = 0u64;
+    for &h in tree.hosts() {
+        let degree = tree.degree(h);
+        let rank = spec.booking_rank(h, shape.helper_rank);
+        let helper = rank != Rank::MEMBER;
+        if helper && helper_spend + degree as u64 > shape.helper_budget {
+            refused.push(h);
+            continue;
+        }
+        match pool.reserve_leased(h, spec.id, rank, degree, lease) {
+            Ok(taken) => {
+                if helper {
+                    helper_spend += degree as u64;
+                }
+                preempted.extend(taken.into_iter().map(|(s, _)| s));
+            }
+            Err(e) => {
+                assert!(
+                    helper,
+                    "member reservation failed on {h:?}: {e} — member sets must be disjoint"
+                );
+                refused.push(h);
+            }
+        }
+    }
+    (preempted, refused)
 }
 
 /// Result of planning a session's standby trees (trees 2..=k of a
@@ -544,7 +527,8 @@ pub fn plan_standby_trees(
     existing: &[MulticastTree],
     lease_until: Option<SimTime>,
 ) -> StandbyOutcome {
-    let helper_rank = Rank::helper(spec.priority);
+    let shape = PlanShape::priority(spec.priority, 1);
+    let helper_rank = shape.helper_rank;
     let rel0 = alm::metrics::relaxations();
     // Standby planning is a planning decision: it reads the configured
     // latency source. Each round promotes its surviving candidates and
@@ -623,33 +607,17 @@ pub fn plan_standby_trees(
         };
         let Some(tree) = planned else { break };
 
-        // Reserve the tree all-or-rollback: availability is live, so
-        // refusals are not expected — but a refusal must not leak the
-        // partially reserved tree.
-        let mut reserved: Vec<(HostId, Rank, u32)> = Vec::new();
-        let mut this_preempted: Vec<SessionId> = Vec::new();
-        let mut refused = false;
-        for &h in tree.hosts() {
-            let degree = tree.degree(h);
-            let rank = spec.booking_rank(h, helper_rank);
-            match pool.reserve_leased(h, spec.id, rank, degree, lease_until) {
-                Ok(victims) => {
-                    this_preempted.extend(victims.into_iter().map(|(s, _)| s));
-                    reserved.push((h, rank, degree));
-                }
-                Err(_) => {
-                    refused = true;
-                    break;
-                }
-            }
-        }
-        if refused {
-            for (h, rank, count) in reserved {
-                pool.release_degrees(h, spec.id, rank, count);
+        // Book the tree all-or-rollback: availability is live, so refusals
+        // are not expected — but a refusal must not leak the booked part.
+        let (taken, refused) = book(pool, spec, &tree, shape, lease_until);
+        if !refused.is_empty() {
+            for &h in tree.hosts().iter().filter(|h| !refused.contains(h)) {
+                let rank = spec.booking_rank(h, helper_rank);
+                pool.release_degrees(h, spec.id, rank, tree.degree(h));
             }
             break;
         }
-        preempted.extend(this_preempted);
+        preempted.extend(taken);
         trees.push(tree);
     }
 
@@ -1096,6 +1064,38 @@ mod tests {
                 "{v:?} lost {lost} degrees but is not in {:?}",
                 out.preempted
             );
+        }
+    }
+
+    #[test]
+    fn book_refuses_helpers_past_the_budget_without_asking_them() {
+        let mut pool = small_pool(1);
+        let s = spec(&pool, 1, 2, 10);
+        let tree = plan_and_reserve(&mut pool, &s, &PlanConfig::default()).tree;
+        pool.release_session(s.id);
+        let helpers: Vec<HostId> = (tree.hosts().iter().copied())
+            .filter(|h| !s.members.contains(h))
+            .collect();
+        assert!(
+            helpers.len() >= 2,
+            "the reference tree recruits two helpers"
+        );
+        // The budget covers the first helper in tree order and no more.
+        let shape = PlanShape::fair(tree.degree(helpers[0]) as u64, None);
+        pool.enable_op_log();
+        let (_, refused) = book(&mut pool, &s, &tree, shape, None);
+        for &m in &s.members {
+            assert_eq!(pool.table(m).held_by(s.id), tree.degree(m), "{m:?}");
+        }
+        assert_eq!(
+            pool.table(helpers[0]).held_by(s.id),
+            tree.degree(helpers[0])
+        );
+        assert_eq!(refused, helpers[1..]);
+        for op in pool.drain_op_log() {
+            if let crate::PoolOp::Reserve { host, .. } = op {
+                assert!(!refused.contains(&host), "{host:?} was asked");
+            }
         }
     }
 

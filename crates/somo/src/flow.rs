@@ -671,17 +671,31 @@ where
     }
 }
 
+/// `ceil(log_k N)`, the paper's level count, in integers: the smallest `L`
+/// with `fanout^L ≥ max(n, 2)`. (A floating `log` overshoots at some exact
+/// powers: 8⁷ = 2 097 152 would read 8 levels.)
+///
+/// # Panics
+/// If `fanout < 2`, like [`SomoTree::build`].
+pub fn levels(n: usize, fanout: usize) -> u64 {
+    assert!(fanout >= 2, "SOMO fanout must be at least 2");
+    let (n, mut reach, mut levels) = (n.max(2) as u128, 1u128, 0);
+    while reach < n {
+        reach *= fanout as u128;
+        levels += 1;
+    }
+    levels
+}
+
 /// The paper's unsynchronized staleness bound: `ceil(log_k N) · T`.
 pub fn unsync_staleness_bound(n: usize, fanout: usize, period: SimTime) -> SimTime {
-    let levels = (n.max(2) as f64).log(fanout as f64).ceil() as u64;
-    SimTime::from_micros(period.as_micros() * levels)
+    SimTime::from_micros(period.as_micros() * levels(n, fanout))
 }
 
 /// The paper's synchronized staleness bound: `T + 2·t_hop·log_k N`
 /// (requests descend and partials ascend `log_k N` levels each).
 pub fn sync_staleness_bound(n: usize, fanout: usize, t_hop: SimTime, period: SimTime) -> SimTime {
-    let levels = (n.max(2) as f64).log(fanout as f64).ceil() as u64;
-    period + SimTime::from_micros(2 * t_hop.as_micros() * levels)
+    period + SimTime::from_micros(2 * t_hop.as_micros() * levels(n, fanout))
 }
 
 #[cfg(test)]
@@ -848,6 +862,31 @@ mod tests {
         // And the full sync round-trip bound on top of one period:
         let b = sync_staleness_bound(2_000_000, 8, HOP, T);
         assert_eq!(b, T + SimTime::from_millis(2800));
+    }
+
+    #[test]
+    fn levels_are_exact_at_every_power() {
+        for k in 2..=16usize {
+            let mut power = k;
+            for e in 1u64.. {
+                assert_eq!(levels(power, k), e, "{k}^{e}");
+                assert_eq!(levels(power - 1, k), e, "{k}^{e} - 1");
+                assert_eq!(levels(power + 1, k), e + 1, "{k}^{e} + 1");
+                let Some(next) = power.checked_mul(k) else {
+                    break;
+                };
+                power = next;
+            }
+        }
+        // §3.2's "2M nodes, k = 8" at its exact power, and N ≤ 2.
+        assert_eq!(levels(2_097_152, 8), 7);
+        assert_eq!((levels(0, 8), levels(1, 8), levels(2, 8)), (1, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "SOMO fanout must be at least 2")]
+    fn levels_need_a_fanout_of_two() {
+        levels(8, 1);
     }
 
     #[test]

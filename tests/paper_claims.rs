@@ -1,14 +1,15 @@
 //! The paper's claims, evaluated on the committed anchors.
 //!
-//! Each claim the reproduction makes about Figure 8, Figure 10 and the
-//! multipath extension is written here in one explicit form and evaluated
-//! on `results/fig8_single_session.json`, `results/fig10_multi_session.json`
-//! and `results/ext_multipath.json`. The verdicts are recorded at the
-//! anchors' seed in [`RECORDED`], those that fail included: the test fails
-//! when any verdict flips, in either direction, so a change that moves an
-//! anchor has to say which claims it wins or loses. Re-record a verdict only
-//! together with the anchor that moved it, and rewrite the prose in
-//! EXPERIMENTS.md that reads it.
+//! Each claim the reproduction makes about Figure 8, Figure 10, SOMO's
+//! gather staleness and the multipath, query and flash-crowd extensions is
+//! written here in one explicit form and evaluated on the committed
+//! `results/{fig8_single_session, fig10_multi_session, ext_multipath,
+//! somo_latency, ext_query, ext_flash_crowd}.json`. The verdicts are
+//! recorded at the anchors' seed in [`RECORDED`], those that fail included:
+//! the test fails when any verdict flips, in either direction, so a change
+//! that moves an anchor has to say which claims it wins or loses. Re-record
+//! a verdict only together with the anchor that moved it, and rewrite the
+//! prose in EXPERIMENTS.md that reads it.
 //!
 //! EXPERIMENTS.md's Figure 8 and Figure 10 tables are rendered from the same
 //! files: [`experiments_tables_are_the_rendering_of_the_anchors`] compares
@@ -124,6 +125,76 @@ fn evaluate() -> Vec<(String, bool)> {
             delivery(rate, 2) > delivery(rate, 1),
         ));
     }
+
+    // SOMO gather staleness (§3.2): the synchronised lag against its bound,
+    // and against one period from fanout 4 up.
+    let somo = anchor("somo_latency");
+    let period = num(&somo, &["period_s"]);
+    claims.push((
+        "somo_latency: sync lag <= sync bound at every (N, k)".into(),
+        rows(&somo)
+            .iter()
+            .all(|r| num(r, &["sync_lag_s"]) <= num(r, &["sync_bound_s"])),
+    ));
+    claims.push((
+        "somo_latency: sync lag < T at every k >= 4".into(),
+        (rows(&somo).iter())
+            .filter(|r| num(r, &["fanout"]) >= 4.0)
+            .all(|r| num(r, &["sync_lag_s"]) < period),
+    ));
+
+    // Top-k query against snapshot gathering, smallest N to largest.
+    let query = anchor("ext_query");
+    let (small, large) = match rows(&query) {
+        [first, .., last] => (first, last),
+        _ => panic!("ext_query has fewer than two rows"),
+    };
+    let growth = |field: &str| num(large, &[field]) / num(small, &[field]);
+    let scale = num(large, &["n"]) / num(small, &["n"]);
+    claims.push((
+        format!("ext_query: N x {scale} grows snapshot bytes per round by more than {scale}x"),
+        growth("snapshot_bytes_per_round") > scale,
+    ));
+    claims.push((
+        format!("ext_query: N x {scale} grows query bytes per plan by less than 2x"),
+        growth("query_bytes_per_plan") < 2.0,
+    ));
+    claims.push((
+        "ext_query: candidate sets identical at every N".into(),
+        (rows(&query).iter())
+            .all(|r| r.get("candidate_sets_identical") == Some(&Value::Bool(true))),
+    ));
+
+    // Flash crowd: the three allocation modes at each burst.
+    let crowd = anchor("ext_flash_crowd");
+    let cell = |burst: f64, mode: &str, field: &str| {
+        rows(&crowd)
+            .iter()
+            .find(|r| {
+                num(r, &["burst"]) == burst && r.get("mode").and_then(Value::as_str) == Some(mode)
+            })
+            .map(|r| num(r, &[field]))
+            .unwrap_or_else(|| panic!("ext_flash_crowd has no {mode} row at burst {burst}"))
+    };
+    let bursts: Vec<f64> = (crowd.get("bursts").and_then(Value::as_array))
+        .expect("ext_flash_crowd lists its bursts")
+        .iter()
+        .map(|b| b.as_f64().expect("a burst is a number"))
+        .collect();
+    claims.push((
+        "ext_flash_crowd: Admission preempts nobody at any burst".into(),
+        (bursts.iter()).all(|&b| cell(b, "admission", "preemptions") == 0.0),
+    ));
+    claims.push((
+        "ext_flash_crowd: Jain(Pareto) > Jain(Priority) at every burst".into(),
+        (bursts.iter()).all(|&b| cell(b, "pareto", "jain") > cell(b, "priority", "jain")),
+    ));
+    for &b in &bursts {
+        claims.push((
+            format!("ext_flash_crowd burst {b}: Pareto preempts fewer than Priority"),
+            cell(b, "pareto", "preemptions") < cell(b, "priority", "preemptions"),
+        ));
+    }
     claims
 }
 
@@ -157,12 +228,23 @@ holds  fig10 60 sessions: every class mean inside 7-35 %
 holds  ext_multipath 5 % crashes: k=2 delivery above k=1
 holds  ext_multipath 10 % crashes: k=2 delivery above k=1
 holds  ext_multipath 20 % crashes: k=2 delivery above k=1
+holds  somo_latency: sync lag <= sync bound at every (N, k)
+holds  somo_latency: sync lag < T at every k >= 4
+holds  ext_query: N x 32 grows snapshot bytes per round by more than 32x
+holds  ext_query: N x 32 grows query bytes per plan by less than 2x
+holds  ext_query: candidate sets identical at every N
+holds  ext_flash_crowd: Admission preempts nobody at any burst
+holds  ext_flash_crowd: Jain(Pareto) > Jain(Priority) at every burst
+fails  ext_flash_crowd burst 15: Pareto preempts fewer than Priority
+holds  ext_flash_crowd burst 35: Pareto preempts fewer than Priority
+holds  ext_flash_crowd burst 55: Pareto preempts fewer than Priority
 ";
 
 #[test]
 fn every_claim_keeps_its_recorded_verdict() {
     // fig10(a) is ordered at 30 and 50 sessions only. The multipath claim
     // at 10 % crashes holds by 0.0009 points: 99.8139 % against 99.8130 %.
+    // At a flash-crowd burst of 15, Pareto and Priority both preempt 15.
     let got: String = evaluate()
         .iter()
         .map(|(claim, holds)| format!("{}  {claim}\n", if *holds { "holds" } else { "fails" }))

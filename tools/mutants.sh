@@ -23,7 +23,7 @@
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
 # must be kept in step with the code. On 2 cores the first run's builds
-# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 35 min for the
+# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 40 min for the
 # table below). This is a measurement tool, like `perf_e2e`; no CI job
 # runs it.
 set -euo pipefail
@@ -49,7 +49,7 @@ else
 fi
 
 CARGO_TARGET_DIR="$dir/target" python3 - "$dir/tree" <<'PY'
-import re, subprocess, sys
+import os, re, signal, subprocess, sys
 
 tree = sys.argv[1]
 
@@ -158,6 +158,24 @@ MUTANTS = [
         "",
     ),
     (
+        "book skips the helper-budget check",
+        "crates/pool/src/task_manager.rs",
+        "if helper && helper_spend + degree as u64 > shape.helper_budget {",
+        "if false && helper_spend + degree as u64 > shape.helper_budget {",
+    ),
+    (
+        "book books members at the helper rank",
+        "crates/pool/src/task_manager.rs",
+        "let rank = spec.booking_rank(h, shape.helper_rank);",
+        "let rank = shape.helper_rank;",
+    ),
+    (
+        "the retry keeps the candidates its booking refused",
+        "crates/pool/src/task_manager.rs",
+        "                believed.retain(|(h, _)| !refused.contains(h));\n",
+        "",
+    ),
+    (
         "claims test inverts the multipath comparison",
         "tests/paper_claims.rs",
         "delivery(rate, 2) > delivery(rate, 1)",
@@ -176,14 +194,19 @@ def first_red():
     """The first gate that fails, as a table cell, or None."""
     for gate, commands in GATES:
         for cmd in commands:
+            # A session of its own, so a timeout kills the test binary too:
+            # killing cargo alone would leave it running.
+            run = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                                   stderr=subprocess.STDOUT, text=True,
+                                   start_new_session=True)
             try:
-                run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                                     timeout=1200)
+                out, _ = run.communicate(timeout=1200)
             except subprocess.TimeoutExpired:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
                 return f"{gate}: timed out"
             if run.returncode == 0:
                 continue
-            out = run.stdout + run.stderr
             if "could not compile" in out:
                 return f"{gate}: does not compile"
             target = re.search(r"to rerun pass `([^`]*)`", out)
