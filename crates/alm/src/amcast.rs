@@ -412,7 +412,7 @@ fn best_attachment_counted<L: LatencyModel, D: Fn(HostId) -> u32>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Network, NetworkConfig};
+    use netsim::{Network, NetworkConfig, TransitStubConfig};
 
     struct Uniform;
     impl LatencyModel for Uniform {
@@ -431,10 +431,13 @@ mod tests {
     fn net(n: usize, seed: u64) -> Network {
         Network::generate(
             &NetworkConfig {
-                transit_domains: 2,
-                transit_per_domain: 3,
-                stub_domains_per_transit: 2,
-                routers_per_stub: 3,
+                topology: TransitStubConfig {
+                    transit_domains: 2,
+                    transit_per_domain: 3,
+                    stub_domains_per_transit: 2,
+                    routers_per_stub: 3,
+                    ..TransitStubConfig::default()
+                },
                 num_hosts: n,
                 ..NetworkConfig::default()
             },

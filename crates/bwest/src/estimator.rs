@@ -98,15 +98,18 @@ fn max_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Network, NetworkConfig};
+    use netsim::{Network, NetworkConfig, TransitStubConfig};
 
     fn net() -> Network {
         Network::generate(
             &NetworkConfig {
-                transit_domains: 2,
-                transit_per_domain: 3,
-                stub_domains_per_transit: 2,
-                routers_per_stub: 3,
+                topology: TransitStubConfig {
+                    transit_domains: 2,
+                    transit_per_domain: 3,
+                    stub_domains_per_transit: 2,
+                    routers_per_stub: 3,
+                    ..TransitStubConfig::default()
+                },
                 num_hosts: 200,
                 ..NetworkConfig::default()
             },

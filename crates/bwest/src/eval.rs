@@ -65,15 +65,18 @@ pub fn evaluate(hosts: &HostSet, ring: &Ring, est: &BwEstimates) -> BwAccuracy {
 mod tests {
     use super::*;
     use crate::estimator::{estimate, BwEstConfig};
-    use netsim::{HostId, Network, NetworkConfig};
+    use netsim::{HostId, Network, NetworkConfig, TransitStubConfig};
 
     fn net() -> Network {
         Network::generate(
             &NetworkConfig {
-                transit_domains: 2,
-                transit_per_domain: 3,
-                stub_domains_per_transit: 2,
-                routers_per_stub: 3,
+                topology: TransitStubConfig {
+                    transit_domains: 2,
+                    transit_per_domain: 3,
+                    stub_domains_per_transit: 2,
+                    routers_per_stub: 3,
+                    ..TransitStubConfig::default()
+                },
                 num_hosts: 300,
                 ..NetworkConfig::default()
             },

@@ -150,15 +150,18 @@ mod tests {
     use super::*;
     use crate::eval::{random_pairs, relative_error_cdf};
     use crate::space::Coord;
-    use netsim::{HostId, Network, NetworkConfig};
+    use netsim::{HostId, Network, NetworkConfig, TransitStubConfig};
 
     fn small_net() -> Network {
         Network::generate(
             &NetworkConfig {
-                transit_domains: 2,
-                transit_per_domain: 3,
-                stub_domains_per_transit: 2,
-                routers_per_stub: 3,
+                topology: TransitStubConfig {
+                    transit_domains: 2,
+                    transit_per_domain: 3,
+                    stub_domains_per_transit: 2,
+                    routers_per_stub: 3,
+                    ..TransitStubConfig::default()
+                },
                 num_hosts: 120,
                 ..NetworkConfig::default()
             },

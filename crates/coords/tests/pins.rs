@@ -38,10 +38,13 @@ fn digest(store: &CoordStore) -> (usize, u64) {
 fn small_net(seed: u64) -> Network {
     Network::generate(
         &NetworkConfig {
-            transit_domains: 2,
-            transit_per_domain: 3,
-            stub_domains_per_transit: 2,
-            routers_per_stub: 3,
+            topology: TransitStubConfig {
+                transit_domains: 2,
+                transit_per_domain: 3,
+                stub_domains_per_transit: 2,
+                routers_per_stub: 3,
+                ..TransitStubConfig::default()
+            },
             num_hosts: 120,
             ..NetworkConfig::default()
         },

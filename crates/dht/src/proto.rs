@@ -990,6 +990,28 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_silent_for_exactly_the_timeout_is_expelled() {
+        let mut s = sim(8);
+        let timeout = s.cfg.timeout;
+        let peer = s
+            .view_ids(0)
+            .next()
+            .expect("a bootstrap view is never empty");
+        let heard = SimTime::from_secs(5);
+        let mut view = s.nodes[0].view;
+        s.peers.set(&mut view, peer, heard);
+        s.nodes[0].view = view;
+        // One microsecond short of the timeout the peer is still alive...
+        s.expire(0, heard + timeout - SimTime::from_micros(1));
+        assert!(s.view_contains(0, peer));
+        assert!(!s.tombstoned(0, peer));
+        // ...and silent for exactly the timeout it is not.
+        s.expire(0, heard + timeout);
+        assert!(!s.view_contains(0, peer), "the peer outlived its timeout");
+        assert!(s.tombstoned(0, peer), "an expelled peer is certified dead");
+    }
+
+    #[test]
     fn failure_is_detected_and_leafsets_repair() {
         let mut s = sim(32);
         s.run_until(SimTime::from_secs(10));

@@ -24,14 +24,17 @@
 //! ## Example
 //!
 //! ```
-//! use netsim::{Network, NetworkConfig};
+//! use netsim::{Network, NetworkConfig, TransitStubConfig};
 //!
 //! // A scaled-down network for tests: 2×3 transit, 2 stubs × 3 routers each.
 //! let cfg = NetworkConfig {
-//!     transit_domains: 2,
-//!     transit_per_domain: 3,
-//!     stub_domains_per_transit: 2,
-//!     routers_per_stub: 3,
+//!     topology: TransitStubConfig {
+//!         transit_domains: 2,
+//!         transit_per_domain: 3,
+//!         stub_domains_per_transit: 2,
+//!         routers_per_stub: 3,
+//!         ..TransitStubConfig::default()
+//!     },
 //!     num_hosts: 60,
 //!     ..NetworkConfig::default()
 //! };
@@ -57,20 +60,8 @@ use serde::{Deserialize, Serialize};
 /// Full configuration for a generated network: router topology + end hosts.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NetworkConfig {
-    /// Number of transit domains.
-    pub transit_domains: usize,
-    /// Transit routers per transit domain.
-    pub transit_per_domain: usize,
-    /// Stub domains hanging off each transit router.
-    pub stub_domains_per_transit: usize,
-    /// Routers per stub domain.
-    pub routers_per_stub: usize,
-    /// Latency of transit–transit links, ms.
-    pub intra_transit_ms: f64,
-    /// Latency of stub–transit links, ms.
-    pub stub_transit_ms: f64,
-    /// Latency of intra-stub links, ms.
-    pub intra_stub_ms: f64,
+    /// The router-level transit–stub topology.
+    pub topology: TransitStubConfig,
     /// Last-hop latency range for end hosts, ms (inclusive low, exclusive high).
     pub last_hop_ms: (f64, f64),
     /// Number of end hosts attached to random stub routers.
@@ -78,29 +69,14 @@ pub struct NetworkConfig {
 }
 
 impl Default for NetworkConfig {
-    /// The paper's §5.2 configuration: 24 transit routers (4 domains × 6),
-    /// 576 stub routers (24 × 4 stubs × 6 routers), 600 routers total,
-    /// 1200 end systems, 100/25/10 ms links and a 3–8 ms last hop.
+    /// The paper's §5.2 configuration: the default topology (600 routers),
+    /// 1200 end systems and a 3–8 ms last hop.
     fn default() -> Self {
         NetworkConfig {
-            transit_domains: 4,
-            transit_per_domain: 6,
-            stub_domains_per_transit: 4,
-            routers_per_stub: 6,
-            intra_transit_ms: 100.0,
-            stub_transit_ms: 25.0,
-            intra_stub_ms: 10.0,
+            topology: TransitStubConfig::default(),
             last_hop_ms: (3.0, 8.0),
             num_hosts: 1200,
         }
-    }
-}
-
-impl NetworkConfig {
-    /// Total number of routers this configuration produces.
-    pub fn num_routers(&self) -> usize {
-        let transit = self.transit_domains * self.transit_per_domain;
-        transit + transit * self.stub_domains_per_transit * self.routers_per_stub
     }
 }
 
@@ -122,16 +98,7 @@ pub struct Network {
 impl Network {
     /// Generate a network from a configuration and a master seed.
     pub fn generate(cfg: &NetworkConfig, seed: u64) -> Network {
-        let ts_cfg = TransitStubConfig {
-            transit_domains: cfg.transit_domains,
-            transit_per_domain: cfg.transit_per_domain,
-            stub_domains_per_transit: cfg.stub_domains_per_transit,
-            routers_per_stub: cfg.routers_per_stub,
-            intra_transit_ms: cfg.intra_transit_ms,
-            stub_transit_ms: cfg.stub_transit_ms,
-            intra_stub_ms: cfg.intra_stub_ms,
-        };
-        let routers = RouterNet::generate(&ts_cfg, simcore::rng::derive_seed(seed, 1));
+        let routers = RouterNet::generate(&cfg.topology, simcore::rng::derive_seed(seed, 1));
         let hosts = hosts::HostSet::attach(
             &routers,
             cfg.num_hosts,

@@ -52,6 +52,9 @@ pub struct TransitStubConfig {
 }
 
 impl Default for TransitStubConfig {
+    /// The paper's §5.2 topology: 24 transit routers (4 domains × 6) and
+    /// 576 stub routers (24 × 4 stubs × 6 routers), 600 routers in all,
+    /// with 100/25/10 ms links.
     fn default() -> Self {
         TransitStubConfig {
             transit_domains: 4,
@@ -62,6 +65,14 @@ impl Default for TransitStubConfig {
             stub_transit_ms: 25.0,
             intra_stub_ms: 10.0,
         }
+    }
+}
+
+impl TransitStubConfig {
+    /// Total number of routers this configuration produces.
+    pub fn num_routers(&self) -> usize {
+        let transit = self.transit_domains * self.transit_per_domain;
+        transit + transit * self.stub_domains_per_transit * self.routers_per_stub
     }
 }
 

@@ -2,7 +2,7 @@
 //! must produce a connected transit–stub network with exact dimensions and
 //! a metric-like host latency oracle.
 
-use netsim::{HostId, Network, NetworkConfig};
+use netsim::{HostId, Network, NetworkConfig, TransitStubConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -18,16 +18,19 @@ proptest! {
         seed: u64,
     ) {
         let cfg = NetworkConfig {
-            transit_domains: td,
-            transit_per_domain: tpd,
-            stub_domains_per_transit: sdt,
-            routers_per_stub: rps,
+            topology: TransitStubConfig {
+                transit_domains: td,
+                transit_per_domain: tpd,
+                stub_domains_per_transit: sdt,
+                routers_per_stub: rps,
+                ..TransitStubConfig::default()
+            },
             num_hosts: hosts,
             ..NetworkConfig::default()
         };
         let net = Network::generate(&cfg, seed);
         // Dimensions.
-        prop_assert_eq!(net.routers.len(), cfg.num_routers());
+        prop_assert_eq!(net.routers.len(), cfg.topology.num_routers());
         prop_assert_eq!(net.routers.num_transit, td * tpd);
         prop_assert_eq!(net.num_hosts(), hosts);
         // Connectivity.
@@ -63,10 +66,13 @@ proptest! {
         triples in proptest::collection::vec((0u32..40, 0u32..40, 0u32..40), 1..20),
     ) {
         let cfg = NetworkConfig {
-            transit_domains: 2,
-            transit_per_domain: 2,
-            stub_domains_per_transit: 2,
-            routers_per_stub: 2,
+            topology: TransitStubConfig {
+                transit_domains: 2,
+                transit_per_domain: 2,
+                stub_domains_per_transit: 2,
+                routers_per_stub: 2,
+                ..TransitStubConfig::default()
+            },
             num_hosts: hosts,
             ..NetworkConfig::default()
         };

@@ -111,6 +111,9 @@ fn network_config_round_trips() {
     let back: netsim::NetworkConfig =
         serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
     assert_eq!(back.num_hosts, cfg.num_hosts);
-    assert_eq!(back.transit_domains, cfg.transit_domains);
-    assert_eq!(back.intra_transit_ms, cfg.intra_transit_ms);
+    assert_eq!(back.topology.transit_domains, cfg.topology.transit_domains);
+    assert_eq!(
+        back.topology.intra_transit_ms,
+        cfg.topology.intra_transit_ms
+    );
 }

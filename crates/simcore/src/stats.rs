@@ -70,11 +70,15 @@ impl OnlineStats {
 /// Exact percentile of a sample set; `q` in `[0, 1]`, linear interpolation.
 /// Returns `None` on an empty slice. The input need not be sorted.
 ///
-/// `total_cmp` orders the samples: identical to `partial_cmp` for NaN-free
-/// inputs (the proptest below pins that), and well-defined — NaNs sort to
-/// the ends — instead of panicking if a poisoned metric ever leaks one in.
+/// `total_cmp` orders the samples: well-defined — NaNs sort to the ends —
+/// instead of panicking if a poisoned metric ever leaks one in.
 pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
-    percentile_by(samples, q, f64::total_cmp)
+    if samples.is_empty() {
+        return None;
+    }
+    let mut v: Vec<f64> = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    Some(percentile_sorted(&v, q))
 }
 
 /// Jain's fairness index of a share vector: `(Σx)² / (n·Σx²)`.
@@ -93,22 +97,6 @@ pub fn jain_index(shares: &[f64]) -> f64 {
         return 1.0;
     }
     (sum * sum) / (shares.len() as f64 * sum_sq)
-}
-
-/// [`percentile`] with the sort comparator injected — lets the proptest run
-/// the `total_cmp` path against the historical `partial_cmp` path on the
-/// same inputs.
-fn percentile_by(
-    samples: &[f64],
-    q: f64,
-    cmp: impl Fn(&f64, &f64) -> std::cmp::Ordering,
-) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(cmp);
-    Some(percentile_sorted(&v, q))
 }
 
 /// Percentile of an already-sorted slice (panics on empty input).
@@ -134,23 +122,12 @@ pub struct Cdf {
 
 impl Cdf {
     /// Build a CDF from samples (NaNs are rejected with a panic).
-    pub fn from_samples(samples: Vec<f64>) -> Self {
+    pub fn from_samples(mut samples: Vec<f64>) -> Self {
         assert!(
             samples.iter().all(|x| !x.is_nan()),
             "NaN sample in CDF input"
         );
-        // The assert above keeps NaNs out, so `total_cmp` sorts exactly as
-        // the historical `partial_cmp` did (pinned by the proptest below).
-        Self::from_samples_by(samples, f64::total_cmp)
-    }
-
-    /// [`Cdf::from_samples`] with the sort comparator injected for the
-    /// `total_cmp` / `partial_cmp` equivalence proptest.
-    fn from_samples_by(
-        mut samples: Vec<f64>,
-        cmp: impl Fn(&f64, &f64) -> std::cmp::Ordering,
-    ) -> Self {
-        samples.sort_by(cmp);
+        samples.sort_by(f64::total_cmp);
         Cdf { sorted: samples }
     }
 
@@ -210,25 +187,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        // On NaN-free sample sets (quantized so equal values are common),
-        // the `total_cmp`-based percentile sort and CDF construction are
-        // bit-identical to the historical `partial_cmp` paths.
-        #[test]
-        fn percentile_and_cdf_match_partial_cmp_on_nan_free_samples(
-            raw in proptest::collection::vec(0u32..2000, 1..64),
-            qraw in 0u32..101,
-        ) {
-            let xs: Vec<f64> = raw.iter().map(|&x| x as f64 * 0.5 - 300.0).collect();
-            let q = qraw as f64 / 100.0;
-            let new = percentile_by(&xs, q, f64::total_cmp);
-            let old = percentile_by(&xs, q, |a, b| a.partial_cmp(b).unwrap());
-            proptest::prop_assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits));
-            let c_new = Cdf::from_samples_by(xs.clone(), f64::total_cmp);
-            let c_old = Cdf::from_samples_by(xs, |a, b| a.partial_cmp(b).unwrap());
-            let bits = |c: &Cdf| c.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&c_new), bits(&c_old));
-        }
-
         // Jain's index is bounded in [1/n, 1] for any non-negative share
         // vector (degenerate all-zero inputs report 1.0 by convention).
         #[test]

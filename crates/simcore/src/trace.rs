@@ -11,7 +11,8 @@
 //!
 //! * **Determinism** — records carry only simulated time and event payload,
 //!   never wall-clock or addresses, so two same-seed runs emit bit-identical
-//!   traces (`tests/trace_determinism.rs` pins this).
+//!   traces (`tests/trace_determinism.rs` and the market cells of
+//!   `tests/determinism.rs` pin this).
 //! * **Zero-cost when off** — the default tracer is [`Tracer::disabled`]:
 //!   [`Tracer::emit`] takes the event as a closure and returns after one
 //!   branch without constructing it, so instrumented hot paths cost nothing

@@ -20,9 +20,11 @@ use somo::SomoTree;
 
 const N: u32 = 96;
 
-/// Non-dyadic, so that no partial sum is exact.
+/// Non-dyadic, so that no partial sum is exact, and spread over many
+/// binades: with `0.1 · (m + 1)` the tree-order fold and the reversed fold
+/// happened to round to the same bits, so a reversed fold went unseen.
 fn capacity(member: usize) -> f64 {
-    0.1 * (member + 1) as f64
+    1.0 / (member + 3) as f64
 }
 
 fn gather(ring: &Ring, tree: &SomoTree) -> Vec<RootView<CensusReport>> {

@@ -2,8 +2,7 @@
 //! dev-dependency: no library or binary links it.
 //!
 //! * [`Pin`] / [`fnv1a64`] — the digest every pinned constant uses
-//!   (`crates/*/tests/pins.rs`, `tests/{determinism, trace_determinism,
-//!   liveops_pins}.rs`).
+//!   (`crates/*/tests/pins.rs`, `tests/{determinism, liveops_pins}.rs`).
 //! * [`Counting`], [`tally`], [`measured`] — the counting allocator of the
 //!   footprint tests (`crates/*/tests/footprint.rs`).
 //!

@@ -1,8 +1,16 @@
 //! Whole-stack determinism: every layer must be bit-reproducible from the
 //! master seed — the property that makes the figure binaries regenerable
 //! and failures debuggable.
+//!
+//! The seven pinned market cells run twice each per test binary, once
+//! untraced and once traced: the untraced run's outcome and the traced
+//! run's JSON lines are pinned, and the two runs' outcomes and books must
+//! be equal (tracing observes, it never perturbs).
+
+use std::sync::OnceLock;
 
 use p2p_resource_pool::prelude::*;
+use p2p_resource_pool::simcore::trace::to_json_lines;
 use testkit::fnv1a64;
 
 /// The run-vs-run checks below cannot see a change that moves both runs
@@ -36,6 +44,9 @@ const PIN_PARETO: (usize, u64) = (10230, 6216587220097139693);
 /// The faulted query trajectory (answers, stats and both ledgers), recorded
 /// at commit 6877b76, before the index's layout was rebuilt.
 const PIN_QUERY: (usize, u64) = (20961, 15631252681519849854);
+/// The tiered query-discovery market's projection, recorded at commit
+/// 44dee80.
+const PIN_QUERY_MARKET: (usize, u64) = (10337, 14821219680930885749);
 
 fn build(seed: u64) -> ResourcePool {
     ResourcePool::build(
@@ -227,13 +238,186 @@ fn recovery_pipeline_outcomes_match_their_pins() {
     assert_pinned("5 % loss recovery", &lossy, PIN_RECOVERY_LOSSY);
 }
 
-/// One faulted market trajectory: a crash plan killing helpers and session
-/// roots mid-run, with leases, failover, and the invariant auditor live.
-/// Captures the aggregate outcome AND the final degree table of every
-/// host — the books themselves must be bit-reproducible, not just the
-/// stats.
-#[derive(Debug, PartialEq)]
-struct MarketTrace {
+/// One pinned cell of the faulted market (§5.3, the Figure 10 workload):
+/// 300 hosts, every 7th of them crashing for good at `600 + h` s, so
+/// helpers and session roots die mid-run, with leases, failover, crash
+/// repair and the invariant auditor live. [`run_cell`] says how each cell
+/// departs from that market.
+#[derive(Clone, Copy, PartialEq)]
+enum Cell {
+    /// Priority allocation, one tree per session.
+    K1,
+    /// Priority allocation, a degree-disjoint standby tree per session.
+    K2,
+    /// Pareto allocation: water-filled shares and the over-share trim.
+    Pareto,
+    /// The admission controller under starvation-level thresholds.
+    Admission,
+    /// Phase-locked arrivals, snapshot views and the tiered oracle, k = 1.
+    PhaseLockedK1,
+    /// [`Cell::PhaseLockedK1`] at k = 2.
+    PhaseLockedK2,
+    /// Top-k query discovery over a refreshed index, tiered oracle.
+    Query,
+}
+
+const CELLS: [Cell; 7] = [
+    Cell::K1,
+    Cell::K2,
+    Cell::Pareto,
+    Cell::Admission,
+    Cell::PhaseLockedK1,
+    Cell::PhaseLockedK2,
+    Cell::Query,
+];
+
+/// What one run of a cell leaves: its outcome, with the trace taken out,
+/// and the final degree table of every host — the books themselves must
+/// be bit-reproducible, not just the stats.
+struct Run {
+    out: pool::MarketOutcome,
+    tables: Vec<Vec<pool::degree_table::Allocation>>,
+}
+
+/// A cell run once untraced and once traced.
+struct CellRuns {
+    plain: Run,
+    traced: Run,
+    /// The traced run's records as JSON lines, and how many there are.
+    trace: String,
+    records: u64,
+}
+
+impl CellRuns {
+    /// The zero-cost tracing contract: the traced run's whole outcome and
+    /// books are the untraced run's (the records are observation, never
+    /// perturbation).
+    fn assert_tracing_neutral(&self, what: &str) {
+        assert_eq!(
+            format!("{:?}", self.plain.out),
+            format!("{:?}", self.traced.out),
+            "{what}: tracing moved the outcome"
+        );
+        assert!(
+            self.plain.tables == self.traced.tables,
+            "{what}: tracing moved the books"
+        );
+    }
+}
+
+/// Run one cell's market, traced into a ring buffer or not.
+fn run_cell(cell: Cell, traced: bool) -> (Run, Vec<TraceRecord>) {
+    let seed = if cell == Cell::Admission { 31 } else { 29 };
+    let phase_locked = matches!(cell, Cell::PhaseLockedK1 | Cell::PhaseLockedK2);
+    let latency_source = if phase_locked || cell == Cell::Query {
+        LatencySource::Tiered(TieredConfig::default())
+    } else {
+        LatencySource::Exact
+    };
+    let pool = ResourcePool::build(
+        &PoolConfig {
+            net: NetworkConfig {
+                num_hosts: 300,
+                ..NetworkConfig::default()
+            },
+            coord_rounds: 4,
+            latency_source,
+            ..PoolConfig::default()
+        },
+        seed,
+    );
+    let mut faults = simcore::FaultPlan::none();
+    for h in (0..300u64).step_by(if phase_locked { 13 } else { 7 }) {
+        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
+    }
+    let mut cfg = MarketConfig {
+        sessions: 9,
+        member_size: 12,
+        horizon: SimTime::from_secs(1800),
+        warmup: SimTime::from_secs(300),
+        faults,
+        ..MarketConfig::default()
+    };
+    match cell {
+        Cell::K1 => {}
+        Cell::K2 => cfg.plan.k_trees = 2,
+        Cell::Pareto => cfg.allocation = AllocationMode::Pareto,
+        Cell::Admission => {
+            // Starvation-level thresholds: the queue, the degraded class
+            // and the rejection path all engage.
+            cfg.sessions = 24;
+            cfg.member_size = 4;
+            cfg.allocation = AllocationMode::Admission;
+            cfg.admission = AdmissionConfig {
+                scarce_free_frac: 0.995,
+                degrade_free_frac: 0.9,
+                backoff: SimTime::from_secs(20),
+                max_attempts: 4,
+                ..AdmissionConfig::default()
+            };
+        }
+        Cell::PhaseLockedK1 | Cell::PhaseLockedK2 => {
+            // A microsecond arrival gap collapses every first start onto
+            // `t = 0` and keeps the surviving sessions' replans
+            // phase-locked, so the market handles same-timestamp waves all
+            // run long; sessions plan from the snapshot view, and the
+            // staggered crash plan keeps the fault paths interleaved with
+            // the waves.
+            cfg.sessions = 12;
+            cfg.member_size = 10;
+            cfg.mean_gap = SimTime::from_micros(1);
+            cfg.horizon = SimTime::from_secs(1500);
+            cfg.view_refresh = Some(SimTime::from_secs(60));
+            if cell == Cell::PhaseLockedK2 {
+                cfg.plan.k_trees = 2;
+            }
+        }
+        Cell::Query => {
+            cfg.view_refresh = Some(SimTime::from_secs(120));
+            cfg.discovery = DiscoveryMode::Query;
+        }
+    }
+    let mut sim = MarketSim::new(pool, cfg, seed);
+    if traced {
+        sim.set_tracer(Tracer::ring(1 << 16));
+    }
+    let (mut out, pool) = sim.run_full();
+    let trace = std::mem::take(&mut out.trace);
+    let tables = pool
+        .net
+        .hosts
+        .ids()
+        .map(|h| pool.table(h).allocations().to_vec())
+        .collect();
+    (Run { out, tables }, trace)
+}
+
+/// Both runs of `cell`, made once per test binary.
+fn market(cell: Cell) -> &'static CellRuns {
+    static RUNS: [OnceLock<CellRuns>; 7] = [const { OnceLock::new() }; 7];
+    RUNS[cell as usize].get_or_init(|| {
+        // The two runs are independent: make them side by side.
+        let ((plain, untraced), (traced, records)) = std::thread::scope(|s| {
+            let traced = s.spawn(|| run_cell(cell, true));
+            let plain = run_cell(cell, false);
+            (plain, traced.join().expect("the traced run panicked"))
+        });
+        assert!(untraced.is_empty(), "an untraced run emitted records");
+        CellRuns {
+            plain,
+            traced,
+            trace: to_json_lines(&records),
+            records: records.len() as u64,
+        }
+    })
+}
+
+/// The pinned projection of a market run (named before the event trace
+/// existed; the name is part of the pinned rendering): per-class fault
+/// counters, repairs, leases, the multipath machinery and the books.
+#[derive(Debug)]
+#[expect(dead_code, reason = "the pins read the fields through `Debug`")]
+struct MarketTrace<'a> {
     plans: u64,
     per_class: Vec<(u64, u64, u64, u64)>,
     crash_repairs: u64,
@@ -242,11 +426,12 @@ struct MarketTrace {
     /// Multipath machinery: tree failovers, trees rebuilt, delivery-ratio
     /// (count, mean), restore-rounds (count, mean). All zero at k = 1.
     multipath: (u64, u64, u64, f64, u64, f64),
-    tables: Vec<Vec<pool::degree_table::Allocation>>,
+    tables: &'a [Vec<pool::degree_table::Allocation>],
 }
 
-impl MarketTrace {
-    fn of(out: &pool::MarketOutcome, pool: &ResourcePool) -> MarketTrace {
+impl MarketTrace<'_> {
+    fn of(run: &Run) -> MarketTrace<'_> {
+        let out = &run.out;
         MarketTrace {
             plans: out.plans,
             per_class: (1..=3)
@@ -271,70 +456,28 @@ impl MarketTrace {
                 out.restore_rounds.count(),
                 out.restore_rounds.mean(),
             ),
-            tables: pool
-                .net
-                .hosts
-                .ids()
-                .map(|h| pool.table(h).allocations().to_vec())
-                .collect(),
+            tables: &run.tables,
         }
     }
 }
 
-fn faulted_market_trajectory(seed: u64) -> MarketTrace {
-    faulted_market_trajectory_k(seed, 1)
-}
-
-fn faulted_market_trajectory_k(seed: u64, k_trees: usize) -> MarketTrace {
-    faulted_market_trajectory_in(seed, k_trees, AllocationMode::Priority)
-}
-
-/// The faulted 9-session market behind the helpers above, with `k_trees`
-/// trees per session and the given allocation mode.
-fn faulted_market_trajectory_in(
-    seed: u64,
-    k_trees: usize,
-    allocation: AllocationMode,
-) -> MarketTrace {
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            ..PoolConfig::default()
-        },
-        seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(7) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 9,
-        member_size: 12,
-        horizon: SimTime::from_secs(1800),
-        warmup: SimTime::from_secs(300),
-        faults,
-        plan: PlanConfig {
-            k_trees,
-            ..PlanConfig::default()
-        },
-        allocation,
-        ..MarketConfig::default()
-    };
-    let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
-    MarketTrace::of(&out, &pool)
+/// [`MarketTrace`] plus the exact planner-work counters and the oracle's
+/// own per-tier hits: the projection pinned for the tiered cells.
+fn tiered_projection(run: &Run) -> impl std::fmt::Debug + '_ {
+    (
+        MarketTrace::of(run),
+        run.out.planner_relaxations,
+        run.out.planner_latency_calls,
+        &run.out.oracle_tiers,
+    )
 }
 
 #[test]
 fn faulted_market_trajectory_is_bit_identical_across_runs() {
-    let a = faulted_market_trajectory(29);
+    let runs = market(Cell::K1);
+    let a = MarketTrace::of(&runs.plain);
     assert_pinned("faulted market", &a, PIN_MARKET_K1);
-    let b = faulted_market_trajectory(29);
-    // Aggregate stats AND the final books must match field for field.
-    assert_eq!(a, b);
+    runs.assert_tracing_neutral("faulted market");
     // And the plan actually produced fault activity worth pinning.
     let activity: u64 = a.per_class.iter().map(|c| c.0 + c.1 + c.2).sum();
     assert!(activity > 0, "fault plan never touched a session");
@@ -345,10 +488,10 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     // Same crash plan, but every session also plans a degree-disjoint
     // standby tree: failovers, lazy rebuilds, delivery sampling and the
     // final books must all replay bit-for-bit.
-    let a = faulted_market_trajectory_k(29, 2);
+    let runs = market(Cell::K2);
+    let a = MarketTrace::of(&runs.plain);
     assert_pinned("faulted multipath market", &a, PIN_MARKET_K2);
-    let b = faulted_market_trajectory_k(29, 2);
-    assert_eq!(a, b);
+    runs.assert_tracing_neutral("faulted multipath market");
     assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
     assert_eq!(a.leaked, 0, "multipath run leaked degrees");
 }
@@ -358,63 +501,13 @@ fn faulted_pareto_market_trajectory_is_bit_identical_across_runs() {
     // Same crash plan, Pareto allocation: water-filled shares, one fair
     // rank, and the over-share trim (`reclaim_overshare`) that reads the
     // active set and every slot's pending-replan flag.
-    let a = faulted_market_trajectory_in(29, 1, AllocationMode::Pareto);
+    let runs = market(Cell::Pareto);
+    let a = MarketTrace::of(&runs.plain);
     assert_pinned("faulted pareto market", &a, PIN_PARETO);
-    let b = faulted_market_trajectory_in(29, 1, AllocationMode::Pareto);
-    assert_eq!(a, b);
+    runs.assert_tracing_neutral("faulted pareto market");
     let activity: u64 = a.per_class.iter().map(|c| c.0 + c.1 + c.2).sum();
     assert!(activity > 0, "fault plan never touched a session");
     assert_eq!(a.leaked, 0, "pareto run leaked degrees");
-}
-
-/// One phase-locked trajectory: a microsecond arrival gap collapses every
-/// first start onto `t = 0` and keeps the surviving sessions' replans
-/// phase-locked, so the market handles same-timestamp waves all run long;
-/// sessions plan from the snapshot view through the tiered oracle, and the
-/// staggered crash plan keeps the fault paths interleaved with the waves.
-/// Captures everything [`MarketTrace`] pins plus the exact planner-work
-/// counters and the oracle's own per-tier hits.
-fn phase_locked_market_trajectory(
-    seed: u64,
-    k_trees: usize,
-) -> (MarketTrace, u64, u64, Option<TierStats>) {
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            latency_source: LatencySource::Tiered(TieredConfig::default()),
-            ..PoolConfig::default()
-        },
-        seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(13) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 12,
-        member_size: 10,
-        mean_gap: SimTime::from_micros(1),
-        horizon: SimTime::from_secs(1500),
-        warmup: SimTime::from_secs(300),
-        view_refresh: Some(SimTime::from_secs(60)),
-        faults,
-        plan: PlanConfig {
-            k_trees,
-            ..PlanConfig::default()
-        },
-        ..MarketConfig::default()
-    };
-    let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
-    (
-        MarketTrace::of(&out, &pool),
-        out.planner_relaxations,
-        out.planner_latency_calls,
-        out.oracle_tiers,
-    )
 }
 
 #[test]
@@ -422,76 +515,40 @@ fn phase_locked_market_trajectory_matches_its_pin() {
     // The outcome, the exact planner-work counters, the oracle's per-tier
     // hits and the final books of every host, on the one market input
     // where every start and replan wave shares an instant.
-    let t = phase_locked_market_trajectory(29, 1);
+    let runs = market(Cell::PhaseLockedK1);
     assert_pinned(
         "phase-locked tiered snapshot-view market",
-        &(&t.0, t.1, t.2, &t.3),
+        &tiered_projection(&runs.plain),
         PIN_PHASE_LOCKED_K1,
     );
-    assert!(t.1 > 0, "run did no planner work at all");
+    runs.assert_tracing_neutral("phase-locked tiered snapshot-view market");
+    assert!(
+        runs.plain.out.planner_relaxations > 0,
+        "run did no planner work at all"
+    );
 }
 
 #[test]
 fn phase_locked_multipath_market_trajectory_matches_its_pin() {
     // k = 2: standby rounds scan live candidates behind every primary.
-    let t = phase_locked_market_trajectory(29, 2);
+    let runs = market(Cell::PhaseLockedK2);
     assert_pinned(
         "phase-locked tiered snapshot-view multipath market",
-        &(&t.0, t.1, t.2, &t.3),
+        &tiered_projection(&runs.plain),
         PIN_PHASE_LOCKED_K2,
     );
-    assert!(t.0.multipath.2 > 0, "delivery ratio was never sampled");
-    assert_eq!(t.0.leaked, 0, "multipath run leaked degrees");
+    runs.assert_tracing_neutral("phase-locked tiered snapshot-view multipath market");
+    let a = MarketTrace::of(&runs.plain);
+    assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
+    assert_eq!(a.leaked, 0, "multipath run leaked degrees");
 }
 
-/// One faulted Admission-mode trajectory: the same staggered crash plan
-/// as the market tests, but the sessions pass through the admission
-/// controller under starvation-level thresholds, so the queue, the
-/// degraded class and the rejection path all engage. Captures the full
-/// admission ledger, every class's counters (including the degraded
-/// class) and the final books.
-#[allow(clippy::type_complexity)]
-fn faulted_admission_trajectory(
-    seed: u64,
-) -> (
-    u64,
-    (u64, u64, u64, u64, u64, u64, u64, u64),
-    Vec<(u8, u64, u64, u64, u64)>,
-    u32,
-    Vec<Vec<pool::degree_table::Allocation>>,
-) {
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            ..PoolConfig::default()
-        },
-        seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(7) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 24,
-        member_size: 4,
-        horizon: SimTime::from_secs(1800),
-        warmup: SimTime::from_secs(300),
-        faults,
-        allocation: AllocationMode::Admission,
-        admission: AdmissionConfig {
-            scarce_free_frac: 0.995,
-            degrade_free_frac: 0.9,
-            backoff: SimTime::from_secs(20),
-            max_attempts: 4,
-            ..AdmissionConfig::default()
-        },
-        ..MarketConfig::default()
-    };
-    let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
+#[test]
+fn faulted_admission_trajectory_is_bit_identical_across_runs() {
+    // The full admission ledger, every class's counters (the degraded
+    // class included) and the final books.
+    let runs = market(Cell::Admission);
+    let out = &runs.plain.out;
     let a = &out.admission;
     let ledger = (
         a.arrivals,
@@ -516,24 +573,20 @@ fn faulted_admission_trajectory(
             )
         })
         .collect();
-    let tables: Vec<Vec<pool::degree_table::Allocation>> = pool
-        .net
-        .hosts
-        .ids()
-        .map(|h| pool.table(h).allocations().to_vec())
-        .collect();
-    (out.plans, ledger, per_class, out.leaked_degrees, tables)
-}
-
-#[test]
-fn faulted_admission_trajectory_is_bit_identical_across_runs() {
-    let a = faulted_admission_trajectory(31);
-    assert_pinned("faulted admission market", &a, PIN_ADMISSION);
-    let b = faulted_admission_trajectory(31);
-    assert_eq!(a, b);
+    assert_pinned(
+        "faulted admission market",
+        &(
+            out.plans,
+            ledger,
+            &per_class,
+            out.leaked_degrees,
+            &runs.plain.tables,
+        ),
+        PIN_ADMISSION,
+    );
+    runs.assert_tracing_neutral("faulted admission market");
     // The controller actually engaged: sessions were degraded AND turned
     // away, nothing was preempted, and the books balance.
-    let (_, ledger, per_class, leaked, _) = a;
     assert!(ledger.2 > 0, "no session was degraded");
     assert!(ledger.3 > 0, "no session was rejected");
     assert_eq!(
@@ -543,7 +596,145 @@ fn faulted_admission_trajectory_is_bit_identical_across_runs() {
     );
     let preempted: u64 = per_class.iter().map(|c| c.4).sum();
     assert_eq!(preempted, 0, "admission mode preempted");
-    assert_eq!(leaked, 0, "admission run leaked degrees");
+    assert_eq!(out.leaked_degrees, 0, "admission run leaked degrees");
+}
+
+/// The traced run of a cell against `(record count, FNV-1a-64 of the JSON
+/// lines)`: simulated time and typed payloads only, no wall-clock, no
+/// addresses, no iteration-order leaks, so the bytes are a function of the
+/// seed.
+fn assert_trace_pinned(what: &str, runs: &CellRuns, pin: (u64, u64)) {
+    assert_eq!(
+        (runs.records, fnv1a64(&runs.trace)),
+        pin,
+        "{what} trace moved off its pinned (records, digest)"
+    );
+}
+
+/// The traced run holds every one of `needles`: the event families the
+/// cell exists to exercise fired.
+fn assert_trace_has(runs: &CellRuns, needles: &[&str]) {
+    for needle in needles {
+        assert!(runs.trace.contains(needle), "no {needle} in the trace");
+    }
+}
+
+/// `(record count, FNV-1a-64)` of each traced market cell, recorded at
+/// commit 21d0a1b unless noted.
+mod trace_pins {
+    pub const PIN_MARKET_K1: (u64, u64) = (601, 12810628481288405967);
+    pub const PIN_MARKET_K2: (u64, u64) = (758, 44761309776641770);
+    pub const PIN_ADMISSION: (u64, u64) = (950, 5193438548936708349);
+    /// The faulted Pareto market, recorded at commit 6c05027, before the
+    /// market's slot state became one `Phase`.
+    pub const PIN_PARETO: (u64, u64) = (583, 2974428711364132437);
+    pub const PIN_QUERY_TIERED: (u64, u64) = (777, 11118931471538173744);
+    /// The phase-locked tiered snapshot-view market (k = 1 and k = 2),
+    /// recorded at commit 0482ff2.
+    pub const PIN_PHASE_LOCKED_K1: (u64, u64) = (1242, 9421592194088227880);
+    pub const PIN_PHASE_LOCKED_K2: (u64, u64) = (1584, 750378349310401424);
+}
+
+#[test]
+fn faulted_market_traces_are_bit_identical_across_runs() {
+    let runs = market(Cell::K1);
+    assert_trace_pinned("faulted market", runs, trace_pins::PIN_MARKET_K1);
+    // The fault machinery actually showed up in the trace.
+    assert_trace_has(
+        runs,
+        &["MarketReserve", "MarketHostFault", "MarketCrashDetect"],
+    );
+}
+
+#[test]
+fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
+    // The standby-tree machinery (failover promotion, lazy rebuild)
+    // surfaces in the trace.
+    let runs = market(Cell::K2);
+    assert_trace_pinned("faulted multipath market", runs, trace_pins::PIN_MARKET_K2);
+    assert_trace_has(runs, &["MarketTreeFailover", "MarketTreeRebuilt"]);
+}
+
+#[test]
+fn faulted_pareto_market_traces_are_bit_identical_across_runs() {
+    // The over-share trims land in the trace as preempt replans.
+    let runs = market(Cell::Pareto);
+    assert_trace_pinned("faulted pareto market", runs, trace_pins::PIN_PARETO);
+    assert_trace_has(
+        runs,
+        &["MarketReserve", "MarketCrashDetect", "\"preempt\":true"],
+    );
+}
+
+#[test]
+fn phase_locked_market_trace_matches_its_pin() {
+    // Every trace byte — per-plan relaxation and latency-call counts
+    // included — of the one traced input with same-instant waves.
+    let runs = market(Cell::PhaseLockedK1);
+    assert_trace_pinned(
+        "phase-locked tiered market",
+        runs,
+        trace_pins::PIN_PHASE_LOCKED_K1,
+    );
+    assert_trace_has(runs, &["OracleTiers"]);
+}
+
+#[test]
+fn phase_locked_multipath_market_trace_matches_its_pin() {
+    // k = 2: standby rounds scan the live pool behind every primary.
+    let runs = market(Cell::PhaseLockedK2);
+    assert_trace_pinned(
+        "phase-locked tiered multipath market",
+        runs,
+        trace_pins::PIN_PHASE_LOCKED_K2,
+    );
+}
+
+#[test]
+fn faulted_admission_market_traces_are_bit_identical_across_runs() {
+    // Every stage of the controller surfaced.
+    let runs = market(Cell::Admission);
+    assert_trace_pinned("faulted admission market", runs, trace_pins::PIN_ADMISSION);
+    assert_trace_has(
+        runs,
+        &[
+            "MarketAdmissionQueued",
+            "MarketAdmissionDegraded",
+            "MarketAdmissionRejected",
+        ],
+    );
+}
+
+#[test]
+fn faulted_query_market_traces_are_bit_identical_across_runs() {
+    // The remaining planning surfaces: top-k query discovery over a
+    // periodically refreshed index, planned through the tiered oracle.
+    let runs = market(Cell::Query);
+    assert_pinned(
+        "faulted query market",
+        &tiered_projection(&runs.plain),
+        PIN_QUERY_MARKET,
+    );
+    runs.assert_tracing_neutral("faulted query market");
+    assert_trace_pinned("faulted query market", runs, trace_pins::PIN_QUERY_TIERED);
+    assert_trace_has(runs, &["MarketCrashDetect", "OracleTiers"]);
+}
+
+#[test]
+fn untraced_market_outcome_is_unaffected_by_the_instrumentation() {
+    // The zero-cost contract, end to end, on every pinned cell: a run with
+    // no tracer attached produces exactly the outcome — per-class stats,
+    // the admission ledger, delivery, the audit, the oracle tiers, the
+    // planner's work — and the books of a traced run.
+    for cell in CELLS {
+        let runs = market(cell);
+        assert!(runs.records > 0, "a traced market emitted no records");
+        runs.assert_tracing_neutral("a pinned market");
+        assert!(
+            runs.plain.out.planner_relaxations > 0,
+            "the run did no planner work"
+        );
+    }
 }
 
 /// One faulted query trajectory: kill hosts mid-stream, refresh the
