@@ -5,6 +5,8 @@
 //! drops a machine-readable JSON copy under `results/` so EXPERIMENTS.md
 //! can be refreshed by re-running the binaries.
 
+pub mod cells;
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -123,10 +123,10 @@ impl Graph {
     }
 }
 
-/// f32 wrapper that is `Ord`. `total_cmp` matches `partial_cmp` on the
-/// non-NaN, non-negative distances Dijkstra produces (the proptest below
-/// pins that) and stays a valid total order — instead of panicking — should
-/// a poisoned weight ever leak a NaN into the heap.
+/// f32 wrapper that is `Ord` by `total_cmp`: the workspace's comparator
+/// convention, a valid total order that does not panic should a poisoned
+/// weight ever leak a NaN into the heap. The proptest below holds the heap
+/// to a naive `total_cmp` reference bit for bit.
 #[derive(PartialEq, Clone, Copy)]
 struct OrdF32(f32);
 impl Eq for OrdF32 {}
@@ -199,14 +199,9 @@ mod tests {
         assert_eq!(g.dijkstra(0)[1], 1.0);
     }
 
-    /// Naive single-source shortest paths with a pluggable frontier
-    /// comparator, so the same reference pins both the workspace-wide
-    /// `total_cmp` convention and the historical `partial_cmp` order.
-    fn dijkstra_ref_by(
-        g: &Graph,
-        src: u32,
-        cmp: impl Fn(&f32, &f32) -> std::cmp::Ordering,
-    ) -> Vec<f32> {
+    /// Naive single-source shortest paths, selecting the frontier by the
+    /// workspace's `total_cmp` comparator convention.
+    fn dijkstra_ref(g: &Graph, src: u32) -> Vec<f32> {
         let n = g.len();
         let mut dist = vec![f32::INFINITY; n];
         let mut done = vec![false; n];
@@ -214,7 +209,7 @@ mod tests {
         for _ in 0..n {
             let Some(v) = (0..n)
                 .filter(|&v| !done[v] && dist[v].is_finite())
-                .min_by(|&a, &b| cmp(&dist[a], &dist[b]))
+                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
             else {
                 break;
             };
@@ -229,20 +224,12 @@ mod tests {
         dist
     }
 
-    /// The reference implementation, on the workspace's `total_cmp`
-    /// comparator convention (PR 5/6 sweep).
-    fn dijkstra_ref(g: &Graph, src: u32) -> Vec<f32> {
-        dijkstra_ref_by(g, src, f32::total_cmp)
-    }
-
     proptest::proptest! {
         // On NaN-free random graphs (quantized weights make equal-distance
-        // ties common), the `total_cmp`-ordered heap, the `total_cmp`
-        // reference, and the historical `partial_cmp` selection order all
-        // compute bit-identical distances: on NaN-free inputs `total_cmp`
-        // and `partial_cmp().unwrap()` are the same total order.
+        // ties common), the `total_cmp`-ordered heap computes the naive
+        // `total_cmp` reference's distances bit for bit.
         #[test]
-        fn dijkstra_matches_partial_cmp_reference_on_nan_free_graphs(
+        fn dijkstra_matches_total_cmp_reference_on_nan_free_graphs(
             edges in proptest::collection::vec((0u32..12, 0u32..12, 1u32..20), 1..40),
         ) {
             let mut g = Graph::with_nodes(12);
@@ -254,11 +241,8 @@ mod tests {
             for src in 0..12u32 {
                 let fast = g.dijkstra(src);
                 let slow = dijkstra_ref(&g, src);
-                let historical =
-                    dijkstra_ref_by(&g, src, |a, b| a.partial_cmp(b).unwrap());
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 proptest::prop_assert_eq!(&bits(&fast), &bits(&slow));
-                proptest::prop_assert_eq!(&bits(&slow), &bits(&historical));
             }
         }
     }

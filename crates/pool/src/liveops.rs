@@ -21,10 +21,10 @@
 //! [`MarketSnapshot::apply`]. A pool-wide op (`Renew`, `ExpireLeases`)
 //! sweeps every host of the thawed snapshot, as the live pool sweeps every
 //! table: the degree tables are the one record of who holds what, here as
-//! in [`ResourcePool`]. The replay-determinism gate (`tests/liveops.rs`,
+//! in [`ResourcePool`]. The replay-determinism gate (`tests/liveops_pins.rs`,
 //! `ext_liveops`) asserts the result byte-identical to the live run's
 //! final state from *every* snapshot of a faulted market run, and
-//! `tests/liveops_pins.rs` pins the exported bytes and every replay.
+//! `tests/liveops_pins.rs` also pins the exported bytes and every replay.
 //!
 //! ## What the store retains
 //!

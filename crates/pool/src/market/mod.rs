@@ -531,7 +531,7 @@ impl MarketSim {
     ///
     /// The attachment is trajectory-neutral: the run's events, RNG draws
     /// and final state are byte-identical to the same seed without a
-    /// surface (the trace-equivalence gate in `tests/liveops.rs`).
+    /// surface (the trace-equivalence gate in `tests/liveops_pins.rs`).
     ///
     /// # Panics
     /// If the surface's `snapshot_period` is zero: the snapshot round

@@ -25,7 +25,8 @@ const HOSTS: usize = 150;
 const SEED: u64 = 29;
 
 /// One shared pristine pool (building coordinates is the expensive part);
-/// every case clones it. The pool of `tests/liveops.rs`.
+/// every case clones it. The pool of `crates/bench/src/cells.rs`' `Gate`
+/// cell.
 fn pristine() -> &'static ResourcePool {
     static POOL: OnceLock<ResourcePool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -293,8 +294,8 @@ proptest! {
     }
 }
 
-/// The faulted market of `tests/liveops.rs`, run once with a surface
-/// attached, as `(time, delta watermark)` of each snapshot round plus the
+/// The `Gate` market of `crates/bench/src/cells.rs` (the root
+/// `tests/liveops_pins.rs` checks it), run once with a surface attached, as `(time, delta watermark)` of each snapshot round plus the
 /// pool ops the run logged: a trajectory the test below can drive a pool
 /// along again, round by round, with surfaces of its own.
 fn faulted_run() -> (Vec<(SimTime, u64)>, Vec<Stamped<MarketDelta>>) {

@@ -23,7 +23,7 @@
 //! frozen form and replay into whatever its deltas apply to; a state that
 //! replays in place passes `Clone::clone`. When the segments still hold the
 //! needed range this is exact —
-//! the determinism gates in `tests/liveops.rs` and the `ext_liveops` bench
+//! the determinism gates in `tests/liveops_pins.rs` and the `ext_liveops` bench
 //! assert the reconstructed state byte-identical to the live run. When
 //! eviction has opened a gap, the store says so with a typed
 //! [`ReplayGap`] instead of replaying from the wrong base.
@@ -44,10 +44,10 @@ use simcore::SimTime;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Records per segment (a segment seals when full).
-    pub segment_cap: usize,
+    segment_cap: usize,
     /// Maximum sealed-or-open segments retained per log; the oldest
     /// segment is evicted (and its records counted) beyond this.
-    pub max_segments: usize,
+    max_segments: usize,
 }
 
 impl StoreConfig {
@@ -460,6 +460,18 @@ mod tests {
             at_us: seq * 1000,
             ev: TraceEvent::RecoveryPhase { phase: seq as u32 },
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "segment capacity must be positive")]
+    fn bounded_refuses_a_zero_segment_capacity() {
+        StoreConfig::bounded(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment count must be positive")]
+    fn bounded_refuses_a_zero_segment_count() {
+        StoreConfig::bounded(4, 0);
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //!
 //! * [`Pin`] / [`fnv1a64`] — the digest every pinned constant uses
 //!   (`crates/*/tests/pins.rs`, `tests/{determinism, liveops_pins}.rs`).
+//!   The markets those two root files pin are the cells of
+//!   `crates/bench/src/cells.rs`; its `cells` binary prints their digests
+//!   with its own copy of FNV-1a-64.
 //! * [`Counting`], [`tally`], [`measured`] — the counting allocator of the
 //!   footprint tests (`crates/*/tests/footprint.rs`).
 //!
@@ -12,7 +15,10 @@
 //! When a PR changes behaviour *on purpose*, run the failing test: the
 //! assertion message prints the new `(length, digest)` pair as the
 //! left-hand side. Paste it over the constant, and say in CHANGES.md which
-//! constants moved and why. A refactor or an optimisation never re-pins.
+//! constants moved and why. `tools/reanchor.sh PARENT` lists the market
+//! cells that moved, each with its first differing trace line, to explain
+//! the move; it writes no constant. A refactor or an optimisation never
+//! re-pins.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

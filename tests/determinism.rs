@@ -2,26 +2,29 @@
 //! master seed — the property that makes the figure binaries regenerable
 //! and failures debuggable.
 //!
-//! The seven pinned market cells run twice each per test binary, once
-//! untraced and once traced: the untraced run's outcome and the traced
-//! run's JSON lines are pinned, and the two runs' outcomes and books must
-//! be equal (tracing observes, it never perturbs).
+//! The eight market cells of `bench::cells` pinned here run twice each per
+//! test binary, once untraced and once traced: the untraced run's
+//! projection and the traced run's JSON lines are pinned, and the two
+//! runs' outcomes and books must be equal (tracing observes, it never
+//! perturbs). The cells share their pools with each other and with the
+//! `cells` binary's table.
 
 use std::sync::OnceLock;
 
+use bench::cells::{Cell, Run};
 use p2p_resource_pool::prelude::*;
 use p2p_resource_pool::simcore::trace::to_json_lines;
 use testkit::fnv1a64;
 
 /// The run-vs-run checks below cannot see a change that moves both runs
-/// together; this compares one market trajectory's `Debug` rendering —
-/// stats, counters and the final degree table of every host — against
-/// `(length, FNV-1a-64)` recorded at commit 21d0a1b. `crates/testkit/src/lib.rs`
-/// says how to re-pin after an intended behaviour change.
-fn assert_pinned(what: &str, trajectory: &impl std::fmt::Debug, pin: (usize, u64)) {
-    let rendered = format!("{trajectory:?}");
+/// together; this compares one trajectory's `Debug` rendering — for a
+/// market, stats, counters and the final degree table of every host —
+/// against `(length, FNV-1a-64)` recorded at commit 21d0a1b.
+/// `crates/testkit/src/lib.rs` says how to re-pin after an intended
+/// behaviour change.
+fn assert_pinned(what: &str, rendered: &str, pin: (usize, u64)) {
     assert_eq!(
-        (rendered.len(), fnv1a64(&rendered)),
+        (rendered.len(), fnv1a64(rendered)),
         pin,
         "{what} trajectory moved off its pinned (length, digest)"
     );
@@ -227,7 +230,11 @@ fn recovery_pipeline_outcomes_match_their_pins() {
         crashes: 4,
         ..RecoveryConfig::default()
     });
-    assert_pinned("fault-free recovery", &clean, PIN_RECOVERY_CLEAN);
+    assert_pinned(
+        "fault-free recovery",
+        &format!("{clean:?}"),
+        PIN_RECOVERY_CLEAN,
+    );
     let lossy = run_pipeline(&RecoveryConfig {
         n: 512,
         crashes: 8,
@@ -235,33 +242,16 @@ fn recovery_pipeline_outcomes_match_their_pins() {
         ..RecoveryConfig::default()
     });
     assert!(lossy.dht_dropped > 0 && lossy.gather_dropped > 0);
-    assert_pinned("5 % loss recovery", &lossy, PIN_RECOVERY_LOSSY);
+    assert_pinned(
+        "5 % loss recovery",
+        &format!("{lossy:?}"),
+        PIN_RECOVERY_LOSSY,
+    );
 }
 
-/// One pinned cell of the faulted market (§5.3, the Figure 10 workload):
-/// 300 hosts, every 7th of them crashing for good at `600 + h` s, so
-/// helpers and session roots die mid-run, with leases, failover, crash
-/// repair and the invariant auditor live. [`run_cell`] says how each cell
-/// departs from that market.
-#[derive(Clone, Copy, PartialEq)]
-enum Cell {
-    /// Priority allocation, one tree per session.
-    K1,
-    /// Priority allocation, a degree-disjoint standby tree per session.
-    K2,
-    /// Pareto allocation: water-filled shares and the over-share trim.
-    Pareto,
-    /// The admission controller under starvation-level thresholds.
-    Admission,
-    /// Phase-locked arrivals, snapshot views and the tiered oracle, k = 1.
-    PhaseLockedK1,
-    /// [`Cell::PhaseLockedK1`] at k = 2.
-    PhaseLockedK2,
-    /// Top-k query discovery over a refreshed index, tiered oracle.
-    Query,
-}
-
-const CELLS: [Cell; 7] = [
+/// The cells of [`Cell::ALL`] this file pins; `tests/liveops_pins.rs`
+/// pins the live-operations cells.
+const CELLS: [Cell; 8] = [
     Cell::K1,
     Cell::K2,
     Cell::Pareto,
@@ -269,18 +259,12 @@ const CELLS: [Cell; 7] = [
     Cell::PhaseLockedK1,
     Cell::PhaseLockedK2,
     Cell::Query,
+    Cell::HotTier16,
 ];
-
-/// What one run of a cell leaves: its outcome, with the trace taken out,
-/// and the final degree table of every host — the books themselves must
-/// be bit-reproducible, not just the stats.
-struct Run {
-    out: pool::MarketOutcome,
-    tables: Vec<Vec<pool::degree_table::Allocation>>,
-}
 
 /// A cell run once untraced and once traced.
 struct CellRuns {
+    cell: Cell,
     plain: Run,
     traced: Run,
     /// The traced run's records as JSON lines, and how many there are.
@@ -303,107 +287,28 @@ impl CellRuns {
             "{what}: tracing moved the books"
         );
     }
-}
 
-/// Run one cell's market, traced into a ring buffer or not.
-fn run_cell(cell: Cell, traced: bool) -> (Run, Vec<TraceRecord>) {
-    let seed = if cell == Cell::Admission { 31 } else { 29 };
-    let phase_locked = matches!(cell, Cell::PhaseLockedK1 | Cell::PhaseLockedK2);
-    let latency_source = if phase_locked || cell == Cell::Query {
-        LatencySource::Tiered(TieredConfig::default())
-    } else {
-        LatencySource::Exact
-    };
-    let pool = ResourcePool::build(
-        &PoolConfig {
-            net: NetworkConfig {
-                num_hosts: 300,
-                ..NetworkConfig::default()
-            },
-            coord_rounds: 4,
-            latency_source,
-            ..PoolConfig::default()
-        },
-        seed,
-    );
-    let mut faults = simcore::FaultPlan::none();
-    for h in (0..300u64).step_by(if phase_locked { 13 } else { 7 }) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
+    /// The untraced run's pinned projection against `pin`.
+    fn assert_projection_pinned(&self, what: &str, pin: (usize, u64)) {
+        let rendered = self.cell.projection(&self.plain);
+        assert_pinned(what, &rendered.expect("a pinned projection"), pin);
     }
-    let mut cfg = MarketConfig {
-        sessions: 9,
-        member_size: 12,
-        horizon: SimTime::from_secs(1800),
-        warmup: SimTime::from_secs(300),
-        faults,
-        ..MarketConfig::default()
-    };
-    match cell {
-        Cell::K1 => {}
-        Cell::K2 => cfg.plan.k_trees = 2,
-        Cell::Pareto => cfg.allocation = AllocationMode::Pareto,
-        Cell::Admission => {
-            // Starvation-level thresholds: the queue, the degraded class
-            // and the rejection path all engage.
-            cfg.sessions = 24;
-            cfg.member_size = 4;
-            cfg.allocation = AllocationMode::Admission;
-            cfg.admission = AdmissionConfig {
-                scarce_free_frac: 0.995,
-                degrade_free_frac: 0.9,
-                backoff: SimTime::from_secs(20),
-                max_attempts: 4,
-                ..AdmissionConfig::default()
-            };
-        }
-        Cell::PhaseLockedK1 | Cell::PhaseLockedK2 => {
-            // A microsecond arrival gap collapses every first start onto
-            // `t = 0` and keeps the surviving sessions' replans
-            // phase-locked, so the market handles same-timestamp waves all
-            // run long; sessions plan from the snapshot view, and the
-            // staggered crash plan keeps the fault paths interleaved with
-            // the waves.
-            cfg.sessions = 12;
-            cfg.member_size = 10;
-            cfg.mean_gap = SimTime::from_micros(1);
-            cfg.horizon = SimTime::from_secs(1500);
-            cfg.view_refresh = Some(SimTime::from_secs(60));
-            if cell == Cell::PhaseLockedK2 {
-                cfg.plan.k_trees = 2;
-            }
-        }
-        Cell::Query => {
-            cfg.view_refresh = Some(SimTime::from_secs(120));
-            cfg.discovery = DiscoveryMode::Query;
-        }
-    }
-    let mut sim = MarketSim::new(pool, cfg, seed);
-    if traced {
-        sim.set_tracer(Tracer::ring(1 << 16));
-    }
-    let (mut out, pool) = sim.run_full();
-    let trace = std::mem::take(&mut out.trace);
-    let tables = pool
-        .net
-        .hosts
-        .ids()
-        .map(|h| pool.table(h).allocations().to_vec())
-        .collect();
-    (Run { out, tables }, trace)
 }
 
 /// Both runs of `cell`, made once per test binary.
 fn market(cell: Cell) -> &'static CellRuns {
-    static RUNS: [OnceLock<CellRuns>; 7] = [const { OnceLock::new() }; 7];
+    static RUNS: [OnceLock<CellRuns>; Cell::ALL.len()] =
+        [const { OnceLock::new() }; Cell::ALL.len()];
     RUNS[cell as usize].get_or_init(|| {
         // The two runs are independent: make them side by side.
         let ((plain, untraced), (traced, records)) = std::thread::scope(|s| {
-            let traced = s.spawn(|| run_cell(cell, true));
-            let plain = run_cell(cell, false);
+            let traced = s.spawn(|| cell.run(true));
+            let plain = cell.run(false);
             (plain, traced.join().expect("the traced run panicked"))
         });
         assert!(untraced.is_empty(), "an untraced run emitted records");
         CellRuns {
+            cell,
             plain,
             traced,
             trace: to_json_lines(&records),
@@ -412,75 +317,26 @@ fn market(cell: Cell) -> &'static CellRuns {
     })
 }
 
-/// The pinned projection of a market run (named before the event trace
-/// existed; the name is part of the pinned rendering): per-class fault
-/// counters, repairs, leases, the multipath machinery and the books.
-#[derive(Debug)]
-#[expect(dead_code, reason = "the pins read the fields through `Debug`")]
-struct MarketTrace<'a> {
-    plans: u64,
-    per_class: Vec<(u64, u64, u64, u64)>,
-    crash_repairs: u64,
-    lapsed: u64,
-    leaked: u32,
-    /// Multipath machinery: tree failovers, trees rebuilt, delivery-ratio
-    /// (count, mean), restore-rounds (count, mean). All zero at k = 1.
-    multipath: (u64, u64, u64, f64, u64, f64),
-    tables: &'a [Vec<pool::degree_table::Allocation>],
-}
-
-impl MarketTrace<'_> {
-    fn of(run: &Run) -> MarketTrace<'_> {
-        let out = &run.out;
-        MarketTrace {
-            plans: out.plans,
-            per_class: (1..=3)
-                .map(|p| {
-                    let c = out.class(p);
-                    (
-                        c.helper_crashes,
-                        c.failovers,
-                        c.sessions_lost,
-                        c.preemptions,
-                    )
-                })
-                .collect(),
-            crash_repairs: out.crash_repairs,
-            lapsed: out.lapsed_lease_degrees,
-            leaked: out.leaked_degrees,
-            multipath: (
-                out.tree_failovers,
-                out.trees_rebuilt,
-                out.delivery.count(),
-                out.delivery.mean(),
-                out.restore_rounds.count(),
-                out.restore_rounds.mean(),
-            ),
-            tables: &run.tables,
-        }
-    }
-}
-
-/// [`MarketTrace`] plus the exact planner-work counters and the oracle's
-/// own per-tier hits: the projection pinned for the tiered cells.
-fn tiered_projection(run: &Run) -> impl std::fmt::Debug + '_ {
-    (
-        MarketTrace::of(run),
-        run.out.planner_relaxations,
-        run.out.planner_latency_calls,
-        &run.out.oracle_tiers,
-    )
+/// Helper crashes, failovers and lost sessions over every class.
+fn fault_activity(out: &pool::MarketOutcome) -> u64 {
+    (1..=3)
+        .map(|p| {
+            let c = out.class(p);
+            c.helper_crashes + c.failovers + c.sessions_lost
+        })
+        .sum()
 }
 
 #[test]
 fn faulted_market_trajectory_is_bit_identical_across_runs() {
     let runs = market(Cell::K1);
-    let a = MarketTrace::of(&runs.plain);
-    assert_pinned("faulted market", &a, PIN_MARKET_K1);
+    runs.assert_projection_pinned("faulted market", PIN_MARKET_K1);
     runs.assert_tracing_neutral("faulted market");
     // And the plan actually produced fault activity worth pinning.
-    let activity: u64 = a.per_class.iter().map(|c| c.0 + c.1 + c.2).sum();
-    assert!(activity > 0, "fault plan never touched a session");
+    assert!(
+        fault_activity(&runs.plain.out) > 0,
+        "fault plan never touched a session"
+    );
 }
 
 #[test]
@@ -489,11 +345,11 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     // standby tree: failovers, lazy rebuilds, delivery sampling and the
     // final books must all replay bit-for-bit.
     let runs = market(Cell::K2);
-    let a = MarketTrace::of(&runs.plain);
-    assert_pinned("faulted multipath market", &a, PIN_MARKET_K2);
+    runs.assert_projection_pinned("faulted multipath market", PIN_MARKET_K2);
     runs.assert_tracing_neutral("faulted multipath market");
-    assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
-    assert_eq!(a.leaked, 0, "multipath run leaked degrees");
+    let out = &runs.plain.out;
+    assert!(out.delivery.count() > 0, "delivery ratio was never sampled");
+    assert_eq!(out.leaked_degrees, 0, "multipath run leaked degrees");
 }
 
 #[test]
@@ -502,12 +358,14 @@ fn faulted_pareto_market_trajectory_is_bit_identical_across_runs() {
     // rank, and the over-share trim (`reclaim_overshare`) that reads the
     // active set and every slot's pending-replan flag.
     let runs = market(Cell::Pareto);
-    let a = MarketTrace::of(&runs.plain);
-    assert_pinned("faulted pareto market", &a, PIN_PARETO);
+    runs.assert_projection_pinned("faulted pareto market", PIN_PARETO);
     runs.assert_tracing_neutral("faulted pareto market");
-    let activity: u64 = a.per_class.iter().map(|c| c.0 + c.1 + c.2).sum();
-    assert!(activity > 0, "fault plan never touched a session");
-    assert_eq!(a.leaked, 0, "pareto run leaked degrees");
+    let out = &runs.plain.out;
+    assert!(
+        fault_activity(out) > 0,
+        "fault plan never touched a session"
+    );
+    assert_eq!(out.leaked_degrees, 0, "pareto run leaked degrees");
 }
 
 #[test]
@@ -516,9 +374,8 @@ fn phase_locked_market_trajectory_matches_its_pin() {
     // hits and the final books of every host, on the one market input
     // where every start and replan wave shares an instant.
     let runs = market(Cell::PhaseLockedK1);
-    assert_pinned(
+    runs.assert_projection_pinned(
         "phase-locked tiered snapshot-view market",
-        &tiered_projection(&runs.plain),
         PIN_PHASE_LOCKED_K1,
     );
     runs.assert_tracing_neutral("phase-locked tiered snapshot-view market");
@@ -532,15 +389,14 @@ fn phase_locked_market_trajectory_matches_its_pin() {
 fn phase_locked_multipath_market_trajectory_matches_its_pin() {
     // k = 2: standby rounds scan live candidates behind every primary.
     let runs = market(Cell::PhaseLockedK2);
-    assert_pinned(
+    runs.assert_projection_pinned(
         "phase-locked tiered snapshot-view multipath market",
-        &tiered_projection(&runs.plain),
         PIN_PHASE_LOCKED_K2,
     );
     runs.assert_tracing_neutral("phase-locked tiered snapshot-view multipath market");
-    let a = MarketTrace::of(&runs.plain);
-    assert!(a.multipath.2 > 0, "delivery ratio was never sampled");
-    assert_eq!(a.leaked, 0, "multipath run leaked degrees");
+    let out = &runs.plain.out;
+    assert!(out.delivery.count() > 0, "delivery ratio was never sampled");
+    assert_eq!(out.leaked_degrees, 0, "multipath run leaked degrees");
 }
 
 #[test]
@@ -548,55 +404,80 @@ fn faulted_admission_trajectory_is_bit_identical_across_runs() {
     // The full admission ledger, every class's counters (the degraded
     // class included) and the final books.
     let runs = market(Cell::Admission);
-    let out = &runs.plain.out;
-    let a = &out.admission;
-    let ledger = (
-        a.arrivals,
-        a.admitted,
-        a.degraded,
-        a.rejected,
-        a.timeouts,
-        a.queued_final,
-        a.max_queue_depth,
-        a.wait.count(),
-    );
-    let per_class: Vec<(u8, u64, u64, u64, u64)> = out
-        .per_class
-        .iter()
-        .map(|(n, c)| {
-            (
-                n,
-                c.helper_crashes,
-                c.failovers,
-                c.sessions_lost,
-                c.preemptions,
-            )
-        })
-        .collect();
-    assert_pinned(
-        "faulted admission market",
-        &(
-            out.plans,
-            ledger,
-            &per_class,
-            out.leaked_degrees,
-            &runs.plain.tables,
-        ),
-        PIN_ADMISSION,
-    );
+    runs.assert_projection_pinned("faulted admission market", PIN_ADMISSION);
     runs.assert_tracing_neutral("faulted admission market");
     // The controller actually engaged: sessions were degraded AND turned
     // away, nothing was preempted, and the books balance.
-    assert!(ledger.2 > 0, "no session was degraded");
-    assert!(ledger.3 > 0, "no session was rejected");
+    let out = &runs.plain.out;
+    let a = &out.admission;
+    assert!(a.degraded > 0, "no session was degraded");
+    assert!(a.rejected > 0, "no session was rejected");
     assert_eq!(
-        ledger.0,
-        ledger.1 + ledger.2 + ledger.3 + ledger.5,
+        a.arrivals,
+        a.admitted + a.degraded + a.rejected + a.queued_final,
         "admission ledger does not balance"
     );
-    let preempted: u64 = per_class.iter().map(|c| c.4).sum();
+    let preempted: u64 = out.per_class.iter().map(|(_, c)| c.preemptions).sum();
     assert_eq!(preempted, 0, "admission mode preempted");
     assert_eq!(out.leaked_degrees, 0, "admission run leaked degrees");
+}
+
+/// The hot tier copies promoted rows out of the pool's kernel instead of
+/// re-running Dijkstra. Same rows, so the whole trajectory — which pairs
+/// answer from which tier, every promotion, every eviction — must be the
+/// one the Dijkstra-on-demand hot tier produced. A 16-row hot tier makes
+/// the market churn it. The numbers were first recorded at 88a5e60 and
+/// re-recorded when plans began promoting their members last, in one batch
+/// per plan: (plans, repairs) went from (123, 7) to (124, 8) and
+/// hot / sketch / base / promotions / evictions from
+/// 7565 / 14162 / 33351 / 7641 / 7625 to 62223 / 56 / 44 / 1253 / 1237.
+#[test]
+fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
+    let runs = market(Cell::HotTier16);
+    runs.assert_tracing_neutral("16-row hot tier market");
+    let out = &runs.plain.out;
+    assert_eq!((out.plans, out.crash_repairs), (124, 8));
+    assert_eq!(
+        out.oracle_tiers,
+        Some(TierStats {
+            hot: 62223,
+            sketch: 56,
+            base: 44,
+            promotions: 1253,
+            evictions: 1237,
+        })
+    );
+    // Coordinates are packed (300 hosts × 5 × 8 B), not the 72 B per host
+    // they took at 88a5e60: 9600 B below that commit's 112 816. The batched
+    // promotion's per-router stamp adds 4 B for each of the 600 routers.
+    // The factored sketch then replaced 16 × 300 × 4 B of landmark columns
+    // and the oracle's own 300 × 12 B host tables with a fixed
+    // 600 × 16 × 8 B landmark table and the sketch's shared host tables:
+    // +57 600 B from 105 616 at this N, break-even at N = 1 200, and
+    // 64 B per host less above it. At 163 216 B the oracle also held a copy
+    // of the router graph it no longer reads: built over the pool's network,
+    // it copies promoted rows out of the network's kernel, so its bytes drop
+    // by exactly the graph's adjacency lists, 600 × 24 B of list headers and
+    // 2 × 790 × 8 B of edges.
+    let graph = &Cell::K1.pool().net.routers.graph;
+    assert_eq!((graph.len(), graph.num_edges()), (600, 790));
+    let resident_bytes = out.oracle_resident_bytes;
+    assert_eq!(resident_bytes, 163_216 - (600 * 24 + 2 * 790 * 8));
+    assert_eq!(resident_bytes, 136_176);
+}
+
+#[test]
+fn exact_market_emits_no_oracle_trace_events() {
+    // An Exact-source market has no tiers to report, so its trace stays
+    // byte-identical to one from before the tiered oracle existed.
+    for cell in [Cell::K1, Cell::K2, Cell::Pareto, Cell::Admission] {
+        let runs = market(cell);
+        assert!(runs.plain.out.oracle_tiers.is_none(), "{cell:?}");
+        assert!(
+            !runs.trace.contains("OracleTiers"),
+            "{cell:?}: an Exact-source run emitted an OracleTiers event"
+        );
+    }
 }
 
 /// The traced run of a cell against `(record count, FNV-1a-64 of the JSON
@@ -710,11 +591,7 @@ fn faulted_query_market_traces_are_bit_identical_across_runs() {
     // The remaining planning surfaces: top-k query discovery over a
     // periodically refreshed index, planned through the tiered oracle.
     let runs = market(Cell::Query);
-    assert_pinned(
-        "faulted query market",
-        &tiered_projection(&runs.plain),
-        PIN_QUERY_MARKET,
-    );
+    runs.assert_projection_pinned("faulted query market", PIN_QUERY_MARKET);
     runs.assert_tracing_neutral("faulted query market");
     assert_trace_pinned("faulted query market", runs, trace_pins::PIN_QUERY_TIERED);
     assert_trace_has(runs, &["MarketCrashDetect", "OracleTiers"]);
@@ -775,7 +652,7 @@ fn faulted_query_trajectory_is_bit_identical_across_runs() {
     let a = faulted_query_trajectory(51);
     let b = faulted_query_trajectory(51);
     assert_eq!(a, b);
-    assert_pinned("faulted query", &a, PIN_QUERY);
+    assert_pinned("faulted query", &format!("{a:?}"), PIN_QUERY);
     // The crash wave actually changed the answers: the post-kill global
     // top-k must not contain any dead host.
     let post_kill = &a.0[2];

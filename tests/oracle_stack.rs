@@ -1,14 +1,16 @@
 //! The tiered latency oracle wired through the whole stack: source
-//! selection on [`PoolConfig`], planning through the task manager and the
-//! market, per-tier accounting, and the determinism contract — tiered
-//! runs replay bit-for-bit, and `LatencySource::Exact` behaves exactly
-//! like the historical dense-matrix planner on the factored kernel.
+//! selection on [`PoolConfig`], planning through the task manager,
+//! per-tier accounting, and `LatencySource::Exact` behaving exactly like
+//! the historical dense-matrix planner on the factored kernel. The tiered
+//! markets' replay, tier counters and trace events are pinned in
+//! `tests/determinism.rs`.
 
 use p2p_resource_pool::prelude::*;
 use pool::PlanOutcome;
 
+/// A 300-host pool, built once per test binary and cloned.
 fn build(source: LatencySource, seed: u64) -> ResourcePool {
-    ResourcePool::build(
+    bench::cells::pool(
         &PoolConfig {
             net: NetworkConfig {
                 num_hosts: 300,
@@ -211,124 +213,4 @@ fn fair_plan_with_open_caps_is_the_rank_3_priority_plan() {
         assert_eq!(height(&a), height(&b), "{model:?}");
         assert_eq!(priority.oracle_stats(), fair.oracle_stats(), "{model:?}");
     }
-}
-
-/// One faulted market trajectory: staggered crashes, leases,
-/// repairs — everything observable, including the oracle's own counters.
-fn market_trajectory(
-    source: LatencySource,
-    seed: u64,
-) -> (u64, u64, Option<TierStats>, u64, Vec<TraceRecord>) {
-    let pool = build(source, seed);
-    let mut faults = FaultPlan::none();
-    for h in (0..300u64).step_by(11) {
-        faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 8,
-        member_size: 10,
-        horizon: SimTime::from_secs(1500),
-        warmup: SimTime::from_secs(300),
-        faults,
-        ..MarketConfig::default()
-    };
-    let mut sim = MarketSim::new(pool, cfg, seed);
-    sim.set_tracer(Tracer::ring(4096));
-    let (out, _) = sim.run_full();
-    (
-        out.plans,
-        out.crash_repairs,
-        out.oracle_tiers,
-        out.oracle_resident_bytes,
-        out.trace,
-    )
-}
-
-#[test]
-fn tiered_market_replays_bit_for_bit_and_traces_tier_activity() {
-    let a = market_trajectory(tiered(), 29);
-    let b = market_trajectory(tiered(), 29);
-    assert_eq!(a.0, b.0);
-    assert_eq!(a.1, b.1);
-    assert_eq!(a.2, b.2, "tier counters diverged between identical runs");
-    assert_eq!(a.3, b.3);
-    assert_eq!(a.4.len(), b.4.len());
-    let stats = a.2.expect("tiered market publishes tier stats");
-    assert!(stats.total() > 0);
-    // The market emitted the per-plan tier snapshot events.
-    let tier_events =
-        a.4.iter()
-            .filter(|r| matches!(r.ev, TraceEvent::OracleTiers { .. }))
-            .count();
-    assert!(
-        tier_events > 0,
-        "no OracleTiers trace events in a tiered run"
-    );
-}
-
-/// The hot tier copies promoted rows out of the pool's kernel instead of
-/// re-running Dijkstra. Same rows, so the whole trajectory — which pairs
-/// answer from which tier, every promotion, every eviction — must be the
-/// one the Dijkstra-on-demand hot tier produced. A 16-row hot tier makes
-/// the market churn it. The numbers were first recorded at 88a5e60 and
-/// re-recorded when plans began promoting their members last, in one batch
-/// per plan: (plans, repairs) went from (123, 7) to (124, 8) and
-/// hot / sketch / base / promotions / evictions from
-/// 7565 / 14162 / 33351 / 7641 / 7625 to 62223 / 56 / 44 / 1253 / 1237.
-#[test]
-fn faulted_tiered_market_tier_counters_match_dijkstra_on_demand_pin() {
-    let small_hot = LatencySource::Tiered(TieredConfig {
-        hot_rows: 16,
-        ..TieredConfig::default()
-    });
-    let (plans, repairs, tiers, resident_bytes, _) = market_trajectory(small_hot, 29);
-    assert_eq!((plans, repairs), (124, 8));
-    assert_eq!(
-        tiers,
-        Some(TierStats {
-            hot: 62223,
-            sketch: 56,
-            base: 44,
-            promotions: 1253,
-            evictions: 1237,
-        })
-    );
-    // Coordinates are packed (300 hosts × 5 × 8 B), not the 72 B per host
-    // they took at 88a5e60: 9600 B below that commit's 112 816. The batched
-    // promotion's per-router stamp adds 4 B for each of the 600 routers.
-    // The factored sketch then replaced 16 × 300 × 4 B of landmark columns
-    // and the oracle's own 300 × 12 B host tables with a fixed
-    // 600 × 16 × 8 B landmark table and the sketch's shared host tables:
-    // +57 600 B from 105 616 at this N, break-even at N = 1 200, and
-    // 64 B per host less above it. At 163 216 B the oracle also held a copy
-    // of the router graph it no longer reads: built over the pool's network,
-    // it copies promoted rows out of the network's kernel, so its bytes drop
-    // by exactly the graph's adjacency lists, 600 × 24 B of list headers and
-    // 2 × 790 × 8 B of edges.
-    let graph = &build(LatencySource::Exact, 29).net.routers.graph;
-    assert_eq!((graph.len(), graph.num_edges()), (600, 790));
-    assert_eq!(resident_bytes, 163_216 - (600 * 24 + 2 * 790 * 8));
-    assert_eq!(resident_bytes, 136_176);
-}
-
-#[test]
-fn exact_market_emits_no_oracle_trace_events() {
-    let pool = build(LatencySource::Exact, 29);
-    let cfg = MarketConfig {
-        sessions: 6,
-        member_size: 10,
-        horizon: SimTime::from_secs(900),
-        warmup: SimTime::from_secs(300),
-        ..MarketConfig::default()
-    };
-    let mut sim = MarketSim::new(pool, cfg, 29);
-    sim.set_tracer(Tracer::ring(4096));
-    let (out, _) = sim.run_full();
-    assert!(out.oracle_tiers.is_none());
-    assert!(
-        !out.trace
-            .iter()
-            .any(|r| matches!(r.ev, TraceEvent::OracleTiers { .. })),
-        "Exact-source run emitted an OracleTiers event — trace is no longer byte-identical"
-    );
 }

@@ -23,9 +23,9 @@
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
 # must be kept in step with the code. On 2 cores the first run's builds
-# and baseline take ≈ 5 min and each mutation 1–3 min (≈ 56 min for the
-# table below, 20 of it one row that hits the timeout). This is a measurement tool, like `perf_e2e`; no CI job
-# runs it.
+# and baseline take ≈ 5 min and each mutation 1–2 min (≈ 49 min for the
+# table below, 20 of it one row that hits the timeout). This is a
+# measurement tool, like `perf_e2e`; no CI job runs it.
 set -euo pipefail
 if [ $# -gt 1 ]; then
   echo "usage: $0 [REV]" >&2

@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# What a change moves in the pinned market cells: a parent revision (A)
+# against HEAD (B), cell by cell.
+#
+#   tools/reanchor.sh PARENT
+#
+# Both sides are `git archive` exports under one directory,
+# `$REANCHOR_DIR` (default `${TMPDIR:-/tmp}/reanchor`), as `a/` and `b/`,
+# the way `perf_pairs.sh` exports its two sides; each is built with
+# `--release --locked --offline` in its own `target/`. On each side the
+# `cells` binary (`crates/bench/src/bin/cells.rs`, so PARENT must have it)
+# runs every cell of `bench::cells` once traced and prints its trace's
+# `(records, FNV-1a-64)` and its pinned projection's `(bytes, FNV-1a-64)`;
+# the traces are kept as `<side>/traces/<cell>.jsonl`.
+#
+# Prints, for each cell whose line differs, both lines and the first trace
+# line that differs (its number and the A and B lines, which carry the
+# simulated time, the event and its session), then how many cells moved.
+# A trace that is a prefix of the other is reported at the first line the
+# shorter one lacks. A cell only B has is listed as new. The tool reports;
+# it writes no pin and nothing in the repository (re-pinning stays by
+# hand, as `crates/testkit` says).
+set -euo pipefail
+if [ $# -ne 1 ]; then
+  echo "usage: $0 PARENT" >&2
+  exit 2
+fi
+root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+dir="${REANCHOR_DIR:-${TMPDIR:-/tmp}/reanchor}"
+git -C "$root" rev-parse --verify --quiet "$1^{commit}" >/dev/null || {
+  echo "not a revision: $1" >&2
+  exit 2
+}
+
+rm -rf "$dir/a" "$dir/b"
+mkdir -p "$dir/a" "$dir/b"
+git -C "$root" archive "$1" | tar -xf - -C "$dir/a"
+git -C "$root" archive HEAD | tar -xf - -C "$dir/b"
+for side in a b; do
+  echo "building and running $side" >&2
+  cargo build --release --locked --offline --quiet -p bench --bin cells \
+    --manifest-path "$dir/$side/Cargo.toml"
+  "$dir/$side/target/release/cells" --trace-dir "$dir/$side/traces" >"$dir/$side/cells.txt"
+done
+
+# The number of the first line at which files $1 and $2 differ, if any.
+first_diff() {
+  awk 'FNR == NR { a[FNR] = $0; na = FNR; next }
+       FNR > na || a[FNR] != $0 { print FNR; found = 1; exit }
+       END { if (!found && FNR < na) print FNR + 1 }' "$1" "$2"
+}
+
+moved=0 cells=0
+while read -r cell rest; do
+  cells=$((cells + 1))
+  b_line="$(awk -v c="$cell" '$1 == c' "$dir/b/cells.txt" | tr -s ' ')"
+  if [ "$cell $rest" = "$b_line" ]; then
+    continue
+  fi
+  moved=$((moved + 1))
+  echo "moved: $cell"
+  echo "  A: $rest"
+  echo "  B: ${b_line#"$cell "}"
+  ta="$dir/a/traces/$cell.jsonl" tb="$dir/b/traces/$cell.jsonl"
+  if [ -f "$tb" ] && n="$(first_diff "$ta" "$tb")" && [ -n "$n" ]; then
+    echo "  first differing trace line: $n"
+    echo "    A: $(sed -n "${n}p" "$ta")"
+    echo "    B: $(sed -n "${n}p" "$tb")"
+  fi
+done < <(tr -s ' ' <"$dir/a/cells.txt")
+awk 'FNR == NR { a[$1]; next } !($1 in a) { print "new in B: " $1 }' \
+  "$dir/a/cells.txt" "$dir/b/cells.txt"
+echo "$moved of $cells cells moved"
