@@ -82,7 +82,9 @@ use serde::{Deserialize, Serialize};
 /// ([`MarketSnapshot::apply`]) reconstructs the pool state byte for byte,
 /// including mid-retry victim evictions that the planner's retry loop
 /// never rolls back (see [`liveops`]). Every op is a function of the
-/// degree tables and the call's arguments, never of booking history.
+/// degree tables and the call's arguments, never of booking history: one
+/// [`HostTables`] method executes it, live and on replay alike, and the
+/// replay ([`MarketSnapshot::apply`]) asserts each logged verdict.
 ///
 /// Serializable so stores can export delta logs as JSON lines.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -153,6 +155,200 @@ pub enum PoolOp {
     },
 }
 
+/// Who holds what: every host's liveness and degree table, host order —
+/// the market's one record (§5.3). The live [`ResourcePool`] owns one and
+/// a replayed [`MarketSnapshot`] holds one. Each [`PoolOp`] has its one
+/// implementation here: the pool calls it and logs the op, a replay
+/// ([`MarketSnapshot::apply`]) calls it again and checks the verdict.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HostTables {
+    alive: Vec<bool>,
+    tables: Vec<DegreeTable>,
+}
+
+impl HostTables {
+    /// Hosts with these liveness flags and degree tables, host order.
+    ///
+    /// # Panics
+    /// If the two lists differ in length.
+    pub fn new(alive: Vec<bool>, tables: Vec<DegreeTable>) -> HostTables {
+        assert_eq!(alive.len(), tables.len(), "one liveness flag per table");
+        HostTables { alive, tables }
+    }
+
+    /// Whether host `h` is up.
+    #[inline]
+    pub fn is_alive(&self, h: HostId) -> bool {
+        self.alive[h.idx()]
+    }
+
+    /// The degree table of host `h`.
+    #[inline]
+    pub fn table(&self, h: HostId) -> &DegreeTable {
+        &self.tables[h.idx()]
+    }
+
+    /// Every host's `(host, alive, table)`, host order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (HostId, bool, &DegreeTable)> + Clone {
+        (0u32..)
+            .map(HostId)
+            .zip(self.alive.iter().zip(&self.tables))
+            .map(|(h, (&alive, t))| (h, alive, t))
+    }
+
+    /// A [`PoolOp::Reserve`]: a dead host refuses even a zero-count claim.
+    pub(crate) fn reserve(
+        &mut self,
+        h: HostId,
+        session: SessionId,
+        rank: Rank,
+        count: u32,
+        expires_at: Option<simcore::SimTime>,
+    ) -> Result<Vec<(SessionId, u32)>, degree_table::InsufficientDegree> {
+        if !self.alive[h.idx()] {
+            return Err(degree_table::InsufficientDegree {
+                requested: count,
+                available: 0,
+            });
+        }
+        self.tables[h.idx()].reserve_until(session, rank, count, expires_at)
+    }
+
+    /// A [`PoolOp::ReleaseSession`]: returns the hosts released on,
+    /// ascending, and the degrees freed.
+    pub(crate) fn release_session(&mut self, session: SessionId) -> (Vec<HostId>, u32) {
+        let hosts = self.holdings_of(session);
+        let freed = hosts
+            .iter()
+            .map(|h| self.tables[h.idx()].release(session))
+            .sum();
+        (hosts, freed)
+    }
+
+    /// A [`PoolOp::ReleaseOnHost`]. Returns the degrees freed.
+    pub(crate) fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
+        self.tables[h.idx()].release(session)
+    }
+
+    /// A [`PoolOp::ReleaseDegrees`]. Returns the degrees freed.
+    pub(crate) fn release_degrees(
+        &mut self,
+        h: HostId,
+        session: SessionId,
+        rank: Rank,
+        count: u32,
+    ) -> u32 {
+        self.tables[h.idx()].release_count(session, rank, count)
+    }
+
+    /// A [`PoolOp::Renew`]. Returns the degrees renewed.
+    pub(crate) fn renew_session(
+        &mut self,
+        session: SessionId,
+        expires_at: simcore::SimTime,
+    ) -> u32 {
+        self.tables
+            .iter_mut()
+            .map(|t| t.renew(session, expires_at))
+            .sum()
+    }
+
+    /// A [`PoolOp::ExpireLeases`]. Returns `(session, degrees_reclaimed)`
+    /// pairs in session order.
+    pub(crate) fn expire_leases(&mut self, now: simcore::SimTime) -> Vec<(SessionId, u32)> {
+        let mut reclaimed: BTreeMap<SessionId, u32> = BTreeMap::new();
+        for t in &mut self.tables {
+            for (s, c) in t.expire(now) {
+                *reclaimed.entry(s).or_default() += c;
+            }
+        }
+        reclaimed.into_iter().collect()
+    }
+
+    /// A [`PoolOp::SetAlive`].
+    pub(crate) fn set_alive(&mut self, h: HostId, alive: bool) {
+        self.alive[h.idx()] = alive;
+    }
+
+    /// Execute one logged op again, through the method the live pool
+    /// called, and check it: a `Reserve` must reach its logged verdict and
+    /// a `ReleaseSession` must release on its logged hosts.
+    ///
+    /// # Panics
+    /// If either check fails: the log is not this state's.
+    pub(crate) fn apply(&mut self, op: &PoolOp) {
+        match *op {
+            PoolOp::Reserve {
+                host,
+                session,
+                rank,
+                count,
+                expires_at,
+                ok,
+            } => {
+                let got = self.reserve(host, session, rank, count, expires_at).is_ok();
+                assert!(got == ok, "replayed {op:?}, which now returns ok: {got}");
+            }
+            PoolOp::ReleaseSession { session, ref hosts } => {
+                let (released, _) = self.release_session(session);
+                assert!(released == *hosts, "replayed {op:?} on {released:?}");
+            }
+            PoolOp::ReleaseDegrees {
+                host,
+                session,
+                rank,
+                count,
+            } => _ = self.release_degrees(host, session, rank, count),
+            PoolOp::ReleaseOnHost { session, host } => _ = self.release_on_host(session, host),
+            PoolOp::Renew {
+                session,
+                expires_at,
+            } => _ = self.renew_session(session, expires_at),
+            PoolOp::ExpireLeases { now } => _ = self.expire_leases(now),
+            PoolOp::SetAlive { host, alive } => self.set_alive(host, alive),
+        }
+    }
+
+    /// The hosts whose table books degrees for a session, ascending (empty
+    /// if none).
+    pub fn holdings_of(&self, session: SessionId) -> Vec<HostId> {
+        self.rows()
+            .filter(|&(_, _, t)| t.held_by(session) > 0)
+            .map(|(h, _, _)| h)
+            .collect()
+    }
+
+    /// Total degrees a session holds pool-wide, summed over the tables.
+    pub fn held_total(&self, session: SessionId) -> u32 {
+        self.tables.iter().map(|t| t.held_by(session)).sum()
+    }
+
+    /// Total degrees currently allocated pool-wide.
+    pub fn total_used(&self) -> u32 {
+        self.tables.iter().map(|t| t.used()).sum()
+    }
+
+    /// Total degree capacity of the pool (sum of all physical bounds).
+    pub fn total_capacity(&self) -> u32 {
+        self.tables.iter().map(|t| t.dbound()).sum()
+    }
+
+    /// Fraction of the pool's degrees currently reserved — the §5.3 goal
+    /// "that the utilization of the resource pool as a whole is maximized".
+    pub fn utilization(&self) -> f64 {
+        self.total_used() as f64 / self.total_capacity().max(1) as f64
+    }
+
+    /// Hosts whose degree utilization (`used / dbound`) is at or above
+    /// `threshold`, host order. Degree-less hosts never qualify.
+    pub fn hosts_over_utilization(&self, threshold: f64) -> Vec<HostId> {
+        self.rows()
+            .filter(|&(_, _, t)| t.dbound() > 0 && t.used() as f64 / t.dbound() as f64 >= threshold)
+            .map(|(h, _, _)| h)
+            .collect()
+    }
+}
+
 /// Fanout of the SOMO tree the pool aggregates over (its status index and
 /// the gather experiments).
 pub const SOMO_FANOUT: usize = 8;
@@ -189,10 +385,10 @@ impl Default for PoolConfig {
 /// The assembled resource pool: every host of the underlay joined into one
 /// DHT ring, with generated metrics and per-host degree tables.
 ///
-/// The degree tables are the one record of who holds what, as in the
-/// paper's market: every holdings query ([`Self::holdings_of`],
-/// [`Self::held_total`], [`Self::sessions_holding`]) reads them, and no
-/// index mirrors them.
+/// Its [`HostTables`] are the one record of who holds what, as in the
+/// paper's market: every holdings query reads them ([`Self::tables`]), no
+/// index mirrors them, and each mutating call below is a [`HostTables`]
+/// method plus one logged [`PoolOp`].
 #[derive(Clone)]
 pub struct ResourcePool {
     /// The physical underlay (latency oracle, degree bounds, bandwidths),
@@ -206,8 +402,7 @@ pub struct ResourcePool {
     /// Leafset-generated bottleneck-bandwidth estimates, read-only and
     /// shared with every clone.
     pub bw: Arc<BwEstimates>,
-    tables: Vec<DegreeTable>,
-    alive: Vec<bool>,
+    tables: HostTables,
     /// The latency oracle planning reads go through (see
     /// [`PoolConfig::latency_source`]). Cloning the pool deep-copies the
     /// tiered oracle's cache state, so what-if clones diverge.
@@ -238,12 +433,13 @@ impl ResourcePool {
             },
             simcore::rng::derive_seed(seed, 4),
         );
-        let tables = net
-            .hosts
-            .iter()
-            .map(|(_, h)| DegreeTable::new(h.degree_bound))
-            .collect();
-        let alive = vec![true; net.num_hosts()];
+        let tables = HostTables::new(
+            vec![true; net.num_hosts()],
+            net.hosts
+                .iter()
+                .map(|(_, h)| DegreeTable::new(h.degree_bound))
+                .collect(),
+        );
         let oracle = match &cfg.latency_source {
             LatencySource::Exact => PoolOracle::Exact(net.latency.clone()),
             LatencySource::Tiered(tcfg) => {
@@ -266,7 +462,6 @@ impl ResourcePool {
             coords,
             bw: Arc::new(bw),
             tables,
-            alive,
             oracle,
             op_log: None,
         }
@@ -294,7 +489,7 @@ impl ResourcePool {
     /// Whether host `h` is currently up. All hosts start alive; only an
     /// explicit [`Self::kill_host`] (driven by a fault plan) changes this.
     pub fn is_alive(&self, h: HostId) -> bool {
-        self.alive[h.idx()]
+        self.tables.is_alive(h)
     }
 
     /// Mark a host crashed. Its degree table is left intact — SOMO keeps
@@ -302,7 +497,7 @@ impl ResourcePool {
     /// lapse, exactly the stranded state the market has to recover from —
     /// but the host stops being a candidate and refuses new reservations.
     pub fn kill_host(&mut self, h: HostId) {
-        self.alive[h.idx()] = false;
+        self.tables.set_alive(h, false);
         self.log(|| PoolOp::SetAlive {
             host: h,
             alive: false,
@@ -312,7 +507,7 @@ impl ResourcePool {
     /// Mark a crashed host up again. Degrees still booked on it from before
     /// the crash remain booked until released or expired.
     pub fn revive_host(&mut self, h: HostId) {
-        self.alive[h.idx()] = true;
+        self.tables.set_alive(h, true);
         self.log(|| PoolOp::SetAlive {
             host: h,
             alive: true,
@@ -372,18 +567,23 @@ impl ResourcePool {
         self.oracle.resident_rows()
     }
 
+    /// Who holds what: every host's liveness and degree table.
+    pub fn tables(&self) -> &HostTables {
+        &self.tables
+    }
+
     /// The degree table of a host.
     pub fn table(&self, h: HostId) -> &DegreeTable {
-        &self.tables[h.idx()]
+        self.tables.table(h)
     }
 
     /// Degrees available to a claim of `rank` on host `h`. A dead host
     /// offers nothing.
     pub fn available(&self, h: HostId, rank: Rank) -> u32 {
-        if !self.alive[h.idx()] {
+        if !self.is_alive(h) {
             return 0;
         }
-        self.tables[h.idx()].available_at(rank)
+        self.table(h).available_at(rank)
     }
 
     /// Helper candidates for a claim of `rank`: hosts outside `exclude`
@@ -403,7 +603,7 @@ impl ResourcePool {
             .net
             .hosts
             .ids()
-            .filter(|h| self.alive[h.idx()] && !excl.contains(h))
+            .filter(|&h| self.is_alive(h) && !excl.contains(&h))
             .map(|h| (self.available(h, rank), h))
             .filter(|&(avail, _)| avail >= min_degree)
             .collect();
@@ -433,10 +633,10 @@ impl ResourcePool {
             .net
             .hosts
             .ids()
-            .filter(|h| self.alive[h.idx()])
+            .filter(|&h| self.is_alive(h))
             .map(|h| CandidateEntry {
                 host: h,
-                avail: self.tables[h.idx()].available_by_rank(),
+                avail: self.table(h).available_by_rank(),
             })
             .collect();
         let cap = if entries.is_empty() {
@@ -456,10 +656,10 @@ impl ResourcePool {
     /// host publishes nothing (`None`) — its stale aggregate contribution
     /// ages out of the index at the next refresh.
     pub fn host_sample(&self, h: HostId, now: simcore::SimTime) -> Option<query::HostSample> {
-        if !self.alive[h.idx()] {
+        if !self.is_alive(h) {
             return None;
         }
-        let t = &self.tables[h.idx()];
+        let t = self.table(h);
         let c = self.coords.point(h);
         Some(query::HostSample {
             host: h,
@@ -519,21 +719,10 @@ impl ResourcePool {
         index.refresh(|m| self.host_sample(self.ring.member(m).host, now));
     }
 
-    /// Reserve `count` degrees on `h` for a session. Returns sessions that
-    /// lost degrees to preemption.
-    pub fn reserve(
-        &mut self,
-        h: HostId,
-        session: SessionId,
-        rank: Rank,
-        count: u32,
-    ) -> Result<Vec<(SessionId, u32)>, degree_table::InsufficientDegree> {
-        self.reserve_leased(h, session, rank, count, None)
-    }
-
     /// Reserve `count` degrees on `h` for a session as a lease that lapses
-    /// at `expires_at` unless renewed (`None` reserves permanently). A dead
-    /// host refuses the reservation outright — this is how a task manager
+    /// at `expires_at` unless renewed (`None` reserves permanently).
+    /// Returns sessions that lost degrees to preemption. A dead host
+    /// refuses the reservation outright — this is how a task manager
     /// planning from a stale SOMO view learns a candidate has crashed.
     pub fn reserve_leased(
         &mut self,
@@ -543,36 +732,20 @@ impl ResourcePool {
         count: u32,
         expires_at: Option<simcore::SimTime>,
     ) -> Result<Vec<(SessionId, u32)>, degree_table::InsufficientDegree> {
-        let reserve = |ok| PoolOp::Reserve {
-            host: h,
-            session,
-            rank,
-            count,
-            expires_at,
-            ok,
-        };
-        if !self.alive[h.idx()] {
-            self.log(|| reserve(false));
-            return Err(degree_table::InsufficientDegree {
-                requested: count,
-                available: 0,
+        let got = self.tables.reserve(h, session, rank, count, expires_at);
+        // A zero-count claim that books nothing is not logged.
+        if count != 0 || got.is_err() {
+            let ok = got.is_ok();
+            self.log(|| PoolOp::Reserve {
+                host: h,
+                session,
+                rank,
+                count,
+                expires_at,
+                ok,
             });
         }
-        // A zero-count claim books nothing and is not logged.
-        if count == 0 {
-            return Ok(vec![]);
-        }
-        let preempted = match self.tables[h.idx()].reserve_until(session, rank, count, expires_at) {
-            Ok(p) => p,
-            Err(e) => {
-                // A refusal mutates nothing, but it shapes the retry loop:
-                // the delta log records it like any other call.
-                self.log(|| reserve(false));
-                return Err(e);
-            }
-        };
-        self.log(|| reserve(true));
-        Ok(preempted)
+        got
     }
 
     /// Record one op when the op log is on; `op` is built only then.
@@ -588,25 +761,18 @@ impl ResourcePool {
     /// like [`DegreeTable::release`]; a call that frees nothing is not
     /// logged.
     pub fn release_session(&mut self, session: SessionId) -> u32 {
-        let hosts = self.holdings_of(session);
-        if hosts.is_empty() {
-            return 0;
+        let (hosts, freed) = self.tables.release_session(session);
+        if !hosts.is_empty() {
+            self.log(|| PoolOp::ReleaseSession { session, hosts });
         }
-        self.log(|| PoolOp::ReleaseSession {
-            session,
-            hosts: hosts.clone(),
-        });
-        hosts
-            .iter()
-            .map(|h| self.tables[h.idx()].release(session))
-            .sum()
+        freed
     }
 
     /// Release only what a session holds on one host (used to drop the
     /// stranded claim on a crashed helper while the rest of the session
     /// keeps running). Returns the degrees freed.
     pub fn release_on_host(&mut self, session: SessionId, h: HostId) -> u32 {
-        let freed = self.tables[h.idx()].release(session);
+        let freed = self.tables.release_on_host(session, h);
         self.log(|| PoolOp::ReleaseOnHost { session, host: h });
         freed
     }
@@ -622,7 +788,7 @@ impl ResourcePool {
         rank: Rank,
         count: u32,
     ) -> u32 {
-        let freed = self.tables[h.idx()].release_count(session, rank, count);
+        let freed = self.tables.release_degrees(h, session, rank, count);
         self.log(|| PoolOp::ReleaseDegrees {
             host: h,
             session,
@@ -637,11 +803,7 @@ impl ResourcePool {
     /// degrees renewed; a session whose claims have already lapsed gets 0
     /// back.
     pub fn renew_session(&mut self, session: SessionId, expires_at: simcore::SimTime) -> u32 {
-        let renewed = self
-            .tables
-            .iter_mut()
-            .map(|t| t.renew(session, expires_at))
-            .sum();
+        let renewed = self.tables.renew_session(session, expires_at);
         self.log(|| PoolOp::Renew {
             session,
             expires_at,
@@ -653,62 +815,9 @@ impl ResourcePool {
     /// Returns `(session, degrees_reclaimed)` pairs in session order — the
     /// degrees a dead task manager leaked back to the market.
     pub fn expire_leases(&mut self, now: simcore::SimTime) -> Vec<(SessionId, u32)> {
-        let mut reclaimed: BTreeMap<SessionId, u32> = BTreeMap::new();
-        for t in &mut self.tables {
-            for (s, c) in t.expire(now) {
-                *reclaimed.entry(s).or_default() += c;
-            }
-        }
+        let reclaimed = self.tables.expire_leases(now);
         self.log(|| PoolOp::ExpireLeases { now });
-        reclaimed.into_iter().collect()
-    }
-
-    /// The hosts whose table books degrees for a session, ascending (empty
-    /// if none).
-    pub fn holdings_of(&self, session: SessionId) -> Vec<HostId> {
-        self.net
-            .hosts
-            .ids()
-            .filter(|&h| self.holds_on(session, h))
-            .collect()
-    }
-
-    /// Whether host `h`'s table books degrees for a session.
-    pub fn holds_on(&self, session: SessionId, h: HostId) -> bool {
-        self.tables[h.idx()].held_by(session) > 0
-    }
-
-    /// Total degrees a session holds pool-wide, summed over the tables.
-    pub fn held_total(&self, session: SessionId) -> u32 {
-        self.tables.iter().map(|t| t.held_by(session)).sum()
-    }
-
-    /// Every session some table books degrees for, in session order.
-    pub fn sessions_holding(&self) -> Vec<SessionId> {
-        let mut s: Vec<SessionId> = self
-            .tables
-            .iter()
-            .flat_map(|t| t.allocations().iter().map(|a| a.session))
-            .collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    }
-
-    /// Total degrees currently allocated pool-wide.
-    pub fn total_used(&self) -> u32 {
-        self.tables.iter().map(|t| t.used()).sum()
-    }
-
-    /// Total degree capacity of the pool (sum of all physical bounds).
-    pub fn total_capacity(&self) -> u32 {
-        self.tables.iter().map(|t| t.dbound()).sum()
-    }
-
-    /// Fraction of the pool's degrees currently reserved — the §5.3 goal
-    /// "that the utilization of the resource pool as a whole is maximized".
-    pub fn utilization(&self) -> f64 {
-        self.total_used() as f64 / self.total_capacity().max(1) as f64
+        reclaimed
     }
 
     /// Deterministically sample `n` distinct member hosts (used by examples

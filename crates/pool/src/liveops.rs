@@ -18,10 +18,12 @@
 //!
 //! Reconstruction is [`reconstruct_at`]: thaw a snapshot into a dense
 //! [`MarketSnapshot`] and fold the later deltas forward with
-//! [`MarketSnapshot::apply`]. A pool-wide op (`Renew`, `ExpireLeases`)
-//! sweeps every host of the thawed snapshot, as the live pool sweeps every
-//! table: the degree tables are the one record of who holds what, here as
-//! in [`ResourcePool`]. The replay-determinism gate (`tests/liveops_pins.rs`,
+//! [`MarketSnapshot::apply`]. The snapshot's [`HostTables`] are the type
+//! the live [`ResourcePool`] keeps its books in, so a replayed op runs the
+//! very method the live call ran — refused reserves included — and the
+//! replay asserts every logged `Reserve` verdict and `ReleaseSession` host
+//! list: a log that does not fit the state it is replayed on panics, naming
+//! the op. The replay-determinism gate (`tests/liveops_pins.rs`,
 //! `ext_liveops`) asserts the result byte-identical to the live run's
 //! final state from *every* snapshot of a faulted market run, and
 //! `tests/liveops_pins.rs` also pins the exported bytes and every replay.
@@ -70,7 +72,7 @@ use simcore::SimTime;
 
 use crate::degree_table::{Allocation, DegreeTable, SessionId};
 use crate::task_manager::FAIR_HELPER_RANK;
-use crate::{PoolOp, ResourcePool};
+use crate::{HostTables, PoolOp, ResourcePool};
 
 /// The market's run store: [`MarketDelta`] deltas, [`FrozenSnapshot`]
 /// snapshots.
@@ -79,17 +81,6 @@ pub type MarketStore = RunStore<MarketDelta, FrozenSnapshot>;
 /// Shared handle to a [`MarketStore`] (simulator, sink and operator each
 /// hold a clone).
 pub type MarketStoreHandle = StoreHandle<MarketDelta, FrozenSnapshot>;
-
-/// One host's state inside a [`MarketSnapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HostSnap {
-    /// The host.
-    pub host: HostId,
-    /// Whether it was up.
-    pub alive: bool,
-    /// Its full degree table.
-    pub table: DegreeTable,
-}
 
 /// One market slot's state, mirrored into the store whenever it changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,14 +103,15 @@ pub struct SlotSnap {
     pub broken_since_us: Option<u64>,
 }
 
-/// A session's earliest lease deadline pool-wide.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LeaseHorizon {
+/// A session's earliest lease deadline pool-wide, as a snapshot renders
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+struct LeaseHorizon {
     /// The leasing session.
-    pub session: SessionId,
+    session: SessionId,
     /// Its earliest `expires_at` across every host it holds degrees on
     /// (µs); permanent claims carry no horizon and are not listed.
-    pub expires_at_us: u64,
+    expires_at_us: u64,
 }
 
 /// An operator-facing observation appended to the delta log when a
@@ -174,100 +166,44 @@ pub enum MarketDelta {
 /// the store itself holds [`FrozenSnapshot`]s. Capture time lives on the
 /// store's [`runstore::SnapshotEntry`], not here, so a replayed-to-the-end
 /// state compares byte-for-byte against a later snapshot's state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MarketSnapshot {
     /// Every host: liveness and full degree table.
-    pub hosts: Vec<HostSnap>,
+    pub tables: HostTables,
     /// Every market slot.
     pub slots: Vec<SlotSnap>,
     /// Admission FIFOs (queued slot indices, class 1 first).
     pub admission_queues: [Vec<u32>; 3],
-    /// Per-session earliest lease deadlines, session order. Derived from
-    /// `hosts` by [`MarketSnapshot::refresh_derived`].
-    pub lease_horizons: Vec<LeaseHorizon>,
-    /// Degrees allocated pool-wide. Derived.
-    pub used: u32,
-    /// Degree capacity pool-wide. Derived.
-    pub capacity: u32,
 }
 
 impl MarketSnapshot {
-    /// Capture the current state of `pool` plus the market's slot and
-    /// queue mirrors, densely — the reference [`FrozenSnapshot::capture`]
-    /// must thaw to.
-    pub fn capture(pool: &ResourcePool, slots: &[SlotSnap], queues: &[Vec<u32>; 3]) -> Self {
-        let hosts = (0..pool.num_hosts() as u32)
-            .map(|i| {
-                let h = HostId(i);
-                HostSnap {
-                    host: h,
-                    alive: pool.is_alive(h),
-                    table: pool.table(h).clone(),
-                }
-            })
-            .collect();
-        MarketSnapshot::derive(hosts, slots.to_vec(), queues.clone())
-    }
-
-    /// The snapshot of these authoritative fields, derived fields computed.
-    fn derive(hosts: Vec<HostSnap>, slots: Vec<SlotSnap>, queues: [Vec<u32>; 3]) -> Self {
-        let mut snap = MarketSnapshot {
-            hosts,
-            slots,
-            admission_queues: queues,
-            lease_horizons: Vec::new(),
-            used: 0,
-            capacity: 0,
-        };
-        snap.refresh_derived();
-        snap
-    }
-
-    /// Recompute the derived fields from the authoritative tables: every
-    /// leasing session's earliest deadline (`lease_horizons`, session
-    /// order), and the degrees allocated (`used`) and bounded (`capacity`)
-    /// in total.
-    pub fn refresh_derived(&mut self) {
+    /// Every leasing session's earliest deadline, session order.
+    fn lease_horizons(&self) -> Vec<LeaseHorizon> {
         let mut horizons: BTreeMap<SessionId, u64> = BTreeMap::new();
-        let mut used = 0u32;
-        for a in self.hosts.iter().flat_map(|h| h.table.allocations()) {
-            used += a.count;
+        for a in self.tables.rows().flat_map(|(_, _, t)| t.allocations()) {
             if let Some(at) = a.expires_at {
                 let e = horizons.entry(a.session).or_insert(u64::MAX);
                 *e = (*e).min(at.as_micros());
             }
         }
-        self.lease_horizons = horizons
+        horizons
             .into_iter()
             .map(|(session, expires_at_us)| LeaseHorizon {
                 session,
                 expires_at_us,
             })
-            .collect();
-        self.used = used;
-        self.capacity = self.hosts.iter().map(|h| h.table.dbound()).sum();
-    }
-
-    /// Hosts whose degree utilization (`used / dbound`) is at or above
-    /// `threshold`, host order. Degree-less hosts never qualify.
-    pub fn hosts_over_utilization(&self, threshold: f64) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .filter(|h| {
-                h.table.dbound() > 0 && h.table.used() as f64 / h.table.dbound() as f64 >= threshold
-            })
-            .map(|h| h.host)
             .collect()
     }
 
-    /// Fold one delta forward. Pool ops re-execute against the tables
-    /// exactly as the live pool executed them; slot and queue deltas
-    /// overwrite the mirrors; notes are annotations and do nothing. The
-    /// derived fields are left stale: call [`Self::refresh_derived`] after
-    /// the last delta.
+    /// Fold one delta forward: a pool op runs again through the
+    /// [`HostTables`] method the live pool ran, slot and queue deltas
+    /// overwrite the mirrors, notes do nothing.
+    ///
+    /// # Panics
+    /// If a pool op does not fit the state (see [`PoolOp`]).
     pub fn apply(&mut self, delta: &MarketDelta) {
         match delta {
-            MarketDelta::Pool(op) => self.apply_pool_op(op),
+            MarketDelta::Pool(op) => self.tables.apply(op),
             MarketDelta::Slot { index, state } => {
                 self.slots[*index as usize] = **state;
             }
@@ -277,61 +213,29 @@ impl MarketSnapshot {
             MarketDelta::Note(_) => {}
         }
     }
+}
 
-    fn apply_pool_op(&mut self, op: &PoolOp) {
-        let hosts = &mut self.hosts;
-        match op {
-            PoolOp::Reserve {
-                host,
-                session,
-                rank,
-                count,
-                expires_at,
-                ok,
-            } => {
-                if *ok {
-                    let r =
-                        hosts[host.idx()]
-                            .table
-                            .reserve_until(*session, *rank, *count, *expires_at);
-                    debug_assert!(r.is_ok(), "logged-ok reserve must replay ok ({host:?})");
-                }
-            }
-            PoolOp::ReleaseSession { session, hosts: on } => {
-                for h in on {
-                    hosts[h.idx()].table.release(*session);
-                }
-            }
-            PoolOp::ReleaseDegrees {
-                host,
-                session,
-                rank,
-                count,
-            } => {
-                hosts[host.idx()]
-                    .table
-                    .release_count(*session, *rank, *count);
-            }
-            PoolOp::ReleaseOnHost { session, host } => {
-                hosts[host.idx()].table.release(*session);
-            }
-            PoolOp::Renew {
-                session,
-                expires_at,
-            } => {
-                for h in hosts {
-                    h.table.renew(*session, *expires_at);
-                }
-            }
-            PoolOp::ExpireLeases { now } => {
-                for h in hosts {
-                    h.table.expire(*now);
-                }
-            }
-            PoolOp::SetAlive { host, alive } => {
-                hosts[host.idx()].alive = *alive;
-            }
-        }
+impl Serialize for MarketSnapshot {
+    /// Per host `{host, alive, table}`, the slot and queue mirrors, then
+    /// the lease horizons and the degrees used and bounded pool-wide,
+    /// computed here from the tables.
+    fn to_json_value(&self) -> serde::Value {
+        let field = |k: &str, v: serde::Value| (k.to_string(), v);
+        let hosts = self.tables.rows().map(|(h, alive, t)| {
+            serde::Value::Object(vec![
+                field("host", h.to_json_value()),
+                field("alive", alive.to_json_value()),
+                field("table", t.to_json_value()),
+            ])
+        });
+        serde::Value::Object(vec![
+            field("hosts", serde::Value::Array(hosts.collect())),
+            field("slots", self.slots.to_json_value()),
+            field("admission_queues", self.admission_queues.to_json_value()),
+            field("lease_horizons", self.lease_horizons().to_json_value()),
+            field("used", self.tables.total_used().to_json_value()),
+            field("capacity", self.tables.total_capacity().to_json_value()),
+        ])
     }
 }
 
@@ -339,8 +243,7 @@ impl MarketSnapshot {
 /// snapshot's footprint follows the tables the market holds, not the pool.
 ///
 /// Hosts that are up and hold nothing — most of any pool — are not
-/// represented at all; the rest are three sorted flat vectors. It stores
-/// no derived field: [`FrozenSnapshot::thaw`] recomputes them. The degree
+/// represented at all; the rest are three sorted flat vectors. The degree
 /// bounds are the one per-host quantity every host has, and they never
 /// change, so every snapshot of a run shares one vector of them.
 /// Consecutive snapshots share nothing else: renewing a lease rewrites
@@ -368,49 +271,33 @@ pub struct FrozenSnapshot {
 }
 
 impl FrozenSnapshot {
-    /// Capture the current state of `pool` plus the market's slot and
-    /// queue mirrors. `previous` is the run's last snapshot, if any: the
-    /// new one shares its degree-bound vector when the bounds are still
-    /// the same (always, within one run).
-    pub fn capture(
-        pool: &ResourcePool,
+    /// Freeze `tables` plus the market's slot and queue mirrors.
+    /// `previous` is the run's last snapshot, if any: the new one shares
+    /// its degree-bound vector when the bounds are still the same (always,
+    /// within one run).
+    pub fn new(
+        tables: &HostTables,
         slots: &[SlotSnap],
         queues: &[Vec<u32>; 3],
         previous: Option<&FrozenSnapshot>,
     ) -> FrozenSnapshot {
-        let rows = (0..pool.num_hosts() as u32).map(|i| {
-            let h = HostId(i);
-            (pool.is_alive(h), pool.table(h))
-        });
-        FrozenSnapshot::freeze(rows, slots, queues, previous)
-    }
-
-    /// Freeze a dense snapshot; `previous` as for
-    /// [`FrozenSnapshot::capture`].
-    pub fn of(dense: &MarketSnapshot, previous: Option<&FrozenSnapshot>) -> FrozenSnapshot {
-        let rows = dense.hosts.iter().map(|h| (h.alive, &h.table));
-        FrozenSnapshot::freeze(rows, &dense.slots, &dense.admission_queues, previous)
-    }
-
-    /// `rows` is every host's `(alive, table)`, host order.
-    fn freeze<'a>(
-        rows: impl Iterator<Item = (bool, &'a DegreeTable)> + Clone,
-        slots: &[SlotSnap],
-        queues: &[Vec<u32>; 3],
-        previous: Option<&FrozenSnapshot>,
-    ) -> FrozenSnapshot {
-        let rows = || (0u32..).map(HostId).zip(rows.clone());
-        let bounds = || rows().map(|(_, (_, t))| t.dbound());
+        let bounds = || tables.rows().map(|(_, _, t)| t.dbound());
         let dbound = match previous {
             Some(p) if p.dbound.iter().copied().eq(bounds()) => Arc::clone(&p.dbound),
             _ => bounds().collect(),
         };
         let held_tables = || {
-            rows()
-                .map(|(h, (_, t))| (h, t.allocations()))
+            tables
+                .rows()
+                .map(|(h, _, t)| (h, t.allocations()))
                 .filter(|(_, run)| !run.is_empty())
         };
-        let down_hosts = || rows().filter(|(_, (alive, _))| !alive).map(|(h, _)| h);
+        let down_hosts = || {
+            tables
+                .rows()
+                .filter(|&(_, alive, _)| !alive)
+                .map(|(h, ..)| h)
+        };
         // Sized exactly: a stored snapshot carries no growth slack.
         let mut down = Vec::with_capacity(down_hosts().count());
         down.extend(down_hosts());
@@ -431,29 +318,25 @@ impl FrozenSnapshot {
         }
     }
 
-    /// The dense snapshot this one froze, field for field, its derived
-    /// fields recomputed.
+    /// The dense snapshot this one froze, field for field.
     pub fn thaw(&self) -> MarketSnapshot {
-        let mut hosts: Vec<HostSnap> = self
-            .dbound
-            .iter()
-            .enumerate()
-            .map(|(i, &dbound)| HostSnap {
-                host: HostId(i as u32),
-                alive: true,
-                table: DegreeTable::new(dbound),
-            })
-            .collect();
+        let mut alive = vec![true; self.dbound.len()];
         for h in &self.down {
-            hosts[h.idx()].alive = false;
+            alive[h.idx()] = false;
         }
+        let mut tables: Vec<DegreeTable> =
+            self.dbound.iter().map(|&d| DegreeTable::new(d)).collect();
         let mut start = 0;
         for &(h, end) in &self.held {
             let run = self.allocations[start..end as usize].to_vec();
-            hosts[h.idx()].table = DegreeTable::with_allocations(self.dbound[h.idx()], run);
+            tables[h.idx()] = DegreeTable::with_allocations(self.dbound[h.idx()], run);
             start = end as usize;
         }
-        MarketSnapshot::derive(hosts, self.slots.clone(), self.admission_queues.clone())
+        MarketSnapshot {
+            tables: HostTables::new(alive, tables),
+            slots: self.slots.clone(),
+            admission_queues: self.admission_queues.clone(),
+        }
     }
 }
 
@@ -647,25 +530,23 @@ impl LiveOps {
             notes.push(OpsNote::Pressure { scarce });
         }
         self.last_over.resize(pool.num_hosts(), None);
-        for i in 0..pool.num_hosts() {
-            let h = HostId(i as u32);
-            let t = pool.table(h);
+        for (h, _, t) in pool.tables().rows() {
             if t.dbound() == 0 {
                 continue;
             }
             let over = t.used() as f64 / t.dbound() as f64 >= self.cfg.util_threshold;
-            let fire = match self.last_over[i] {
+            let fire = match self.last_over[h.idx()] {
                 None => over, // first observation alarms only
                 Some(prev) => prev != over,
             };
-            self.last_over[i] = Some(over);
+            self.last_over[h.idx()] = Some(over);
             if fire {
                 notes.push(OpsNote::UtilCrossing { host: h, up: over });
             }
         }
         let mut store = self.handle.lock().expect("run store lock poisoned");
         let previous = store.latest_snapshot().map(|s| &s.state);
-        let snap = FrozenSnapshot::capture(pool, slots, queues, previous);
+        let snap = FrozenSnapshot::new(pool.tables(), slots, queues, previous);
         for n in notes {
             store.append_delta(now, MarketDelta::Note(n));
         }
@@ -702,18 +583,17 @@ pub fn store_freshness(store: &MarketStore, bound: SimTime) -> Freshness {
 }
 
 /// Reconstruct the state at the end of the log from snapshot `idx`:
-/// thaw it, fold every later delta with [`MarketSnapshot::apply`], refresh
-/// the derived fields.
+/// thaw it and fold every later delta with [`MarketSnapshot::apply`].
 ///
 /// # Errors
 /// [`ReplayGap`] when delta eviction dropped part of the needed range.
 ///
 /// # Panics
-/// If the store holds no snapshot `idx`, as [`runstore::RunStore::replay`].
+/// If the store holds no snapshot `idx`, as [`runstore::RunStore::replay`];
+/// if a logged pool op does not fit the state, as
+/// [`MarketSnapshot::apply`].
 pub fn reconstruct_at(store: &MarketStore, idx: usize) -> Result<MarketSnapshot, ReplayGap> {
-    let mut snap = store.replay(idx, FrozenSnapshot::thaw, |s, d| s.apply(&d.delta))?;
-    snap.refresh_derived();
-    Ok(snap)
+    store.replay(idx, FrozenSnapshot::thaw, |s, d| s.apply(&d.delta))
 }
 
 /// "Which hosts are at or above `threshold` degree utilization right
@@ -730,7 +610,9 @@ pub fn hosts_over_threshold(
     bound: SimTime,
 ) -> Result<OpsAnswer, ReplayGap> {
     let hosts = match store.snapshots().len().checked_sub(1) {
-        Some(idx) => reconstruct_at(store, idx)?.hosts_over_utilization(threshold),
+        Some(idx) => reconstruct_at(store, idx)?
+            .tables
+            .hosts_over_utilization(threshold),
         None => Vec::new(),
     };
     Ok(OpsAnswer {
@@ -798,16 +680,20 @@ mod tests {
     }
 
     fn snap_with(tables: Vec<DegreeTable>) -> MarketSnapshot {
-        let hosts = tables
-            .into_iter()
-            .enumerate()
-            .map(|(i, table)| HostSnap {
-                host: HostId(i as u32),
-                alive: true,
-                table,
-            })
-            .collect();
-        MarketSnapshot::derive(hosts, Vec::new(), Default::default())
+        MarketSnapshot {
+            tables: HostTables::new(vec![true; tables.len()], tables),
+            slots: Vec::new(),
+            admission_queues: Default::default(),
+        }
+    }
+
+    /// A store whose only snapshot is `snap_with(tables)`.
+    fn store_over(tables: Vec<DegreeTable>, cfg: StoreConfig) -> MarketStore {
+        let mut store: MarketStore = RunStore::new(cfg);
+        let base = snap_with(tables);
+        let frozen = FrozenSnapshot::new(&base.tables, &[], &base.admission_queues, None);
+        store.snapshot(SimTime::ZERO, frozen);
+        store
     }
 
     #[test]
@@ -852,19 +738,44 @@ mod tests {
         ] {
             snap.apply(&MarketDelta::Pool(op));
         }
-        snap.refresh_derived();
-        assert_eq!(snap.hosts[0].table, live[0]);
-        assert_eq!(snap.hosts[1].table, live[1]);
+        assert_eq!(snap.tables.table(HostId(0)), &live[0]);
+        assert_eq!(snap.tables.table(HostId(1)), &live[1]);
         // Session 2's lease lapsed at 150 s; session 1 renewed to 200 s.
         assert_eq!(
-            snap.lease_horizons,
+            snap.lease_horizons(),
             vec![LeaseHorizon {
                 session: SessionId(1),
                 expires_at_us: SimTime::from_secs(200).as_micros(),
             }]
         );
-        assert_eq!(snap.used, 3);
-        assert_eq!(snap.capacity, 16);
+        assert_eq!(snap.tables.total_used(), 3);
+        assert_eq!(snap.tables.total_capacity(), 16);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "replayed Reserve { host: HostId(1), session: SessionId(7), rank: Rank(3), \
+                    count: 1, expires_at: None, ok: true }, which now returns ok: false"
+    )]
+    fn a_logged_reserve_the_replayed_state_refuses_stops_the_replay() {
+        let mut store = store_over(vec![DegreeTable::new(4); 2], StoreConfig::default());
+        let at = SimTime::from_secs(1);
+        let down = PoolOp::SetAlive {
+            host: HostId(1),
+            alive: false,
+        };
+        store.append_delta(at, MarketDelta::Pool(down));
+        // Forged: the pool refuses every reserve on a down host.
+        let forged = PoolOp::Reserve {
+            host: HostId(1),
+            session: SessionId(7),
+            rank: Rank::helper(3),
+            count: 1,
+            expires_at: None,
+            ok: true,
+        };
+        store.append_delta(at, MarketDelta::Pool(forged));
+        let _ = reconstruct_at(&store, 0);
     }
 
     #[test]
@@ -914,9 +825,7 @@ mod tests {
 
     #[test]
     fn store_replay_reconstructs_the_final_state_byte_for_byte() {
-        let mut store: MarketStore = RunStore::new(StoreConfig::default());
-        let base = snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)]);
-        store.snapshot(SimTime::ZERO, FrozenSnapshot::of(&base, None));
+        let mut store = store_over(vec![DegreeTable::new(4); 2], StoreConfig::default());
         let lease = Some(SimTime::from_secs(50));
         store.append_delta(
             SimTime::from_secs(1),
@@ -937,8 +846,8 @@ mod tests {
             }),
         );
         let got = reconstruct_at(&store, 0).unwrap();
-        assert_eq!(got.used, 4);
-        assert_eq!(got.hosts_over_utilization(0.9), vec![HostId(1)]);
+        assert_eq!(got.tables.total_used(), 4);
+        assert_eq!(got.tables.hosts_over_utilization(0.9), vec![HostId(1)]);
         // Queries against the reconstructed store.
         let bound = SimTime::from_secs(60);
         let ans = hosts_over_threshold(&store, 0.9, bound).unwrap();
@@ -974,9 +883,7 @@ mod tests {
     fn answers_over_an_evicted_range_are_refused() {
         // Two-delta segments, two retained: the fifth delta evicts the
         // first two (seq 0 at 1 s, seq 1 at 2 s).
-        let mut store: MarketStore = RunStore::new(StoreConfig::bounded(2, 2));
-        let base = snap_with(vec![DegreeTable::new(4), DegreeTable::new(4)]);
-        store.snapshot(SimTime::ZERO, FrozenSnapshot::of(&base, None));
+        let mut store = store_over(vec![DegreeTable::new(4); 2], StoreConfig::bounded(2, 2));
         for (s, host) in (1..=5).zip([0, 1, 0, 1, 0]) {
             let note = OpsNote::UtilCrossing {
                 host: HostId(host),
@@ -1007,7 +914,12 @@ mod tests {
         assert_eq!(ans.hosts, vec![HostId(0), HostId(1)]);
         assert_eq!(ans.freshness.oldest, SimTime::from_secs(4));
         // A snapshot above the gap answers again.
-        store.snapshot(SimTime::from_secs(6), FrozenSnapshot::of(&base, None));
+        let latest = store
+            .latest_snapshot()
+            .expect("the base snapshot")
+            .state
+            .clone();
+        store.snapshot(SimTime::from_secs(6), latest);
         assert!(hosts_over_threshold(&store, 0.9, bound).is_ok());
     }
 }

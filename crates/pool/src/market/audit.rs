@@ -86,8 +86,7 @@ struct AdmissionAudit<'a> {
 }
 
 fn inv_degree_conservation(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>) {
-    for h in v.pool.net.hosts.ids() {
-        let t = v.pool.table(h);
+    for (h, _, t) in v.pool.tables().rows() {
         ctx.check(t.used() <= t.dbound(), || {
             format!("host {h:?} oversubscribed: {}/{}", t.used(), t.dbound())
         });
@@ -132,7 +131,7 @@ fn inv_lease_holder_consistency(v: &MarketAuditView<'_>, ctx: &mut AuditCtx<'_>)
         if s.active {
             continue;
         }
-        for h in v.pool.holdings_of(s.id) {
+        for h in v.pool.tables().holdings_of(s.id) {
             ctx.check(
                 v.pool
                     .table(h)

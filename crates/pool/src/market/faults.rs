@@ -12,7 +12,7 @@ use simcore::SimTime;
 
 use super::{Ev, MarketSim, Phase, SpecInput, DETECT_DELAY, FAILOVER_DELAY};
 use crate::degree_table::SessionId;
-use crate::task_manager::{plan_standby_trees, victims};
+use crate::task_manager::{plan_standby_trees, release_tree, victims};
 
 impl MarketSim {
     /// A host went down: route the event to every session it touches.
@@ -36,7 +36,7 @@ impl MarketSim {
                 }
                 self.queue
                     .schedule(now + FAILOVER_DELAY, Ev::Failover(i, slot.cycle));
-            } else if in_tree || self.pool.holds_on(slot.spec.id, h) {
+            } else if in_tree || self.pool.table(h).held_by(slot.spec.id) > 0 {
                 // A standby-only loss (the host is held but not in the
                 // serving tree) does not open the outage window: the
                 // primary keeps delivering throughout.
@@ -67,6 +67,7 @@ impl MarketSim {
         // overlapping detections are harmless.
         let stranded: Vec<HostId> = self
             .pool
+            .tables()
             .holdings_of(spec.id)
             .into_iter()
             .filter(|&x| !self.pool.is_alive(x))
@@ -281,22 +282,15 @@ impl MarketSim {
         true
     }
 
-    /// Return one broken tree's surviving claims to the pool: every live
-    /// host gives back exactly the tree's degree there (claims on dead
-    /// hosts were already swept by the stranded-claim release). Shared
-    /// hosts keep the degrees the session's other trees booked —
-    /// [`ResourcePool::release_degrees`](crate::ResourcePool::release_degrees) is count-exact, never a full
-    /// release.
+    /// Return one broken tree's surviving claims to the pool through
+    /// [`release_tree`], skipping dead hosts: their claims were already
+    /// swept by the stranded-claim release.
     fn release_tree_degrees(&mut self, i: usize, tree: &MulticastTree) {
         let helper_rank = self.shape(i, u64::MAX).helper_rank;
         let spec = &self.slots[i].spec;
-        for &h in tree.hosts() {
-            if !self.pool.is_alive(h) {
-                continue;
-            }
-            let rank = spec.booking_rank(h, helper_rank);
-            self.pool.release_degrees(h, spec.id, rank, tree.degree(h));
-        }
+        release_tree(&mut self.pool, spec, tree, helper_rank, |p, h| {
+            !p.is_alive(h)
+        });
     }
 
     /// Lazy background rebuild of a multipath session's lost standby trees:

@@ -647,7 +647,7 @@ impl MarketSim {
         self.audit_sample(self.cfg.horizon);
         for slot in &self.slots {
             if !slot.is_active() {
-                self.outcome.leaked_degrees += self.pool.held_total(slot.spec.id);
+                self.outcome.leaked_degrees += self.pool.tables().held_total(slot.spec.id);
             }
         }
         if let Some(aud) = self.auditor.take() {

@@ -171,14 +171,13 @@ impl MarketSim {
     /// slot is active already: a session enters its phase before its first
     /// plan.
     fn pareto_shares(&self) -> Vec<u64> {
-        let mut capacity = 0u64;
-        for h in (0..self.pool.num_hosts()).map(|x| HostId(x as u32)) {
-            if !self.pool.is_alive(h) {
-                continue;
-            }
-            let t = self.pool.table(h);
-            capacity += t.dbound().saturating_sub(t.member_held()) as u64;
-        }
+        let capacity = self
+            .pool
+            .tables()
+            .rows()
+            .filter(|&(_, alive, _)| alive)
+            .map(|(_, _, t)| t.dbound().saturating_sub(t.member_held()) as u64)
+            .sum();
         let entries: Vec<(f64, u64)> = self
             .slots
             .iter()
@@ -199,17 +198,11 @@ impl MarketSim {
     /// Fair-rank degrees `session` currently holds across the pool.
     fn fair_held(&self, session: SessionId) -> u64 {
         self.pool
-            .holdings_of(session)
-            .into_iter()
-            .map(|h| {
-                self.pool
-                    .table(h)
-                    .allocations()
-                    .iter()
-                    .filter(|a| a.session == session && a.rank == FAIR_HELPER_RANK)
-                    .map(|a| a.count as u64)
-                    .sum::<u64>()
-            })
+            .tables()
+            .rows()
+            .flat_map(|(_, _, t)| t.allocations())
+            .filter(|a| a.session == session && a.rank == FAIR_HELPER_RANK)
+            .map(|a| a.count as u64)
             .sum()
     }
 
@@ -235,7 +228,7 @@ impl MarketSim {
             // Host order — deterministic; the victim replans wholesale
             // anyway, so which hosts lose the trimmed degrees does not
             // matter beyond replayability.
-            for h in self.pool.holdings_of(sid) {
+            for h in self.pool.tables().holdings_of(sid) {
                 if excess == 0 {
                     break;
                 }
@@ -328,7 +321,7 @@ impl MarketSim {
         self.outcome.planner_relaxations += relaxations;
         if self.tracer.is_enabled() {
             let session = spec.id.0;
-            let degrees = self.pool.held_total(spec.id);
+            let degrees = self.pool.tables().held_total(spec.id);
             self.tracer.emit(now, || TraceEvent::MarketReserve {
                 session,
                 hosts,
@@ -362,7 +355,9 @@ impl MarketSim {
                 .helper_failures
                 .saturating_add(out.helper_failures as u64);
             self.outcome.session_shares[i].push(out.helpers.len() as f64);
-            self.outcome.utilization.push(self.pool.utilization());
+            self.outcome
+                .utilization
+                .push(self.pool.tables().utilization());
         }
         // Victims replan shortly (they detect the loss via their reservation
         // being revoked; modeled as a 1 s notification delay).

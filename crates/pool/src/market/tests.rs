@@ -51,15 +51,14 @@ fn zero_count_reservation_leaves_no_holdings_entry() {
     let lease = Some(SimTime::from_secs(300));
     assert!(pool.reserve_leased(h, s, Rank::MEMBER, 0, lease).is_ok());
     assert!(
-        !pool.holds_on(s, h),
+        pool.tables().holdings_of(s).is_empty(),
         "zero-count reservation created a holdings entry"
     );
-    assert!(pool.holdings_of(s).is_empty());
     // A real claim is held, and releasing it cleans up fully.
     assert!(pool.reserve_leased(h, s, Rank::MEMBER, 2, lease).is_ok());
-    assert_eq!(pool.holdings_of(s), vec![h]);
+    assert_eq!(pool.tables().holdings_of(s), vec![h]);
     pool.release_on_host(s, h);
-    assert!(pool.sessions_holding().is_empty());
+    assert_eq!(pool.tables().total_used(), 0);
 }
 
 #[test]
@@ -446,7 +445,11 @@ fn stale_view_refusals_are_counted_and_leave_no_ghost_claims() {
     for i in 0..12u32 {
         pool.release_session(SessionId(i));
     }
-    assert_eq!(pool.total_used(), 0, "ghost claims survive a full release");
+    assert_eq!(
+        pool.tables().total_used(),
+        0,
+        "ghost claims survive a full release"
+    );
 }
 
 #[test]
@@ -601,5 +604,9 @@ fn admission_queue_bounds_and_timeouts_reject_cleanly() {
         out.admission.rejected + out.admission.queued_final
     );
     assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
-    assert_eq!(pool.total_used(), 0, "queued sessions hold no degrees");
+    assert_eq!(
+        pool.tables().total_used(),
+        0,
+        "queued sessions hold no degrees"
+    );
 }

@@ -464,6 +464,25 @@ fn book(
     (preempted, refused)
 }
 
+/// Hand back what `tree` booked for `spec`: every host but those `skip`
+/// names returns exactly the tree's degree there, at the rank it was booked
+/// at. Count-exact ([`ResourcePool::release_degrees`]), so a host the
+/// session's other trees share keeps their degrees.
+pub(crate) fn release_tree(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    tree: &MulticastTree,
+    helper_rank: Rank,
+    skip: impl Fn(&ResourcePool, HostId) -> bool,
+) {
+    for &h in tree.hosts() {
+        if !skip(pool, h) {
+            let rank = spec.booking_rank(h, helper_rank);
+            pool.release_degrees(h, spec.id, rank, tree.degree(h));
+        }
+    }
+}
+
 /// Result of planning a session's standby trees (trees 2..=k of a
 /// multipath session).
 #[derive(Clone, Debug, Default)]
@@ -611,10 +630,7 @@ pub fn plan_standby_trees(
         // are not expected — but a refusal must not leak the booked part.
         let (taken, refused) = book(pool, spec, &tree, shape, lease_until);
         if !refused.is_empty() {
-            for &h in tree.hosts().iter().filter(|h| !refused.contains(h)) {
-                let rank = spec.booking_rank(h, helper_rank);
-                pool.release_degrees(h, spec.id, rank, tree.degree(h));
-            }
+            release_tree(pool, spec, &tree, helper_rank, |_, h| refused.contains(&h));
             break;
         }
         preempted.extend(taken);
@@ -751,9 +767,9 @@ mod tests {
         let mut pool = small_pool(2);
         let s = spec(&pool, 1, 1, 11);
         plan_and_reserve(&mut pool, &s, &PlanConfig::default());
-        assert!(pool.total_used() > 0);
+        assert!(pool.tables().total_used() > 0);
         pool.release_session(SessionId(1));
-        assert_eq!(pool.total_used(), 0);
+        assert_eq!(pool.tables().total_used(), 0);
     }
 
     #[test]
@@ -761,9 +777,9 @@ mod tests {
         let mut pool = small_pool(3);
         let s = spec(&pool, 1, 2, 12);
         let a = plan_and_reserve(&mut pool, &s, &PlanConfig::default());
-        let used_a = pool.total_used();
+        let used_a = pool.tables().total_used();
         let b = plan_and_reserve(&mut pool, &s, &PlanConfig::default());
-        assert_eq!(pool.total_used(), used_a, "replan leaked degrees");
+        assert_eq!(pool.tables().total_used(), used_a, "replan leaked degrees");
         assert_eq!(a.oracle_height, b.oracle_height);
     }
 
@@ -966,7 +982,7 @@ mod tests {
             shape,
             Some(lease),
         );
-        let held = pool.held_total(SessionId(44));
+        let held = pool.tables().held_total(SessionId(44));
         assert!(held > 0);
         assert_eq!(
             held,
@@ -984,13 +1000,13 @@ mod tests {
             held
         );
         assert!(pool.expire_leases(SimTime::from_secs(300)).is_empty());
-        assert_eq!(pool.held_total(SessionId(44)), held);
+        assert_eq!(pool.tables().held_total(SessionId(44)), held);
         // …and a missed renewal returns every degree to the pool.
         let lapsed = pool.expire_leases(SimTime::from_secs(600));
         assert_eq!(lapsed, vec![(SessionId(44), held)]);
-        assert_eq!(pool.held_total(SessionId(44)), 0);
-        assert_eq!(pool.total_used(), 0);
-        assert!(pool.holdings_of(SessionId(44)).is_empty());
+        assert_eq!(pool.tables().held_total(SessionId(44)), 0);
+        assert_eq!(pool.tables().total_used(), 0);
+        assert!(pool.tables().holdings_of(SessionId(44)).is_empty());
     }
 
     #[test]
@@ -1044,21 +1060,29 @@ mod tests {
         assert_ne!(first, last);
         let filler = SessionId(60);
         let free = pool.available(first, Rank::helper(3));
-        pool.reserve(first, filler, Rank::helper(3), free).unwrap();
+        pool.reserve_leased(first, filler, Rank::helper(3), free, None)
+            .unwrap();
         pool.kill_host(last);
-        let held: Vec<(SessionId, u32)> = pool
-            .sessions_holding()
+        let holders: std::collections::BTreeSet<SessionId> = (0..pool.num_hosts() as u32)
+            .flat_map(|h| {
+                pool.table(HostId(h))
+                    .allocations()
+                    .iter()
+                    .map(|a| a.session)
+            })
+            .collect();
+        let held: Vec<(SessionId, u32)> = holders
             .into_iter()
-            .map(|v| (v, pool.held_total(v)))
+            .map(|v| (v, pool.tables().held_total(v)))
             .collect();
         let out = plan_from_view(&mut pool, &s, &cfg, &view);
         assert!(out.helper_failures > 0, "the crashed helper refused");
         assert!(
-            pool.held_total(filler) < free,
+            pool.tables().held_total(filler) < free,
             "the first attempt preempted the filler"
         );
         for (v, before) in held {
-            let lost = before - pool.held_total(v);
+            let lost = before - pool.tables().held_total(v);
             assert!(
                 lost == 0 || out.preempted.contains(&v),
                 "{v:?} lost {lost} degrees but is not in {:?}",
@@ -1124,12 +1148,12 @@ mod tests {
         let s = spec(&pool, 77, 2, 100);
         let cfg = PlanConfig::default(); // k_trees = 1
         let primary = plan_and_reserve(&mut pool, &s, &cfg);
-        let used = pool.total_used();
+        let used = pool.tables().total_used();
         let standby = plan_standby_trees(&mut pool, &s, &cfg, &primary.tree, &[], None);
         assert!(standby.trees.is_empty());
         assert!(standby.preempted.is_empty());
         assert_eq!(
-            pool.total_used(),
+            pool.tables().total_used(),
             used,
             "k = 1 standby pass touched the pool"
         );
@@ -1173,8 +1197,8 @@ mod tests {
         }
         // Releasing the session drains everything: nothing leaked.
         pool.release_session(s.id);
-        assert_eq!(pool.total_used(), 0);
-        assert!(pool.holdings_of(s.id).is_empty());
+        assert_eq!(pool.tables().total_used(), 0);
+        assert!(pool.tables().holdings_of(s.id).is_empty());
     }
 
     /// Like [`spec`], but roots the session at its best-uplink member: a

@@ -52,7 +52,7 @@ fn pool_holding_64_tables(n: usize) -> ResourcePool {
         )
         .expect("an idle host has a degree to lease");
         if i % 2 == 0 {
-            pool.reserve(h, SessionId(9), Rank::MEMBER, 1)
+            pool.reserve_leased(h, SessionId(9), Rank::MEMBER, 1, None)
                 .expect("and one for a member claim");
         }
     }
@@ -112,22 +112,21 @@ fn a_frozen_snapshot_costs_what_the_market_holds_not_the_pool() {
     for n in [4096usize, 32_768] {
         let pool = pool_holding_64_tables(n);
         let (first, first_cost) =
-            measured(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, None));
+            measured(|| FrozenSnapshot::new(pool.tables(), &[], &NO_QUEUES, None));
         assert!(
             first_cost.held >= 4 * n,
             "a run's first snapshot allocates the shared degree-bound vector"
         );
         let (second, cost) =
-            measured(|| FrozenSnapshot::capture(&pool, &[], &NO_QUEUES, Some(&first)));
+            measured(|| FrozenSnapshot::new(pool.tables(), &[], &NO_QUEUES, Some(&first)));
         let held = cost.held;
         assert!(
             held < 16 * 1024,
             "{n} hosts: a further snapshot retained {held} B for {HELD_TABLES} held tables"
         );
-        // Sparse is not lossy: both thaw to the dense capture.
-        let dense = pool::MarketSnapshot::capture(&pool, &[], &NO_QUEUES);
-        assert_eq!(first.thaw(), dense);
-        assert_eq!(second.thaw(), dense);
+        // Sparse is not lossy: both thaw to the pool's tables.
+        assert_eq!(first.thaw().tables, *pool.tables());
+        assert_eq!(second.thaw().tables, *pool.tables());
         costs.push(held);
     }
     assert_eq!(

@@ -11,11 +11,11 @@
 use std::sync::OnceLock;
 
 use netsim::{HostId, NetworkConfig};
-use pool::liveops::{reconstruct_at, HostSnap};
+use pool::liveops::reconstruct_at;
 use pool::market::{MarketConfig, MarketSim};
 use pool::{
-    DegreeTable, FrozenSnapshot, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot, OpsNote,
-    PoolConfig, PoolOp, Rank, ResourcePool, SessionId, SlotSnap,
+    DegreeTable, FrozenSnapshot, HostTables, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot,
+    OpsNote, PoolConfig, PoolOp, Rank, ResourcePool, SessionId, SlotSnap,
 };
 use proptest::prelude::*;
 use runstore::Stamped;
@@ -70,6 +70,25 @@ fn lease(kind: u8, now: SimTime) -> Option<SimTime> {
     }
 }
 
+/// The dense snapshot of `pool` with these mirrors.
+fn capture(pool: &ResourcePool, slots: &[SlotSnap], queues: &[Vec<u32>; 3]) -> MarketSnapshot {
+    MarketSnapshot {
+        tables: pool.tables().clone(),
+        slots: slots.to_vec(),
+        admission_queues: queues.clone(),
+    }
+}
+
+/// `dense` frozen, as the surface freezes the live pool.
+fn freeze(dense: &MarketSnapshot, previous: Option<&FrozenSnapshot>) -> FrozenSnapshot {
+    FrozenSnapshot::new(
+        &dense.tables,
+        &dense.slots,
+        &dense.admission_queues,
+        previous,
+    )
+}
+
 #[test]
 fn a_stamped_delta_is_at_most_56_bytes() {
     assert!(std::mem::size_of::<Stamped<MarketDelta>>() <= 56);
@@ -99,7 +118,7 @@ proptest! {
         // Every run has a host that is down and still holds stranded
         // claims, one permanent and one leased.
         let stranded = HostId(7);
-        pool.reserve(stranded, SessionId(0), Rank::MEMBER, 1).unwrap();
+        pool.reserve_leased(stranded, SessionId(0), Rank::MEMBER, 1, None).unwrap();
         pool.reserve_leased(stranded, SessionId(1), Rank::helper(2), 1, Some(secs(500)))
             .unwrap();
         pool.kill_host(stranded);
@@ -151,11 +170,11 @@ proptest! {
                 lo.snapshot_round(now, &pool, &slots, &queues);
                 let store = handle.lock().unwrap();
                 let frozen = &store.latest_snapshot().unwrap().state;
-                prop_assert_eq!(frozen.thaw(), MarketSnapshot::capture(&pool, &slots, &queues));
+                prop_assert_eq!(frozen.thaw(), capture(&pool, &slots, &queues));
             }
         }
 
-        let live = MarketSnapshot::capture(&pool, &slots, &queues);
+        let live = capture(&pool, &slots, &queues);
         let store = handle.lock().unwrap();
         for idx in 0..store.snapshots().len() {
             let replayed = reconstruct_at(&store, idx).unwrap();
@@ -198,33 +217,17 @@ proptest! {
             tables.push(t);
             alive.push(up);
         }
-        let dense = |tables: &[DegreeTable], alive: &[bool]| {
-            let mut snap = MarketSnapshot {
-                hosts: tables
-                    .iter()
-                    .zip(alive)
-                    .enumerate()
-                    .map(|(i, (table, &alive))| HostSnap {
-                        host: HostId(i as u32),
-                        alive,
-                        table: table.clone(),
-                    })
-                    .collect(),
-                slots: vec![idle_slot(3)],
-                admission_queues: [vec![0], Vec::new(), vec![2, 1]],
-                lease_horizons: Vec::new(),
-                used: 0,
-                capacity: 0,
-            };
-            snap.refresh_derived();
-            snap
+        let dense = |tables: &[DegreeTable], alive: &[bool]| MarketSnapshot {
+            tables: HostTables::new(alive.to_vec(), tables.to_vec()),
+            slots: vec![idle_slot(3)],
+            admission_queues: [vec![0], Vec::new(), vec![2, 1]],
         };
 
         let start = dense(&tables, &alive);
-        let frozen = FrozenSnapshot::of(&start, None);
+        let frozen = freeze(&start, None);
         prop_assert_eq!(&frozen.thaw(), &start);
         // A second snapshot of unchanged bounds shares them and is equal.
-        prop_assert_eq!(&FrozenSnapshot::of(&start, Some(&frozen)), &frozen);
+        prop_assert_eq!(&freeze(&start, Some(&frozen)), &frozen);
 
         // Fold the ops into the thawed snapshot and, as every-table
         // sweeps, into the plain tables.
@@ -250,7 +253,9 @@ proptest! {
                 _ if n == 0 => continue,
                 0..=2 => {
                     let expires_at = lease(lease_kind, now);
-                    let ok = tables[host % n].reserve_until(s, r, count, expires_at).is_ok();
+                    // A down host refuses every claim.
+                    let ok = alive[host % n]
+                        && tables[host % n].reserve_until(s, r, count, expires_at).is_ok();
                     PoolOp::Reserve {
                         host: HostId((host % n) as u32),
                         session: s,
@@ -289,7 +294,6 @@ proptest! {
             };
             replay.apply(&MarketDelta::Pool(pool_op));
         }
-        replay.refresh_derived();
         prop_assert_eq!(replay, dense(&tables, &alive));
     }
 }

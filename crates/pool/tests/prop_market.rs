@@ -127,7 +127,7 @@ proptest! {
         for s in 0..6u32 {
             pool.release_session(SessionId(s));
         }
-        prop_assert_eq!(pool.total_used(), 0);
+        prop_assert_eq!(pool.tables().total_used(), 0);
     }
 
     #[test]
@@ -196,7 +196,7 @@ proptest! {
         for s in 0..4u32 {
             pool.release_session(SessionId(s));
         }
-        prop_assert_eq!(pool.total_used(), 0);
+        prop_assert_eq!(pool.tables().total_used(), 0);
     }
 
     #[test]
@@ -251,7 +251,7 @@ proptest! {
         // claims at every rank break some of the ties, rank by rank.
         let mut pool = wide().clone();
         for (i, (host, rank, count)) in claims.into_iter().enumerate() {
-            let _ = pool.reserve(HostId(host), SessionId(i as u32 % 8), Rank(rank), count);
+            let _ = pool.reserve_leased(HostId(host), SessionId(i as u32 % 8), Rank(rank), count, None);
         }
         if kill_every > 0 {
             for h in (0..700).step_by(kill_every) {

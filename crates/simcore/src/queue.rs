@@ -106,6 +106,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
+    // `#[inline]` for the reason `schedule` has it: an edit to `pool` left
+    // the recovery pipeline's heartbeat and gather loops calling this out
+    // of line, and that run took ≈ 12 % longer.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(e) = self.heap.pop()?;
         debug_assert!(e.at >= self.now, "event queue time went backwards");

@@ -56,7 +56,7 @@ fn main() {
 
     // The executive review can steal helpers the chat holds; show a degree
     // table of a contended host if any helper overlaps.
-    let total: u32 = pool.total_used();
+    let total: u32 = pool.tables().total_used();
     println!("\npool degrees reserved across all sessions: {total}");
     if let Some((_, _, out)) = outcomes.first() {
         if let Some(&h) = out.helpers.first() {

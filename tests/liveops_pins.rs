@@ -179,9 +179,10 @@ fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
             "replay from snapshot {idx} diverged"
         );
     }
-    for (i, hs) in final_state.hosts.iter().enumerate() {
-        assert_eq!(&hs.table, run.pool.table(HostId(i as u32)));
-    }
+    assert!(
+        final_state.tables == *run.pool.tables(),
+        "the final snapshot's tables are not the live pool's"
+    );
 
     // Store-served operator queries carry the Freshness contract.
     let bound = SimTime::from_secs(60);
@@ -268,8 +269,7 @@ fn bounded_store_counts_its_evictions_and_refuses_what_they_cover() {
     assert_eq!(hosts_crossed_up(&store, SimTime::ZERO, bound), Err(refused));
     // The closing snapshot needs no delta, so "over threshold now" is
     // still answered, and it is the live pool's answer.
-    let queues = [Vec::new(), Vec::new(), Vec::new()];
-    let live = MarketSnapshot::capture(ring_pool, &[], &queues).hosts_over_utilization(0.9);
+    let live = ring_pool.tables().hosts_over_utilization(0.9);
     let over = hosts_over_threshold(&store, 0.9, bound).expect("closing snapshot is consistent");
     assert!(!live.is_empty(), "the workload must load some host");
     assert_eq!(over.hosts, live);

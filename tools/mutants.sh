@@ -23,7 +23,7 @@
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
 # must be kept in step with the code. On 2 cores the first run's builds
-# and baseline take ≈ 5 min and each mutation 1–2 min (≈ 49 min for the
+# and baseline take ≈ 5 min and each mutation 1–2 min (≈ 52 min for the
 # table below, 20 of it one row that hits the timeout). This is a
 # measurement tool, like `perf_e2e`; no CI job runs it.
 set -euo pipefail
@@ -120,6 +120,18 @@ MUTANTS = [
         "crates/pool/src/liveops.rs",
         "            store.append_delta(at, MarketDelta::Slot { index, state });\n",
         "",
+    ),
+    (
+        "a dead host accepts reservations (live and replay alike)",
+        "crates/pool/src/lib.rs",
+        "        if !self.alive[h.idx()] {\n            return Err(",
+        "        if false {\n            return Err(",
+    ),
+    (
+        "the replay ignores a reserve's logged verdict",
+        "crates/pool/src/lib.rs",
+        'assert!(got == ok, "replayed {op:?}, which now returns ok: {got}");',
+        "let _ = (got, ok);",
     ),
     (
         "the gather folds children in reverse tree order",

@@ -17,9 +17,15 @@
 # line that differs (its number and the A and B lines, which carry the
 # simulated time, the event and its session), then how many cells moved.
 # A trace that is a prefix of the other is reported at the first line the
-# shorter one lacks. A cell only B has is listed as new. The tool reports;
-# it writes no pin and nothing in the repository (re-pinning stays by
-# hand, as `crates/testkit` says).
+# shorter one lacks. A cell only B has is listed as new.
+#
+# Then, for each committed anchor `results/*.json` that differs between
+# the two commits, prints every JSON path whose value changed as
+# `path: old → new` (a key or element only one side has reads `(absent)`
+# on the other), then how many anchors moved. The anchors are compared as
+# committed; nothing is regenerated for this. The tool reports; it writes
+# no pin and nothing in the repository (re-pinning stays by hand, as
+# `crates/testkit` says).
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 PARENT" >&2
@@ -71,3 +77,45 @@ done < <(tr -s ' ' <"$dir/a/cells.txt")
 awk 'FNR == NR { a[$1]; next } !($1 in a) { print "new in B: " $1 }' \
   "$dir/a/cells.txt" "$dir/b/cells.txt"
 echo "$moved of $cells cells moved"
+
+PYTHONIOENCODING=utf-8 python3 - "$dir/a/results" "$dir/b/results" <<'PY'
+import json, os, sys
+
+a_dir, b_dir = sys.argv[1:]
+ABSENT = object()
+
+
+def changes(path, a, b):
+    """`(path, old, new)` of every leaf that differs, in document order."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in list(a) + [k for k in b if k not in a]:
+            yield from changes(f"{path}.{k}", a.get(k, ABSENT), b.get(k, ABSENT))
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            old = a[i] if i < len(a) else ABSENT
+            new = b[i] if i < len(b) else ABSENT
+            yield from changes(f"{path}[{i}]", old, new)
+    elif type(a) is not type(b) or a != b:
+        yield path, a, b
+
+
+def show(v):
+    return "(absent)" if v is ABSENT else json.dumps(v)
+
+
+def load(d, name):
+    p = os.path.join(d, name)
+    return json.load(open(p)) if os.path.exists(p) else ABSENT
+
+
+names = sorted({n for d in (a_dir, b_dir) for n in os.listdir(d) if n.endswith(".json")})
+moved = 0
+for name in names:
+    diffs = list(changes("$", load(a_dir, name), load(b_dir, name)))
+    if diffs:
+        moved += 1
+        print(f"moved: results/{name}")
+        for path, old, new in diffs:
+            print(f"  {path}: {show(old)} → {show(new)}")
+print(f"{moved} of {len(names)} anchors moved")
+PY
