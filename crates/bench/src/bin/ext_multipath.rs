@@ -30,8 +30,9 @@
 //! Four properties are asserted, not just measured:
 //!
 //! * **Zero-fault anchor** — the k=1 / rate-0 cell reproduces
-//!   `fig10_multi_session.json`'s sessions=20 row bit-identically (the
-//!   fault path and the multipath machinery are strict no-ops there);
+//!   `fig10_multi_session.json`'s sessions=20 row bit-identically (no
+//!   lease lapses without a crash, and at k=1 the multipath machinery is
+//!   a strict no-op);
 //! * **No leaks, no double-counting** — at every cell the audit is clean
 //!   (including the `degree-conservation` and `tree-disjointness`
 //!   invariants) and the leak census finds zero degrees still booked past

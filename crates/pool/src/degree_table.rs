@@ -154,23 +154,10 @@ impl DegreeTable {
 
     /// Reserve `count` degrees for `session` at `rank`, preempting
     /// worse-rank holders if needed (worst rank evicted first). Returns the
-    /// preempted sessions `(session, degrees_lost)`.
-    ///
-    /// # Errors
-    /// If even full preemption cannot satisfy the claim; the table is left
-    /// unchanged.
-    pub fn reserve(
-        &mut self,
-        session: SessionId,
-        rank: Rank,
-        count: u32,
-    ) -> Result<Vec<(SessionId, u32)>, InsufficientDegree> {
-        self.reserve_until(session, rank, count, None)
-    }
-
-    /// Like [`DegreeTable::reserve`], but the claim is a **lease**: it lapses
-    /// at `expires_at` unless renewed (see [`DegreeTable::renew`] and
-    /// [`DegreeTable::expire`]). `None` reserves permanently.
+    /// preempted sessions `(session, degrees_lost)`. The claim is a
+    /// **lease**: it lapses at `expires_at` unless renewed (see
+    /// [`DegreeTable::renew`] and [`DegreeTable::expire`]). `None`
+    /// reserves permanently.
     ///
     /// # Errors
     /// If even full preemption cannot satisfy the claim; the table is left
@@ -296,11 +283,6 @@ impl DegreeTable {
         lapsed.sort_unstable_by_key(|(s, _)| *s);
         lapsed
     }
-
-    /// The earliest lease deadline on this host, if any claim is leased.
-    pub fn next_expiry(&self) -> Option<SimTime> {
-        self.alloc.iter().filter_map(|a| a.expires_at).min()
-    }
 }
 
 /// A reservation could not be satisfied even with preemption.
@@ -334,8 +316,10 @@ mod tests {
         // x: dbound 4, 2 degrees to s4 at priority 1, 1 degree to s12 at
         // priority 3.
         let mut x = DegreeTable::new(4);
-        x.reserve(SessionId(4), Rank::helper(1), 2).unwrap();
-        x.reserve(SessionId(12), Rank::helper(3), 1).unwrap();
+        x.reserve_until(SessionId(4), Rank::helper(1), 2, None)
+            .unwrap();
+        x.reserve_until(SessionId(12), Rank::helper(3), 1, None)
+            .unwrap();
         assert_eq!(x.free(), 1);
         assert_eq!(x.available_at(Rank::helper(1)), 2); // free + s12's degree
         assert_eq!(x.available_at(Rank::helper(3)), 1); // free only
@@ -345,11 +329,15 @@ mod tests {
     #[test]
     fn preemption_takes_worst_rank_first() {
         let mut t = DegreeTable::new(4);
-        t.reserve(SessionId(1), Rank::helper(2), 2).unwrap();
-        t.reserve(SessionId(2), Rank::helper(3), 2).unwrap();
+        t.reserve_until(SessionId(1), Rank::helper(2), 2, None)
+            .unwrap();
+        t.reserve_until(SessionId(2), Rank::helper(3), 2, None)
+            .unwrap();
         // Priority-1 claim of 3: takes 0 free, must evict s2 (rank 3)
         // fully and s1 (rank 2) for one degree.
-        let pre = t.reserve(SessionId(3), Rank::helper(1), 3).unwrap();
+        let pre = t
+            .reserve_until(SessionId(3), Rank::helper(1), 3, None)
+            .unwrap();
         assert_eq!(pre, vec![(SessionId(2), 2), (SessionId(1), 1)]);
         assert_eq!(t.held_by(SessionId(3)), 3);
         assert_eq!(t.held_by(SessionId(1)), 1);
@@ -359,8 +347,11 @@ mod tests {
     #[test]
     fn equal_rank_cannot_preempt() {
         let mut t = DegreeTable::new(2);
-        t.reserve(SessionId(1), Rank::helper(2), 2).unwrap();
-        let err = t.reserve(SessionId(2), Rank::helper(2), 1).unwrap_err();
+        t.reserve_until(SessionId(1), Rank::helper(2), 2, None)
+            .unwrap();
+        let err = t
+            .reserve_until(SessionId(2), Rank::helper(2), 1, None)
+            .unwrap_err();
         assert_eq!(err.available, 0);
         // Table unchanged.
         assert_eq!(t.held_by(SessionId(1)), 2);
@@ -369,8 +360,11 @@ mod tests {
     #[test]
     fn member_claim_preempts_priority_one_helpers() {
         let mut t = DegreeTable::new(2);
-        t.reserve(SessionId(1), Rank::helper(1), 2).unwrap();
-        let pre = t.reserve(SessionId(2), Rank::MEMBER, 2).unwrap();
+        t.reserve_until(SessionId(1), Rank::helper(1), 2, None)
+            .unwrap();
+        let pre = t
+            .reserve_until(SessionId(2), Rank::MEMBER, 2, None)
+            .unwrap();
         assert_eq!(pre, vec![(SessionId(1), 2)]);
         assert_eq!(t.held_by(SessionId(2)), 2);
     }
@@ -378,8 +372,10 @@ mod tests {
     #[test]
     fn release_frees_everything() {
         let mut t = DegreeTable::new(5);
-        t.reserve(SessionId(7), Rank::helper(2), 2).unwrap();
-        t.reserve(SessionId(7), Rank::MEMBER, 1).unwrap();
+        t.reserve_until(SessionId(7), Rank::helper(2), 2, None)
+            .unwrap();
+        t.reserve_until(SessionId(7), Rank::MEMBER, 1, None)
+            .unwrap();
         assert_eq!(t.release(SessionId(7)), 3);
         assert_eq!(t.free(), 5);
         assert_eq!(t.release(SessionId(7)), 0);
@@ -392,7 +388,8 @@ mod tests {
         // detection path and the lease-expiry sweep. The second release must
         // be a no-op, and `free()` must never exceed `dbound`.
         let mut t = DegreeTable::new(3);
-        t.reserve(SessionId(9), Rank::helper(2), 2).unwrap();
+        t.reserve_until(SessionId(9), Rank::helper(2), 2, None)
+            .unwrap();
         assert_eq!(t.release(SessionId(9)), 2);
         assert_eq!(t.release(SessionId(9)), 0);
         assert_eq!(t.release(SessionId(9)), 0);
@@ -409,8 +406,10 @@ mod tests {
         // this host: 2 + 1) plus an unrelated helper claim. Tearing down one
         // tree returns exactly its degree, leaving the other allocations.
         let mut t = DegreeTable::new(6);
-        t.reserve(SessionId(7), Rank::MEMBER, 3).unwrap();
-        t.reserve(SessionId(7), Rank::helper(2), 2).unwrap();
+        t.reserve_until(SessionId(7), Rank::MEMBER, 3, None)
+            .unwrap();
+        t.reserve_until(SessionId(7), Rank::helper(2), 2, None)
+            .unwrap();
         assert_eq!(t.release_count(SessionId(7), Rank::MEMBER, 1), 1);
         assert_eq!(t.held_by(SessionId(7)), 4);
         assert_eq!(t.free(), 2);
@@ -436,7 +435,6 @@ mod tests {
             Some(t0 + SimTime::from_secs(50)),
         )
         .unwrap();
-        assert_eq!(t.next_expiry(), Some(t0));
         // Before any deadline nothing lapses.
         assert!(t.expire(SimTime::from_secs(99)).is_empty());
         // Session 1 renews; session 2 does not.
@@ -470,7 +468,8 @@ mod tests {
     #[test]
     fn permanent_reservations_never_expire_and_win_lease_merges() {
         let mut t = DegreeTable::new(4);
-        t.reserve(SessionId(1), Rank::helper(1), 1).unwrap();
+        t.reserve_until(SessionId(1), Rank::helper(1), 1, None)
+            .unwrap();
         // Merging a leased claim into a permanent one keeps it permanent.
         t.reserve_until(
             SessionId(1),
@@ -511,7 +510,11 @@ mod tests {
     #[test]
     fn zero_count_reservation_is_noop() {
         let mut t = DegreeTable::new(1);
-        assert_eq!(t.reserve(SessionId(1), Rank::helper(3), 0).unwrap(), vec![]);
+        assert_eq!(
+            t.reserve_until(SessionId(1), Rank::helper(3), 0, None)
+                .unwrap(),
+            vec![]
+        );
         assert_eq!(t.free(), 1);
     }
 
@@ -537,7 +540,7 @@ mod tests {
                     t.release(sid);
                 } else {
                     let rank = Rank(rank.min(3));
-                    let _ = t.reserve(sid, rank, count);
+                    let _ = t.reserve_until(sid, rank, count, None);
                 }
                 prop_assert!(t.used() <= t.dbound());
                 prop_assert_eq!(t.free() + t.used(), t.dbound());
@@ -601,7 +604,7 @@ mod tests {
             let mut t = DegreeTable::new(dbound);
             for (sess, prio, count) in claims {
                 let before_used = t.used();
-                match t.reserve(SessionId(sess), Rank::helper(prio), count) {
+                match t.reserve_until(SessionId(sess), Rank::helper(prio), count, None) {
                     Ok(preempted) => {
                         let stolen: u32 = preempted.iter().map(|p| p.1).sum();
                         // used grows by exactly count - stolen... no:

@@ -61,7 +61,7 @@
 //! snapshot cadence; an empty store answers with `staleness == bound` —
 //! honest uncertainty, not false confidence.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use netsim::HostId;
@@ -389,9 +389,9 @@ pub struct LiveOps {
     watch: PressureWatch,
     last_slots: Vec<Option<SlotSnap>>,
     last_queues: [Vec<u32>; 3],
-    /// Last observed side of the utilization threshold per host (`None`
-    /// before first snapshot round).
-    last_over: Vec<Option<bool>>,
+    /// The hosts at or above the utilization threshold at the last
+    /// snapshot round (empty before the first).
+    last_over: BTreeSet<HostId>,
 }
 
 impl LiveOps {
@@ -409,7 +409,7 @@ impl LiveOps {
             watch,
             last_slots: Vec::new(),
             last_queues: [Vec::new(), Vec::new(), Vec::new()],
-            last_over: Vec::new(),
+            last_over: BTreeSet::new(),
         }
     }
 
@@ -529,21 +529,19 @@ impl LiveOps {
         if let Some(scarce) = self.watch.observe(&pool_wide) {
             notes.push(OpsNote::Pressure { scarce });
         }
-        self.last_over.resize(pool.num_hosts(), None);
-        for (h, _, t) in pool.tables().rows() {
-            if t.dbound() == 0 {
-                continue;
-            }
-            let over = t.used() as f64 / t.dbound() as f64 >= self.cfg.util_threshold;
-            let fire = match self.last_over[h.idx()] {
-                None => over, // first observation alarms only
-                Some(prev) => prev != over,
-            };
-            self.last_over[h.idx()] = Some(over);
-            if fire {
-                notes.push(OpsNote::UtilCrossing { host: h, up: over });
-            }
+        // A crossing is a host in one round's over-set and not the other's,
+        // merged in host order; the first round compares against the empty
+        // set, so it alarms only.
+        let over: BTreeSet<HostId> = pool
+            .tables()
+            .hosts_over_utilization(self.cfg.util_threshold)
+            .into_iter()
+            .collect();
+        for &host in self.last_over.symmetric_difference(&over) {
+            let up = over.contains(&host);
+            notes.push(OpsNote::UtilCrossing { host, up });
         }
+        self.last_over = over;
         let mut store = self.handle.lock().expect("run store lock poisoned");
         let previous = store.latest_snapshot().map(|s| &s.state);
         let snap = FrozenSnapshot::new(pool.tables(), slots, queues, previous);

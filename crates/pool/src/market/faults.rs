@@ -10,7 +10,7 @@ use simcore::rng::derive_rng2;
 use simcore::trace::TraceEvent;
 use simcore::SimTime;
 
-use super::{Ev, MarketSim, Phase, SpecInput, DETECT_DELAY, FAILOVER_DELAY};
+use super::{Ev, MarketSim, NoPlan, Phase, SpecInput, DETECT_DELAY, FAILOVER_DELAY};
 use crate::degree_table::SessionId;
 use crate::task_manager::{plan_standby_trees, release_tree, victims};
 
@@ -58,10 +58,14 @@ impl MarketSim {
             return;
         }
         let spec = self.slots[i].spec.clone();
-        if !self.pool.is_alive(spec.root) {
+        // `None` when fewer than two members live: the session goes
+        // dormant below, once the detection is on the books.
+        let lease = match self.shape_spec(spec.clone(), now) {
+            Ok(input) => Some(input.lease),
+            Err(NoPlan::Dormant) => None,
             // The root died too; the pending failover owns this session.
-            return;
-        }
+            Err(NoPlan::RootDead) => return,
+        };
         // Release every stranded claim (degrees booked on hosts that are
         // now dead), in host order. `release_on_host` is idempotent, so
         // overlapping detections are harmless.
@@ -101,19 +105,13 @@ impl MarketSim {
             let stats = self.outcome.per_class.get_mut(class);
             stats.helper_crashes = stats.helper_crashes.saturating_add(crashed_helpers as u64);
         }
-        // Fewer than two live members left: nothing to multicast to.
-        // Mirror the dormant policy of `plan` — hold no degrees while
-        // dormant — instead of repairing down to a tree that serves
-        // nobody (the root alone, holding a zero-degree claim).
-        let live_members = spec
-            .members
-            .iter()
-            .filter(|&&m| self.pool.is_alive(m))
-            .count();
-        if live_members < 2 {
+        // Dormant: hold no degrees, as `plan` does, instead of repairing
+        // down to a tree that serves nobody (the root alone, holding a
+        // zero-degree claim).
+        let Some(lease) = lease else {
             self.go_dormant(i, now);
             return;
-        }
+        };
         // Multipath sessions respond by failover, not in-place repair: an
         // intact tree (the primary, or the best standby promoted in its
         // place) keeps serving while the lost trees are lazily re-planned
@@ -154,7 +152,7 @@ impl MarketSim {
             retries: report.retries,
             gave_up: report.gave_up as u64,
         };
-        if report.gave_up == 0 && self.resync_holdings(i, &repaired, now) {
+        if report.gave_up == 0 && self.resync_holdings(i, &repaired, lease, now) {
             self.outcome.incremental_replans += 1;
             self.tracer.emit(now, || repair_ev(true));
             return;
@@ -170,21 +168,26 @@ impl MarketSim {
 
     /// Re-reserve a session's holdings to mirror `tree` exactly: members
     /// at member rank, everything else at its shape's helper rank,
-    /// leased one TTL out (re-syncing IS renewing, like [`Self::plan`]).
+    /// leased to `lease` (re-syncing IS renewing, like [`Self::plan`]).
     /// Returns `false` — with the session's claims released, so the
     /// fallback full replan starts clean — if any host refuses. Preemption
     /// victims are notified exactly as [`Self::plan`] notifies them.
-    fn resync_holdings(&mut self, i: usize, tree: &MulticastTree, now: SimTime) -> bool {
+    fn resync_holdings(
+        &mut self,
+        i: usize,
+        tree: &MulticastTree,
+        lease: SimTime,
+        now: SimTime,
+    ) -> bool {
         let spec = self.slots[i].spec.clone();
         let helper_rank = self.shape(i, u64::MAX).helper_rank;
-        let lease = Some(now + self.cfg.lease_ttl);
         self.pool.release_session(spec.id);
         let mut preempted: Vec<SessionId> = Vec::new();
         for &h in tree.hosts() {
             let rank = spec.booking_rank(h, helper_rank);
             match self
                 .pool
-                .reserve_leased(h, spec.id, rank, tree.degree(h), lease)
+                .reserve_leased(h, spec.id, rank, tree.degree(h), Some(lease))
             {
                 Ok(victims) => preempted.extend(victims.into_iter().map(|(s, _)| s)),
                 Err(_) => {
@@ -298,8 +301,8 @@ impl MarketSim {
     /// standbys, under the same residual-capacity and fan-out-cap rules as
     /// the original plan. Best-effort — a pool with no spare capacity
     /// leaves the session at reduced redundancy until the next replan tops
-    /// it up. Crashes schedule it, so the spec is always shaped under a
-    /// fault plan: live members only, leased one TTL out.
+    /// it up. The spec is shaped as for a replan: live members only,
+    /// leased one TTL out.
     pub(super) fn rebuild_standby(&mut self, i: usize, cycle: u64, now: SimTime) {
         if !self.runs_cycle(i, cycle) || self.cfg.plan.k_trees <= 1 {
             return;
@@ -322,7 +325,7 @@ impl MarketSim {
             &self.cfg.plan,
             &trees[0],
             &trees[1..],
-            lease,
+            Some(lease),
         );
         let added = out.trees.len() as u32;
         trees.extend(out.trees);

@@ -62,8 +62,10 @@
 //!   consistency, tree degree bounds and cross-tree disjointness —
 //!   hard-failing under `debug-assertions`.
 //!
-//! With an empty fault plan none of the extra events are scheduled and the
-//! trajectory is bit-identical to the fault-oblivious market.
+//! Leases, the lease sweep and the liveness rules run under every fault
+//! plan, the empty one included: a crash-free run is the same market with
+//! nothing to detect. A live session replans at least every 120 s and a
+//! lease lasts 300 s, so without a crash no lease ever lapses.
 
 use alm::dynamic::ReattachConfig;
 use alm::MulticastTree;
@@ -169,15 +171,13 @@ pub struct MarketConfig {
     /// `view_refresh` is `None` (live planning, as fig 10 and every
     /// `MarketConfig::default()` run plan).
     pub discovery: DiscoveryMode,
-    /// Fault plan. Only the crash schedules are interpreted (node labels
-    /// are host indices); with no crashes the market runs the zero-cost
-    /// fault-oblivious path and its trajectory is bit-identical to the
-    /// pre-lease simulator.
+    /// Fault plan. The crash schedules are interpreted (node labels are
+    /// host indices); the read-only delivery rounds run when it has
+    /// crashes or message loss, and draw that loss from its rate and seed.
     pub faults: FaultPlan,
-    /// Lease lifetime of every reservation under a non-empty fault plan.
-    /// Each replan renews the session's leases, so any value comfortably
-    /// above the 120 s replan period keeps a live session from ever
-    /// lapsing.
+    /// Lease lifetime of every reservation. Each replan renews the
+    /// session's leases, so any value comfortably above the 120 s replan
+    /// period keeps a live session from ever lapsing.
     pub lease_ttl: SimTime,
     /// Bounded-retry/capped-backoff tuning for the mid-session crash
     /// repair.
@@ -239,9 +239,11 @@ enum Ev {
     Failover(usize, u64),
     /// Lazy background rebuild of a multipath session's lost standby trees.
     RebuildTree(usize, u64),
-    /// Periodic read-only delivery-accounting sample (fault runs only).
+    /// Periodic read-only delivery-accounting sample (runs with crashes
+    /// or message loss only).
     DeliveryRound,
-    /// Periodic lease-expiry sweep (scheduled only under a fault plan).
+    /// Periodic lease-expiry sweep: what a dead task manager booked lapses
+    /// back to the pool.
     ExpireLeases,
     /// Capped-backoff retry of a queued arrival (Admission mode only);
     /// stamped with the attempt number.
@@ -380,13 +382,13 @@ pub struct MarketSim {
 
 /// What the planner is handed for one session: the session spec as shaped
 /// for the moment (deputy root promoted, dead members dropped) plus the
-/// lease the reservations carry.
+/// lease deadline the reservations carry.
 struct SpecInput {
     spec: SessionSpec,
-    lease: Option<SimTime>,
+    lease: SimTime,
 }
 
-/// Why a session cannot plan right now (fault runs only).
+/// Why a session cannot plan right now.
 enum NoPlan {
     /// Its root is down: the pending failover owns the session.
     RootDead,
@@ -450,26 +452,19 @@ impl MarketSim {
         if cfg.view_refresh.is_some() {
             queue.schedule(SimTime::ZERO, Ev::RefreshView);
         }
-        // Fault-aware events are scheduled only when crashes exist, keeping
-        // the no-op fault path's event stream identical to the legacy one.
-        if !cfg.faults.crashes.is_empty() {
-            let n = pool.num_hosts() as u64;
-            for (at, node, down) in cfg.faults.crash_edges() {
-                if node < n {
-                    queue.schedule(at, Ev::HostFault(HostId(node as u32), down));
-                }
+        let n = pool.num_hosts() as u64;
+        for (at, node, down) in cfg.faults.crash_edges() {
+            if node < n {
+                queue.schedule(at, Ev::HostFault(HostId(node as u32), down));
             }
-            queue.schedule(REPLAN_PERIOD, Ev::ExpireLeases);
-            // Delivery accounting samples once per detection round. The
-            // handler is strictly read-only (no pool, RNG or schedule
-            // mutation beyond its own re-arm), so the extra events cannot
-            // perturb the fault trajectory; zero-fault runs schedule none
-            // and stay bit-identical.
-            queue.schedule(DETECT_DELAY, Ev::DeliveryRound);
-        } else if cfg.faults.loss > 0.0 {
-            // Message-loss-only plans still want delivery accounting; the
-            // round handler stays read-only so the trajectory is otherwise
-            // that of the zero-fault path.
+        }
+        queue.schedule(REPLAN_PERIOD, Ev::ExpireLeases);
+        // Delivery accounting samples once per detection round when there
+        // is something to lose: crashes or message loss. The handler is
+        // strictly read-only (no pool, RNG or schedule mutation beyond its
+        // own re-arm), so the rounds cannot perturb the trajectory they
+        // measure.
+        if !cfg.faults.crashes.is_empty() || cfg.faults.loss > 0.0 {
             queue.schedule(DETECT_DELAY, Ev::DeliveryRound);
         }
         let auditor = cfg.audit_period.map(Auditor::every);
@@ -509,11 +504,6 @@ impl MarketSim {
             mode,
             liveops: None,
         }
-    }
-
-    /// Crash schedules present — the fault-aware paths are live.
-    fn has_faults(&self) -> bool {
-        !self.cfg.faults.crashes.is_empty()
     }
 
     /// Attach a tracer; its records land in [`MarketOutcome::trace`]. The

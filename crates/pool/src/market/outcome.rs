@@ -129,9 +129,10 @@ pub struct MarketOutcome {
     /// active. The crash-tolerance contract is that this is 0: every
     /// crashed session either failed over or had its leases lapse.
     pub leaked_degrees: u32,
-    /// Per-round, per-session delivery ratio samples (fault runs only):
-    /// the fraction of a session's live members receiving through at least
-    /// one of its trees, sampled every detection round after warm-up.
+    /// Per-round, per-session delivery ratio samples (crash or loss runs
+    /// only): the fraction of a session's live members receiving through
+    /// at least one of its trees, sampled every detection round after
+    /// warm-up.
     pub delivery: OnlineStats,
     /// Rounds-to-restore samples: for each outage (a crash hitting the
     /// serving tree or its source), how many detection rounds passed until

@@ -34,7 +34,7 @@ impl MarketSim {
     /// took it — the deputy. `None` when no member survived.
     pub(super) fn start_root(&self, i: usize) -> Option<HostId> {
         let root = self.slots[i].spec.root;
-        if !self.has_faults() || self.pool.is_alive(root) {
+        if self.pool.is_alive(root) {
             Some(root)
         } else {
             self.lowest_live_member(i)
@@ -96,26 +96,24 @@ impl MarketSim {
             .emit(now, || TraceEvent::MarketRelease { session: id.0 });
     }
 
-    /// Shape a slot's `spec` for the planner at `now`. Under a fault plan
-    /// dead members are dropped (survivors carry on) and the reservations
-    /// are leased one TTL out: reserving IS renewing, so each replan is the
-    /// session's heartbeat.
+    /// Shape a slot's `spec` for the planner at `now` — the one place the
+    /// liveness, dormancy and lease rules live. Dead members are dropped
+    /// (survivors carry on), a session with fewer than two live members
+    /// is dormant, and the reservations are leased one TTL out: reserving
+    /// IS renewing, so each replan is the session's heartbeat.
     pub(super) fn shape_spec(
         &self,
         mut spec: SessionSpec,
         now: SimTime,
     ) -> Result<SpecInput, NoPlan> {
-        let mut lease = None;
-        if self.has_faults() {
-            if !self.pool.is_alive(spec.root) {
-                return Err(NoPlan::RootDead);
-            }
-            spec.members.retain(|&m| self.pool.is_alive(m));
-            if spec.members.len() < 2 {
-                return Err(NoPlan::Dormant);
-            }
-            lease = Some(now + self.cfg.lease_ttl);
+        if !self.pool.is_alive(spec.root) {
+            return Err(NoPlan::RootDead);
         }
+        spec.members.retain(|&m| self.pool.is_alive(m));
+        if spec.members.len() < 2 {
+            return Err(NoPlan::Dormant);
+        }
+        let lease = now + self.cfg.lease_ttl;
         Ok(SpecInput { spec, lease })
     }
 
@@ -296,10 +294,11 @@ impl MarketSim {
             (Mode::Admission(adm), _) => Candidates::Live(Some(&adm.member_hosts)),
             _ => Candidates::Live(None),
         };
+        let lease = Some(lease);
         let out =
             plan_and_reserve_with(&mut self.pool, &spec, &self.cfg.plan, source, shape, lease);
         // A fresh plan is an intact serving tree: close any open outage
-        // window (no-op on fault-free runs — the window never opens).
+        // window (no-op on crash-free runs — the window never opens).
         self.close_outage(i, now);
         let hosts = out.tree.len() as u32;
         let mut trees = vec![out.tree];
@@ -329,10 +328,8 @@ impl MarketSim {
                 relaxations,
                 latency_calls: 0,
             });
-            if lease.is_some() {
-                self.tracer
-                    .emit(now, || TraceEvent::MarketLeaseRenew { session });
-            }
+            self.tracer
+                .emit(now, || TraceEvent::MarketLeaseRenew { session });
             // Tiered-source runs also sample the oracle's per-tier
             // counters; exact-mode traces stay byte-identical.
             if let Some(t) = self.pool.oracle_stats() {

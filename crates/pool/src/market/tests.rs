@@ -453,26 +453,35 @@ fn stale_view_refusals_are_counted_and_leave_no_ghost_claims() {
 }
 
 #[test]
-fn zero_fault_plan_matches_the_fault_oblivious_trajectory() {
-    // The no-op fault path contract, in miniature: an explicitly empty
-    // fault plan (with auditing on) must not perturb a single stat.
-    let a = small_market(6, 31).run();
-    let cfg_b = MarketConfig {
-        faults: simcore::FaultPlan::none(),
-        audit_period: Some(SimTime::from_secs(30)),
-        ..faulty_cfg(6)
+fn a_crash_after_the_horizon_changes_nothing() {
+    // One market under every fault plan: a crash scheduled past the
+    // horizon only adds the read-only delivery rounds, so the plans, the
+    // class stats and the final tables (lease deadlines included) are the
+    // crash-free market's.
+    let run = |faults: FaultPlan| {
+        let cfg = MarketConfig {
+            faults,
+            audit_period: Some(SimTime::from_secs(30)),
+            ..faulty_cfg(6)
+        };
+        MarketSim::new(small_pool(31), cfg, 31).run_full()
     };
-    let b = MarketSim::new(small_pool(31), cfg_b, 31).run();
+    let (a, pool_a) = run(FaultPlan::none());
+    let (b, pool_b) = run(FaultPlan::none().crash_forever(0, SimTime::from_secs(1801)));
+    assert!(a.plans > 0);
     assert_eq!(a.plans, b.plans);
-    for p in 1..=3u8 {
-        assert_eq!(a.class(p).improvement.mean(), b.class(p).improvement.mean());
-        assert_eq!(a.class(p).helpers.mean(), b.class(p).helpers.mean());
-        assert_eq!(a.class(p).preemptions, b.class(p).preemptions);
-    }
+    assert_eq!(format!("{:?}", a.per_class), format!("{:?}", b.per_class));
     assert_eq!(a.utilization.mean(), b.utilization.mean());
-    assert_eq!(b.crash_repairs, 0);
-    assert_eq!(b.lapsed_lease_degrees, 0);
-    assert!(b.audit.is_clean());
+    for h in pool_a.net.hosts.ids() {
+        assert_eq!(
+            pool_a.table(h).allocations(),
+            pool_b.table(h).allocations(),
+            "final table of {h:?}"
+        );
+    }
+    assert_eq!((a.crash_repairs, b.crash_repairs), (0, 0));
+    assert_eq!((a.lapsed_lease_degrees, b.lapsed_lease_degrees), (0, 0));
+    assert!(a.audit.is_clean() && b.audit.is_clean());
 }
 
 /// A 3-session market over a small pool with `shape` applied to its

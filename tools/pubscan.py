@@ -7,8 +7,10 @@ name occurs nowhere outside its own definitions.
 Reads every `.rs` file under `crates/`, `src/`, `tests/`, `examples/` and
 `perf_e2e/src` of CHECKOUT (default: the repository this script is in),
 with `#[cfg(test)]` items and `//` comments stripped, so a name that only
-tests or comments mention counts as uncalled. The scan is by name, not by
-type: a name defined k times needs a (k+1)-th occurrence somewhere.
+unit tests or comments mention counts as uncalled. Integration tests (the
+`tests/` directories, root and per crate) are read like any other source:
+a name they call counts as called. The scan is by name, not by type: a
+name defined k times needs a (k+1)-th occurrence somewhere.
 
 Prints `file: name` for each uncalled item. Exits 1 if any is not in
 EXEMPT below, else 0. A name earns an exemption only when the tests of

@@ -23,9 +23,17 @@
 # the two commits, prints every JSON path whose value changed as
 # `path: old → new` (a key or element only one side has reads `(absent)`
 # on the other), then how many anchors moved. The anchors are compared as
-# committed; nothing is regenerated for this. The tool reports; it writes
-# no pin and nothing in the repository (re-pinning stays by hand, as
-# `crates/testkit` says).
+# committed; nothing is regenerated for this.
+#
+# Last, from `git diff PARENT HEAD` of the test files: every changed line
+# that holds a `(usize, u64)` pin pair, named by its `const PIN_…`, its
+# pin-table row (`name: … => (…)`) or else its file and the diff hunk's
+# function, as `name: old → new`; every changed `holds` / `fails` line of
+# `RECORDED` in `tests/paper_claims.rs`, as `old → new: claim`; then
+# `k pins moved, j verdicts flipped`. Pins and verdicts are re-recorded by
+# hand in the change that moves them, so the diff is their record. The
+# tool reports; it writes no pin and nothing in the repository
+# (re-pinning stays by hand, as `crates/testkit` says).
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 PARENT" >&2
@@ -118,4 +126,52 @@ for name in names:
         for path, old, new in diffs:
             print(f"  {path}: {show(old)} → {show(new)}")
 print(f"{moved} of {len(names)} anchors moved")
+PY
+
+git -C "$root" diff "$1" HEAD -- 'tests/*.rs' 'crates/*/tests/*.rs' >"$dir/tests.diff"
+PYTHONIOENCODING=utf-8 python3 - "$dir/tests.diff" <<'PY'
+import re, sys
+
+PAIR = re.compile(r"\((\d+),\s*(0x[0-9a-fA-F]+|\d{6,})\)")
+NAME = re.compile(r"\bconst\s+(PIN_\w+)\s*:|^\s*(\w+)\s*:.*=>")
+VERDICT = re.compile(r"(holds|fails)  (.*)")
+pins, claims = {}, {}
+path = context = ""
+for line in open(sys.argv[1], encoding="utf-8"):
+    line = line.rstrip("\n")
+    if line.startswith("diff --git "):
+        path = line.split(" b/", 1)[1]
+    elif line.startswith("@@"):
+        context = line.split("@@")[2].strip().rstrip(" {")
+    elif line[:1] in "+-" and not line.startswith(("+++", "---")):
+        side, body = line[0], line[1:]
+        v = VERDICT.fullmatch(body)
+        if path == "tests/paper_claims.rs" and v:
+            claims.setdefault(v[2], {})[side] = v[1]
+            continue
+        for m in PAIR.finditer(body):
+            n = NAME.search(body)
+            name = (n[1] or n[2]) if n else f"{path}: {context}"
+            pins.setdefault(name, {"-": [], "+": []})[side].append(m[0])
+
+
+def show(vs, i):
+    return vs[i] if i < len(vs) else "(absent)"
+
+
+moved = 0
+for name, sides in pins.items():
+    old, new = sides["-"], sides["+"]
+    if old == new:
+        continue
+    moved += 1
+    for i in range(max(len(old), len(new))):
+        print(f"pin {name}: {show(old, i)} → {show(new, i)}")
+flipped = 0
+for claim, v in claims.items():
+    old, new = v.get("-", "(absent)"), v.get("+", "(absent)")
+    if old != new:
+        flipped += "-" in v and "+" in v
+        print(f"verdict {old} → {new}: {claim}")
+print(f"{moved} pins moved, {flipped} verdicts flipped")
 PY
