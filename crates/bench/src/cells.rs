@@ -1,11 +1,17 @@
 //! The pinned market cells: every market whose trajectory the root tests
-//! pin or replay-check, in one table, so the tests and the `cells` binary
-//! run the same markets and render the same bytes.
+//! pin or replay-check, and the one `ext_liveops` gates, in one table, so
+//! the tests and the binaries run the same markets and render the same
+//! bytes.
 //!
 //! Each cell's pool comes from [`pool()`], which builds each distinct pool
 //! once per process and hands out clones: a market (or a test's plan, or
 //! its `promote_hot`) works on its own copy of the degree tables and of a
 //! tiered oracle's hot tier, and the pristine pool is never touched.
+//!
+//! The live-operations cells run with a [`LiveOps`] store attached
+//! ([`store_run`], under a [`surface`]); [`gate`] holds one such run to
+//! the store's contract against the same market ring-traced. The root
+//! tests and the `ext_liveops` binary both run it.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -13,11 +19,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use netsim::NetworkConfig;
 use oracle::{LatencySource, TieredConfig};
 use pool::degree_table::Allocation;
+use pool::liveops::{hosts_crossed_up, hosts_over_threshold, reconstruct_at};
 use pool::{
-    AdmissionConfig, AllocationMode, DiscoveryMode, MarketConfig, MarketOutcome, MarketSim,
-    PoolConfig, ResourcePool,
+    AdmissionConfig, AllocationMode, DiscoveryMode, LiveOps, LiveOpsConfig, MarketConfig,
+    MarketOutcome, MarketSim, MarketStoreHandle, PoolConfig, ResourcePool,
 };
+use simcore::trace::to_json_lines;
 use simcore::{FaultPlan, SimTime, TraceRecord, Tracer};
+
+/// Records a traced run's ring buffer holds: more than any cell emits, so
+/// a ring trace is the whole trace.
+const RING: usize = 1 << 16;
 
 /// A pristine pool for `(cfg, seed)`, cloned. The first caller for a
 /// config and seed builds it; later callers wait for that build and clone
@@ -73,13 +85,17 @@ pub enum Cell {
     /// [`Cell::Gate`] through the admission controller, so the admission
     /// FIFOs change.
     GateAdmission,
-    /// The 200-host slice `ext_liveops` ran in CI until it kept one size.
+    /// A 200-host live-operations market (six 10-member sessions, every
+    /// 9th host crashing), the store pins' second pool and seed.
     Smoke,
+    /// The default market at seed 3001: the live-operations market
+    /// `ext_liveops` gates and reports.
+    Operator,
 }
 
 impl Cell {
     /// Every cell, in table order.
-    pub const ALL: [Cell; 11] = [
+    pub const ALL: [Cell; 12] = [
         Cell::K1,
         Cell::K2,
         Cell::Pareto,
@@ -91,24 +107,39 @@ impl Cell {
         Cell::Gate,
         Cell::GateAdmission,
         Cell::Smoke,
+        Cell::Operator,
     ];
 
     /// The master seed of the pool and of the market.
     fn seed(self) -> u64 {
         match self {
             Cell::Admission => 31,
-            Cell::Smoke => 3001,
+            Cell::Smoke | Cell::Operator => 3001,
             _ => 29,
+        }
+    }
+
+    /// Hosts in the cell's pool.
+    fn num_hosts(self) -> usize {
+        match self {
+            Cell::Gate | Cell::GateAdmission => 150,
+            Cell::Smoke => 200,
+            _ => 300,
+        }
+    }
+
+    /// Every how many hosts one crashes for good: host `h` at `600 + h` s.
+    pub fn crash_step(self) -> usize {
+        match self {
+            Cell::PhaseLockedK1 | Cell::PhaseLockedK2 => 13,
+            Cell::HotTier16 => 11,
+            Cell::Smoke => 9,
+            _ => 7,
         }
     }
 
     /// The cell's pristine pool (a clone; see [`pool()`]).
     pub fn pool(self) -> ResourcePool {
-        let num_hosts = match self {
-            Cell::Gate | Cell::GateAdmission => 150,
-            Cell::Smoke => 200,
-            _ => 300,
-        };
         let latency_source = match self {
             Cell::PhaseLockedK1 | Cell::PhaseLockedK2 | Cell::Query => {
                 LatencySource::Tiered(TieredConfig::default())
@@ -121,7 +152,7 @@ impl Cell {
         };
         let cfg = PoolConfig {
             net: NetworkConfig {
-                num_hosts,
+                num_hosts: self.num_hosts(),
                 ..NetworkConfig::default()
             },
             coord_rounds: 4,
@@ -133,15 +164,13 @@ impl Cell {
 
     /// The cell's market, ready to run.
     pub fn sim(self) -> MarketSim {
-        let pool = self.pool();
-        let crash_step = match self {
-            Cell::PhaseLockedK1 | Cell::PhaseLockedK2 => 13,
-            Cell::HotTier16 => 11,
-            Cell::Smoke => 9,
-            _ => 7,
-        };
+        MarketSim::new(self.pool(), self.config(), self.seed())
+    }
+
+    /// The cell's market configuration.
+    pub fn config(self) -> MarketConfig {
         let mut faults = FaultPlan::none();
-        for h in (0..pool.num_hosts() as u64).step_by(crash_step) {
+        for h in (0..self.num_hosts() as u64).step_by(self.crash_step()) {
             faults = faults.crash_forever(h, SimTime::from_secs(600 + h));
         }
         let mut cfg = MarketConfig {
@@ -153,7 +182,7 @@ impl Cell {
             ..MarketConfig::default()
         };
         match self {
-            Cell::K1 => {}
+            Cell::K1 | Cell::Operator => {}
             Cell::K2 => cfg.plan.k_trees = 2,
             Cell::Pareto => cfg.allocation = AllocationMode::Pareto,
             Cell::Admission => {
@@ -197,14 +226,14 @@ impl Cell {
                 }
             }
         }
-        MarketSim::new(pool, cfg, self.seed())
+        cfg
     }
 
     /// Run the cell's market, traced into a ring buffer or not.
     pub fn run(self, traced: bool) -> (Run, Vec<TraceRecord>) {
         let mut sim = self.sim();
         if traced {
-            sim.set_tracer(Tracer::ring(1 << 16));
+            sim.set_tracer(Tracer::ring(RING));
         }
         let (mut out, pool) = sim.run_full();
         let trace = std::mem::take(&mut out.trace);
@@ -283,7 +312,7 @@ impl Cell {
                     out.oracle_resident_bytes,
                 )
             ),
-            Cell::Gate | Cell::GateAdmission | Cell::Smoke => return None,
+            Cell::Gate | Cell::GateAdmission | Cell::Smoke | Cell::Operator => return None,
         })
     }
 }
@@ -344,5 +373,155 @@ impl MarketTrace<'_> {
             ),
             tables: &run.tables,
         }
+    }
+}
+
+/// A store-attached run: its outcome, final pool and store.
+pub struct StoreRun {
+    /// The outcome; its `trace` is empty (the store owns the records).
+    pub out: MarketOutcome,
+    /// The final pool.
+    pub pool: ResourcePool,
+    /// The run store the surface filled.
+    pub store: MarketStoreHandle,
+}
+
+/// Run `cell` with `lo` attached.
+pub fn store_run(cell: Cell, lo: LiveOps) -> StoreRun {
+    let mut sim = cell.sim();
+    let store = sim.attach_liveops(lo);
+    let (out, pool) = sim.run_full();
+    StoreRun { out, pool, store }
+}
+
+/// An operator surface on the default snapshot period: its thresholds
+/// and, pool-wide, the `(member, rank, min_free, threshold)` of each
+/// standing query.
+pub fn surface(
+    util_threshold: f64,
+    pressure_threshold: f64,
+    queries: &[(u32, u8, u32, u64)],
+) -> LiveOps {
+    let mut lo = LiveOps::new(LiveOpsConfig {
+        util_threshold,
+        pressure_threshold,
+        ..LiveOpsConfig::default()
+    });
+    for &(member, rank, min_free, threshold) in queries {
+        lo.subscribe(member, [0.0, 0.0], 1e9, rank, min_free, threshold);
+    }
+    lo
+}
+
+/// The staleness bound the store-served operator queries are asked under.
+pub const QUERY_BOUND: SimTime = SimTime::from_secs(60);
+
+/// The two runs [`gate`] checked against each other.
+pub struct Gated {
+    /// The ring-traced run: its outcome, trace kept, and final pool.
+    pub ring: (MarketOutcome, ResourcePool),
+    /// The same market with the surface attached.
+    pub run: StoreRun,
+}
+
+/// Every host's final degree table and liveness in `store` are `ring`'s.
+///
+/// # Panics
+/// On the first host that differs.
+pub fn assert_same_pool(ring: &ResourcePool, store: &ResourcePool) {
+    for h in ring.net.hosts.ids() {
+        assert_eq!(ring.table(h), store.table(h), "final table of {h:?}");
+        assert_eq!(ring.is_alive(h), store.is_alive(h), "liveness of {h:?}");
+    }
+}
+
+/// Run `cell` ring-traced and again with `lo` attached, and hold the store
+/// to its contract:
+///
+/// * attaching it is **trajectory-neutral**: the store's trace is the
+///   ring's, byte for byte (and the ring did not overflow), the plan count
+///   and leak census are equal, and so is every host's final table and
+///   liveness;
+/// * its accounting is **exact**: every record appended, nothing evicted,
+///   at least two snapshots;
+/// * **replay from every snapshot** (snapshot + delta fold) lands on the
+///   final snapshot's state, JSON for JSON, and that state's tables are
+///   the live pool's;
+/// * store-served queries carry the `Freshness` contract: the populated
+///   store has a scope, and an empty crossing window (after the horizon)
+///   reports `staleness == bound`, not freshness.
+///
+/// # Panics
+/// On the first broken clause.
+pub fn gate(cell: Cell, lo: LiveOps) -> Gated {
+    let mut sim = cell.sim();
+    sim.set_tracer(Tracer::ring(RING));
+    let (ring_out, ring_pool) = sim.run_full();
+    let emitted = ring_out.trace.len();
+    assert!(emitted > 0, "the faulted market must emit trace records");
+    assert!(
+        emitted < RING,
+        "the ring overflowed: no byte-identity reference"
+    );
+
+    let run = store_run(cell, lo);
+    let store = run.store.lock().expect("store lock");
+    assert!(run.out.trace.is_empty(), "the store owns the records");
+    assert_eq!(
+        to_json_lines(&ring_out.trace),
+        store.trace_json_lines().expect("nothing evicted"),
+        "attaching the store changed (or lost part of) the trace"
+    );
+    assert_eq!(ring_out.plans, run.out.plans, "plan count diverged");
+    assert_eq!(
+        ring_out.leaked_degrees, run.out.leaked_degrees,
+        "leak census diverged"
+    );
+    assert_same_pool(&ring_pool, &run.pool);
+
+    let stats = store.stats();
+    assert_eq!(stats.trace_appended, emitted as u64, "store missed records");
+    assert_eq!(stats.trace_evicted, 0, "store evicted trace records");
+    assert_eq!(stats.delta_evicted, 0, "store evicted deltas");
+    assert!(stats.snapshots >= 2, "need snapshots to replay from");
+
+    let final_state = store
+        .latest_snapshot()
+        .expect("final snapshot")
+        .state
+        .thaw();
+    let final_json = serde_json::to_string(&final_state).expect("serializes");
+    for idx in 0..store.snapshots().len() {
+        let replayed = reconstruct_at(&store, idx).expect("nothing evicted");
+        assert_eq!(
+            serde_json::to_string(&replayed).expect("serializes"),
+            final_json,
+            "replay from snapshot {idx} diverged from the final state"
+        );
+    }
+    assert!(
+        final_state.tables == *run.pool.tables(),
+        "the final snapshot's tables are not the live pool's"
+    );
+
+    let util = LiveOpsConfig::default().util_threshold;
+    let over = hosts_over_threshold(&store, util, QUERY_BOUND).expect("nothing evicted");
+    assert!(
+        !over.freshness.empty_scope(),
+        "a populated store has a scope"
+    );
+    let horizon = cell.config().horizon;
+    let after = horizon + SimTime::from_secs(1);
+    let empty = hosts_crossed_up(&store, after, QUERY_BOUND).expect("nothing evicted");
+    assert!(empty.hosts.is_empty() && empty.freshness.empty_scope());
+    assert_eq!(
+        empty.freshness.staleness(horizon),
+        QUERY_BOUND,
+        "an empty window must report the a-priori bound, not claim freshness"
+    );
+    drop(store);
+    Gated {
+        ring: (ring_out, ring_pool),
+        run,
     }
 }

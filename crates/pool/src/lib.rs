@@ -132,8 +132,8 @@ pub enum PoolOp {
         /// Host released on.
         host: HostId,
     },
-    /// A [`ResourcePool::renew_session`] call (the task manager's periodic
-    /// lease renewal).
+    /// A [`ResourcePool::renew_session`] call. No market path logs one: a
+    /// replan renews its leases by re-reserving.
     Renew {
         /// Renewing session.
         session: SessionId,
@@ -524,8 +524,10 @@ impl ResourcePool {
     /// returned model is **value-identical** to `self.net.latency`
     /// (bit-for-bit, see the `netsim::latency` precision contract), so
     /// planners may use either interchangeably.
-    /// The task manager and the market's crash repair plan against this
-    /// handle to stay on the inlined fast path without borrowing the pool.
+    /// Planning reads [`Self::planning_oracle`] instead, the market's crash
+    /// repair included; the task manager reads this handle only to score
+    /// on exact latencies whatever the latency source: a plan's
+    /// `oracle_height` and [`task_manager::members_only_baseline`].
     pub fn cached_latency(&self) -> LatencyMatrix {
         self.net.latency.clone()
     }
@@ -592,11 +594,14 @@ impl ResourcePool {
     /// produces that view explicitly.
     ///
     /// **Ordering contract.** The list is fully deterministic: sorted by
-    /// availability at `rank` descending, ties by host id ascending — the
-    /// same stable key every discovery surface uses
-    /// ([`report::ResourceReport`]'s best-first order and the `query`
-    /// crate's top-k answers), so the three paths hand identically-ordered
-    /// candidate sets to the planner.
+    /// availability at `rank` descending, ties by host id ascending. On
+    /// fresh tables the other discovery surfaces ([`report::ResourceReport`]
+    /// and the `query` crate's top-k answers) hand the planner the same
+    /// set at the same availability, but not always in this order: the
+    /// report sorts by rank-3 availability first, so at ranks 1–2 its list
+    /// can come in another. The tree does not depend on the order (the
+    /// critical-node helper pick breaks score ties by host id); the tiered
+    /// oracle's promotion order does.
     pub fn candidates(&self, rank: Rank, exclude: &[HostId], min_degree: u32) -> Vec<HostId> {
         let excl: std::collections::HashSet<HostId> = exclude.iter().copied().collect();
         let mut out: Vec<(u32, HostId)> = self
@@ -798,10 +803,10 @@ impl ResourcePool {
         freed
     }
 
-    /// Extend every lease a session holds pool-wide to `expires_at` — the
-    /// task manager's periodic renewal — sweeping every table. Returns the
-    /// degrees renewed; a session whose claims have already lapsed gets 0
-    /// back.
+    /// Extend every lease a session holds pool-wide to `expires_at`,
+    /// sweeping every table. Returns the degrees renewed; a session whose
+    /// claims have already lapsed gets 0 back. The market never calls it:
+    /// a replan renews its leases by re-reserving (DESIGN §9.1).
     pub fn renew_session(&mut self, session: SessionId, expires_at: simcore::SimTime) -> u32 {
         let renewed = self.tables.renew_session(session, expires_at);
         self.log(|| PoolOp::Renew {

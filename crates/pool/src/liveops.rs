@@ -23,9 +23,10 @@
 //! very method the live call ran — refused reserves included — and the
 //! replay asserts every logged `Reserve` verdict and `ReleaseSession` host
 //! list: a log that does not fit the state it is replayed on panics, naming
-//! the op. The replay-determinism gate (`tests/liveops_pins.rs`,
-//! `ext_liveops`) asserts the result byte-identical to the live run's
-//! final state from *every* snapshot of a faulted market run, and
+//! the op. The replay-determinism gate (`bench::cells::gate`, which
+//! `tests/liveops_pins.rs` and `ext_liveops` run) asserts the result
+//! byte-identical to the live run's final state from *every* snapshot of a
+//! faulted market run, and
 //! `tests/liveops_pins.rs` also pins the exported bytes and every replay.
 //!
 //! ## What the store retains

@@ -61,9 +61,11 @@ impl ResourceReport {
         // descending at the weakest rank (3), stronger ranks breaking ties
         // in turn, host id ascending last. No two distinct entries compare
         // equal, so the post-merge order — and which entries survive the
-        // cap — is independent of arrival order. This is the same stable
+        // cap — is independent of arrival order. At rank 3 this is the
         // key `ResourcePool::candidates` and the query crate's top-k
-        // answers use (free degree desc, host id asc).
+        // answers use (free degree desc, host id asc); a rank-1 or rank-2
+        // list read from the report keeps this rank-3-first order, so it
+        // holds the same hosts at the same availability in another order.
         self.entries.sort_by(|a, b| {
             b.avail[3]
                 .cmp(&a.avail[3])

@@ -887,11 +887,11 @@ mod tests {
 
     /// One fresh pool, three sources, one tree: the live tables, a fresh
     /// snapshot and a fresh query index whose `k` covers the pool offer the
-    /// same candidates at the same availability.
+    /// same candidates at the same availability, and plan the same tree, at
+    /// every helper rank.
     #[test]
     fn fresh_view_matches_live_planning() {
         let mut pool = small_pool(8);
-        let s = spec(&pool, 31, 2, 70);
         let cfg = PlanConfig {
             model: PlanModel::Oracle,
             query_k: pool.num_hosts(),
@@ -899,26 +899,29 @@ mod tests {
         };
         let view = pool.snapshot_report(usize::MAX);
         let mut index = pool.build_query_index(SimTime::from_secs(60), SimTime::ZERO);
-        let shape = PlanShape::priority(s.priority, cfg.k_trees);
-        let sources = [
-            ("live", Candidates::Live(None)),
-            ("view", Candidates::View(&view)),
-            ("query", Candidates::Query(&mut index)),
-        ];
-        let outs: Vec<(&str, PlanOutcome)> = sources
-            .into_iter()
-            .map(|(name, source)| {
-                let out = plan_and_reserve_with(&mut pool, &s, &cfg, source, shape, None);
-                pool.release_session(s.id);
-                (name, out)
-            })
-            .collect();
-        let live = &outs[0].1;
-        for (name, out) in &outs {
-            assert_eq!(out.helper_failures, 0, "fresh {name} caused failures");
-            let bits = |o: &PlanOutcome| o.oracle_height.to_bits();
-            assert_eq!(bits(out), bits(live), "{name}");
-            assert_eq!(out.helpers, live.helpers, "{name}");
+        for priority in 1..=3 {
+            let s = spec(&pool, 31, priority, 70);
+            let shape = PlanShape::priority(s.priority, cfg.k_trees);
+            let sources = [
+                ("live", Candidates::Live(None)),
+                ("view", Candidates::View(&view)),
+                ("query", Candidates::Query(&mut index)),
+            ];
+            let outs: Vec<(&str, PlanOutcome)> = sources
+                .into_iter()
+                .map(|(name, source)| {
+                    let out = plan_and_reserve_with(&mut pool, &s, &cfg, source, shape, None);
+                    pool.release_session(s.id);
+                    (name, out)
+                })
+                .collect();
+            let live = &outs[0].1;
+            for (name, out) in &outs {
+                assert_eq!(out.helper_failures, 0, "fresh {name} caused failures");
+                let bits = |o: &PlanOutcome| o.oracle_height.to_bits();
+                assert_eq!(bits(out), bits(live), "{name}, priority {priority}");
+                assert_eq!(out.helpers, live.helpers, "{name}, priority {priority}");
+            }
         }
     }
 

@@ -4,22 +4,20 @@
 //! lands on the live pool's tables — over real pools driven through every
 //! mutating call, and over degenerate ones (no hosts, zero-degree hosts,
 //! down hosts holding stranded claims) a generated pool never contains.
-//! And for the surface's standing queries: the pressure signal it folds
-//! without an index is the index root's, and a query registered mid-run is
-//! served from the next round on.
+//! The surface's standing queries are checked on a whole market run in
+//! the root `tests/liveops_pins.rs`.
 
 use std::sync::OnceLock;
 
 use netsim::{HostId, NetworkConfig};
 use pool::liveops::reconstruct_at;
-use pool::market::{MarketConfig, MarketSim};
 use pool::{
     DegreeTable, FrozenSnapshot, HostTables, LiveOps, LiveOpsConfig, MarketDelta, MarketSnapshot,
-    OpsNote, PoolConfig, PoolOp, Rank, ResourcePool, SessionId, SlotSnap,
+    PoolConfig, PoolOp, Rank, ResourcePool, SessionId, SlotSnap,
 };
 use proptest::prelude::*;
 use runstore::Stamped;
-use simcore::{FaultPlan, SimTime};
+use simcore::SimTime;
 
 const HOSTS: usize = 150;
 const SEED: u64 = 29;
@@ -295,193 +293,5 @@ proptest! {
             replay.apply(&MarketDelta::Pool(pool_op));
         }
         prop_assert_eq!(replay, dense(&tables, &alive));
-    }
-}
-
-/// The `Gate` market of `crates/bench/src/cells.rs` (the root
-/// `tests/liveops_pins.rs` checks it), run once with a surface attached, as `(time, delta watermark)` of each snapshot round plus the
-/// pool ops the run logged: a trajectory the test below can drive a pool
-/// along again, round by round, with surfaces of its own.
-fn faulted_run() -> (Vec<(SimTime, u64)>, Vec<Stamped<MarketDelta>>) {
-    let mut faults = FaultPlan::none();
-    for h in (0..HOSTS as u64).step_by(7) {
-        faults = faults.crash_forever(h, secs(600 + h));
-    }
-    let cfg = MarketConfig {
-        sessions: 6,
-        member_size: 12,
-        horizon: secs(1200),
-        warmup: secs(300),
-        faults,
-        ..MarketConfig::default()
-    };
-    let mut sim = MarketSim::new(pristine().clone(), cfg, SEED);
-    let handle = sim.attach_liveops(LiveOps::new(LiveOpsConfig::default()));
-    let _ = sim.run_full();
-    let store = handle.lock().unwrap();
-    let rounds = store
-        .snapshots()
-        .iter()
-        .map(|s| (SimTime::from_micros(s.at_us), s.delta_seq))
-        .collect();
-    (rounds, store.deltas_stored().cloned().collect())
-}
-
-/// Re-execute one logged pool op through the pool's own calls.
-fn redo(pool: &mut ResourcePool, op: &PoolOp) {
-    match op {
-        PoolOp::Reserve {
-            host,
-            session,
-            rank,
-            count,
-            expires_at,
-            ok,
-        } => {
-            let got = pool.reserve_leased(*host, *session, *rank, *count, *expires_at);
-            assert_eq!(
-                got.is_ok(),
-                *ok,
-                "a logged reserve must replay to its verdict"
-            );
-        }
-        PoolOp::ReleaseSession { session, .. } => {
-            pool.release_session(*session);
-        }
-        PoolOp::ReleaseDegrees {
-            host,
-            session,
-            rank,
-            count,
-        } => {
-            pool.release_degrees(*host, *session, *rank, *count);
-        }
-        PoolOp::ReleaseOnHost { session, host } => {
-            pool.release_on_host(*session, *host);
-        }
-        PoolOp::Renew {
-            session,
-            expires_at,
-        } => {
-            pool.renew_session(*session, *expires_at);
-        }
-        PoolOp::ExpireLeases { now } => {
-            pool.expire_leases(*now);
-        }
-        PoolOp::SetAlive { host, alive: true } => pool.revive_host(*host),
-        PoolOp::SetAlive { host, alive: false } => pool.kill_host(*host),
-    }
-}
-
-/// The notes of one kind a surface logged, as `(time, note)`.
-fn notes(lo: &LiveOps, keep: impl Fn(&OpsNote) -> bool) -> Vec<(u64, OpsNote)> {
-    let handle = lo.handle();
-    let store = handle.lock().unwrap();
-    store
-        .deltas_stored()
-        .filter_map(|d| match &d.delta {
-            MarketDelta::Note(n) if keep(n) => Some((d.at_us, *n)),
-            _ => None,
-        })
-        .collect()
-}
-
-#[test]
-fn folded_pressure_is_the_index_roots_and_a_late_query_is_served_from_the_next_round() {
-    let (rounds, deltas) = faulted_run();
-    assert!(rounds.len() >= 20, "a snapshot round a minute for 1200 s");
-    // Thresholds this run crosses (`tests/liveops_pins.rs` pins the notes).
-    let cfg = LiveOpsConfig {
-        pressure_threshold: 0.7,
-        ..LiveOpsConfig::default()
-    };
-    let subscribe = |lo: &mut LiveOps| {
-        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 116);
-        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 130);
-    };
-    let mut early = LiveOps::new(cfg);
-    subscribe(&mut early);
-    let mut late = LiveOps::new(cfg);
-    // `late` registers the same queries after this round.
-    let late_joins_after = 6;
-
-    let mut pool = pristine().clone();
-    let mut index = None;
-    let mut next = deltas.iter().peekable();
-    let no_queues = [Vec::new(), Vec::new(), Vec::new()];
-    for (round, &(now, watermark)) in rounds.iter().enumerate() {
-        while let Some(d) = next.next_if(|d| d.seq < watermark) {
-            if let MarketDelta::Pool(op) = &d.delta {
-                redo(&mut pool, op);
-            }
-        }
-        // An index kept refreshed from round 0, as a surface with a
-        // standing query keeps its own.
-        let index = match &mut index {
-            Some(idx) => {
-                pool.refresh_query_index(idx, now);
-                idx
-            }
-            None => index.insert(pool.build_query_index(cfg.snapshot_period, now)),
-        };
-        let folded = pool.aggregate(now);
-        assert_eq!(&folded, index.root_aggregate(), "round {round}");
-        assert_eq!(folded.pressure(), index.root_aggregate().pressure());
-
-        early.snapshot_round(now, &pool, &[], &no_queues);
-        late.snapshot_round(now, &pool, &[], &no_queues);
-        if round == late_joins_after {
-            subscribe(&mut late);
-        }
-    }
-    assert!(next.next().is_none(), "the last round is past every delta");
-
-    // The pressure watch never needed the index: the surface that had none
-    // for its first rounds logged the same crossings.
-    let pressure = |n: &OpsNote| matches!(n, OpsNote::Pressure { .. });
-    assert!(
-        notes(&early, pressure).len() >= 5,
-        "the run crosses 0.7 often"
-    );
-    assert_eq!(notes(&late, pressure), notes(&early, pressure));
-
-    // Standing queries: `late` first evaluates its queries at the round
-    // after it registered them. That first evaluation alarms exactly when
-    // the count is below the threshold (what `early` last reported); from
-    // the round after, both surfaces log the same crossings.
-    let threshold = |n: &OpsNote| matches!(n, OpsNote::Threshold(_));
-    let (early_notes, late_notes) = (notes(&early, threshold), notes(&late, threshold));
-    let first_eval = rounds[late_joins_after + 1].0.as_micros();
-    assert!(late_notes.iter().all(|(at, _)| *at >= first_eval));
-    let after = |ns: &[(u64, OpsNote)]| -> Vec<(u64, OpsNote)> {
-        ns.iter()
-            .filter(|(at, _)| *at > first_eval)
-            .copied()
-            .collect()
-    };
-    assert!(after(&early_notes).len() >= 4, "crossings after the join");
-    assert_eq!(after(&late_notes), after(&early_notes));
-    for sub in 0..2 {
-        let of_sub = |ns: &[(u64, OpsNote)], upto: u64| -> Option<(bool, u64)> {
-            ns.iter()
-                .filter_map(|(at, n)| match n {
-                    OpsNote::Threshold(d) if d.sub == sub && *at <= upto => {
-                        Some((d.below, d.count))
-                    }
-                    _ => None,
-                })
-                .next_back()
-        };
-        let below_at_join = of_sub(&early_notes, first_eval).is_some_and(|(below, _)| below);
-        let alarm = of_sub(&late_notes, first_eval);
-        assert_eq!(
-            alarm.is_some(),
-            below_at_join,
-            "query {sub}'s first evaluation"
-        );
-        assert!(
-            alarm.is_none_or(|(below, _)| below),
-            "a first evaluation only alarms"
-        );
     }
 }

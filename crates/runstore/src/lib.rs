@@ -23,8 +23,9 @@
 //! frozen form and replay into whatever its deltas apply to; a state that
 //! replays in place passes `Clone::clone`. When the segments still hold the
 //! needed range this is exact —
-//! the determinism gates in `tests/liveops_pins.rs` and the `ext_liveops` bench
-//! assert the reconstructed state byte-identical to the live run. When
+//! the determinism gate `bench::cells::gate` (run by `tests/liveops_pins.rs`
+//! and the `ext_liveops` bench) asserts the reconstructed state
+//! byte-identical to the live run. When
 //! eviction has opened a gap, the store says so with a typed
 //! [`ReplayGap`] instead of replaying from the wrong base.
 //!

@@ -3,9 +3,9 @@
 //!
 //! * [`Pin`] / [`fnv1a64`] — the digest every pinned constant uses
 //!   (`crates/*/tests/pins.rs`, `tests/{determinism, liveops_pins}.rs`).
-//!   The markets those two root files pin are the cells of
-//!   `crates/bench/src/cells.rs`; its `cells` binary prints their digests
-//!   with its own copy of FNV-1a-64.
+//!   The markets those two root files pin, and the one `ext_liveops`
+//!   gates, are the cells of `crates/bench/src/cells.rs`; its `cells`
+//!   binary prints their digests with its own copy of FNV-1a-64.
 //! * [`Counting`], [`tally`], [`measured`] — the counting allocator of the
 //!   footprint tests (`crates/*/tests/footprint.rs`).
 //!

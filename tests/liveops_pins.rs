@@ -2,17 +2,19 @@
 //! faulted markets of `bench::cells` (helper and root crashes, leases,
 //! failover — every market event family fires):
 //!
-//! * attaching a [`LiveOps`] store is **trajectory-neutral** — the run is
-//!   the plain ring-traced run, and the store's streamed copy of the trace
-//!   is byte-identical to the ring's;
-//! * **replay determinism** — reconstructing from *every* retained
-//!   snapshot (snapshot + delta fold) lands on the same final state,
-//!   byte for byte, as the snapshot the run took at the horizon;
+//! * [`gate`] on the `Gate` cell: attaching a [`LiveOps`] store is
+//!   **trajectory-neutral** (the store's streamed trace is the ring run's,
+//!   byte for byte), and **replay** from *every* retained snapshot lands
+//!   on the final state, byte for byte; store-served operator queries
+//!   carry the honest `Freshness` contract (an empty window reports the
+//!   a-priori bound, not zero). `ext_liveops` runs the same gate on its
+//!   own cell;
 //! * a **bounded** store keeps the newest records, counts exactly what it
 //!   evicted, and refuses (typed [`ReplayGap`]) every answer the evicted
 //!   range would have fed — never a silent partial one;
-//! * store-served operator queries carry the honest `Freshness`
-//!   contract: an empty window reports the a-priori bound, not zero;
+//! * the surface's **standing queries**, replayed along the Gate run: the
+//!   pressure signal it folds without an index is the index root's, and a
+//!   query registered mid-run is served from the next round on;
 //! * what the store **exports and replays to is pinned** byte for byte:
 //!   the checks above compare a run against itself, so they cannot see a
 //!   change that moves the store's exported bytes and every replay
@@ -30,71 +32,25 @@
 
 use std::sync::OnceLock;
 
-use bench::cells::Cell;
-use p2p_resource_pool::pool::liveops::{
-    hosts_crossed_up, hosts_over_threshold, reconstruct_at, MarketStoreHandle,
+use bench::cells::{
+    assert_same_pool, gate, store_run, surface, Cell, Gated, StoreRun, QUERY_BOUND,
 };
-use p2p_resource_pool::pool::MarketOutcome;
+use p2p_resource_pool::pool::liveops::{hosts_crossed_up, hosts_over_threshold, reconstruct_at};
+use p2p_resource_pool::pool::{MarketDelta, OpsNote, PoolOp};
 use p2p_resource_pool::prelude::*;
-use p2p_resource_pool::simcore::trace::to_json_lines;
 use testkit::fnv1a64;
 
 /// `(bytes, FNV-1a-64)` of the snapshot export, the delta export and the
 /// replays of one cell.
 type Pins = [(usize, u64); 3];
 
-/// A run's outcome and final pool.
-type Ended = (MarketOutcome, ResourcePool);
-
-/// A store-attached run: its outcome, final pool and store.
-struct StoreRun {
-    out: MarketOutcome,
-    pool: ResourcePool,
-    store: MarketStoreHandle,
-}
-
-/// Run `cell` with `lo` attached.
-fn store_run(cell: Cell, lo: LiveOps) -> StoreRun {
-    let mut sim = cell.sim();
-    let store = sim.attach_liveops(lo);
-    let (out, pool) = sim.run_full();
-    StoreRun { out, pool, store }
-}
-
-/// The operator surface of one pinned run: its thresholds and, pool-wide,
-/// the `(member, rank, min_free, threshold)` of each standing query.
-fn surface(
-    util_threshold: f64,
-    pressure_threshold: f64,
-    queries: &[(u32, u8, u32, u64)],
-) -> LiveOps {
-    let mut lo = LiveOps::new(LiveOpsConfig {
-        util_threshold,
-        pressure_threshold,
-        ..LiveOpsConfig::default()
-    });
-    for &(member, rank, min_free, threshold) in queries {
-        lo.subscribe(member, [0.0, 0.0], 1e9, rank, min_free, threshold);
-    }
-    lo
-}
-
-/// The [`Cell::Gate`] market, ring-traced, made once.
-fn ring_run() -> &'static Ended {
-    static RUN: OnceLock<Ended> = OnceLock::new();
-    RUN.get_or_init(|| {
-        let mut sim = Cell::Gate.sim();
-        sim.set_tracer(Tracer::ring(1 << 16));
-        sim.run_full()
-    })
-}
-
-/// The [`Cell::Gate`] market under the default surface (a 60 s snapshot
-/// period, no standing query, only utilization notes fire), made once:
-/// the neutrality check and the pins read the same run.
-fn default_store_run() -> &'static StoreRun {
-    static RUN: OnceLock<StoreRun> = OnceLock::new();
-    RUN.get_or_init(|| store_run(Cell::Gate, LiveOps::new(LiveOpsConfig::default())))
+/// The [`Cell::Gate`] market through [`gate`] under the default surface
+/// (a 60 s snapshot period, no standing query, only utilization notes
+/// fire), made once: every test here that reads the Gate market reads
+/// these two runs.
+fn gated() -> &'static Gated {
+    static RUN: OnceLock<Gated> = OnceLock::new();
+    RUN.get_or_init(|| gate(Cell::Gate, LiveOps::new(LiveOpsConfig::default())))
 }
 
 /// Digest what `run`'s store exports and what it replays to.
@@ -121,83 +77,12 @@ fn assert_pinned(run: &StoreRun, pins: Pins) {
     }
 }
 
-/// Retention never moves the run: the final books and liveness of every
-/// host are the ring run's.
-fn assert_same_pool(ring: &ResourcePool, store: &ResourcePool) {
-    for h in ring.net.hosts.ids() {
-        assert_eq!(ring.table(h), store.table(h));
-        assert_eq!(ring.is_alive(h), store.is_alive(h));
-    }
-}
-
+/// The store on the Gate market passes [`gate`]: trajectory-neutral
+/// against the ring-traced run, exact counts, replay from every snapshot,
+/// the `Freshness` contract.
 #[test]
 fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
-    // Reference: the plain ring-traced run.
-    let (ring_out, ring_pool) = ring_run();
-    let ring_trace = to_json_lines(&ring_out.trace);
-    assert!(
-        !ring_out.trace.is_empty(),
-        "faulted market must emit events"
-    );
-
-    // The same run with the live-operations surface attached.
-    let run = default_store_run();
-    let store = run.store.lock().expect("store lock");
-
-    // Trajectory neutrality: same trace through the store, same outcome,
-    // same final degree tables.
-    assert_eq!(
-        ring_trace,
-        store.trace_json_lines().expect("nothing evicted"),
-        "attaching the store changed (or lost part of) the trace"
-    );
-    assert!(run.out.trace.is_empty(), "store owns the records");
-    assert_eq!(ring_out.plans, run.out.plans);
-    assert_eq!(ring_out.leaked_degrees, run.out.leaked_degrees);
-    assert_same_pool(ring_pool, &run.pool);
-
-    // Exact accounting: every record appended, nothing evicted or silent.
-    let stats = store.stats();
-    assert_eq!(stats.trace_appended, ring_out.trace.len() as u64);
-    assert_eq!(stats.trace_evicted, 0);
-    assert_eq!(stats.delta_evicted, 0);
-    assert!(stats.snapshots >= 2, "periodic snapshots must have fired");
-
-    // Replay determinism: every snapshot + delta fold reconstructs the
-    // final state byte-identically, and that state is the live pool's.
-    let final_state = store
-        .latest_snapshot()
-        .expect("final snapshot")
-        .state
-        .thaw();
-    let final_json = serde_json::to_string(&final_state).expect("serializes");
-    for idx in 0..store.snapshots().len() {
-        let replayed = reconstruct_at(&store, idx).expect("nothing evicted");
-        assert_eq!(
-            serde_json::to_string(&replayed).expect("serializes"),
-            final_json,
-            "replay from snapshot {idx} diverged"
-        );
-    }
-    assert!(
-        final_state.tables == *run.pool.tables(),
-        "the final snapshot's tables are not the live pool's"
-    );
-
-    // Store-served operator queries carry the Freshness contract.
-    let bound = SimTime::from_secs(60);
-    let over = hosts_over_threshold(&store, 0.9, bound).expect("nothing evicted");
-    assert!(!over.freshness.empty_scope());
-    let horizon = SimTime::from_secs(1200);
-    let empty =
-        hosts_crossed_up(&store, horizon + SimTime::from_secs(1), bound).expect("nothing evicted");
-    assert!(empty.hosts.is_empty());
-    assert!(empty.freshness.empty_scope());
-    assert_eq!(
-        empty.freshness.staleness(horizon),
-        bound,
-        "an empty window must admit the a-priori bound, not claim freshness"
-    );
+    gated();
 }
 
 /// A bounded store keeps the newest records and counts the rest: the run
@@ -206,7 +91,7 @@ fn liveops_store_is_trajectory_neutral_and_replays_byte_identically() {
 /// that reaches into the evicted range is refused, not answered.
 #[test]
 fn bounded_store_counts_its_evictions_and_refuses_what_they_cover() {
-    let (ring_out, ring_pool) = ring_run();
+    let (ring_out, ring_pool) = &gated().ring;
     let emitted = ring_out.trace.len() as u64;
 
     const SEGMENT: usize = 16;
@@ -261,7 +146,7 @@ fn bounded_store_counts_its_evictions_and_refuses_what_they_cover() {
     };
     assert_eq!(reconstruct_at(&store, 0), Err(gap));
     // So is any crossing window that reaches into it.
-    let bound = SimTime::from_secs(60);
+    let bound = QUERY_BOUND;
     let refused = ReplayGap {
         requested: stats.delta_evicted - 1,
         earliest: stats.delta_evicted,
@@ -280,7 +165,7 @@ fn bounded_store_counts_its_evictions_and_refuses_what_they_cover() {
 #[test]
 fn gate_market_without_a_standing_query_matches_its_pins() {
     assert_pinned(
-        default_store_run(),
+        &gated().run,
         [
             (294604, 6187311596818817858),
             (164053, 7801535562262397236),
@@ -321,7 +206,7 @@ fn gate_admission_market_matches_its_pins() {
 }
 
 /// The 200-host workload with the one standing query `ext_liveops`
-/// registers.
+/// registers on [`Cell::Operator`].
 #[test]
 fn smoke_market_with_its_standing_query_matches_its_pins() {
     assert_pinned(
@@ -346,4 +231,173 @@ fn smoke_market_without_a_standing_query_matches_its_pins() {
             (348876, 8882974644916446117),
         ],
     );
+}
+
+/// Re-execute one logged pool op through the pool's own calls.
+fn redo(pool: &mut ResourcePool, op: &PoolOp) {
+    match op {
+        PoolOp::Reserve {
+            host,
+            session,
+            rank,
+            count,
+            expires_at,
+            ok,
+        } => {
+            let got = pool.reserve_leased(*host, *session, *rank, *count, *expires_at);
+            assert_eq!(
+                got.is_ok(),
+                *ok,
+                "a logged reserve must replay to its verdict"
+            );
+        }
+        PoolOp::ReleaseSession { session, .. } => {
+            pool.release_session(*session);
+        }
+        PoolOp::ReleaseDegrees {
+            host,
+            session,
+            rank,
+            count,
+        } => {
+            pool.release_degrees(*host, *session, *rank, *count);
+        }
+        PoolOp::ReleaseOnHost { session, host } => {
+            pool.release_on_host(*session, *host);
+        }
+        PoolOp::Renew {
+            session,
+            expires_at,
+        } => {
+            pool.renew_session(*session, *expires_at);
+        }
+        PoolOp::ExpireLeases { now } => {
+            pool.expire_leases(*now);
+        }
+        PoolOp::SetAlive { host, alive: true } => pool.revive_host(*host),
+        PoolOp::SetAlive { host, alive: false } => pool.kill_host(*host),
+    }
+}
+
+/// The notes of one kind a surface logged, as `(time, note)`.
+fn notes(lo: &LiveOps, keep: impl Fn(&OpsNote) -> bool) -> Vec<(u64, OpsNote)> {
+    let handle = lo.handle();
+    let store = handle.lock().expect("store lock");
+    store
+        .deltas_stored()
+        .filter_map(|d| match &d.delta {
+            MarketDelta::Note(n) if keep(n) => Some((d.at_us, *n)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn folded_pressure_is_the_index_roots_and_a_late_query_is_served_from_the_next_round() {
+    // The Gate run's snapshot rounds, as `(time, delta watermark)`, and
+    // the pool ops it logged: a trajectory to drive a pool along again,
+    // round by round, with surfaces of this test's own.
+    let store = gated().run.store.lock().expect("store lock");
+    let rounds: Vec<(SimTime, u64)> = store
+        .snapshots()
+        .iter()
+        .map(|s| (SimTime::from_micros(s.at_us), s.delta_seq))
+        .collect();
+    let deltas: Vec<_> = store.deltas_stored().cloned().collect();
+    drop(store);
+    assert!(rounds.len() >= 20, "a snapshot round a minute for 1200 s");
+    // Thresholds this run crosses (the firing-queries pin holds the notes).
+    let cfg = LiveOpsConfig {
+        pressure_threshold: 0.7,
+        ..LiveOpsConfig::default()
+    };
+    let subscribe = |lo: &mut LiveOps| {
+        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 116);
+        lo.subscribe(0, [0.0, 0.0], 1e9, 3, 1, 130);
+    };
+    let mut early = LiveOps::new(cfg);
+    subscribe(&mut early);
+    let mut late = LiveOps::new(cfg);
+    // `late` registers the same queries after this round.
+    let late_joins_after = 6;
+
+    let mut pool = Cell::Gate.pool();
+    let mut index = None;
+    let mut next = deltas.iter().peekable();
+    let no_queues = [Vec::new(), Vec::new(), Vec::new()];
+    for (round, &(now, watermark)) in rounds.iter().enumerate() {
+        while let Some(d) = next.next_if(|d| d.seq < watermark) {
+            if let MarketDelta::Pool(op) = &d.delta {
+                redo(&mut pool, op);
+            }
+        }
+        // An index kept refreshed from round 0, as a surface with a
+        // standing query keeps its own.
+        let index = match &mut index {
+            Some(idx) => {
+                pool.refresh_query_index(idx, now);
+                idx
+            }
+            None => index.insert(pool.build_query_index(cfg.snapshot_period, now)),
+        };
+        let folded = pool.aggregate(now);
+        assert_eq!(&folded, index.root_aggregate(), "round {round}");
+        assert_eq!(folded.pressure(), index.root_aggregate().pressure());
+
+        early.snapshot_round(now, &pool, &[], &no_queues);
+        late.snapshot_round(now, &pool, &[], &no_queues);
+        if round == late_joins_after {
+            subscribe(&mut late);
+        }
+    }
+    assert!(next.next().is_none(), "the last round is past every delta");
+
+    // The pressure watch never needed the index: the surface that had none
+    // for its first rounds logged the same crossings.
+    let pressure = |n: &OpsNote| matches!(n, OpsNote::Pressure { .. });
+    assert!(
+        notes(&early, pressure).len() >= 5,
+        "the run crosses 0.7 often"
+    );
+    assert_eq!(notes(&late, pressure), notes(&early, pressure));
+
+    // Standing queries: `late` first evaluates its queries at the round
+    // after it registered them. That first evaluation alarms exactly when
+    // the count is below the threshold (what `early` last reported); from
+    // the round after, both surfaces log the same crossings.
+    let threshold = |n: &OpsNote| matches!(n, OpsNote::Threshold(_));
+    let (early_notes, late_notes) = (notes(&early, threshold), notes(&late, threshold));
+    let first_eval = rounds[late_joins_after + 1].0.as_micros();
+    assert!(late_notes.iter().all(|(at, _)| *at >= first_eval));
+    let after = |ns: &[(u64, OpsNote)]| -> Vec<(u64, OpsNote)> {
+        ns.iter()
+            .filter(|(at, _)| *at > first_eval)
+            .copied()
+            .collect()
+    };
+    assert!(after(&early_notes).len() >= 4, "crossings after the join");
+    assert_eq!(after(&late_notes), after(&early_notes));
+    for sub in 0..2 {
+        let of_sub = |ns: &[(u64, OpsNote)], upto: u64| -> Option<(bool, u64)> {
+            ns.iter()
+                .filter_map(|(at, n)| match n {
+                    OpsNote::Threshold(d) if d.sub == sub && *at <= upto => {
+                        Some((d.below, d.count))
+                    }
+                    _ => None,
+                })
+                .next_back()
+        };
+        let below_at_join = of_sub(&early_notes, first_eval).is_some_and(|(below, _)| below);
+        let alarm = of_sub(&late_notes, first_eval);
+        assert_eq!(
+            alarm.is_some(),
+            below_at_join,
+            "query {sub}'s first evaluation"
+        );
+        assert!(
+            alarm.is_none_or(|(below, _)| below),
+            "a first evaluation only alarms"
+        );
+    }
 }

@@ -24,9 +24,12 @@
 # `peak_rss_mb`, `model_cost` and `run_s`, and in how many pairs B read
 # lower than A (all four are lower-is-better). A metric's move is
 # resolved when one side wins at least 9 of 10 pairs and the medians lie
-# further apart than A's interquartile range. Last, whether `sim_digest`,
-# `ops` and `failed_ops` agreed in every pair: they must, for one seed,
-# unless the change moves the simulation on purpose.
+# further apart than A's interquartile range. Last, one verdict each for
+# `sim_digest`, `ops` and `failed_ops`: "equal in every pair" with its
+# value, or "DIFFERS" with each `A value → B value` and the pairs that
+# read it. Each must be equal, for one seed, unless the change moves the
+# simulation on purpose; a moved digest with equal `ops` and `failed_ops`
+# moved state the op counts do not see.
 #
 # Then the exact counts: every output line whose unit is `count`, from
 # each untraced pair and from one `--trace 1` run per side per workload
@@ -92,7 +95,7 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$dir" "$rev" "${workloads[@]}" <<'PY'
+PYTHONIOENCODING=utf-8 python3 - "$dir" "$rev" "${workloads[@]}" <<'PY'
 import statistics, sys
 
 dir, rev, *workloads = sys.argv[1:]
@@ -130,15 +133,19 @@ def table(workload):
             resolved = "no"
         print(f"| {name} | {qa[1]:.6g} | {qa[2] - qa[0]:.3g} | {qb[1]:.6g} | {qb[2] - qb[0]:.3g}"
               f" | {b_wins} | {a_wins} | {resolved} |")
-    same = all(runs["a"][i][0] == runs["b"][i][0] for i in pairs)
-    ops, failed, digest = runs["a"][pairs[0]][0]
     print()
-    if same:
-        print(f"sim_digest, ops, failed_ops equal in every pair: {digest}, {ops}, {failed}")
-    else:
+    for k, name in [(2, "sim_digest"), (0, "ops"), (1, "failed_ops")]:
+        # (A value, B value) -> the pairs that read it.
+        moved = {}
         for i in pairs:
-            print(f"pair {i}: A {runs['a'][i][0]}  B {runs['b'][i][0]}")
-        print("sim_digest, ops, failed_ops DIFFER")
+            a, b = runs["a"][i][0][k], runs["b"][i][0][k]
+            if a != b:
+                moved.setdefault((a, b), []).append(str(i))
+        if not moved:
+            values = sorted({runs["a"][i][0][k] for i in pairs})
+            print(f"{name} equal in every pair: {', '.join(values)}")
+        for (a, b), at in moved.items():
+            print(f"{name} DIFFERS: A {a} → B {b} in pairs {', '.join(at)} of {len(pairs)}")
     print()
     counts(workload)
 
