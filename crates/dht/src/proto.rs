@@ -15,9 +15,6 @@
 //! Message latency comes from any function of the two endpoint hosts, so the
 //! protocol can run over the `netsim` oracle or a constant-delay fabric.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use netsim::HostId;
 use simcore::audit::{AuditCtx, Auditor, InvariantSet};
 use simcore::trace::{TraceEvent, TraceRecord, Tracer};
@@ -47,7 +44,12 @@ impl Default for ProtoConfig {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A peer, named by its node index (its position in [`DhtSim`]'s node
+/// tables): four bytes where its [`NodeId`] takes eight. Whatever holds
+/// peers in ID order compares them through [`DhtSim::ids`].
+type Peer = u32;
+
+#[derive(Clone, Copy, Debug)]
 enum Event {
     /// Periodic heartbeat timer for a node. The epoch guards against
     /// duplicate timer chains across kill/revive cycles: a timer scheduled
@@ -57,19 +59,16 @@ enum Event {
     Deliver {
         to: u32,
         from: u32,
-        /// The sender's leafset and its own ID at send time. One payload
-        /// is shared by every target of a heartbeat fan-out.
-        view: Rc<Vec<NodeId>>,
+        /// The sender's leafset and the sender itself at send time: a
+        /// payload of [`DhtSim::payloads`], shared by every target of a
+        /// heartbeat fan-out.
+        payload: u32,
         /// Acks do not trigger further replies (no ping-pong).
         ack: bool,
     },
 }
 
-/// A peer and a time: in a view, the last evidence the peer was alive; in
-/// a set of death certificates, when the certificate lapses.
-type PeerTime = (NodeId, SimTime);
-
-/// Smallest row the slab hands out: four entries, one cache line.
+/// Smallest row the slab hands out.
 const MIN_ROW: u16 = 4;
 
 /// Handle on one row of a [`PeerSlab`]: where it starts, how many entries
@@ -81,47 +80,67 @@ struct Row {
     cap: u16,
 }
 
-/// Every node's views and death certificates, in one vector of
-/// power-of-two rows. A row is `(peer, time)` pairs in ID order — a
-/// leafset's worth of entries plus what gossip adds, a dozen or so, so a
-/// sorted run serves as the ordered map. A full row moves to a row of
-/// twice the capacity and leaves its old one on that capacity's free list
-/// for the next row that grows into it; the simulator holds one allocation
-/// for all of them and gives it back whole when it is dropped.
+impl Row {
+    /// Where the row's entries are in the slab.
+    fn span(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + usize::from(self.len)
+    }
+}
+
+/// Every node's views and death certificates: power-of-two rows of `(peer,
+/// time)` entries — in a view, the last evidence the peer was alive; in a
+/// set of death certificates, when the certificate lapses. A row is in
+/// peer-ID order — a leafset's worth of entries plus what gossip adds, a
+/// dozen or so, so a sorted run serves as the ordered map.
+///
+/// The entries are two parallel columns, because a `(u32, SimTime)` pair
+/// pads to 16 bytes where the two columns hold 12. A full row moves to a
+/// row of twice the capacity and leaves its old one on that capacity's
+/// free list for the next row that grows into it; the simulator holds one
+/// allocation per column for all of them and gives both back whole when it
+/// is dropped.
 #[derive(Default)]
 struct PeerSlab {
-    entries: Vec<PeerTime>,
+    peers: Vec<Peer>,
+    times: Vec<SimTime>,
     /// `free[c]`: starts of the unused rows of capacity `1 << c`.
     free: Vec<Vec<u32>>,
 }
 
 impl PeerSlab {
-    /// The entries of a row, in ID order.
-    fn row(&self, row: Row) -> &[PeerTime] {
-        &self.entries[row.start as usize..][..row.len as usize]
-    }
-
-    fn find(&self, row: Row, id: NodeId) -> Result<usize, usize> {
-        self.row(row).binary_search_by_key(&id, |&(peer, _)| peer)
-    }
-
-    fn contains(&self, row: Row, id: NodeId) -> bool {
-        self.find(row, id).is_ok()
-    }
-
     /// The peers of a row, in ID order.
-    fn ids(&self, row: Row) -> impl Iterator<Item = NodeId> + '_ {
-        self.row(row).iter().map(|&(peer, _)| peer)
+    fn peers(&self, row: Row) -> &[Peer] {
+        &self.peers[row.span()]
+    }
+
+    /// The times of a row, in the order of its peers.
+    fn times(&self, row: Row) -> &[SimTime] {
+        &self.times[row.span()]
+    }
+
+    /// Where `id` is in the row, or where it would go. `ids` names every
+    /// peer.
+    fn find(&self, row: Row, id: NodeId, ids: &[NodeId]) -> Result<usize, usize> {
+        self.peers(row)
+            .binary_search_by_key(&id, |&peer| ids[peer as usize])
+    }
+
+    fn contains(&self, row: Row, id: NodeId, ids: &[NodeId]) -> bool {
+        self.find(row, id, ids).is_ok()
     }
 
     /// A new row holding `sorted` (which is in ID order).
-    fn row_of(&mut self, sorted: &[PeerTime]) -> Row {
+    fn row_of(&mut self, sorted: &[(Peer, SimTime)]) -> Row {
         let mut row = Row::default();
         if !sorted.is_empty() {
             row.cap = row_cap(sorted.len());
             row.start = self.take(row.cap);
             row.len = sorted.len() as u16;
-            self.entries[row.start as usize..][..sorted.len()].copy_from_slice(sorted);
+            let at = row.start as usize;
+            for (k, &(peer, t)) in sorted.iter().enumerate() {
+                self.peers[at + k] = peer;
+                self.times[at + k] = t;
+            }
         }
         row
     }
@@ -136,11 +155,10 @@ impl PeerSlab {
         {
             return start;
         }
-        let start = u32::try_from(self.entries.len()).expect("the slab holds under 2^32 entries");
-        self.entries.resize(
-            self.entries.len() + usize::from(cap),
-            (NodeId(0), SimTime::ZERO),
-        );
+        let start = u32::try_from(self.peers.len()).expect("the slab holds under 2^32 entries");
+        let end = self.peers.len() + usize::from(cap);
+        self.peers.resize(end, 0);
+        self.times.resize(end, SimTime::ZERO);
         start
     }
 
@@ -151,9 +169,8 @@ impl PeerSlab {
             cap => row_cap(usize::from(cap) * 2),
         };
         let start = self.take(cap);
-        let old = row.start as usize;
-        self.entries
-            .copy_within(old..old + usize::from(row.len), start as usize);
+        self.peers.copy_within(row.span(), start as usize);
+        self.times.copy_within(row.span(), start as usize);
         self.release(*row);
         row.start = start;
         row.cap = cap;
@@ -170,53 +187,57 @@ impl PeerSlab {
         }
     }
 
-    /// Insert `entry` at position `i` of the row.
-    fn insert(&mut self, row: &mut Row, i: usize, entry: PeerTime) {
+    /// Insert `(peer, t)` at position `i` of the row.
+    fn insert(&mut self, row: &mut Row, i: usize, peer: Peer, t: SimTime) {
         if row.len == row.cap {
             self.grow(row);
         }
-        let start = row.start as usize;
-        self.entries
-            .copy_within(start + i..start + usize::from(row.len), start + i + 1);
-        self.entries[start + i] = entry;
+        let at = row.start as usize + i;
+        let tail = at..row.span().end;
+        self.peers.copy_within(tail.clone(), at + 1);
+        self.times.copy_within(tail, at + 1);
+        self.peers[at] = peer;
+        self.times[at] = t;
         row.len += 1;
     }
 
-    /// Insert `id`, or overwrite its time.
-    fn set(&mut self, row: &mut Row, id: NodeId, t: SimTime) {
-        match self.find(*row, id) {
-            Ok(i) => self.entries[row.start as usize + i].1 = t,
-            Err(i) => self.insert(row, i, (id, t)),
+    /// Insert `peer`, or overwrite its time.
+    fn set(&mut self, row: &mut Row, peer: Peer, t: SimTime, ids: &[NodeId]) {
+        match self.find(*row, ids[peer as usize], ids) {
+            Ok(i) => self.times[row.start as usize + i] = t,
+            Err(i) => self.insert(row, i, peer, t),
         }
     }
 
-    /// Insert `id` unless it is already present (its time is then kept).
-    fn set_if_absent(&mut self, row: &mut Row, id: NodeId, t: SimTime) {
-        if let Err(i) = self.find(*row, id) {
-            self.insert(row, i, (id, t));
+    /// Insert `peer` unless it is already present (its time is then kept).
+    fn set_if_absent(&mut self, row: &mut Row, peer: Peer, t: SimTime, ids: &[NodeId]) {
+        if let Err(i) = self.find(*row, ids[peer as usize], ids) {
+            self.insert(row, i, peer, t);
         }
     }
 
-    fn remove(&mut self, row: &mut Row, id: NodeId) {
-        if let Ok(i) = self.find(*row, id) {
-            let start = row.start as usize;
-            self.entries
-                .copy_within(start + i + 1..start + usize::from(row.len), start + i);
+    fn remove(&mut self, row: &mut Row, peer: Peer, ids: &[NodeId]) {
+        if let Ok(i) = self.find(*row, ids[peer as usize], ids) {
+            let at = row.start as usize + i;
+            let tail = at + 1..row.span().end;
+            self.peers.copy_within(tail.clone(), at);
+            self.times.copy_within(tail, at);
             row.len -= 1;
         }
     }
 
     /// Keep the entries `keep` accepts, in order.
-    fn retain(&mut self, row: &mut Row, mut keep: impl FnMut(PeerTime) -> bool) {
-        let entries = &mut self.entries[row.start as usize..][..usize::from(row.len)];
-        let mut kept = 0;
-        for i in 0..entries.len() {
-            if keep(entries[i]) {
-                entries[kept] = entries[i];
+    fn retain(&mut self, row: &mut Row, mut keep: impl FnMut(Peer, SimTime) -> bool) {
+        let mut kept = row.start as usize;
+        for i in row.span() {
+            let (peer, t) = (self.peers[i], self.times[i]);
+            if keep(peer, t) {
+                self.peers[kept] = peer;
+                self.times[kept] = t;
                 kept += 1;
             }
         }
-        row.len = kept as u16;
+        row.len = (kept - row.start as usize) as u16;
     }
 }
 
@@ -230,21 +251,76 @@ fn row_cap(len: usize) -> u16 {
         .max(MIN_ROW)
 }
 
+/// The gossip payloads in flight, back to back in one buffer. A payload is
+/// two header words — how many scheduled deliveries still refer to it, and
+/// how many peers it names — followed by those peers. A payload no delivery
+/// refers to any more leaves its run on the free list of its length, for
+/// the next payload of that length, so steady-state heartbeats allocate
+/// nothing.
+#[derive(Default)]
+struct Payloads {
+    words: Vec<u32>,
+    /// `free[len]`: starts of the unused runs that hold `len` peers.
+    free: Vec<Vec<u32>>,
+}
+
+impl Payloads {
+    /// Store `peers` as a payload no delivery refers to yet; returns its
+    /// handle. [`Payloads::settle`] frees it if no delivery takes it up.
+    fn put(&mut self, peers: &[Peer]) -> u32 {
+        let len = peers.len();
+        let at = match self.free.get_mut(len).and_then(Vec::pop) {
+            Some(at) => at,
+            None => {
+                let at = u32::try_from(self.words.len()).expect("payloads hold under 2^32 words");
+                self.words.resize(self.words.len() + 2 + len, 0);
+                at
+            }
+        };
+        let run = &mut self.words[at as usize..][..2 + len];
+        run[0] = 0;
+        run[1] = len as u32;
+        run[2..].copy_from_slice(peers);
+        at
+    }
+
+    /// The peers of payload `at`.
+    fn peers(&self, at: u32) -> &[Peer] {
+        let at = at as usize;
+        &self.words[at + 2..][..self.words[at + 1] as usize]
+    }
+
+    /// One more scheduled delivery refers to payload `at`.
+    fn hold(&mut self, at: u32) {
+        self.words[at as usize] += 1;
+    }
+
+    /// A delivery of payload `at` is done with it.
+    fn release(&mut self, at: u32) {
+        self.words[at as usize] -= 1;
+        self.settle(at);
+    }
+
+    /// Free payload `at` if no delivery refers to it.
+    fn settle(&mut self, at: u32) {
+        let run = &self.words[at as usize..];
+        if run[0] == 0 {
+            let len = run[1] as usize;
+            if self.free.len() <= len {
+                self.free.resize_with(len + 1, Vec::new);
+            }
+            self.free[len].push(at);
+        }
+    }
+}
+
 struct ProtoNode {
-    member: Member,
-    alive: bool,
+    host: HostId,
     /// Incremented on every kill and revive; stale timers are dropped.
     epoch: u32,
     /// Known peers → last time we heard evidence they were alive: a row of
     /// [`DhtSim::peers`].
     view: Row,
-    /// Last-resort probe targets for when the view empties out (e.g. a
-    /// partition long enough to expire every peer): the node's configured
-    /// contacts, `fallback_len` IDs at `fallback_at` in
-    /// [`DhtSim::fallback`]. Without this a fully-isolated node maroons
-    /// itself forever even after the network heals.
-    fallback_at: u32,
-    fallback_len: u32,
     /// Death certificates: peers we expired, with the time the tombstone
     /// lapses; a row of [`DhtSim::peers`]. Gossip cannot resurrect a
     /// tombstoned peer — only direct evidence (a message from the peer
@@ -252,25 +328,34 @@ struct ProtoNode {
     /// stale gossip keeps a dead node flapping in and out of leafsets
     /// indefinitely.
     tombstones: Row,
+    /// Last-resort probe targets for when the view empties out (e.g. a
+    /// partition long enough to expire every peer): the node's configured
+    /// contacts, `fallback_len` peers at `fallback_at` in
+    /// [`DhtSim::fallback`]. Without this a fully-isolated node maroons
+    /// itself forever even after the network heals.
+    fallback_at: u32,
+    fallback_len: u16,
+    alive: bool,
 }
 
-/// Write the *believed* leafset of the node `my_id`, whose view is `peers`,
-/// into `out` (cleared first): the r nearest view entries on the successor
-/// side, nearest first, then those on the predecessor side that the first
-/// walk did not already reach. The order is the heartbeat send order.
-fn leafset_into(my_id: NodeId, peers: &[PeerTime], r: usize, out: &mut Vec<NodeId>) {
+/// Write the *believed* leafset of node `me`, whose view is `peers`, into
+/// `out` (cleared first): the r nearest view entries on the successor side,
+/// nearest first, then those on the predecessor side that the first walk
+/// did not already reach. The order is the heartbeat send order.
+fn leafset_into(me: Peer, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut Vec<Peer>) {
     out.clear();
     let n = peers.len();
     // Our own position among the peers (we are not in our own view).
-    let pos = peers.partition_point(|&(peer, _)| peer < my_id);
+    let my_id = ids[me as usize];
+    let pos = peers.partition_point(|&peer| ids[peer as usize] < my_id);
     let take = r.min(n);
     for k in 0..take {
-        out.push(peers[(pos + k) % n].0);
+        out.push(peers[(pos + k) % n]);
     }
     for k in 1..=take {
-        let id = peers[(pos + n - k) % n].0;
-        if !out.contains(&id) {
-            out.push(id);
+        let peer = peers[(pos + n - k) % n];
+        if !out.contains(&peer) {
+            out.push(peer);
         }
     }
 }
@@ -278,26 +363,28 @@ fn leafset_into(my_id: NodeId, peers: &[PeerTime], r: usize, out: &mut Vec<NodeI
 /// The simulated ring-maintenance protocol.
 pub struct DhtSim<D: Fn(HostId, HostId) -> SimTime> {
     nodes: Vec<ProtoNode>,
+    /// Every node's ID, by node index: what orders a row of peers. IDs are
+    /// unique: a [`Ring`] rejects duplicates and so do [`DhtSim::join`] /
+    /// [`DhtSim::join_via_lookup`].
+    ids: Vec<NodeId>,
     /// Every node's view and death certificates.
     peers: PeerSlab,
     /// Every node's fallback contacts, back to back. A node's run never
     /// grows: it starts as the initial view (one slot at least) and a
     /// restart overwrites it with the one contact it re-bootstraps from.
-    fallback: Vec<NodeId>,
-    /// IDs the running `expire` found timed out, in view order.
-    expired: Vec<NodeId>,
-    /// Node ID → position in `nodes`. IDs are unique: a [`Ring`] rejects
-    /// duplicates and so do [`DhtSim::join`] / [`DhtSim::join_via_lookup`].
-    index: HashMap<NodeId, u32>,
+    fallback: Vec<Peer>,
+    /// Peers the running `expire` found timed out, in view order.
+    expired: Vec<Peer>,
+    /// The leafset the running heartbeat or ack carries.
+    leafset: Vec<Peer>,
+    /// The gossip of every message in flight.
+    payloads: Payloads,
     queue: EventQueue<Event>,
     cfg: ProtoConfig,
     delay: D,
     faults: FaultyLink,
     messages: u64,
     tracer: Tracer,
-    /// Gossip payloads no in-flight message refers to any more, kept for
-    /// the next send so that steady-state heartbeats allocate nothing.
-    spare_payloads: Vec<Rc<Vec<NodeId>>>,
 }
 
 impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
@@ -310,28 +397,30 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn with_faults(ring: &Ring, cfg: ProtoConfig, delay: D, plan: FaultPlan) -> Self {
         let mut sim = DhtSim {
             nodes: Vec::with_capacity(ring.len()),
+            ids: Vec::with_capacity(ring.len()),
             peers: PeerSlab::default(),
             fallback: Vec::new(),
             expired: Vec::new(),
-            index: HashMap::with_capacity(ring.len()),
+            leafset: Vec::new(),
+            payloads: Payloads::default(),
             queue: EventQueue::new(),
             cfg,
             delay,
             faults: FaultyLink::new(plan),
             messages: 0,
             tracer: Tracer::disabled(),
-            spare_payloads: Vec::new(),
         };
         let period = HEARTBEAT.as_micros();
-        let mut view: Vec<PeerTime> = Vec::new();
+        let mut view: Vec<(Peer, SimTime)> = Vec::new();
         for i in 0..ring.len() {
+            // Node `j` is ring member `j`.
             view.clear();
             view.extend(
                 ring.leafset(i, cfg.leafset_r)
                     .into_iter()
-                    .map(|j| (ring.member(j).id, SimTime::ZERO)),
+                    .map(|j| (j as Peer, SimTime::ZERO)),
             );
-            view.sort_unstable_by_key(|&(peer, _)| peer);
+            view.sort_unstable_by_key(|&(j, _)| ring.member(j as usize).id);
             let jitter = SimTime::from_micros(simcore::rng::derive_seed(0xBEA7, i as u64) % period);
             sim.add_node(ring.member(i), &view, jitter);
         }
@@ -341,25 +430,29 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Append a live node with the initial `view` (in ID order), which is
     /// also its `fallback` contacts, and start its heartbeat timer at
     /// absolute time `first_timer` (clamped to now). Returns its index.
-    fn add_node(&mut self, member: Member, view: &[PeerTime], first_timer: SimTime) -> usize {
+    fn add_node(
+        &mut self,
+        member: Member,
+        view: &[(Peer, SimTime)],
+        first_timer: SimTime,
+    ) -> usize {
         let idx = self.nodes.len();
-        let prev = self.index.insert(member.id, idx as u32);
-        debug_assert!(prev.is_none(), "callers check the ID is new");
         let fallback_at =
             u32::try_from(self.fallback.len()).expect("fallback contacts number under 2^32");
         self.fallback.extend(view.iter().map(|&(peer, _)| peer));
         if view.is_empty() {
             // The slot a restart writes its contact into.
-            self.fallback.push(member.id);
+            self.fallback.push(idx as Peer);
         }
+        self.ids.push(member.id);
         self.nodes.push(ProtoNode {
-            member,
-            alive: true,
+            host: member.host,
             epoch: 0,
             view: self.peers.row_of(view),
-            fallback_at,
-            fallback_len: view.len() as u32,
             tombstones: Row::default(),
+            fallback_at,
+            fallback_len: view.len() as u16,
+            alive: true,
         });
         self.queue.schedule(
             first_timer,
@@ -404,14 +497,13 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         assert!(!self.nodes[node].alive, "revive() on a live node");
         assert!(node != contact, "revive() through the node itself");
         let now = self.queue.now();
-        let contact_id = self.nodes[contact].member.id;
         let n = &mut self.nodes[node];
         n.alive = true;
         n.epoch += 1;
         n.view.len = 0;
         n.tombstones.len = 0;
-        self.peers.set(&mut n.view, contact_id, now);
-        self.fallback[n.fallback_at as usize] = contact_id;
+        self.peers.set(&mut n.view, contact as Peer, now, &self.ids);
+        self.fallback[n.fallback_at as usize] = contact as Peer;
         n.fallback_len = 1;
         let epoch = n.epoch;
         self.queue.schedule_after(
@@ -436,8 +528,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn join(&mut self, member: Member, contact: usize) -> usize {
         self.assert_not_simulated(member.id);
         let now = self.queue.now();
-        let view = [(self.nodes[contact].member.id, now)];
-        self.add_node(member, &view, now)
+        self.add_node(member, &[(contact as Peer, now)], now)
     }
 
     /// The standard join protocol: route a lookup for the joiner's own ID
@@ -452,28 +543,29 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// [`DhtSim::join`].
     pub fn join_via_lookup(&mut self, member: Member, contact: usize) -> Option<usize> {
         self.assert_not_simulated(member.id);
-        let (owner_id, _) = self.lookup(contact, member.id)?;
-        let owner = self.index_of(owner_id)?;
+        let (owner, _) = self.route(contact, member.id)?;
         let now = self.queue.now();
         // Adopt the successor's view as half-stale candidates: they must
-        // confirm themselves, exactly like gossip-learned entries.
+        // confirm themselves, exactly like gossip-learned entries. (The
+        // joiner is in no view: it is not simulated yet.)
         let stale = now.saturating_sub(self.half_timeout());
-        let mut view: Vec<PeerTime> = self
+        let mut view: Vec<(Peer, SimTime)> = self
             .peers
-            .ids(self.nodes[owner].view)
-            .filter(|&id| id != member.id)
-            .map(|id| (id, stale))
+            .peers(self.nodes[owner].view)
+            .iter()
+            .map(|&peer| (peer, stale))
             .collect();
         // The owner is not in its own view: the joiner's direct evidence.
-        let at = view.partition_point(|&(peer, _)| peer < owner_id);
-        view.insert(at, (owner_id, now));
+        let owner_id = self.ids[owner];
+        let at = view.partition_point(|&(peer, _)| self.ids[peer as usize] < owner_id);
+        view.insert(at, (owner as Peer, now));
         Some(self.add_node(member, &view, now))
     }
 
     /// A joiner's ID must be new: a [`Ring`] holds no duplicates either.
     fn assert_not_simulated(&self, id: NodeId) {
         assert!(
-            !self.index.contains_key(&id),
+            !self.ids.contains(&id),
             "node ID {id:?} is already simulated"
         );
     }
@@ -495,40 +587,25 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         SimTime::from_micros(self.cfg.timeout.as_micros() / 2)
     }
 
-    /// An empty payload that nothing else refers to.
-    fn fresh_payload(&mut self) -> Rc<Vec<NodeId>> {
-        let mut payload = self.spare_payloads.pop().unwrap_or_default();
-        Rc::get_mut(&mut payload)
-            .expect("spare payloads are unshared")
-            .clear();
-        payload
-    }
-
-    /// Give up one handle on a payload; the last handle parks it for reuse.
-    fn release_payload(&mut self, payload: Rc<Vec<NodeId>>) {
-        if Rc::strong_count(&payload) == 1 {
-            self.spare_payloads.push(payload);
-        }
-    }
-
     /// Send a message through the fault layer: counts it as sent, schedules
     /// delivery unless the plan drops it.
-    fn send(&mut self, from: u32, to: u32, view: &Rc<Vec<NodeId>>, ack: bool) {
+    fn send(&mut self, from: u32, to: u32, payload: u32, ack: bool) {
         self.messages += 1;
-        let from_host = self.nodes[from as usize].member.host;
-        let to_host = self.nodes[to as usize].member.host;
+        let from_host = self.nodes[from as usize].host;
+        let to_host = self.nodes[to as usize].host;
         let base = (self.delay)(from_host, to_host);
         let now = self.queue.now();
         if let Some(d) = self
             .faults
             .transmit(from_host.0 as u64, to_host.0 as u64, now, base)
         {
+            self.payloads.hold(payload);
             self.queue.schedule_after(
                 d,
                 Event::Deliver {
                     to,
                     from,
-                    view: Rc::clone(view),
+                    payload,
                     ack,
                 },
             );
@@ -548,62 +625,60 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                 // enough to expire every peer), fall back to probing the
                 // configured contacts so the node can rejoin once the network
                 // heals instead of marooning itself.
-                let mut gossip = self.fresh_payload();
-                let ids = Rc::get_mut(&mut gossip).expect("fresh payloads are unshared");
                 let n = &self.nodes[node as usize];
-                let my_id = n.member.id;
-                leafset_into(my_id, self.peers.row(n.view), self.cfg.leafset_r, ids);
-                if ids.is_empty() {
+                let mut targets = std::mem::take(&mut self.leafset);
+                let view = self.peers.peers(n.view);
+                leafset_into(node, view, &self.ids, self.cfg.leafset_r, &mut targets);
+                if targets.is_empty() {
                     let contacts =
-                        &self.fallback[n.fallback_at as usize..][..n.fallback_len as usize];
-                    ids.extend(contacts.iter().copied().filter(|&id| id != my_id));
+                        &self.fallback[n.fallback_at as usize..][..usize::from(n.fallback_len)];
+                    targets.extend(contacts.iter().copied().filter(|&peer| peer != node));
                 }
-                let fanout = ids.len();
-                ids.push(my_id);
+                let fanout = targets.len();
+                targets.push(node);
+                let payload = self.payloads.put(&targets);
                 self.tracer.emit(now, || TraceEvent::DhtHeartbeat {
                     node,
                     targets: fanout as u32,
                 });
-                for k in 0..fanout {
-                    if let Some(to) = self.index_of(gossip[k]) {
-                        self.send(node, to as u32, &gossip, false);
-                    }
+                for &to in &targets[..fanout] {
+                    self.send(node, to, payload, false);
                 }
-                self.release_payload(gossip);
+                self.payloads.settle(payload);
+                self.leafset = targets;
                 self.queue
                     .schedule_after(HEARTBEAT, Event::Timer { node, epoch });
             }
             Event::Deliver {
                 to,
                 from,
-                view,
+                payload,
                 ack,
             } => {
                 if self.nodes[to as usize].alive {
-                    self.receive(now, to, from, &view, ack);
+                    self.receive(now, to, from, payload, ack);
                 }
-                self.release_payload(view);
+                self.payloads.release(payload);
             }
         }
     }
 
-    /// A live node `to` takes in a heartbeat (or its ack) from `from`.
-    fn receive(&mut self, now: SimTime, to: u32, from: u32, gossip: &[NodeId], ack: bool) {
-        let from_id = self.nodes[from as usize].member.id;
+    /// A live node `to` takes in a heartbeat (or its ack) from `from`,
+    /// carrying `payload`.
+    fn receive(&mut self, now: SimTime, to: u32, from: u32, payload: u32, ack: bool) {
         let stale = now.saturating_sub(self.half_timeout());
-        let peers = &mut self.peers;
+        let (ids, peers) = (&self.ids, &mut self.peers);
         let n = &mut self.nodes[to as usize];
-        let my_id = n.member.id;
         // Direct evidence: the sender is alive now (and any death
         // certificate for it is void).
-        peers.remove(&mut n.tombstones, from_id);
-        peers.set(&mut n.view, from_id, now);
+        peers.remove(&mut n.tombstones, from, ids);
+        peers.set(&mut n.view, from, now, ids);
         // Gossip: adopt unknown IDs with "half-stale" evidence so
         // they must confirm themselves within timeout/2 — this stops
         // dead nodes from being resurrected by stale gossip forever.
-        for &id in gossip {
-            if id != my_id && !peers.contains(n.tombstones, id) {
-                peers.set_if_absent(&mut n.view, id, stale);
+        for &peer in self.payloads.peers(payload) {
+            if peer != to && !peers.contains(n.tombstones, ids[peer as usize], ids) {
+                peers.set_if_absent(&mut n.view, peer, stale, ids);
             }
         }
         let view = n.view;
@@ -613,12 +688,19 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         // joiner heartbeating a distant contact would never hear
         // back and maroon itself.
         if !ack {
-            let mut reply = self.fresh_payload();
-            let ids = Rc::get_mut(&mut reply).expect("fresh payloads are unshared");
-            leafset_into(my_id, self.peers.row(view), self.cfg.leafset_r, ids);
-            ids.push(my_id);
-            self.send(to, from, &reply, true);
-            self.release_payload(reply);
+            let mut reply = std::mem::take(&mut self.leafset);
+            leafset_into(
+                to,
+                self.peers.peers(view),
+                &self.ids,
+                self.cfg.leafset_r,
+                &mut reply,
+            );
+            reply.push(to);
+            let payload = self.payloads.put(&reply);
+            self.leafset = reply;
+            self.send(to, from, payload, true);
+            self.payloads.settle(payload);
         }
     }
 
@@ -631,25 +713,22 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         // the expired peers are certified once the view's row is settled.
         let expired = &mut self.expired;
         expired.clear();
-        self.peers.retain(view, |(id, last)| {
+        self.peers.retain(view, |peer, last| {
             let alive = now.saturating_sub(last) < timeout;
             if !alive {
-                expired.push(id);
+                expired.push(peer);
             }
             alive
         });
-        for &id in expired.iter() {
-            self.peers.set(tombstones, id, now + timeout);
+        for &peer in expired.iter() {
+            self.peers.set(tombstones, peer, now + timeout, &self.ids);
+            let id = self.ids[peer as usize];
             self.tracer.emit(now, || TraceEvent::DhtExpel {
                 node: node as u32,
                 peer: id.0,
             });
         }
-        self.peers.retain(tombstones, |(_, until)| until > now);
-    }
-
-    fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).map(|&i| i as usize)
+        self.peers.retain(tombstones, |_, until| until > now);
     }
 
     /// Resolve the owner of `key` by greedy clockwise routing over the
@@ -657,6 +736,13 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// [`Ring::owner`]'s structural one. Returns `(owner_id, hops)`, or
     /// `None` if routing gets stuck (possible while views are healing).
     pub fn lookup(&self, from: usize, key: NodeId) -> Option<(NodeId, usize)> {
+        self.route(from, key)
+            .map(|(owner, hops)| (self.ids[owner], hops))
+    }
+
+    /// [`DhtSim::lookup`], naming the owner by its node index.
+    fn route(&self, from: usize, key: NodeId) -> Option<(usize, usize)> {
+        let id = |peer: Peer| self.ids[peer as usize];
         let mut cur = from;
         let mut hops = 0usize;
         loop {
@@ -664,36 +750,36 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             if !node.alive {
                 return None;
             }
-            let my = node.member.id;
+            let my = self.ids[cur];
+            let view = self.peers.peers(node.view);
             // Believed predecessor: the view member closest counter-
             // clockwise of me. I believe I own (pred, me].
-            let pred = self
-                .peers
-                .ids(node.view)
+            let pred = view
+                .iter()
+                .map(|&peer| id(peer))
                 .min_by_key(|v| v.distance_cw(my))?;
             if crate::id::in_arc(pred, my, key) {
-                return Some((my, hops));
+                return Some((cur, hops));
             }
             // Believed successor owns (me, succ].
-            let succ = self
-                .peers
-                .ids(node.view)
-                .min_by_key(|v| my.distance_cw(*v))?;
-            if crate::id::in_arc(my, succ, key) {
-                return Some((succ, hops + 1));
+            let succ = view
+                .iter()
+                .copied()
+                .min_by_key(|&peer| my.distance_cw(id(peer)))?;
+            if crate::id::in_arc(my, id(succ), key) {
+                return Some((succ as usize, hops + 1));
             }
             // Otherwise forward to the view member making the most
             // clockwise progress without passing the key.
             let target = my.distance_cw(key);
-            let next_id = self
-                .peers
-                .ids(node.view)
-                .filter(|v| {
-                    let d = my.distance_cw(*v);
+            let next = view
+                .iter()
+                .copied()
+                .filter(|&peer| {
+                    let d = my.distance_cw(id(peer));
                     d > 0 && d <= target
                 })
-                .max_by_key(|v| my.distance_cw(*v))?;
-            let next = self.index_of(next_id)?;
+                .max_by_key(|&peer| my.distance_cw(id(peer)))? as usize;
             if next == cur {
                 return None; // stuck
             }
@@ -708,16 +794,28 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// The believed leafset of a node (IDs, both sides) as derived from
     /// its current view.
     pub fn believed_leafset(&self, node: usize) -> Vec<NodeId> {
-        let n = &self.nodes[node];
-        let r = self.cfg.leafset_r;
-        let mut out = Vec::with_capacity(r.saturating_mul(2).min(usize::from(n.view.len)));
-        leafset_into(n.member.id, self.peers.row(n.view), r, &mut out);
-        out
+        let mut leafset = Vec::new();
+        let view = self.peers.peers(self.nodes[node].view);
+        leafset_into(
+            node as Peer,
+            view,
+            &self.ids,
+            self.cfg.leafset_r,
+            &mut leafset,
+        );
+        leafset
+            .iter()
+            .map(|&peer| self.ids[peer as usize])
+            .collect()
     }
 
     /// The ring of the nodes that are actually alive.
     fn live_ring(&self) -> Ring {
-        Ring::from_members(self.nodes.iter().filter(|n| n.alive).map(|n| n.member))
+        Ring::from_members(
+            (0..self.nodes.len())
+                .filter(|&i| self.nodes[i].alive)
+                .map(|i| self.member_of(i)),
+        )
     }
 
     /// The leafset `id` has in `ring`, as sorted IDs.
@@ -734,19 +832,23 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     /// The true leafset of a node given who is actually alive.
     pub fn true_leafset(&self, node: usize) -> Vec<NodeId> {
-        self.leafset_in(&self.live_ring(), self.nodes[node].member.id)
+        self.leafset_in(&self.live_ring(), self.ids[node])
     }
 
     /// Whether every live node's believed leafset matches the truth.
     pub fn converged(&self) -> bool {
         let ring = self.live_ring();
-        let mut believed = Vec::new();
-        self.nodes.iter().filter(|n| n.alive).all(|n| {
-            let view = self.peers.row(n.view);
-            leafset_into(n.member.id, view, self.cfg.leafset_r, &mut believed);
-            believed.sort_unstable();
-            believed == self.leafset_in(&ring, n.member.id)
-        })
+        let (mut leafset, mut believed) = (Vec::new(), Vec::new());
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].alive)
+            .all(|i| {
+                let view = self.peers.peers(self.nodes[i].view);
+                leafset_into(i as Peer, view, &self.ids, self.cfg.leafset_r, &mut leafset);
+                believed.clear();
+                believed.extend(leafset.iter().map(|&peer| self.ids[peer as usize]));
+                believed.sort_unstable();
+                believed == self.leafset_in(&ring, self.ids[i])
+            })
     }
 
     /// Total messages sent so far (dropped ones included — they left the
@@ -782,23 +884,29 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     /// The ring member simulated at index `i`.
     pub fn member_of(&self, i: usize) -> Member {
-        self.nodes[i].member
+        Member {
+            id: self.ids[i],
+            host: self.nodes[i].host,
+        }
     }
 
     /// Whether node `i`'s current view still contains `id` — the signal the
     /// recovery pipeline polls to time failure detection and expulsion.
     pub fn view_contains(&self, i: usize, id: NodeId) -> bool {
-        self.peers.contains(self.nodes[i].view, id)
+        self.peers.contains(self.nodes[i].view, id, &self.ids)
     }
 
     /// The peers in node `i`'s current view, in ID order.
     pub fn view_ids(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.peers.ids(self.nodes[i].view)
+        self.peers
+            .peers(self.nodes[i].view)
+            .iter()
+            .map(|&peer| self.ids[peer as usize])
     }
 
     /// Whether node `i` currently holds a death certificate for `id`.
     pub fn tombstoned(&self, i: usize, id: NodeId) -> bool {
-        self.peers.contains(self.nodes[i].tombstones, id)
+        self.peers.contains(self.nodes[i].tombstones, id, &self.ids)
     }
 
     /// Sample the ring/tombstone coherence invariants if the auditor is
@@ -833,8 +941,8 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
     ctx: &mut AuditCtx<'_>,
 ) {
     for (i, n) in s.nodes.iter().enumerate() {
-        for id in s.peers.ids(n.view) {
-            ctx.check(!s.peers.contains(n.tombstones, id), || {
+        for id in s.view_ids(i) {
+            ctx.check(!s.peers.contains(n.tombstones, id, &s.ids), || {
                 format!("node {i} holds {id:?} in both view and tombstones")
             });
         }
@@ -843,7 +951,7 @@ fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
 
 fn inv_self_absent<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     for (i, n) in s.nodes.iter().enumerate() {
-        ctx.check(!s.peers.contains(n.view, n.member.id), || {
+        ctx.check(!s.peers.contains(n.view, s.ids[i], &s.ids), || {
             format!("node {i} gossiped itself into its own view")
         });
     }
@@ -855,10 +963,11 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 ) {
     let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
-        let view = s.peers.row(n.view);
-        leafset_into(n.member.id, view, s.cfg.leafset_r, &mut leafset);
-        for &id in &leafset {
-            ctx.check(s.peers.contains(n.view, id), || {
+        let view = s.peers.peers(n.view);
+        leafset_into(i as Peer, view, &s.ids, s.cfg.leafset_r, &mut leafset);
+        for &peer in &leafset {
+            let id = s.ids[peer as usize];
+            ctx.check(s.peers.contains(n.view, id, &s.ids), || {
                 format!("node {i}'s believed leafset lists {id:?} outside its view")
             });
         }
@@ -868,7 +977,9 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
 fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
     let horizon = ctx.now() + s.cfg.timeout;
     for (i, n) in s.nodes.iter().enumerate() {
-        for &(id, until) in s.peers.row(n.tombstones) {
+        let row = n.tombstones;
+        for (&peer, &until) in s.peers.peers(row).iter().zip(s.peers.times(row)) {
+            let id = s.ids[peer as usize];
             ctx.check(until <= horizon, || {
                 format!("node {i}'s certificate for {id:?} outlives a detection timeout ({until})")
             });
@@ -901,13 +1012,14 @@ mod tests {
             assert!(pair[0].0 + pair[0].1 <= pair[1].0, "rows overlap: {pair:?}");
         }
         if let Some(&(start, cap)) = spans.last() {
-            assert!(start + cap <= slab.entries.len());
+            assert!(start + cap <= slab.peers.len());
         }
         // Nothing else was ever handed out: the rows tile the slab.
         assert_eq!(
             spans.iter().map(|&(_, cap)| cap).sum::<usize>(),
-            slab.entries.len()
+            slab.peers.len()
         );
+        assert_eq!(slab.times.len(), slab.peers.len());
     }
 
     proptest! {
@@ -916,34 +1028,36 @@ mod tests {
         // Six rows driven through every slab call next to a `BTreeMap`
         // each: a row that changes class (4 → 8 → … → 128 here) keeps its
         // entries, nobody else's, and the row it left is reused, not lost.
+        // Peers are ordered by their IDs, which are not in peer order.
         #[test]
         fn prop_slab_rows_equal_their_map_models(
-            ops in proptest::collection::vec((0u8..10, 0usize..6, 0u64..96, 1u64..1000), 0..600),
+            ops in proptest::collection::vec((0u8..10, 0usize..6, 0u32..96, 1u64..1000), 0..600),
         ) {
             use std::collections::BTreeMap;
+            let ids: Vec<NodeId> = (0..96).map(NodeId::hash_of).collect();
             let mut slab = PeerSlab::default();
             let mut rows = [Row::default(); 6];
-            let mut models: Vec<BTreeMap<NodeId, SimTime>> = vec![BTreeMap::new(); 6];
-            for (op, r, id, t) in ops {
-                let (id, t) = (NodeId(id), SimTime::from_micros(t));
+            let mut models: Vec<BTreeMap<NodeId, (Peer, SimTime)>> = vec![BTreeMap::new(); 6];
+            for (op, r, peer, t) in ops {
+                let (id, t) = (ids[peer as usize], SimTime::from_micros(t));
                 let (row, model) = (&mut rows[r], &mut models[r]);
                 match op {
                     // Inserts outnumber the rest, so rows do grow.
                     0..=3 => {
-                        slab.set(row, id, t);
-                        model.insert(id, t);
+                        slab.set(row, peer, t, &ids);
+                        model.insert(id, (peer, t));
                     }
                     4 | 5 => {
-                        slab.set_if_absent(row, id, t);
-                        model.entry(id).or_insert(t);
+                        slab.set_if_absent(row, peer, t, &ids);
+                        model.entry(id).or_insert((peer, t));
                     }
                     6 => {
-                        slab.remove(row, id);
+                        slab.remove(row, peer, &ids);
                         model.remove(&id);
                     }
                     7 => {
-                        slab.retain(row, |(_, at)| at > t);
-                        model.retain(|_, at| *at > t);
+                        slab.retain(row, |_, at| at > t);
+                        model.retain(|_, (_, at)| *at > t);
                     }
                     8 => {
                         // What a restart does to a node's rows.
@@ -952,21 +1066,68 @@ mod tests {
                     }
                     _ => {
                         // A node joining with a ready-made view.
-                        let view: Vec<PeerTime> = (0..id.0 % 20).map(|k| (NodeId(k * 3), t)).collect();
+                        let mut view: Vec<(Peer, SimTime)> = (0..peer % 20).map(|k| (k * 3, t)).collect();
+                        view.sort_unstable_by_key(|&(p, _)| ids[p as usize]);
                         let fresh = slab.row_of(&view);
                         slab.release(std::mem::replace(row, fresh));
-                        *model = view.into_iter().collect();
+                        *model = view.into_iter().map(|(p, at)| (ids[p as usize], (p, at))).collect();
                     }
                 }
-                prop_assert_eq!(slab.contains(*row, id), model.contains_key(&id));
+                prop_assert_eq!(slab.contains(*row, id, &ids), model.contains_key(&id));
             }
             for (row, model) in rows.iter().zip(&models) {
-                let want: Vec<PeerTime> = model.iter().map(|(&id, &t)| (id, t)).collect();
-                prop_assert_eq!(slab.row(*row), &want[..]);
+                let peers: Vec<Peer> = model.values().map(|&(p, _)| p).collect();
+                let times: Vec<SimTime> = model.values().map(|&(_, at)| at).collect();
+                prop_assert_eq!(slab.peers(*row), &peers[..]);
+                prop_assert_eq!(slab.times(*row), &times[..]);
                 prop_assert!(row.len <= row.cap);
                 prop_assert!(row.cap == 0 || (row.cap.is_power_of_two() && row.cap >= MIN_ROW));
             }
             assert_rows_disjoint(&slab, &rows);
+        }
+
+        // Payloads put, held and released in any order: each reads back
+        // what was put until its last delivery lets it go, and a freed run
+        // is reused before the buffer grows.
+        #[test]
+        fn prop_payloads_read_back_until_released(
+            ops in proptest::collection::vec((0u8..3, 0usize..40, 0u32..4), 0..400),
+        ) {
+            let mut payloads = Payloads::default();
+            // (handle, peers, deliveries still holding it)
+            let mut live: Vec<(u32, Vec<Peer>, u32)> = Vec::new();
+            for (op, pick, n) in ops {
+                match op {
+                    0 => {
+                        let peers: Vec<Peer> = (0..pick as u32 % 10).map(|k| k * 7 + n).collect();
+                        let free_before = payloads.free.get(peers.len()).map_or(0, Vec::len);
+                        let words = payloads.words.len();
+                        let at = payloads.put(&peers);
+                        if free_before > 0 {
+                            prop_assert_eq!(payloads.words.len(), words, "a free run was not reused");
+                        }
+                        for _ in 0..n {
+                            payloads.hold(at);
+                        }
+                        payloads.settle(at);
+                        if n > 0 {
+                            live.push((at, peers, n));
+                        }
+                    }
+                    _ if !live.is_empty() => {
+                        let k = pick % live.len();
+                        payloads.release(live[k].0);
+                        live[k].2 -= 1;
+                        if live[k].2 == 0 {
+                            live.swap_remove(k);
+                        }
+                    }
+                    _ => {}
+                }
+                for (at, peers, _) in &live {
+                    prop_assert_eq!(payloads.peers(*at), &peers[..]);
+                }
+            }
         }
     }
 
@@ -993,22 +1154,24 @@ mod tests {
     fn a_peer_silent_for_exactly_the_timeout_is_expelled() {
         let mut s = sim(8);
         let timeout = s.cfg.timeout;
-        let peer = s
-            .view_ids(0)
-            .next()
+        let peer = *s
+            .peers
+            .peers(s.nodes[0].view)
+            .first()
             .expect("a bootstrap view is never empty");
+        let id = s.ids[peer as usize];
         let heard = SimTime::from_secs(5);
         let mut view = s.nodes[0].view;
-        s.peers.set(&mut view, peer, heard);
+        s.peers.set(&mut view, peer, heard, &s.ids);
         s.nodes[0].view = view;
         // One microsecond short of the timeout the peer is still alive...
         s.expire(0, heard + timeout - SimTime::from_micros(1));
-        assert!(s.view_contains(0, peer));
-        assert!(!s.tombstoned(0, peer));
+        assert!(s.view_contains(0, id));
+        assert!(!s.tombstoned(0, id));
         // ...and silent for exactly the timeout it is not.
         s.expire(0, heard + timeout);
-        assert!(!s.view_contains(0, peer), "the peer outlived its timeout");
-        assert!(s.tombstoned(0, peer), "an expelled peer is certified dead");
+        assert!(!s.view_contains(0, id), "the peer outlived its timeout");
+        assert!(s.tombstoned(0, id), "an expelled peer is certified dead");
     }
 
     #[test]

@@ -32,11 +32,11 @@ fn churned(ring: &Ring) -> DhtSim<impl Fn(HostId, HostId) -> SimTime> {
     sim
 }
 
-/// What the simulator holds is its tables plus the gossip payloads that
-/// were ever in flight at once (two allocations each; few, at 20 ms a
-/// hop): 205 allocations at N = 1 024 and 533 at N = 4 096. With a view, a
-/// certificate list and a fallback list per node, 557b295 held 3 254 and
-/// 12 750.
+/// What the simulator holds is its tables: 16 allocations at N = 1 024 and
+/// at N = 4 096. Each gossip payload in flight was two allocations more
+/// (an `Rc` and its vector) until the payloads moved into one buffer: 205
+/// and 533 at 2eb2edf. With a view, a certificate list and a fallback list
+/// per node, 557b295 held 3 254 and 12 750.
 #[test]
 fn live_allocations_do_not_scale_with_the_ring() {
     for n in [1024u32, 4096] {
@@ -46,10 +46,31 @@ fn live_allocations_do_not_scale_with_the_ring() {
         let held = tally().live_calls - before.live_calls;
         assert!(sim.messages_dropped() > 0, "the loss plan never fired");
         assert!(
-            held <= n as usize / 4 + 64,
+            held <= 24,
             "a {n}-node simulator holds {held} live allocations"
         );
     }
+}
+
+/// What a churned node costs: its share of the peer slab's two columns (a
+/// peer index and a time, 12 B an entry, in power-of-two rows a view and a
+/// certificate list each), of the event queue (32 B an event), of the
+/// gossip buffer, its fallback contacts (4 B each), its ID and its 32 B of
+/// node state. 529 B here; with 16 B `(NodeId, SimTime)` entries, 40 B
+/// events, `Rc` payloads, 8 B fallback IDs and an ID → index map, 2eb2edf
+/// held 753 B.
+#[test]
+fn a_churned_node_holds_under_560_bytes() {
+    let n = 4096;
+    let ring = Ring::with_random_ids((0..n as u32).map(HostId), 3);
+    let before = tally();
+    let sim = churned(&ring);
+    let per_node = (tally().live_bytes - before.live_bytes) / n;
+    assert!(sim.messages_dropped() > 0, "the loss plan never fired");
+    assert!(
+        per_node <= 560,
+        "a churned {n}-node simulator holds {per_node} B a node"
+    );
 }
 
 #[test]

@@ -97,34 +97,86 @@ pub struct RootView<R> {
     pub view: R,
 }
 
-enum Ev<R> {
+/// A `u32` that names nothing: the slot of a leaf no member reports
+/// through, the report of a partial with nothing to report, the end of a
+/// chain of open rounds.
+const NONE: u32 = u32::MAX;
+
+/// A gather event: 16 bytes whatever the report type, because a partial's
+/// report waits in [`GatherSim::in_flight`] rather than in the queue.
+#[derive(Clone, Copy)]
+enum Ev {
     /// Unsync: a logical node's periodic timer.
     NodeTimer(u32),
     /// Sync: the root's round timer.
     RootTimer,
     /// Sync: a request arriving at a logical node.
-    Request { node: u32, round: u64 },
-    /// A child partial arriving at its parent logical node. `None` when the
-    /// child subtree had nothing to report (a non-canonical leaf). `from`
-    /// is the sending child's logical index — sync mode dedups repeated
-    /// partials per sender, unsync mode keys its latest-partial cache by it.
-    Partial {
-        node: u32,
-        round: u64,
-        from: u32,
-        r: Option<R>,
-    },
+    Request { node: u32, round: u32 },
+    /// A partial from logical node `from` arriving at its parent (a node
+    /// has one parent, so the sender names the receiver too). `report` is
+    /// its slot in [`GatherSim::in_flight`], or [`NONE`] when the child
+    /// subtree had nothing to report (a non-canonical leaf). Sync mode
+    /// dedups repeated partials per sender, unsync mode keys its
+    /// latest-partial cache by it; unsync partials are of round 0.
+    Partial { from: u32, round: u32, report: u32 },
     /// Sync: give up waiting for this round's remaining children and send
     /// what has been accumulated (self-healing under member failure).
-    Timeout { node: u32, round: u64 },
+    Timeout { node: u32, round: u32 },
 }
 
-/// One open round at a logical node (sync mode): the running partial plus
-/// which children have already been folded in (dedup per sender).
-struct RoundBuf<R> {
-    round: u64,
+/// A table whose entries come and go: a freed slot is reused before the
+/// table grows.
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Default> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Store `item`; returns its slot.
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(at) => {
+                self.items[at as usize] = item;
+                at
+            }
+            None => {
+                self.items.push(item);
+                u32::try_from(self.items.len() - 1).expect("a slab holds under 2^32 items")
+            }
+        }
+    }
+
+    /// Take the item out of slot `at` and free the slot.
+    fn remove(&mut self, at: u32) -> T {
+        self.free.push(at);
+        std::mem::take(&mut self.items[at as usize])
+    }
+}
+
+/// One open round at an internal node (sync mode): its number, the
+/// running partial, and the next round open at the same node (or
+/// [`NONE`]). Which children answered is in [`GatherSim::seen`].
+struct OpenRound<R> {
+    round: u32,
+    next: u32,
     acc: Option<R>,
-    seen: Vec<u32>,
+}
+
+impl<R> Default for OpenRound<R> {
+    fn default() -> Self {
+        OpenRound {
+            round: 0,
+            next: NONE,
+            acc: None,
+        }
+    }
 }
 
 /// The gather-flow simulator. Generic over the report type and the message
@@ -140,25 +192,35 @@ where
     period: SimTime,
     leaf_sample: L,
     delay: D,
-    queue: EventQueue<Ev<R>>,
+    queue: EventQueue<Ev>,
+    /// Per logical node, one word: a leaf's reporting member — set for a
+    /// member's canonical leaf, [`NONE`] on every other leaf — or an
+    /// internal node's rank among the internal nodes, in index order.
+    slot: Vec<u32>,
+    /// The reports of the partials in flight.
+    in_flight: Slab<Option<R>>,
     /// Unsync mode: the latest partial each logical node sent up, indexed
-    /// by the *sender* (a node has one parent, so the slot is unambiguous),
-    /// stamped with its arrival time so stale entries (a crashed child)
-    /// age out after a few periods. A parent folds its `children`'s slots
-    /// in tree order. Empty in sync mode.
+    /// by the *sender* (a node has one parent, so the entry is
+    /// unambiguous), stamped with its arrival time so stale entries (a
+    /// crashed child) age out after a few periods. A parent folds its
+    /// `children`'s entries in tree order. Only a node that can send a
+    /// report has an entry: a canonical leaf at its member's index, an
+    /// internal node after every member's, at its rank. Empty in sync mode.
     latest: Vec<Option<(SimTime, R)>>,
-    /// Sync mode: the rounds currently open at each logical node — one,
-    /// or a few when the child timeout spans several periods. Empty in
-    /// unsync mode.
-    rounds: Vec<Vec<RoundBuf<R>>>,
-    /// `seen` lists of closed rounds, kept for the next round to open.
-    spare_seen: Vec<Vec<u32>>,
-    /// The member reporting through each logical node: set for a member's
-    /// canonical leaf, `None` everywhere else.
-    reporting: Vec<Option<u32>>,
+    /// Sync mode: per internal node (by rank), the first of the rounds open
+    /// there — one, or a few when the child timeout spans several periods
+    /// — as a slot of `open`, or [`NONE`]. Empty in unsync mode.
+    heads: Vec<u32>,
+    /// Sync mode: every open round.
+    open: Slab<OpenRound<R>>,
+    /// Sync mode: which children have already been folded into each open
+    /// round (dedup per sender): `seen_words` words per slot of `open`, one
+    /// bit per child position.
+    seen: Vec<u64>,
+    seen_words: usize,
     views: Vec<RootView<R>>,
     messages: u64,
-    round_ctr: u64,
+    round_ctr: u32,
     /// Per ring member: whether its host has crashed (it neither sends
     /// nor receives; its logical nodes go silent).
     dead: Vec<bool>,
@@ -216,23 +278,31 @@ where
         delay: D,
         plan: FaultPlan,
     ) -> Self {
+        let n = tree.len();
+        let mut slot = vec![NONE; n];
+        let (mut internal, mut widest) = (0u32, 0);
+        for (i, node) in tree.nodes().iter().enumerate() {
+            if !node.is_leaf() {
+                slot[i] = internal;
+                internal += 1;
+                widest = widest.max(node.children().len());
+            }
+        }
         // Canonical reporting leaf per member: the leaf whose region
         // contains the member's own ID. The leaf's host is the member
         // itself or its ring successor; in the latter case the member's
         // report costs one extra (cheap, ring-neighbor) fetch hop.
-        let n = tree.len();
-        let mut reporting = vec![None; n];
         for m in 0..ring.len() {
             let leaf = tree.canonical_leaf_of(ring.member(m).id) as usize;
-            let prev = reporting[leaf].replace(m as u32);
-            debug_assert!(prev.is_none(), "two members share a canonical leaf");
+            debug_assert!(slot[leaf] == NONE, "two members share a canonical leaf");
+            slot[leaf] = u32::try_from(m).expect("ring members number under 2^32");
         }
 
         let mut queue = EventQueue::new();
-        let (mut latest, mut rounds) = (Vec::new(), Vec::new());
+        let (mut latest, mut heads) = (Vec::new(), Vec::new());
         match mode {
             FlowMode::Unsynchronized => {
-                latest.resize_with(n, || None);
+                latest.resize_with(ring.len() + internal as usize, || None);
                 // Stagger timers deterministically across the first period.
                 let p = period.as_micros().max(1);
                 for i in 0..n as u32 {
@@ -242,7 +312,7 @@ where
                 }
             }
             FlowMode::Synchronized => {
-                rounds.resize_with(n, Vec::new);
+                heads = vec![NONE; internal as usize];
                 queue.schedule(SimTime::ZERO, Ev::RootTimer);
             }
         }
@@ -254,10 +324,13 @@ where
             leaf_sample,
             delay,
             queue,
+            slot,
+            in_flight: Slab::new(),
             latest,
-            rounds,
-            spare_seen: Vec::new(),
-            reporting,
+            heads,
+            open: Slab::new(),
+            seen: Vec::new(),
+            seen_words: widest.div_ceil(64),
             views: Vec::new(),
             messages: 0,
             round_ctr: 0,
@@ -363,20 +436,24 @@ where
         self.faults.dropped()
     }
 
-    fn handle(&mut self, now: SimTime, ev: Ev<R>) {
+    fn handle(&mut self, now: SimTime, ev: Ev) {
         // A crashed host neither fires timers nor receives messages.
-        let at_node = match &ev {
-            Ev::NodeTimer(i) => Some(*i),
-            Ev::Request { node, .. } | Ev::Partial { node, .. } | Ev::Timeout { node, .. } => {
-                Some(*node)
-            }
+        let at_node = match ev {
+            Ev::NodeTimer(i) => Some(i),
+            Ev::Request { node, .. } | Ev::Timeout { node, .. } => Some(node),
+            Ev::Partial { from, .. } => Some(self.parent_of(from)),
             Ev::RootTimer => None,
         };
         if let Some(i) = at_node {
             if self.dead[self.tree.nodes()[i as usize].host()] {
-                // Keep unsync timers parked so a later revive would be easy.
-                if let Ev::NodeTimer(i) = ev {
-                    self.queue.schedule_after(self.period, Ev::NodeTimer(i));
+                match ev {
+                    // Keep unsync timers parked so a later revive would be
+                    // easy.
+                    Ev::NodeTimer(i) => self.queue.schedule_after(self.period, Ev::NodeTimer(i)),
+                    Ev::Partial { report, .. } => {
+                        self.land(report);
+                    }
+                    _ => {}
                 }
                 return;
             }
@@ -389,7 +466,10 @@ where
                 self.queue.schedule_after(self.period, Ev::NodeTimer(i));
             }
             Ev::RootTimer => {
-                self.round_ctr += 1;
+                self.round_ctr = self
+                    .round_ctr
+                    .checked_add(1)
+                    .expect("a gather runs fewer than 2^32 rounds");
                 let round = self.round_ctr;
                 self.queue.schedule(now, Ev::Request { node: 0, round });
                 self.queue.schedule_after(self.period, Ev::RootTimer);
@@ -451,16 +531,11 @@ where
                     // Forward to every child; remember who has answered so
                     // far this round. Children hosted by the same member
                     // get the message instantly (delay 0).
-                    let seen = self.spare_seen.pop().unwrap_or_default();
-                    self.rounds[node as usize].push(RoundBuf {
-                        round,
-                        acc: None,
-                        seen,
-                    });
+                    self.open_round_at(node, round);
                     let expected = self.live_children(node) as u32;
                     self.tracer.emit(now, || TraceEvent::GatherOpen {
                         node,
-                        round,
+                        round: u64::from(round),
                         expected,
                     });
                     let tree = self.tree;
@@ -494,17 +569,20 @@ where
                 let Some(open) = self.open_round(node, round) else {
                     self.stats.timeouts_suppressed += 1;
                     self.tracer
-                        .emit(now, || TraceEvent::GatherTimeoutSuppressed { node, round });
+                        .emit(now, || TraceEvent::GatherTimeoutSuppressed {
+                            node,
+                            round: u64::from(round),
+                        });
                     return;
                 };
                 // Children that never answered are presumed crashed; send
                 // what we have so the round still completes.
                 self.stats.rounds_timeout += 1;
-                let received = self.rounds[node as usize][open].seen.len() as u32;
+                let received = self.answered(open);
                 let expected = self.live_children(node) as u32;
                 self.tracer.emit(now, || TraceEvent::GatherClose {
                     node,
-                    round,
+                    round: u64::from(round),
                     received,
                     expected,
                     reason: CloseReason::Timeout,
@@ -513,62 +591,105 @@ where
                 self.emit_to_parent_after(node, round, acc, SimTime::ZERO);
             }
             Ev::Partial {
-                node,
-                round,
                 from,
-                r,
-            } => match self.mode {
-                FlowMode::Unsynchronized => {
-                    // One slot per sending child, so a parent keeps one
-                    // latest partial per subtree.
-                    if let Some(r) = r {
-                        self.latest[from as usize] = Some((now, r));
+                round,
+                report,
+            } => {
+                let r = self.land(report);
+                match self.mode {
+                    FlowMode::Unsynchronized => {
+                        // One entry per sending child, so a parent keeps one
+                        // latest partial per subtree.
+                        if let Some(r) = r {
+                            let at = self
+                                .latest_index(from)
+                                .expect("only a node with a `latest` entry sends a report");
+                            self.latest[at] = Some((now, r));
+                        }
                     }
-                }
-                FlowMode::Synchronized => {
-                    // Live children only: a host that crashed mid-round
-                    // will never answer, so waiting for its partial would
-                    // stall the round all the way to the timeout.
-                    let expected = self.live_children(node);
-                    // The round may already be closed by a timeout; late
-                    // partials are then dropped.
-                    let Some(open) = self.open_round(node, round) else {
-                        return;
-                    };
-                    let entry = &mut self.rounds[node as usize][open];
-                    if entry.seen.contains(&from) {
-                        self.stats.partials_deduped += 1;
-                        self.tracer
-                            .emit(now, || TraceEvent::GatherDuplicate { node, round, from });
-                        return;
-                    }
-                    entry.seen.push(from);
-                    match (&mut entry.acc, r) {
-                        (Some(acc), Some(r)) => acc.merge(&r),
-                        (slot @ None, Some(r)) => *slot = Some(r),
-                        (_, None) => {}
-                    }
-                    let received = entry.seen.len();
-                    self.tracer
-                        .emit(now, || TraceEvent::GatherPartial { node, round, from });
-                    // `>=`, not `==`: if the live-child set shrank after
-                    // some children already answered, the count can step
-                    // past the target — the round must still close rather
-                    // than limp to its timeout.
-                    if received >= expected {
-                        self.stats.rounds_completed += 1;
-                        self.tracer.emit(now, || TraceEvent::GatherClose {
+                    FlowMode::Synchronized => {
+                        let node = self.parent_of(from);
+                        // Live children only: a host that crashed mid-round
+                        // will never answer, so waiting for its partial would
+                        // stall the round all the way to the timeout.
+                        let expected = self.live_children(node);
+                        // The round may already be closed by a timeout; late
+                        // partials are then dropped.
+                        let Some(open) = self.open_round(node, round) else {
+                            return;
+                        };
+                        let child =
+                            (from - self.tree.nodes()[node as usize].children().start) as usize;
+                        let word = &mut self.seen[open as usize * self.seen_words + child / 64];
+                        let bit = 1u64 << (child % 64);
+                        if *word & bit != 0 {
+                            self.stats.partials_deduped += 1;
+                            self.tracer.emit(now, || TraceEvent::GatherDuplicate {
+                                node,
+                                round: u64::from(round),
+                                from,
+                            });
+                            return;
+                        }
+                        *word |= bit;
+                        match (&mut self.open.items[open as usize].acc, r) {
+                            (Some(acc), Some(r)) => acc.merge(&r),
+                            (slot @ None, Some(r)) => *slot = Some(r),
+                            (_, None) => {}
+                        }
+                        let received = self.answered(open);
+                        self.tracer.emit(now, || TraceEvent::GatherPartial {
                             node,
-                            round,
-                            received: received as u32,
-                            expected: expected as u32,
-                            reason: CloseReason::Completed,
+                            round: u64::from(round),
+                            from,
                         });
-                        let acc = self.close_round(node, open);
-                        self.emit_to_parent_after(node, round, acc, SimTime::ZERO);
+                        // `>=`, not `==`: if the live-child set shrank after
+                        // some children already answered, the count can step
+                        // past the target — the round must still close rather
+                        // than limp to its timeout.
+                        if received as usize >= expected {
+                            self.stats.rounds_completed += 1;
+                            self.tracer.emit(now, || TraceEvent::GatherClose {
+                                node,
+                                round: u64::from(round),
+                                received,
+                                expected: expected as u32,
+                                reason: CloseReason::Completed,
+                            });
+                            let acc = self.close_round(node, open);
+                            self.emit_to_parent_after(node, round, acc, SimTime::ZERO);
+                        }
                     }
                 }
-            },
+            }
+        }
+    }
+
+    /// The parent of a logical node that sends partials.
+    fn parent_of(&self, node: u32) -> u32 {
+        self.tree.nodes()[node as usize]
+            .parent()
+            .expect("only a child sends a partial")
+    }
+
+    /// The report of a partial that arrived (or died with its receiver).
+    fn land(&mut self, report: u32) -> Option<R> {
+        if report == NONE {
+            None
+        } else {
+            self.in_flight.remove(report)
+        }
+    }
+
+    /// Where `node`'s entry of `latest` is, if it has one.
+    fn latest_index(&self, node: u32) -> Option<usize> {
+        let slot = self.slot[node as usize];
+        if !self.tree.nodes()[node as usize].is_leaf() {
+            Some(self.dead.len() + slot as usize)
+        } else if slot != NONE {
+            Some(slot as usize)
+        } else {
+            None
         }
     }
 
@@ -583,10 +704,14 @@ where
         // Children are folded in tree order, so the result is a function
         // of the partials alone (a `Report` may sum floats).
         for c in self.tree.nodes()[i as usize].children() {
-            let slot = &mut self.latest[c as usize];
-            let Some((at, r)) = slot else { continue };
+            // A child without an entry never sends a report.
+            let Some(at) = self.latest_index(c) else {
+                continue;
+            };
+            let entry = &mut self.latest[at];
+            let Some((at, r)) = entry else { continue };
             if now.saturating_sub(*at) >= expiry {
-                *slot = None;
+                *entry = None;
                 continue;
             }
             match &mut acc {
@@ -597,25 +722,65 @@ where
         acc
     }
 
-    /// Position of `round` among the rounds open at `node`, if it still is.
-    fn open_round(&self, node: u32, round: u64) -> Option<usize> {
-        self.rounds[node as usize]
-            .iter()
-            .position(|buf| buf.round == round)
+    /// Open `round` at internal node `node`, with no child answered yet.
+    fn open_round_at(&mut self, node: u32, round: u32) {
+        let rank = self.slot[node as usize] as usize;
+        let next = self.heads[rank];
+        let at = self.open.insert(OpenRound {
+            round,
+            next,
+            acc: None,
+        });
+        self.heads[rank] = at;
+        let words = at as usize * self.seen_words..(at as usize + 1) * self.seen_words;
+        if self.seen.len() < words.end {
+            self.seen.resize(words.end, 0);
+        }
+        self.seen[words].fill(0);
     }
 
-    /// Close the open round at position `open` of `node`: its accumulated
+    /// The slot of `open` holding `round` at `node`, if it is still open.
+    fn open_round(&self, node: u32, round: u32) -> Option<u32> {
+        let mut at = self.heads[self.slot[node as usize] as usize];
+        while at != NONE {
+            let buf = &self.open.items[at as usize];
+            if buf.round == round {
+                return Some(at);
+            }
+            at = buf.next;
+        }
+        None
+    }
+
+    /// How many children the open round in slot `open` has folded in.
+    fn answered(&self, open: u32) -> u32 {
+        self.seen[open as usize * self.seen_words..][..self.seen_words]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum()
+    }
+
+    /// Close the open round in slot `open` of `node`: its accumulated
     /// partial.
-    fn close_round(&mut self, node: u32, open: usize) -> Option<R> {
-        let mut buf = self.rounds[node as usize].swap_remove(open);
-        buf.seen.clear();
-        self.spare_seen.push(buf.seen);
-        buf.acc
+    fn close_round(&mut self, node: u32, open: u32) -> Option<R> {
+        let next = self.open.items[open as usize].next;
+        let rank = self.slot[node as usize] as usize;
+        if self.heads[rank] == open {
+            self.heads[rank] = next;
+        } else {
+            let mut at = self.heads[rank];
+            while self.open.items[at as usize].next != open {
+                at = self.open.items[at as usize].next;
+            }
+            self.open.items[at as usize].next = next;
+        }
+        self.open.remove(open).acc
     }
 
     /// The member whose canonical leaf is `node`, if any.
     fn member_reporting_at(&self, node: u32) -> Option<usize> {
-        self.reporting[node as usize].map(|m| m as usize)
+        let slot = self.slot[node as usize];
+        (slot != NONE && self.tree.nodes()[node as usize].is_leaf()).then_some(slot as usize)
     }
 
     /// A leaf's contribution: the hosting member's data if this is the
@@ -626,7 +791,7 @@ where
         Some((self.leaf_sample)(member, now))
     }
 
-    fn emit_to_parent_after(&mut self, i: u32, round: u64, r: Option<R>, extra: SimTime) {
+    fn emit_to_parent_after(&mut self, i: u32, round: u32, r: Option<R>, extra: SimTime) {
         let n = &self.tree.nodes()[i as usize];
         let my_host = n.host();
         match n.parent() {
@@ -634,8 +799,9 @@ where
                 // Root: record the fresh global view.
                 if let Some(view) = r {
                     let at = self.queue.now() + extra;
-                    self.tracer
-                        .emit(at, || TraceEvent::GatherRootView { round });
+                    self.tracer.emit(at, || TraceEvent::GatherRootView {
+                        round: u64::from(round),
+                    });
                     self.views.push(RootView { at, view });
                 }
             }
@@ -656,14 +822,16 @@ where
                 // the round's timeout fills in, in unsync mode the parent
                 // simply keeps its previous latest entry.
                 let Some(hop) = hop else { return };
-                let d = extra + hop;
+                let report = match r {
+                    Some(r) => self.in_flight.insert(Some(r)),
+                    None => NONE,
+                };
                 self.queue.schedule_after(
-                    d,
+                    extra + hop,
                     Ev::Partial {
-                        node: p,
-                        round,
                         from: i,
-                        r,
+                        round,
+                        report,
                     },
                 );
             }

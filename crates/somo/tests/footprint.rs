@@ -1,16 +1,19 @@
 //! The SOMO tree's footprint, as numbers a test holds: a logical node is 32
-//! bytes, a tree is one flat vector of them, and comparing two trees
-//! allocates a pairing stack and nothing else (DESIGN.md §8.3).
+//! bytes, a tree is one flat vector of them, comparing two trees
+//! allocates a pairing stack and nothing else, and a gather running over
+//! a tree holds a few words a logical node (DESIGN.md §8.3).
 //!
 //! `testkit`'s counting allocator keeps its tallies per thread, so the
 //! tests of this binary can run side by side.
 
 use dht::Ring;
 use netsim::HostId;
+use simcore::{FaultPlan, SimTime};
+use somo::flow::{FlowMode, FreshnessReport, GatherSim};
 use somo::heal::remap_stats;
 use somo::tree::LogicalNode;
 use somo::SomoTree;
-use testkit::tally;
+use testkit::{measured, tally};
 
 #[global_allocator]
 static ALLOC: testkit::Counting = testkit::Counting;
@@ -70,4 +73,49 @@ fn comparing_two_trees_allocates_a_pairing_stack_only() {
     assert_eq!(t1.live_bytes, t0.live_bytes);
     let bytes = t1.allocated - t0.allocated;
     assert!(bytes <= 4096, "remap_stats allocated {bytes} B");
+}
+
+/// What a gather holds two simulated minutes into a fault-free run over a
+/// 4 096-member tree (15 481 logical nodes, fanout 8, 20 ms a hop): its
+/// event queue (32 B an event; unsynchronised, a timer per node), one slot
+/// word per node, the reports in flight, and per mode the state of the
+/// nodes that use it — open rounds at internal nodes, the latest partial
+/// of each node that can send one. 51 B a node synchronised and 50 B
+/// unsynchronised; with 56 B events, a round list, a latest-partial slot
+/// and a reporting option for every node, 2eb2edf held 126 B and 99 B.
+#[test]
+fn a_running_gather_holds_under_56_bytes_a_logical_node() {
+    let ring = ring(4096);
+    let tree = SomoTree::build(&ring, 8);
+    for mode in [FlowMode::Synchronized, FlowMode::Unsynchronized] {
+        let (sim, cost) = measured(|| {
+            let mut sim = GatherSim::with_faults(
+                &tree,
+                &ring,
+                mode,
+                SimTime::from_secs(5),
+                |_m, now| FreshnessReport::of_member(now),
+                |a, b| {
+                    if a == b {
+                        SimTime::ZERO
+                    } else {
+                        SimTime::from_millis(20)
+                    }
+                },
+                FaultPlan::none(),
+            );
+            sim.run_until(SimTime::from_secs(120));
+            sim
+        });
+        assert_eq!(
+            sim.views().last().map(|v| v.view.members),
+            Some(4096),
+            "{mode:?}: the census is incomplete"
+        );
+        let per_node = cost.held / tree.len();
+        assert!(
+            per_node <= 56,
+            "{mode:?}: a gather holds {per_node} B a logical node"
+        );
+    }
 }
