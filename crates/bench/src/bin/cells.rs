@@ -15,14 +15,7 @@ use std::path::PathBuf;
 
 use bench::cells::Cell;
 use simcore::trace::to_json_lines;
-
-/// `(bytes, FNV-1a-64)` of `s`: the digest `testkit::fnv1a64` pins with.
-fn digest(s: &str) -> (usize, u64) {
-    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    (s.len(), hash)
-}
+use testkit::fnv1a64;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -42,24 +35,12 @@ fn main() {
         }
         let projection = cell
             .projection(&run)
-            .map_or("-".to_owned(), |p| format!("{:?}", digest(&p)));
-        let trace = (records.len(), digest(&trace).1);
+            .map_or("-".to_owned(), |p| format!("{:?}", (p.len(), fnv1a64(&p))));
+        let trace = (records.len(), fnv1a64(&trace));
         let name = format!("{cell:?}");
         format!("{name:<14} trace {trace:?} projection {projection}")
     });
     for line in lines {
         println!("{line}");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::digest;
-
-    #[test]
-    fn digest_matches_the_published_fnv1a64_vectors() {
-        assert_eq!(digest(""), (0, 0xcbf2_9ce4_8422_2325));
-        assert_eq!(digest("a"), (1, 0xaf63_dc4c_8601_ec8c));
-        assert_eq!(digest("foobar"), (6, 0x8594_4171_f739_67e8));
     }
 }

@@ -13,21 +13,21 @@
 //! * **census completeness** during exposure and after repair;
 //! * **ALM delivery disruption** during exposure, and reattach retries.
 //!
-//! Two sanity anchors are asserted:
-//! * at 0% loss the mean exposure-window completeness reproduces the
-//!   committed `results/ext_churn.json` bit-for-bit (same seeds, same
-//!   gather), and
-//! * at 5% loss with 8 crashes the pipeline still reaches a 100%
-//!   post-repair census.
+//! The binary asserts that at 5% loss with 8 crashes the pipeline still
+//! reaches a 100% post-repair census. That at 0% loss the mean
+//! exposure-window completeness is `ext_churn`'s bit for bit (same seeds,
+//! same gather) is a claim of `tests/paper_claims.rs`, which reads both
+//! committed files: no binary reads another's output, so the binaries run
+//! in any order.
 //!
 //! With `--trace-out`, the heaviest cell (5% loss, 8 crashes, trial 0) is
 //! re-run once with a ring tracer attached and its structured repair-phase
 //! trace lands in `results/ext_recovery_trace.jsonl` (observation only —
-//! the asserted gates above are unchanged).
+//! the asserted gate above is unchanged).
 //!
 //! Run with: `cargo run --release -p bench --bin ext_recovery`
 
-use bench::{committed_row, dump_json, dump_jsonl, mean, parallel_runs, trace_out_requested};
+use bench::{dump_json, dump_jsonl, mean, parallel_runs, trace_out_requested};
 use pool::recovery::{run_pipeline, run_pipeline_traced, RecoveryConfig, RecoveryOutcome};
 use serde_json::json;
 use simcore::{FaultPlan, SimTime};
@@ -84,7 +84,7 @@ fn main() {
                 assert_eq!(out.dht_dropped + out.gather_dropped, 0);
             }
             if loss == 0.05 && f == 8 {
-                // Anchor 2: the pipeline repairs fully under heavy faults.
+                // The pipeline repairs fully under heavy faults.
                 let tl = &out.timeline;
                 assert_eq!(
                     out.post_completeness, 1.0,
@@ -114,19 +114,6 @@ fn main() {
             .map(|o| secs(o.timeline.reattached_at, crash))
             .collect();
         let stale: Vec<f64> = outs.iter().map(|o| o.stale_completeness).collect();
-        if loss == 0.0 {
-            // Anchor 1: fault-free exposure must reproduce ext_churn.
-            let want = committed_row("ext_churn", "failures", f as u64)
-                .get("stale_completeness")
-                .and_then(|v| v.as_f64())
-                .expect("ext_churn stale_completeness");
-            assert_eq!(
-                mean(&stale).to_bits(),
-                want.to_bits(),
-                "0-loss exposure diverged from ext_churn (f={f}): {} vs {want}",
-                mean(&stale)
-            );
-        }
         let post: Vec<f64> = outs.iter().map(|o| o.post_completeness).collect();
         let disrupt: Vec<f64> = outs.iter().map(|o| o.delivery_disruption).collect();
         let retries: u64 = outs.iter().map(|o| o.timeline.reattach_retries).sum();

@@ -10,8 +10,11 @@ pub mod cells;
 use std::fs;
 use std::path::PathBuf;
 
-/// Directory where figure binaries drop their JSON results.
-pub fn results_dir() -> PathBuf {
+/// Directory where figure binaries drop their JSON results. Private:
+/// [`dump_json`] and [`dump_jsonl`] only write it, so no binary reads what
+/// another wrote and the binaries run in any order. The claims that tie
+/// one anchor to another are in `tests/paper_claims.rs`.
+fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results");
@@ -47,66 +50,6 @@ pub fn trace_out_requested() -> bool {
 /// as JSON lines next to their JSON results.
 pub fn store_out_requested() -> bool {
     std::env::args().any(|a| a == "--store-out")
-}
-
-/// The row whose `key` equals `value` in the committed anchor
-/// `results/<name>.json`, for a binary that must reproduce another's
-/// numbers.
-///
-/// # Panics
-/// If the file is missing (run `name` first), does not parse, or has no
-/// such row.
-pub fn committed_row(name: &str, key: &str, value: u64) -> serde_json::Value {
-    let path = results_dir().join(format!("{name}.json"));
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("anchor requires {} (run {name} first): {e}", path.display()));
-    let anchor: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name} results parse: {e}"));
-    anchor
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .unwrap_or_else(|| panic!("{name} has no rows"))
-        .iter()
-        .find(|r| r.get(key).and_then(|v| v.as_u64()) == Some(value))
-        .cloned()
-        .unwrap_or_else(|| panic!("{name} {key}={value} row"))
-}
-
-/// Compare a market run that must be a no-op against the default market —
-/// `what` names it in the messages — with the committed Figure 10 row for
-/// the same `sessions` count (and seed): per-class improvement and helper
-/// means and the plan count must match bit for bit.
-///
-/// # Panics
-/// On any divergence, or if `results/fig10_multi_session.json` is missing
-/// (run `fig10_multi_session` first).
-pub fn anchor_against_fig10(what: &str, sessions: usize, out: &pool::MarketOutcome) {
-    let row = committed_row("fig10_multi_session", "sessions", sessions as u64);
-    let field = |outer: &str, p: &str| -> f64 {
-        row.get(outer)
-            .and_then(|o| o.get(p))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("fig10 row missing {outer}.{p}"))
-    };
-    for class in 1..=3u8 {
-        let p = format!("p{class}");
-        let (want_imp, want_help) = (field("improvement", &p), field("helpers", &p));
-        let (imp, help) = (
-            out.class(class).improvement.mean(),
-            out.class(class).helpers.mean(),
-        );
-        assert!(
-            imp == want_imp && help == want_help,
-            "{what} diverged from fig10 at {p}: improvement {imp} vs {want_imp}, \
-             helpers {help} vs {want_help}",
-        );
-    }
-    assert_eq!(
-        row.get("plans").and_then(|v| v.as_u64()),
-        Some(out.plans),
-        "{what}: plan count diverged from fig10"
-    );
-    println!("  [anchor] {what} reproduces fig10 sessions={sessions} bit-identically");
 }
 
 /// Crash `rate` of `num_hosts` hosts permanently, at deterministic times

@@ -1,11 +1,11 @@
-//! Test scaffolding the workspace's suites share. Only ever a
-//! dev-dependency: no library or binary links it.
+//! Test scaffolding the workspace's suites share. A dev-dependency
+//! everywhere but `bench`, whose `cells` binary links it for the digest.
 //!
 //! * [`Pin`] / [`fnv1a64`] — the digest every pinned constant uses
 //!   (`crates/*/tests/pins.rs`, `tests/{determinism, liveops_pins}.rs`).
 //!   The markets those two root files pin, and the one `ext_liveops`
 //!   gates, are the cells of `crates/bench/src/cells.rs`; its `cells`
-//!   binary prints their digests with its own copy of FNV-1a-64.
+//!   binary prints their digests with [`fnv1a64`].
 //! * [`Counting`], [`tally`], [`measured`] — the counting allocator of the
 //!   footprint tests (`crates/*/tests/footprint.rs`).
 //!
@@ -108,9 +108,8 @@ thread_local! {
 /// side — and what a test measures must allocate on the test's own thread.
 pub struct Counting;
 
-// SAFETY: every call is forwarded unchanged to `System` (`realloc` through
-// the trait's default, i.e. through `alloc` and `dealloc` below); the
-// tallies are thread-local statistics that publish no other data.
+// SAFETY: every call is forwarded unchanged to `System`; the tallies are
+// thread-local statistics that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         TALLY.with(|t| {
@@ -133,8 +132,26 @@ unsafe impl GlobalAlloc for Counting {
             v.live_bytes = v.live_bytes.saturating_sub(layout.size());
             t.set(v);
         });
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.dealloc(ptr, layout) }
+    }
+
+    /// One call that moves the live bytes by the size change: a growing
+    /// buffer is never counted twice.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        let out = unsafe { System.realloc(ptr, layout, new_size) };
+        if !out.is_null() {
+            TALLY.with(|t| {
+                let mut v = t.get();
+                v.allocated += new_size.saturating_sub(layout.size());
+                v.calls += 1;
+                v.live_bytes = (v.live_bytes + new_size).saturating_sub(layout.size());
+                v.peak = v.peak.max(v.live_bytes);
+                t.set(v);
+            });
+        }
+        out
     }
 }
 

@@ -108,23 +108,37 @@ fn evaluate() -> Vec<(String, bool)> {
     // Multipath: a second degree-disjoint tree delivers strictly more under
     // crashes (the rows without message loss).
     let multipath = anchor("ext_multipath");
-    let delivery = |rate: f64, k: u64| {
-        rows(&multipath)
-            .iter()
+    let cell = |rate: f64, k: u64| {
+        (rows(&multipath).iter())
             .find(|r| {
                 r.get("loss").is_none()
                     && num(r, &["crash_rate"]) == rate
                     && r.get("k").and_then(Value::as_u64) == Some(k)
             })
-            .map(|r| num(r, &["delivery", "mean"]))
             .unwrap_or_else(|| panic!("ext_multipath has no k={k} row at crash rate {rate}"))
     };
+    let delivery = |rate: f64, k: u64| num(cell(rate, k), &["delivery", "mean"]);
     for (pct, rate) in [(5, 0.05), (10, 0.1), (20, 0.2)] {
         claims.push((
             format!("ext_multipath {pct} % crashes: k=2 delivery above k=1"),
             delivery(rate, 2) > delivery(rate, 1),
         ));
     }
+    // With no crash and one tree the multipath market is fig10's, seed for
+    // seed. Equal JSON numbers are equal bits: an f64 is written as the
+    // shortest text that reads back to it.
+    let one_tree = cell(0.0, 1);
+    let row20 = (rows(&fig10).iter())
+        .find(|r| num(r, &["sessions"]) == 20.0)
+        .expect("fig10 has a 20-session row");
+    let same = |field: &str| classes(one_tree, field) == classes(row20, field);
+    claims.push((
+        "ext_multipath k=1 / rate 0: improvement, helpers and plans equal fig10's 20-session row"
+            .into(),
+        same("improvement")
+            && same("helpers")
+            && num(one_tree, &["plans"]) == num(row20, &["plans"]),
+    ));
 
     // SOMO gather staleness (§3.2): the synchronised lag against its bound,
     // and against one period from fanout 4 up.
@@ -440,6 +454,7 @@ holds  fig10 60 sessions: every class mean inside 7-35 %
 holds  ext_multipath 5 % crashes: k=2 delivery above k=1
 holds  ext_multipath 10 % crashes: k=2 delivery above k=1
 holds  ext_multipath 20 % crashes: k=2 delivery above k=1
+holds  ext_multipath k=1 / rate 0: improvement, helpers and plans equal fig10's 20-session row
 holds  somo_latency: sync lag <= sync bound at every (N, k)
 holds  somo_latency: sync lag < T at every k >= 4
 holds  ext_query: N x 32 grows snapshot bytes per round by more than 32x
