@@ -16,8 +16,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::simplex::{minimize, SimplexOptions};
-use crate::space::{abs_error, Coord, CoordStore, DEFAULT_DIM, MAX_DIM};
+use crate::simplex::{minimize, Simplex, SimplexOptions};
+use crate::space::{abs_error, abs_error_lanes, Coord, CoordStore, DEFAULT_DIM, MAX_DIM};
+
+/// Host fits each worker advances in lockstep: one call of
+/// [`abs_error_lanes`] evaluates a point of each.
+const LANES: usize = 8;
 
 /// Configuration of a GNP run.
 #[derive(Clone, Debug)]
@@ -164,8 +168,9 @@ impl GnpSolver {
     /// Host phase: every host (landmarks keep their solved coordinates)
     /// minimizes against the landmarks. One host's fit reads only the
     /// landmark coordinates and its own probes, so the hosts split across
-    /// `workers` threads, each writing its own slice of the store; the
-    /// result does not depend on `workers`.
+    /// `workers` threads, each writing its own slice of the store, and
+    /// each worker advances [`LANES`] fits in lockstep, one
+    /// [`abs_error_lanes`] call per step; the result depends on neither.
     fn fit_hosts(
         &self,
         oracle: &(impl LatencyModel + Sync),
@@ -180,41 +185,55 @@ impl GnpSolver {
         for (&lm, c) in landmarks.iter().zip(lm_coords.chunks_exact(dim)) {
             store.point_mut(lm).copy_from_slice(c);
         }
-        // Start from the centroid of the landmarks — a sane initial guess
-        // that keeps the simplex in the populated region.
-        let mut start = [0.0f64; MAX_DIM];
-        for lc in lm_coords.chunks_exact(dim) {
-            for (s, &x) in start.iter_mut().zip(lc) {
-                *s += x;
-            }
-        }
-        for s in &mut start[..dim] {
-            *s /= lm_count as f64;
-        }
-        // The landmark coordinates once more, dimension-major as
-        // `abs_error` takes them.
-        let mut lm_cols = vec![0.0; lm_count * dim];
-        for (l, lc) in lm_coords.chunks_exact(dim).enumerate() {
-            for (d, &x) in lc.iter().enumerate() {
-                lm_cols[d * lm_count + l] = x;
-            }
-        }
+        let (start, lm_cols) = host_inputs(lm_coords, dim);
         let fit_chunk = |base: usize, slots: &mut [f64]| {
-            let mut meas = vec![0.0f64; lm_count];
-            for (i, slot) in slots.chunks_exact_mut(dim).enumerate() {
-                let h = HostId((base + i) as u32);
-                if landmarks.contains(&h) {
-                    continue;
+            // The chunk's hosts, landmarks skipped, taken one at a time as
+            // lanes come free: nothing here is sized by the chunk.
+            let mut hosts = (base..base + slots.len() / dim)
+                .map(|h| HostId(h as u32))
+                .filter(|h| !landmarks.contains(h));
+            // Lane `l`'s probes to landmark `i` are `meas[i][l]`.
+            let mut meas = vec![[0.0f64; LANES]; lm_count];
+            let mut lanes: [Option<(HostId, Simplex)>; LANES] = std::array::from_fn(|_| None);
+            // Each lane's next point, dimension-major. A finished lane
+            // writes its host's slot and takes the next host; a lane left
+            // without one keeps its last point, whose value nobody reads.
+            let mut points = [[0.0f64; LANES]; MAX_DIM];
+            loop {
+                let mut running = false;
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    loop {
+                        if let Some((h, fit)) = lane {
+                            if let Some(p) = fit.ask() {
+                                for (col, &x) in points.iter_mut().zip(p) {
+                                    col[l] = x;
+                                }
+                                running = true;
+                                break;
+                            }
+                            slots[(h.idx() - base) * dim..][..dim]
+                                .copy_from_slice(fit.result().point());
+                        }
+                        *lane = hosts.next().map(|h| {
+                            for (m, &lm) in meas.iter_mut().zip(landmarks) {
+                                m[l] = oracle.latency_ms(h, lm);
+                            }
+                            (h, Simplex::new(&start[..dim], self.cfg.simplex))
+                        });
+                        if lane.is_none() {
+                            break;
+                        }
+                    }
                 }
-                for (m, &lm) in meas.iter_mut().zip(landmarks) {
-                    *m = oracle.latency_ms(h, lm);
+                if !running {
+                    break;
                 }
-                let r = minimize(
-                    |p| abs_error(p, &lm_cols, &meas),
-                    &start[..dim],
-                    self.cfg.simplex,
-                );
-                slot.copy_from_slice(r.point());
+                let values = abs_error_lanes(&points[..dim], &lm_cols, &meas);
+                for (lane, v) in lanes.iter_mut().zip(values) {
+                    if let Some((_, fit)) = lane {
+                        fit.tell(v);
+                    }
+                }
             }
         };
         let per_worker = n.div_ceil(workers.max(1)).max(1);
@@ -233,6 +252,31 @@ impl GnpSolver {
         });
         store
     }
+}
+
+/// What every host fit shares, from the landmark coordinates
+/// (`landmarks × dim`, landmark-major): the start point, the landmarks'
+/// centroid — a sane initial guess that keeps the simplex in the
+/// populated region — and the landmark coordinates once more,
+/// dimension-major as [`abs_error`] takes them.
+fn host_inputs(lm_coords: &[f64], dim: usize) -> ([f64; MAX_DIM], Vec<f64>) {
+    let lm_count = lm_coords.len() / dim;
+    let mut start = [0.0f64; MAX_DIM];
+    for lc in lm_coords.chunks_exact(dim) {
+        for (s, &x) in start.iter_mut().zip(lc) {
+            *s += x;
+        }
+    }
+    for s in &mut start[..dim] {
+        *s /= lm_count as f64;
+    }
+    let mut lm_cols = vec![0.0; lm_count * dim];
+    for (l, lc) in lm_coords.chunks_exact(dim).enumerate() {
+        for (d, &x) in lc.iter().enumerate() {
+            lm_cols[d * lm_count + l] = x;
+        }
+    }
+    (start, lm_cols)
 }
 
 /// A uniformly random point of the cube `[-scale, scale]^dim`.
@@ -321,43 +365,102 @@ mod tests {
         }
     }
 
+    /// The first `.1` hosts of a latency model.
+    struct Prefix<'a, M>(&'a M, usize);
+
+    impl<M: LatencyModel> LatencyModel for Prefix<'_, M> {
+        fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
+            self.0.latency_ms(a, b)
+        }
+
+        fn num_hosts(&self) -> usize {
+            self.1
+        }
+    }
+
+    /// The host phase one host at a time, each a [`minimize`] call: the
+    /// body the lockstep lanes replaced, kept as their reference.
+    fn reference_fit_hosts(
+        solver: &GnpSolver,
+        oracle: &impl LatencyModel,
+        landmarks: &[HostId],
+        lm_coords: &[f64],
+    ) -> CoordStore {
+        let dim = solver.cfg.dim;
+        let mut store = CoordStore::zeros(oracle.num_hosts(), dim);
+        for (&lm, c) in landmarks.iter().zip(lm_coords.chunks_exact(dim)) {
+            store.point_mut(lm).copy_from_slice(c);
+        }
+        let (start, lm_cols) = host_inputs(lm_coords, dim);
+        let mut meas = vec![0.0f64; landmarks.len()];
+        for (i, slot) in store.host_chunks_mut(1).enumerate() {
+            let h = HostId(i as u32);
+            if landmarks.contains(&h) {
+                continue;
+            }
+            for (m, &lm) in meas.iter_mut().zip(landmarks) {
+                *m = oracle.latency_ms(h, lm);
+            }
+            let r = minimize(
+                |p| abs_error(p, &lm_cols, &meas),
+                &start[..dim],
+                solver.cfg.simplex,
+            );
+            slot.copy_from_slice(r.point());
+        }
+        store
+    }
+
     #[test]
     fn host_phase_is_independent_of_the_worker_count() {
         let net = small_net();
-        let n = net.num_hosts();
-        // 120 hosts split 60/60, 40/40/40, 7 × 18 and one per worker:
-        // landmarks sit on both sides of every one of those cuts.
-        let landmarks = [0, 17, 18, 39, 40, 59, 60, 79, 80, 107, 108, 119].map(HostId);
+        // At 120 hosts the chunks split 60/60, 40/40/40, 7 × 18 and one
+        // per worker: landmarks sit on both sides of every one of those
+        // cuts, and 3 and 7 sit inside the first batch of eight lanes and
+        // in its last slot. The smaller host counts leave a worker's last
+        // batch partial.
+        let all = [0, 3, 7, 17, 18, 39, 40, 59, 60, 79, 80, 107, 108, 119].map(HostId);
         let solver = GnpSolver::new(GnpConfig {
             sweeps: 3,
             ..Default::default()
         });
-        let lm_coords =
-            solver.fit_landmarks(&net.latency, &landmarks, &mut StdRng::seed_from_u64(5));
-        let fit = |workers: usize| {
-            let store = solver.fit_hosts(&net.latency, &landmarks, &lm_coords, workers);
+        let dim = solver.cfg.dim;
+        let bits = |store: &CoordStore, n: usize| {
             (0..n as u32)
                 .flat_map(|h| store.point(HostId(h)))
                 .map(|x| x.to_bits())
                 .collect::<Vec<u64>>()
         };
-        let one = fit(1);
-        for workers in [2, 3, 7, n + 1] {
-            assert_eq!(fit(workers), one, "{workers} workers moved a coordinate");
-        }
-        // Landmarks keep what the landmark phase gave them; everyone else
-        // was fitted.
-        let dim = solver.cfg.dim;
-        for (h, point) in one.chunks_exact(dim).enumerate() {
-            match landmarks.iter().position(|lm| lm.idx() == h) {
-                Some(l) => {
-                    let lm: Vec<u64> = lm_coords[l * dim..][..dim]
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect();
-                    assert_eq!(point, lm, "landmark {h} lost its coordinate");
+        for n in [120, 83, 29, 10] {
+            let oracle = Prefix(&net.latency, n);
+            let landmarks: Vec<HostId> = all.iter().copied().filter(|h| h.idx() < n).collect();
+            let lm_coords =
+                solver.fit_landmarks(&oracle, &landmarks, &mut StdRng::seed_from_u64(5));
+            let one = bits(
+                &reference_fit_hosts(&solver, &oracle, &landmarks, &lm_coords),
+                n,
+            );
+            for workers in [1, 2, 3, 7, n + 1] {
+                let store = solver.fit_hosts(&oracle, &landmarks, &lm_coords, workers);
+                assert_eq!(
+                    bits(&store, n),
+                    one,
+                    "{n} hosts, {workers} workers: a coordinate moved"
+                );
+            }
+            // Landmarks keep what the landmark phase gave them; everyone
+            // else was fitted.
+            for (h, point) in one.chunks_exact(dim).enumerate() {
+                match landmarks.iter().position(|lm| lm.idx() == h) {
+                    Some(l) => {
+                        let lm: Vec<u64> = lm_coords[l * dim..][..dim]
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect();
+                        assert_eq!(point, lm, "landmark {h} lost its coordinate");
+                    }
+                    None => assert!(point.iter().any(|&b| b != 0), "host {h} was never fitted"),
                 }
-                None => assert!(point.iter().any(|&b| b != 0), "host {h} was never fitted"),
             }
         }
     }

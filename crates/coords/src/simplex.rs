@@ -59,8 +59,10 @@ fn lerp(a: &[f64], b: &[f64], t: f64) -> [f64; MAX_DIM] {
 /// Minimize `f` starting from `x0` with Nelder–Mead. Standard coefficients:
 /// reflection α=1, expansion γ=2, contraction ρ=½, shrink σ=½.
 ///
-/// The simplex lives in fixed stack arrays, so a call allocates nothing;
-/// `f` only ever sees `x0.len()` components.
+/// `Simplex` run one lane at a time: every point it asks for is
+/// evaluated at once and told back. The simplex lives in fixed stack
+/// arrays, so a call allocates nothing; `f` only ever sees `x0.len()`
+/// components.
 ///
 /// # Panics
 /// If `x0` is empty or longer than [`MAX_DIM`].
@@ -69,107 +71,236 @@ pub fn minimize(
     x0: &[f64],
     opts: SimplexOptions,
 ) -> SimplexResult {
-    let n = x0.len();
-    assert!(
-        (1..=MAX_DIM).contains(&n),
-        "cannot minimize over {n} dimensions (supported: 1..={MAX_DIM})"
-    );
-    let mut evals = 0usize;
-    let mut eval = |p: &[f64], evals: &mut usize| {
-        *evals += 1;
-        f(p)
-    };
+    let mut s = Simplex::new(x0, opts);
+    while let Some(p) = s.ask() {
+        let v = f(p);
+        s.tell(v);
+    }
+    s.result()
+}
 
-    // Initial simplex: x0 plus one vertex per axis offset.
-    let mut pts = [[0.0f64; MAX_DIM]; MAX_DIM + 1];
-    let mut vals = [0.0f64; MAX_DIM + 1];
-    for (i, p) in pts[..=n].iter_mut().enumerate() {
-        p[..n].copy_from_slice(x0);
-        if i > 0 {
-            p[i - 1] += opts.initial_step;
+/// Where a [`Simplex`] stands: the point it asks for next, or the end.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Evaluating initial vertex `i` (`0..=n`, in vertex order).
+    Vertex(usize),
+    /// Evaluating the reflected point.
+    Reflect,
+    /// Evaluating the expanded point (`fr` holds the reflection's value).
+    Expand,
+    /// Evaluating the contracted point (`fr` holds the reflection's value).
+    Contract,
+    /// Evaluating the shrunk vertex `order[k]` (`1..=n`).
+    Shrink(usize),
+    /// The budget is spent or the spread fell below the tolerance.
+    Done,
+}
+
+/// Nelder–Mead as an ask/tell state machine: [`Simplex::ask`] names the
+/// next point to evaluate, [`Simplex::tell`] hands its value back, and
+/// the run is [`minimize`]'s loop cut at each evaluation. The caller
+/// chooses when to evaluate, so several independent minimisations can
+/// advance in lockstep and share one call of a lane-wise objective; each
+/// sees the operations, in the order, that [`minimize`] gives it.
+///
+/// `evals` counts the values told. The initial `n + 1` vertices and a
+/// shrink's `n` are evaluated whatever the budget; the budget and the
+/// tolerance are checked before each new step, as the loop's head did.
+#[derive(Debug)]
+pub(crate) struct Simplex {
+    pts: [[f64; MAX_DIM]; MAX_DIM + 1],
+    vals: [f64; MAX_DIM + 1],
+    /// Vertices best → worst by (value under `total_cmp`, vertex index):
+    /// the order a stable sort of `0..=n` by value gives. Sorted once
+    /// after the initial simplex and kept: a step that replaces only the
+    /// worst vertex moves it to its place, a shrink (every value but the
+    /// best changes) sorts again.
+    order: [usize; MAX_DIM + 1],
+    /// Centroid of all but the worst vertex, for the step under way.
+    centroid: [f64; MAX_DIM],
+    reflected: [f64; MAX_DIM],
+    /// The expanded or contracted point.
+    trial: [f64; MAX_DIM],
+    /// The reflected point's value, once told.
+    fr: f64,
+    dim: usize,
+    evals: usize,
+    opts: SimplexOptions,
+    step: Step,
+}
+
+impl Simplex {
+    /// A minimisation of an objective over `x0.len()` dimensions from
+    /// `x0`: the initial simplex is `x0` plus one vertex per axis,
+    /// offset by `opts.initial_step`.
+    ///
+    /// # Panics
+    /// If `x0` is empty or longer than [`MAX_DIM`].
+    pub(crate) fn new(x0: &[f64], opts: SimplexOptions) -> Simplex {
+        let n = x0.len();
+        assert!(
+            (1..=MAX_DIM).contains(&n),
+            "cannot minimize over {n} dimensions (supported: 1..={MAX_DIM})"
+        );
+        let mut pts = [[0.0f64; MAX_DIM]; MAX_DIM + 1];
+        for (i, p) in pts[..=n].iter_mut().enumerate() {
+            p[..n].copy_from_slice(x0);
+            if i > 0 {
+                p[i - 1] += opts.initial_step;
+            }
+        }
+        Simplex {
+            pts,
+            vals: [0.0; MAX_DIM + 1],
+            order: [0; MAX_DIM + 1],
+            centroid: [0.0; MAX_DIM],
+            reflected: [0.0; MAX_DIM],
+            trial: [0.0; MAX_DIM],
+            fr: 0.0,
+            dim: n,
+            evals: 0,
+            opts,
+            step: Step::Vertex(0),
         }
     }
-    for (p, v) in pts[..=n].iter().zip(&mut vals) {
-        *v = eval(&p[..n], &mut evals);
+
+    /// The point whose value [`Simplex::tell`] takes next, or `None` once
+    /// the minimisation has ended.
+    #[inline]
+    pub(crate) fn ask(&self) -> Option<&[f64]> {
+        let p = match self.step {
+            Step::Vertex(i) => &self.pts[i],
+            Step::Reflect => &self.reflected,
+            Step::Expand | Step::Contract => &self.trial,
+            Step::Shrink(k) => &self.pts[self.order[k]],
+            Step::Done => return None,
+        };
+        Some(&p[..self.dim])
     }
 
-    // Vertices best → worst by (value under `total_cmp`, vertex index):
-    // the order a stable sort of `0..=n` by value gives. Sorted once here
-    // and kept: a step that replaces only the worst vertex moves it to its
-    // place, a shrink (every value but the best changes) sorts again.
-    let mut order = [0usize; MAX_DIM + 1];
-    sort_from_identity(&mut order[..=n], &vals);
-
-    while evals < opts.max_evals {
-        let best = order[0];
-        let worst = order[n];
-        let second_worst = order[n - 1];
-
-        if (vals[worst] - vals[best]).abs() < opts.tolerance {
-            break;
+    /// The objective's value at the point [`Simplex::ask`] returned.
+    ///
+    /// # Panics
+    /// If the minimisation has ended.
+    pub(crate) fn tell(&mut self, value: f64) {
+        let n = self.dim;
+        self.evals += 1;
+        let best = self.order[0];
+        let worst = self.order[n];
+        match self.step {
+            Step::Vertex(i) => {
+                self.vals[i] = value;
+                if i < n {
+                    self.step = Step::Vertex(i + 1);
+                    return;
+                }
+                sort_from_identity(&mut self.order[..=n], &self.vals);
+            }
+            Step::Reflect => {
+                let fr = value;
+                if fr < self.vals[best] {
+                    // Expansion: centroid + 2·(centroid − worst).
+                    self.trial = lerp(&self.centroid[..n], &self.pts[worst], -2.0);
+                    self.fr = fr;
+                    self.step = Step::Expand;
+                    return;
+                } else if fr < self.vals[self.order[n - 1]] {
+                    self.pts[worst] = self.reflected;
+                    self.vals[worst] = fr;
+                    reinsert_last(&mut self.order[..=n], &self.vals);
+                } else {
+                    // Contraction (outside if the reflection helped at
+                    // all, inside otherwise).
+                    let t = if fr < self.vals[worst] { -0.5 } else { 0.5 };
+                    self.trial = lerp(&self.centroid[..n], &self.pts[worst], t);
+                    self.fr = fr;
+                    self.step = Step::Contract;
+                    return;
+                }
+            }
+            Step::Expand => {
+                if value < self.fr {
+                    self.pts[worst] = self.trial;
+                    self.vals[worst] = value;
+                } else {
+                    self.pts[worst] = self.reflected;
+                    self.vals[worst] = self.fr;
+                }
+                reinsert_last(&mut self.order[..=n], &self.vals);
+            }
+            Step::Contract => {
+                if value < self.vals[worst].min(self.fr) {
+                    self.pts[worst] = self.trial;
+                    self.vals[worst] = value;
+                    reinsert_last(&mut self.order[..=n], &self.vals);
+                } else {
+                    // Shrink everything toward the best vertex. Each
+                    // vertex moves from its own components and a copy of
+                    // the best, so all move before the first is evaluated.
+                    let best_pt = self.pts[best];
+                    for &i in &self.order[1..=n] {
+                        self.pts[i] = lerp(&best_pt[..n], &self.pts[i], 0.5);
+                    }
+                    self.step = Step::Shrink(1);
+                    return;
+                }
+            }
+            Step::Shrink(k) => {
+                self.vals[self.order[k]] = value;
+                if k < n {
+                    self.step = Step::Shrink(k + 1);
+                    return;
+                }
+                sort_from_identity(&mut self.order[..=n], &self.vals);
+            }
+            Step::Done => panic!("a value told to a minimisation that has ended"),
         }
+        self.next_step();
+    }
 
+    /// The head of the loop: stop on the budget or the tolerance, or
+    /// reflect the worst vertex through the centroid of the others.
+    fn next_step(&mut self) {
+        let n = self.dim;
+        let best = self.order[0];
+        let worst = self.order[n];
+        if self.evals >= self.opts.max_evals
+            || (self.vals[worst] - self.vals[best]).abs() < self.opts.tolerance
+        {
+            self.step = Step::Done;
+            return;
+        }
         // Centroid of all but the worst, summed best → second-worst.
         let mut centroid = [0.0f64; MAX_DIM];
-        for &i in &order[..n] {
-            for (c, &x) in centroid[..n].iter_mut().zip(&pts[i]) {
+        for &i in &self.order[..n] {
+            for (c, &x) in centroid[..n].iter_mut().zip(&self.pts[i]) {
                 *c += x;
             }
         }
         for c in &mut centroid[..n] {
             *c /= n as f64;
         }
-        let centroid = &centroid[..n];
-
+        self.centroid = centroid;
         // Reflection: centroid + 1·(centroid − worst).
-        let reflected = lerp(centroid, &pts[worst], -1.0);
-        let fr = eval(&reflected[..n], &mut evals);
-
-        if fr < vals[best] {
-            // Expansion: centroid + 2·(centroid − worst).
-            let expanded = lerp(centroid, &pts[worst], -2.0);
-            let fe = eval(&expanded[..n], &mut evals);
-            if fe < fr {
-                pts[worst] = expanded;
-                vals[worst] = fe;
-            } else {
-                pts[worst] = reflected;
-                vals[worst] = fr;
-            }
-        } else if fr < vals[second_worst] {
-            pts[worst] = reflected;
-            vals[worst] = fr;
-        } else {
-            // Contraction (outside if the reflection helped at all, inside
-            // otherwise).
-            let t = if fr < vals[worst] { -0.5 } else { 0.5 };
-            let contracted = lerp(centroid, &pts[worst], t);
-            let fc = eval(&contracted[..n], &mut evals);
-            if fc < vals[worst].min(fr) {
-                pts[worst] = contracted;
-                vals[worst] = fc;
-            } else {
-                // Shrink everything toward the best vertex.
-                let best_pt = pts[best];
-                for &i in &order[1..=n] {
-                    pts[i] = lerp(&best_pt[..n], &pts[i], 0.5);
-                    vals[i] = eval(&pts[i][..n], &mut evals);
-                }
-                sort_from_identity(&mut order[..=n], &vals);
-                continue;
-            }
-        }
-        reinsert_last(&mut order[..=n], &vals);
+        self.reflected = lerp(&centroid[..n], &self.pts[worst], -1.0);
+        self.step = Step::Reflect;
     }
 
-    // The first minimum in vertex order: `order` is kept sorted by
-    // (value, index), so that is its head.
-    let bi = order[0];
-    SimplexResult {
-        point: pts[bi],
-        dim: n,
-        value: vals[bi],
-        evals,
+    /// The best vertex: the first minimum in vertex order, which is the
+    /// head of `order` (kept sorted by (value, index)). Read it once
+    /// [`Simplex::ask`] has returned `None`.
+    pub(crate) fn result(&self) -> SimplexResult {
+        debug_assert!(
+            matches!(self.step, Step::Done),
+            "the minimisation is still running"
+        );
+        let bi = self.order[0];
+        SimplexResult {
+            point: self.pts[bi],
+            dim: self.dim,
+            value: self.vals[bi],
+            evals: self.evals,
+        }
     }
 }
 
@@ -442,6 +573,96 @@ mod tests {
             proptest::prop_assert_eq!(bits(got.point()), bits(&point));
             proptest::prop_assert_eq!(got.value.to_bits(), value.to_bits());
             proptest::prop_assert_eq!(got.evals, evals);
+        }
+    }
+
+    /// Lanes [`prop_lockstep_lanes_are_the_reference_bit_for_bit`] drives.
+    const LANES: usize = 8;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // Up to 24 minimisations of the paper's objective over shared
+        // targets, each with its own measurements, start, step, tolerance
+        // (zero included) and budget (zero included), so lanes end at
+        // different steps and are refilled mid-run.
+        #[test]
+        fn prop_lockstep_lanes_are_the_reference_bit_for_bit(
+            dim in 1usize..9,
+            k in 1usize..41,
+            jobs in 1usize..25,
+            seed in 0u64..1_000_000,
+        ) {
+            use crate::space::{abs_error, abs_error_lanes};
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cols: Vec<f64> = (0..k * dim).map(|_| rng.random_range(-200.0..200.0)).collect();
+            let job: Vec<(Vec<f64>, Vec<f64>, SimplexOptions)> = (0..jobs)
+                .map(|_| {
+                    let x0 = (0..dim).map(|_| rng.random_range(-300.0..300.0)).collect();
+                    let measured = (0..k).map(|_| rng.random_range(0.0..300.0)).collect();
+                    let tol_exp = rng.random_range(-12i32..2);
+                    let opts = SimplexOptions {
+                        initial_step: rng.random_range(0.01..120.0),
+                        tolerance: if tol_exp == -12 { 0.0 } else { 10f64.powi(tol_exp) },
+                        max_evals: rng.random_range(0usize..900),
+                    };
+                    (x0, measured, opts)
+                })
+                .collect();
+
+            let mut next = 0..jobs;
+            let mut meas = vec![[0.0f64; LANES]; k];
+            let mut lanes: [Option<(usize, Simplex)>; LANES] = std::array::from_fn(|_| None);
+            let mut got = vec![None; jobs];
+            loop {
+                let mut points = [[0.0f64; LANES]; MAX_DIM];
+                let mut running = false;
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    loop {
+                        if let Some((j, fit)) = lane {
+                            if let Some(p) = fit.ask() {
+                                for (col, &x) in points.iter_mut().zip(p) {
+                                    col[l] = x;
+                                }
+                                running = true;
+                                break;
+                            }
+                            got[*j] = Some(fit.result());
+                        }
+                        *lane = next.next().map(|j| {
+                            let (x0, measured, opts) = &job[j];
+                            for (m, &x) in meas.iter_mut().zip(measured) {
+                                m[l] = x;
+                            }
+                            (j, Simplex::new(x0, *opts))
+                        });
+                        if lane.is_none() {
+                            break;
+                        }
+                    }
+                }
+                if !running {
+                    break;
+                }
+                let values = abs_error_lanes(&points[..dim], &cols, &meas);
+                for (lane, v) in lanes.iter_mut().zip(values) {
+                    if let Some((_, fit)) = lane {
+                        fit.tell(v);
+                    }
+                }
+            }
+
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for ((x0, measured, opts), got) in job.iter().zip(got) {
+                let got = got.expect("every minimisation ends");
+                let (point, value, evals) =
+                    reference_minimize(|p| abs_error(p, &cols, measured), x0, *opts);
+                proptest::prop_assert_eq!(bits(got.point()), bits(&point));
+                proptest::prop_assert_eq!(got.value.to_bits(), value.to_bits());
+                proptest::prop_assert_eq!(got.evals, evals);
+            }
         }
     }
 

@@ -114,6 +114,40 @@ pub(crate) fn abs_error(p: &[f64], cols: &[f64], measured: &[f64]) -> f64 {
     e
 }
 
+/// [`abs_error`] for `L` points at once, one point per lane, each against
+/// its own measurements to the same targets. `points[d][l]` is component
+/// `d` of lane `l`'s point (`points.len()` is the dimension) and
+/// `measured[i][l]` lane `l`'s measurement to target `i`; `cols` holds the
+/// targets dimension-major, as for [`abs_error`]. Each lane runs
+/// [`abs_error`]'s operations in its order — squares summed in dimension
+/// order from `0.0`, `sqrt`, `|· − m|` folded in target order from `0.0`
+/// — and lanes never mix, so lane `l` of the result is, to the bit,
+/// `abs_error` of lane `l`'s point; the lane arrays vectorise whole.
+#[inline]
+pub(crate) fn abs_error_lanes<const L: usize>(
+    points: &[[f64; L]],
+    cols: &[f64],
+    measured: &[[f64; L]],
+) -> [f64; L] {
+    let k = measured.len();
+    debug_assert_eq!(cols.len(), points.len() * k);
+    let mut e = [0.0f64; L];
+    for (i, m) in measured.iter().enumerate() {
+        let mut s = [0.0f64; L];
+        for (p, col) in points.iter().zip(cols.chunks_exact(k)) {
+            let y = col[i];
+            for (s, &x) in s.iter_mut().zip(p) {
+                let diff = x - y;
+                *s += diff * diff;
+            }
+        }
+        for ((e, s), &m) in e.iter_mut().zip(s).zip(m) {
+            *e += (s.sqrt() - m).abs();
+        }
+    }
+    e
+}
+
 /// Coordinates for every host, usable directly as a [`LatencyModel`] — this
 /// is what turns the paper's *Critical* algorithms into the practical
 /// *Leafset* ones. Packed host-major: `dim` components per host and
@@ -240,6 +274,53 @@ mod tests {
                 abs_error(&p, &cols, &measured).to_bits(),
                 packed_abs_error(&p, &packed, &measured).to_bits()
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        // Eight lanes over every dimension and k 0–70, with lanes that
+        // coincide with a target (a zero distance) and zero measurements.
+        #[test]
+        fn prop_each_lane_is_the_scalar_objective_bit_for_bit(
+            dim in 1usize..MAX_DIM + 1,
+            k in 0usize..71,
+            seed in 0u64..1_000_000,
+            coincide in 0u32..4,
+            zeros in 0u32..4,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            const L: usize = 8;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cols: Vec<f64> = (0..k * dim).map(|_| rng.random_range(-300.0..300.0)).collect();
+            let mut points = vec![[0.0f64; L]; dim];
+            for l in 0..L {
+                let on_target = k > 0 && rng.random_range(0u32..4) < coincide;
+                let i = if k > 0 { rng.random_range(0..k) } else { 0 };
+                for (d, col) in points.iter_mut().enumerate() {
+                    col[l] = if on_target {
+                        cols[d * k + i]
+                    } else {
+                        rng.random_range(-300.0..300.0)
+                    };
+                }
+            }
+            let measured: Vec<[f64; L]> = (0..k)
+                .map(|_| {
+                    std::array::from_fn(|_| {
+                        let m = rng.random_range(0.0..500.0);
+                        if rng.random_range(0u32..4) < zeros { 0.0 } else { m }
+                    })
+                })
+                .collect();
+            let got = abs_error_lanes(&points, &cols, &measured);
+            for (l, e) in got.into_iter().enumerate() {
+                let p: Vec<f64> = points.iter().map(|col| col[l]).collect();
+                let m: Vec<f64> = measured.iter().map(|m| m[l]).collect();
+                proptest::prop_assert_eq!(e.to_bits(), abs_error(&p, &cols, &m).to_bits());
+            }
         }
     }
 

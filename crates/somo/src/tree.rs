@@ -3,9 +3,12 @@
 //! Geometry: the whole ID circle `[0, 2⁶⁴)` is the root's region; its
 //! logical point is the region center (0.5 of the space, as the paper puts
 //! it). A region splits into `k` near-equal child regions; subdivision stops
-//! when a region lies entirely inside a single DHT node's zone (deeper
-//! children would all be hosted by that same node and add nothing). Every
-//! logical node is **hosted** by the DHT node owning its center point.
+//! when a region holds at most one member ID (deeper children could not
+//! separate members any further), or is narrower than `k` IDs (it could
+//! not split into `k` non-empty regions). A region holding one member ID
+//! usually spans two DHT nodes' zones, so the depth follows the closest
+//! pair of member IDs: about 2·log_k N levels for random IDs.
+//! Every logical node is **hosted** by the DHT node owning its center point.
 //!
 //! The paper describes the construction bottom-up — each DHT node picks the
 //! highest logical point inside its zone as its representative and connects

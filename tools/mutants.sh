@@ -64,8 +64,8 @@ MUTANTS = [
     (
         "simplex keeps its pre-shrink order after a shrink",
         "crates/coords/src/simplex.rs",
-        "                sort_from_identity(&mut order[..=n], &vals);\n                continue;\n",
-        "                continue;\n",
+        "                    self.step = Step::Shrink(k + 1);\n                    return;\n                }\n                sort_from_identity(&mut self.order[..=n], &self.vals);\n",
+        "                    self.step = Step::Shrink(k + 1);\n                    return;\n                }\n",
     ),
     (
         "abs_error folds a block's four terms in reverse pair order",

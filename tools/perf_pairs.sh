@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Alternating A/B pairs of perf_e2e workloads: a parent revision (A)
-# against the working tree (B), both at `--seed 1 --seconds 22 --trace 0`.
+# against the working tree (B), both at `--seed SEED --seconds 22 --trace 0`.
 # Pair i runs A first when i is odd and B first when it is even, so a slow
 # drift of the machine lands on both sides alike.
 #
-#   tools/perf_pairs.sh PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS
+#   tools/perf_pairs.sh PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS [SEED]
+#
+# SEED (default 1) is the `--seed` of every run, traced ones included. A
+# claimed gain should also hold on a seed the change was not tuned on:
+# run the battery again with another SEED.
 #
 # A comma-separated list runs the workloads one after another, PAIRS pairs
 # each, from one build of each side, e.g.
@@ -40,11 +44,11 @@
 # and the counts in `$PERF_PAIRS_DIR/<workload>.counts`, one pair of files
 # per workload.
 set -euo pipefail
-if [ $# -ne 3 ]; then
-  echo "usage: $0 PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS" >&2
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+  echo "usage: $0 PARENT_REV WORKLOAD[,WORKLOAD...] PAIRS [SEED]" >&2
   exit 2
 fi
-rev="$1" pairs="$3"
+rev="$1" pairs="$3" seed="${4:-1}"
 IFS=, read -ra workloads <<<"$2"
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 dir="${PERF_PAIRS_DIR:-${TMPDIR:-/tmp}/perf_pairs}"
@@ -80,7 +84,7 @@ for workload in "${workloads[@]}"; do
     for side in $order; do
       echo "$workload: pair $i/$pairs  $side" >&2
       out="$("$dir/$side/perf_e2e/target/release/perf_e2e" \
-        --workload "$workload" --seed 1 --seconds 22 --trace 0)"
+        --workload "$workload" --seed "$seed" --seconds 22 --trace 0)"
       field() { grep "^$1 " <<<"$out" | cut -d' ' -f2; }
       echo "$i $side $(field ops) $(field failed_ops) $(field sim_digest)" \
         "$(field setup_s) $(field peak_rss_mb) $(field model_cost) $(field run_s)" >>"$raw"
@@ -90,15 +94,15 @@ for workload in "${workloads[@]}"; do
   for side in a b; do
     echo "$workload: traced  $side" >&2
     out="$("$dir/$side/perf_e2e/target/release/perf_e2e" \
-      --workload "$workload" --seed 1 --seconds 22 --trace 1)"
+      --workload "$workload" --seed "$seed" --seconds 22 --trace 1)"
     keep_counts trace "$side"
   done
 done
 
-PYTHONIOENCODING=utf-8 python3 - "$dir" "$rev" "${workloads[@]}" <<'PY'
+PYTHONIOENCODING=utf-8 python3 - "$dir" "$rev" "$seed" "${workloads[@]}" <<'PY'
 import statistics, sys
 
-dir, rev, *workloads = sys.argv[1:]
+dir, rev, seed, *workloads = sys.argv[1:]
 
 
 def quartiles(xs):
@@ -114,7 +118,8 @@ def table(workload):
         i, side, ops, failed, digest, *values = line.split()
         runs[side][int(i)] = ((ops, failed, digest), [float(v) for v in values])
     pairs = sorted(runs["a"])
-    print(f"{workload}: A = {rev}, B = working tree, {len(pairs)} alternating pairs\n")
+    print(f"{workload}: A = {rev}, B = working tree, {len(pairs)} alternating pairs,"
+          f" seed {seed}\n")
     print("| metric | median A | IQR A | median B | IQR B | B lower | A lower | resolved |")
     print("|---|---:|---:|---:|---:|---:|---:|---|")
     for k, name in enumerate(["setup_s", "peak_rss_mb", "model_cost", "run_s"]):
