@@ -53,18 +53,28 @@ impl<T: LatencyModel + ?Sized> LatencyModel for &T {
 /// Per-host half of the factored kernel (16 bytes).
 #[derive(Clone, Copy)]
 struct HostEntry {
-    /// Offset in `rows` of the Dijkstra row sourced at this host's router.
+    /// Offset in `rows` of the triangle row of this host's router, less
+    /// its slot: the row's entry for slot `j ≥ slot` is `rows[row_off + j]`.
     row_off: u32,
-    /// This host's router: the column other hosts' rows are read at.
-    router: u32,
+    /// This host's router's place among the host-attached routers, in
+    /// ascending router order.
+    slot: u32,
     last_hop_ms: f64,
 }
 
 /// Exact all-pairs host latencies: last-hop + shortest router path +
-/// last-hop, kept in the factored form the underlay has — one Dijkstra row
-/// per *host-attached* router plus a 16-byte entry per host — and summed
-/// per lookup: `rows·R·4 + N·16` bytes, ≤ 1.4 MB of rows on the paper's
-/// 600-router underlay at any N. Every answer is bit-identical to the
+/// last-hop, kept in the factored form the underlay has — the router
+/// distances among the `A` *host-attached* routers, each stored once as
+/// an upper triangle (diagonal included), plus a 16-byte entry per host
+/// and a 4-byte router id per attached router — and summed per lookup:
+/// `A(A+1)/2·4 + N·16 + A·4` bytes: at most 0.66 MB of triangle on the
+/// paper's 600-router underlay (hosts attach to its 576 stub routers) at
+/// any N, half of what one full row per attached router held. A pair's
+/// router distance comes from the Dijkstra row of the lower of its two
+/// routers whichever host is named first, so `latency(a, b)` and
+/// `latency(b, a)` sum the same three operands on any link weights. On
+/// integral-millisecond weights (the default underlay) either endpoint's
+/// row holds the same distance, and every answer is bit-identical to the
 /// entry of an `N × N` `f32` table filled with the same expression (the
 /// form the committed anchors were produced with; the tests keep one as
 /// the reference), so the operand order in `latency_ms` is part of the
@@ -72,10 +82,13 @@ struct HostEntry {
 /// whole network/pool that embeds one — is O(1).
 #[derive(Clone)]
 pub struct LatencyMatrix {
-    /// Routers in the underlay: the length of one row.
+    /// Routers in the underlay: the length of a [`Self::router_row`].
     routers: usize,
-    /// Concatenated Dijkstra rows, one per host-attached router.
+    /// The upper triangle of the attached routers' distance table, row by
+    /// row in slot order: row `i` holds slots `i..A`.
     rows: Arc<[f32]>,
+    /// The router id of each slot, ascending.
+    slot_router: Arc<[u32]>,
     hosts: Arc<[HostEntry]>,
 }
 
@@ -129,19 +142,24 @@ impl LatencyMatrix {
         hosts: &HostSet,
     ) -> Result<LatencyMatrix, DisconnectedUnderlay> {
         let routers = net.graph.len();
-        let mut attached = vec![false; routers];
+        // Router id → slot; `u32::MAX` marks a router with no host.
+        let mut slot = vec![u32::MAX; routers];
         for (_, h) in hosts.iter() {
-            attached[h.router.0 as usize] = true;
+            slot[h.router.0 as usize] = 0;
         }
-        let srcs: Vec<u32> = (0..routers as u32)
-            .filter(|&r| attached[r as usize])
+        let slot_router: Arc<[u32]> = (0..routers as u32)
+            .filter(|&r| slot[r as usize] != u32::MAX)
             .collect();
-        // The rows are filled where they stay: one exactly-sized shared
+        let attached = slot_router.len();
+        let len = attached * (attached + 1) / 2;
+        assert!(u32::try_from(len).is_ok(), "triangle offsets fit u32");
+        // The triangle is filled where it stays: one exactly-sized shared
         // slice, written through the only handle on it.
-        let mut rows: Arc<[f32]> = std::iter::repeat_n(0f32, srcs.len() * routers).collect();
+        let mut rows: Arc<[f32]> = std::iter::repeat_n(0f32, len).collect();
         let filled = Arc::get_mut(&mut rows).expect("no other handle exists yet");
-        let mut row_off = vec![0u32; routers];
-        for (k, &r) in srcs.iter().enumerate() {
+        let mut off = 0;
+        for (k, &r) in slot_router.iter().enumerate() {
+            slot[r as usize] = k as u32;
             let row = net.graph.dijkstra(r);
             if let Some(to) = row.iter().position(|d| !d.is_finite()) {
                 return Err(DisconnectedUnderlay {
@@ -149,35 +167,68 @@ impl LatencyMatrix {
                     to: RouterId(to as u32),
                 });
             }
-            row_off[r as usize] = u32::try_from(k * routers).expect("row offsets fit u32");
-            filled[k * routers..][..routers].copy_from_slice(&row);
+            let upper = &slot_router[k..];
+            for (cell, &c) in filled[off..off + upper.len()].iter_mut().zip(upper) {
+                *cell = row[c as usize];
+            }
+            off += upper.len();
         }
         let entries = hosts
             .iter()
-            .map(|(_, h)| HostEntry {
-                row_off: row_off[h.router.0 as usize],
-                router: h.router.0,
-                last_hop_ms: h.last_hop_ms,
+            .map(|(_, h)| {
+                let s = slot[h.router.0 as usize];
+                HostEntry {
+                    row_off: row_off(attached, s as usize),
+                    slot: s,
+                    last_hop_ms: h.last_hop_ms,
+                }
             })
             .collect();
         Ok(LatencyMatrix {
             routers,
             rows,
+            slot_router,
             hosts: entries,
         })
     }
 
-    /// The Dijkstra row sourced at `h`'s router: shortest-path distance to
-    /// every router, indexed by router id.
-    pub fn router_row(&self, h: HostId) -> &[f32] {
-        let off = self.hosts[h.idx()].row_off as usize;
-        &self.rows[off..off + self.routers]
+    /// The router distance between slots `i` and `j`, read from the lower
+    /// slot's row.
+    #[inline]
+    fn slot_distance(&self, (i_off, i): (u32, u32), (j_off, j): (u32, u32)) -> f32 {
+        // A select, not a branch: half of all lookups read across rows.
+        let (lo_off, hi) = if i <= j { (i_off, j) } else { (j_off, i) };
+        self.rows[lo_off as usize + hi as usize]
     }
 
-    /// Bytes resident in the kernel: `rows·R·4 + N·16`.
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.rows) + std::mem::size_of_val(&*self.hosts)
+    /// The shortest-path distance from `h`'s router to every router,
+    /// indexed by router id, as the kernel answers it: each attached
+    /// router's column is the triangle entry `latency_ms` reads. Routers
+    /// with no host read `f32::INFINITY`: no lookup reads them.
+    pub fn router_row(&self, h: HostId) -> Box<[f32]> {
+        let e = self.hosts[h.idx()];
+        let mut row = vec![f32::INFINITY; self.routers].into_boxed_slice();
+        let attached = self.slot_router.len();
+        for (k, &r) in self.slot_router.iter().enumerate() {
+            let other = (row_off(attached, k), k as u32);
+            row[r as usize] = self.slot_distance((e.row_off, e.slot), other);
+        }
+        row
     }
+
+    /// Bytes resident in the kernel: `A(A+1)/2·4 + N·16 + A·4` for `A`
+    /// host-attached routers.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.rows)
+            + std::mem::size_of_val(&*self.slot_router)
+            + std::mem::size_of_val(&*self.hosts)
+    }
+}
+
+/// Where slot `k`'s row of an `attached`-slot triangle starts, less `k`:
+/// rows `0..k` hold `attached - i` entries each.
+fn row_off(attached: usize, k: usize) -> u32 {
+    (k * attached - k * (k + 1) / 2) as u32
 }
 
 impl LatencyModel for LatencyMatrix {
@@ -187,7 +238,7 @@ impl LatencyModel for LatencyMatrix {
             return 0.0;
         }
         let (ha, hb) = (self.hosts[a.idx()], self.hosts[b.idx()]);
-        let router_d = self.rows[ha.row_off as usize + hb.router as usize];
+        let router_d = self.slot_distance((ha.row_off, ha.slot), (hb.row_off, hb.slot));
         f64::from((ha.last_hop_ms + f64::from(router_d) + hb.last_hop_ms) as f32)
     }
 
@@ -293,7 +344,11 @@ mod tests {
 
     /// The pair table this kernel replaced, filled with the historical
     /// expression from an every-router Dijkstra: the reference the
-    /// factored lookups must match bit for bit.
+    /// factored lookups must match bit for bit. The router distance is
+    /// read from the lower router's row, as the kernel reads it; the
+    /// historical table read `a`'s row, which on non-integral link weights
+    /// can differ from `b`'s in the last place and made the table
+    /// asymmetric.
     fn dense_reference(net: &RouterNet, hosts: &HostSet) -> Vec<f32> {
         let rd = net.graph.all_pairs();
         let n = hosts.len();
@@ -303,7 +358,12 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let router_d = rd[ha.router.0 as usize][hb.router.0 as usize];
+                let (lo, hi) = if ha.router <= hb.router {
+                    (ha.router, hb.router)
+                } else {
+                    (hb.router, ha.router)
+                };
+                let router_d = rd[lo.0 as usize][hi.0 as usize];
                 dist[a.idx() * n + b.idx()] =
                     (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
             }
@@ -332,9 +392,9 @@ mod tests {
         let (net, hosts) = small();
         let m = LatencyMatrix::build(&net, &hosts);
         for a in hosts.ids() {
-            assert_eq!(m.latency_ms(a, a), 0.0);
+            assert_eq!(m.latency_ms(a, a).to_bits(), 0f64.to_bits());
             for b in hosts.ids() {
-                assert_eq!(m.latency_ms(a, b), m.latency_ms(b, a));
+                assert_eq!(m.latency_ms(a, b).to_bits(), m.latency_ms(b, a).to_bits());
             }
         }
     }
@@ -447,12 +507,22 @@ mod tests {
         let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
         attached.sort_unstable();
         attached.dedup();
+        let a = attached.len();
         assert_eq!(
             m.resident_bytes(),
-            attached.len() * net.len() * 4 + hosts.len() * 16
+            a * (a + 1) / 2 * 4 + hosts.len() * 16 + a * 4
         );
+        // On integral weights either endpoint's Dijkstra row holds the
+        // distance the triangle kept; host-less columns are never read.
         for (id, h) in hosts.iter() {
-            assert_eq!(m.router_row(id), &net.graph.dijkstra(h.router.0)[..]);
+            let (row, reference) = (m.router_row(id), net.graph.dijkstra(h.router.0));
+            for r in 0..net.len() {
+                if attached.binary_search(&(r as u32)).is_ok() {
+                    assert_eq!(row[r].to_bits(), reference[r].to_bits(), "column {r}");
+                } else {
+                    assert_eq!(row[r], f32::INFINITY, "column {r}");
+                }
+            }
         }
     }
 
@@ -541,6 +611,46 @@ mod tests {
             let net = RouterNet::generate(&cfg, seed);
             let hosts = HostSet::attach(&net, n, (3.0, 8.0), seed ^ 0x5eed);
             assert_matches_dense(&LatencyMatrix::build(&net, &hosts), &net, &hosts);
+        }
+
+        // The `LatencyModel` contract on the topologies above: every pair
+        // answers the same bits in both orders. Two Dijkstra rows can hold
+        // a non-integral distance rounded differently, so a kernel that
+        // read the first argument's row broke this.
+        #[test]
+        fn prop_kernel_is_bit_symmetric_on_fractional_weights(
+            td in 1usize..3,
+            tpd in 1usize..4,
+            sdt in 1usize..3,
+            rps in 1usize..4,
+            n in 1usize..160,
+            transit_ms in 20.0f64..120.0,
+            stub_ms in 1.0f64..30.0,
+            seed: u64,
+        ) {
+            let cfg = TransitStubConfig {
+                transit_domains: td,
+                transit_per_domain: tpd,
+                stub_domains_per_transit: sdt,
+                routers_per_stub: rps,
+                intra_transit_ms: transit_ms,
+                stub_transit_ms: stub_ms * 2.5,
+                intra_stub_ms: stub_ms,
+            };
+            let net = RouterNet::generate(&cfg, seed);
+            let hosts = HostSet::attach(&net, n, (3.0, 8.0), seed ^ 0x5eed);
+            let m = LatencyMatrix::build(&net, &hosts);
+            for a in hosts.ids() {
+                for b in hosts.ids() {
+                    proptest::prop_assert_eq!(
+                        m.latency_ms(a, b).to_bits(),
+                        m.latency_ms(b, a).to_bits(),
+                        "asymmetric at ({}, {})",
+                        a.0,
+                        b.0
+                    );
+                }
+            }
         }
     }
 }

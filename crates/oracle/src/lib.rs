@@ -104,7 +104,7 @@ impl PoolOracle {
     }
 
     /// Bytes resident in the oracle's backing storage: the factored
-    /// kernel's `rows·R·4 + N·16` for Exact, every tier for Tiered.
+    /// kernel's `A(A+1)/2·4 + N·16 + A·4` for Exact, every tier for Tiered.
     pub fn resident_bytes(&self) -> usize {
         match self {
             PoolOracle::Exact(m) => m.resident_bytes(),
@@ -329,14 +329,21 @@ mod tests {
         let (net, hosts) = small_world(64, 1);
         let matrix = LatencyMatrix::build(&net, &hosts);
         let po = PoolOracle::Exact(matrix.clone());
-        // rows·R·4 + N·16: one 600-router row per host-attached router.
+        // A(A+1)/2·4 + N·16 + A·4: the host-attached routers' distances,
+        // each stored once, the host entries and the slot table.
         let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
         attached.sort_unstable();
         attached.dedup();
-        assert_eq!(
-            po.resident_bytes(),
-            attached.len() * net.len() * 4 + 64 * 16
-        );
+        let a = attached.len();
+        assert_eq!(po.resident_bytes(), a * (a + 1) / 2 * 4 + 64 * 16 + a * 4);
+        // The rows the hot tier gathers out of the kernel: every attached
+        // column is the router graph's own Dijkstra distance.
+        for (id, h) in hosts.iter() {
+            let (row, reference) = (matrix.router_row(id), net.graph.dijkstra(h.router.0));
+            for &r in &attached {
+                assert_eq!(row[r as usize].to_bits(), reference[r as usize].to_bits());
+            }
+        }
         assert_eq!(po.tier_stats_opt(), None);
         for a in 0..64u32 {
             for b in 0..64u32 {

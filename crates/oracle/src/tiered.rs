@@ -200,7 +200,9 @@ impl HotRows {
 
 /// Where promoted rows come from: Dijkstra on the oracle's own copy of the
 /// router graph ([`TieredOracle::new`]), or the network's exact kernel
-/// ([`TieredOracle::over_network`]). The rows are the same either way.
+/// ([`TieredOracle::over_network`]). The rows agree on every column a
+/// lookup reads whenever the link weights are integral milliseconds (the
+/// hot tier's precision contract, on [`TieredOracle`], has the rest).
 #[derive(Clone)]
 enum RowSource {
     Graph(Arc<Graph>),
@@ -212,7 +214,7 @@ impl RowSource {
     fn row(&self, router: u32, h: HostId) -> Box<[f32]> {
         match self {
             RowSource::Graph(graph) => graph.dijkstra(router).into_boxed_slice(),
-            RowSource::Kernel(kernel) => kernel.router_row(h).into(),
+            RowSource::Kernel(kernel) => kernel.router_row(h),
         }
     }
 }
@@ -243,9 +245,13 @@ impl Counters {
 /// * **hot** — bit-identical to the exact [`netsim::LatencyMatrix`]
 ///   answer on the default integral-millisecond topology (same
 ///   expression, and router Dijkstra distances there are exact in f32
-///   from either endpoint). On exotic float link weights a row computed
-///   from the *other* endpoint's router may differ by final-rounding
-///   ulps; values are still symmetric because pairs are canonicalized.
+///   from either endpoint). A kernel-fed row ([`TieredOracle::over_network`])
+///   is the kernel's own: every column a lookup reads is the distance
+///   the kernel answers for that pair, on any link weights. A graph-fed
+///   row ([`TieredOracle::new`]) is Dijkstra from the host's own router;
+///   on exotic float link weights it may differ from the kernel's
+///   distance, read from the lower router's row, by final-rounding ulps.
+///   Values are symmetric either way because pairs are canonicalized.
 /// * **sketch** — the interval midpoint `0.5*(lo+up)`; the exact value
 ///   lies within the interval up to f32 rounding of sketch entries, so
 ///   the error is bounded by half the interval width (`tightness`
@@ -293,8 +299,9 @@ impl TieredOracle {
     }
 
     /// [`TieredOracle::new`] over `net.routers` and `net.hosts`, with
-    /// promoted rows copied out of `net.latency`, the exact kernel, so the
-    /// oracle holds no router graph. Every answer and counter is the same.
+    /// promoted rows gathered out of `net.latency`, the exact kernel, so
+    /// the oracle holds no router graph. On integral-millisecond link
+    /// weights every answer and counter is the same.
     ///
     /// # Panics
     /// If `sketch` covers another host set than `net.hosts`.

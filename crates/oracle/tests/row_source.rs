@@ -1,7 +1,8 @@
 //! The hot tier has two row sources — Dijkstra on a copy of the router
-//! graph (`TieredOracle::new`, the matrix-free path) and the network
-//! kernel's resident rows (`TieredOracle::over_network`, the path
-//! `ResourcePool::build` takes) — and they must be indistinguishable from
+//! graph (`TieredOracle::new`, the matrix-free path) and rows gathered
+//! from the network kernel's triangle (`TieredOracle::over_network`, the
+//! path `ResourcePool::build` takes) — and on the default
+//! integral-millisecond underlay they must be indistinguishable from
 //! outside: one random promote/lookup sequence driven through both yields
 //! the same residents after every promote, the same counters, and the
 //! same answer bits on every pair. Only what they hold differs: the router

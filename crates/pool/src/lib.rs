@@ -559,7 +559,7 @@ impl ResourcePool {
     }
 
     /// Bytes resident in the planning oracle's backing storage (the
-    /// factored kernel's `rows·R·4 + N·16` under `Exact`).
+    /// factored kernel's `A(A+1)/2·4 + N·16 + A·4` under `Exact`).
     pub fn oracle_resident_bytes(&self) -> usize {
         self.oracle.resident_bytes()
     }

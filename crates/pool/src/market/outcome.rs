@@ -161,7 +161,7 @@ pub struct MarketOutcome {
     /// `Exact` — the exact kernel has no tiers to count).
     pub oracle_tiers: Option<oracle::TierStats>,
     /// Bytes resident in the planning oracle at the end of the run (the
-    /// factored kernel's `rows·R·4 + N·16` under `Exact`).
+    /// factored kernel's `A(A+1)/2·4 + N·16 + A·4` under `Exact`).
     pub oracle_resident_bytes: u64,
     /// Degree relaxations performed by session planning (primary and
     /// standby trees): the sum of every plan's own count.

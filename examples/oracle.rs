@@ -83,8 +83,8 @@ fn main() {
                 stats.evictions,
             );
         }
-        // The exact kernel is the large one at this size (its rows cost
-        // up to 1.4 MB at any N); the tiered oracle is not here to save
+        // The exact kernel is the large one at this size (its triangle
+        // costs up to 0.66 MB at any N); the tiered oracle is not here to save
         // memory but to plan from what a deployed host can know.
         println!(
             "  oracle resident: {:.1} KB\n",

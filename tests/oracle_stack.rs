@@ -46,28 +46,41 @@ fn plan(pool: &mut ResourcePool) -> PlanOutcome {
     )
 }
 
-/// Routers with at least one host attached: the kernel's row count.
-fn attached_routers(pool: &ResourcePool) -> usize {
+/// Routers with at least one host attached, ascending: the kernel's slots.
+fn attached_routers(pool: &ResourcePool) -> Vec<u32> {
     let mut routers: Vec<u32> = pool.net.hosts.iter().map(|(_, h)| h.router.0).collect();
     routers.sort_unstable();
     routers.dedup();
-    routers.len()
+    routers
 }
 
-/// The exact kernel reports its real bytes, `rows·R·4 + N·16`. Below
-/// N ≈ √(R_s·R) ≈ 590 on the paper's underlay that is *more* than the
-/// `N²·4` pair table it replaced (this pool: 300 hosts on 237 routers,
-/// 573 600 B against 360 000 B); the rows are capped at 1.4 MB at any N,
-/// so the small-N overhead is documented here, not special-cased.
+/// The exact kernel reports its real bytes, `A(A+1)/2·4 + N·16 + A·4` for
+/// `A` host-attached routers: each router distance once, a 16-byte entry
+/// per host, a router id per slot. With `A ≤ N` that is at most
+/// `2N² + 22N` bytes, so from N = 11 up it never exceeds the `N²·4` pair
+/// table it replaced (this pool: 300 hosts on 237 routers, 118 560 B
+/// against 360 000 B), and at any N the triangle stays at or below
+/// 0.66 MB on the paper's underlay (576 stub routers).
 #[test]
 fn exact_source_reports_no_tier_stats_and_factored_footprint() {
     let pool = build(LatencySource::Exact, 42);
     assert!(pool.oracle_stats().is_none());
-    let (n, r) = (pool.num_hosts(), pool.net.routers.len());
+    let attached = attached_routers(&pool);
+    let (n, a) = (pool.num_hosts(), attached.len());
     assert_eq!(
         pool.oracle_resident_bytes(),
-        attached_routers(&pool) * r * 4 + n * 16
+        a * (a + 1) / 2 * 4 + n * 16 + a * 4
     );
+    // The kernel's router rows are the router graph's on every attached
+    // column: the default underlay's integral distances are the same from
+    // either end.
+    let graph = &pool.net.routers.graph;
+    for (id, h) in pool.net.hosts.iter() {
+        let (row, reference) = (pool.net.latency.router_row(id), graph.dijkstra(h.router.0));
+        for &r in &attached {
+            assert_eq!(row[r as usize].to_bits(), reference[r as usize].to_bits());
+        }
+    }
 }
 
 /// The kernel's footprint is linear in N: 4096 hosts — the size whose

@@ -3,6 +3,9 @@
 #
 #   tools/mutants.sh [REV]
 #
+# `MUTANTS_ONLY=TEXT` runs only the mutations whose name contains TEXT
+# (after the same unmutated baseline), to read one row on its own.
+#
 # Exports a tree into `$MUTANTS_DIR/tree` (default
 # `${TMPDIR:-/tmp}/mutants`): `git archive REV` when a revision is given,
 # else every tracked or unignored file of the working tree as it is on
@@ -48,10 +51,10 @@ else
     tar -xf - -C "$dir/tree"
 fi
 
-CARGO_TARGET_DIR="$dir/target" python3 - "$dir/tree" <<'PY'
+CARGO_TARGET_DIR="$dir/target" python3 - "$dir/tree" "${MUTANTS_ONLY:-}" <<'PY'
 import os, re, signal, subprocess, sys
 
-tree = sys.argv[1]
+tree, only = sys.argv[1:]
 
 # (name, file, exact before-text, after-text)
 MUTANTS = [
@@ -68,10 +71,16 @@ MUTANTS = [
         "                    self.step = Step::Shrink(k + 1);\n                    return;\n                }\n",
     ),
     (
-        "abs_error folds a block's four terms in reverse pair order",
+        "abs_error folds a block's eight terms in reverse pair order",
         "crates/coords/src/space.rs",
         "        for t in terms {\n",
         "        for t in terms.into_iter().rev() {\n",
+    ),
+    (
+        "kernel lookup without the slot-order swap",
+        "crates/netsim/src/latency.rs",
+        "let (lo_off, hi) = if i <= j { (i_off, j) } else { (j_off, i) };",
+        "let (lo_off, hi) = (i_off, j);",
     ),
     (
         "Ev::End does not release the session's degrees",
@@ -244,6 +253,8 @@ if red:
 print("| mutation | file | first gate red |")
 print("|---|---|---|")
 for name, file, before, after in MUTANTS:
+    if only not in name:
+        continue
     print(f"mutant: {name}", file=sys.stderr)
     path = f"{tree}/{file}"
     original = apply(path, before, after)
