@@ -62,10 +62,10 @@ pub fn estimate(hosts: &HostSet, ring: &Ring, cfg: &BwEstConfig, seed: u64) -> B
 
     for i in 0..ring.len() {
         let me = ring.member(i).host;
-        let my_bw = &hosts.get(me).bandwidth;
+        let my_bw = &hosts.bandwidth(me);
         for j in ring.leafset(i, r_side) {
             let nb = ring.member(j).host;
-            let nb_bw = &hosts.get(nb).bandwidth;
+            let nb_bw = &hosts.bandwidth(nb);
             // me → nb probes: nb measures, reports back; bounded by
             // min(up(me), down(nb)).
             let m_out = max_probe(&pp, my_bw, nb_bw, &mut rng);

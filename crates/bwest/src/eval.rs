@@ -27,7 +27,7 @@ pub fn evaluate(hosts: &HostSet, ring: &Ring, est: &BwEstimates) -> BwAccuracy {
     let mut up_err = 0.0;
     let mut down_err = 0.0;
     for &h in &members {
-        let bw = &hosts.get(h).bandwidth;
+        let bw = hosts.bandwidth(h);
         up_err += (est.up(h) - bw.up_kbps).abs() / bw.up_kbps;
         down_err += (est.down(h) - bw.down_kbps).abs() / bw.down_kbps;
     }
@@ -38,8 +38,8 @@ pub fn evaluate(hosts: &HostSet, ring: &Ring, est: &BwEstimates) -> BwAccuracy {
     let mut total = 0u64;
     for (i, &a) in members.iter().enumerate() {
         for &b in &members[i + 1..] {
-            let ta = hosts.get(a).bandwidth.up_kbps;
-            let tb = hosts.get(b).bandwidth.up_kbps;
+            let ta = hosts.bandwidth(a).up_kbps;
+            let tb = hosts.bandwidth(b).up_kbps;
             if (ta - tb).abs() / ta.max(tb) < 1e-9 {
                 continue;
             }

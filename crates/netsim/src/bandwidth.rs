@@ -27,8 +27,10 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Connection class of a host's access link.
+/// Connection class of a host's access link; one byte, as
+/// [`crate::hosts::HostSet`] stores it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum BandwidthClass {
     /// Dial-up modem, symmetric ~50 kbps.
     Modem,

@@ -144,8 +144,8 @@ impl LatencyMatrix {
         let routers = net.graph.len();
         // Router id → slot; `u32::MAX` marks a router with no host.
         let mut slot = vec![u32::MAX; routers];
-        for (_, h) in hosts.iter() {
-            slot[h.router.0 as usize] = 0;
+        for &r in hosts.routers().iter() {
+            slot[r as usize] = 0;
         }
         let slot_router: Arc<[u32]> = (0..routers as u32)
             .filter(|&r| slot[r as usize] != u32::MAX)
@@ -174,13 +174,15 @@ impl LatencyMatrix {
             off += upper.len();
         }
         let entries = hosts
+            .routers()
             .iter()
-            .map(|(_, h)| {
-                let s = slot[h.router.0 as usize];
+            .zip(hosts.last_hops().iter())
+            .map(|(&r, &last_hop_ms)| {
+                let s = slot[r as usize];
                 HostEntry {
                     row_off: row_off(attached, s as usize),
                     slot: s,
-                    last_hop_ms: h.last_hop_ms,
+                    last_hop_ms,
                 }
             })
             .collect();

@@ -1,10 +1,10 @@
 //! The latency kernel's size and build, as numbers a test holds: each
 //! router distance is stored once, and the triangle is written where it
 //! stays, so building the kernel peaks at the kernel plus one row in
-//! flight.
+//! flight. And what a host costs: the host set's columns, 30 B a host.
 //!
-//! The build runs on the calling thread, which is where `testkit`'s
-//! counting allocator tallies it.
+//! The builds run on the calling thread, which is where `testkit`'s
+//! counting allocator tallies them.
 
 use netsim::hosts::HostSet;
 use netsim::{LatencyMatrix, RouterNet, TransitStubConfig};
@@ -49,4 +49,29 @@ fn the_4096_host_kernel_stores_each_router_distance_once() {
     let kernel = LatencyMatrix::build(&net, &hosts);
     let bytes = kernel.resident_bytes();
     assert!(bytes <= 740_000, "kernel of {bytes} B");
+}
+
+/// A host set is one column per attribute: router 4 B, last hop 8 B,
+/// degree bound 1 B, bandwidth class 1 B, uplink and downlink 8 B each,
+/// 30 B a host, plus the two shared columns' reference counts. A `Host`
+/// row per host held 40 B (1 310 720 B at 32 768 hosts).
+#[test]
+fn a_32768_host_set_holds_at_most_31_bytes_a_host() {
+    const N: usize = 32_768;
+    let net = RouterNet::generate(&TransitStubConfig::default(), 5);
+    let (hosts, cost) = measured(|| HostSet::attach(&net, N, (3.0, 8.0), 6));
+    assert_eq!(hosts.len(), N);
+    assert!(
+        cost.held <= 31 * N,
+        "holds {} B, {:.2} B a host",
+        cost.held,
+        cost.held as f64 / N as f64
+    );
+    // The stub-router list is all attach adds in flight: no column is
+    // built twice.
+    assert!(
+        cost.peak <= cost.held + 4 * net.len(),
+        "peak {} B",
+        cost.peak
+    );
 }

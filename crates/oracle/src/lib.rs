@@ -16,14 +16,16 @@
 //!   ([`LandmarkSketch`]) whose triangle bounds answer mid-tier pairs
 //!   when the interval pinches tightly enough. Stored factored like the
 //!   exact kernel: one L-entry row per router plus per-host router and
-//!   last-hop tables (`R·L·8 + L·4 + N·12` bytes), which the oracle
-//!   shares instead of keeping its own; every entry is bit-identical to
-//!   the kernel's answer for that pair.
+//!   last-hop tables (`R·L·8 + L·4 + N·12` bytes). The per-host tables
+//!   are the `HostSet`'s own shared columns, which neither the sketch
+//!   nor the oracle copies; every entry is bit-identical to the kernel's
+//!   answer for that pair.
 //! * **base tier** — GNP coordinate distances from `crates/coords`
 //!   (§4.1; in a pool, the pool's own store), clamped into the sketch bounds.
 //!
 //! What the tiered oracle holds is `O(L·R + N + hot_rows·R + N·dim)`:
-//! 12 B per host plus its coordinates, and per-router tables.
+//! 12 B per host (the host set's columns, kept alive) plus its
+//! coordinates, and per-router tables.
 //!
 //! [`PoolOracle`] is the enum the pool plans through; its `Exact` arm
 //! is a handle on the exact kernel ([`netsim::LatencyMatrix`]), so
@@ -331,7 +333,7 @@ mod tests {
         let po = PoolOracle::Exact(matrix.clone());
         // A(A+1)/2·4 + N·16 + A·4: the host-attached routers' distances,
         // each stored once, the host entries and the slot table.
-        let mut attached: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
+        let mut attached = hosts.routers().to_vec();
         attached.sort_unstable();
         attached.dedup();
         let a = attached.len();

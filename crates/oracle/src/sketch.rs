@@ -8,13 +8,15 @@
 //! landmark `l` and host `i`. So the sketch stores it factored, the way
 //! the kernel does — a router-major table
 //! `g[r·L + l] = last_hop[l] + f64::from(D[router(l)][r])` (L landmarks,
-//! R routers), one per-host table of routers and one of last hops — and
-//! sums per lookup. That costs `R·L·8 + L·4 + N·12` bytes: 1.65 MB at
-//! N = 131 072 with the default L = 16 on the 600-router underlay, where
-//! an `L × N` f32 table cost 8.4 MB. It needs only L hosts' measurements,
-//! not all-pairs router distances. The host tables are shared (`Arc`)
-//! with the [`crate::TieredOracle`] built over the sketch, which keeps no
-//! copy of its own.
+//! R routers), plus the per-host router and last-hop tables — and sums
+//! per lookup. The host tables are the [`HostSet`]'s own `Arc`-shared
+//! columns, read in place: the sketch, and the [`crate::TieredOracle`]
+//! built over it, copy no per-host byte. The sketch keeps
+//! `R·L·8 + L·4 + N·12` bytes alive, of which it allocates `R·L·8 + L·4`:
+//! 1.65 MB at N = 131 072 with the default L = 16 on the 600-router
+//! underlay (0.08 MB of it its own), where an `L × N` f32 table cost
+//! 8.4 MB. It needs only L hosts' measurements, not all-pairs router
+//! distances.
 //!
 //! **Why the pre-sum is bit-identical.** Floating-point addition is not
 //! associative, so the operand order is part of the contract: the kernel
@@ -85,8 +87,9 @@ impl LandmarkSketch {
         landmarks: &[HostId],
     ) -> Result<LandmarkSketch, DisconnectedUnderlay> {
         let (routers, l_count) = (net.graph.len(), landmarks.len());
-        let host_router: Arc<[u32]> = hosts.iter().map(|(_, h)| h.router.0).collect();
-        let last_hop: Arc<[f64]> = hosts.iter().map(|(_, h)| h.last_hop_ms).collect();
+        // The host set's own columns, shared: no per-host byte is copied.
+        let host_router = Arc::clone(hosts.routers());
+        let last_hop = Arc::clone(hosts.last_hops());
         let mut attached = vec![false; routers];
         for &r in host_router.iter() {
             attached[r as usize] = true;
@@ -95,17 +98,17 @@ impl LandmarkSketch {
         let mut g: Arc<[f64]> = std::iter::repeat_n(0f64, routers * l_count).collect();
         let filled = Arc::get_mut(&mut g).expect("no other handle exists yet");
         for (l, &lm) in landmarks.iter().enumerate() {
-            let lh = hosts.get(lm);
-            let row = net.graph.dijkstra(lh.router.0);
+            let (lm_router, lm_last_hop) = (host_router[lm.idx()], last_hop[lm.idx()]);
+            let row = net.graph.dijkstra(lm_router);
             for (r, &d) in row.iter().enumerate() {
                 if attached[r] && !d.is_finite() {
                     return Err(DisconnectedUnderlay {
-                        from: lh.router,
+                        from: RouterId(lm_router),
                         to: RouterId(r as u32),
                     });
                 }
                 // The inner sum of the kernel's `(last_hop_a + d) + last_hop_b`.
-                filled[r * l_count + l] = lh.last_hop_ms + f64::from(d);
+                filled[r * l_count + l] = lm_last_hop + f64::from(d);
             }
         }
         Ok(LandmarkSketch {
@@ -126,13 +129,14 @@ impl LandmarkSketch {
         self.lm_hosts.len()
     }
 
-    /// Every host's router, indexed by host id.
-    pub(crate) fn host_router(&self) -> &[u32] {
+    /// Every host's router, indexed by host id: the host set's column.
+    pub(crate) fn host_router(&self) -> &Arc<[u32]> {
         &self.host_router
     }
 
-    /// Every host's last-hop latency, indexed by host id.
-    pub(crate) fn last_hop(&self) -> &[f64] {
+    /// Every host's last-hop latency, indexed by host id: the host set's
+    /// column.
+    pub(crate) fn last_hop(&self) -> &Arc<[f64]> {
         &self.last_hop
     }
 
@@ -181,7 +185,9 @@ impl LandmarkSketch {
         (lo, up.max(lo))
     }
 
-    /// Bytes resident in the sketch's owned storage: `R·L·8 + L·4 + N·12`.
+    /// Bytes the sketch keeps alive: `R·L·8 + L·4 + N·12`. The `N·12` are
+    /// the host set's router and last-hop columns, shared, not copied: a
+    /// sketch built over a `HostSet` allocates only `R·L·8 + L·4`.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.g)
             + std::mem::size_of_val(&*self.lm_hosts)
@@ -427,6 +433,15 @@ mod tests {
         let empty = LandmarkSketch::build(&net, &hosts, &[]);
         assert_eq!(empty.resident_bytes(), 300 * 12);
         assert_eq!(empty.bounds(HostId(0), HostId(1)), (0.0, f64::INFINITY));
+    }
+
+    #[test]
+    fn the_sketch_reads_the_host_sets_columns_in_place() {
+        let net = RouterNet::generate(&TransitStubConfig::default(), 4);
+        let hosts = HostSet::attach(&net, 300, (3.0, 8.0), 5);
+        let sketch = LandmarkSketch::build(&net, &hosts, &[HostId(3), HostId(7)]);
+        assert!(Arc::ptr_eq(sketch.host_router(), hosts.routers()));
+        assert!(Arc::ptr_eq(sketch.last_hop(), hosts.last_hops()));
     }
 
     /// Every router an island: no landmark reaches another host's router.

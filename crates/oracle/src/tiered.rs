@@ -286,7 +286,9 @@ impl TieredOracle {
     ///
     /// # Panics
     /// If `sketch` covers another host set: another size, or any host on
-    /// another router or with another last hop (one O(N) pass).
+    /// another router or with another last hop. A sketch built over
+    /// `hosts` itself shares its columns and is accepted without a look at
+    /// them; any other takes one O(N) pass.
     pub fn new(
         net: &RouterNet,
         hosts: &HostSet,
@@ -326,17 +328,21 @@ impl TieredOracle {
         let n = hosts.len();
         assert_eq!(sketch.num_hosts(), n, "sketch/host-set size mismatch");
         let (router, last_hop) = (sketch.host_router(), sketch.last_hop());
-        for (id, h) in hosts.iter() {
-            let i = id.idx();
-            assert!(
-                router[i] == h.router.0 && last_hop[i].to_bits() == h.last_hop_ms.to_bits(),
-                "sketch built over another host set: host {i} sits on router {} with last hop \
-                 {} ms there, on router {} with {} ms here",
-                router[i],
-                last_hop[i],
-                h.router.0,
-                h.last_hop_ms
-            );
+        // A sketch built over `hosts` holds its very columns: nothing to
+        // compare. One built over another set is compared host by host.
+        let shared =
+            Arc::ptr_eq(router, hosts.routers()) && Arc::ptr_eq(last_hop, hosts.last_hops());
+        if !shared {
+            let pairs = hosts.routers().iter().zip(hosts.last_hops().iter());
+            for (i, (&r, &lh)) in pairs.enumerate() {
+                assert!(
+                    router[i] == r && last_hop[i].to_bits() == lh.to_bits(),
+                    "sketch built over another host set: host {i} sits on router {} with last \
+                     hop {} ms there, on router {r} with {lh} ms here",
+                    router[i],
+                    last_hop[i],
+                );
+            }
         }
         TieredOracle {
             tightness: cfg.tightness,
@@ -665,6 +671,18 @@ mod tests {
         TieredOracle::new(&net, &hosts, CoordStore::zeros(50, 2), sketch, &cfg);
     }
 
+    #[test]
+    fn a_sketch_over_an_equal_host_set_built_apart_is_accepted() {
+        let net = RouterNet::generate(&TransitStubConfig::default(), 8);
+        let hosts = HostSet::attach(&net, 50, (3.0, 8.0), 1);
+        let twin = HostSet::attach(&net, 50, (3.0, 8.0), 1);
+        let sketch = LandmarkSketch::build(&net, &twin, &[HostId(0)]);
+        assert!(!Arc::ptr_eq(sketch.host_router(), hosts.routers()));
+        let cfg = TieredConfig::default();
+        let oracle = TieredOracle::new(&net, &hosts, CoordStore::zeros(50, 2), sketch, &cfg);
+        assert_eq!(oracle.num_hosts(), 50);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -691,7 +709,7 @@ mod tests {
             let reference = batch.clone();
             // 48 hosts in router order: neighbours often share a router.
             let mut universe: Vec<HostId> = hosts.ids().collect();
-            universe.sort_by_key(|h| (hosts.get(*h).router.0, h.0));
+            universe.sort_by_key(|h| (hosts.routers()[h.idx()], h.0));
             universe.truncate(48);
             for picks in [&batches.0, &batches.1] {
                 let hs: Vec<HostId> = picks.iter().map(|&i| universe[i]).collect();

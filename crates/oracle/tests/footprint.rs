@@ -3,14 +3,43 @@
 //! exact kernel: the paper's 600-router underlay, 131 072 attached hosts,
 //! the default 16-landmark sketch and zeroed coordinates of the GNP
 //! dimension, so the hot tier is empty and every other byte is counted.
+//! And what building the sketch allocates, under `testkit`'s counting
+//! allocator: its own table, not the host set's columns again.
 
 use coords::{CoordStore, GnpConfig};
 use netsim::hosts::HostSet;
 use netsim::topology::TransitStubConfig;
 use netsim::RouterNet;
 use oracle::{LandmarkSketch, TieredConfig, TieredOracle};
+use testkit::measured;
+
+#[global_allocator]
+static ALLOC: testkit::Counting = testkit::Counting;
 
 const N: usize = 131_072;
+
+/// The sketch reads the host set's router and last-hop columns in place:
+/// what it holds beyond them is the `R·L·8` router-major table and the
+/// `L·4` landmark ids, 76 864 B here, plus their two reference counts.
+/// Copying the columns again, as the sketch once did, added `N·12` =
+/// 1 572 864 B.
+#[test]
+fn building_the_sketch_allocates_its_table_and_no_host_column() {
+    let net = RouterNet::generate(&TransitStubConfig::default(), 2004);
+    let hosts = HostSet::attach(&net, N, (3.0, 8.0), 7);
+    let l = TieredConfig::default().landmarks;
+    let landmarks = LandmarkSketch::default_landmarks(N, l, 3);
+    let (sketch, cost) = measured(|| LandmarkSketch::build(&net, &hosts, &landmarks));
+    let own = net.len() * l * 8 + l * 4;
+    assert!(
+        cost.held <= own + 64,
+        "holds {} B beyond the host set; its own table is {own} B",
+        cost.held
+    );
+    // Each landmark's Dijkstra row and heap, and the attached-router flags.
+    assert!(cost.peak <= own + 64 * net.len(), "peak {} B", cost.peak);
+    assert_eq!(sketch.resident_bytes(), own + N * 12);
+}
 
 #[test]
 fn the_n_131072_oracle_is_its_factored_sketch_and_packed_coordinates() {

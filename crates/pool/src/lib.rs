@@ -673,7 +673,7 @@ impl ResourcePool {
                 c.first().copied().unwrap_or(0.0),
                 c.get(1).copied().unwrap_or(0.0),
             ],
-            bw_class: self.net.hosts.get(h).bandwidth.class as u8,
+            bw_class: self.net.hosts.bandwidth(h).class as u8,
             sampled_at: now,
             capacity: t.dbound(),
             queued: 0,

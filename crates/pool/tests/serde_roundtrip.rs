@@ -94,7 +94,7 @@ fn bandwidth_and_host_attributes_round_trip() {
     );
     let close = |a: f64, b: f64| (a - b).abs() <= a.abs().max(b.abs()) * 1e-12;
     for (_, host) in net.hosts.iter() {
-        let json = serde_json::to_string(host).unwrap();
+        let json = serde_json::to_string(&host).unwrap();
         let back: netsim::hosts::Host = serde_json::from_str(&json).unwrap();
         assert_eq!(back.router, host.router);
         assert_eq!(back.degree_bound, host.degree_bound);

@@ -36,12 +36,30 @@ impl<E> Ord for Entry<E> {
 
 /// A deterministic discrete-event queue.
 ///
-/// Events are arbitrary payloads `E`; the caller owns the dispatch loop:
+/// Events are arbitrary payloads `E`; the caller owns the dispatch loop.
+/// Here a handler answers each ping with a pong 5 ms later, and two events
+/// scheduled for one instant come out in the order they went in:
 ///
-/// ```ignore
-/// while let Some((now, ev)) = queue.pop() {
-///     world.handle(now, ev, &mut queue);
+/// ```
+/// use simcore::{EventQueue, SimTime};
+///
+/// enum Ev {
+///     Ping(u32),
+///     Pong(u32),
 /// }
+///
+/// let mut queue = EventQueue::new();
+/// queue.schedule(SimTime::from_millis(10), Ev::Ping(1));
+/// queue.schedule(SimTime::from_millis(10), Ev::Ping(2));
+/// let mut log = Vec::new();
+/// while let Some((now, ev)) = queue.pop() {
+///     match ev {
+///         Ev::Ping(n) => queue.schedule_after(SimTime::from_millis(5), Ev::Pong(n)),
+///         Ev::Pong(n) => log.push((now.as_millis(), n)),
+///     }
+/// }
+/// assert_eq!(log, [(15, 1), (15, 2)]);
+/// assert_eq!(queue.now(), SimTime::from_millis(15));
 /// ```
 ///
 /// `pop` never returns events out of time order, and the queue tracks the

@@ -26,7 +26,7 @@
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
 # must be kept in step with the code. On 2 cores the first run's builds
-# and baseline take ≈ 5 min and each mutation 1–2 min (≈ 52 min for the
+# and baseline take ≈ 5 min and each mutation 1–2 min (≈ 55 min for the
 # table below, 20 of it one row that hits the timeout). This is a
 # measurement tool, like `perf_e2e`; no CI job runs it.
 set -euo pipefail
@@ -81,6 +81,12 @@ MUTANTS = [
         "crates/netsim/src/latency.rs",
         "let (lo_off, hi) = if i <= j { (i_off, j) } else { (j_off, i) };",
         "let (lo_off, hi) = (i_off, j);",
+    ),
+    (
+        "the sketch copies the host set's router and last-hop columns again",
+        "crates/oracle/src/sketch.rs",
+        "        let host_router = Arc::clone(hosts.routers());\n        let last_hop = Arc::clone(hosts.last_hops());\n",
+        "        let host_router: Arc<[u32]> = hosts.routers().iter().copied().collect();\n        let last_hop: Arc<[f64]> = hosts.last_hops().iter().copied().collect();\n",
     ),
     (
         "Ev::End does not release the session's degrees",
