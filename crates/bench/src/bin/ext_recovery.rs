@@ -11,7 +11,9 @@
 //! * **time-to-full-repair** — crash until the rebuilt SOMO root holds a
 //!   full survivor census *and* every ALM orphan is re-attached;
 //! * **census completeness** during exposure and after repair;
-//! * **ALM delivery disruption** during exposure, and reattach retries.
+//! * **ALM delivery disruption** during exposure, and reattach retries;
+//! * **false expulsions** — expulsions of a peer that was still alive, all
+//!   of them loss: a live leafset peer answers every heartbeat.
 //!
 //! The binary asserts that at 5% loss with 8 crashes the pipeline still
 //! reaches a 100% post-repair census. That at 0% loss the mean
@@ -66,8 +68,17 @@ fn secs(t: Option<SimTime>, from: SimTime) -> f64 {
 fn main() {
     println!("End-to-end churn recovery, loss × crashes sweep (N = {N}, {TRIALS} trials):");
     println!(
-        "{:>6} {:>3} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10} {:>8}",
-        "loss", "f", "detect(s)", "expel(s)", "repair(s)", "stale", "post", "disrupt", "retries"
+        "{:>6} {:>3} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10} {:>8} {:>12}",
+        "loss",
+        "f",
+        "detect(s)",
+        "expel(s)",
+        "repair(s)",
+        "stale",
+        "post",
+        "disrupt",
+        "retries",
+        "false expels"
     );
 
     let combos: Vec<(f64, usize)> = LOSSES
@@ -119,8 +130,9 @@ fn main() {
         let retries: u64 = outs.iter().map(|o| o.timeline.reattach_retries).sum();
         let gave_up: usize = outs.iter().map(|o| o.alm.gave_up).sum();
         let dropped: u64 = outs.iter().map(|o| o.dht_dropped + o.gather_dropped).sum();
+        let false_expels: u64 = outs.iter().map(|o| o.dht_false_expels).sum();
         println!(
-            "{:>5.0}% {:>3} {:>10.1} {:>10.1} {:>12.1} {:>7.1}% {:>7.1}% {:>9.1}% {:>8}",
+            "{:>5.0}% {:>3} {:>10.1} {:>10.1} {:>12.1} {:>7.1}% {:>7.1}% {:>9.1}% {:>8} {:>12}",
             loss * 100.0,
             f,
             mean(&detect),
@@ -129,7 +141,8 @@ fn main() {
             mean(&stale) * 100.0,
             mean(&post) * 100.0,
             mean(&disrupt) * 100.0,
-            retries
+            retries,
+            false_expels
         );
         rows.push(json!({
             "loss": loss,
@@ -143,6 +156,7 @@ fn main() {
             "reattach_retries": retries,
             "reattach_gave_up": gave_up,
             "messages_dropped": dropped,
+            "dht_false_expels": false_expels,
             "timelines": outs.iter().map(|o| json!({
                 "detected_at_us": o.timeline.detected_at.map(|t| t.as_micros()),
                 "expelled_at_us": o.timeline.expelled_at.map(|t| t.as_micros()),

@@ -6,11 +6,14 @@
 //! tables when node join/leave events occur."
 //!
 //! [`DhtSim`] simulates exactly that: every node runs a periodic heartbeat
-//! timer, heartbeats carry the sender's current view (gossip), receivers
-//! merge views and expire members they have not heard from (directly or via
-//! gossip) within a timeout. The simulation exposes each node's *believed*
-//! leafset so tests can measure convergence and self-healing — the property
-//! SOMO inherits from the hosting DHT.
+//! timer, heartbeats carry the sender's leafset (gossip), receivers adopt
+//! the gossiped peers that would enter their own leafset and expire
+//! members they have not heard from (directly or via gossip) within a
+//! timeout. Only a leafset member that stays silent is expelled — certified
+//! dead — so on a fabric that loses nothing an expulsion means a death
+//! ([`DhtSim::false_expels`] counts the others). The simulation exposes
+//! each node's *believed* leafset so tests can measure convergence and
+//! self-healing — the property SOMO inherits from the hosting DHT.
 //!
 //! Message latency comes from any function of the two endpoint hosts, so the
 //! protocol can run over the `netsim` oracle or a constant-delay fabric.
@@ -90,8 +93,9 @@ impl Row {
 /// Every node's views and death certificates: power-of-two rows of `(peer,
 /// time)` entries — in a view, the last evidence the peer was alive; in a
 /// set of death certificates, when the certificate lapses. A row is in
-/// peer-ID order — a leafset's worth of entries plus what gossip adds, a
-/// dozen or so, so a sorted run serves as the ordered map.
+/// peer-ID order — a leafset's worth of entries, and for a while after a
+/// join a displaced peer or two, so a sorted run serves as the ordered
+/// map.
 ///
 /// The entries are two parallel columns, because a `(u32, SimTime)` pair
 /// pads to 16 bytes where the two columns hold 12. A full row moves to a
@@ -209,13 +213,6 @@ impl PeerSlab {
         }
     }
 
-    /// Insert `peer` unless it is already present (its time is then kept).
-    fn set_if_absent(&mut self, row: &mut Row, peer: Peer, t: SimTime, ids: &[NodeId]) {
-        if let Err(i) = self.find(*row, ids[peer as usize], ids) {
-            self.insert(row, i, peer, t);
-        }
-    }
-
     fn remove(&mut self, row: &mut Row, peer: Peer, ids: &[NodeId]) {
         if let Ok(i) = self.find(*row, ids[peer as usize], ids) {
             let at = row.start as usize + i;
@@ -321,12 +318,15 @@ struct ProtoNode {
     /// Known peers → last time we heard evidence they were alive: a row of
     /// [`DhtSim::peers`].
     view: Row,
-    /// Death certificates: peers we expired, with the time the tombstone
-    /// lapses; a row of [`DhtSim::peers`]. Gossip cannot resurrect a
-    /// tombstoned peer — only direct evidence (a message from the peer
-    /// itself) clears it. Without this, neighbors re-inserting each other's
-    /// stale gossip keeps a dead node flapping in and out of leafsets
-    /// indefinitely.
+    /// Death certificates: leafset peers we expelled — heartbeated and
+    /// silent for the timeout — with the time the tombstone lapses; a row
+    /// of [`DhtSim::peers`], empty until a peer dies or the fault plan
+    /// drops its answers. Gossip cannot resurrect a tombstoned peer — only
+    /// direct evidence (a message from the peer itself) clears it. Without
+    /// this, the dead peer's other neighbours, which expel it a heartbeat
+    /// or two later, keep gossiping it back into our leafset. A peer that
+    /// times out beyond the leafset is forgotten without a certificate:
+    /// nobody was heartbeating it, so its silence proves nothing.
     tombstones: Row,
     /// Last-resort probe targets for when the view empties out (e.g. a
     /// partition long enough to expire every peer): the node's configured
@@ -338,16 +338,16 @@ struct ProtoNode {
     alive: bool,
 }
 
-/// Write the *believed* leafset of node `me`, whose view is `peers`, into
-/// `out` (cleared first): the r nearest view entries on the successor side,
-/// nearest first, then those on the predecessor side that the first walk
-/// did not already reach. The order is the heartbeat send order.
-fn leafset_into(me: Peer, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut Vec<Peer>) {
+/// Write the *believed* leafset of the node with ID `my`, whose view is
+/// `peers`, into `out` (cleared first): the r nearest view entries on the
+/// successor side, nearest first, then those on the predecessor side that
+/// the first walk did not already reach. The order is the heartbeat send
+/// order.
+fn leafset_into(my: NodeId, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut Vec<Peer>) {
     out.clear();
     let n = peers.len();
     // Our own position among the peers (we are not in our own view).
-    let my_id = ids[me as usize];
-    let pos = peers.partition_point(|&peer| ids[peer as usize] < my_id);
+    let pos = peers.partition_point(|&peer| ids[peer as usize] < my);
     let take = r.min(n);
     for k in 0..take {
         out.push(peers[(pos + k) % n]);
@@ -358,6 +358,21 @@ fn leafset_into(me: Peer, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut Ve
             out.push(peer);
         }
     }
+}
+
+/// Whether a peer that would go in at position `at` of `view` (in ID
+/// order) would be one of the `r` nearest entries on either side of the
+/// node `my`: the rule for adopting a peer from gossip. A view of fewer
+/// than `2r` entries takes any peer, because one side then holds fewer
+/// than `r`.
+fn in_range(my: NodeId, at: usize, view: &[Peer], ids: &[NodeId], r: usize) -> bool {
+    let n = view.len();
+    let me = view.partition_point(|&peer| ids[peer as usize] < my);
+    // View entries clockwise strictly between `my` and the peer; the rest
+    // lie between the peer and `my`. (When both fall in the same gap of
+    // the view, the peer is adjacent to `my` on one side or the other.)
+    let between = (at + n - me) % n.max(1);
+    between < r || n - between < r
 }
 
 /// The simulated ring-maintenance protocol.
@@ -384,6 +399,8 @@ pub struct DhtSim<D: Fn(HostId, HostId) -> SimTime> {
     delay: D,
     faults: FaultyLink,
     messages: u64,
+    /// Expulsions of a peer that was alive at that instant.
+    false_expels: u64,
     tracer: Tracer,
 }
 
@@ -408,6 +425,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             delay,
             faults: FaultyLink::new(plan),
             messages: 0,
+            false_expels: 0,
             tracer: Tracer::disabled(),
         };
         let period = HEARTBEAT.as_micros();
@@ -545,20 +563,29 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         self.assert_not_simulated(member.id);
         let (owner, _) = self.route(contact, member.id)?;
         let now = self.queue.now();
-        // Adopt the successor's view as half-stale candidates: they must
-        // confirm themselves, exactly like gossip-learned entries. (The
-        // joiner is in no view: it is not simulated yet.)
-        let stale = now.saturating_sub(self.half_timeout());
-        let mut view: Vec<(Peer, SimTime)> = self
-            .peers
-            .peers(self.nodes[owner].view)
-            .iter()
-            .map(|&peer| (peer, stale))
-            .collect();
-        // The owner is not in its own view: the joiner's direct evidence.
+        // The owner is not in its own view: add it, the joiner's direct
+        // evidence. (The joiner is in no view: it is not simulated yet.)
+        let mut known = self.peers.peers(self.nodes[owner].view).to_vec();
         let owner_id = self.ids[owner];
-        let at = view.partition_point(|&(peer, _)| self.ids[peer as usize] < owner_id);
-        view.insert(at, (owner as Peer, now));
+        let at = known.partition_point(|&peer| self.ids[peer as usize] < owner_id);
+        known.insert(at, owner as Peer);
+        // Gossip's rule: keep what would be the joiner's leafset, and
+        // adopt it half-stale, so that each peer must confirm itself
+        // exactly like a gossip-learned entry.
+        let mut leafset = Vec::new();
+        leafset_into(
+            member.id,
+            &known,
+            &self.ids,
+            self.cfg.leafset_r,
+            &mut leafset,
+        );
+        let stale = now.saturating_sub(self.half_timeout());
+        let view: Vec<(Peer, SimTime)> = known
+            .into_iter()
+            .filter(|peer| leafset.contains(peer))
+            .map(|peer| (peer, if peer == owner as Peer { now } else { stale }))
+            .collect();
         Some(self.add_node(member, &view, now))
     }
 
@@ -628,7 +655,13 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                 let n = &self.nodes[node as usize];
                 let mut targets = std::mem::take(&mut self.leafset);
                 let view = self.peers.peers(n.view);
-                leafset_into(node, view, &self.ids, self.cfg.leafset_r, &mut targets);
+                leafset_into(
+                    self.ids[node as usize],
+                    view,
+                    &self.ids,
+                    self.cfg.leafset_r,
+                    &mut targets,
+                );
                 if targets.is_empty() {
                     let contacts =
                         &self.fallback[n.fallback_at as usize..][..usize::from(n.fallback_len)];
@@ -673,12 +706,22 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         // certificate for it is void).
         peers.remove(&mut n.tombstones, from, ids);
         peers.set(&mut n.view, from, now, ids);
-        // Gossip: adopt unknown IDs with "half-stale" evidence so
-        // they must confirm themselves within timeout/2 — this stops
-        // dead nodes from being resurrected by stale gossip forever.
+        // Gossip: adopt an unknown ID that would enter our leafset, with
+        // "half-stale" evidence so it must confirm itself within
+        // timeout/2 — this stops dead nodes from being resurrected by
+        // stale gossip forever. A peer beyond the leafset is heartbeated
+        // by nobody: adopted, it would only sit in the view until it
+        // timed out.
+        let (my, r) = (ids[to as usize], self.cfg.leafset_r);
         for &peer in self.payloads.peers(payload) {
-            if peer != to && !peers.contains(n.tombstones, ids[peer as usize], ids) {
-                peers.set_if_absent(&mut n.view, peer, stale, ids);
+            let id = ids[peer as usize];
+            if peer == to || peers.contains(n.tombstones, id, ids) {
+                continue;
+            }
+            if let Err(at) = peers.find(n.view, id, ids) {
+                if in_range(my, at, peers.peers(n.view), ids, r) {
+                    peers.insert(&mut n.view, at, peer, stale);
+                }
             }
         }
         let view = n.view;
@@ -690,7 +733,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         if !ack {
             let mut reply = std::mem::take(&mut self.leafset);
             leafset_into(
-                to,
+                self.ids[to as usize],
                 self.peers.peers(view),
                 &self.ids,
                 self.cfg.leafset_r,
@@ -707,28 +750,47 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     fn expire(&mut self, node: usize, now: SimTime) {
         let timeout = self.cfg.timeout;
         let ProtoNode {
-            view, tombstones, ..
-        } = &mut self.nodes[node];
+            mut view,
+            mut tombstones,
+            ..
+        } = self.nodes[node];
+        // Only leafset peers are heartbeated, and a live one answers each
+        // heartbeat: silent for the timeout, it is expelled — certified
+        // dead. A peer beyond the leafset, one a closer peer displaced, is
+        // heartbeated by nobody, so its silence proves nothing: it is
+        // forgotten.
+        let watched = &mut self.leafset;
+        leafset_into(
+            self.ids[node],
+            self.peers.peers(view),
+            &self.ids,
+            self.cfg.leafset_r,
+            watched,
+        );
         // Certificates live in the slab the view is being filtered in, so
         // the expired peers are certified once the view's row is settled.
         let expired = &mut self.expired;
         expired.clear();
-        self.peers.retain(view, |peer, last| {
+        self.peers.retain(&mut view, |peer, last| {
             let alive = now.saturating_sub(last) < timeout;
-            if !alive {
+            if !alive && watched.contains(&peer) {
                 expired.push(peer);
             }
             alive
         });
         for &peer in expired.iter() {
-            self.peers.set(tombstones, peer, now + timeout, &self.ids);
+            self.false_expels += u64::from(self.nodes[peer as usize].alive);
+            self.peers
+                .set(&mut tombstones, peer, now + timeout, &self.ids);
             let id = self.ids[peer as usize];
             self.tracer.emit(now, || TraceEvent::DhtExpel {
                 node: node as u32,
                 peer: id.0,
             });
         }
-        self.peers.retain(tombstones, |_, until| until > now);
+        self.peers.retain(&mut tombstones, |_, until| until > now);
+        let n = &mut self.nodes[node];
+        (n.view, n.tombstones) = (view, tombstones);
     }
 
     /// Resolve the owner of `key` by greedy clockwise routing over the
@@ -797,7 +859,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         let mut leafset = Vec::new();
         let view = self.peers.peers(self.nodes[node].view);
         leafset_into(
-            node as Peer,
+            self.ids[node],
             view,
             &self.ids,
             self.cfg.leafset_r,
@@ -843,7 +905,13 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             .filter(|&i| self.nodes[i].alive)
             .all(|i| {
                 let view = self.peers.peers(self.nodes[i].view);
-                leafset_into(i as Peer, view, &self.ids, self.cfg.leafset_r, &mut leafset);
+                leafset_into(
+                    self.ids[i],
+                    view,
+                    &self.ids,
+                    self.cfg.leafset_r,
+                    &mut leafset,
+                );
                 believed.clear();
                 believed.extend(leafset.iter().map(|&peer| self.ids[peer as usize]));
                 believed.sort_unstable();
@@ -860,6 +928,13 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Messages the fault plan dropped so far.
     pub fn messages_dropped(&self) -> u64 {
         self.faults.dropped()
+    }
+
+    /// Expulsions so far whose peer was alive when it was expelled: each
+    /// one a run of heartbeats or acks the fault plan dropped, since a
+    /// live leafset peer answers every heartbeat.
+    pub fn false_expels(&self) -> u64 {
+        self.false_expels
     }
 
     /// Current simulated time.
@@ -964,7 +1039,7 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
     let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
         let view = s.peers.peers(n.view);
-        leafset_into(i as Peer, view, &s.ids, s.cfg.leafset_r, &mut leafset);
+        leafset_into(s.ids[i], view, &s.ids, s.cfg.leafset_r, &mut leafset);
         for &peer in &leafset {
             let id = s.ids[peer as usize];
             ctx.check(s.peers.contains(n.view, id, &s.ids), || {
@@ -1048,7 +1123,9 @@ mod tests {
                         model.insert(id, (peer, t));
                     }
                     4 | 5 => {
-                        slab.set_if_absent(row, peer, t, &ids);
+                        if let Err(i) = slab.find(*row, id, &ids) {
+                            slab.insert(row, i, peer, t);
+                        }
                         model.entry(id).or_insert((peer, t));
                     }
                     6 => {
@@ -1084,6 +1161,32 @@ mod tests {
                 prop_assert!(row.cap == 0 || (row.cap.is_power_of_two() && row.cap >= MIN_ROW));
             }
             assert_rows_disjoint(&slab, &rows);
+        }
+
+        // The adoption rule is leafset membership: a peer is in range of a
+        // view exactly when the view with it added has it in its leafset.
+        #[test]
+        fn prop_in_range_is_leafset_membership(
+            picks in proptest::collection::vec(0u32..48, 0..24),
+            me in 0u32..48,
+            cand in 0u32..48,
+            r in 1usize..5,
+        ) {
+            prop_assume!(me != cand);
+            let ids: Vec<NodeId> = (0..48).map(NodeId::hash_of).collect();
+            let mut view: Vec<Peer> = picks.into_iter().filter(|&p| p != me && p != cand).collect();
+            view.sort_unstable_by_key(|&p| ids[p as usize]);
+            view.dedup();
+            let mut with = view.clone();
+            with.push(cand);
+            with.sort_unstable_by_key(|&p| ids[p as usize]);
+            let mut leafset = Vec::new();
+            leafset_into(ids[me as usize], &with, &ids, r, &mut leafset);
+            let at = view.partition_point(|&p| ids[p as usize] < ids[cand as usize]);
+            prop_assert_eq!(
+                in_range(ids[me as usize], at, &view, &ids, r),
+                leafset.contains(&cand)
+            );
         }
 
         // Payloads put, held and released in any order: each reads back
@@ -1172,6 +1275,34 @@ mod tests {
         s.expire(0, heard + timeout);
         assert!(!s.view_contains(0, id), "the peer outlived its timeout");
         assert!(s.tombstoned(0, id), "an expelled peer is certified dead");
+    }
+
+    #[test]
+    fn a_silent_peer_beyond_the_leafset_is_forgotten_not_certified() {
+        let mut s = sim(32);
+        // Heartbeats have refreshed every leafset entry.
+        s.run_until(SimTime::from_secs(30));
+        let now = s.now();
+        let my = s.ids[0];
+        // The peer farthest from node 0 either way: beyond its leafset.
+        let far = (1..32u32)
+            .max_by_key(|&p| {
+                let id = s.ids[p as usize];
+                my.distance_cw(id).min(id.distance_cw(my))
+            })
+            .expect("31 peers");
+        let id = s.ids[far as usize];
+        let mut view = s.nodes[0].view;
+        s.peers.set(&mut view, far, now - s.cfg.timeout, &s.ids);
+        s.nodes[0].view = view;
+        assert!(!s.believed_leafset(0).contains(&id));
+        s.expire(0, now);
+        assert!(!s.view_contains(0, id), "the peer outlived its timeout");
+        assert!(
+            !s.tombstoned(0, id),
+            "nobody heartbeated it: no certificate"
+        );
+        assert_eq!(s.false_expels(), 0);
     }
 
     #[test]

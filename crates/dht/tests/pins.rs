@@ -7,10 +7,13 @@
 //! JSON-lines trace, the message and drop counts, every node's believed
 //! leafset *in order* (the order is the heartbeat send order, and therefore
 //! the order of the fault layer's draws), protocol-level lookups and the
-//! coherence audit, at three instants — against a constant recorded at
-//! 291cf64, before the message fabric was rebuilt (the mass-kill cell at
-//! 557b295, before every node's peers moved into one slab: it is the cell
-//! that revives a node whose view had emptied).
+//! coherence audit, at three instants — against a constant first recorded
+//! at 291cf64, before the message fabric was rebuilt (the mass-kill cell
+//! at 557b295, before every node's peers moved into one slab: it is the
+//! cell that revives a node whose view had emptied). All 25 were re-pinned
+//! when gossip began adopting only peers that enter the receiver's
+//! leafset and a node began expelling only leafset peers: the traces lost
+//! every `DhtExpel` of a live peer.
 //!
 //! **Re-pinning** follows `crates/testkit/src/lib.rs`: a change that moves the
 //! protocol *on purpose* runs the failing test, pastes the printed left-hand
@@ -229,29 +232,29 @@ macro_rules! pins {
 }
 
 pins! {
-    n64_clean_kill: 64, None, Kill => (289585, 7868809209614043913);
-    n64_clean_flap: 64, None, Flap => (297460, 349514538662098083);
-    n64_clean_join: 64, None, Join => (326633, 12850383571552929226);
-    n64_clean_join_via_lookup: 64, None, JoinViaLookup => (304052, 6072040906260694610);
-    n64_lossy_kill: 64, Lossy, Kill => (296856, 10575670270218257524);
-    n64_lossy_flap: 64, Lossy, Flap => (302221, 7675934011403098394);
-    n64_lossy_join: 64, Lossy, Join => (330166, 2523467801319128081);
-    n64_lossy_join_via_lookup: 64, Lossy, JoinViaLookup => (304402, 11703910262474395451);
-    n64_partition_kill: 64, Partition, Kill => (295075, 217231023765300550);
-    n64_partition_flap: 64, Partition, Flap => (300443, 11614963518357587171);
-    n64_partition_join: 64, Partition, Join => (326740, 8692714847941213776);
-    n64_partition_join_via_lookup: 64, Partition, JoinViaLookup => (301040, 7932175843634254363);
-    n512_clean_kill: 512, None, Kill => (3492410, 14342323937170225895);
-    n512_clean_flap: 512, None, Flap => (3500977, 6211882814484241542);
-    n512_clean_join: 512, None, Join => (3673367, 710084224304566635);
-    n512_clean_join_via_lookup: 512, None, JoinViaLookup => (3512411, 7816733490331175582);
-    n512_lossy_kill: 512, Lossy, Kill => (3503937, 13059321974465093345);
-    n512_lossy_flap: 512, Lossy, Flap => (3511099, 17486403254501825785);
-    n512_lossy_join: 512, Lossy, Join => (3667698, 7908488301037527300);
-    n512_lossy_join_via_lookup: 512, Lossy, JoinViaLookup => (3512769, 3574699711324703567);
-    n512_partition_kill: 512, Partition, Kill => (3502984, 8493469615208705642);
-    n512_partition_flap: 512, Partition, Flap => (3508099, 14221537819246597511);
-    n512_partition_join: 512, Partition, Join => (3643723, 10113129360257960994);
-    n512_partition_join_via_lookup: 512, Partition, JoinViaLookup => (3507493, 17465088784686282592);
-    n512_lossy_island_mass_kill: 512, LossyIsland, MassKill => (3912210, 11575930499772370163);
+    n64_clean_kill: 64, None, Kill => (180066, 13607132895268923177);
+    n64_clean_flap: 64, None, Flap => (181646, 1023082223013293938);
+    n64_clean_join: 64, None, Join => (188782, 13149844119331075705);
+    n64_clean_join_via_lookup: 64, None, JoinViaLookup => (188810, 15580204474708343775);
+    n64_lossy_kill: 64, Lossy, Kill => (180113, 6665444329604971330);
+    n64_lossy_flap: 64, Lossy, Flap => (181777, 821711666104574511);
+    n64_lossy_join: 64, Lossy, Join => (189572, 17686737655756775562);
+    n64_lossy_join_via_lookup: 64, Lossy, JoinViaLookup => (188988, 13774102892532713538);
+    n64_partition_kill: 64, Partition, Kill => (181222, 12131417634918566190);
+    n64_partition_flap: 64, Partition, Flap => (182801, 9955122289398673989);
+    n64_partition_join: 64, Partition, Join => (190032, 11145627930852690192);
+    n64_partition_join_via_lookup: 64, Partition, JoinViaLookup => (188073, 5676153672108430786);
+    n512_clean_kill: 512, None, Kill => (1662369, 971034380452490948);
+    n512_clean_flap: 512, None, Flap => (1663959, 2445716599811101362);
+    n512_clean_join: 512, None, Join => (1671119, 8273471069525963532);
+    n512_clean_join_via_lookup: 512, None, JoinViaLookup => (1671179, 4880394548114373292);
+    n512_lossy_kill: 512, Lossy, Kill => (1662840, 13728382945635210277);
+    n512_lossy_flap: 512, Lossy, Flap => (1664430, 7674974605134507662);
+    n512_lossy_join: 512, Lossy, Join => (1671841, 18009540328309800154);
+    n512_lossy_join_via_lookup: 512, Lossy, JoinViaLookup => (1671364, 7139005551127414152);
+    n512_partition_kill: 512, Partition, Kill => (1665610, 5369048903173380303);
+    n512_partition_flap: 512, Partition, Flap => (1666508, 11615460654443821757);
+    n512_partition_join: 512, Partition, Join => (1673650, 6166620290707324204);
+    n512_partition_join_via_lookup: 512, Partition, JoinViaLookup => (1671344, 986576852324417868);
+    n512_lossy_island_mass_kill: 512, LossyIsland, MassKill => (1599798, 4186946632028514263);
 }

@@ -137,6 +137,9 @@ pub struct RecoveryOutcome {
     pub dht_messages: u64,
     /// Heartbeat messages the fault layer dropped.
     pub dht_dropped: u64,
+    /// Expulsions of a peer that was still alive: each one a run of
+    /// heartbeats or acks the fault layer dropped ([`DhtSim::false_expels`]).
+    pub dht_false_expels: u64,
     /// Gather messages sent (exposure + regather).
     pub gather_messages: u64,
     /// Gather messages dropped (exposure + regather).
@@ -235,6 +238,7 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
         alm: repair.report,
         dht_messages: heartbeats.messages,
         dht_dropped: heartbeats.dropped,
+        dht_false_expels: heartbeats.false_expels,
         gather_messages: exposure.messages + rebuild.census.messages,
         gather_dropped: exposure.dropped + rebuild.census.dropped,
         audit: auditor.into_report(),
@@ -249,6 +253,7 @@ struct Heartbeats {
     ended_at: SimTime,
     messages: u64,
     dropped: u64,
+    false_expels: u64,
 }
 
 /// Phases 1 + 2: detection and expulsion on the heartbeat fabric.
@@ -307,6 +312,7 @@ fn heartbeat_phase(
         ended_at: dht.now(),
         messages: dht.messages_sent(),
         dropped: dht.messages_dropped(),
+        false_expels: dht.false_expels(),
     }
 }
 
@@ -612,6 +618,10 @@ mod tests {
         assert_eq!(out.post_delivery, 1.0);
         assert_eq!(out.alm.gave_up, 0);
         assert_eq!(out.dht_dropped, 0);
+        assert_eq!(
+            out.dht_false_expels, 0,
+            "a loss-free ring expelled a live peer"
+        );
         assert_eq!(out.gather_dropped, 0);
         assert!(out.audit.samples > 0, "auditor never sampled the pipeline");
         assert!(

@@ -215,12 +215,13 @@ fn recovery_pipeline_is_bit_identical_across_runs() {
 }
 
 /// `(Debug length, FNV-1a-64)` of the whole `RecoveryOutcome` — timeline,
-/// remap statistics, census and delivery fractions, ALM report, message
-/// and drop counts, audit — of the two pipelines below, recorded at commit
-/// 291cf64, before the pipeline's phases and the simulators under them
-/// were rebuilt.
-const PIN_RECOVERY_CLEAN: (usize, u64) = (650, 9692808420647947783);
-const PIN_RECOVERY_LOSSY: (usize, u64) = (633, 14245325224024450806);
+/// remap statistics, census and delivery fractions, ALM report, message,
+/// drop and false-expulsion counts, audit — of the two pipelines below,
+/// re-pinned when gossip began adopting only peers that enter the
+/// receiver's leafset (first recorded at 291cf64, before the pipeline's
+/// phases and the simulators under them were rebuilt).
+const PIN_RECOVERY_CLEAN: (usize, u64) = (670, 6063906625270314384);
+const PIN_RECOVERY_LOSSY: (usize, u64) = (652, 16888670717145563562);
 
 #[test]
 fn recovery_pipeline_outcomes_match_their_pins() {

@@ -370,6 +370,12 @@ fn evaluate() -> Vec<(String, bool)> {
                     })
             }),
     ));
+    claims.push((
+        "ext_recovery: at 0 % loss no live peer is expelled".into(),
+        (rows(&recovery).iter())
+            .filter(|r| num(r, &["loss"]) == 0.0)
+            .all(|r| num(r, &["dht_false_expels"]) == 0.0),
+    ));
 
     // The live operations surface.
     let liveops = anchor("ext_liveops");
@@ -482,6 +488,7 @@ holds  ext_churn: the census is whole after repair at every f
 holds  ext_recovery: the post-repair census is 100 % at every loss and f
 holds  ext_recovery: full repair takes longer with more crashes at every loss
 holds  ext_recovery: at 0 % loss the stale census is ext_churn's exposure column
+holds  ext_recovery: at 0 % loss no live peer is expelled
 holds  ext_liveops: the store's trace equals the ring's, nothing evicted
 holds  ext_liveops: every snapshot replays byte-identically
 holds  ext_liveops: an empty window reports the a-priori bound

@@ -173,6 +173,18 @@ MUTANTS = [
         "let alive = now.saturating_sub(last) <= timeout;",
     ),
     (
+        "gossip adopts half-stale peers beyond the receiver's leafset again",
+        "crates/dht/src/proto.rs",
+        "if in_range(my, at, peers.peers(n.view), ids, r) {",
+        "if true {",
+    ),
+    (
+        "a displaced peer that times out is certified dead",
+        "crates/dht/src/proto.rs",
+        "if !alive && watched.contains(&peer) {",
+        "if !alive {",
+    ),
+    (
         "the residual capacity of a survivor drops its parent link",
         "crates/alm/src/dynamic.rs",
         "(p.dbound)(u) as i64 - live_children - has_parent",

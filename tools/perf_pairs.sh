@@ -43,7 +43,9 @@
 # Then the traced runs' timings: every output line whose unit is `s`,
 # `ms`, `us` or `ns` (`run_s`, `oracle.lookup_ns`, ...) and that is not 0
 # in every run, per side, the median over the traced runs and in how many
-# traced pairs B read lower.
+# traced pairs B read lower. With fewer than 3 traced pairs the win
+# columns read "–": one or two pairs of a per-layer timing are below its
+# noise, so they give no count that could read as a regression.
 #
 # Then the exact counts: every output line whose unit is `count`, from
 # each untraced pair and from the `--trace 1` runs after them, is compared
@@ -213,7 +215,9 @@ def timings(workload):
     if not units:
         return
     runs = max(len(v) for v in seen.values())
-    print(f"traced timings, median of {runs} run(s) a side:\n")
+    few = runs < 3
+    note = " (n < 3: no win counts)" if few else ""
+    print(f"traced timings, median of {runs} run(s) a side{note}:\n")
     print("| metric | unit | median A | median B | B lower | A lower |")
     print("|---|---|---:|---:|---:|---:|")
     for name, unit in units.items():
@@ -221,8 +225,8 @@ def timings(workload):
         if not any(a.values()) and not any(b.values()):
             continue  # a layer this workload does not exercise reads 0
         both = sorted(set(a) & set(b))
-        b_wins = sum(b[r] < a[r] for r in both)
-        a_wins = sum(a[r] < b[r] for r in both)
+        b_wins = "–" if few else sum(b[r] < a[r] for r in both)
+        a_wins = "–" if few else sum(a[r] < b[r] for r in both)
         med = lambda xs: f"{statistics.median(xs.values()):.6g}" if xs else "-"
         print(f"| {name} | {unit} | {med(a)} | {med(b)} | {b_wins} | {a_wins} |")
     print()
