@@ -6,11 +6,14 @@
 //! tables when node join/leave events occur."
 //!
 //! [`DhtSim`] simulates exactly that: every node runs a periodic heartbeat
-//! timer, heartbeats carry the sender's leafset (gossip), receivers adopt
-//! the gossiped peers that would enter their own leafset and expire
-//! members they have not heard from (directly or via gossip) within a
-//! timeout. Only a leafset member that stays silent is expelled — certified
-//! dead — so on a fabric that loses nothing an expulsion means a death
+//! timer, heartbeats carry the leafset peers the sender heard from itself
+//! within the last half-timeout (gossip), receivers adopt the gossiped
+//! peers that would enter their own leafset and expire members they have
+//! not heard from within a timeout. Gossip rests on direct observation
+//! alone, so a dead peer stops being gossiped a half-timeout after it dies
+//! and leaves every view within `timeout + HEARTBEAT + one hop` of its
+//! death, whoever holds it. Only a leafset member that stays silent is
+//! expelled, so on a fabric that loses nothing an expulsion means a death
 //! ([`DhtSim::false_expels`] counts the others). The simulation exposes
 //! each node's *believed* leafset so tests can measure convergence and
 //! self-healing — the property SOMO inherits from the hosting DHT.
@@ -48,8 +51,9 @@ impl Default for ProtoConfig {
 }
 
 /// A peer, named by its node index (its position in [`DhtSim`]'s node
-/// tables): four bytes where its [`NodeId`] takes eight. Whatever holds
-/// peers in ID order compares them through [`DhtSim::ids`].
+/// table): four bytes where its [`NodeId`] takes eight. Whatever holds
+/// peers in ID order compares them through a function that names each
+/// peer's ID ([`id_of`] in the simulator).
 type Peer = u32;
 
 #[derive(Clone, Copy, Debug)]
@@ -62,9 +66,9 @@ enum Event {
     Deliver {
         to: u32,
         from: u32,
-        /// The sender's leafset and the sender itself at send time: a
-        /// payload of [`DhtSim::payloads`], shared by every target of a
-        /// heartbeat fan-out.
+        /// What the sender gossips ([`DhtSim::gossip`]): a payload of
+        /// [`DhtSim::payloads`], shared by every target of a heartbeat
+        /// fan-out.
         payload: u32,
         /// Acks do not trigger further replies (no ping-pong).
         ack: bool,
@@ -90,12 +94,10 @@ impl Row {
     }
 }
 
-/// Every node's views and death certificates: power-of-two rows of `(peer,
-/// time)` entries — in a view, the last evidence the peer was alive; in a
-/// set of death certificates, when the certificate lapses. A row is in
-/// peer-ID order — a leafset's worth of entries, and for a while after a
-/// join a displaced peer or two, so a sorted run serves as the ordered
-/// map.
+/// Every node's view: power-of-two rows of `(peer, time)` entries, the
+/// time being the last evidence the peer was alive. A row is in peer-ID
+/// order — a leafset's worth of entries, and for a while after a join a
+/// displaced peer or two, so a sorted run serves as the ordered map.
 ///
 /// The entries are two parallel columns, because a `(u32, SimTime)` pair
 /// pads to 16 bytes where the two columns hold 12. A full row moves to a
@@ -122,15 +124,15 @@ impl PeerSlab {
         &self.times[row.span()]
     }
 
-    /// Where `id` is in the row, or where it would go. `ids` names every
-    /// peer.
-    fn find(&self, row: Row, id: NodeId, ids: &[NodeId]) -> Result<usize, usize> {
+    /// Where `id` is in the row, or where it would go. `id_of` names every
+    /// peer's ID.
+    fn find(&self, row: Row, id: NodeId, id_of: impl Fn(Peer) -> NodeId) -> Result<usize, usize> {
         self.peers(row)
-            .binary_search_by_key(&id, |&peer| ids[peer as usize])
+            .binary_search_by_key(&id, |&peer| id_of(peer))
     }
 
-    fn contains(&self, row: Row, id: NodeId, ids: &[NodeId]) -> bool {
-        self.find(row, id, ids).is_ok()
+    fn contains(&self, row: Row, id: NodeId, id_of: impl Fn(Peer) -> NodeId) -> bool {
+        self.find(row, id, id_of).is_ok()
     }
 
     /// A new row holding `sorted` (which is in ID order).
@@ -206,20 +208,10 @@ impl PeerSlab {
     }
 
     /// Insert `peer`, or overwrite its time.
-    fn set(&mut self, row: &mut Row, peer: Peer, t: SimTime, ids: &[NodeId]) {
-        match self.find(*row, ids[peer as usize], ids) {
+    fn set(&mut self, row: &mut Row, peer: Peer, t: SimTime, id_of: impl Fn(Peer) -> NodeId) {
+        match self.find(*row, id_of(peer), &id_of) {
             Ok(i) => self.times[row.start as usize + i] = t,
             Err(i) => self.insert(row, i, peer, t),
-        }
-    }
-
-    fn remove(&mut self, row: &mut Row, peer: Peer, ids: &[NodeId]) {
-        if let Ok(i) = self.find(*row, ids[peer as usize], ids) {
-            let at = row.start as usize + i;
-            let tail = at + 1..row.span().end;
-            self.peers.copy_within(tail.clone(), at);
-            self.times.copy_within(tail, at);
-            row.len -= 1;
         }
     }
 
@@ -244,40 +236,55 @@ impl PeerSlab {
 /// Past 32 768 entries: a row's length and capacity are 16-bit.
 fn row_cap(len: usize) -> u16 {
     u16::try_from(len.next_power_of_two())
-        .expect("a view or a certificate list holds at most 32 768 peers")
+        .expect("a view holds at most 32 768 peers")
         .max(MIN_ROW)
 }
 
 /// The gossip payloads in flight, back to back in one buffer. A payload is
 /// two header words — how many scheduled deliveries still refer to it, and
-/// how many peers it names — followed by those peers. A payload no delivery
-/// refers to any more leaves its run on the free list of its length, for
-/// the next payload of that length, so steady-state heartbeats allocate
-/// nothing.
-#[derive(Default)]
+/// how many peers it names — followed by those peers, in a run of the same
+/// size for every payload: room for the most a payload holds, a leafset
+/// and its sender. A payload no delivery refers to any more leaves its run
+/// on the free list for the next payload, so steady-state heartbeats
+/// allocate nothing, and payloads of any length reuse one another's runs.
 struct Payloads {
     words: Vec<u32>,
-    /// `free[len]`: starts of the unused runs that hold `len` peers.
-    free: Vec<Vec<u32>>,
+    /// Words a run takes: the two header words and the most peers a
+    /// payload holds.
+    run: usize,
+    /// Starts of the unused runs.
+    free: Vec<u32>,
 }
 
 impl Payloads {
+    /// A buffer of payloads that name at most `peers` peers each.
+    fn new(peers: usize) -> Self {
+        Payloads {
+            words: Vec::new(),
+            run: 2 + peers,
+            free: Vec::new(),
+        }
+    }
+
     /// Store `peers` as a payload no delivery refers to yet; returns its
     /// handle. [`Payloads::settle`] frees it if no delivery takes it up.
-    fn put(&mut self, peers: &[Peer]) -> u32 {
-        let len = peers.len();
-        let at = match self.free.get_mut(len).and_then(Vec::pop) {
-            Some(at) => at,
-            None => {
-                let at = u32::try_from(self.words.len()).expect("payloads hold under 2^32 words");
-                self.words.resize(self.words.len() + 2 + len, 0);
-                at
-            }
-        };
-        let run = &mut self.words[at as usize..][..2 + len];
+    ///
+    /// # Panics
+    /// If `peers` names more peers than a run has room for.
+    fn put(&mut self, peers: impl IntoIterator<Item = Peer>) -> u32 {
+        let at = self.free.pop().unwrap_or_else(|| {
+            let at = u32::try_from(self.words.len()).expect("payloads hold under 2^32 words");
+            self.words.resize(self.words.len() + self.run, 0);
+            at
+        });
+        let run = &mut self.words[at as usize..][..self.run];
+        let mut len = 0;
+        for peer in peers {
+            run[2 + len] = peer;
+            len += 1;
+        }
         run[0] = 0;
         run[1] = len as u32;
-        run[2..].copy_from_slice(peers);
         at
     }
 
@@ -300,34 +307,23 @@ impl Payloads {
 
     /// Free payload `at` if no delivery refers to it.
     fn settle(&mut self, at: u32) {
-        let run = &self.words[at as usize..];
-        if run[0] == 0 {
-            let len = run[1] as usize;
-            if self.free.len() <= len {
-                self.free.resize_with(len + 1, Vec::new);
-            }
-            self.free[len].push(at);
+        if self.words[at as usize] == 0 {
+            self.free.push(at);
         }
     }
 }
 
 struct ProtoNode {
+    /// Unique: a [`Ring`] rejects duplicates and so do [`DhtSim::join`] /
+    /// [`DhtSim::join_via_lookup`]. It orders every row of peers.
+    id: NodeId,
     host: HostId,
     /// Incremented on every kill and revive; stale timers are dropped.
     epoch: u32,
     /// Known peers → last time we heard evidence they were alive: a row of
-    /// [`DhtSim::peers`].
+    /// [`DhtSim::peers`]. A peer heard from directly is stamped with the
+    /// arrival; one adopted from gossip a half-timeout earlier.
     view: Row,
-    /// Death certificates: leafset peers we expelled — heartbeated and
-    /// silent for the timeout — with the time the tombstone lapses; a row
-    /// of [`DhtSim::peers`], empty until a peer dies or the fault plan
-    /// drops its answers. Gossip cannot resurrect a tombstoned peer — only
-    /// direct evidence (a message from the peer itself) clears it. Without
-    /// this, the dead peer's other neighbours, which expel it a heartbeat
-    /// or two later, keep gossiping it back into our leafset. A peer that
-    /// times out beyond the leafset is forgotten without a certificate:
-    /// nobody was heartbeating it, so its silence proves nothing.
-    tombstones: Row,
     /// Last-resort probe targets for when the view empties out (e.g. a
     /// partition long enough to expire every peer): the node's configured
     /// contacts, `fallback_len` peers at `fallback_at` in
@@ -338,16 +334,27 @@ struct ProtoNode {
     alive: bool,
 }
 
+/// Each peer's ID, by the node table: what orders the simulator's rows.
+fn id_of(nodes: &[ProtoNode]) -> impl Fn(Peer) -> NodeId + Copy + '_ {
+    move |peer| nodes[peer as usize].id
+}
+
 /// Write the *believed* leafset of the node with ID `my`, whose view is
 /// `peers`, into `out` (cleared first): the r nearest view entries on the
 /// successor side, nearest first, then those on the predecessor side that
 /// the first walk did not already reach. The order is the heartbeat send
 /// order.
-fn leafset_into(my: NodeId, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut Vec<Peer>) {
+fn leafset_into(
+    my: NodeId,
+    peers: &[Peer],
+    id_of: impl Fn(Peer) -> NodeId,
+    r: usize,
+    out: &mut Vec<Peer>,
+) {
     out.clear();
     let n = peers.len();
     // Our own position among the peers (we are not in our own view).
-    let pos = peers.partition_point(|&peer| ids[peer as usize] < my);
+    let pos = peers.partition_point(|&peer| id_of(peer) < my);
     let take = r.min(n);
     for k in 0..take {
         out.push(peers[(pos + k) % n]);
@@ -365,9 +372,15 @@ fn leafset_into(my: NodeId, peers: &[Peer], ids: &[NodeId], r: usize, out: &mut 
 /// node `my`: the rule for adopting a peer from gossip. A view of fewer
 /// than `2r` entries takes any peer, because one side then holds fewer
 /// than `r`.
-fn in_range(my: NodeId, at: usize, view: &[Peer], ids: &[NodeId], r: usize) -> bool {
+fn in_range(
+    my: NodeId,
+    at: usize,
+    view: &[Peer],
+    id_of: impl Fn(Peer) -> NodeId,
+    r: usize,
+) -> bool {
     let n = view.len();
-    let me = view.partition_point(|&peer| ids[peer as usize] < my);
+    let me = view.partition_point(|&peer| id_of(peer) < my);
     // View entries clockwise strictly between `my` and the peer; the rest
     // lie between the peer and `my`. (When both fall in the same gap of
     // the view, the peer is adjacent to `my` on one side or the other.)
@@ -378,19 +391,13 @@ fn in_range(my: NodeId, at: usize, view: &[Peer], ids: &[NodeId], r: usize) -> b
 /// The simulated ring-maintenance protocol.
 pub struct DhtSim<D: Fn(HostId, HostId) -> SimTime> {
     nodes: Vec<ProtoNode>,
-    /// Every node's ID, by node index: what orders a row of peers. IDs are
-    /// unique: a [`Ring`] rejects duplicates and so do [`DhtSim::join`] /
-    /// [`DhtSim::join_via_lookup`].
-    ids: Vec<NodeId>,
-    /// Every node's view and death certificates.
+    /// Every node's view.
     peers: PeerSlab,
     /// Every node's fallback contacts, back to back. A node's run never
     /// grows: it starts as the initial view (one slot at least) and a
     /// restart overwrites it with the one contact it re-bootstraps from.
     fallback: Vec<Peer>,
-    /// Peers the running `expire` found timed out, in view order.
-    expired: Vec<Peer>,
-    /// The leafset the running heartbeat or ack carries.
+    /// The leafset the running heartbeat, ack or expiry works on.
     leafset: Vec<Peer>,
     /// The gossip of every message in flight.
     payloads: Payloads,
@@ -414,12 +421,11 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     pub fn with_faults(ring: &Ring, cfg: ProtoConfig, delay: D, plan: FaultPlan) -> Self {
         let mut sim = DhtSim {
             nodes: Vec::with_capacity(ring.len()),
-            ids: Vec::with_capacity(ring.len()),
             peers: PeerSlab::default(),
             fallback: Vec::new(),
-            expired: Vec::new(),
             leafset: Vec::new(),
-            payloads: Payloads::default(),
+            // A leafset and its sender.
+            payloads: Payloads::new(2 * cfg.leafset_r + 1),
             queue: EventQueue::new(),
             cfg,
             delay,
@@ -462,12 +468,11 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             // The slot a restart writes its contact into.
             self.fallback.push(idx as Peer);
         }
-        self.ids.push(member.id);
         self.nodes.push(ProtoNode {
+            id: member.id,
             host: member.host,
             epoch: 0,
             view: self.peers.row_of(view),
-            tombstones: Row::default(),
             fallback_at,
             fallback_len: view.len() as u16,
             alive: true,
@@ -504,8 +509,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Restart a crashed node. It comes back amnesiac — its view is wiped
     /// and reseeded with `contact` only (a restarted process re-bootstraps
     /// from a configured contact), keeping its old ID and host. Gossip and
-    /// the heartbeat/ack exchange re-integrate it; direct heartbeats clear
-    /// the tombstones its neighbors hold for it.
+    /// the heartbeat/ack exchange re-integrate it.
     ///
     /// # Panics
     /// If the node is still alive, or if it is its own `contact`: a node
@@ -515,12 +519,16 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         assert!(!self.nodes[node].alive, "revive() on a live node");
         assert!(node != contact, "revive() through the node itself");
         let now = self.queue.now();
+        let mut view = Row {
+            len: 0,
+            ..self.nodes[node].view
+        };
+        self.peers
+            .set(&mut view, contact as Peer, now, id_of(&self.nodes));
         let n = &mut self.nodes[node];
         n.alive = true;
         n.epoch += 1;
-        n.view.len = 0;
-        n.tombstones.len = 0;
-        self.peers.set(&mut n.view, contact as Peer, now, &self.ids);
+        n.view = view;
         self.fallback[n.fallback_at as usize] = contact as Peer;
         n.fallback_len = 1;
         let epoch = n.epoch;
@@ -563,23 +571,17 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         self.assert_not_simulated(member.id);
         let (owner, _) = self.route(contact, member.id)?;
         let now = self.queue.now();
+        let id = id_of(&self.nodes);
         // The owner is not in its own view: add it, the joiner's direct
         // evidence. (The joiner is in no view: it is not simulated yet.)
         let mut known = self.peers.peers(self.nodes[owner].view).to_vec();
-        let owner_id = self.ids[owner];
-        let at = known.partition_point(|&peer| self.ids[peer as usize] < owner_id);
+        let at = known.partition_point(|&peer| id(peer) < self.nodes[owner].id);
         known.insert(at, owner as Peer);
         // Gossip's rule: keep what would be the joiner's leafset, and
         // adopt it half-stale, so that each peer must confirm itself
         // exactly like a gossip-learned entry.
         let mut leafset = Vec::new();
-        leafset_into(
-            member.id,
-            &known,
-            &self.ids,
-            self.cfg.leafset_r,
-            &mut leafset,
-        );
+        leafset_into(member.id, &known, id, self.cfg.leafset_r, &mut leafset);
         let stale = now.saturating_sub(self.half_timeout());
         let view: Vec<(Peer, SimTime)> = known
             .into_iter()
@@ -592,7 +594,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// A joiner's ID must be new: a [`Ring`] holds no duplicates either.
     fn assert_not_simulated(&self, id: NodeId) {
         assert!(
-            !self.ids.contains(&id),
+            !self.nodes.iter().any(|n| n.id == id),
             "node ID {id:?} is already simulated"
         );
     }
@@ -639,6 +641,31 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         }
     }
 
+    /// Store what `node` gossips at `now` beside a heartbeat or an ack to
+    /// the peers of its believed leafset (in [`DhtSim::leafset`]): those it
+    /// heard from within the last half-timeout, in leafset order, then
+    /// itself. Returns the payload. A peer adopted from gossip is stamped a
+    /// half-timeout stale, so it is passed on only once it has answered,
+    /// and a dead peer stops being gossiped a half-timeout after it died.
+    fn gossip(&mut self, node: u32, now: SimTime) -> u32 {
+        let half = self.half_timeout();
+        let view = self.nodes[node as usize].view;
+        let id = id_of(&self.nodes);
+        let peers = &self.peers;
+        let heard = |peer: Peer| {
+            let i = peers
+                .find(view, id(peer), id)
+                .expect("a leafset peer is in its view");
+            peers.times(view)[i]
+        };
+        let fresh = self
+            .leafset
+            .iter()
+            .copied()
+            .filter(|&peer| now.saturating_sub(heard(peer)) < half);
+        self.payloads.put(fresh.chain([node]))
+    }
+
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Timer { node, epoch } => {
@@ -647,34 +674,32 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
                     return; // dead nodes stop ticking; stale chains die out
                 }
                 self.expire(node as usize, now);
-                // Heartbeat every current leafset member, carrying our view.
-                // If the view has emptied out entirely (e.g. a partition long
-                // enough to expire every peer), fall back to probing the
-                // configured contacts so the node can rejoin once the network
-                // heals instead of marooning itself.
+                // Heartbeat every current leafset member, carrying our
+                // gossip. If the view has emptied out entirely (e.g. a
+                // partition long enough to expire every peer), fall back to
+                // probing the configured contacts so the node can rejoin
+                // once the network heals instead of marooning itself.
                 let n = &self.nodes[node as usize];
-                let mut targets = std::mem::take(&mut self.leafset);
-                let view = self.peers.peers(n.view);
                 leafset_into(
-                    self.ids[node as usize],
-                    view,
-                    &self.ids,
+                    n.id,
+                    self.peers.peers(n.view),
+                    id_of(&self.nodes),
                     self.cfg.leafset_r,
-                    &mut targets,
+                    &mut self.leafset,
                 );
+                let payload = self.gossip(node, now);
+                let mut targets = std::mem::take(&mut self.leafset);
                 if targets.is_empty() {
+                    let n = &self.nodes[node as usize];
                     let contacts =
                         &self.fallback[n.fallback_at as usize..][..usize::from(n.fallback_len)];
                     targets.extend(contacts.iter().copied().filter(|&peer| peer != node));
                 }
-                let fanout = targets.len();
-                targets.push(node);
-                let payload = self.payloads.put(&targets);
                 self.tracer.emit(now, || TraceEvent::DhtHeartbeat {
                     node,
-                    targets: fanout as u32,
+                    targets: targets.len() as u32,
                 });
-                for &to in &targets[..fanout] {
+                for &to in &targets {
                     self.send(node, to, payload, false);
                 }
                 self.payloads.settle(payload);
@@ -700,48 +725,41 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// carrying `payload`.
     fn receive(&mut self, now: SimTime, to: u32, from: u32, payload: u32, ack: bool) {
         let stale = now.saturating_sub(self.half_timeout());
-        let (ids, peers) = (&self.ids, &mut self.peers);
-        let n = &mut self.nodes[to as usize];
-        // Direct evidence: the sender is alive now (and any death
-        // certificate for it is void).
-        peers.remove(&mut n.tombstones, from, ids);
-        peers.set(&mut n.view, from, now, ids);
+        let (id, peers) = (id_of(&self.nodes), &mut self.peers);
+        let mut view = self.nodes[to as usize].view;
+        // Direct evidence: the sender is alive now.
+        peers.set(&mut view, from, now, id);
         // Gossip: adopt an unknown ID that would enter our leafset, with
         // "half-stale" evidence so it must confirm itself within
-        // timeout/2 — this stops dead nodes from being resurrected by
-        // stale gossip forever. A peer beyond the leafset is heartbeated
-        // by nobody: adopted, it would only sit in the view until it
-        // timed out.
-        let (my, r) = (ids[to as usize], self.cfg.leafset_r);
+        // timeout/2, and we pass it on only once it has. A peer beyond the
+        // leafset is heartbeated by nobody: adopted, it would only sit in
+        // the view until it timed out.
+        let (my, r) = (id(to), self.cfg.leafset_r);
         for &peer in self.payloads.peers(payload) {
-            let id = ids[peer as usize];
-            if peer == to || peers.contains(n.tombstones, id, ids) {
+            if peer == to {
                 continue;
             }
-            if let Err(at) = peers.find(n.view, id, ids) {
-                if in_range(my, at, peers.peers(n.view), ids, r) {
-                    peers.insert(&mut n.view, at, peer, stale);
+            if let Err(at) = peers.find(view, id(peer), id) {
+                if in_range(my, at, peers.peers(view), id, r) {
+                    peers.insert(&mut view, at, peer, stale);
                 }
             }
         }
-        let view = n.view;
+        self.nodes[to as usize].view = view;
         // Acknowledge heartbeats (§4.1's heartbeat/ack exchange):
         // the reply keeps the *sender's* entry for us fresh even
         // when the sender is not in our own leafset — without this a
         // joiner heartbeating a distant contact would never hear
         // back and maroon itself.
         if !ack {
-            let mut reply = std::mem::take(&mut self.leafset);
             leafset_into(
-                self.ids[to as usize],
+                my,
                 self.peers.peers(view),
-                &self.ids,
-                self.cfg.leafset_r,
-                &mut reply,
+                id_of(&self.nodes),
+                r,
+                &mut self.leafset,
             );
-            reply.push(to);
-            let payload = self.payloads.put(&reply);
-            self.leafset = reply;
+            let payload = self.gossip(to, now);
             self.send(to, from, payload, true);
             self.payloads.settle(payload);
         }
@@ -749,48 +767,33 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     fn expire(&mut self, node: usize, now: SimTime) {
         let timeout = self.cfg.timeout;
-        let ProtoNode {
-            mut view,
-            mut tombstones,
-            ..
-        } = self.nodes[node];
+        let mut view = self.nodes[node].view;
+        let id = id_of(&self.nodes);
         // Only leafset peers are heartbeated, and a live one answers each
-        // heartbeat: silent for the timeout, it is expelled — certified
-        // dead. A peer beyond the leafset, one a closer peer displaced, is
-        // heartbeated by nobody, so its silence proves nothing: it is
-        // forgotten.
+        // heartbeat: silent for the timeout, it is expelled. A peer beyond
+        // the leafset, one a closer peer displaced, is heartbeated by
+        // nobody, so its silence proves nothing: it is forgotten.
         let watched = &mut self.leafset;
         leafset_into(
-            self.ids[node],
+            id(node as Peer),
             self.peers.peers(view),
-            &self.ids,
+            id,
             self.cfg.leafset_r,
             watched,
         );
-        // Certificates live in the slab the view is being filtered in, so
-        // the expired peers are certified once the view's row is settled.
-        let expired = &mut self.expired;
-        expired.clear();
+        let (nodes, tracer, false_expels) = (&self.nodes, &mut self.tracer, &mut self.false_expels);
         self.peers.retain(&mut view, |peer, last| {
             let alive = now.saturating_sub(last) < timeout;
             if !alive && watched.contains(&peer) {
-                expired.push(peer);
+                *false_expels += u64::from(nodes[peer as usize].alive);
+                tracer.emit(now, || TraceEvent::DhtExpel {
+                    node: node as u32,
+                    peer: id(peer).0,
+                });
             }
             alive
         });
-        for &peer in expired.iter() {
-            self.false_expels += u64::from(self.nodes[peer as usize].alive);
-            self.peers
-                .set(&mut tombstones, peer, now + timeout, &self.ids);
-            let id = self.ids[peer as usize];
-            self.tracer.emit(now, || TraceEvent::DhtExpel {
-                node: node as u32,
-                peer: id.0,
-            });
-        }
-        self.peers.retain(&mut tombstones, |_, until| until > now);
-        let n = &mut self.nodes[node];
-        (n.view, n.tombstones) = (view, tombstones);
+        self.nodes[node].view = view;
     }
 
     /// Resolve the owner of `key` by greedy clockwise routing over the
@@ -799,12 +802,12 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// `None` if routing gets stuck (possible while views are healing).
     pub fn lookup(&self, from: usize, key: NodeId) -> Option<(NodeId, usize)> {
         self.route(from, key)
-            .map(|(owner, hops)| (self.ids[owner], hops))
+            .map(|(owner, hops)| (self.nodes[owner].id, hops))
     }
 
     /// [`DhtSim::lookup`], naming the owner by its node index.
     fn route(&self, from: usize, key: NodeId) -> Option<(usize, usize)> {
-        let id = |peer: Peer| self.ids[peer as usize];
+        let id = id_of(&self.nodes);
         let mut cur = from;
         let mut hops = 0usize;
         loop {
@@ -812,7 +815,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
             if !node.alive {
                 return None;
             }
-            let my = self.ids[cur];
+            let my = node.id;
             let view = self.peers.peers(node.view);
             // Believed predecessor: the view member closest counter-
             // clockwise of me. I believe I own (pred, me].
@@ -856,19 +859,16 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// The believed leafset of a node (IDs, both sides) as derived from
     /// its current view.
     pub fn believed_leafset(&self, node: usize) -> Vec<NodeId> {
+        let (n, id) = (&self.nodes[node], id_of(&self.nodes));
         let mut leafset = Vec::new();
-        let view = self.peers.peers(self.nodes[node].view);
         leafset_into(
-            self.ids[node],
-            view,
-            &self.ids,
+            n.id,
+            self.peers.peers(n.view),
+            id,
             self.cfg.leafset_r,
             &mut leafset,
         );
-        leafset
-            .iter()
-            .map(|&peer| self.ids[peer as usize])
-            .collect()
+        leafset.into_iter().map(id).collect()
     }
 
     /// The ring of the nodes that are actually alive.
@@ -894,29 +894,26 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
     /// The true leafset of a node given who is actually alive.
     pub fn true_leafset(&self, node: usize) -> Vec<NodeId> {
-        self.leafset_in(&self.live_ring(), self.ids[node])
+        self.leafset_in(&self.live_ring(), self.nodes[node].id)
     }
 
     /// Whether every live node's believed leafset matches the truth.
     pub fn converged(&self) -> bool {
-        let ring = self.live_ring();
+        let (ring, id) = (self.live_ring(), id_of(&self.nodes));
         let (mut leafset, mut believed) = (Vec::new(), Vec::new());
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].alive)
-            .all(|i| {
-                let view = self.peers.peers(self.nodes[i].view);
-                leafset_into(
-                    self.ids[i],
-                    view,
-                    &self.ids,
-                    self.cfg.leafset_r,
-                    &mut leafset,
-                );
-                believed.clear();
-                believed.extend(leafset.iter().map(|&peer| self.ids[peer as usize]));
-                believed.sort_unstable();
-                believed == self.leafset_in(&ring, self.ids[i])
-            })
+        self.nodes.iter().filter(|n| n.alive).all(|n| {
+            leafset_into(
+                n.id,
+                self.peers.peers(n.view),
+                id,
+                self.cfg.leafset_r,
+                &mut leafset,
+            );
+            believed.clear();
+            believed.extend(leafset.iter().map(|&peer| id(peer)));
+            believed.sort_unstable();
+            believed == self.leafset_in(&ring, n.id)
+        })
     }
 
     /// Total messages sent so far (dropped ones included — they left the
@@ -960,7 +957,7 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// The ring member simulated at index `i`.
     pub fn member_of(&self, i: usize) -> Member {
         Member {
-            id: self.ids[i],
+            id: self.nodes[i].id,
             host: self.nodes[i].host,
         }
     }
@@ -968,7 +965,8 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
     /// Whether node `i`'s current view still contains `id` — the signal the
     /// recovery pipeline polls to time failure detection and expulsion.
     pub fn view_contains(&self, i: usize, id: NodeId) -> bool {
-        self.peers.contains(self.nodes[i].view, id, &self.ids)
+        self.peers
+            .contains(self.nodes[i].view, id, id_of(&self.nodes))
     }
 
     /// The peers in node `i`'s current view, in ID order.
@@ -976,16 +974,12 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
         self.peers
             .peers(self.nodes[i].view)
             .iter()
-            .map(|&peer| self.ids[peer as usize])
+            .copied()
+            .map(id_of(&self.nodes))
     }
 
-    /// Whether node `i` currently holds a death certificate for `id`.
-    pub fn tombstoned(&self, i: usize, id: NodeId) -> bool {
-        self.peers.contains(self.nodes[i].tombstones, id, &self.ids)
-    }
-
-    /// Sample the ring/tombstone coherence invariants if the auditor is
-    /// due. Returns whether a sample was taken.
+    /// Sample the view coherence invariants if the auditor is due.
+    /// Returns whether a sample was taken.
     pub fn audit_sample(&self, auditor: &mut Auditor) -> bool {
         auditor.sample_due(&dht_invariants(), self, self.queue.now())
     }
@@ -993,40 +987,20 @@ impl<D: Fn(HostId, HostId) -> SimTime> DhtSim<D> {
 
 /// The protocol's coherence invariants, checkable at any instant:
 ///
-/// * **view-tombstone-disjoint** — a peer is never simultaneously believed
-///   alive and certified dead; direct evidence voids the certificate, and
-///   a certificate blocks gossip re-insertion.
 /// * **self-absent-from-view** — a node never gossips itself into its own
 ///   view (the leafset derivation assumes it).
 /// * **leafset-within-view** — the believed leafset is derived from the
 ///   view and nothing else.
-/// * **tombstone-deadline-bounded** — every death certificate lapses within
-///   one failure-detection timeout of its issue, so a wrongly-expelled but
-///   live peer can always rejoin.
 pub fn dht_invariants<D: Fn(HostId, HostId) -> SimTime>() -> InvariantSet<DhtSim<D>> {
     InvariantSet::new()
-        .register("view-tombstone-disjoint", inv_view_tombstone_disjoint::<D>)
         .register("self-absent-from-view", inv_self_absent::<D>)
         .register("leafset-within-view", inv_leafset_within_view::<D>)
-        .register("tombstone-deadline-bounded", inv_tombstone_bounded::<D>)
-}
-
-fn inv_view_tombstone_disjoint<D: Fn(HostId, HostId) -> SimTime>(
-    s: &DhtSim<D>,
-    ctx: &mut AuditCtx<'_>,
-) {
-    for (i, n) in s.nodes.iter().enumerate() {
-        for id in s.view_ids(i) {
-            ctx.check(!s.peers.contains(n.tombstones, id, &s.ids), || {
-                format!("node {i} holds {id:?} in both view and tombstones")
-            });
-        }
-    }
 }
 
 fn inv_self_absent<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
+    let id = id_of(&s.nodes);
     for (i, n) in s.nodes.iter().enumerate() {
-        ctx.check(!s.peers.contains(n.view, s.ids[i], &s.ids), || {
+        ctx.check(!s.peers.contains(n.view, n.id, id), || {
             format!("node {i} gossiped itself into its own view")
         });
     }
@@ -1036,27 +1010,20 @@ fn inv_leafset_within_view<D: Fn(HostId, HostId) -> SimTime>(
     s: &DhtSim<D>,
     ctx: &mut AuditCtx<'_>,
 ) {
+    let id = id_of(&s.nodes);
     let mut leafset = Vec::new();
     for (i, n) in s.nodes.iter().enumerate() {
-        let view = s.peers.peers(n.view);
-        leafset_into(s.ids[i], view, &s.ids, s.cfg.leafset_r, &mut leafset);
+        leafset_into(
+            n.id,
+            s.peers.peers(n.view),
+            id,
+            s.cfg.leafset_r,
+            &mut leafset,
+        );
         for &peer in &leafset {
-            let id = s.ids[peer as usize];
-            ctx.check(s.peers.contains(n.view, id, &s.ids), || {
-                format!("node {i}'s believed leafset lists {id:?} outside its view")
-            });
-        }
-    }
-}
-
-fn inv_tombstone_bounded<D: Fn(HostId, HostId) -> SimTime>(s: &DhtSim<D>, ctx: &mut AuditCtx<'_>) {
-    let horizon = ctx.now() + s.cfg.timeout;
-    for (i, n) in s.nodes.iter().enumerate() {
-        let row = n.tombstones;
-        for (&peer, &until) in s.peers.peers(row).iter().zip(s.peers.times(row)) {
-            let id = s.ids[peer as usize];
-            ctx.check(until <= horizon, || {
-                format!("node {i}'s certificate for {id:?} outlives a detection timeout ({until})")
+            let peer_id = id(peer);
+            ctx.check(s.peers.contains(n.view, peer_id, id), || {
+                format!("node {i}'s believed leafset lists {peer_id:?} outside its view")
             });
         }
     }
@@ -1110,6 +1077,7 @@ mod tests {
         ) {
             use std::collections::BTreeMap;
             let ids: Vec<NodeId> = (0..96).map(NodeId::hash_of).collect();
+            let id_of = |p: Peer| ids[p as usize];
             let mut slab = PeerSlab::default();
             let mut rows = [Row::default(); 6];
             let mut models: Vec<BTreeMap<NodeId, (Peer, SimTime)>> = vec![BTreeMap::new(); 6];
@@ -1119,20 +1087,16 @@ mod tests {
                 match op {
                     // Inserts outnumber the rest, so rows do grow.
                     0..=3 => {
-                        slab.set(row, peer, t, &ids);
+                        slab.set(row, peer, t, id_of);
                         model.insert(id, (peer, t));
                     }
                     4 | 5 => {
-                        if let Err(i) = slab.find(*row, id, &ids) {
+                        if let Err(i) = slab.find(*row, id, id_of) {
                             slab.insert(row, i, peer, t);
                         }
                         model.entry(id).or_insert((peer, t));
                     }
-                    6 => {
-                        slab.remove(row, peer, &ids);
-                        model.remove(&id);
-                    }
-                    7 => {
+                    6 | 7 => {
                         slab.retain(row, |_, at| at > t);
                         model.retain(|_, (_, at)| *at > t);
                     }
@@ -1150,7 +1114,7 @@ mod tests {
                         *model = view.into_iter().map(|(p, at)| (ids[p as usize], (p, at))).collect();
                     }
                 }
-                prop_assert_eq!(slab.contains(*row, id, &ids), model.contains_key(&id));
+                prop_assert_eq!(slab.contains(*row, id, id_of), model.contains_key(&id));
             }
             for (row, model) in rows.iter().zip(&models) {
                 let peers: Vec<Peer> = model.values().map(|&(p, _)| p).collect();
@@ -1181,31 +1145,33 @@ mod tests {
             with.push(cand);
             with.sort_unstable_by_key(|&p| ids[p as usize]);
             let mut leafset = Vec::new();
-            leafset_into(ids[me as usize], &with, &ids, r, &mut leafset);
+            let id_of = |p: Peer| ids[p as usize];
+            leafset_into(ids[me as usize], &with, id_of, r, &mut leafset);
             let at = view.partition_point(|&p| ids[p as usize] < ids[cand as usize]);
             prop_assert_eq!(
-                in_range(ids[me as usize], at, &view, &ids, r),
+                in_range(ids[me as usize], at, &view, id_of, r),
                 leafset.contains(&cand)
             );
         }
 
-        // Payloads put, held and released in any order: each reads back
-        // what was put until its last delivery lets it go, and a freed run
-        // is reused before the buffer grows.
+        // Payloads of any length put, held and released in any order: each
+        // reads back what was put until its last delivery lets it go, and a
+        // freed run is reused before the buffer grows, whatever length it
+        // last held.
         #[test]
         fn prop_payloads_read_back_until_released(
             ops in proptest::collection::vec((0u8..3, 0usize..40, 0u32..4), 0..400),
         ) {
-            let mut payloads = Payloads::default();
+            let mut payloads = Payloads::new(9);
             // (handle, peers, deliveries still holding it)
             let mut live: Vec<(u32, Vec<Peer>, u32)> = Vec::new();
             for (op, pick, n) in ops {
                 match op {
                     0 => {
                         let peers: Vec<Peer> = (0..pick as u32 % 10).map(|k| k * 7 + n).collect();
-                        let free_before = payloads.free.get(peers.len()).map_or(0, Vec::len);
+                        let free_before = payloads.free.len();
                         let words = payloads.words.len();
-                        let at = payloads.put(&peers);
+                        let at = payloads.put(peers.iter().copied());
                         if free_before > 0 {
                             prop_assert_eq!(payloads.words.len(), words, "a free run was not reused");
                         }
@@ -1262,47 +1228,78 @@ mod tests {
             .peers(s.nodes[0].view)
             .first()
             .expect("a bootstrap view is never empty");
-        let id = s.ids[peer as usize];
+        let id = s.nodes[peer as usize].id;
         let heard = SimTime::from_secs(5);
         let mut view = s.nodes[0].view;
-        s.peers.set(&mut view, peer, heard, &s.ids);
+        s.peers.set(&mut view, peer, heard, id_of(&s.nodes));
         s.nodes[0].view = view;
         // One microsecond short of the timeout the peer is still alive...
         s.expire(0, heard + timeout - SimTime::from_micros(1));
         assert!(s.view_contains(0, id));
-        assert!(!s.tombstoned(0, id));
         // ...and silent for exactly the timeout it is not.
         s.expire(0, heard + timeout);
         assert!(!s.view_contains(0, id), "the peer outlived its timeout");
-        assert!(s.tombstoned(0, id), "an expelled peer is certified dead");
     }
 
     #[test]
-    fn a_silent_peer_beyond_the_leafset_is_forgotten_not_certified() {
+    fn a_silent_peer_beyond_the_leafset_is_forgotten_not_expelled() {
         let mut s = sim(32);
+        s.set_tracer(Tracer::ring(1 << 12));
         // Heartbeats have refreshed every leafset entry.
         s.run_until(SimTime::from_secs(30));
         let now = s.now();
-        let my = s.ids[0];
+        let my = s.nodes[0].id;
         // The peer farthest from node 0 either way: beyond its leafset.
         let far = (1..32u32)
             .max_by_key(|&p| {
-                let id = s.ids[p as usize];
+                let id = s.nodes[p as usize].id;
                 my.distance_cw(id).min(id.distance_cw(my))
             })
             .expect("31 peers");
-        let id = s.ids[far as usize];
+        let id = s.nodes[far as usize].id;
         let mut view = s.nodes[0].view;
-        s.peers.set(&mut view, far, now - s.cfg.timeout, &s.ids);
+        s.peers
+            .set(&mut view, far, now - s.cfg.timeout, id_of(&s.nodes));
         s.nodes[0].view = view;
         assert!(!s.believed_leafset(0).contains(&id));
+        s.take_trace();
         s.expire(0, now);
         assert!(!s.view_contains(0, id), "the peer outlived its timeout");
-        assert!(
-            !s.tombstoned(0, id),
-            "nobody heartbeated it: no certificate"
+        assert_eq!(
+            s.take_trace().expect("ring tracer owns its records"),
+            [],
+            "nobody heartbeated it: no expulsion"
         );
         assert_eq!(s.false_expels(), 0);
+    }
+
+    #[test]
+    fn gossip_names_only_the_peers_heard_from_within_a_half_timeout() {
+        let mut s = sim(32);
+        s.run_until(SimTime::from_secs(30));
+        let (now, half) = (s.now(), s.half_timeout());
+        let id = id_of(&s.nodes);
+        let mut leafset = Vec::new();
+        leafset_into(
+            s.nodes[0].id,
+            s.peers.peers(s.nodes[0].view),
+            id,
+            4,
+            &mut leafset,
+        );
+        // One peer as stale as a gossip-learned entry, one heard a
+        // microsecond later.
+        let (stale, heard) = (leafset[0], leafset[1]);
+        let mut view = s.nodes[0].view;
+        s.peers.set(&mut view, stale, now - half, id);
+        s.peers
+            .set(&mut view, heard, now - half + SimTime::from_micros(1), id);
+        s.nodes[0].view = view;
+        s.leafset = leafset.clone();
+        let payload = s.gossip(0, now);
+        let mut expected: Vec<Peer> = leafset.into_iter().filter(|&p| p != stale).collect();
+        expected.push(0);
+        assert_eq!(s.payloads.peers(payload), expected);
     }
 
     #[test]
@@ -1365,7 +1362,7 @@ mod tests {
 
     #[test]
     fn coherence_invariants_hold_through_churn() {
-        // Sample the view/tombstone invariants every second across a run
+        // Sample the view invariants every second across a run
         // with kills, a revival, and a join — the flows that historically
         // produce flapping views. Hard-fail is on in debug builds, so a
         // violation panics with the offending node; the final report must
@@ -1400,8 +1397,8 @@ mod tests {
         assert!(report.samples >= 20, "auditor barely sampled");
         assert!(report.checks > 0);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
-        // The dead node is certified, not believed: no live neighbor holds
-        // victim 11 in its view once expelled.
+        // The dead node is expelled: no live neighbor holds victim 11 in
+        // its view.
         let dead_id = s.member_of(11).id;
         for i in 0..s.len() {
             if s.is_alive(i) {
@@ -1618,7 +1615,7 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_hold_under_loss_while_victim_is_down() {
+    fn a_dead_peer_stays_out_under_loss_while_it_is_down() {
         // Flap test: kill a node, let the ring expel it, and verify that
         // while it stays down no live node's view resurrects it from stale
         // gossip — even with message loss perturbing the gossip schedule.

@@ -8,8 +8,9 @@
 //!
 //! 1. **Detection** — leafset heartbeats stop; a neighbor's timeout expires
 //!    the victim from its view ([`dht::proto::DhtSim`]).
-//! 2. **Expulsion** — gossip (held honest by tombstones) spreads the death
-//!    certificate until *no* live view contains any victim.
+//! 2. **Expulsion** — every holder's timeout expires the victim, which
+//!    gossip of directly heard peers cannot bring back, until *no* live
+//!    view contains any victim.
 //! 3. **Tree rebuild** — SOMO is a pure function of ring membership, so the
 //!    healed ring induces the healed tree ([`somo::heal::remap_stats`]
 //!    quantifies the blast radius); an unsynchronized gather then re-runs
@@ -144,7 +145,7 @@ pub struct RecoveryOutcome {
     pub gather_messages: u64,
     /// Gather messages dropped (exposure + regather).
     pub gather_dropped: u64,
-    /// Invariant audit over the whole pipeline: ring/tombstone coherence
+    /// Invariant audit over the whole pipeline: ring view coherence
     /// sampled through detection and expulsion, plus a final check that the
     /// repaired session tree is dead-free and within degree bounds. Clean
     /// on every seed or the run panics under `debug-assertions`.
@@ -196,9 +197,9 @@ fn pipeline_inner(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let victims = pick_victims(&ring, cfg.seed, cfg.crashes);
     let dead_hosts: Vec<HostId> = victims.iter().map(|&v| ring.member(v).host).collect();
     // Ring coherence is audited on the same poll clock that times the
-    // repair: every live view/tombstone pair must stay disjoint while the
-    // death certificates propagate. The repaired session tree is checked
-    // by the same auditor at the end.
+    // repair: no view may hold its own node, and every believed leafset
+    // must come from its view, while the victims are expelled. The
+    // repaired session tree is checked by the same auditor at the end.
     let mut auditor = Auditor::every(scale(POLL_STEP, 4));
 
     // Each phase owns the simulator (and the network) it runs on and hands

@@ -1,7 +1,7 @@
 //! Cross-crate invariant auditing, sampled on the event clock.
 //!
 //! Long fault-injection runs can silently corrupt shared state (leaked degree
-//! reservations, oversubscribed hosts, resurrected tombstones) in ways no
+//! reservations, oversubscribed hosts, a node in its own view) in ways no
 //! single unit test observes, because the corruption only matters several
 //! simulated minutes after the bug. The auditor closes that gap: a sim
 //! registers a set of named invariants over a read-only view of its state

@@ -60,7 +60,7 @@ pub enum TraceEvent {
         /// How many peers were heartbeated.
         targets: u32,
     },
-    /// DHT: `node` expired `peer` from its view and planted a tombstone.
+    /// DHT: `node` expired `peer`, a silent leafset peer, from its view.
     DhtExpel {
         /// Simulator node index doing the expelling.
         node: u32,

@@ -218,10 +218,12 @@ fn recovery_pipeline_is_bit_identical_across_runs() {
 /// remap statistics, census and delivery fractions, ALM report, message,
 /// drop and false-expulsion counts, audit — of the two pipelines below,
 /// re-pinned when gossip began adopting only peers that enter the
-/// receiver's leafset (first recorded at 291cf64, before the pipeline's
-/// phases and the simulators under them were rebuilt).
-const PIN_RECOVERY_CLEAN: (usize, u64) = (670, 6063906625270314384);
-const PIN_RECOVERY_LOSSY: (usize, u64) = (652, 16888670717145563562);
+/// receiver's leafset, and again when it began naming only the peers its
+/// sender heard from within a half-timeout and the death certificates and
+/// their two invariants went (first recorded at 291cf64, before the
+/// pipeline's phases and the simulators under them were rebuilt).
+const PIN_RECOVERY_CLEAN: (usize, u64) = (670, 14541627034593886311);
+const PIN_RECOVERY_LOSSY: (usize, u64) = (652, 801411249440940579);
 
 #[test]
 fn recovery_pipeline_outcomes_match_their_pins() {

@@ -11,7 +11,10 @@
 # else every tracked or unignored file of the working tree as it is on
 # disk (uncommitted edits included), the way `perf_pairs.sh` exports its
 # two sides. No worktree is made and nothing in the repository is written;
-# builds go to `$MUTANTS_DIR/target` and are reused by the next run.
+# builds go to `$MUTANTS_DIR/target`. Every file is extracted with the
+# current time, so each run rebuilds the tree: a file's own older time
+# would let cargo take the last run's mutated build, which is newer, for
+# the unmutated tree's.
 #
 # The mutations are named (file, exact before-text, after-text) triples in
 # the table below; each before-text must occur exactly once in its file.
@@ -25,7 +28,7 @@
 # Prints one markdown row per mutation: the first gate that went red, with
 # the test target cargo names to re-run it and the first failing test, or
 # "survives". A mutation that no longer applies is an error, so the table
-# must be kept in step with the code. On 2 cores the first run's builds
+# must be kept in step with the code. On 2 cores each run's builds
 # and baseline take ≈ 5 min and each mutation 1–2 min (≈ 55 min for the
 # table below, 20 of it one row that hits the timeout). This is a
 # measurement tool, like `perf_e2e`; no CI job runs it.
@@ -44,11 +47,11 @@ if [ $# -eq 1 ]; then
     echo "not a revision: $1" >&2
     exit 2
   }
-  git -C "$root" archive "$1" | tar -xf - -C "$dir/tree"
+  git -C "$root" archive "$1" | tar -xmf - -C "$dir/tree"
 else
   git -C "$root" ls-files -z --cached --others --exclude-standard |
     (cd "$root" && tar --null --ignore-failed-read -T - -cf -) |
-    tar -xf - -C "$dir/tree"
+    tar -xmf - -C "$dir/tree"
 fi
 
 CARGO_TARGET_DIR="$dir/target" python3 - "$dir/tree" "${MUTANTS_ONLY:-}" <<'PY'
@@ -175,14 +178,20 @@ MUTANTS = [
     (
         "gossip adopts half-stale peers beyond the receiver's leafset again",
         "crates/dht/src/proto.rs",
-        "if in_range(my, at, peers.peers(n.view), ids, r) {",
+        "if in_range(my, at, peers.peers(view), id, r) {",
         "if true {",
     ),
     (
-        "a displaced peer that times out is certified dead",
+        "a displaced peer that times out is traced as expelled",
         "crates/dht/src/proto.rs",
         "if !alive && watched.contains(&peer) {",
         "if !alive {",
+    ),
+    (
+        "gossip passes on peers not heard from within the half-timeout",
+        "crates/dht/src/proto.rs",
+        ".filter(|&peer| now.saturating_sub(heard(peer)) < half);",
+        ".filter(|&peer| heard(peer) <= now);",
     ),
     (
         "the residual capacity of a survivor drops its parent link",
